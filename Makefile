@@ -1,12 +1,16 @@
 GO ?= go
 
-.PHONY: build vet test race smoke verify bench ci benchcore benchgate paracheck faultcheck servecheck snapcheck crashcheck soakcheck
+.PHONY: build vet fmtcheck test race smoke verify bench ci benchcore benchgate paracheck faultcheck servecheck snapcheck crashcheck soakcheck
 
 build:
 	$(GO) build ./...
 
 vet:
 	$(GO) vet ./...
+
+# fmtcheck fails when any file is not gofmt-clean.
+fmtcheck:
+	test -z "$$(gofmt -l .)"
 
 test:
 	$(GO) test ./...
@@ -28,17 +32,17 @@ verify: build vet race smoke
 bench:
 	$(GO) test -bench=. -benchmem
 
-# benchcore times the simulator's execution-loop variants (legacy loop,
-# fast path with and without the data window) plus the serial-vs-
-# parallel sweep, and writes BENCH_core.json (instrs/sec, cycles,
-# allocs, speedups). Size test keeps it quick enough for CI.
+# benchcore times the simulator's two execution loops (legacy and fast)
+# plus, on a multi-core host, the serial-vs-parallel sweep, and writes
+# BENCH_core.json (instrs/sec, cycles, allocs, speedups). Size test
+# keeps it quick enough for CI.
 benchcore:
 	$(GO) run ./cmd/mispbench -exp bench -size test -json BENCH_core.json
 
 # benchgate regenerates BENCH_core.json and gates it against the
 # committed baseline: instructions and cycles must match exactly
-# (deterministic simulation), and the host-relative speedup ratios must
-# not drop more than 20% below the baseline.
+# (deterministic simulation), and the host-relative fast-vs-legacy
+# speedup must not drop more than 20% below the baseline.
 benchgate:
 	cp BENCH_core.json /tmp/misp-bench-baseline.json
 	$(GO) run ./cmd/mispbench -exp bench -size test -json BENCH_core.json \
@@ -116,4 +120,4 @@ soakcheck:
 	bash scripts/overload_smoke.sh
 
 # ci is the full gate run by the GitHub Actions workflow.
-ci: build vet test race smoke benchgate paracheck faultcheck servecheck snapcheck crashcheck soakcheck
+ci: build vet fmtcheck test race smoke benchgate paracheck faultcheck servecheck snapcheck crashcheck soakcheck

@@ -39,30 +39,19 @@ type benchResult struct {
 	LegacyInstrsPerSec float64 `json:"legacy_instrs_per_sec"`
 	LegacyAllocs       uint64  `json:"legacy_allocs"`
 
-	// Fast path without the data window cache (Config.NoDataWindow):
-	// isolates the data-side fast path's contribution.
-	NoDWWallSeconds  float64 `json:"nodw_wall_seconds"`
-	NoDWInstrsPerSec float64 `json:"nodw_instrs_per_sec"`
-
-	// Fast path without superblock compilation (Config.NoSuperblock):
-	// isolates the compiled micro-op path's contribution.
-	NoSBWallSeconds  float64 `json:"nosb_wall_seconds"`
-	NoSBInstrsPerSec float64 `json:"nosb_instrs_per_sec"`
-
-	Speedup   float64 `json:"speedup"`    // fast vs legacy loop
-	DWSpeedup float64 `json:"dw_speedup"` // fast vs fast-without-data-window
-	SBSpeedup float64 `json:"sb_speedup"` // fast vs fast-without-superblocks
+	Speedup float64 `json:"speedup"` // fast vs legacy loop
 
 	// Host-parallel sweep prong: the same mini-evaluation (benchApps x
 	// {1P, MISP, SMP}) run serially and with all host cores, difftested
 	// identical. Wall times are host-dependent; the result equality is
-	// not.
-	SweepRuns            int     `json:"sweep_runs"`
+	// not. With one resolved worker the two passes are the same run, so
+	// the prong is skipped and only sweep_workers is recorded.
+	SweepRuns            int     `json:"sweep_runs,omitempty"`
 	SweepWorkers         int     `json:"sweep_workers"`
-	SweepSerialSeconds   float64 `json:"sweep_serial_seconds"`
-	SweepParallelSeconds float64 `json:"sweep_parallel_seconds"`
-	SweepSpeedup         float64 `json:"sweep_speedup"`
-	SweepUtilization     float64 `json:"sweep_utilization"`
+	SweepSerialSeconds   float64 `json:"sweep_serial_seconds,omitempty"`
+	SweepParallelSeconds float64 `json:"sweep_parallel_seconds,omitempty"`
+	SweepSpeedup         float64 `json:"sweep_speedup,omitempty"`
+	SweepUtilization     float64 `json:"sweep_utilization,omitempty"`
 }
 
 // benchReps is the repetition count per (workload, loop): the reported
@@ -78,19 +67,19 @@ func benchReps(size workloads.Size) int {
 	return 1
 }
 
-// benchLoop runs the bench workloads under one loop variant (mut edits
-// the base config) and returns (instructions retired, simulated cycles,
+// benchLoop runs the bench workloads under one execution loop and
+// returns (instructions retired, simulated cycles,
 // wall time, heap allocations). Only Machine.Run is timed — machine
 // construction (a 128 MiB memory clear) and result verification happen
 // outside the clock, and each rep runs on a freshly prepared machine
-// with the best rep reported. The loop variants are run-only config,
-// so all reps of one workload fork a single pooled snapshot when warm
-// is non-nil.
-func benchLoop(size workloads.Size, seqs int, mut func(*core.Config), warm *workloads.WarmPool) (uint64, uint64, time.Duration, uint64, error) {
+// with the best rep reported. The loop choice is run-only config, so
+// all reps of one workload fork a single pooled snapshot when warm is
+// non-nil.
+func benchLoop(size workloads.Size, seqs int, legacy bool, warm *workloads.WarmPool) (uint64, uint64, time.Duration, uint64, error) {
 	top := make(core.Topology, 1)
 	top[0] = seqs - 1 // one OMS plus seqs-1 AMSs
 	cfg := workloads.DefaultConfig(top)
-	mut(&cfg)
+	cfg.LegacyLoop = legacy
 	reps := benchReps(size)
 
 	var instrs, cycles uint64
@@ -188,22 +177,14 @@ func benchSweep(size workloads.Size, seqs, parallel int, res *benchResult) error
 	return nil
 }
 
-// runBench times the simulator's execution-loop variants (legacy loop,
-// fast path without the data window, full fast path) on identical
-// workloads plus the serial-vs-parallel sweep, and writes the result as
-// JSON so CI can track the perf trajectory. A non-empty baselinePath
-// gates the run against a committed baseline.
+// runBench times the simulator's two execution loops (legacy and fast)
+// on identical workloads plus, on a multi-core host, the
+// serial-vs-parallel sweep, and writes the result as JSON so CI can
+// track the perf trajectory. A non-empty baselinePath gates the run
+// against a committed baseline.
 func runBench(size workloads.Size, seqs, parallel int, jsonPath, baselinePath string, warm *workloads.WarmPool) error {
 	reps := benchReps(size)
-	variants := []struct {
-		name string
-		mut  func(*core.Config)
-	}{
-		{"legacy", func(c *core.Config) { c.LegacyLoop = true }},
-		{"fast-nodw", func(c *core.Config) { c.NoDataWindow = true }},
-		{"fast-nosb", func(c *core.Config) { c.NoSuperblock = true }},
-		{"fast", func(c *core.Config) {}},
-	}
+	loops := []string{"legacy", "fast"}
 	fmt.Printf("bench: %v at size %s on %d sequencers, best of %d...\n",
 		benchApps, size, seqs, reps)
 	type measure struct {
@@ -211,23 +192,23 @@ func runBench(size workloads.Size, seqs, parallel int, jsonPath, baselinePath st
 		wall           time.Duration
 		allocs         uint64
 	}
-	ms := make([]measure, len(variants))
-	for i, v := range variants {
+	ms := make([]measure, len(loops))
+	for i, name := range loops {
 		var m measure
 		var err error
-		m.instrs, m.cycles, m.wall, m.allocs, err = benchLoop(size, seqs, v.mut, warm)
+		m.instrs, m.cycles, m.wall, m.allocs, err = benchLoop(size, seqs, name == "legacy", warm)
 		if err != nil {
 			return err
 		}
 		fmt.Printf("bench: %-10s %12d instrs  %v  %.3g instrs/sec\n",
-			v.name, m.instrs, m.wall.Round(time.Millisecond), float64(m.instrs)/m.wall.Seconds())
+			name, m.instrs, m.wall.Round(time.Millisecond), float64(m.instrs)/m.wall.Seconds())
 		if i > 0 && (m.instrs != ms[0].instrs || m.cycles != ms[0].cycles) {
 			return fmt.Errorf("bench: %s diverges from legacy: instrs %d/%d cycles %d/%d",
-				v.name, ms[0].instrs, m.instrs, ms[0].cycles, m.cycles)
+				name, ms[0].instrs, m.instrs, ms[0].cycles, m.cycles)
 		}
 		ms[i] = m
 	}
-	legacy, nodw, nosb, fast := ms[0], ms[1], ms[2], ms[3]
+	legacy, fast := ms[0], ms[1]
 
 	res := benchResult{
 		Size:      size.String(),
@@ -245,20 +226,16 @@ func runBench(size workloads.Size, seqs, parallel int, jsonPath, baselinePath st
 		LegacyInstrsPerSec: float64(legacy.instrs) / legacy.wall.Seconds(),
 		LegacyAllocs:       legacy.allocs,
 
-		NoDWWallSeconds:  nodw.wall.Seconds(),
-		NoDWInstrsPerSec: float64(nodw.instrs) / nodw.wall.Seconds(),
+		Speedup: legacy.wall.Seconds() / fast.wall.Seconds(),
 
-		NoSBWallSeconds:  nosb.wall.Seconds(),
-		NoSBInstrsPerSec: float64(nosb.instrs) / nosb.wall.Seconds(),
-
-		Speedup:   legacy.wall.Seconds() / fast.wall.Seconds(),
-		DWSpeedup: nodw.wall.Seconds() / fast.wall.Seconds(),
-		SBSpeedup: nosb.wall.Seconds() / fast.wall.Seconds(),
+		SweepWorkers: sweep.Workers(parallel),
 	}
-	fmt.Printf("bench: speedup %.2fx vs legacy, %.2fx from data window, %.2fx from superblocks (allocs %d -> %d)\n",
-		res.Speedup, res.DWSpeedup, res.SBSpeedup, legacy.allocs, fast.allocs)
+	fmt.Printf("bench: speedup %.2fx vs legacy (allocs %d -> %d)\n",
+		res.Speedup, legacy.allocs, fast.allocs)
 
-	if err := benchSweep(size, seqs, parallel, &res); err != nil {
+	if res.SweepWorkers == 1 {
+		fmt.Println("bench: sweep  skipped (1 worker: the parallel pass would repeat the serial one)")
+	} else if err := benchSweep(size, seqs, parallel, &res); err != nil {
 		return err
 	}
 
@@ -288,11 +265,10 @@ func runBench(size workloads.Size, seqs, parallel int, jsonPath, baselinePath st
 //     EXACTLY when the bench configuration is the same — the simulator
 //     promises bit-identical execution, so any drift is a correctness
 //     regression, not noise.
-//   - Host-relative ratios (fast-vs-legacy speedup, data-window
-//     speedup, superblock speedup) must not drop more than 20% below
-//     the baseline. They
-//     compare two runs on the same host, so they transfer across
-//     machines; absolute instrs/sec does not and is not gated.
+//   - The host-relative fast-vs-legacy speedup must not drop more than
+//     20% below the baseline. It compares two runs on the same host, so
+//     it transfers across machines; absolute instrs/sec does not and is
+//     not gated.
 //   - Sweep wall times and speedups depend on the host's core count and
 //     are not gated.
 func checkBaseline(res *benchResult, path string) error {
@@ -320,24 +296,11 @@ func checkBaseline(res *benchResult, path string) error {
 		}
 	}
 	const tolerance = 0.20
-	gates := []struct {
-		name      string
-		got, want float64
-	}{
-		{"speedup (fast vs legacy)", res.Speedup, base.Speedup},
-		{"dw_speedup (data window)", res.DWSpeedup, base.DWSpeedup},
-		{"sb_speedup (superblocks)", res.SBSpeedup, base.SBSpeedup},
+	if res.Speedup < base.Speedup*(1-tolerance) {
+		return fmt.Errorf("bench: speedup (fast vs legacy) regressed: %.3f < baseline %.3f - 20%%",
+			res.Speedup, base.Speedup)
 	}
-	for _, g := range gates {
-		if g.want == 0 {
-			continue // field absent from an older baseline schema
-		}
-		if g.got < g.want*(1-tolerance) {
-			return fmt.Errorf("bench: %s regressed: %.3f < baseline %.3f - 20%%",
-				g.name, g.got, g.want)
-		}
-		fmt.Printf("bench: gate %-28s %.3f vs baseline %.3f ok\n", g.name, g.got, g.want)
-	}
+	fmt.Printf("bench: gate speedup (fast vs legacy) %.3f vs baseline %.3f ok\n", res.Speedup, base.Speedup)
 	fmt.Printf("bench: baseline gate passed (%s)\n", path)
 	return nil
 }

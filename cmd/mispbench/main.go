@@ -14,7 +14,7 @@
 // bench JSON), never into the CSVs.
 //
 // `-exp bench` times the simulator itself (fast path vs legacy loop,
-// data window on vs off, serial vs parallel sweep) instead of
+// and serial vs parallel sweep on a multi-core host) instead of
 // reproducing a paper figure, and `-json` writes the measurements
 // (instructions/sec, cycles simulated, allocations, speedups) for CI
 // tracking; `-baseline` gates them against a committed baseline.

@@ -136,15 +136,6 @@ type Config struct {
 	// loop (O(#sequencers) scan per instruction). The fast path is
 	// difftested against it; results are bit-identical.
 	LegacyLoop bool
-	// NoDataWindow disables the per-sequencer data window cache on the
-	// fast loop (an ablation knob for the bench harness; the legacy loop
-	// never uses the window). Results are bit-identical either way.
-	NoDataWindow bool
-	// NoSuperblock disables superblock micro-op compilation on the fast
-	// loop (the oracle knob for the loop-equivalence difftests, mirroring
-	// NoDataWindow; the legacy loop never compiles). Results are
-	// bit-identical either way.
-	NoSuperblock bool
 
 	// Fault configures the deterministic fault-injection plane. Held by
 	// value so every machine built from a copied Config constructs its

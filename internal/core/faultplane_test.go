@@ -131,9 +131,9 @@ func runLoopFault(t *testing.T, cfg Config, src string, legacy bool) (*BareOS, *
 	return b, m, runErr
 }
 
-// checkEquivFault is checkEquiv under injection: legacy vs fast vs
-// fast-nodw must agree on outcome (success or the exact same error
-// text), schedule, clocks, counters, and event stream.
+// checkEquivFault is checkEquiv under injection: legacy and fast must
+// agree on outcome (success or the exact same error text), schedule,
+// clocks, counters, and event stream.
 func checkEquivFault(t *testing.T, cfg Config, src string) {
 	t.Helper()
 	errText := func(err error) string {
@@ -143,50 +143,40 @@ func checkEquivFault(t *testing.T, cfg Config, src string) {
 		return err.Error()
 	}
 	bL, mL, eL := runLoopFault(t, cfg, src, true)
-	for _, v := range []struct {
-		name string
-		mut  func(*Config)
-	}{
-		{"fast", func(c *Config) {}},
-		{"fast-nodw", func(c *Config) { c.NoDataWindow = true }},
-	} {
-		c := cfg
-		v.mut(&c)
-		bF, mF, eF := runLoopFault(t, c, src, false)
+	bF, mF, eF := runLoopFault(t, cfg, src, false)
 
-		if errText(eL) != errText(eF) {
-			t.Fatalf("%s: outcomes diverge:\nlegacy: %v\nfast:   %v", v.name, eL, eF)
+	if errText(eL) != errText(eF) {
+		t.Fatalf("outcomes diverge:\nlegacy: %v\nfast:   %v", eL, eF)
+	}
+	if eL == nil && (bL.ExitCode != bF.ExitCode || bL.Out.String() != bF.Out.String()) {
+		t.Fatalf("outputs diverge: exit %d/%d out %q/%q",
+			bL.ExitCode, bF.ExitCode, bL.Out.String(), bF.Out.String())
+	}
+	if pL, pF := mL.FaultPlan().LogString(), mF.FaultPlan().LogString(); pL != pF {
+		t.Fatalf("injection schedules diverge:\nlegacy:\n%s\nfast:\n%s", pL, pF)
+	}
+	if mL.Steps != mF.Steps {
+		t.Fatalf("steps diverge: legacy %d fast %d", mL.Steps, mF.Steps)
+	}
+	if mL.MaxClock() != mF.MaxClock() {
+		t.Fatalf("wall clock diverges: legacy %d fast %d", mL.MaxClock(), mF.MaxClock())
+	}
+	for i := range mL.Seqs {
+		sl, sf := mL.Seqs[i], mF.Seqs[i]
+		if sl.Clock != sf.Clock {
+			t.Errorf("%s: clock %d (legacy) != %d (fast)", sl.Name(), sl.Clock, sf.Clock)
 		}
-		if eL == nil && (bL.ExitCode != bF.ExitCode || bL.Out.String() != bF.Out.String()) {
-			t.Fatalf("%s: outputs diverge: exit %d/%d out %q/%q",
-				v.name, bL.ExitCode, bF.ExitCode, bL.Out.String(), bF.Out.String())
+		if sl.C != sf.C {
+			t.Errorf("%s: counters diverge:\nlegacy %+v\nfast   %+v", sl.Name(), sl.C, sf.C)
 		}
-		if pL, pF := mL.FaultPlan().LogString(), mF.FaultPlan().LogString(); pL != pF {
-			t.Fatalf("%s: injection schedules diverge:\nlegacy:\n%s\nfast:\n%s", v.name, pL, pF)
-		}
-		if mL.Steps != mF.Steps {
-			t.Fatalf("%s: steps diverge: legacy %d fast %d", v.name, mL.Steps, mF.Steps)
-		}
-		if mL.MaxClock() != mF.MaxClock() {
-			t.Fatalf("%s: wall clock diverges: legacy %d fast %d", v.name, mL.MaxClock(), mF.MaxClock())
-		}
-		for i := range mL.Seqs {
-			sl, sf := mL.Seqs[i], mF.Seqs[i]
-			if sl.Clock != sf.Clock {
-				t.Errorf("%s: %s: clock %d (legacy) != %d (fast)", v.name, sl.Name(), sl.Clock, sf.Clock)
-			}
-			if sl.C != sf.C {
-				t.Errorf("%s: %s: counters diverge:\nlegacy %+v\nfast   %+v", v.name, sl.Name(), sl.C, sf.C)
-			}
-		}
-		evL, evF := mL.Trace.Events(), mF.Trace.Events()
-		if len(evL) != len(evF) {
-			t.Fatalf("%s: event streams diverge in length: legacy %d fast %d", v.name, len(evL), len(evF))
-		}
-		for i := range evL {
-			if evL[i] != evF[i] {
-				t.Fatalf("%s: event %d diverges:\nlegacy %+v\nfast   %+v", v.name, i, evL[i], evF[i])
-			}
+	}
+	evL, evF := mL.Trace.Events(), mF.Trace.Events()
+	if len(evL) != len(evF) {
+		t.Fatalf("event streams diverge in length: legacy %d fast %d", len(evL), len(evF))
+	}
+	for i := range evL {
+		if evL[i] != evF[i] {
+			t.Fatalf("event %d diverges:\nlegacy %+v\nfast   %+v", i, evL[i], evF[i])
 		}
 	}
 }

@@ -236,6 +236,10 @@ func (m *Machine) proxyExec(oms *Sequencer, frameVA uint64) *trapFault {
 		}
 	}
 	oms.InProxy = false
+	// execOne fetched through the fetch micro-cache at the AMS's PC, so
+	// the fetch window no longer mirrors it: close the window so the
+	// handler's next fetch re-translates exactly as the legacy loop's does.
+	oms.winGen = nil
 
 	// Write the advanced context back and restore the handler.
 	if ff := m.writeCtxFrame(oms, frameVA, oms.PC, nil); ff != nil {

@@ -214,7 +214,7 @@ func TestStraddleStoreFaultsOnSecondPage(t *testing.T) {
 		t.Fatal("write fault not flagged as write")
 	}
 	// No partial store: the first page's covered bytes are untouched.
-	pa, _, ff := m.translate(oms, va, false)
+	pa, ff := m.translate(oms, va, false)
 	if ff != nil {
 		t.Fatalf("first page unexpectedly unmapped: %v", ff)
 	}
@@ -246,9 +246,9 @@ func TestStraddleLoadFaultsOnSecondPage(t *testing.T) {
 }
 
 // TestDecodeCacheSelfModify: a store into a code page must invalidate
-// the decoded-instruction cache (per-page store generation), so
-// self-modifying code executes the patched instruction — even
-// mid-batch on the fast path. The code runs from the writable heap;
+// the fast loop's decoded form of it (the compiled page, keyed on the
+// per-page store generation), so self-modifying code executes the
+// patched instruction — even mid-batch on the fast path. The code runs from the writable heap;
 // pass 1 executes `ldi r1, 1`, patches that word in place to
 // `ldi r1, 7`, and pass 2 must observe the patch: r10 = 1 + 7.
 func TestDecodeCacheSelfModify(t *testing.T) {
@@ -293,7 +293,7 @@ main:
 			t.Fatalf("legacy=%v: %v", legacy, err)
 		}
 		if oms.Regs[10] != 8 {
-			t.Fatalf("legacy=%v: r10 = %d, want 8 (decode cache served a stale instruction?)",
+			t.Fatalf("legacy=%v: r10 = %d, want 8 (compiled page served a stale instruction?)",
 				legacy, oms.Regs[10])
 		}
 	}

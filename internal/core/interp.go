@@ -33,8 +33,7 @@ func (m *Machine) exec(s *Sequencer) {
 // execOne fetches, decodes and executes a single instruction. On a
 // fault it returns without committing: s.PC still addresses the
 // faulting instruction. Traps are NOT handled here. The legacy loop
-// decodes afresh each instruction, exactly as the seed interpreter did;
-// the decode page cache belongs to the fast path.
+// decodes afresh each instruction, exactly as the seed interpreter did.
 func (m *Machine) execOne(s *Sequencer) *trapFault {
 	in, f := m.fetchUncached(s)
 	if f != nil {
@@ -334,7 +333,6 @@ func (m *Machine) execInstr(s *Sequencer, in isa.Instr) *trapFault {
 	case isa.OpInvlpg:
 		s.TLB.FlushPage(r[in.Rs1])
 		s.fetchVPN = 0
-		s.decBase = 0
 		s.winGen = nil
 	case isa.OpTlbflush:
 		s.flushTranslation()

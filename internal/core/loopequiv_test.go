@@ -1,9 +1,12 @@
 package core
 
 import (
+	"strings"
 	"testing"
 
 	"misp/internal/asm"
+	"misp/internal/isa"
+	"misp/internal/mem"
 )
 
 // Loop-equivalence difftest: the event-horizon fast path must be
@@ -36,58 +39,50 @@ func runLoop(t *testing.T, cfg Config, src string, legacy bool) (*BareOS, *Machi
 	return b, m
 }
 
-// checkEquiv runs src under the legacy loop (the oracle), the fast
-// path, and the fast path with each host-side cache disabled (data
-// window, superblock compilation, and both), and demands bit-identical
-// machine-visible outcomes from all of them. The NoSuperblock variants
-// double as the compiled path's oracle: with compilation off, the fast
-// loop retires every instruction through the interpreter.
+// checkEquiv runs src under the legacy loop (the reference) and the
+// fast path, and demands bit-identical machine-visible outcomes.
 func checkEquiv(t *testing.T, cfg Config, src string) {
 	t.Helper()
 	bL, mL := runLoop(t, cfg, src, true)
-	variants := []struct {
-		name string
-		mut  func(*Config)
-	}{
-		{"fast", func(c *Config) {}},
-		{"fast-nodw", func(c *Config) { c.NoDataWindow = true }},
-		{"fast-nosb", func(c *Config) { c.NoSuperblock = true }},
-		{"fast-nodw-nosb", func(c *Config) { c.NoDataWindow = true; c.NoSuperblock = true }},
-	}
-	for _, v := range variants {
-		c := cfg
-		v.mut(&c)
-		bF, mF := runLoop(t, c, src, false)
+	bF, mF := runLoop(t, cfg, src, false)
 
-		if bL.ExitCode != bF.ExitCode || bL.Out.String() != bF.Out.String() {
-			t.Fatalf("%s: outputs diverge: exit %d/%d out %q/%q",
-				v.name, bL.ExitCode, bF.ExitCode, bL.Out.String(), bF.Out.String())
+	if bL.ExitCode != bF.ExitCode || bL.Out.String() != bF.Out.String() {
+		t.Fatalf("outputs diverge: exit %d/%d out %q/%q",
+			bL.ExitCode, bF.ExitCode, bL.Out.String(), bF.Out.String())
+	}
+	if mL.Steps != mF.Steps {
+		t.Fatalf("steps diverge: legacy %d fast %d", mL.Steps, mF.Steps)
+	}
+	if mL.MaxClock() != mF.MaxClock() {
+		t.Fatalf("wall clock diverges: legacy %d fast %d", mL.MaxClock(), mF.MaxClock())
+	}
+	for i := range mL.Seqs {
+		sl, sf := mL.Seqs[i], mF.Seqs[i]
+		if sl.Clock != sf.Clock {
+			t.Errorf("%s: clock %d (legacy) != %d (fast)", sl.Name(), sl.Clock, sf.Clock)
 		}
-		if mL.Steps != mF.Steps {
-			t.Fatalf("%s: steps diverge: legacy %d fast %d", v.name, mL.Steps, mF.Steps)
+		if sl.C != sf.C {
+			t.Errorf("%s: counters diverge:\nlegacy %+v\nfast   %+v", sl.Name(), sl.C, sf.C)
 		}
-		if mL.MaxClock() != mF.MaxClock() {
-			t.Fatalf("%s: wall clock diverges: legacy %d fast %d", v.name, mL.MaxClock(), mF.MaxClock())
-		}
-		for i := range mL.Seqs {
-			sl, sf := mL.Seqs[i], mF.Seqs[i]
-			if sl.Clock != sf.Clock {
-				t.Errorf("%s: %s: clock %d (legacy) != %d (fast)", v.name, sl.Name(), sl.Clock, sf.Clock)
-			}
-			if sl.C != sf.C {
-				t.Errorf("%s: %s: counters diverge:\nlegacy %+v\nfast   %+v", v.name, sl.Name(), sl.C, sf.C)
-			}
-		}
-		evL, evF := mL.Trace.Events(), mF.Trace.Events()
-		if len(evL) != len(evF) {
-			t.Fatalf("%s: event streams diverge in length: legacy %d fast %d", v.name, len(evL), len(evF))
-		}
-		for i := range evL {
-			if evL[i] != evF[i] {
-				t.Fatalf("%s: event %d diverges:\nlegacy %+v\nfast   %+v", v.name, i, evL[i], evF[i])
-			}
+		if tl, tf := tlbStats(sl), tlbStats(sf); tl != tf {
+			t.Errorf("%s: TLB hits/misses/perm-misses/flushes diverge: legacy %v fast %v", sl.Name(), tl, tf)
 		}
 	}
+	evL, evF := mL.Trace.Events(), mF.Trace.Events()
+	if len(evL) != len(evF) {
+		t.Fatalf("event streams diverge in length: legacy %d fast %d", len(evL), len(evF))
+	}
+	for i := range evL {
+		if evL[i] != evF[i] {
+			t.Fatalf("event %d diverges:\nlegacy %+v\nfast   %+v", i, evL[i], evF[i])
+		}
+	}
+}
+
+// tlbStats returns s's TLB counters: every fetch or data access that
+// reaches the TLB on one loop must reach it on the other.
+func tlbStats(s *Sequencer) [4]uint64 {
+	return [4]uint64{s.TLB.Hits, s.TLB.Misses, s.TLB.PermMisses, s.TLB.Flushes}
 }
 
 func TestLoopEquivalenceShred(t *testing.T) {
@@ -97,6 +92,18 @@ func TestLoopEquivalenceShred(t *testing.T) {
 func TestLoopEquivalenceProxy(t *testing.T) {
 	checkEquiv(t, testCfg(1), proxyProg)
 	checkEquiv(t, testCfg(3), proxyProg)
+}
+
+// TestLoopEquivalenceProxyCrossPage puts the shred's proxied
+// instructions on a different code page from the OMS's proxy handler:
+// PROXYEXEC's re-execution then moves the OMS's fetch micro-cache off
+// the handler page, and the handler's next fetch must re-translate (a
+// TLB lookup) on the fast loop exactly as it does on the legacy one.
+func TestLoopEquivalenceProxyCrossPage(t *testing.T) {
+	pad := strings.Repeat("    nop\n", mem.PageSize/isa.WordSize)
+	src := strings.Replace(proxyProg, "shred:\n", pad+"shred:\n", 1)
+	checkEquiv(t, testCfg(1), src)
+	checkEquiv(t, testCfg(3), src)
 }
 
 func TestLoopEquivalenceAtomics(t *testing.T) {

@@ -97,18 +97,13 @@ type Machine struct {
 	evq      eventHeap
 	evqDirty bool
 
-	// dwOn enables the per-sequencer data window cache (fast loop only;
-	// see memaccess.go). Derived from Cfg in New.
-	dwOn bool
-	// sbOn enables superblock micro-op compilation (fast loop only; see
-	// superblock.go). Derived from Cfg in New and on restore. sbCache
-	// holds the compiled pages, keyed by physical page base; it is
-	// host-side derived state — never snapshotted, rebuilt on demand.
-	sbOn    bool
+	// sbCache holds the fast loop's compiled superblock pages (see
+	// superblock.go), keyed by physical page base; it is host-side
+	// derived state — never snapshotted, rebuilt on demand.
 	sbCache map[uint64]*sbPage
 	// Superblock host-side statistics (published to the obs host-metric
 	// section by FinalizeMetrics; deliberately outside the canonical
-	// registry dump so artifacts stay byte-identical across loop knobs).
+	// registry dump so artifacts stay byte-identical across loops).
 	sbBuilds, sbInvalidates, sbRuns uint64
 	sbACommits, sbAEnters           uint64    // TEMP debug
 	sbAExit                         [8]uint64 // TEMP debug: exit reasons
@@ -196,8 +191,6 @@ func New(cfg Config) (*Machine, error) {
 	})
 	m := &Machine{Cfg: cfg, Phys: phys, Obs: o, Trace: &Trace{bus: o.Bus}, prof: o.Prof}
 	m.mx = newMachMetrics(o.Metrics)
-	m.dwOn = !cfg.LegacyLoop && !cfg.NoDataWindow
-	m.sbOn = !cfg.LegacyLoop && !cfg.NoSuperblock
 	m.initFaultPlane()
 	gid := 0
 	for pid, nAMS := range cfg.Topology {
@@ -405,19 +398,19 @@ func (m *Machine) runFast() error {
 			}
 			continue
 		}
-		if m.evq.scan && (hT == s.Clock || (m.sbOn && m.prof == nil && m.flt == nil)) {
+		if m.evq.scan && (hT == s.Clock || (m.prof == nil && m.flt == nil)) {
 			// Lockstep regime: at least two sequencers share the minimum
 			// event time, so selection degenerates to a rotation. Run the
 			// whole tied cohort on one scan instead of re-scanning per batch.
-			// With compiled pages and no per-retirement hooks the cohort
-			// handler also absorbs desynced sequencers (runCohortWave
-			// re-ties them internally), so it takes every scan-mode turn.
+			// With no per-retirement hooks the cohort handler also absorbs
+			// desynced sequencers (runCohortWave re-ties them internally),
+			// so it takes every scan-mode turn.
 			if err := m.runRound(s, s.Clock, batch); err != nil {
 				return err
 			}
 			continue
 		}
-		if _, err := m.runBatch(s, hT, hID, batch); err != nil {
+		if _, err := m.runBatch(s, hT, hID, batch, m.nextDeliveryTime(s)); err != nil {
 			return err
 		}
 		if !m.evqDirty {
@@ -460,11 +453,11 @@ func (m *Machine) runRound(s *Sequencer, T uint64, batch int) error {
 	// cohort at its position: it needs the selection loop's wake path,
 	// and members past it must not run ahead of it (legacy visits the
 	// tie in ID order).
-	// With compiled pages and no per-retirement hooks, the cohort takes
-	// every running sequencer regardless of clock — runCohortWave
-	// orders them by (clock, ID) internally — so only wake events and
-	// kernel activity remain outside.
-	sbAll := m.sbOn && m.prof == nil && m.flt == nil
+	// With no per-retirement hooks, the cohort takes every running
+	// sequencer regardless of clock — runCohortWave orders them by
+	// (clock, ID) internally — so only wake events and kernel activity
+	// remain outside.
+	sbAll := m.prof == nil && m.flt == nil
 	var mems [scanThreshold]*Sequencer
 	var evts [scanThreshold]uint64
 	nm := 0
@@ -510,8 +503,8 @@ func (m *Machine) runRound(s *Sequencer, T uint64, batch int) error {
 	for i := 0; i < nm; i++ {
 		clocks[i] = mems[i].Clock
 	}
-	// With compiled pages and no per-retirement hooks, any tie at the
-	// cohort minimum runs on the fused round path (runCohortWave):
+	// With no per-retirement hooks, any tie at the cohort minimum runs
+	// on the fused round path (runCohortWave):
 	// one micro-op per tied member per round in ID order, with
 	// selection reduced to a tie re-check. The turn loop below is the
 	// general path for lone minima and anything the fused path hands
@@ -559,7 +552,7 @@ func (m *Machine) runRound(s *Sequencer, T uint64, batch int) error {
 		if second >= 0 && (sc < hT || (sc == hT && mems[second].ID < hID)) {
 			hT, hID = sc, mems[second].ID
 		}
-		clean, err := m.runBatchEv(c, hT, hID, batch, evts[best])
+		clean, err := m.runBatch(c, hT, hID, batch, evts[best])
 		if err != nil {
 			return err
 		}
@@ -592,29 +585,29 @@ func (m *Machine) runRound(s *Sequencer, T uint64, batch int) error {
 // SIGNAL, PROXYEXEC, MOVTCR, HLT/HALT, SRET, SETYIELD, or any trap —
 // ends the batch so the heap is refreshed.
 //
+// evT is the earliest time an event (timer, proxy request, ingress
+// signal) becomes deliverable to s — nextDeliveryTime(s). Every input
+// feeding it is written only by other sequencers, by the kernel, or by
+// batch-breaking instructions — none of which can run mid-batch — so it
+// is a batch constant: one comparison per instruction replaces the
+// legacy loop's three delivery probes. The same invariance covers
+// stopErr, halted, os.Done(), and s.State: each changes only on a path
+// that already ends the batch (a fault, a break op, or a kernel entry).
+// The same reasoning makes evT a round constant for runRound, which
+// caches it across clean batches.
+//
+// Instructions execute from the fetch window's compiled page (runUops);
+// execInstr is the single interpreter leg, taken for slow-tag micro-ops,
+// for the first instruction after a window miss, and for every
+// instruction of a blacklisted self-modifying page, each decoded
+// straight from memory. See superblock.go for the bit-identity argument.
+//
 // The clean result reports that the batch had no effect outside s
 // itself: it stopped only on the horizon, the delivery threshold, or
 // the batch size cap, with every retired instruction a plain
 // non-breaking one. runRound relies on this to keep a tied cohort
 // running without re-selection.
-func (m *Machine) runBatch(s *Sequencer, hT uint64, hID int, max int) (clean bool, err error) {
-	// evT is the earliest time an event (timer, proxy request, ingress
-	// signal) becomes deliverable to s. Every input feeding it is written
-	// only by other sequencers, by the kernel, or by batch-breaking
-	// instructions — none of which can run mid-batch — so it is a batch
-	// constant: one comparison per instruction replaces the legacy loop's
-	// three delivery probes. The same invariance covers stopErr, halted,
-	// os.Done(), and s.State: each changes only on a path that already
-	// ends the batch (a fault, a break op, or a kernel entry). The same
-	// reasoning makes it a round constant for runRound, which caches it
-	// across clean batches and calls runBatchEv directly.
-	return m.runBatchEv(s, hT, hID, max, m.nextDeliveryTime(s))
-}
-
-// runBatchEv is runBatch with the delivery threshold supplied by the
-// caller (nextDeliveryTime is pure, so computing it before the limit
-// checks is equivalent).
-func (m *Machine) runBatchEv(s *Sequencer, hT uint64, hID int, max int, evT uint64) (clean bool, err error) {
+func (m *Machine) runBatch(s *Sequencer, hT uint64, hID int, max int, evT uint64) (clean bool, err error) {
 	if s.Clock > m.pauseLimit {
 		return false, ErrPaused
 	}
@@ -644,41 +637,66 @@ func (m *Machine) runBatchEv(s *Sequencer, hT uint64, hID int, max int, evT uint
 		// Unreachable: each evT component mirrors its delivery's guard.
 		return false, nil
 	}
-	if m.sbOn {
-		// Superblock execution: same horizon/delivery/limit semantics,
-		// compiled micro-op pages on the hot path (see superblock.go).
-		return m.runBatchSB(s, hT, hID, max, evT)
-	}
 	limit := m.cycLimit
 	if m.pauseLimit < limit {
 		limit = m.pauseLimit
 	}
+	// Collapse the three per-instruction stop checks — horizon, delivery
+	// threshold, cycle/pause limit, each comparing s.Clock against a
+	// batch constant — into one threshold. The resolution block below
+	// runs the individual checks in the legacy loop's order when it
+	// fires.
+	t1 := hT
+	if hID >= s.ID && t1 != noEvent {
+		t1++ // horizon stop is s.Clock > hT when the tie goes to s
+	}
+	tstar := t1
+	if evT < tstar {
+		tstar = evT
+	}
+	if limit != noEvent && limit+1 < tstar {
+		tstar = limit + 1
+	}
 	prof := m.prof
-	for n := 0; n < max; n++ {
-		if s.Clock > hT || (s.Clock == hT && hID < s.ID) {
+	n := 0
+	step := false // the next instruction is a slow-tag micro-op
+	for {
+		if n >= max {
 			return true, nil
 		}
-		if s.Clock >= evT {
-			return true, nil
-		}
-		if s.Clock > limit {
-			// Pause wins ties: it is the non-fatal stop, so a machine paused
-			// exactly at its cycle limit stays capturable.
-			if s.Clock > m.pauseLimit {
-				return false, ErrPaused
+		if s.Clock >= tstar {
+			if s.Clock > hT || (s.Clock == hT && hID < s.ID) {
+				return true, nil
 			}
-			return false, m.cycleLimitDiag()
+			if s.Clock >= evT {
+				return true, nil
+			}
+			if s.Clock > limit {
+				// Pause wins ties: it is the non-fatal stop, so a machine
+				// paused exactly at its cycle limit stays capturable.
+				if s.Clock > m.pauseLimit {
+					return false, ErrPaused
+				}
+				return false, m.cycleLimitDiag()
+			}
+			return true, nil
 		}
 		pc, c0 := s.PC, s.Clock
-		// Fetch, window check inlined (see fetchSlow): a hit costs a few
-		// compares and an array read — no call, no translation, no decode.
 		var in isa.Instr
 		var f *trapFault
 		off := pc - s.winVA
-		idx := off >> 3
-		if off < mem.PageSize && off&7 == 0 && s.winGen != nil &&
-			*s.winGen == s.decGen && s.decMask[idx>>6]>>(idx&63)&1 != 0 {
-			in = s.decPage[idx]
+		if sb := s.sb; off < mem.PageSize && off&7 == 0 && s.winGen != nil && sb != nil && *s.winGen == sb.gen {
+			if !step {
+				m.sbRuns++
+				var res sbResult
+				n, res = m.runUops(s, sb, off>>3, n, max, tstar)
+				if res == sbEnd {
+					return false, nil
+				}
+				step = res == sbStep
+				continue
+			}
+			in = isa.Decode(m.Phys.ReadU64(sb.base | off))
 		} else if in, f = m.fetchSlow(s); f != nil {
 			if prof != nil {
 				prof.Add(pc, s.Clock-c0)
@@ -686,6 +704,7 @@ func (m *Machine) runBatchEv(s *Sequencer, hT uint64, hID int, max int, evT uint
 			m.dispatchFault(s, f)
 			return false, nil
 		}
+		step = false
 		brk := batchBreak(in.Op)
 		f = m.execInstr(s, in)
 		if prof != nil {
@@ -704,8 +723,8 @@ func (m *Machine) runBatchEv(s *Sequencer, hT uint64, hID int, max int, evT uint
 		if brk {
 			return false, nil
 		}
+		n++
 	}
-	return true, nil
 }
 
 // batchBreak reports whether op can create or reorder events on another
@@ -1025,17 +1044,4 @@ func (m *Machine) sret(s *Sequencer) {
 	s.InHandler = false
 	s.Clock += m.Cfg.YieldCost
 	m.emit(s.Clock, s.ID, EvSret, 0, 0)
-}
-
-// StepOnce advances the machine by a single event (test hook). It uses
-// the legacy selection path and leaves the event heap stale; a
-// subsequent Run rebuilds it.
-func (m *Machine) StepOnce() error {
-	s := m.pickNext()
-	if s == nil {
-		return fmt.Errorf("core: no runnable sequencer")
-	}
-	m.step(s)
-	m.evqDirty = true
-	return m.stopErr
 }

@@ -46,91 +46,30 @@ func pfFault(va uint64, write, fetch bool) *trapFault {
 
 // translate resolves va for a data access on s, consulting the TLB and
 // walking the page table on a miss (charging the walk). With paging
-// disabled (CR0), addresses are physical. The second result is the
-// mapped page's write permission (regardless of the access type), which
-// the data window cache records at fill time; it is true with paging
-// off.
-func (m *Machine) translate(s *Sequencer, va uint64, write bool) (uint64, bool, *trapFault) {
+// disabled (CR0), addresses are physical.
+func (m *Machine) translate(s *Sequencer, va uint64, write bool) (uint64, *trapFault) {
 	if s.CRs[isa.CR0]&isa.CR0Paging == 0 {
 		if !m.Phys.InRange(va, 1) {
-			return 0, false, &trapFault{trap: isa.TrapGP, info: va}
+			return 0, &trapFault{trap: isa.TrapGP, info: va}
 		}
-		return va, true, nil
+		return va, nil
 	}
 	if va >= vaEncodeLimit {
 		// The VA cannot be represented in the page-fault info encoding
 		// (it would alias the access bits); treat it as a #GP, like a
 		// non-canonical address.
-		return 0, false, &trapFault{trap: isa.TrapGP, info: va}
+		return 0, &trapFault{trap: isa.TrapGP, info: va}
 	}
-	if pfn, w, ok := s.TLB.Lookup(va, write); ok {
-		return uint64(pfn)<<mem.PageShift | va&mem.PageMask, w, nil
+	if pfn, ok := s.TLB.Lookup(va, write); ok {
+		return uint64(pfn)<<mem.PageShift | va&mem.PageMask, nil
 	}
 	s.Clock += m.Cfg.WalkCost
 	pte, k := mem.Walk(m.Phys, s.CRs[isa.CR3], va, write, s.Ring == isa.Ring3)
 	if k != mem.FaultNone {
-		return 0, false, pfFault(va, write, false)
+		return 0, pfFault(va, write, false)
 	}
-	w := pte&mem.PTEWritable != 0
-	s.TLB.Insert(va, mem.PTEFrame(pte), w)
-	return uint64(mem.PTEFrame(pte))<<mem.PageShift | va&mem.PageMask, w, nil
-}
-
-// Data window cache
-//
-// The common data access is page-local to a recently used page whose
-// translation is still in the TLB. The TLB path for that access costs a
-// Lookup call, a PA reassembly, and a Phys read/write call; the data
-// window collapses it to two compares and an array index, mirroring the
-// fetch window's trick on the data side.
-//
-// Correctness rests on the window being a strict subset of the TLB:
-// every entry is filled from a successful translate (so the translation
-// was TLB-resident with the recorded frame and write permission), and
-// dwGen snapshots TLB.Gen at fill. Any TLB mutation — Insert, Flush, an
-// evicting FlushPage — bumps Gen, which invalidates the whole window in
-// one compare. A window hit is therefore exactly a TLB hit: same
-// physical bytes (the page slice aliases the frame), same write
-// permission, zero cycle charge, and the same Hits count. Everything
-// else — straddles, faults, permission denials, paging off, huge VAs
-// (whose VPNs can never equal a filled entry's, since fills reject
-// va >= vaEncodeLimit) — misses the window and takes the unchanged slow
-// path. Stores bump the frame's store generation through the cached
-// pointer just as Phys.Write* would, so decode caches observe
-// cross-sequencer code modification exactly as before.
-//
-// The window is enabled only on the fast loop (m.dwOn), keeping the
-// legacy loop a pristine oracle for the equivalence difftests.
-
-const dwEntries = 16
-
-// dwEntry caches one page translation: VPN, the frame's byte view, its
-// store-generation counter, and the page's write permission.
-type dwEntry struct {
-	vpn      uint64 // vpn+1; 0 invalid
-	page     []byte // the frame's bytes (aliases Phys memory)
-	gen      *uint32
-	writable bool
-}
-
-// dwFill records a just-translated page in the window. Must only be
-// called with paging enabled, right after a successful translate (so
-// the translation is TLB-resident).
-func (s *Sequencer) dwFill(p *mem.Phys, va, pa uint64, writable bool) {
-	if s.dwGen != s.TLB.Gen {
-		// Stale snapshot: every resident entry predates some TLB
-		// mutation. Drop them before revalidating the window.
-		s.dw = [dwEntries]dwEntry{}
-		s.dwGen = s.TLB.Gen
-	}
-	vpn := va >> mem.PageShift
-	base := pa &^ uint64(mem.PageMask)
-	s.dw[vpn&(dwEntries-1)] = dwEntry{
-		vpn:      vpn + 1,
-		page:     p.Bytes(base, mem.PageSize),
-		gen:      p.GenPtr(base),
-		writable: writable,
-	}
+	s.TLB.Insert(va, mem.PTEFrame(pte), pte&mem.PTEWritable != 0)
+	return uint64(mem.PTEFrame(pte))<<mem.PageShift | va&mem.PageMask, nil
 }
 
 // loadN reads size bytes (1, 2, 4, 8) at va, little-endian,
@@ -138,29 +77,9 @@ func (s *Sequencer) dwFill(p *mem.Phys, va, pa uint64, writable bool) {
 func (m *Machine) loadN(s *Sequencer, va uint64, size uint) (uint64, *trapFault) {
 	off := va & mem.PageMask
 	if off+uint64(size) <= mem.PageSize {
-		if m.dwOn && s.dwGen == s.TLB.Gen && s.CRs[isa.CR0]&isa.CR0Paging != 0 {
-			vpn := va >> mem.PageShift
-			if e := &s.dw[vpn&(dwEntries-1)]; e.vpn == vpn+1 {
-				// Window hit: the TLB path would hit too (see above).
-				s.TLB.Hits++
-				switch size {
-				case 1:
-					return uint64(e.page[off]), nil
-				case 2:
-					return uint64(binary.LittleEndian.Uint16(e.page[off:])), nil
-				case 4:
-					return uint64(binary.LittleEndian.Uint32(e.page[off:])), nil
-				default:
-					return binary.LittleEndian.Uint64(e.page[off:]), nil
-				}
-			}
-		}
-		pa, w, f := m.translate(s, va, false)
+		pa, f := m.translate(s, va, false)
 		if f != nil {
 			return 0, f
-		}
-		if m.dwOn && s.CRs[isa.CR0]&isa.CR0Paging != 0 {
-			s.dwFill(m.Phys, va, pa, w)
 		}
 		switch size {
 		case 1:
@@ -177,11 +96,11 @@ func (m *Machine) loadN(s *Sequencer, va uint64, size uint) (uint64, *trapFault)
 	// fault, if any, reports the correct page), then read each half with
 	// one chunked copy.
 	second := (va | uint64(mem.PageMask)) + 1
-	pa0, _, f := m.translate(s, va, false)
+	pa0, f := m.translate(s, va, false)
 	if f != nil {
 		return 0, f
 	}
-	pa1, _, f := m.translate(s, second, false)
+	pa1, f := m.translate(s, second, false)
 	if f != nil {
 		return 0, f
 	}
@@ -200,30 +119,9 @@ func (m *Machine) loadN(s *Sequencer, va uint64, size uint) (uint64, *trapFault)
 func (m *Machine) storeN(s *Sequencer, va uint64, size uint, v uint64) *trapFault {
 	off := va & mem.PageMask
 	if off+uint64(size) <= mem.PageSize {
-		if m.dwOn && s.dwGen == s.TLB.Gen && s.CRs[isa.CR0]&isa.CR0Paging != 0 {
-			vpn := va >> mem.PageShift
-			if e := &s.dw[vpn&(dwEntries-1)]; e.vpn == vpn+1 && e.writable {
-				s.TLB.Hits++
-				*e.gen++ // store-generation bump, as Phys.Write* would
-				switch size {
-				case 1:
-					e.page[off] = uint8(v)
-				case 2:
-					binary.LittleEndian.PutUint16(e.page[off:], uint16(v))
-				case 4:
-					binary.LittleEndian.PutUint32(e.page[off:], uint32(v))
-				default:
-					binary.LittleEndian.PutUint64(e.page[off:], v)
-				}
-				return nil
-			}
-		}
-		pa, w, f := m.translate(s, va, true)
+		pa, f := m.translate(s, va, true)
 		if f != nil {
 			return f
-		}
-		if m.dwOn && s.CRs[isa.CR0]&isa.CR0Paging != 0 {
-			s.dwFill(m.Phys, va, pa, w)
 		}
 		switch size {
 		case 1:
@@ -242,11 +140,11 @@ func (m *Machine) storeN(s *Sequencer, va uint64, size uint, v uint64) *trapFaul
 	// leaves no partial store visible on the first. Each half is one
 	// chunked copy through BytesRW, which bumps the store generations.
 	second := (va | uint64(mem.PageMask)) + 1
-	pa0, _, f := m.translate(s, va, true)
+	pa0, f := m.translate(s, va, true)
 	if f != nil {
 		return f
 	}
-	pa1, _, f := m.translate(s, second, true)
+	pa1, f := m.translate(s, second, true)
 	if f != nil {
 		return f
 	}
@@ -258,10 +156,9 @@ func (m *Machine) storeN(s *Sequencer, va uint64, size uint, v uint64) *trapFaul
 	return nil
 }
 
-// fetch reads the instruction at s.PC through the per-sequencer fetch
-// micro-cache and the decoded-instruction page cache. A fetch that hits
-// both caches costs two compares and an array read — no translation, no
-// physical read, no decode.
+// fetchTranslate resolves the physical base of the code page holding
+// s.PC through the per-sequencer fetch micro-cache: a fetch from the
+// same virtual page as the last one bypasses the TLB entirely.
 func (m *Machine) fetchTranslate(s *Sequencer) (uint64, *trapFault) {
 	pc := s.PC
 	if pc%isa.WordSize != 0 {
@@ -278,7 +175,7 @@ func (m *Machine) fetchTranslate(s *Sequencer) (uint64, *trapFault) {
 	}
 	vpn := pc >> mem.PageShift
 	if s.fetchVPN != vpn+1 {
-		if pfn, _, ok := s.TLB.Lookup(pc, false); ok {
+		if pfn, ok := s.TLB.Lookup(pc, false); ok {
 			s.fetchVPN = vpn + 1
 			s.fetchBase = uint64(pfn) << mem.PageShift
 		} else {
@@ -295,42 +192,27 @@ func (m *Machine) fetchTranslate(s *Sequencer) (uint64, *trapFault) {
 	return s.fetchBase, nil
 }
 
-// fetchSlow is the fast path's cached fetch off the hot path: it
-// translates, (re)validates the decode cache, decodes the missing
-// slot, and re-points the fetch window at the result. The window hit —
-// same virtual page as the last fetch, slot already decoded, no
-// intervening store — is checked inline by runBatch and never gets
-// here. The decoded view is keyed on the physical page and its store
-// generation, so a store into the page (any sequencer, or DMA-ish
-// kernel copies) bumps the generation and drops it.
+// fetchSlow is the fast path's fetch on a window miss: it translates,
+// re-points the fetch window at the code page and attaches the page's
+// compiled view (nil for a blacklisted page, which keeps the window
+// invalid), then decodes the instruction at s.PC straight from memory
+// for the interpreter leg. The window hit — same virtual page as the
+// last fetch, no intervening store — is checked inline by runBatch and
+// never gets here.
 func (m *Machine) fetchSlow(s *Sequencer) (isa.Instr, *trapFault) {
 	base, f := m.fetchTranslate(s)
 	if f != nil {
 		return isa.Instr{}, f
 	}
-	pc := s.PC
-	if gen := m.Phys.Gen(base); s.decBase != base+1 || s.decGen != gen {
-		s.decBase = base + 1
-		s.decGen = gen
-		s.decMask = [len(s.decMask)]uint64{}
-	}
-	idx := (pc & mem.PageMask) / isa.WordSize
-	w, bit := idx/64, uint64(1)<<(idx%64)
-	if s.decMask[w]&bit == 0 {
-		s.decPage[idx] = isa.Decode(m.Phys.ReadU64(base | pc&mem.PageMask))
-		s.decMask[w] |= bit
-	}
-	s.winVA = pc &^ uint64(mem.PageMask)
+	s.winVA = s.PC &^ uint64(mem.PageMask)
 	s.winGen = m.Phys.GenPtr(base)
-	if m.sbOn {
-		s.sb = m.sbEnsure(base)
-	}
-	return s.decPage[idx], nil
+	s.sb = m.sbEnsure(base)
+	return isa.Decode(m.Phys.ReadU64(base | s.PC&mem.PageMask)), nil
 }
 
 // fetchUncached is the seed interpreter's fetch — decode from memory on
-// every instruction. The legacy loop keeps it so the decode page cache
-// stays attributed to (and benchmarked as part of) the fast path.
+// every instruction, no window and no compiled pages — which keeps the
+// legacy loop independent of everything the fast path caches.
 func (m *Machine) fetchUncached(s *Sequencer) (isa.Instr, *trapFault) {
 	base, f := m.fetchTranslate(s)
 	if f != nil {

@@ -120,40 +120,26 @@ type Sequencer struct {
 	fetchVPN  uint64 // vpn+1; 0 invalid
 	fetchBase uint64 // physical base of that page
 
-	// Decoded-instruction page cache over the fetch micro-cache: decPage
-	// holds the decoded instructions of the physical code page at
-	// decBase-1, decoded lazily slot by slot (decMask tracks which).
-	// decGen snapshots the page's store generation (mem.Phys.Gen) at
-	// cache fill; a store into the page bumps the generation and
-	// invalidates the decoded view, so self- and cross-sequencer code
-	// modification is observed exactly.
-	decBase uint64 // physical page base + 1; 0 invalid
-	decGen  uint32
-	decMask [mem.PageSize / isa.WordSize / 64]uint64
-	decPage [mem.PageSize / isa.WordSize]isa.Instr
-
-	// Fetch window over the decode cache: when winGen is non-nil, winVA
-	// is the virtual base of the cached page and winGen points at its
-	// physical frame's store-generation counter, so the common fetch
-	// (same page, slot decoded, no intervening store) is a handful of
-	// inlined compares — no calls. The slow path re-points the window on
-	// every successful fetch; translation invalidation nils winGen.
+	// Fetch window: when valid, winVA is the virtual base of the code
+	// page the sequencer last fetched from, winGen points at its physical
+	// frame's store-generation counter, and sb is the page's compiled
+	// micro-op view (superblock.go) — the only decoded form the fast loop
+	// keeps. All three are host-side derived state, never serialized. The
+	// window is valid exactly when
+	//
+	//	winGen != nil && sb != nil && *winGen == sb.gen
+	//
+	// so the common fetch (same page, no intervening store) is a handful
+	// of inlined compares. fetchSlow re-points winVA/winGen/sb together
+	// on every window miss; translation invalidation nils winGen (so does
+	// PROXYEXEC's re-execution, which moves the fetch micro-cache without
+	// the window), a store into the page (any sequencer, or a kernel copy)
+	// bumps *winGen past sb.gen, and sb stays nil for a blacklisted
+	// self-modifying page — each sends the next fetch back through
+	// fetchSlow.
 	winVA  uint64
 	winGen *uint32
-
-	// sb is the compiled superblock view of the cached code page
-	// (superblock.go) — host-side derived state, never serialized.
-	// Validity is re-checked on every entry (sb.gen == decGen plus the
-	// fetch-window check above), so flushTranslation need not clear it:
-	// a stale pointer can never execute.
-	sb *sbPage
-
-	// Data window cache (fast loop only): a small direct-mapped cache of
-	// recently translated data pages, validated against the TLB with one
-	// generation compare (see memaccess.go). dwGen snapshots TLB.Gen at
-	// fill; dwGen != TLB.Gen invalidates every entry at once.
-	dw    [dwEntries]dwEntry
-	dwGen uint64
+	sb     *sbPage
 
 	// YIELD-CONDITIONAL scenario table: handler addresses (0 = none).
 	Yield [isa.NumScenarios]uint64
@@ -237,11 +223,10 @@ func (s *Sequencer) RestoreCtx(c CtxSnap) {
 }
 
 // flushTranslation drops all cached translations (TLB + fetch cache +
-// decoded-instruction cache).
+// fetch window).
 func (s *Sequencer) flushTranslation() {
 	s.TLB.Flush()
 	s.fetchVPN = 0
-	s.decBase = 0
 	s.winGen = nil
 }
 

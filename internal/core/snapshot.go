@@ -17,10 +17,9 @@ import (
 // Table 1), fault-plan stream positions, and the obs subsystem.
 //
 // Deliberately NOT captured (host-side, rebuilt on restore):
-//   - the decoded-instruction cache, fetch window, data window, and
-//     compiled superblock pages (pure caches; refilling them changes no
-//     counter — the data window mirrors TLB hit accounting exactly, and
-//     superblocks are recompiled on first fetch),
+//   - the fetch window and compiled superblock pages (pure caches;
+//     refilling them changes no counter — superblocks are recompiled on
+//     first fetch),
 //   - the event heap (evq.init + evqDirty rebuild it),
 //   - per-frame store generations (only consumed by the caches above),
 //   - pause/cancel plumbing and Wall (host-side run control),
@@ -54,8 +53,6 @@ func EncodeConfig(w *wire.Writer, c Config) {
 	w.U64(c.MaxCycles)
 	w.Int(c.BatchInstrs)
 	w.Bool(c.LegacyLoop)
-	w.Bool(c.NoDataWindow)
-	w.Bool(c.NoSuperblock)
 	fault.EncodeConfig(w, c.Fault)
 	w.U64(c.WatchdogHorizon)
 }
@@ -92,8 +89,6 @@ func DecodeConfig(r *wire.Reader) (Config, error) {
 	c.MaxCycles = r.U64()
 	c.BatchInstrs = r.Int()
 	c.LegacyLoop = r.Bool()
-	c.NoDataWindow = r.Bool()
-	c.NoSuperblock = r.Bool()
 	fc, err := fault.DecodeConfig(r)
 	if err != nil {
 		return c, err
@@ -217,9 +212,8 @@ func encodeSeq(w *wire.Writer, s *Sequencer) {
 	}
 }
 
-// decodeSeq restores one sequencer. Host-side caches (decode page,
-// fetch window, data window) start cold; refilling them is
-// counter-neutral by construction.
+// decodeSeq restores one sequencer. The host-side fetch window starts
+// cold; refilling it is counter-neutral by construction.
 func decodeSeq(r *wire.Reader, id int) (*Sequencer, error) {
 	s := &Sequencer{}
 	s.ID = r.Int()
@@ -377,8 +371,6 @@ func RestoreMachine(r *wire.Reader, override func(*Config)) (*Machine, error) {
 	})
 	m := &Machine{Cfg: cfg, Phys: phys, Obs: o, Trace: &Trace{bus: o.Bus}, prof: o.Prof}
 	m.mx = newMachMetrics(o.Metrics)
-	m.dwOn = !cfg.LegacyLoop && !cfg.NoDataWindow
-	m.sbOn = !cfg.LegacyLoop && !cfg.NoSuperblock
 
 	nSeq := r.Len(1 << 16)
 	if nSeq < 0 {

@@ -2,44 +2,50 @@ package core
 
 // Superblock micro-op compilation (fast loop only).
 //
-// The fast loop's decoded-instruction page cache removed fetch and
-// decode from the hot path, but every retired instruction still paid
-// full dispatch cost: an isa.Valid check, an isa.Lookup table hit, a
-// ring check, a batchBreak probe, and one trip through execInstr's
-// ~90-case switch, behind a function call. This layer compiles each
-// executed code page — keyed, like the decode cache, on the physical
-// page and its store generation — into an array of pre-validated
-// micro-ops: a dense handler tag, the precomputed opcode cost, the
-// sign-extended immediate, and priv/break classification resolved at
-// compile time. runUops then executes straight-line superblocks (runs
-// ending at a cross-page or misaligned control transfer, a break or
-// privileged op, a store into the executing page, or the page edge)
-// with one combined stop check per instruction and zero per-instruction
+// The compiled page is the fast loop's only decoded form of code. Each
+// executed code page — keyed on the physical page and its store
+// generation — is compiled into an array of pre-validated micro-ops: a
+// dense handler tag, the precomputed opcode cost, the sign-extended
+// immediate, and priv/break classification resolved at compile time.
+// runUops then executes straight-line superblocks (runs ending at a
+// cross-page or misaligned control transfer, a break or privileged op,
+// a store into the executing page, or the page edge) with one combined
+// stop check per instruction and zero per-instruction
 // Lookup/Valid/priv/switch-call overhead. A peephole pass additionally
 // fuses hot adjacent pairs (ALU-or-compare + conditional branch,
-// addi + 8-byte load/store, ldi + ldih).
+// addi + 8-byte load/store, ldi + ldih). Everything else — slow-tag
+// micro-ops, the first instruction after a fetch-window miss, and
+// blacklisted self-modifying pages — is decoded from memory and runs
+// through execInstr, the one interpreter leg (see runBatch).
 //
-// Bit-identity with the uncompiled fast loop (Config.NoSuperblock, the
-// oracle knob mirroring NoDataWindow) rests on three invariants:
+// Bit-identity with the legacy loop, the reference the equivalence
+// difftests compare against, rests on three invariants:
 //
 //  1. Stop checks: the per-instruction horizon, delivery-threshold and
-//     cycle/pause-limit compares of runBatch only read s.Clock against
-//     batch constants, so they collapse into one threshold
+//     cycle/pause-limit checks only read s.Clock against batch
+//     constants, so they collapse into one threshold
 //     tstar = min(horizon', evT, limit+1); when it (or the batch cap)
-//     fires, runBatchSB re-runs the original checks in their original
+//     fires, runBatch runs the individual checks in the legacy loop's
 //     order, picking the identical outcome.
-//  2. Invalidation: a compiled page is valid exactly when its store
-//     generation still equals the compile-time snapshot — the same
-//     condition the decode cache uses. Only the executing sequencer's
-//     own stores (or an injected bit flip) can hit the page mid-batch
-//     (one instruction commits machine-wide at a time), and every
+//  2. Invalidation: a sequencer's fetch window is valid exactly when
+//     s.winGen != nil && s.sb != nil && *s.winGen == s.sb.gen — the
+//     frame's live store generation still equals the attached page's
+//     compile-time snapshot. Only the executing sequencer's own stores
+//     (or an injected bit flip) can hit the page mid-batch (one
+//     instruction commits machine-wide at a time), and every
 //     store-capable micro-op rechecks the generation before the run
-//     continues. INVLPG, TLBFLUSH, CR3 writes and context switches nil
-//     the fetch window, which gates entry to the compiled page.
+//     continues. INVLPG, TLBFLUSH, CR3 writes, context switches and
+//     PROXYEXEC's re-execution (which fetches through the micro-cache
+//     behind the window's back) nil winGen. Every miss goes through
+//     fetchSlow, which translates (possibly charging WalkCost, exactly
+//     as the legacy fetch would), re-points the window, attaches
+//     sbEnsure's fresh view, and hands the fetched instruction to
+//     execInstr without re-running the stop checks — the legacy loop
+//     commits it at the same clock.
 //  3. Per-retirement hooks: profiling attribution and fault-injection
 //     consultation run once per retired instruction, exactly as in the
-//     interpreter loop; pair fusion is compiled out entirely when
-//     either is active.
+//     legacy loop; pair fusion is compiled out entirely when either is
+//     active.
 //
 // Compiled pages are derived, host-side state: never snapshotted,
 // rebuilt on demand after a restore or fork (see snapshot.go).
@@ -175,14 +181,14 @@ const (
 	sbCacheMax = 1024
 	// sbMaxCompiles blacklists a page after this many store-generation
 	// recompiles: genuinely self-modifying pages stay on the
-	// per-instruction decode path instead of recompiling forever.
+	// per-instruction interpreter leg instead of recompiling forever.
 	sbMaxCompiles = 16
 )
 
 // sbPage is one compiled code page. Valid while *genPtr == gen; a stale
 // page is recompiled in place on the next attach (sbEnsure), so every
-// sequencer pointing at it picks up the fresh view through its own
-// window revalidation.
+// sequencer pointing at it sees the fresh view and its window is valid
+// again without a refetch.
 type sbPage struct {
 	base     uint64  // physical page base
 	gen      uint32  // store generation at compile time
@@ -462,118 +468,20 @@ func sbFuse(a, b *sbUop) {
 	}
 }
 
-// sbResult is how a micro-op run handed control back to runBatchSB.
+// sbResult is how a micro-op run handed control back to runBatch.
 type sbResult uint8
 
 const (
 	// sbAgain: revalidate at the loop top (left the page, store
 	// invalidation, horizon/cap reached).
 	sbAgain sbResult = iota
-	// sbStep: the next instruction needs the interpreter path (slow
-	// micro-op, or a fused pair too close to a stop threshold to commit
-	// both halves).
+	// sbStep: the next instruction is a slow-tag micro-op and needs the
+	// interpreter leg.
 	sbStep
 	// sbEnd: the batch is over — a fault was dispatched or an injection
 	// fired.
 	sbEnd
 )
-
-// runBatchSB is runBatch's inner loop with superblock execution: called
-// after the preamble (pause/limit/state checks and due-event delivery)
-// with the batch-constant delivery threshold evT. Semantics are
-// bit-identical to the uncompiled loop; see the file comment.
-func (m *Machine) runBatchSB(s *Sequencer, hT uint64, hID int, max int, evT uint64) (clean bool, err error) {
-	limit := m.cycLimit
-	if m.pauseLimit < limit {
-		limit = m.pauseLimit
-	}
-	// Collapse the three per-instruction stop checks — each compares
-	// s.Clock against a batch constant — into one threshold. The
-	// resolution block below re-runs the originals in their original
-	// order when it fires.
-	t1 := hT
-	if hID >= s.ID && t1 != noEvent {
-		t1++ // horizon stop is s.Clock > hT when the tie goes to s
-	}
-	tstar := t1
-	if evT < tstar {
-		tstar = evT
-	}
-	if limit != noEvent && limit+1 < tstar {
-		tstar = limit + 1
-	}
-	prof := m.prof
-	flt := m.flt
-	n := 0
-	step := false // execute the next instruction on the interpreter path
-	for {
-		if n >= max {
-			return true, nil
-		}
-		if s.Clock >= tstar {
-			if s.Clock > hT || (s.Clock == hT && hID < s.ID) {
-				return true, nil
-			}
-			if s.Clock >= evT {
-				return true, nil
-			}
-			if s.Clock > limit {
-				// Pause wins ties, as in runBatch.
-				if s.Clock > m.pauseLimit {
-					return false, ErrPaused
-				}
-				return false, m.cycleLimitDiag()
-			}
-			return true, nil
-		}
-		pc := s.PC
-		c0 := s.Clock
-		off := pc - s.winVA
-		idx := off >> 3
-		win := off < mem.PageSize && off&7 == 0 && s.winGen != nil && *s.winGen == s.decGen
-		if win && !step {
-			if sb := s.sb; sb != nil && sb.gen == s.decGen {
-				m.sbRuns++
-				var res sbResult
-				n, res = m.runUops(s, sb, idx, n, max, tstar)
-				if res == sbEnd {
-					return false, nil
-				}
-				step = res == sbStep
-				continue
-			}
-		}
-		step = false
-		// Interpreter path: identical to runBatch's per-instruction body.
-		var in isa.Instr
-		var f *trapFault
-		if win && s.decMask[idx>>6]>>(idx&63)&1 != 0 {
-			in = s.decPage[idx]
-		} else if in, f = m.fetchSlow(s); f != nil {
-			if prof != nil {
-				prof.Add(pc, s.Clock-c0)
-			}
-			m.dispatchFault(s, f)
-			return false, nil
-		}
-		brk := batchBreak(in.Op)
-		f = m.execInstr(s, in)
-		if prof != nil {
-			prof.Add(pc, s.Clock-c0)
-		}
-		if f != nil {
-			m.dispatchFault(s, f)
-			return false, nil
-		}
-		if flt != nil && m.injectRetire(s) {
-			return false, nil
-		}
-		if brk {
-			return false, nil
-		}
-		n++
-	}
-}
 
 // runCohortWave drives a cohort of running sequencers through the
 // legacy commit order using compiled micro-ops only. Members sit in a
@@ -598,8 +506,8 @@ func (m *Machine) runBatchSB(s *Sequencer, hT uint64, hID int, max int, evT uint
 //
 // Only called with m.prof == nil and m.flt == nil: the profiler's
 // per-retirement events and the fault plane's injection probes stay on
-// the single difftested path (runUops / the interpreter) instead of
-// being duplicated here.
+// runBatch (runUops / the interpreter leg) instead of being duplicated
+// here.
 //
 // Correctness: while every commit is plain, the outside horizon and
 // each member's delivery threshold are frozen, and fetch windows /
@@ -620,11 +528,11 @@ func (m *Machine) runCohortWave(mems *[scanThreshold]*Sequencer, evts, clocks *[
 	}
 	m.sbRuns++
 	// Per-member caches, filled once: the window/page pointers and the
-	// decode generation are invariants for the whole call (only the
-	// general path refetches windows or recompiles pages), so per-commit
-	// revalidation reduces to one live-generation compare. A member that
-	// fails validation still sits in the ring; it stops the wave only
-	// when it pops as the minimum.
+	// compile-time generation are invariants for the whole call (only
+	// the general path refetches windows or recompiles pages), so
+	// per-commit revalidation reduces to one live-generation compare. A
+	// member that fails validation still sits in the ring; it stops the
+	// wave only when it pops as the minimum.
 	var genp [scanThreshold]*uint32
 	var dg [scanThreshold]uint32
 	var ub [scanThreshold]*[sbSlots]sbUop
@@ -632,9 +540,9 @@ func (m *Machine) runCohortWave(mems *[scanThreshold]*Sequencer, evts, clocks *[
 	var valid [scanThreshold]bool
 	for i := 0; i < nm; i++ {
 		c := mems[i]
-		if c.winGen != nil && *c.winGen == c.decGen && c.sb != nil && c.sb.gen == c.decGen {
+		if c.winGen != nil && c.sb != nil && *c.winGen == c.sb.gen {
 			genp[i] = c.winGen
-			dg[i] = c.decGen
+			dg[i] = c.sb.gen
 			ub[i] = &c.sb.uops
 			wva[i] = c.winVA
 			valid[i] = true

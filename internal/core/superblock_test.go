@@ -11,14 +11,13 @@ import (
 )
 
 // Superblock invalidation difftests: compiled pages are host-derived
-// state keyed on the decode cache's store generation, so every way a
+// state keyed on the code page's store generation, so every way a
 // page can change out from under the compiled path — self-modifying
 // code, a peer sequencer's store, TLB/CR3 maintenance, snapshot
 // restore — must put execution back through fetch/recompile without
-// any machine-visible difference from the NoSuperblock oracle and the
-// legacy loop. checkEquiv (loopequiv_test.go) runs all of those
-// variants and demands bit-identical clocks, counters, and event
-// streams.
+// any machine-visible difference from the legacy loop. checkEquiv
+// (loopequiv_test.go) runs both loops and demands bit-identical
+// clocks, counters, and event streams.
 
 // TestSuperblockSelfModifyingCode copies a routine into the writable
 // heap (text is W^X in bare mode; jumps are PC-relative so the copy
@@ -132,7 +131,7 @@ done: .u64 0
 	checkEquiv(t, testCfg(1), src)
 }
 
-// pauseMidRun runs prog on the fast loop until a mid-run pause point,
+// pauseMidRun runs prog on cfg's loop until a mid-run pause point,
 // returning the paused machine.
 func pauseMidRun(t *testing.T, cfg Config, prog *asm.Program) *Machine {
 	t.Helper()
@@ -193,11 +192,8 @@ func TestSuperblockTLBMaintenanceGates(t *testing.T) {
 			m := pauseMidRun(t, testCfg(0), sbLoopProg)
 			s := m.Procs[0].OMS()
 			s.Ring = isa.Ring0 // TLB maintenance is privileged
-			if s.winGen == nil || *s.winGen != s.decGen {
+			if s.winGen == nil || s.sb == nil || *s.winGen != s.sb.gen {
 				t.Fatal("precondition: paused sequencer has no valid fetch window")
-			}
-			if s.sb == nil || s.sb.gen != s.decGen {
-				t.Fatal("precondition: paused sequencer has no attached compiled page")
 			}
 			op.do(m, s)
 			if s.winGen != nil {
@@ -208,38 +204,47 @@ func TestSuperblockTLBMaintenanceGates(t *testing.T) {
 }
 
 // TestSuperblockSnapshotExcludesCompiledState: compiled pages and the
-// host counters that track them are process-local derived state. A
-// compiled run and a NoSuperblock oracle run paused at the same point
-// must encode byte-identical snapshots, and a restore must come back
-// with an empty compiled-page cache (pages rebuild on demand).
+// host counters that track them are process-local derived state. The
+// fast run publishes the counters to the host metric section, yet a
+// fast run and a legacy-loop run paused at the same point must encode
+// byte-identical snapshots, and a restore must come back with an empty
+// compiled-page cache (pages rebuild on demand).
 func TestSuperblockSnapshotExcludesCompiledState(t *testing.T) {
 	mFast := pauseMidRun(t, testCfg(0), sbLoopProg)
-	oracle := testCfg(0)
-	oracle.NoSuperblock = true
-	mOracle := pauseMidRun(t, oracle, sbLoopProg)
+	legacy := testCfg(0)
+	legacy.LegacyLoop = true
+	mLegacy := pauseMidRun(t, legacy, sbLoopProg)
 
-	if len(mFast.sbCache) == 0 {
-		t.Fatal("precondition: fast run compiled no pages")
+	if len(mFast.sbCache) == 0 || mFast.sbBuilds == 0 || mFast.sbRuns == 0 {
+		t.Fatalf("precondition: fast run never used the compiled plane: cached=%d builds=%d runs=%d",
+			len(mFast.sbCache), mFast.sbBuilds, mFast.sbRuns)
 	}
-	if len(mOracle.sbCache) != 0 {
-		t.Fatal("oracle run compiled pages despite NoSuperblock")
+	if len(mLegacy.sbCache) != 0 {
+		t.Fatal("legacy run compiled pages")
 	}
 	mFast.FinalizeMetrics()
-	mOracle.FinalizeMetrics()
+	mLegacy.FinalizeMetrics()
+	reg := mFast.Obs.Metrics
+	if got := reg.CounterValue("host.superblock.builds"); got != mFast.sbBuilds {
+		t.Fatalf("host.superblock.builds = %d, want %d", got, mFast.sbBuilds)
+	}
+	if got := reg.CounterValue("host.superblock.block_runs"); got != mFast.sbRuns {
+		t.Fatalf("host.superblock.block_runs = %d, want %d", got, mFast.sbRuns)
+	}
 
 	wF := wire.NewWriter(1 << 20)
 	if err := mFast.EncodeSnapshot(wF); err != nil {
 		t.Fatal(err)
 	}
-	wO := wire.NewWriter(1 << 20)
-	// The oracle knob is config, and config is snapshotted; align it so
+	wL := wire.NewWriter(1 << 20)
+	// The loop choice is config, and config is snapshotted; align it so
 	// the comparison sees only derived-state differences.
-	mOracle.Cfg.NoSuperblock = false
-	if err := mOracle.EncodeSnapshot(wO); err != nil {
+	mLegacy.Cfg.LegacyLoop = false
+	if err := mLegacy.EncodeSnapshot(wL); err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(wF.Bytes(), wO.Bytes()) {
-		t.Fatal("compiled-path snapshot differs from oracle snapshot: host state leaked into the image")
+	if !bytes.Equal(wF.Bytes(), wL.Bytes()) {
+		t.Fatal("fast-loop snapshot differs from legacy-loop snapshot: host state leaked into the image")
 	}
 
 	m2, err := RestoreMachine(wire.NewReader(wF.Bytes()), nil)
@@ -253,30 +258,5 @@ func TestSuperblockSnapshotExcludesCompiledState(t *testing.T) {
 		if s.sb != nil {
 			t.Fatalf("%s restored with an attached compiled page", s.Name())
 		}
-	}
-}
-
-// TestSuperblockDisabledKnob: NoSuperblock must keep the compiled
-// plane completely cold, and the enabled path must publish its host
-// counters.
-func TestSuperblockDisabledKnob(t *testing.T) {
-	cfg := testCfg(0)
-	cfg.NoSuperblock = true
-	_, m := run(t, cfg, sbLoopProg)
-	if m.sbBuilds != 0 || m.sbRuns != 0 || len(m.sbCache) != 0 {
-		t.Fatalf("NoSuperblock run touched the compiled plane: builds=%d runs=%d cached=%d",
-			m.sbBuilds, m.sbRuns, len(m.sbCache))
-	}
-
-	_, m = run(t, testCfg(0), sbLoopProg)
-	if m.sbBuilds == 0 || m.sbRuns == 0 {
-		t.Fatalf("fast run never used the compiled plane: builds=%d runs=%d", m.sbBuilds, m.sbRuns)
-	}
-	reg := m.Obs.Metrics
-	if got := reg.CounterValue("host.superblock.builds"); got != m.sbBuilds {
-		t.Fatalf("host.superblock.builds = %d, want %d", got, m.sbBuilds)
-	}
-	if got := reg.CounterValue("host.superblock.block_runs"); got != m.sbRuns {
-		t.Fatalf("host.superblock.block_runs = %d, want %d", got, m.sbRuns)
 	}
 }

@@ -182,32 +182,32 @@ func TestPageTableFreeReturnsFrames(t *testing.T) {
 
 func TestTLBBasics(t *testing.T) {
 	var tlb TLB
-	if _, _, ok := tlb.Lookup(0x1000, false); ok {
+	if _, ok := tlb.Lookup(0x1000, false); ok {
 		t.Fatal("empty TLB hit")
 	}
 	tlb.Insert(0x1000, 42, false)
-	if f, w, ok := tlb.Lookup(0x1000, false); !ok || f != 42 || w {
-		t.Fatalf("Lookup = (%d,%v,%v), want (42,false,true)", f, w, ok)
+	if f, ok := tlb.Lookup(0x1000, false); !ok || f != 42 {
+		t.Fatalf("Lookup = (%d,%v), want (42,true)", f, ok)
 	}
 	// Read-only entry must miss for writes (forces a re-walk), counted
 	// as a permission miss rather than a cold one.
-	if _, _, ok := tlb.Lookup(0x1000, true); ok {
+	if _, ok := tlb.Lookup(0x1000, true); ok {
 		t.Fatal("write hit on read-only entry")
 	}
 	if tlb.PermMisses != 1 {
 		t.Fatalf("PermMisses = %d, want 1", tlb.PermMisses)
 	}
 	tlb.Insert(0x1000, 42, true)
-	if _, w, ok := tlb.Lookup(0x1000, true); !ok || !w {
+	if _, ok := tlb.Lookup(0x1000, true); !ok {
 		t.Fatal("write miss on writable entry")
 	}
 	tlb.FlushPage(0x1000)
-	if _, _, ok := tlb.Lookup(0x1000, false); ok {
+	if _, ok := tlb.Lookup(0x1000, false); ok {
 		t.Fatal("hit after FlushPage")
 	}
 	tlb.Insert(0x3000, 7, true)
 	tlb.Flush()
-	if _, _, ok := tlb.Lookup(0x3000, false); ok {
+	if _, ok := tlb.Lookup(0x3000, false); ok {
 		t.Fatal("hit after Flush")
 	}
 	if tlb.Hits != 2 || tlb.Flushes != 1 {
@@ -217,37 +217,6 @@ func TestTLBBasics(t *testing.T) {
 	// permission denial above must not be among them.
 	if tlb.Misses != 3 {
 		t.Fatalf("Misses = %d, want 3", tlb.Misses)
-	}
-}
-
-func TestTLBGen(t *testing.T) {
-	var tlb TLB
-	g0 := tlb.Gen
-	tlb.Lookup(0x1000, false) // miss: stats only, no content change
-	if tlb.Gen != g0 {
-		t.Fatal("Lookup advanced Gen")
-	}
-	tlb.Insert(0x1000, 42, true)
-	g1 := tlb.Gen
-	if g1 == g0 {
-		t.Fatal("Insert did not advance Gen")
-	}
-	tlb.Lookup(0x1000, false) // hit: still no content change
-	if tlb.Gen != g1 {
-		t.Fatal("hit advanced Gen")
-	}
-	tlb.FlushPage(0x2000) // not resident: a no-op flush keeps Gen
-	if tlb.Gen != g1 {
-		t.Fatal("no-op FlushPage advanced Gen")
-	}
-	tlb.FlushPage(0x1000) // evicts
-	g2 := tlb.Gen
-	if g2 == g1 {
-		t.Fatal("evicting FlushPage did not advance Gen")
-	}
-	tlb.Flush()
-	if tlb.Gen == g2 {
-		t.Fatal("Flush did not advance Gen")
 	}
 }
 
@@ -272,7 +241,7 @@ func TestTLBNeverLies(t *testing.T) {
 				tlb.Insert(va, pfn, true)
 				model[vpn] = pfn
 			}
-			if pfn, _, ok := tlb.Lookup(va, false); ok {
+			if pfn, ok := tlb.Lookup(va, false); ok {
 				if want, inModel := model[vpn]; !inModel || pfn != want {
 					return false
 				}

@@ -31,8 +31,8 @@ type Phys struct {
 
 	// gens holds one store-generation counter per frame, bumped on every
 	// write into the frame. Consumers that cache derived views of a page
-	// (the per-sequencer decoded-instruction cache) snapshot the counter
-	// and revalidate against it instead of observing individual stores.
+	// (the core's compiled superblock pages) snapshot the counter and
+	// revalidate against it instead of observing individual stores.
 	gens []uint32
 }
 

@@ -20,8 +20,8 @@ import (
 // Deliberately NOT captured (host-side caches, rebuilt or re-warmed
 // after restore):
 //   - per-frame store-generation counters (Phys.gens): they exist only
-//     to invalidate host-side derived caches (decoded-instruction
-//     pages, data windows), all of which are reset on restore.
+//     to invalidate host-side derived caches (fetch windows and
+//     compiled superblock pages), all of which are reset on restore.
 
 // EncodeSnapshot writes the physical memory: frame count, the free
 // stack verbatim (allocation order is architectural — AllocFrame pops
@@ -119,8 +119,8 @@ func RestorePhys(r *wire.Reader, size uint64) (*Phys, error) {
 }
 
 // EncodeSnapshot writes the TLB: all entries (valid or not — the
-// direct-mapped slot position is architectural) plus the generation and
-// statistics counters. The stats feed Table 1, so restore must
+// direct-mapped slot position is architectural) plus the statistics
+// counters. The stats feed Table 1, so restore must
 // continue them exactly where the capture left off.
 func (t *TLB) EncodeSnapshot(w *wire.Writer) {
 	for i := range t.entries {
@@ -129,7 +129,6 @@ func (t *TLB) EncodeSnapshot(w *wire.Writer) {
 		w.U32(e.pfn)
 		w.Bool(e.write)
 	}
-	w.U64(t.Gen)
 	w.U64(t.Hits)
 	w.U64(t.Misses)
 	w.U64(t.Flushes)
@@ -141,7 +140,6 @@ func (t *TLB) DecodeSnapshot(r *wire.Reader) {
 	for i := range t.entries {
 		t.entries[i] = tlbEntry{vpn: r.U32(), pfn: r.U32(), write: r.Bool()}
 	}
-	t.Gen = r.U64()
 	t.Hits = r.U64()
 	t.Misses = r.U64()
 	t.Flushes = r.U64()

@@ -7,13 +7,6 @@ package mem
 // executing in ring 3; only CR3 updates force synchronization.
 type TLB struct {
 	entries [tlbEntries]tlbEntry
-	// Gen counts TLB content mutations (Insert, Flush, an evicting
-	// FlushPage). Consumers that cache a subset of the TLB's
-	// translations — the sequencer's data window cache — snapshot it
-	// and revalidate with one compare: an unchanged Gen proves every
-	// cached entry is still resident with the same frame and
-	// permission.
-	Gen uint64
 	// Statistics.
 	Hits    uint64
 	Misses  uint64
@@ -34,30 +27,29 @@ type tlbEntry struct {
 	write bool // writable
 }
 
-// Lookup returns the physical frame and write permission for va if
-// cached with sufficient permission. write selects a write access.
-func (t *TLB) Lookup(va uint64, write bool) (pfn uint32, writable bool, ok bool) {
+// Lookup returns the physical frame for va if cached with sufficient
+// permission. write selects a write access.
+func (t *TLB) Lookup(va uint64, write bool) (pfn uint32, ok bool) {
 	vpn := uint32(va >> PageShift)
 	e := &t.entries[vpn&(tlbEntries-1)]
 	if e.vpn == vpn+1 {
 		if !write || e.write {
 			t.Hits++
-			return e.pfn, e.write, true
+			return e.pfn, true
 		}
 		// Resident but read-only: the walk that follows is a
 		// permission (re)check, not a fill.
 		t.PermMisses++
-		return 0, false, false
+		return 0, false
 	}
 	t.Misses++
-	return 0, false, false
+	return 0, false
 }
 
 // Insert caches a translation from a completed page walk.
 func (t *TLB) Insert(va uint64, pfn uint32, writable bool) {
 	vpn := uint32(va >> PageShift)
 	t.entries[vpn&(tlbEntries-1)] = tlbEntry{vpn: vpn + 1, pfn: pfn, write: writable}
-	t.Gen++
 }
 
 // Flush invalidates every entry (CR3 write, AMS resume synchronization,
@@ -65,7 +57,6 @@ func (t *TLB) Insert(va uint64, pfn uint32, writable bool) {
 func (t *TLB) Flush() {
 	clear(t.entries[:])
 	t.Flushes++
-	t.Gen++
 }
 
 // CorruptWritable is the fault plane's TLB-corruption primitive: it
@@ -73,28 +64,23 @@ func (t *TLB) Flush() {
 // by scanning from r's slot), returning whether one was found. The
 // downgrade is architecturally recoverable — the next store through the
 // entry takes a permission miss and re-walks — but it perturbs timing
-// and exercises the PermMiss path. Gen advances so derived caches (the
-// sequencer's data window) drop the stale permission too.
+// and exercises the PermMiss path.
 func (t *TLB) CorruptWritable(r uint64) bool {
 	for i := uint64(0); i < tlbEntries; i++ {
 		e := &t.entries[(r+i)&(tlbEntries-1)]
 		if e.vpn != 0 && e.write {
 			e.write = false
-			t.Gen++
 			return true
 		}
 	}
 	return false
 }
 
-// FlushPage invalidates the entry for one page (INVLPG). Gen advances
-// only when an entry is actually evicted: a no-op flush leaves every
-// cached translation intact, so derived caches stay valid.
+// FlushPage invalidates the entry for one page (INVLPG).
 func (t *TLB) FlushPage(va uint64) {
 	vpn := uint32(va >> PageShift)
 	e := &t.entries[vpn&(tlbEntries-1)]
 	if e.vpn == vpn+1 {
 		*e = tlbEntry{}
-		t.Gen++
 	}
 }

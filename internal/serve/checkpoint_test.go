@@ -132,36 +132,46 @@ func TestCheckpointResumeBitIdentical(t *testing.T) {
 	}
 }
 
-// TestCheckpointCorruptImageFallsBackCold: an unreadable image is
-// discarded (OnCorrupt) and the run starts cold — same bytes, no error.
+// TestCheckpointCorruptImageFallsBackCold: an unreadable image — plain
+// garbage, or a checkpoint left next to the journal by a build with an
+// older snapshot format — is discarded (OnCorrupt) and the run starts
+// cold — same bytes, no error.
 func TestCheckpointCorruptImageFallsBackCold(t *testing.T) {
 	c := mustCanonical(t, tinyRun())
 	wantArt, wantRes, err := Execute(context.Background(), c)
 	if err != nil {
 		t.Fatal(err)
 	}
-	dir := t.TempDir()
-	cs := &CheckpointSpec{Dir: dir, Every: wantRes.Cycles / 2}
-	if err := os.WriteFile(cs.path(c.Key()), []byte("not a snapshot image"), 0o644); err != nil {
-		t.Fatal(err)
+	images := map[string][]byte{
+		"garbage":       []byte("not a snapshot image"),
+		"stale-version": []byte("MISPSNP2\x02\x00\x00\x00a version-2 machine image"),
 	}
-	var corrupt error
-	cs.OnCorrupt = func(err error) { corrupt = err }
+	for name, image := range images {
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			cs := &CheckpointSpec{Dir: dir, Every: wantRes.Cycles / 2}
+			if err := os.WriteFile(cs.path(c.Key()), image, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			var corrupt error
+			cs.OnCorrupt = func(err error) { corrupt = err }
 
-	gotArt, gotRes, err := ExecuteCheckpointed(context.Background(), c, nil, cs)
-	if err != nil {
-		t.Fatal(err)
+			gotArt, gotRes, err := ExecuteCheckpointed(context.Background(), c, nil, cs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if corrupt == nil {
+				t.Fatal("corrupt image was not reported")
+			}
+			if _, err := os.Stat(cs.path(c.Key())); !os.IsNotExist(err) {
+				t.Fatal("corrupt image was not discarded")
+			}
+			if gotRes.Cycles != wantRes.Cycles {
+				t.Fatalf("cold fallback diverged: %d cycles, want %d", gotRes.Cycles, wantRes.Cycles)
+			}
+			assertSameArtifacts(t, wantArt, gotArt)
+		})
 	}
-	if corrupt == nil {
-		t.Fatal("corrupt image was not reported")
-	}
-	if _, err := os.Stat(cs.path(c.Key())); !os.IsNotExist(err) {
-		t.Fatal("corrupt image was not discarded")
-	}
-	if gotRes.Cycles != wantRes.Cycles {
-		t.Fatalf("cold fallback diverged: %d cycles, want %d", gotRes.Cycles, wantRes.Cycles)
-	}
-	assertSameArtifacts(t, wantArt, gotArt)
 }
 
 // TestServerCheckpointMetadata: the served path end to end — a journaled

@@ -373,6 +373,53 @@ func TestServerTornJournalTail(t *testing.T) {
 	}
 }
 
+// TestReplayToleratesRemovedKnobs: a journal written before the
+// data-window and superblock request fields were removed still carries
+// them in its accepted records. Replay is lenient where the HTTP
+// decoder is strict: the job must recover and settle.
+func TestReplayToleratesRemovedKnobs(t *testing.T) {
+	jdir, cdir := durableDirs(t)
+	c := mustCanonical(t, tinyRun())
+	id := "j1-" + c.Key()[:8]
+
+	req, err := json.Marshal(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	oldReq := strings.TrimSuffix(string(req), "}") + `,"no_data_window":true,"no_superblock":true}`
+	rec := fmt.Sprintf(`{"op":%q,"id":%q,"key":%q,"req":%s}`, opAccepted, id, c.Key(), oldReq)
+
+	if err := os.MkdirAll(jdir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	jn, _, err := journal.Open(filepath.Join(jdir, "journal.wal"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := jn.Append([]byte(rec)); err != nil {
+		t.Fatal(err)
+	}
+	jn.Close()
+
+	s, err := NewServer(Config{Workers: 1, JournalDir: jdir, CacheDir: cdir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+		defer cancel()
+		s.Drain(ctx)
+	}()
+	j, ok := s.Job(id)
+	if !ok {
+		t.Fatal("accepted record carrying removed fields was not recovered")
+	}
+	waitJob(t, j)
+	if j.Status != StatusDone {
+		t.Fatalf("recovered job: status=%s err=%q", j.Status, j.Err)
+	}
+}
+
 // TestCacheCorruptionIsAMiss: truncated or bit-flipped disk entries are
 // detected by the manifest at load, evicted, and reported as misses —
 // and a later Put can rewrite the entry.

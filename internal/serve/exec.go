@@ -211,13 +211,10 @@ func executeSweep(ctx context.Context, c *Request, warm *workloads.WarmPool) (Ar
 		Ctx:      ctx,
 		Warm:     warm,
 	}
-	if c.LegacyLoop || c.NoDataWindow || c.NoSuperblock {
-		legacy, nodw, nosb := c.LegacyLoop, c.NoDataWindow, c.NoSuperblock
+	if c.LegacyLoop {
 		opt.Config = func(top core.Topology) core.Config {
 			cfg := workloads.DefaultConfig(top)
-			cfg.LegacyLoop = legacy
-			cfg.NoDataWindow = nodw
-			cfg.NoSuperblock = nosb
+			cfg.LegacyLoop = true
 			return cfg
 		}
 	}

@@ -45,9 +45,9 @@ type Budget struct {
 }
 
 // estMachineOverhead is the per-machine resident estimate beyond the
-// simulated physical memory: page tables, decoded-instruction and
-// superblock caches, obs buffers, and the snapshot image a checkpoint
-// or warm-pool capture holds transiently.
+// simulated physical memory: page tables, compiled superblock pages,
+// obs buffers, and the snapshot image a checkpoint or warm-pool capture
+// holds transiently.
 const estMachineOverhead = 32 << 20
 
 // JobError failure reason for a blown cycle budget (MaxCycles). Wall

@@ -158,7 +158,7 @@ func TestPressureEscalation(t *testing.T) {
 	}{
 		{0, pressureNominal, false},
 		{699, pressureNominal, false},
-		{700, pressureShed, false},  // 0.70 × 1000
+		{700, pressureShed, false},     // 0.70 × 1000
 		{850, pressureBrownout, false}, // 0.85 × 1000
 		{950, pressureCritical, true},  // 0.95 × 1000
 		{100, pressureNominal, false},  // recovery releases the hold

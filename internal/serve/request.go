@@ -11,9 +11,9 @@
 // counts and across the legacy and fast execution loops (PR 2–4
 // difftests). The cache key is therefore a hash of the canonical
 // request with every execution-strategy knob (parallelism, loop
-// choice, data-window ablation) excluded: a byte-identical request
-// never simulates twice, and artifacts fetched from the cache are
-// byte-identical to a fresh simulation's.
+// choice) excluded: a byte-identical request never simulates twice, and
+// artifacts fetched from the cache are byte-identical to a fresh
+// simulation's.
 package serve
 
 import (
@@ -68,11 +68,9 @@ type Request struct {
 	Watchdog    uint64   `json:"watchdog,omitempty"`     // livelock horizon, cycles
 
 	// --- execution-only (never in the cache key) ----------------------
-	Parallel     int    `json:"parallel,omitempty"`       // host workers for sweep fan-out
-	LegacyLoop   bool   `json:"legacy_loop,omitempty"`    // force the legacy execution loop
-	NoDataWindow bool   `json:"no_data_window,omitempty"` // disable the data-window cache
-	NoSuperblock bool   `json:"no_superblock,omitempty"`  // disable superblock compilation
-	Priority     string `json:"priority,omitempty"`       // queue lane: "batch" (default) or "interactive"
+	Parallel   int    `json:"parallel,omitempty"`    // host workers for sweep fan-out
+	LegacyLoop bool   `json:"legacy_loop,omitempty"` // force the legacy execution loop
+	Priority   string `json:"priority,omitempty"`    // queue lane: "batch" (default) or "interactive"
 }
 
 // DefaultSignalCost is the paper's conservative signal estimate,
@@ -190,10 +188,9 @@ const keySchema = "mispserve/v1"
 
 // Key derives the content-address of a canonical request: a SHA-256
 // over a line-oriented rendering of every result-affecting field.
-// Execution-only knobs (Parallel, LegacyLoop, NoDataWindow,
-// NoSuperblock) are deliberately absent — the simulation is
-// bit-identical across them, so they must map to the same cache
-// entry.
+// Execution-only knobs (Parallel, LegacyLoop) are deliberately absent
+// — the simulation is bit-identical across them, so they must map to
+// the same cache entry.
 func (c *Request) Key() string {
 	var b strings.Builder
 	fmt.Fprintln(&b, keySchema)
@@ -235,8 +232,6 @@ func (c *Request) config() (core.Config, error) {
 		cfg.Fault = fault.Uniform(c.FaultSeed, c.FaultPeriod, kinds...)
 	}
 	cfg.LegacyLoop = c.LegacyLoop
-	cfg.NoDataWindow = c.NoDataWindow
-	cfg.NoSuperblock = c.NoSuperblock
 	return cfg, nil
 }
 

@@ -59,9 +59,8 @@ func waitJob(t *testing.T, j *Job) {
 // --- cache-key determinism -------------------------------------------
 
 // TestKeyIgnoresExecutionKnobs: the simulator is bit-identical across
-// host parallelism, the legacy loop, and the data-window and
-// superblock ablations, so requests differing only in those knobs
-// must share one cache entry.
+// host parallelism and the legacy loop, so requests differing only in
+// those knobs must share one cache entry.
 func TestKeyIgnoresExecutionKnobs(t *testing.T) {
 	base := mustCanonical(t, &Request{Kind: KindSweep, Apps: []string{"dense_mmm"}, Size: "test"})
 	want := base.Key()
@@ -69,10 +68,12 @@ func TestKeyIgnoresExecutionKnobs(t *testing.T) {
 		func(r *Request) { r.Parallel = 1 },
 		func(r *Request) { r.Parallel = 7 },
 		func(r *Request) { r.LegacyLoop = true },
-		func(r *Request) { r.NoDataWindow = true },
-		func(r *Request) { r.NoSuperblock = true },
 		func(r *Request) { r.Priority = "interactive" },
-		func(r *Request) { r.Parallel = 4; r.LegacyLoop = true; r.NoDataWindow = true; r.NoSuperblock = true; r.Priority = "interactive" },
+		func(r *Request) {
+			r.Parallel = 4
+			r.LegacyLoop = true
+			r.Priority = "interactive"
+		},
 	} {
 		req := &Request{Kind: KindSweep, Apps: []string{"dense_mmm"}, Size: "test"}
 		mutate(req)
@@ -608,6 +609,29 @@ func TestSubmitValidation(t *testing.T) {
 	} {
 		if _, err := s.Submit(req, true); err == nil {
 			t.Errorf("Submit(%+v) accepted an invalid request", req)
+		}
+	}
+}
+
+// TestHTTPRejectsRemovedKnobs: the data-window and superblock ablation
+// fields are gone from the request model; the strict HTTP decoder must
+// refuse a body that still carries one, naming the field, rather than
+// silently ignoring it.
+func TestHTTPRejectsRemovedKnobs(t *testing.T) {
+	s := newTestServer(t, Config{Workers: 1})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	for _, field := range []string{"no_data_window", "no_superblock"} {
+		body := fmt.Sprintf(`{"kind":"run","app":"dense_mmm","size":"test","topology":[3],%q:true}`, field)
+		resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var msg bytes.Buffer
+		msg.ReadFrom(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(msg.String(), field) {
+			t.Fatalf("%s: status %d body %s, want 400 naming the field", field, resp.StatusCode, msg.String())
 		}
 	}
 }

@@ -34,8 +34,8 @@ import (
 // bumped on any codec layout change (there is no cross-version
 // migration — a snapshot is a cache artifact, not an archival format).
 const (
-	magic   = "MISPSNP2"
-	Version = 2
+	magic   = "MISPSNP3"
+	Version = 3
 )
 
 // Snapshot is an encoded machine+kernel image.

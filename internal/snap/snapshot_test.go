@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"misp/internal/core"
@@ -337,5 +338,11 @@ func TestLoadRejectsGarbage(t *testing.T) {
 	}
 	if _, err := snap.Load(nil); err == nil {
 		t.Fatal("Load accepted empty input")
+	}
+	// A stale format version behind the current magic: the version
+	// error, not a decode attempt.
+	_, err := snap.Load([]byte("MISPSNP3\x02\x00\x00\x00"))
+	if err == nil || !strings.Contains(err.Error(), "format version 2") {
+		t.Fatalf("Load of a version-2 header: err = %v, want the format-version error", err)
 	}
 }
