@@ -74,10 +74,16 @@ faultcheck:
 # on both loops and under fault injection), the warm pool's fork-vs-cold
 # parity, and mispsim's -snapshot/-restore crash-resume flow: the
 # restored run must report the same cycle count and checksum as an
-# uninterrupted one.
+# uninterrupted one. It also holds the touched-frame capture to the
+# full-scan encoder it replaced (byte-identical images), the memory
+# recycler to fresh-array parity, and smoke-runs the per-layer
+# capture/fork/prepare benchmarks once so they cannot rot (no ratio
+# gate: the numbers are for reading, see DESIGN.md §12).
 snapcheck:
-	$(GO) test -race -run 'TestCapture|TestFork|TestStructural|TestPause|TestMidRun|TestSnapshotFile|TestLoadRejects|TestWarmPool' \
-		./internal/snap/... ./internal/workloads
+	$(GO) test -race -run 'TestCapture|TestFork|TestStructural|TestPause|TestMidRun|TestSnapshotFile|TestSaveFile|TestLoadRejects|TestWarmPool|TestRecycle|TestRelease' \
+		./internal/mem ./internal/snap/... ./internal/workloads
+	$(GO) test -run '^$$' -bench 'BenchmarkCapture|BenchmarkFork|BenchmarkPrepare' -benchtime=1x \
+		./internal/snap ./internal/workloads
 	$(GO) build -o /tmp/misp-snapcheck-sim ./cmd/mispsim
 	rm -f /tmp/misp-snapcheck.misp
 	/tmp/misp-snapcheck-sim -w gauss -size test -snapshot /tmp/misp-snapcheck.misp -snapat 60000 > /dev/null

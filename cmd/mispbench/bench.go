@@ -70,11 +70,11 @@ func benchReps(size workloads.Size) int {
 // benchLoop runs the bench workloads under one execution loop and
 // returns (instructions retired, simulated cycles,
 // wall time, heap allocations). Only Machine.Run is timed — machine
-// construction (a 128 MiB memory clear) and result verification happen
-// outside the clock, and each rep runs on a freshly prepared machine
-// with the best rep reported. The loop choice is run-only config, so
-// all reps of one workload fork a single pooled snapshot when warm is
-// non-nil.
+// construction and result verification happen outside the clock, and
+// each rep runs on a freshly prepared machine (released afterwards, so
+// the next rep reuses its memory) with the best rep reported. The loop
+// choice is run-only config, so all reps of one workload fork a single
+// pooled snapshot when warm is non-nil.
 func benchLoop(size workloads.Size, seqs int, legacy bool, warm *workloads.WarmPool) (uint64, uint64, time.Duration, uint64, error) {
 	top := make(core.Topology, 1)
 	top[0] = seqs - 1 // one OMS plus seqs-1 AMSs
@@ -118,6 +118,7 @@ func benchLoop(size workloads.Size, seqs int, legacy bool, warm *workloads.WarmP
 				instrs += res.Machine.Steps
 				cycles += res.Machine.MaxClock()
 			}
+			res.Release()
 		}
 		wall += best
 		allocs += bestAllocs

@@ -170,6 +170,13 @@ func (m *Machine) emit(ts uint64, seq int, k EventKind, a, b uint64) {
 	m.Obs.Bus.Emit(obs.Event{TS: ts, Seq: int32(seq), Kind: k, A: a, B: b})
 }
 
+// Release recycles the machine's physical memory (mem.Phys.Release)
+// for the next machine of the same PhysMem. Optional, idempotent, and
+// final: call it once everything wanted from the run — counters,
+// metrics, events, memory reads — has been extracted; touching
+// simulated memory afterwards panics.
+func (m *Machine) Release() { m.Phys.Release() }
+
 // New builds a machine from a validated configuration.
 func New(cfg Config) (*Machine, error) {
 	if err := cfg.Validate(); err != nil {

@@ -21,7 +21,8 @@ import (
 //     refilling them changes no counter — superblocks are recompiled on
 //     first fetch),
 //   - the event heap (evq.init + evqDirty rebuild it),
-//   - per-frame store generations (only consumed by the caches above),
+//   - per-frame store generation values (beyond zero/nonzero, which
+//     selects the frames to store, only the caches above consume them),
 //   - pause/cancel plumbing and Wall (host-side run control),
 //   - metric handles, which are re-resolved against the restored
 //     registry.
@@ -281,8 +282,9 @@ func decodeSeq(r *wire.Reader, id int) (*Sequencer, error) {
 
 // EncodeSnapshot writes the complete machine state. The machine must be
 // at a quiescent stop (between Run calls, or paused via SetPause): a
-// faulted or halted machine has no future to capture.
-func (m *Machine) EncodeSnapshot(w *wire.Writer) error {
+// faulted or halted machine has no future to capture. resident is
+// m.Phys.Resident(), computed by the caller so it can size w from it.
+func (m *Machine) EncodeSnapshot(w *wire.Writer, resident []uint32) error {
 	if m.stopErr != nil {
 		return fmt.Errorf("core: cannot snapshot a machine with a latched stop: %v", m.stopErr)
 	}
@@ -290,7 +292,7 @@ func (m *Machine) EncodeSnapshot(w *wire.Writer) error {
 		return fmt.Errorf("core: cannot snapshot a halted machine")
 	}
 	EncodeConfig(w, m.Cfg)
-	m.Phys.EncodeSnapshot(w)
+	m.Phys.EncodeSnapshot(w, resident)
 	w.Int(len(m.Seqs))
 	for _, s := range m.Seqs {
 		encodeSeq(w, s)

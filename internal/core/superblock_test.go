@@ -233,14 +233,14 @@ func TestSuperblockSnapshotExcludesCompiledState(t *testing.T) {
 	}
 
 	wF := wire.NewWriter(1 << 20)
-	if err := mFast.EncodeSnapshot(wF); err != nil {
+	if err := mFast.EncodeSnapshot(wF, mFast.Phys.Resident()); err != nil {
 		t.Fatal(err)
 	}
 	wL := wire.NewWriter(1 << 20)
 	// The loop choice is config, and config is snapshotted; align it so
 	// the comparison sees only derived-state differences.
 	mLegacy.Cfg.LegacyLoop = false
-	if err := mLegacy.EncodeSnapshot(wL); err != nil {
+	if err := mLegacy.EncodeSnapshot(wL, mLegacy.Phys.Resident()); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(wF.Bytes(), wL.Bytes()) {

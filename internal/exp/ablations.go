@@ -51,6 +51,7 @@ func AblationRingPolicy(opt Options) ([]RingPolicyRow, error) {
 		if err != nil {
 			return cell{}, err
 		}
+		defer res.Release()
 		if err := checkRun(w, res, policy.String(), opt.Size); err != nil {
 			return cell{}, err
 		}
@@ -122,6 +123,7 @@ func AblationProbe(opt Options) ([]ProbeRow, error) {
 		if err != nil {
 			return cell{}, err
 		}
+		defer res.Release()
 		if err := checkRun(w, res, "probe ablation", opt.Size); err != nil {
 			return cell{}, err
 		}
@@ -198,6 +200,7 @@ func AblationSignalSweep(opt Options, signals []uint64) ([]SweepRow, error) {
 		if err != nil {
 			return cell{}, err
 		}
+		defer res.Release()
 		if err := checkRun(w, res, "signal sweep", opt.Size); err != nil {
 			return cell{}, err
 		}

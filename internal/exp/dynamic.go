@@ -86,6 +86,7 @@ func dynamicRun(ctx context.Context, w *workloads.Workload, opt Options, top cor
 	if err != nil {
 		return 0, 0, err
 	}
+	defer m.Release()
 	m.SetContext(ctx)
 	k := kernel.New(m)
 	k.DynamicAMSBinding = dynamic

@@ -83,13 +83,19 @@ func (o *Options) addStats(st sweep.Stats) {
 
 // run executes one workload run through the warm pool when one is
 // attached (a nil pool degrades to a plain cold prepare). extra is the
-// workload's rt_init flag word, part of the pool key.
+// workload's rt_init flag word, part of the pool key. The caller
+// releases the result once it has extracted its measurements, so a
+// grid's machines reuse one memory array per worker.
 func (o *Options) run(ctx context.Context, w *workloads.Workload, mode shredlib.Mode, cfg core.Config, extra int64) (*workloads.RunResult, error) {
 	pr, err := o.Warm.Prepare(w, mode, cfg, o.Size, extra)
 	if err != nil {
 		return nil, err
 	}
-	return pr.RunCtx(ctx)
+	res, err := pr.RunCtx(ctx)
+	if err != nil {
+		pr.Release()
+	}
+	return res, err
 }
 
 func (o *Options) workloads() ([]*workloads.Workload, error) {
@@ -164,9 +170,10 @@ func checkRun(w *workloads.Workload, res *workloads.RunResult, label string, sz 
 }
 
 // evalRun is one (app, configuration) job's compact extract. Jobs
-// return this instead of the RunResult so each run's machine — and its
-// simulated physical memory — is garbage the moment the job finishes,
-// keeping a wide parallel sweep's footprint flat.
+// return this instead of the RunResult so each run's machine can be
+// released — its simulated physical memory recycled into the next
+// job's — the moment the job finishes, keeping a wide parallel sweep's
+// footprint flat.
 type evalRun struct {
 	Cycles   uint64
 	Checksum float64
@@ -206,6 +213,7 @@ func Evaluate(opt Options) ([]*AppResult, error) {
 		if err != nil {
 			return evalRun{}, err
 		}
+		defer res.Release()
 		if err := checkRun(w, res, labels[c], opt.Size); err != nil {
 			return evalRun{}, err
 		}

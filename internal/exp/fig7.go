@@ -137,6 +137,7 @@ func fig7Run(ctx context.Context, w *workloads.Workload, cfg Fig7Config, opt Fig
 	if err != nil {
 		return 0, err
 	}
+	defer m.Release()
 	m.SetContext(ctx)
 	k := kernel.New(m)
 	app, err := k.Spawn(w.Name, w.Build(cfg.Mode, opt.Size))

@@ -137,6 +137,7 @@ func Resilience(opt ResilienceOptions) ([]ResilienceRow, error) {
 		if err != nil {
 			return campaignRun{}, err
 		}
+		defer pr.Release()
 		res, runErr := pr.RunCtx(ctx)
 		out := campaignRun{cycles: pr.Machine.MaxClock()}
 		if plan := pr.Machine.FaultPlan(); plan != nil {

@@ -13,6 +13,7 @@ package mem
 import (
 	"encoding/binary"
 	"fmt"
+	"sync"
 )
 
 // Page geometry.
@@ -33,7 +34,73 @@ type Phys struct {
 	// write into the frame. Consumers that cache derived views of a page
 	// (the core's compiled superblock pages) snapshot the counter and
 	// revalidate against it instead of observing individual stores.
+	//
+	// The counters double as the touched set: a frame whose generation
+	// is zero has not been written since the array was last all-zero, so
+	// snapshot capture and Release visit only the others. "Every
+	// mutation bumps the generation" is therefore load-bearing twice
+	// over — a write path that skipped the bump would not just leave a
+	// stale superblock, it would drop the frame from every capture and
+	// leak its content into the array's next tenant. touch pins the top
+	// bit, so wrapping cannot bring a written frame back to zero.
 	gens []uint32
+}
+
+// written is the sticky bit of a store generation; the low 31 bits
+// count.
+const written = 1 << 31
+
+// touch advances frame f's store generation by one store. Branch-free,
+// and never 0 after a write: the count wraps under the written bit.
+func (p *Phys) touch(f uint64) { p.gens[f] = (p.gens[f] + 1) | written }
+
+// arrays is the bulk of a Phys — everything whose size follows the
+// configured memory rather than the touched frames. Release parks it
+// all-zero; NewPhys and RestorePhys draw from the same store, so a
+// grid of short runs clears and faults in PhysMem once, not per run.
+type arrays struct {
+	data []byte
+	gens []uint32
+}
+
+// arrayPools maps a memory size to the sync.Pool of its idle arrays.
+// A sync.Pool is emptied by the garbage collector, so idle arrays are
+// collectable and need no retention policy.
+var arrayPools sync.Map // uint64 → *sync.Pool
+
+// acquire returns all-zero arrays for a memory of size bytes, recycled
+// when a released set is on hand.
+func acquire(size uint64) arrays {
+	if pool, ok := arrayPools.Load(size); ok {
+		if a, ok := pool.(*sync.Pool).Get().(*arrays); ok {
+			return *a
+		}
+	}
+	return arrays{data: make([]byte, size), gens: make([]uint32, size/PageSize)}
+}
+
+// Release hands the memory's arrays to the recycler for the next
+// NewPhys or RestorePhys of the same size, clearing only the frames
+// that were written. It is optional — an unreleased Phys is ordinary
+// garbage — and idempotent. The caller must be done with the memory:
+// a released Phys is poisoned, and any later access panics instead of
+// reading or corrupting the arrays' next tenant.
+func (p *Phys) Release() {
+	if p.data == nil {
+		return
+	}
+	for f, g := range p.gens {
+		if g != 0 {
+			clear(p.frameBytes(uint32(f)))
+			p.gens[f] = 0
+		}
+	}
+	pool, ok := arrayPools.Load(p.Size())
+	if !ok {
+		pool, _ = arrayPools.LoadOrStore(p.Size(), new(sync.Pool))
+	}
+	pool.(*sync.Pool).Put(&arrays{data: p.data, gens: p.gens})
+	*p = Phys{}
 }
 
 // NewPhys creates a physical memory of the given size, which must be a
@@ -44,11 +111,12 @@ func NewPhys(size uint64) (*Phys, error) {
 		return nil, fmt.Errorf("mem: physical size %d is not a positive multiple of %d", size, PageSize)
 	}
 	n := uint32(size / PageSize)
+	a := acquire(size)
 	p := &Phys{
-		data:      make([]byte, size),
+		data:      a.data,
 		numFrames: n,
 		free:      make([]uint32, 0, n-1),
-		gens:      make([]uint32, n),
+		gens:      a.gens,
 	}
 	// Push frames in reverse so allocation order is ascending.
 	for f := n - 1; f >= 1; f-- {
@@ -72,7 +140,7 @@ func (p *Phys) AllocFrame() (uint32, error) {
 	p.free = p.free[:len(p.free)-1]
 	base := uint64(f) << PageShift
 	clear(p.data[base : base+PageSize])
-	p.gens[f]++
+	p.touch(uint64(f))
 	return f, nil
 }
 
@@ -89,7 +157,7 @@ func (p *Phys) FreeFrame(f uint32) {
 // modulo 8, so any 64-bit draw addresses a valid bit deterministically.
 func (p *Phys) FlipBit(pa uint64, bit uint) {
 	pa %= uint64(len(p.data))
-	p.gens[pa>>PageShift]++
+	p.touch(pa >> PageShift)
 	p.data[pa] ^= 1 << (bit & 7)
 }
 
@@ -107,7 +175,7 @@ func (p *Phys) InRange(pa, n uint64) bool {
 // Frame returns the byte slice of one whole frame. The slice is
 // mutable, so the frame's store generation is bumped conservatively.
 func (p *Phys) Frame(f uint32) []byte {
-	p.gens[f]++
+	p.touch(uint64(f))
 	base := uint64(f) << PageShift
 	return p.data[base : base+PageSize]
 }
@@ -121,7 +189,7 @@ func (p *Phys) Bytes(pa, n uint64) []byte { return p.data[pa : pa+n] }
 // store generation of every page the range touches.
 func (p *Phys) BytesRW(pa, n uint64) []byte {
 	for f := pa >> PageShift; f <= (pa+n-1)>>PageShift; f++ {
-		p.gens[f]++
+		p.touch(f)
 	}
 	return p.data[pa : pa+n]
 }
@@ -138,7 +206,7 @@ func (p *Phys) ReadU8(pa uint64) uint8 { return p.data[pa] }
 
 // WriteU8 writes one byte of physical memory.
 func (p *Phys) WriteU8(pa uint64, v uint8) {
-	p.gens[pa>>PageShift]++
+	p.touch(pa >> PageShift)
 	p.data[pa] = v
 }
 
@@ -147,7 +215,7 @@ func (p *Phys) ReadU16(pa uint64) uint16 { return binary.LittleEndian.Uint16(p.d
 
 // WriteU16 writes a little-endian uint16.
 func (p *Phys) WriteU16(pa uint64, v uint16) {
-	p.gens[pa>>PageShift]++
+	p.touch(pa >> PageShift)
 	binary.LittleEndian.PutUint16(p.data[pa:], v)
 }
 
@@ -156,7 +224,7 @@ func (p *Phys) ReadU32(pa uint64) uint32 { return binary.LittleEndian.Uint32(p.d
 
 // WriteU32 writes a little-endian uint32.
 func (p *Phys) WriteU32(pa uint64, v uint32) {
-	p.gens[pa>>PageShift]++
+	p.touch(pa >> PageShift)
 	binary.LittleEndian.PutUint32(p.data[pa:], v)
 }
 
@@ -165,6 +233,6 @@ func (p *Phys) ReadU64(pa uint64) uint64 { return binary.LittleEndian.Uint64(p.d
 
 // WriteU64 writes a little-endian uint64.
 func (p *Phys) WriteU64(pa uint64, v uint64) {
-	p.gens[pa>>PageShift]++
+	p.touch(pa >> PageShift)
 	binary.LittleEndian.PutUint64(p.data[pa:], v)
 }

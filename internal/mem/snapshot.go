@@ -11,41 +11,60 @@ import (
 // Snapshot codecs for the memory system. The encoding is content
 // driven: physical memory stores exactly the frames that contain any
 // nonzero byte (page tables included — they live in simulated physical
-// memory), and restore materializes a fresh zeroed flat array and
-// copies only the stored frames in. The encoded frame images are the
-// shared, immutable side of the snapshot plane's copy-on-write story:
-// every fork decodes against the same buffer and owns a private array,
-// so fork cost scales with resident pages, not configured memory.
+// memory), and restore takes an all-zero flat array and copies only the
+// stored frames in. The encoded frame images are the shared, immutable
+// side of the snapshot plane's copy-on-write story: every fork decodes
+// against the same buffer and owns a private array.
+//
+// Neither direction reads memory the machine never wrote: a frame's
+// store generation (Phys.gens) is nonzero exactly when it has been
+// written since the array was all-zero, so capture content-tests only
+// those frames, and restore marks each frame it fills so a capture of
+// the fork stays complete. What remains proportional to configured
+// memory is 4 bytes per frame twice over: the generation scan and the
+// free stack.
 //
 // Deliberately NOT captured (host-side caches, rebuilt or re-warmed
 // after restore):
-//   - per-frame store-generation counters (Phys.gens): they exist only
-//     to invalidate host-side derived caches (fetch windows and
+//   - the generation values themselves: beyond zero/nonzero they exist
+//     only to invalidate host-side derived caches (fetch windows and
 //     compiled superblock pages), all of which are reset on restore.
+
+// Resident returns, in ascending order, the frames a snapshot stores:
+// those written since the array was all-zero that now hold a nonzero
+// byte. An allocated frame that still reads all-zero is left out; a
+// freed frame with stale content is kept (restore must reproduce what
+// a later read of it would see).
+func (p *Phys) Resident() []uint32 {
+	var out []uint32
+	for f, g := range p.gens {
+		if g != 0 && !zeroFrame(p.frameBytes(uint32(f))) {
+			out = append(out, uint32(f))
+		}
+	}
+	return out
+}
+
+// SnapshotSize returns the exact number of bytes EncodeSnapshot writes
+// for a resident list of the given length.
+func (p *Phys) SnapshotSize(resident int) int {
+	return 4 + 8 + 4*len(p.free) + 8 + resident*(4+PageSize)
+}
 
 // EncodeSnapshot writes the physical memory: frame count, the free
 // stack verbatim (allocation order is architectural — AllocFrame pops
-// deterministically), and every frame with nonzero content.
-func (p *Phys) EncodeSnapshot(w *wire.Writer) {
+// deterministically), and the resident frames, which the caller
+// obtains from Resident (once, so it can size the writer first).
+func (p *Phys) EncodeSnapshot(w *wire.Writer, resident []uint32) {
 	w.U32(p.numFrames)
 	w.U64(uint64(len(p.free)))
 	for _, f := range p.free {
 		w.U32(f)
 	}
-	var resident uint64
-	for f := uint32(0); f < p.numFrames; f++ {
-		if !zeroFrame(p.frameBytes(f)) {
-			resident++
-		}
-	}
-	w.U64(resident)
-	for f := uint32(0); f < p.numFrames; f++ {
-		b := p.frameBytes(f)
-		if zeroFrame(b) {
-			continue
-		}
+	w.U64(uint64(len(resident)))
+	for _, f := range resident {
 		w.U32(f)
-		w.Raw(b)
+		w.Raw(p.frameBytes(f))
 	}
 }
 
@@ -86,36 +105,44 @@ func RestorePhys(r *wire.Reader, size uint64) (*Phys, error) {
 	if nFree < 0 {
 		return nil, r.Err()
 	}
-	p := &Phys{
-		data:      make([]byte, size),
-		numFrames: numFrames,
-		free:      make([]uint32, nFree),
-		gens:      make([]uint32, numFrames),
-	}
-	for i := range p.free {
+	free := make([]uint32, nFree)
+	for i := range free {
 		f := r.U32()
 		if f == 0 || f >= numFrames {
 			return nil, fmt.Errorf("mem: snapshot free frame %d out of range", f)
 		}
-		p.free[i] = f
+		free[i] = f
 	}
 	resident := r.Len(int(numFrames))
 	if resident < 0 {
 		return nil, r.Err()
 	}
+	a := acquire(size)
+	p := &Phys{data: a.data, numFrames: numFrames, free: free, gens: a.gens}
+	if err := p.restoreFrames(r, resident); err != nil {
+		p.Release()
+		return nil, err
+	}
+	return p, nil
+}
+
+// restoreFrames copies the encoded resident frames in, marking each as
+// touched: to the touched set a restored frame is a written frame.
+func (p *Phys) restoreFrames(r *wire.Reader, resident int) error {
 	for i := 0; i < resident; i++ {
 		f := r.U32()
 		if r.Err() != nil {
-			return nil, r.Err()
+			return r.Err()
 		}
-		if f >= numFrames {
-			return nil, fmt.Errorf("mem: snapshot resident frame %d out of range", f)
+		if f >= p.numFrames {
+			return fmt.Errorf("mem: snapshot resident frame %d out of range", f)
 		}
+		p.touch(uint64(f))
 		if err := r.CopyInto(p.frameBytes(f)); err != nil {
-			return nil, err
+			return err
 		}
 	}
-	return p, r.Err()
+	return r.Err()
 }
 
 // EncodeSnapshot writes the TLB: all entries (valid or not — the

@@ -87,6 +87,13 @@ func TestChaosSeededKills(t *testing.T) {
 				time.Sleep(time.Duration(rng.Intn(250)) * time.Millisecond)
 			}
 			crash(s1)
+			// Unlike a SIGKILL, crash leaves s1's goroutines running. Its
+			// jobs are canceled, but a worker that had already finished
+			// simulating may still be inside its cache write when the
+			// successor — now done in milliseconds — has settled everything;
+			// wait it out before TempDir cleanup removes the directory
+			// under it.
+			defer s1.Drain(context.Background())
 
 			s2, err := NewServer(cfg)
 			if err != nil {

@@ -431,6 +431,9 @@ func ExecuteCheckpointed(ctx context.Context, c *Request, warm *workloads.WarmPo
 			return nil, nil, err
 		}
 	}
+	// Every exit below — done, failed, preempted — is finished with the
+	// machine: its image, if any, is on disk and its artifacts rendered.
+	defer pr.Release()
 
 	// The run proceeds in pause slices: every stride() cycles the machine
 	// stops at a quiescent boundary, where the loop checks the preemption

@@ -101,6 +101,7 @@ func executeRun(ctx context.Context, c *Request, warm *workloads.WarmPool) (Arti
 	if err != nil {
 		return nil, nil, err
 	}
+	defer pr.Release() // after runArtifacts has rendered everything from the machine
 	res, err := pr.RunCtx(ctx)
 	if err != nil {
 		return nil, nil, err

@@ -26,6 +26,29 @@ func markVictim(t *testing.T, s *Server) {
 	waitCond(t, func() bool { return s.preemptLargest() }, "no preemption victim appeared")
 }
 
+// gateExec parks every lease at the top of s.exec — the job is
+// StatusRunning and has not simulated a cycle — until the test calls
+// release. A tiny job prepares and finishes in a few milliseconds, so
+// a test that polls for StatusRunning and then acts on the running job
+// loses that race under load; one that arms its preemption, hold or
+// drain while the job is parked here cannot. Install before Submit.
+func gateExec(s *Server) (running <-chan struct{}, release func()) {
+	started, gate := make(chan struct{}, 1), make(chan struct{})
+	s.exec = func(ctx context.Context, j *Job) (Artifacts, *Result, error) {
+		select {
+		case started <- struct{}{}:
+		default: // only the first lease is announced
+		}
+		select {
+		case <-gate:
+		case <-ctx.Done():
+			return nil, nil, context.Cause(ctx)
+		}
+		return s.executeJob(ctx, j)
+	}
+	return started, func() { close(gate) }
+}
+
 // --- victim selection -------------------------------------------------
 
 func victim(id string, lane int, est uint64, started time.Time) *Job {
@@ -224,6 +247,7 @@ func TestPreemptedCrashReplay(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	running, release := gateExec(s1)
 	j1, err := s1.Submit(tinyRun(), true)
 	if err != nil {
 		t.Fatal(err)
@@ -232,13 +256,13 @@ func TestPreemptedCrashReplay(t *testing.T) {
 	// cannot be re-leased: the crash below deterministically lands while
 	// it is parked in the queue, preempted record journaled, image on
 	// disk. (The hold must come after dispatch, or the job never starts.)
-	waitCond(t, func() bool {
-		s1.mu.Lock()
-		defer s1.mu.Unlock()
-		return j1.Status == StatusRunning
-	}, "job never started running")
+	// The job stays parked at the top of its lease until both the hold
+	// and the preemption request are in place, so its first pause slice
+	// yields.
+	<-running
 	s1.queue.setHold(true)
 	markVictim(t, s1)
+	release()
 	waitCond(t, func() bool {
 		s1.mu.Lock()
 		defer s1.mu.Unlock()
@@ -318,11 +342,14 @@ func TestPreemptDuringDrain(t *testing.T) {
 		MemBudget: 1 << 40, PressureTick: quietTick,
 		PreemptQuantum: wantRes.Cycles / 8,
 	})
+	running, release := gateExec(s)
 	j, err := s.Submit(tinyRun(), true)
 	if err != nil {
 		t.Fatal(err)
 	}
+	<-running
 	markVictim(t, s)
+	release()
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
 	if err := s.Drain(ctx); err != nil {

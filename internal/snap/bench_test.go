@@ -1,0 +1,105 @@
+package snap_test
+
+import (
+	"errors"
+	"fmt"
+	"testing"
+
+	"misp/internal/core"
+	"misp/internal/shredlib"
+	"misp/internal/snap"
+	"misp/internal/workloads"
+)
+
+// The snapshot plane's cost must follow the frames a run has written,
+// not Config.PhysMem. Each benchmark runs the same workload at three
+// configured sizes 32x apart and reports the resident frames beside
+// ns/op, so "flat in configured memory" is a number:
+//
+//	go test -run '^$' -bench 'Capture|Fork' -benchmem ./internal/snap
+
+var benchPhysMem = []uint64{32 << 20, 128 << 20, 1 << 30}
+
+// benchMachine prepares gauss (small, MISP 1x8) in physMem bytes and
+// runs it to the middle of its run, where it has a few dozen resident
+// frames.
+func benchMachine(b *testing.B, physMem uint64) *workloads.Prepared {
+	b.Helper()
+	w, err := workloads.ByName("gauss")
+	if err != nil {
+		b.Fatal(err)
+	}
+	cfg := workloads.DefaultConfig(core.Topology{7})
+	cfg.PhysMem = physMem
+	prepare := func() *workloads.Prepared {
+		pr, err := workloads.Prepare(w, shredlib.ModeShred, cfg, workloads.SizeSmall)
+		if err != nil {
+			b.Fatal(err)
+		}
+		return pr
+	}
+	ref := prepare()
+	if _, err := ref.Run(); err != nil {
+		b.Fatal(err)
+	}
+	mid := ref.Machine.MaxClock() / 2
+	ref.Release()
+
+	pr := prepare()
+	pr.Machine.SetPause(mid)
+	if err := pr.Machine.Run(); !errors.Is(err, core.ErrPaused) {
+		b.Fatalf("expected a pause at cycle %d, got %v", mid, err)
+	}
+	pr.Machine.SetPause(0)
+	return pr
+}
+
+func forEachPhysMem(b *testing.B, fn func(b *testing.B, pr *workloads.Prepared)) {
+	for _, size := range benchPhysMem {
+		b.Run(fmt.Sprintf("physmem=%dMiB", size>>20), func(b *testing.B) {
+			pr := benchMachine(b, size)
+			defer pr.Release()
+			b.ReportAllocs()
+			b.ResetTimer()
+			fn(b, pr)
+			b.ReportMetric(float64(len(pr.Machine.Phys.Resident())), "resident_frames")
+		})
+	}
+}
+
+var sinkSnapshot *snap.Snapshot
+
+func BenchmarkCapture(b *testing.B) {
+	forEachPhysMem(b, func(b *testing.B, pr *workloads.Prepared) {
+		for i := 0; i < b.N; i++ {
+			s, err := snap.Capture(pr.Machine, pr.Kernel)
+			if err != nil {
+				b.Fatal(err)
+			}
+			sinkSnapshot = s
+		}
+	})
+}
+
+// BenchmarkFork times what a warm hit costs a grid in steady state:
+// fork the image, then release the machine for the next fork.
+func BenchmarkFork(b *testing.B) {
+	forEachPhysMem(b, func(b *testing.B, pr *workloads.Prepared) {
+		img, err := snap.Capture(pr.Machine, pr.Kernel)
+		if err != nil {
+			b.Fatal(err)
+		}
+		fork := func() {
+			m, _, err := img.Fork(nil)
+			if err != nil {
+				b.Fatal(err)
+			}
+			m.Release()
+		}
+		fork() // the first fork of a size has no released array to take
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			fork()
+		}
+	})
+}

@@ -1,0 +1,281 @@
+package snap_test
+
+import (
+	"bytes"
+	"os"
+	"path/filepath"
+	"testing"
+
+	"misp/internal/core"
+	"misp/internal/shredlib"
+	"misp/internal/snap"
+	"misp/internal/workloads"
+)
+
+// --- exact-size capture buffer ---------------------------------------
+
+// TestCaptureBufferSized: a Snapshot outlives its capture by as long as
+// a warm pool or a checkpoint file reference does, so it must not pin
+// more than StateSlack beyond its image — cold, mid-run with many
+// resident frames, and when the non-memory state (a wide machine)
+// dwarfs the slack.
+func TestCaptureBufferSized(t *testing.T) {
+	// check captures pr and returns the size of the image's non-memory
+	// part.
+	check := func(what string, pr *workloads.Prepared) int {
+		t.Helper()
+		s, err := snap.Capture(pr.Machine, pr.Kernel)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if spare := cap(s.Bytes()) - len(s.Bytes()); spare > snap.StateSlack {
+			t.Fatalf("%s: %d-byte image pins %d spare bytes (bound %d)", what, s.Size(), spare, snap.StateSlack)
+		}
+		phys := pr.Machine.Phys
+		return s.Size() - phys.SnapshotSize(len(phys.Resident()))
+	}
+	cfg := testCfg(t, false)
+	ref, _ := refRun(t, cfg)
+
+	pr := prep(t, cfg)
+	check("cold", pr)
+	pauseMid(t, pr, ref.Cycles/2)
+	check("mid-run", pr)
+
+	wide := cfg
+	wide.Topology = core.Topology{31, 31} // ~3 KiB of TLB and registers per sequencer
+	pr = prep(t, wide)
+	if state := check("64 sequencers", pr); state < 2*snap.StateSlack {
+		t.Fatalf("non-memory state is %d bytes: it does not outgrow the %d-byte slack", state, snap.StateSlack)
+	}
+}
+
+// --- SaveFile failure paths ------------------------------------------
+
+func tmpFiles(t *testing.T, dir string) []string {
+	t.Helper()
+	m, err := filepath.Glob(filepath.Join(dir, "*.tmp"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m
+}
+
+// TestSaveFileFailureLeavesNoTemp: a save that fails — at the write
+// (the disk is full) or at the rename — removes its temp file and leaves
+// the previous image as it was.
+func TestSaveFileFailureLeavesNoTemp(t *testing.T) {
+	pr := prep(t, testCfg(t, false))
+	s, err := snap.Capture(pr.Machine, pr.Kernel)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	t.Run("write", func(t *testing.T) {
+		if _, err := os.Stat("/dev/full"); err != nil {
+			t.Skip("no /dev/full to stand in for a full disk")
+		}
+		dir := t.TempDir()
+		path := filepath.Join(dir, "job.ckpt")
+		if err := s.SaveFile(path); err != nil {
+			t.Fatal(err)
+		}
+		// The next save's temp file lands on a device with no space.
+		if err := os.Symlink("/dev/full", path+".tmp"); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.SaveFile(path); err == nil {
+			t.Fatal("SaveFile onto a full device succeeded")
+		}
+		if left := tmpFiles(t, dir); len(left) != 0 {
+			t.Fatalf("failed save left %v behind", left)
+		}
+		prev, err := snap.LoadFile(path)
+		if err != nil {
+			t.Fatalf("previous image unreadable after a failed save: %v", err)
+		}
+		if !bytes.Equal(prev.Bytes(), s.Bytes()) {
+			t.Fatal("previous image changed by a failed save")
+		}
+	})
+
+	t.Run("rename", func(t *testing.T) {
+		dir := t.TempDir()
+		path := filepath.Join(dir, "job.ckpt")
+		// A non-empty directory squatting on the final name: the temp
+		// file is written and synced, then the rename is refused.
+		if err := os.MkdirAll(filepath.Join(path, "x"), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.SaveFile(path); err == nil {
+			t.Fatal("SaveFile over a directory succeeded")
+		}
+		if left := tmpFiles(t, dir); len(left) != 0 {
+			t.Fatalf("failed save left %v behind", left)
+		}
+	})
+
+	t.Run("open", func(t *testing.T) {
+		dir := filepath.Join(t.TempDir(), "gone")
+		if err := s.SaveFile(filepath.Join(dir, "job.ckpt")); err == nil {
+			t.Fatal("SaveFile into a missing directory succeeded")
+		}
+	})
+}
+
+// --- recycled arrays -------------------------------------------------
+
+// arrayID identifies the memory array a machine sits on.
+func arrayID(m *core.Machine) *byte { return &m.Phys.Bytes(0, 1)[0] }
+
+// life is everything a machine's run is judged on, from one tenant of
+// an array.
+type life struct {
+	image []byte // post-prepare capture
+	mid   []byte // capture at a mid-run pause
+	fp    []byte // instrs, cycles, counters, metrics, obs stream at completion
+}
+
+func live(t *testing.T, pr *workloads.Prepared, mid uint64) life {
+	t.Helper()
+	var l life
+	s, err := snap.Capture(pr.Machine, pr.Kernel)
+	if err != nil {
+		t.Fatal(err)
+	}
+	l.image = s.Bytes()
+	pauseMid(t, pr, mid)
+	if s, err = snap.Capture(pr.Machine, pr.Kernel); err != nil {
+		t.Fatal(err)
+	}
+	l.mid = s.Bytes()
+	_, l.fp = mustRun(t, pr)
+	return l
+}
+
+func (l life) equal(o life) bool {
+	return bytes.Equal(l.image, o.image) && bytes.Equal(l.mid, o.mid) && bytes.Equal(l.fp, o.fp)
+}
+
+// TestRecycleParity: a machine built on, or forked onto, an array that a
+// dirtier tenant released is indistinguishable from one on a fresh
+// array — same capture bytes cold and mid-run, same instrs, cycles,
+// metrics and event stream — and a release at one PhysMem never feeds a
+// machine of another.
+func TestRecycleParity(t *testing.T) {
+	// Sizes no other test in this package uses, so the first machine of
+	// each is certain to be on a fresh array.
+	cfg := testCfg(t, false)
+	cfg.PhysMem = 40<<20 + 3<<12
+	other := cfg
+	other.PhysMem = 24<<20 + 5<<12
+
+	fresh := prep(t, cfg)
+	ref, err := prep(t, cfg).Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	mid := ref.Cycles / 2
+	want := live(t, fresh, mid)
+	wantOther := live(t, prep(t, other), mid)
+
+	// The dirtier tenant: a bigger program run to completion, plus
+	// writes the allocator never made, up to the last frame.
+	released := map[*byte]bool{}
+	release := func(m *core.Machine) {
+		released[arrayID(m)] = true
+		m.Release()
+	}
+	w, err := workloads.ByName("raytracer")
+	if err != nil {
+		t.Fatal(err)
+	}
+	big, err := workloads.Prepare(w, shredlib.ModeShred, cfg, workloads.SizeSmall)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := big.Run(); err != nil {
+		t.Fatal(err)
+	}
+	for pa := uint64(4096); pa < cfg.PhysMem; pa += 37 * 4096 {
+		big.Machine.Phys.FlipBit(pa+pa%4096, 5)
+	}
+	big.Machine.Phys.WriteU64(cfg.PhysMem-8, ^uint64(0))
+	if len(big.Machine.Phys.Resident()) <= len(fresh.Machine.Phys.Resident()) {
+		t.Fatal("the dirty tenant is no dirtier than the reference")
+	}
+	release(big.Machine)
+	release(fresh.Machine)
+
+	// sync.Pool may drop a released array (it does so at random under
+	// -race), so build until one comes back.
+	recycled := func(build func() *workloads.Prepared) *workloads.Prepared {
+		t.Helper()
+		for try := 0; try < 64; try++ {
+			pr := build()
+			if released[arrayID(pr.Machine)] {
+				return pr
+			}
+			release(pr.Machine)
+		}
+		t.Fatal("no released array was ever recycled")
+		return nil
+	}
+
+	cold := recycled(func() *workloads.Prepared { return prep(t, cfg) })
+	if got := live(t, cold, mid); !got.equal(want) {
+		t.Fatal("a cold machine on a recycled array diverged from one on a fresh array")
+	}
+	release(cold.Machine)
+
+	img, err := snap.Load(want.mid)
+	if err != nil {
+		t.Fatal(err)
+	}
+	forked := recycled(func() *workloads.Prepared {
+		m, k, err := img.Fork(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pr, err := workloads.Resume(fresh.W, fresh.Mode, m, k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return pr
+	})
+	s, err := snap.Capture(forked.Machine, forked.Kernel)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(s.Bytes(), want.mid) {
+		t.Fatal("a fork onto a recycled array re-captures to different bytes")
+	}
+	if _, fp := mustRun(t, forked); !bytes.Equal(fp, want.fp) {
+		t.Fatal("a fork onto a recycled array finished differently from the uninterrupted run")
+	}
+	release(forked.Machine)
+
+	// The other PhysMem has seen no release: its next machine must not
+	// sit on any array released above, and must match its own first run.
+	pr := prep(t, other)
+	if released[arrayID(pr.Machine)] || pr.Machine.Phys.Size() != other.PhysMem {
+		t.Fatalf("a %d-byte machine was built on an array released at %d bytes", other.PhysMem, cfg.PhysMem)
+	}
+	if got := live(t, pr, mid); !got.equal(wantOther) {
+		t.Fatal("a machine of another PhysMem diverged after releases at this one")
+	}
+}
+
+// TestReleaseUseAfterPanics: running a released machine panics at its
+// first memory access instead of executing on someone else's array.
+func TestReleaseUseAfterPanics(t *testing.T) {
+	pr := prep(t, testCfg(t, false))
+	pr.Release()
+	pr.Release() // idempotent
+	defer func() {
+		if recover() == nil {
+			t.Fatal("running a released machine did not panic")
+		}
+	}()
+	pr.Run()
+}

@@ -21,6 +21,7 @@
 package snap
 
 import (
+	"bytes"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -52,17 +53,34 @@ func Capture(m *core.Machine, k *kernel.Kernel) (*Snapshot, error) {
 	if err := k.Err(); err != nil {
 		return nil, fmt.Errorf("snap: cannot capture with a kernel fault latched: %w", err)
 	}
-	w := wire.NewWriter(1 << 20)
+	// The image is retained for as long as its Snapshot (a warm-pool
+	// entry lives as long as the pool), so the buffer is sized to it:
+	// the memory section exactly, from the resident list, plus stateSlack
+	// for everything else.
+	resident := m.Phys.Resident()
+	w := wire.NewWriter(m.Phys.SnapshotSize(len(resident)) + stateSlack)
 	w.Raw([]byte(magic))
 	w.U32(Version)
-	if err := m.EncodeSnapshot(w); err != nil {
+	if err := m.EncodeSnapshot(w, resident); err != nil {
 		return nil, err
 	}
 	if err := k.EncodeSnapshot(w); err != nil {
 		return nil, err
 	}
-	return &Snapshot{buf: w.Bytes()}, nil
+	buf := w.Bytes()
+	if cap(buf)-len(buf) > stateSlack {
+		// The non-memory state (a large event buffer, a PC profile)
+		// outgrew the slack and append's doubling over-allocated.
+		buf = bytes.Clone(buf)
+	}
+	return &Snapshot{buf: buf}, nil
 }
+
+// stateSlack is the capacity Capture sets aside for the non-memory
+// state (header, configuration, sequencers, metrics, kernel tables):
+// about twice what an 8-sequencer machine with tracing off encodes. It
+// also bounds the unused capacity a Snapshot may retain.
+const stateSlack = 64 << 10
 
 // Bytes returns the encoded image (shared, not copied; treat as
 // read-only).
@@ -117,12 +135,19 @@ func (s *Snapshot) Fork(override func(*core.Config)) (*core.Machine, *kernel.Ker
 // fsync'd under a temp name, renamed into place, and the directory is
 // fsync'd so a SIGKILL right after SaveFile returns still finds the
 // complete image (or the complete previous one — never a torn mix).
-func (s *Snapshot) SaveFile(path string) error {
+func (s *Snapshot) SaveFile(path string) (err error) {
 	tmp := path + ".tmp"
 	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
 	if err != nil {
 		return err
 	}
+	// A failed save leaves no temp file beside the journal. (Once the
+	// rename has happened the name is gone and Remove is a no-op.)
+	defer func() {
+		if err != nil {
+			os.Remove(tmp)
+		}
+	}()
 	if _, err := f.Write(s.buf); err != nil {
 		f.Close()
 		return err

@@ -38,22 +38,25 @@ func RunFlagsCtx(ctx context.Context, w *Workload, mode shredlib.Mode, cfg core.
 	if err != nil {
 		return nil, err
 	}
-	return pr.RunCtx(ctx)
+	res, err := pr.RunCtx(ctx)
+	if err != nil {
+		pr.Release() // nobody else holds the failed machine
+	}
+	return res, err
 }
 
 // RunFlags is Run with extra rt_init flags (ablation knobs).
 func RunFlags(w *Workload, mode shredlib.Mode, cfg core.Config, sz Size, extra int64) (*RunResult, error) {
-	pr, err := PrepareFlags(w, mode, cfg, sz, extra)
-	if err != nil {
-		return nil, err
-	}
-	return pr.Run()
+	return RunFlagsCtx(context.Background(), w, mode, cfg, sz, extra)
 }
+
+// Release recycles the run's machine memory (core.Machine.Release)
+// once the caller has extracted what it wants from the result.
+func (r *RunResult) Release() { r.Machine.Release() }
 
 // Prepared is a machine built, booted, and loaded with a workload but
 // not yet run. Splitting Prepare from Run lets the simulator bench time
-// execution alone — machine construction clears the whole physical
-// memory and would otherwise dominate short runs.
+// execution alone, without machine construction and program load.
 type Prepared struct {
 	W       *Workload
 	Mode    shredlib.Mode
@@ -62,6 +65,11 @@ type Prepared struct {
 	Kernel  *kernel.Kernel
 	Proc    *kernel.Process
 }
+
+// Release recycles the prepared machine's memory, run or not (see
+// core.Machine.Release). It is the same machine a RunResult of this
+// Prepared holds, so releasing either is enough.
+func (pr *Prepared) Release() { pr.Machine.Release() }
 
 // Prepare builds the machine and spawns w's program without running it.
 func Prepare(w *Workload, mode shredlib.Mode, cfg core.Config, sz Size) (*Prepared, error) {
@@ -78,6 +86,7 @@ func PrepareFlags(w *Workload, mode shredlib.Mode, cfg core.Config, sz Size, ext
 	prog := w.BuildFlags(mode, sz, extra)
 	p, err := k.Spawn(w.Name, prog)
 	if err != nil {
+		m.Release()
 		return nil, err
 	}
 	return &Prepared{W: w, Mode: mode, Cfg: cfg, Machine: m, Kernel: k, Proc: p}, nil

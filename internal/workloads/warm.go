@@ -11,10 +11,9 @@ import (
 )
 
 // WarmPool caches post-Prepare snapshots so grid sweeps and the serve
-// plane skip redundant machine construction: building a machine zeroes
-// the whole physical memory, boots a kernel, and demand-loads the
-// program image — identical work for every grid point that varies only
-// run-time parameters.
+// plane skip redundant machine construction: building a machine boots
+// a kernel, generates the program and spawns it — identical work for
+// every grid point that varies only run-time parameters.
 //
 // The pool key covers everything that shapes the prepared state: the
 // workload identity (name, mode, size, rt_init flags) and the
