@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build vet fmtcheck test race smoke verify bench ci benchcore benchgate paracheck faultcheck servecheck snapcheck crashcheck soakcheck
+.PHONY: build vet fmtcheck test race smoke verify bench ci benchcore benchgate benchsmoke equivgrid paracheck faultcheck servecheck snapcheck crashcheck soakcheck
 
 build:
 	$(GO) build ./...
@@ -47,6 +47,24 @@ benchgate:
 	cp BENCH_core.json /tmp/misp-bench-baseline.json
 	$(GO) run ./cmd/mispbench -exp bench -size test -json BENCH_core.json \
 		-baseline /tmp/misp-bench-baseline.json
+
+# benchsmoke keeps the measuring code from rotting, ungated: the
+# benchmark harness's self-tests (percentile rule, seeded streams, names
+# vs BENCHMARK.json, a -size test pass of all four workloads) and one
+# iteration of the core's per-layer benchmarks — the cohort wave (MISP
+# 1x8, SMP 8) beside runUops on one sequencer, each with a cancelable
+# and a background context, in ns per retired instruction.
+benchsmoke:
+	$(GO) test ./benchmark
+	$(GO) test -run '^$$' -bench 'BenchmarkCohortWave|BenchmarkRunUops' -benchtime=1x ./internal/core
+
+# equivgrid holds the fast loop to the legacy oracle on whole
+# applications: 16 apps x {1P, MISP 1x8, SMP 8, MISP 1x4} at small size
+# plus galgel at ref on MISP 1x8 (the one point that has diverged while
+# every test-size difftest passed), exact on instructions, cycles and
+# per-sequencer clocks, retirements and TLB hits/misses/perm-misses.
+equivgrid:
+	$(GO) test -run TestEquivGrid ./internal/workloads -args -equivgrid
 
 # paracheck: the experiment CSVs must be byte-identical no matter how
 # many host workers produced them (-parallel only changes wall time).
@@ -126,4 +144,4 @@ soakcheck:
 	bash scripts/overload_smoke.sh
 
 # ci is the full gate run by the GitHub Actions workflow.
-ci: build vet fmtcheck test race smoke benchgate paracheck faultcheck servecheck snapcheck crashcheck soakcheck
+ci: build vet fmtcheck test race smoke benchgate benchsmoke equivgrid paracheck faultcheck servecheck snapcheck crashcheck soakcheck

@@ -374,3 +374,82 @@ func TestLoopEquivalenceBatchSizes(t *testing.T) {
 		}
 	}
 }
+
+// TestLoopEquivalenceWaveOutsideEvent wakes an idle AMS in the middle of
+// a two-member lockstep wave and makes the order observable: the woken
+// shred's first instruction loads a counter one of the members stores on
+// every loop iteration, so a member committing one instruction past the
+// wake event — or the wake jumping ahead of a lower-ID member tied with
+// it — changes the value seen (the exit code). The reader watches the
+// lower-ID member (the OMS) or the higher-ID one (AMS 2); the delay loop
+// lets AMS 2 settle into its loop before the wake, and the two nop pads
+// sweep the wake across every phase pair of the members' four-cycle
+// loops.
+func TestLoopEquivalenceWaveOutsideEvent(t *testing.T) {
+	const tmpl = `
+main:
+    la  r6, c0
+    li  r9, 0
+    std r9, [r6]
+    li  r1, 2
+    la  r2, spin2
+    la  r3, c2
+    signal r1, r2, r3
+    li  r12, 500
+delay:
+    addi r12, r12, -1
+    bne r12, r9, delay
+PAD1
+    li  r1, 1
+    la  r2, reader
+    la  r3, WATCHED
+    signal r1, r2, r3
+PAD2
+    li  r10, 0
+    li  r11, 4000
+loop0:
+    addi r10, r10, 1
+    std r10, [r6]
+    blt r10, r11, loop0
+    la  r4, done
+    li  r9, 2
+wj: ldd r5, [r4]
+    bne r5, r9, wj
+    la  r4, seen
+    ldd r1, [r4]
+    li  r0, 1
+    syscall
+spin2:
+    mov r6, sp
+    li  r10, 0
+    li  r11, 4000
+loop2:
+    addi r10, r10, 1
+    std r10, [r6]
+    blt r10, r11, loop2
+    j   finish
+reader:
+    ldd r5, [sp]
+    la  r4, seen
+    std r5, [r4]
+finish:
+    la  r4, done
+    li  r8, 1
+    aadd r7, r4, r8
+park:
+    pause
+    j park
+.data
+c0:   .u64 0
+c2:   .u64 0
+seen: .u64 0
+done: .u64 0
+`
+	for _, watched := range []string{"c0", "c2"} {
+		for pad := 0; pad < 16; pad++ {
+			checkEquiv(t, testCfg(2), strings.NewReplacer("WATCHED", watched,
+				"PAD1\n", strings.Repeat("    nop\n", pad%4),
+				"PAD2\n", strings.Repeat("    nop\n", pad/4)).Replace(tmpl))
+		}
+	}
+}

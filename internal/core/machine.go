@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"sync/atomic"
 	"time"
 
 	"misp/internal/asm"
@@ -83,13 +84,13 @@ type Machine struct {
 	stopErr error
 	halted  bool // a ring-0 HALT was executed
 
-	// ctx/ctxDone support external cancellation: when the attached
-	// context is canceled, Run stops at the next event-horizon selection
-	// (fast path) or within cancelCheckStride instructions (legacy loop)
-	// and returns an error wrapping the context's cause. Both are nil
-	// when no context is attached — the loops then pay one nil check.
-	ctx     context.Context
-	ctxDone <-chan struct{}
+	// ctx, cancelFlag and ctxStop support external cancellation (see
+	// SetContext): the flag is set by the context's AfterFunc, ctxStop
+	// unregisters it. All nil when no cancelable context is attached —
+	// the loops then pay one nil check.
+	ctx        context.Context
+	cancelFlag *atomic.Bool
+	ctxStop    func() bool
 
 	// evq is the fast path's indexed min-heap of per-sequencer next-event
 	// times; evqDirty forces a full rebuild after a kernel entry (the
@@ -105,8 +106,6 @@ type Machine struct {
 	// section by FinalizeMetrics; deliberately outside the canonical
 	// registry dump so artifacts stay byte-identical across loops).
 	sbBuilds, sbInvalidates, sbRuns uint64
-	sbACommits, sbAEnters           uint64    // TEMP debug
-	sbAExit                         [8]uint64 // TEMP debug: exit reasons
 
 	// mx holds pre-resolved metric handles so hot paths pay a plain
 	// increment, never a registry lookup.
@@ -175,7 +174,10 @@ func (m *Machine) emit(ts uint64, seq int, k EventKind, a, b uint64) {
 // final: call it once everything wanted from the run — counters,
 // metrics, events, memory reads — has been extracted; touching
 // simulated memory afterwards panics.
-func (m *Machine) Release() { m.Phys.Release() }
+func (m *Machine) Release() {
+	m.SetContext(context.Background())
+	m.Phys.Release()
+}
 
 // New builds a machine from a validated configuration.
 func New(cfg Config) (*Machine, error) {
@@ -224,30 +226,40 @@ func New(cfg Config) (*Machine, error) {
 // SetOS attaches the kernel. Must be called before Run.
 func (m *Machine) SetOS(os OS) { m.os = os }
 
-// SetContext attaches a cancellation context. Once ctx is canceled,
-// Run aborts at its next selection point and returns an error wrapping
+// SetContext attaches a cancellation context, replacing any earlier
+// one. Once ctx is canceled, Run aborts and returns an error wrapping
 // ctx's cause (errors.Is(err, context.Canceled) holds for a plain
 // cancel). Cancellation is a host-side abort: the simulation state is
-// frozen mid-run and no result should be read from it. Attaching
-// context.Background() (or any context that cannot be canceled) is
-// free: the run loops skip the check entirely.
+// frozen mid-run and no result should be read from it.
+//
+// The cancel reaches the run loops as an atomic flag armed through
+// context.AfterFunc, polled with one load at every selection, every
+// cohort turn, and once per ring rebase inside the cohort wave — so an
+// in-flight Run returns within one selection or one rebase (at most 48
+// simulated cycles, a few hundred instructions) of the flag being set,
+// and a context already canceled when Run is called stops it before
+// the first instruction. The callback captures only the flag,
+// never the machine, so a long-lived context does not pin a finished
+// machine's memory; Release (or the next SetContext) unregisters it.
+// Attaching context.Background() (or any context that cannot be
+// canceled) is free: no flag, and the loops skip the check.
 func (m *Machine) SetContext(ctx context.Context) {
-	m.ctx = ctx
-	m.ctxDone = ctx.Done()
+	if m.ctxStop != nil {
+		m.ctxStop()
+	}
+	m.ctx, m.cancelFlag, m.ctxStop = ctx, nil, nil
+	if ctx.Done() == nil {
+		return
+	}
+	flag := new(atomic.Bool)
+	m.cancelFlag = flag
+	m.ctxStop = context.AfterFunc(ctx, func() { flag.Store(true) })
 }
 
 // canceled reports whether the attached context has been canceled
-// (non-blocking; false when no context is attached).
+// (one load; false when no cancelable context is attached).
 func (m *Machine) canceled() bool {
-	if m.ctxDone == nil {
-		return false
-	}
-	select {
-	case <-m.ctxDone:
-		return true
-	default:
-		return false
-	}
+	return m.cancelFlag != nil && m.cancelFlag.Load()
 }
 
 // canceledErr builds the abort error for a canceled run. The chain
@@ -262,11 +274,6 @@ func (m *Machine) canceledErr() error {
 	return fmt.Errorf("core: run canceled at cycle %d after %d instructions: %w",
 		m.MaxClock(), m.Steps, err)
 }
-
-// cancelCheckStride bounds how many legacy-loop iterations may pass
-// between cancellation checks (the fast path checks every selection,
-// which is already amortized over a whole batch).
-const cancelCheckStride = 1024
 
 // Proc returns the processor owning sequencer s.
 func (m *Machine) Proc(s *Sequencer) *Processor { return m.Procs[s.ProcID] }
@@ -316,6 +323,11 @@ func (m *Machine) Run() error {
 		m.Wall += time.Since(t0)
 		m.FinalizeMetrics()
 	}()
+	if m.cancelFlag != nil && m.ctx.Err() != nil {
+		// AfterFunc sets the flag from its own goroutine; a cancel that
+		// preceded this call must not depend on that goroutine's schedule.
+		m.cancelFlag.Store(true)
+	}
 	if m.Cfg.LegacyLoop {
 		return m.runLegacy()
 	}
@@ -326,15 +338,9 @@ func (m *Machine) Run() error {
 // O(#sequencers) scan selects the earliest event before every commit.
 // Kept as the difftest oracle for the fast path.
 func (m *Machine) runLegacy() error {
-	ctxCheck := 0
 	for m.stopErr == nil && !m.halted && !m.os.Done() {
-		if m.ctxDone != nil {
-			if ctxCheck--; ctxCheck <= 0 {
-				if m.canceled() {
-					return m.canceledErr()
-				}
-				ctxCheck = cancelCheckStride
-			}
+		if m.canceled() {
+			return m.canceledErr()
 		}
 		s := m.pickNext()
 		if s == nil {
@@ -375,10 +381,7 @@ func (m *Machine) runFast() error {
 	// initial rebuild and Done check.
 	m.evqDirty = true
 	for m.stopErr == nil && !m.halted {
-		// One non-blocking check per selection: a cancel lands at the next
-		// event horizon, never mid-batch, so abort points are identical
-		// whether the run was serial or raced against other jobs.
-		if m.ctxDone != nil && m.canceled() {
+		if m.canceled() {
 			return m.canceledErr()
 		}
 		if m.evqDirty {
@@ -517,7 +520,9 @@ func (m *Machine) runRound(s *Sequencer, T uint64, batch int) error {
 	// general path for lone minima and anything the fused path hands
 	// back.
 	sbFast := sbAll && nm > 1
-	for nm > 0 {
+	// A cancel — the wave hands back for one at its next rebase — leaves
+	// the round here and surfaces at the selection loop.
+	for nm > 0 && !m.canceled() {
 		// Mini-selection over the frozen cohort: the earliest member by
 		// (clock, ID) runs up to the horizon — the second-earliest event
 		// among the members and the frozen outside minimum. mems is in
@@ -572,9 +577,6 @@ func (m *Machine) runRound(s *Sequencer, T uint64, batch int) error {
 			break
 		}
 		clocks[best] = c.Clock
-		if m.ctxDone != nil && m.canceled() {
-			break // surface the cancel at the selection loop
-		}
 	}
 	// Write the members' keys back (h.update re-derives non-running
 	// states; a clean member's key is just its clock).

@@ -522,36 +522,50 @@ const (
 // slot and pops next if the member is still the minimum), matching
 // the single-half path runUops' tstar guard forces.
 func (m *Machine) runCohortWave(mems *[scanThreshold]*Sequencer, evts, clocks *[scanThreshold]uint64, nm int, outT uint64, outID int) (progress, unclean bool) {
-	limit := m.cycLimit
-	if m.pauseLimit < limit {
-		limit = m.pauseLimit
-	}
+	limit := min(m.cycLimit, m.pauseLimit)
 	m.sbRuns++
-	// Per-member caches, filled once: the window/page pointers and the
-	// compile-time generation are invariants for the whole call (only
-	// the general path refetches windows or recompiles pages), so
-	// per-commit revalidation reduces to one live-generation compare. A
-	// member that fails validation still sits in the ring; it stops the
-	// wave only when it pops as the minimum.
+	// Wave-local member state, filled once. The window/page pointers and
+	// the compile-time generation are invariants for the whole call
+	// (only the general path refetches windows or recompiles pages), so
+	// per-commit revalidation reduces to one live-generation compare.
+	// pcs mirrors each member's PC (stored through to c.PC per commit,
+	// which fault dispatch reads) and ret counts its retirements, folded
+	// into C.Instrs and m.Steps at the single exit below — before any
+	// fault dispatch, so the kernel and the watchdog read current counts.
+	//
+	// thr[i] is the first wave clock at which member i may not commit:
+	// the frozen outside event under the (clock, ID) order, the member's
+	// delivery threshold and the cycle/pause limit are all call
+	// constants, so — as runBatch's tstar does — they fold into one
+	// compare per pop. It only decides when the wave hands back;
+	// runRound's general turn then runs the individual checks. A member
+	// whose window fails validation keeps thr 0: it still sits in the
+	// ring and stops the wave when it pops as the minimum.
 	var genp [scanThreshold]*uint32
 	var dg [scanThreshold]uint32
 	var ub [scanThreshold]*[sbSlots]sbUop
-	var wva [scanThreshold]uint64
-	var valid [scanThreshold]bool
+	var wva, pcs, thr, ret [scanThreshold]uint64
 	for i := 0; i < nm; i++ {
 		c := mems[i]
-		if c.winGen != nil && c.sb != nil && *c.winGen == c.sb.gen {
-			genp[i] = c.winGen
-			dg[i] = c.sb.gen
-			ub[i] = &c.sb.uops
-			wva[i] = c.winVA
-			valid[i] = true
+		if c.winGen == nil || c.sb == nil || *c.winGen != c.sb.gen {
+			continue
 		}
+		genp[i], dg[i], ub[i], wva[i], pcs[i] = c.winGen, c.sb.gen, &c.sb.uops, c.winVA, c.PC
+		t := outT
+		if outID >= c.ID && t != noEvent {
+			t++ // a tie with the outside event goes to the lower ID
+		}
+		if limit != noEvent {
+			t = min(t, limit+1)
+		}
+		thr[i] = min(t, evts[i])
 	}
 	const ringSpan = 64 // power of two
 	const ringSafe = ringSpan - 16
 	var ring [ringSpan]uint16
-	cancelable := m.ctxDone != nil
+	var c *Sequencer
+	var f *trapFault // set only by the commit that ends the wave
+wave:
 	for {
 		// Rebase: file every member within ringSafe of the minimum into
 		// its clock bucket; anything further ahead waits as a "far"
@@ -583,27 +597,22 @@ func (m *Machine) runCohortWave(mems *[scanThreshold]*Sequencer, evts, clocks *[
 				continue
 			}
 			i := bits.TrailingZeros16(b)
-			c := mems[i]
-			if T > outT || (T == outT && outID < c.ID) {
-				// The frozen outside event precedes every member.
-				return progress, false
+			if T >= thr[i] {
+				break wave
 			}
-			if T > limit || T >= evts[i] || !valid[i] {
-				return progress, false
-			}
-			pc := c.PC
+			pc := pcs[i]
 			off := pc - wva[i]
 			if off >= mem.PageSize || off&7 != 0 || *genp[i] != dg[i] {
 				// Left the page, or a store (by any member) invalidated
 				// it.
-				return progress, false
+				break wave
 			}
 			u := &ub[i][off>>3]
+			c = mems[i]
 			r := &c.Regs
 			fr := &c.FRegs
 			t := pc + isa.WordSize
 			var v uint64
-			var f *trapFault
 			switch u.tag {
 			case sbNop:
 				// cost only
@@ -622,7 +631,7 @@ func (m *Machine) runCohortWave(mems *[scanThreshold]*Sequencer, evts, clocks *[
 				r[u.rd] = r[u.rs1] * r[u.rs2]
 			case sbDiv, sbRem:
 				if int64(r[u.rs2]) == 0 {
-					return progress, false // faults on the general path
+					break wave // faults on the general path
 				}
 				d := int64(r[u.rs2])
 				nn := int64(r[u.rs1])
@@ -837,33 +846,43 @@ func (m *Machine) runCohortWave(mems *[scanThreshold]*Sequencer, evts, clocks *[
 			default:
 				// sbSlowTag, atomics, or anything unclassified: resolve
 				// on the general path.
-				return progress, false
+				break wave
 			}
 			if f != nil {
-				// The fault lands at this member's ordered commit point;
-				// later-ordered members have not run yet.
-				m.dispatchFault(c, f)
-				return progress, true
+				break wave
 			}
+			pcs[i] = t
 			c.PC = t
 			// Additive, not T+cost: loadN/storeN may have charged a
 			// dynamic TLB walk cost to c.Clock during execution.
 			nc := c.Clock + uint64(u.cost)
 			c.Clock = nc
 			clocks[i] = nc
-			c.C.Instrs++
-			m.Steps++
-			progress = true
-			if cancelable && m.canceled() {
-				return progress, false
-			}
+			ret[i]++
 			ring[T&(ringSpan-1)] = b &^ (1 << uint(i))
 			if nc-T >= ringSafe {
 				break // leap past the ring: rebase re-files everyone
 			}
 			ring[nc&(ringSpan-1)] |= 1 << uint(i)
 		}
+		// One cancellation poll per rebase: a cancel waits at most one
+		// pass (ringSafe simulated cycles) before the wave hands back and
+		// runRound surfaces it.
+		if m.canceled() {
+			break
+		}
 	}
+	steps := m.Steps
+	for i := 0; i < nm; i++ {
+		mems[i].C.Instrs += ret[i]
+		m.Steps += ret[i]
+	}
+	if f != nil {
+		// The fault lands at this member's ordered commit point;
+		// later-ordered members have not run yet.
+		m.dispatchFault(c, f)
+	}
+	return m.Steps != steps, f != nil
 }
 
 // runUops executes compiled micro-ops starting at slot idx of the
