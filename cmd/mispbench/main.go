@@ -3,21 +3,16 @@
 //
 // Usage:
 //
-//	mispbench [-exp all|fig4|table1|fig5|fig7|table2|ring|probe|signalsweep|bench]
+//	mispbench [-exp all|fig4|table1|fig5|fig7|table2|ring|probe|signalsweep]
 //	          [-size test|small|ref] [-seqs 8] [-apps a,b,c] [-csv dir]
-//	          [-parallel N] [-json BENCH_core.json]
+//	          [-parallel N]
 //
 // `-parallel N` fans the independent simulation runs across N host
 // cores (0 = all cores). Every run is an isolated deterministic
 // machine, so the tables and CSVs are byte-identical for any N; only
-// the wall clock changes. Host-side timing goes to stdout (and the
-// bench JSON), never into the CSVs.
-//
-// `-exp bench` times the simulator itself (fast path vs legacy loop,
-// and serial vs parallel sweep on a multi-core host) instead of
-// reproducing a paper figure, and `-json` writes the measurements
-// (instructions/sec, cycles simulated, allocations, speedups) for CI
-// tracking; `-baseline` gates them against a committed baseline.
+// the wall clock changes. Host-side timing goes to stdout, never into
+// the CSVs; the simulator's own speed is measured by `go run
+// ./benchmark` (benchmark/README.md).
 package main
 
 import (
@@ -39,7 +34,7 @@ import (
 )
 
 func main() {
-	expName := flag.String("exp", "all", "experiment: all, fig4, table1, fig5, fig7, table2, ring, probe, dynamic, signalsweep, resilience, bench")
+	expName := flag.String("exp", "all", "experiment: all, fig4, table1, fig5, fig7, table2, ring, probe, dynamic, signalsweep, resilience")
 	sizeName := flag.String("size", "small", "problem size: test, small, ref")
 	seqs := flag.Int("seqs", 8, "total sequencers per configuration")
 	apps := flag.String("apps", "", "comma-separated workload subset (default: all 16)")
@@ -47,8 +42,6 @@ func main() {
 	maxLoad := flag.Int("load", 4, "fig7: maximum number of competing processes")
 	parallel := flag.Int("parallel", 0, "host workers for independent simulation runs (0 = all cores, 1 = serial); results are identical for any value")
 	faultSeeds := flag.Int("faultseeds", 5, "resilience: seeded fault campaigns per sweep cell")
-	jsonPath := flag.String("json", "", "bench: write measurements to this JSON file (default BENCH_core.json)")
-	baseline := flag.String("baseline", "", "bench: compare against this committed baseline JSON and fail on regression")
 	cold := flag.Bool("cold", false, "disable the snapshot warm-start pool (prepare every machine from scratch); results are identical either way")
 	cpuProfile := flag.String("cpuprofile", "", "write a pprof CPU profile to this file")
 	memProfile := flag.String("memprofile", "", "write a pprof heap profile to this file at exit")
@@ -122,17 +115,6 @@ func main() {
 	}
 
 	which := *expName
-	if which == "bench" {
-		out := *jsonPath
-		if out == "" {
-			out = "BENCH_core.json"
-		}
-		if err := runBench(size, *seqs, *parallel, out, *baseline, opt.Warm); err != nil {
-			fatal(err)
-		}
-		return
-	}
-
 	var results []*exp.AppResult
 	needEval := which == "all" || which == "fig4" || which == "table1"
 	if needEval {

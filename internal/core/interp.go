@@ -45,7 +45,7 @@ func (m *Machine) execOne(s *Sequencer) *trapFault {
 // execInstr executes the already-fetched instruction at s.PC. The batch
 // loop fetches once to inspect the opcode and passes it here.
 func (m *Machine) execInstr(s *Sequencer, in isa.Instr) *trapFault {
-	if !isa.Valid(in.Op) {
+	if malformed(in) {
 		return &trapFault{trap: isa.TrapBadInstr, info: s.PC}
 	}
 	info := isa.Lookup(in.Op)
@@ -392,6 +392,14 @@ func (m *Machine) execInstr(s *Sequencer, in isa.Instr) *trapFault {
 	s.C.Instrs++
 	m.Steps++
 	return nil
+}
+
+// malformed reports a word no executor may dispatch on: an undefined
+// opcode, or a register field that would index past the register files.
+// isa.Decode masks nothing and only the assembler validates, so stored
+// code, a jump into data or a memory bit flip can produce one.
+func malformed(in isa.Instr) bool {
+	return !isa.Valid(in.Op) || in.Rd >= isa.NumRegs || in.Rs1 >= isa.NumRegs || in.Rs2 >= isa.NumRegs
 }
 
 func b2u(b bool) uint64 {

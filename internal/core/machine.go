@@ -606,7 +606,7 @@ func (m *Machine) runRound(s *Sequencer, T uint64, batch int) error {
 // caches it across clean batches.
 //
 // Instructions execute from the fetch window's compiled page (runUops);
-// execInstr is the single interpreter leg, taken for slow-tag micro-ops,
+// execInstr is the single interpreter leg, taken for default-arm micro-ops,
 // for the first instruction after a window miss, and for every
 // instruction of a blacklisted self-modifying page, each decoded
 // straight from memory. See superblock.go for the bit-identity argument.
@@ -668,7 +668,7 @@ func (m *Machine) runBatch(s *Sequencer, hT uint64, hID int, max int, evT uint64
 	}
 	prof := m.prof
 	n := 0
-	step := false // the next instruction is a slow-tag micro-op
+	step := false // the next instruction took runUops' default arm
 	for {
 		if n >= max {
 			return true, nil

@@ -4,18 +4,23 @@ package core
 //
 // The compiled page is the fast loop's only decoded form of code. Each
 // executed code page — keyed on the physical page and its store
-// generation — is compiled into an array of pre-validated micro-ops: a
-// dense handler tag, the precomputed opcode cost, the sign-extended
-// immediate, and priv/break classification resolved at compile time.
-// runUops then executes straight-line superblocks (runs ending at a
-// cross-page or misaligned control transfer, a break or privileged op,
-// a store into the executing page, or the page edge) with one combined
-// stop check per instruction and zero per-instruction
-// Lookup/Valid/priv/switch-call overhead. A peephole pass additionally
-// fuses hot adjacent pairs (ALU-or-compare + conditional branch,
-// addi + 8-byte load/store, ldi + ldih). Everything else — slow-tag
-// micro-ops, the first instruction after a fetch-window miss, and
-// blacklisted self-modifying pages — is decoded from memory and runs
+// generation — is compiled into an array of 16-byte micro-ops, and the
+// micro-op is the decoded instruction: its isa.Op, its register fields
+// (validated at compile time), the sign-extended immediate and the
+// precomputed opcode cost. Both executors switch on that isa.Op, and the
+// opcodes an executor does not implement inline take its default arm:
+// runUops hands the word to the interpreter leg (sbStep), the cohort
+// wave hands back to the general path. That covers privileged and
+// system ops, break ops, SRET/SAVECTX/LDCTX's non-standard retirement,
+// SEQID's machine access, and — through the sbSlow op byte — invalid
+// words and words with a register field out of range; the wave also
+// leaves the atomics to runUops. runUops executes straight-line
+// superblocks (runs ending at a cross-page or misaligned control
+// transfer, a default-arm word, a store into the executing page, or the
+// page edge) with one combined stop check per instruction and zero
+// per-instruction Lookup/Valid/priv overhead. Everything else —
+// default-arm words, the first instruction after a fetch-window miss,
+// and blacklisted self-modifying pages — is decoded from memory and runs
 // through execInstr, the one interpreter leg (see runBatch).
 //
 // Bit-identity with the legacy loop, the reference the equivalence
@@ -44,8 +49,7 @@ package core
 //     commits it at the same clock.
 //  3. Per-retirement hooks: profiling attribution and fault-injection
 //     consultation run once per retired instruction, exactly as in the
-//     legacy loop; pair fusion is compiled out entirely when either is
-//     active.
+//     legacy loop.
 //
 // Compiled pages are derived, host-side state: never snapshotted,
 // rebuilt on demand after a restore or fork (see snapshot.go).
@@ -59,119 +63,21 @@ import (
 	"misp/internal/mem"
 )
 
-// Micro-op handler tags. Dense so the executor switch compiles to a
-// jump table. sbSlowTag covers everything rare or complex — privileged
-// and system ops, break ops, SRET/SAVECTX/LDCTX's non-standard
-// retirement, SEQID's machine access, invalid words — which run through
-// execInstr on the interpreter path instead.
-const (
-	sbSlowTag uint8 = iota
-	sbNop           // nop / pause / fence: cost only
-	sbRdtsc
-	sbSettp
-	sbGettp
-	sbAdd
-	sbSub
-	sbMul
-	sbDiv
-	sbRem
-	sbAnd
-	sbOr
-	sbXor
-	sbShl
-	sbShr
-	sbSar
-	sbSlt
-	sbSltu
-	sbAddi
-	sbMuli
-	sbAndi
-	sbOri
-	sbXori
-	sbShli
-	sbShri
-	sbSari
-	sbSlti
-	sbLdi
-	sbLdih
-	sbLdb
-	sbLdbu
-	sbLdh
-	sbLdhu
-	sbLdw
-	sbLdwu
-	sbLdd
-	sbStb
-	sbSth
-	sbStw
-	sbStd
-	sbFld
-	sbFst
-	sbFadd
-	sbFsub
-	sbFmul
-	sbFdiv
-	sbFmin
-	sbFmax
-	sbFsqrt
-	sbFabs
-	sbFneg
-	sbFmov
-	sbFlt
-	sbFle
-	sbFeq
-	sbItof
-	sbFtoi
-	sbFmvi
-	sbImvf
-	sbJmp
-	sbJal
-	sbJr
-	sbJalr
-	sbBeq
-	sbBne
-	sbBlt
-	sbBge
-	sbBltu
-	sbBgeu
-	sbAxchg
-	sbAcas
-	sbAadd
-	// Fused pairs (peephole; compiled only when profiling and fault
-	// injection are both off). The pair's second instruction keeps its
-	// own standalone micro-op in the next slot, so a jump into the
-	// middle of a fused pair executes normally.
-	sbFuseAluBr   // 1-cost ALU/compare + conditional branch
-	sbFuseAddiLdd // addi + ldd
-	sbFuseAddiFld // addi + fld
-	sbFuseAddiStd // addi + std
-	sbFuseAddiFst // addi + fst
-	sbFuseLdiLdih // ldi + ldih into one 64-bit constant load
-)
-
-// sbUop flags.
-const sbFBrk uint8 = 1 << 0 // batch-breaking op (sbSlowTag only)
-
-// sbUop is one compiled micro-op: the instruction's handler tag with
-// every per-instruction validation and table lookup already resolved.
-// Fused pairs carry the second instruction's fields in the *2/rs3/rs4
-// slots.
+// sbUop is one compiled micro-op: the decoded instruction with its
+// validation and cost lookup already resolved.
 type sbUop struct {
-	imm   int64 // sign-extended immediate (fused ldi+ldih: combined constant)
-	imm2  int64 // fused pair: second instruction's immediate
-	tag   uint8
-	cost  uint8 // opcode cost (isa.Info.Cost)
-	cost2 uint8 // fused pair: second instruction's opcode cost
-	flags uint8
-	op    uint8 // isa.Op (slow reconstruction / fused first-half dispatch)
-	op2   uint8 // fused pair: second instruction's isa.Op
-	rd    uint8
-	rs1   uint8
-	rs2   uint8
-	rd2   uint8 // fused pair: second instruction's rd
-	rs3   uint8 // fused pair: second instruction's rs1
-	rs4   uint8 // fused pair: second instruction's rs2
+	imm  int64 // sign-extended immediate
+	op   uint8 // isa.Op, or sbSlow
+	cost uint8 // opcode cost (isa.Info.Cost)
+	rd   uint8
+	rs1  uint8
+	rs2  uint8
 }
+
+// sbSlow is the op byte of a word no executor may run inline. It is the
+// first undefined opcode, so neither switch has a case for it and it
+// takes the default arm like every opcode they leave out.
+const sbSlow = uint8(isa.NumOps)
 
 const (
 	// sbSlots is the number of instruction slots per compiled page.
@@ -231,241 +137,25 @@ func (m *Machine) sbEnsure(base uint64) *sbPage {
 	return p
 }
 
-// sbCompile translates the page's current bytes into micro-ops and runs
-// the fusion peephole. Fusion is compiled out when per-PC profiling or
-// fault injection is active: both need their hook to run between the
-// pair's two retirements.
+// sbCompile translates the page's current bytes into micro-ops.
 func (m *Machine) sbCompile(p *sbPage) {
 	b := m.Phys.Bytes(p.base, mem.PageSize)
 	for i := 0; i < sbSlots; i++ {
 		p.uops[i] = sbClassify(isa.Decode(binary.LittleEndian.Uint64(b[i*isa.WordSize:])))
 	}
-	if m.prof != nil || m.flt != nil {
-		return
-	}
-	for i := 0; i < sbSlots-1; i++ {
-		sbFuse(&p.uops[i], &p.uops[i+1])
-	}
 }
 
-// sbClassify maps one decoded instruction to its micro-op. Anything not
-// in the inline set — privileged, system, break, or specially retiring
-// ops, and invalid words — becomes sbSlowTag and runs through the
-// interpreter path.
+// sbClassify maps one decoded instruction to its micro-op. A malformed
+// word is marked sbSlow: execInstr raises TrapBadInstr for it.
 func sbClassify(in isa.Instr) sbUop {
-	u := sbUop{
-		imm: int64(in.Imm),
-		op:  uint8(in.Op),
-		rd:  in.Rd, rs1: in.Rs1, rs2: in.Rs2,
-	}
-	if !isa.Valid(in.Op) {
-		return u // sbSlowTag: execInstr raises TrapBadInstr
-	}
-	info := isa.Lookup(in.Op)
-	if info.Priv || info.Cost > math.MaxUint8 {
-		if batchBreak(in.Op) {
-			u.flags |= sbFBrk
-		}
+	u := sbUop{imm: int64(in.Imm), op: sbSlow, rd: in.Rd, rs1: in.Rs1, rs2: in.Rs2}
+	if malformed(in) {
 		return u
 	}
-	u.cost = uint8(info.Cost)
-	switch in.Op {
-	case isa.OpNop, isa.OpPause, isa.OpFence:
-		u.tag = sbNop
-	case isa.OpRdtsc:
-		u.tag = sbRdtsc
-	case isa.OpSettp:
-		u.tag = sbSettp
-	case isa.OpGettp:
-		u.tag = sbGettp
-	case isa.OpAdd:
-		u.tag = sbAdd
-	case isa.OpSub:
-		u.tag = sbSub
-	case isa.OpMul:
-		u.tag = sbMul
-	case isa.OpDiv:
-		u.tag = sbDiv
-	case isa.OpRem:
-		u.tag = sbRem
-	case isa.OpAnd:
-		u.tag = sbAnd
-	case isa.OpOr:
-		u.tag = sbOr
-	case isa.OpXor:
-		u.tag = sbXor
-	case isa.OpShl:
-		u.tag = sbShl
-	case isa.OpShr:
-		u.tag = sbShr
-	case isa.OpSar:
-		u.tag = sbSar
-	case isa.OpSlt:
-		u.tag = sbSlt
-	case isa.OpSltu:
-		u.tag = sbSltu
-	case isa.OpAddi:
-		u.tag = sbAddi
-	case isa.OpMuli:
-		u.tag = sbMuli
-	case isa.OpAndi:
-		u.tag = sbAndi
-	case isa.OpOri:
-		u.tag = sbOri
-	case isa.OpXori:
-		u.tag = sbXori
-	case isa.OpShli:
-		u.tag = sbShli
-	case isa.OpShri:
-		u.tag = sbShri
-	case isa.OpSari:
-		u.tag = sbSari
-	case isa.OpSlti:
-		u.tag = sbSlti
-	case isa.OpLdi:
-		u.tag = sbLdi
-	case isa.OpLdih:
-		u.tag = sbLdih
-	case isa.OpLdb:
-		u.tag = sbLdb
-	case isa.OpLdbu:
-		u.tag = sbLdbu
-	case isa.OpLdh:
-		u.tag = sbLdh
-	case isa.OpLdhu:
-		u.tag = sbLdhu
-	case isa.OpLdw:
-		u.tag = sbLdw
-	case isa.OpLdwu:
-		u.tag = sbLdwu
-	case isa.OpLdd:
-		u.tag = sbLdd
-	case isa.OpStb:
-		u.tag = sbStb
-	case isa.OpSth:
-		u.tag = sbSth
-	case isa.OpStw:
-		u.tag = sbStw
-	case isa.OpStd:
-		u.tag = sbStd
-	case isa.OpFld:
-		u.tag = sbFld
-	case isa.OpFst:
-		u.tag = sbFst
-	case isa.OpFadd:
-		u.tag = sbFadd
-	case isa.OpFsub:
-		u.tag = sbFsub
-	case isa.OpFmul:
-		u.tag = sbFmul
-	case isa.OpFdiv:
-		u.tag = sbFdiv
-	case isa.OpFmin:
-		u.tag = sbFmin
-	case isa.OpFmax:
-		u.tag = sbFmax
-	case isa.OpFsqrt:
-		u.tag = sbFsqrt
-	case isa.OpFabs:
-		u.tag = sbFabs
-	case isa.OpFneg:
-		u.tag = sbFneg
-	case isa.OpFmov:
-		u.tag = sbFmov
-	case isa.OpFlt:
-		u.tag = sbFlt
-	case isa.OpFle:
-		u.tag = sbFle
-	case isa.OpFeq:
-		u.tag = sbFeq
-	case isa.OpItof:
-		u.tag = sbItof
-	case isa.OpFtoi:
-		u.tag = sbFtoi
-	case isa.OpFmvi:
-		u.tag = sbFmvi
-	case isa.OpImvf:
-		u.tag = sbImvf
-	case isa.OpJmp:
-		u.tag = sbJmp
-	case isa.OpJal:
-		u.tag = sbJal
-	case isa.OpJr:
-		u.tag = sbJr
-	case isa.OpJalr:
-		u.tag = sbJalr
-	case isa.OpBeq:
-		u.tag = sbBeq
-	case isa.OpBne:
-		u.tag = sbBne
-	case isa.OpBlt:
-		u.tag = sbBlt
-	case isa.OpBge:
-		u.tag = sbBge
-	case isa.OpBltu:
-		u.tag = sbBltu
-	case isa.OpBgeu:
-		u.tag = sbBgeu
-	case isa.OpAxchg:
-		u.tag = sbAxchg
-	case isa.OpAcas:
-		u.tag = sbAcas
-	case isa.OpAadd:
-		u.tag = sbAadd
-	default:
-		// sbSlowTag (zero value): interpreter path.
-		if batchBreak(in.Op) {
-			u.flags |= sbFBrk
-		}
+	if info := isa.Lookup(in.Op); !info.Priv && info.Cost <= math.MaxUint8 {
+		u.op, u.cost = uint8(in.Op), uint8(info.Cost)
 	}
 	return u
-}
-
-// sbAluFusable reports whether tag is a 1-cost ALU/compare micro-op the
-// branch-fusion peephole accepts as a pair's first half.
-func sbAluFusable(tag uint8) bool {
-	switch tag {
-	case sbAddi, sbLdi, sbAdd, sbSub, sbAnd, sbOr, sbXor,
-		sbAndi, sbOri, sbXori, sbSlt, sbSltu, sbSlti:
-		return true
-	}
-	return false
-}
-
-// sbFuse rewrites a into a fused pair micro-op when (a, b) matches a
-// peephole pattern. b keeps its standalone micro-op: a jump landing on
-// the pair's second slot executes it normally.
-func sbFuse(a, b *sbUop) {
-	switch {
-	case a.tag == sbLdi && b.tag == sbLdih && a.rd == b.rd:
-		a.imm = int64(uint64(a.imm)&0xFFFF_FFFF | uint64(b.imm)<<32)
-		a.cost2 = b.cost
-		a.tag = sbFuseLdiLdih
-	case sbAluFusable(a.tag) && b.tag >= sbBeq && b.tag <= sbBgeu:
-		a.op2 = b.op
-		a.imm2 = b.imm
-		a.rs3 = b.rs1
-		a.rs4 = b.rs2
-		a.cost2 = b.cost
-		a.tag = sbFuseAluBr
-	case a.tag == sbAddi:
-		switch b.tag {
-		case sbLdd:
-			a.tag = sbFuseAddiLdd
-		case sbFld:
-			a.tag = sbFuseAddiFld
-		case sbStd:
-			a.tag = sbFuseAddiStd
-		case sbFst:
-			a.tag = sbFuseAddiFst
-		default:
-			return
-		}
-		a.rd2 = b.rd
-		a.rs3 = b.rs1
-		a.imm2 = b.imm
-		a.cost2 = b.cost
-	}
 }
 
 // sbResult is how a micro-op run handed control back to runBatch.
@@ -475,8 +165,8 @@ const (
 	// sbAgain: revalidate at the loop top (left the page, store
 	// invalidation, horizon/cap reached).
 	sbAgain sbResult = iota
-	// sbStep: the next instruction is a slow-tag micro-op and needs the
-	// interpreter leg.
+	// sbStep: the next instruction took runUops' default arm and needs
+	// the interpreter leg.
 	sbStep
 	// sbEnd: the batch is over — a fault was dispatched or an injection
 	// fired.
@@ -517,10 +207,7 @@ const (
 // commits only while it precedes the frozen outside event under the
 // same order, so the retirement sequence is exactly the selection
 // loop's. A fault dispatches at the faulting member's ordered commit
-// point with later-ordered members untouched. Fused pairs always
-// split here (the second half's standalone micro-op sits in the next
-// slot and pops next if the member is still the minimum), matching
-// the single-half path runUops' tstar guard forces.
+// point with later-ordered members untouched.
 func (m *Machine) runCohortWave(mems *[scanThreshold]*Sequencer, evts, clocks *[scanThreshold]uint64, nm int, outT uint64, outID int) (progress, unclean bool) {
 	limit := min(m.cycLimit, m.pauseLimit)
 	m.sbRuns++
@@ -613,239 +300,197 @@ wave:
 			fr := &c.FRegs
 			t := pc + isa.WordSize
 			var v uint64
-			switch u.tag {
-			case sbNop:
+			switch isa.Op(u.op) {
+			case isa.OpNop, isa.OpPause, isa.OpFence:
 				// cost only
-			case sbRdtsc:
+			case isa.OpRdtsc:
 				r[u.rd] = T
-			case sbSettp:
+			case isa.OpSettp:
 				c.TP = r[u.rs1]
-			case sbGettp:
+			case isa.OpGettp:
 				r[u.rd] = c.TP
 
-			case sbAdd:
+			case isa.OpAdd:
 				r[u.rd] = r[u.rs1] + r[u.rs2]
-			case sbSub:
+			case isa.OpSub:
 				r[u.rd] = r[u.rs1] - r[u.rs2]
-			case sbMul:
+			case isa.OpMul:
 				r[u.rd] = r[u.rs1] * r[u.rs2]
-			case sbDiv, sbRem:
+			case isa.OpDiv, isa.OpRem:
 				if int64(r[u.rs2]) == 0 {
 					break wave // faults on the general path
 				}
 				d := int64(r[u.rs2])
 				nn := int64(r[u.rs1])
 				if nn == math.MinInt64 && d == -1 {
-					if u.tag == sbDiv {
+					if isa.Op(u.op) == isa.OpDiv {
 						r[u.rd] = uint64(nn) // overflow wraps, no trap
 					} else {
 						r[u.rd] = 0
 					}
-				} else if u.tag == sbDiv {
+				} else if isa.Op(u.op) == isa.OpDiv {
 					r[u.rd] = uint64(nn / d)
 				} else {
 					r[u.rd] = uint64(nn % d)
 				}
-			case sbAnd:
+			case isa.OpAnd:
 				r[u.rd] = r[u.rs1] & r[u.rs2]
-			case sbOr:
+			case isa.OpOr:
 				r[u.rd] = r[u.rs1] | r[u.rs2]
-			case sbXor:
+			case isa.OpXor:
 				r[u.rd] = r[u.rs1] ^ r[u.rs2]
-			case sbShl:
+			case isa.OpShl:
 				r[u.rd] = r[u.rs1] << (r[u.rs2] & 63)
-			case sbShr:
+			case isa.OpShr:
 				r[u.rd] = r[u.rs1] >> (r[u.rs2] & 63)
-			case sbSar:
+			case isa.OpSar:
 				r[u.rd] = uint64(int64(r[u.rs1]) >> (r[u.rs2] & 63))
-			case sbSlt:
+			case isa.OpSlt:
 				r[u.rd] = b2u(int64(r[u.rs1]) < int64(r[u.rs2]))
-			case sbSltu:
+			case isa.OpSltu:
 				r[u.rd] = b2u(r[u.rs1] < r[u.rs2])
 
-			case sbAddi:
+			case isa.OpAddi:
 				r[u.rd] = r[u.rs1] + uint64(u.imm)
-			case sbMuli:
+			case isa.OpMuli:
 				r[u.rd] = r[u.rs1] * uint64(u.imm)
-			case sbAndi:
+			case isa.OpAndi:
 				r[u.rd] = r[u.rs1] & uint64(u.imm)
-			case sbOri:
+			case isa.OpOri:
 				r[u.rd] = r[u.rs1] | uint64(u.imm)
-			case sbXori:
+			case isa.OpXori:
 				r[u.rd] = r[u.rs1] ^ uint64(u.imm)
-			case sbShli:
+			case isa.OpShli:
 				r[u.rd] = r[u.rs1] << (uint64(u.imm) & 63)
-			case sbShri:
+			case isa.OpShri:
 				r[u.rd] = r[u.rs1] >> (uint64(u.imm) & 63)
-			case sbSari:
+			case isa.OpSari:
 				r[u.rd] = uint64(int64(r[u.rs1]) >> (uint64(u.imm) & 63))
-			case sbSlti:
+			case isa.OpSlti:
 				r[u.rd] = b2u(int64(r[u.rs1]) < u.imm)
 
-			case sbLdi:
+			case isa.OpLdi:
 				r[u.rd] = uint64(u.imm)
-			case sbLdih:
+			case isa.OpLdih:
 				r[u.rd] = r[u.rd]&0xFFFF_FFFF | uint64(u.imm)<<32
 
-			case sbLdb:
+			case isa.OpLdb:
 				if v, f = m.loadN(c, r[u.rs1]+uint64(u.imm), 1); f == nil {
 					r[u.rd] = uint64(int64(int8(v)))
 				}
-			case sbLdbu:
+			case isa.OpLdbu:
 				if v, f = m.loadN(c, r[u.rs1]+uint64(u.imm), 1); f == nil {
 					r[u.rd] = v
 				}
-			case sbLdh:
+			case isa.OpLdh:
 				if v, f = m.loadN(c, r[u.rs1]+uint64(u.imm), 2); f == nil {
 					r[u.rd] = uint64(int64(int16(v)))
 				}
-			case sbLdhu:
+			case isa.OpLdhu:
 				if v, f = m.loadN(c, r[u.rs1]+uint64(u.imm), 2); f == nil {
 					r[u.rd] = v
 				}
-			case sbLdw:
+			case isa.OpLdw:
 				if v, f = m.loadN(c, r[u.rs1]+uint64(u.imm), 4); f == nil {
 					r[u.rd] = uint64(int64(int32(v)))
 				}
-			case sbLdwu:
+			case isa.OpLdwu:
 				if v, f = m.loadN(c, r[u.rs1]+uint64(u.imm), 4); f == nil {
 					r[u.rd] = v
 				}
-			case sbLdd:
+			case isa.OpLdd:
 				if v, f = m.loadN(c, r[u.rs1]+uint64(u.imm), 8); f == nil {
 					r[u.rd] = v
 				}
 
-			case sbStb:
+			case isa.OpStb:
 				f = m.storeN(c, r[u.rs1]+uint64(u.imm), 1, r[u.rd])
-			case sbSth:
+			case isa.OpSth:
 				f = m.storeN(c, r[u.rs1]+uint64(u.imm), 2, r[u.rd])
-			case sbStw:
+			case isa.OpStw:
 				f = m.storeN(c, r[u.rs1]+uint64(u.imm), 4, r[u.rd])
-			case sbStd:
+			case isa.OpStd:
 				f = m.storeN(c, r[u.rs1]+uint64(u.imm), 8, r[u.rd])
 
-			case sbFld:
+			case isa.OpFld:
 				if v, f = m.loadN(c, r[u.rs1]+uint64(u.imm), 8); f == nil {
 					fr[u.rd] = math.Float64frombits(v)
 				}
-			case sbFst:
+			case isa.OpFst:
 				f = m.storeN(c, r[u.rs1]+uint64(u.imm), 8, math.Float64bits(fr[u.rd]))
-			case sbFadd:
+			case isa.OpFadd:
 				fr[u.rd] = fr[u.rs1] + fr[u.rs2]
-			case sbFsub:
+			case isa.OpFsub:
 				fr[u.rd] = fr[u.rs1] - fr[u.rs2]
-			case sbFmul:
+			case isa.OpFmul:
 				fr[u.rd] = fr[u.rs1] * fr[u.rs2]
-			case sbFdiv:
+			case isa.OpFdiv:
 				fr[u.rd] = fr[u.rs1] / fr[u.rs2]
-			case sbFmin:
+			case isa.OpFmin:
 				fr[u.rd] = math.Min(fr[u.rs1], fr[u.rs2])
-			case sbFmax:
+			case isa.OpFmax:
 				fr[u.rd] = math.Max(fr[u.rs1], fr[u.rs2])
-			case sbFsqrt:
+			case isa.OpFsqrt:
 				fr[u.rd] = math.Sqrt(fr[u.rs1])
-			case sbFabs:
+			case isa.OpFabs:
 				fr[u.rd] = math.Abs(fr[u.rs1])
-			case sbFneg:
+			case isa.OpFneg:
 				fr[u.rd] = -fr[u.rs1]
-			case sbFmov:
+			case isa.OpFmov:
 				fr[u.rd] = fr[u.rs1]
-			case sbFlt:
+			case isa.OpFlt:
 				r[u.rd] = b2u(fr[u.rs1] < fr[u.rs2])
-			case sbFle:
+			case isa.OpFle:
 				r[u.rd] = b2u(fr[u.rs1] <= fr[u.rs2])
-			case sbFeq:
+			case isa.OpFeq:
 				r[u.rd] = b2u(fr[u.rs1] == fr[u.rs2])
-			case sbItof:
+			case isa.OpItof:
 				fr[u.rd] = float64(int64(r[u.rs1]))
-			case sbFtoi:
+			case isa.OpFtoi:
 				r[u.rd] = uint64(int64(fr[u.rs1]))
-			case sbFmvi:
+			case isa.OpFmvi:
 				fr[u.rd] = math.Float64frombits(r[u.rs1])
-			case sbImvf:
+			case isa.OpImvf:
 				r[u.rd] = math.Float64bits(fr[u.rs1])
 
-			case sbJmp:
+			case isa.OpJmp:
 				t = pc + uint64(u.imm)
-			case sbJal:
+			case isa.OpJal:
 				r[u.rd] = pc + isa.WordSize
 				t = pc + uint64(u.imm)
-			case sbJr:
+			case isa.OpJr:
 				t = r[u.rs1]
-			case sbJalr:
+			case isa.OpJalr:
 				t = r[u.rs1]
 				r[u.rd] = pc + isa.WordSize
-			case sbBeq:
+			case isa.OpBeq:
 				if r[u.rs1] == r[u.rs2] {
 					t = pc + uint64(u.imm)
 				}
-			case sbBne:
+			case isa.OpBne:
 				if r[u.rs1] != r[u.rs2] {
 					t = pc + uint64(u.imm)
 				}
-			case sbBlt:
+			case isa.OpBlt:
 				if int64(r[u.rs1]) < int64(r[u.rs2]) {
 					t = pc + uint64(u.imm)
 				}
-			case sbBge:
+			case isa.OpBge:
 				if int64(r[u.rs1]) >= int64(r[u.rs2]) {
 					t = pc + uint64(u.imm)
 				}
-			case sbBltu:
+			case isa.OpBltu:
 				if r[u.rs1] < r[u.rs2] {
 					t = pc + uint64(u.imm)
 				}
-			case sbBgeu:
+			case isa.OpBgeu:
 				if r[u.rs1] >= r[u.rs2] {
 					t = pc + uint64(u.imm)
 				}
 
-			case sbFuseAluBr:
-				// Tied peers sit one cycle away, so the pair always
-				// splits: commit the ALU half alone, exactly as the
-				// tstar guard does in runUops; the branch's standalone
-				// micro-op is in the next slot.
-				switch isa.Op(u.op) {
-				case isa.OpAddi:
-					r[u.rd] = r[u.rs1] + uint64(u.imm)
-				case isa.OpLdi:
-					r[u.rd] = uint64(u.imm)
-				case isa.OpAdd:
-					r[u.rd] = r[u.rs1] + r[u.rs2]
-				case isa.OpSub:
-					r[u.rd] = r[u.rs1] - r[u.rs2]
-				case isa.OpAnd:
-					r[u.rd] = r[u.rs1] & r[u.rs2]
-				case isa.OpOr:
-					r[u.rd] = r[u.rs1] | r[u.rs2]
-				case isa.OpXor:
-					r[u.rd] = r[u.rs1] ^ r[u.rs2]
-				case isa.OpAndi:
-					r[u.rd] = r[u.rs1] & uint64(u.imm)
-				case isa.OpOri:
-					r[u.rd] = r[u.rs1] | uint64(u.imm)
-				case isa.OpXori:
-					r[u.rd] = r[u.rs1] ^ uint64(u.imm)
-				case isa.OpSlt:
-					r[u.rd] = b2u(int64(r[u.rs1]) < int64(r[u.rs2]))
-				case isa.OpSltu:
-					r[u.rd] = b2u(r[u.rs1] < r[u.rs2])
-				case isa.OpSlti:
-					r[u.rd] = b2u(int64(r[u.rs1]) < u.imm)
-				}
-			case sbFuseAddiLdd, sbFuseAddiFld, sbFuseAddiStd, sbFuseAddiFst:
-				// Split: addi half only; the memory half's standalone
-				// micro-op is in the next slot.
-				r[u.rd] = r[u.rs1] + uint64(u.imm)
-			case sbFuseLdiLdih:
-				// Split: the ldi half rebuilds the sign-extended low
-				// half; the ldih standalone micro-op is next.
-				r[u.rd] = uint64(int64(int32(uint32(u.imm))))
-
 			default:
-				// sbSlowTag, atomics, or anything unclassified: resolve
-				// on the general path.
+				// sbSlow, atomics, and every opcode not inline here:
+				// resolve on the general path.
 				break wave
 			}
 			if f != nil {
@@ -917,27 +562,23 @@ uloop:
 		if prof != nil {
 			c0 = s.Clock
 		}
-		switch u.tag {
-		case sbSlowTag:
-			res = sbStep
-			break uloop
-
-		case sbNop:
+		switch isa.Op(u.op) {
+		case isa.OpNop, isa.OpPause, isa.OpFence:
 			// cost only
-		case sbRdtsc:
+		case isa.OpRdtsc:
 			r[u.rd] = s.Clock
-		case sbSettp:
+		case isa.OpSettp:
 			s.TP = r[u.rs1]
-		case sbGettp:
+		case isa.OpGettp:
 			r[u.rd] = s.TP
 
-		case sbAdd:
+		case isa.OpAdd:
 			r[u.rd] = r[u.rs1] + r[u.rs2]
-		case sbSub:
+		case isa.OpSub:
 			r[u.rd] = r[u.rs1] - r[u.rs2]
-		case sbMul:
+		case isa.OpMul:
 			r[u.rd] = r[u.rs1] * r[u.rs2]
-		case sbDiv:
+		case isa.OpDiv:
 			d := int64(r[u.rs2])
 			if d == 0 {
 				f = &trapFault{trap: isa.TrapDivZero, info: s.PC}
@@ -949,7 +590,7 @@ uloop:
 			} else {
 				r[u.rd] = uint64(nn / d)
 			}
-		case sbRem:
+		case isa.OpRem:
 			d := int64(r[u.rs2])
 			if d == 0 {
 				f = &trapFault{trap: isa.TrapDivZero, info: s.PC}
@@ -961,241 +602,201 @@ uloop:
 			} else {
 				r[u.rd] = uint64(nn % d)
 			}
-		case sbAnd:
+		case isa.OpAnd:
 			r[u.rd] = r[u.rs1] & r[u.rs2]
-		case sbOr:
+		case isa.OpOr:
 			r[u.rd] = r[u.rs1] | r[u.rs2]
-		case sbXor:
+		case isa.OpXor:
 			r[u.rd] = r[u.rs1] ^ r[u.rs2]
-		case sbShl:
+		case isa.OpShl:
 			r[u.rd] = r[u.rs1] << (r[u.rs2] & 63)
-		case sbShr:
+		case isa.OpShr:
 			r[u.rd] = r[u.rs1] >> (r[u.rs2] & 63)
-		case sbSar:
+		case isa.OpSar:
 			r[u.rd] = uint64(int64(r[u.rs1]) >> (r[u.rs2] & 63))
-		case sbSlt:
+		case isa.OpSlt:
 			r[u.rd] = b2u(int64(r[u.rs1]) < int64(r[u.rs2]))
-		case sbSltu:
+		case isa.OpSltu:
 			r[u.rd] = b2u(r[u.rs1] < r[u.rs2])
 
-		case sbAddi:
+		case isa.OpAddi:
 			r[u.rd] = r[u.rs1] + uint64(u.imm)
-		case sbMuli:
+		case isa.OpMuli:
 			r[u.rd] = r[u.rs1] * uint64(u.imm)
-		case sbAndi:
+		case isa.OpAndi:
 			r[u.rd] = r[u.rs1] & uint64(u.imm)
-		case sbOri:
+		case isa.OpOri:
 			r[u.rd] = r[u.rs1] | uint64(u.imm)
-		case sbXori:
+		case isa.OpXori:
 			r[u.rd] = r[u.rs1] ^ uint64(u.imm)
-		case sbShli:
+		case isa.OpShli:
 			r[u.rd] = r[u.rs1] << (uint64(u.imm) & 63)
-		case sbShri:
+		case isa.OpShri:
 			r[u.rd] = r[u.rs1] >> (uint64(u.imm) & 63)
-		case sbSari:
+		case isa.OpSari:
 			r[u.rd] = uint64(int64(r[u.rs1]) >> (uint64(u.imm) & 63))
-		case sbSlti:
+		case isa.OpSlti:
 			r[u.rd] = b2u(int64(r[u.rs1]) < u.imm)
 
-		case sbLdi:
+		case isa.OpLdi:
 			r[u.rd] = uint64(u.imm)
-		case sbLdih:
+		case isa.OpLdih:
 			r[u.rd] = r[u.rd]&0xFFFF_FFFF | uint64(u.imm)<<32
 
-		case sbLdb:
+		case isa.OpLdb:
 			if v, f = m.loadN(s, r[u.rs1]+uint64(u.imm), 1); f != nil {
 				goto fault
 			}
 			r[u.rd] = uint64(int64(int8(v)))
-		case sbLdbu:
+		case isa.OpLdbu:
 			if v, f = m.loadN(s, r[u.rs1]+uint64(u.imm), 1); f != nil {
 				goto fault
 			}
 			r[u.rd] = v
-		case sbLdh:
+		case isa.OpLdh:
 			if v, f = m.loadN(s, r[u.rs1]+uint64(u.imm), 2); f != nil {
 				goto fault
 			}
 			r[u.rd] = uint64(int64(int16(v)))
-		case sbLdhu:
+		case isa.OpLdhu:
 			if v, f = m.loadN(s, r[u.rs1]+uint64(u.imm), 2); f != nil {
 				goto fault
 			}
 			r[u.rd] = v
-		case sbLdw:
+		case isa.OpLdw:
 			if v, f = m.loadN(s, r[u.rs1]+uint64(u.imm), 4); f != nil {
 				goto fault
 			}
 			r[u.rd] = uint64(int64(int32(v)))
-		case sbLdwu:
+		case isa.OpLdwu:
 			if v, f = m.loadN(s, r[u.rs1]+uint64(u.imm), 4); f != nil {
 				goto fault
 			}
 			r[u.rd] = v
-		case sbLdd:
+		case isa.OpLdd:
 			if v, f = m.loadN(s, r[u.rs1]+uint64(u.imm), 8); f != nil {
 				goto fault
 			}
 			r[u.rd] = v
 
-		case sbStb:
+		case isa.OpStb:
 			if f = m.storeN(s, r[u.rs1]+uint64(u.imm), 1, r[u.rd]); f != nil {
 				goto fault
 			}
 			exit = *genp != gen
-		case sbSth:
+		case isa.OpSth:
 			if f = m.storeN(s, r[u.rs1]+uint64(u.imm), 2, r[u.rd]); f != nil {
 				goto fault
 			}
 			exit = *genp != gen
-		case sbStw:
+		case isa.OpStw:
 			if f = m.storeN(s, r[u.rs1]+uint64(u.imm), 4, r[u.rd]); f != nil {
 				goto fault
 			}
 			exit = *genp != gen
-		case sbStd:
+		case isa.OpStd:
 			if f = m.storeN(s, r[u.rs1]+uint64(u.imm), 8, r[u.rd]); f != nil {
 				goto fault
 			}
 			exit = *genp != gen
 
-		case sbFld:
+		case isa.OpFld:
 			if v, f = m.loadN(s, r[u.rs1]+uint64(u.imm), 8); f != nil {
 				goto fault
 			}
 			fr[u.rd] = math.Float64frombits(v)
-		case sbFst:
+		case isa.OpFst:
 			if f = m.storeN(s, r[u.rs1]+uint64(u.imm), 8, math.Float64bits(fr[u.rd])); f != nil {
 				goto fault
 			}
 			exit = *genp != gen
-		case sbFadd:
+		case isa.OpFadd:
 			fr[u.rd] = fr[u.rs1] + fr[u.rs2]
-		case sbFsub:
+		case isa.OpFsub:
 			fr[u.rd] = fr[u.rs1] - fr[u.rs2]
-		case sbFmul:
+		case isa.OpFmul:
 			fr[u.rd] = fr[u.rs1] * fr[u.rs2]
-		case sbFdiv:
+		case isa.OpFdiv:
 			fr[u.rd] = fr[u.rs1] / fr[u.rs2]
-		case sbFmin:
+		case isa.OpFmin:
 			fr[u.rd] = math.Min(fr[u.rs1], fr[u.rs2])
-		case sbFmax:
+		case isa.OpFmax:
 			fr[u.rd] = math.Max(fr[u.rs1], fr[u.rs2])
-		case sbFsqrt:
+		case isa.OpFsqrt:
 			fr[u.rd] = math.Sqrt(fr[u.rs1])
-		case sbFabs:
+		case isa.OpFabs:
 			fr[u.rd] = math.Abs(fr[u.rs1])
-		case sbFneg:
+		case isa.OpFneg:
 			fr[u.rd] = -fr[u.rs1]
-		case sbFmov:
+		case isa.OpFmov:
 			fr[u.rd] = fr[u.rs1]
-		case sbFlt:
+		case isa.OpFlt:
 			r[u.rd] = b2u(fr[u.rs1] < fr[u.rs2])
-		case sbFle:
+		case isa.OpFle:
 			r[u.rd] = b2u(fr[u.rs1] <= fr[u.rs2])
-		case sbFeq:
+		case isa.OpFeq:
 			r[u.rd] = b2u(fr[u.rs1] == fr[u.rs2])
-		case sbItof:
+		case isa.OpItof:
 			fr[u.rd] = float64(int64(r[u.rs1]))
-		case sbFtoi:
+		case isa.OpFtoi:
 			r[u.rd] = uint64(int64(fr[u.rs1]))
-		case sbFmvi:
+		case isa.OpFmvi:
 			fr[u.rd] = math.Float64frombits(r[u.rs1])
-		case sbImvf:
+		case isa.OpImvf:
 			r[u.rd] = math.Float64bits(fr[u.rs1])
 
-		case sbJmp:
+		case isa.OpJmp:
 			t = pc + uint64(u.imm)
-			s.Clock += uint64(u.cost)
-			s.C.Instrs++
-			m.Steps++
-			n++
 			goto branch
-		case sbJal:
+		case isa.OpJal:
 			r[u.rd] = pc + isa.WordSize
 			t = pc + uint64(u.imm)
-			s.Clock += uint64(u.cost)
-			s.C.Instrs++
-			m.Steps++
-			n++
 			goto branch
-		case sbJr:
+		case isa.OpJr:
 			t = r[u.rs1]
-			s.Clock += uint64(u.cost)
-			s.C.Instrs++
-			m.Steps++
-			n++
 			goto branch
-		case sbJalr:
+		case isa.OpJalr:
 			t = r[u.rs1]
 			r[u.rd] = pc + isa.WordSize
-			s.Clock += uint64(u.cost)
-			s.C.Instrs++
-			m.Steps++
-			n++
 			goto branch
-		case sbBeq:
+		case isa.OpBeq:
 			t = pc + isa.WordSize
 			if r[u.rs1] == r[u.rs2] {
 				t = pc + uint64(u.imm)
 			}
-			s.Clock += uint64(u.cost)
-			s.C.Instrs++
-			m.Steps++
-			n++
 			goto branch
-		case sbBne:
+		case isa.OpBne:
 			t = pc + isa.WordSize
 			if r[u.rs1] != r[u.rs2] {
 				t = pc + uint64(u.imm)
 			}
-			s.Clock += uint64(u.cost)
-			s.C.Instrs++
-			m.Steps++
-			n++
 			goto branch
-		case sbBlt:
+		case isa.OpBlt:
 			t = pc + isa.WordSize
 			if int64(r[u.rs1]) < int64(r[u.rs2]) {
 				t = pc + uint64(u.imm)
 			}
-			s.Clock += uint64(u.cost)
-			s.C.Instrs++
-			m.Steps++
-			n++
 			goto branch
-		case sbBge:
+		case isa.OpBge:
 			t = pc + isa.WordSize
 			if int64(r[u.rs1]) >= int64(r[u.rs2]) {
 				t = pc + uint64(u.imm)
 			}
-			s.Clock += uint64(u.cost)
-			s.C.Instrs++
-			m.Steps++
-			n++
 			goto branch
-		case sbBltu:
+		case isa.OpBltu:
 			t = pc + isa.WordSize
 			if r[u.rs1] < r[u.rs2] {
 				t = pc + uint64(u.imm)
 			}
-			s.Clock += uint64(u.cost)
-			s.C.Instrs++
-			m.Steps++
-			n++
 			goto branch
-		case sbBgeu:
+		case isa.OpBgeu:
 			t = pc + isa.WordSize
 			if r[u.rs1] >= r[u.rs2] {
 				t = pc + uint64(u.imm)
 			}
-			s.Clock += uint64(u.cost)
-			s.C.Instrs++
-			m.Steps++
-			n++
 			goto branch
 
-		case sbAxchg, sbAcas, sbAadd:
+		case isa.OpAxchg, isa.OpAcas, isa.OpAadd:
 			va = r[u.rs1]
 			if va%8 != 0 {
 				f = &trapFault{trap: isa.TrapBadInstr, info: va}
@@ -1207,16 +808,16 @@ uloop:
 			{
 				store := v
 				doStore := true
-				switch u.tag {
-				case sbAxchg:
+				switch isa.Op(u.op) {
+				case isa.OpAxchg:
 					store = r[u.rs2]
-				case sbAcas:
+				case isa.OpAcas:
 					if v == r[u.rd] {
 						store = r[u.rs2]
 					} else {
 						doStore = false
 					}
-				case sbAadd:
+				case isa.OpAadd:
 					store = v + r[u.rs2]
 				}
 				if doStore {
@@ -1228,143 +829,10 @@ uloop:
 			}
 			r[u.rd] = v
 
-		case sbFuseAluBr:
-			// The ALU half commits unconditionally (one instruction is
-			// always legal here); the guard decides whether the branch
-			// half may commit back-to-back or must wait for the stop
-			// checks — its standalone micro-op sits in the next slot.
-			switch isa.Op(u.op) {
-			case isa.OpAddi:
-				r[u.rd] = r[u.rs1] + uint64(u.imm)
-			case isa.OpLdi:
-				r[u.rd] = uint64(u.imm)
-			case isa.OpAdd:
-				r[u.rd] = r[u.rs1] + r[u.rs2]
-			case isa.OpSub:
-				r[u.rd] = r[u.rs1] - r[u.rs2]
-			case isa.OpAnd:
-				r[u.rd] = r[u.rs1] & r[u.rs2]
-			case isa.OpOr:
-				r[u.rd] = r[u.rs1] | r[u.rs2]
-			case isa.OpXor:
-				r[u.rd] = r[u.rs1] ^ r[u.rs2]
-			case isa.OpAndi:
-				r[u.rd] = r[u.rs1] & uint64(u.imm)
-			case isa.OpOri:
-				r[u.rd] = r[u.rs1] | uint64(u.imm)
-			case isa.OpXori:
-				r[u.rd] = r[u.rs1] ^ uint64(u.imm)
-			case isa.OpSlt:
-				r[u.rd] = b2u(int64(r[u.rs1]) < int64(r[u.rs2]))
-			case isa.OpSltu:
-				r[u.rd] = b2u(r[u.rs1] < r[u.rs2])
-			case isa.OpSlti:
-				r[u.rd] = b2u(int64(r[u.rs1]) < u.imm)
-			}
-			if n+1 >= max || s.Clock+uint64(u.cost) >= tstar {
-				// The branch half must wait for the stop checks; retire
-				// the ALU half alone (its slot's shared retire) and let
-				// the branch's standalone micro-op run next.
-				s.PC = pc + isa.WordSize
-				s.Clock += uint64(u.cost)
-				s.C.Instrs++
-				m.Steps++
-				n++
-				idx++
-				goto post
-			}
-			s.Clock += uint64(u.cost)
-			s.C.Instrs++
-			m.Steps++
-			n++
-			{
-				taken := false
-				switch isa.Op(u.op2) {
-				case isa.OpBeq:
-					taken = r[u.rs3] == r[u.rs4]
-				case isa.OpBne:
-					taken = r[u.rs3] != r[u.rs4]
-				case isa.OpBlt:
-					taken = int64(r[u.rs3]) < int64(r[u.rs4])
-				case isa.OpBge:
-					taken = int64(r[u.rs3]) >= int64(r[u.rs4])
-				case isa.OpBltu:
-					taken = r[u.rs3] < r[u.rs4]
-				case isa.OpBgeu:
-					taken = r[u.rs3] >= r[u.rs4]
-				}
-				t = pc + 2*isa.WordSize
-				if taken {
-					t = pc + isa.WordSize + uint64(u.imm2)
-				}
-			}
-			s.Clock += uint64(u.cost2)
-			s.C.Instrs++
-			m.Steps++
-			n++
-			goto branch
-
-		case sbFuseAddiLdd, sbFuseAddiFld, sbFuseAddiStd, sbFuseAddiFst:
-			if n+1 >= max || s.Clock+uint64(u.cost) >= tstar {
-				// The memory half must wait for the stop checks: retire
-				// the addi alone; the load/store's standalone micro-op
-				// sits in the next slot.
-				r[u.rd] = r[u.rs1] + uint64(u.imm)
-				break // shared retire
-			}
-			r[u.rd] = r[u.rs1] + uint64(u.imm)
-			s.PC = pc + isa.WordSize // the pair's second half may fault
-			s.Clock += uint64(u.cost)
-			s.C.Instrs++
-			m.Steps++
-			n++
-			va = r[u.rs3] + uint64(u.imm2)
-			switch u.tag {
-			case sbFuseAddiLdd:
-				if v, f = m.loadN(s, va, 8); f != nil {
-					goto fault
-				}
-				r[u.rd2] = v
-			case sbFuseAddiFld:
-				if v, f = m.loadN(s, va, 8); f != nil {
-					goto fault
-				}
-				fr[u.rd2] = math.Float64frombits(v)
-			case sbFuseAddiStd:
-				if f = m.storeN(s, va, 8, r[u.rd2]); f != nil {
-					goto fault
-				}
-				exit = *genp != gen
-			case sbFuseAddiFst:
-				if f = m.storeN(s, va, 8, math.Float64bits(fr[u.rd2])); f != nil {
-					goto fault
-				}
-				exit = *genp != gen
-			}
-			s.PC = pc + 2*isa.WordSize
-			s.Clock += uint64(u.cost2)
-			s.C.Instrs++
-			m.Steps++
-			n++
-			idx += 2
-			goto post
-
-		case sbFuseLdiLdih:
-			if n+1 >= max || s.Clock+uint64(u.cost) >= tstar {
-				// Retire the ldi alone: its immediate is the combined
-				// constant's sign-extended low half; the ldih's
-				// standalone micro-op rebuilds the top on the next slot.
-				r[u.rd] = uint64(int64(int32(uint32(u.imm))))
-				break // shared retire
-			}
-			r[u.rd] = uint64(u.imm)
-			s.PC = pc + 2*isa.WordSize
-			s.Clock += uint64(u.cost) + uint64(u.cost2)
-			s.C.Instrs += 2
-			m.Steps += 2
-			n += 2
-			idx += 2
-			goto post
+		default:
+			// sbSlow and every opcode not inline here: the interpreter leg.
+			res = sbStep
+			break uloop
 		}
 
 		// Shared retire for straight-line micro-ops.
@@ -1378,6 +846,10 @@ uloop:
 
 	branch:
 		s.PC = t
+		s.Clock += uint64(u.cost)
+		s.C.Instrs++
+		m.Steps++
+		n++
 		if toff := t - base; toff < mem.PageSize && toff&7 == 0 {
 			idx = toff >> 3 // in-page aligned target: keep running compiled
 		} else {

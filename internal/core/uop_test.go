@@ -1,0 +1,405 @@
+package core
+
+import (
+	"bytes"
+	"fmt"
+	"math"
+	"reflect"
+	"testing"
+	"unsafe"
+
+	"misp/internal/asm"
+	"misp/internal/isa"
+	"misp/internal/mem"
+)
+
+// One opcode, three implementations: execInstr (the legacy loop's and the
+// interpreter leg's), runUops and the cohort wave each state an inline
+// opcode's semantics. These tests hold the two executors to execInstr
+// opcode by opcode, and pin which opcodes each executor may run at all:
+// everything else must reach execInstr through the default arm.
+
+// interpOnly lists the valid opcodes neither executor implements:
+// privileged and system ops, break ops, the specially retiring context
+// ops, and SEQID. Every other valid opcode is inline in runUops; the wave
+// additionally leaves the atomics to it.
+var interpOnly = map[isa.Op]bool{
+	isa.OpHalt: true, isa.OpBrk: true, isa.OpSeqid: true,
+	isa.OpSyscall: true, isa.OpIret: true, isa.OpMovtcr: true, isa.OpMovfcr: true,
+	isa.OpHlt: true, isa.OpInvlpg: true, isa.OpTlbflush: true,
+	isa.OpSignal: true, isa.OpSetyield: true, isa.OpSret: true,
+	isa.OpSavectx: true, isa.OpLdctx: true, isa.OpProxyexec: true,
+}
+
+func waveDefers(op isa.Op) bool {
+	return interpOnly[op] || op == isa.OpAxchg || op == isa.OpAcas || op == isa.OpAadd
+}
+
+// Guest layout of the one-instruction programs: code on the first heap
+// page, operands on the next two (both resident, so an access may
+// straddle them without faulting).
+const (
+	uopCode = asm.HeapBase
+	uopData = asm.HeapBase + mem.PageSize
+)
+
+// uopPattern is the initial memory word at va: distinct per word, the
+// sign bit of every byte set.
+func uopPattern(va uint64) uint64 { return 0x8192A3B4C5D6E7F8 ^ va&0x7F }
+
+// trapRecorder is BareOS with the fatal-trap arm replaced by a record:
+// the first trap that is not a page fault ends the run and is kept with
+// the machine's retirement count at its dispatch.
+type trapRecorder struct {
+	*BareOS
+	hit            bool
+	trap           isa.Trap
+	info, pc, step uint64
+}
+
+func (r *trapRecorder) HandleTrap(s *Sequencer, trap isa.Trap, info uint64) {
+	if trap == isa.TrapPageFault {
+		r.BareOS.HandleTrap(s, trap, info)
+		return
+	}
+	r.hit, r.trap, r.info, r.pc, r.step = true, trap, info, s.PC, r.M.Steps
+}
+
+func (r *trapRecorder) Done() bool { return r.hit || r.BareOS.Done() }
+
+// uopMachine builds a machine with code at uopCode, uopPattern around
+// the operand addresses, and every sequencer of top running at ring 0
+// from the first code word after init set its registers.
+func uopMachine(t *testing.T, top Topology, legacy bool, code []isa.Instr, init func(*Sequencer)) (*Machine, *trapRecorder) {
+	t.Helper()
+	cfg := DefaultConfig(top)
+	cfg.PhysMem = 4 << 20
+	cfg.MaxCycles = 1 << 20
+	cfg.LegacyLoop = legacy
+	m, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := LoadBare(m, asm.MustAssemble("main:\n    li r0, 1\n    syscall\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := b.Space.Prefault(uopCode, 3*mem.PageSize); err != nil {
+		t.Fatal(err)
+	}
+	for i, in := range code {
+		if err := b.Space.WriteU64(uopCode+uint64(i)*isa.WordSize, in.Encode()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, va := range []uint64{uopData + 56, uopData + 64, uopData + 72, uopData + mem.PageSize - 8, uopData + mem.PageSize} {
+		if err := b.Space.WriteU64(va, uopPattern(va)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, s := range m.Seqs {
+		s.PC = uopCode
+		s.Ring = isa.Ring0
+		s.State = StateRunning
+		if init != nil {
+			init(s)
+		}
+	}
+	rec := &trapRecorder{BareOS: b}
+	m.SetOS(rec)
+	return m, rec
+}
+
+// uopOutcome is everything a one-instruction program may change.
+type uopOutcome struct {
+	Seqs []uopSeq
+	Mem  []byte // both operand pages
+	Trap string // recorded trap, if any
+	Err  string
+}
+
+type uopSeq struct {
+	Regs, FRegs           [isa.NumRegs]uint64 // FRegs as bits: NaN must compare
+	PC, TP, Clock, Instrs uint64
+}
+
+func uopRun(t *testing.T, top Topology, legacy bool, code []isa.Instr, init func(*Sequencer)) uopOutcome {
+	t.Helper()
+	m, rec := uopMachine(t, top, legacy, code, init)
+	defer m.Release()
+	var o uopOutcome
+	if err := m.Run(); err != nil {
+		o.Err = err.Error()
+	}
+	if rec.hit {
+		o.Trap = fmt.Sprintf("%v info=%#x pc=%#x steps=%d", rec.trap, rec.info, rec.pc, rec.step)
+	}
+	for _, s := range m.Seqs {
+		q := uopSeq{Regs: s.Regs, PC: s.PC, TP: s.TP, Clock: s.Clock, Instrs: s.C.Instrs}
+		for i, f := range s.FRegs {
+			q.FRegs[i] = math.Float64bits(f)
+		}
+		o.Seqs = append(o.Seqs, q)
+	}
+	var err error
+	if o.Mem, err = rec.Space.ReadBytes(uopData, 2*mem.PageSize); err != nil {
+		t.Fatal(err)
+	}
+	return o
+}
+
+// uopCase is one instruction with the operand registers it reads: r1-r3
+// and f1-f3 are preset on every sequencer (rd = 1, rs1 = 2, rs2 = 3
+// throughout).
+type uopCase struct {
+	in isa.Instr
+	r  [3]uint64
+	f  [3]float64
+}
+
+var (
+	uopInts = []uint64{0, 1, ^uint64(0), 1 << 63, 63, 64, 65}
+	uopImms = []int32{0, 1, -1, math.MinInt32, 63, 64, 65}
+	uopFlts = []float64{math.NaN(), 0, math.Copysign(0, -1), math.Inf(1), math.Inf(-1), 1.5, -2}
+	// Operand addresses: aligned, unaligned, and straddling the two
+	// resident operand pages.
+	uopAddrs = []uint64{uopData + 64, uopData + 61, uopData + mem.PageSize - 3}
+)
+
+// uopCases is the operand table for op, by operand format. Jump and
+// branch targets are the halt words at slots 2 and 3 of uopProgram.
+func uopCases(op isa.Op) []uopCase {
+	base := isa.Instr{Op: op, Rd: 1, Rs1: 2, Rs2: 3}
+	rdInit := uint64(0x8182838485868788)
+	var cs []uopCase
+	switch isa.Lookup(op).Fmt {
+	case isa.FmtR3, isa.FmtBranch:
+		if op == isa.OpAxchg || op == isa.OpAcas || op == isa.OpAadd {
+			for _, a := range uopAddrs {
+				cs = append(cs,
+					uopCase{in: base, r: [3]uint64{rdInit, a, 7}},
+					uopCase{in: base, r: [3]uint64{uopPattern(a), a, 7}}) // acas: rd == mem
+			}
+			break
+		}
+		base.Imm = 2 * isa.WordSize // the taken target; the ALU ops ignore it
+		for _, a := range uopInts {
+			for _, b := range uopInts {
+				cs = append(cs, uopCase{in: base, r: [3]uint64{rdInit, a, b}})
+			}
+		}
+	case isa.FmtR2I:
+		for _, a := range uopInts {
+			for _, imm := range uopImms {
+				in := base
+				in.Imm = imm
+				cs = append(cs, uopCase{in: in, r: [3]uint64{rdInit, a}})
+			}
+		}
+	case isa.FmtRI:
+		for _, imm := range uopImms {
+			in := base
+			in.Imm = imm
+			cs = append(cs, uopCase{in: in, r: [3]uint64{rdInit}})
+		}
+	case isa.FmtMem, isa.FmtFMem:
+		base.Imm = -16
+		for _, a := range uopAddrs {
+			cs = append(cs, uopCase{in: base, r: [3]uint64{rdInit, a + 16}, f: [3]float64{-1.25}})
+		}
+	case isa.FmtF3, isa.FmtFCmp:
+		for _, a := range uopFlts {
+			for _, b := range uopFlts {
+				cs = append(cs, uopCase{in: base, r: [3]uint64{rdInit}, f: [3]float64{9, a, b}})
+			}
+		}
+	case isa.FmtF2, isa.FmtIF:
+		for _, a := range append([]float64{1e30, -1e30, 2.75}, uopFlts...) {
+			cs = append(cs, uopCase{in: base, r: [3]uint64{rdInit}, f: [3]float64{9, a}})
+		}
+	case isa.FmtFI:
+		for _, a := range append([]uint64{math.Float64bits(math.NaN())}, uopInts...) {
+			cs = append(cs, uopCase{in: base, r: [3]uint64{rdInit, a}, f: [3]float64{9}})
+		}
+	case isa.FmtJmp, isa.FmtJal:
+		for _, imm := range []int32{isa.WordSize, 2 * isa.WordSize} {
+			in := base
+			in.Imm = imm
+			cs = append(cs, uopCase{in: in, r: [3]uint64{rdInit}})
+		}
+	case isa.FmtR1, isa.FmtR2: // settp, jr, jalr
+		cs = append(cs, uopCase{in: base, r: [3]uint64{rdInit, uopCode + 3*isa.WordSize}})
+	default: // FmtNone, FmtRd
+		cs = append(cs, uopCase{in: base, r: [3]uint64{rdInit}})
+	}
+	return cs
+}
+
+// uopProgram puts in at slot 1. The nop ahead of it takes the one
+// interpreter step that follows every fetch-window miss, so on the fast
+// loop in itself is the first word the executors see.
+func uopProgram(in isa.Instr) []isa.Instr {
+	return []isa.Instr{{Op: isa.OpNop}, in, {Op: isa.OpHalt}, {Op: isa.OpHalt}}
+}
+
+func (c uopCase) init(s *Sequencer) {
+	copy(s.Regs[1:], c.r[:])
+	copy(s.FRegs[1:], c.f[:])
+	s.TP = 0x7777
+}
+
+// TestUopSemanticsMatchOracle holds runUops and the cohort wave to the
+// legacy loop opcode by opcode, and pins from outside which opcodes each
+// may run at all, so the default arm cannot silently gain or lose one.
+func TestUopSemanticsMatchOracle(t *testing.T) {
+	if sz := unsafe.Sizeof(sbUop{}); sz != 16 {
+		t.Errorf("sizeof(sbUop) = %d, want 16", sz)
+	}
+	for op := isa.Op(0); isa.Valid(op); op++ {
+		uopProbeRunUops(t, op)
+		uopProbeWave(t, op)
+		if interpOnly[op] {
+			continue
+		}
+		// The compile-time facts the default arm relies on.
+		info := isa.Lookup(op)
+		if info.Cost > math.MaxUint8 || info.Priv || batchBreak(op) {
+			t.Errorf("%s is inline but cost %d priv %v break %v", info.Name, info.Cost, info.Priv, batchBreak(op))
+		}
+		if u := sbClassify(isa.Instr{Op: op}); isa.Op(u.op) != op || uint32(u.cost) != info.Cost {
+			t.Errorf("%s compiles to op %d cost %d", info.Name, u.op, u.cost)
+		}
+		for _, c := range uopCases(op) {
+			uopCompare(t, c)
+		}
+	}
+}
+
+// uopCompare runs c on one sequencer, where runUops retires it, and on
+// two lockstep sequencers, where the wave does (the atomics excepted),
+// and compares registers, PC, clock, retirement counts, the operand
+// pages and any trap with the legacy loop on the same machine shape.
+func uopCompare(t *testing.T, c uopCase) {
+	t.Helper()
+	for _, top := range []Topology{{0}, {1}} {
+		want := uopRun(t, top, true, uopProgram(c.in), c.init)
+		got := uopRun(t, top, false, uopProgram(c.in), c.init)
+		if want.Seqs[0].Instrs == 0 || want.Err != "" {
+			t.Fatalf("%v on %v: the oracle did not run: %q %q", c.in, top, want.Trap, want.Err)
+		}
+		if reflect.DeepEqual(want, got) {
+			continue
+		}
+		t.Errorf("%v with r1-r3 %#x f1-f3 %v on %v: trap %q / %q, error %q / %q, operand pages equal %v (legacy / fast)",
+			c.in, c.r, c.f, top, want.Trap, got.Trap, want.Err, got.Err, bytes.Equal(want.Mem, got.Mem))
+		for i := range want.Seqs {
+			if want.Seqs[i] != got.Seqs[i] {
+				t.Errorf("  sequencer %d:\n  legacy %+v\n  fast   %+v", i, want.Seqs[i], got.Seqs[i])
+			}
+		}
+	}
+}
+
+// uopProbe builds a fast-loop machine on top with [in, halt] compiled and
+// attached to every sequencer's fetch window, operands benign: the state
+// in which runBatch calls runUops and runRound calls the wave.
+func uopProbe(t *testing.T, top Topology, op isa.Op) *Machine {
+	t.Helper()
+	in := isa.Instr{Op: op, Rd: 1, Rs1: 2, Rs2: 3, Imm: isa.WordSize}
+	c := uopCase{in: in, r: [3]uint64{1, uopData + 64, 1}}
+	m, _ := uopMachine(t, top, false, []isa.Instr{in, {Op: isa.OpHalt}}, c.init)
+	m.cycLimit, m.pauseLimit = noEvent, noEvent
+	for _, s := range m.Seqs {
+		if _, f := m.fetchSlow(s); f != nil || s.sb == nil {
+			t.Fatalf("attach: fault %+v, page %v", f, s.sb)
+		}
+	}
+	return m
+}
+
+// uopProbeRunUops: runUops must retire exactly one instruction of an
+// inline opcode and hand any other back unexecuted.
+func uopProbeRunUops(t *testing.T, op isa.Op) {
+	t.Helper()
+	m := uopProbe(t, Topology{0}, op)
+	defer m.Release()
+	s := m.Seqs[0]
+	before := *s
+	n, res := m.runUops(s, s.sb, 0, 0, 1, noEvent)
+	if interpOnly[op] {
+		if n != 0 || res != sbStep || m.Steps != 0 || !reflect.DeepEqual(*s, before) {
+			t.Errorf("runUops ran %s itself (n=%d res=%d steps=%d)", isa.Name(op), n, res, m.Steps)
+		}
+	} else if n != 1 || res == sbStep || s.C.Instrs != 1 {
+		t.Errorf("runUops did not run %s inline (n=%d res=%d instrs=%d)", isa.Name(op), n, res, s.C.Instrs)
+	}
+}
+
+// uopProbeWave: the wave must retire an inline opcode once on each of two
+// lockstep members before stopping at their halt, and hand back without
+// touching either member on anything else.
+func uopProbeWave(t *testing.T, op isa.Op) {
+	t.Helper()
+	m := uopProbe(t, Topology{1}, op)
+	defer m.Release()
+	var mems [scanThreshold]*Sequencer
+	var evts, clocks [scanThreshold]uint64
+	var before []Sequencer
+	for i, s := range m.Seqs {
+		mems[i], evts[i], clocks[i] = s, noEvent, s.Clock
+		before = append(before, *s)
+	}
+	progress, unclean := m.runCohortWave(&mems, &evts, &clocks, len(m.Seqs), noEvent, math.MaxInt)
+	for i, s := range m.Seqs {
+		if waveDefers(op) {
+			if progress || unclean || !reflect.DeepEqual(*s, before[i]) {
+				t.Errorf("the wave ran %s itself on %s (progress %v unclean %v)", isa.Name(op), s.Name(), progress, unclean)
+			}
+		} else if s.C.Instrs != 1 {
+			t.Errorf("the wave did not run %s inline on %s (instrs=%d)", isa.Name(op), s.Name(), s.C.Instrs)
+		}
+	}
+}
+
+// TestBadRegisterFieldTraps: isa.Decode masks nothing and only the
+// assembler validates register fields, so a word with one >= NumRegs can
+// reach the core from stored code, a jump into data or a memory bit
+// flip. It must raise a bad-instruction trap at its PC without retiring,
+// not index past the register file, on the legacy loop, in runUops and
+// as a member of a lockstep cohort.
+func TestBadRegisterFieldTraps(t *testing.T) {
+	words := []isa.Instr{
+		{Op: isa.OpAdd, Rd: 200},
+		{Op: isa.OpAdd, Rs1: isa.NumRegs},
+		{Op: isa.OpLdd, Rd: 1, Rs1: 2, Rs2: 255},
+		{Op: isa.OpFadd, Rd: 1, Rs1: 16, Rs2: 3},
+		{Op: isa.OpSeqid, Rd: 16},
+	}
+	runs := []struct {
+		name   string
+		top    Topology
+		legacy bool
+	}{{"legacy", Topology{0}, true}, {"fast", Topology{0}, false}, {"cohort", Topology{1}, false}}
+	for _, in := range words {
+		for _, r := range runs {
+			t.Run(fmt.Sprintf("op%d.%d.%d.%d/%s", in.Op, in.Rd, in.Rs1, in.Rs2, r.name), func(t *testing.T) {
+				m, rec := uopMachine(t, r.top, r.legacy, uopProgram(in), nil)
+				defer m.Release()
+				if err := m.Run(); err != nil {
+					t.Fatal(err)
+				}
+				const badPC = uopCode + isa.WordSize
+				if !rec.hit || rec.trap != isa.TrapBadInstr || rec.info != badPC || rec.pc != badPC {
+					t.Fatalf("trap %v (recorded: %v) info %#x at pc %#x, want a bad-instruction trap at %#x",
+						rec.trap, rec.hit, rec.info, rec.pc, uint64(badPC))
+				}
+				// Only the nops ahead of the bad word have retired: one per
+				// sequencer, the OMS (lowest ID) reaching the word first.
+				if nops := uint64(len(m.Seqs)); rec.step != nops || m.Steps != nops || m.Seqs[0].C.Instrs != 1 {
+					t.Fatalf("steps %d at the trap, %d after, OMS retired %d; want %d, %d, 1",
+						rec.step, m.Steps, m.Seqs[0].C.Instrs, nops, nops)
+				}
+			})
+		}
+	}
+}

@@ -11,6 +11,21 @@ import (
 var equivGrid = flag.Bool("equivgrid", false,
 	"run TestEquivGrid (make equivgrid): fast loop vs legacy oracle on every evaluated app x four machine shapes at small size, plus galgel at ref")
 
+// gridShapes are the machine shapes the whole-application tests run on:
+// the three configurations exp.Evaluate compares (one sequencer, one
+// 8-sequencer MISP processor, an 8-way SMP in thread mode), then MISP
+// 1x4.
+var gridShapes = []struct {
+	label string
+	mode  shredlib.Mode
+	top   core.Topology
+}{
+	{"1P", shredlib.ModeShred, core.Topology{0}},
+	{"MISP-1x8", shredlib.ModeShred, core.Topology{7}},
+	{"SMP-8", shredlib.ModeThread, make(core.Topology, 8)},
+	{"MISP-1x4", shredlib.ModeShred, core.Topology{3}},
+}
+
 // TestEquivGrid holds the fast loop to the legacy oracle on whole
 // applications: 16 apps x {1P, MISP 1x8, SMP 8, MISP 1x4} at small size,
 // comparing retired instructions, cycles and every sequencer's clock,
@@ -23,18 +38,8 @@ func TestEquivGrid(t *testing.T) {
 	if !*equivGrid {
 		t.Skip("-equivgrid not set")
 	}
-	shapes := []struct {
-		label string
-		mode  shredlib.Mode
-		top   core.Topology
-	}{
-		{"1P", shredlib.ModeShred, core.Topology{0}},
-		{"MISP-1x8", shredlib.ModeShred, core.Topology{7}},
-		{"SMP-8", shredlib.ModeThread, make(core.Topology, 8)},
-		{"MISP-1x4", shredlib.ModeShred, core.Topology{3}},
-	}
 	for _, w := range Evaluated() {
-		for _, s := range shapes {
+		for _, s := range gridShapes {
 			t.Run(w.Name+"/"+s.label+"/small", func(t *testing.T) {
 				t.Parallel()
 				equivPoint(t, w, s.mode, s.top, SizeSmall)
