@@ -2,9 +2,13 @@ package core_test
 
 import (
 	"context"
+	"errors"
 	"testing"
 
+	"misp/internal/asm"
 	"misp/internal/core"
+	"misp/internal/isa"
+	"misp/internal/mem"
 	"misp/internal/shredlib"
 	"misp/internal/workloads"
 )
@@ -49,12 +53,99 @@ func benchRun(b *testing.B, top core.Topology, mode shredlib.Mode) {
 
 // BenchmarkCohortWave runs dense_mmm where runCohortWave retires nearly
 // every instruction: eight lockstep shreds on one MISP processor, and
-// eight OS threads on an 8-way SMP.
+// eight OS threads on an 8-way SMP. There the eight members execute one
+// loop in a fixed phase, which is the wave's easy case; desync is the
+// hard one.
 func BenchmarkCohortWave(b *testing.B) {
 	b.Run("misp1x8", func(b *testing.B) { benchRun(b, core.Topology{7}, shredlib.ModeShred) })
 	b.Run("smp8", func(b *testing.B) {
 		benchRun(b, core.Topology{0, 0, 0, 0, 0, 0, 0, 0}, shredlib.ModeThread)
 	})
+	b.Run("desync", func(b *testing.B) {
+		for _, c := range []struct {
+			name             string
+			distinct, memOps bool
+		}{
+			{"loops=same/alu", false, false}, {"loops=distinct/alu", true, false},
+			{"loops=same/mem", false, true}, {"loops=distinct/mem", true, true},
+		} {
+			b.Run(c.name, func(b *testing.B) { benchDesync(b, c.distinct, c.memOps) })
+		}
+	})
+}
+
+// benchDesync times the wave on a bare machine whose eight ring-0
+// sequencers each spin on a loop over one opcode mix — the same loop for
+// all (the control: the wave's dispatch sees one repeating stream), or
+// eight bodies of different lengths, so the commit order interleaves
+// eight streams aperiodically. With memOps every fourth instruction is a
+// ldd or std to the sequencer's own word, which the wave may only commit
+// in order.
+func benchDesync(b *testing.B, distinct, memOps bool) {
+	const (
+		seqs     = 8
+		loopSlot = 64 // code slots per loop
+		code     = asm.HeapBase
+		data     = asm.HeapBase + mem.PageSize
+		cycles   = 1 << 20
+	)
+	mix := []isa.Instr{
+		{Op: isa.OpAdd, Rd: 1, Rs1: 1, Rs2: 2}, {Op: isa.OpXori, Rd: 3, Rs1: 1, Imm: 0x55},
+		{Op: isa.OpMul, Rd: 4, Rs1: 3, Rs2: 2}, {Op: isa.OpSub, Rd: 5, Rs1: 4, Rs2: 1},
+		{Op: isa.OpShli, Rd: 6, Rs1: 5, Imm: 3}, {Op: isa.OpFadd, Rd: 1, Rs1: 1, Rs2: 2},
+		{Op: isa.OpSltu, Rd: 7, Rs1: 6, Rs2: 1}, {Op: isa.OpAddi, Rd: 2, Rs1: 2, Imm: 1},
+	}
+	var instrs uint64
+	for n := 0; n < b.N; n++ {
+		b.StopTimer()
+		cfg := core.DefaultConfig(core.Topology{seqs - 1})
+		cfg.PhysMem = 4 << 20
+		m, err := core.New(cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		os, err := core.LoadBare(m, asm.MustAssemble("main:\n    li r0, 1\n    syscall\n"))
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := os.Space.Prefault(code, 2*mem.PageSize); err != nil {
+			b.Fatal(err)
+		}
+		for i, s := range m.Seqs {
+			loop := 0
+			if distinct {
+				loop = i
+			}
+			body := 11 + 2*loop
+			at := code + uint64(loop*loopSlot)*isa.WordSize
+			for k := 0; k <= body; k++ {
+				in := mix[k%len(mix)]
+				switch {
+				case k == body:
+					in = isa.Instr{Op: isa.OpJmp, Imm: int32(-body * isa.WordSize)}
+				case memOps && k%8 == 3:
+					in = isa.Instr{Op: isa.OpLdd, Rd: 8, Rs1: 10}
+				case memOps && k%8 == 7:
+					in = isa.Instr{Op: isa.OpStd, Rd: 5, Rs1: 10}
+				}
+				if err := os.Space.WriteU64(at+uint64(k)*isa.WordSize, in.Encode()); err != nil {
+					b.Fatal(err)
+				}
+			}
+			s.PC, s.Ring, s.State = at, isa.Ring0, core.StateRunning
+			s.Regs[1], s.Regs[2], s.Regs[10] = uint64(i+1), 3, data+uint64(i)*64
+		}
+		m.SetPause(cycles)
+		b.StartTimer()
+		err = m.Run()
+		b.StopTimer()
+		if !errors.Is(err, core.ErrPaused) {
+			b.Fatal(err)
+		}
+		instrs += m.Steps
+		m.Release()
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(instrs), "ns/instr")
 }
 
 // BenchmarkRunUops runs the same program on one sequencer, where

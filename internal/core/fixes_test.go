@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -112,6 +113,39 @@ main:
 	}
 	if !strings.Contains(err.Error(), "0x100000100") {
 		t.Fatalf("fault address truncated: %v", err)
+	}
+}
+
+// TestTLBTagIsFullWidth: the TLB tag was the page number truncated to
+// 32 bits, so val + 2^44 — an address mem.Walk rejects — hit val's
+// cached translation and read val instead of faulting. Both loops must
+// raise a page fault whose info carries the whole address.
+func TestTLBTagIsFullWidth(t *testing.T) {
+	p := asm.MustAssemble(`
+main:
+    la   r1, val
+    ldd  r2, [r1]         ; caches val's page
+    li   r3, 0
+    ldih r3, 0x1000       ; 2^44: the same low 32 page-number bits
+    add  r1, r1, r3
+    ldd  r4, [r1]
+    mov  r1, r4
+    li   r0, 1
+    syscall
+.data
+val: .u64 77
+`)
+	want := fmt.Sprintf("%#x", p.Symbols["val"]+1<<44)
+	for _, legacy := range []bool{false, true} {
+		cfg := testCfg(0)
+		cfg.LegacyLoop = legacy
+		b, _, err := RunBare(cfg, p)
+		if err == nil {
+			t.Fatalf("legacy=%v: a load 2^44 above a cached page exited with %d, want a page fault", legacy, b.ExitCode)
+		}
+		if !strings.Contains(err.Error(), "segfault at "+want) {
+			t.Fatalf("legacy=%v: want a page fault at %s, got: %v", legacy, want, err)
+		}
 	}
 }
 

@@ -106,6 +106,10 @@ type Machine struct {
 	// section by FinalizeMetrics; deliberately outside the canonical
 	// registry dump so artifacts stay byte-identical across loops).
 	sbBuilds, sbInvalidates, sbRuns uint64
+	// waveLog is runCohortWave's undo scratch: per cohort member, the
+	// records of its latest run-ahead. Host-side like the compiled pages
+	// (never snapshotted) and never zeroed: the wave counts what it wrote.
+	waveLog [scanThreshold][waveRunAhead]waveUndo
 
 	// mx holds pre-resolved metric handles so hot paths pay a plain
 	// increment, never a registry lookup.

@@ -134,18 +134,25 @@ func uopRun(t *testing.T, top Topology, legacy bool, code []isa.Instr, init func
 	if rec.hit {
 		o.Trap = fmt.Sprintf("%v info=%#x pc=%#x steps=%d", rec.trap, rec.info, rec.pc, rec.step)
 	}
-	for _, s := range m.Seqs {
-		q := uopSeq{Regs: s.Regs, PC: s.PC, TP: s.TP, Clock: s.Clock, Instrs: s.C.Instrs}
-		for i, f := range s.FRegs {
-			q.FRegs[i] = math.Float64bits(f)
-		}
-		o.Seqs = append(o.Seqs, q)
-	}
+	o.Seqs = uopSeqs(m)
 	var err error
 	if o.Mem, err = rec.Space.ReadBytes(uopData, 2*mem.PageSize); err != nil {
 		t.Fatal(err)
 	}
 	return o
+}
+
+// uopSeqs is every sequencer's architectural state as it stands.
+func uopSeqs(m *Machine) []uopSeq {
+	var out []uopSeq
+	for _, s := range m.Seqs {
+		q := uopSeq{Regs: s.Regs, PC: s.PC, TP: s.TP, Clock: s.Clock, Instrs: s.C.Instrs}
+		for i, f := range s.FRegs {
+			q.FRegs[i] = math.Float64bits(f)
+		}
+		out = append(out, q)
+	}
+	return out
 }
 
 // uopCase is one instruction with the operand registers it reads: r1-r3
@@ -258,6 +265,13 @@ func TestUopSemanticsMatchOracle(t *testing.T) {
 	for op := isa.Op(0); isa.Valid(op); op++ {
 		uopProbeRunUops(t, op)
 		uopProbeWave(t, op)
+		// The wave runs ahead through a pure opcode and takes it back from
+		// {PC, Regs[rd], FRegs[rd]}: it must be inline there (the run-ahead
+		// has no default arm to fall back on) and touch no memory.
+		pure, f := sbClassify(isa.Instr{Op: op}).pure, isa.Lookup(op).Fmt
+		if pure != sbPure(op) || pure && (waveDefers(op) || f == isa.FmtMem || f == isa.FmtFMem) {
+			t.Errorf("%s: pure %v compiled %v, wave defers %v, format %d", isa.Name(op), sbPure(op), pure, waveDefers(op), f)
+		}
 		if interpOnly[op] {
 			continue
 		}
@@ -269,8 +283,13 @@ func TestUopSemanticsMatchOracle(t *testing.T) {
 		if u := sbClassify(isa.Instr{Op: op}); isa.Op(u.op) != op || uint32(u.cost) != info.Cost {
 			t.Errorf("%s compiles to op %d cost %d", info.Name, u.op, u.cost)
 		}
-		for _, c := range uopCases(op) {
+		for i, c := range uopCases(op) {
 			uopCompare(t, c)
+			// What the undo record must cover depends on the opcode, not
+			// the operands: a stride keeps the race run short.
+			if sbPure(op) && i%5 == 0 {
+				uopCompareUndo(t, c)
+			}
 		}
 	}
 }
@@ -297,6 +316,33 @@ func uopCompare(t *testing.T, c uopCase) {
 				t.Errorf("  sequencer %d:\n  legacy %+v\n  fast   %+v", i, want.Seqs[i], got.Seqs[i])
 			}
 		}
+	}
+}
+
+// uopCompareUndo runs c where the wave retires it ahead of the commit
+// order and must take it back: sequencer 1 reaches c.in one slot after
+// its ordered commit (the addi), tied with sequencer 0's syscall, which
+// the lower ID commits first and which ends the run. The legacy loop
+// never executes c.in; the wave's undo record — PC, Regs[rd], FRegs[rd] —
+// must cover everything the opcode wrote.
+func uopCompareUndo(t *testing.T, c uopCase) {
+	t.Helper()
+	addi := isa.Instr{Op: isa.OpAddi, Rd: 9, Rs1: 9, Imm: 3}
+	code := []isa.Instr{{Op: isa.OpNop}, addi, c.in, {Op: isa.OpHalt}, {Op: isa.OpHalt}, 8: {Op: isa.OpNop}, addi, {Op: isa.OpSyscall}}
+	init := func(s *Sequencer) {
+		c.init(s)
+		if s.ID == 0 {
+			s.PC = uopCode + 8*isa.WordSize
+		}
+	}
+	want := uopRun(t, Topology{1}, true, code, init)
+	got := uopRun(t, Topology{1}, false, code, init)
+	if want.Seqs[1].Instrs != 2 || want.Seqs[1].PC != uopCode+2*isa.WordSize {
+		t.Fatalf("%v: the oracle left sequencer 1 at %+v, want it stopped before slot 2", c.in, want.Seqs[1])
+	}
+	if !reflect.DeepEqual(want, got) {
+		t.Errorf("%v with r1-r3 %#x f1-f3 %v taken back: trap %q / %q\nlegacy %+v\nfast   %+v",
+			c.in, c.r, c.f, want.Trap, got.Trap, want.Seqs[1], got.Seqs[1])
 	}
 }
 

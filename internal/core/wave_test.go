@@ -1,0 +1,176 @@
+package core
+
+import (
+	"errors"
+	"fmt"
+	"testing"
+
+	"misp/internal/isa"
+	"misp/internal/mem"
+)
+
+// Directed tests for the two obligations the cohort wave's run-ahead
+// adds (superblock.go, invariant 4): retirements ordered after a stop are
+// taken back before anything outside the wave can look, and a store into
+// a page a peer has run ahead in stops the wave at the store. Sequencer 0
+// leads with a varying number of one-cycle instructions so the stop lands
+// at every phase of its peers' runs.
+
+const (
+	waveLeadMin, waveLeadMax = 3, 40
+	// wavePeerSlot is where the peers' loop starts, past the longest lead.
+	wavePeerSlot = 128
+)
+
+var waveTops = []Topology{{3}, {7}, {0, 0, 0, 0}}
+
+// waveInit starts sequencer 0 at the first code word and every peer at
+// peerPC, one cycle apart, with distinct operands.
+func waveInit(peerPC uint64) func(*Sequencer) {
+	return func(s *Sequencer) {
+		s.Clock = uint64(s.ID)
+		if s.ID != 0 {
+			s.PC = peerPC
+		}
+		for i := range s.Regs {
+			s.Regs[i] = uint64(s.ID*100 + i + 1)
+			s.FRegs[i] = float64(s.ID) + float64(i)/8
+		}
+	}
+}
+
+// waveLead is sequencer 0's program: lead addis, then tail.
+func waveLead(lead int, tail ...isa.Instr) []isa.Instr {
+	var code []isa.Instr
+	for i := 0; i < lead; i++ {
+		code = append(code, isa.Instr{Op: isa.OpAddi, Rd: 9, Rs1: 9, Imm: 3})
+	}
+	return append(code, tail...)
+}
+
+// firstTrap is BareOS stopped at the first trap of any kind, with every
+// sequencer's state as the trap handler — the kernel, in a full system —
+// would read it.
+type firstTrap struct {
+	*BareOS
+	seqs []uopSeq
+	what string
+}
+
+func (o *firstTrap) HandleTrap(s *Sequencer, trap isa.Trap, info uint64) {
+	if o.seqs == nil {
+		o.seqs = uopSeqs(o.M)
+		o.what = fmt.Sprintf("%v info=%#x on %s steps=%d", trap, info, s.Name(), o.M.Steps)
+	}
+}
+
+func (o *firstTrap) Done() bool { return o.seqs != nil }
+
+// TestWaveRollsBackPeersAtTrap: when sequencer 0 traps, its peers — on a
+// pure loop of mixed costs, so each sits somewhere inside a run-ahead —
+// must be exactly where the legacy loop has them: no retirement ordered
+// after the trap may be visible to the handler.
+func TestWaveRollsBackPeersAtTrap(t *testing.T) {
+	const loop = wavePeerSlot * isa.WordSize
+	peers := []isa.Instr{
+		{Op: isa.OpAdd, Rd: 1, Rs1: 1, Rs2: 2},
+		{Op: isa.OpMul, Rd: 3, Rs1: 1, Rs2: 2},
+		{Op: isa.OpFadd, Rd: 1, Rs1: 1, Rs2: 2},
+		{Op: isa.OpXori, Rd: 4, Rs1: 1, Imm: 0x55},
+		{Op: isa.OpRdtsc, Rd: 6},
+		{Op: isa.OpFmov, Rd: 3, Rs1: 1},
+		{Op: isa.OpJal, Rd: 5, Imm: isa.WordSize},
+		{Op: isa.OpSub, Rd: 7, Rs1: 6, Rs2: 1},
+		{Op: isa.OpJmp, Imm: -8 * isa.WordSize},
+	}
+	traps := []struct {
+		name string
+		in   isa.Instr
+	}{
+		{"syscall", isa.Instr{Op: isa.OpSyscall}},
+		{"divzero", isa.Instr{Op: isa.OpDiv, Rd: 1, Rs1: 2, Rs2: 15}},                   // r15 = 0
+		{"pagefault", isa.Instr{Op: isa.OpLdd, Rd: 1, Rs1: 14, Imm: 64 * mem.PageSize}}, // r14 = uopCode
+	}
+	run := func(top Topology, legacy bool, code []isa.Instr) ([]uopSeq, string) {
+		init := waveInit(uopCode + loop)
+		m, rec := uopMachine(t, top, legacy, code, func(s *Sequencer) {
+			init(s)
+			s.Regs[14], s.Regs[15] = uopCode, 0
+		})
+		defer m.Release()
+		o := &firstTrap{BareOS: rec.BareOS}
+		m.SetOS(o)
+		if err := m.Run(); err != nil || o.seqs == nil {
+			t.Fatalf("%v legacy=%v: no trap reached: %v", top, legacy, err)
+		}
+		return o.seqs, o.what
+	}
+	for _, top := range waveTops {
+		for _, tr := range traps {
+			for lead := waveLeadMin; lead < waveLeadMax; lead++ {
+				code := make([]isa.Instr, wavePeerSlot, wavePeerSlot+len(peers))
+				copy(code, waveLead(lead, tr.in, isa.Instr{Op: isa.OpHalt}))
+				code = append(code, peers...)
+				want, wantTrap := run(top, true, code)
+				got, gotTrap := run(top, false, code)
+				if wantTrap != gotTrap {
+					t.Fatalf("%v %s lead %d: trap %q (legacy) != %q (fast)", top, tr.name, lead, wantTrap, gotTrap)
+				}
+				for i := range want {
+					if want[i] != got[i] {
+						t.Fatalf("%v %s lead %d: sequencer %d at the trap:\nlegacy %+v\nfast   %+v", top, tr.name, lead, i, want[i], got[i])
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestWaveStoreIntoPeerRunAhead: sequencer 0 rewrites the first word of
+// the loop its peers are spinning in (addi r4, r4, 1 becomes +100) from
+// another page. A peer that had already run ahead through the old word
+// past the store's position must have that taken back and re-execute the
+// new one, as the legacy loop — which fetches every word from memory —
+// does.
+func TestWaveStoreIntoPeerRunAhead(t *testing.T) {
+	// The peers' loop sits on the page after sequencer 0's code, so only
+	// the post-store revalidation of every member's page can notice.
+	const loop = mem.PageSize + wavePeerSlot*isa.WordSize
+	addi := isa.Instr{Op: isa.OpAddi, Rd: 4, Rs1: 4, Imm: 1}
+	peers := []isa.Instr{
+		addi,
+		{Op: isa.OpXori, Rd: 5, Rs1: 4, Imm: 0x55},
+		{Op: isa.OpJmp, Imm: -2 * isa.WordSize},
+	}
+	patched := addi
+	patched.Imm = 100
+	run := func(top Topology, legacy bool, lead int) []uopSeq {
+		code := make([]isa.Instr, loop/isa.WordSize, loop/isa.WordSize+len(peers))
+		copy(code, waveLead(lead,
+			isa.Instr{Op: isa.OpStd, Rd: 13, Rs1: 14}, // [r14] <- r13
+			isa.Instr{Op: isa.OpAddi, Rd: 9, Rs1: 9, Imm: 3},
+			isa.Instr{Op: isa.OpJmp, Imm: -isa.WordSize}))
+		code = append(code, peers...)
+		init := waveInit(uopCode + loop)
+		m, _ := uopMachine(t, top, legacy, code, func(s *Sequencer) {
+			init(s)
+			s.Regs[13], s.Regs[14] = patched.Encode(), uopCode+loop
+		})
+		defer m.Release()
+		m.SetPause(uint64(lead) + 60)
+		if err := m.Run(); !errors.Is(err, ErrPaused) {
+			t.Fatalf("%v legacy=%v lead %d: %v, want ErrPaused", top, legacy, lead, err)
+		}
+		return uopSeqs(m)
+	}
+	for _, top := range waveTops {
+		for lead := waveLeadMin; lead < waveLeadMax; lead++ {
+			want, got := run(top, true, lead), run(top, false, lead)
+			for i := range want {
+				if want[i] != got[i] {
+					t.Fatalf("%v lead %d: sequencer %d 60 cycles after the store:\nlegacy %+v\nfast   %+v", top, lead, i, want[i], got[i])
+				}
+			}
+		}
+	}
+}

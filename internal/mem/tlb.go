@@ -22,7 +22,11 @@ type TLB struct {
 const tlbEntries = 256
 
 type tlbEntry struct {
-	vpn   uint32 // virtual page number + 1 (0 = invalid)
+	// vpn is the virtual page number + 1 (0 = invalid). Only walked,
+	// hence valid (< VAMax), addresses are inserted, so 32 bits hold it;
+	// lookups compare it against the full-width page number, or an
+	// address 2^44 above a cached page would carry that page's tag.
+	vpn   uint32
 	pfn   uint32
 	write bool // writable
 }
@@ -30,9 +34,9 @@ type tlbEntry struct {
 // Lookup returns the physical frame for va if cached with sufficient
 // permission. write selects a write access.
 func (t *TLB) Lookup(va uint64, write bool) (pfn uint32, ok bool) {
-	vpn := uint32(va >> PageShift)
+	vpn := va >> PageShift
 	e := &t.entries[vpn&(tlbEntries-1)]
-	if e.vpn == vpn+1 {
+	if uint64(e.vpn) == vpn+1 {
 		if !write || e.write {
 			t.Hits++
 			return e.pfn, true
@@ -78,9 +82,9 @@ func (t *TLB) CorruptWritable(r uint64) bool {
 
 // FlushPage invalidates the entry for one page (INVLPG).
 func (t *TLB) FlushPage(va uint64) {
-	vpn := uint32(va >> PageShift)
+	vpn := va >> PageShift
 	e := &t.entries[vpn&(tlbEntries-1)]
-	if e.vpn == vpn+1 {
+	if uint64(e.vpn) == vpn+1 {
 		*e = tlbEntry{}
 	}
 }
