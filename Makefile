@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build vet fmtcheck test race smoke verify bench ci benchsmoke perfcheck equivgrid paracheck faultcheck servecheck snapcheck crashcheck soakcheck
+.PHONY: build vet fmtcheck test race smoke verify bench ci benchsmoke perfcheck equivgrid fuzzcheck paracheck faultcheck servecheck snapcheck crashcheck soakcheck
 
 build:
 	$(GO) build ./...
@@ -36,8 +36,10 @@ bench:
 # benchmark harness's self-tests (percentile rule, seeded streams, names
 # vs BENCHMARK.json, a -size test pass of all four workloads) and one
 # iteration of the core's per-layer benchmarks — the cohort wave (MISP
-# 1x8, SMP 8) beside runUops on one sequencer, each with a cancelable
-# and a background context, in ns per retired instruction.
+# 1x8, SMP 8, each with a cancelable and a background context; eight
+# desynchronised loops with no memory ops, private ones, and a shared
+# word one member stores to) beside runUops on one sequencer, in ns per
+# retired instruction.
 benchsmoke:
 	$(GO) test ./benchmark
 	$(GO) test -run '^$$' -bench 'BenchmarkCohortWave|BenchmarkRunUops' -benchtime=1x ./internal/core
@@ -52,11 +54,20 @@ perfcheck:
 
 # equivgrid holds the fast loop to the legacy oracle on whole
 # applications: 16 apps x {1P, MISP 1x8, SMP 8, MISP 1x4} at small size
-# plus galgel at ref on MISP 1x8 (the one point that has diverged while
-# every test-size difftest passed), exact on instructions, cycles and
-# per-sequencer clocks, retirements and TLB hits/misses/perm-misses.
+# plus three at ref on MISP 1x8 — galgel (the one point that has diverged
+# while every test-size difftest passed), raytracer (most seqid) and
+# gauss (most acas + aadd), the behaviours that stay inside the
+# cohort wave — exact on instructions, cycles and per-sequencer clocks,
+# retirements and TLB hits/misses/perm-misses.
 equivgrid:
 	$(GO) test -run TestEquivGrid ./internal/workloads -args -equivgrid
+
+# fuzzcheck searches seeds nobody picked, a bounded time per target:
+# generated shared-memory programs on 2-8 sequencers, fast loop vs legacy
+# oracle on registers, clocks, retirements, TLB counters and memory. A
+# crasher lands under testdata/fuzz and is committed as a seed.
+fuzzcheck:
+	$(GO) test -run '^$$' -fuzz FuzzWaveSharedMem -fuzztime 10s ./internal/core
 
 # paracheck: the experiment CSVs must be byte-identical no matter how
 # many host workers produced them (-parallel only changes wall time).
@@ -136,4 +147,4 @@ soakcheck:
 	bash scripts/overload_smoke.sh
 
 # ci is the full gate run by the GitHub Actions workflow.
-ci: build vet fmtcheck test race smoke benchsmoke equivgrid paracheck faultcheck servecheck snapcheck crashcheck soakcheck
+ci: build vet fmtcheck test race smoke benchsmoke equivgrid fuzzcheck paracheck faultcheck servecheck snapcheck crashcheck soakcheck

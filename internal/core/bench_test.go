@@ -62,14 +62,9 @@ func BenchmarkCohortWave(b *testing.B) {
 		benchRun(b, core.Topology{0, 0, 0, 0, 0, 0, 0, 0}, shredlib.ModeThread)
 	})
 	b.Run("desync", func(b *testing.B) {
-		for _, c := range []struct {
-			name             string
-			distinct, memOps bool
-		}{
-			{"loops=same/alu", false, false}, {"loops=distinct/alu", true, false},
-			{"loops=same/mem", false, true}, {"loops=distinct/mem", true, true},
-		} {
-			b.Run(c.name, func(b *testing.B) { benchDesync(b, c.distinct, c.memOps) })
+		for _, ops := range []string{"alu", "mem", "shared"} {
+			b.Run("loops=same/"+ops, func(b *testing.B) { benchDesync(b, false, ops) })
+			b.Run("loops=distinct/"+ops, func(b *testing.B) { benchDesync(b, true, ops) })
 		}
 	})
 }
@@ -78,10 +73,13 @@ func BenchmarkCohortWave(b *testing.B) {
 // sequencers each spin on a loop over one opcode mix — the same loop for
 // all (the control: the wave's dispatch sees one repeating stream), or
 // eight bodies of different lengths, so the commit order interleaves
-// eight streams aperiodically. With memOps every fourth instruction is a
-// ldd or std to the sequencer's own word, which the wave may only commit
-// in order.
-func benchDesync(b *testing.B, distinct, memOps bool) {
+// eight streams aperiodically. ops "mem" makes every fourth instruction a
+// ldd or std to the sequencer's own word: the loads run ahead as TLB hits
+// and no store touches what a peer loaded. ops "shared" has every member
+// load sequencer 0's word and store to its own once per loop, so each of
+// sequencer 0's stores finds a peer's run-ahead load and ends the wave:
+// the price of a snoop hit.
+func benchDesync(b *testing.B, distinct bool, ops string) {
 	const (
 		seqs     = 8
 		loopSlot = 64 // code slots per loop
@@ -123,17 +121,23 @@ func benchDesync(b *testing.B, distinct, memOps bool) {
 				switch {
 				case k == body:
 					in = isa.Instr{Op: isa.OpJmp, Imm: int32(-body * isa.WordSize)}
-				case memOps && k%8 == 3:
+				case ops != "alu" && k%8 == 3:
 					in = isa.Instr{Op: isa.OpLdd, Rd: 8, Rs1: 10}
-				case memOps && k%8 == 7:
+				case ops == "mem" && k%8 == 7:
 					in = isa.Instr{Op: isa.OpStd, Rd: 5, Rs1: 10}
+				case ops == "shared" && k == 7:
+					in = isa.Instr{Op: isa.OpStd, Rd: 5, Rs1: 11}
 				}
 				if err := os.Space.WriteU64(at+uint64(k)*isa.WordSize, in.Encode()); err != nil {
 					b.Fatal(err)
 				}
 			}
 			s.PC, s.Ring, s.State = at, isa.Ring0, core.StateRunning
-			s.Regs[1], s.Regs[2], s.Regs[10] = uint64(i+1), 3, data+uint64(i)*64
+			own := data + uint64(i)*64
+			s.Regs[1], s.Regs[2], s.Regs[10], s.Regs[11] = uint64(i+1), 3, own, own
+			if ops == "shared" {
+				s.Regs[10] = data // sequencer 0's own word
+			}
 		}
 		m.SetPause(cycles)
 		b.StartTimer()

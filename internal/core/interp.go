@@ -68,16 +68,7 @@ func (m *Machine) execInstr(s *Sequencer, in isa.Instr) *trapFault {
 	case isa.OpRdtsc:
 		r[in.Rd] = s.Clock
 	case isa.OpSeqid:
-		switch in.Imm {
-		case 1:
-			r[in.Rd] = uint64(s.SID)
-		case 2:
-			r[in.Rd] = uint64(s.ProcID)
-		case 3:
-			r[in.Rd] = uint64(len(m.Proc(s).AMSs()))
-		default:
-			r[in.Rd] = uint64(s.ID)
-		}
+		r[in.Rd] = m.seqid(s, imm)
 
 	// Integer ALU.
 	case isa.OpAdd:
@@ -392,6 +383,20 @@ func (m *Machine) execInstr(s *Sequencer, in isa.Instr) *trapFault {
 	s.C.Instrs++
 	m.Steps++
 	return nil
+}
+
+// seqid is what SEQID reads, by the kind its immediate selects: s's
+// place in the machine's fixed topology.
+func (m *Machine) seqid(s *Sequencer, kind int64) uint64 {
+	switch kind {
+	case 1:
+		return uint64(s.SID)
+	case 2:
+		return uint64(s.ProcID)
+	case 3:
+		return uint64(len(m.Proc(s).AMSs()))
+	}
+	return uint64(s.ID)
 }
 
 // malformed reports a word no executor may dispatch on: an undefined

@@ -107,8 +107,10 @@ type Machine struct {
 	// registry dump so artifacts stay byte-identical across loops).
 	sbBuilds, sbInvalidates, sbRuns uint64
 	// waveLog is runCohortWave's undo scratch: per cohort member, the
-	// records of its latest run-ahead. Host-side like the compiled pages
-	// (never snapshotted) and never zeroed: the wave counts what it wrote.
+	// records of its latest run-ahead — registers to restore and, for a
+	// load, the address store commits snoop. Host-side like the compiled
+	// pages (never snapshotted) and never zeroed: the wave keeps, per
+	// member, how many records it wrote and which are loads.
 	waveLog [scanThreshold][waveRunAhead]waveUndo
 
 	// mx holds pre-resolved metric handles so hot paths pay a plain
@@ -702,7 +704,7 @@ func (m *Machine) runBatch(s *Sequencer, hT uint64, hID int, max int, evT uint64
 			if !step {
 				m.sbRuns++
 				var res sbResult
-				n, res = m.runUops(s, sb, off>>3, n, max, tstar)
+				n, res = m.runUops(s, sb, n, max, tstar)
 				if res == sbEnd {
 					return false, nil
 				}

@@ -72,6 +72,20 @@ func (m *Machine) translate(s *Sequencer, va uint64, write bool) (uint64, *trapF
 	return uint64(mem.PTEFrame(pte))<<mem.PageShift | va&mem.PageMask, nil
 }
 
+// readN reads size bytes (1, 2, 4, 8) of physical memory at pa,
+// little-endian, zero-extended.
+func (m *Machine) readN(pa uint64, size uint) uint64 {
+	switch size {
+	case 1:
+		return uint64(m.Phys.ReadU8(pa))
+	case 2:
+		return uint64(m.Phys.ReadU16(pa))
+	case 4:
+		return uint64(m.Phys.ReadU32(pa))
+	}
+	return m.Phys.ReadU64(pa)
+}
+
 // loadN reads size bytes (1, 2, 4, 8) at va, little-endian,
 // zero-extended. Accesses may straddle a page boundary.
 func (m *Machine) loadN(s *Sequencer, va uint64, size uint) (uint64, *trapFault) {
@@ -81,16 +95,7 @@ func (m *Machine) loadN(s *Sequencer, va uint64, size uint) (uint64, *trapFault)
 		if f != nil {
 			return 0, f
 		}
-		switch size {
-		case 1:
-			return uint64(m.Phys.ReadU8(pa)), nil
-		case 2:
-			return uint64(m.Phys.ReadU16(pa)), nil
-		case 4:
-			return uint64(m.Phys.ReadU32(pa)), nil
-		default:
-			return m.Phys.ReadU64(pa), nil
-		}
+		return m.readN(pa, size), nil
 	}
 	// Page-straddling access: translate both pages up front (so the
 	// fault, if any, reports the correct page), then read each half with

@@ -7,21 +7,29 @@ package core
 // generation — is compiled into an array of 16-byte micro-ops, and the
 // micro-op is the decoded instruction: its isa.Op, its register fields
 // (validated at compile time), the sign-extended immediate and the
-// precomputed opcode cost. Both executors switch on that isa.Op, and the
-// opcodes an executor does not implement inline take its default arm:
-// runUops hands the word to the interpreter leg (sbStep), the cohort
-// wave hands back to the general path. That covers privileged and
-// system ops, break ops, SRET/SAVECTX/LDCTX's non-standard retirement,
-// SEQID's machine access, and — through the sbSlow op byte — invalid
-// words and words with a register field out of range; the wave also
-// leaves the atomics to runUops. runUops executes straight-line
-// superblocks (runs ending at a cross-page or misaligned control
-// transfer, a default-arm word, a store into the executing page, or the
-// page edge) with one combined stop check per instruction and zero
-// per-instruction Lookup/Valid/priv overhead. Everything else —
-// default-arm words, the first instruction after a fetch-window miss,
-// and blacklisted self-modifying pages — is decoded from memory and runs
-// through execInstr, the one interpreter leg (see runBatch).
+// precomputed opcode cost. The fast path states an inline opcode's
+// semantics once, in one of two functions both executors call. runAhead
+// is a run loop over everything that cannot trap: the pure opcodes
+// (sbPure — ALU, FP, branches, seqid, rdtsc ...) and the loads, which it
+// retires only as plain TLB hits. commitOrdered is one step of what must
+// commit at its place in the global order: settp, div/rem, stores, the
+// atomics and any load runAhead declined (TLB miss, page straddle,
+// paging off). Neither executor has a switch of its own: runUops
+// alternates the two until a stop, the cohort wave calls runAhead at
+// every pop and commitOrdered when the popped micro-op is not runAhead's.
+// An opcode neither implements takes commitOrdered's default arm: runUops
+// hands the word to the interpreter leg (sbStep), the cohort wave hands
+// back to the general path. That covers privileged and system ops, break
+// ops, SRET/SAVECTX/LDCTX's non-standard retirement, and — through the
+// sbSlow op byte — invalid words and words with a register field out of
+// range. runUops executes straight-line superblocks (runs ending at a
+// cross-page or misaligned control transfer, a default-arm word, a store
+// into the executing page, or the page edge) with one combined stop
+// check per instruction and zero per-instruction Lookup/Valid/priv
+// overhead. Everything else — default-arm words, the first instruction
+// after a fetch-window miss, and blacklisted self-modifying pages — is
+// decoded from memory and runs through execInstr, the one interpreter
+// leg (see runBatch).
 //
 // Bit-identity with the legacy loop, the reference the equivalence
 // difftests compare against, rests on four invariants:
@@ -49,19 +57,32 @@ package core
 //     commits it at the same clock.
 //  3. Per-retirement hooks: profiling attribution and fault-injection
 //     consultation run once per retired instruction, exactly as in the
-//     legacy loop.
+//     legacy loop: with either attached, runUops asks runAhead for one
+//     micro-op at a time.
 //  4. Run-ahead: the cohort wave retires a member's micro-ops out of the
-//     global (clock, ID) order only while they are pure (sbPure: they
-//     touch nothing but that member's registers, PC and clock and cannot
-//     trap, so they commute with every other member's commit), logs an
-//     undo record for each, and at its single exit takes back every one
-//     ordered after the stop position — so outside the wave the machine
-//     is in exactly the legacy loop's state. Loads, stores, faults,
-//     default-arm words and threshold stops happen only at a popped
-//     member's ordered commit, the global minimum. The one thing a pure
-//     micro-op reads that a peer can write is its own code: a store
-//     commit revalidates every member's page and stops the wave at the
-//     store if one moved.
+//     global (clock, ID) order only through runAhead, logs an undo record
+//     for each, and at its single exit takes back every one ordered after
+//     the stop position — so outside the wave the machine is in exactly
+//     the legacy loop's state. What runs ahead is a pure micro-op (it
+//     touches nothing but that member's registers, PC and clock and
+//     cannot trap, so it commutes with every other member's commit) or a
+//     plain-hit load: one page, paging on, resident in the member's own
+//     TLB. Such a load cannot trap and changes nothing a peer can see but
+//     the member's own TLB hit counter (taken back with it); a TLB is
+//     filled only by its own sequencer's ordered commits and flushed only
+//     by kernel and firmware actions, which enter through a wave exit or
+//     are bounded by the member's threshold. What a peer can change is
+//     the bytes the load read, so every store commit in the wave — the
+//     atomics' included — snoops the physical addresses of every member's
+//     outstanding load records and stops the wave just after itself on an
+//     overlap (conservatively: per 8-byte span, and a page-straddling
+//     store conflicts with any record). A declined load — anything but a
+//     plain hit — retires nothing and counts nothing in runAhead: like
+//     stores, atomics, div/rem, settp, faults, default-arm words and
+//     threshold stops it happens only at a popped member's ordered
+//     commit, the global minimum. The other thing a run-ahead micro-op
+//     reads that a peer can write is its own code: the same store commit
+//     revalidates every member's page and stops the wave if one moved.
 //
 // Compiled pages are derived, host-side state: never snapshotted,
 // rebuilt on demand after a restore or fork (see snapshot.go).
@@ -84,7 +105,20 @@ type sbUop struct {
 	rd   uint8
 	rs1  uint8
 	rs2  uint8
-	pure bool // sbPure(op): the cohort wave may run ahead through it
+	pure bool  // sbPure(op)
+	size uint8 // bytes a load or store moves; 0 for every other opcode
+	sx   uint8 // a sign-extending load's shift, 64 - 8*size; 0 otherwise
+}
+
+// loaded delivers a load's zero-extended bytes v: sign-extended as the
+// opcode asks into Regs[rd], or as bits into FRegs[rd] for fld.
+func (u *sbUop) loaded(s *Sequencer, v uint64) {
+	v = uint64(int64(v<<(u.sx&63)) >> (u.sx & 63))
+	if isa.Op(u.op) == isa.OpFld {
+		s.FRegs[u.rd] = math.Float64frombits(v)
+	} else {
+		s.Regs[u.rd] = v
+	}
 }
 
 // sbSlow is the op byte of a word no executor may run inline. It is the
@@ -159,28 +193,33 @@ func (m *Machine) sbCompile(p *sbPage) {
 }
 
 // sbClassify maps one decoded instruction to its micro-op. A malformed
-// word is marked sbSlow: execInstr raises TrapBadInstr for it.
+// word is marked sbSlow: execInstr raises TrapBadInstr for it. Its
+// register fields stay zero, so every micro-op's fields index the
+// register files (runAhead reads Regs[rd] before it looks at the op).
 func sbClassify(in isa.Instr) sbUop {
-	u := sbUop{imm: int64(in.Imm), op: sbSlow, rd: in.Rd, rs1: in.Rs1, rs2: in.Rs2}
 	if malformed(in) {
-		return u
+		return sbUop{op: sbSlow}
 	}
+	u := sbUop{imm: int64(in.Imm), op: sbSlow, rd: in.Rd, rs1: in.Rs1, rs2: in.Rs2}
 	if info := isa.Lookup(in.Op); !info.Priv && info.Cost <= math.MaxUint8 {
 		u.op, u.cost, u.pure = uint8(in.Op), uint8(info.Cost), sbPure(in.Op)
+		u.size, u.sx = sbAccess(in.Op)
 	}
 	return u
 }
 
 // sbPure reports whether op reads and writes nothing but its own
-// sequencer's Regs, FRegs, PC and clock, writes at most Regs[rd] or
-// FRegs[rd], and cannot trap. A pure micro-op commutes with every other
-// sequencer's commit, which is what lets the cohort wave run a member
-// ahead through it (and take it back from a three-word undo record).
-// Loads, stores and atomics touch memory and the TLB, div/rem can trap,
-// settp writes TP, and everything else is not inline in the wave.
+// sequencer's Regs, FRegs, PC and clock (SEQID also reads the machine's
+// fixed topology), writes at most Regs[rd] or FRegs[rd], and cannot trap.
+// A pure micro-op commutes with every other sequencer's commit, so
+// runAhead may retire it out of the global order unconditionally. Loads
+// are not pure — a peer's store can change what they read — and run ahead
+// only as plain TLB hits under the wave's store snoop; stores and atomics
+// write memory, div/rem can trap, settp writes TP (which the undo record
+// does not cover), and everything else is not inline at all.
 func sbPure(op isa.Op) bool {
 	switch op {
-	case isa.OpNop, isa.OpPause, isa.OpFence, isa.OpRdtsc, isa.OpGettp,
+	case isa.OpNop, isa.OpPause, isa.OpFence, isa.OpRdtsc, isa.OpSeqid, isa.OpGettp,
 		isa.OpAdd, isa.OpSub, isa.OpMul, isa.OpAnd, isa.OpOr, isa.OpXor,
 		isa.OpShl, isa.OpShr, isa.OpSar, isa.OpSlt, isa.OpSltu,
 		isa.OpAddi, isa.OpMuli, isa.OpAndi, isa.OpOri, isa.OpXori,
@@ -197,20 +236,47 @@ func sbPure(op isa.Op) bool {
 	return false
 }
 
-// waveRunAhead caps how many pure micro-ops a popped cohort member runs
-// past its ordered commit, which also bounds what one stop can take back.
-// A constant, not a knob: swept 0/1/2/4/8/16/32 on sim_ref at
-// 71/94/99/110/129/133/134 Minstr/s, and 8 to 32 are within one
-// another's run-to-run spread.
-const waveRunAhead = 8
+// sbAccess gives the bytes a load or store opcode moves and, for a
+// sign-extending load, the shift pair (left, then arithmetic right) that
+// extends them.
+func sbAccess(op isa.Op) (size, sx uint8) {
+	switch op {
+	case isa.OpLdb:
+		return 1, 56
+	case isa.OpLdbu, isa.OpStb:
+		return 1, 0
+	case isa.OpLdh:
+		return 2, 48
+	case isa.OpLdhu, isa.OpSth:
+		return 2, 0
+	case isa.OpLdw:
+		return 4, 32
+	case isa.OpLdwu, isa.OpStw:
+		return 4, 0
+	case isa.OpLdd, isa.OpStd, isa.OpFld, isa.OpFst:
+		return 8, 0
+	}
+	return 0, 0
+}
+
+// waveRunAhead caps how many micro-ops one runAhead call retires for a
+// popped cohort member, which also bounds what one stop can take back.
+// A constant, not a knob: swept 8/16/32 on the 16 apps at ref, MISP 1x8,
+// at 6.46/6.03/6.05 ns/instr while sizing issue 22 (sim_ref, medians of
+// four alternated 6 s windows on a noisier day: 114/122/120 Minstr/s) —
+// past 16, what a longer run saves in ring pops a wave exit spends
+// undoing it.
+const waveRunAhead = 16
 
 // waveUndo is the undo record of one run-ahead retirement: the micro-op's
-// PC (which names its rd and cost through the compiled page) and the two
-// registers it could have overwritten.
+// PC (which names its rd and cost through the compiled page), the two
+// registers it could have overwritten and, for a load, the physical
+// address it read — what a peer's store commit is checked against.
 type waveUndo struct {
 	pc uint64
 	r  uint64
 	f  float64
+	pa uint64
 }
 
 // sbResult is how a micro-op run handed control back to runBatch.
@@ -227,6 +293,255 @@ const (
 	// fired.
 	sbEnd
 )
+
+// runAhead is the fast path's one statement of what a micro-op that
+// cannot trap does: starting at pc with the running clock nc, it retires
+// micro-ops of c's compiled page ub (mapped at wva) while there are fewer
+// than max, the clock is below lim and the next one is in the page and is
+// either pure (sbPure) or a load that is a plain hit — inside one page,
+// paging on, resident in c's own TLB — which counts its TLB hit here. It stops in front of anything else without touching a counter: a
+// declined load, like every other opcode, is the caller's to commit in
+// order. c.PC, c.Clock and the retirement counters are the caller's too.
+//
+// With undo non-nil (the cohort wave; max <= waveRunAhead) retirement k
+// first writes undo[k], and a load also records its physical address
+// there, sets bit k of loadMask and, in loadBloom, the bits of the one or
+// two 8-byte granules the eight bytes at that address touch.
+func runAhead(m *Machine, c *Sequencer, ub *[sbSlots]sbUop, undo *[waveRunAhead]waveUndo, wva, pc, nc, lim uint64, max int) (n int, pcOut, ncOut, loadMask, loadBloom uint64) {
+	r := &c.Regs
+	fr := &c.FRegs
+run:
+	for n < max && nc < lim {
+		off := pc - wva
+		if off >= mem.PageSize || off&7 != 0 {
+			break
+		}
+		u := &ub[off>>3]
+		if undo != nil {
+			e := &undo[n]
+			e.pc, e.r, e.f = pc, r[u.rd], fr[u.rd]
+		}
+		t := pc + isa.WordSize
+		switch isa.Op(u.op) {
+		case isa.OpNop, isa.OpPause, isa.OpFence:
+			// cost only
+		case isa.OpRdtsc:
+			r[u.rd] = nc
+		case isa.OpSeqid:
+			r[u.rd] = m.seqid(c, u.imm)
+		case isa.OpGettp:
+			r[u.rd] = c.TP
+
+		case isa.OpAdd:
+			r[u.rd] = r[u.rs1] + r[u.rs2]
+		case isa.OpSub:
+			r[u.rd] = r[u.rs1] - r[u.rs2]
+		case isa.OpMul:
+			r[u.rd] = r[u.rs1] * r[u.rs2]
+		case isa.OpAnd:
+			r[u.rd] = r[u.rs1] & r[u.rs2]
+		case isa.OpOr:
+			r[u.rd] = r[u.rs1] | r[u.rs2]
+		case isa.OpXor:
+			r[u.rd] = r[u.rs1] ^ r[u.rs2]
+		case isa.OpShl:
+			r[u.rd] = r[u.rs1] << (r[u.rs2] & 63)
+		case isa.OpShr:
+			r[u.rd] = r[u.rs1] >> (r[u.rs2] & 63)
+		case isa.OpSar:
+			r[u.rd] = uint64(int64(r[u.rs1]) >> (r[u.rs2] & 63))
+		case isa.OpSlt:
+			r[u.rd] = b2u(int64(r[u.rs1]) < int64(r[u.rs2]))
+		case isa.OpSltu:
+			r[u.rd] = b2u(r[u.rs1] < r[u.rs2])
+
+		case isa.OpAddi:
+			r[u.rd] = r[u.rs1] + uint64(u.imm)
+		case isa.OpMuli:
+			r[u.rd] = r[u.rs1] * uint64(u.imm)
+		case isa.OpAndi:
+			r[u.rd] = r[u.rs1] & uint64(u.imm)
+		case isa.OpOri:
+			r[u.rd] = r[u.rs1] | uint64(u.imm)
+		case isa.OpXori:
+			r[u.rd] = r[u.rs1] ^ uint64(u.imm)
+		case isa.OpShli:
+			r[u.rd] = r[u.rs1] << (uint64(u.imm) & 63)
+		case isa.OpShri:
+			r[u.rd] = r[u.rs1] >> (uint64(u.imm) & 63)
+		case isa.OpSari:
+			r[u.rd] = uint64(int64(r[u.rs1]) >> (uint64(u.imm) & 63))
+		case isa.OpSlti:
+			r[u.rd] = b2u(int64(r[u.rs1]) < u.imm)
+
+		case isa.OpLdi:
+			r[u.rd] = uint64(u.imm)
+		case isa.OpLdih:
+			r[u.rd] = r[u.rd]&0xFFFF_FFFF | uint64(u.imm)<<32
+
+		case isa.OpLdb, isa.OpLdbu, isa.OpLdh, isa.OpLdhu, isa.OpLdw, isa.OpLdwu, isa.OpLdd, isa.OpFld:
+			// A plain hit, or not this loop's: resident in c's own TLB
+			// (so walked once, and below the encodable limit translate
+			// checks), inside one page, paging on.
+			va := r[u.rs1] + uint64(u.imm)
+			pfn, ok := c.TLB.Peek(va, false)
+			if !ok || va&mem.PageMask+uint64(u.size) > mem.PageSize || c.CRs[isa.CR0]&isa.CR0Paging == 0 {
+				break run
+			}
+			c.TLB.Hits++
+			pa := uint64(pfn)<<mem.PageShift | va&mem.PageMask
+			u.loaded(c, m.readN(pa, uint(u.size)))
+			if undo != nil {
+				undo[n].pa = pa
+				loadMask |= 1 << uint(n)
+				loadBloom |= 1<<(pa>>3&63) | 1<<((pa+7)>>3&63)
+			}
+
+		case isa.OpFadd:
+			fr[u.rd] = fr[u.rs1] + fr[u.rs2]
+		case isa.OpFsub:
+			fr[u.rd] = fr[u.rs1] - fr[u.rs2]
+		case isa.OpFmul:
+			fr[u.rd] = fr[u.rs1] * fr[u.rs2]
+		case isa.OpFdiv:
+			fr[u.rd] = fr[u.rs1] / fr[u.rs2]
+		case isa.OpFmin:
+			fr[u.rd] = math.Min(fr[u.rs1], fr[u.rs2])
+		case isa.OpFmax:
+			fr[u.rd] = math.Max(fr[u.rs1], fr[u.rs2])
+		case isa.OpFsqrt:
+			fr[u.rd] = math.Sqrt(fr[u.rs1])
+		case isa.OpFabs:
+			fr[u.rd] = math.Abs(fr[u.rs1])
+		case isa.OpFneg:
+			fr[u.rd] = -fr[u.rs1]
+		case isa.OpFmov:
+			fr[u.rd] = fr[u.rs1]
+		case isa.OpFlt:
+			r[u.rd] = b2u(fr[u.rs1] < fr[u.rs2])
+		case isa.OpFle:
+			r[u.rd] = b2u(fr[u.rs1] <= fr[u.rs2])
+		case isa.OpFeq:
+			r[u.rd] = b2u(fr[u.rs1] == fr[u.rs2])
+		case isa.OpItof:
+			fr[u.rd] = float64(int64(r[u.rs1]))
+		case isa.OpFtoi:
+			r[u.rd] = uint64(int64(fr[u.rs1]))
+		case isa.OpFmvi:
+			fr[u.rd] = math.Float64frombits(r[u.rs1])
+		case isa.OpImvf:
+			r[u.rd] = math.Float64bits(fr[u.rs1])
+
+		case isa.OpJmp:
+			t = pc + uint64(u.imm)
+		case isa.OpJal:
+			r[u.rd] = pc + isa.WordSize
+			t = pc + uint64(u.imm)
+		case isa.OpJr:
+			t = r[u.rs1]
+		case isa.OpJalr:
+			t = r[u.rs1]
+			r[u.rd] = pc + isa.WordSize
+		case isa.OpBeq:
+			if r[u.rs1] == r[u.rs2] {
+				t = pc + uint64(u.imm)
+			}
+		case isa.OpBne:
+			if r[u.rs1] != r[u.rs2] {
+				t = pc + uint64(u.imm)
+			}
+		case isa.OpBlt:
+			if int64(r[u.rs1]) < int64(r[u.rs2]) {
+				t = pc + uint64(u.imm)
+			}
+		case isa.OpBge:
+			if int64(r[u.rs1]) >= int64(r[u.rs2]) {
+				t = pc + uint64(u.imm)
+			}
+		case isa.OpBltu:
+			if r[u.rs1] < r[u.rs2] {
+				t = pc + uint64(u.imm)
+			}
+		case isa.OpBgeu:
+			if r[u.rs1] >= r[u.rs2] {
+				t = pc + uint64(u.imm)
+			}
+
+		default:
+			break run
+		}
+		pc = t
+		nc += uint64(u.cost)
+		n++
+	}
+	return n, pc, nc, loadMask, loadBloom
+}
+
+// commitOrdered executes the micro-op u at s.PC when it is one the
+// executors run inline but only at its place in the global (clock, ID)
+// order — it can trap, or touches memory, the TLB or TP: settp, div/rem,
+// every load runAhead declined, stores and the atomics. ok is false for
+// anything else (the default arm: nothing was done). On a fault nothing
+// was committed. Otherwise the caller retires the micro-op: PC, u.cost on
+// top of s.Clock (which loadN/storeN may have charged a TLB walk) and the
+// counters. A store made reports its address and size in sva and ssz.
+func (m *Machine) commitOrdered(s *Sequencer, u *sbUop) (f *trapFault, sva, ssz uint64, ok bool) {
+	r := &s.Regs
+	switch isa.Op(u.op) {
+	case isa.OpSettp:
+		s.TP = r[u.rs1]
+	case isa.OpDiv, isa.OpRem:
+		n, d := int64(r[u.rs1]), int64(r[u.rs2])
+		if d == 0 {
+			f = &trapFault{trap: isa.TrapDivZero, info: s.PC}
+			break
+		}
+		if n == math.MinInt64 && d == -1 {
+			d = 1 // overflow wraps, no trap: quotient n, remainder 0
+		}
+		if isa.Op(u.op) == isa.OpDiv {
+			r[u.rd] = uint64(n / d)
+		} else {
+			r[u.rd] = uint64(n % d)
+		}
+	case isa.OpLdb, isa.OpLdbu, isa.OpLdh, isa.OpLdhu, isa.OpLdw, isa.OpLdwu, isa.OpLdd, isa.OpFld:
+		var v uint64
+		if v, f = m.loadN(s, r[u.rs1]+uint64(u.imm), uint(u.size)); f == nil {
+			u.loaded(s, v)
+		}
+	case isa.OpStb, isa.OpSth, isa.OpStw, isa.OpStd, isa.OpFst:
+		v := r[u.rd]
+		if isa.Op(u.op) == isa.OpFst {
+			v = math.Float64bits(s.FRegs[u.rd])
+		}
+		sva, ssz = r[u.rs1]+uint64(u.imm), uint64(u.size)
+		f = m.storeN(s, sva, uint(ssz), v)
+	case isa.OpAxchg, isa.OpAcas, isa.OpAadd:
+		va := r[u.rs1]
+		if va%8 != 0 {
+			f = &trapFault{trap: isa.TrapBadInstr, info: va}
+			break
+		}
+		var old uint64
+		if old, f = m.loadN(s, va, 8); f != nil {
+			break
+		}
+		store := r[u.rs2]
+		if isa.Op(u.op) == isa.OpAadd {
+			store += old
+		}
+		if isa.Op(u.op) != isa.OpAcas || old == r[u.rd] {
+			if f = m.storeN(s, va, 8, store); f != nil {
+				break
+			}
+			sva, ssz = va, 8
+		}
+		r[u.rd] = old
+	default:
+		return nil, 0, 0, false
+	}
+	return f, sva, ssz, true
+}
 
 // runCohortWave drives a cohort of running sequencers through the
 // legacy commit order using compiled micro-ops only. Members sit in a
@@ -264,20 +579,27 @@ const (
 // loop's.
 //
 // Run-ahead: one indirect jump fed an interleave of eight instruction
-// streams mispredicts on most commits, so after its ordered commit the
-// popped member keeps going through the same switch while the next
-// micro-op is pure, in the page, below the member's own threshold and
-// the run is at most waveRunAhead long, and is re-filed once at its
-// final clock. Those retirements are early, not wrong — nothing another
-// member does can change them or see them — unless the wave stops at a
-// position ordered before them. Every stop leaves through the one exit
-// with that position in (T, i): a popped member that may not commit
-// (threshold, left the page, stale page, default-arm word, div by zero)
-// or faults stops at its own pop; a store that moved a member's page
-// stops just after itself; a cancel stops at the earliest member's next
-// commit. The exit undoes every logged retirement keyed after (T, i),
-// then folds the counters, then dispatches the fault: the faulting
-// member's later-ordered peers are where the legacy loop has them.
+// streams mispredicts on most commits, and a dispatch inside this
+// function would spill its state around every micro-op, so the popped
+// member's commit and what follows it run in the leaf, runAhead, whose
+// loop the compiler keeps in registers: up to waveRunAhead micro-ops that
+// are pure or plain-hit loads, in the page and below the member's own
+// threshold, after which the member is re-filed once at its final clock.
+// The first of them is the ordered commit; when the popped micro-op is
+// not runAhead's, commitOrdered makes the ordered commit and the run
+// follows it — unless it stored: a store is followed by the snoop, not by
+// a run. The early retirements are not wrong — nothing another member
+// does can see them, and only a store into a load's bytes or a member's
+// page can change them — unless the wave stops at a position ordered
+// before them. Every stop leaves through the one exit with that position
+// in (T, i): a popped member that may not commit (threshold, left the
+// page, stale page, default-arm word) or faults (a load or store, div by
+// zero, a misaligned atomic) stops at its own pop; a store that moved a
+// member's page or hit a member's load record stops just after itself; a
+// cancel stops at the earliest member's next commit. The exit undoes
+// every logged retirement keyed after (T, i), then folds the counters,
+// then dispatches the fault: the faulting member's later-ordered peers
+// are where the legacy loop has them.
 func (m *Machine) runCohortWave(mems *[scanThreshold]*Sequencer, evts, clocks *[scanThreshold]uint64, nm int, outT uint64, outID int) (progress, unclean bool) {
 	limit := min(m.cycLimit, m.pauseLimit)
 	m.sbRuns++
@@ -286,11 +608,11 @@ func (m *Machine) runCohortWave(mems *[scanThreshold]*Sequencer, evts, clocks *[
 	// (only the general path refetches windows or recompiles pages), so
 	// per-commit revalidation reduces to one live-generation compare.
 	// pcs mirrors each member's PC (c.PC and c.Clock are written once per
-	// pop, after the run; a fault can only come from a run's first
-	// micro-op, so fault dispatch reads current values) and ret counts its
-	// retirements, folded into C.Instrs and m.Steps at the single exit
-	// below — before any fault dispatch, so the kernel and the watchdog
-	// read current counts.
+	// pop, after the run; a fault can only come from the ordered commit
+	// that opens a run, so fault dispatch reads current values) and ret
+	// counts its retirements, folded into C.Instrs and m.Steps at the
+	// single exit below — before any fault dispatch, so the kernel and the
+	// watchdog read current counts.
 	//
 	// thr[i] is the first wave clock at which member i may not commit:
 	// the frozen outside event under the (clock, ID) order, the member's
@@ -304,7 +626,10 @@ func (m *Machine) runCohortWave(mems *[scanThreshold]*Sequencer, evts, clocks *[
 	var dg [scanThreshold]uint32
 	var ub [scanThreshold]*[sbSlots]sbUop
 	var wva, pcs, thr, ret [scanThreshold]uint64
-	var nlog [scanThreshold]uint8 // undo records of each member's latest run
+	// Each member's latest run in m.waveLog: how many records, which of
+	// them are loads, and the granule filter over those loads' addresses.
+	var nlog [scanThreshold]uint8
+	var lmask, lbloom [scanThreshold]uint64
 	for i := 0; i < nm; i++ {
 		c := mems[i]
 		if c.winGen == nil || c.sb == nil || *c.winGen != c.sb.gen {
@@ -378,254 +703,68 @@ wave:
 				// it.
 				break wave
 			}
-			u := &ub[i][off>>3]
 			c = mems[i]
-			r := &c.Regs
-			fr := &c.FRegs
-			undo := &m.waveLog[i]
-			// The ordered commit, then the run ahead: n counts the
-			// micro-ops retired after the first, nc is the member's running
-			// clock (c.Clock itself is written once, after the run).
-			n := 0
-			nc := T
-			stored := false
-			for {
-				t := pc + isa.WordSize
-				var v uint64
-				switch isa.Op(u.op) {
-				case isa.OpNop, isa.OpPause, isa.OpFence:
-					// cost only
-				case isa.OpRdtsc:
-					r[u.rd] = nc
-				case isa.OpSettp:
-					c.TP = r[u.rs1]
-				case isa.OpGettp:
-					r[u.rd] = c.TP
-
-				case isa.OpAdd:
-					r[u.rd] = r[u.rs1] + r[u.rs2]
-				case isa.OpSub:
-					r[u.rd] = r[u.rs1] - r[u.rs2]
-				case isa.OpMul:
-					r[u.rd] = r[u.rs1] * r[u.rs2]
-				case isa.OpDiv, isa.OpRem:
-					if int64(r[u.rs2]) == 0 {
-						break wave // faults on the general path
-					}
-					d := int64(r[u.rs2])
-					nn := int64(r[u.rs1])
-					if nn == math.MinInt64 && d == -1 {
-						if isa.Op(u.op) == isa.OpDiv {
-							r[u.rd] = uint64(nn) // overflow wraps, no trap
-						} else {
-							r[u.rd] = 0
-						}
-					} else if isa.Op(u.op) == isa.OpDiv {
-						r[u.rd] = uint64(nn / d)
-					} else {
-						r[u.rd] = uint64(nn % d)
-					}
-				case isa.OpAnd:
-					r[u.rd] = r[u.rs1] & r[u.rs2]
-				case isa.OpOr:
-					r[u.rd] = r[u.rs1] | r[u.rs2]
-				case isa.OpXor:
-					r[u.rd] = r[u.rs1] ^ r[u.rs2]
-				case isa.OpShl:
-					r[u.rd] = r[u.rs1] << (r[u.rs2] & 63)
-				case isa.OpShr:
-					r[u.rd] = r[u.rs1] >> (r[u.rs2] & 63)
-				case isa.OpSar:
-					r[u.rd] = uint64(int64(r[u.rs1]) >> (r[u.rs2] & 63))
-				case isa.OpSlt:
-					r[u.rd] = b2u(int64(r[u.rs1]) < int64(r[u.rs2]))
-				case isa.OpSltu:
-					r[u.rd] = b2u(r[u.rs1] < r[u.rs2])
-
-				case isa.OpAddi:
-					r[u.rd] = r[u.rs1] + uint64(u.imm)
-				case isa.OpMuli:
-					r[u.rd] = r[u.rs1] * uint64(u.imm)
-				case isa.OpAndi:
-					r[u.rd] = r[u.rs1] & uint64(u.imm)
-				case isa.OpOri:
-					r[u.rd] = r[u.rs1] | uint64(u.imm)
-				case isa.OpXori:
-					r[u.rd] = r[u.rs1] ^ uint64(u.imm)
-				case isa.OpShli:
-					r[u.rd] = r[u.rs1] << (uint64(u.imm) & 63)
-				case isa.OpShri:
-					r[u.rd] = r[u.rs1] >> (uint64(u.imm) & 63)
-				case isa.OpSari:
-					r[u.rd] = uint64(int64(r[u.rs1]) >> (uint64(u.imm) & 63))
-				case isa.OpSlti:
-					r[u.rd] = b2u(int64(r[u.rs1]) < u.imm)
-
-				case isa.OpLdi:
-					r[u.rd] = uint64(u.imm)
-				case isa.OpLdih:
-					r[u.rd] = r[u.rd]&0xFFFF_FFFF | uint64(u.imm)<<32
-
-				case isa.OpLdb:
-					if v, f = m.loadN(c, r[u.rs1]+uint64(u.imm), 1); f == nil {
-						r[u.rd] = uint64(int64(int8(v)))
-					}
-				case isa.OpLdbu:
-					if v, f = m.loadN(c, r[u.rs1]+uint64(u.imm), 1); f == nil {
-						r[u.rd] = v
-					}
-				case isa.OpLdh:
-					if v, f = m.loadN(c, r[u.rs1]+uint64(u.imm), 2); f == nil {
-						r[u.rd] = uint64(int64(int16(v)))
-					}
-				case isa.OpLdhu:
-					if v, f = m.loadN(c, r[u.rs1]+uint64(u.imm), 2); f == nil {
-						r[u.rd] = v
-					}
-				case isa.OpLdw:
-					if v, f = m.loadN(c, r[u.rs1]+uint64(u.imm), 4); f == nil {
-						r[u.rd] = uint64(int64(int32(v)))
-					}
-				case isa.OpLdwu:
-					if v, f = m.loadN(c, r[u.rs1]+uint64(u.imm), 4); f == nil {
-						r[u.rd] = v
-					}
-				case isa.OpLdd:
-					if v, f = m.loadN(c, r[u.rs1]+uint64(u.imm), 8); f == nil {
-						r[u.rd] = v
-					}
-
-				case isa.OpStb:
-					f = m.storeN(c, r[u.rs1]+uint64(u.imm), 1, r[u.rd])
-					stored = true
-				case isa.OpSth:
-					f = m.storeN(c, r[u.rs1]+uint64(u.imm), 2, r[u.rd])
-					stored = true
-				case isa.OpStw:
-					f = m.storeN(c, r[u.rs1]+uint64(u.imm), 4, r[u.rd])
-					stored = true
-				case isa.OpStd:
-					f = m.storeN(c, r[u.rs1]+uint64(u.imm), 8, r[u.rd])
-					stored = true
-
-				case isa.OpFld:
-					if v, f = m.loadN(c, r[u.rs1]+uint64(u.imm), 8); f == nil {
-						fr[u.rd] = math.Float64frombits(v)
-					}
-				case isa.OpFst:
-					f = m.storeN(c, r[u.rs1]+uint64(u.imm), 8, math.Float64bits(fr[u.rd]))
-					stored = true
-				case isa.OpFadd:
-					fr[u.rd] = fr[u.rs1] + fr[u.rs2]
-				case isa.OpFsub:
-					fr[u.rd] = fr[u.rs1] - fr[u.rs2]
-				case isa.OpFmul:
-					fr[u.rd] = fr[u.rs1] * fr[u.rs2]
-				case isa.OpFdiv:
-					fr[u.rd] = fr[u.rs1] / fr[u.rs2]
-				case isa.OpFmin:
-					fr[u.rd] = math.Min(fr[u.rs1], fr[u.rs2])
-				case isa.OpFmax:
-					fr[u.rd] = math.Max(fr[u.rs1], fr[u.rs2])
-				case isa.OpFsqrt:
-					fr[u.rd] = math.Sqrt(fr[u.rs1])
-				case isa.OpFabs:
-					fr[u.rd] = math.Abs(fr[u.rs1])
-				case isa.OpFneg:
-					fr[u.rd] = -fr[u.rs1]
-				case isa.OpFmov:
-					fr[u.rd] = fr[u.rs1]
-				case isa.OpFlt:
-					r[u.rd] = b2u(fr[u.rs1] < fr[u.rs2])
-				case isa.OpFle:
-					r[u.rd] = b2u(fr[u.rs1] <= fr[u.rs2])
-				case isa.OpFeq:
-					r[u.rd] = b2u(fr[u.rs1] == fr[u.rs2])
-				case isa.OpItof:
-					fr[u.rd] = float64(int64(r[u.rs1]))
-				case isa.OpFtoi:
-					r[u.rd] = uint64(int64(fr[u.rs1]))
-				case isa.OpFmvi:
-					fr[u.rd] = math.Float64frombits(r[u.rs1])
-				case isa.OpImvf:
-					r[u.rd] = math.Float64bits(fr[u.rs1])
-
-				case isa.OpJmp:
-					t = pc + uint64(u.imm)
-				case isa.OpJal:
-					r[u.rd] = pc + isa.WordSize
-					t = pc + uint64(u.imm)
-				case isa.OpJr:
-					t = r[u.rs1]
-				case isa.OpJalr:
-					t = r[u.rs1]
-					r[u.rd] = pc + isa.WordSize
-				case isa.OpBeq:
-					if r[u.rs1] == r[u.rs2] {
-						t = pc + uint64(u.imm)
-					}
-				case isa.OpBne:
-					if r[u.rs1] != r[u.rs2] {
-						t = pc + uint64(u.imm)
-					}
-				case isa.OpBlt:
-					if int64(r[u.rs1]) < int64(r[u.rs2]) {
-						t = pc + uint64(u.imm)
-					}
-				case isa.OpBge:
-					if int64(r[u.rs1]) >= int64(r[u.rs2]) {
-						t = pc + uint64(u.imm)
-					}
-				case isa.OpBltu:
-					if r[u.rs1] < r[u.rs2] {
-						t = pc + uint64(u.imm)
-					}
-				case isa.OpBgeu:
-					if r[u.rs1] >= r[u.rs2] {
-						t = pc + uint64(u.imm)
-					}
-
-				default:
-					// sbSlow, atomics, and every opcode not inline here:
-					// resolve on the general path.
+			// This pop ends the member's previous run: every commit
+			// ordered before its records has been made, nothing can take
+			// them back or conflict with them any more.
+			nlog[i], lmask[i] = 0, 0
+			// The run: its first retirement is the ordered commit, the
+			// rest are ahead of the order. c.Clock itself is written
+			// once, after the run.
+			n, pc, nc, lm, lb := runAhead(m, c, ub[i], &m.waveLog[i], wva[i], pc, T, lim, waveRunAhead)
+			var sva, ssz uint64
+			if n == 0 {
+				// Not runAhead's to retire: the ordered commit, the only
+				// place the wave can fault, then the run — unless it
+				// stored: the snoop below comes next, and a run after
+				// that measured flat (DESIGN.md §13).
+				var ok bool
+				u := &ub[i][off>>3]
+				if f, sva, ssz, ok = m.commitOrdered(c, u); !ok || f != nil {
 					break wave
 				}
-				if !u.pure {
-					// Only ever the ordered commit: the run-ahead admits
-					// pure micro-ops alone.
-					if f != nil {
-						break wave
-					}
-					// loadN/storeN may have charged a dynamic TLB walk cost
-					// to c.Clock during execution.
-					nc = c.Clock
+				ret[i]++
+				pc += isa.WordSize
+				nc = c.Clock + uint64(u.cost)
+				if ssz == 0 {
+					n, pc, nc, lm, lb = runAhead(m, c, ub[i], &m.waveLog[i], wva[i], pc, nc, lim, waveRunAhead)
 				}
-				pc = t
-				nc += uint64(u.cost)
-				off = pc - wva[i]
-				if stored || n >= waveRunAhead || nc >= lim || off >= mem.PageSize || off&7 != 0 {
-					break
-				}
-				if u = &ub[i][off>>3]; !u.pure {
-					break
-				}
-				undo[n] = waveUndo{pc: pc, r: r[u.rd], f: fr[u.rd]}
-				n++
 			}
-			pcs[i] = pc
-			c.PC = pc
-			c.Clock = nc
-			clocks[i] = nc
-			ret[i] += uint64(n) + 1
-			nlog[i] = uint8(n)
-			if stored {
+			pcs[i], c.PC, c.Clock, clocks[i] = pc, pc, nc, nc
+			ret[i] += uint64(n)
+			nlog[i], lmask[i], lbloom[i] = uint8(n), lm, lb
+			if ssz != 0 {
 				// The store may have hit a page a peer has already run
-				// ahead in: revalidate every member's page, and if one
-				// moved stop the wave here, just after the store, so the
-				// exit takes the stale retirements back.
+				// ahead in, or bytes a peer's run-ahead load has already
+				// read: revalidate every member's page and snoop every
+				// member's load records, and on a hit stop the wave here,
+				// just after the store, so the exit takes back what was
+				// ordered after it. The filter speaks for the 8-byte
+				// granules a record's eight bytes touch, so a store it
+				// passes overlaps none of them. A store whose bytes are
+				// not one physical range (it straddles a page) conflicts
+				// with any record at all.
+				spa, one := sva, sva&mem.PageMask+ssz <= mem.PageSize
+				if one && c.CRs[isa.CR0]&isa.CR0Paging != 0 {
+					var pfn uint32
+					pfn, one = c.TLB.Peek(sva, true) // resident: storeN just used it
+					spa = uint64(pfn)<<mem.PageShift | sva&mem.PageMask
+				}
+				sbits := uint64(1)<<(spa>>3&63) | 1<<((spa+ssz-1)>>3&63)
 				for j := 0; j < nm; j++ {
 					if genp[j] != nil && *genp[j] != dg[j] {
 						break wave
+					}
+					if lmask[j] == 0 || one && lbloom[j]&sbits == 0 {
+						continue
+					}
+					if !one {
+						break wave
+					}
+					for w := lmask[j]; w != 0; w &= w - 1 {
+						if lp := m.waveLog[j][bits.TrailingZeros64(w)].pa; lp+8 > spa && spa+ssz > lp {
+							break wave
+						}
 					}
 				}
 			}
@@ -640,7 +779,8 @@ wave:
 	// position, newest first. A member's log holds its latest run only:
 	// an earlier run ended at one of its own pops, which no later stop
 	// position precedes. The key of a logged micro-op is (its clock
-	// before, member index) — mems is in ID order.
+	// before, member index) — mems is in ID order. A record is of a pure
+	// micro-op or of a load, whose TLB hit goes back too.
 	for j := 0; j < nm; j++ {
 		s := mems[j]
 		cur := clocks[j]
@@ -652,6 +792,9 @@ wave:
 				break
 			}
 			s.Regs[u.rd], s.FRegs[u.rd] = e.r, e.f
+			if !u.pure {
+				s.TLB.Hits--
+			}
 			s.PC, s.Clock, clocks[j], cur = e.pc, before, before, before
 			ret[j]--
 		}
@@ -669,355 +812,60 @@ wave:
 	return m.Steps != steps, f != nil
 }
 
-// runUops executes compiled micro-ops starting at slot idx of the
-// attached page until the run must hand back: a stop threshold or the
-// batch cap fires, control leaves the page, a store invalidates it, or
-// the next slot needs the interpreter. Returns the updated retirement
-// count. The caller has already validated the fetch window and the
-// page's generation for the first slot.
-func (m *Machine) runUops(s *Sequencer, sb *sbPage, idx uint64, n, max int, tstar uint64) (int, sbResult) {
+// runUops executes compiled micro-ops of the attached page from s.PC
+// until the run must hand back: a stop threshold or the batch cap fires,
+// control leaves the page, a store invalidates it, or the next slot needs
+// the interpreter. Returns the updated retirement count. The caller has
+// already validated the fetch window and the page's generation for the
+// first slot. With a per-retirement hook attached (profiler, fault plane)
+// every runAhead call retires one micro-op, so the hooks run after each.
+func (m *Machine) runUops(s *Sequencer, sb *sbPage, n, max int, tstar uint64) (int, sbResult) {
 	base := s.winVA
 	genp := sb.genPtr
 	gen := sb.gen
-	r := &s.Regs
-	fr := &s.FRegs
 	prof := m.prof
 	flt := m.flt
-	res := sbAgain
-uloop:
 	for {
-		var (
-			u    *sbUop
-			pc   uint64
-			c0   uint64
-			t    uint64
-			va   uint64
-			v    uint64
-			f    *trapFault
-			exit bool
-		)
-		u = &sb.uops[idx]
-		pc = base + idx*isa.WordSize
-		if prof != nil {
-			c0 = s.Clock
+		pc0, c0 := s.PC, s.Clock
+		budget := max - n
+		if prof != nil || flt != nil {
+			budget = 1
 		}
-		switch isa.Op(u.op) {
-		case isa.OpNop, isa.OpPause, isa.OpFence:
-			// cost only
-		case isa.OpRdtsc:
-			r[u.rd] = s.Clock
-		case isa.OpSettp:
-			s.TP = r[u.rs1]
-		case isa.OpGettp:
-			r[u.rd] = s.TP
-
-		case isa.OpAdd:
-			r[u.rd] = r[u.rs1] + r[u.rs2]
-		case isa.OpSub:
-			r[u.rd] = r[u.rs1] - r[u.rs2]
-		case isa.OpMul:
-			r[u.rd] = r[u.rs1] * r[u.rs2]
-		case isa.OpDiv:
-			d := int64(r[u.rs2])
-			if d == 0 {
-				f = &trapFault{trap: isa.TrapDivZero, info: s.PC}
-				goto fault
+		k, pc, nc, _, _ := runAhead(m, s, &sb.uops, nil, base, pc0, c0, tstar, budget)
+		exit := false
+		if k == 0 {
+			u := &sb.uops[(pc0-base)>>3]
+			f, _, ssz, ok := m.commitOrdered(s, u)
+			if !ok {
+				return n, sbStep // the interpreter leg
 			}
-			nn := int64(r[u.rs1])
-			if nn == math.MinInt64 && d == -1 {
-				r[u.rd] = uint64(nn) // overflow wraps, no trap
-			} else {
-				r[u.rd] = uint64(nn / d)
-			}
-		case isa.OpRem:
-			d := int64(r[u.rs2])
-			if d == 0 {
-				f = &trapFault{trap: isa.TrapDivZero, info: s.PC}
-				goto fault
-			}
-			nn := int64(r[u.rs1])
-			if nn == math.MinInt64 && d == -1 {
-				r[u.rd] = 0
-			} else {
-				r[u.rd] = uint64(nn % d)
-			}
-		case isa.OpAnd:
-			r[u.rd] = r[u.rs1] & r[u.rs2]
-		case isa.OpOr:
-			r[u.rd] = r[u.rs1] | r[u.rs2]
-		case isa.OpXor:
-			r[u.rd] = r[u.rs1] ^ r[u.rs2]
-		case isa.OpShl:
-			r[u.rd] = r[u.rs1] << (r[u.rs2] & 63)
-		case isa.OpShr:
-			r[u.rd] = r[u.rs1] >> (r[u.rs2] & 63)
-		case isa.OpSar:
-			r[u.rd] = uint64(int64(r[u.rs1]) >> (r[u.rs2] & 63))
-		case isa.OpSlt:
-			r[u.rd] = b2u(int64(r[u.rs1]) < int64(r[u.rs2]))
-		case isa.OpSltu:
-			r[u.rd] = b2u(r[u.rs1] < r[u.rs2])
-
-		case isa.OpAddi:
-			r[u.rd] = r[u.rs1] + uint64(u.imm)
-		case isa.OpMuli:
-			r[u.rd] = r[u.rs1] * uint64(u.imm)
-		case isa.OpAndi:
-			r[u.rd] = r[u.rs1] & uint64(u.imm)
-		case isa.OpOri:
-			r[u.rd] = r[u.rs1] | uint64(u.imm)
-		case isa.OpXori:
-			r[u.rd] = r[u.rs1] ^ uint64(u.imm)
-		case isa.OpShli:
-			r[u.rd] = r[u.rs1] << (uint64(u.imm) & 63)
-		case isa.OpShri:
-			r[u.rd] = r[u.rs1] >> (uint64(u.imm) & 63)
-		case isa.OpSari:
-			r[u.rd] = uint64(int64(r[u.rs1]) >> (uint64(u.imm) & 63))
-		case isa.OpSlti:
-			r[u.rd] = b2u(int64(r[u.rs1]) < u.imm)
-
-		case isa.OpLdi:
-			r[u.rd] = uint64(u.imm)
-		case isa.OpLdih:
-			r[u.rd] = r[u.rd]&0xFFFF_FFFF | uint64(u.imm)<<32
-
-		case isa.OpLdb:
-			if v, f = m.loadN(s, r[u.rs1]+uint64(u.imm), 1); f != nil {
-				goto fault
-			}
-			r[u.rd] = uint64(int64(int8(v)))
-		case isa.OpLdbu:
-			if v, f = m.loadN(s, r[u.rs1]+uint64(u.imm), 1); f != nil {
-				goto fault
-			}
-			r[u.rd] = v
-		case isa.OpLdh:
-			if v, f = m.loadN(s, r[u.rs1]+uint64(u.imm), 2); f != nil {
-				goto fault
-			}
-			r[u.rd] = uint64(int64(int16(v)))
-		case isa.OpLdhu:
-			if v, f = m.loadN(s, r[u.rs1]+uint64(u.imm), 2); f != nil {
-				goto fault
-			}
-			r[u.rd] = v
-		case isa.OpLdw:
-			if v, f = m.loadN(s, r[u.rs1]+uint64(u.imm), 4); f != nil {
-				goto fault
-			}
-			r[u.rd] = uint64(int64(int32(v)))
-		case isa.OpLdwu:
-			if v, f = m.loadN(s, r[u.rs1]+uint64(u.imm), 4); f != nil {
-				goto fault
-			}
-			r[u.rd] = v
-		case isa.OpLdd:
-			if v, f = m.loadN(s, r[u.rs1]+uint64(u.imm), 8); f != nil {
-				goto fault
-			}
-			r[u.rd] = v
-
-		case isa.OpStb:
-			if f = m.storeN(s, r[u.rs1]+uint64(u.imm), 1, r[u.rd]); f != nil {
-				goto fault
-			}
-			exit = *genp != gen
-		case isa.OpSth:
-			if f = m.storeN(s, r[u.rs1]+uint64(u.imm), 2, r[u.rd]); f != nil {
-				goto fault
-			}
-			exit = *genp != gen
-		case isa.OpStw:
-			if f = m.storeN(s, r[u.rs1]+uint64(u.imm), 4, r[u.rd]); f != nil {
-				goto fault
-			}
-			exit = *genp != gen
-		case isa.OpStd:
-			if f = m.storeN(s, r[u.rs1]+uint64(u.imm), 8, r[u.rd]); f != nil {
-				goto fault
-			}
-			exit = *genp != gen
-
-		case isa.OpFld:
-			if v, f = m.loadN(s, r[u.rs1]+uint64(u.imm), 8); f != nil {
-				goto fault
-			}
-			fr[u.rd] = math.Float64frombits(v)
-		case isa.OpFst:
-			if f = m.storeN(s, r[u.rs1]+uint64(u.imm), 8, math.Float64bits(fr[u.rd])); f != nil {
-				goto fault
-			}
-			exit = *genp != gen
-		case isa.OpFadd:
-			fr[u.rd] = fr[u.rs1] + fr[u.rs2]
-		case isa.OpFsub:
-			fr[u.rd] = fr[u.rs1] - fr[u.rs2]
-		case isa.OpFmul:
-			fr[u.rd] = fr[u.rs1] * fr[u.rs2]
-		case isa.OpFdiv:
-			fr[u.rd] = fr[u.rs1] / fr[u.rs2]
-		case isa.OpFmin:
-			fr[u.rd] = math.Min(fr[u.rs1], fr[u.rs2])
-		case isa.OpFmax:
-			fr[u.rd] = math.Max(fr[u.rs1], fr[u.rs2])
-		case isa.OpFsqrt:
-			fr[u.rd] = math.Sqrt(fr[u.rs1])
-		case isa.OpFabs:
-			fr[u.rd] = math.Abs(fr[u.rs1])
-		case isa.OpFneg:
-			fr[u.rd] = -fr[u.rs1]
-		case isa.OpFmov:
-			fr[u.rd] = fr[u.rs1]
-		case isa.OpFlt:
-			r[u.rd] = b2u(fr[u.rs1] < fr[u.rs2])
-		case isa.OpFle:
-			r[u.rd] = b2u(fr[u.rs1] <= fr[u.rs2])
-		case isa.OpFeq:
-			r[u.rd] = b2u(fr[u.rs1] == fr[u.rs2])
-		case isa.OpItof:
-			fr[u.rd] = float64(int64(r[u.rs1]))
-		case isa.OpFtoi:
-			r[u.rd] = uint64(int64(fr[u.rs1]))
-		case isa.OpFmvi:
-			fr[u.rd] = math.Float64frombits(r[u.rs1])
-		case isa.OpImvf:
-			r[u.rd] = math.Float64bits(fr[u.rs1])
-
-		case isa.OpJmp:
-			t = pc + uint64(u.imm)
-			goto branch
-		case isa.OpJal:
-			r[u.rd] = pc + isa.WordSize
-			t = pc + uint64(u.imm)
-			goto branch
-		case isa.OpJr:
-			t = r[u.rs1]
-			goto branch
-		case isa.OpJalr:
-			t = r[u.rs1]
-			r[u.rd] = pc + isa.WordSize
-			goto branch
-		case isa.OpBeq:
-			t = pc + isa.WordSize
-			if r[u.rs1] == r[u.rs2] {
-				t = pc + uint64(u.imm)
-			}
-			goto branch
-		case isa.OpBne:
-			t = pc + isa.WordSize
-			if r[u.rs1] != r[u.rs2] {
-				t = pc + uint64(u.imm)
-			}
-			goto branch
-		case isa.OpBlt:
-			t = pc + isa.WordSize
-			if int64(r[u.rs1]) < int64(r[u.rs2]) {
-				t = pc + uint64(u.imm)
-			}
-			goto branch
-		case isa.OpBge:
-			t = pc + isa.WordSize
-			if int64(r[u.rs1]) >= int64(r[u.rs2]) {
-				t = pc + uint64(u.imm)
-			}
-			goto branch
-		case isa.OpBltu:
-			t = pc + isa.WordSize
-			if r[u.rs1] < r[u.rs2] {
-				t = pc + uint64(u.imm)
-			}
-			goto branch
-		case isa.OpBgeu:
-			t = pc + isa.WordSize
-			if r[u.rs1] >= r[u.rs2] {
-				t = pc + uint64(u.imm)
-			}
-			goto branch
-
-		case isa.OpAxchg, isa.OpAcas, isa.OpAadd:
-			va = r[u.rs1]
-			if va%8 != 0 {
-				f = &trapFault{trap: isa.TrapBadInstr, info: va}
-				goto fault
-			}
-			if v, f = m.loadN(s, va, 8); f != nil {
-				goto fault
-			}
-			{
-				store := v
-				doStore := true
-				switch isa.Op(u.op) {
-				case isa.OpAxchg:
-					store = r[u.rs2]
-				case isa.OpAcas:
-					if v == r[u.rd] {
-						store = r[u.rs2]
-					} else {
-						doStore = false
-					}
-				case isa.OpAadd:
-					store = v + r[u.rs2]
+			if f != nil {
+				if prof != nil {
+					prof.Add(pc0, s.Clock-c0)
 				}
-				if doStore {
-					if f = m.storeN(s, va, 8, store); f != nil {
-						goto fault
-					}
-					exit = *genp != gen
-				}
+				m.dispatchFault(s, f)
+				return n, sbEnd
 			}
-			r[u.rd] = v
-
-		default:
-			// sbSlow and every opcode not inline here: the interpreter leg.
-			res = sbStep
-			break uloop
+			k, pc, nc = 1, pc0+isa.WordSize, s.Clock+uint64(u.cost)
+			exit = ssz != 0 && *genp != gen
 		}
-
-		// Shared retire for straight-line micro-ops.
-		s.PC = pc + isa.WordSize
-		s.Clock += uint64(u.cost)
-		s.C.Instrs++
-		m.Steps++
-		n++
-		idx++
-		goto post
-
-	branch:
-		s.PC = t
-		s.Clock += uint64(u.cost)
-		s.C.Instrs++
-		m.Steps++
-		n++
-		if toff := t - base; toff < mem.PageSize && toff&7 == 0 {
-			idx = toff >> 3 // in-page aligned target: keep running compiled
-		} else {
-			exit = true // cross-page or misaligned: revalidate via fetch
-		}
-
-	post:
+		s.PC, s.Clock = pc, nc
+		s.C.Instrs += uint64(k)
+		m.Steps += uint64(k)
+		n += k
 		if prof != nil {
-			prof.Add(pc, s.Clock-c0)
+			prof.Add(pc0, nc-c0)
 		}
 		if flt != nil {
 			if m.injectRetire(s) {
 				return n, sbEnd
 			}
-			if *genp != gen {
-				break uloop // injected corruption may have hit this page
-			}
+			exit = exit || *genp != gen // injected corruption may have hit this page
 		}
-		if exit || idx >= sbSlots || n >= max || s.Clock >= tstar {
-			break uloop
+		// In-page aligned PC: keep running compiled; a cross-page or
+		// misaligned target revalidates via fetch.
+		if off := pc - base; exit || off >= mem.PageSize || off&7 != 0 || n >= max || nc >= tstar {
+			return n, sbAgain
 		}
-		continue
-
-	fault:
-		if prof != nil {
-			prof.Add(pc, s.Clock-c0)
-		}
-		m.dispatchFault(s, f)
-		return n, sbEnd
 	}
-	return n, res
 }

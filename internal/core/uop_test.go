@@ -13,26 +13,35 @@ import (
 	"misp/internal/mem"
 )
 
-// One opcode, three implementations: execInstr (the legacy loop's and the
-// interpreter leg's), runUops and the cohort wave each state an inline
-// opcode's semantics. These tests hold the two executors to execInstr
-// opcode by opcode, and pin which opcodes each executor may run at all:
+// One opcode, two statements: execInstr (the legacy loop's and the
+// interpreter leg's) and, for an opcode the fast path runs inline, exactly
+// one of runAhead — the pure opcodes and the loads, as plain TLB hits —
+// and commitOrdered — settp, div/rem, stores, the atomics and any load
+// runAhead declined. runUops and the cohort wave both execute through
+// that pair. These tests hold the pair to execInstr opcode by opcode
+// through both executors, and pin which opcodes each half may run at all:
 // everything else must reach execInstr through the default arm.
 
-// interpOnly lists the valid opcodes neither executor implements:
-// privileged and system ops, break ops, the specially retiring context
-// ops, and SEQID. Every other valid opcode is inline in runUops; the wave
-// additionally leaves the atomics to it.
+// interpOnly lists the valid opcodes the fast path does not implement:
+// privileged and system ops, break ops and the specially retiring context
+// ops. Every other valid opcode is inline in both executors.
 var interpOnly = map[isa.Op]bool{
-	isa.OpHalt: true, isa.OpBrk: true, isa.OpSeqid: true,
+	isa.OpHalt: true, isa.OpBrk: true,
 	isa.OpSyscall: true, isa.OpIret: true, isa.OpMovtcr: true, isa.OpMovfcr: true,
 	isa.OpHlt: true, isa.OpInvlpg: true, isa.OpTlbflush: true,
 	isa.OpSignal: true, isa.OpSetyield: true, isa.OpSret: true,
 	isa.OpSavectx: true, isa.OpLdctx: true, isa.OpProxyexec: true,
 }
 
-func waveDefers(op isa.Op) bool {
-	return interpOnly[op] || op == isa.OpAxchg || op == isa.OpAcas || op == isa.OpAadd
+// uopAccess pins the two bytes sbClassify compiles into a load or store:
+// the bytes it moves and a sign-extending load's shift.
+var uopAccess = map[isa.Op]struct {
+	size, sx uint8
+	load     bool
+}{
+	isa.OpLdb: {1, 56, true}, isa.OpLdbu: {1, 0, true}, isa.OpLdh: {2, 48, true}, isa.OpLdhu: {2, 0, true},
+	isa.OpLdw: {4, 32, true}, isa.OpLdwu: {4, 0, true}, isa.OpLdd: {8, 0, true}, isa.OpFld: {8, 0, true},
+	isa.OpStb: {size: 1}, isa.OpSth: {size: 2}, isa.OpStw: {size: 4}, isa.OpStd: {size: 8}, isa.OpFst: {size: 8},
 }
 
 // Guest layout of the one-instruction programs: code on the first heap
@@ -121,6 +130,7 @@ type uopOutcome struct {
 type uopSeq struct {
 	Regs, FRegs           [isa.NumRegs]uint64 // FRegs as bits: NaN must compare
 	PC, TP, Clock, Instrs uint64
+	TLBHits, TLBMisses    uint64
 }
 
 func uopRun(t *testing.T, top Topology, legacy bool, code []isa.Instr, init func(*Sequencer)) uopOutcome {
@@ -146,7 +156,8 @@ func uopRun(t *testing.T, top Topology, legacy bool, code []isa.Instr, init func
 func uopSeqs(m *Machine) []uopSeq {
 	var out []uopSeq
 	for _, s := range m.Seqs {
-		q := uopSeq{Regs: s.Regs, PC: s.PC, TP: s.TP, Clock: s.Clock, Instrs: s.C.Instrs}
+		q := uopSeq{Regs: s.Regs, PC: s.PC, TP: s.TP, Clock: s.Clock, Instrs: s.C.Instrs,
+			TLBHits: s.TLB.Hits, TLBMisses: s.TLB.Misses}
 		for i, f := range s.FRegs {
 			q.FRegs[i] = math.Float64bits(f)
 		}
@@ -256,21 +267,27 @@ func (c uopCase) init(s *Sequencer) {
 }
 
 // TestUopSemanticsMatchOracle holds runUops and the cohort wave to the
-// legacy loop opcode by opcode, and pins from outside which opcodes each
-// may run at all, so the default arm cannot silently gain or lose one.
+// legacy loop opcode by opcode, and pins from outside which opcodes
+// runAhead and commitOrdered may each run at all, so neither default arm
+// can silently gain or lose one.
 func TestUopSemanticsMatchOracle(t *testing.T) {
 	if sz := unsafe.Sizeof(sbUop{}); sz != 16 {
 		t.Errorf("sizeof(sbUop) = %d, want 16", sz)
 	}
 	for op := isa.Op(0); isa.Valid(op); op++ {
+		u, acc := sbClassify(isa.Instr{Op: op}), uopAccess[op]
+		ahead := sbPure(op) || acc.load // what runAhead may retire
 		uopProbeRunUops(t, op)
 		uopProbeWave(t, op)
-		// The wave runs ahead through a pure opcode and takes it back from
-		// {PC, Regs[rd], FRegs[rd]}: it must be inline there (the run-ahead
-		// has no default arm to fall back on) and touch no memory.
-		pure, f := sbClassify(isa.Instr{Op: op}).pure, isa.Lookup(op).Fmt
-		if pure != sbPure(op) || pure && (waveDefers(op) || f == isa.FmtMem || f == isa.FmtFMem) {
-			t.Errorf("%s: pure %v compiled %v, wave defers %v, format %d", isa.Name(op), sbPure(op), pure, waveDefers(op), f)
+		uopProbeLeaf(t, op, ahead)
+		// A pure opcode is taken back from {PC, Regs[rd], FRegs[rd]} alone:
+		// it may touch no memory. A load is not pure: its record also
+		// carries the address the store snoop compares.
+		if f := isa.Lookup(op).Fmt; u.pure != sbPure(op) || u.pure && (interpOnly[op] || f == isa.FmtMem || f == isa.FmtFMem) {
+			t.Errorf("%s: pure %v compiled %v, interpreter-only %v, format %d", isa.Name(op), sbPure(op), u.pure, interpOnly[op], f)
+		}
+		if u.size != acc.size || u.sx != acc.sx {
+			t.Errorf("%s compiles to access size %d shift %d, want %d and %d", isa.Name(op), u.size, u.sx, acc.size, acc.sx)
 		}
 		if interpOnly[op] {
 			continue
@@ -280,14 +297,15 @@ func TestUopSemanticsMatchOracle(t *testing.T) {
 		if info.Cost > math.MaxUint8 || info.Priv || batchBreak(op) {
 			t.Errorf("%s is inline but cost %d priv %v break %v", info.Name, info.Cost, info.Priv, batchBreak(op))
 		}
-		if u := sbClassify(isa.Instr{Op: op}); isa.Op(u.op) != op || uint32(u.cost) != info.Cost {
+		if isa.Op(u.op) != op || uint32(u.cost) != info.Cost {
 			t.Errorf("%s compiles to op %d cost %d", info.Name, u.op, u.cost)
 		}
 		for i, c := range uopCases(op) {
 			uopCompare(t, c)
 			// What the undo record must cover depends on the opcode, not
-			// the operands: a stride keeps the race run short.
-			if sbPure(op) && i%5 == 0 {
+			// the operands: a stride keeps the race run short (and, of a
+			// load's addresses, picks the aligned one).
+			if ahead && i%5 == 0 {
 				uopCompareUndo(t, c)
 			}
 		}
@@ -295,9 +313,9 @@ func TestUopSemanticsMatchOracle(t *testing.T) {
 }
 
 // uopCompare runs c on one sequencer, where runUops retires it, and on
-// two lockstep sequencers, where the wave does (the atomics excepted),
-// and compares registers, PC, clock, retirement counts, the operand
-// pages and any trap with the legacy loop on the same machine shape.
+// two lockstep sequencers, where the wave does, and compares registers,
+// PC, clock, retirement counts, TLB counters, the operand pages and any
+// trap with the legacy loop on the same machine shape.
 func uopCompare(t *testing.T, c uopCase) {
 	t.Helper()
 	for _, top := range []Topology{{0}, {1}} {
@@ -324,21 +342,32 @@ func uopCompare(t *testing.T, c uopCase) {
 // its ordered commit (the addi), tied with sequencer 0's syscall, which
 // the lower ID commits first and which ends the run. The legacy loop
 // never executes c.in; the wave's undo record — PC, Regs[rd], FRegs[rd] —
-// must cover everything the opcode wrote.
+// must cover everything the opcode wrote, and a load's TLB hit goes back
+// with it. A load only runs ahead as a TLB hit, so sequencer 1 touches
+// the operand page first and sequencer 0 starts later by what that costs.
 func uopCompareUndo(t *testing.T, c uopCase) {
 	t.Helper()
 	addi := isa.Instr{Op: isa.OpAddi, Rd: 9, Rs1: 9, Imm: 3}
-	code := []isa.Instr{{Op: isa.OpNop}, addi, c.in, {Op: isa.OpHalt}, {Op: isa.OpHalt}, 8: {Op: isa.OpNop}, addi, {Op: isa.OpSyscall}}
+	ahead := []isa.Instr{{Op: isa.OpNop}}
+	var skew uint64
+	if uopAccess[c.in.Op].load {
+		ahead = append(ahead, isa.Instr{Op: isa.OpLdd, Rd: 10, Rs1: 2, Imm: c.in.Imm})
+		skew = uint64(isa.Lookup(isa.OpLdd).Cost) + mem.WalkCost
+	}
+	ahead = append(ahead, addi)
+	code := make([]isa.Instr, 8, 11) // sequencer 1 from slot 0, sequencer 0 from slot 8
+	copy(code, append(ahead, c.in, isa.Instr{Op: isa.OpHalt}, isa.Instr{Op: isa.OpHalt}))
+	code = append(code, isa.Instr{Op: isa.OpNop}, addi, isa.Instr{Op: isa.OpSyscall})
 	init := func(s *Sequencer) {
 		c.init(s)
 		if s.ID == 0 {
-			s.PC = uopCode + 8*isa.WordSize
+			s.PC, s.Clock = uopCode+8*isa.WordSize, skew
 		}
 	}
 	want := uopRun(t, Topology{1}, true, code, init)
 	got := uopRun(t, Topology{1}, false, code, init)
-	if want.Seqs[1].Instrs != 2 || want.Seqs[1].PC != uopCode+2*isa.WordSize {
-		t.Fatalf("%v: the oracle left sequencer 1 at %+v, want it stopped before slot 2", c.in, want.Seqs[1])
+	if n := uint64(len(ahead)); want.Seqs[1].Instrs != n || want.Seqs[1].PC != uopCode+n*isa.WordSize {
+		t.Fatalf("%v: the oracle left sequencer 1 at %+v, want it stopped before slot %d", c.in, want.Seqs[1], n)
 	}
 	if !reflect.DeepEqual(want, got) {
 		t.Errorf("%v with r1-r3 %#x f1-f3 %v taken back: trap %q / %q\nlegacy %+v\nfast   %+v",
@@ -371,7 +400,7 @@ func uopProbeRunUops(t *testing.T, op isa.Op) {
 	defer m.Release()
 	s := m.Seqs[0]
 	before := *s
-	n, res := m.runUops(s, s.sb, 0, 0, 1, noEvent)
+	n, res := m.runUops(s, s.sb, 0, 1, noEvent)
 	if interpOnly[op] {
 		if n != 0 || res != sbStep || m.Steps != 0 || !reflect.DeepEqual(*s, before) {
 			t.Errorf("runUops ran %s itself (n=%d res=%d steps=%d)", isa.Name(op), n, res, m.Steps)
@@ -397,13 +426,62 @@ func uopProbeWave(t *testing.T, op isa.Op) {
 	}
 	progress, unclean := m.runCohortWave(&mems, &evts, &clocks, len(m.Seqs), noEvent, math.MaxInt)
 	for i, s := range m.Seqs {
-		if waveDefers(op) {
+		if interpOnly[op] {
 			if progress || unclean || !reflect.DeepEqual(*s, before[i]) {
 				t.Errorf("the wave ran %s itself on %s (progress %v unclean %v)", isa.Name(op), s.Name(), progress, unclean)
 			}
 		} else if s.C.Instrs != 1 {
 			t.Errorf("the wave did not run %s inline on %s (instrs=%d)", isa.Name(op), s.Name(), s.C.Instrs)
 		}
+	}
+}
+
+// uopProbeLeaf pins the split of the inline opcodes: runAhead must retire
+// op exactly when it is pure or a load (here a plain hit: the operand page
+// is resident) and otherwise stop in front of it with the sequencer
+// untouched, and commitOrdered must take exactly the inline opcodes that
+// are not pure.
+func uopProbeLeaf(t *testing.T, op isa.Op, ahead bool) {
+	t.Helper()
+	m := uopProbe(t, Topology{0}, op)
+	defer m.Release()
+	s := m.Seqs[0]
+	if _, f := m.loadN(s, uopData+64, 8); f != nil {
+		t.Fatalf("touch the operand page: %+v", f)
+	}
+	before := *s
+	var log [waveRunAhead]waveUndo
+	n, pc, nc, mask, bloom := runAhead(m, s, &s.sb.uops, &log, s.winVA, s.PC, s.Clock, noEvent, 1)
+	hits := s.TLB.Hits - before.TLB.Hits
+	switch load := uopAccess[op].load; {
+	case !ahead:
+		if n != 0 || pc != s.PC || nc != s.Clock || mask != 0 || !reflect.DeepEqual(*s, before) {
+			t.Errorf("runAhead ran %s (n=%d)", isa.Name(op), n)
+		}
+	case n != 1 || nc != s.Clock+uint64(isa.Lookup(op).Cost) || log[0].pc != s.PC:
+		t.Errorf("runAhead did not run %s (n=%d clock %d record %+v)", isa.Name(op), n, nc, log[0])
+	case load != (mask == 1) || load != (bloom != 0) || load != (log[0].pa != 0) || load != (hits == 1):
+		t.Errorf("runAhead on %s: load mask %#x filter %#x address %#x TLB hits %d", isa.Name(op), mask, bloom, log[0].pa, hits)
+	}
+	if _, _, _, ok := m.commitOrdered(s, &s.sb.uops[0]); ok != (!interpOnly[op] && !sbPure(op)) {
+		t.Errorf("commitOrdered takes %s: %v", isa.Name(op), ok)
+	}
+}
+
+// TestRunAheadDeclinesPagingOff: with paging off an address is physical,
+// whatever translation of it the TLB still holds from before, so runAhead
+// must leave the load to loadN.
+func TestRunAheadDeclinesPagingOff(t *testing.T) {
+	m := uopProbe(t, Topology{0}, isa.OpLdd)
+	defer m.Release()
+	s := m.Seqs[0]
+	if _, f := m.loadN(s, uopData+64, 8); f != nil {
+		t.Fatalf("touch the operand page: %+v", f)
+	}
+	s.CRs[isa.CR0] &^= isa.CR0Paging
+	before := *s
+	if n, _, _, _, _ := runAhead(m, s, &s.sb.uops, nil, s.winVA, s.PC, s.Clock, noEvent, 1); n != 0 || !reflect.DeepEqual(*s, before) {
+		t.Errorf("runAhead served a load from a stale translation with paging off (n=%d)", n)
 	}
 }
 

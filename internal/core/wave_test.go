@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"testing"
@@ -9,12 +10,14 @@ import (
 	"misp/internal/mem"
 )
 
-// Directed tests for the two obligations the cohort wave's run-ahead
-// adds (superblock.go, invariant 4): retirements ordered after a stop are
-// taken back before anything outside the wave can look, and a store into
-// a page a peer has run ahead in stops the wave at the store. Sequencer 0
-// leads with a varying number of one-cycle instructions so the stop lands
-// at every phase of its peers' runs.
+// Directed tests for the obligations the cohort wave's run-ahead adds
+// (superblock.go, invariant 4): retirements ordered after a stop are taken
+// back before anything outside the wave can look, a store into a page a
+// peer has run ahead in stops the wave at the store, so does a store into
+// bytes a peer's run-ahead load has read, and a load that is not a plain
+// TLB hit does not run ahead at all. Sequencer 0 leads with a varying
+// number of one-cycle instructions so the stop lands at every phase of its
+// peers' runs.
 
 const (
 	waveLeadMin, waveLeadMax = 3, 40
@@ -169,6 +172,155 @@ func TestWaveStoreIntoPeerRunAhead(t *testing.T) {
 			for i := range want {
 				if want[i] != got[i] {
 					t.Fatalf("%v lead %d: sequencer %d 60 cycles after the store:\nlegacy %+v\nfast   %+v", top, lead, i, want[i], got[i])
+				}
+			}
+		}
+	}
+}
+
+// wavePausedRun runs code on top until the pause and returns every
+// sequencer's state with both operand pages.
+func wavePausedRun(t *testing.T, top Topology, legacy bool, code []isa.Instr, init func(*Sequencer), pause uint64) ([]uopSeq, []byte) {
+	t.Helper()
+	m, rec := uopMachine(t, top, legacy, code, init)
+	defer m.Release()
+	m.SetPause(pause)
+	if err := m.Run(); !errors.Is(err, ErrPaused) {
+		t.Fatalf("%v legacy=%v: %v, want ErrPaused", top, legacy, err)
+	}
+	data, err := rec.Space.ReadBytes(uopData, 2*mem.PageSize)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return uopSeqs(m), data
+}
+
+// TestWaveLoadRunAheadSeesPeerStore: the peers spin loading one shared
+// word — TLB hits, so the loads run ahead of the commit order — and
+// sequencer 0 stores into it. A peer whose load was ordered after the
+// store but had already read the old bytes must have that run taken back,
+// whatever the shape of the overlap: the whole word, one byte in its
+// middle, an atomic on it, and a store that straddles into it from the
+// page before (whose bytes are not one physical range).
+func TestWaveLoadRunAheadSeesPeerStore(t *testing.T) {
+	const (
+		loop   = wavePeerSlot * isa.WordSize
+		shared = uopData + mem.PageSize // first word of the second operand page
+	)
+	peers := []isa.Instr{
+		{Op: isa.OpLdd, Rd: 4, Rs1: 1},
+		{Op: isa.OpAdd, Rd: 5, Rs1: 5, Rs2: 4},
+		{Op: isa.OpXori, Rd: 6, Rs1: 5, Imm: 0x55},
+		{Op: isa.OpJmp, Imm: -3 * isa.WordSize},
+	}
+	stores := []struct {
+		name string
+		in   isa.Instr // [r14] <- r13, or an atomic add of r13
+		at   uint64
+	}{
+		{"std", isa.Instr{Op: isa.OpStd, Rd: 13, Rs1: 14}, shared},
+		{"stb-inside", isa.Instr{Op: isa.OpStb, Rd: 13, Rs1: 14}, shared + 3},
+		{"aadd", isa.Instr{Op: isa.OpAadd, Rd: 12, Rs1: 14, Rs2: 13}, shared},
+		{"std-straddling", isa.Instr{Op: isa.OpStd, Rd: 13, Rs1: 14}, shared - 4},
+	}
+	for _, top := range waveTops {
+		for _, st := range stores {
+			for lead := waveLeadMin; lead < waveLeadMax; lead++ {
+				code := make([]isa.Instr, wavePeerSlot, wavePeerSlot+len(peers))
+				copy(code, waveLead(lead, st.in,
+					isa.Instr{Op: isa.OpAddi, Rd: 9, Rs1: 9, Imm: 3},
+					isa.Instr{Op: isa.OpJmp, Imm: -isa.WordSize}))
+				code = append(code, peers...)
+				base := waveInit(uopCode + loop)
+				init := func(s *Sequencer) {
+					base(s)
+					s.Regs[1], s.Regs[13], s.Regs[14] = shared, 0x0123456789ABCDEF, st.at
+				}
+				want, wantMem := wavePausedRun(t, top, true, code, init, uint64(lead)+60)
+				got, gotMem := wavePausedRun(t, top, false, code, init, uint64(lead)+60)
+				for i := range want {
+					if want[i] != got[i] {
+						t.Fatalf("%v %s lead %d: sequencer %d 60 cycles after the store:\nlegacy %+v\nfast   %+v", top, st.name, lead, i, want[i], got[i])
+					}
+				}
+				if !bytes.Equal(wantMem, gotMem) {
+					t.Fatalf("%v %s lead %d: the operand pages differ", top, st.name, lead)
+				}
+			}
+		}
+	}
+}
+
+// TestWaveLoadDeclines: a load that is not a plain TLB hit stays at its
+// ordered commit. The peers alternate between two resident pages that
+// share a TLB slot (every load misses and pays the walk), load across the
+// boundary of two pages already in their TLBs (two hits, not one), or
+// load from an unmapped page (the fault must carry the address and land
+// in order), while sequencer 0 traps a few cycles either
+// side, so the undo path crosses the declined load at every phase. At the
+// first trap every sequencer's registers, clock, retirements and TLB hits
+// and misses must be the legacy loop's.
+func TestWaveLoadDeclines(t *testing.T) {
+	const (
+		loop  = wavePeerSlot * isa.WordSize
+		alias = uopData + 256*mem.PageSize // same direct-mapped TLB slot as uopData
+	)
+	peers := []isa.Instr{
+		{Op: isa.OpAddi, Rd: 7, Rs1: 7, Imm: 1},
+		{Op: isa.OpLdd, Rd: 4, Rs1: 1},
+		{Op: isa.OpAdd, Rd: 5, Rs1: 5, Rs2: 4},
+		{Op: isa.OpLdw, Rd: 4, Rs1: 2},
+		{Op: isa.OpXor, Rd: 6, Rs1: 5, Rs2: 4},
+		{Op: isa.OpJmp, Imm: -5 * isa.WordSize},
+	}
+	loads := []struct {
+		name   string
+		r1, r2 uint64
+		warm   bool // touch both operand pages on every sequencer first
+	}{
+		{"tlb-miss", uopData + 64, alias + 64, false},
+		{"straddle", uopData + mem.PageSize - 3, uopData + mem.PageSize - 2, true},
+		{"fault", uopData + 64, uopCode + 64*mem.PageSize, false},
+	}
+	run := func(top Topology, legacy bool, code []isa.Instr, r1, r2 uint64, warm bool) ([]uopSeq, string) {
+		base := waveInit(uopCode + loop)
+		m, rec := uopMachine(t, top, legacy, code, func(s *Sequencer) {
+			base(s)
+			s.Regs[1], s.Regs[2] = r1, r2
+		})
+		defer m.Release()
+		if _, err := rec.Space.Prefault(alias, mem.PageSize); err != nil {
+			t.Fatal(err)
+		}
+		for _, s := range m.Seqs {
+			for va := uint64(uopData); warm && va < uopData+2*mem.PageSize; va += mem.PageSize {
+				if _, f := m.loadN(s, va, 1); f != nil {
+					t.Fatalf("touch %#x: %+v", va, f)
+				}
+			}
+		}
+		o := &firstTrap{BareOS: rec.BareOS}
+		m.SetOS(o)
+		if err := m.Run(); err != nil || o.seqs == nil {
+			t.Fatalf("%v legacy=%v: no trap reached: %v", top, legacy, err)
+		}
+		return o.seqs, o.what
+	}
+	for _, top := range waveTops {
+		for _, ld := range loads {
+			for lead := waveLeadMin; lead < waveLeadMax; lead++ {
+				code := make([]isa.Instr, wavePeerSlot, wavePeerSlot+len(peers))
+				copy(code, waveLead(lead, isa.Instr{Op: isa.OpSyscall}, isa.Instr{Op: isa.OpHalt}))
+				code = append(code, peers...)
+				want, wantTrap := run(top, true, code, ld.r1, ld.r2, ld.warm)
+				got, gotTrap := run(top, false, code, ld.r1, ld.r2, ld.warm)
+				if wantTrap != gotTrap {
+					t.Fatalf("%v %s lead %d: trap %q (legacy) != %q (fast)", top, ld.name, lead, wantTrap, gotTrap)
+				}
+				for i := range want {
+					if want[i] != got[i] {
+						t.Fatalf("%v %s lead %d: sequencer %d at the trap:\nlegacy %+v\nfast   %+v", top, ld.name, lead, i, want[i], got[i])
+					}
 				}
 			}
 		}

@@ -50,6 +50,15 @@ func (t *TLB) Lookup(va uint64, write bool) (pfn uint32, ok bool) {
 	return 0, false
 }
 
+// Peek is Lookup without the statistics: it reports what an access to
+// va would find and leaves the TLB untouched, so a caller that may
+// still decline the access can ask first and count a hit itself.
+func (t *TLB) Peek(va uint64, write bool) (pfn uint32, ok bool) {
+	vpn := va >> PageShift
+	e := &t.entries[vpn&(tlbEntries-1)]
+	return e.pfn, uint64(e.vpn) == vpn+1 && (!write || e.write)
+}
+
 // Insert caches a translation from a completed page walk.
 func (t *TLB) Insert(va uint64, pfn uint32, writable bool) {
 	vpn := uint32(va >> PageShift)
