@@ -37,12 +37,14 @@ bench:
 # vs BENCHMARK.json, a -size test pass of all four workloads) and one
 # iteration of the core's per-layer benchmarks — the cohort wave (MISP
 # 1x8, SMP 8, each with a cancelable and a background context; eight
-# desynchronised loops with no memory ops, private ones, and a shared
-# word one member stores to) beside runUops on one sequencer, in ns per
-# retired instruction.
+# desynchronised loops with no memory ops, private ones, a shared word
+# one member stores to, and a default-arm word that ends the wave every
+# 64th instruction) beside runUops on one sequencer, in ns per retired
+# instruction, then one page's superblock compile and a data translation
+# that hits and one that walks.
 benchsmoke:
 	$(GO) test ./benchmark
-	$(GO) test -run '^$$' -bench 'BenchmarkCohortWave|BenchmarkRunUops' -benchtime=1x ./internal/core
+	$(GO) test -run '^$$' -bench 'BenchmarkCohortWave|BenchmarkRunUops|BenchmarkSbCompile|BenchmarkTranslate' -benchtime=1x ./internal/core
 
 # perfcheck is for humans, ungated and not part of ci: two passes of the
 # benchmark BENCHMARK.json declares (four workloads, end-to-end and

@@ -17,7 +17,7 @@ import (
 // the timer) and reports host nanoseconds per retired instruction, once
 // with a cancelable context attached and once with a background one:
 // the two must read the same, cancellation being one flag load per
-// selection or ring rebase.
+// selection or wave pop.
 func benchRun(b *testing.B, top core.Topology, mode shredlib.Mode) {
 	w, err := workloads.ByName("dense_mmm")
 	if err != nil {
@@ -66,6 +66,7 @@ func BenchmarkCohortWave(b *testing.B) {
 			b.Run("loops=same/"+ops, func(b *testing.B) { benchDesync(b, false, ops) })
 			b.Run("loops=distinct/"+ops, func(b *testing.B) { benchDesync(b, true, ops) })
 		}
+		b.Run("loops=distinct/exit", func(b *testing.B) { benchDesync(b, true, "exit") })
 	})
 }
 
@@ -78,7 +79,11 @@ func BenchmarkCohortWave(b *testing.B) {
 // and no store touches what a peer loaded. ops "shared" has every member
 // load sequencer 0's word and store to its own once per loop, so each of
 // sequencer 0's stores finds a peer's run-ahead load and ends the wave:
-// the price of a snoop hit.
+// the price of a snoop hit. ops "exit" is "alu" with sequencer 0 on a loop
+// whose every 64th instruction is a default-arm word (movfcr), so each of
+// them ends the wave and the exit re-makes the seven peers' runs: the
+// price of a wave exit. Beside ns/instr each reports the retirements an
+// exit takes back.
 func benchDesync(b *testing.B, distinct bool, ops string) {
 	const (
 		seqs     = 8
@@ -93,7 +98,7 @@ func benchDesync(b *testing.B, distinct bool, ops string) {
 		{Op: isa.OpShli, Rd: 6, Rs1: 5, Imm: 3}, {Op: isa.OpFadd, Rd: 1, Rs1: 1, Rs2: 2},
 		{Op: isa.OpSltu, Rd: 7, Rs1: 6, Rs2: 1}, {Op: isa.OpAddi, Rd: 2, Rs1: 2, Imm: 1},
 	}
-	var instrs uint64
+	var instrs, exits, takenBack uint64
 	for n := 0; n < b.N; n++ {
 		b.StopTimer()
 		cfg := core.DefaultConfig(core.Topology{seqs - 1})
@@ -115,12 +120,17 @@ func benchDesync(b *testing.B, distinct bool, ops string) {
 				loop = i
 			}
 			body := 11 + 2*loop
+			if ops == "exit" && i == 0 {
+				body = loopSlot - 1
+			}
 			at := code + uint64(loop*loopSlot)*isa.WordSize
 			for k := 0; k <= body; k++ {
 				in := mix[k%len(mix)]
 				switch {
 				case k == body:
 					in = isa.Instr{Op: isa.OpJmp, Imm: int32(-body * isa.WordSize)}
+				case ops == "exit" && i == 0 && k == body-1:
+					in = isa.Instr{Op: isa.OpMovfcr, Rd: 9, Imm: int32(isa.CR0)}
 				case ops != "alu" && k%8 == 3:
 					in = isa.Instr{Op: isa.OpLdd, Rd: 8, Rs1: 10}
 				case ops == "mem" && k%8 == 7:
@@ -147,9 +157,12 @@ func benchDesync(b *testing.B, distinct bool, ops string) {
 			b.Fatal(err)
 		}
 		instrs += m.Steps
+		e, t := m.WaveStats()
+		exits, takenBack = exits+e, takenBack+t
 		m.Release()
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(instrs), "ns/instr")
+	b.ReportMetric(float64(takenBack)/float64(exits), "takenback/exit")
 }
 
 // BenchmarkRunUops runs the same program on one sequencer, where

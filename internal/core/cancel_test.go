@@ -56,8 +56,8 @@ func spinMachine(t *testing.T, top Topology, maxCycles uint64) *Machine {
 var cancelTops = []Topology{{7}, {0, 0, 0, 0, 0, 0, 0, 0}, {0}}
 
 // TestCancelLatencyBound: a context canceled while the machine sits
-// paused in the lockstep regime stops the resumed Run within one ring
-// rebase — at most 8 members x 64 ring cycles — of instructions.
+// paused in the lockstep regime stops the resumed Run within one pop of
+// the cohort wave — at most waveRunAhead micro-ops of one member.
 func TestCancelLatencyBound(t *testing.T) {
 	for _, top := range cancelTops {
 		m := spinMachine(t, top, 1<<40)
@@ -74,8 +74,8 @@ func TestCancelLatencyBound(t *testing.T) {
 		if !errors.Is(err, context.Canceled) {
 			t.Fatalf("%v: resumed run: %v, want context.Canceled", top, err)
 		}
-		if d := m.Steps - before; d > 8*64 {
-			t.Errorf("%v: %d instructions retired after the cancel, want <= %d", top, d, 8*64)
+		if d := m.Steps - before; d > waveRunAhead {
+			t.Errorf("%v: %d instructions retired after the cancel, want <= %d", top, d, waveRunAhead)
 		}
 		m.Release()
 	}

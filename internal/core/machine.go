@@ -106,12 +106,15 @@ type Machine struct {
 	// section by FinalizeMetrics; deliberately outside the canonical
 	// registry dump so artifacts stay byte-identical across loops).
 	sbBuilds, sbInvalidates, sbRuns uint64
+	// The cohort wave's own two: its exits, and the run-ahead retirements
+	// they took back (BenchmarkCohortWave reports the ratio).
+	waveExits, waveTakenBack uint64
 	// waveLog is runCohortWave's undo scratch: per cohort member, the
-	// records of its latest run-ahead — registers to restore and, for a
-	// load, the address store commits snoop. Host-side like the compiled
-	// pages (never snapshotted) and never zeroed: the wave keeps, per
-	// member, how many records it wrote and which are loads.
-	waveLog [scanThreshold][waveRunAhead]waveUndo
+	// snapshot its latest run started from and the addresses of the run's
+	// loads (waveSnap). Host-side like the compiled pages (never
+	// snapshotted) and never zeroed: the wave keeps, per member, whether
+	// it has a run and how many loads are in it.
+	waveLog [scanThreshold]waveSnap
 
 	// mx holds pre-resolved metric handles so hot paths pay a plain
 	// increment, never a registry lookup.
@@ -240,9 +243,9 @@ func (m *Machine) SetOS(os OS) { m.os = os }
 //
 // The cancel reaches the run loops as an atomic flag armed through
 // context.AfterFunc, polled with one load at every selection, every
-// cohort turn, and once per ring rebase inside the cohort wave — so an
-// in-flight Run returns within one selection or one rebase (at most 48
-// simulated cycles, a few hundred instructions) of the flag being set,
+// cohort turn, and once per pop inside the cohort wave — so an
+// in-flight Run returns within one selection or one pop (at most
+// waveRunAhead = 64 micro-ops of one member) of the flag being set,
 // and a context already canceled when Run is called stops it before
 // the first instruction. The callback captures only the flag,
 // never the machine, so a long-lived context does not pin a finished
@@ -526,7 +529,7 @@ func (m *Machine) runRound(s *Sequencer, T uint64, batch int) error {
 	// general path for lone minima and anything the fused path hands
 	// back.
 	sbFast := sbAll && nm > 1
-	// A cancel — the wave hands back for one at its next rebase — leaves
+	// A cancel — the wave hands back for one at its next pop — leaves
 	// the round here and surfaces at the selection loop.
 	for nm > 0 && !m.canceled() {
 		// Mini-selection over the frozen cohort: the earliest member by

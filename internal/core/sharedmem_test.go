@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/rand/v2"
 	"reflect"
+	"slices"
 	"testing"
 
 	"misp/internal/isa"
@@ -17,16 +18,25 @@ import (
 // shared region (which straddles two pages) and a private page, with
 // every load width, every store width, the atomics, seqid, rdtsc,
 // branches and — on an OMS, which may enter the kernel — a syscall or a
-// division by a loaded value. The fast loop must leave registers, clocks,
-// retirements, TLB counters and memory exactly where the legacy loop does
-// after a fixed cycle budget, or at the first fatal trap.
+// division by a loaded value. Some sequencers also store to a page that
+// shares a TLB slot with their private one, so neither stays resident and
+// the wave meets stores it cannot place without a walk; and in some runs
+// one sequencer overwrites an ALU word of a peer's loop with another, so
+// the peer's run-ahead through the old word must be cut at the store. The
+// fast loop must leave registers, clocks, retirements, TLB counters and
+// memory exactly where the legacy loop does after a fixed cycle budget, or
+// at the first fatal trap.
 
 const (
-	smShared  = uopData + mem.PageSize - 32 // 64 shared bytes over a page edge
-	smPrivate = uopData + 2*mem.PageSize    // one page per sequencer from here
-	smSlots   = 64                          // code slots per sequencer
+	smShared  = uopData + mem.PageSize - 32  // 64 shared bytes over a page edge
+	smPrivate = uopData + 2*mem.PageSize     // one page per sequencer from here
+	smAlias   = smPrivate + 256*mem.PageSize // same TLB slots as the private pages
+	smSlots   = 64                           // code slots per sequencer
 	smCycles  = 2500
 )
+
+// smALU is what a code-patching store may replace, and with what.
+var smALU = []isa.Op{isa.OpAdd, isa.OpSub, isa.OpXor, isa.OpAnd, isa.OpOr, isa.OpMul, isa.OpSltu, isa.OpShl}
 
 // smOS is BareOS servicing system calls and demand paging; any other
 // trap ends the run and is recorded.
@@ -42,8 +52,11 @@ func (o smOS) HandleTrap(s *Sequencer, trap isa.Trap, info uint64) {
 
 // smProgram draws one sequencer's loop. Registers: r1 the shared region,
 // r2 the private page, r3-r9 data, r10 an atomic's address (always an
-// aligned word of the shared region), f1-f4 data.
-func smProgram(rng *rand.Rand, oms bool) []isa.Instr {
+// aligned word of the shared region), r13 the page aliasing the private
+// one, f1-f4 data. With patch the loop also stores r12 and, elsewhere, r14
+// to [r11]: the caller points that at a word of a peer's loop and gives
+// the two registers different words, so every such store changes it.
+func smProgram(rng *rand.Rand, oms, patch bool) []isa.Instr {
 	reg := func() uint8 { return uint8(3 + rng.IntN(7)) }
 	freg := func() uint8 { return uint8(1 + rng.IntN(4)) }
 	pick := func(ops ...isa.Op) isa.Op { return ops[rng.IntN(len(ops))] }
@@ -57,7 +70,11 @@ func smProgram(rng *rand.Rand, oms bool) []isa.Instr {
 		return 2, int32(rng.IntN(mem.PageSize - 7))
 	}
 	n := 8 + rng.IntN(40)
-	syscallAt, divAt := -1, -1
+	cold := rng.IntN(3) == 0 // stores to the aliasing page too
+	syscallAt, divAt, patchAt, repatchAt := -1, -1, -1, -1
+	if patch {
+		patchAt, repatchAt = rng.IntN(n), rng.IntN(n)
+	}
 	if oms && rng.IntN(3) == 0 {
 		syscallAt = rng.IntN(n)
 	}
@@ -76,9 +93,14 @@ func smProgram(rng *rand.Rand, oms bool) []isa.Instr {
 				isa.Instr{Op: isa.OpLdbu, Rd: 4, Rs1: 1, Imm: int32(rng.IntN(64))},
 				isa.Instr{Op: isa.OpAndi, Rd: 4, Rs1: 4, Imm: 31},
 				isa.Instr{Op: pick(isa.OpDiv, isa.OpRem), Rd: reg(), Rs1: reg(), Rs2: 4})
+		case patchAt >= 0 && len(code) >= patchAt:
+			patchAt = -1
+			code = append(code, isa.Instr{Op: isa.OpStd, Rd: 12, Rs1: 11})
+		case repatchAt >= 0 && len(code) >= repatchAt:
+			repatchAt = -1
+			code = append(code, isa.Instr{Op: isa.OpStd, Rd: 14, Rs1: 11})
 		case k < 28:
-			op := pick(isa.OpAdd, isa.OpSub, isa.OpXor, isa.OpAnd, isa.OpOr, isa.OpMul, isa.OpSltu, isa.OpShl)
-			code = append(code, isa.Instr{Op: op, Rd: reg(), Rs1: reg(), Rs2: reg()})
+			code = append(code, isa.Instr{Op: pick(smALU...), Rd: reg(), Rs1: reg(), Rs2: reg()})
 		case k < 38:
 			op := pick(isa.OpAddi, isa.OpXori, isa.OpShli, isa.OpMuli, isa.OpSlti)
 			code = append(code, isa.Instr{Op: op, Rd: reg(), Rs1: reg(), Imm: int32(rng.IntN(64))})
@@ -99,6 +121,9 @@ func smProgram(rng *rand.Rand, oms bool) []isa.Instr {
 			}
 		case k < 76:
 			b, off := addr(60)
+			if cold && b == 2 && rng.IntN(2) == 0 {
+				b = 13
+			}
 			if op := pick(isa.OpStb, isa.OpSth, isa.OpStw, isa.OpStd, isa.OpFst); op == isa.OpFst {
 				code = append(code, isa.Instr{Op: op, Rd: freg(), Rs1: b, Imm: off})
 			} else {
@@ -129,6 +154,8 @@ func smProgram(rng *rand.Rand, oms bool) []isa.Instr {
 type smOutcome struct {
 	Seqs      []uopSeq
 	Mem       []byte // the shared pages and every private page
+	Alias     []byte // every aliasing page
+	Code      []byte
 	Trap, Err string
 }
 
@@ -155,16 +182,40 @@ func smRun(t *testing.T, seed uint64, legacy bool) smOutcome {
 	if len(m.Seqs) != n {
 		t.Fatalf("seed %d: topology %v has %d sequencers, want %d", seed, top, len(m.Seqs), n)
 	}
+	patcher := -1
+	if rng.IntN(3) == 0 {
+		patcher = rng.IntN(n)
+	}
 	for i, s := range m.Seqs {
-		copy(code[i*smSlots:(i+1)*smSlots], smProgram(rng, s.IsOMS))
+		copy(code[i*smSlots:(i+1)*smSlots], smProgram(rng, s.IsOMS, i == patcher))
 		s.PC, s.Clock = uopCode+uint64(i*smSlots)*isa.WordSize, uint64(rng.IntN(8))
 		for r := range s.Regs {
 			s.Regs[r] = rng.Uint64() >> (8 * rng.IntN(8))
 			s.FRegs[r] = float64(int64(s.Regs[r])) / 16
 		}
 		s.Regs[1], s.Regs[2], s.Regs[10] = smShared, smPrivate+uint64(i)*mem.PageSize, smShared
+		s.Regs[11], s.Regs[13] = s.Regs[2], smAlias+uint64(i)*mem.PageSize
+	}
+	if patcher >= 0 {
+		// The patcher's stores replace one ALU word of a peer's loop (the
+		// first; without one they land on the patcher's private page) with
+		// two others in turn.
+		p, victim := m.Seqs[patcher], (patcher+1+rng.IntN(n-1))%n
+		for k, in := range code[victim*smSlots : (victim+1)*smSlots] {
+			if in.Rd >= 3 && slices.Contains(smALU, in.Op) {
+				p.Regs[11] = uopCode + uint64(victim*smSlots+k)*isa.WordSize
+				for _, r := range []int{12, 14} {
+					in.Op, in.Rd = smALU[rng.IntN(len(smALU))], uint8(3+rng.IntN(7))
+					p.Regs[r] = in.Encode()
+				}
+				break
+			}
+		}
 	}
 	if _, err := rec.Space.Prefault(uopData, uint64(len(data))); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := rec.Space.Prefault(smAlias, uint64(n)*mem.PageSize); err != nil {
 		t.Fatal(err)
 	}
 	for i, in := range code {
@@ -177,6 +228,7 @@ func smRun(t *testing.T, seed uint64, legacy bool) smOutcome {
 	}
 	m.SetOS(smOS{rec})
 	m.SetPause(smCycles)
+
 	var o smOutcome
 	if err := m.Run(); err != nil && !errors.Is(err, ErrPaused) {
 		o.Err = err.Error()
@@ -185,10 +237,14 @@ func smRun(t *testing.T, seed uint64, legacy bool) smOutcome {
 		o.Trap = fmt.Sprintf("%v info=%#x pc=%#x steps=%d", rec.trap, rec.info, rec.pc, rec.step)
 	}
 	o.Seqs = uopSeqs(m)
-	var err error
-	if o.Mem, err = rec.Space.ReadBytes(uopData, uint64(len(data))); err != nil {
-		t.Fatal(err)
+	read := func(va uint64, n int) []byte {
+		b, err := rec.Space.ReadBytes(va, uint64(n))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
 	}
+	o.Mem, o.Alias, o.Code = read(uopData, len(data)), read(smAlias, n*mem.PageSize), read(uopCode, mem.PageSize)
 	return o
 }
 

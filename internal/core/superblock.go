@@ -60,29 +60,40 @@ package core
 //     legacy loop: with either attached, runUops asks runAhead for one
 //     micro-op at a time.
 //  4. Run-ahead: the cohort wave retires a member's micro-ops out of the
-//     global (clock, ID) order only through runAhead, logs an undo record
-//     for each, and at its single exit takes back every one ordered after
-//     the stop position — so outside the wave the machine is in exactly
-//     the legacy loop's state. What runs ahead is a pure micro-op (it
-//     touches nothing but that member's registers, PC and clock and
-//     cannot trap, so it commutes with every other member's commit) or a
-//     plain-hit load: one page, paging on, resident in the member's own
-//     TLB. Such a load cannot trap and changes nothing a peer can see but
-//     the member's own TLB hit counter (taken back with it); a TLB is
-//     filled only by its own sequencer's ordered commits and flushed only
-//     by kernel and firmware actions, which enter through a wave exit or
-//     are bounded by the member's threshold. What a peer can change is
-//     the bytes the load read, so every store commit in the wave — the
-//     atomics' included — snoops the physical addresses of every member's
-//     outstanding load records and stops the wave just after itself on an
-//     overlap (conservatively: per 8-byte span, and a page-straddling
-//     store conflicts with any record). A declined load — anything but a
-//     plain hit — retires nothing and counts nothing in runAhead: like
-//     stores, atomics, div/rem, settp, faults, default-arm words and
+//     global (clock, ID) order only through runAhead, keeps a snapshot of
+//     what each run started from, and at its single exit takes back every
+//     run that reaches past the stop position by restoring the snapshot
+//     and calling runAhead again with the position as its clock bound —
+//     so outside the wave the machine is in exactly the legacy loop's
+//     state. What runs ahead is a pure micro-op (it touches nothing but
+//     that member's registers, PC and clock and cannot trap, so it
+//     commutes with every other member's commit) or a plain-hit load: one
+//     page, paging on, resident in the member's own TLB, which cannot
+//     trap and changes nothing a peer can see. The second call re-makes
+//     the kept part exactly because everything it reads is what the first
+//     read: (a) registers, PC, clock and the TLB hit counter come from
+//     the snapshot; (b) the micro-ops are the member's compiled page,
+//     which only the general path recompiles; (c) a TLB is filled only by
+//     its own sequencer's ordered commits, each of which opens a new run,
+//     and flushed only by kernel and firmware actions, which enter
+//     through a wave exit; (d) TP is written only by settp, an ordered
+//     commit; (e) memory: a popped store or atomic (an 8-byte store
+//     whether or not it will store) is snooped against the physical
+//     addresses of every member's outstanding loads *before* it commits,
+//     and on an overlap (conservatively: per 8-byte span) the wave stops
+//     at the store's own pop without committing it — as it does for a
+//     store it cannot place: one that straddles a page, or whose page is
+//     not write-resident in the member's TLB and would need a walk. So
+//     every store the wave commits overlapped no outstanding load, and a
+//     kept load re-reads the bytes it read. A declined load — anything
+//     but a plain hit — retires nothing and counts nothing in runAhead:
+//     like stores, atomics, div/rem, settp, faults, default-arm words and
 //     threshold stops it happens only at a popped member's ordered
 //     commit, the global minimum. The other thing a run-ahead micro-op
-//     reads that a peer can write is its own code: the same store commit
-//     revalidates every member's page and stops the wave if one moved.
+//     reads that a peer can write is its own code: a store commit
+//     revalidates every member's page and stops the wave just after
+//     itself if one moved; the exit re-makes what was ordered before the
+//     store from the page as it was compiled.
 //
 // Compiled pages are derived, host-side state: never snapshotted,
 // rebuilt on demand after a restore or fork (see snapshot.go).
@@ -90,7 +101,6 @@ package core
 import (
 	"encoding/binary"
 	"math"
-	"math/bits"
 
 	"misp/internal/isa"
 	"misp/internal/mem"
@@ -105,9 +115,32 @@ type sbUop struct {
 	rd   uint8
 	rs1  uint8
 	rs2  uint8
-	pure bool  // sbPure(op)
+	kind uint8 // whose the micro-op is: uopPure, uopLoad or uopOrdered
 	size uint8 // bytes a load or store moves; 0 for every other opcode
 	sx   uint8 // a sign-extending load's shift, 64 - 8*size; 0 otherwise
+}
+
+// Whose a micro-op is. runAhead starts on the pure opcodes (sbPure) and on
+// the loads; everything else — what commitOrdered runs, and every word
+// that takes its default arm — is uopOrdered.
+const (
+	uopOrdered uint8 = iota
+	uopPure
+	uopLoad
+)
+
+// storeVA is the one definition of where a store or an atomic writes,
+// given its sequencer's registers: the address and the byte count, 0 for
+// an opcode that cannot store. An atomic counts as an 8-byte store
+// whether or not it will store (a failing acas, a misaligned address).
+func (u *sbUop) storeVA(r *[isa.NumRegs]uint64) (va, size uint64) {
+	switch isa.Op(u.op) {
+	case isa.OpStb, isa.OpSth, isa.OpStw, isa.OpStd, isa.OpFst:
+		return r[u.rs1] + uint64(u.imm), uint64(u.size)
+	case isa.OpAxchg, isa.OpAcas, isa.OpAadd:
+		return r[u.rs1], 8
+	}
+	return 0, 0
 }
 
 // loaded delivers a load's zero-extended bytes v: sign-extended as the
@@ -202,8 +235,16 @@ func sbClassify(in isa.Instr) sbUop {
 	}
 	u := sbUop{imm: int64(in.Imm), op: sbSlow, rd: in.Rd, rs1: in.Rs1, rs2: in.Rs2}
 	if info := isa.Lookup(in.Op); !info.Priv && info.Cost <= math.MaxUint8 {
-		u.op, u.cost, u.pure = uint8(in.Op), uint8(info.Cost), sbPure(in.Op)
+		u.op, u.cost = uint8(in.Op), uint8(info.Cost)
 		u.size, u.sx = sbAccess(in.Op)
+		switch in.Op {
+		case isa.OpLdb, isa.OpLdbu, isa.OpLdh, isa.OpLdhu, isa.OpLdw, isa.OpLdwu, isa.OpLdd, isa.OpFld:
+			u.kind = uopLoad
+		default:
+			if sbPure(in.Op) {
+				u.kind = uopPure
+			}
+		}
 	}
 	return u
 }
@@ -215,7 +256,7 @@ func sbClassify(in isa.Instr) sbUop {
 // runAhead may retire it out of the global order unconditionally. Loads
 // are not pure — a peer's store can change what they read — and run ahead
 // only as plain TLB hits under the wave's store snoop; stores and atomics
-// write memory, div/rem can trap, settp writes TP (which the undo record
+// write memory, div/rem can trap, settp writes TP (which a run's snapshot
 // does not cover), and everything else is not inline at all.
 func sbPure(op isa.Op) bool {
 	switch op {
@@ -260,23 +301,26 @@ func sbAccess(op isa.Op) (size, sx uint8) {
 }
 
 // waveRunAhead caps how many micro-ops one runAhead call retires for a
-// popped cohort member, which also bounds what one stop can take back.
-// A constant, not a knob: swept 8/16/32 on the 16 apps at ref, MISP 1x8,
-// at 6.46/6.03/6.05 ns/instr while sizing issue 22 (sim_ref, medians of
-// four alternated 6 s windows on a noisier day: 114/122/120 Minstr/s) —
-// past 16, what a longer run saves in ring pops a wave exit spends
-// undoing it.
-const waveRunAhead = 16
+// popped cohort member. A constant, not a knob: a pop costs the same
+// whatever the run's length (one snapshot, one min scan), so a longer run
+// only spreads it, until runs end at the member's next store anyway —
+// swept 16/32/64/128/256 on the 16 apps at ref, MISP 1x8, at
+// 5.46-5.82 / 5.25-5.36 / 4.61-5.09 / 4.57-4.88 / 4.61-4.86 ns/instr
+// (DESIGN.md §13). It also bounds what one wave exit re-makes per member,
+// the cancellation latency and the size of waveSnap.
+const waveRunAhead = 64
 
-// waveUndo is the undo record of one run-ahead retirement: the micro-op's
-// PC (which names its rd and cost through the compiled page), the two
-// registers it could have overwritten and, for a load, the physical
-// address it read — what a peer's store commit is checked against.
-type waveUndo struct {
-	pc uint64
-	r  uint64
-	f  float64
-	pa uint64
+// waveSnap is what the cohort wave keeps of a member's latest run so that
+// its exit can take the run back and re-make the part that stays: the
+// registers, PC, clock and TLB hit count the run started from, and the
+// physical address of each load it retired, in order — what a peer's
+// store is checked against before it commits.
+type waveSnap struct {
+	regs   [isa.NumRegs]uint64
+	fregs  [isa.NumRegs]float64
+	pc, nc uint64
+	hits   uint64
+	loads  [waveRunAhead]uint64
 }
 
 // sbResult is how a micro-op run handed control back to runBatch.
@@ -303,11 +347,11 @@ const (
 // declined load, like every other opcode, is the caller's to commit in
 // order. c.PC, c.Clock and the retirement counters are the caller's too.
 //
-// With undo non-nil (the cohort wave; max <= waveRunAhead) retirement k
-// first writes undo[k], and a load also records its physical address
-// there, sets bit k of loadMask and, in loadBloom, the bits of the one or
-// two 8-byte granules the eight bytes at that address touch.
-func runAhead(m *Machine, c *Sequencer, ub *[sbSlots]sbUop, undo *[waveRunAhead]waveUndo, wva, pc, nc, lim uint64, max int) (n int, pcOut, ncOut, loadMask, loadBloom uint64) {
+// With loads non-nil (the cohort wave; max <= waveRunAhead) the k-th load
+// retired also records its physical address in loads[k] and, in
+// loadBloom, the bits of the one or two 8-byte granules the eight bytes at
+// that address touch; nloads counts them.
+func runAhead(m *Machine, c *Sequencer, ub *[sbSlots]sbUop, loads *[waveRunAhead]uint64, wva, pc, nc, lim uint64, max int) (n int, pcOut, ncOut uint64, nloads int, loadBloom uint64) {
 	r := &c.Regs
 	fr := &c.FRegs
 run:
@@ -317,10 +361,6 @@ run:
 			break
 		}
 		u := &ub[off>>3]
-		if undo != nil {
-			e := &undo[n]
-			e.pc, e.r, e.f = pc, r[u.rd], fr[u.rd]
-		}
 		t := pc + isa.WordSize
 		switch isa.Op(u.op) {
 		case isa.OpNop, isa.OpPause, isa.OpFence:
@@ -391,9 +431,9 @@ run:
 			c.TLB.Hits++
 			pa := uint64(pfn)<<mem.PageShift | va&mem.PageMask
 			u.loaded(c, m.readN(pa, uint(u.size)))
-			if undo != nil {
-				undo[n].pa = pa
-				loadMask |= 1 << uint(n)
+			if loads != nil {
+				loads[nloads] = pa
+				nloads++
 				loadBloom |= 1<<(pa>>3&63) | 1<<((pa+7)>>3&63)
 			}
 
@@ -474,7 +514,7 @@ run:
 		nc += uint64(u.cost)
 		n++
 	}
-	return n, pc, nc, loadMask, loadBloom
+	return n, pc, nc, nloads, loadBloom
 }
 
 // commitOrdered executes the micro-op u at s.PC when it is one the
@@ -484,8 +524,8 @@ run:
 // anything else (the default arm: nothing was done). On a fault nothing
 // was committed. Otherwise the caller retires the micro-op: PC, u.cost on
 // top of s.Clock (which loadN/storeN may have charged a TLB walk) and the
-// counters. A store made reports its address and size in sva and ssz.
-func (m *Machine) commitOrdered(s *Sequencer, u *sbUop) (f *trapFault, sva, ssz uint64, ok bool) {
+// counters. stored reports that it wrote memory (at u.storeVA).
+func (m *Machine) commitOrdered(s *Sequencer, u *sbUop) (f *trapFault, stored, ok bool) {
 	r := &s.Regs
 	switch isa.Op(u.op) {
 	case isa.OpSettp:
@@ -514,10 +554,11 @@ func (m *Machine) commitOrdered(s *Sequencer, u *sbUop) (f *trapFault, sva, ssz 
 		if isa.Op(u.op) == isa.OpFst {
 			v = math.Float64bits(s.FRegs[u.rd])
 		}
-		sva, ssz = r[u.rs1]+uint64(u.imm), uint64(u.size)
-		f = m.storeN(s, sva, uint(ssz), v)
+		va, size := u.storeVA(r)
+		f = m.storeN(s, va, uint(size), v)
+		stored = f == nil
 	case isa.OpAxchg, isa.OpAcas, isa.OpAadd:
-		va := r[u.rs1]
+		va, _ := u.storeVA(r)
 		if va%8 != 0 {
 			f = &trapFault{trap: isa.TrapBadInstr, info: va}
 			break
@@ -534,35 +575,24 @@ func (m *Machine) commitOrdered(s *Sequencer, u *sbUop) (f *trapFault, sva, ssz 
 			if f = m.storeN(s, va, 8, store); f != nil {
 				break
 			}
-			sva, ssz = va, 8
+			stored = true
 		}
 		r[u.rd] = old
 	default:
-		return nil, 0, 0, false
+		return nil, false, false
 	}
-	return f, sva, ssz, true
+	return f, stored, true
 }
 
 // runCohortWave drives a cohort of running sequencers through the
-// legacy commit order using compiled micro-ops only. Members sit in a
-// calendar ring: 64 clock-indexed buckets, each a bitmask of member
-// indices. The globally earliest commit is the lowest set bit
-// (= lowest sequencer ID, since mems is in ID order) of the bucket at
-// the wave clock T, so selection is a bucket load plus TrailingZeros,
-// and retirement re-files the member with two bit operations — no
-// heap, no sort, and no tie or lockstep structure required:
-// phase-shifted members interleave at full speed. This is the paper's
-// global commit rule ("exactly one instruction commits machine-wide
-// at a time, ordered by (clock, sequencer ID)") executed directly.
-//
-// Ring capacity: plain micro-op costs plus a dynamic TLB-walk charge
-// stay far below the 64-cycle span; commits that would leap further
-// (an unusually large configured walk cost) rebase instead of
-// aliasing. The wave rebases every ringSafe cycles, which also folds
-// in members that started more than ringSafe cycles ahead of the
-// minimum ("far" members — they bound the wave like an outside event
-// until a rebase files them). Occupied clocks therefore always span
-// less than the ring, so bucket indices never alias.
+// legacy commit order using compiled micro-ops only. The globally
+// earliest commit belongs to the member with the lowest clock, the lowest
+// index (= lowest sequencer ID, since mems is in ID order) on a tie: one
+// min scan over at most scanThreshold clocks per pop — no heap, no sort,
+// and no tie or lockstep structure required: phase-shifted members
+// interleave at full speed. This is the paper's global commit rule
+// ("exactly one instruction commits machine-wide at a time, ordered by
+// (clock, sequencer ID)") executed directly.
 //
 // Only called with m.prof == nil and m.flt == nil: the profiler's
 // per-retirement events and the fault plane's injection probes stay on
@@ -584,25 +614,29 @@ func (m *Machine) commitOrdered(s *Sequencer, u *sbUop) (f *trapFault, sva, ssz 
 // member's commit and what follows it run in the leaf, runAhead, whose
 // loop the compiler keeps in registers: up to waveRunAhead micro-ops that
 // are pure or plain-hit loads, in the page and below the member's own
-// threshold, after which the member is re-filed once at its final clock.
-// The first of them is the ordered commit; when the popped micro-op is
-// not runAhead's, commitOrdered makes the ordered commit and the run
-// follows it — unless it stored: a store is followed by the snoop, not by
-// a run. The early retirements are not wrong — nothing another member
-// does can see them, and only a store into a load's bytes or a member's
-// page can change them — unless the wave stops at a position ordered
-// before them. Every stop leaves through the one exit with that position
-// in (T, i): a popped member that may not commit (threshold, left the
-// page, stale page, default-arm word) or faults (a load or store, div by
-// zero, a misaligned atomic) stops at its own pop; a store that moved a
-// member's page or hit a member's load record stops just after itself; a
-// cancel stops at the earliest member's next commit. The exit undoes
-// every logged retirement keyed after (T, i), then folds the counters,
-// then dispatches the fault: the faulting member's later-ordered peers
-// are where the legacy loop has them.
+// threshold, after which the member's clock is written once. The first of
+// them is the ordered commit; when the popped micro-op is not runAhead's
+// (its kind byte says so, or it is a load runAhead declines),
+// commitOrdered makes the ordered commit and the run follows it. The
+// wave snapshots the member (waveSnap) just before each run. The early
+// retirements are not wrong — only a store into a load's bytes or a
+// member's page can change them — unless the wave stops at a position
+// ordered before them. Every stop leaves through the one exit with that
+// position in (T, i): a popped member that may not commit (threshold,
+// left the page, stale page, default-arm word), faults (a load or store,
+// div by zero, a misaligned atomic), or whose store would hit a peer's
+// load or cannot be placed stops at its own pop, nothing committed; a
+// store that moved a member's page stops just after itself; a cancel
+// stops at the earliest member's next commit. The exit takes back every
+// run that reaches past (T, i) — restore the snapshot, run again up to
+// the position; invariant 4 in the file header says why that re-makes the
+// kept part exactly — then folds the counters, then dispatches the fault:
+// the faulting member's later-ordered peers are where the legacy loop has
+// them.
 func (m *Machine) runCohortWave(mems *[scanThreshold]*Sequencer, evts, clocks *[scanThreshold]uint64, nm int, outT uint64, outID int) (progress, unclean bool) {
 	limit := min(m.cycLimit, m.pauseLimit)
 	m.sbRuns++
+	m.waveExits++
 	// Wave-local member state, filled once. The window/page pointers and
 	// the compile-time generation are invariants for the whole call
 	// (only the general path refetches windows or recompiles pages), so
@@ -620,16 +654,17 @@ func (m *Machine) runCohortWave(mems *[scanThreshold]*Sequencer, evts, clocks *[
 	// constants, so — as runBatch's tstar does — they fold into one
 	// compare per pop. It only decides when the wave hands back;
 	// runRound's general turn then runs the individual checks. A member
-	// whose window fails validation keeps thr 0: it still sits in the
-	// ring and stops the wave when it pops as the minimum.
+	// whose window fails validation keeps thr 0: it still takes part in
+	// the min scan and stops the wave when it pops as the minimum.
 	var genp [scanThreshold]*uint32
 	var dg [scanThreshold]uint32
 	var ub [scanThreshold]*[sbSlots]sbUop
 	var wva, pcs, thr, ret [scanThreshold]uint64
-	// Each member's latest run in m.waveLog: how many records, which of
-	// them are loads, and the granule filter over those loads' addresses.
-	var nlog [scanThreshold]uint8
-	var lmask, lbloom [scanThreshold]uint64
+	// Each member's latest run: how many micro-ops, how many of them loads
+	// (their addresses are in m.waveLog) and the granule filter over those
+	// addresses.
+	var nrun, nld [scanThreshold]uint8
+	var lbloom [scanThreshold]uint64
 	for i := 0; i < nm; i++ {
 		c := mems[i]
 		if c.winGen == nil || c.sb == nil || *c.winGen != c.sb.gen {
@@ -645,159 +680,136 @@ func (m *Machine) runCohortWave(mems *[scanThreshold]*Sequencer, evts, clocks *[
 		}
 		thr[i] = min(t, evts[i])
 	}
-	const ringSpan = 64 // power of two
-	const ringSafe = ringSpan - 16
-	var ring [ringSpan]uint16
 	var c *Sequencer
 	var f *trapFault // set only by the commit that ends the wave
 	// (T, i) is the stop position when the wave exits: every commit
-	// ordered before it has been made and, but for a store that ends the
-	// wave after committing, none at or after it.
+	// ordered before it has been made and, but for a store that moved a
+	// member's page and so ends the wave after committing, none at or
+	// after it.
 	var T uint64
 	var i int
 wave:
 	for {
-		// Rebase: file every member within ringSafe of the minimum into
-		// its clock bucket; anything further ahead waits as a "far"
-		// member and bounds this pass. Amortized over the ringSafe
-		// cycles (dozens of commits) a pass covers.
+		// The globally earliest commit: the lowest clock, and on a tie the
+		// lowest index (= lowest sequencer ID, mems is in ID order).
 		T, i = clocks[0], 0
 		for j := 1; j < nm; j++ {
 			if clocks[j] < T {
 				T, i = clocks[j], j
 			}
 		}
-		// One cancellation poll per rebase: a cancel waits at most one
-		// pass (ringSafe simulated cycles) before the wave hands back, at
-		// the earliest member's next commit, and runRound surfaces it.
+		// One cancellation poll per pop: a cancel waits at most one run
+		// (waveRunAhead micro-ops of one member) before the wave hands
+		// back, at the earliest member's next commit, and runRound
+		// surfaces it.
 		if m.canceled() {
 			break
 		}
-		ring = [ringSpan]uint16{}
-		stop := T + ringSafe
-		for j := 0; j < nm; j++ {
-			if cj := clocks[j]; cj-T < ringSafe {
-				ring[cj&(ringSpan-1)] |= 1 << uint(j)
-			} else if cj < stop {
-				stop = cj
-			}
+		lim := thr[i]
+		if T >= lim {
+			break
 		}
-		for {
-			b := ring[T&(ringSpan-1)]
-			if b == 0 {
-				T++
-				if T >= stop {
-					break // rebase
-				}
-				continue
-			}
-			i = bits.TrailingZeros16(b)
-			lim := thr[i]
-			if T >= lim {
-				break wave
-			}
-			pc := pcs[i]
-			off := pc - wva[i]
-			if off >= mem.PageSize || off&7 != 0 || *genp[i] != dg[i] {
-				// Left the page, or a store (by any member) invalidated
-				// it.
-				break wave
-			}
-			c = mems[i]
-			// This pop ends the member's previous run: every commit
-			// ordered before its records has been made, nothing can take
-			// them back or conflict with them any more.
-			nlog[i], lmask[i] = 0, 0
-			// The run: its first retirement is the ordered commit, the
-			// rest are ahead of the order. c.Clock itself is written
-			// once, after the run.
-			n, pc, nc, lm, lb := runAhead(m, c, ub[i], &m.waveLog[i], wva[i], pc, T, lim, waveRunAhead)
-			var sva, ssz uint64
-			if n == 0 {
-				// Not runAhead's to retire: the ordered commit, the only
-				// place the wave can fault, then the run — unless it
-				// stored: the snoop below comes next, and a run after
-				// that measured flat (DESIGN.md §13).
-				var ok bool
-				u := &ub[i][off>>3]
-				if f, sva, ssz, ok = m.commitOrdered(c, u); !ok || f != nil {
-					break wave
-				}
-				ret[i]++
-				pc += isa.WordSize
-				nc = c.Clock + uint64(u.cost)
-				if ssz == 0 {
-					n, pc, nc, lm, lb = runAhead(m, c, ub[i], &m.waveLog[i], wva[i], pc, nc, lim, waveRunAhead)
-				}
-			}
-			pcs[i], c.PC, c.Clock, clocks[i] = pc, pc, nc, nc
-			ret[i] += uint64(n)
-			nlog[i], lmask[i], lbloom[i] = uint8(n), lm, lb
-			if ssz != 0 {
-				// The store may have hit a page a peer has already run
-				// ahead in, or bytes a peer's run-ahead load has already
-				// read: revalidate every member's page and snoop every
-				// member's load records, and on a hit stop the wave here,
-				// just after the store, so the exit takes back what was
-				// ordered after it. The filter speaks for the 8-byte
-				// granules a record's eight bytes touch, so a store it
-				// passes overlaps none of them. A store whose bytes are
-				// not one physical range (it straddles a page) conflicts
-				// with any record at all.
-				spa, one := sva, sva&mem.PageMask+ssz <= mem.PageSize
+		pc := pcs[i]
+		off := pc - wva[i]
+		if off >= mem.PageSize || off&7 != 0 || *genp[i] != dg[i] {
+			// Left the page, or a store (by any member) invalidated it.
+			break
+		}
+		c = mems[i]
+		sn := &m.waveLog[i]
+		u := &ub[i][off>>3]
+		// This pop ends the member's previous run: every commit ordered
+		// before its micro-ops has been made, nothing can take them back
+		// or conflict with them any more.
+		nrun[i], nld[i] = 0, 0
+		// The run: when the popped micro-op is runAhead's, its first
+		// retirement is the ordered commit and the rest are ahead of the
+		// order. c.Clock itself is written once, after the run.
+		var n, nl int
+		var lb uint64
+		nc := T
+		if u.kind != uopOrdered {
+			sn.regs, sn.fregs, sn.pc, sn.nc, sn.hits = c.Regs, c.FRegs, pc, nc, c.TLB.Hits
+			n, pc, nc, nl, lb = runAhead(m, c, ub[i], &sn.loads, wva[i], pc, nc, lim, waveRunAhead)
+		}
+		if n == 0 {
+			// Not runAhead's to retire (or a load it declined): the
+			// ordered commit, the only place the wave can fault, then the
+			// run. A store is snooped first (invariant 4(e)): if it
+			// overlaps a load of any member's latest run, or cannot be
+			// placed — it straddles a page, or its page is not
+			// write-resident in the member's TLB — the wave stops here, at
+			// the store's own pop, and the general turn commits it. The
+			// filter speaks for the 8-byte granules a record's eight bytes
+			// touch, so a store it passes overlaps none of them.
+			if va, size := u.storeVA(&c.Regs); size != 0 {
+				spa, one := va, va&mem.PageMask+size <= mem.PageSize
 				if one && c.CRs[isa.CR0]&isa.CR0Paging != 0 {
 					var pfn uint32
-					pfn, one = c.TLB.Peek(sva, true) // resident: storeN just used it
-					spa = uint64(pfn)<<mem.PageShift | sva&mem.PageMask
+					pfn, one = c.TLB.Peek(va, true)
+					spa = uint64(pfn)<<mem.PageShift | va&mem.PageMask
 				}
-				sbits := uint64(1)<<(spa>>3&63) | 1<<((spa+ssz-1)>>3&63)
+				sbits := uint64(1)<<(spa>>3&63) | 1<<((spa+size-1)>>3&63)
 				for j := 0; j < nm; j++ {
-					if genp[j] != nil && *genp[j] != dg[j] {
-						break wave
-					}
-					if lmask[j] == 0 || one && lbloom[j]&sbits == 0 {
+					if nld[j] == 0 || one && lbloom[j]&sbits == 0 {
 						continue
 					}
 					if !one {
 						break wave
 					}
-					for w := lmask[j]; w != 0; w &= w - 1 {
-						if lp := m.waveLog[j][bits.TrailingZeros64(w)].pa; lp+8 > spa && spa+ssz > lp {
+					for _, lp := range m.waveLog[j].loads[:nld[j]] {
+						if lp+8 > spa && spa+size > lp {
 							break wave
 						}
 					}
 				}
 			}
-			ring[T&(ringSpan-1)] = b &^ (1 << uint(i))
-			if nc-T >= ringSafe {
-				break // leap past the ring: rebase re-files everyone
-			}
-			ring[nc&(ringSpan-1)] |= 1 << uint(i)
-		}
-	}
-	// Take back every run-ahead retirement ordered after the stop
-	// position, newest first. A member's log holds its latest run only:
-	// an earlier run ended at one of its own pops, which no later stop
-	// position precedes. The key of a logged micro-op is (its clock
-	// before, member index) — mems is in ID order. A record is of a pure
-	// micro-op or of a load, whose TLB hit goes back too.
-	for j := 0; j < nm; j++ {
-		s := mems[j]
-		cur := clocks[j]
-		for k := int(nlog[j]) - 1; k >= 0; k-- {
-			e := &m.waveLog[j][k]
-			u := &ub[j][(e.pc-wva[j])>>3]
-			before := cur - uint64(u.cost)
-			if before < T || (before == T && j <= i) {
+			var stored, ok bool
+			if f, stored, ok = m.commitOrdered(c, u); !ok || f != nil {
 				break
 			}
-			s.Regs[u.rd], s.FRegs[u.rd] = e.r, e.f
-			if !u.pure {
-				s.TLB.Hits--
+			ret[i]++
+			pc += isa.WordSize
+			nc = c.Clock + uint64(u.cost)
+			if stored {
+				// The store may have hit a page a peer has already run
+				// ahead in: revalidate every member's page and on a move
+				// stop the wave here, just after the store, so the exit
+				// takes back what was ordered after it and re-makes the
+				// rest from the page as it was compiled.
+				for j := 0; j < nm; j++ {
+					if genp[j] != nil && *genp[j] != dg[j] {
+						pcs[i], c.PC, c.Clock, clocks[i] = pc, pc, nc, nc
+						break wave
+					}
+				}
 			}
-			s.PC, s.Clock, clocks[j], cur = e.pc, before, before, before
-			ret[j]--
+			sn.regs, sn.fregs, sn.pc, sn.nc, sn.hits = c.Regs, c.FRegs, pc, nc, c.TLB.Hits
+			n, pc, nc, nl, lb = runAhead(m, c, ub[i], &sn.loads, wva[i], pc, nc, lim, waveRunAhead)
 		}
+		pcs[i], c.PC, c.Clock, clocks[i] = pc, pc, nc, nc
+		ret[i] += uint64(n)
+		nrun[i], nld[i], lbloom[i] = uint8(n), uint8(nl), lb
+	}
+	// Take back every run that reaches past the stop position: restore
+	// what it started from and run it again up to the position — the
+	// leaf's own clock bound stops it exactly there, so what is ordered
+	// before is re-made and what is ordered after never ran. A member's
+	// snapshot is of its latest run only: an earlier run ended at one of
+	// its own pops, which no later stop position precedes. The key of a
+	// micro-op is (its clock before, member index) — mems is in ID order.
+	for j := 0; j < nm; j++ {
+		lim := T + b2u(j <= i)
+		if nrun[j] == 0 || clocks[j] <= lim {
+			continue
+		}
+		s, sn := mems[j], &m.waveLog[j]
+		s.Regs, s.FRegs, s.TLB.Hits = sn.regs, sn.fregs, sn.hits
+		n, pc, nc, _, _ := runAhead(m, s, ub[j], nil, wva[j], sn.pc, sn.nc, lim, int(nrun[j]))
+		s.PC, s.Clock, clocks[j] = pc, nc, nc
+		back := uint64(int(nrun[j]) - n)
+		ret[j] -= back
+		m.waveTakenBack += back
 	}
 	steps := m.Steps
 	for j := 0; j < nm; j++ {
@@ -835,7 +847,7 @@ func (m *Machine) runUops(s *Sequencer, sb *sbPage, n, max int, tstar uint64) (i
 		exit := false
 		if k == 0 {
 			u := &sb.uops[(pc0-base)>>3]
-			f, _, ssz, ok := m.commitOrdered(s, u)
+			f, stored, ok := m.commitOrdered(s, u)
 			if !ok {
 				return n, sbStep // the interpreter leg
 			}
@@ -847,7 +859,7 @@ func (m *Machine) runUops(s *Sequencer, sb *sbPage, n, max int, tstar uint64) (i
 				return n, sbEnd
 			}
 			k, pc, nc = 1, pc0+isa.WordSize, s.Clock+uint64(u.cost)
-			exit = ssz != 0 && *genp != gen
+			exit = stored && *genp != gen
 		}
 		s.PC, s.Clock = pc, nc
 		s.C.Instrs += uint64(k)

@@ -79,7 +79,7 @@ func (r *trapRecorder) Done() bool { return r.hit || r.BareOS.Done() }
 // uopMachine builds a machine with code at uopCode, uopPattern around
 // the operand addresses, and every sequencer of top running at ring 0
 // from the first code word after init set its registers.
-func uopMachine(t *testing.T, top Topology, legacy bool, code []isa.Instr, init func(*Sequencer)) (*Machine, *trapRecorder) {
+func uopMachine(t testing.TB, top Topology, legacy bool, code []isa.Instr, init func(*Sequencer)) (*Machine, *trapRecorder) {
 	t.Helper()
 	cfg := DefaultConfig(top)
 	cfg.PhysMem = 4 << 20
@@ -280,11 +280,13 @@ func TestUopSemanticsMatchOracle(t *testing.T) {
 		uopProbeRunUops(t, op)
 		uopProbeWave(t, op)
 		uopProbeLeaf(t, op, ahead)
-		// A pure opcode is taken back from {PC, Regs[rd], FRegs[rd]} alone:
-		// it may touch no memory. A load is not pure: its record also
-		// carries the address the store snoop compares.
-		if f := isa.Lookup(op).Fmt; u.pure != sbPure(op) || u.pure && (interpOnly[op] || f == isa.FmtMem || f == isa.FmtFMem) {
-			t.Errorf("%s: pure %v compiled %v, interpreter-only %v, format %d", isa.Name(op), sbPure(op), u.pure, interpOnly[op], f)
+		// The kind byte is what the wave starts a run on. A pure opcode is
+		// re-made from the run's snapshot alone: it may touch no memory. A
+		// load is not pure: the run also keeps the address a peer's store
+		// is checked against. Everything else is commitOrdered's or nobody's.
+		pure, f := u.kind == uopPure, isa.Lookup(op).Fmt
+		if pure != sbPure(op) || (u.kind == uopLoad) != acc.load || pure && (interpOnly[op] || f == isa.FmtMem || f == isa.FmtFMem) {
+			t.Errorf("%s: pure %v load %v compiled kind %d, interpreter-only %v, format %d", isa.Name(op), sbPure(op), acc.load, u.kind, interpOnly[op], f)
 		}
 		if u.size != acc.size || u.sx != acc.sx {
 			t.Errorf("%s compiles to access size %d shift %d, want %d and %d", isa.Name(op), u.size, u.sx, acc.size, acc.sx)
@@ -302,9 +304,9 @@ func TestUopSemanticsMatchOracle(t *testing.T) {
 		}
 		for i, c := range uopCases(op) {
 			uopCompare(t, c)
-			// What the undo record must cover depends on the opcode, not
-			// the operands: a stride keeps the race run short (and, of a
-			// load's addresses, picks the aligned one).
+			// What the run's snapshot must cover depends on the opcode,
+			// not the operands: a stride keeps the race run short (and,
+			// of a load's addresses, picks the aligned one).
 			if ahead && i%5 == 0 {
 				uopCompareUndo(t, c)
 			}
@@ -338,30 +340,50 @@ func uopCompare(t *testing.T, c uopCase) {
 }
 
 // uopCompareUndo runs c where the wave retires it ahead of the commit
-// order and must take it back: sequencer 1 reaches c.in one slot after
-// its ordered commit (the addi), tied with sequencer 0's syscall, which
-// the lower ID commits first and which ends the run. The legacy loop
-// never executes c.in; the wave's undo record — PC, Regs[rd], FRegs[rd] —
-// must cover everything the opcode wrote, and a load's TLB hit goes back
-// with it. A load only runs ahead as a TLB hit, so sequencer 1 touches
-// the operand page first and sequencer 0 starts later by what that costs.
+// order and must take it back. Sequencer 1's run is the addi that opens
+// it, an fadd, c.in, another addi and c.in again; sequencer 0 spins
+// through as many one-cycle addis and reaches its syscall tied with that
+// second c.in, which the lower ID commits first and which ends the run.
+// The legacy loop never executes the second c.in, and executes everything
+// before it once: the wave's exit restores the run's snapshot — Regs,
+// FRegs, the TLB hit count — and re-makes that prefix, so a restore that
+// leaves something out shows as the prefix applied twice (r9 += 3, f4 +=
+// f5, a load's TLB hit) or as the second c.in's write left behind. A
+// control transfer is left out of the kept prefix (the layout has one
+// path). A load only runs ahead as a TLB hit, so sequencer 1 touches the
+// operand page first and sequencer 0 starts later by what that costs.
 func uopCompareUndo(t *testing.T, c uopCase) {
 	t.Helper()
 	addi := isa.Instr{Op: isa.OpAddi, Rd: 9, Rs1: 9, Imm: 3}
+	fadd := isa.Instr{Op: isa.OpFadd, Rd: 4, Rs1: 4, Rs2: 5}
 	ahead := []isa.Instr{{Op: isa.OpNop}}
 	var skew uint64
 	if uopAccess[c.in.Op].load {
 		ahead = append(ahead, isa.Instr{Op: isa.OpLdd, Rd: 10, Rs1: 2, Imm: c.in.Imm})
 		skew = uint64(isa.Lookup(isa.OpLdd).Cost) + mem.WalkCost
 	}
+	ahead = append(ahead, addi, fadd)
+	spin := 2 + isa.Lookup(isa.OpFadd).Cost // sequencer 0's addis: one per cycle of the kept prefix
+	switch isa.Lookup(c.in.Op).Fmt {
+	case isa.FmtJmp, isa.FmtJal, isa.FmtBranch, isa.FmtR1, isa.FmtR2:
+	default:
+		ahead = append(ahead, c.in)
+		spin += isa.Lookup(c.in.Op).Cost
+	}
 	ahead = append(ahead, addi)
-	code := make([]isa.Instr, 8, 11) // sequencer 1 from slot 0, sequencer 0 from slot 8
+	const oms = 16 // sequencer 1 runs from slot 0, sequencer 0 from here
+	code := make([]isa.Instr, oms, oms+2+int(spin))
 	copy(code, append(ahead, c.in, isa.Instr{Op: isa.OpHalt}, isa.Instr{Op: isa.OpHalt}))
-	code = append(code, isa.Instr{Op: isa.OpNop}, addi, isa.Instr{Op: isa.OpSyscall})
+	code = append(code, isa.Instr{Op: isa.OpNop})
+	for ; spin > 0; spin-- {
+		code = append(code, addi)
+	}
+	code = append(code, isa.Instr{Op: isa.OpSyscall})
 	init := func(s *Sequencer) {
 		c.init(s)
+		s.FRegs[4], s.FRegs[5] = 1.5, 2.25
 		if s.ID == 0 {
-			s.PC, s.Clock = uopCode+8*isa.WordSize, skew
+			s.PC, s.Clock = uopCode+oms*isa.WordSize, skew
 		}
 	}
 	want := uopRun(t, Topology{1}, true, code, init)
@@ -378,7 +400,7 @@ func uopCompareUndo(t *testing.T, c uopCase) {
 // uopProbe builds a fast-loop machine on top with [in, halt] compiled and
 // attached to every sequencer's fetch window, operands benign: the state
 // in which runBatch calls runUops and runRound calls the wave.
-func uopProbe(t *testing.T, top Topology, op isa.Op) *Machine {
+func uopProbe(t testing.TB, top Topology, op isa.Op) *Machine {
 	t.Helper()
 	in := isa.Instr{Op: op, Rd: 1, Rs1: 2, Rs2: 3, Imm: isa.WordSize}
 	c := uopCase{in: in, r: [3]uint64{1, uopData + 64, 1}}
@@ -450,20 +472,20 @@ func uopProbeLeaf(t *testing.T, op isa.Op, ahead bool) {
 		t.Fatalf("touch the operand page: %+v", f)
 	}
 	before := *s
-	var log [waveRunAhead]waveUndo
-	n, pc, nc, mask, bloom := runAhead(m, s, &s.sb.uops, &log, s.winVA, s.PC, s.Clock, noEvent, 1)
+	var loads [waveRunAhead]uint64
+	n, pc, nc, nl, bloom := runAhead(m, s, &s.sb.uops, &loads, s.winVA, s.PC, s.Clock, noEvent, 1)
 	hits := s.TLB.Hits - before.TLB.Hits
 	switch load := uopAccess[op].load; {
 	case !ahead:
-		if n != 0 || pc != s.PC || nc != s.Clock || mask != 0 || !reflect.DeepEqual(*s, before) {
+		if n != 0 || pc != s.PC || nc != s.Clock || nl != 0 || !reflect.DeepEqual(*s, before) {
 			t.Errorf("runAhead ran %s (n=%d)", isa.Name(op), n)
 		}
-	case n != 1 || nc != s.Clock+uint64(isa.Lookup(op).Cost) || log[0].pc != s.PC:
-		t.Errorf("runAhead did not run %s (n=%d clock %d record %+v)", isa.Name(op), n, nc, log[0])
-	case load != (mask == 1) || load != (bloom != 0) || load != (log[0].pa != 0) || load != (hits == 1):
-		t.Errorf("runAhead on %s: load mask %#x filter %#x address %#x TLB hits %d", isa.Name(op), mask, bloom, log[0].pa, hits)
+	case n != 1 || nc != s.Clock+uint64(isa.Lookup(op).Cost):
+		t.Errorf("runAhead did not run %s (n=%d clock %d)", isa.Name(op), n, nc)
+	case load != (nl == 1) || load != (bloom != 0) || load != (loads[0] != 0) || load != (hits == 1):
+		t.Errorf("runAhead on %s: %d loads, filter %#x address %#x TLB hits %d", isa.Name(op), nl, bloom, loads[0], hits)
 	}
-	if _, _, _, ok := m.commitOrdered(s, &s.sb.uops[0]); ok != (!interpOnly[op] && !sbPure(op)) {
+	if _, _, ok := m.commitOrdered(s, &s.sb.uops[0]); ok != (!interpOnly[op] && !sbPure(op)) {
 		t.Errorf("commitOrdered takes %s: %v", isa.Name(op), ok)
 	}
 }
@@ -525,5 +547,45 @@ func TestBadRegisterFieldTraps(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// BenchmarkSbCompile times compiling one code page into micro-ops: what a
+// first execution of a page, or the first after a store into it, pays.
+func BenchmarkSbCompile(b *testing.B) {
+	m := uopProbe(b, Topology{0}, isa.OpAdd)
+	defer m.Release()
+	p := m.Seqs[0].sb
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		m.sbCompile(p)
+	}
+}
+
+var sinkPA uint64
+
+// BenchmarkTranslate times a data translation that hits the TLB and one
+// that walks (the entry is dropped before each).
+func BenchmarkTranslate(b *testing.B) {
+	m := uopProbe(b, Topology{0}, isa.OpLdd)
+	defer m.Release()
+	s := m.Seqs[0]
+	for _, miss := range []bool{false, true} {
+		name := "hit"
+		if miss {
+			name = "miss"
+		}
+		b.Run(name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if miss {
+					s.TLB.FlushPage(uopData)
+				}
+				pa, f := m.translate(s, uopData+64, false)
+				if f != nil {
+					b.Fatalf("%+v", f)
+				}
+				sinkPA = pa
+			}
+		})
 	}
 }

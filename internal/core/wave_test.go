@@ -195,49 +195,51 @@ func wavePausedRun(t *testing.T, top Topology, legacy bool, code []isa.Instr, in
 	return uopSeqs(m), data
 }
 
-// TestWaveLoadRunAheadSeesPeerStore: the peers spin loading one shared
-// word — TLB hits, so the loads run ahead of the commit order — and
-// sequencer 0 stores into it. A peer whose load was ordered after the
-// store but had already read the old bytes must have that run taken back,
-// whatever the shape of the overlap: the whole word, one byte in its
-// middle, an atomic on it, and a store that straddles into it from the
-// page before (whose bytes are not one physical range).
-func TestWaveLoadRunAheadSeesPeerStore(t *testing.T) {
-	const (
-		loop   = wavePeerSlot * isa.WordSize
-		shared = uopData + mem.PageSize // first word of the second operand page
-	)
-	peers := []isa.Instr{
-		{Op: isa.OpLdd, Rd: 4, Rs1: 1},
-		{Op: isa.OpAdd, Rd: 5, Rs1: 5, Rs2: 4},
-		{Op: isa.OpXori, Rd: 6, Rs1: 5, Imm: 0x55},
-		{Op: isa.OpJmp, Imm: -3 * isa.WordSize},
-	}
-	stores := []struct {
-		name string
-		in   isa.Instr // [r14] <- r13, or an atomic add of r13
-		at   uint64
-	}{
-		{"std", isa.Instr{Op: isa.OpStd, Rd: 13, Rs1: 14}, shared},
-		{"stb-inside", isa.Instr{Op: isa.OpStb, Rd: 13, Rs1: 14}, shared + 3},
-		{"aadd", isa.Instr{Op: isa.OpAadd, Rd: 12, Rs1: 14, Rs2: 13}, shared},
-		{"std-straddling", isa.Instr{Op: isa.OpStd, Rd: 13, Rs1: 14}, shared - 4},
-	}
+// waveShared is the word the store tests contend on: the first of the
+// second operand page.
+const waveShared = uopData + mem.PageSize
+
+// waveStore is one shape of sequencer 0's store under test. Its program
+// stores to warm first: a word on waveShared's page, so that page is
+// write-resident in its TLB and the wave can place the store under test
+// without a walk, or on the other operand page, so it cannot.
+type waveStore struct {
+	name string
+	in   isa.Instr // [r14] <- r13, or an atomic with r13
+	at   uint64    // r14
+	warm uint64
+}
+
+const (
+	waveWarm = waveShared + 512
+	waveCold = uopData + 512
+)
+
+// waveStoreEquiv runs sequencer 0 — the warming store, lead addis, the
+// store under test, then a spin — against peers on their loop (r1 =
+// waveShared) for every store and lead, and holds the fast loop to the
+// legacy one on every sequencer's state and both operand pages 60 cycles
+// after the store.
+func waveStoreEquiv(t *testing.T, peers []isa.Instr, stores []waveStore, leadMin, leadMax, step int) {
+	t.Helper()
 	for _, top := range waveTops {
 		for _, st := range stores {
-			for lead := waveLeadMin; lead < waveLeadMax; lead++ {
+			for lead := leadMin; lead < leadMax; lead += step {
 				code := make([]isa.Instr, wavePeerSlot, wavePeerSlot+len(peers))
-				copy(code, waveLead(lead, st.in,
+				copy(code, append([]isa.Instr{{Op: isa.OpStd, Rd: 13, Rs1: 11}}, waveLead(lead, st.in,
 					isa.Instr{Op: isa.OpAddi, Rd: 9, Rs1: 9, Imm: 3},
-					isa.Instr{Op: isa.OpJmp, Imm: -isa.WordSize}))
+					isa.Instr{Op: isa.OpJmp, Imm: -isa.WordSize})...))
 				code = append(code, peers...)
-				base := waveInit(uopCode + loop)
+				base := waveInit(uopCode + wavePeerSlot*isa.WordSize)
 				init := func(s *Sequencer) {
 					base(s)
-					s.Regs[1], s.Regs[13], s.Regs[14] = shared, 0x0123456789ABCDEF, st.at
+					s.Regs[1], s.Regs[11], s.Regs[13], s.Regs[14] = waveShared, st.warm, 0x0123456789ABCDEF, st.at
 				}
-				want, wantMem := wavePausedRun(t, top, true, code, init, uint64(lead)+60)
-				got, gotMem := wavePausedRun(t, top, false, code, init, uint64(lead)+60)
+				// The warming store costs a walk: the store under test
+				// commits at clock lead+26.
+				pause := uint64(lead) + 26 + 60
+				want, wantMem := wavePausedRun(t, top, true, code, init, pause)
+				got, gotMem := wavePausedRun(t, top, false, code, init, pause)
 				for i := range want {
 					if want[i] != got[i] {
 						t.Fatalf("%v %s lead %d: sequencer %d 60 cycles after the store:\nlegacy %+v\nfast   %+v", top, st.name, lead, i, want[i], got[i])
@@ -249,6 +251,59 @@ func TestWaveLoadRunAheadSeesPeerStore(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestWaveLoadRunAheadSeesPeerStore: the peers spin loading one shared
+// word — TLB hits, so the loads run ahead of the commit order — and
+// sequencer 0 stores into it. A peer whose load was ordered after the
+// store but had already read the old bytes must have that run taken back,
+// whatever the shape of the overlap: the whole word, one byte in its
+// middle, an atomic on it, a store the wave cannot place because its page
+// is not write-resident in sequencer 0's TLB, and one that straddles into
+// the word from the page before (whose bytes are not one physical range).
+func TestWaveLoadRunAheadSeesPeerStore(t *testing.T) {
+	peers := []isa.Instr{
+		{Op: isa.OpLdd, Rd: 4, Rs1: 1},
+		{Op: isa.OpAdd, Rd: 5, Rs1: 5, Rs2: 4},
+		{Op: isa.OpXori, Rd: 6, Rs1: 5, Imm: 0x55},
+		{Op: isa.OpJmp, Imm: -3 * isa.WordSize},
+	}
+	waveStoreEquiv(t, peers, []waveStore{
+		{"std", isa.Instr{Op: isa.OpStd, Rd: 13, Rs1: 14}, waveShared, waveWarm},
+		{"stb-inside", isa.Instr{Op: isa.OpStb, Rd: 13, Rs1: 14}, waveShared + 3, waveWarm},
+		{"aadd", isa.Instr{Op: isa.OpAadd, Rd: 12, Rs1: 14, Rs2: 13}, waveShared, waveWarm},
+		{"std-cold-page", isa.Instr{Op: isa.OpStd, Rd: 13, Rs1: 14}, waveShared, waveCold},
+		{"std-straddling", isa.Instr{Op: isa.OpStd, Rd: 13, Rs1: 14}, waveShared - 4, waveWarm},
+	}, waveLeadMin, waveLeadMax, 1)
+}
+
+// TestWaveKeptLoadKeepsOldBytes: each peer loads the shared word once —
+// a TLB hit inside the run its first, missing load opens — and then spins
+// on what it read, so when sequencer 0's store to that word pops, every
+// peer's run holds a load ordered before the store and micro-ops ordered
+// after it. The wave's exit re-runs the part of a run it keeps, and the
+// kept load must read the bytes it read: the store may not have been
+// committed when the exit runs. The failing acas stores nothing but leaves
+// the wave all the same.
+func TestWaveKeptLoadKeepsOldBytes(t *testing.T) {
+	peers := []isa.Instr{
+		{Op: isa.OpLdd, Rd: 6, Rs1: 1, Imm: 64}, // misses: the ordered commit that opens the run
+		{Op: isa.OpLdd, Rd: 4, Rs1: 1},          // hits: in the run
+		{Op: isa.OpAdd, Rd: 5, Rs1: 5, Rs2: 4},
+		{Op: isa.OpXori, Rd: 6, Rs1: 5, Imm: 0x55},
+		{Op: isa.OpMul, Rd: 7, Rs1: 6, Rs2: 4},
+		{Op: isa.OpJmp, Imm: -3 * isa.WordSize},
+	}
+	// Peer j's load of the shared word commits at clock j+26 (its first
+	// load pays the walk) and its run reaches clock 100 or so; sequencer
+	// 0's store pops at clock lead+26, between the two.
+	waveStoreEquiv(t, peers, []waveStore{
+		{"std", isa.Instr{Op: isa.OpStd, Rd: 13, Rs1: 14}, waveShared, waveWarm},
+		{"stb-inside", isa.Instr{Op: isa.OpStb, Rd: 13, Rs1: 14}, waveShared + 3, waveWarm},
+		{"aadd", isa.Instr{Op: isa.OpAadd, Rd: 12, Rs1: 14, Rs2: 13}, waveShared, waveWarm},
+		{"acas-failing", isa.Instr{Op: isa.OpAcas, Rd: 12, Rs1: 14, Rs2: 13}, waveShared, waveWarm}, // r12 != [r14]
+		{"std-cold-page", isa.Instr{Op: isa.OpStd, Rd: 13, Rs1: 14}, waveShared, waveCold},
+	}, 10, 60, 3)
 }
 
 // TestWaveLoadDeclines: a load that is not a plain TLB hit stays at its
