@@ -36,7 +36,8 @@ bench:
 # benchmark harness's self-tests (percentile rule, seeded streams, names
 # vs BENCHMARK.json, a -size test pass of all four workloads) and one
 # iteration of the core's per-layer benchmarks — the cohort wave (MISP
-# 1x8, SMP 8, each with a cancelable and a background context; eight
+# 1x8, SMP 8, each with a cancelable and a background context, and MISP
+# 1x24 with a background one; eight
 # desynchronised loops with no memory ops, private ones, a shared word
 # one member stores to, and a default-arm word that ends the wave every
 # 64th instruction) beside runUops on one sequencer, in ns per retired
@@ -59,13 +60,15 @@ perfcheck:
 # plus three at ref on MISP 1x8 — galgel (the one point that has diverged
 # while every test-size difftest passed), raytracer (most seqid) and
 # gauss (most acas + aadd), the behaviours that stay inside the
-# cohort wave — exact on instructions, cycles and per-sequencer clocks,
-# retirements and TLB hits/misses/perm-misses.
+# cohort wave — and raytracer, gauss and swim at small size on MISP 1x24,
+# one cohort of 24 — exact on instructions,
+# cycles and per-sequencer clocks, retirements and TLB
+# hits/misses/perm-misses.
 equivgrid:
 	$(GO) test -run TestEquivGrid ./internal/workloads -args -equivgrid
 
 # fuzzcheck searches seeds nobody picked, a bounded time per target:
-# generated shared-memory programs on 2-8 sequencers, fast loop vs legacy
+# generated shared-memory programs on 2-24 sequencers, fast loop vs legacy
 # oracle on registers, clocks, retirements, TLB counters and memory. A
 # crasher lands under testdata/fuzz and is committed as a seed.
 fuzzcheck:

@@ -53,7 +53,7 @@ func main() {
 		return
 	}
 
-	size, err := parseSize(*sizeName)
+	size, err := workloads.ParseSize(*sizeName)
 	if err != nil {
 		fatal(err)
 	}
@@ -214,18 +214,6 @@ func main() {
 			fmt.Printf("warm pool: %d forks, %d cold prepares\n", hits, misses)
 		}
 	}
-}
-
-func parseSize(s string) (workloads.Size, error) {
-	switch s {
-	case "test":
-		return workloads.SizeTest, nil
-	case "small":
-		return workloads.SizeSmall, nil
-	case "ref":
-		return workloads.SizeRef, nil
-	}
-	return 0, fmt.Errorf("unknown size %q", s)
 }
 
 // csvWritten tracks the CSV paths produced by this invocation so an

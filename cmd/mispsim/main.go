@@ -22,7 +22,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strconv"
 	"strings"
 
 	"misp/internal/asm"
@@ -73,7 +72,7 @@ func main() {
 		return
 	}
 
-	top, err := parseTopology(*topSpec)
+	top, err := core.ParseTopology(*topSpec)
 	if err != nil {
 		fatal(err)
 	}
@@ -148,7 +147,7 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	size, err := parseSize(*sizeName)
+	size, err := workloads.ParseSize(*sizeName)
 	if err != nil {
 		fatal(err)
 	}
@@ -284,18 +283,6 @@ func printTrace(m *core.Machine, max int) {
 	}
 }
 
-func parseTopology(s string) (core.Topology, error) {
-	var top core.Topology
-	for _, f := range strings.Split(s, ",") {
-		n, err := strconv.Atoi(strings.TrimSpace(f))
-		if err != nil {
-			return nil, fmt.Errorf("bad topology %q", s)
-		}
-		top = append(top, n)
-	}
-	return top, nil
-}
-
 func parseFaultKinds(s string) ([]fault.Kind, error) {
 	if s == "" {
 		return nil, nil
@@ -316,18 +303,6 @@ func parseFaultKinds(s string) ([]fault.Kind, error) {
 		}
 	}
 	return kinds, nil
-}
-
-func parseSize(s string) (workloads.Size, error) {
-	switch s {
-	case "test":
-		return workloads.SizeTest, nil
-	case "small":
-		return workloads.SizeSmall, nil
-	case "ref":
-		return workloads.SizeRef, nil
-	}
-	return 0, fmt.Errorf("unknown size %q", s)
 }
 
 // stopProfiles flushes any active -cpuprofile/-memprofile output; set

@@ -22,8 +22,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"strconv"
-	"strings"
 
 	"misp/internal/asm"
 	"misp/internal/core"
@@ -59,7 +57,7 @@ func main() {
 		return
 	}
 
-	top, err := parseTopology(*topSpec)
+	top, err := core.ParseTopology(*topSpec)
 	if err != nil {
 		fatal(err)
 	}
@@ -179,7 +177,7 @@ func runWorkload(name, modeName, sizeName string, cfg core.Config) (*core.Machin
 	if err != nil {
 		return nil, nil, err
 	}
-	size, err := parseSize(sizeName)
+	size, err := workloads.ParseSize(sizeName)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -239,30 +237,6 @@ func writeFile(path string, fill func(*os.File) error) error {
 		return err
 	}
 	return f.Close()
-}
-
-func parseTopology(s string) (core.Topology, error) {
-	var top core.Topology
-	for _, f := range strings.Split(s, ",") {
-		n, err := strconv.Atoi(strings.TrimSpace(f))
-		if err != nil {
-			return nil, fmt.Errorf("bad topology %q", s)
-		}
-		top = append(top, n)
-	}
-	return top, nil
-}
-
-func parseSize(s string) (workloads.Size, error) {
-	switch s {
-	case "test":
-		return workloads.SizeTest, nil
-	case "small":
-		return workloads.SizeSmall, nil
-	case "ref":
-		return workloads.SizeRef, nil
-	}
-	return 0, fmt.Errorf("unknown size %q", s)
 }
 
 func fatal(err error) {

@@ -19,45 +19,47 @@ import (
 // the two must read the same, cancellation being one flag load per
 // selection or wave pop.
 func benchRun(b *testing.B, top core.Topology, mode shredlib.Mode) {
+	cancelable, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	b.Run("ctx=cancelable", func(b *testing.B) { benchRunCtx(b, cancelable, top, mode) })
+	b.Run("ctx=background", func(b *testing.B) { benchRunCtx(b, context.Background(), top, mode) })
+}
+
+func benchRunCtx(b *testing.B, ctx context.Context, top core.Topology, mode shredlib.Mode) {
 	w, err := workloads.ByName("dense_mmm")
 	if err != nil {
 		b.Fatal(err)
 	}
-	cancelable, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	for _, c := range []struct {
-		name string
-		ctx  context.Context
-	}{{"ctx=cancelable", cancelable}, {"ctx=background", context.Background()}} {
-		b.Run(c.name, func(b *testing.B) {
-			var instrs uint64
-			for i := 0; i < b.N; i++ {
-				b.StopTimer()
-				pr, err := workloads.Prepare(w, mode, workloads.DefaultConfig(top), workloads.SizeSmall)
-				if err != nil {
-					b.Fatal(err)
-				}
-				b.StartTimer()
-				res, err := pr.RunCtx(c.ctx)
-				b.StopTimer()
-				if err != nil {
-					b.Fatal(err)
-				}
-				instrs += res.Machine.Steps
-				res.Release()
-			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(instrs), "ns/instr")
-		})
+	var instrs uint64
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		pr, err := workloads.Prepare(w, mode, workloads.DefaultConfig(top), workloads.SizeSmall)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+		res, err := pr.RunCtx(ctx)
+		b.StopTimer()
+		if err != nil {
+			b.Fatal(err)
+		}
+		instrs += res.Machine.Steps
+		res.Release()
 	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(instrs), "ns/instr")
 }
 
 // BenchmarkCohortWave runs dense_mmm where runCohortWave retires nearly
 // every instruction: eight lockstep shreds on one MISP processor, and
 // eight OS threads on an 8-way SMP. There the eight members execute one
 // loop in a fixed phase, which is the wave's easy case; desync is the
-// hard one.
+// hard one. misp1x24 is the same program with 24 members in the wave: the
+// per-pop min scan is the one cost that grows with the cohort.
 func BenchmarkCohortWave(b *testing.B) {
 	b.Run("misp1x8", func(b *testing.B) { benchRun(b, core.Topology{7}, shredlib.ModeShred) })
+	b.Run("misp1x24/ctx=background", func(b *testing.B) {
+		benchRunCtx(b, context.Background(), core.Topology{23}, shredlib.ModeShred)
+	})
 	b.Run("smp8", func(b *testing.B) {
 		benchRun(b, core.Topology{0, 0, 0, 0, 0, 0, 0, 0}, shredlib.ModeThread)
 	})

@@ -13,6 +13,8 @@ package core
 
 import (
 	"fmt"
+	"strconv"
+	"strings"
 
 	"misp/internal/fault"
 	"misp/internal/mem"
@@ -85,6 +87,20 @@ func (t Topology) String() string {
 	return s
 }
 
+// ParseTopology reads the command-line form of a topology: the
+// per-processor AMS counts, comma-separated ("7", "3,3", "0,0,0,0").
+func ParseTopology(s string) (Topology, error) {
+	var top Topology
+	for _, f := range strings.Split(s, ",") {
+		n, err := strconv.Atoi(strings.TrimSpace(f))
+		if err != nil {
+			return nil, fmt.Errorf("bad topology %q", s)
+		}
+		top = append(top, n)
+	}
+	return top, nil
+}
+
 // Config holds every machine parameter. The zero value is not usable;
 // start from DefaultConfig.
 type Config struct {
@@ -127,16 +143,6 @@ type Config struct {
 	// guard for tests); 0 means no limit.
 	MaxCycles uint64
 
-	// BatchInstrs bounds the fast path's inner loop: the chosen sequencer
-	// runs at most this many instructions before the run loop re-selects,
-	// even if it has not reached the event horizon. 0 selects
-	// DefaultBatchInstrs.
-	BatchInstrs int
-	// LegacyLoop selects the original one-instruction-per-iteration run
-	// loop (O(#sequencers) scan per instruction). The fast path is
-	// difftested against it; results are bit-identical.
-	LegacyLoop bool
-
 	// Fault configures the deterministic fault-injection plane. Held by
 	// value so every machine built from a copied Config constructs its
 	// own identical Plan (the -parallel sweep workers must not share
@@ -150,10 +156,6 @@ type Config struct {
 	// disables the watchdog otherwise.
 	WatchdogHorizon uint64
 }
-
-// DefaultBatchInstrs is the fast path's inner-loop bound when
-// Config.BatchInstrs is 0.
-const DefaultBatchInstrs = 64
 
 // DefaultConfig returns the baseline configuration used throughout the
 // evaluation: the paper's 5000-cycle signal estimate and a scaled OS
@@ -176,7 +178,6 @@ func DefaultConfig(top Topology) Config {
 		AMSStateCost:    400,
 		RingPolicy:      RingSuspendAll,
 		MaxTraceEvents:  1 << 16,
-		BatchInstrs:     DefaultBatchInstrs,
 	}
 }
 
@@ -198,9 +199,6 @@ func (c *Config) Validate() error {
 	}
 	if c.QuantumTicks <= 0 {
 		return fmt.Errorf("core: QuantumTicks must be positive")
-	}
-	if c.BatchInstrs < 0 {
-		return fmt.Errorf("core: BatchInstrs must be non-negative")
 	}
 	return nil
 }

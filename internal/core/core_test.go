@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -631,6 +632,21 @@ func TestTopologyString(t *testing.T) {
 		}
 		if c.top.Seqs() != 8 {
 			t.Errorf("Topology%v.Seqs = %d, want 8", c.top, c.top.Seqs())
+		}
+	}
+}
+
+func TestParseTopology(t *testing.T) {
+	for spec, want := range map[string]Topology{
+		"7":         {7},
+		" 3 , 0,0 ": {3, 0, 0},
+		"3,,3":      nil, // empty field
+		"3,3,":      nil, // trailing comma
+		"":          nil,
+	} {
+		got, err := ParseTopology(spec)
+		if (err != nil) != (want == nil) || !slices.Equal(got, want) {
+			t.Errorf("ParseTopology(%q) = %v, %v; want %v", spec, got, err, want)
 		}
 	}
 }

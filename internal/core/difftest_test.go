@@ -169,11 +169,11 @@ func TestInterpreterDifferential(t *testing.T) {
 		var clocks, steps [2]uint64
 		for mode, legacy := range []bool{false, true} {
 			cfg := testCfg(0)
-			cfg.LegacyLoop = legacy
 			m, err := New(cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
+			m.Oracle = legacy
 			if _, err := LoadBare(m, image); err != nil {
 				t.Fatal(err)
 			}

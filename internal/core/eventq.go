@@ -1,190 +1,5 @@
 package core
 
-import "math"
-
-// noEvent is the heap key of a sequencer with no self-wakeable event
+// noEvent is the event time of a sequencer with no self-wakeable event
 // (parked states); it sorts after every real event time.
 const noEvent = ^uint64(0)
-
-// heapEnt is one heap slot: the cached next-event time alongside its
-// sequencer, so a comparison touches a single cache line instead of
-// chasing pos/key side tables.
-type heapEnt struct {
-	key uint64
-	s   *Sequencer
-}
-
-// eventHeap is an indexed binary min-heap over the machine's
-// sequencers, ordered by (cached next-event time, sequencer ID). The
-// strict ID tie-break gives the heap a total order, which makes the
-// root's earlier child exactly the machine's second-earliest event —
-// the fast path's event horizon — and reproduces pickNext's
-// lowest-index-wins determinism.
-//
-// Keys are cached: the heap is only correct with respect to the keys
-// recorded at the last update/rebuild. The run loop calls update(s)
-// after advancing s, point-updates from the firmware hooks cover
-// signal/proxy/suspend transitions, and a kernel entry (which may
-// mutate anything) sets Machine.evqDirty to force a full rebuild.
-type eventHeap struct {
-	m   *Machine
-	ent []heapEnt
-	pos []int32 // pos[s.ID] = index of s in ent
-	// scan selects the small-machine mode: for a handful of sequencers a
-	// branch-free linear scan over the cached keys beats maintaining the
-	// heap ordering (an update is a single store instead of a sift), so
-	// the heap invariant is kept only above scanThreshold sequencers.
-	scan bool
-}
-
-// scanThreshold is the sequencer count above which the heap ordering
-// pays for itself against the O(n) key scan.
-const scanThreshold = 16
-
-func (h *eventHeap) init(m *Machine) {
-	h.m = m
-	n := len(m.Seqs)
-	h.ent = make([]heapEnt, n)
-	h.pos = make([]int32, n)
-	h.scan = n <= scanThreshold
-	for i, s := range m.Seqs {
-		h.ent[i] = heapEnt{noEvent, s}
-		h.pos[s.ID] = int32(i)
-	}
-	h.rebuild()
-}
-
-func (h *eventHeap) keyOf(s *Sequencer) uint64 {
-	t, ok := h.m.nextEventTime(s)
-	if !ok {
-		return noEvent
-	}
-	return t
-}
-
-func entLess(a, b heapEnt) bool {
-	return a.key < b.key || (a.key == b.key && a.s.ID < b.s.ID)
-}
-
-// rebuild recomputes every key and (above the scan threshold)
-// re-heapifies in O(n).
-func (h *eventHeap) rebuild() {
-	for i := range h.ent {
-		h.ent[i].key = h.keyOf(h.ent[i].s)
-	}
-	if h.scan {
-		return
-	}
-	for i := len(h.ent)/2 - 1; i >= 0; i-- {
-		h.down(i)
-	}
-}
-
-// update recomputes s's key and restores the heap invariant. The
-// running state is special-cased: it is the run loop's per-batch path,
-// and a running sequencer's next event is simply its clock.
-func (h *eventHeap) update(s *Sequencer) {
-	var k uint64
-	if s.State == StateRunning {
-		k = s.Clock
-	} else {
-		k = h.keyOf(s)
-	}
-	i := int(h.pos[s.ID])
-	if h.scan || h.ent[i].key == k {
-		h.ent[i].key = k
-		return
-	}
-	h.ent[i].key = k
-	if !h.up(i) {
-		h.down(i)
-	}
-}
-
-func (h *eventHeap) swap(i, j int) {
-	h.ent[i], h.ent[j] = h.ent[j], h.ent[i]
-	h.pos[h.ent[i].s.ID] = int32(i)
-	h.pos[h.ent[j].s.ID] = int32(j)
-}
-
-func (h *eventHeap) up(i int) bool {
-	moved := false
-	for i > 0 {
-		p := (i - 1) / 2
-		if !entLess(h.ent[i], h.ent[p]) {
-			break
-		}
-		h.swap(i, p)
-		i = p
-		moved = true
-	}
-	return moved
-}
-
-func (h *eventHeap) down(i int) {
-	n := len(h.ent)
-	for {
-		c := 2*i + 1
-		if c >= n {
-			return
-		}
-		if r := c + 1; r < n && entLess(h.ent[r], h.ent[c]) {
-			c = r
-		}
-		if !entLess(h.ent[c], h.ent[i]) {
-			return
-		}
-		h.swap(i, c)
-		i = c
-	}
-}
-
-// top returns the sequencer with the earliest event together with the
-// event horizon — the second-earliest (event time, sequencer ID), up to
-// which the root may run without re-selection. In a binary min-heap
-// under a strict total order the second-smallest element is always a
-// child of the root. s is nil if no sequencer has an event (the
-// deadlock condition); with fewer than two live events the horizon is
-// (noEvent, MaxInt) and the root can never cross it.
-func (h *eventHeap) top() (s *Sequencer, hT uint64, hID int) {
-	if h.scan {
-		return h.topScan()
-	}
-	root := h.ent[0]
-	if root.key == noEvent {
-		return nil, noEvent, math.MaxInt
-	}
-	if len(h.ent) > 1 {
-		sec := h.ent[1]
-		if len(h.ent) > 2 && entLess(h.ent[2], sec) {
-			sec = h.ent[2]
-		}
-		if sec.key != noEvent {
-			return root.s, sec.key, sec.s.ID
-		}
-	}
-	return root.s, noEvent, math.MaxInt
-}
-
-// topScan is top for scan mode: one pass finds the minimum and
-// second-minimum (key, ID) pairs. Entries sit in sequencer-ID order, so
-// the strict < keeps the lowest ID on key ties, reproducing the heap's
-// (and pickNext's) total order.
-func (h *eventHeap) topScan() (*Sequencer, uint64, int) {
-	best, second := 0, -1
-	for i := 1; i < len(h.ent); i++ {
-		switch {
-		case h.ent[i].key < h.ent[best].key:
-			best, second = i, best
-		case second < 0 || h.ent[i].key < h.ent[second].key:
-			second = i
-		}
-	}
-	if h.ent[best].key == noEvent {
-		return nil, noEvent, math.MaxInt
-	}
-	if second < 0 || h.ent[second].key == noEvent {
-		return h.ent[best].s, noEvent, math.MaxInt
-	}
-	return h.ent[best].s, h.ent[second].key, h.ent[second].s.ID
-}

@@ -150,7 +150,6 @@ func (m *Machine) RecoverLostProxy(ams *Sequencer, now uint64) {
 		AMS:     ams,
 		FrameVA: ams.proxyFrame,
 	})
-	m.evqDirty = true
 }
 
 // TakePendingSignals removes and returns a dead sequencer's queued

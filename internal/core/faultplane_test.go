@@ -114,12 +114,12 @@ msg:  .asciiz "abc"
 func runLoopFault(t *testing.T, cfg Config, src string, legacy bool) (*BareOS, *Machine, error) {
 	t.Helper()
 	cfg.TraceEvents = true
-	cfg.LegacyLoop = legacy
 	p := asm.MustAssemble(src)
 	m, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	m.Oracle = legacy
 	b, err := LoadBare(m, p)
 	if err != nil {
 		t.Fatal(err)
@@ -259,8 +259,7 @@ main:
 	for _, legacy := range []bool{true, false} {
 		cfg := testCfg(0)
 		cfg.MaxCycles = 100_000
-		cfg.LegacyLoop = legacy
-		_, _, err := RunBare(cfg, p)
+		_, _, err := runBareOn(cfg, p, legacy)
 		if err == nil {
 			t.Fatalf("legacy=%v: infinite loop did not hit the cycle limit", legacy)
 		}

@@ -70,9 +70,9 @@ func (m *Machine) kernelTrap(s *Sequencer, trap isa.Trap, info uint64) {
 	proc.inRing0 = false
 	m.emit(s.Clock, s.ID, EvRingExit, uint64(trap), 0)
 	// The kernel may have mutated any sequencer (context switches, IPIs,
-	// timer re-arming, thread exits); the event heap's cached keys are
-	// untrustworthy until rebuilt.
-	m.evqDirty = true
+	// timer re-arming, thread exits) or finished the run: the fast loop's
+	// round is void.
+	m.kernelEntered = true
 	// The watchdog runs at the end of every kernel episode — a point both
 	// execution loops visit with identical clocks, so livelock detection
 	// is bit-reproducible across loops.
@@ -171,8 +171,6 @@ func (m *Machine) proxyRequest(ams *Sequencer, f *trapFault) {
 		// that never heard from it. The kernel health check spots the
 		// ProxyLost flag on a timer tick and re-posts (RecoverLostProxy).
 		m.emit(ams.Clock, ams.ID, EvProxyRequest, uint64(f.trap), f.info)
-		m.evq.update(ams)
-		m.evq.update(proc.OMS())
 		return
 	}
 	proc.PendingProxy = append(proc.PendingProxy, ProxyReq{
@@ -181,8 +179,6 @@ func (m *Machine) proxyRequest(ams *Sequencer, f *trapFault) {
 		FrameVA: frameVA,
 	})
 	m.emit(ams.Clock, ams.ID, EvProxyRequest, uint64(f.trap), f.info)
-	m.evq.update(ams)
-	m.evq.update(proc.OMS())
 }
 
 // proxyExec implements the PROXYEXEC instruction on the OMS (§2.5):
@@ -274,7 +270,6 @@ func (m *Machine) proxyExec(oms *Sequencer, frameVA uint64) *trapFault {
 	m.mx.proxyRTT.Observe(ams.Clock - ams.stallStart)
 	ams.State = StateRunning
 	ams.proxyFrame = 0
-	m.evq.update(ams)
 	m.emit(oms.Clock, oms.ID, EvProxyDone, uint64(ams.ID), frameVA)
 	return nil
 }
@@ -307,7 +302,6 @@ func (m *Machine) doSignal(s *Sequencer, in isa.Instr) *trapFault {
 	}
 	target.queueSignal(s.Clock, ts, ip, sp)
 	s.C.SignalsSent++
-	m.evq.update(target)
 	m.emit(s.Clock, s.ID, EvSignalSend, sid, ip)
 	return nil
 }

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"errors"
 	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -53,30 +55,8 @@ flag: .u64 0
 // TimerDeadline == 0 must complete, not die in Run's deadlock branch.
 func TestIdleOMSWokenByProxy(t *testing.T) {
 	for _, legacy := range []bool{false, true} {
-		cfg := testCfg(1)
-		cfg.LegacyLoop = legacy
-		p := asm.MustAssemble(idleProxyProg)
-		m, err := New(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := LoadBare(m, p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		// Prefault the image so no demand fault (whose ring-0 episode ends
-		// back at ring 3) occurs before HLT executes.
-		if _, err := b.Space.Prefault(p.TextBase, p.TextSize()); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := b.Space.Prefault(p.DataBase, p.DataSize()); err != nil {
-			t.Fatal(err)
-		}
+		b, m := idleProxyMachine(t, testCfg(1), idleProxyProg, legacy)
 		oms := m.Procs[0].OMS()
-		oms.Ring = isa.Ring0 // allow HLT
-		if oms.TimerDeadline != 0 {
-			t.Fatal("precondition: timer must be unarmed")
-		}
 		if err := m.Run(); err != nil {
 			t.Fatalf("legacy=%v: run failed (idle-OMS deadlock?): %v", legacy, err)
 		}
@@ -92,6 +72,98 @@ func TestIdleOMSWokenByProxy(t *testing.T) {
 		if oms.C.IdleCycles == 0 {
 			t.Fatalf("legacy=%v: OMS never idled — test lost its scenario", legacy)
 		}
+	}
+}
+
+// idleProxyMachine loads src (idleProxyProg or a variant) on the selected
+// loop with tracing on, the image prefaulted and the OMS at ring 0, so the
+// OMS reaches its HLT with no kernel entry and no timer armed.
+func idleProxyMachine(t *testing.T, cfg Config, src string, oracle bool) (*BareOS, *Machine) {
+	t.Helper()
+	cfg.TraceEvents = true
+	p := asm.MustAssemble(src)
+	m, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.Oracle = oracle
+	b, err := LoadBare(m, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Prefault the image so no demand fault (whose ring-0 episode ends
+	// back at ring 3) occurs before HLT executes.
+	if _, err := b.Space.Prefault(p.TextBase, p.TextSize()); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := b.Space.Prefault(p.DataBase, p.DataSize()); err != nil {
+		t.Fatal(err)
+	}
+	oms := m.Procs[0].OMS()
+	oms.Ring = isa.Ring0 // allow HLT
+	if oms.TimerDeadline != 0 {
+		t.Fatal("precondition: timer must be unarmed")
+	}
+	return b, m
+}
+
+// TestPauseWhileEveryoneIdle: a pause cycle can fall where nothing is
+// running and the next selection is an idle sequencer's wake. The OMS
+// spins past the shred's page fault before its HLT, so when it idles the
+// shred is already parked on its proxy request: with the pause on the
+// HLT's own cycle the OMS goes idle with its clock past the pause, and the
+// next event — its wake by the proxy request, 3000 cycles on — is a
+// selection like any other. Run must return ErrPaused before making it (on
+// the fast loop that check is runRound's own; no runBatch is involved), on
+// the same pause cycles as the oracle, and the resumed run must end where
+// an unpaused one does.
+func TestPauseWhileEveryoneIdle(t *testing.T) {
+	src := strings.Replace(idleProxyProg, "    hlt ", `    li  r12, 3500
+    li  r9, 0
+delay:
+    addi r12, r12, -1
+    bne r12, r9, delay
+    hlt `, 1)
+	var idleAt [2][]uint64
+	for mode, legacy := range []bool{false, true} {
+		_, ref := idleProxyMachine(t, testCfg(1), src, legacy)
+		if err := ref.Run(); err != nil {
+			t.Fatal(err)
+		}
+		// The OMS idled once, from its HLT to the proxy delivery.
+		var hlt uint64
+		for _, e := range ref.Trace.Events() {
+			if e.Kind == EvProxyDeliver {
+				hlt = e.TS - ref.Seqs[0].C.IdleCycles
+			}
+		}
+		for pause := hlt - 8; pause < hlt+8; pause++ {
+			b, m := idleProxyMachine(t, testCfg(1), src, legacy)
+			m.SetPause(pause)
+			if err := m.Run(); !errors.Is(err, ErrPaused) {
+				t.Fatalf("legacy=%v pause=%d: run = %v, want ErrPaused", legacy, pause, err)
+			}
+			oms, ams := m.Seqs[0], m.Seqs[1]
+			if oms.State == StateIdle {
+				if ams.State != StateWaitProxy || oms.Clock <= pause {
+					t.Errorf("legacy=%v pause=%d: paused with the OMS idle at clock %d, the shred %v",
+						legacy, pause, oms.Clock, ams.State)
+				}
+				idleAt[mode] = append(idleAt[mode], pause)
+			}
+			m.SetPause(0)
+			if err := m.Run(); err != nil || b.ExitCode != 55 {
+				t.Fatalf("legacy=%v pause=%d: resumed run: %v, exit %d", legacy, pause, err, b.ExitCode)
+			}
+			if m.Steps != ref.Steps || m.MaxClock() != ref.MaxClock() {
+				t.Errorf("legacy=%v pause=%d: resumed run ends at %d instrs / %d cycles, unpaused at %d / %d",
+					legacy, pause, m.Steps, m.MaxClock(), ref.Steps, ref.MaxClock())
+			}
+		}
+	}
+	if len(idleAt[0]) == 0 || !reflect.DeepEqual(idleAt[0], idleAt[1]) {
+		t.Errorf("pause cycles that stop in front of the idle OMS's wake: fast %v, oracle %v, want the same non-empty set",
+			idleAt[0], idleAt[1])
 	}
 }
 
@@ -138,8 +210,7 @@ val: .u64 77
 	want := fmt.Sprintf("%#x", p.Symbols["val"]+1<<44)
 	for _, legacy := range []bool{false, true} {
 		cfg := testCfg(0)
-		cfg.LegacyLoop = legacy
-		b, _, err := RunBare(cfg, p)
+		b, _, err := runBareOn(cfg, p, legacy)
 		if err == nil {
 			t.Fatalf("legacy=%v: a load 2^44 above a cached page exited with %d, want a page fault", legacy, b.ExitCode)
 		}
@@ -180,11 +251,11 @@ func TestSretOutsideHandlerDoesNotRetire(t *testing.T) {
 
 	for _, legacy := range []bool{false, true} {
 		cfg := testCfg(0)
-		cfg.LegacyLoop = legacy
 		m, err := New(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
+		m.Oracle = legacy
 		if _, err := LoadBare(m, p); err != nil {
 			t.Fatal(err)
 		}
@@ -304,11 +375,11 @@ main:
 `)
 	for _, legacy := range []bool{false, true} {
 		cfg := testCfg(0)
-		cfg.LegacyLoop = legacy
 		m, err := New(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
+		m.Oracle = legacy
 		b, err := LoadBare(m, loader)
 		if err != nil {
 			t.Fatal(err)

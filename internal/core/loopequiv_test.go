@@ -1,6 +1,8 @@
 package core
 
 import (
+	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -20,12 +22,12 @@ import (
 func runLoop(t *testing.T, cfg Config, src string, legacy bool) (*BareOS, *Machine) {
 	t.Helper()
 	cfg.TraceEvents = true
-	cfg.LegacyLoop = legacy
 	p := asm.MustAssemble(src)
 	m, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	m.Oracle = legacy
 	b, err := LoadBare(m, p)
 	if err != nil {
 		t.Fatal(err)
@@ -39,13 +41,36 @@ func runLoop(t *testing.T, cfg Config, src string, legacy bool) (*BareOS, *Machi
 	return b, m
 }
 
+// runBareOn is RunBare on the selected loop.
+func runBareOn(cfg Config, p *asm.Program, oracle bool) (*BareOS, *Machine, error) {
+	m, err := New(cfg)
+	if err != nil {
+		return nil, nil, err
+	}
+	m.Oracle = oracle
+	b, err := LoadBare(m, p)
+	if err != nil {
+		return nil, m, err
+	}
+	if err := m.Run(); err != nil {
+		return b, m, err
+	}
+	return b, m, b.Err
+}
+
 // checkEquiv runs src under the legacy loop (the reference) and the
 // fast path, and demands bit-identical machine-visible outcomes.
 func checkEquiv(t *testing.T, cfg Config, src string) {
 	t.Helper()
 	bL, mL := runLoop(t, cfg, src, true)
 	bF, mF := runLoop(t, cfg, src, false)
+	compareRuns(t, bL, mL, bF, mF)
+}
 
+// compareRuns is checkEquiv's comparison: a finished legacy-loop run
+// against a finished fast-loop run of the same program.
+func compareRuns(t *testing.T, bL *BareOS, mL *Machine, bF *BareOS, mF *Machine) {
+	t.Helper()
 	if bL.ExitCode != bF.ExitCode || bL.Out.String() != bF.Out.String() {
 		t.Fatalf("outputs diverge: exit %d/%d out %q/%q",
 			bL.ExitCode, bF.ExitCode, bL.Out.String(), bF.Out.String())
@@ -75,6 +100,14 @@ func checkEquiv(t *testing.T, cfg Config, src string) {
 	for i := range evL {
 		if evL[i] != evF[i] {
 			t.Fatalf("event %d diverges:\nlegacy %+v\nfast   %+v", i, evL[i], evF[i])
+		}
+	}
+	if mL.prof != nil {
+		// Samples is sorted, so the two tables are equal row for row: the
+		// same PCs, each with the same cycles and the same count.
+		if pL, pF := mL.prof.Samples(), mF.prof.Samples(); !reflect.DeepEqual(pL, pF) {
+			t.Errorf("per-PC profiles diverge: legacy %d PCs / %d cycles, fast %d PCs / %d cycles",
+				len(pL), mL.prof.TotalCycles(), len(pF), mF.prof.TotalCycles())
 		}
 	}
 }
@@ -229,11 +262,11 @@ flag: .u64 0
 	for _, legacy := range []bool{true, false} {
 		cfg := cfg
 		cfg.TraceEvents = true
-		cfg.LegacyLoop = legacy
 		m, err := New(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
+		m.Oracle = legacy
 		b, err := LoadBare(m, p)
 		if err != nil {
 			t.Fatal(err)
@@ -256,11 +289,11 @@ func checkEquivArmed(t *testing.T, cfg Config, p *asm.Program) {
 	for mode, legacy := range []bool{true, false} {
 		c := cfg
 		c.TraceEvents = true
-		c.LegacyLoop = legacy
 		m, err := New(c)
 		if err != nil {
 			t.Fatal(err)
 		}
+		m.Oracle = legacy
 		b, err := LoadBare(m, p)
 		if err != nil {
 			t.Fatal(err)
@@ -291,17 +324,18 @@ func checkEquivArmed(t *testing.T, cfg Config, p *asm.Program) {
 	}
 }
 
-func TestLoopEquivalenceHeapMode(t *testing.T) {
-	// 1 OMS + 20 AMSs crosses scanThreshold, so selection runs on the
-	// maintained binary heap — every other equivalence test stays in the
-	// linear-scan regime. Twenty shreds hammer one shared counter with
-	// atomics to keep selection order observable in the final state.
-	const src = `
+// TestLoopEquivalenceBigCohort: one cohort has no capacity. 1 OMS + 20
+// AMSs and 1 OMS + 62 (the most a processor admits) all run inside one
+// wave; the shreds hammer
+// one shared counter with atomics — ordered commits among all the members
+// — so the commit order is observable in the final state.
+func TestLoopEquivalenceBigCohort(t *testing.T) {
+	const tmpl = `
 main:
     la  r1, proxy_handler
     setyield r1, 0
     li  r1, 1
-    li  r5, 21
+    li  r5, NSEQ
 spawn:
     la  r2, shred
     li  r3, 0x70000000
@@ -312,7 +346,7 @@ spawn:
     addi r1, r1, 1
     bne r1, r5, spawn
     la  r4, done
-    li  r9, 20
+    li  r9, NAMS
 wait:
     ldd r5, [r4]
     bne r5, r9, wait
@@ -342,36 +376,14 @@ park:
 counter: .u64 0
 done:    .u64 0
 `
-	bL, _ := runLoop(t, testCfg(20), src, true)
-	// 20 shreds x 40 increments = 800; exit code is 800 & 255.
-	if bL.ExitCode != 800&255 {
-		t.Fatalf("exit = %d, want %d", bL.ExitCode, 800&255)
-	}
-	checkEquiv(t, testCfg(20), src)
-}
-
-func TestLoopEquivalenceBatchSizes(t *testing.T) {
-	// The batch bound must not be observable: any BatchInstrs yields the
-	// same machine execution.
-	var base *Machine
-	for _, bi := range []int{1, 2, 7, 64, 100000} {
-		cfg := testCfg(1)
-		cfg.TraceEvents = true
-		cfg.BatchInstrs = bi
-		_, m := runLoop(t, cfg, proxyProg, false)
-		if base == nil {
-			base = m
-			continue
+	for _, nAMS := range []int{20, 62} {
+		src := strings.NewReplacer("NSEQ", strconv.Itoa(nAMS+1), "NAMS", strconv.Itoa(nAMS)).Replace(tmpl)
+		bL, _ := runLoop(t, testCfg(nAMS), src, true)
+		// nAMS shreds x 40 increments; the exit code is its low byte.
+		if want := uint64(nAMS * 40 & 255); bL.ExitCode != want {
+			t.Fatalf("%d AMSs: exit = %d, want %d", nAMS, bL.ExitCode, want)
 		}
-		if m.Steps != base.Steps || m.MaxClock() != base.MaxClock() {
-			t.Fatalf("BatchInstrs=%d diverges: steps %d/%d clock %d/%d",
-				bi, m.Steps, base.Steps, m.MaxClock(), base.MaxClock())
-		}
-		for i := range m.Seqs {
-			if m.Seqs[i].C != base.Seqs[i].C {
-				t.Fatalf("BatchInstrs=%d: %s counters diverge", bi, m.Seqs[i].Name())
-			}
-		}
+		checkEquiv(t, testCfg(nAMS), src)
 	}
 }
 
@@ -386,7 +398,17 @@ func TestLoopEquivalenceBatchSizes(t *testing.T) {
 // sweep the wake across every phase pair of the members' four-cycle
 // loops.
 func TestLoopEquivalenceWaveOutsideEvent(t *testing.T) {
-	const tmpl = `
+	for _, watched := range []string{"c0", "c2"} {
+		for pad := 0; pad < 16; pad++ {
+			checkEquiv(t, testCfg(2), outsideEventProg(watched, pad))
+		}
+	}
+}
+
+// outsideEventTmpl is TestLoopEquivalenceWaveOutsideEvent's program:
+// WATCHED names the counter the woken reader loads, PAD1 and PAD2 are nop
+// pads that shift the wake against the two members' loops.
+const outsideEventTmpl = `
 main:
     la  r6, c0
     li  r9, 0
@@ -445,11 +467,61 @@ c2:   .u64 0
 seen: .u64 0
 done: .u64 0
 `
+
+// outsideEventProg instantiates outsideEventTmpl for one watched counter
+// and one of the 16 phase pairs.
+func outsideEventProg(watched string, pad int) string {
+	return strings.NewReplacer("WATCHED", watched,
+		"PAD1\n", strings.Repeat("    nop\n", pad%4),
+		"PAD2\n", strings.Repeat("    nop\n", pad/4)).Replace(outsideEventTmpl)
+}
+
+// TestLoopEquivalenceProfiled runs the fast loop with the per-PC profiler
+// attached — every turn then goes through runBatch, one micro-op per
+// runAhead call, never the wave — against the oracle: the full checkEquiv
+// set plus the profile itself, which must hold the same PCs with the same
+// cycles and counts, and the per-PC cycles must sum to what the clocks
+// advanced.
+func TestLoopEquivalenceProfiled(t *testing.T) {
+	profiled := func(nAMS int) Config {
+		cfg := testCfg(nAMS)
+		cfg.ProfilePC = true
+		return cfg
+	}
+	checkEquiv(t, profiled(3), shredProg)
+	checkEquiv(t, profiled(1), proxyProg)
+	checkEquiv(t, profiled(3), proxyProg)
 	for _, watched := range []string{"c0", "c2"} {
 		for pad := 0; pad < 16; pad++ {
-			checkEquiv(t, testCfg(2), strings.NewReplacer("WATCHED", watched,
-				"PAD1\n", strings.Repeat("    nop\n", pad%4),
-				"PAD2\n", strings.Repeat("    nop\n", pad/4)).Replace(tmpl))
+			checkEquiv(t, profiled(2), outsideEventProg(watched, pad))
+		}
+	}
+	// Where no cycle is charged outside an instruction — ring 0, the image
+	// prefaulted, a HALT in place of the exit syscall, so no kernel entry,
+	// no proxy round trip and no handler delivery — the per-PC cycles sum
+	// to exactly what the clocks advanced outside idle time. idleProxyProg
+	// has all of those, so there the sum can only stay below it.
+	halting := strings.Replace(outsideEventProg("c2", 5), "    li  r0, 1\n    syscall\n", "    halt\n", 1)
+	for _, c := range []struct {
+		cfg   Config
+		src   string
+		exact bool
+	}{{profiled(2), halting, true}, {profiled(1), idleProxyProg, false}} {
+		var bs [2]*BareOS
+		var ms [2]*Machine
+		for i, legacy := range []bool{true, false} {
+			bs[i], ms[i] = idleProxyMachine(t, c.cfg, c.src, legacy)
+			if err := ms[i].Run(); err != nil || bs[i].Err != nil {
+				t.Fatalf("run (legacy=%v): %v / %v", legacy, err, bs[i].Err)
+			}
+		}
+		compareRuns(t, bs[0], ms[0], bs[1], ms[1])
+		var busy uint64
+		for _, s := range ms[1].Seqs {
+			busy += s.Clock - s.C.IdleCycles
+		}
+		if total := ms[1].prof.TotalCycles(); total == 0 || total > busy || c.exact && total != busy {
+			t.Errorf("profile attributes %d cycles, the clocks advanced %d outside idle time (exact=%v)", total, busy, c.exact)
 		}
 	}
 }

@@ -92,11 +92,26 @@ type Machine struct {
 	cancelFlag *atomic.Bool
 	ctxStop    func() bool
 
-	// evq is the fast path's indexed min-heap of per-sequencer next-event
-	// times; evqDirty forces a full rebuild after a kernel entry (the
-	// kernel may mutate any sequencer's state behind the heap's back).
-	evq      eventHeap
-	evqDirty bool
+	// Oracle selects runLegacy, the one-instruction-per-iteration loop the
+	// fast path is difftested against (results are bit-identical). It is a
+	// host-side test seam, not configuration: set it on the machine after
+	// New, snap's Fork or workloads.Resume and before Run; it is never
+	// snapshotted and no flag, request field or Config entry reaches it.
+	Oracle bool
+
+	// kernelEntered is set by every kernel entry — the one event that can
+	// change anything in the machine behind the run loop's back, os.Done()
+	// included. A round that saw one is void: runRound returns and runFast
+	// asks the OS whether the run is over before the next selection.
+	kernelEntered bool
+	// mems, evts, clocks and wave are runRound's cohort scratch, sized to
+	// the machine at construction (initScratch): the running sequencers in
+	// ID order, each one's delivery threshold and clock, and the cohort
+	// wave's per-member state. Host-side like the compiled pages — never
+	// snapshotted — and never cleared: a round fills what it reads.
+	mems         []*Sequencer
+	evts, clocks []uint64
+	wave         []waveMember
 
 	// sbCache holds the fast loop's compiled superblock pages (see
 	// superblock.go), keyed by physical page base; it is host-side
@@ -109,12 +124,6 @@ type Machine struct {
 	// The cohort wave's own two: its exits, and the run-ahead retirements
 	// they took back (BenchmarkCohortWave reports the ratio).
 	waveExits, waveTakenBack uint64
-	// waveLog is runCohortWave's undo scratch: per cohort member, the
-	// snapshot its latest run started from and the addresses of the run's
-	// loads (waveSnap). Host-side like the compiled pages (never
-	// snapshotted) and never zeroed: the wave keeps, per member, whether
-	// it has a run and how many loads are in it.
-	waveLog [scanThreshold]waveSnap
 
 	// mx holds pre-resolved metric handles so hot paths pay a plain
 	// increment, never a registry lookup.
@@ -228,8 +237,18 @@ func New(cfg Config) (*Machine, error) {
 		}
 		m.Procs = append(m.Procs, proc)
 	}
-	m.evq.init(m)
+	m.initScratch()
 	return m, nil
+}
+
+// initScratch sizes runRound's cohort scratch: any number of the machine's
+// sequencers can be running at once, so the cohort has no other capacity.
+func (m *Machine) initScratch() {
+	n := len(m.Seqs)
+	m.mems = make([]*Sequencer, n)
+	m.evts = make([]uint64, n)
+	m.clocks = make([]uint64, n)
+	m.wave = make([]waveMember, n)
 }
 
 // SetOS attaches the kernel. Must be called before Run.
@@ -316,9 +335,11 @@ var ErrPaused = errors.New("core: run paused")
 // SetPause arms a pause point: Run returns ErrPaused once the selected
 // sequencer's local clock strictly exceeds cycle, with the machine
 // stopped on an instruction boundary in a resumable, capturable state.
-// The stop point is deterministic for a given loop flavor (it mirrors
-// the MaxCycles check sites), but legacy and fast loops may pause at
-// different boundaries for the same cycle. SetPause(0) disarms.
+// The stop point is deterministic for a given loop (it mirrors the
+// MaxCycles check sites: the sequencer runBatch is about to advance, or
+// the idle one runRound is about to wake), but the fast loop and the
+// oracle (Machine.Oracle) may pause at different boundaries for the same
+// cycle. SetPause(0) disarms.
 func (m *Machine) SetPause(cycle uint64) { m.pauseAt = cycle }
 
 // Run drives the machine until the OS reports completion, a fatal
@@ -337,7 +358,7 @@ func (m *Machine) Run() error {
 		// preceded this call must not depend on that goroutine's schedule.
 		m.cancelFlag.Store(true)
 	}
-	if m.Cfg.LegacyLoop {
+	if m.Oracle {
 		return m.runLegacy()
 	}
 	return m.runFast()
@@ -366,16 +387,13 @@ func (m *Machine) runLegacy() error {
 	return m.stopErr
 }
 
-// runFast is the discrete-event fast path: the indexed min-heap replaces
-// the per-instruction scan, and the chosen sequencer runs a batch of
-// instructions up to the event horizon (the second-earliest event time).
-// Bit-identical to runLegacy — see DESIGN.md "Execution loop" and the
-// loop-equivalence difftests.
+// runFast is the fast path, and its whole selection is runRound: until the
+// run stops it polls the cancel flag, asks the OS whether the run is over
+// after a kernel entry (os.Done() can flip nowhere else, and every kernel
+// entry sets kernelEntered), and runs one round. Bit-identical to
+// runLegacy — see DESIGN.md "Execution loop" and the loop-equivalence
+// difftests.
 func (m *Machine) runFast() error {
-	batch := m.Cfg.BatchInstrs
-	if batch <= 0 {
-		batch = DefaultBatchInstrs
-	}
 	m.cycLimit = noEvent
 	if m.Cfg.MaxCycles > 0 {
 		m.cycLimit = m.Cfg.MaxCycles
@@ -384,224 +402,143 @@ func (m *Machine) runFast() error {
 	if m.pauseAt != 0 {
 		m.pauseLimit = m.pauseAt
 	}
-	// os.Done() can flip only inside a kernel entry, and every kernel
-	// entry sets evqDirty — so the interface call is needed only when the
-	// heap is rebuilt, not per batch. evqDirty starts true to cover the
-	// initial rebuild and Done check.
-	m.evqDirty = true
+	m.kernelEntered = true // the first Done check
 	for m.stopErr == nil && !m.halted {
 		if m.canceled() {
 			return m.canceledErr()
 		}
-		if m.evqDirty {
+		if m.kernelEntered {
 			if m.os.Done() {
 				break
 			}
-			m.evq.rebuild()
-			m.evqDirty = false
+			m.kernelEntered = false
 		}
-		s, hT, hID := m.evq.top()
-		if s == nil {
-			return m.deadlockDiag()
-		}
-		if s.State == StateIdle {
-			if s.Clock > m.pauseLimit {
-				return ErrPaused
-			}
-			if m.Cfg.MaxCycles > 0 && s.Clock > m.Cfg.MaxCycles {
-				return m.cycleLimitDiag()
-			}
-			m.wakeIdle(s)
-			if !m.evqDirty {
-				m.evq.update(s)
-			}
-			continue
-		}
-		if m.evq.scan && (hT == s.Clock || (m.prof == nil && m.flt == nil)) {
-			// Lockstep regime: at least two sequencers share the minimum
-			// event time, so selection degenerates to a rotation. Run the
-			// whole tied cohort on one scan instead of re-scanning per batch.
-			// With no per-retirement hooks the cohort handler also absorbs
-			// desynced sequencers (runCohortWave re-ties them internally),
-			// so it takes every scan-mode turn.
-			if err := m.runRound(s, s.Clock, batch); err != nil {
-				return err
-			}
-			continue
-		}
-		if _, err := m.runBatch(s, hT, hID, batch, m.nextDeliveryTime(s)); err != nil {
+		if err := m.runRound(); err != nil {
 			return err
-		}
-		if !m.evqDirty {
-			m.evq.update(s)
 		}
 	}
 	return m.stopErr
 }
 
-// runRound batches every sequencer whose next-event time equals the
-// current minimum T, in ID order — exactly the order the legacy loop
-// visits a tied cohort. Each member runs with horizon (T, MaxInt), i.e.
-// until its clock strictly passes T; since every retired instruction
-// costs at least one cycle, a clean batch always exits past T, so the
-// remaining tied members still hold the machine-wide minimum when their
-// turn comes.
+// runRound is the fast path's selection, for every machine size and with
+// or without per-retirement hooks: one pass over m.Seqs, every next-event
+// time computed fresh as the legacy loop computes it. Every running
+// sequencer joins the cohort — in ID order, with its delivery threshold
+// (nextDeliveryTime) and clock — and every other one contributes its
+// nextEventTime to the outside event (outT, outID), the earliest thing
+// that is not a member's commit. Only an idle sequencer has one, so when
+// the outside event precedes every member (or there is none) it is that
+// sequencer's wake: runRound makes the pause/MaxCycles check the legacy
+// loop makes on the sequencer it picks, wakes it and returns; with neither
+// a member nor a wake the machine is deadlocked.
 //
-// While every batch stays clean, nothing in the machine except the
-// members' own clocks can change: a clean batch retires only plain
-// non-breaking instructions, so every other sequencer's cached key, the
-// members' delivery inputs (timer deadlines, pending signal and proxy
-// queues, handler/yield state), and the members' running states are all
-// frozen. runRound exploits this to run the lockstep regime for many
-// rounds per selection: it snapshots the cohort, each member's delivery
-// threshold, and the earliest outside event once, then keeps re-running
-// rounds as long as the members re-tie at a common clock that still
-// precedes the frozen outside event. Data-parallel shreds executing the
-// same code stay tied for thousands of rounds, so the per-instruction
-// cost of selection, delivery-time recomputation, and the runBatch
-// preamble amortizes away. Any batch with a cross-sequencer effect
-// (fault, delivery, break op — reported by runBatch's clean flag — or a
-// kernel entry flagging evqDirty) aborts the round so selection
-// restarts from a fresh scan.
-func (m *Machine) runRound(s *Sequencer, T uint64, batch int) error {
-	h := &m.evq
-	// Snapshot the tied cohort (scan mode keeps ent in sequencer-ID
-	// order with frozen positions) and the earliest event outside it.
-	// Entries before s hold keys strictly past T — s is the minimum with
-	// the lowest ID on ties — and a tied non-running member ends the
-	// cohort at its position: it needs the selection loop's wake path,
-	// and members past it must not run ahead of it (legacy visits the
-	// tie in ID order).
-	// With no per-retirement hooks, the cohort takes every running
-	// sequencer regardless of clock — runCohortWave orders them by
-	// (clock, ID) internally — so only wake events and kernel activity
-	// remain outside.
-	sbAll := m.prof == nil && m.flt == nil
-	var mems [scanThreshold]*Sequencer
-	var evts [scanThreshold]uint64
+// Otherwise the round commits members in the legacy loop's (clock, ID)
+// order for as long as nothing but their own clocks can change. While
+// every batch stays clean it retires only plain non-breaking
+// instructions, so the outside event, the members' delivery inputs (timer
+// deadlines, pending signal and proxy queues, handler/yield state) and
+// their running states are all frozen, and one selection serves many
+// turns: each turn the earliest member by (clock, ID) runs up to the
+// horizon — the second-earliest member or the outside event — through
+// runBatch. With no per-retirement hook attached and more than one member
+// the turns go to runCohortWave instead, which makes the same commits on
+// compiled micro-ops alone and hands back the turn it cannot make. A
+// batch with a cross-sequencer effect (a fault, a delivery, a break op —
+// runBatch's clean flag, the wave's unclean — or a kernel entry) ends the
+// round: everything frozen above may have moved, so selection starts over.
+func (m *Machine) runRound() error {
+	mems, evts, clocks := m.mems, m.evts, m.clocks
 	nm := 0
+	var out *Sequencer
 	outT, outID := noEvent, math.MaxInt
-	cut := len(h.ent)
-	start := int(h.pos[s.ID])
-	for i, e := range h.ent {
-		if i >= start && i < cut && e.key == T {
-			if e.s.State != StateRunning {
-				// Tied but not running: everything at or past it leaves
-				// the cohort; it becomes the nearest outside event.
-				cut = i
-				if T < outT {
-					outT, outID = T, e.s.ID
-				}
-				continue
-			}
-			mems[nm] = e.s
-			evts[nm] = m.nextDeliveryTime(e.s)
+	for _, s := range m.Seqs {
+		if s.State == StateRunning {
+			mems[nm], evts[nm], clocks[nm] = s, m.nextDeliveryTime(s), s.Clock
 			nm++
-			continue
-		}
-		if sbAll && e.s.State == StateRunning {
-			// Ahead of the minimum (or past a tied non-running entry,
-			// which the horizon orders first): joins the cohort; the
-			// fused path runs it only strictly below the outside
-			// horizon, and the turn loop's ID tiebreaks match the
-			// selection loop's.
-			mems[nm] = e.s
-			evts[nm] = m.nextDeliveryTime(e.s)
-			nm++
-			continue
-		}
-		if e.key < outT { // ID order: strict < keeps the lowest ID on ties
-			outT, outID = e.key, e.s.ID
+		} else if t, ok := m.nextEventTime(s); ok && t < outT {
+			// ID order: strict < keeps the lowest ID on ties.
+			out, outT, outID = s, t, s.ID
 		}
 	}
-	// Member clocks live in a contiguous local array so the per-turn
-	// mini-selection scans one cache line instead of chasing eight
-	// Sequencer pointers; only the member that ran can change, so a
-	// single writeback per turn keeps it coherent.
-	var clocks [scanThreshold]uint64
-	for i := 0; i < nm; i++ {
-		clocks[i] = mems[i].Clock
-	}
-	// With no per-retirement hooks, any tie at the cohort minimum runs
-	// on the fused round path (runCohortWave):
-	// one micro-op per tied member per round in ID order, with
-	// selection reduced to a tie re-check. The turn loop below is the
-	// general path for lone minima and anything the fused path hands
-	// back.
-	sbFast := sbAll && nm > 1
-	// A cancel — the wave hands back for one at its next pop — leaves
-	// the round here and surfaces at the selection loop.
-	for nm > 0 && !m.canceled() {
+	// The one place the hooks are read: profiling attribution and fault
+	// injection run once per retired instruction, which runBatch does and
+	// the wave does not.
+	sbFast := m.prof == nil && m.flt == nil && nm > 1
+	// A cancel — the wave hands back for one at its next pop — leaves the
+	// round here and surfaces in runFast.
+	for !m.canceled() {
 		// Mini-selection over the frozen cohort: the earliest member by
-		// (clock, ID) runs up to the horizon — the second-earliest event
-		// among the members and the frozen outside minimum. mems is in
-		// ID order, so strict < keeps the lowest ID on clock ties,
-		// reproducing the selection loop's total order.
-		best, second := 0, -1
-		bc := clocks[0]
-		sc := noEvent
-		for i := 1; i < nm; i++ {
-			ci := clocks[i]
+		// (clock, ID) and the second-earliest. mems is in ID order, so
+		// strict < keeps the lowest ID on clock ties, reproducing the
+		// legacy loop's total order. Member clocks live in their own
+		// slice so the scan reads consecutive words instead of chasing
+		// Sequencer pointers; only the member that ran changes, so one
+		// store per turn keeps it coherent.
+		best, second := -1, -1
+		bc, sc := noEvent, noEvent
+		for i, ci := range clocks[:nm] {
 			switch {
 			case ci < bc:
 				second, sc = best, bc
 				best, bc = i, ci
-			case second < 0 || ci < sc:
+			case ci < sc:
 				second, sc = i, ci
 			}
 		}
-		c := mems[best]
-		if bc > outT || (bc == outT && outID < c.ID) {
-			break // the frozen outside event precedes every member
+		if best < 0 || bc > outT || (bc == outT && outID < mems[best].ID) {
+			// The outside event precedes every member, or there are none.
+			if out == nil {
+				return m.deadlockDiag()
+			}
+			if out.Clock > m.pauseLimit {
+				return ErrPaused
+			}
+			if out.Clock > m.cycLimit {
+				return m.cycleLimitDiag()
+			}
+			m.wakeIdle(out)
+			return nil
 		}
 		if sbFast {
-			prog, unclean := m.runCohortWave(&mems, &evts, &clocks, nm, outT, outID)
+			prog, unclean := m.runCohortWave(nm, outT, outID)
 			if unclean {
-				if m.evqDirty {
-					return nil
-				}
-				break
+				return nil
 			}
 			if prog {
 				continue // rescan with the advanced clocks
 			}
-			// No commit was possible on the fused path (the minimum
-			// member is blocked); resolve it with a general turn below —
+			// No commit was possible on the fused path (the minimum member
+			// is blocked); resolve it with a general turn below —
 			// best/second are still valid since nothing moved.
 		}
 		hT, hID := outT, outID
 		if second >= 0 && (sc < hT || (sc == hT && mems[second].ID < hID)) {
 			hT, hID = sc, mems[second].ID
 		}
-		clean, err := m.runBatch(c, hT, hID, batch, evts[best])
-		if err != nil {
+		c := mems[best]
+		clean, err := m.runBatch(c, hT, hID, evts[best])
+		if err != nil || !clean {
 			return err
 		}
-		if m.evqDirty {
-			// A kernel entry forces a full rebuild; stale keys are
-			// recomputed there.
-			return nil
-		}
-		if !clean {
-			break
-		}
 		clocks[best] = c.Clock
-	}
-	// Write the members' keys back (h.update re-derives non-running
-	// states; a clean member's key is just its clock).
-	for i := 0; i < nm; i++ {
-		h.update(mems[i])
 	}
 	return nil
 }
 
-// runBatch advances running sequencer s for up to max instructions.
+// batchInstrs caps one runBatch call: the chosen sequencer re-enters
+// runRound's mini-selection at least this often even below its horizon. A
+// constant, not a knob: the cap is unobservable (the legacy loop has
+// none).
+const batchInstrs = 64
+
+// runBatch advances running sequencer s for up to batchInstrs
+// instructions.
 // While s's clock stays below the event horizon (hT, with hID breaking
 // ties by sequencer ID), s provably remains the machine's earliest
 // event, so instructions can commit back to back without re-selecting.
 // Any instruction that can create an event for another sequencer —
 // SIGNAL, PROXYEXEC, MOVTCR, HLT/HALT, SRET, SETYIELD, or any trap —
-// ends the batch so the heap is refreshed.
+// ends the batch so selection runs again.
 //
 // evT is the earliest time an event (timer, proxy request, ingress
 // signal) becomes deliverable to s — nextDeliveryTime(s). Every input
@@ -623,9 +560,9 @@ func (m *Machine) runRound(s *Sequencer, T uint64, batch int) error {
 // The clean result reports that the batch had no effect outside s
 // itself: it stopped only on the horizon, the delivery threshold, or
 // the batch size cap, with every retired instruction a plain
-// non-breaking one. runRound relies on this to keep a tied cohort
+// non-breaking one. runRound relies on this to keep a cohort
 // running without re-selection.
-func (m *Machine) runBatch(s *Sequencer, hT uint64, hID int, max int, evT uint64) (clean bool, err error) {
+func (m *Machine) runBatch(s *Sequencer, hT uint64, hID int, evT uint64) (clean bool, err error) {
 	if s.Clock > m.pauseLimit {
 		return false, ErrPaused
 	}
@@ -679,7 +616,7 @@ func (m *Machine) runBatch(s *Sequencer, hT uint64, hID int, max int, evT uint64
 	n := 0
 	step := false // the next instruction took runUops' default arm
 	for {
-		if n >= max {
+		if n >= batchInstrs {
 			return true, nil
 		}
 		if s.Clock >= tstar {
@@ -707,7 +644,7 @@ func (m *Machine) runBatch(s *Sequencer, hT uint64, hID int, max int, evT uint64
 			if !step {
 				m.sbRuns++
 				var res sbResult
-				n, res = m.runUops(s, sb, n, max, tstar)
+				n, res = m.runUops(s, sb, n, batchInstrs, tstar)
 				if res == sbEnd {
 					return false, nil
 				}

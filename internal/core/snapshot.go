@@ -20,7 +20,8 @@ import (
 //   - the fetch window and compiled superblock pages (pure caches;
 //     refilling them changes no counter — superblocks are recompiled on
 //     first fetch),
-//   - the event heap (evq.init + evqDirty rebuild it),
+//   - the run loop's cohort scratch (initScratch sizes it; every round
+//     fills what it reads) and the Oracle test seam,
 //   - per-frame store generation values (beyond zero/nonzero, which
 //     selects the frames to store, only the caches above consume them),
 //   - pause/cancel plumbing and Wall (host-side run control),
@@ -52,8 +53,6 @@ func EncodeConfig(w *wire.Writer, c Config) {
 	w.Bool(c.TraceEvictOldest)
 	w.Bool(c.ProfilePC)
 	w.U64(c.MaxCycles)
-	w.Int(c.BatchInstrs)
-	w.Bool(c.LegacyLoop)
 	fault.EncodeConfig(w, c.Fault)
 	w.U64(c.WatchdogHorizon)
 }
@@ -88,8 +87,6 @@ func DecodeConfig(r *wire.Reader) (Config, error) {
 	c.TraceEvictOldest = r.Bool()
 	c.ProfilePC = r.Bool()
 	c.MaxCycles = r.U64()
-	c.BatchInstrs = r.Int()
-	c.LegacyLoop = r.Bool()
 	fc, err := fault.DecodeConfig(r)
 	if err != nil {
 		return c, err
@@ -332,8 +329,8 @@ func (m *Machine) EncodeSnapshot(w *wire.Writer, resident []uint32) error {
 }
 
 // RestoreMachine rebuilds a machine from its snapshot. override, if
-// non-nil, may adjust run-only configuration (cost model, loop flavor,
-// limits, fault plane) before the machine is assembled; structural
+// non-nil, may adjust run-only configuration (cost model, limits, fault
+// plane) before the machine is assembled; structural
 // parameters that were consumed during construction cannot change —
 // see structuralMismatch. A changed Fault configuration discards the
 // captured plan state and builds a fresh plan, exactly as a cold
@@ -498,7 +495,6 @@ func RestoreMachine(r *wire.Reader, override func(*Config)) (*Machine, error) {
 	if err := r.Err(); err != nil {
 		return nil, err
 	}
-	m.evq.init(m)
-	m.evqDirty = true
+	m.initScratch()
 	return m, nil
 }

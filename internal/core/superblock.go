@@ -323,6 +323,45 @@ type waveSnap struct {
 	loads  [waveRunAhead]uint64
 }
 
+// waveMember is the cohort wave's state for one member, Machine.wave[i]
+// beside mems[i]: per-machine scratch, so the cohort has no capacity. The
+// wave resets what it reads before it writes (genp, thr, ret, nrun, nld)
+// at entry and fills the rest for every member whose window validates.
+//
+// genp, dg, ub and wva are the member's window: the live page generation,
+// its compile-time value, the micro-ops and the window's address — call
+// invariants (only the general path refetches windows or recompiles
+// pages), so per-commit revalidation is one live-generation compare. pc
+// mirrors the member's PC (c.PC and c.Clock are written once per pop,
+// after the run; a fault can only come from the ordered commit that opens
+// a run, so fault dispatch reads current values) and ret counts its
+// retirements, folded into C.Instrs and m.Steps at the wave's single exit
+// — before any fault dispatch, so the kernel and the watchdog read current
+// counts.
+//
+// thr is the first wave clock at which the member may not commit: the
+// frozen outside event under the (clock, ID) order, the member's delivery
+// threshold and the cycle/pause limit are all call constants, so — as
+// runBatch's tstar does — they fold into one compare per pop. It only
+// decides when the wave hands back; runRound's general turn then runs the
+// individual checks. A member whose window fails validation keeps thr 0:
+// it still takes part in the min scan and stops the wave when it pops as
+// the minimum.
+//
+// nrun, nld and lbloom describe the member's latest run: how many
+// micro-ops, how many of them loads (their addresses are in snap.loads)
+// and the granule filter over those addresses; snap is what the run
+// started from.
+type waveMember struct {
+	genp              *uint32
+	dg                uint32
+	nrun, nld         uint8
+	ub                *[sbSlots]sbUop
+	wva, pc, thr, ret uint64
+	lbloom            uint64
+	snap              waveSnap
+}
+
 // sbResult is how a micro-op run handed control back to runBatch.
 type sbResult uint8
 
@@ -588,16 +627,17 @@ func (m *Machine) commitOrdered(s *Sequencer, u *sbUop) (f *trapFault, stored, o
 // legacy commit order using compiled micro-ops only. The globally
 // earliest commit belongs to the member with the lowest clock, the lowest
 // index (= lowest sequencer ID, since mems is in ID order) on a tie: one
-// min scan over at most scanThreshold clocks per pop — no heap, no sort,
-// and no tie or lockstep structure required: phase-shifted members
-// interleave at full speed. This is the paper's global commit rule
+// min scan over the nm member clocks per pop — no sort, no capacity (the
+// members and their wave state are per-machine scratch, m.mems[:nm] beside
+// m.wave[:nm]) and no tie or lockstep structure required: phase-shifted
+// members interleave at full speed. This is the paper's global commit rule
 // ("exactly one instruction commits machine-wide at a time, ordered by
 // (clock, sequencer ID)") executed directly.
 //
-// Only called with m.prof == nil and m.flt == nil: the profiler's
-// per-retirement events and the fault plane's injection probes stay on
-// runBatch (runUops / the interpreter leg) instead of being duplicated
-// here.
+// Only called with m.prof == nil and m.flt == nil (runRound's sbFast): the
+// profiler's per-retirement events and the fault plane's injection probes
+// stay on runBatch (runUops / the interpreter leg) instead of being
+// duplicated here.
 //
 // Correctness: while every commit is plain, the outside horizon and
 // each member's delivery threshold are frozen, and fetch windows /
@@ -605,7 +645,7 @@ func (m *Machine) commitOrdered(s *Sequencer, u *sbUop) (f *trapFault, stored, o
 // live page generation checked at every pop. The popped member is by
 // construction the (clock, ID) minimum among members, and it commits
 // only while it precedes the frozen outside event under the same
-// order, so the sequence of ordered commits is exactly the selection
+// order, so the sequence of ordered commits is exactly the legacy
 // loop's.
 //
 // Run-ahead: one indirect jump fed an interleave of eight instruction
@@ -633,44 +673,18 @@ func (m *Machine) commitOrdered(s *Sequencer, u *sbUop) (f *trapFault, stored, o
 // kept part exactly — then folds the counters, then dispatches the fault:
 // the faulting member's later-ordered peers are where the legacy loop has
 // them.
-func (m *Machine) runCohortWave(mems *[scanThreshold]*Sequencer, evts, clocks *[scanThreshold]uint64, nm int, outT uint64, outID int) (progress, unclean bool) {
+func (m *Machine) runCohortWave(nm int, outT uint64, outID int) (progress, unclean bool) {
+	mems, evts, clocks, wave := m.mems[:nm], m.evts[:nm], m.clocks[:nm], m.wave[:nm]
 	limit := min(m.cycLimit, m.pauseLimit)
 	m.sbRuns++
 	m.waveExits++
-	// Wave-local member state, filled once. The window/page pointers and
-	// the compile-time generation are invariants for the whole call
-	// (only the general path refetches windows or recompiles pages), so
-	// per-commit revalidation reduces to one live-generation compare.
-	// pcs mirrors each member's PC (c.PC and c.Clock are written once per
-	// pop, after the run; a fault can only come from the ordered commit
-	// that opens a run, so fault dispatch reads current values) and ret
-	// counts its retirements, folded into C.Instrs and m.Steps at the
-	// single exit below — before any fault dispatch, so the kernel and the
-	// watchdog read current counts.
-	//
-	// thr[i] is the first wave clock at which member i may not commit:
-	// the frozen outside event under the (clock, ID) order, the member's
-	// delivery threshold and the cycle/pause limit are all call
-	// constants, so — as runBatch's tstar does — they fold into one
-	// compare per pop. It only decides when the wave hands back;
-	// runRound's general turn then runs the individual checks. A member
-	// whose window fails validation keeps thr 0: it still takes part in
-	// the min scan and stops the wave when it pops as the minimum.
-	var genp [scanThreshold]*uint32
-	var dg [scanThreshold]uint32
-	var ub [scanThreshold]*[sbSlots]sbUop
-	var wva, pcs, thr, ret [scanThreshold]uint64
-	// Each member's latest run: how many micro-ops, how many of them loads
-	// (their addresses are in m.waveLog) and the granule filter over those
-	// addresses.
-	var nrun, nld [scanThreshold]uint8
-	var lbloom [scanThreshold]uint64
-	for i := 0; i < nm; i++ {
-		c := mems[i]
+	for i := range wave {
+		c, w := mems[i], &wave[i]
+		w.genp, w.thr, w.ret, w.nrun, w.nld = nil, 0, 0, 0, 0
 		if c.winGen == nil || c.sb == nil || *c.winGen != c.sb.gen {
 			continue
 		}
-		genp[i], dg[i], ub[i], wva[i], pcs[i] = c.winGen, c.sb.gen, &c.sb.uops, c.winVA, c.PC
+		w.genp, w.dg, w.ub, w.wva, w.pc = c.winGen, c.sb.gen, &c.sb.uops, c.winVA, c.PC
 		t := outT
 		if outID >= c.ID && t != noEvent {
 			t++ // a tie with the outside event goes to the lower ID
@@ -678,7 +692,7 @@ func (m *Machine) runCohortWave(mems *[scanThreshold]*Sequencer, evts, clocks *[
 		if limit != noEvent {
 			t = min(t, limit+1)
 		}
-		thr[i] = min(t, evts[i])
+		w.thr = min(t, evts[i])
 	}
 	var c *Sequencer
 	var f *trapFault // set only by the commit that ends the wave
@@ -693,9 +707,9 @@ wave:
 		// The globally earliest commit: the lowest clock, and on a tie the
 		// lowest index (= lowest sequencer ID, mems is in ID order).
 		T, i = clocks[0], 0
-		for j := 1; j < nm; j++ {
-			if clocks[j] < T {
-				T, i = clocks[j], j
+		for j, cj := range clocks[1:] {
+			if cj < T {
+				T, i = cj, j+1
 			}
 		}
 		// One cancellation poll per pop: a cancel waits at most one run
@@ -705,23 +719,24 @@ wave:
 		if m.canceled() {
 			break
 		}
-		lim := thr[i]
+		w := &wave[i]
+		lim := w.thr
 		if T >= lim {
 			break
 		}
-		pc := pcs[i]
-		off := pc - wva[i]
-		if off >= mem.PageSize || off&7 != 0 || *genp[i] != dg[i] {
+		pc := w.pc
+		off := pc - w.wva
+		if off >= mem.PageSize || off&7 != 0 || *w.genp != w.dg {
 			// Left the page, or a store (by any member) invalidated it.
 			break
 		}
 		c = mems[i]
-		sn := &m.waveLog[i]
-		u := &ub[i][off>>3]
+		sn := &w.snap
+		u := &w.ub[off>>3]
 		// This pop ends the member's previous run: every commit ordered
 		// before its micro-ops has been made, nothing can take them back
 		// or conflict with them any more.
-		nrun[i], nld[i] = 0, 0
+		w.nrun, w.nld = 0, 0
 		// The run: when the popped micro-op is runAhead's, its first
 		// retirement is the ordered commit and the rest are ahead of the
 		// order. c.Clock itself is written once, after the run.
@@ -730,7 +745,7 @@ wave:
 		nc := T
 		if u.kind != uopOrdered {
 			sn.regs, sn.fregs, sn.pc, sn.nc, sn.hits = c.Regs, c.FRegs, pc, nc, c.TLB.Hits
-			n, pc, nc, nl, lb = runAhead(m, c, ub[i], &sn.loads, wva[i], pc, nc, lim, waveRunAhead)
+			n, pc, nc, nl, lb = runAhead(m, c, w.ub, &sn.loads, w.wva, pc, nc, lim, waveRunAhead)
 		}
 		if n == 0 {
 			// Not runAhead's to retire (or a load it declined): the
@@ -750,14 +765,15 @@ wave:
 					spa = uint64(pfn)<<mem.PageShift | va&mem.PageMask
 				}
 				sbits := uint64(1)<<(spa>>3&63) | 1<<((spa+size-1)>>3&63)
-				for j := 0; j < nm; j++ {
-					if nld[j] == 0 || one && lbloom[j]&sbits == 0 {
+				for j := range wave {
+					p := &wave[j]
+					if p.nld == 0 || one && p.lbloom&sbits == 0 {
 						continue
 					}
 					if !one {
 						break wave
 					}
-					for _, lp := range m.waveLog[j].loads[:nld[j]] {
+					for _, lp := range p.snap.loads[:p.nld] {
 						if lp+8 > spa && spa+size > lp {
 							break wave
 						}
@@ -768,7 +784,7 @@ wave:
 			if f, stored, ok = m.commitOrdered(c, u); !ok || f != nil {
 				break
 			}
-			ret[i]++
+			w.ret++
 			pc += isa.WordSize
 			nc = c.Clock + uint64(u.cost)
 			if stored {
@@ -777,19 +793,19 @@ wave:
 				// stop the wave here, just after the store, so the exit
 				// takes back what was ordered after it and re-makes the
 				// rest from the page as it was compiled.
-				for j := 0; j < nm; j++ {
-					if genp[j] != nil && *genp[j] != dg[j] {
-						pcs[i], c.PC, c.Clock, clocks[i] = pc, pc, nc, nc
+				for j := range wave {
+					if p := &wave[j]; p.genp != nil && *p.genp != p.dg {
+						w.pc, c.PC, c.Clock, clocks[i] = pc, pc, nc, nc
 						break wave
 					}
 				}
 			}
 			sn.regs, sn.fregs, sn.pc, sn.nc, sn.hits = c.Regs, c.FRegs, pc, nc, c.TLB.Hits
-			n, pc, nc, nl, lb = runAhead(m, c, ub[i], &sn.loads, wva[i], pc, nc, lim, waveRunAhead)
+			n, pc, nc, nl, lb = runAhead(m, c, w.ub, &sn.loads, w.wva, pc, nc, lim, waveRunAhead)
 		}
-		pcs[i], c.PC, c.Clock, clocks[i] = pc, pc, nc, nc
-		ret[i] += uint64(n)
-		nrun[i], nld[i], lbloom[i] = uint8(n), uint8(nl), lb
+		w.pc, c.PC, c.Clock, clocks[i] = pc, pc, nc, nc
+		w.ret += uint64(n)
+		w.nrun, w.nld, w.lbloom = uint8(n), uint8(nl), lb
 	}
 	// Take back every run that reaches past the stop position: restore
 	// what it started from and run it again up to the position — the
@@ -798,23 +814,20 @@ wave:
 	// snapshot is of its latest run only: an earlier run ended at one of
 	// its own pops, which no later stop position precedes. The key of a
 	// micro-op is (its clock before, member index) — mems is in ID order.
-	for j := 0; j < nm; j++ {
-		lim := T + b2u(j <= i)
-		if nrun[j] == 0 || clocks[j] <= lim {
-			continue
-		}
-		s, sn := mems[j], &m.waveLog[j]
-		s.Regs, s.FRegs, s.TLB.Hits = sn.regs, sn.fregs, sn.hits
-		n, pc, nc, _, _ := runAhead(m, s, ub[j], nil, wva[j], sn.pc, sn.nc, lim, int(nrun[j]))
-		s.PC, s.Clock, clocks[j] = pc, nc, nc
-		back := uint64(int(nrun[j]) - n)
-		ret[j] -= back
-		m.waveTakenBack += back
-	}
 	steps := m.Steps
-	for j := 0; j < nm; j++ {
-		mems[j].C.Instrs += ret[j]
-		m.Steps += ret[j]
+	for j := range wave {
+		s, w := mems[j], &wave[j]
+		if lim := T + b2u(j <= i); w.nrun != 0 && clocks[j] > lim {
+			sn := &w.snap
+			s.Regs, s.FRegs, s.TLB.Hits = sn.regs, sn.fregs, sn.hits
+			n, pc, nc, _, _ := runAhead(m, s, w.ub, nil, w.wva, sn.pc, sn.nc, lim, int(w.nrun))
+			s.PC, s.Clock, clocks[j] = pc, nc, nc
+			back := uint64(int(w.nrun) - n)
+			w.ret -= back
+			m.waveTakenBack += back
+		}
+		s.C.Instrs += w.ret
+		m.Steps += w.ret
 	}
 	if f != nil {
 		// The fault lands at this member's ordered commit point;

@@ -133,12 +133,13 @@ done: .u64 0
 
 // pauseMidRun runs prog on cfg's loop until a mid-run pause point,
 // returning the paused machine.
-func pauseMidRun(t *testing.T, cfg Config, prog *asm.Program) *Machine {
+func pauseMidRun(t *testing.T, oracle bool, prog *asm.Program) *Machine {
 	t.Helper()
-	m, err := New(cfg)
+	m, err := New(testCfg(0))
 	if err != nil {
 		t.Fatal(err)
 	}
+	m.Oracle = oracle
 	if _, err := LoadBare(m, prog); err != nil {
 		t.Fatal(err)
 	}
@@ -189,7 +190,7 @@ func TestSuperblockTLBMaintenanceGates(t *testing.T) {
 	}
 	for _, op := range ops {
 		t.Run(op.name, func(t *testing.T) {
-			m := pauseMidRun(t, testCfg(0), sbLoopProg)
+			m := pauseMidRun(t, false, sbLoopProg)
 			s := m.Procs[0].OMS()
 			s.Ring = isa.Ring0 // TLB maintenance is privileged
 			if s.winGen == nil || s.sb == nil || *s.winGen != s.sb.gen {
@@ -210,10 +211,8 @@ func TestSuperblockTLBMaintenanceGates(t *testing.T) {
 // byte-identical snapshots, and a restore must come back with an empty
 // compiled-page cache (pages rebuild on demand).
 func TestSuperblockSnapshotExcludesCompiledState(t *testing.T) {
-	mFast := pauseMidRun(t, testCfg(0), sbLoopProg)
-	legacy := testCfg(0)
-	legacy.LegacyLoop = true
-	mLegacy := pauseMidRun(t, legacy, sbLoopProg)
+	mFast := pauseMidRun(t, false, sbLoopProg)
+	mLegacy := pauseMidRun(t, true, sbLoopProg)
 
 	if len(mFast.sbCache) == 0 || mFast.sbBuilds == 0 || mFast.sbRuns == 0 {
 		t.Fatalf("precondition: fast run never used the compiled plane: cached=%d builds=%d runs=%d",
@@ -237,9 +236,6 @@ func TestSuperblockSnapshotExcludesCompiledState(t *testing.T) {
 		t.Fatal(err)
 	}
 	wL := wire.NewWriter(1 << 20)
-	// The loop choice is config, and config is snapshotted; align it so
-	// the comparison sees only derived-state differences.
-	mLegacy.Cfg.LegacyLoop = false
 	if err := mLegacy.EncodeSnapshot(wL, mLegacy.Phys.Resident()); err != nil {
 		t.Fatal(err)
 	}

@@ -38,11 +38,11 @@ func forBothLoops(t *testing.T, flags uint32, fn func(t *testing.T, h *tlbHarnes
 		}
 		t.Run(name, func(t *testing.T) {
 			cfg := testCfg(1)
-			cfg.LegacyLoop = legacy
 			m, err := New(cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
+			m.Oracle = legacy
 			pt, err := mem.NewPageTable(m.Phys)
 			if err != nil {
 				t.Fatal(err)

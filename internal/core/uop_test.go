@@ -84,11 +84,11 @@ func uopMachine(t testing.TB, top Topology, legacy bool, code []isa.Instr, init 
 	cfg := DefaultConfig(top)
 	cfg.PhysMem = 4 << 20
 	cfg.MaxCycles = 1 << 20
-	cfg.LegacyLoop = legacy
 	m, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	m.Oracle = legacy
 	b, err := LoadBare(m, asm.MustAssemble("main:\n    li r0, 1\n    syscall\n"))
 	if err != nil {
 		t.Fatal(err)
@@ -439,14 +439,12 @@ func uopProbeWave(t *testing.T, op isa.Op) {
 	t.Helper()
 	m := uopProbe(t, Topology{1}, op)
 	defer m.Release()
-	var mems [scanThreshold]*Sequencer
-	var evts, clocks [scanThreshold]uint64
 	var before []Sequencer
 	for i, s := range m.Seqs {
-		mems[i], evts[i], clocks[i] = s, noEvent, s.Clock
+		m.mems[i], m.evts[i], m.clocks[i] = s, noEvent, s.Clock
 		before = append(before, *s)
 	}
-	progress, unclean := m.runCohortWave(&mems, &evts, &clocks, len(m.Seqs), noEvent, math.MaxInt)
+	progress, unclean := m.runCohortWave(len(m.Seqs), noEvent, math.MaxInt)
 	for i, s := range m.Seqs {
 		if interpOnly[op] {
 			if progress || unclean || !reflect.DeepEqual(*s, before[i]) {

@@ -10,64 +10,53 @@ import (
 	"misp/internal/workloads"
 )
 
-// ckptRun returns a run request under the given loop flavor.
-func ckptRun(legacy bool) *Request {
-	r := tinyRun()
-	r.LegacyLoop = legacy
-	return r
-}
-
 // TestCheckpointedRunBitIdentical is the determinism difftest of the
 // checkpointing executor: a run that pauses and persists an image every
 // N cycles produces artifacts byte-identical to an uninterrupted run —
-// under both scheduler loops, cold and against a warm pool.
+// cold and against a warm pool.
 func TestCheckpointedRunBitIdentical(t *testing.T) {
-	for _, legacy := range []bool{false, true} {
-		for _, warmPool := range []bool{false, true} {
-			name := map[bool]string{false: "fast", true: "legacy"}[legacy] +
-				"/" + map[bool]string{false: "cold", true: "warm"}[warmPool]
-			t.Run(name, func(t *testing.T) {
-				c := mustCanonical(t, ckptRun(legacy))
-				wantArt, wantRes, err := Execute(context.Background(), c)
-				if err != nil {
-					t.Fatal(err)
-				}
-				every := wantRes.Cycles / 4
-				if every == 0 {
-					t.Fatalf("run too short to checkpoint (%d cycles)", wantRes.Cycles)
-				}
+	for _, warmPool := range []bool{false, true} {
+		t.Run(map[bool]string{false: "fast/cold", true: "fast/warm"}[warmPool], func(t *testing.T) {
+			c := mustCanonical(t, tinyRun())
+			wantArt, wantRes, err := Execute(context.Background(), c)
+			if err != nil {
+				t.Fatal(err)
+			}
+			every := wantRes.Cycles / 4
+			if every == 0 {
+				t.Fatalf("run too short to checkpoint (%d cycles)", wantRes.Cycles)
+			}
 
-				var warm *workloads.WarmPool
-				if warmPool {
-					warm = workloads.NewWarmPool()
-					// Prime the pool so the checkpointed run forks a warm image.
-					if _, _, err := ExecuteWarm(context.Background(), c, warm); err != nil {
-						t.Fatal(err)
-					}
-				}
-				ckpts := 0
-				cs := &CheckpointSpec{
-					Dir:          t.TempDir(),
-					Every:        every,
-					OnCheckpoint: func(uint64) { ckpts++ },
-				}
-				gotArt, gotRes, err := ExecuteCheckpointed(context.Background(), c, warm, cs)
-				if err != nil {
+			var warm *workloads.WarmPool
+			if warmPool {
+				warm = workloads.NewWarmPool()
+				// Prime the pool so the checkpointed run forks a warm image.
+				if _, _, err := ExecuteWarm(context.Background(), c, warm); err != nil {
 					t.Fatal(err)
 				}
-				if ckpts < 2 {
-					t.Fatalf("took %d checkpoints, want >= 2 (every %d of %d cycles)", ckpts, every, wantRes.Cycles)
-				}
-				if gotRes.Cycles != wantRes.Cycles || gotRes.Checksum != wantRes.Checksum {
-					t.Fatalf("result diverged: %+v != %+v", gotRes, wantRes)
-				}
-				assertSameArtifacts(t, wantArt, gotArt)
-				// The completed run cleans its image up.
-				if _, err := os.Stat(cs.path(c.Key())); !os.IsNotExist(err) {
-					t.Fatalf("completed run left its checkpoint image: %v", err)
-				}
-			})
-		}
+			}
+			ckpts := 0
+			cs := &CheckpointSpec{
+				Dir:          t.TempDir(),
+				Every:        every,
+				OnCheckpoint: func(uint64) { ckpts++ },
+			}
+			gotArt, gotRes, err := ExecuteCheckpointed(context.Background(), c, warm, cs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if ckpts < 2 {
+				t.Fatalf("took %d checkpoints, want >= 2 (every %d of %d cycles)", ckpts, every, wantRes.Cycles)
+			}
+			if gotRes.Cycles != wantRes.Cycles || gotRes.Checksum != wantRes.Checksum {
+				t.Fatalf("result diverged: %+v != %+v", gotRes, wantRes)
+			}
+			assertSameArtifacts(t, wantArt, gotArt)
+			// The completed run cleans its image up.
+			if _, err := os.Stat(cs.path(c.Key())); !os.IsNotExist(err) {
+				t.Fatalf("completed run left its checkpoint image: %v", err)
+			}
+		})
 	}
 }
 
@@ -77,59 +66,57 @@ func TestCheckpointedRunBitIdentical(t *testing.T) {
 // resume from the image, not start over, and the final artifacts must
 // be byte-identical to a never-interrupted run.
 func TestCheckpointResumeBitIdentical(t *testing.T) {
-	for _, legacy := range []bool{false, true} {
-		t.Run(map[bool]string{false: "fast", true: "legacy"}[legacy], func(t *testing.T) {
-			c := mustCanonical(t, ckptRun(legacy))
-			wantArt, wantRes, err := Execute(context.Background(), c)
-			if err != nil {
-				t.Fatal(err)
-			}
-			every := wantRes.Cycles / 4
-			if every == 0 {
-				t.Fatalf("run too short to checkpoint (%d cycles)", wantRes.Cycles)
-			}
-			dir := t.TempDir()
+	t.Run("fast", func(t *testing.T) {
+		c := mustCanonical(t, tinyRun())
+		wantArt, wantRes, err := Execute(context.Background(), c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		every := wantRes.Cycles / 4
+		if every == 0 {
+			t.Fatalf("run too short to checkpoint (%d cycles)", wantRes.Cycles)
+		}
+		dir := t.TempDir()
 
-			// First incarnation: die right after the first checkpoint.
-			ctx, cancel := context.WithCancelCause(context.Background())
-			cs1 := &CheckpointSpec{
-				Dir:   dir,
-				Every: every,
-				OnCheckpoint: func(uint64) {
-					cancel(errors.New("test: simulated kill"))
-				},
-			}
-			if _, _, err := ExecuteCheckpointed(ctx, c, nil, cs1); err == nil {
-				t.Fatal("killed run reported success")
-			}
-			cancel(nil)
-			if _, err := os.Stat(cs1.path(c.Key())); err != nil {
-				t.Fatalf("killed run left no resumable image: %v", err)
-			}
+		// First incarnation: die right after the first checkpoint.
+		ctx, cancel := context.WithCancelCause(context.Background())
+		cs1 := &CheckpointSpec{
+			Dir:   dir,
+			Every: every,
+			OnCheckpoint: func(uint64) {
+				cancel(errors.New("test: simulated kill"))
+			},
+		}
+		if _, _, err := ExecuteCheckpointed(ctx, c, nil, cs1); err == nil {
+			t.Fatal("killed run reported success")
+		}
+		cancel(nil)
+		if _, err := os.Stat(cs1.path(c.Key())); err != nil {
+			t.Fatalf("killed run left no resumable image: %v", err)
+		}
 
-			// Second incarnation: must resume from the image.
-			var resumedAt uint64
-			cs2 := &CheckpointSpec{
-				Dir:       dir,
-				Every:     every,
-				OnRestore: func(cycle uint64) { resumedAt = cycle },
-			}
-			gotArt, gotRes, err := ExecuteCheckpointed(context.Background(), c, nil, cs2)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if resumedAt == 0 {
-				t.Fatal("second incarnation did not resume from the checkpoint")
-			}
-			if resumedAt >= wantRes.Cycles {
-				t.Fatalf("resumed at cycle %d, beyond the full run's %d", resumedAt, wantRes.Cycles)
-			}
-			if gotRes.Cycles != wantRes.Cycles || gotRes.Checksum != wantRes.Checksum {
-				t.Fatalf("resumed result diverged: %+v != %+v", gotRes, wantRes)
-			}
-			assertSameArtifacts(t, wantArt, gotArt)
-		})
-	}
+		// Second incarnation: must resume from the image.
+		var resumedAt uint64
+		cs2 := &CheckpointSpec{
+			Dir:       dir,
+			Every:     every,
+			OnRestore: func(cycle uint64) { resumedAt = cycle },
+		}
+		gotArt, gotRes, err := ExecuteCheckpointed(context.Background(), c, nil, cs2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resumedAt == 0 {
+			t.Fatal("second incarnation did not resume from the checkpoint")
+		}
+		if resumedAt >= wantRes.Cycles {
+			t.Fatalf("resumed at cycle %d, beyond the full run's %d", resumedAt, wantRes.Cycles)
+		}
+		if gotRes.Cycles != wantRes.Cycles || gotRes.Checksum != wantRes.Checksum {
+			t.Fatalf("resumed result diverged: %+v != %+v", gotRes, wantRes)
+		}
+		assertSameArtifacts(t, wantArt, gotArt)
+	})
 }
 
 // TestCheckpointCorruptImageFallsBackCold: an unreadable image — plain
@@ -145,6 +132,7 @@ func TestCheckpointCorruptImageFallsBackCold(t *testing.T) {
 	images := map[string][]byte{
 		"garbage":       []byte("not a snapshot image"),
 		"stale-version": []byte("MISPSNP2\x02\x00\x00\x00a version-2 machine image"),
+		"stale-v3":      []byte("MISPSNP3\x03\x00\x00\x00a version-3 machine image"),
 	}
 	for name, image := range images {
 		t.Run(name, func(t *testing.T) {

@@ -374,7 +374,7 @@ func TestServerTornJournalTail(t *testing.T) {
 }
 
 // TestReplayToleratesRemovedKnobs: a journal written before the
-// data-window and superblock request fields were removed still carries
+// data-window, superblock and legacy-loop request fields were removed still carries
 // them in its accepted records. Replay is lenient where the HTTP
 // decoder is strict: the job must recover and settle.
 func TestReplayToleratesRemovedKnobs(t *testing.T) {
@@ -386,7 +386,7 @@ func TestReplayToleratesRemovedKnobs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	oldReq := strings.TrimSuffix(string(req), "}") + `,"no_data_window":true,"no_superblock":true}`
+	oldReq := strings.TrimSuffix(string(req), "}") + `,"no_data_window":true,"no_superblock":true,"legacy_loop":true}`
 	rec := fmt.Sprintf(`{"op":%q,"id":%q,"key":%q,"req":%s}`, opAccepted, id, c.Key(), oldReq)
 
 	if err := os.MkdirAll(jdir, 0o755); err != nil {

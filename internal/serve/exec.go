@@ -116,7 +116,7 @@ func runSetup(c *Request) (*workloads.Workload, workloads.Size, core.Config, err
 	if err != nil {
 		return nil, 0, core.Config{}, err
 	}
-	size, err := ParseSize(c.Size)
+	size, err := workloads.ParseSize(c.Size)
 	if err != nil {
 		return nil, 0, core.Config{}, err
 	}
@@ -200,7 +200,7 @@ func countersTable(m *core.Machine) *report.Table {
 }
 
 func executeSweep(ctx context.Context, c *Request, warm *workloads.WarmPool) (Artifacts, *Result, error) {
-	size, err := ParseSize(c.Size)
+	size, err := workloads.ParseSize(c.Size)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -211,13 +211,6 @@ func executeSweep(ctx context.Context, c *Request, warm *workloads.WarmPool) (Ar
 		Parallel: c.Parallel,
 		Ctx:      ctx,
 		Warm:     warm,
-	}
-	if c.LegacyLoop {
-		opt.Config = func(top core.Topology) core.Config {
-			cfg := workloads.DefaultConfig(top)
-			cfg.LegacyLoop = true
-			return cfg
-		}
 	}
 	results, err := exp.Evaluate(opt)
 	if err != nil {

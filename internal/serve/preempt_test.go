@@ -151,78 +151,73 @@ func TestPreemptRequiresJournal(t *testing.T) {
 // TestPreemptResumeBitIdentical is the governance difftest: a run that
 // is cooperatively preempted mid-flight — paused at a quiescent
 // boundary, image persisted, re-enqueued, resumed on a fresh lease —
-// must produce artifacts byte-identical to an uninterrupted run, under
-// both scheduler loops, cold and against a warm pool, without burning a
-// retry attempt.
+// must produce artifacts byte-identical to an uninterrupted run, cold
+// and against a warm pool, without burning a retry attempt.
 func TestPreemptResumeBitIdentical(t *testing.T) {
-	for _, legacy := range []bool{false, true} {
-		c := mustCanonical(t, ckptRun(legacy))
-		wantArt, wantRes, err := Execute(context.Background(), c)
-		if err != nil {
-			t.Fatal(err)
-		}
-		quantum := wantRes.Cycles / 8
-		if quantum == 0 {
-			t.Fatalf("run too short to preempt (%d cycles)", wantRes.Cycles)
-		}
-		for _, warmPool := range []bool{false, true} {
-			name := map[bool]string{false: "fast", true: "legacy"}[legacy] +
-				"/" + map[bool]string{false: "cold", true: "warm"}[warmPool]
-			t.Run(name, func(t *testing.T) {
-				jdir, cdir := durableDirs(t)
-				s := newTestServer(t, Config{
-					Workers: 1, JournalDir: jdir, CacheDir: cdir,
-					MemBudget: 1 << 40, PressureTick: quietTick,
-					PreemptQuantum: quantum,
-				})
-				if warmPool {
-					// Prime the pool so both the preempted lease and the
-					// resume lease fork a warm image.
-					if _, _, err := ExecuteWarm(context.Background(), c, s.warm); err != nil {
-						t.Fatal(err)
-					}
-				}
-				// Arm the preemption while the job is parked behind a held
-				// lane, so the request is visible before the first cycle
-				// executes and the first pause-slice boundary always yields.
-				// (markVictim against a free-running job races the run's
-				// last boundary — a warm fork finishes in milliseconds.)
-				s.queue.setHold(true)
-				j, err := s.Submit(ckptRun(legacy), true)
-				if err != nil {
+	c := mustCanonical(t, tinyRun())
+	wantArt, wantRes, err := Execute(context.Background(), c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	quantum := wantRes.Cycles / 8
+	if quantum == 0 {
+		t.Fatalf("run too short to preempt (%d cycles)", wantRes.Cycles)
+	}
+	for _, warmPool := range []bool{false, true} {
+		t.Run(map[bool]string{false: "fast/cold", true: "fast/warm"}[warmPool], func(t *testing.T) {
+			jdir, cdir := durableDirs(t)
+			s := newTestServer(t, Config{
+				Workers: 1, JournalDir: jdir, CacheDir: cdir,
+				MemBudget: 1 << 40, PressureTick: quietTick,
+				PreemptQuantum: quantum,
+			})
+			if warmPool {
+				// Prime the pool so both the preempted lease and the
+				// resume lease fork a warm image.
+				if _, _, err := ExecuteWarm(context.Background(), c, s.warm); err != nil {
 					t.Fatal(err)
 				}
-				j.preemptReq.Store(true)
-				s.queue.setHold(false)
-				waitJob(t, j)
-				if j.Status != StatusDone {
-					t.Fatalf("status=%s err=%q", j.Status, j.Err)
-				}
-				s.mu.Lock()
-				preempts, attempt := j.Preempts, j.Attempt
-				s.mu.Unlock()
-				if preempts < 1 {
-					t.Fatal("job completed without being preempted")
-				}
-				if attempt != 1 {
-					t.Fatalf("attempt = %d after preemption, want 1 (preemption must not burn the retry budget)", attempt)
-				}
-				if j.Result.Cycles != wantRes.Cycles || j.Result.Checksum != wantRes.Checksum {
-					t.Fatalf("resumed result diverged: %+v != %+v", j.Result, wantRes)
-				}
-				gotArt, ok := s.cache.Peek(j.Key)
-				if !ok {
-					t.Fatal("done job has no artifacts")
-				}
-				assertSameArtifacts(t, wantArt, gotArt)
-				if got := s.reg.CounterValue("serve.jobs.preempted"); got < 1 {
-					t.Fatalf("serve.jobs.preempted = %d, want >= 1", got)
-				}
-				if got := s.reg.CounterValue("serve.resume.restores"); got < 1 {
-					t.Fatalf("serve.resume.restores = %d, want >= 1 (resume lease did not use the image)", got)
-				}
-			})
-		}
+			}
+			// Arm the preemption while the job is parked behind a held
+			// lane, so the request is visible before the first cycle
+			// executes and the first pause-slice boundary always yields.
+			// (markVictim against a free-running job races the run's
+			// last boundary — a warm fork finishes in milliseconds.)
+			s.queue.setHold(true)
+			j, err := s.Submit(tinyRun(), true)
+			if err != nil {
+				t.Fatal(err)
+			}
+			j.preemptReq.Store(true)
+			s.queue.setHold(false)
+			waitJob(t, j)
+			if j.Status != StatusDone {
+				t.Fatalf("status=%s err=%q", j.Status, j.Err)
+			}
+			s.mu.Lock()
+			preempts, attempt := j.Preempts, j.Attempt
+			s.mu.Unlock()
+			if preempts < 1 {
+				t.Fatal("job completed without being preempted")
+			}
+			if attempt != 1 {
+				t.Fatalf("attempt = %d after preemption, want 1 (preemption must not burn the retry budget)", attempt)
+			}
+			if j.Result.Cycles != wantRes.Cycles || j.Result.Checksum != wantRes.Checksum {
+				t.Fatalf("resumed result diverged: %+v != %+v", j.Result, wantRes)
+			}
+			gotArt, ok := s.cache.Peek(j.Key)
+			if !ok {
+				t.Fatal("done job has no artifacts")
+			}
+			assertSameArtifacts(t, wantArt, gotArt)
+			if got := s.reg.CounterValue("serve.jobs.preempted"); got < 1 {
+				t.Fatalf("serve.jobs.preempted = %d, want >= 1", got)
+			}
+			if got := s.reg.CounterValue("serve.resume.restores"); got < 1 {
+				t.Fatalf("serve.resume.restores = %d, want >= 1 (resume lease did not use the image)", got)
+			}
+		})
 	}
 }
 

@@ -68,9 +68,8 @@ type Request struct {
 	Watchdog    uint64   `json:"watchdog,omitempty"`     // livelock horizon, cycles
 
 	// --- execution-only (never in the cache key) ----------------------
-	Parallel   int    `json:"parallel,omitempty"`    // host workers for sweep fan-out
-	LegacyLoop bool   `json:"legacy_loop,omitempty"` // force the legacy execution loop
-	Priority   string `json:"priority,omitempty"`    // queue lane: "batch" (default) or "interactive"
+	Parallel int    `json:"parallel,omitempty"` // host workers for sweep fan-out
+	Priority string `json:"priority,omitempty"` // queue lane: "batch" (default) or "interactive"
 }
 
 // DefaultSignalCost is the paper's conservative signal estimate,
@@ -89,7 +88,7 @@ func (req *Request) Canonicalize() (*Request, error) {
 	if c.Size == "" {
 		c.Size = "small"
 	}
-	if _, err := ParseSize(c.Size); err != nil {
+	if _, err := workloads.ParseSize(c.Size); err != nil {
 		return nil, err
 	}
 	if c.SignalCost == nil {
@@ -188,9 +187,9 @@ const keySchema = "mispserve/v1"
 
 // Key derives the content-address of a canonical request: a SHA-256
 // over a line-oriented rendering of every result-affecting field.
-// Execution-only knobs (Parallel, LegacyLoop) are deliberately absent
-// — the simulation is bit-identical across them, so they must map to
-// the same cache entry.
+// Execution-only knobs (Parallel, Priority) are deliberately absent —
+// the simulation is bit-identical across them, so they must map to the
+// same cache entry.
 func (c *Request) Key() string {
 	var b strings.Builder
 	fmt.Fprintln(&b, keySchema)
@@ -231,7 +230,6 @@ func (c *Request) config() (core.Config, error) {
 		}
 		cfg.Fault = fault.Uniform(c.FaultSeed, c.FaultPeriod, kinds...)
 	}
-	cfg.LegacyLoop = c.LegacyLoop
 	return cfg, nil
 }
 
@@ -243,18 +241,9 @@ func (c *Request) mode() shredlib.Mode {
 	return shredlib.ModeShred
 }
 
-// ParseSize maps a size name to the workloads enum.
-func ParseSize(s string) (workloads.Size, error) {
-	switch s {
-	case "test":
-		return workloads.SizeTest, nil
-	case "small":
-		return workloads.SizeSmall, nil
-	case "ref":
-		return workloads.SizeRef, nil
-	}
-	return 0, fmt.Errorf("serve: unknown size %q (want test, small, ref)", s)
-}
+// ParseSize is workloads.ParseSize, kept under this name for the
+// daemon's clients.
+func ParseSize(s string) (workloads.Size, error) { return workloads.ParseSize(s) }
 
 func parseRingPolicy(s string) (core.RingPolicy, error) {
 	switch s {

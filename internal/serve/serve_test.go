@@ -59,19 +59,17 @@ func waitJob(t *testing.T, j *Job) {
 // --- cache-key determinism -------------------------------------------
 
 // TestKeyIgnoresExecutionKnobs: the simulator is bit-identical across
-// host parallelism and the legacy loop, so requests differing only in
-// those knobs must share one cache entry.
+// host parallelism and queue lanes, so requests differing only in those
+// knobs must share one cache entry.
 func TestKeyIgnoresExecutionKnobs(t *testing.T) {
 	base := mustCanonical(t, &Request{Kind: KindSweep, Apps: []string{"dense_mmm"}, Size: "test"})
 	want := base.Key()
 	for _, mutate := range []func(r *Request){
 		func(r *Request) { r.Parallel = 1 },
 		func(r *Request) { r.Parallel = 7 },
-		func(r *Request) { r.LegacyLoop = true },
 		func(r *Request) { r.Priority = "interactive" },
 		func(r *Request) {
 			r.Parallel = 4
-			r.LegacyLoop = true
 			r.Priority = "interactive"
 		},
 	} {
@@ -176,7 +174,7 @@ func TestCanonicalizeZeroesInapplicable(t *testing.T) {
 // TestExecuteDeterministicAcrossKnobs: the artifacts (not just the key)
 // must be byte-identical across execution strategies — this is the
 // soundness condition for serving a fast-loop parallel run's bytes to a
-// client that asked with -legacy -parallel 1.
+// client that asked with -parallel 1.
 func TestExecuteDeterministicAcrossKnobs(t *testing.T) {
 	base := mustCanonical(t, &Request{Kind: KindSweep, Apps: []string{"dense_mmm", "kmeans"}, Size: "test", Seqs: 4})
 	art1, _, err := Execute(context.Background(), base)
@@ -185,7 +183,7 @@ func TestExecuteDeterministicAcrossKnobs(t *testing.T) {
 	}
 	variants := []func(r *Request){
 		func(r *Request) { r.Parallel = 4 },
-		func(r *Request) { r.LegacyLoop = true },
+		func(r *Request) { r.Parallel = 1 },
 	}
 	for i, mutate := range variants {
 		req := &Request{Kind: KindSweep, Apps: []string{"dense_mmm", "kmeans"}, Size: "test", Seqs: 4}
@@ -237,7 +235,7 @@ func TestServerCacheHit(t *testing.T) {
 	}
 
 	req2 := tinyRun()
-	req2.LegacyLoop = true // same key: must not re-simulate
+	req2.Priority = "interactive" // same key: must not re-simulate
 	j2, err := s.Submit(req2, false)
 	if err != nil {
 		t.Fatal(err)
@@ -614,14 +612,14 @@ func TestSubmitValidation(t *testing.T) {
 }
 
 // TestHTTPRejectsRemovedKnobs: the data-window and superblock ablation
-// fields are gone from the request model; the strict HTTP decoder must
+// fields and the legacy-loop switch are gone from the request model; the strict HTTP decoder must
 // refuse a body that still carries one, naming the field, rather than
 // silently ignoring it.
 func TestHTTPRejectsRemovedKnobs(t *testing.T) {
 	s := newTestServer(t, Config{Workers: 1})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
-	for _, field := range []string{"no_data_window", "no_superblock"} {
+	for _, field := range []string{"no_data_window", "no_superblock", "legacy_loop"} {
 		body := fmt.Sprintf(`{"kind":"run","app":"dense_mmm","size":"test","topology":[3],%q:true}`, field)
 		resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(body))
 		if err != nil {

@@ -34,7 +34,7 @@ func TestCaptureBufferSized(t *testing.T) {
 		phys := pr.Machine.Phys
 		return s.Size() - phys.SnapshotSize(len(phys.Resident()))
 	}
-	cfg := testCfg(t, false)
+	cfg := testCfg(t)
 	ref, _ := refRun(t, cfg)
 
 	pr := prep(t, cfg)
@@ -65,7 +65,7 @@ func tmpFiles(t *testing.T, dir string) []string {
 // (the disk is full) or at the rename — removes its temp file and leaves
 // the previous image as it was.
 func TestSaveFileFailureLeavesNoTemp(t *testing.T) {
-	pr := prep(t, testCfg(t, false))
+	pr := prep(t, testCfg(t))
 	s, err := snap.Capture(pr.Machine, pr.Kernel)
 	if err != nil {
 		t.Fatal(err)
@@ -165,7 +165,7 @@ func (l life) equal(o life) bool {
 func TestRecycleParity(t *testing.T) {
 	// Sizes no other test in this package uses, so the first machine of
 	// each is certain to be on a fresh array.
-	cfg := testCfg(t, false)
+	cfg := testCfg(t)
 	cfg.PhysMem = 40<<20 + 3<<12
 	other := cfg
 	other.PhysMem = 24<<20 + 5<<12
@@ -269,7 +269,7 @@ func TestRecycleParity(t *testing.T) {
 // TestReleaseUseAfterPanics: running a released machine panics at its
 // first memory access instead of executing on someone else's array.
 func TestReleaseUseAfterPanics(t *testing.T) {
-	pr := prep(t, testCfg(t, false))
+	pr := prep(t, testCfg(t))
 	pr.Release()
 	pr.Release() // idempotent
 	defer func() {

@@ -35,8 +35,8 @@ import (
 // bumped on any codec layout change (there is no cross-version
 // migration — a snapshot is a cache artifact, not an archival format).
 const (
-	magic   = "MISPSNP3"
-	Version = 3
+	magic   = "MISPSNP4"
+	Version = 4
 )
 
 // Snapshot is an encoded machine+kernel image.
@@ -104,8 +104,8 @@ func Load(buf []byte) (*Snapshot, error) {
 
 // Fork materializes a fresh machine+kernel pair from the image. Every
 // call returns an independent system; override, if non-nil, may adjust
-// run-only configuration (cost model, loop flavor, limits, fault plane)
-// — structural parameters are rejected by the core codec. The returned
+// run-only configuration (cost model, limits, fault plane) —
+// structural parameters are rejected by the core codec. The returned
 // kernel is already attached (SetOS); call Run on the machine to
 // continue from the captured point.
 func (s *Snapshot) Fork(override func(*core.Config)) (*core.Machine, *kernel.Kernel, error) {

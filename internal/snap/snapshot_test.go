@@ -3,6 +3,7 @@ package snap_test
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -23,12 +24,11 @@ import (
 //     including counters, metrics, and the obs event stream, on both
 //     loops and under fault injection.
 
-func testCfg(t *testing.T, legacy bool) core.Config {
+func testCfg(t *testing.T) core.Config {
 	t.Helper()
 	cfg := workloads.DefaultConfig(core.Topology{3})
 	cfg.PhysMem = 64 << 20
 	cfg.MaxCycles = 8_000_000_000
-	cfg.LegacyLoop = legacy
 	cfg.TraceEvents = true
 	cfg.MaxTraceEvents = 1 << 12
 	return cfg
@@ -86,7 +86,7 @@ func mustRun(t *testing.T, pr *workloads.Prepared) (*workloads.RunResult, []byte
 }
 
 func TestCaptureDeterministic(t *testing.T) {
-	pr := prep(t, testCfg(t, false))
+	pr := prep(t, testCfg(t))
 	s1, err := snap.Capture(pr.Machine, pr.Kernel)
 	if err != nil {
 		t.Fatal(err)
@@ -101,7 +101,7 @@ func TestCaptureDeterministic(t *testing.T) {
 }
 
 func TestForkMatchesColdPrepare(t *testing.T) {
-	cfg := testCfg(t, false)
+	cfg := testCfg(t)
 	pr := prep(t, cfg)
 	s, err := snap.Capture(pr.Machine, pr.Kernel)
 	if err != nil {
@@ -132,7 +132,7 @@ func TestForkMatchesColdPrepare(t *testing.T) {
 // different run-only configuration and checks the fork is bit-identical
 // to a cold prepare with that full configuration.
 func TestForkRunOnlyOverride(t *testing.T) {
-	base := testCfg(t, false)
+	base := testCfg(t)
 	pr := prep(t, base)
 	s, err := snap.Capture(pr.Machine, pr.Kernel)
 	if err != nil {
@@ -140,7 +140,6 @@ func TestForkRunOnlyOverride(t *testing.T) {
 	}
 
 	over := base
-	over.LegacyLoop = true
 	over.TrapCost = 300
 	over.CtxSwitchCost = 5000
 
@@ -165,7 +164,7 @@ func TestForkRunOnlyOverride(t *testing.T) {
 }
 
 func TestStructuralOverrideRejected(t *testing.T) {
-	pr := prep(t, testCfg(t, false))
+	pr := prep(t, testCfg(t))
 	s, err := snap.Capture(pr.Machine, pr.Kernel)
 	if err != nil {
 		t.Fatal(err)
@@ -200,12 +199,21 @@ func refRun(t *testing.T, cfg core.Config) (*workloads.RunResult, []byte) {
 	return mustRun(t, prep(t, cfg))
 }
 
+// prepOn is prep on the selected loop: oracle picks core.Machine.Oracle,
+// the legacy loop the fast path is difftested against.
+func prepOn(t *testing.T, cfg core.Config, oracle bool) *workloads.Prepared {
+	t.Helper()
+	pr := prep(t, cfg)
+	pr.Machine.Oracle = oracle
+	return pr
+}
+
 func TestPauseResumeEquivalence(t *testing.T) {
 	for _, legacy := range []bool{false, true} {
-		cfg := testCfg(t, legacy)
-		ref, refFP := refRun(t, cfg)
+		cfg := testCfg(t)
+		ref, refFP := mustRun(t, prepOn(t, cfg, legacy))
 
-		pr := prep(t, cfg)
+		pr := prepOn(t, cfg, legacy)
 		// Pause twice at different points, then run to completion.
 		pauseMid(t, pr, ref.Cycles/3)
 		pauseMid(t, pr, 2*ref.Cycles/3)
@@ -222,10 +230,10 @@ func TestPauseResumeEquivalence(t *testing.T) {
 
 func TestMidRunCaptureRestore(t *testing.T) {
 	for _, legacy := range []bool{false, true} {
-		cfg := testCfg(t, legacy)
-		ref, refFP := refRun(t, cfg)
+		cfg := testCfg(t)
+		ref, refFP := mustRun(t, prepOn(t, cfg, legacy))
 
-		pr := prep(t, cfg)
+		pr := prepOn(t, cfg, legacy)
 		pauseMid(t, pr, ref.Cycles/2)
 		s, err := snap.Capture(pr.Machine, pr.Kernel)
 		if err != nil {
@@ -241,6 +249,7 @@ func TestMidRunCaptureRestore(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		m.Oracle = legacy // host-side, so not in the image
 		rpr, err := workloads.Resume(pr.W, pr.Mode, m, k)
 		if err != nil {
 			t.Fatal(err)
@@ -260,7 +269,7 @@ func TestMidRunCaptureRestore(t *testing.T) {
 // restore: the injection schedule must continue from the captured
 // position, not restart.
 func TestMidRunCaptureRestoreWithFaults(t *testing.T) {
-	cfg := testCfg(t, false)
+	cfg := testCfg(t)
 	cfg.MaxCycles = 200_000_000
 	cfg.Fault = fault.Uniform(12345, 20_000, fault.SignalDelay, fault.TLBFlush)
 
@@ -301,7 +310,7 @@ func TestMidRunCaptureRestoreWithFaults(t *testing.T) {
 }
 
 func TestSnapshotFileRoundTrip(t *testing.T) {
-	cfg := testCfg(t, false)
+	cfg := testCfg(t)
 	ref, refFP := refRun(t, cfg)
 
 	pr := prep(t, cfg)
@@ -339,10 +348,13 @@ func TestLoadRejectsGarbage(t *testing.T) {
 	if _, err := snap.Load(nil); err == nil {
 		t.Fatal("Load accepted empty input")
 	}
-	// A stale format version behind the current magic: the version
-	// error, not a decode attempt.
-	_, err := snap.Load([]byte("MISPSNP3\x02\x00\x00\x00"))
-	if err == nil || !strings.Contains(err.Error(), "format version 2") {
-		t.Fatalf("Load of a version-2 header: err = %v, want the format-version error", err)
+	// A stale format version behind the current magic — 3 is the layout
+	// that still carried the two loop knobs — gets the version error, not
+	// a decode attempt.
+	for _, v := range []byte{2, 3} {
+		_, err := snap.Load(append([]byte("MISPSNP4"), v, 0, 0, 0))
+		if want := fmt.Sprintf("format version %d", v); err == nil || !strings.Contains(err.Error(), want) {
+			t.Fatalf("Load of a version-%d header: err = %v, want the format-version error", v, err)
+		}
 	}
 }

@@ -18,11 +18,15 @@ func TestRunCtxCanceled(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, legacy := range []bool{false, true} {
-		cfg := DefaultConfig(core.Topology{3})
-		cfg.LegacyLoop = legacy
+		pr, err := Prepare(w, shredlib.ModeShred, DefaultConfig(core.Topology{3}), SizeTest)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer pr.Release()
+		pr.Machine.Oracle = legacy
 		ctx, cancel := context.WithCancel(context.Background())
 		cancel()
-		_, err := RunCtx(ctx, w, shredlib.ModeShred, cfg, SizeTest)
+		_, err = pr.RunCtx(ctx)
 		if err == nil {
 			t.Fatalf("legacy=%v: canceled run completed", legacy)
 		}

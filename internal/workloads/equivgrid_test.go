@@ -9,7 +9,7 @@ import (
 )
 
 var equivGrid = flag.Bool("equivgrid", false,
-	"run TestEquivGrid (make equivgrid): fast loop vs legacy oracle on every evaluated app x four machine shapes at small size, plus galgel, raytracer and gauss at ref")
+	"run TestEquivGrid (make equivgrid): fast loop vs legacy oracle on every evaluated app x four machine shapes at small size, plus galgel, raytracer and gauss at ref and raytracer, gauss and swim on MISP 1x24")
 
 // gridShapes are the machine shapes the whole-application tests run on:
 // the three configurations exp.Evaluate compares (one sequencer, one
@@ -36,7 +36,8 @@ var gridShapes = []struct {
 // still passed. raytracer and gauss are the two behaviours that stay
 // inside the wave since issue 22: raytracer retires the most seqid (44 487
 // of 6.2 M instructions) and gauss the most acas + aadd (1 814 of 3.5 M).
-// Too slow for the default suite, so it sits behind a flag.
+// Three more run at small size on MISP 1x24 — raytracer, gauss and swim —
+// where one cohort wave holds 24 members. Too slow for the default suite, so it sits behind a flag.
 func TestEquivGrid(t *testing.T) {
 	if !*equivGrid {
 		t.Skip("-equivgrid not set")
@@ -49,14 +50,25 @@ func TestEquivGrid(t *testing.T) {
 			})
 		}
 	}
-	for _, name := range []string{"galgel", "raytracer", "gauss"} {
-		t.Run(name+"/MISP-1x8/ref", func(t *testing.T) {
+	for _, p := range []struct {
+		name, label string
+		top         core.Topology
+		sz          Size
+	}{
+		{"galgel", "MISP-1x8", core.Topology{7}, SizeRef},
+		{"raytracer", "MISP-1x8", core.Topology{7}, SizeRef},
+		{"gauss", "MISP-1x8", core.Topology{7}, SizeRef},
+		{"raytracer", "MISP-1x24", core.Topology{23}, SizeSmall},
+		{"gauss", "MISP-1x24", core.Topology{23}, SizeSmall},
+		{"swim", "MISP-1x24", core.Topology{23}, SizeSmall},
+	} {
+		t.Run(p.name+"/"+p.label+"/"+p.sz.String(), func(t *testing.T) {
 			t.Parallel()
-			w, err := ByName(name)
+			w, err := ByName(p.name)
 			if err != nil {
 				t.Fatal(err)
 			}
-			equivPoint(t, w, shredlib.ModeShred, core.Topology{7}, SizeRef)
+			equivPoint(t, w, shredlib.ModeShred, p.top, p.sz)
 		})
 	}
 }
@@ -66,14 +78,15 @@ func TestEquivGrid(t *testing.T) {
 func equivPoint(t *testing.T, w *Workload, mode shredlib.Mode, top core.Topology, sz Size) {
 	var res [2]*RunResult
 	for i, legacy := range []bool{false, true} {
-		cfg := DefaultConfig(top)
-		cfg.LegacyLoop = legacy
-		r, err := Run(w, mode, cfg, sz)
+		pr, err := Prepare(w, mode, DefaultConfig(top), sz)
 		if err != nil {
 			t.Fatalf("legacy=%v: %v", legacy, err)
 		}
-		defer r.Release()
-		res[i] = r
+		defer pr.Release()
+		pr.Machine.Oracle = legacy
+		if res[i], err = pr.Run(); err != nil {
+			t.Fatalf("legacy=%v: %v", legacy, err)
+		}
 	}
 	fast, legacy := res[0].Machine, res[1].Machine
 	if fast.Steps != legacy.Steps || fast.MaxClock() != legacy.MaxClock() || res[0].Cycles != res[1].Cycles {

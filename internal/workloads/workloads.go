@@ -48,6 +48,16 @@ func (s Size) String() string {
 	}
 }
 
+// ParseSize is String's inverse: it maps a size name to its preset.
+func ParseSize(s string) (Size, error) {
+	for sz := SizeTest; sz <= SizeRef; sz++ {
+		if sz.String() == s {
+			return sz, nil
+		}
+	}
+	return 0, fmt.Errorf("unknown size %q (want test, small, ref)", s)
+}
+
 // Workload is one evaluation program.
 type Workload struct {
 	Name  string

@@ -132,3 +132,16 @@ func TestAllWorkloadsOnMISPMultiprocessor(t *testing.T) {
 		}
 	}
 }
+
+func TestParseSize(t *testing.T) {
+	for _, sz := range []Size{SizeTest, SizeSmall, SizeRef} {
+		if got, err := ParseSize(sz.String()); err != nil || got != sz {
+			t.Errorf("ParseSize(%q) = %v, %v", sz, got, err)
+		}
+	}
+	for _, bad := range []string{"", "huge", "ref,"} {
+		if _, err := ParseSize(bad); err == nil {
+			t.Errorf("ParseSize(%q) accepted an unknown size", bad)
+		}
+	}
+}
