@@ -127,28 +127,27 @@ snapcheck:
 servecheck:
 	bash scripts/serve_smoke.sh
 
-# crashcheck is the durability gate: the journal codec property tests
-# under -race, the checkpoint/resume byte-identity difftests, and the
-# chaos smoke — 20 seeded SIGKILLs of a journaled daemon mid-job, each
-# followed by a restart that must recover the job (never lost, never
-# duplicated) and finish it with artifacts byte-identical to an
-# uninterrupted run.
+# crashcheck is the durability gate: the whole serve and journal
+# packages under -race (no -run list to rot: the journal codec property
+# tests, the job state machine's replay enumeration, the checkpoint/
+# resume byte-identity difftests and the in-process chaos harness are all
+# in there), then the chaos smoke — 20 seeded SIGKILLs of a journaled
+# daemon mid-job, each followed by a restart that must recover the job
+# (never lost, never duplicated) and finish it with artifacts
+# byte-identical to an uninterrupted run.
 crashcheck:
-	$(GO) test -race ./internal/journal/ \
-		-run 'TestRoundTrip|TestTorn|TestBitFlip|TestMidFile|TestRotation'
-	$(GO) test -race -run 'TestCrashRecovery|TestRecovery|TestCheckpoint|TestCacheCorruption|TestServerTorn' \
-		./internal/serve/
+	$(GO) test -race ./internal/serve/ ./internal/journal/
 	bash scripts/crash_smoke.sh
 
-# soakcheck is the overload-robustness gate: the governance unit tests
-# (drain estimator, pressure escalation, victim selection, preempt/
-# resume byte-identity, client breaker) under -race, then the overload
-# smoke — flood a small-budget daemon with distinct tiny runs and
-# assert it sheds with computed Retry-After hints, loses nothing it
-# accepted, stays alive, and still drains cleanly on SIGTERM.
+# soakcheck is the overload-robustness gate: the same two packages under
+# -race (the governance unit tests — drain estimator, pressure
+# escalation, victim selection, preempt/resume byte-identity, client
+# breaker — live in internal/serve), then the overload smoke — flood a
+# small-budget daemon with distinct tiny runs and assert it sheds with
+# computed Retry-After hints, loses nothing it accepted, stays alive,
+# and still drains cleanly on SIGTERM.
 soakcheck:
-	$(GO) test -race -run 'TestDrainEstimator|TestPressure|TestShedByLane|TestOverBudget|TestCommitment|TestHealthzProbes|TestLaneQueue|TestBetterVictim|TestPickVictim|TestPreempt|TestRequeue|TestBreaker|TestRetryJitter|TestStatusHedged' \
-		./internal/serve/
+	$(GO) test -race ./internal/serve/ ./internal/journal/
 	bash scripts/overload_smoke.sh
 
 # ci is the full gate run by the GitHub Actions workflow.

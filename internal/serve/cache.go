@@ -139,21 +139,6 @@ func (c *Cache) lookup(key string, count bool) (Artifacts, bool) {
 	return f.art, f.ok
 }
 
-// Contains reports whether key is cached without counting a hit or a
-// miss (used by status endpoints).
-func (c *Cache) Contains(key string) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if _, ok := c.mem[key]; ok {
-		return true
-	}
-	if c.dir == "" {
-		return false
-	}
-	st, err := os.Stat(filepath.Join(c.dir, key))
-	return err == nil && st.IsDir()
-}
-
 // Put stores an artifact set under key. Disk persistence is
 // crash-safe write-through: entry files (plus a SHA-256 manifest) land
 // in a temp directory, every file and the directory itself are fsync'd,

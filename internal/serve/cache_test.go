@@ -82,6 +82,80 @@ func TestCacheLoadOutsideLock(t *testing.T) {
 	}
 }
 
+// TestSubmitLoadsDiskEntryOutsideServerLock: the first request for a
+// key that lives only in the disk cache reads and verifies it before
+// taking the server mutex. The regression this guards: admitLocked called
+// Cache.Get with Server.mu held, so one cold disk read in a restarted
+// daemon stalled every View, /metrics, settle and Submit behind it. The
+// hit/miss accounting stays where the admission order puts it.
+func TestSubmitLoadsDiskEntryOutsideServerLock(t *testing.T) {
+	dir := t.TempDir()
+	cold := mustCanonical(t, tinyRun())
+	seed, err := NewCache(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := seed.Put(cold.Key(), diskArt("cold")); err != nil {
+		t.Fatal(err)
+	}
+
+	s := newTestServer(t, Config{Workers: 1, CacheDir: dir})
+	s.exec = func(ctx context.Context, j *Job) (Artifacts, *Result, error) {
+		return diskArt("ran"), &Result{ChecksumOK: true}, nil
+	}
+	other := &Request{Kind: KindRun, App: "dense_mmm", Size: "test", Topology: []int{2}}
+	oj, err := s.Submit(other, true) // an unrelated job: one miss, then resident
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitJob(t, oj)
+
+	entered, gate := make(chan struct{}), make(chan struct{})
+	release := sync.OnceFunc(func() { close(gate) })
+	t.Cleanup(release) // a failing run must still let the server drain
+	s.cache.loadDelay = func(key string) {
+		if key == cold.Key() {
+			close(entered)
+			<-gate // the "slow disk"
+		}
+	}
+	coldDone := make(chan *Job, 1)
+	go func() {
+		j, err := s.Submit(tinyRun(), true)
+		if err != nil {
+			t.Error(err)
+		}
+		coldDone <- j
+	}()
+	<-entered // the cold load is in flight...
+
+	prompt := make(chan *Job, 1)
+	go func() {
+		s.View(oj, false)
+		j, err := s.Submit(other, true) // memory-resident: a plain cache hit
+		if err != nil {
+			t.Error(err)
+		}
+		prompt <- j
+	}()
+	select {
+	case j := <-prompt: // ...and must hold no lock the rest of the server needs
+		if j == nil || !s.View(j, false).Cached {
+			t.Fatal("memory-resident resubmission was not served from the cache")
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("View/Submit blocked behind another submission's disk load")
+	}
+
+	release()
+	if j := <-coldDone; j == nil || !s.View(j, false).Cached {
+		t.Fatal("disk-resident key was not served from the cache")
+	}
+	if _, hits, misses := s.cache.Stats(); hits != 2 || misses != 1 {
+		t.Fatalf("cache stats = %d hits / %d misses, want 2/1 (the prefetch counts nothing)", hits, misses)
+	}
+}
+
 // TestCacheLoadSingleFlight: a thundering herd on one cold key does one
 // disk read, and every caller gets the result.
 func TestCacheLoadSingleFlight(t *testing.T) {

@@ -31,7 +31,7 @@ func TestCheckpointedRunBitIdentical(t *testing.T) {
 			if warmPool {
 				warm = workloads.NewWarmPool()
 				// Prime the pool so the checkpointed run forks a warm image.
-				if _, _, err := ExecuteWarm(context.Background(), c, warm); err != nil {
+				if _, _, err := ExecuteCheckpointed(context.Background(), c, warm, nil); err != nil {
 					t.Fatal(err)
 				}
 			}

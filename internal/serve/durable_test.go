@@ -244,13 +244,99 @@ func TestRecoveryFailsPoisonJob(t *testing.T) {
 		t.Fatalf("new job reused recovered ID %s", id)
 	}
 	waitJob(t, j2)
+
+	// One more boot: the verdict is now a journaled failed record, and its
+	// reason must come back with it — the structured diagnosis is part of
+	// what "the verdict survives restarts" promises, not just the text.
+	want := s.View(j, false)
+	crash(s)
+	s2, err := NewServer(Config{Workers: 1, JournalDir: jdir, CacheDir: cdir, MaxRetries: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s2.Drain(context.Background())
+	jb, ok := s2.Job(id)
+	if !ok {
+		t.Fatal("failed job lost on the second boot")
+	}
+	got := s2.View(jb, false)
+	if got.Status != StatusFailed || got.Failure != ReasonRetries || got.Error != want.Error || got.Attempts != 2 {
+		t.Fatalf("second boot: status=%s failure_reason=%q attempts=%d error=%q, want failed %q 2 %q",
+			got.Status, got.Failure, got.Attempts, got.Error, ReasonRetries, want.Error)
+	}
+	if !errors.As(error(jb.Failure), &je) || je.Attempts != 2 {
+		t.Fatalf("second boot: Job.Failure = %+v, want a JobError after 2 attempts", jb.Failure)
+	}
+}
+
+// TestSubmitNotDurable: a job is acknowledged only once its accepted
+// record is on disk. With the journal dead under a live server, Submit
+// refuses with ErrNotDurable (503 + Retry-After over HTTP), the job that
+// was already queued settles failed with that cause, and it is neither
+// run to completion nor left in the queue or the single-flight table.
+func TestSubmitNotDurable(t *testing.T) {
+	jdir, cdir := durableDirs(t)
+	s := newTestServer(t, Config{Workers: 1, JournalDir: jdir, CacheDir: cdir})
+	var finished atomic.Int32
+	s.exec = func(ctx context.Context, j *Job) (Artifacts, *Result, error) {
+		<-ctx.Done() // a lease taken before the cancel landed dies with it
+		finished.Add(1)
+		return nil, nil, context.Cause(ctx)
+	}
+	s.jnl.Close() // the disk went away: every append now fails
+
+	j, err := s.Submit(tinyRun(), true)
+	if !errors.Is(err, ErrNotDurable) || j != nil {
+		t.Fatalf("Submit with a dead journal = (%v, %v), want (nil, ErrNotDurable)", j, err)
+	}
+	jobs := s.Jobs()
+	if len(jobs) != 1 {
+		t.Fatalf("%d job records, want the 1 refused job", len(jobs))
+	}
+	waitJob(t, jobs[0])
+	v := s.View(jobs[0], false)
+	if v.Status != StatusFailed || v.Failure != ReasonNotDurable || !strings.Contains(v.Error, ErrNotDurable.Error()) {
+		t.Fatalf("refused job settled %s/%q (%q), want failed, not-durable, with the journal error", v.Status, v.Failure, v.Error)
+	}
+	if q, _ := s.QueueDepth(); q != 0 {
+		t.Fatalf("refused job still queued (depth %d)", q)
+	}
+	// Under mu: the worker's own (failing) terminal append is still
+	// counting after done has closed.
+	s.mu.Lock()
+	completed, appendErrs := s.reg.CounterValue("serve.jobs.completed"), s.reg.CounterValue("serve.journal.append_errors")
+	s.mu.Unlock()
+	if completed != 0 {
+		t.Fatalf("serve.jobs.completed = %d after a refused submission", completed)
+	}
+	if appendErrs == 0 {
+		t.Fatal("the failed accepted append was not counted")
+	}
+
+	// Over the wire the refusal is a 503 with a Retry-After, and the
+	// retry is a fresh admission, not a coalesce onto the dead job.
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	body, _ := json.Marshal(tinyRun())
+	resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(string(body)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusServiceUnavailable || resp.Header.Get("Retry-After") == "" {
+		t.Fatalf("HTTP submit with a dead journal: %d Retry-After=%q, want 503 with a hint",
+			resp.StatusCode, resp.Header.Get("Retry-After"))
+	}
+	if n := len(s.Jobs()); n != 2 {
+		t.Fatalf("%d job records after the retry, want 2 (one refused job each)", n)
+	}
 }
 
 // TestRetryExhaustionDiagnosis: in-process attempt failures retry with
 // backoff and then settle as a JobError carrying reason, attempt count,
 // and the last attempt's error.
 func TestRetryExhaustionDiagnosis(t *testing.T) {
-	s := newTestServer(t, Config{Workers: 1, MaxRetries: 3, RetryBackoff: time.Millisecond})
+	s := newTestServer(t, Config{Workers: 1, MaxRetries: 3, retryBackoff: time.Millisecond})
 	var calls atomic.Int32
 	boom := errors.New("exec: boom")
 	s.exec = func(ctx context.Context, j *Job) (Artifacts, *Result, error) {

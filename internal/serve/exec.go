@@ -4,13 +4,17 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"os"
+	"path/filepath"
 	"sort"
 
 	"misp/internal/core"
 	"misp/internal/exp"
 	"misp/internal/obs"
 	"misp/internal/report"
+	"misp/internal/snap"
 	"misp/internal/workloads"
 )
 
@@ -74,43 +78,193 @@ type traceSummary struct {
 // artifacts. It is context-aware end to end: cancellation aborts the
 // simulation at its next event horizon and no artifacts are produced.
 func Execute(ctx context.Context, c *Request) (Artifacts, *Result, error) {
-	return ExecuteWarm(ctx, c, nil)
+	return ExecuteCheckpointed(ctx, c, nil, nil)
 }
 
-// ExecuteWarm is Execute with a snapshot warm pool: repeat requests
-// against the same workload/topology fork a cached post-prepare image
-// instead of building a machine from scratch. warm == nil runs cold;
-// results are bit-identical either way (the pool contract, difftested
-// in workloads/warm_test.go).
-func ExecuteWarm(ctx context.Context, c *Request, warm *workloads.WarmPool) (Artifacts, *Result, error) {
+// ErrPreempted reports that a run yielded cooperatively at a quiescent
+// pause boundary after a preemption request: its image is persisted (or
+// an older image remains usable) and the caller must re-enqueue the job
+// to resume later. Never returned for completed or failed runs.
+var ErrPreempted = errors.New("serve: job preempted at quiescent boundary")
+
+// CheckpointSpec configures ExecuteCheckpointed: where images live,
+// how often they are taken, the preemption poll, and the hooks the
+// server uses to journal and count checkpoint traffic. A nil spec or the
+// zero value disables checkpointing: the run goes straight through.
+type CheckpointSpec struct {
+	Dir   string // checkpoint images live here, next to the journal
+	Every uint64 // simulated cycles between checkpoints (0 = off)
+
+	// Quantum is the pause-slice cadence in simulated cycles: the run
+	// reaches a quiescent boundary at least this often and polls Preempt
+	// there. 0 falls back to Every (pause only at checkpoint boundaries).
+	Quantum uint64
+	// Preempt is polled at every quiescent boundary; returning true
+	// persists an image at the current cycle and aborts the lease with
+	// ErrPreempted. nil never preempts.
+	Preempt func() bool
+	// MaxCycles tightens the machine's cycle-limit abort to the job's
+	// admission budget (0 = leave the workload default).
+	MaxCycles uint64
+
+	OnCheckpoint func(cycle uint64) // after an image is durably persisted
+	OnRestore    func(cycle uint64) // resumed from an image at this cycle
+	OnCorrupt    func(err error)    // an unusable image was discarded
+}
+
+func (cs *CheckpointSpec) enabled() bool {
+	return cs != nil && cs.Dir != "" && (cs.Every > 0 || (cs.Quantum > 0 && cs.Preempt != nil))
+}
+
+// stride is the pause cadence: the tighter of Quantum and Every.
+func (cs *CheckpointSpec) stride() uint64 {
+	if cs.Quantum > 0 && (cs.Every == 0 || cs.Quantum < cs.Every) {
+		return cs.Quantum
+	}
+	return cs.Every
+}
+
+// checkpointPath is the image location for one canonical request. Keyed
+// on the cache key: execution-only knobs are run-only config, so an
+// image is resumable by any request that hashes to the same simulation.
+func (cs *CheckpointSpec) path(key string) string {
+	return filepath.Join(cs.Dir, "ckpt-"+key+".misp")
+}
+
+// ExecuteCheckpointed is Execute with a snapshot warm pool and, for run
+// requests, periodic mid-run checkpoints. warm: repeat requests against
+// the same workload/topology fork a cached post-prepare image instead of
+// building a machine from scratch; nil runs cold, bit-identical either
+// way (the pool contract, difftested in workloads/warm_test.go). cs:
+// the simulation pauses every cs.Every cycles at a quiescent SetPause
+// boundary, persists a snap image atomically, and continues; if an image
+// for the request already exists (a previous attempt or process died
+// mid-run), execution resumes from it instead of starting over. The snap
+// plane's determinism contract makes the artifacts byte-identical to an
+// uninterrupted run either way, and an unreadable or stale image is
+// discarded for a cold start — corrupt state can degrade performance,
+// never correctness. Sweep requests ignore cs: their grid points are
+// individually short, so the journal's retry lease is their recovery
+// story.
+func ExecuteCheckpointed(ctx context.Context, c *Request, warm *workloads.WarmPool, cs *CheckpointSpec) (Artifacts, *Result, error) {
 	switch c.Kind {
 	case KindRun:
-		return executeRun(ctx, c, warm)
+		return executeRun(ctx, c, warm, cs)
 	case KindSweep:
 		return executeSweep(ctx, c, warm)
 	}
 	return nil, nil, fmt.Errorf("serve: unknown request kind %q", c.Kind)
 }
 
-func executeRun(ctx context.Context, c *Request, warm *workloads.WarmPool) (Artifacts, *Result, error) {
+// executeRun is the one run executor. With checkpointing enabled the
+// run proceeds in pause slices: every stride() cycles the machine stops
+// at a quiescent boundary, where the loop checks the preemption poll and
+// the checkpoint cadence. Preemption forces an image at the current
+// cycle and aborts the lease with ErrPreempted — even when the capture
+// fails, since the previous image (or a cold start) still resumes to
+// byte-identical artifacts; only the paid cycles are lost. Disabled, no
+// image is looked up, no pause is armed, and the first pass is the run.
+func executeRun(ctx context.Context, c *Request, warm *workloads.WarmPool, cs *CheckpointSpec) (Artifacts, *Result, error) {
 	w, size, cfg, err := runSetup(c)
 	if err != nil {
 		return nil, nil, err
 	}
-	pr, err := warm.Prepare(w, c.mode(), cfg, size, 0)
-	if err != nil {
-		return nil, nil, err
+	if cs != nil && cs.MaxCycles > 0 && (cfg.MaxCycles == 0 || cs.MaxCycles < cfg.MaxCycles) {
+		// The admission cycle budget composes with the workload's own
+		// deadlock guard: whichever is tighter aborts the run (MaxCycles
+		// is run-only config, so this never perturbs image identity).
+		cfg.MaxCycles = cs.MaxCycles
 	}
-	defer pr.Release() // after runArtifacts has rendered everything from the machine
-	res, err := pr.RunCtx(ctx)
-	if err != nil {
-		return nil, nil, err
+
+	ckpting := cs.enabled()
+	var ckpt string
+	var pr *workloads.Prepared
+	if ckpting {
+		ckpt = cs.path(c.Key())
+		pr = cs.restore(ckpt, c, w, cfg)
 	}
-	return runArtifacts(c, w, size, cfg, res)
+	if pr == nil {
+		if pr, err = warm.Prepare(w, c.mode(), cfg, size, 0); err != nil {
+			return nil, nil, err
+		}
+	}
+	// Every exit below — done, failed, preempted — is finished with the
+	// machine: its image, if any, is on disk and its artifacts rendered.
+	defer pr.Release()
+
+	var res *workloads.RunResult
+	var nextCkpt uint64
+	if ckpting && cs.Every > 0 {
+		nextCkpt = pr.Machine.MaxClock() + cs.Every
+	}
+	for {
+		if ckpting {
+			pr.Machine.SetPause(pr.Machine.MaxClock() + cs.stride())
+		}
+		res, err = pr.RunCtx(ctx)
+		if err == nil {
+			break
+		}
+		if !ckpting || !errors.Is(err, core.ErrPaused) {
+			// Leave the last image in place: a retry or a restarted daemon
+			// resumes from it instead of repaying the simulated cycles.
+			return nil, nil, err
+		}
+		clock := pr.Machine.MaxClock()
+		preempt := cs.Preempt != nil && cs.Preempt()
+		if preempt || (cs.Every > 0 && clock >= nextCkpt) {
+			img, cerr := snap.Capture(pr.Machine, pr.Kernel)
+			if cerr == nil {
+				// A failed capture degrades the checkpoint cadence (or the
+				// preemption resume point), never the run.
+				if serr := img.SaveFile(ckpt); serr == nil && cs.OnCheckpoint != nil {
+					cs.OnCheckpoint(clock)
+				}
+			}
+			for nextCkpt != 0 && nextCkpt <= clock {
+				nextCkpt += cs.Every
+			}
+		}
+		if preempt {
+			return nil, nil, ErrPreempted
+		}
+	}
+	art, result, err := runArtifacts(c, w, size, cfg, res)
+	if err == nil && ckpting {
+		os.Remove(ckpt) // the run is complete; the image is dead weight
+	}
+	return art, result, err
+}
+
+// restore resumes a run from its checkpoint image, if a usable one
+// exists. An unreadable or stale image is reported, removed, and nil
+// returned: the caller prepares cold.
+func (cs *CheckpointSpec) restore(ckpt string, c *Request, w *workloads.Workload, cfg core.Config) *workloads.Prepared {
+	img, err := snap.LoadFile(ckpt)
+	if errors.Is(err, os.ErrNotExist) {
+		return nil
+	}
+	var pr *workloads.Prepared
+	if err == nil {
+		m, k, ferr := img.Fork(func(cc *core.Config) { *cc = cfg })
+		if err = ferr; err == nil {
+			pr, err = workloads.Resume(w, c.mode(), m, k)
+		}
+	}
+	if err != nil {
+		if cs.OnCorrupt != nil {
+			cs.OnCorrupt(err)
+		}
+		os.Remove(ckpt)
+		return nil
+	}
+	if cs.OnRestore != nil {
+		cs.OnRestore(pr.Machine.MaxClock())
+	}
+	return pr
 }
 
 // runSetup resolves a run request's workload, size, and machine config.
-// Shared by the plain executor and the checkpointing one (durable.go).
 func runSetup(c *Request) (*workloads.Workload, workloads.Size, core.Config, error) {
 	w, err := workloads.ByName(c.App)
 	if err != nil {

@@ -141,17 +141,21 @@ func (e *drainEstimator) avgWall() time.Duration {
 	return e.avg
 }
 
-// maxRetryAfter caps the hint: past this, the estimate says more about
-// the estimator than the queue, and clients cap server hints anyway.
-const maxRetryAfter = 10 * time.Minute
+// The hint's bounds. Below retryAfterFloor the estimator would promise a
+// faster retry than one backpressure window (and "Retry-After: 0" tells
+// a client there is no backpressure at all); past maxRetryAfter the
+// estimate says more about the estimator than the queue, and clients cap
+// server hints anyway.
+const (
+	retryAfterFloor = time.Second
+	maxRetryAfter   = 10 * time.Minute
+)
 
 // estimate is the drain-time prediction for a client arriving behind
-// `queued` jobs on `workers` workers: ceil(avg × (queued+1) / workers),
-// floored at `floor` (the configured constant hint — the estimator can
-// sharpen the hint upward, never promise a faster retry than the
-// configured backpressure window) and at 1s. Monotone in queue depth
+// `queued` jobs on `workers` workers: avg × (queued+1) / workers,
+// clamped to [retryAfterFloor, maxRetryAfter]. Monotone in queue depth
 // and average wall time by construction (table-tested).
-func (e *drainEstimator) estimate(queued, workers int, floor time.Duration) time.Duration {
+func (e *drainEstimator) estimate(queued, workers int) time.Duration {
 	if workers < 1 {
 		workers = 1
 	}
@@ -159,22 +163,13 @@ func (e *drainEstimator) estimate(queued, workers int, floor time.Duration) time
 		queued = 0
 	}
 	d := e.avgWall() * time.Duration(queued+1) / time.Duration(workers)
-	if d < floor {
-		d = floor
-	}
-	if d > maxRetryAfter {
-		d = maxRetryAfter
-	}
-	if d < time.Second {
-		d = time.Second
-	}
-	return d
+	return min(max(d, retryAfterFloor), maxRetryAfter)
 }
 
 // EstimatedRetryAfter is the server's current backpressure hint: the
-// estimated queue drain time, never below the configured constant.
+// estimated queue drain time, never below retryAfterFloor.
 func (s *Server) EstimatedRetryAfter() time.Duration {
-	return s.est.estimate(s.queue.len(), s.cfg.Workers, s.cfg.RetryAfter)
+	return s.est.estimate(s.queue.len(), s.cfg.Workers)
 }
 
 // --- pressure monitor -------------------------------------------------
@@ -198,6 +193,17 @@ const (
 	// image persisted, re-enqueued) until the heap falls back below the
 	// brownout watermark. Jobs are never killed.
 	pressureCritical
+)
+
+// The escalation watermarks, as fractions of Config.MemBudget, and the
+// factor by which a job starting during a brownout stretches its
+// checkpoint cadence (fewer transient capture buffers while the host is
+// tight). Fixed policy: no caller ever set them.
+const (
+	shedFrac                = 0.70
+	brownoutFrac            = 0.85
+	criticalFrac            = 0.95
+	brownoutCheckpointScale = 4
 )
 
 func (l pressureLevel) String() string {
@@ -224,7 +230,7 @@ func (s *Server) governed() bool { return s.cfg.MemBudget > 0 }
 // responses. It exits when the server drains.
 func (s *Server) governor() {
 	defer s.wg.Done()
-	t := time.NewTicker(s.cfg.PressureTick)
+	t := time.NewTicker(s.cfg.pressureTick)
 	defer t.Stop()
 	for {
 		select {
@@ -241,7 +247,7 @@ func (s *Server) governor() {
 func (s *Server) governTick() {
 	budget := s.cfg.MemBudget
 	heap := s.heapBytes()
-	if heap >= uint64(float64(budget)*s.cfg.BrownoutFrac) {
+	if heap >= uint64(float64(budget)*brownoutFrac) {
 		// Above the brownout watermark the reading must separate live
 		// simulation state from collectable garbage before the daemon
 		// degrades service (or preempts a job) over memory that one GC
@@ -251,11 +257,11 @@ func (s *Server) governTick() {
 	}
 	level := pressureNominal
 	switch {
-	case heap >= uint64(float64(budget)*s.cfg.CriticalFrac):
+	case heap >= uint64(float64(budget)*criticalFrac):
 		level = pressureCritical
-	case heap >= uint64(float64(budget)*s.cfg.BrownoutFrac):
+	case heap >= uint64(float64(budget)*brownoutFrac):
 		level = pressureBrownout
-	case heap >= uint64(float64(budget)*s.cfg.ShedFrac):
+	case heap >= uint64(float64(budget)*shedFrac):
 		level = pressureShed
 	}
 	prev := pressureLevel(s.pressure.Swap(int32(level)))

@@ -21,27 +21,26 @@ const quietTick = time.Hour
 // --- drain estimator --------------------------------------------------
 
 // TestDrainEstimatorTable pins the Retry-After estimate down case by
-// case: ceil-ish scaling of the average wall time by queue depth over
-// workers, floored at the configured hint and 1s, capped at
-// maxRetryAfter (the satellite contract: queue-full 429s report the
-// estimated drain time, never below the configured floor).
+// case: scaling of the average wall time by queue depth over workers,
+// clamped to [retryAfterFloor, maxRetryAfter] (the satellite contract:
+// queue-full 429s report the estimated drain time, never below the
+// floor).
 func TestDrainEstimatorTable(t *testing.T) {
 	cases := []struct {
 		name    string
 		avg     time.Duration
 		queued  int
 		workers int
-		floor   time.Duration
 		want    time.Duration
 	}{
-		{"no-data-floor", 0, 10, 2, 3 * time.Second, 3 * time.Second},
-		{"no-data-min-1s", 0, 10, 2, 0, time.Second},
-		{"scales-by-depth", 2 * time.Second, 3, 2, time.Second, 4 * time.Second},
-		{"divides-by-workers", 2 * time.Second, 7, 4, time.Second, 4 * time.Second},
-		{"below-floor-clamps", 2 * time.Second, 0, 4, time.Second, time.Second},
-		{"caps-at-max", time.Hour, 100, 1, time.Second, maxRetryAfter},
-		{"zero-workers-as-one", 2 * time.Second, 1, 0, time.Second, 4 * time.Second},
-		{"negative-queue-as-empty", 2 * time.Second, -5, 1, time.Second, 2 * time.Second},
+		{"no-data-floor", 0, 10, 2, retryAfterFloor},
+		{"no-data-min-1s", 0, 0, 1, time.Second},
+		{"scales-by-depth", 2 * time.Second, 3, 2, 4 * time.Second},
+		{"divides-by-workers", 2 * time.Second, 7, 4, 4 * time.Second},
+		{"below-floor-clamps", 2 * time.Second, 0, 4, time.Second},
+		{"caps-at-max", time.Hour, 100, 1, maxRetryAfter},
+		{"zero-workers-as-one", 2 * time.Second, 1, 0, 4 * time.Second},
+		{"negative-queue-as-empty", 2 * time.Second, -5, 1, 2 * time.Second},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -49,9 +48,9 @@ func TestDrainEstimatorTable(t *testing.T) {
 			if tc.avg > 0 {
 				e.observe(tc.avg) // first sample seeds the average exactly
 			}
-			if got := e.estimate(tc.queued, tc.workers, tc.floor); got != tc.want {
-				t.Fatalf("estimate(%d, %d, %v) with avg %v = %v, want %v",
-					tc.queued, tc.workers, tc.floor, tc.avg, got, tc.want)
+			if got := e.estimate(tc.queued, tc.workers); got != tc.want {
+				t.Fatalf("estimate(%d, %d) with avg %v = %v, want %v",
+					tc.queued, tc.workers, tc.avg, got, tc.want)
 			}
 		})
 	}
@@ -83,7 +82,7 @@ func TestDrainEstimatorMonotone(t *testing.T) {
 	e.observe(1500 * time.Millisecond)
 	prev := time.Duration(0)
 	for queued := 0; queued <= 64; queued++ {
-		got := e.estimate(queued, 2, time.Second)
+		got := e.estimate(queued, 2)
 		if got < prev {
 			t.Fatalf("estimate decreased at depth %d: %v < %v", queued, got, prev)
 		}
@@ -145,7 +144,7 @@ func TestEstimateBudget(t *testing.T) {
 func TestPressureEscalation(t *testing.T) {
 	var logs []string
 	s := newTestServer(t, Config{
-		Workers: 1, MemBudget: 1000, PressureTick: quietTick,
+		Workers: 1, MemBudget: 1000, pressureTick: quietTick,
 		Logf: func(format string, args ...any) { logs = append(logs, fmt.Sprintf(format, args...)) },
 	})
 	heap := uint64(0)
@@ -195,7 +194,7 @@ func TestPressureEscalation(t *testing.T) {
 // fresh is shed. Cache hits and coalesced submissions are never shed —
 // they cost no new memory.
 func TestShedByLane(t *testing.T) {
-	s := newTestServer(t, Config{Workers: 1, MemBudget: 1 << 30, PressureTick: quietTick})
+	s := newTestServer(t, Config{Workers: 1, MemBudget: 1 << 30, pressureTick: quietTick})
 	block := make(chan struct{})
 	defer close(block)
 	s.exec = func(ctx context.Context, j *Job) (Artifacts, *Result, error) {
@@ -242,7 +241,7 @@ func TestShedByLane(t *testing.T) {
 func TestOverBudgetRejected(t *testing.T) {
 	// tinyRun estimates physmem (128MiB) + overhead; a 64MiB budget can
 	// never hold it.
-	s := newTestServer(t, Config{Workers: 1, MemBudget: 64 << 20, PressureTick: quietTick})
+	s := newTestServer(t, Config{Workers: 1, MemBudget: 64 << 20, pressureTick: quietTick})
 	if _, err := s.Submit(tinyRun(), true); !errors.Is(err, ErrOverBudget) {
 		t.Fatalf("err = %v, want ErrOverBudget", err)
 	}
@@ -272,7 +271,7 @@ func TestOverBudgetRejected(t *testing.T) {
 // heap ever grows — and the commitment is released when jobs settle.
 func TestCommitmentShedding(t *testing.T) {
 	// Budget fits one tinyRun estimate (160MiB) but not two.
-	s := newTestServer(t, Config{Workers: 1, MemBudget: 200 << 20, PressureTick: quietTick})
+	s := newTestServer(t, Config{Workers: 1, MemBudget: 200 << 20, pressureTick: quietTick})
 	block := make(chan struct{})
 	s.exec = func(ctx context.Context, j *Job) (Artifacts, *Result, error) {
 		select {
@@ -307,7 +306,7 @@ func TestCommitmentShedding(t *testing.T) {
 // hint — under brownout and while draining, and /healthz gains the
 // pressure block when governed.
 func TestHealthzProbes(t *testing.T) {
-	s := newTestServer(t, Config{Workers: 1, MemBudget: 1 << 30, PressureTick: quietTick})
+	s := newTestServer(t, Config{Workers: 1, MemBudget: 1 << 30, pressureTick: quietTick})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 

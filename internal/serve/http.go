@@ -87,7 +87,8 @@ func (s *Server) View(j *Job, withRequest bool) JobView {
 //	GET    /metrics                       metrics registry dump (plain text)
 //
 // Admission responses: 429 + Retry-After when the queue is full, 503
-// when draining, 400 on invalid requests.
+// when draining or when the job could not be journaled, 400 on invalid
+// requests.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/jobs", s.handleSubmit)
@@ -127,8 +128,8 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	switch {
 	case errors.Is(err, ErrQueueFull) || errors.Is(err, ErrPressure):
 		// Backpressure: the hint is the estimated queue drain time (never
-		// below the configured floor), so a saturated daemon tells
-		// clients the truth about the wait instead of a constant.
+		// below the 1s floor), so a saturated daemon tells clients the
+		// truth about the wait instead of a constant.
 		w.Header().Set("Retry-After", strconv.Itoa(retryAfterSeconds(s.EstimatedRetryAfter())))
 		writeError(w, http.StatusTooManyRequests, err)
 		return
@@ -136,7 +137,9 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		// Not transient: this job can never fit this daemon's budget.
 		writeError(w, http.StatusRequestEntityTooLarge, err)
 		return
-	case errors.Is(err, ErrDraining):
+	case errors.Is(err, ErrDraining) || errors.Is(err, ErrNotDurable):
+		// This daemon cannot take the job now — it is going away, or its
+		// journal cannot make the job durable. Try later, or elsewhere.
 		w.Header().Set("Retry-After", strconv.Itoa(retryAfterSeconds(s.EstimatedRetryAfter())))
 		writeError(w, http.StatusServiceUnavailable, err)
 		return

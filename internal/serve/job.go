@@ -1,0 +1,439 @@
+package serve
+
+import (
+	"context"
+	"encoding/json"
+	"errors"
+	"fmt"
+	"regexp"
+	"strconv"
+	"sync/atomic"
+	"time"
+)
+
+// This file is the job state machine. A job's journaled life is
+//
+//	accepted → (started | checkpoint | preempted)* → (done | failed | canceled)
+//
+// and the journal record IS the transition: the live path applies a
+// record to the Job under the server mutex and then appends it, replay
+// applies the very same records with the very same two functions.
+// advanceLocked is the non-terminal half, settleLocked the terminal half;
+// nothing else moves a job between states.
+
+// JobStatus is a job's lifecycle state.
+type JobStatus string
+
+const (
+	StatusQueued   JobStatus = "queued"
+	StatusRunning  JobStatus = "running"
+	StatusDone     JobStatus = "done"
+	StatusFailed   JobStatus = "failed"
+	StatusCanceled JobStatus = "canceled"
+)
+
+// Terminal reports whether the status is final.
+func (s JobStatus) Terminal() bool {
+	return s == StatusDone || s == StatusFailed || s == StatusCanceled
+}
+
+// Job is one accepted request's record. Mutable fields are guarded by
+// the owning Server's mutex; done is closed exactly once when the job
+// reaches a terminal status.
+type Job struct {
+	ID  string
+	Key string
+	Req *Request // canonical form
+
+	Status   JobStatus
+	Cached   bool // served from the result cache without simulating
+	Err      string
+	Result   *Result
+	Created  time.Time
+	Started  time.Time // start of the current (or last) execution lease
+	Finished time.Time
+	Wall     time.Duration // host run time over every lease (0 for cache hits)
+
+	// Durable-plane state. Attempt counts execution leases taken on
+	// this job (journaled, so it survives restarts); Ckpt is the cycle
+	// of the last persisted mid-run checkpoint; Recovered marks jobs
+	// rebuilt from the journal after a crash; Failure carries the
+	// structured diagnosis when the plane gave up on the job.
+	Attempt   int
+	Ckpt      uint64
+	Recovered bool
+	Failure   *JobError
+
+	// Governance state. Lane is the priority lane ordering the queue
+	// (execution-only, from Request.Priority); Budget is the admission-
+	// time resource envelope (zero without Config.MemBudget); Preempted
+	// marks a job currently re-queued after a cooperative preemption;
+	// Preempts counts preemptions this process has applied to the job.
+	Lane      int
+	Budget    Budget
+	Preempted bool
+	Preempts  int
+
+	ctx    context.Context
+	cancel context.CancelCauseFunc
+	done   chan struct{}
+
+	// preemptReq asks the worker executing this job to yield at its next
+	// quiescent pause boundary (set by the pressure monitor, polled by
+	// the executor — SetPause itself is not goroutine-safe, so the
+	// request travels as a flag, never a direct pause).
+	preemptReq atomic.Bool
+	// resume marks the next execution lease as the continuation of a
+	// preempted one: it re-leases without burning a retry attempt.
+	resume bool
+
+	// refs counts live waiters. A job submitted synchronously (detached
+	// == false) whose last waiter disconnects before completion is
+	// canceled — the client-disconnect abort path. Detached jobs
+	// (async submissions) always run to completion.
+	refs     int
+	detached bool
+}
+
+// Done returns the completion channel.
+func (j *Job) Done() <-chan struct{} { return j.done }
+
+// Journal record operations. The three terminal ops are the three
+// terminal status strings, so a terminal record's op is string(j.Status)
+// and a replayed one needs no mapping back.
+const (
+	opAccepted   = "accepted"
+	opStarted    = "started"    // an execution lease: Attempt
+	opCheckpoint = "checkpoint" // an image persisted at Cycle
+	opPreempted  = "preempted"  // parked behind its image at Cycle; the next started resumes the same attempt
+	opDone       = string(StatusDone)
+	opFailed     = string(StatusFailed)
+	opCanceled   = string(StatusCanceled)
+)
+
+// jrec is one journal record. Payload integrity (length + CRC framing,
+// torn-tail truncation) is the journal package's job; this layer only
+// defines the schema. The accepted record doubles as the compaction
+// form: rotation folds a job's attempt count, last checkpoint and parked
+// state back into it so a compacted journal replays to the same state.
+type jrec struct {
+	Op        string   `json:"op"`
+	ID        string   `json:"id"`
+	Key       string   `json:"key,omitempty"`
+	Req       *Request `json:"req,omitempty"`
+	Attempt   int      `json:"attempt,omitempty"`
+	Cycle     uint64   `json:"cycle,omitempty"`
+	Error     string   `json:"error,omitempty"`
+	Reason    string   `json:"reason,omitempty"`    // failed only: JobError.Reason (absent in older journals)
+	Preempted bool     `json:"preempted,omitempty"` // accepted (compaction fold) only
+}
+
+// JobError failure reasons. ReasonBudget lives in governor.go.
+const (
+	ReasonRetries    = "retries-exhausted"
+	ReasonDeadline   = "deadline-exceeded"
+	ReasonNotDurable = "not-durable" // the accepted record did not reach the journal (ErrNotDurable)
+)
+
+// JobError is the structured terminal diagnosis of a job that the
+// durable plane gave up on: retries exhausted, the per-job deadline hit,
+// or the cycle budget blown. It is errors.As-reachable from the job's
+// terminal error (and from Job.Failure), wraps the last attempt's error,
+// and is journaled so the verdict survives restarts — a job never just
+// vanishes.
+type JobError struct {
+	ID       string
+	Key      string
+	Reason   string // ReasonRetries, ReasonDeadline, ReasonNotDurable, or ReasonBudget
+	Attempts int
+	Err      error // last attempt's error (nil when recovered from the journal)
+}
+
+func (e *JobError) Error() string {
+	msg := fmt.Sprintf("serve: job %s failed: %s after %d attempt(s)", e.ID, e.Reason, e.Attempts)
+	if e.Err != nil {
+		msg += ": " + e.Err.Error()
+	}
+	return msg
+}
+
+func (e *JobError) Unwrap() error { return e.Err }
+
+// replayedErr is a terminal error restored from the journal: the text is
+// the recorded one, and class is what settleLocked classifies it by —
+// context.Canceled for a canceled record, the *JobError for a failed
+// record that carries a reason.
+type replayedErr struct {
+	text  string
+	class error
+}
+
+func (e *replayedErr) Error() string { return e.text }
+func (e *replayedErr) Unwrap() error { return e.class }
+
+// advanceLocked is the non-terminal half of the state machine: it
+// applies one accepted/started/checkpoint/preempted record to j. Attempt
+// and Ckpt only grow (records of one job may replay out of order around
+// a compaction fold); a started record is a lease taking over, so it
+// clears the parked state a preempted record set. Called with mu held —
+// by step on the live path, by recover on the replayed one.
+func advanceLocked(j *Job, r jrec) {
+	if j.Status.Terminal() {
+		return // a settled job stays settled, whatever the file says next
+	}
+	switch r.Op {
+	case opAccepted:
+		j.Status = StatusQueued
+		j.Attempt, j.Ckpt = r.Attempt, r.Cycle
+		j.Preempted, j.resume = r.Preempted, r.Preempted
+	case opStarted:
+		j.Status = StatusRunning
+		j.Attempt = max(j.Attempt, r.Attempt)
+		j.Preempted, j.resume = false, false
+	case opCheckpoint:
+		j.Ckpt = max(j.Ckpt, r.Cycle)
+	case opPreempted:
+		// Parked, not mid-lease: the next lease resumes this attempt
+		// rather than burning a new one — in this process or, when the
+		// record is all that survives a crash, in the next.
+		j.Status = StatusQueued
+		j.Ckpt = max(j.Ckpt, r.Cycle)
+		j.Preempted, j.resume = true, true
+	}
+}
+
+// step makes one non-terminal transition on the live path: apply the
+// record, then journal it (fsync outside mu). Applying first is what
+// lets a reader that saw the journaled record trust the job's state.
+func (s *Server) step(j *Job, r jrec) {
+	s.mu.Lock()
+	advanceLocked(j, r)
+	s.mu.Unlock()
+	s.journalAppend(r)
+}
+
+// settleLocked is the terminal half and the only place a job becomes
+// terminal: res/err classify into done, failed or canceled, the
+// single-flight slot and the admission commitment are released, and done
+// is closed — exactly once; settling a terminal job is a no-op that
+// reports false. Called with mu held, by settle, by the cache-hit
+// admission, and by recover for every verdict it restores or reaches.
+func (s *Server) settleLocked(j *Job, res *Result, err error) bool {
+	if j.Status.Terminal() {
+		return false
+	}
+	var je *JobError
+	switch {
+	case err == nil:
+		j.Status = StatusDone
+		j.Result = res
+		s.reg.Counter("serve.jobs.completed").Inc()
+	case errors.As(err, &je):
+		// The durable plane's verdict (retries exhausted, deadline hit,
+		// not durable) outranks the cancellation sentinels it may ride with.
+		j.Status = StatusFailed
+		j.Failure = je
+		s.reg.Counter("serve.jobs.failed").Inc()
+	case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
+		j.Status = StatusCanceled
+		s.reg.Counter("serve.jobs.canceled").Inc()
+	default:
+		j.Status = StatusFailed
+		s.reg.Counter("serve.jobs.failed").Inc()
+	}
+	if err != nil {
+		j.Err = err.Error()
+	}
+	j.Finished = time.Now()
+	if j.Wall > 0 {
+		s.reg.Histogram("serve.job.wall_ms").Observe(uint64(j.Wall.Milliseconds())) // jobs that held a lease
+	}
+	if s.inflight[j.Key] == j {
+		delete(s.inflight, j.Key)
+	}
+	// Release the commitment registerLocked made (nothing for cache hits
+	// and ungoverned jobs).
+	s.committed -= min(s.committed, j.Budget.EstBytes)
+	close(j.done)
+	return true
+}
+
+// settle is the live path's terminal transition: settleLocked, then the
+// terminal record. Like every record after accepted, a failed append
+// only degrades to the counter.
+func (s *Server) settle(j *Job, res *Result, err error) {
+	s.mu.Lock()
+	settled := s.settleLocked(j, res, err)
+	r := terminalRec(j)
+	s.mu.Unlock()
+	if settled {
+		s.journalAppend(r)
+	}
+}
+
+// terminalRec renders a settled job's terminal record.
+func terminalRec(j *Job) jrec {
+	r := jrec{Op: string(j.Status), ID: j.ID, Error: j.Err}
+	if j.Failure != nil {
+		r.Reason = j.Failure.Reason
+	}
+	return r
+}
+
+// verdict is terminalRec's inverse: the settleLocked arguments that
+// re-create a recorded terminal state, text and failure reason included.
+func verdict(j *Job, r jrec) (*Result, error) {
+	switch {
+	case r.Op == opDone:
+		return &Result{ChecksumOK: true}, nil
+	case r.Op == opCanceled:
+		return nil, &replayedErr{r.Error, context.Canceled}
+	case r.Reason != "":
+		return nil, &replayedErr{r.Error, &JobError{ID: j.ID, Key: j.Key, Reason: r.Reason, Attempts: j.Attempt}}
+	}
+	return nil, errors.New(r.Error)
+}
+
+// journalAppend marshals and appends one record, fsync'd, and counts it.
+// Only Submit acts on the error: an accepted record that did not land
+// breaks the promise a 202 makes. Every later record costs recovery
+// fidelity after a crash, never the running job, so its callers let the
+// failure degrade to serve.journal.append_errors.
+func (s *Server) journalAppend(r jrec) error {
+	if s.jnl == nil {
+		return nil
+	}
+	b, err := json.Marshal(&r)
+	if err == nil {
+		err = s.jnl.Append(b)
+	}
+	if err != nil {
+		s.count("serve.journal.append_errors")
+	} else {
+		s.count("serve.journal.appends")
+	}
+	return err
+}
+
+// jobSeq extracts the numeric sequence from a job ID ("j17-abcd…" →
+// 17) so a restarted server's ID counter continues past recovered IDs.
+var jobSeq = regexp.MustCompile(`^j(\d+)-`)
+
+// recover replays journal payloads into job records on the (not yet
+// started, so effectively locked) server, through the same two halves
+// the live path uses. Two passes: accepted records create the jobs,
+// then every other record is applied — appends from concurrent workers
+// may legally land a started record ahead of its accepted record in the
+// file. Records for IDs with no accepted record are dropped: the
+// submission was never acknowledged, so there is nothing to honor.
+//
+// Each job then settles or re-enqueues, first rule that applies:
+//   - the journal holds its verdict → settle with it.
+//   - the result cache has the key → the job finished; the crash beat
+//     the terminal record. Settle done (dedupe: never re-simulate).
+//   - attempts ≥ MaxRetries → every lease expired; fail with a JobError
+//     rather than retrying a poison job forever.
+//   - otherwise → re-enqueue; whatever lease it held died with the old
+//     process, its attempt count and parked state carry over.
+//
+// Returns the jobs to enqueue, in original submission order.
+func (s *Server) recover(payloads [][]byte) []*Job {
+	for _, p := range payloads {
+		var r jrec
+		if json.Unmarshal(p, &r) != nil || r.Op != opAccepted || r.ID == "" || r.Req == nil || s.jobs[r.ID] != nil {
+			continue
+		}
+		c, err := r.Req.Canonicalize()
+		if err != nil {
+			// A schema change made the persisted request unreadable; there
+			// is no simulation to honor under the new schema.
+			continue
+		}
+		if m := jobSeq.FindStringSubmatch(r.ID); m != nil {
+			if n, err := strconv.Atoi(m[1]); err == nil && n > s.seq {
+				s.seq = n
+			}
+		}
+		j := &Job{
+			ID: r.ID, Key: c.Key(), Req: c, Lane: laneOf(c),
+			// The journal records no admission time: a recovered job's
+			// deadline clock restarts at this boot.
+			Created:   time.Now(),
+			Recovered: true,
+			detached:  true, // whoever was waiting died with the old process
+		}
+		if s.governed() {
+			j.Budget = estimateBudget(c) // a pure function of the request: what admission computed
+		}
+		s.registerLocked(j)
+		advanceLocked(j, r)
+	}
+	replayed := 0
+	for _, p := range payloads {
+		var r jrec
+		if json.Unmarshal(p, &r) != nil {
+			continue
+		}
+		replayed++
+		switch j := s.jobs[r.ID]; {
+		case j == nil || r.Op == opAccepted:
+		case JobStatus(r.Op).Terminal():
+			res, err := verdict(j, r)
+			s.settleLocked(j, res, err)
+		default:
+			advanceLocked(j, r)
+		}
+	}
+	s.reg.Counter("serve.journal.replayed").Set(uint64(replayed))
+
+	var enqueue []*Job
+	for _, id := range s.order {
+		j := s.jobs[id]
+		// Peek (not a directory probe) so the dedupe verifies the entry's
+		// manifest: a torn cache entry must re-run, not satisfy the job.
+		_, cached := s.cache.Peek(j.Key)
+		switch {
+		case j.Status.Terminal():
+			// The journal held its verdict.
+		case cached:
+			// Finished before the crash; only the terminal record was lost.
+			s.reg.Counter("serve.resume.deduped").Inc()
+			s.settleLocked(j, &Result{ChecksumOK: true}, nil)
+		case j.Attempt >= s.cfg.MaxRetries:
+			s.reg.Counter("serve.resume.failed").Inc()
+			s.settleLocked(j, nil, &JobError{ID: id, Key: j.Key, Reason: ReasonRetries, Attempts: j.Attempt})
+		case s.inflight[j.Key] != nil:
+			// Two live journaled jobs with one key cannot normally happen
+			// (single-flight); settle the duplicate rather than racing it.
+			s.settleLocked(j, nil, &replayedErr{"serve: duplicate journaled job coalesced at recovery", context.Canceled})
+		default:
+			j.Status = StatusQueued // a replayed lease is a dead one
+			s.inflight[j.Key] = j
+			s.reg.Counter("serve.resume.jobs").Inc()
+			enqueue = append(enqueue, j)
+		}
+	}
+	return enqueue
+}
+
+// compactionRecords renders the full job table back into its minimal
+// journal form for rotation: one accepted record per job (attempts, last
+// checkpoint and parked state folded in), plus the terminal record where
+// one exists. Every job is kept — a terminal job's record is what lets
+// the next boot still answer for its ID.
+func (s *Server) compactionRecords() [][]byte {
+	var out [][]byte
+	put := func(r jrec) {
+		if b, err := json.Marshal(&r); err == nil {
+			out = append(out, b)
+		}
+	}
+	for _, id := range s.order {
+		j := s.jobs[id]
+		put(jrec{Op: opAccepted, ID: j.ID, Key: j.Key, Req: j.Req, Attempt: j.Attempt, Cycle: j.Ckpt, Preempted: j.Preempted})
+		if j.Status.Terminal() {
+			put(terminalRec(j))
+		}
+	}
+	return out
+}

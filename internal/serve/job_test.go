@@ -1,0 +1,236 @@
+package serve
+
+import (
+	"context"
+	"errors"
+	"fmt"
+	"os"
+	"path/filepath"
+	"reflect"
+	"testing"
+	"time"
+
+	"misp/internal/journal"
+)
+
+// checkpointImage runs c until its first persisted checkpoint and returns
+// the image bytes and the cycle they were taken at — what a lease that
+// died mid-run leaves next to the journal.
+func checkpointImage(t *testing.T, c *Request, every uint64) ([]byte, uint64) {
+	t.Helper()
+	ctx, cancel := context.WithCancelCause(context.Background())
+	defer cancel(nil)
+	var at uint64
+	cs := &CheckpointSpec{Dir: t.TempDir(), Every: every, OnCheckpoint: func(cycle uint64) {
+		at = cycle
+		cancel(errors.New("test: simulated kill"))
+	}}
+	if _, _, err := ExecuteCheckpointed(ctx, c, nil, cs); err == nil {
+		t.Fatal("killed run reported success")
+	}
+	img, err := os.ReadFile(cs.path(c.Key()))
+	if err != nil {
+		t.Fatalf("killed run left no image: %v", err)
+	}
+	return img, at
+}
+
+// TestReplayEveryPrefix enumerates the crash points of one canonical
+// journaled history instead of sampling them: for every prefix of
+//
+//	accepted, started{1}, checkpoint, preempted, started{1}, checkpoint, done
+//
+// (with the checkpoint image present and absent where the prefix has
+// one, the cache entry in place where it has done) a server boots from
+// it and must hold exactly one job, settle it exactly once, serve
+// artifacts byte-identical to an uninterrupted run, and finish at the
+// attempt the lease rules predict: a lease that died with the process
+// is burned, a job parked by a preempted record resumes the attempt it
+// was on. A last history repeats the terminal record, which replay must
+// tolerate.
+func TestReplayEveryPrefix(t *testing.T) {
+	c := mustCanonical(t, tinyRun())
+	wantArt, wantRes, err := Execute(context.Background(), c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	every := wantRes.Cycles / 4
+	image, c1 := checkpointImage(t, c, every)
+	id := "j1-" + c.Key()[:8]
+	history := []jrec{
+		{Op: opAccepted, ID: id, Key: c.Key(), Req: c},
+		{Op: opStarted, ID: id, Attempt: 1},
+		{Op: opCheckpoint, ID: id, Cycle: c1},
+		{Op: opPreempted, ID: id, Cycle: c1},
+		{Op: opStarted, ID: id, Attempt: 1},
+		{Op: opCheckpoint, ID: id, Cycle: 2 * c1},
+		{Op: opDone, ID: id},
+	}
+	// The attempt each prefix must finish at, indexed by its length.
+	wantAttempt := []int{0, 1, 2, 2, 1, 2, 2, 1}
+
+	replay := func(t *testing.T, recs []jrec, withImage bool) {
+		jdir, cdir := durableDirs(t)
+		if err := os.MkdirAll(jdir, 0o755); err != nil {
+			t.Fatal(err)
+		}
+		jn, _, err := journal.Open(filepath.Join(jdir, "journal.wal"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, r := range recs {
+			appendRec(t, jn, r)
+		}
+		jn.Close()
+		settled := recs[len(recs)-1].Op == opDone
+		if settled {
+			cache, err := NewCache(cdir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := cache.Put(c.Key(), wantArt); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if withImage {
+			if err := os.WriteFile((&CheckpointSpec{Dir: jdir}).path(c.Key()), image, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+
+		s := newTestServer(t, Config{Workers: 1, JournalDir: jdir, CacheDir: cdir, CheckpointCycles: every})
+		jobs := s.Jobs()
+		if len(jobs) != 1 || jobs[0].ID != id || !jobs[0].Recovered {
+			t.Fatalf("replayed %d jobs (%v), want exactly the recovered %s", len(jobs), jobs, id)
+		}
+		j := jobs[0]
+		waitJob(t, j)
+		v := s.View(j, false)
+		if v.Status != StatusDone {
+			t.Fatalf("status=%s err=%q", v.Status, v.Error)
+		}
+		if want := wantAttempt[min(len(recs), len(history))]; v.Attempts != want {
+			t.Fatalf("finished at attempt %d, want %d", v.Attempts, want)
+		}
+		if v.Preempted {
+			t.Fatal("done job still marked preempted")
+		}
+		if got := s.reg.CounterValue("serve.jobs.completed"); got != 1 {
+			t.Fatalf("serve.jobs.completed = %d, want 1 (settled exactly once)", got)
+		}
+		gotArt, ok := s.cache.Peek(j.Key)
+		if !ok {
+			t.Fatal("done job has no artifacts")
+		}
+		assertSameArtifacts(t, wantArt, gotArt)
+		if restores := s.reg.CounterValue("serve.resume.restores"); withImage && !settled && restores != 1 {
+			t.Fatalf("serve.resume.restores = %d, want 1 (the image was there to resume from)", restores)
+		}
+	}
+
+	for n := 1; n <= len(history); n++ {
+		images := []bool{false}
+		if n >= 3 && n < len(history) { // the prefix journals an image; a finished run removed its own
+			images = []bool{false, true}
+		}
+		for _, withImage := range images {
+			t.Run(fmt.Sprintf("%d-%s/image=%v", n, history[n-1].Op, withImage), func(t *testing.T) {
+				replay(t, history[:n], withImage)
+			})
+		}
+	}
+	t.Run("terminal-twice", func(t *testing.T) {
+		replay(t, append(history[:len(history):len(history)], history[len(history)-1]), false)
+	})
+}
+
+// TestLiveThenReplayAgree: the live path and replay are one state
+// machine, so a job driven through submit → forced preemption → resume →
+// completion must look the same to a client of the process that ran it
+// and to a client of the successor that only read its journal. Only what
+// a journal cannot carry may differ: recovered, the host wall time, the
+// run's result figures (artifacts hold those), and preempts, which
+// counts the preemptions this process applied.
+func TestLiveThenReplayAgree(t *testing.T) {
+	_, wantRes, err := Execute(context.Background(), mustCanonical(t, tinyRun()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	jdir, cdir := durableDirs(t)
+	cfg := Config{
+		Workers: 1, JournalDir: jdir, CacheDir: cdir,
+		MemBudget: 1 << 40, pressureTick: quietTick,
+		preemptQuantum: wantRes.Cycles / 8,
+	}
+	s1, err := NewServer(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	running, release := gateExec(s1)
+	j1, err := s1.Submit(tinyRun(), true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-running
+	markVictim(t, s1)
+	release()
+	waitJob(t, j1)
+	live := s1.View(j1, true)
+	if live.Status != StatusDone || live.Preempts != 1 || live.Attempts != 1 || live.Checkpoint == 0 {
+		t.Fatalf("live job: %+v, want done after one preemption on attempt 1", live)
+	}
+	// Drain, not crash: the terminal record is appended after done closes,
+	// and the comparison needs the whole history on disk.
+	if err := s1.Drain(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+
+	s2 := newTestServer(t, cfg)
+	j2, ok := s2.Job(j1.ID)
+	if !ok {
+		t.Fatalf("job %s lost across restart", j1.ID)
+	}
+	replayed := s2.View(j2, true)
+	if !replayed.Recovered {
+		t.Fatal("replayed job not marked recovered")
+	}
+	for _, v := range []*JobView{&live, &replayed} {
+		v.Recovered, v.WallMS, v.Result, v.Preempts = false, 0, nil, 0
+	}
+	if !reflect.DeepEqual(live, replayed) {
+		t.Fatalf("live and replayed views disagree:\n live   %+v\n replay %+v", live, replayed)
+	}
+}
+
+// TestStepAppliesBeforeItJournals: the journal never holds a transition
+// the job table has not applied, so whoever reads a record back — the
+// next boot, or a client shown the state a crash would replay to — never
+// sees more than the live table showed. With the server mutex held the
+// transition cannot be applied; it must not reach the disk either.
+func TestStepAppliesBeforeItJournals(t *testing.T) {
+	jdir, cdir := durableDirs(t)
+	s := newTestServer(t, Config{Workers: 1, JournalDir: jdir, CacheDir: cdir})
+	j := &Job{ID: "t1", Status: StatusQueued}
+	before := s.jnl.Records()
+
+	s.mu.Lock()
+	stepped := make(chan struct{})
+	go func() {
+		s.step(j, jrec{Op: opStarted, ID: j.ID, Attempt: 1})
+		close(stepped)
+	}()
+	time.Sleep(50 * time.Millisecond)
+	early := s.jnl.Records() - before
+	s.mu.Unlock()
+	<-stepped
+
+	if early != 0 {
+		t.Fatalf("%d record(s) journaled while the transition could not be applied", early)
+	}
+	if j.Status != StatusRunning || j.Attempt != 1 {
+		t.Fatalf("after step: status=%s attempt=%d, want running on attempt 1", j.Status, j.Attempt)
+	}
+	if got := s.jnl.Records() - before; got != 1 {
+		t.Fatalf("step journaled %d records, want 1", got)
+	}
+}

@@ -133,7 +133,7 @@ func TestPickVictim(t *testing.T) {
 // to park a preempted job behind, so preemptLargest declines even with
 // an eligible victim.
 func TestPreemptRequiresJournal(t *testing.T) {
-	s := newTestServer(t, Config{Workers: 1, MemBudget: 1 << 40, PressureTick: quietTick})
+	s := newTestServer(t, Config{Workers: 1, MemBudget: 1 << 40, pressureTick: quietTick})
 	j := victim("j1", LaneBatch, 100<<20, time.Now())
 	s.mu.Lock()
 	s.jobs[j.ID] = j
@@ -168,13 +168,13 @@ func TestPreemptResumeBitIdentical(t *testing.T) {
 			jdir, cdir := durableDirs(t)
 			s := newTestServer(t, Config{
 				Workers: 1, JournalDir: jdir, CacheDir: cdir,
-				MemBudget: 1 << 40, PressureTick: quietTick,
-				PreemptQuantum: quantum,
+				MemBudget: 1 << 40, pressureTick: quietTick,
+				preemptQuantum: quantum,
 			})
 			if warmPool {
 				// Prime the pool so both the preempted lease and the
 				// resume lease fork a warm image.
-				if _, _, err := ExecuteWarm(context.Background(), c, s.warm); err != nil {
+				if _, _, err := ExecuteCheckpointed(context.Background(), c, s.warm, nil); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -235,8 +235,8 @@ func TestPreemptedCrashReplay(t *testing.T) {
 	jdir, cdir := durableDirs(t)
 	cfg := Config{
 		Workers: 1, JournalDir: jdir, CacheDir: cdir,
-		MemBudget: 1 << 40, PressureTick: quietTick,
-		PreemptQuantum: wantRes.Cycles / 8,
+		MemBudget: 1 << 40, pressureTick: quietTick,
+		preemptQuantum: wantRes.Cycles / 8,
 	}
 	s1, err := NewServer(cfg)
 	if err != nil {
@@ -300,31 +300,11 @@ func TestPreemptedCrashReplay(t *testing.T) {
 
 // --- preemption racing drain ------------------------------------------
 
-// TestRequeuePreemptedDrainRace (unit): when Drain closes the queue
-// between the preemption and the re-enqueue, requeuePreempted reports
-// failure and restores the running state, with the resume flag left
-// armed so the worker's inline continuation picks up from the image.
-func TestRequeuePreemptedDrainRace(t *testing.T) {
-	s := newTestServer(t, Config{Workers: 1})
-	s.queue.close()
-	j := &Job{ID: "t1", Key: "k", Status: StatusRunning, Req: mustCanonical(t, tinyRun())}
-	if s.requeuePreempted(j, time.Millisecond) {
-		t.Fatal("requeuePreempted succeeded on a closed queue")
-	}
-	if j.Status != StatusRunning || j.Preempted {
-		t.Fatalf("job not restored to running: status=%s preempted=%v", j.Status, j.Preempted)
-	}
-	if !j.resume {
-		t.Fatal("resume flag not armed for the inline continuation")
-	}
-	if j.Preempts != 1 {
-		t.Fatalf("preempts = %d, want 1 (the preemption did happen)", j.Preempts)
-	}
-}
-
 // TestPreemptDuringDrain (end to end): a preemption request racing a
 // drain never loses the job — whichever side wins, the job reaches
-// done with byte-identical artifacts before Drain returns.
+// done with byte-identical artifacts before Drain returns. When drain
+// wins, the hand-back's push meets a closed queue and the same worker
+// takes the resume lease itself.
 func TestPreemptDuringDrain(t *testing.T) {
 	c := mustCanonical(t, tinyRun())
 	wantArt, wantRes, err := Execute(context.Background(), c)
@@ -334,8 +314,8 @@ func TestPreemptDuringDrain(t *testing.T) {
 	jdir, cdir := durableDirs(t)
 	s := newTestServer(t, Config{
 		Workers: 1, JournalDir: jdir, CacheDir: cdir,
-		MemBudget: 1 << 40, PressureTick: quietTick,
-		PreemptQuantum: wantRes.Cycles / 8,
+		MemBudget: 1 << 40, pressureTick: quietTick,
+		preemptQuantum: wantRes.Cycles / 8,
 	})
 	running, release := gateExec(s)
 	j, err := s.Submit(tinyRun(), true)

@@ -26,8 +26,7 @@ func laneName(lane int) string {
 // the host is under critical memory pressure.
 //
 // Admission bounds are NOT enforced here — the server checks depth
-// before pushing (and recovery may legally exceed the configured bound,
-// exactly like the old channel's recovered-slack capacity).
+// before pushing (and recovery may legally exceed the configured bound).
 type laneQueue struct {
 	mu     sync.Mutex
 	cond   *sync.Cond

@@ -1,9 +1,11 @@
 package serve
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
+	"math/rand/v2"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -18,89 +20,17 @@ import (
 )
 
 // Admission-control sentinels. The HTTP layer maps ErrQueueFull to
-// 429 + Retry-After (backpressure: the client should retry) and
-// ErrDraining to 503 (the daemon is going away; try another instance).
+// 429 + Retry-After (backpressure: the client should retry), and
+// ErrDraining and ErrNotDurable to 503 (this daemon cannot take the job;
+// try again later or try another instance).
 var (
 	ErrQueueFull = errors.New("serve: job queue full")
 	ErrDraining  = errors.New("serve: draining, not accepting jobs")
+	// ErrNotDurable refuses a submission whose accepted record did not
+	// reach the journal: acknowledging it would promise a recovery that a
+	// restart could not deliver. The job itself fails, ReasonNotDurable.
+	ErrNotDurable = errors.New("serve: job could not be journaled")
 )
-
-// JobStatus is a job's lifecycle state.
-type JobStatus string
-
-const (
-	StatusQueued   JobStatus = "queued"
-	StatusRunning  JobStatus = "running"
-	StatusDone     JobStatus = "done"
-	StatusFailed   JobStatus = "failed"
-	StatusCanceled JobStatus = "canceled"
-)
-
-// Terminal reports whether the status is final.
-func (s JobStatus) Terminal() bool {
-	return s == StatusDone || s == StatusFailed || s == StatusCanceled
-}
-
-// Job is one accepted request's record. Mutable fields are guarded by
-// the owning Server's mutex; done is closed exactly once when the job
-// reaches a terminal status.
-type Job struct {
-	ID  string
-	Key string
-	Req *Request // canonical form
-
-	Status   JobStatus
-	Cached   bool // served from the result cache without simulating
-	Err      string
-	Result   *Result
-	Created  time.Time
-	Started  time.Time
-	Finished time.Time
-	Wall     time.Duration // host run time (0 for cache hits)
-
-	// Durable-plane state. Attempt counts execution leases taken on
-	// this job (journaled, so it survives restarts); Ckpt is the cycle
-	// of the last persisted mid-run checkpoint; Recovered marks jobs
-	// rebuilt from the journal after a crash; Failure carries the
-	// structured diagnosis when the plane gave up on the job.
-	Attempt   int
-	Ckpt      uint64
-	Recovered bool
-	Failure   *JobError
-
-	// Governance state. Lane is the priority lane ordering the queue
-	// (execution-only, from Request.Priority); Budget is the admission-
-	// time resource envelope (zero without Config.MemBudget); Preempted
-	// marks a job currently re-queued after a cooperative preemption;
-	// Preempts counts preemptions this process has applied to the job.
-	Lane      int
-	Budget    Budget
-	Preempted bool
-	Preempts  int
-
-	ctx    context.Context
-	cancel context.CancelCauseFunc
-	done   chan struct{}
-
-	// preemptReq asks the worker executing this job to yield at its next
-	// quiescent pause boundary (set by the pressure monitor, polled by
-	// the checkpointing executor — SetPause itself is not goroutine-safe,
-	// so the request travels as a flag, never a direct pause).
-	preemptReq atomic.Bool
-	// resume marks the next execution lease as the continuation of a
-	// preempted one: it re-leases without burning a retry attempt.
-	resume bool
-
-	// refs counts live waiters. A job submitted synchronously (detached
-	// == false) whose last waiter disconnects before completion is
-	// canceled — the client-disconnect abort path. Detached jobs
-	// (async submissions) always run to completion.
-	refs     int
-	detached bool
-}
-
-// Done returns the completion channel.
-func (j *Job) Done() <-chan struct{} { return j.done }
 
 // Config parameterizes a Server.
 type Config struct {
@@ -114,9 +44,6 @@ type Config struct {
 	// CacheDir persists the result cache across restarts ("" = memory
 	// only).
 	CacheDir string
-	// RetryAfter is the backpressure hint attached to queue-full
-	// rejections (default 1s).
-	RetryAfter time.Duration
 
 	// JournalDir enables the durable job plane: accepted/started/
 	// checkpointed/terminal transitions are written to a fsync'd
@@ -133,9 +60,6 @@ type Config struct {
 	// with jittered exponential backoff until this many attempts have
 	// been burned, then fails with a structured JobError (default 3).
 	MaxRetries int
-	// RetryBackoff is the base delay of the jittered exponential retry
-	// backoff (default 250ms).
-	RetryBackoff time.Duration
 	// JobTimeout is the per-job wall-clock budget measured from
 	// admission; a job still running past it fails with a JobError
 	// (reason deadline-exceeded) rather than retrying (0 = no budget).
@@ -148,26 +72,20 @@ type Config struct {
 	// bounded by the budget, and the pressure monitor escalates through
 	// shed → brownout → preempt as the heap approaches it.
 	MemBudget uint64
-	// ShedFrac, BrownoutFrac, CriticalFrac are the escalation watermarks
-	// as fractions of MemBudget (defaults 0.70, 0.85, 0.95).
-	ShedFrac     float64
-	BrownoutFrac float64
-	CriticalFrac float64
-	// PressureTick is the pressure monitor cadence (default 250ms).
-	PressureTick time.Duration
-	// PreemptQuantum is the pause-slice cadence, in simulated cycles, at
-	// which a governed run reaches a quiescent boundary and polls for a
-	// preemption request (default 1e6). Requires JournalDir — the
-	// preempted image must outlive the worker.
-	PreemptQuantum uint64
-	// BrownoutCheckpointScale multiplies CheckpointCycles for jobs that
-	// start during a brownout, reducing checkpoint cadence (and the
-	// transient capture memory it costs) while the host is tight
-	// (default 4).
-	BrownoutCheckpointScale uint64
 	// Logf, when set, receives operational log lines (pressure
 	// transitions, preemptions). Printf-style; nil discards.
 	Logf func(format string, args ...any)
+
+	// Test seams, like Server.exec and Server.heapBytes: fixed policy in
+	// production (defaults below), unreachable from any flag, request or
+	// file. retryBackoff is the base of the jittered exponential retry
+	// backoff (250ms); pressureTick is the pressure monitor cadence
+	// (250ms); preemptQuantum is the pause-slice cadence, in simulated
+	// cycles, at which a governed run reaches a quiescent boundary and
+	// polls for a preemption request (1e6).
+	retryBackoff   time.Duration
+	pressureTick   time.Duration
+	preemptQuantum uint64
 }
 
 func (c *Config) defaults() {
@@ -175,38 +93,14 @@ func (c *Config) defaults() {
 		c.QueueDepth = 64
 	}
 	if c.Workers <= 0 {
-		c.Workers = runtime.GOMAXPROCS(0) / 2
-		if c.Workers < 1 {
-			c.Workers = 1
-		}
-	}
-	if c.RetryAfter <= 0 {
-		c.RetryAfter = time.Second
+		c.Workers = max(1, runtime.GOMAXPROCS(0)/2)
 	}
 	if c.MaxRetries <= 0 {
 		c.MaxRetries = 3
 	}
-	if c.RetryBackoff <= 0 {
-		c.RetryBackoff = 250 * time.Millisecond
-	}
-	if c.ShedFrac <= 0 {
-		c.ShedFrac = 0.70
-	}
-	if c.BrownoutFrac <= 0 {
-		c.BrownoutFrac = 0.85
-	}
-	if c.CriticalFrac <= 0 {
-		c.CriticalFrac = 0.95
-	}
-	if c.PressureTick <= 0 {
-		c.PressureTick = 250 * time.Millisecond
-	}
-	if c.PreemptQuantum == 0 {
-		c.PreemptQuantum = 1_000_000
-	}
-	if c.BrownoutCheckpointScale == 0 {
-		c.BrownoutCheckpointScale = 4
-	}
+	c.retryBackoff = cmp.Or(c.retryBackoff, 250*time.Millisecond)
+	c.pressureTick = cmp.Or(c.pressureTick, 250*time.Millisecond)
+	c.preemptQuantum = cmp.Or(c.preemptQuantum, 1_000_000)
 }
 
 // Server is the service plane: admission control in front of a bounded
@@ -230,21 +124,11 @@ type Server struct {
 	baseCancel context.CancelCauseFunc
 	wg         sync.WaitGroup
 
-	// reg and the pre-resolved handles hold service metrics. The obs
-	// registry is unsynchronized by design (each machine owns its own);
-	// here every mutation happens under mu, and /metrics renders under
-	// mu too.
-	reg        *obs.Registry
-	mSubmitted *obs.Counter
-	mCompleted *obs.Counter
-	mFailed    *obs.Counter
-	mCanceled  *obs.Counter
-	mRejFull   *obs.Counter
-	mRejDrain  *obs.Counter
-	mCoalesced *obs.Counter
-	mRetries   *obs.Counter
-	mWallMS    *obs.Histogram
-	exec       func(ctx context.Context, j *Job) (Artifacts, *Result, error)
+	// reg holds the service metrics, bumped by name. The obs registry is
+	// unsynchronized by design (each machine owns its own); here every
+	// mutation happens under mu, and /metrics renders under mu too.
+	reg  *obs.Registry
+	exec func(ctx context.Context, j *Job) (Artifacts, *Result, error)
 
 	// jnl is the write-ahead job journal (nil without Config.JournalDir).
 	// Appends fsync outside mu; the journal has its own lock.
@@ -266,7 +150,6 @@ type Server struct {
 	pressure  atomic.Int32
 	heapBytes func() uint64
 	govStop   chan struct{}
-	mPreempt  *obs.Counter
 }
 
 // NewServer builds and starts a server: its workers are running and
@@ -290,35 +173,29 @@ func NewServer(cfg Config) (*Server, error) {
 		inflight: make(map[string]*Job),
 		reg:      obs.NewRegistry(),
 		warm:     workloads.NewWarmPool(),
+
+		heapBytes: obs.HostHeapBytes,
+		govStop:   make(chan struct{}),
 	}
 	s.exec = s.executeJob
-	s.heapBytes = obs.HostHeapBytes
-	s.govStop = make(chan struct{})
 	s.baseCtx, s.baseCancel = context.WithCancelCause(context.Background())
-	s.mSubmitted = s.reg.Counter("serve.jobs.submitted")
-	s.mCompleted = s.reg.Counter("serve.jobs.completed")
-	s.mFailed = s.reg.Counter("serve.jobs.failed")
-	s.mCanceled = s.reg.Counter("serve.jobs.canceled")
-	s.mRejFull = s.reg.Counter("serve.rejected.queue_full")
-	s.mRejDrain = s.reg.Counter("serve.rejected.draining")
-	s.mCoalesced = s.reg.Counter("serve.jobs.coalesced")
-	s.mRetries = s.reg.Counter("serve.jobs.retries")
-	s.reg.Counter("serve.cache.hits")
-	s.reg.Counter("serve.cache.misses")
+	// Every metric is registered up front so /metrics lists it at zero.
 	for _, name := range []string{
+		"serve.jobs.submitted", "serve.jobs.completed", "serve.jobs.failed", "serve.jobs.canceled",
+		"serve.jobs.coalesced", "serve.jobs.retries", "serve.jobs.preempted",
+		"serve.rejected.queue_full", "serve.rejected.draining", "serve.rejected.over_budget",
+		"serve.cache.hits", "serve.cache.misses",
 		"serve.journal.appends", "serve.journal.append_errors",
 		"serve.journal.replayed", "serve.journal.torn_bytes", "serve.journal.rotations",
 		"serve.resume.jobs", "serve.resume.deduped", "serve.resume.failed",
 		"serve.resume.checkpoints", "serve.resume.restores", "serve.resume.corrupt",
 		"serve.pressure.level", "serve.pressure.heap_bytes", "serve.pressure.sheds",
-		"serve.pressure.transitions", "serve.pressure.brownouts",
-		"serve.pressure.preempt_requests", "serve.rejected.over_budget",
+		"serve.pressure.transitions", "serve.pressure.brownouts", "serve.pressure.preempt_requests",
 		"serve.brownout.colds", "serve.queue.wait_est_ms",
 	} {
 		s.reg.Counter(name)
 	}
-	s.mPreempt = s.reg.Counter("serve.jobs.preempted")
-	s.mWallMS = s.reg.Histogram("serve.job.wall_ms")
+	s.reg.Histogram("serve.job.wall_ms")
 
 	var recovered []*Job
 	if cfg.JournalDir != "" {
@@ -337,9 +214,8 @@ func NewServer(cfg Config) (*Server, error) {
 		}
 		s.reg.Counter("serve.journal.rotations").Inc()
 	}
-	// Recovered jobs bypass the admission bound (they were already
-	// accepted once — re-admission cannot be refused), exactly like the
-	// old channel queue's recovered-slack capacity.
+	// Recovered jobs bypass the admission bound: they were already
+	// accepted once, so re-admission cannot be refused.
 	s.queue = newLaneQueue()
 	for _, j := range recovered {
 		s.queue.push(j)
@@ -360,58 +236,41 @@ func NewServer(cfg Config) (*Server, error) {
 // checkpoints journaled per image — plus, under governance, the cycle
 // budget, the preemption poll, and the brownout degradations (a job
 // starting at or above the brownout watermark runs cold, growing no
-// warm-pool image, on a stretched checkpoint cadence).
+// warm-pool image, on a stretched checkpoint cadence). Without a
+// journal directory the spec is disabled and the run goes straight
+// through.
 func (s *Server) executeJob(ctx context.Context, j *Job) (Artifacts, *Result, error) {
 	warm := s.warm
-	every := s.cfg.CheckpointCycles
-	var quantum uint64
-	var preempt func() bool
+	cs := &CheckpointSpec{
+		Dir:       s.cfg.JournalDir,
+		Every:     s.cfg.CheckpointCycles,
+		MaxCycles: j.Budget.MaxCycles,
+		OnCheckpoint: func(cycle uint64) {
+			s.count("serve.resume.checkpoints")
+			s.step(j, jrec{Op: opCheckpoint, ID: j.ID, Cycle: cycle})
+		},
+		OnRestore: func(uint64) { s.count("serve.resume.restores") },
+		OnCorrupt: func(error) { s.count("serve.resume.corrupt") },
+	}
 	if s.governed() {
 		if s.level() >= pressureBrownout {
 			warm = nil
-			every *= s.cfg.BrownoutCheckpointScale
-			s.mu.Lock()
-			s.reg.Counter("serve.brownout.colds").Inc()
-			s.mu.Unlock()
+			cs.Every *= brownoutCheckpointScale
+			s.count("serve.brownout.colds")
 		}
-		quantum = s.cfg.PreemptQuantum
-		preempt = func() bool { return j.preemptReq.Load() && !s.Draining() }
-	}
-	if s.jnl == nil || (every == 0 && quantum == 0) {
-		return ExecuteWarm(ctx, j.Req, warm)
-	}
-	cs := &CheckpointSpec{
-		Dir:       s.cfg.JournalDir,
-		Every:     every,
-		Quantum:   quantum,
-		Preempt:   preempt,
-		MaxCycles: j.Budget.MaxCycles,
-		OnCheckpoint: func(cycle uint64) {
-			s.mu.Lock()
-			j.Ckpt = cycle
-			s.reg.Counter("serve.resume.checkpoints").Inc()
-			s.mu.Unlock()
-			s.journalAppend(jrec{Op: opCheckpoint, ID: j.ID, Cycle: cycle})
-		},
-		OnRestore: func(cycle uint64) {
-			s.mu.Lock()
-			s.reg.Counter("serve.resume.restores").Inc()
-			s.mu.Unlock()
-		},
-		OnCorrupt: func(error) {
-			s.mu.Lock()
-			s.reg.Counter("serve.resume.corrupt").Inc()
-			s.mu.Unlock()
-		},
+		cs.Quantum = s.cfg.preemptQuantum
+		cs.Preempt = func() bool { return j.preemptReq.Load() && !s.Draining() }
 	}
 	return ExecuteCheckpointed(ctx, j.Req, warm, cs)
 }
 
-// RetryAfter is the configured backpressure hint.
-func (s *Server) RetryAfter() time.Duration { return s.cfg.RetryAfter }
-
-// Cache exposes the result cache (read-mostly: status and tests).
-func (s *Server) Cache() *Cache { return s.cache }
+// count bumps one service counter by name, for events outside any
+// larger critical section.
+func (s *Server) count(name string) {
+	s.mu.Lock()
+	s.reg.Counter(name).Inc()
+	s.mu.Unlock()
+}
 
 // Submit validates and admits one request. The returned job is:
 //
@@ -431,30 +290,40 @@ func (s *Server) Submit(req *Request, detached bool) (*Job, error) {
 	}
 	key := c.Key()
 
+	// Pull a disk-resident entry into memory before taking mu: the read
+	// and its SHA-256 check must not stall every View, /metrics, settle
+	// and Submit behind them. Uncounted, so the Get under mu — now a map
+	// hit — keeps the hit/miss accounting where the admission order puts it.
+	s.cache.Peek(key)
+
 	s.mu.Lock()
-	j, fresh, err := s.admitLocked(c, key, detached)
+	j, accepted, err := s.admitLocked(c, key, detached)
 	s.mu.Unlock()
-	if err != nil {
-		return nil, err
+	if err != nil || accepted == nil {
+		return j, err
 	}
 	// The accepted record is written after the queue send but before
 	// Submit returns: a 202 implies the job is durable. Rejections are
 	// never journaled (nothing was promised), and the fsync happens
-	// outside mu. Cache hits and coalesced submissions are not fresh
-	// work, so they carry no accepted record either.
-	if fresh {
-		s.journalAppend(jrec{Op: opAccepted, ID: j.ID, Key: key, Req: c})
+	// outside mu. If the record does not land, neither does the promise:
+	// the job is canceled with a JobError cause — the worker that pops it
+	// (or already runs it) settles it failed — and the submission refused.
+	if err := s.journalAppend(*accepted); err != nil {
+		je := &JobError{ID: j.ID, Key: key, Reason: ReasonNotDurable, Err: fmt.Errorf("%w: %v", ErrNotDurable, err)}
+		j.cancel(je)
+		return nil, je
 	}
 	return j, nil
 }
 
-// admitLocked is Submit's admission decision. It returns fresh=true
-// only for a newly queued job (the caller journals those). Called with
-// mu held.
-func (s *Server) admitLocked(c *Request, key string, detached bool) (*Job, bool, error) {
+// admitLocked is Submit's admission decision. It returns the accepted
+// record only for a newly queued job (the caller journals it): cache
+// hits and coalesced submissions are not fresh work and carry none.
+// Called with mu held.
+func (s *Server) admitLocked(c *Request, key string, detached bool) (*Job, *jrec, error) {
 	if s.draining {
-		s.mRejDrain.Inc()
-		return nil, false, ErrDraining
+		s.reg.Counter("serve.rejected.draining").Inc()
+		return nil, nil, ErrDraining
 	}
 
 	// Single-flight: piggyback on an identical in-flight job. An
@@ -463,73 +332,73 @@ func (s *Server) admitLocked(c *Request, key string, detached bool) (*Job, bool,
 	// dispatch preference and preemption-victim ordering see the
 	// promotion).
 	if j := s.inflight[key]; j != nil {
-		s.mCoalesced.Inc()
+		s.reg.Counter("serve.jobs.coalesced").Inc()
 		if detached {
 			j.detached = true
 		}
 		if laneOf(c) == LaneInteractive {
 			j.Lane = LaneInteractive
 		}
-		return j, false, nil
+		return j, nil, nil
 	}
 
 	// Cache: an identical completed request is served without touching
 	// the queue at all.
 	if _, ok := s.cache.Get(key); ok {
 		j := s.newJobLocked(c, key, detached)
-		j.Status = StatusDone
 		j.Cached = true
-		j.Result = &Result{ChecksumOK: true}
-		j.Finished = j.Created
-		close(j.done)
-		s.mSubmitted.Inc()
-		s.mCompleted.Inc()
-		return j, false, nil
+		s.registerLocked(j)
+		s.reg.Counter("serve.jobs.submitted").Inc()
+		s.settleLocked(j, &Result{ChecksumOK: true}, nil)
+		return j, nil, nil
 	}
 
 	// Admission: the governance checks (estimate the budget, reject
 	// over-budget and pressure-shed submissions), then the queue bound.
 	j := s.newJobLocked(c, key, detached)
 	if err := s.admitGovernedLocked(j); err != nil {
-		s.dropJobLocked(j)
-		return nil, false, err
+		return nil, nil, err
 	}
-	if s.queue.len() >= s.cfg.QueueDepth || !s.queue.push(j) {
-		s.dropJobLocked(j)
-		s.mRejFull.Inc()
-		return nil, false, ErrQueueFull
+	if s.queue.len() >= s.cfg.QueueDepth {
+		s.reg.Counter("serve.rejected.queue_full").Inc()
+		return nil, nil, ErrQueueFull
 	}
-	j.Status = StatusQueued
+	s.registerLocked(j)
+	accepted := &jrec{Op: opAccepted, ID: j.ID, Key: key, Req: c}
+	advanceLocked(j, *accepted)
 	s.inflight[key] = j
-	s.committed += j.Budget.EstBytes
-	s.mSubmitted.Inc()
-	return j, true, nil
+	s.reg.Counter("serve.jobs.submitted").Inc()
+	// The push cannot meet a closed queue: Drain sets draining and closes
+	// it in one critical section, and draining was checked under this one.
+	s.queue.push(j)
+	return j, accepted, nil
 }
 
-// dropJobLocked unregisters a job that was allocated but refused
-// admission. Called with mu held, immediately after newJobLocked.
-func (s *Server) dropJobLocked(j *Job) {
-	delete(s.jobs, j.ID)
-	s.order = s.order[:len(s.order)-1]
-}
-
-// newJobLocked allocates and registers a job record. Called with mu
-// held.
+// newJobLocked allocates a job record for a submission and takes the
+// next ID. A refused admission simply drops it; an admitted one (or a
+// cache hit) is entered with registerLocked. Called with mu held.
 func (s *Server) newJobLocked(c *Request, key string, detached bool) *Job {
 	s.seq++
-	j := &Job{
+	return &Job{
 		ID:       fmt.Sprintf("j%d-%s", s.seq, key[:8]),
 		Key:      key,
 		Req:      c,
 		Lane:     laneOf(c),
 		Created:  time.Now(),
-		done:     make(chan struct{}),
 		detached: detached,
 	}
+}
+
+// registerLocked enters j into the job table, gives it its context and
+// completion channel, and commits its memory estimate until it settles —
+// for a submission and a replayed job alike. Called with mu held (or, by
+// recover, before anyone else can take it).
+func (s *Server) registerLocked(j *Job) {
+	j.done = make(chan struct{})
 	j.ctx, j.cancel = context.WithCancelCause(s.baseCtx)
 	s.jobs[j.ID] = j
 	s.order = append(s.order, j.ID)
-	return j
+	s.committed += j.Budget.EstBytes
 }
 
 // Job looks up a job by ID.
@@ -610,126 +479,121 @@ func (s *Server) worker() {
 	}
 }
 
-// runJob drives one job through execution and settles its record. Each
-// execution attempt is a journaled lease (a started record with the
-// attempt number): if the process dies mid-attempt, replay sees the
-// burned lease and either retries with the remaining budget or fails
-// the job. In-process failures retry with jittered exponential backoff
-// until MaxRetries attempts are spent, then settle as a structured
-// JobError; cancellation and deadline expiry are never retried. A lease
-// ending in cooperative preemption does not settle at all: the job goes
-// back to the queue (resume leases continue the same attempt — being
-// preempted never burns the retry budget).
+// runJob drives one popped job until it settles or goes back to the
+// queue. Each pass of the loop is one execution lease, journaled as a
+// started record with its attempt number: if the process dies mid-lease,
+// replay sees the burned attempt and either retries with the remaining
+// budget or fails the job. A lease that fails in process is retried
+// after a jittered exponential backoff until MaxRetries attempts are
+// spent, then settles as a structured JobError; cancellation and deadline
+// expiry are never retried. A lease ending in cooperative preemption does
+// not settle at all: the job is parked and goes back to the queue, and
+// its resume lease continues the same attempt — being preempted never
+// burns the retry budget.
 func (s *Server) runJob(j *Job) {
-	s.mu.Lock()
-	if err := context.Cause(j.ctx); err != nil {
-		s.settleLocked(j, nil, err)
-		s.mu.Unlock()
-		s.journalTerminal(j)
-		return
-	}
-	j.Status = StatusRunning
-	j.Preempted = false
-	j.Started = time.Now()
-	resume := j.resume
-	j.resume = false
-	s.mu.Unlock()
-
 	ctx := j.ctx
 	if deadline, ok := s.jobDeadline(j); ok {
-		// The budget runs from admission, so time spent queued (or in a
-		// previous incarnation of the process) counts against it. The
-		// deadline cause carries the structured diagnosis.
+		// The budget runs from admission, so time spent queued counts
+		// against it (a recovered job's admission is its replay: recover
+		// stamps Created at boot). The deadline cause carries the
+		// structured diagnosis.
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithDeadlineCause(j.ctx, deadline,
 			&JobError{ID: j.ID, Key: j.Key, Reason: ReasonDeadline})
 		defer cancel()
 	}
-
-	var (
-		art     Artifacts
-		res     *Result
-		err     error
-		attempt int
-	)
 	for {
 		s.mu.Lock()
-		if resume {
-			// Continuation of a preempted lease: same attempt number.
-			resume = false
-			if j.Attempt == 0 {
-				j.Attempt = 1
-			}
-		} else {
-			j.Attempt++
-			if j.Attempt > 1 {
-				s.mRetries.Inc()
+		if cause := context.Cause(j.ctx); cause != nil {
+			s.mu.Unlock()
+			s.settle(j, nil, cause) // canceled while queued: it never takes the lease
+			return
+		}
+		attempt, started := j.Attempt, time.Now()
+		if !j.resume || attempt == 0 {
+			// A fresh lease burns an attempt; a resume lease continues the
+			// one its preemption interrupted.
+			if attempt++; attempt > 1 {
+				s.reg.Counter("serve.jobs.retries").Inc()
 			}
 		}
-		attempt = j.Attempt
+		j.Started = started
 		s.mu.Unlock()
-		s.journalAppend(jrec{Op: opStarted, ID: j.ID, Attempt: attempt})
+		s.step(j, jrec{Op: opStarted, ID: j.ID, Attempt: attempt})
 
-		art, res, err = s.exec(ctx, j)
-		if err == nil || errors.Is(err, context.Canceled) ||
-			errors.Is(err, context.DeadlineExceeded) || errors.Is(err, ErrPreempted) {
-			break
-		}
-		if cycleBudgetExceeded(j, err) {
+		art, res, err := s.exec(ctx, j)
+		wall := time.Since(started)
+		s.est.observe(wall) // every lease frees a worker slot: feed the drain estimator
+		s.mu.Lock()
+		j.Wall += wall
+		s.mu.Unlock()
+
+		var je *JobError
+		switch {
+		case err == nil:
+			// The job itself succeeded; losing disk persistence only costs a
+			// future re-simulation (the in-memory layer still has the entry).
+			if s.cache.Put(j.Key, art) != nil {
+				s.count("serve.cache.put_errors")
+			}
+		case errors.Is(err, ErrPreempted):
+			// The preempted record makes the parked state survive a crash
+			// while the job sits in the queue: replay re-enqueues it as a
+			// resume lease.
+			s.mu.Lock()
+			j.preemptReq.Store(false)
+			j.Preempts++
+			s.reg.Counter("serve.jobs.preempted").Inc()
+			ckpt := j.Ckpt
+			s.mu.Unlock()
+			s.step(j, jrec{Op: opPreempted, ID: j.ID, Cycle: ckpt})
+			if s.queue.push(j) {
+				s.logf("job %s preempted at cycle %d, re-enqueued (lane %s)", j.ID, ckpt, laneName(j.Lane))
+				return // the job is queued again; this worker moves on
+			}
+			// Drain closed the queue between the preemption request and the
+			// re-enqueue. The job is never lost: this worker keeps it and
+			// takes the resume lease itself, whose started record un-parks it.
+			continue
+		case errors.Is(err, context.DeadlineExceeded) && errors.As(context.Cause(ctx), &je):
+			// Surface the per-job deadline as its JobError cause rather than
+			// the bare ctx error.
+			je.Attempts = attempt
+			err = je
+		case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
+			// Cancellation is a verdict, not a failure to retry.
+		case cycleBudgetExceeded(j, err):
 			// The cycle budget tripped core's deterministic MaxCycles
 			// abort; re-running would burn the identical cycles to the
 			// identical verdict, so the retry budget does not apply.
 			err = &JobError{ID: j.ID, Key: j.Key, Reason: ReasonBudget, Attempts: attempt, Err: err}
-			break
-		}
-		if attempt >= s.cfg.MaxRetries {
+		case attempt >= s.cfg.MaxRetries:
 			err = &JobError{ID: j.ID, Key: j.Key, Reason: ReasonRetries, Attempts: attempt, Err: err}
-			break
+		case sleepBackoff(ctx, s.cfg.retryBackoff, attempt):
+			continue // the next lease burns the next attempt
+		default:
+			err = context.Cause(ctx) // canceled mid-backoff: a dying job does not sit it out
 		}
-		if !sleepBackoff(ctx, s.cfg.RetryBackoff, attempt) {
-			err = context.Cause(ctx)
-			break
-		}
-	}
-	// Surface the per-job deadline as its JobError cause (set above as
-	// the WithDeadlineCause cause) rather than the bare ctx error.
-	if errors.Is(err, context.DeadlineExceeded) {
-		var je *JobError
-		if errors.As(context.Cause(ctx), &je) {
-			je.Attempts = attempt
-			err = je
-		}
-	}
-	wall := time.Since(j.Started)
-	s.est.observe(wall) // every lease frees a worker slot: feed the drain estimator
-
-	if errors.Is(err, ErrPreempted) {
-		if s.requeuePreempted(j, wall) {
-			return // the job is queued again; this worker moves on
-		}
-		// Drain closed the queue between the preemption request and the
-		// re-enqueue. The job is never lost: finish it inline on this
-		// worker (the resume flag set by requeuePreempted makes the
-		// continued lease pick up from the persisted image).
-		s.runJob(j)
+		s.settle(j, res, err)
 		return
 	}
+}
 
-	var putErr error
-	if err == nil {
-		// The job itself succeeded; losing disk persistence only costs a
-		// future re-simulation (the in-memory layer still has the entry).
-		putErr = s.cache.Put(j.Key, art)
+// sleepBackoff waits out the jittered exponential backoff before retry
+// `attempt+1`: base·2^(attempt−1), jittered uniformly over ±50%, capped
+// at 32·base. Returns false if ctx is canceled first.
+func sleepBackoff(ctx context.Context, base time.Duration, attempt int) bool {
+	if attempt > 5 {
+		attempt = 6 // 2^5 = 32·base cap
 	}
-	s.mu.Lock()
-	j.Wall += wall
-	if putErr != nil {
-		s.reg.Counter("serve.cache.put_errors").Inc()
+	d := base << (attempt - 1)
+	d = d/2 + rand.N(d) // uniform in [d/2, 3d/2)
+	select {
+	case <-time.After(d):
+		return true
+	case <-ctx.Done():
+		return false
 	}
-	s.settleLocked(j, res, err)
-	s.mWallMS.Observe(uint64(j.Wall.Milliseconds()))
-	s.mu.Unlock()
-	s.journalTerminal(j)
 }
 
 // jobDeadline resolves a job's wall deadline: the tighter of the
@@ -754,77 +618,6 @@ func cycleBudgetExceeded(j *Job, err error) bool {
 	}
 	var d *fault.Diagnosis
 	return errors.As(err, &d) && d.Reason == fault.ReasonCycleLimit
-}
-
-// requeuePreempted returns a cooperatively preempted job to the queue
-// (preempted:true, resume lease armed). Returns false when the queue
-// has closed — drain won the race — in which case the caller must
-// finish the job on its own worker.
-func (s *Server) requeuePreempted(j *Job, wall time.Duration) bool {
-	s.mu.Lock()
-	j.preemptReq.Store(false)
-	j.Wall += wall
-	j.Preempts++
-	j.Preempted = true
-	j.Status = StatusQueued
-	j.resume = true
-	s.mPreempt.Inc()
-	ckpt := j.Ckpt
-	s.mu.Unlock()
-	// The preemption record makes the state survive a crash while the
-	// job sits in the queue: replay re-enqueues it as a resume lease.
-	s.journalAppend(jrec{Op: opPreempted, ID: j.ID, Cycle: ckpt})
-	if s.queue.push(j) {
-		s.logf("job %s preempted at cycle %d, re-enqueued (lane %s)", j.ID, ckpt, laneName(j.Lane))
-		return true
-	}
-	s.mu.Lock()
-	j.Preempted = false
-	j.Status = StatusRunning
-	s.mu.Unlock()
-	return false
-}
-
-// settleLocked moves a job to its terminal status. Called with mu
-// held; closes done exactly once.
-func (s *Server) settleLocked(j *Job, res *Result, err error) {
-	if j.Status.Terminal() {
-		return
-	}
-	var je *JobError
-	switch {
-	case err == nil:
-		j.Status = StatusDone
-		j.Result = res
-		s.mCompleted.Inc()
-	case errors.As(err, &je):
-		// The durable plane's verdict (retries exhausted, deadline hit)
-		// outranks the cancellation sentinels it may wrap.
-		j.Status = StatusFailed
-		j.Failure = je
-		j.Err = je.Error()
-		s.mFailed.Inc()
-	case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
-		j.Status = StatusCanceled
-		j.Err = fmt.Sprint(err)
-		s.mCanceled.Inc()
-	default:
-		j.Status = StatusFailed
-		j.Err = fmt.Sprint(err)
-		s.mFailed.Inc()
-	}
-	j.Finished = time.Now()
-	if s.inflight[j.Key] == j {
-		delete(s.inflight, j.Key)
-	}
-	// Release the job's admission commitment (guarded: cache hits and
-	// ungoverned jobs committed nothing).
-	if s.committed >= j.Budget.EstBytes {
-		s.committed -= j.Budget.EstBytes
-	} else {
-		s.committed = 0
-	}
-	close(j.done)
 }
 
 // QueueDepth returns (queued, capacity).
@@ -880,28 +673,22 @@ func (s *Server) Drain(ctx context.Context) error {
 		s.wg.Wait()
 		close(workersDone)
 	}()
+	var err error
 	select {
 	case <-workersDone:
-		s.closeJournal()
-		return nil
 	case <-ctx.Done():
+		// Deadline hit: abort everything still in flight (and still queued
+		// — job contexts cover both), then wait for the workers to settle
+		// the records. Simulations abort at their next event horizon, so
+		// this second wait is prompt.
+		s.baseCancel(fmt.Errorf("serve: drain deadline exceeded: %w", context.Cause(ctx)))
+		<-workersDone
+		err = ctx.Err()
 	}
-	// Deadline hit: abort everything still in flight (and still queued —
-	// job contexts cover both), then wait for the workers to settle the
-	// records. Simulations abort at their next event horizon, so this
-	// second wait is prompt.
-	s.baseCancel(fmt.Errorf("serve: drain deadline exceeded: %w", context.Cause(ctx)))
-	<-workersDone
-	s.closeJournal()
-	return ctx.Err()
-}
-
-// closeJournal releases the journal handle after the last worker has
-// written its terminal records. Idempotent; nil-safe.
-func (s *Server) closeJournal() {
 	if s.jnl != nil {
-		s.jnl.Close()
+		s.jnl.Close() // the last worker has written its terminal records
 	}
+	return err
 }
 
 // Metrics renders the service metrics registry plus the live gauges
@@ -909,14 +696,9 @@ func (s *Server) closeJournal() {
 func (s *Server) Metrics() string {
 	queued := s.queue.len()
 	waitEst := s.EstimatedRetryAfter()
+	_, running, _, _, _ := s.Counts()
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	running := 0
-	for _, j := range s.jobs {
-		if j.Status == StatusRunning {
-			running++
-		}
-	}
 	entries, hits, misses := s.cache.Stats()
 	warmHits, warmMisses := s.warm.Stats()
 	s.reg.Counter("serve.warm.forks").Set(warmHits)

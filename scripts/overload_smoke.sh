@@ -47,27 +47,37 @@ curl -fsS "$URL/healthz/live"  | grep -q '"status": "live"'  || { echo "FAIL: li
 curl -fsS "$URL/healthz/ready" | grep -q '"status": "ready"' || { echo "FAIL: readiness before flood"; exit 1; }
 
 # The flood: 12 distinct canonical requests (every workload, plus
-# topology variants) fired back to back, detached. Each is accepted
-# (202), shed (429), or — if ever the estimate cannot fit at all — 413.
+# topology variants [4]..[7] — [3] would coalesce onto the dense_mmm job
+# above and share its id) fired concurrently, detached — a tiny run settles
+# in milliseconds, so back-to-back submissions from one shell can each
+# find the budget free again on a fast host. Each is accepted (202), shed
+# (429), or — if ever the estimate cannot fit at all — 413.
 APPS=(ADAt dense_mmm dense_mvm dense_mvm_sym gauss kmeans sparse_mvm sparse_mvm_sym)
+REQS=()
+CURLS=()
+for i in $(seq 0 11); do
+    if [ "$i" -lt 8 ]; then
+        REQS+=("{\"kind\":\"run\",\"app\":\"${APPS[$i]}\",\"size\":\"test\",\"topology\":[3]}")
+    else
+        REQS+=("{\"kind\":\"run\",\"app\":\"dense_mmm\",\"size\":\"test\",\"topology\":[$((i - 4))]}")
+    fi
+    curl -s -o "$WORK/resp.$i" -w '%{http_code}' \
+        -D "$WORK/hdr.$i" -X POST -H 'Content-Type: application/json' \
+        -d "${REQS[$i]}" "$URL/v1/jobs" >"$WORK/code.$i" &
+    CURLS+=($!)
+done
+wait "${CURLS[@]}"
 ACCEPTED_IDS=()
 SHED=0
 FIRST_REQ=
 for i in $(seq 0 11); do
-    if [ "$i" -lt 8 ]; then
-        REQ="{\"kind\":\"run\",\"app\":\"${APPS[$i]}\",\"size\":\"test\",\"topology\":[3]}"
-    else
-        REQ="{\"kind\":\"run\",\"app\":\"dense_mmm\",\"size\":\"test\",\"topology\":[$((i - 6))]}"
-    fi
-    CODE=$(curl -s -o "$WORK/resp.$i" -w '%{http_code}' \
-        -D "$WORK/hdr.$i" -X POST -H 'Content-Type: application/json' \
-        -d "$REQ" "$URL/v1/jobs")
+    CODE=$(cat "$WORK/code.$i")
     case "$CODE" in
     202|200)
         ID=$(sed -n 's/.*"id": "\([^"]*\)".*/\1/p' "$WORK/resp.$i" | head -1)
         [ -n "$ID" ] || { cat "$WORK/resp.$i"; echo "FAIL: accepted job without an id"; exit 1; }
         ACCEPTED_IDS+=("$ID")
-        [ -n "$FIRST_REQ" ] || FIRST_REQ="$REQ"
+        [ -n "$FIRST_REQ" ] || FIRST_REQ="${REQS[$i]}"
         ;;
     429)
         SHED=$((SHED + 1))
