@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build vet fmtcheck test race smoke verify bench ci benchsmoke perfcheck equivgrid fuzzcheck paracheck faultcheck servecheck snapcheck crashcheck soakcheck
+.PHONY: build vet fmtcheck test race smoke verify ci benchsmoke perfcheck equivgrid fuzzcheck resultscheck faultcheck servecheck snapcheck crashcheck soakcheck
 
 build:
 	$(GO) build ./...
@@ -29,9 +29,6 @@ smoke:
 
 verify: build vet race smoke
 
-bench:
-	$(GO) test -bench=. -benchmem
-
 # benchsmoke keeps the measuring code from rotting, ungated: the
 # benchmark harness's self-tests (percentile rule, seeded streams, names
 # vs BENCHMARK.json, a -size test pass of all four workloads) and one
@@ -51,7 +48,7 @@ benchsmoke:
 # benchmark BENCHMARK.json declares (four workloads, end-to-end and
 # per-layer metrics; see benchmark/README.md). What the simulator
 # computes, as opposed to how fast, is gated in go test
-# (TestGoldenCounters) and by equivgrid and paracheck below.
+# (TestGoldenCounters) and by equivgrid and resultscheck below.
 perfcheck:
 	$(GO) run ./benchmark -repeat 2
 
@@ -74,13 +71,24 @@ equivgrid:
 fuzzcheck:
 	$(GO) test -run '^$$' -fuzz FuzzWaveSharedMem -fuzztime 10s ./internal/core
 
-# paracheck: the experiment CSVs must be byte-identical no matter how
-# many host workers produced them (-parallel only changes wall time).
-paracheck:
-	rm -rf /tmp/misp-csv-p1 /tmp/misp-csv-pN
-	$(GO) run ./cmd/mispbench -exp table1 -size test -csv /tmp/misp-csv-p1 -parallel 1 > /dev/null
-	$(GO) run ./cmd/mispbench -exp table1 -size test -csv /tmp/misp-csv-pN -parallel 0 > /dev/null
-	diff -r /tmp/misp-csv-p1 /tmp/misp-csv-pN
+# resultscheck: results/ is exactly what the code produces. It
+# regenerates every published CSV at -size small twice, serially and on
+# every host core (-parallel only changes wall time), and compares each
+# output set with the committed one: every CSV byte for byte, and
+# PROVENANCE line for line except the build's version line, so a
+# configuration change that moves no CSV still fails. A change that
+# moves a number ships its regenerated results/ in the same commit:
+#   go run ./cmd/mispbench -size small -csv results -parallel 0
+resultscheck:
+	rm -rf /tmp/misp-results-p1 /tmp/misp-results-pN
+	$(GO) build -o /tmp/misp-resultscheck-bench ./cmd/mispbench
+	/tmp/misp-resultscheck-bench -size small -csv /tmp/misp-results-p1 -parallel 1 > /dev/null
+	/tmp/misp-resultscheck-bench -size small -csv /tmp/misp-results-pN -parallel 0 > /dev/null
+	grep -v '^version ' results/PROVENANCE > /tmp/misp-results-provenance
+	for d in /tmp/misp-results-p1 /tmp/misp-results-pN; do \
+		diff -r -x PROVENANCE results $$d || exit 1; \
+		grep -v '^version ' $$d/PROVENANCE | cmp - /tmp/misp-results-provenance || exit 1; \
+	done
 
 # faultcheck: the resilience gate. Runs the fixed-seed fault-campaign
 # matrix (every campaign must complete with the right checksum or die
@@ -151,4 +159,4 @@ soakcheck:
 	bash scripts/overload_smoke.sh
 
 # ci is the full gate run by the GitHub Actions workflow.
-ci: build vet fmtcheck test race smoke benchsmoke equivgrid fuzzcheck paracheck faultcheck servecheck snapcheck crashcheck soakcheck
+ci: build vet fmtcheck test race smoke benchsmoke equivgrid fuzzcheck resultscheck faultcheck servecheck snapcheck crashcheck soakcheck

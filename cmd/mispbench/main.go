@@ -3,7 +3,7 @@
 //
 // Usage:
 //
-//	mispbench [-exp all|fig4|table1|fig5|fig7|table2|ring|probe|signalsweep]
+//	mispbench [-exp all|fig4|table1|fig5|fig7|table2|ring|probe|dynamic|signalsweep|resilience]
 //	          [-size test|small|ref] [-seqs 8] [-apps a,b,c] [-csv dir]
 //	          [-parallel N]
 //
@@ -12,20 +12,24 @@
 // machine, so the tables and CSVs are byte-identical for any N; only
 // the wall clock changes. Host-side timing goes to stdout, never into
 // the CSVs; the simulator's own speed is measured by `go run
-// ./benchmark` (benchmark/README.md).
+// ./benchmark` (benchmark/README.md). `-csv DIR` also writes
+// DIR/PROVENANCE, which records what produced the CSVs.
 package main
 
 import (
 	"context"
+	"crypto/sha256"
 	"errors"
 	"flag"
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"time"
 
 	"misp/internal/cli"
+	"misp/internal/core"
 	"misp/internal/exp"
 	"misp/internal/report"
 	"misp/internal/sweep"
@@ -33,12 +37,17 @@ import (
 	"misp/internal/workloads"
 )
 
+// experiments are the -exp values. "all" runs every other one except
+// resilience, which injects faults on purpose and so stays out of the
+// fault-free paper reproductions.
+var experiments = []string{"all", "fig4", "table1", "fig5", "fig7", "table2", "ring", "probe", "dynamic", "signalsweep", "resilience"}
+
 func main() {
-	expName := flag.String("exp", "all", "experiment: all, fig4, table1, fig5, fig7, table2, ring, probe, dynamic, signalsweep, resilience")
+	expName := flag.String("exp", "all", "experiment: "+strings.Join(experiments, ", "))
 	sizeName := flag.String("size", "small", "problem size: test, small, ref")
 	seqs := flag.Int("seqs", 8, "total sequencers per configuration")
 	apps := flag.String("apps", "", "comma-separated workload subset (default: all 16)")
-	csvDir := flag.String("csv", "", "also write results as CSV files into this directory")
+	csvDir := flag.String("csv", "", "also write results as CSV files (and a PROVENANCE file) into this directory")
 	maxLoad := flag.Int("load", 4, "fig7: maximum number of competing processes")
 	parallel := flag.Int("parallel", 0, "host workers for independent simulation runs (0 = all cores, 1 = serial); results are identical for any value")
 	faultSeeds := flag.Int("faultseeds", 5, "resilience: seeded fault campaigns per sweep cell")
@@ -52,6 +61,13 @@ func main() {
 		fmt.Println(version.String())
 		return
 	}
+	which := *expName
+	if !slices.Contains(experiments, which) {
+		// A typo in a gate must not pass by doing nothing.
+		fmt.Fprintf(os.Stderr, "mispbench: unknown experiment %q (valid: %s)\n", which, strings.Join(experiments, ", "))
+		os.Exit(2)
+	}
+	want := func(name string) bool { return which == name || (which == "all" && name != "resilience") }
 
 	size, err := workloads.ParseSize(*sizeName)
 	if err != nil {
@@ -59,9 +75,8 @@ func main() {
 	}
 
 	// First SIGINT/SIGTERM cancels the sweeps at their next event
-	// horizon and fatal() removes the CSVs written so far, so an
-	// interrupted invocation never leaves a half-generated output set.
-	// A second signal hard-exits.
+	// horizon and fatal() removes the files written so far. A second
+	// signal hard-exits.
 	ctx, stop := cli.SignalContext("mispbench")
 	defer stop()
 
@@ -84,124 +99,87 @@ func main() {
 		// and zeroing a machine each. CSVs are byte-identical either way.
 		opt.Warm = workloads.NewWarmPool()
 	}
+	// A3's table prints every app × signal-cost point, so without -apps
+	// it shows a 4-app subset.
+	a3Apps := []string{"dense_mmm", "kmeans", "sparse_mvm", "swim"}
+	appsLabel := "all"
 	if *apps != "" {
 		opt.Apps = strings.Split(*apps, ",")
+		a3Apps, appsLabel = opt.Apps, *apps
 	}
 
 	emit := func(name string, t *report.Table) {
 		fmt.Println(t.String())
 		if *csvDir != "" {
-			if err := os.MkdirAll(*csvDir, 0o755); err != nil {
-				fatal(err)
-			}
-			path := filepath.Join(*csvDir, name+".csv")
-			csvWritten = append(csvWritten, path)
-			if err := os.WriteFile(path, []byte(t.CSV()), 0o644); err != nil {
-				fatal(err)
-			}
-			fmt.Printf("(wrote %s)\n\n", path)
+			write(filepath.Join(*csvDir, name+".csv"), t.CSV())
 		}
 	}
 
-	runEval := func() []*exp.AppResult {
+	var results []*exp.AppResult
+	if want("fig4") || want("table1") {
 		start := time.Now()
-		results, err := exp.Evaluate(opt)
-		if err != nil {
-			fatal(err)
-		}
+		results = must(exp.Evaluate(opt))
 		fmt.Printf("evaluated %d apps x 3 configs in %v on %d workers (all checksums verified)\n\n",
 			len(results), time.Since(start).Round(time.Millisecond), sweep.Workers(*parallel))
-		return results
 	}
-
-	which := *expName
-	var results []*exp.AppResult
-	needEval := which == "all" || which == "fig4" || which == "table1"
-	if needEval {
-		results = runEval()
-	}
-
-	if which == "all" || which == "fig4" {
+	if want("fig4") {
 		emit("fig4", exp.Fig4Table(results, *seqs))
 	}
-	if which == "all" || which == "table1" {
+	if want("table1") {
 		emit("table1", exp.Table1(results))
 	}
-	if which == "all" || which == "fig5" {
-		rows, err := exp.Fig5(opt)
-		if err != nil {
-			fatal(err)
-		}
-		emit("fig5", exp.Fig5Table(rows))
+	// Figure 5 and A3 are views of one signal sweep; A3 reuses Figure
+	// 5's rows when both run.
+	var sweepRows []exp.SweepRow
+	if want("fig5") {
+		sweepRows = must(exp.SignalSweep(opt))
+		emit("fig5", exp.Fig5Table(sweepRows))
 	}
-	if which == "all" || which == "fig7" {
-		curves, err := exp.Fig7(exp.Fig7Options{
-			Size: size, MaxLoad: *maxLoad,
-			Parallel: *parallel, SweepStats: &stats, Ctx: ctx,
-		})
-		if err != nil {
-			fatal(err)
-		}
-		emit("fig7", exp.Fig7Table(curves, *maxLoad))
+	if want("fig7") {
+		emit("fig7", exp.Fig7Table(must(exp.Fig7(opt, *maxLoad)), *maxLoad))
 	}
-	if which == "all" || which == "table2" {
-		stats, err := exp.AssessPorting(size)
-		if err != nil {
-			fatal(err)
-		}
-		emit("table2", exp.Table2(stats))
+	if want("table2") {
+		emit("table2", exp.Table2(must(exp.AssessPorting(size))))
 	}
-	if which == "all" || which == "ring" {
-		rows, err := exp.AblationRingPolicy(opt)
-		if err != nil {
-			fatal(err)
-		}
-		emit("ablation_ring", exp.RingPolicyTable(rows))
+	if want("ring") {
+		emit("ablation_ring", exp.RingPolicyTable(must(exp.AblationRingPolicy(opt))))
 	}
-	if which == "all" || which == "probe" {
-		rows, err := exp.AblationProbe(opt)
-		if err != nil {
-			fatal(err)
-		}
-		emit("ablation_probe", exp.ProbeTable(rows))
+	if want("probe") {
+		emit("ablation_probe", exp.ProbeTable(must(exp.AblationProbe(opt))))
 	}
-	if which == "all" || which == "dynamic" {
-		rows, err := exp.AblationDynamicBinding(opt)
-		if err != nil {
-			fatal(err)
-		}
-		emit("ablation_dynamic", exp.DynamicTable(rows))
+	if want("dynamic") {
+		emit("ablation_dynamic", exp.DynamicTable(must(exp.AblationDynamicBinding(opt))))
 	}
-	// The resilience sweep injects faults on purpose, so it is opt-in
-	// rather than part of "all" (whose outputs are fault-free paper
-	// reproductions).
-	if which == "resilience" {
-		ropt := exp.ResilienceOptions{
-			Size: size, SeedsPerCell: *faultSeeds,
-			Parallel: *parallel, SweepStats: &stats, Ctx: ctx,
-			Warm: opt.Warm,
-		}
-		if opt.Apps != nil {
-			ropt.App = opt.Apps[0]
-		}
-		rows, err := exp.Resilience(ropt)
-		if err != nil {
-			fatal(err)
-		}
-		emit("resilience", exp.ResilienceTable(rows))
+	if want("resilience") {
+		emit("resilience", exp.ResilienceTable(must(exp.Resilience(opt, *faultSeeds))))
 	}
-
-	if which == "all" || which == "signalsweep" {
-		sweepOpt := opt
-		if sweepOpt.Apps == nil {
-			// The sweep re-simulates 4x per app; default to a subset.
-			sweepOpt.Apps = []string{"dense_mmm", "kmeans", "sparse_mvm", "swim"}
+	if want("signalsweep") {
+		if sweepRows == nil {
+			a3 := opt
+			a3.Apps = a3Apps
+			sweepRows = must(exp.SignalSweep(a3))
 		}
-		rows, err := exp.AblationSignalSweep(sweepOpt, nil)
-		if err != nil {
-			fatal(err)
+		var rows []exp.SweepRow
+		for _, r := range sweepRows {
+			if slices.Contains(a3Apps, r.Name) {
+				rows = append(rows, r)
+			}
 		}
 		emit("ablation_signalsweep", exp.SweepTable(rows))
+	}
+
+	if *csvDir != "" {
+		// Everything that can change a CSV byte — never -parallel or
+		// -cold — then the base machine configuration, whose hash moves
+		// with any field, and last the build, the one line two runs that
+		// wrote the same CSVs may disagree on.
+		base := workloads.DefaultConfig(core.Topology{*seqs - 1})
+		write(filepath.Join(*csvDir, "PROVENANCE"), fmt.Sprintf(
+			"exp %s\nsize %s\nseqs %d\napps %s\nload %d\nfaultseeds %d\n"+
+				"signal_cost %d\nring_policy %s\nphys_mem %d\ntimer_interval %d\nconfig_sha256 %x\nversion %s\n",
+			which, size, *seqs, appsLabel, *maxLoad, *faultSeeds,
+			base.SignalCost, base.RingPolicy, base.PhysMem, base.TimerInterval,
+			sha256.Sum256([]byte(fmt.Sprintf("%+v", base))), version.String()))
 	}
 
 	// Host-side sweep accounting goes to stdout only: wall times are not
@@ -216,26 +194,47 @@ func main() {
 	}
 }
 
-// csvWritten tracks the CSV paths produced by this invocation so an
-// interrupted run can take them back out: a partial output set is
-// worse than none, because it looks complete.
-var csvWritten []string
+// must returns v, or ends the invocation through fatal on err.
+func must[T any](v T, err error) T {
+	if err != nil {
+		fatal(err)
+	}
+	return v
+}
+
+// written tracks the files this invocation produced so a failed one can
+// take them back out: a partial output set is worse than none, because
+// it looks complete.
+var written []string
+
+func write(path, content string) {
+	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+		fatal(err)
+	}
+	written = append(written, path)
+	if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
+		fatal(err)
+	}
+	fmt.Printf("(wrote %s)\n\n", path)
+}
 
 // stopProfiles flushes any active -cpuprofile/-memprofile output; set
 // in main, called on the fatal paths that bypass its defer.
 var stopProfiles = func() {}
 
+// fatal removes every file this invocation wrote, whatever the cause —
+// a cancellation, a checksum mismatch, a failed write — and exits 130
+// for a cancellation, 1 otherwise.
 func fatal(err error) {
 	stopProfiles()
-	if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-		for _, p := range csvWritten {
-			if os.Remove(p) == nil {
-				fmt.Fprintf(os.Stderr, "mispbench: removed partial output %s\n", p)
-			}
+	for _, p := range written {
+		if os.Remove(p) == nil {
+			fmt.Fprintf(os.Stderr, "mispbench: removed partial output %s\n", p)
 		}
-		fmt.Fprintln(os.Stderr, "mispbench:", err)
-		os.Exit(130)
 	}
 	fmt.Fprintln(os.Stderr, "mispbench:", err)
+	if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
+		os.Exit(130)
+	}
 	os.Exit(1)
 }

@@ -16,16 +16,13 @@ import (
 )
 
 func main() {
-	opt := misp.Fig7Options{
-		Size:    misp.SizeSmall,
-		MaxLoad: 4,
-	}
+	const maxLoad = 4
 	fmt.Println("RayTracer throughput vs system load (normalized to unloaded):")
-	curves, err := misp.Fig7(opt)
+	curves, err := misp.Fig7(misp.EvalOptions{Size: misp.SizeSmall}, maxLoad)
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Println(misp.Fig7Table(curves, opt.MaxLoad).String())
+	fmt.Println(misp.Fig7Table(curves, maxLoad).String())
 
 	// A tiny ASCII rendition of the curves.
 	fmt.Println("load →   0....1....2....3....4")

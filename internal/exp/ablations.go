@@ -7,7 +7,6 @@ import (
 	"misp/internal/overhead"
 	"misp/internal/report"
 	"misp/internal/shredlib"
-	"misp/internal/sweep"
 )
 
 // This file implements the ablations DESIGN.md calls out:
@@ -19,7 +18,7 @@ import (
 //	     serial region, eliminating most AMS proxy page faults.
 //	A3 — signal-cost sweep: re-simulate (not just model) the machine at
 //	     several inter-sequencer signal costs and compare against the
-//	     Equation 1–2 prediction.
+//	     Equation 1–2 prediction. The same sweep is Figure 5.
 
 // RingPolicyRow compares the two ring-transition policies for one app.
 type RingPolicyRow struct {
@@ -43,7 +42,7 @@ func AblationRingPolicy(opt Options) ([]RingPolicyRow, error) {
 	type cell struct {
 		cycles, stall uint64
 	}
-	cells, st, err := sweep.MapCtx(opt.Ctx, opt.Parallel, 2*len(ws), func(ctx context.Context, i int) (cell, error) {
+	cells, err := grid(&opt, 2*len(ws), func(ctx context.Context, i int) (cell, error) {
 		w, policy := ws[i/2], policies[i%2]
 		cfg := opt.Config(core.Topology{opt.Seqs - 1})
 		cfg.RingPolicy = policy
@@ -61,7 +60,6 @@ func AblationRingPolicy(opt Options) ([]RingPolicyRow, error) {
 		}
 		return cell{cycles: res.Cycles, stall: stall}, nil
 	})
-	opt.addStats(st)
 	if err != nil {
 		return nil, err
 	}
@@ -113,7 +111,7 @@ func AblationProbe(opt Options) ([]ProbeRow, error) {
 	type cell struct {
 		cycles, pf uint64
 	}
-	cells, st, err := sweep.MapCtx(opt.Ctx, opt.Parallel, 2*len(ws), func(ctx context.Context, i int) (cell, error) {
+	cells, err := grid(&opt, 2*len(ws), func(ctx context.Context, i int) (cell, error) {
 		w, probe := ws[i/2], i%2 == 1
 		var extra int64
 		if probe {
@@ -133,7 +131,6 @@ func AblationProbe(opt Options) ([]ProbeRow, error) {
 		}
 		return cell{cycles: res.Cycles, pf: pf}, nil
 	})
-	opt.addStats(st)
 	if err != nil {
 		return nil, err
 	}
@@ -173,16 +170,21 @@ type SweepRow struct {
 	Predicted float64 // Equation 1–2 prediction from event counts
 }
 
-// AblationSignalSweep re-simulates the machine at several signal costs
-// and compares the measured slowdown with the analytic model. The
-// app×signal grid fans out across host workers; the relative overheads
-// (which relate each run to its app's signals[0] baseline) are computed
-// after the sweep completes.
-func AblationSignalSweep(opt Options, signals []uint64) ([]SweepRow, error) {
+// signalCosts are the inter-sequencer signal latencies SignalSweep
+// simulates: the zero-cost baseline ("ideal hardware") and Figure 5's
+// three candidate costs.
+var signalCosts = [...]uint64{0, 500, 1000, 5000}
+
+// SignalSweep re-simulates each selected app's MISP run at every
+// signalCosts value and relates each run to the app's zero-cost one:
+// the measured slowdown beside the Equation 1–2 prediction. It is both
+// Figure 5 (Fig5Table) and ablation A3 (SweepTable). The paper had
+// fixed hardware and therefore *modeled* Figure 5; the simulator lets
+// us measure it, and A3 shows how far the model is off. The app×signal
+// grid fans out across host workers; the relative overheads are
+// computed after the sweep completes.
+func SignalSweep(opt Options) ([]SweepRow, error) {
 	opt.defaults()
-	if signals == nil {
-		signals = []uint64{0, 500, 1000, 5000}
-	}
 	ws, err := opt.workloads()
 	if err != nil {
 		return nil, err
@@ -191,9 +193,9 @@ func AblationSignalSweep(opt Options, signals []uint64) ([]SweepRow, error) {
 		cycles uint64
 		ev     overhead.Events
 	}
-	nc := len(signals)
-	cells, st, err := sweep.MapCtx(opt.Ctx, opt.Parallel, nc*len(ws), func(ctx context.Context, i int) (cell, error) {
-		w, sig := ws[i/nc], signals[i%nc]
+	nc := len(signalCosts)
+	cells, err := grid(&opt, nc*len(ws), func(ctx context.Context, i int) (cell, error) {
+		w, sig := ws[i/nc], signalCosts[i%nc]
 		cfg := opt.Config(core.Topology{opt.Seqs - 1})
 		cfg.SignalCost = sig
 		res, err := opt.run(ctx, w, shredlib.ModeShred, cfg, 0)
@@ -206,14 +208,13 @@ func AblationSignalSweep(opt Options, signals []uint64) ([]SweepRow, error) {
 		}
 		return cell{cycles: res.Cycles, ev: overhead.Collect(res.Machine)}, nil
 	})
-	opt.addStats(st)
 	if err != nil {
 		return nil, err
 	}
 	var out []SweepRow
 	for wi, w := range ws {
 		base := cells[wi*nc]
-		for si, sig := range signals {
+		for si, sig := range signalCosts {
 			c := cells[wi*nc+si]
 			out = append(out, SweepRow{
 				Name:      w.Name,

@@ -5,11 +5,8 @@ import (
 	"fmt"
 
 	"misp/internal/core"
-	"misp/internal/kernel"
-	"misp/internal/obs"
 	"misp/internal/report"
 	"misp/internal/shredlib"
-	"misp/internal/sweep"
 	"misp/internal/workloads"
 )
 
@@ -52,15 +49,15 @@ func AblationDynamicBinding(opt Options) ([]DynamicRow, error) {
 	type cell struct {
 		cycles, rebinds uint64
 	}
-	cells, st, err := sweep.MapCtx(opt.Ctx, opt.Parallel, 2*len(scenarios), func(ctx context.Context, i int) (cell, error) {
+	cells, err := grid(&opt, 2*len(scenarios), func(ctx context.Context, i int) (cell, error) {
 		sc, dynamic := scenarios[i/2], i%2 == 1
-		cycles, rebinds, err := dynamicRun(ctx, w, opt, sc.top, sc.loads, dynamic)
+		prog := w.BuildFlags(shredlib.ModeShred, opt.Size, shredlib.FlagNoMP)
+		cycles, rebinds, err := multiprogRun(ctx, &opt, w, prog, sc.top, sc.loads, dynamic)
 		if err != nil {
 			return cell{}, fmt.Errorf("exp: A4 %q dynamic=%v: %w", sc.name, dynamic, err)
 		}
 		return cell{cycles: cycles, rebinds: rebinds}, nil
 	})
-	opt.addStats(st)
 	if err != nil {
 		return nil, err
 	}
@@ -76,48 +73,6 @@ func AblationDynamicBinding(opt Options) ([]DynamicRow, error) {
 		})
 	}
 	return out, nil
-}
-
-func dynamicRun(ctx context.Context, w *workloads.Workload, opt Options, top core.Topology, loads int, dynamic bool) (uint64, uint64, error) {
-	cfg := opt.Config(top)
-	// Frequent ticks: the binder acts once per tick.
-	cfg.TimerInterval = 50_000
-	m, err := core.New(cfg)
-	if err != nil {
-		return 0, 0, err
-	}
-	defer m.Release()
-	m.SetContext(ctx)
-	k := kernel.New(m)
-	k.DynamicAMSBinding = dynamic
-
-	prog := w.BuildFlags(shredlib.ModeShred, opt.Size, shredlib.FlagNoMP)
-
-	app, err := k.Spawn(w.Name, prog)
-	if err != nil {
-		return 0, 0, err
-	}
-	for i := 0; i < loads; i++ {
-		if _, err := k.Spawn(fmt.Sprintf("spin%d", i), workloads.SpinForever()); err != nil {
-			return 0, 0, err
-		}
-	}
-	k.StopPredicate = func() bool { return app.Exited }
-	if err := m.Run(); err != nil {
-		return 0, 0, err
-	}
-	if err := k.Err(); err != nil {
-		return 0, 0, err
-	}
-	bits, err := app.Space.ReadU64(shredlib.ResultAddr)
-	if err != nil {
-		return 0, 0, err
-	}
-	res := workloads.RunResult{Checksum: floatFromBits(bits)}
-	if err := checkRun(w, &res, "A4", opt.Size); err != nil {
-		return 0, 0, err
-	}
-	return app.ExitTime - app.StartTime, m.Obs.Metrics.CounterValue(obs.MKRebinds), nil
 }
 
 // DynamicTable renders A4.

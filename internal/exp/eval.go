@@ -23,7 +23,7 @@ import (
 	"misp/internal/workloads"
 )
 
-// Options configures the standard evaluation (Fig. 4 / Table 1 / Fig. 5).
+// Options configures every experiment in this package.
 type Options struct {
 	Size workloads.Size
 	Seqs int      // total sequencers per configuration (paper: 8)
@@ -67,18 +67,18 @@ func (o *Options) defaults() {
 	}
 }
 
-// addStats folds one sweep's host statistics into the caller-provided
-// accumulator.
-func (o *Options) addStats(st sweep.Stats) {
-	if o.SweepStats == nil {
-		return
+// grid runs job(0..n-1) across opt.Parallel host workers under opt.Ctx
+// — the one fan-out every experiment uses — and folds the sweep's host
+// statistics into opt.SweepStats. Results come back in job order.
+func grid[T any](opt *Options, n int, job func(ctx context.Context, i int) (T, error)) ([]T, error) {
+	out, st, err := sweep.MapCtx(opt.Ctx, opt.Parallel, n, job)
+	if s := opt.SweepStats; s != nil {
+		s.Jobs += st.Jobs
+		s.Wall += st.Wall
+		s.Busy += st.Busy
+		s.Workers = max(s.Workers, st.Workers)
 	}
-	o.SweepStats.Jobs += st.Jobs
-	o.SweepStats.Wall += st.Wall
-	o.SweepStats.Busy += st.Busy
-	if st.Workers > o.SweepStats.Workers {
-		o.SweepStats.Workers = st.Workers
-	}
+	return out, err
 }
 
 // run executes one workload run through the warm pool when one is
@@ -198,7 +198,7 @@ func Evaluate(opt Options) ([]*AppResult, error) {
 	}
 	smpTop := make(core.Topology, opt.Seqs)
 	labels := [3]string{"1P", "MISP", "SMP"}
-	runs, st, err := sweep.MapCtx(opt.Ctx, opt.Parallel, 3*len(ws), func(ctx context.Context, i int) (evalRun, error) {
+	runs, err := grid(&opt, 3*len(ws), func(ctx context.Context, i int) (evalRun, error) {
 		w, c := ws[i/3], i%3
 		cfg := opt.Config(core.Topology{0})
 		mode := shredlib.ModeShred
@@ -235,7 +235,6 @@ func Evaluate(opt Options) ([]*AppResult, error) {
 		}
 		return r, nil
 	})
-	opt.addStats(st)
 	if err != nil {
 		return nil, err
 	}
@@ -297,49 +296,24 @@ func Table1(results []*AppResult) *report.Table {
 	return t
 }
 
-// Fig5Row is one application's measured signal-cost sensitivity.
-type Fig5Row struct {
-	Name     string
-	Overhead [3]float64 // slowdown vs zero-cost signal at 500/1000/5000
-}
-
-// Fig5 reproduces Figure 5 by direct measurement: each application's
-// MISP run is re-simulated with the inter-sequencer signal cost set to
-// 0 (the paper's "ideal hardware" baseline), 500, 1000 and 5000 cycles,
-// and the relative slowdown is reported. (The paper had fixed hardware
-// and therefore *modeled* the delta with Equations 1–2; the simulator
-// lets us measure it. The analytic model is compared against these
-// measurements by the A3 ablation.)
-func Fig5(opt Options) ([]Fig5Row, error) {
-	rows, err := AblationSignalSweep(opt, []uint64{0, 500, 1000, 5000})
-	if err != nil {
-		return nil, err
-	}
-	var out []Fig5Row
-	for i := 0; i < len(rows); i += 4 {
-		out = append(out, Fig5Row{
-			Name:     rows[i].Name,
-			Overhead: [3]float64{rows[i+1].Measured, rows[i+2].Measured, rows[i+3].Measured},
-		})
-	}
-	return out, nil
-}
-
-// Fig5Table renders the Figure 5 series: percentage overhead over
-// zero-cost signaling for each candidate signal cost.
-func Fig5Table(rows []Fig5Row) *report.Table {
+// Fig5Table renders the Figure 5 series from SignalSweep's rows:
+// percentage overhead over zero-cost signaling at each nonzero signal
+// cost, per application and on average.
+func Fig5Table(rows []SweepRow) *report.Table {
 	t := &report.Table{
 		Title: "Figure 5 — Sensitivity to Signal Cost (% overhead vs ideal hardware)",
 		Cols:  []string{"app", "500", "1000", "5000"},
 	}
 	var avg [3]float64
-	for _, r := range rows {
-		t.Add(r.Name, report.Pct(r.Overhead[0]), report.Pct(r.Overhead[1]), report.Pct(r.Overhead[2]))
-		for i := range avg {
-			avg[i] += r.Overhead[i]
+	nc := len(signalCosts)
+	for i := 0; i+nc <= len(rows); i += nc {
+		r := rows[i+1 : i+nc]
+		t.Add(rows[i].Name, report.Pct(r[0].Measured), report.Pct(r[1].Measured), report.Pct(r[2].Measured))
+		for j := range avg {
+			avg[j] += r[j].Measured
 		}
 	}
-	if n := float64(len(rows)); n > 0 {
+	if n := float64(len(rows) / nc); n > 0 {
 		t.Add("average", report.Pct(avg[0]/n), report.Pct(avg[1]/n), report.Pct(avg[2]/n))
 	}
 	return t

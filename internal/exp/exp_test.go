@@ -119,18 +119,8 @@ func TestEvaluateSubset(t *testing.T) {
 }
 
 func TestFig7Small(t *testing.T) {
-	opt := Fig7Options{
-		Size:    workloads.SizeTest,
-		MaxLoad: 2,
-		Config: func(top core.Topology) core.Config {
-			cfg := core.DefaultConfig(top)
-			cfg.PhysMem = 64 << 20
-			cfg.MaxCycles = 8_000_000_000
-			cfg.TimerInterval = 10_000 // many quanta within the tiny test run
-			return cfg
-		},
-	}
-	curves, err := Fig7(opt)
+	const maxLoad = 2
+	curves, err := Fig7(testOpts(), maxLoad)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,7 +150,7 @@ func TestFig7Small(t *testing.T) {
 		t.Errorf("1x8 (%.3f) should degrade more than 4x2 (%.3f) at load 2",
 			byName["1x8"].Speedup[2], byName["4x2"].Speedup[2])
 	}
-	tbl := Fig7Table(curves, opt.MaxLoad)
+	tbl := Fig7Table(curves, maxLoad)
 	if !strings.Contains(tbl.String(), "ideal") {
 		t.Error("fig7 table broken")
 	}
@@ -223,15 +213,15 @@ func TestAblationProbe(t *testing.T) {
 }
 
 func TestFig5Measured(t *testing.T) {
-	rows, err := Fig5(testOpts("dense_mvm"))
+	rows, err := SignalSweep(testOpts("dense_mvm"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rows) != 1 || rows[0].Name != "dense_mvm" {
+	if len(rows) != 4 || rows[0].Name != "dense_mvm" {
 		t.Fatalf("rows = %+v", rows)
 	}
 	// Monotonic in signal cost, and positive at 5000.
-	ov := rows[0].Overhead
+	ov := [3]float64{rows[1].Measured, rows[2].Measured, rows[3].Measured}
 	if !(ov[0] <= ov[1] && ov[1] <= ov[2]) || ov[2] <= 0 {
 		t.Fatalf("overheads not monotone: %v", ov)
 	}
@@ -241,19 +231,19 @@ func TestFig5Measured(t *testing.T) {
 }
 
 func TestAblationSignalSweep(t *testing.T) {
-	rows, err := AblationSignalSweep(testOpts("dense_mvm"), []uint64{0, 5000})
+	rows, err := SignalSweep(testOpts("dense_mvm"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rows) != 2 {
+	if len(rows) != 4 {
 		t.Fatalf("got %d rows", len(rows))
 	}
 	if rows[0].Measured != 0 {
 		t.Errorf("baseline overhead %v != 0", rows[0].Measured)
 	}
-	if rows[1].Cycles <= rows[0].Cycles {
+	if rows[3].Cycles <= rows[0].Cycles {
 		t.Errorf("5000-cycle signal not slower than free signal: %d vs %d",
-			rows[1].Cycles, rows[0].Cycles)
+			rows[3].Cycles, rows[0].Cycles)
 	}
 	if !strings.Contains(SweepTable(rows).String(), "dense_mvm") {
 		t.Error("A3 table broken")

@@ -5,11 +5,12 @@ import (
 	"fmt"
 	"math"
 
+	"misp/internal/asm"
 	"misp/internal/core"
 	"misp/internal/kernel"
+	"misp/internal/obs"
 	"misp/internal/report"
 	"misp/internal/shredlib"
-	"misp/internal/sweep"
 	"misp/internal/workloads"
 )
 
@@ -35,21 +36,6 @@ func Fig7Configs() []Fig7Config {
 	}
 }
 
-// Fig7Options configures the multiprogramming experiment.
-type Fig7Options struct {
-	Size    workloads.Size
-	MaxLoad int // additional single-threaded processes, 0..MaxLoad (paper: 4)
-	App     string
-	Config  func(core.Topology) core.Config
-	// Parallel is the host worker count for the config×load grid
-	// (sweep.Map semantics); SweepStats optionally accumulates host-side
-	// statistics, as in Options. Ctx cancels the experiment (nil =
-	// Background).
-	Parallel   int
-	SweepStats *sweep.Stats
-	Ctx        context.Context
-}
-
 // Fig7Curve is one configuration's series: relative RayTracer
 // performance at each system load, normalized to its own unloaded run
 // (the paper's "Speedup (vs. unloaded)" axis).
@@ -60,51 +46,26 @@ type Fig7Curve struct {
 }
 
 // Fig7 runs the multiprogramming experiment of §5.4: a multi-shredded
-// RayTracer shares the machine with 0..MaxLoad single-threaded spin
-// processes under each Figure 6 configuration.
-func Fig7(opt Fig7Options) ([]Fig7Curve, error) {
-	if opt.MaxLoad == 0 {
-		opt.MaxLoad = 4
-	}
-	if opt.App == "" {
-		opt.App = "raytracer"
-	}
-	if opt.Config == nil {
-		// The multiprogramming experiment needs many scheduling quanta
-		// within one (scaled-down) application run; scale the timer
-		// accordingly (the paper's runs span thousands of quanta).
-		opt.Config = func(top core.Topology) core.Config {
-			cfg := workloads.DefaultConfig(top)
-			cfg.TimerInterval = 50_000
-			return cfg
-		}
-	}
-	w, err := workloads.ByName(opt.App)
+// RayTracer shares the machine with 0..maxLoad (paper: 4)
+// single-threaded spin processes under each Figure 6 configuration.
+// The configurations are fixed at 8 sequencers, so opt.Seqs and
+// opt.Apps do not apply.
+func Fig7(opt Options, maxLoad int) ([]Fig7Curve, error) {
+	opt.defaults()
+	w, err := workloads.ByName("raytracer")
 	if err != nil {
 		return nil, err
 	}
-
-	if opt.Ctx == nil {
-		opt.Ctx = context.Background()
-	}
 	configs := Fig7Configs()
-	nl := opt.MaxLoad + 1
-	cells, st, err := sweep.MapCtx(opt.Ctx, opt.Parallel, nl*len(configs), func(ctx context.Context, i int) (uint64, error) {
+	nl := maxLoad + 1
+	cells, err := grid(&opt, nl*len(configs), func(ctx context.Context, i int) (uint64, error) {
 		cfg, load := configs[i/nl], i%nl
-		cycles, err := fig7Run(ctx, w, cfg, opt, load)
+		cycles, _, err := multiprogRun(ctx, &opt, w, w.Build(cfg.Mode, opt.Size), cfg.Top, load, false)
 		if err != nil {
 			return 0, fmt.Errorf("exp: fig7 %s load %d: %w", cfg.Name, load, err)
 		}
 		return cycles, nil
 	})
-	if opt.SweepStats != nil {
-		opt.SweepStats.Jobs += st.Jobs
-		opt.SweepStats.Wall += st.Wall
-		opt.SweepStats.Busy += st.Busy
-		if st.Workers > opt.SweepStats.Workers {
-			opt.SweepStats.Workers = st.Workers
-		}
-	}
 	if err != nil {
 		return nil, err
 	}
@@ -121,7 +82,7 @@ func Fig7(opt Fig7Options) ([]Fig7Curve, error) {
 	// machine.
 	ideal := Fig7Curve{Config: "ideal"}
 	seqs := 8
-	for load := 0; load <= opt.MaxLoad; load++ {
+	for load := 0; load <= maxLoad; load++ {
 		ideal.Speedup = append(ideal.Speedup, float64(seqs-load)/float64(seqs))
 		ideal.Cycles = append(ideal.Cycles, 0)
 	}
@@ -129,49 +90,58 @@ func Fig7(opt Fig7Options) ([]Fig7Curve, error) {
 	return curves, nil
 }
 
-// fig7Run executes one cell: the shredded app plus `load` spin
-// processes; the run stops when the app finishes.
-func fig7Run(ctx context.Context, w *workloads.Workload, cfg Fig7Config, opt Fig7Options, load int) (uint64, error) {
-	mcfg := opt.Config(cfg.Top)
-	m, err := core.New(mcfg)
+// multiprogTick is the timer interval of every multiprogrammed run.
+// The scaled-down applications need many scheduling quanta within one
+// run (the paper's runs span thousands), and A4's binder acts once per
+// tick.
+const multiprogTick = 50_000
+
+// multiprogRun is one multiprogrammed cell, shared by Figure 7 and A4:
+// prog (built from w) runs as a process beside loads single-threaded
+// spin processes on topology top until it exits, with the kernel's
+// dynamic AMS binder on when dynamic is set. Its checksum is validated
+// even under the interference; the results are the app's turnaround
+// cycles and the binder's rebind count.
+func multiprogRun(ctx context.Context, opt *Options, w *workloads.Workload, prog *asm.Program, top core.Topology, loads int, dynamic bool) (cycles, rebinds uint64, err error) {
+	cfg := opt.Config(top)
+	cfg.TimerInterval = multiprogTick
+	m, err := core.New(cfg)
 	if err != nil {
-		return 0, err
+		return 0, 0, err
 	}
 	defer m.Release()
 	m.SetContext(ctx)
 	k := kernel.New(m)
-	app, err := k.Spawn(w.Name, w.Build(cfg.Mode, opt.Size))
+	k.DynamicAMSBinding = dynamic
+	app, err := k.Spawn(w.Name, prog)
 	if err != nil {
-		return 0, err
+		return 0, 0, err
 	}
-	for i := 0; i < load; i++ {
+	for i := 0; i < loads; i++ {
 		if _, err := k.Spawn(fmt.Sprintf("spin%d", i), workloads.SpinForever()); err != nil {
-			return 0, err
+			return 0, 0, err
 		}
 	}
 	k.StopPredicate = func() bool { return app.Exited }
 	if err := m.Run(); err != nil {
-		return 0, err
+		return 0, 0, err
 	}
 	if err := k.Err(); err != nil {
-		return 0, err
+		return 0, 0, err
 	}
 	if !app.Exited {
-		return 0, fmt.Errorf("app did not finish")
+		return 0, 0, fmt.Errorf("app did not finish")
 	}
-	// Validate the result even under multiprogrammed interference.
 	bits, err := app.Space.ReadU64(shredlib.ResultAddr)
 	if err != nil {
-		return 0, err
+		return 0, 0, err
 	}
-	res := workloads.RunResult{Checksum: floatFromBits(bits)}
-	if err := checkRun(w, &res, cfg.Name, opt.Size); err != nil {
-		return 0, err
+	res := workloads.RunResult{Checksum: math.Float64frombits(bits)}
+	if err := checkRun(w, &res, "a multiprogrammed machine", opt.Size); err != nil {
+		return 0, 0, err
 	}
-	return app.ExitTime - app.StartTime, nil
+	return app.ExitTime - app.StartTime, m.Obs.Metrics.CounterValue(obs.MKRebinds), nil
 }
-
-func floatFromBits(b uint64) float64 { return math.Float64frombits(b) }
 
 // Fig7Table renders the curves: one row per configuration, one column
 // per load level.

@@ -10,7 +10,6 @@ import (
 	"misp/internal/obs"
 	"misp/internal/report"
 	"misp/internal/shredlib"
-	"misp/internal/sweep"
 	"misp/internal/workloads"
 )
 
@@ -27,52 +26,13 @@ import (
 // seeded outcomes), so the CSV is byte-identical for any -parallel
 // value, like every other experiment in this package.
 
-// ResilienceOptions configures the resilience sweep.
-type ResilienceOptions struct {
-	Size workloads.Size
-	// App is the workload the campaigns run (default dense_mmm).
-	App string
-	// AMSCounts are the AMS-per-processor points (default 1, 3, 7).
-	AMSCounts []int
-	// Periods are the mean retirements-per-injection points, sweeping
-	// fault pressure from rare to brutal (default 200k, 50k, 10k).
-	Periods []uint64
-	// SeedsPerCell is how many seeded campaigns run per grid cell
-	// (default 5).
-	SeedsPerCell int
-	// Kinds restricts injection to the named kinds (default: all).
-	Kinds []fault.Kind
-	// Config, Parallel, SweepStats, Ctx, Warm: as in Options. The warm
-	// pool pays off especially well here: every campaign in a topology
-	// cell shares one prepared image, since the fault plane is a
-	// run-only override.
-	Config     func(core.Topology) core.Config
-	Parallel   int
-	SweepStats *sweep.Stats
-	Ctx        context.Context
-	Warm       *workloads.WarmPool
-}
-
-func (o *ResilienceOptions) defaults() {
-	if o.Ctx == nil {
-		o.Ctx = context.Background()
-	}
-	if o.App == "" {
-		o.App = "dense_mmm"
-	}
-	if len(o.AMSCounts) == 0 {
-		o.AMSCounts = []int{1, 3, 7}
-	}
-	if len(o.Periods) == 0 {
-		o.Periods = []uint64{200_000, 50_000, 10_000}
-	}
-	if o.SeedsPerCell == 0 {
-		o.SeedsPerCell = 5
-	}
-	if o.Config == nil {
-		o.Config = workloads.DefaultConfig
-	}
-}
+// The sweep's grid, with every fault kind armed: AMS-per-processor
+// points, and mean retirements-per-injection points sweeping fault
+// pressure from rare to brutal.
+var (
+	resilienceAMS     = [...]int{1, 3, 7}
+	resiliencePeriods = [...]uint64{200_000, 50_000, 10_000}
+)
 
 // ResilienceRow is one (AMS count, fault period) cell aggregated over
 // its seeds.
@@ -108,30 +68,41 @@ type campaignRun struct {
 	latCount  uint64
 }
 
-// Resilience runs the fault-campaign sweep. A fault-free baseline that
-// fails, or a campaign that dies in a way that cannot even be
-// expressed as a Diagnosis, is a bug in the recovery plane — not a
-// data point — and fails the experiment. Campaigns the kernel killed
-// (e.g. a bit flip segfaulted the guest) are upgraded to a Diagnosis
-// here, exactly as a production harness would.
-func Resilience(opt ResilienceOptions) ([]ResilienceRow, error) {
+// Resilience runs the fault-campaign sweep: seeds campaigns (default
+// 5) per grid cell on opt.Apps[0] (default dense_mmm). The warm pool
+// pays off especially well here: every campaign in a topology cell
+// shares one prepared image, since the fault plane is a run-only
+// override. A fault-free baseline that fails, or a campaign that dies
+// in a way that cannot even be expressed as a Diagnosis, is a bug in
+// the recovery plane — not a data point — and fails the experiment.
+// Campaigns the kernel killed (e.g. a bit flip segfaulted the guest)
+// are upgraded to a Diagnosis here, exactly as a production harness
+// would.
+func Resilience(opt Options, seeds int) ([]ResilienceRow, error) {
 	opt.defaults()
-	w, err := workloads.ByName(opt.App)
+	app := "dense_mmm"
+	if len(opt.Apps) > 0 {
+		app = opt.Apps[0]
+	}
+	if seeds == 0 {
+		seeds = 5
+	}
+	w, err := workloads.ByName(app)
 	if err != nil {
 		return nil, err
 	}
-	nA, nP, nS := len(opt.AMSCounts), len(opt.Periods), opt.SeedsPerCell
+	nA, nP, nS := len(resilienceAMS), len(resiliencePeriods), seeds
 	// Jobs 0..nA-1 are the fault-free baselines (one per topology); the
 	// campaigns follow in (ams, period, seed) order.
-	runs, st, err := sweep.MapCtx(opt.Ctx, opt.Parallel, nA+nA*nP*nS, func(ctx context.Context, i int) (campaignRun, error) {
+	runs, err := grid(&opt, nA+nA*nP*nS, func(ctx context.Context, i int) (campaignRun, error) {
 		var cfg core.Config
 		if i < nA {
-			cfg = opt.Config(core.Topology{opt.AMSCounts[i]})
+			cfg = opt.Config(core.Topology{resilienceAMS[i]})
 		} else {
 			j := i - nA
 			ai, pi, si := j/(nP*nS), (j/nS)%nP, j%nS
-			cfg = opt.Config(core.Topology{opt.AMSCounts[ai]})
-			cfg.Fault = fault.Uniform(uint64(si)*1_000_003+7, opt.Periods[pi], opt.Kinds...)
+			cfg = opt.Config(core.Topology{resilienceAMS[ai]})
+			cfg.Fault = fault.Uniform(uint64(si)*1_000_003+7, resiliencePeriods[pi])
 		}
 		pr, err := opt.Warm.Prepare(w, shredlib.ModeShred, cfg, opt.Size, 0)
 		if err != nil {
@@ -174,22 +145,14 @@ func Resilience(opt ResilienceOptions) ([]ResilienceRow, error) {
 		}
 		return out, nil
 	})
-	if opt.SweepStats != nil {
-		opt.SweepStats.Jobs += st.Jobs
-		opt.SweepStats.Wall += st.Wall
-		opt.SweepStats.Busy += st.Busy
-		if st.Workers > opt.SweepStats.Workers {
-			opt.SweepStats.Workers = st.Workers
-		}
-	}
 	if err != nil {
 		return nil, err
 	}
 
 	var rows []ResilienceRow
-	for ai, ams := range opt.AMSCounts {
+	for ai, ams := range resilienceAMS {
 		base := runs[ai].cycles
-		for pi, period := range opt.Periods {
+		for pi, period := range resiliencePeriods {
 			row := ResilienceRow{AMS: ams, Period: period, Seeds: nS}
 			var overheadSum float64
 			var latSum, latCount uint64

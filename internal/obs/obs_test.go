@@ -86,6 +86,8 @@ func TestSinkSeesEvictedEvents(t *testing.T) {
 
 func TestDisabledPathsDoNotAllocate(t *testing.T) {
 	bus := NewBus(false, 4, DropNewest)
+	// A disabled bus built with capacity 0 (the default-cap path).
+	empty := NewBus(false, 0, DropNewest)
 	reg := NewRegistry()
 	c := reg.Counter("c")
 	h := reg.Histogram("h")
@@ -98,6 +100,7 @@ func TestDisabledPathsDoNotAllocate(t *testing.T) {
 	e := ev(99, 1, KSignalSend)
 	if n := testing.AllocsPerRun(1000, func() {
 		bus.Emit(e)
+		empty.Emit(e)
 		c.Inc()
 		h.Observe(12345)
 		ring.Emit(e)

@@ -149,12 +149,12 @@ func RunWorkload(w *WorkloadSpec, mode RuntimeMode, top Topology, sz Size) (*Run
 
 // Experiments.
 type (
-	// EvalOptions configures the Figure 4 / Table 1 / Figure 5 runs.
+	// EvalOptions configures every experiment.
 	EvalOptions = exp.Options
 	// AppResult is one application's cross-configuration measurement.
 	AppResult = exp.AppResult
-	// Fig7Options configures the multiprogramming experiment.
-	Fig7Options = exp.Fig7Options
+	// SweepRow is one app × signal-cost measurement.
+	SweepRow = exp.SweepRow
 	// Fig7Curve is one configuration's load series.
 	Fig7Curve = exp.Fig7Curve
 	// Table is a renderable result table (text and CSV).
@@ -170,14 +170,14 @@ func Fig4Table(results []*AppResult, seqs int) *Table { return exp.Fig4Table(res
 // Table1 renders the serializing-event table.
 func Table1(results []*AppResult) *Table { return exp.Table1(results) }
 
-// Fig5 measures the signal-cost sensitivity series (Figure 5).
-func Fig5(opt EvalOptions) ([]exp.Fig5Row, error) { return exp.Fig5(opt) }
+// SignalSweep measures the signal-cost sensitivity series (Figure 5).
+func SignalSweep(opt EvalOptions) ([]SweepRow, error) { return exp.SignalSweep(opt) }
 
 // Fig5Table renders the signal-cost sensitivity analysis.
-func Fig5Table(rows []exp.Fig5Row) *Table { return exp.Fig5Table(rows) }
+func Fig5Table(rows []SweepRow) *Table { return exp.Fig5Table(rows) }
 
-// Fig7 runs the multiprogramming experiment.
-func Fig7(opt Fig7Options) ([]Fig7Curve, error) { return exp.Fig7(opt) }
+// Fig7 runs the multiprogramming experiment at loads 0..maxLoad.
+func Fig7(opt EvalOptions, maxLoad int) ([]Fig7Curve, error) { return exp.Fig7(opt, maxLoad) }
 
 // Fig7Table renders the Figure 7 curves.
 func Fig7Table(curves []Fig7Curve, maxLoad int) *Table { return exp.Fig7Table(curves, maxLoad) }
