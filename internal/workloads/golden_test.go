@@ -1,17 +1,116 @@
 package workloads
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
 	"flag"
 	"fmt"
+	"math"
 	"os"
+	"sort"
 	"strings"
 	"testing"
+
+	"misp/internal/asm"
+	"misp/internal/shredlib"
 )
 
 var updateGolden = flag.Bool("update", false,
-	"rewrite testdata/golden_counters.txt from this build (only for a deliberate change to the machine model)")
+	"rewrite the testdata/golden_*.txt file of each golden test that runs from this build (only for a deliberate change to what it pins)")
 
-const goldenCountersPath = "testdata/golden_counters.txt"
+const (
+	goldenCountersPath = "testdata/golden_counters.txt"
+	goldenProgramsPath = "testdata/golden_programs.txt"
+)
+
+// checkGolden compares got, one point per line, with the file at path
+// (whose first line is a header), or rewrites the file under -update.
+func checkGolden(t *testing.T, path, header string, got []string) {
+	t.Helper()
+	if *updateGolden {
+		if err := os.WriteFile(path, []byte(header+"\n"+strings.Join(got, "\n")+"\n"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := strings.Split(strings.TrimSpace(string(data)), "\n")[1:] // drop the header
+	if len(want) != len(got) {
+		t.Fatalf("%s has %d points, this build made %d", path, len(want), len(got))
+	}
+	for i := range got {
+		if got[i] != want[i] {
+			t.Errorf("%s:\n want %s\n  got %s", path, want[i], got[i])
+		}
+	}
+}
+
+// programDigest is a SHA-256 over everything the loader reads from a
+// program: both segment bases, the BSS size, the entry point, the text
+// and data images, and the symbol table in name order.
+func programDigest(p *asm.Program) string {
+	h := sha256.New()
+	var buf [8]byte
+	for _, v := range []uint64{p.TextBase, p.DataBase, p.BSS, p.Entry, uint64(len(p.Text)), uint64(len(p.Data))} {
+		binary.LittleEndian.PutUint64(buf[:], v)
+		h.Write(buf[:])
+	}
+	h.Write(p.Text)
+	h.Write(p.Data)
+	names := make([]string, 0, len(p.Symbols))
+	for name := range p.Symbols {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	for _, name := range names {
+		fmt.Fprintf(h, "%s=%#x\n", name, p.Symbols[name])
+	}
+	return fmt.Sprintf("%x", h.Sum(nil))
+}
+
+// recovered runs f and turns a panic into its value, so one broken
+// point fails by its name instead of ending the test binary.
+func recovered(f func() string) (s string) {
+	defer func() {
+		if r := recover(); r != nil {
+			s = fmt.Sprintf("panic: %v", r)
+		}
+	}()
+	return f()
+}
+
+// TestGoldenPrograms pins what each workload generates, before anything
+// runs: every program (17 workloads x both runtime modes x test, small
+// and ref x no extra flags, FlagProbePages and FlagNoMP) by its digest,
+// and every Go reference checksum by its float64 bit pattern. A change
+// to how a workload is written must leave all of them alone; a change
+// to what a workload computes rewrites the file with -update and says so.
+func TestGoldenPrograms(t *testing.T) {
+	sizes := []Size{SizeTest, SizeSmall, SizeRef}
+	var got []string
+	for _, w := range All() {
+		for _, mode := range []shredlib.Mode{shredlib.ModeShred, shredlib.ModeThread} {
+			for _, sz := range sizes {
+				for _, extra := range []int64{0, shredlib.FlagProbePages, shredlib.FlagNoMP} {
+					d := recovered(func() string { return programDigest(w.BuildFlags(mode, sz, extra)) })
+					got = append(got, fmt.Sprintf("prog %s %s %s %d %s", w.Name, mode, sz, extra, d))
+				}
+			}
+		}
+	}
+	for _, w := range All() {
+		for _, sz := range sizes {
+			bits := recovered(func() string { return fmt.Sprintf("%016x", math.Float64bits(w.Ref(sz))) })
+			got = append(got, fmt.Sprintf("ref %s %s %s", w.Name, sz, bits))
+		}
+	}
+	checkGolden(t, goldenProgramsPath,
+		"# prog app mode size extra sha256 | ref app size float64-bits; rewrite with: go test ./internal/workloads -run TestGoldenPrograms -update",
+		got)
+}
 
 // TestGoldenCounters pins what the simulator computes, as opposed to how
 // fast: every evaluated app on the three configurations exp.Evaluate
@@ -41,25 +140,7 @@ func TestGoldenCounters(t *testing.T) {
 	if t.Failed() {
 		return
 	}
-	if *updateGolden {
-		out := "# app shape instructions cycles (-size test); rewrite with: go test ./internal/workloads -run TestGoldenCounters -update\n" +
-			strings.Join(got, "\n") + "\n"
-		if err := os.WriteFile(goldenCountersPath, []byte(out), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return
-	}
-	data, err := os.ReadFile(goldenCountersPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := strings.Split(strings.TrimSpace(string(data)), "\n")[1:] // drop the header
-	if len(want) != len(got) {
-		t.Fatalf("%s has %d points, this build ran %d", goldenCountersPath, len(want), len(got))
-	}
-	for i := range got {
-		if got[i] != want[i] {
-			t.Errorf("app shape instructions cycles:\n want %s\n  got %s", want[i], got[i])
-		}
-	}
+	checkGolden(t, goldenCountersPath,
+		"# app shape instructions cycles (-size test); rewrite with: go test ./internal/workloads -run TestGoldenCounters -update",
+		got)
 }
