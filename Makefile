@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build vet fmtcheck test race smoke verify ci benchsmoke perfcheck equivgrid fuzzcheck resultscheck faultcheck servecheck snapcheck crashcheck soakcheck
+.PHONY: build vet fmtcheck fmacheck test race smoke verify ci benchsmoke perfcheck equivgrid fuzzcheck resultscheck faultcheck servecheck snapcheck crashcheck soakcheck
 
 build:
 	$(GO) build ./...
@@ -11,6 +11,18 @@ vet:
 # fmtcheck fails when any file is not gofmt-clean.
 fmtcheck:
 	test -z "$$(gofmt -l .)"
+
+# fmacheck: Go may fuse x*y+z into one rounding on arm64 (amd64 never
+# does), which would make a reference checksum, or the raytracer scene
+# written into its program, differ by host. Every such product is
+# rounded with an explicit float64(...); this cross-builds each command
+# for arm64 and fails on any fused multiply-add (FMADDD, FMSUBD,
+# FNMADDD, FNMSUBD) in this module's own functions.
+fmacheck:
+	rm -rf /tmp/misp-fmacheck
+	GOARCH=arm64 $(GO) build -o /tmp/misp-fmacheck/ ./cmd/...
+	for f in /tmp/misp-fmacheck/*; do $(GO) tool objdump $$f > $$f.s || exit 1; done
+	awk '/^TEXT /{fn = $$2; next} fn ~ /^misp\// && /[[:space:]]FN?M(ADD|SUB)D[[:space:]]/ && !seen[fn, $$1]++ {print fn, $$1, $$4, $$5, $$6, $$7, $$8; bad = 1} END{exit bad}' /tmp/misp-fmacheck/*.s
 
 test:
 	$(GO) test ./...
@@ -159,4 +171,4 @@ soakcheck:
 	bash scripts/overload_smoke.sh
 
 # ci is the full gate run by the GitHub Actions workflow.
-ci: build vet fmtcheck test race smoke benchsmoke equivgrid fuzzcheck resultscheck faultcheck servecheck snapcheck crashcheck soakcheck
+ci: build vet fmtcheck fmacheck test race smoke benchsmoke equivgrid fuzzcheck resultscheck faultcheck servecheck snapcheck crashcheck soakcheck

@@ -1,36 +1,35 @@
 package workloads
 
-import (
-	"misp/internal/asm"
-	"misp/internal/shredlib"
-)
+import "misp/internal/asm"
 
 // The dense linear-algebra RMS kernels: dense_mmm, dense_mvm,
 // dense_mvm_sym, ADAt.
 
-// --- dense_mmm: C = A x B --------------------------------------------
+// squareParams is an n x n problem split into parfor chunks of grain rows.
+type squareParams struct{ n, grain int64 }
 
-type mmmParams struct{ n, grain int64 }
-
-func mmmSize(sz Size) mmmParams {
-	switch sz {
-	case SizeTest:
-		return mmmParams{24, 2}
-	case SizeSmall:
-		return mmmParams{48, 2}
-	default:
-		return mmmParams{96, 2}
-	}
+// squareSizes sizes dense_mmm and ADAt.
+var squareSizes = [numSizes]squareParams{
+	SizeTest:  {24, 2},
+	SizeSmall: {48, 2},
+	SizeRef:   {96, 2},
 }
 
-var _ = register(&Workload{
-	Name:  "dense_mmm",
-	Suite: "RMS",
-	BuildFlags: func(mode shredlib.Mode, sz Size, extra int64) *asm.Program {
-		p := mmmSize(sz)
-		n := p.n
-		b := newProgram(mode, extra)
+// mvmSizes sizes dense_mvm and dense_mvm_sym.
+var mvmSizes = [numSizes]iterParams{
+	SizeTest:  {96, 2, 8},
+	SizeSmall: {256, 3, 8},
+	SizeRef:   {512, 4, 16},
+}
 
+// --- dense_mmm: C = A x B --------------------------------------------
+
+var _ = define(def[squareParams]{
+	name:  "dense_mmm",
+	suite: "RMS",
+	sizes: squareSizes,
+	emit: func(b *asm.Builder, p squareParams) {
+		n := p.n
 		b.Label("app_main")
 		b.Prolog()
 		emitFillCall(b, "A", n*n, 1)
@@ -80,10 +79,8 @@ var _ = register(&Workload{
 		b.BSS("A", uint64(n*n*8))
 		b.BSS("B", uint64(n*n*8))
 		b.BSS("C", uint64(n*n*8))
-		return b.MustBuild()
 	},
-	Ref: func(sz Size) float64 {
-		p := mmmSize(sz)
+	ref: func(p squareParams) float64 {
 		n := int(p.n)
 		A := make([]float64, n*n)
 		B := make([]float64, n*n)
@@ -94,42 +91,23 @@ var _ = register(&Workload{
 			for j := 0; j < n; j++ {
 				acc := 0.0
 				for k := 0; k < n; k++ {
-					acc += A[i*n+k] * B[k*n+j]
+					acc += float64(A[i*n+k] * B[k*n+j])
 				}
 				C[i*n+j] = acc
 			}
 		}
-		sum := 0.0
-		for _, v := range C {
-			sum += v
-		}
-		return sum
+		return sumF64(C)
 	},
 })
 
 // --- dense_mvm: y = A x, repeated -------------------------------------
 
-type mvmParams struct{ n, t, grain int64 }
-
-func mvmSize(sz Size) mvmParams {
-	switch sz {
-	case SizeTest:
-		return mvmParams{96, 2, 8}
-	case SizeSmall:
-		return mvmParams{256, 3, 8}
-	default:
-		return mvmParams{512, 4, 16}
-	}
-}
-
-var _ = register(&Workload{
-	Name:  "dense_mvm",
-	Suite: "RMS",
-	BuildFlags: func(mode shredlib.Mode, sz Size, extra int64) *asm.Program {
-		p := mvmSize(sz)
+var _ = define(def[iterParams]{
+	name:  "dense_mvm",
+	suite: "RMS",
+	sizes: mvmSizes,
+	emit: func(b *asm.Builder, p iterParams) {
 		n := p.n
-		b := newProgram(mode, extra)
-
 		b.Label("app_main")
 		b.Prolog(r10)
 		emitFillCall(b, "A", n*n, 1)
@@ -172,10 +150,8 @@ var _ = register(&Workload{
 		b.BSS("A", uint64(n*n*8))
 		b.BSS("X", uint64(n*8))
 		b.BSS("Y", uint64(n*8))
-		return b.MustBuild()
 	},
-	Ref: func(sz Size) float64 {
-		p := mvmSize(sz)
+	ref: func(p iterParams) float64 {
 		n := int(p.n)
 		A := make([]float64, n*n)
 		X := make([]float64, n)
@@ -186,41 +162,24 @@ var _ = register(&Workload{
 			for i := 0; i < n; i++ {
 				acc := 0.0
 				for k := 0; k < n; k++ {
-					acc += A[i*n+k] * X[k]
+					acc += float64(A[i*n+k] * X[k])
 				}
 				Y[i] = acc
 			}
 		}
-		sum := 0.0
-		for _, v := range Y {
-			sum += v
-		}
-		return sum
+		return sumF64(Y)
 	},
 })
 
 // --- dense_mvm_sym: y = A x with packed symmetric A --------------------
 
-func mvmSymSize(sz Size) mvmParams {
-	switch sz {
-	case SizeTest:
-		return mvmParams{96, 2, 8}
-	case SizeSmall:
-		return mvmParams{256, 3, 8}
-	default:
-		return mvmParams{512, 4, 16}
-	}
-}
-
-var _ = register(&Workload{
-	Name:  "dense_mvm_sym",
-	Suite: "RMS",
-	BuildFlags: func(mode shredlib.Mode, sz Size, extra int64) *asm.Program {
-		p := mvmSymSize(sz)
+var _ = define(def[iterParams]{
+	name:  "dense_mvm_sym",
+	suite: "RMS",
+	sizes: mvmSizes,
+	emit: func(b *asm.Builder, p iterParams) {
 		n := p.n
 		ap := n * (n + 1) / 2
-		b := newProgram(mode, extra)
-
 		b.Label("app_main")
 		b.Prolog(r10)
 		emitFillCall(b, "AP", ap, 1)
@@ -300,10 +259,8 @@ var _ = register(&Workload{
 		b.BSS("AP", uint64(ap*8))
 		b.BSS("X", uint64(n*8))
 		b.BSS("Y", uint64(n*8))
-		return b.MustBuild()
 	},
-	Ref: func(sz Size) float64 {
-		p := mvmSymSize(sz)
+	ref: func(p iterParams) float64 {
 		n := int(p.n)
 		AP := make([]float64, n*(n+1)/2)
 		X := make([]float64, n)
@@ -315,47 +272,28 @@ var _ = register(&Workload{
 			for i := 0; i < n; i++ {
 				acc := 0.0
 				for j := 0; j < i; j++ {
-					acc += AP[idx(j, i)] * X[j]
+					acc += float64(AP[idx(j, i)] * X[j])
 				}
 				row := 0.0
 				for j := i; j < n; j++ {
-					row += AP[idx(i, j)] * X[j]
+					row += float64(AP[idx(i, j)] * X[j])
 				}
 				acc += row
 				Y[i] = acc
 			}
 		}
-		sum := 0.0
-		for _, v := range Y {
-			sum += v
-		}
-		return sum
+		return sumF64(Y)
 	},
 })
 
 // --- ADAt: B = A D A^T -------------------------------------------------
 
-type adatParams struct{ n, grain int64 }
-
-func adatSize(sz Size) adatParams {
-	switch sz {
-	case SizeTest:
-		return adatParams{24, 2}
-	case SizeSmall:
-		return adatParams{48, 2}
-	default:
-		return adatParams{96, 2}
-	}
-}
-
-var _ = register(&Workload{
-	Name:  "ADAt",
-	Suite: "RMS",
-	BuildFlags: func(mode shredlib.Mode, sz Size, extra int64) *asm.Program {
-		p := adatSize(sz)
+var _ = define(def[squareParams]{
+	name:  "ADAt",
+	suite: "RMS",
+	sizes: squareSizes,
+	emit: func(b *asm.Builder, p squareParams) {
 		n := p.n
-		b := newProgram(mode, extra)
-
 		b.Label("app_main")
 		b.Prolog()
 		emitFillCall(b, "A", n*n, 1)
@@ -443,10 +381,8 @@ var _ = register(&Workload{
 		b.BSS("D", uint64(n*8))
 		b.BSS("E", uint64(n*n*8))
 		b.BSS("B", uint64(n*n*8))
-		return b.MustBuild()
 	},
-	Ref: func(sz Size) float64 {
-		p := adatSize(sz)
+	ref: func(p squareParams) float64 {
 		n := int(p.n)
 		A := make([]float64, n*n)
 		D := make([]float64, n)
@@ -463,15 +399,11 @@ var _ = register(&Workload{
 			for j := 0; j < n; j++ {
 				acc := 0.0
 				for k := 0; k < n; k++ {
-					acc += E[i*n+k] * A[j*n+k]
+					acc += float64(E[i*n+k] * A[j*n+k])
 				}
 				B[i*n+j] = acc
 			}
 		}
-		sum := 0.0
-		for _, v := range B {
-			sum += v
-		}
-		return sum
+		return sumF64(B)
 	},
 })

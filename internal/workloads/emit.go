@@ -28,7 +28,7 @@ const (
 
 // newProgram starts a workload program in the given runtime mode and
 // emits the shared helper functions. flags already includes any
-// harness-supplied extra flags (Workload.BuildFlags).
+// harness-supplied extra flags (define).
 func newProgram(mode shredlib.Mode, flags int64) *asm.Builder {
 	b := shredlib.NewProgram(mode, flags)
 	emitFillRand(b)
@@ -85,6 +85,15 @@ func emitSumF64(b *asm.Builder) {
 	b.Ret()
 }
 
+// sumF64 is the Go twin of sum_f64.
+func sumF64(xs []float64) float64 {
+	sum := 0.0
+	for _, v := range xs {
+		sum += v
+	}
+	return sum
+}
+
 // emitDots emits dots(aPtr, bPtr, count, bStrideBytes) -> f0: a strided
 // dot product (the inner loop of every dense kernel).
 func emitDots(b *asm.Builder) {
@@ -133,6 +142,38 @@ func emitFillCall(b *asm.Builder, sym string, count int64, seed int64) {
 // chunks returns ceil(n/grain) — the number of parfor chunks, used to
 // size per-chunk partial-result arrays.
 func chunks(n, grain int64) int64 { return (n + grain - 1) / grain }
+
+// eachChunk calls f with each rt_parfor chunk of [0, n), in chunk order:
+// the serial twin of the parallel partition.
+func eachChunk(n, grain int64, f func(c, lo, hi int)) {
+	for c := int64(0); c < chunks(n, grain); c++ {
+		f(int(c), int(c*grain), int(min((c+1)*grain, n)))
+	}
+}
+
+// emitSlabZeroAndBase emits the per-chunk preamble of the kernels that
+// accumulate into a private slab of sym: compute the chunk's slab base
+// (n float64s per chunk) into r13, zero it, and fall through to
+// afterLbl. lo must still be in r1.
+func emitSlabZeroAndBase(b *asm.Builder, sym string, grain, n int64, zeroLbl, afterLbl string) {
+	b.Li(r6, grain)
+	b.Div(r7, r1, r6)
+	b.Li(r6, n*8)
+	b.Mul(r7, r7, r6)
+	b.La(r6, sym)
+	b.Add(r13, r6, r7)
+	b.Li(r6, 0)
+	b.Li(r7, n)
+	b.Mov(r8, r13)
+	b.Label(zeroLbl)
+	b.Li(r9, 0)
+	b.Beq(r7, r9, afterLbl)
+	b.St(r6, r8, 0)
+	b.Addi(r8, r8, 8)
+	b.Addi(r7, r7, -1)
+	b.Jmp(zeroLbl)
+	b.Label(afterLbl)
+}
 
 // fmviInstr builds an FMVI (raw bit move, integer to float register).
 func fmviInstr(fd, rs uint8) isa.Instr {

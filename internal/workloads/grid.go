@@ -4,7 +4,6 @@ import (
 	"math"
 
 	"misp/internal/asm"
-	"misp/internal/shredlib"
 )
 
 // gauss: red-black Gauss-Seidel iterative solver on an (n+2)^2 grid
@@ -12,28 +11,17 @@ import (
 // within a phase every update reads only opposite-color neighbours, so
 // the parallel schedule cannot change the result.
 
-type gaussParams struct{ n, t, grain int64 }
-
-func gaussSize(sz Size) gaussParams {
-	switch sz {
-	case SizeTest:
-		return gaussParams{32, 2, 4}
-	case SizeSmall:
-		return gaussParams{64, 4, 4}
-	default:
-		return gaussParams{128, 6, 8}
-	}
-}
-
-var _ = register(&Workload{
-	Name:  "gauss",
-	Suite: "RMS",
-	BuildFlags: func(mode shredlib.Mode, sz Size, extra int64) *asm.Program {
-		p := gaussSize(sz)
+var _ = define(def[iterParams]{
+	name:  "gauss",
+	suite: "RMS",
+	sizes: [numSizes]iterParams{
+		SizeTest:  {32, 2, 4},
+		SizeSmall: {64, 4, 4},
+		SizeRef:   {128, 6, 8},
+	},
+	emit: func(b *asm.Builder, p iterParams) {
 		n := p.n
 		w := n + 2 // row width
-		b := newProgram(mode, extra)
-
 		b.Label("app_main")
 		b.Prolog(r10, r11)
 		emitFillCall(b, "G", w*w, 1)
@@ -104,10 +92,8 @@ var _ = register(&Workload{
 
 		b.BSS("G", uint64(w*w*8))
 		b.BSS("color", 8)
-		return b.MustBuild()
 	},
-	Ref: func(sz Size) float64 {
-		p := gaussSize(sz)
+	ref: func(p iterParams) float64 {
 		n := int(p.n)
 		w := n + 2
 		G := make([]float64, w*w)
@@ -125,11 +111,7 @@ var _ = register(&Workload{
 				}
 			}
 		}
-		sum := 0.0
-		for _, v := range G {
-			sum += v
-		}
-		return sum
+		return sumF64(G)
 	},
 })
 
@@ -141,26 +123,17 @@ type kmeansParams struct {
 	pts, dims, k, t, grain int64
 }
 
-func kmeansSize(sz Size) kmeansParams {
-	switch sz {
-	case SizeTest:
-		return kmeansParams{192, 4, 8, 2, 24}
-	case SizeSmall:
-		return kmeansParams{768, 4, 8, 3, 48}
-	default:
-		return kmeansParams{3072, 4, 8, 4, 96}
-	}
-}
-
-var _ = register(&Workload{
-	Name:  "kmeans",
-	Suite: "RMS",
-	BuildFlags: func(mode shredlib.Mode, sz Size, extra int64) *asm.Program {
-		p := kmeansSize(sz)
+var _ = define(def[kmeansParams]{
+	name:  "kmeans",
+	suite: "RMS",
+	sizes: [numSizes]kmeansParams{
+		SizeTest:  {192, 4, 8, 2, 24},
+		SizeSmall: {768, 4, 8, 3, 48},
+		SizeRef:   {3072, 4, 8, 4, 96},
+	},
+	emit: func(b *asm.Builder, p kmeansParams) {
 		nc := chunks(p.pts, p.grain)
 		slab := p.k*p.dims + p.k // per-chunk floats: sums then counts
-		b := newProgram(mode, extra)
-
 		b.Label("app_main")
 		b.Prolog(r10, r11, r12, r13)
 		emitFillCall(b, "PTS", p.pts*p.dims, 1)
@@ -257,25 +230,7 @@ var _ = register(&Workload{
 		b.Prolog(r10, r11, r12, r13)
 		b.Mov(r10, r1) // p (lo)
 		b.Mov(r11, r2) // hi
-		// slab base -> r13
-		b.Li(r6, p.grain)
-		b.Div(r7, r1, r6)
-		b.Li(r6, slab*8)
-		b.Mul(r7, r7, r6)
-		b.La(r6, "PART")
-		b.Add(r13, r6, r7)
-		// zero slab
-		b.Li(r6, 0)
-		b.Li(r7, slab)
-		b.Mov(r8, r13)
-		b.Label("ka_zero")
-		b.Li(r9, 0)
-		b.Beq(r7, r9, "ka_pts")
-		b.St(r6, r8, 0)
-		b.Addi(r8, r8, 8)
-		b.Addi(r7, r7, -1)
-		b.Jmp("ka_zero")
-		b.Label("ka_pts")
+		emitSlabZeroAndBase(b, "PART", p.grain, slab, "ka_zero", "ka_pts")
 		b.Bge(r10, r11, "ka_done")
 		// find nearest centroid: best k in r12, best dist in f6
 		b.Li(r12, 0) // best k
@@ -360,10 +315,8 @@ var _ = register(&Workload{
 		b.BSS("PTS", uint64(p.pts*p.dims*8))
 		b.BSS("CENT", uint64(p.k*p.dims*8))
 		b.BSS("PART", uint64(nc*slab*8))
-		return b.MustBuild()
 	},
-	Ref: func(sz Size) float64 {
-		p := kmeansSize(sz)
+	ref: func(p kmeansParams) float64 {
 		nc := int(chunks(p.pts, p.grain))
 		dims, K := int(p.dims), int(p.k)
 		slab := K*dims + K
@@ -373,15 +326,8 @@ var _ = register(&Workload{
 		fillRand(PTS, 1)
 		fillRand(CENT, 2)
 		for t := int64(0); t < p.t; t++ {
-			for i := range PART {
-				PART[i] = 0
-			}
-			for c := 0; c < nc; c++ {
-				lo := c * int(p.grain)
-				hi := lo + int(p.grain)
-				if hi > int(p.pts) {
-					hi = int(p.pts)
-				}
+			clear(PART)
+			eachChunk(p.pts, p.grain, func(c, lo, hi int) {
 				sl := PART[c*slab:]
 				for pt := lo; pt < hi; pt++ {
 					best, bestD := 0, math.Inf(1)
@@ -389,7 +335,7 @@ var _ = register(&Workload{
 						acc := 0.0
 						for d := 0; d < dims; d++ {
 							diff := PTS[pt*dims+d] - CENT[k*dims+d]
-							acc += diff * diff
+							acc += float64(diff * diff)
 						}
 						if acc < bestD {
 							bestD = acc
@@ -401,7 +347,7 @@ var _ = register(&Workload{
 					}
 					sl[K*dims+best] += 1.0
 				}
-			}
+			})
 			for k := 0; k < K; k++ {
 				cnt := 0.0
 				for c := 0; c < nc; c++ {
@@ -419,10 +365,6 @@ var _ = register(&Workload{
 				}
 			}
 		}
-		sum := 0.0
-		for _, v := range CENT {
-			sum += v
-		}
-		return sum
+		return sumF64(CENT)
 	},
 })

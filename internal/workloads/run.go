@@ -23,18 +23,13 @@ type RunResult struct {
 // Run executes workload w in the given runtime mode on a machine built
 // from cfg.
 func Run(w *Workload, mode shredlib.Mode, cfg core.Config, sz Size) (*RunResult, error) {
-	return RunFlags(w, mode, cfg, sz, 0)
+	return RunCtx(context.Background(), w, mode, cfg, sz)
 }
 
 // RunCtx is Run with cancellation: when ctx is canceled the simulation
 // aborts at its next event horizon and the error wraps ctx's cause.
 func RunCtx(ctx context.Context, w *Workload, mode shredlib.Mode, cfg core.Config, sz Size) (*RunResult, error) {
-	return RunFlagsCtx(ctx, w, mode, cfg, sz, 0)
-}
-
-// RunFlagsCtx is RunFlags with cancellation.
-func RunFlagsCtx(ctx context.Context, w *Workload, mode shredlib.Mode, cfg core.Config, sz Size, extra int64) (*RunResult, error) {
-	pr, err := PrepareFlags(w, mode, cfg, sz, extra)
+	pr, err := Prepare(w, mode, cfg, sz)
 	if err != nil {
 		return nil, err
 	}
@@ -43,11 +38,6 @@ func RunFlagsCtx(ctx context.Context, w *Workload, mode shredlib.Mode, cfg core.
 		pr.Release() // nobody else holds the failed machine
 	}
 	return res, err
-}
-
-// RunFlags is Run with extra rt_init flags (ablation knobs).
-func RunFlags(w *Workload, mode shredlib.Mode, cfg core.Config, sz Size, extra int64) (*RunResult, error) {
-	return RunFlagsCtx(context.Background(), w, mode, cfg, sz, extra)
 }
 
 // Release recycles the run's machine memory (core.Machine.Release)

@@ -1,9 +1,6 @@
 package workloads
 
-import (
-	"misp/internal/asm"
-	"misp/internal/shredlib"
-)
+import "misp/internal/asm"
 
 // The sparse RMS kernels. Matrices are fixed-degree CSR: R nonzeros
 // per row, column indices from the deterministic LCG stream. The
@@ -13,28 +10,18 @@ import (
 
 const sparseR = 8 // nonzeros per row
 
-type sparseParams struct{ n, t, grain int64 }
-
-func sparseSize(sz Size) sparseParams {
-	switch sz {
-	case SizeTest:
-		return sparseParams{256, 2, 32}
-	case SizeSmall:
-		return sparseParams{1024, 3, 64}
-	default:
-		return sparseParams{4096, 4, 256}
-	}
+var sparseSizes = [numSizes]iterParams{
+	SizeTest:  {256, 2, 32},
+	SizeSmall: {1024, 3, 64},
+	SizeRef:   {4096, 4, 256},
 }
 
-func sparseSymSize(sz Size) sparseParams {
-	switch sz {
-	case SizeTest:
-		return sparseParams{192, 2, 16}
-	case SizeSmall:
-		return sparseParams{768, 3, 64}
-	default:
-		return sparseParams{2048, 4, 128}
-	}
+// sparseSymSizes sizes both scatter kernels, sparse_mvm_sym and
+// sparse_mvm_trans.
+var sparseSymSizes = [numSizes]iterParams{
+	SizeTest:  {192, 2, 16},
+	SizeSmall: {768, 3, 64},
+	SizeRef:   {2048, 4, 128},
 }
 
 // emitColInitUniform emits col_init(): COL[i*R+r] = (x>>11) % n.
@@ -115,28 +102,6 @@ func colsUpper(n int64) []int64 {
 	return out
 }
 
-// emitSlabZeroAndBase emits the per-chunk preamble used by the scatter
-// kernels: compute the chunk's private slab base into r13 and zero it.
-// lo must still be in r1. n is the slab length in float64s.
-func emitSlabZeroAndBase(b *asm.Builder, grain, n int64, zeroLbl, afterLbl string) {
-	b.Li(r6, grain)
-	b.Div(r7, r1, r6)
-	b.Li(r6, n*8)
-	b.Mul(r7, r7, r6)
-	b.La(r6, "SLAB")
-	b.Add(r13, r6, r7)
-	b.Li(r6, 0)
-	b.Li(r7, n)
-	b.Mov(r8, r13)
-	b.Label(zeroLbl)
-	b.Li(r9, 0)
-	b.Beq(r7, r9, afterLbl)
-	b.St(r6, r8, 0)
-	b.Addi(r8, r8, 8)
-	b.Addi(r7, r7, -1)
-	b.Jmp(zeroLbl)
-}
-
 // emitSlabMerge emits the serial merge: Y[i] = sum over chunks of
 // SLAB[c*n + i], in chunk order.
 func emitSlabMerge(b *asm.Builder, n, nc int64) {
@@ -170,14 +135,82 @@ func emitSlabMerge(b *asm.Builder, n, nc int64) {
 	b.Label("mg_done")
 }
 
-var _ = register(&Workload{
-	Name:  "sparse_mvm",
-	Suite: "RMS",
-	BuildFlags: func(mode shredlib.Mode, sz Size, extra int64) *asm.Program {
-		p := sparseSize(sz)
-		n := p.n
-		b := newProgram(mode, extra)
+// mergeSlabs is the Go twin of emitSlabMerge: y[i] is the sum over the
+// len(slab)/len(y) chunk slabs of slab[c*n+i], in chunk order.
+func mergeSlabs(y, slab []float64) {
+	n := len(y)
+	nc := len(slab) / n
+	for i := range y {
+		acc := 0.0
+		for c := 0; c < nc; c++ {
+			acc += slab[c*n+i]
+		}
+		y[i] = acc
+	}
+}
 
+// emitRowSpMV emits <pre>_body(lo, hi): y_i = sum_r VAL[i*R+r] * x[COL[i*R+r]]
+// for the rows [lo, hi), with labels <pre>b_*. sparse_mvm and equake
+// share it.
+func emitRowSpMV(b *asm.Builder, pre, x string) {
+	b.Label(pre + "_body")
+	b.Prolog(r10, r11, r12)
+	b.Mov(r10, r1)
+	b.Mov(r11, r2)
+	b.Label(pre + "b_i")
+	b.Bge(r10, r11, pre+"b_done")
+	b.Li(r6, 0)
+	b.Emit(fmviInstr(4, r6)) // acc
+	b.Li(r12, 0)             // r
+	b.Label(pre + "b_r")
+	b.Li(r9, sparseR)
+	b.Bge(r12, r9, pre+"b_store")
+	b.Li(r6, sparseR)
+	b.Mul(r6, r10, r6)
+	b.Add(r6, r6, r12)
+	b.Shli(r6, r6, 3) // (i*R+r)*8
+	b.La(r7, "COL")
+	b.Add(r7, r7, r6)
+	b.Ld(r8, r7, 0) // c
+	b.La(r7, "VAL")
+	b.Add(r7, r7, r6)
+	b.Fld(1, r7, 0)
+	b.Shli(r8, r8, 3)
+	b.La(r7, x)
+	b.Add(r7, r7, r8)
+	b.Fld(2, r7, 0)
+	b.Fmul(1, 1, 2)
+	b.Fadd(4, 4, 1)
+	b.Addi(r12, r12, 1)
+	b.Jmp(pre + "b_r")
+	b.Label(pre + "b_store")
+	b.Shli(r6, r10, 3)
+	b.La(r7, "Y")
+	b.Add(r6, r7, r6)
+	b.Fst(4, r6, 0)
+	b.Addi(r10, r10, 1)
+	b.Jmp(pre + "b_i")
+	b.Label(pre + "b_done")
+	b.Epilog(r10, r11, r12)
+}
+
+// refSpMV is the Go twin of emitRowSpMV over every row.
+func refSpMV(y, val, x []float64, col []int64) {
+	for i := range y {
+		acc := 0.0
+		for r := 0; r < sparseR; r++ {
+			acc += float64(val[i*sparseR+r] * x[col[i*sparseR+r]])
+		}
+		y[i] = acc
+	}
+}
+
+var _ = define(def[iterParams]{
+	name:  "sparse_mvm",
+	suite: "RMS",
+	sizes: sparseSizes,
+	emit: func(b *asm.Builder, p iterParams) {
+		n := p.n
 		b.Label("app_main")
 		b.Prolog(r10)
 		b.Call("col_init")
@@ -195,56 +228,15 @@ var _ = register(&Workload{
 		emitFinish(b)
 		b.Epilog(r10)
 
-		// sp_body(lo, hi): y_i = sum_r VAL[i*R+r] * X[COL[i*R+r]].
-		b.Label("sp_body")
-		b.Prolog(r10, r11, r12)
-		b.Mov(r10, r1)
-		b.Mov(r11, r2)
-		b.Label("spb_i")
-		b.Bge(r10, r11, "spb_done")
-		b.Li(r6, 0)
-		b.Emit(fmviInstr(4, r6)) // acc
-		b.Li(r12, 0)             // r
-		b.Label("spb_r")
-		b.Li(r9, sparseR)
-		b.Bge(r12, r9, "spb_store")
-		b.Li(r6, sparseR)
-		b.Mul(r6, r10, r6)
-		b.Add(r6, r6, r12)
-		b.Shli(r6, r6, 3) // (i*R+r)*8
-		b.La(r7, "COL")
-		b.Add(r7, r7, r6)
-		b.Ld(r8, r7, 0) // c
-		b.La(r7, "VAL")
-		b.Add(r7, r7, r6)
-		b.Fld(1, r7, 0)
-		b.Shli(r8, r8, 3)
-		b.La(r7, "X")
-		b.Add(r7, r7, r8)
-		b.Fld(2, r7, 0)
-		b.Fmul(1, 1, 2)
-		b.Fadd(4, 4, 1)
-		b.Addi(r12, r12, 1)
-		b.Jmp("spb_r")
-		b.Label("spb_store")
-		b.Shli(r6, r10, 3)
-		b.La(r7, "Y")
-		b.Add(r6, r7, r6)
-		b.Fst(4, r6, 0)
-		b.Addi(r10, r10, 1)
-		b.Jmp("spb_i")
-		b.Label("spb_done")
-		b.Epilog(r10, r11, r12)
+		emitRowSpMV(b, "sp", "X")
 
 		emitColInitUniform(b, n)
 		b.BSS("COL", uint64(n*sparseR*8))
 		b.BSS("VAL", uint64(n*sparseR*8))
 		b.BSS("X", uint64(n*8))
 		b.BSS("Y", uint64(n*8))
-		return b.MustBuild()
 	},
-	Ref: func(sz Size) float64 {
-		p := sparseSize(sz)
+	ref: func(p iterParams) float64 {
 		n := int(p.n)
 		col := colsUniform(p.n)
 		val := make([]float64, n*sparseR)
@@ -253,31 +245,19 @@ var _ = register(&Workload{
 		fillRand(val, 2)
 		fillRand(x, 3)
 		for t := int64(0); t < p.t; t++ {
-			for i := 0; i < n; i++ {
-				acc := 0.0
-				for r := 0; r < sparseR; r++ {
-					acc += val[i*sparseR+r] * x[col[i*sparseR+r]]
-				}
-				y[i] = acc
-			}
+			refSpMV(y, val, x, col)
 		}
-		sum := 0.0
-		for _, v := range y {
-			sum += v
-		}
-		return sum
+		return sumF64(y)
 	},
 })
 
-var _ = register(&Workload{
-	Name:  "sparse_mvm_sym",
-	Suite: "RMS",
-	BuildFlags: func(mode shredlib.Mode, sz Size, extra int64) *asm.Program {
-		p := sparseSymSize(sz)
+var _ = define(def[iterParams]{
+	name:  "sparse_mvm_sym",
+	suite: "RMS",
+	sizes: sparseSymSizes,
+	emit: func(b *asm.Builder, p iterParams) {
 		n := p.n
 		nc := chunks(n, p.grain)
-		b := newProgram(mode, extra)
-
 		b.Label("app_main")
 		b.Prolog(r10, r11, r12)
 		b.Call("col_init")
@@ -302,8 +282,7 @@ var _ = register(&Workload{
 		b.Prolog(r10, r11, r12, r13)
 		b.Mov(r10, r1)
 		b.Mov(r11, r2)
-		emitSlabZeroAndBase(b, p.grain, n, "syz", "sy_rows")
-		b.Label("sy_rows")
+		emitSlabZeroAndBase(b, "SLAB", p.grain, n, "syz", "sy_rows")
 		b.Bge(r10, r11, "sy_done")
 		b.Li(r12, 0) // r
 		b.Label("sy_r")
@@ -357,65 +336,44 @@ var _ = register(&Workload{
 		b.BSS("X", uint64(n*8))
 		b.BSS("Y", uint64(n*8))
 		b.BSS("SLAB", uint64(nc*n*8))
-		return b.MustBuild()
 	},
-	Ref: func(sz Size) float64 {
-		p := sparseSymSize(sz)
+	ref: func(p iterParams) float64 {
 		n := int(p.n)
-		nc := int(chunks(p.n, p.grain))
 		col := colsUpper(p.n)
 		val := make([]float64, n*sparseR)
 		x := make([]float64, n)
 		y := make([]float64, n)
-		slab := make([]float64, nc*n)
+		slab := make([]float64, int(chunks(p.n, p.grain))*n)
 		fillRand(val, 2)
 		fillRand(x, 3)
 		for t := int64(0); t < p.t; t++ {
-			for i := range slab {
-				slab[i] = 0
-			}
-			for c := 0; c < nc; c++ {
-				lo, hi := c*int(p.grain), (c+1)*int(p.grain)
-				if hi > n {
-					hi = n
-				}
+			clear(slab)
+			eachChunk(p.n, p.grain, func(c, lo, hi int) {
 				sl := slab[c*n:]
 				for i := lo; i < hi; i++ {
 					for r := 0; r < sparseR; r++ {
 						cc := col[i*sparseR+r]
 						v := val[i*sparseR+r]
-						sl[i] += v * x[cc]
+						sl[i] += float64(v * x[cc])
 						if int(cc) != i {
-							sl[cc] += v * x[i]
+							sl[cc] += float64(v * x[i])
 						}
 					}
 				}
-			}
-			for i := 0; i < n; i++ {
-				acc := 0.0
-				for c := 0; c < nc; c++ {
-					acc += slab[c*n+i]
-				}
-				y[i] = acc
-			}
+			})
+			mergeSlabs(y, slab)
 		}
-		sum := 0.0
-		for _, v := range y {
-			sum += v
-		}
-		return sum
+		return sumF64(y)
 	},
 })
 
-var _ = register(&Workload{
-	Name:  "sparse_mvm_trans",
-	Suite: "RMS",
-	BuildFlags: func(mode shredlib.Mode, sz Size, extra int64) *asm.Program {
-		p := sparseSymSize(sz)
+var _ = define(def[iterParams]{
+	name:  "sparse_mvm_trans",
+	suite: "RMS",
+	sizes: sparseSymSizes,
+	emit: func(b *asm.Builder, p iterParams) {
 		n := p.n
 		nc := chunks(n, p.grain)
-		b := newProgram(mode, extra)
-
 		b.Label("app_main")
 		b.Prolog(r10, r11, r12)
 		b.Call("col_init")
@@ -439,8 +397,7 @@ var _ = register(&Workload{
 		b.Prolog(r10, r11, r12, r13)
 		b.Mov(r10, r1)
 		b.Mov(r11, r2)
-		emitSlabZeroAndBase(b, p.grain, n, "stz", "st_rows")
-		b.Label("st_rows")
+		emitSlabZeroAndBase(b, "SLAB", p.grain, n, "stz", "st_rows")
 		b.Bge(r10, r11, "st_done")
 		// f5 = X[i]
 		b.Shli(r6, r10, 3)
@@ -481,48 +438,29 @@ var _ = register(&Workload{
 		b.BSS("X", uint64(n*8))
 		b.BSS("Y", uint64(n*8))
 		b.BSS("SLAB", uint64(nc*n*8))
-		return b.MustBuild()
 	},
-	Ref: func(sz Size) float64 {
-		p := sparseSymSize(sz)
+	ref: func(p iterParams) float64 {
 		n := int(p.n)
-		nc := int(chunks(p.n, p.grain))
 		col := colsUniform(p.n)
 		val := make([]float64, n*sparseR)
 		x := make([]float64, n)
 		y := make([]float64, n)
-		slab := make([]float64, nc*n)
+		slab := make([]float64, int(chunks(p.n, p.grain))*n)
 		fillRand(val, 2)
 		fillRand(x, 3)
 		for t := int64(0); t < p.t; t++ {
-			for i := range slab {
-				slab[i] = 0
-			}
-			for c := 0; c < nc; c++ {
-				lo, hi := c*int(p.grain), (c+1)*int(p.grain)
-				if hi > n {
-					hi = n
-				}
+			clear(slab)
+			eachChunk(p.n, p.grain, func(c, lo, hi int) {
 				sl := slab[c*n:]
 				for i := lo; i < hi; i++ {
 					xv := x[i]
 					for r := 0; r < sparseR; r++ {
-						sl[col[i*sparseR+r]] += val[i*sparseR+r] * xv
+						sl[col[i*sparseR+r]] += float64(val[i*sparseR+r] * xv)
 					}
 				}
-			}
-			for i := 0; i < n; i++ {
-				acc := 0.0
-				for c := 0; c < nc; c++ {
-					acc += slab[c*n+i]
-				}
-				y[i] = acc
-			}
+			})
+			mergeSlabs(y, slab)
 		}
-		sum := 0.0
-		for _, v := range y {
-			sum += v
-		}
-		return sum
+		return sumF64(y)
 	},
 })

@@ -1,6 +1,8 @@
 package workloads
 
 import (
+	"math"
+
 	"misp/internal/asm"
 	"misp/internal/shredlib"
 )
@@ -13,24 +15,11 @@ import (
 // OS interaction from the OpenMP runtime (tens of thousands of
 // syscalls). The analogs reproduce that signature: multi-array grid
 // and sparse solvers over page-rich data, parallelized with the same
-// rt_parfor phase structure, with FlagYieldOnIdle making the gang
+// rt_parfor phase structure, with their flags making the gang
 // schedulers yield to the OS while idle — the OpenMP-runtime behaviour
 // that generates the SPEComp rows' OMS syscall counts.
 
 // --- swim: shallow-water stencil (two coupled fields, double buffered) --
-
-type swimParams struct{ n, t, grain int64 }
-
-func swimSize(sz Size) swimParams {
-	switch sz {
-	case SizeTest:
-		return swimParams{64, 2, 8}
-	case SizeSmall:
-		return swimParams{96, 4, 8}
-	default:
-		return swimParams{160, 6, 10}
-	}
-}
 
 // emitStencil emits name(lo,hi): dst[i][j] = src[i][j] + dt*lap(lapSrc)[i][j].
 func emitStencil(b *asm.Builder, name, dst, src, lapSrc string, w int64, dt float64) {
@@ -85,22 +74,24 @@ func refStencil(dst, src, lapSrc []float64, w, n int, dt float64) {
 	for i := 1; i <= n; i++ {
 		for j := 1; j <= n; j++ {
 			idx := i*w + j
-			lap := 0.25*(lapSrc[idx-w]+lapSrc[idx+w]+lapSrc[idx-1]+lapSrc[idx+1]) - lapSrc[idx]
-			dst[idx] = src[idx] + dt*lap
+			lap := float64(0.25*(lapSrc[idx-w]+lapSrc[idx+w]+lapSrc[idx-1]+lapSrc[idx+1])) - lapSrc[idx]
+			dst[idx] = src[idx] + float64(dt*lap)
 		}
 	}
 }
 
-var _ = register(&Workload{
-	Name:  "swim",
-	Suite: "SPEComp",
-	Flags: shredlib.FlagYieldOnIdle,
-	BuildFlags: func(mode shredlib.Mode, sz Size, extra int64) *asm.Program {
-		p := swimSize(sz)
+var _ = define(def[iterParams]{
+	name:  "swim",
+	suite: "SPEComp",
+	flags: shredlib.FlagYieldOnIdle,
+	sizes: [numSizes]iterParams{
+		SizeTest:  {64, 2, 8},
+		SizeSmall: {96, 4, 8},
+		SizeRef:   {160, 6, 10},
+	},
+	emit: func(b *asm.Builder, p iterParams) {
 		n := p.n
 		w := n + 2
-		b := newProgram(mode, shredlib.FlagYieldOnIdle|extra)
-
 		b.Label("app_main")
 		b.Prolog(r10)
 		emitFillCall(b, "U", w*w, 1)
@@ -134,10 +125,8 @@ var _ = register(&Workload{
 		b.BSS("V", uint64(w*w*8))
 		b.BSS("U2", uint64(w*w*8))
 		b.BSS("V2", uint64(w*w*8))
-		return b.MustBuild()
 	},
-	Ref: func(sz Size) float64 {
-		p := swimSize(sz)
+	ref: func(p iterParams) float64 {
 		n := int(p.n)
 		w := n + 2
 		U := make([]float64, w*w)
@@ -152,40 +141,24 @@ var _ = register(&Workload{
 			refStencil(U, U2, V2, w, n, 0.2)
 			refStencil(V, V2, U2, w, n, 0.2)
 		}
-		sumU, sumV := 0.0, 0.0
-		for _, v := range U {
-			sumU += v
-		}
-		for _, v := range V {
-			sumV += v
-		}
-		return sumV + sumU
+		return sumF64(V) + sumF64(U)
 	},
 })
 
 // --- applu: SSOR relaxation sweeps --------------------------------------
 
-func appluSize(sz Size) gaussParams {
-	switch sz {
-	case SizeTest:
-		return gaussParams{40, 2, 4}
-	case SizeSmall:
-		return gaussParams{96, 4, 8}
-	default:
-		return gaussParams{160, 5, 10}
-	}
-}
-
-var _ = register(&Workload{
-	Name:  "applu",
-	Suite: "SPEComp",
-	Flags: shredlib.FlagYieldOnIdle,
-	BuildFlags: func(mode shredlib.Mode, sz Size, extra int64) *asm.Program {
-		p := appluSize(sz)
+var _ = define(def[iterParams]{
+	name:  "applu",
+	suite: "SPEComp",
+	flags: shredlib.FlagYieldOnIdle,
+	sizes: [numSizes]iterParams{
+		SizeTest:  {40, 2, 4},
+		SizeSmall: {96, 4, 8},
+		SizeRef:   {160, 5, 10},
+	},
+	emit: func(b *asm.Builder, p iterParams) {
 		n := p.n
 		w := n + 2
-		b := newProgram(mode, shredlib.FlagYieldOnIdle|extra)
-
 		b.Label("app_main")
 		b.Prolog(r10, r11)
 		emitFillCall(b, "G", w*w, 1)
@@ -269,10 +242,8 @@ var _ = register(&Workload{
 		b.BSS("G", uint64(w*w*8))
 		b.BSS("RHS", uint64(w*w*8))
 		b.BSS("color", 8)
-		return b.MustBuild()
 	},
-	Ref: func(sz Size) float64 {
-		p := appluSize(sz)
+	ref: func(p iterParams) float64 {
 		n := int(p.n)
 		w := n + 2
 		G := make([]float64, w*w)
@@ -288,44 +259,29 @@ var _ = register(&Workload{
 					}
 					for j := j0; j <= n; j += 2 {
 						idx := i*w + j
-						val := 0.25 * (G[idx-w] + G[idx+w] + G[idx-1] + G[idx+1])
-						G[idx] = 0.9*(val+RHS[idx]) + 0.1*G[idx]
+						val := float64(0.25 * (G[idx-w] + G[idx+w] + G[idx-1] + G[idx+1]))
+						G[idx] = float64(0.9*(val+RHS[idx])) + float64(0.1*G[idx])
 					}
 				}
 			}
 		}
-		sum := 0.0
-		for _, v := range G {
-			sum += v
-		}
-		return sum
+		return sumF64(G)
 	},
 })
 
 // --- galgel: dense kernel with heavy serial temp-buffer churn ------------
 
-type galgelParams struct{ n, t, grain int64 }
-
-func galgelSize(sz Size) galgelParams {
-	switch sz {
-	case SizeTest:
-		return galgelParams{24, 2, 2}
-	case SizeSmall:
-		return galgelParams{48, 3, 2}
-	default:
-		return galgelParams{80, 4, 2}
-	}
-}
-
-var _ = register(&Workload{
-	Name:  "galgel",
-	Suite: "SPEComp",
-	Flags: shredlib.FlagYieldOnIdle,
-	BuildFlags: func(mode shredlib.Mode, sz Size, extra int64) *asm.Program {
-		p := galgelSize(sz)
+var _ = define(def[iterParams]{
+	name:  "galgel",
+	suite: "SPEComp",
+	flags: shredlib.FlagYieldOnIdle,
+	sizes: [numSizes]iterParams{
+		SizeTest:  {24, 2, 2},
+		SizeSmall: {48, 3, 2},
+		SizeRef:   {80, 4, 2},
+	},
+	emit: func(b *asm.Builder, p iterParams) {
 		n := p.n
-		b := newProgram(mode, shredlib.FlagYieldOnIdle|extra)
-
 		b.Label("app_main")
 		b.Prolog(r10, r11)
 		emitFillCall(b, "A", n*n, 1)
@@ -395,10 +351,8 @@ var _ = register(&Workload{
 		b.BSS("C", uint64(n*n*8))
 		b.BSS("TMP", uint64(p.t*n*n*8))
 		b.BSS("slabptr", 8)
-		return b.MustBuild()
 	},
-	Ref: func(sz Size) float64 {
-		p := galgelSize(sz)
+	ref: func(p iterParams) float64 {
 		n := int(p.n)
 		A := make([]float64, n*n)
 		C := make([]float64, n*n)
@@ -410,42 +364,29 @@ var _ = register(&Workload{
 				for j := 0; j < n; j++ {
 					acc := 0.0
 					for k := 0; k < n; k++ {
-						acc += A[i*n+k] * slab[k*n+j]
+						acc += float64(A[i*n+k] * slab[k*n+j])
 					}
 					C[i*n+j] += acc
 				}
 			}
 		}
-		sum := 0.0
-		for _, v := range C {
-			sum += v
-		}
-		return sum
+		return sumF64(C)
 	},
 })
 
 // --- equake: sparse FEM time integration --------------------------------
 
-func equakeSize(sz Size) sparseParams {
-	switch sz {
-	case SizeTest:
-		return sparseParams{256, 2, 32}
-	case SizeSmall:
-		return sparseParams{1024, 4, 64}
-	default:
-		return sparseParams{4096, 5, 256}
-	}
-}
-
-var _ = register(&Workload{
-	Name:  "equake",
-	Suite: "SPEComp",
-	Flags: shredlib.FlagYieldOnIdle,
-	BuildFlags: func(mode shredlib.Mode, sz Size, extra int64) *asm.Program {
-		p := equakeSize(sz)
+var _ = define(def[iterParams]{
+	name:  "equake",
+	suite: "SPEComp",
+	flags: shredlib.FlagYieldOnIdle,
+	sizes: [numSizes]iterParams{
+		SizeTest:  {256, 2, 32},
+		SizeSmall: {1024, 4, 64},
+		SizeRef:   {4096, 5, 256},
+	},
+	emit: func(b *asm.Builder, p iterParams) {
 		n := p.n
-		b := newProgram(mode, shredlib.FlagYieldOnIdle|extra)
-
 		b.Label("app_main")
 		b.Prolog(r10, r11)
 		b.Call("col_init")
@@ -487,46 +428,7 @@ var _ = register(&Workload{
 		emitFinish(b)
 		b.Epilog(r10, r11)
 
-		// eq_body: identical structure to sparse_mvm's row kernel, over U.
-		b.Label("eq_body")
-		b.Prolog(r10, r11, r12)
-		b.Mov(r10, r1)
-		b.Mov(r11, r2)
-		b.Label("eqb_i")
-		b.Bge(r10, r11, "eqb_done")
-		b.Li(r6, 0)
-		b.Emit(fmviInstr(4, r6))
-		b.Li(r12, 0)
-		b.Label("eqb_r")
-		b.Li(r9, sparseR)
-		b.Bge(r12, r9, "eqb_store")
-		b.Li(r6, sparseR)
-		b.Mul(r6, r10, r6)
-		b.Add(r6, r6, r12)
-		b.Shli(r6, r6, 3)
-		b.La(r7, "COL")
-		b.Add(r7, r7, r6)
-		b.Ld(r8, r7, 0)
-		b.La(r7, "VAL")
-		b.Add(r7, r7, r6)
-		b.Fld(1, r7, 0)
-		b.Shli(r8, r8, 3)
-		b.La(r7, "U")
-		b.Add(r7, r7, r8)
-		b.Fld(2, r7, 0)
-		b.Fmul(1, 1, 2)
-		b.Fadd(4, 4, 1)
-		b.Addi(r12, r12, 1)
-		b.Jmp("eqb_r")
-		b.Label("eqb_store")
-		b.Shli(r6, r10, 3)
-		b.La(r7, "Y")
-		b.Add(r6, r7, r6)
-		b.Fst(4, r6, 0)
-		b.Addi(r10, r10, 1)
-		b.Jmp("eqb_i")
-		b.Label("eqb_done")
-		b.Epilog(r10, r11, r12)
+		emitRowSpMV(b, "eq", "U") // Y = K U
 
 		emitColInitUniform(b, n)
 		b.BSS("COL", uint64(n*sparseR*8))
@@ -534,10 +436,8 @@ var _ = register(&Workload{
 		b.BSS("U", uint64(n*8))
 		b.BSS("F", uint64(n*8))
 		b.BSS("Y", uint64(n*8))
-		return b.MustBuild()
 	},
-	Ref: func(sz Size) float64 {
-		p := equakeSize(sz)
+	ref: func(p iterParams) float64 {
 		n := int(p.n)
 		col := colsUniform(p.n)
 		val := make([]float64, n*sparseR)
@@ -548,22 +448,12 @@ var _ = register(&Workload{
 		fillRand(u, 3)
 		fillRand(f, 4)
 		for t := int64(0); t < p.t; t++ {
+			refSpMV(y, val, u, col)
 			for i := 0; i < n; i++ {
-				acc := 0.0
-				for r := 0; r < sparseR; r++ {
-					acc += val[i*sparseR+r] * u[col[i*sparseR+r]]
-				}
-				y[i] = acc
-			}
-			for i := 0; i < n; i++ {
-				u[i] += (f[i] - y[i]) * 0.01
+				u[i] += float64((f[i] - y[i]) * 0.01)
 			}
 		}
-		sum := 0.0
-		for _, v := range u {
-			sum += v
-		}
-		return sum
+		return sumF64(u)
 	},
 })
 
@@ -571,26 +461,17 @@ var _ = register(&Workload{
 
 type artParams struct{ s, k, d, t, grain int64 }
 
-func artSize(sz Size) artParams {
-	switch sz {
-	case SizeTest:
-		return artParams{128, 8, 16, 2, 16}
-	case SizeSmall:
-		return artParams{512, 8, 16, 3, 64}
-	default:
-		return artParams{2048, 8, 16, 3, 128}
-	}
-}
-
-var _ = register(&Workload{
-	Name:  "art",
-	Suite: "SPEComp",
-	Flags: shredlib.FlagYieldOnIdle,
-	BuildFlags: func(mode shredlib.Mode, sz Size, extra int64) *asm.Program {
-		p := artSize(sz)
+var _ = define(def[artParams]{
+	name:  "art",
+	suite: "SPEComp",
+	flags: shredlib.FlagYieldOnIdle,
+	sizes: [numSizes]artParams{
+		SizeTest:  {128, 8, 16, 2, 16},
+		SizeSmall: {512, 8, 16, 3, 64},
+		SizeRef:   {2048, 8, 16, 3, 128},
+	},
+	emit: func(b *asm.Builder, p artParams) {
 		nc := chunks(p.s, p.grain)
-		b := newProgram(mode, shredlib.FlagYieldOnIdle|extra)
-
 		b.Label("app_main")
 		b.Prolog(r10, r11, r12)
 		emitFillCall(b, "XS", p.s*p.d, 1)
@@ -640,23 +521,7 @@ var _ = register(&Workload{
 		b.Prolog(r10, r11, r12, r13)
 		b.Mov(r10, r1)
 		b.Mov(r11, r2)
-		b.Li(r6, p.grain)
-		b.Div(r7, r1, r6)
-		b.Li(r6, p.k*8)
-		b.Mul(r7, r7, r6)
-		b.La(r6, "SCORE")
-		b.Add(r13, r6, r7)
-		b.Li(r6, 0)
-		b.Li(r7, p.k)
-		b.Mov(r8, r13)
-		b.Label("arz")
-		b.Li(r9, 0)
-		b.Beq(r7, r9, "ar_inputs")
-		b.St(r6, r8, 0)
-		b.Addi(r8, r8, 8)
-		b.Addi(r7, r7, -1)
-		b.Jmp("arz")
-		b.Label("ar_inputs")
+		emitSlabZeroAndBase(b, "SCORE", p.grain, p.k, "arz", "ar_inputs")
 		b.Bge(r10, r11, "ar_done")
 		// best match over templates
 		b.Li(r12, 0)                         // best k
@@ -701,34 +566,25 @@ var _ = register(&Workload{
 		b.BSS("WT", uint64(p.k*p.d*8))
 		b.BSS("SCORE", uint64(nc*p.k*8))
 		b.BSS("ACCA", 8)
-		return b.MustBuild()
 	},
-	Ref: func(sz Size) float64 {
-		p := artSize(sz)
+	ref: func(p artParams) float64 {
 		S, K, D := int(p.s), int(p.k), int(p.d)
-		nc := int(chunks(p.s, p.grain))
 		XS := make([]float64, S*D)
 		WT := make([]float64, K*D)
-		SCORE := make([]float64, nc*K)
+		SCORE := make([]float64, int(chunks(p.s, p.grain))*K)
 		fillRand(XS, 1)
 		fillRand(WT, 2)
 		acc := 0.0
 		for t := int64(0); t < p.t; t++ {
-			for i := range SCORE {
-				SCORE[i] = 0
-			}
-			for c := 0; c < nc; c++ {
-				lo, hi := c*int(p.grain), (c+1)*int(p.grain)
-				if hi > S {
-					hi = S
-				}
+			clear(SCORE)
+			eachChunk(p.s, p.grain, func(c, lo, hi int) {
 				sl := SCORE[c*K:]
 				for s := lo; s < hi; s++ {
-					best, bestM := 0, negInf()
+					best, bestM := 0, math.Inf(-1)
 					for k := 0; k < K; k++ {
 						m := 0.0
 						for d := 0; d < D; d++ {
-							m += WT[k*D+d] * XS[s*D+d]
+							m += float64(WT[k*D+d] * XS[s*D+d])
 						}
 						if bestM < m {
 							bestM = m
@@ -737,7 +593,7 @@ var _ = register(&Workload{
 					}
 					sl[best] += bestM
 				}
-			}
+			})
 			for _, v := range SCORE {
 				acc += v
 			}
@@ -745,12 +601,6 @@ var _ = register(&Workload{
 				WT[i] *= 0.999
 			}
 		}
-		sum := 0.0
-		for _, v := range WT {
-			sum += v
-		}
-		return sum + acc
+		return sumF64(WT) + acc
 	},
 })
-
-func negInf() float64 { return -infF() }

@@ -11,25 +11,19 @@ import (
 // "legacy single-threaded application" that must share the OMS with a
 // shredded application.
 
-func spinIters(sz Size) int64 {
-	switch sz {
-	case SizeTest:
-		return 50_000
-	case SizeSmall:
-		return 500_000
-	default:
-		return 5_000_000
-	}
-}
-
-var _ = register(&Workload{
-	Name:  "spin",
-	Suite: "-",
-	BuildFlags: func(mode shredlib.Mode, sz Size, extra int64) *asm.Program {
-		b := asm.NewBuilder()
+var _ = define(def[int64]{
+	name:  "spin",
+	suite: "-",
+	bare:  true,
+	sizes: [numSizes]int64{
+		SizeTest:  50_000,
+		SizeSmall: 500_000,
+		SizeRef:   5_000_000,
+	},
+	emit: func(b *asm.Builder, iters int64) {
 		b.Entry("main")
 		b.Label("main")
-		b.Li(r10, spinIters(sz))
+		b.Li(r10, iters)
 		b.Li(r9, 0)
 		b.Label("sp_loop")
 		b.Addi(r10, r10, -1)
@@ -39,9 +33,8 @@ var _ = register(&Workload{
 		b.Li(r1, 0)
 		b.Li(r0, isa.SysExit)
 		b.Syscall()
-		return b.MustBuild()
 	},
-	Ref: func(sz Size) float64 { return 0 },
+	ref: func(int64) float64 { return 0 },
 })
 
 // SpinForever builds the endless variant used as background load: it

@@ -1,8 +1,9 @@
 package workloads
 
 import (
+	"math"
+
 	"misp/internal/asm"
-	"misp/internal/shredlib"
 )
 
 // svm_c: hinge-loss SVM training sweeps (the RMS classification
@@ -10,25 +11,16 @@ import (
 
 type svmParams struct{ s, d, t, grain int64 }
 
-func svmSize(sz Size) svmParams {
-	switch sz {
-	case SizeTest:
-		return svmParams{128, 16, 2, 16}
-	case SizeSmall:
-		return svmParams{512, 16, 3, 64}
-	default:
-		return svmParams{2048, 16, 3, 128}
-	}
-}
-
-var _ = register(&Workload{
-	Name:  "svm_c",
-	Suite: "RMS",
-	BuildFlags: func(mode shredlib.Mode, sz Size, extra int64) *asm.Program {
-		p := svmSize(sz)
+var _ = define(def[svmParams]{
+	name:  "svm_c",
+	suite: "RMS",
+	sizes: [numSizes]svmParams{
+		SizeTest:  {128, 16, 2, 16},
+		SizeSmall: {512, 16, 3, 64},
+		SizeRef:   {2048, 16, 3, 128},
+	},
+	emit: func(b *asm.Builder, p svmParams) {
 		nc := chunks(p.s, p.grain)
-		b := newProgram(mode, extra)
-
 		b.Label("app_main")
 		b.Prolog(r10, r11, r12, r13)
 		emitFillCall(b, "X", p.s*p.d, 1)
@@ -84,24 +76,7 @@ var _ = register(&Workload{
 		b.Prolog(r10, r11, r12, r13)
 		b.Mov(r10, r1)
 		b.Mov(r11, r2)
-		// slab base
-		b.Li(r6, p.grain)
-		b.Div(r7, r1, r6)
-		b.Li(r6, p.d*8)
-		b.Mul(r7, r7, r6)
-		b.La(r6, "GRAD")
-		b.Add(r13, r6, r7)
-		b.Li(r6, 0)
-		b.Li(r7, p.d)
-		b.Mov(r8, r13)
-		b.Label("svz")
-		b.Li(r9, 0)
-		b.Beq(r7, r9, "sv_samples")
-		b.St(r6, r8, 0)
-		b.Addi(r8, r8, 8)
-		b.Addi(r7, r7, -1)
-		b.Jmp("svz")
-		b.Label("sv_samples")
+		emitSlabZeroAndBase(b, "GRAD", p.grain, p.d, "svz", "sv_samples")
 		b.Bge(r10, r11, "sv_done")
 		// m = W . x_s
 		b.La(r1, "W")
@@ -181,10 +156,8 @@ var _ = register(&Workload{
 		b.BSS("LBL", uint64(p.s*8))
 		b.BSS("W", uint64(p.d*8))
 		b.BSS("GRAD", uint64(nc*p.d*8))
-		return b.MustBuild()
 	},
-	Ref: func(sz Size) float64 {
-		p := svmSize(sz)
+	ref: func(p svmParams) float64 {
 		S, D := int(p.s), int(p.d)
 		nc := int(chunks(p.s, p.grain))
 		X := make([]float64, S*D)
@@ -201,40 +174,30 @@ var _ = register(&Workload{
 		W := make([]float64, D)
 		GRAD := make([]float64, nc*D)
 		for t := int64(0); t < p.t; t++ {
-			for i := range GRAD {
-				GRAD[i] = 0
-			}
-			for c := 0; c < nc; c++ {
-				lo, hi := c*int(p.grain), (c+1)*int(p.grain)
-				if hi > S {
-					hi = S
-				}
+			clear(GRAD)
+			eachChunk(p.s, p.grain, func(c, lo, hi int) {
 				g := GRAD[c*D:]
 				for s := lo; s < hi; s++ {
 					m := 0.0
 					for d := 0; d < D; d++ {
-						m += W[d] * X[s*D+d]
+						m += float64(W[d] * X[s*D+d])
 					}
 					if m*LBL[s] < 1.0 {
 						for d := 0; d < D; d++ {
-							g[d] += X[s*D+d] * LBL[s]
+							g[d] += float64(X[s*D+d] * LBL[s])
 						}
 					}
 				}
-			}
+			})
 			for d := 0; d < D; d++ {
 				acc := 0.0
 				for c := 0; c < nc; c++ {
 					acc += GRAD[c*D+d]
 				}
-				W[d] += acc * 0.001
+				W[d] += float64(acc * 0.001)
 			}
 		}
-		sum := 0.0
-		for _, v := range W {
-			sum += v
-		}
-		return sum
+		return sumF64(W)
 	},
 })
 
@@ -242,17 +205,6 @@ var _ = register(&Workload{
 // row-parallel; per-chunk luminance totals reduced serially.
 
 type rayParams struct{ w, h, grain int64 }
-
-func raySize(sz Size) rayParams {
-	switch sz {
-	case SizeTest:
-		return rayParams{48, 36, 4}
-	case SizeSmall:
-		return rayParams{96, 72, 6}
-	default:
-		return rayParams{160, 120, 10}
-	}
-}
 
 const raySpheres = 6
 
@@ -262,32 +214,29 @@ const raySpheres = 6
 func raySceneData() (sph []float64, light [3]float64) {
 	g := lcg{x: 7}
 	for i := 0; i < raySpheres; i++ {
-		cx := 2*g.f64() - 1
-		cy := 2*g.f64() - 1
-		cz := 2 + 3*g.f64()
-		r := 0.2 + 0.3*g.f64()
+		cx := float64(2*g.f64()) - 1
+		cy := float64(2*g.f64()) - 1
+		cz := 2 + float64(3*g.f64())
+		r := 0.2 + float64(0.3*g.f64())
 		sph = append(sph, cx, cy, cz, r)
 	}
 	// Fixed light direction, pre-normalized at generation time.
 	lx, ly, lz := 0.5, 0.7, -0.5
-	n := 1.0 / sqrt(lx*lx+ly*ly+lz*lz)
+	n := 1.0 / math.Sqrt(lx*lx+ly*ly+lz*lz)
 	return sph, [3]float64{lx * n, ly * n, lz * n}
 }
 
-func sqrt(x float64) float64 {
-	// math.Sqrt without importing math in this file twice; tiny helper.
-	return sqrtImpl(x)
-}
-
-var _ = register(&Workload{
-	Name:  "raytracer",
-	Suite: "RMS",
-	BuildFlags: func(mode shredlib.Mode, sz Size, extra int64) *asm.Program {
-		p := raySize(sz)
+var _ = define(def[rayParams]{
+	name:  "raytracer",
+	suite: "RMS",
+	sizes: [numSizes]rayParams{
+		SizeTest:  {48, 36, 4},
+		SizeSmall: {96, 72, 6},
+		SizeRef:   {160, 120, 10},
+	},
+	emit: func(b *asm.Builder, p rayParams) {
 		nc := chunks(p.h, p.grain)
 		sph, light := raySceneData()
-		b := newProgram(mode, extra)
-
 		b.Label("app_main")
 		b.Prolog()
 		emitParforCall(b, "ray_body", 0, p.h, p.grain)
@@ -440,37 +389,30 @@ var _ = register(&Workload{
 		b.DataF64("SPH", sph...)
 		b.DataF64("LIGHT", light[0], light[1], light[2])
 		b.BSS("PART", uint64(nc*8))
-		return b.MustBuild()
 	},
-	Ref: func(sz Size) float64 {
-		p := raySize(sz)
-		nc := int(chunks(p.h, p.grain))
+	ref: func(p rayParams) float64 {
 		sph, light := raySceneData()
-		part := make([]float64, nc)
-		for c := 0; c < nc; c++ {
-			lo, hi := c*int(p.grain), (c+1)*int(p.grain)
-			if hi > int(p.h) {
-				hi = int(p.h)
-			}
+		part := make([]float64, chunks(p.h, p.grain))
+		eachChunk(p.h, p.grain, func(c, lo, hi int) {
 			acc := 0.0
 			for py := lo; py < hi; py++ {
 				for px := 0; px < int(p.w); px++ {
-					u := (float64(px)+0.5)*(2.0/float64(p.w)) - 1.0
-					v := (float64(py)+0.5)*(2.0/float64(p.h)) - 1.0
-					length := sqrtImpl(u*u + v*v + 1.0)
+					u := float64((float64(px)+0.5)*(2.0/float64(p.w))) - 1.0
+					v := float64((float64(py)+0.5)*(2.0/float64(p.h))) - 1.0
+					length := math.Sqrt(float64(u*u) + float64(v*v) + 1.0)
 					inv := 1.0 / length
 					dx, dy, dz := u*inv, v*inv, inv
-					tbest := infF()
+					tbest := math.Inf(1)
 					kbest := -1
 					for k := 0; k < raySpheres; k++ {
 						cx, cy, cz, r := sph[k*4], sph[k*4+1], sph[k*4+2], sph[k*4+3]
-						bq := dx*cx + dy*cy + dz*cz
-						cc := cx*cx + cy*cy + cz*cz - r*r
-						disc := bq*bq - cc
+						bq := float64(dx*cx) + float64(dy*cy) + float64(dz*cz)
+						cc := float64(cx*cx) + float64(cy*cy) + float64(cz*cz) - float64(r*r)
+						disc := float64(bq*bq) - cc
 						if disc <= 0 {
 							continue
 						}
-						t := bq - sqrtImpl(disc)
+						t := bq - math.Sqrt(disc)
 						if t <= 0.001 || t >= tbest {
 							continue
 						}
@@ -481,20 +423,16 @@ var _ = register(&Workload{
 						continue
 					}
 					cx, cy, cz, r := sph[kbest*4], sph[kbest*4+1], sph[kbest*4+2], sph[kbest*4+3]
-					lum := (dx*tbest - cx) / r * light[0]
-					lum += (dy*tbest - cy) / r * light[1]
-					lum += (dz*tbest - cz) / r * light[2]
+					lum := float64((float64(dx*tbest) - cx) / r * light[0])
+					lum += float64((float64(dy*tbest) - cy) / r * light[1])
+					lum += float64((float64(dz*tbest) - cz) / r * light[2])
 					if lum > 0 {
 						acc += lum
 					}
 				}
 			}
 			part[c] = acc
-		}
-		sum := 0.0
-		for _, v := range part {
-			sum += v
-		}
-		return sum
+		})
+		return sumF64(part)
 	},
 })

@@ -19,7 +19,7 @@ func TestWarmPoolParity(t *testing.T) {
 	}
 	base := testConfig(core.Topology{3})
 
-	cold, err := RunFlags(w, shredlib.ModeShred, base, SizeTest, 0)
+	cold, err := Run(w, shredlib.ModeShred, base, SizeTest)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,7 +47,7 @@ func TestWarmPoolParity(t *testing.T) {
 	vari := base
 	vari.CtxSwitchCost *= 2
 	vari.RingPolicy = core.RingMonitorCR
-	coldVar, err := RunFlags(w, shredlib.ModeShred, vari, SizeTest, 0)
+	coldVar, err := Run(w, shredlib.ModeShred, vari, SizeTest)
 	if err != nil {
 		t.Fatal(err)
 	}

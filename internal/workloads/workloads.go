@@ -12,13 +12,17 @@
 // Each workload stores a float64 checksum at shredlib.ResultAddr and
 // returns its truncation as the process exit code; a Go reference
 // implementation (mirroring loop structure and arithmetic order)
-// validates results.
+// validates results. The references round every product with an
+// explicit float64(...) conversion, which forbids the compiler to fuse
+// it into an add (arm64 would, amd64 does not), so a reference, and the
+// raytracer scene written into the program, are the same bits on every
+// host; make fmacheck enforces it.
 package workloads
 
 import (
 	"fmt"
-	"math"
 	"sort"
+	"strings"
 
 	"misp/internal/asm"
 	"misp/internal/shredlib"
@@ -35,43 +39,44 @@ const (
 	// SizeRef is the benchmark-harness size (longer runs, clearer
 	// parallel sections).
 	SizeRef
+	numSizes
 )
 
+// sizeNames names each preset. A new size is one entry here plus one
+// row in every workload's parameter table.
+var sizeNames = [numSizes]string{"test", "small", "ref"}
+
 func (s Size) String() string {
-	switch s {
-	case SizeTest:
-		return "test"
-	case SizeSmall:
-		return "small"
-	default:
-		return "ref"
+	if s >= 0 && s < numSizes {
+		return sizeNames[s]
 	}
+	return fmt.Sprintf("Size(%d)", int(s))
 }
 
 // ParseSize is String's inverse: it maps a size name to its preset.
 func ParseSize(s string) (Size, error) {
-	for sz := SizeTest; sz <= SizeRef; sz++ {
-		if sz.String() == s {
-			return sz, nil
+	for sz, name := range sizeNames {
+		if name == s {
+			return Size(sz), nil
 		}
 	}
-	return 0, fmt.Errorf("unknown size %q (want test, small, ref)", s)
+	return 0, fmt.Errorf("unknown size %q (want %s)", s, strings.Join(sizeNames[:], ", "))
 }
 
 // Workload is one evaluation program.
 type Workload struct {
 	Name  string
 	Suite string // "RMS" or "SPEComp"
-	// Flags are runtime flags passed to rt_init (the SPEComp analogs
-	// set shredlib.FlagYieldOnIdle to model the OpenMP runtime's OS
-	// interaction).
+	// Flags are the runtime flags the program always passes to rt_init
+	// (the SPEComp analogs yield to the OS while idle, to model the
+	// OpenMP runtime's OS interaction).
 	Flags int64
 	// BuildFlags generates the program for the given runtime mode and
-	// size, OR-ing extra into the rt_init flags. The extra flags are the
-	// experiment harness's ablation knob (e.g. shredlib.FlagProbePages
-	// for the §5.3 page-probe study); passing them explicitly — rather
-	// than through a package global — keeps program construction free of
-	// shared mutable state, so independent runs can build concurrently.
+	// size, OR-ing extra into Flags. The extra flags are the experiment
+	// harness's ablation knob (e.g. shredlib.FlagProbePages for the §5.3
+	// page-probe study); passing them explicitly — rather than through a
+	// package global — keeps program construction free of shared mutable
+	// state, so independent runs can build concurrently.
 	BuildFlags func(mode shredlib.Mode, sz Size, extra int64) *asm.Program
 	// Ref computes the reference checksum with a mirrored Go
 	// implementation.
@@ -83,13 +88,56 @@ func (w *Workload) Build(mode shredlib.Mode, sz Size) *asm.Program {
 	return w.BuildFlags(mode, sz, 0)
 }
 
+// def declares one workload: its identity, one parameter row per Size,
+// and two functions of a row — the emitter, which writes app_main and
+// its kernels, and the Go reference that mirrors them.
+type def[P comparable] struct {
+	name, suite string
+	flags       int64
+	bare        bool // no runtime or helpers: the program starts at main
+	sizes       [numSizes]P
+	emit        func(b *asm.Builder, p P)
+	ref         func(p P) float64
+}
+
+// iterParams, the most common row, is an n-point problem iterated t
+// times in parfor chunks of grain points.
+type iterParams struct{ n, t, grain int64 }
+
 var registry = map[string]*Workload{}
 
-func register(w *Workload) *Workload {
-	if _, dup := registry[w.Name]; dup {
-		panic("workloads: duplicate " + w.Name)
+// define registers d. It owns what every workload shares: the size
+// lookup, the runtime and helper preamble (newProgram) with Flags and
+// the harness's extra flags, and the link.
+func define[P comparable](d def[P]) *Workload {
+	if _, dup := registry[d.name]; dup {
+		panic("workloads: duplicate " + d.name)
 	}
-	registry[w.Name] = w
+	row := func(sz Size) P {
+		var zero P
+		if sz < 0 || sz >= numSizes || d.sizes[sz] == zero {
+			panic(fmt.Sprintf("workloads: %s has no %v parameters", d.name, sz))
+		}
+		return d.sizes[sz]
+	}
+	w := &Workload{
+		Name:  d.name,
+		Suite: d.suite,
+		Flags: d.flags,
+		BuildFlags: func(mode shredlib.Mode, sz Size, extra int64) *asm.Program {
+			p := row(sz)
+			var b *asm.Builder
+			if d.bare {
+				b = asm.NewBuilder()
+			} else {
+				b = newProgram(mode, d.flags|extra)
+			}
+			d.emit(b, p)
+			return b.MustBuild()
+		},
+		Ref: func(sz Size) float64 { return d.ref(row(sz)) },
+	}
+	registry[d.name] = w
 	return w
 }
 
@@ -160,11 +208,5 @@ func (g *lcg) next() uint64 {
 
 // f64 returns the next value in [0, 1).
 func (g *lcg) f64() float64 {
-	return float64(g.next()>>11) * (1.0 / (1 << 53))
+	return float64(float64(g.next()>>11) * (1.0 / (1 << 53)))
 }
-
-// sqrtImpl and infF are tiny indirections so kernel files can share
-// math helpers without repeating imports.
-func sqrtImpl(x float64) float64 { return math.Sqrt(x) }
-
-func infF() float64 { return math.Inf(1) }

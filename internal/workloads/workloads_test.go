@@ -144,4 +144,9 @@ func TestParseSize(t *testing.T) {
 			t.Errorf("ParseSize(%q) accepted an unknown size", bad)
 		}
 	}
+	// A size past the table names no preset.
+	out := Size(numSizes).String()
+	if _, err := ParseSize(out); out == "ref" || err == nil {
+		t.Errorf("Size(numSizes) reads as %q, a preset name", out)
+	}
 }
