@@ -2,7 +2,9 @@ package misp
 
 import (
 	"encoding/csv"
+	"math"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -25,15 +27,7 @@ func TestExperimentsMatchResults(t *testing.T) {
 	} {
 		t.Run(tc.csv, func(t *testing.T) {
 			md := markdownTable(t, string(doc), tc.heading)
-			f, err := os.Open(tc.csv)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer f.Close()
-			recs, err := csv.NewReader(f).ReadAll()
-			if err != nil {
-				t.Fatal(err)
-			}
+			recs := readCSV(t, tc.csv)
 			col := map[string]int{}
 			for i, h := range recs[0] {
 				col[h] = i
@@ -60,6 +54,74 @@ func TestExperimentsMatchResults(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestFigure5Summary holds EXPERIMENTS.md's Figure 5 summary table to
+// results/fig5.csv, whose columns are the signal costs: in each row,
+// "average overhead" is the CSV's average row and "worst case" is the
+// column's largest application value followed by that application's
+// name, e.g. "1.9% (ADAt)", both at the printed precision.
+func TestFigure5Summary(t *testing.T) {
+	doc, err := os.ReadFile("EXPERIMENTS.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	md := markdownTable(t, string(doc), "## Figure 5")
+	avgCol, worstCol := slices.Index(md[0], "average overhead"), slices.Index(md[0], "worst case")
+	if avgCol < 0 || worstCol < 0 {
+		t.Fatalf("Figure 5 table header %q lacks average overhead or worst case", md[0])
+	}
+	recs := readCSV(t, "results/fig5.csv")
+	for _, m := range md[1:] {
+		ci := slices.Index(recs[0], m[0])
+		if ci < 0 {
+			t.Errorf("signal %q is not a column of results/fig5.csv", m[0])
+			continue
+		}
+		var avg, worst, worstApp string
+		worstV := math.Inf(-1)
+		for _, r := range recs[1:] {
+			if r[0] == "average" {
+				avg = r[ci]
+				continue
+			}
+			if v := percent(t, r[ci]); v > worstV {
+				worstV, worst, worstApp = v, r[ci], r[0]
+			}
+		}
+		if got := atPrecision(t, strings.TrimSuffix(avg, "%"), strings.TrimSuffix(m[avgCol], "%")) + "%"; got != m[avgCol] {
+			t.Errorf("signal %s: EXPERIMENTS.md says average %s, results/fig5.csv has %s", m[0], m[avgCol], avg)
+		}
+		printed, _, _ := strings.Cut(m[worstCol], " ")
+		if got := atPrecision(t, strings.TrimSuffix(worst, "%"), strings.TrimSuffix(printed, "%")) + "% (" + worstApp + ")"; got != m[worstCol] {
+			t.Errorf("signal %s: EXPERIMENTS.md says worst case %s, results/fig5.csv has %s (%s)", m[0], m[worstCol], worst, worstApp)
+		}
+	}
+}
+
+// readCSV returns every record of the CSV file at path, header first.
+func readCSV(t *testing.T, path string) [][]string {
+	t.Helper()
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	recs, err := csv.NewReader(f).ReadAll()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return recs
+}
+
+// percent parses a CSV cell such as "1.948%".
+func percent(t *testing.T, cell string) float64 {
+	t.Helper()
+	v, err := strconv.ParseFloat(strings.TrimSuffix(cell, "%"), 64)
+	if err != nil {
+		t.Fatalf("%q: %v", cell, err)
+	}
+	return v
 }
 
 // markdownTable returns the cells of the first table after the line

@@ -28,7 +28,7 @@ const (
 
 // newProgram starts a workload program in the given runtime mode and
 // emits the shared helper functions. flags already includes any
-// harness-supplied extra flags (define).
+// harness-supplied extra flags (see define).
 func newProgram(mode shredlib.Mode, flags int64) *asm.Builder {
 	b := shredlib.NewProgram(mode, flags)
 	emitFillRand(b)

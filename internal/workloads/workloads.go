@@ -42,8 +42,8 @@ const (
 	numSizes
 )
 
-// sizeNames names each preset. A new size is one entry here plus one
-// row in every workload's parameter table.
+// sizeNames names each preset. A new size is a constant before
+// numSizes, its name here, and one row in every workload's table.
 var sizeNames = [numSizes]string{"test", "small", "ref"}
 
 func (s Size) String() string {
@@ -67,16 +67,13 @@ func ParseSize(s string) (Size, error) {
 type Workload struct {
 	Name  string
 	Suite string // "RMS" or "SPEComp"
-	// Flags are the runtime flags the program always passes to rt_init
-	// (the SPEComp analogs yield to the OS while idle, to model the
-	// OpenMP runtime's OS interaction).
-	Flags int64
 	// BuildFlags generates the program for the given runtime mode and
-	// size, OR-ing extra into Flags. The extra flags are the experiment
-	// harness's ablation knob (e.g. shredlib.FlagProbePages for the §5.3
-	// page-probe study); passing them explicitly — rather than through a
-	// package global — keeps program construction free of shared mutable
-	// state, so independent runs can build concurrently.
+	// size, OR-ing extra into the workload's own rt_init flags. The extra
+	// flags are the experiment harness's ablation knob (e.g.
+	// shredlib.FlagProbePages for the §5.3 page-probe study); passing them
+	// explicitly — rather than through a package global — keeps program
+	// construction free of shared mutable state, so independent runs can
+	// build concurrently.
 	BuildFlags func(mode shredlib.Mode, sz Size, extra int64) *asm.Program
 	// Ref computes the reference checksum with a mirrored Go
 	// implementation.
@@ -93,11 +90,14 @@ func (w *Workload) Build(mode shredlib.Mode, sz Size) *asm.Program {
 // its kernels, and the Go reference that mirrors them.
 type def[P comparable] struct {
 	name, suite string
-	flags       int64
-	bare        bool // no runtime or helpers: the program starts at main
-	sizes       [numSizes]P
-	emit        func(b *asm.Builder, p P)
-	ref         func(p P) float64
+	// flags are the rt_init flags the program always passes (the SPEComp
+	// analogs yield to the OS while idle, to model the OpenMP runtime's
+	// OS interaction).
+	flags int64
+	bare  bool // no runtime or helpers: the program starts at main
+	sizes [numSizes]P
+	emit  func(b *asm.Builder, p P)
+	ref   func(p P) float64
 }
 
 // iterParams, the most common row, is an n-point problem iterated t
@@ -107,8 +107,8 @@ type iterParams struct{ n, t, grain int64 }
 var registry = map[string]*Workload{}
 
 // define registers d. It owns what every workload shares: the size
-// lookup, the runtime and helper preamble (newProgram) with Flags and
-// the harness's extra flags, and the link.
+// lookup, the runtime and helper preamble (newProgram) with d's flags
+// and the harness's extra ones, and the link.
 func define[P comparable](d def[P]) *Workload {
 	if _, dup := registry[d.name]; dup {
 		panic("workloads: duplicate " + d.name)
@@ -123,7 +123,6 @@ func define[P comparable](d def[P]) *Workload {
 	w := &Workload{
 		Name:  d.name,
 		Suite: d.suite,
-		Flags: d.flags,
 		BuildFlags: func(mode shredlib.Mode, sz Size, extra int64) *asm.Program {
 			p := row(sz)
 			var b *asm.Builder
