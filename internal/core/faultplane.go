@@ -27,9 +27,9 @@ type fltState struct {
 }
 
 // initFaultPlane constructs the machine's injection plan and watchdog
-// horizon from its Config (called by New; lives here because the core
-// package's internal page-fault type shadows the fault package name in
-// the files that use it).
+// horizon from its Config (called by assemble; lives here because the
+// core package's internal page-fault type shadows the fault package name
+// in the files that use it).
 func (m *Machine) initFaultPlane() {
 	if plan := fault.NewPlan(m.Cfg.Fault); plan != nil {
 		m.flt = &fltState{plan: plan, injected: m.Obs.Metrics.Counter(obs.MFaultInjected)}

@@ -206,19 +206,7 @@ func New(cfg Config) (*Machine, error) {
 	if err != nil {
 		return nil, err
 	}
-	mode := obs.DropNewest
-	if cfg.TraceEvictOldest {
-		mode = obs.EvictOldest
-	}
-	o := obs.New(obs.Options{
-		Events:    cfg.TraceEvents,
-		EventCap:  cfg.MaxTraceEvents,
-		Mode:      mode,
-		ProfilePC: cfg.ProfilePC,
-	})
-	m := &Machine{Cfg: cfg, Phys: phys, Obs: o, Trace: &Trace{bus: o.Bus}, prof: o.Prof}
-	m.mx = newMachMetrics(o.Metrics)
-	m.initFaultPlane()
+	m := assemble(cfg, phys)
 	gid := 0
 	for pid, nAMS := range cfg.Topology {
 		proc := &Processor{ID: pid}
@@ -239,6 +227,27 @@ func New(cfg Config) (*Machine, error) {
 	}
 	m.initScratch()
 	return m, nil
+}
+
+// assemble builds a machine on phys without its processors: the obs
+// subsystem and its pre-resolved metric handles, and the fault plane.
+// New then adds the sequencers its topology describes; a restore
+// decodes them.
+func assemble(cfg Config, phys *mem.Phys) *Machine {
+	mode := obs.DropNewest
+	if cfg.TraceEvictOldest {
+		mode = obs.EvictOldest
+	}
+	o := obs.New(obs.Options{
+		Events:    cfg.TraceEvents,
+		EventCap:  cfg.MaxTraceEvents,
+		Mode:      mode,
+		ProfilePC: cfg.ProfilePC,
+	})
+	m := &Machine{Cfg: cfg, Phys: phys, Obs: o, Trace: &Trace{bus: o.Bus}, prof: o.Prof}
+	m.mx = newMachMetrics(o.Metrics)
+	m.initFaultPlane()
+	return m
 }
 
 // initScratch sizes runRound's cohort scratch: any number of the machine's

@@ -2,11 +2,10 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"misp/internal/fault"
-	"misp/internal/isa"
 	"misp/internal/mem"
-	"misp/internal/obs"
 	"misp/internal/snap/wire"
 )
 
@@ -25,75 +24,33 @@ import (
 //   - per-frame store generation values (beyond zero/nonzero, which
 //     selects the frames to store, only the caches above consume them),
 //   - pause/cancel plumbing and Wall (host-side run control),
-//   - metric handles, which are re-resolved against the restored
+//   - metric handles, which assemble resolves against the restored
 //     registry.
 
-// EncodeConfig writes a machine configuration in struct order.
-func EncodeConfig(w *wire.Writer, c Config) {
-	w.Int(len(c.Topology))
-	for _, a := range c.Topology {
-		w.Int(a)
+// snapshotConfig codes a machine configuration in struct order.
+func snapshotConfig(c *wire.Codec, cfg *Config) {
+	wire.Slice(c, &cfg.Topology, c.Int)
+	for _, p := range []*uint64{
+		&cfg.PhysMem, &cfg.SignalCost, &cfg.TrapCost, &cfg.YieldCost,
+		&cfg.CtxMemCost, &cfg.WalkCost, &cfg.TimerInterval,
+	} {
+		c.U64(p)
 	}
-	w.U64(c.PhysMem)
-	w.U64(c.SignalCost)
-	w.U64(c.TrapCost)
-	w.U64(c.YieldCost)
-	w.U64(c.CtxMemCost)
-	w.U64(c.WalkCost)
-	w.U64(c.TimerInterval)
-	w.Int(c.QuantumTicks)
-	w.U64(c.TimerTickCost)
-	w.U64(c.PageFaultCost)
-	w.U64(c.SyscallBaseCost)
-	w.U64(c.CtxSwitchCost)
-	w.U64(c.AMSStateCost)
-	w.U8(uint8(c.RingPolicy))
-	w.Bool(c.TraceEvents)
-	w.Int(c.MaxTraceEvents)
-	w.Bool(c.TraceEvictOldest)
-	w.Bool(c.ProfilePC)
-	w.U64(c.MaxCycles)
-	fault.EncodeConfig(w, c.Fault)
-	w.U64(c.WatchdogHorizon)
-}
-
-// DecodeConfig reads a machine configuration.
-func DecodeConfig(r *wire.Reader) (Config, error) {
-	var c Config
-	nt := r.Len(1 << 16)
-	if nt < 0 {
-		return c, r.Err()
+	c.Int(&cfg.QuantumTicks)
+	for _, p := range []*uint64{
+		&cfg.TimerTickCost, &cfg.PageFaultCost, &cfg.SyscallBaseCost,
+		&cfg.CtxSwitchCost, &cfg.AMSStateCost,
+	} {
+		c.U64(p)
 	}
-	c.Topology = make(Topology, nt)
-	for i := range c.Topology {
-		c.Topology[i] = r.Int()
-	}
-	c.PhysMem = r.U64()
-	c.SignalCost = r.U64()
-	c.TrapCost = r.U64()
-	c.YieldCost = r.U64()
-	c.CtxMemCost = r.U64()
-	c.WalkCost = r.U64()
-	c.TimerInterval = r.U64()
-	c.QuantumTicks = r.Int()
-	c.TimerTickCost = r.U64()
-	c.PageFaultCost = r.U64()
-	c.SyscallBaseCost = r.U64()
-	c.CtxSwitchCost = r.U64()
-	c.AMSStateCost = r.U64()
-	c.RingPolicy = RingPolicy(r.U8())
-	c.TraceEvents = r.Bool()
-	c.MaxTraceEvents = r.Int()
-	c.TraceEvictOldest = r.Bool()
-	c.ProfilePC = r.Bool()
-	c.MaxCycles = r.U64()
-	fc, err := fault.DecodeConfig(r)
-	if err != nil {
-		return c, err
-	}
-	c.Fault = fc
-	c.WatchdogHorizon = r.U64()
-	return c, r.Err()
+	wire.Enum(c, &cfg.RingPolicy)
+	c.Bool(&cfg.TraceEvents)
+	c.Int(&cfg.MaxTraceEvents)
+	c.Bool(&cfg.TraceEvictOldest)
+	c.Bool(&cfg.ProfilePC)
+	c.U64(&cfg.MaxCycles)
+	fault.SnapshotConfig(c, &cfg.Fault)
+	c.U64(&cfg.WatchdogHorizon)
 }
 
 // structuralMismatch reports the first restore-time override that a
@@ -104,13 +61,8 @@ func DecodeConfig(r *wire.Reader) (Config, error) {
 // geometry is fixed at construction — so changing them cannot reproduce
 // a cold machine with the new value.
 func structuralMismatch(snap, want Config) error {
-	if len(snap.Topology) != len(want.Topology) {
+	if !slices.Equal(snap.Topology, want.Topology) {
 		return fmt.Errorf("topology %v -> %v", snap.Topology, want.Topology)
-	}
-	for i := range snap.Topology {
-		if snap.Topology[i] != want.Topology[i] {
-			return fmt.Errorf("topology %v -> %v", snap.Topology, want.Topology)
-		}
 	}
 	switch {
 	case snap.PhysMem != want.PhysMem:
@@ -131,220 +83,116 @@ func structuralMismatch(snap, want Config) error {
 	return nil
 }
 
-func encodeCtxSnap(w *wire.Writer, c CtxSnap) {
-	for _, v := range c.Regs {
-		w.U64(v)
-	}
-	for _, v := range c.FRegs {
-		w.F64(v)
-	}
-	w.U64(c.PC)
-	w.U64(c.TP)
+// snapshotCtx codes a full ring-3 context.
+func snapshotCtx(c *wire.Codec, x *CtxSnap) {
+	c.U64s(x.Regs[:])
+	c.F64s(x.FRegs[:])
+	c.U64(&x.PC)
+	c.U64(&x.TP)
 }
 
-func decodeCtxSnap(r *wire.Reader) CtxSnap {
-	var c CtxSnap
-	for i := range c.Regs {
-		c.Regs[i] = r.U64()
-	}
-	for i := range c.FRegs {
-		c.FRegs[i] = r.F64()
-	}
-	c.PC = r.U64()
-	c.TP = r.U64()
-	return c
+// snapshotPending codes an ingress signal queue.
+func snapshotPending(c *wire.Codec, ps *[]PendingSignal) {
+	wire.Slice(c, ps, func(p *PendingSignal) {
+		c.U64(&p.TS)
+		c.U64(&p.SentTS)
+		c.U64(&p.IP)
+		c.U64(&p.SP)
+	})
 }
 
-// encodeSeq writes one sequencer's architectural and timing state.
-func encodeSeq(w *wire.Writer, s *Sequencer) {
-	w.Int(s.ID)
-	w.Int(s.ProcID)
-	w.Int(s.SID)
-	w.Bool(s.IsOMS)
-	w.U8(uint8(s.State))
-	w.U64(s.Clock)
-	for _, v := range s.Regs {
-		w.U64(v)
-	}
-	for _, v := range s.FRegs {
-		w.F64(v)
-	}
-	w.U64(s.PC)
-	w.U64(s.TP)
-	w.U8(uint8(s.Ring))
-	for _, v := range s.CRs {
-		w.U64(v)
-	}
-	s.TLB.EncodeSnapshot(w)
+// Snapshot codes one sequencer's share of a thread's cumulative context
+// (the kernel keeps these across context switches).
+func (st *ThreadSeqState) Snapshot(c *wire.Codec) {
+	snapshotCtx(c, &st.Ctx)
+	c.U64s(st.Yield[:])
+	c.Bool(&st.InHandler)
+	snapshotCtx(c, &st.YieldSave)
+	snapshotPending(c, &st.Pending)
+	wire.Enum(c, &st.State)
+	c.U64(&st.ProxyFrame)
+	c.Bool(&st.HasProxyReq)
+}
+
+// snapshot codes one sequencer's architectural and timing state. A
+// restored sequencer's host-side fetch window starts cold; refilling it
+// is counter-neutral by construction.
+func (s *Sequencer) snapshot(c *wire.Codec) {
+	c.Int(&s.ID)
+	c.Int(&s.ProcID)
+	c.Int(&s.SID)
+	c.Bool(&s.IsOMS)
+	wire.Enum(c, &s.State)
+	c.U64(&s.Clock)
+	c.U64s(s.Regs[:])
+	c.F64s(s.FRegs[:])
+	c.U64(&s.PC)
+	c.U64(&s.TP)
+	wire.Enum(c, &s.Ring)
+	c.U64s(s.CRs[:])
+	s.TLB.Snapshot(c)
 	// The fetch micro-cache is timing-relevant: a hit bypasses the TLB
 	// entirely, so its contents shape the TLB hit/miss counters.
-	w.U64(s.fetchVPN)
-	w.U64(s.fetchBase)
-	for _, v := range s.Yield {
-		w.U64(v)
-	}
-	w.Bool(s.InHandler)
-	encodeCtxSnap(w, s.YieldSave)
-	w.U64(uint64(len(s.pending)))
-	for _, p := range s.pending {
-		w.U64(p.TS)
-		w.U64(p.SentTS)
-		w.U64(p.IP)
-		w.U64(p.SP)
-	}
-	w.U64(s.proxyFrame)
-	w.Bool(s.proxyLost)
-	w.Bool(s.InProxy)
-	w.U64(s.TimerDeadline)
-	w.Bool(s.RescheduleIPI)
-	w.U64(s.stallStart)
-	w.Int(s.CurTID)
-	for _, v := range []uint64{
-		s.C.Instrs, s.C.Syscalls, s.C.PageFaults, s.C.Timers,
-		s.C.Interrupts, s.C.ProxySyscalls, s.C.ProxyPageFaults,
-		s.C.ProxiedServices, s.C.RingStall, s.C.ProxyStall,
-		s.C.IdleCycles, s.C.SignalsSent, s.C.SignalsReceived,
-		s.C.YieldsTaken,
-	} {
-		w.U64(v)
-	}
-}
-
-// decodeSeq restores one sequencer. The host-side fetch window starts
-// cold; refilling it is counter-neutral by construction.
-func decodeSeq(r *wire.Reader, id int) (*Sequencer, error) {
-	s := &Sequencer{}
-	s.ID = r.Int()
-	if s.ID != id {
-		return nil, fmt.Errorf("core: snapshot sequencer %d out of order (want %d)", s.ID, id)
-	}
-	s.ProcID = r.Int()
-	s.SID = r.Int()
-	s.IsOMS = r.Bool()
-	s.State = SeqState(r.U8())
-	if s.State > StateDead {
-		return nil, fmt.Errorf("core: snapshot sequencer %d has invalid state %d", id, s.State)
-	}
-	s.Clock = r.U64()
-	for i := range s.Regs {
-		s.Regs[i] = r.U64()
-	}
-	for i := range s.FRegs {
-		s.FRegs[i] = r.F64()
-	}
-	s.PC = r.U64()
-	s.TP = r.U64()
-	s.Ring = isa.Ring(r.U8())
-	for i := range s.CRs {
-		s.CRs[i] = r.U64()
-	}
-	s.TLB.DecodeSnapshot(r)
-	s.fetchVPN = r.U64()
-	s.fetchBase = r.U64()
-	for i := range s.Yield {
-		s.Yield[i] = r.U64()
-	}
-	s.InHandler = r.Bool()
-	s.YieldSave = decodeCtxSnap(r)
-	np := r.Len(1 << 20)
-	if np < 0 {
-		return nil, r.Err()
-	}
-	s.pending = make([]PendingSignal, np)
-	for i := range s.pending {
-		s.pending[i] = PendingSignal{TS: r.U64(), SentTS: r.U64(), IP: r.U64(), SP: r.U64()}
-	}
-	if np == 0 {
-		s.pending = nil
-	}
-	s.proxyFrame = r.U64()
-	s.proxyLost = r.Bool()
-	s.InProxy = r.Bool()
-	s.TimerDeadline = r.U64()
-	s.RescheduleIPI = r.Bool()
-	s.stallStart = r.U64()
-	s.CurTID = r.Int()
-	c := &s.C
+	c.U64(&s.fetchVPN)
+	c.U64(&s.fetchBase)
+	c.U64s(s.Yield[:])
+	c.Bool(&s.InHandler)
+	snapshotCtx(c, &s.YieldSave)
+	snapshotPending(c, &s.pending)
+	c.U64(&s.proxyFrame)
+	c.Bool(&s.proxyLost)
+	c.Bool(&s.InProxy)
+	c.U64(&s.TimerDeadline)
+	c.Bool(&s.RescheduleIPI)
+	c.U64(&s.stallStart)
+	c.Int(&s.CurTID)
+	n := &s.C
 	for _, p := range []*uint64{
-		&c.Instrs, &c.Syscalls, &c.PageFaults, &c.Timers,
-		&c.Interrupts, &c.ProxySyscalls, &c.ProxyPageFaults,
-		&c.ProxiedServices, &c.RingStall, &c.ProxyStall,
-		&c.IdleCycles, &c.SignalsSent, &c.SignalsReceived,
-		&c.YieldsTaken,
+		&n.Instrs, &n.Syscalls, &n.PageFaults, &n.Timers,
+		&n.Interrupts, &n.ProxySyscalls, &n.ProxyPageFaults,
+		&n.ProxiedServices, &n.RingStall, &n.ProxyStall,
+		&n.IdleCycles, &n.SignalsSent, &n.SignalsReceived,
+		&n.YieldsTaken,
 	} {
-		*p = r.U64()
+		c.U64(p)
 	}
-	return s, r.Err()
 }
 
 // EncodeSnapshot writes the complete machine state. The machine must be
 // at a quiescent stop (between Run calls, or paused via SetPause): a
 // faulted or halted machine has no future to capture. resident is
-// m.Phys.Resident(), computed by the caller so it can size w from it.
-func (m *Machine) EncodeSnapshot(w *wire.Writer, resident []uint32) error {
+// m.Phys.Resident(), computed by the caller so it can size c from it.
+func (m *Machine) EncodeSnapshot(c *wire.Codec, resident []uint32) error {
 	if m.stopErr != nil {
 		return fmt.Errorf("core: cannot snapshot a machine with a latched stop: %v", m.stopErr)
 	}
 	if m.halted {
 		return fmt.Errorf("core: cannot snapshot a halted machine")
 	}
-	EncodeConfig(w, m.Cfg)
-	m.Phys.EncodeSnapshot(w, resident)
-	w.Int(len(m.Seqs))
-	for _, s := range m.Seqs {
-		encodeSeq(w, s)
-	}
-	w.Int(len(m.Procs))
-	for _, p := range m.Procs {
-		w.Int(p.ID)
-		w.Bool(p.inRing0)
-		w.Bool(p.crWritten)
-		// Membership is dynamic (RebindAMS migrates AMSs between
-		// processors), so each processor stores its sequencer ID list.
-		w.Int(len(p.Seqs))
-		for _, s := range p.Seqs {
-			w.Int(s.ID)
-		}
-		w.Int(len(p.PendingProxy))
-		for _, req := range p.PendingProxy {
-			w.U64(req.TS)
-			w.Int(req.AMS.ID)
-			w.U64(req.FrameVA)
-		}
-	}
-	w.U64(m.Steps)
-	w.U64(m.wdNext)
-	w.U64(m.wdSteps)
-	w.Bool(m.flt != nil)
-	if m.flt != nil {
-		m.flt.plan.EncodeSnapshot(w)
-	}
-	m.Obs.Bus.EncodeSnapshot(w)
-	m.Obs.Metrics.EncodeSnapshot(w)
-	w.Bool(m.prof != nil)
-	if m.prof != nil {
-		m.prof.EncodeSnapshot(w)
-	}
+	snapshotConfig(c, &m.Cfg)
+	m.Phys.EncodeSnapshot(c, resident)
+	m.snapshot(c, m.Cfg.Fault)
 	return nil
 }
 
 // RestoreMachine rebuilds a machine from its snapshot. override, if
 // non-nil, may adjust run-only configuration (cost model, limits, fault
-// plane) before the machine is assembled; structural
-// parameters that were consumed during construction cannot change —
-// see structuralMismatch. A changed Fault configuration discards the
-// captured plan state and builds a fresh plan, exactly as a cold
-// machine with that configuration would.
+// plane) before the machine is assembled; structural parameters that
+// were consumed during construction cannot change — see
+// structuralMismatch. A changed Fault configuration discards the
+// captured plan state and keeps the fresh plan assemble builds, exactly
+// as a cold machine with that configuration would start.
 //
 // The caller must reattach an OS (SetOS) before Run; kernel state is
 // restored separately by internal/kernel.
-func RestoreMachine(r *wire.Reader, override func(*Config)) (*Machine, error) {
-	snapCfg, err := DecodeConfig(r)
-	if err != nil {
+func RestoreMachine(c *wire.Codec, override func(*Config)) (*Machine, error) {
+	var snapCfg Config
+	snapshotConfig(c, &snapCfg)
+	if err := c.Err(); err != nil {
 		return nil, fmt.Errorf("core: snapshot config: %w", err)
 	}
 	cfg := snapCfg
-	cfg.Topology = append(Topology(nil), snapCfg.Topology...)
+	cfg.Topology = slices.Clone(snapCfg.Topology)
 	if override != nil {
 		override(&cfg)
 	}
@@ -354,147 +202,147 @@ func RestoreMachine(r *wire.Reader, override func(*Config)) (*Machine, error) {
 	if err := structuralMismatch(snapCfg, cfg); err != nil {
 		return nil, fmt.Errorf("core: snapshot override changes structural parameter: %v", err)
 	}
-	phys, err := mem.RestorePhys(r, cfg.PhysMem)
+	phys, err := mem.RestorePhys(c, cfg.PhysMem)
 	if err != nil {
 		return nil, err
 	}
-	mode := obs.DropNewest
-	if cfg.TraceEvictOldest {
-		mode = obs.EvictOldest
-	}
-	o := obs.New(obs.Options{
-		Events:    cfg.TraceEvents,
-		EventCap:  cfg.MaxTraceEvents,
-		Mode:      mode,
-		ProfilePC: cfg.ProfilePC,
-	})
-	m := &Machine{Cfg: cfg, Phys: phys, Obs: o, Trace: &Trace{bus: o.Bus}, prof: o.Prof}
-	m.mx = newMachMetrics(o.Metrics)
-
-	nSeq := r.Len(1 << 16)
-	if nSeq < 0 {
-		return nil, r.Err()
-	}
-	if nSeq != cfg.Topology.Seqs() {
-		return nil, fmt.Errorf("core: snapshot has %d sequencers, topology %v wants %d",
-			nSeq, cfg.Topology, cfg.Topology.Seqs())
-	}
-	m.Seqs = make([]*Sequencer, nSeq)
-	for i := range m.Seqs {
-		s, err := decodeSeq(r, i)
-		if err != nil {
-			return nil, err
-		}
-		m.Seqs[i] = s
-	}
-	nProc := r.Len(1 << 16)
-	if nProc != len(cfg.Topology) {
-		if nProc < 0 {
-			return nil, r.Err()
-		}
-		return nil, fmt.Errorf("core: snapshot has %d processors, topology wants %d",
-			nProc, len(cfg.Topology))
-	}
-	seen := make([]bool, nSeq)
-	for pid := 0; pid < nProc; pid++ {
-		p := &Processor{ID: r.Int()}
-		if p.ID != pid {
-			return nil, fmt.Errorf("core: snapshot processor %d out of order (want %d)", p.ID, pid)
-		}
-		p.inRing0 = r.Bool()
-		p.crWritten = r.Bool()
-		nm := r.Len(nSeq)
-		if nm < 0 {
-			return nil, r.Err()
-		}
-		for i := 0; i < nm; i++ {
-			id := r.Int()
-			if id < 0 || id >= nSeq || seen[id] {
-				return nil, fmt.Errorf("core: snapshot processor %d member %d invalid", pid, id)
-			}
-			seen[id] = true
-			s := m.Seqs[id]
-			if s.ProcID != pid || (i == 0) != s.IsOMS {
-				return nil, fmt.Errorf("core: snapshot sequencer %d inconsistent with processor %d slot %d", id, pid, i)
-			}
-			p.Seqs = append(p.Seqs, s)
-		}
-		if len(p.Seqs) == 0 {
-			return nil, fmt.Errorf("core: snapshot processor %d has no sequencers", pid)
-		}
-		npx := r.Len(1 << 20)
-		if npx < 0 {
-			return nil, r.Err()
-		}
-		for i := 0; i < npx; i++ {
-			ts := r.U64()
-			amsID := r.Int()
-			frameVA := r.U64()
-			if r.Err() != nil {
-				return nil, r.Err()
-			}
-			if amsID < 0 || amsID >= nSeq {
-				return nil, fmt.Errorf("core: snapshot proxy request references sequencer %d", amsID)
-			}
-			p.PendingProxy = append(p.PendingProxy, ProxyReq{
-				TS: ts, AMS: m.Seqs[amsID], FrameVA: frameVA,
-			})
-		}
-		m.Procs = append(m.Procs, p)
-	}
-	for id, ok := range seen {
-		if !ok {
-			return nil, fmt.Errorf("core: snapshot sequencer %d not owned by any processor", id)
-		}
-	}
-	m.Steps = r.U64()
-	m.wdNext = r.U64()
-	m.wdSteps = r.U64()
-	hadPlan := r.Bool()
-	if hadPlan {
-		plan, err := fault.RestorePlan(r)
-		if err != nil {
-			return nil, err
-		}
-		if cfg.Fault != snapCfg.Fault {
-			// The override replaced the fault configuration: discard the
-			// captured schedule and start the new plan from its origin, as
-			// a cold machine would.
-			plan = fault.NewPlan(cfg.Fault)
-		}
-		if plan != nil {
-			m.flt = &fltState{plan: plan, injected: o.Metrics.Counter(obs.MFaultInjected)}
-		}
-	} else if cfg.Fault != snapCfg.Fault {
-		if plan := fault.NewPlan(cfg.Fault); plan != nil {
-			m.flt = &fltState{plan: plan, injected: o.Metrics.Counter(obs.MFaultInjected)}
-		}
-	}
-	m.wdHorizon = cfg.WatchdogHorizon
-	if m.wdHorizon == 0 && m.flt != nil {
-		m.wdHorizon = 8 * cfg.TimerInterval
-	}
-	if err := o.Bus.DecodeSnapshot(r); err != nil {
-		return nil, err
-	}
-	if err := o.Metrics.DecodeSnapshot(r); err != nil {
-		return nil, err
-	}
-	hadProf := r.Bool()
-	if hadProf != (o.Prof != nil) {
-		if r.Err() != nil {
-			return nil, r.Err()
-		}
-		return nil, fmt.Errorf("core: snapshot profile presence %v disagrees with config", hadProf)
-	}
-	if hadProf {
-		if err := o.Prof.DecodeSnapshot(r); err != nil {
-			return nil, err
-		}
-	}
-	if err := r.Err(); err != nil {
+	m := assemble(cfg, phys)
+	m.snapshot(c, snapCfg.Fault)
+	if err := c.Err(); err != nil {
+		phys.Release()
 		return nil, err
 	}
 	m.initScratch()
 	return m, nil
+}
+
+// snapshot codes everything after the memory image: sequencers,
+// processors, run totals, the fault plan, and the obs subsystem.
+// snapFault is the fault configuration the image was captured under.
+// Decoding fills a machine fresh from assemble, checking every
+// cross-reference as it resolves it.
+func (m *Machine) snapshot(c *wire.Codec, snapFault fault.Config) {
+	wire.Slice(c, &m.Seqs, func(s **Sequencer) {
+		if c.Decoding() {
+			*s = new(Sequencer)
+		}
+		(*s).snapshot(c)
+	})
+	if c.Decoding() {
+		if len(m.Seqs) != m.Cfg.Topology.Seqs() {
+			c.Fail(fmt.Errorf("core: snapshot has %d sequencers, topology %v wants %d",
+				len(m.Seqs), m.Cfg.Topology, m.Cfg.Topology.Seqs()))
+		}
+		for id, s := range m.Seqs {
+			if s.ID != id {
+				c.Fail(fmt.Errorf("core: snapshot sequencer %d out of order (want %d)", s.ID, id))
+			} else if s.State > StateDead {
+				c.Fail(fmt.Errorf("core: snapshot sequencer %d has invalid state %d", id, s.State))
+			}
+		}
+	}
+
+	seen := make([]bool, len(m.Seqs))
+	wire.Slice(c, &m.Procs, func(pp **Processor) {
+		if c.Decoding() {
+			*pp = new(Processor)
+		}
+		p := *pp
+		c.Int(&p.ID)
+		c.Bool(&p.inRing0)
+		c.Bool(&p.crWritten)
+		// Membership is dynamic (RebindAMS migrates AMSs between
+		// processors), so each processor stores its sequencer ID list.
+		ids := make([]int, len(p.Seqs))
+		for i, s := range p.Seqs {
+			ids[i] = s.ID
+		}
+		wire.Slice(c, &ids, c.Int)
+		if c.Decoding() {
+			m.resolveMembers(c, p, ids, seen)
+		}
+		wire.Slice(c, &p.PendingProxy, func(req *ProxyReq) {
+			var ams int
+			if req.AMS != nil {
+				ams = req.AMS.ID
+			}
+			c.U64(&req.TS)
+			c.Int(&ams)
+			c.U64(&req.FrameVA)
+			if c.Decoding() {
+				req.AMS = m.seqRef(c, ams)
+			}
+		})
+	})
+	if c.Decoding() {
+		if len(m.Procs) != len(m.Cfg.Topology) {
+			c.Fail(fmt.Errorf("core: snapshot has %d processors, topology wants %d",
+				len(m.Procs), len(m.Cfg.Topology)))
+		}
+		for pid, p := range m.Procs {
+			if p.ID != pid {
+				c.Fail(fmt.Errorf("core: snapshot processor %d out of order (want %d)", p.ID, pid))
+			}
+		}
+		for id, ok := range seen {
+			if !ok {
+				c.Fail(fmt.Errorf("core: snapshot sequencer %d not owned by any processor", id))
+			}
+		}
+	}
+
+	c.U64(&m.Steps)
+	c.U64(&m.wdNext)
+	c.U64(&m.wdSteps)
+	hasPlan := m.flt != nil
+	c.Bool(&hasPlan)
+	if hasPlan {
+		// A fork whose override replaced the fault configuration reads
+		// past the captured plan and keeps the fresh one assemble built.
+		plan := new(fault.Plan)
+		if m.flt != nil && m.Cfg.Fault == snapFault {
+			plan = m.flt.plan
+		}
+		plan.Snapshot(c)
+	}
+	m.Obs.Bus.Snapshot(c)
+	m.Obs.Metrics.Snapshot(c)
+	hasProf := m.prof != nil
+	c.Bool(&hasProf)
+	if c.Decoding() && hasProf != (m.prof != nil) {
+		c.Fail(fmt.Errorf("core: snapshot profile presence %v disagrees with config", hasProf))
+	}
+	if hasProf && c.Err() == nil {
+		m.prof.Snapshot(c)
+	}
+}
+
+// seqRef resolves a decoded sequencer ID.
+func (m *Machine) seqRef(c *wire.Codec, id int) *Sequencer {
+	if id < 0 || id >= len(m.Seqs) {
+		c.Fail(fmt.Errorf("core: snapshot references sequencer %d", id))
+		return nil
+	}
+	return m.Seqs[id]
+}
+
+// resolveMembers rebuilds p's sequencer list from decoded IDs: each
+// sequencer belongs to exactly one processor (seen marks the claimed
+// ones), says so itself, and is the OMS exactly when it comes first.
+func (m *Machine) resolveMembers(c *wire.Codec, p *Processor, ids []int, seen []bool) {
+	for i, id := range ids {
+		if id < 0 || id >= len(m.Seqs) || seen[id] {
+			c.Fail(fmt.Errorf("core: snapshot processor %d member %d invalid", p.ID, id))
+			return
+		}
+		seen[id] = true
+		s := m.Seqs[id]
+		if s.ProcID != p.ID || (i == 0) != s.IsOMS {
+			c.Fail(fmt.Errorf("core: snapshot sequencer %d inconsistent with processor %d slot %d", id, p.ID, i))
+		}
+		p.Seqs = append(p.Seqs, s)
+	}
+	if len(p.Seqs) == 0 {
+		c.Fail(fmt.Errorf("core: snapshot processor %d has no sequencers", p.ID))
+	}
 }

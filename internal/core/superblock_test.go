@@ -231,11 +231,11 @@ func TestSuperblockSnapshotExcludesCompiledState(t *testing.T) {
 		t.Fatalf("host.superblock.block_runs = %d, want %d", got, mFast.sbRuns)
 	}
 
-	wF := wire.NewWriter(1 << 20)
+	wF := wire.NewEncoder(1 << 20)
 	if err := mFast.EncodeSnapshot(wF, mFast.Phys.Resident()); err != nil {
 		t.Fatal(err)
 	}
-	wL := wire.NewWriter(1 << 20)
+	wL := wire.NewEncoder(1 << 20)
 	if err := mLegacy.EncodeSnapshot(wL, mLegacy.Phys.Resident()); err != nil {
 		t.Fatal(err)
 	}
@@ -243,7 +243,7 @@ func TestSuperblockSnapshotExcludesCompiledState(t *testing.T) {
 		t.Fatal("fast-loop snapshot differs from legacy-loop snapshot: host state leaked into the image")
 	}
 
-	m2, err := RestoreMachine(wire.NewReader(wF.Bytes()), nil)
+	m2, err := RestoreMachine(wire.NewDecoder(wF.Bytes()), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

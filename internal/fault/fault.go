@@ -176,17 +176,24 @@ func NewPlan(cfg Config) *Plan {
 			p.gap[k] = p.interval(k)
 		}
 	}
+	p.resolveKinds()
+	return p
+}
+
+// resolveKinds derives the kind subsets OnRetire consults from the
+// configuration.
+func (p *Plan) resolveKinds() {
+	p.amsKinds, p.retireKinds = nil, nil
 	for _, k := range []Kind{AMSStall, AMSKill} {
-		if cfg.Period[k] != 0 {
+		if p.cfg.Period[k] != 0 {
 			p.amsKinds = append(p.amsKinds, k)
 		}
 	}
 	for _, k := range []Kind{SpuriousYield, TLBFlush, TLBCorrupt, MemBitFlip} {
-		if cfg.Period[k] != 0 {
+		if p.cfg.Period[k] != 0 {
 			p.retireKinds = append(p.retireKinds, k)
 		}
 	}
-	return p
 }
 
 // Config returns the plan's resolved configuration.

@@ -6,107 +6,38 @@ import (
 	"misp/internal/snap/wire"
 )
 
-// Snapshot codec for the fault plan. A plan is pure state — splitmix64
-// stream positions, countdowns, counts, and the injection log — so
-// capture/restore is a verbatim copy. RestorePlan deliberately does
-// NOT run NewPlan's gap initialization: those draws were already taken
-// when the captured plan was built, and redrawing them would desync
-// every stream from the captured schedule.
-
-// EncodeSnapshot writes the plan's configuration and stream state.
-func (p *Plan) EncodeSnapshot(w *wire.Writer) {
-	EncodeConfig(w, p.cfg)
-	for _, v := range p.rng {
-		w.U64(v)
+// Snapshot codes the plan: its resolved configuration and its stream
+// state — splitmix64 positions, countdowns, counts, and the injection
+// log — verbatim. Decoding deliberately does NOT run NewPlan's gap
+// initialization: those draws were already taken when the captured plan
+// was built, and redrawing them would desync every stream from the
+// captured schedule. Only the kind subsets, a pure function of the
+// configuration, are derived again.
+func (p *Plan) Snapshot(c *wire.Codec) {
+	SnapshotConfig(c, &p.cfg)
+	if c.Decoding() && !p.cfg.Enabled() {
+		c.Fail(fmt.Errorf("fault: snapshot plan has disabled config"))
 	}
-	for _, v := range p.gap {
-		w.U64(v)
-	}
-	w.U64(p.n)
-	for _, v := range p.counts {
-		w.U64(v)
-	}
-	w.U64(uint64(len(p.log)))
-	for _, rec := range p.log {
-		w.U64(rec.N)
-		w.U8(uint8(rec.Kind))
-		w.U64(rec.Arg)
+	c.U64s(p.rng[:])
+	c.U64s(p.gap[:])
+	c.U64(&p.n)
+	c.U64s(p.counts[:])
+	wire.Slice(c, &p.log, func(r *Record) {
+		c.U64(&r.N)
+		wire.Enum(c, &r.Kind)
+		c.U64(&r.Arg)
+	})
+	if c.Decoding() {
+		p.resolveKinds()
 	}
 }
 
-// RestorePlan rebuilds a plan from its snapshot: stream states,
-// countdowns, counts, and log are installed verbatim; only the derived
-// kind subsets (which are a pure function of the config) are
-// recomputed. Returns nil (and no error) when the captured plan was
-// disabled.
-func RestorePlan(r *wire.Reader) (*Plan, error) {
-	cfg, err := DecodeConfig(r)
-	if err != nil {
-		return nil, err
-	}
-	if !cfg.Enabled() {
-		return nil, fmt.Errorf("fault: snapshot plan has disabled config")
-	}
-	p := &Plan{cfg: cfg}
-	for k := range p.rng {
-		p.rng[k] = r.U64()
-	}
-	for k := range p.gap {
-		p.gap[k] = r.U64()
-	}
-	p.n = r.U64()
-	for k := range p.counts {
-		p.counts[k] = r.U64()
-	}
-	nlog := r.Len(1 << 28)
-	if nlog < 0 {
-		return nil, r.Err()
-	}
-	p.log = make([]Record, nlog)
-	for i := range p.log {
-		p.log[i] = Record{N: r.U64(), Kind: Kind(r.U8()), Arg: r.U64()}
-	}
-	if err := r.Err(); err != nil {
-		return nil, err
-	}
-	for _, k := range []Kind{AMSStall, AMSKill} {
-		if cfg.Period[k] != 0 {
-			p.amsKinds = append(p.amsKinds, k)
-		}
-	}
-	for _, k := range []Kind{SpuriousYield, TLBFlush, TLBCorrupt, MemBitFlip} {
-		if cfg.Period[k] != 0 {
-			p.retireKinds = append(p.retireKinds, k)
-		}
-	}
-	return p, nil
-}
-
-// EncodeConfig writes a fault configuration (also used by the machine
-// codec for the Config.Fault field).
-func EncodeConfig(w *wire.Writer, c Config) {
-	w.U64(c.Seed)
-	for _, v := range c.Period {
-		w.U64(v)
-	}
-	for _, v := range c.Max {
-		w.U64(v)
-	}
-	w.U64(c.SignalDelay)
-	w.U64(c.StallCycles)
-}
-
-// DecodeConfig reads a fault configuration.
-func DecodeConfig(r *wire.Reader) (Config, error) {
-	var c Config
-	c.Seed = r.U64()
-	for k := range c.Period {
-		c.Period[k] = r.U64()
-	}
-	for k := range c.Max {
-		c.Max[k] = r.U64()
-	}
-	c.SignalDelay = r.U64()
-	c.StallCycles = r.U64()
-	return c, r.Err()
+// SnapshotConfig codes a fault configuration (a plan's own, and the
+// machine codec's Config.Fault field).
+func SnapshotConfig(c *wire.Codec, cfg *Config) {
+	c.U64(&cfg.Seed)
+	c.U64s(cfg.Period[:])
+	c.U64s(cfg.Max[:])
+	c.U64(&cfg.SignalDelay)
+	c.U64(&cfg.StallCycles)
 }

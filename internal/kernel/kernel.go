@@ -141,34 +141,39 @@ type kernMetrics struct {
 
 // New creates a kernel, attaches it to m, and arms every OMS timer.
 func New(m *core.Machine) *Kernel {
-	k := &Kernel{
-		M:        m,
-		Procs:    make(map[int]*Process),
-		Threads:  make(map[int]*Thread),
-		nextPID:  1,
-		nextTID:  1,
-		seenDead: make(map[int]bool),
-		latched:  make(map[int]bool),
-		backlog:  make(map[int][]qentry),
-	}
+	k := newKernel(m)
+	k.nextPID, k.nextTID = 1, 1
 	for _, p := range m.Procs {
 		p.OMS().TimerDeadline = m.Cfg.TimerInterval
 	}
-	reg := m.Obs.Metrics
-	k.mx = kernMetrics{
-		ticks:      reg.Counter(obs.MKTicks),
-		syscalls:   reg.Counter(obs.MKSyscalls),
-		pageFaults: reg.Counter(obs.MKPageFaults),
-		ipis:       reg.Counter(obs.MKIPIs),
-		switches:   reg.Counter(obs.MKSwitches),
-		rebinds:    reg.Counter(obs.MKRebinds),
-
-		faultDetected:  reg.Counter(obs.MFaultDetected),
-		faultRecovered: reg.Counter(obs.MFaultRecovered),
-		recoveryLat:    reg.Histogram(obs.MFaultRecoveryLat),
-	}
 	m.SetOS(k)
 	return k
+}
+
+// newKernel builds an empty kernel for m, its metric handles resolved
+// against m's registry: what New and a snapshot restore share.
+func newKernel(m *core.Machine) *Kernel {
+	reg := m.Obs.Metrics
+	return &Kernel{
+		M:        m,
+		Procs:    make(map[int]*Process),
+		Threads:  make(map[int]*Thread),
+		seenDead: make(map[int]bool),
+		latched:  make(map[int]bool),
+		backlog:  make(map[int][]qentry),
+		mx: kernMetrics{
+			ticks:      reg.Counter(obs.MKTicks),
+			syscalls:   reg.Counter(obs.MKSyscalls),
+			pageFaults: reg.Counter(obs.MKPageFaults),
+			ipis:       reg.Counter(obs.MKIPIs),
+			switches:   reg.Counter(obs.MKSwitches),
+			rebinds:    reg.Counter(obs.MKRebinds),
+
+			faultDetected:  reg.Counter(obs.MFaultDetected),
+			faultRecovered: reg.Counter(obs.MFaultRecovered),
+			recoveryLat:    reg.Histogram(obs.MFaultRecoveryLat),
+		},
+	}
 }
 
 // Err returns the first fatal kernel error (e.g. an unhandled fault in

@@ -2,12 +2,10 @@ package kernel
 
 import (
 	"fmt"
-	"sort"
 
 	"misp/internal/asm"
 	"misp/internal/core"
 	"misp/internal/mem"
-	"misp/internal/obs"
 	"misp/internal/snap/wire"
 )
 
@@ -15,9 +13,10 @@ import (
 // processes own threads, threads point back at processes and at each
 // other (joiners), run queues hold ordered thread references — so the
 // encoding flattens every reference to its stable ID (PID, TID,
-// sequencer global ID) and the decoder rebuilds the graph in two
-// passes. Map iteration is never encoded directly: every map is walked
-// in sorted key order so identical kernels produce identical bytes.
+// sequencer global ID) and the decoder rebuilds the graph: thread lists
+// that can name threads not yet decoded resolve once all of them exist.
+// Map iteration is never encoded directly: every map is walked in
+// sorted key order so identical kernels produce identical bytes.
 //
 // The program image is embedded per process, which makes a snapshot
 // self-contained: a restore in a different host process (mispsim
@@ -26,57 +25,220 @@ import (
 // copies.
 //
 // NOT captured: StopPredicate (a host closure — Capture refuses while
-// one is set) and the pre-resolved metric handles (re-resolved against
-// the restored machine's registry).
+// one is set) and the pre-resolved metric handles (newKernel resolves
+// them against the restored machine's registry).
 
-func encodeProgram(w *wire.Writer, p *asm.Program) {
-	w.U64(p.TextBase)
-	w.U64(p.DataBase)
-	w.Blob(p.Text)
-	w.Blob(p.Data)
-	w.U64(p.BSS)
-	w.U64(p.Entry)
-	names := make([]string, 0, len(p.Symbols))
-	for name := range p.Symbols {
-		names = append(names, name)
+// EncodeSnapshot writes the complete kernel state. The kernel must be
+// healthy (no latched fatal error) and must not carry a StopPredicate,
+// which is a host closure the codec cannot represent.
+func (k *Kernel) EncodeSnapshot(c *wire.Codec) error {
+	if k.fatal != nil {
+		return fmt.Errorf("kernel: cannot snapshot with a fatal error latched: %v", k.fatal)
 	}
-	sort.Strings(names)
-	w.U64(uint64(len(names)))
-	for _, name := range names {
-		w.String(name)
-		w.U64(p.Symbols[name])
+	if k.StopPredicate != nil {
+		return fmt.Errorf("kernel: cannot snapshot with a StopPredicate attached")
 	}
+	k.snapshot(c)
+	return nil
 }
 
-func decodeProgram(r *wire.Reader) (*asm.Program, error) {
-	p := &asm.Program{
-		TextBase: r.U64(),
-		DataBase: r.U64(),
-		Text:     r.Blob(),
-		Data:     r.Blob(),
-		BSS:      r.U64(),
-		Entry:    r.U64(),
-		Symbols:  make(map[string]uint64),
+// RestoreSnapshot rebuilds a kernel from its snapshot and attaches it
+// to m (which must itself be a machine restored from the same
+// snapshot — sequencer CurTID fields and save areas reference the
+// decoded threads and spaces). Timers are NOT re-armed: deadlines live
+// in the machine state.
+func RestoreSnapshot(m *core.Machine, c *wire.Codec) (*Kernel, error) {
+	k := newKernel(m)
+	k.snapshot(c)
+	if err := c.Err(); err != nil {
+		return nil, err
 	}
-	ns := r.Len(1 << 20)
-	for i := 0; i < ns; i++ {
-		name := r.String()
-		v := r.U64()
-		if r.Err() != nil {
-			return nil, r.Err()
+	m.SetOS(k)
+	return k, nil
+}
+
+// snapshot codes the kernel: counters, then processes and threads in ID
+// order, the run queues in FIFO order (it is scheduling-relevant), and
+// the health check's state.
+func (k *Kernel) snapshot(c *wire.Codec) {
+	c.Int(&k.nextPID)
+	c.Int(&k.nextTID)
+	c.Int(&k.live)
+	c.Bool(&k.DynamicAMSBinding)
+	st := &k.Stats
+	for _, p := range []*uint64{
+		&st.Ticks, &st.Switches, &st.Syscalls, &st.PageFaults,
+		&st.IPIs, &st.Rebinds, &st.Detected, &st.Recovered,
+	} {
+		c.U64(p)
+	}
+
+	// A process lists its threads by TID, and a thread its joiners; the
+	// lists resolve once the thread table has been read.
+	members := map[*Process][]int{}
+	wire.Map(c, k.Procs, c.Int, func(pid int) {
+		p := k.Procs[pid]
+		if c.Decoding() {
+			if p != nil {
+				c.Fail(fmt.Errorf("kernel: snapshot has duplicate PID %d", pid))
+				return
+			}
+			p = &Process{PID: pid, Threads: make(map[int]*Thread)}
+			k.Procs[pid] = p
 		}
-		p.Symbols[name] = v
+		k.snapshotProcess(c, p)
+		wire.Map(c, p.Threads, c.Int, func(tid int) {
+			if c.Decoding() {
+				members[p] = append(members[p], tid)
+			}
+		})
+	})
+
+	joiners := map[*Thread][]int{}
+	wire.Map(c, k.Threads, c.Int, func(tid int) {
+		t := k.Threads[tid]
+		if c.Decoding() {
+			if t != nil {
+				c.Fail(fmt.Errorf("kernel: snapshot has duplicate TID %d", tid))
+				return
+			}
+			t = &Thread{TID: tid}
+			k.Threads[tid] = t
+		}
+		k.snapshotThread(c, t)
+		js := tids(t.joiners)
+		wire.Slice(c, &js, c.Int)
+		if c.Decoding() {
+			joiners[t] = js
+		}
+	})
+	for t, js := range joiners {
+		t.joiners = k.threadRefs(c, js)
 	}
-	return p, r.Err()
+	for p, ts := range members {
+		for _, t := range k.threadRefs(c, ts) {
+			p.Threads[t.TID] = t
+		}
+	}
+
+	for _, q := range []*[]*Thread{&k.ready, &k.sleeping} {
+		ids := tids(*q)
+		wire.Slice(c, &ids, c.Int)
+		if c.Decoding() {
+			*q = k.threadRefs(c, ids)
+		}
+	}
+
+	for _, set := range []map[int]bool{k.seenDead, k.latched} {
+		wire.Map(c, set, c.Int, func(id int) {
+			if c.Decoding() {
+				set[id] = true
+			}
+		})
+	}
+	wire.Map(c, k.backlog, c.Int, func(pid int) {
+		q := k.backlog[pid]
+		wire.Slice(c, &q, func(e *qentry) {
+			c.U64(&e.ip)
+			c.U64(&e.sp)
+		})
+		if c.Decoding() {
+			k.backlog[pid] = q
+		}
+	})
+}
+
+// snapshotProcess codes a process after its PID.
+func (k *Kernel) snapshotProcess(c *wire.Codec, p *Process) {
+	c.String(&p.Name)
+	if c.Decoding() {
+		p.Prog = &asm.Program{Symbols: make(map[string]uint64)}
+	}
+	snapshotProgram(c, p.Prog)
+	p.Space = mem.SnapshotSpace(c, p.Space, k.M.Phys, func(v *mem.VMA) { snapshotBacking(c, v, p.Prog) })
+	c.U64(&p.Brk)
+	c.Int(&p.Live)
+	c.Bool(&p.Exited)
+	c.U64(&p.ExitCode)
+	c.U64(&p.StartTime)
+	c.U64(&p.ExitTime)
+	out := p.Out.Bytes()
+	c.Blob(&out)
+	if c.Decoding() {
+		p.Out.Write(out)
+	}
+	c.Int(&p.nextStack)
+}
+
+// snapshotThread codes a thread after its TID, up to its joiners.
+func (k *Kernel) snapshotThread(c *wire.Codec, t *Thread) {
+	var pid int
+	if t.Proc != nil {
+		pid = t.Proc.PID
+	}
+	c.Int(&pid)
+	if c.Decoding() {
+		if t.Proc = k.Procs[pid]; t.Proc == nil {
+			c.Fail(fmt.Errorf("kernel: snapshot thread %d references unknown PID %d", t.TID, pid))
+		}
+	}
+	wire.Enum(c, &t.State)
+	t.OMSState.Snapshot(c)
+	wire.Slice(c, &t.AMSStates, func(st *core.ThreadSeqState) { st.Snapshot(c) })
+	c.Int(&t.AMSDemand)
+	c.Int(&t.HomeProc)
+	c.Int(&t.QuantumLeft)
+	c.U64(&t.ExitStatus)
+	c.U64(&t.WakeAt)
+}
+
+// tids flattens a thread list to its TIDs.
+func tids(ts []*Thread) []int {
+	out := make([]int, len(ts))
+	for i, t := range ts {
+		out[i] = t.TID
+	}
+	return out
+}
+
+// threadRefs resolves decoded TIDs to threads.
+func (k *Kernel) threadRefs(c *wire.Codec, ids []int) []*Thread {
+	var ts []*Thread
+	for _, tid := range ids {
+		t := k.Threads[tid]
+		if t == nil {
+			c.Fail(fmt.Errorf("kernel: snapshot references unknown TID %d", tid))
+			return nil
+		}
+		ts = append(ts, t)
+	}
+	return ts
+}
+
+// snapshotProgram codes a program image, its symbol table in name order.
+func snapshotProgram(c *wire.Codec, p *asm.Program) {
+	c.U64(&p.TextBase)
+	c.U64(&p.DataBase)
+	c.Blob(&p.Text)
+	c.Blob(&p.Data)
+	c.U64(&p.BSS)
+	c.U64(&p.Entry)
+	wire.Map(c, p.Symbols, c.String, func(name string) {
+		v := p.Symbols[name]
+		c.U64(&v)
+		if c.Decoding() {
+			p.Symbols[name] = v
+		}
+	})
 }
 
 // VMA backing tags: the backing slice is either absent, an alias of the
 // program image (stored by reference), or an inline copy.
 const (
-	backingNil  = 0
-	backingText = 1
-	backingData = 2
-	backingBlob = 3
+	backingNil uint8 = iota
+	backingText
+	backingData
+	backingBlob
 )
 
 // aliases reports whether b is a prefix view into image's storage.
@@ -84,482 +246,46 @@ func aliases(b, image []byte) bool {
 	return len(image) > 0 && len(b) > 0 && len(b) <= len(image) && &b[0] == &image[0]
 }
 
-func encodeSpace(w *wire.Writer, sp *mem.Space, prog *asm.Program) {
-	w.U32(sp.PT.Root)
-	w.U64(sp.Brk)
-	w.U64(sp.Mapped)
-	vmas := sp.VMAs()
-	w.U64(uint64(len(vmas)))
-	for _, v := range vmas {
-		w.String(v.Name)
-		w.U64(v.Start)
-		w.U64(v.End)
-		w.Bool(v.Writable)
-		switch {
-		case v.Backing == nil:
-			w.U8(backingNil)
-		case aliases(v.Backing, prog.Text):
-			w.U8(backingText)
-			w.U64(uint64(len(v.Backing)))
-		case aliases(v.Backing, prog.Data):
-			w.U8(backingData)
-			w.U64(uint64(len(v.Backing)))
-		default:
-			w.U8(backingBlob)
-			w.Blob(v.Backing)
-		}
+// backingTag classifies v's backing slice for the encoder.
+func backingTag(v *mem.VMA, prog *asm.Program) uint8 {
+	switch {
+	case v.Backing == nil:
+		return backingNil
+	case aliases(v.Backing, prog.Text):
+		return backingText
+	case aliases(v.Backing, prog.Data):
+		return backingData
 	}
+	return backingBlob
 }
 
-func decodeSpace(r *wire.Reader, phys *mem.Phys, prog *asm.Program) (*mem.Space, error) {
-	root := r.U32()
-	brk := r.U64()
-	mapped := r.U64()
-	nv := r.Len(1 << 16)
-	if nv < 0 {
-		return nil, r.Err()
+// snapshotBacking codes a VMA's backing slice as its tag, then, for an
+// alias of the program image, its length, or for a copy, its bytes.
+func snapshotBacking(c *wire.Codec, v *mem.VMA, prog *asm.Program) {
+	var tag uint8
+	if !c.Decoding() {
+		tag = backingTag(v, prog)
 	}
-	vmas := make([]*mem.VMA, 0, nv)
-	for i := 0; i < nv; i++ {
-		v := &mem.VMA{
-			Name:     r.String(),
-			Start:    r.U64(),
-			End:      r.U64(),
-			Writable: r.Bool(),
+	c.U8(&tag)
+	switch tag {
+	case backingNil:
+	case backingText, backingData:
+		image := prog.Text
+		if tag == backingData {
+			image = prog.Data
 		}
-		switch tag := r.U8(); tag {
-		case backingNil:
-		case backingText, backingData:
-			image := prog.Text
-			if tag == backingData {
-				image = prog.Data
-			}
-			n := r.U64()
+		n := uint64(len(v.Backing))
+		c.U64(&n)
+		if c.Decoding() {
 			if n == 0 || n > uint64(len(image)) {
-				if r.Err() != nil {
-					return nil, r.Err()
-				}
-				return nil, fmt.Errorf("kernel: snapshot VMA %q backing length %d exceeds image", v.Name, n)
+				c.Fail(fmt.Errorf("kernel: snapshot VMA %q backing length %d exceeds image", v.Name, n))
+				return
 			}
 			v.Backing = image[:n]
-		case backingBlob:
-			v.Backing = r.Blob()
-		default:
-			if r.Err() != nil {
-				return nil, r.Err()
-			}
-			return nil, fmt.Errorf("kernel: snapshot VMA %q has unknown backing tag %d", v.Name, tag)
 		}
-		vmas = append(vmas, v)
+	case backingBlob:
+		c.Blob(&v.Backing)
+	default:
+		c.Fail(fmt.Errorf("kernel: snapshot VMA %q has unknown backing tag %d", v.Name, tag))
 	}
-	if err := r.Err(); err != nil {
-		return nil, err
-	}
-	return mem.RestoreSpace(phys, root, brk, mapped, vmas)
-}
-
-func encodeSeqState(w *wire.Writer, st *core.ThreadSeqState) {
-	encodeCtx(w, st.Ctx)
-	for _, v := range st.Yield {
-		w.U64(v)
-	}
-	w.Bool(st.InHandler)
-	encodeCtx(w, st.YieldSave)
-	w.U64(uint64(len(st.Pending)))
-	for _, p := range st.Pending {
-		w.U64(p.TS)
-		w.U64(p.SentTS)
-		w.U64(p.IP)
-		w.U64(p.SP)
-	}
-	w.U8(uint8(st.State))
-	w.U64(st.ProxyFrame)
-	w.Bool(st.HasProxyReq)
-}
-
-func decodeSeqState(r *wire.Reader) (core.ThreadSeqState, error) {
-	var st core.ThreadSeqState
-	st.Ctx = decodeCtx(r)
-	for i := range st.Yield {
-		st.Yield[i] = r.U64()
-	}
-	st.InHandler = r.Bool()
-	st.YieldSave = decodeCtx(r)
-	np := r.Len(1 << 20)
-	if np < 0 {
-		return st, r.Err()
-	}
-	if np > 0 {
-		st.Pending = make([]core.PendingSignal, np)
-		for i := range st.Pending {
-			st.Pending[i] = core.PendingSignal{TS: r.U64(), SentTS: r.U64(), IP: r.U64(), SP: r.U64()}
-		}
-	}
-	st.State = core.SeqState(r.U8())
-	st.ProxyFrame = r.U64()
-	st.HasProxyReq = r.Bool()
-	return st, r.Err()
-}
-
-func encodeCtx(w *wire.Writer, c core.CtxSnap) {
-	for _, v := range c.Regs {
-		w.U64(v)
-	}
-	for _, v := range c.FRegs {
-		w.F64(v)
-	}
-	w.U64(c.PC)
-	w.U64(c.TP)
-}
-
-func decodeCtx(r *wire.Reader) core.CtxSnap {
-	var c core.CtxSnap
-	for i := range c.Regs {
-		c.Regs[i] = r.U64()
-	}
-	for i := range c.FRegs {
-		c.FRegs[i] = r.F64()
-	}
-	c.PC = r.U64()
-	c.TP = r.U64()
-	return c
-}
-
-func sortedKeys[V any](m map[int]V) []int {
-	keys := make([]int, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Ints(keys)
-	return keys
-}
-
-// EncodeSnapshot writes the complete kernel state. The kernel must be
-// healthy (no latched fatal error) and must not carry a StopPredicate,
-// which is a host closure the codec cannot represent.
-func (k *Kernel) EncodeSnapshot(w *wire.Writer) error {
-	if k.fatal != nil {
-		return fmt.Errorf("kernel: cannot snapshot with a fatal error latched: %v", k.fatal)
-	}
-	if k.StopPredicate != nil {
-		return fmt.Errorf("kernel: cannot snapshot with a StopPredicate attached")
-	}
-	w.Int(k.nextPID)
-	w.Int(k.nextTID)
-	w.Int(k.live)
-	w.Bool(k.DynamicAMSBinding)
-	for _, v := range []uint64{
-		k.Stats.Ticks, k.Stats.Switches, k.Stats.Syscalls, k.Stats.PageFaults,
-		k.Stats.IPIs, k.Stats.Rebinds, k.Stats.Detected, k.Stats.Recovered,
-	} {
-		w.U64(v)
-	}
-
-	pids := sortedKeys(k.Procs)
-	w.U64(uint64(len(pids)))
-	for _, pid := range pids {
-		p := k.Procs[pid]
-		w.Int(p.PID)
-		w.String(p.Name)
-		encodeProgram(w, p.Prog)
-		encodeSpace(w, p.Space, p.Prog)
-		w.U64(p.Brk)
-		w.Int(p.Live)
-		w.Bool(p.Exited)
-		w.U64(p.ExitCode)
-		w.U64(p.StartTime)
-		w.U64(p.ExitTime)
-		w.Blob(p.Out.Bytes())
-		w.Int(p.nextStack)
-		// Thread membership by TID; the thread bodies are encoded once in
-		// the global table below.
-		tids := sortedKeys(p.Threads)
-		w.U64(uint64(len(tids)))
-		for _, tid := range tids {
-			w.Int(tid)
-		}
-	}
-
-	tids := sortedKeys(k.Threads)
-	w.U64(uint64(len(tids)))
-	for _, tid := range tids {
-		t := k.Threads[tid]
-		w.Int(t.TID)
-		w.Int(t.Proc.PID)
-		w.U8(uint8(t.State))
-		encodeSeqState(w, &t.OMSState)
-		w.U64(uint64(len(t.AMSStates)))
-		for i := range t.AMSStates {
-			encodeSeqState(w, &t.AMSStates[i])
-		}
-		w.Int(t.AMSDemand)
-		w.Int(t.HomeProc)
-		w.Int(t.QuantumLeft)
-		w.U64(t.ExitStatus)
-		w.U64(t.WakeAt)
-		w.U64(uint64(len(t.joiners)))
-		for _, j := range t.joiners {
-			w.Int(j.TID)
-		}
-	}
-
-	// Run queues in slice order (FIFO order is scheduling-relevant).
-	w.U64(uint64(len(k.ready)))
-	for _, t := range k.ready {
-		w.Int(t.TID)
-	}
-	w.U64(uint64(len(k.sleeping)))
-	for _, t := range k.sleeping {
-		w.Int(t.TID)
-	}
-
-	// Health-check state.
-	for _, m := range []map[int]bool{k.seenDead, k.latched} {
-		ids := sortedKeys(m)
-		w.U64(uint64(len(ids)))
-		for _, id := range ids {
-			w.Int(id)
-		}
-	}
-	bpids := sortedKeys(k.backlog)
-	w.U64(uint64(len(bpids)))
-	for _, pid := range bpids {
-		w.Int(pid)
-		q := k.backlog[pid]
-		w.U64(uint64(len(q)))
-		for _, e := range q {
-			w.U64(e.ip)
-			w.U64(e.sp)
-		}
-	}
-	return nil
-}
-
-// RestoreSnapshot rebuilds a kernel from its snapshot and attaches it
-// to m (which must itself be a machine restored from the same
-// snapshot — sequencer CurTID fields and save areas reference the
-// decoded threads and spaces). Metric handles are re-resolved against
-// m's registry; timers are NOT re-armed (deadlines live in the machine
-// state).
-func RestoreSnapshot(m *core.Machine, r *wire.Reader) (*Kernel, error) {
-	k := &Kernel{
-		M:        m,
-		Procs:    make(map[int]*Process),
-		Threads:  make(map[int]*Thread),
-		seenDead: make(map[int]bool),
-		latched:  make(map[int]bool),
-		backlog:  make(map[int][]qentry),
-	}
-	k.nextPID = r.Int()
-	k.nextTID = r.Int()
-	k.live = r.Int()
-	k.DynamicAMSBinding = r.Bool()
-	for _, p := range []*uint64{
-		&k.Stats.Ticks, &k.Stats.Switches, &k.Stats.Syscalls, &k.Stats.PageFaults,
-		&k.Stats.IPIs, &k.Stats.Rebinds, &k.Stats.Detected, &k.Stats.Recovered,
-	} {
-		*p = r.U64()
-	}
-
-	// Pass 1: processes (with their thread-membership TID lists parked
-	// until the threads exist).
-	np := r.Len(1 << 20)
-	if np < 0 {
-		return nil, r.Err()
-	}
-	members := make(map[int][]int, np)
-	for i := 0; i < np; i++ {
-		p := &Process{
-			PID:     r.Int(),
-			Name:    r.String(),
-			Threads: make(map[int]*Thread),
-		}
-		prog, err := decodeProgram(r)
-		if err != nil {
-			return nil, err
-		}
-		p.Prog = prog
-		space, err := decodeSpace(r, m.Phys, prog)
-		if err != nil {
-			return nil, err
-		}
-		p.Space = space
-		p.Brk = r.U64()
-		p.Live = r.Int()
-		p.Exited = r.Bool()
-		p.ExitCode = r.U64()
-		p.StartTime = r.U64()
-		p.ExitTime = r.U64()
-		p.Out.Write(r.Blob())
-		p.nextStack = r.Int()
-		nt := r.Len(1 << 20)
-		if nt < 0 {
-			return nil, r.Err()
-		}
-		tids := make([]int, nt)
-		for j := range tids {
-			tids[j] = r.Int()
-		}
-		if err := r.Err(); err != nil {
-			return nil, err
-		}
-		if _, dup := k.Procs[p.PID]; dup {
-			return nil, fmt.Errorf("kernel: snapshot has duplicate PID %d", p.PID)
-		}
-		k.Procs[p.PID] = p
-		members[p.PID] = tids
-	}
-
-	// Pass 2: threads, with joiner TID lists resolved afterwards.
-	nth := r.Len(1 << 20)
-	if nth < 0 {
-		return nil, r.Err()
-	}
-	joiners := make(map[int][]int, nth)
-	for i := 0; i < nth; i++ {
-		t := &Thread{TID: r.Int()}
-		pid := r.Int()
-		t.Proc = k.Procs[pid]
-		if t.Proc == nil {
-			if r.Err() != nil {
-				return nil, r.Err()
-			}
-			return nil, fmt.Errorf("kernel: snapshot thread %d references unknown PID %d", t.TID, pid)
-		}
-		t.State = ThreadState(r.U8())
-		st, err := decodeSeqState(r)
-		if err != nil {
-			return nil, err
-		}
-		t.OMSState = st
-		na := r.Len(1 << 16)
-		if na < 0 {
-			return nil, r.Err()
-		}
-		t.AMSStates = make([]core.ThreadSeqState, na)
-		for j := range t.AMSStates {
-			if t.AMSStates[j], err = decodeSeqState(r); err != nil {
-				return nil, err
-			}
-		}
-		if na == 0 {
-			t.AMSStates = nil
-		}
-		t.AMSDemand = r.Int()
-		t.HomeProc = r.Int()
-		t.QuantumLeft = r.Int()
-		t.ExitStatus = r.U64()
-		t.WakeAt = r.U64()
-		nj := r.Len(1 << 20)
-		if nj < 0 {
-			return nil, r.Err()
-		}
-		js := make([]int, nj)
-		for j := range js {
-			js[j] = r.Int()
-		}
-		if err := r.Err(); err != nil {
-			return nil, err
-		}
-		if _, dup := k.Threads[t.TID]; dup {
-			return nil, fmt.Errorf("kernel: snapshot has duplicate TID %d", t.TID)
-		}
-		k.Threads[t.TID] = t
-		joiners[t.TID] = js
-	}
-	lookupThread := func(tid int) (*Thread, error) {
-		t := k.Threads[tid]
-		if t == nil {
-			return nil, fmt.Errorf("kernel: snapshot references unknown TID %d", tid)
-		}
-		return t, nil
-	}
-	for tid, js := range joiners {
-		t := k.Threads[tid]
-		for _, jid := range js {
-			j, err := lookupThread(jid)
-			if err != nil {
-				return nil, err
-			}
-			t.joiners = append(t.joiners, j)
-		}
-	}
-	for pid, tids := range members {
-		p := k.Procs[pid]
-		for _, tid := range tids {
-			t, err := lookupThread(tid)
-			if err != nil {
-				return nil, err
-			}
-			p.Threads[tid] = t
-		}
-	}
-
-	nready := r.Len(1 << 20)
-	if nready < 0 {
-		return nil, r.Err()
-	}
-	for i := 0; i < nready; i++ {
-		t, err := lookupThread(r.Int())
-		if err != nil {
-			return nil, err
-		}
-		k.ready = append(k.ready, t)
-	}
-	nsleep := r.Len(1 << 20)
-	if nsleep < 0 {
-		return nil, r.Err()
-	}
-	for i := 0; i < nsleep; i++ {
-		t, err := lookupThread(r.Int())
-		if err != nil {
-			return nil, err
-		}
-		k.sleeping = append(k.sleeping, t)
-	}
-
-	for _, dst := range []map[int]bool{k.seenDead, k.latched} {
-		n := r.Len(1 << 20)
-		if n < 0 {
-			return nil, r.Err()
-		}
-		for i := 0; i < n; i++ {
-			dst[r.Int()] = true
-		}
-	}
-	nb := r.Len(1 << 20)
-	if nb < 0 {
-		return nil, r.Err()
-	}
-	for i := 0; i < nb; i++ {
-		pid := r.Int()
-		nq := r.Len(1 << 20)
-		if nq < 0 {
-			return nil, r.Err()
-		}
-		q := make([]qentry, nq)
-		for j := range q {
-			q[j] = qentry{ip: r.U64(), sp: r.U64()}
-		}
-		k.backlog[pid] = q
-	}
-	if err := r.Err(); err != nil {
-		return nil, err
-	}
-
-	reg := m.Obs.Metrics
-	k.mx = kernMetrics{
-		ticks:      reg.Counter(obs.MKTicks),
-		syscalls:   reg.Counter(obs.MKSyscalls),
-		pageFaults: reg.Counter(obs.MKPageFaults),
-		ipis:       reg.Counter(obs.MKIPIs),
-		switches:   reg.Counter(obs.MKSwitches),
-		rebinds:    reg.Counter(obs.MKRebinds),
-
-		faultDetected:  reg.Counter(obs.MFaultDetected),
-		faultRecovered: reg.Counter(obs.MFaultRecovered),
-		recoveryLat:    reg.Histogram(obs.MFaultRecoveryLat),
-	}
-	m.SetOS(k)
-	return k, nil
 }

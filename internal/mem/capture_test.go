@@ -27,17 +27,17 @@ import (
 // the predicted size, and returns them.
 func checkOracle(t *testing.T, what string, p *mem.Phys) []byte {
 	t.Helper()
-	want := wire.NewWriter(1 << 20)
+	want := wire.NewEncoder(1 << 20)
 	p.EncodeSnapshotFullScan(want)
 	resident := p.Resident()
-	got := wire.NewWriter(p.SnapshotSize(len(resident)))
+	got := wire.NewEncoder(p.SnapshotSize(len(resident)))
 	p.EncodeSnapshot(got, resident)
 	if !bytes.Equal(got.Bytes(), want.Bytes()) {
 		t.Fatalf("%s: touched-frame encoding (%d bytes, %d resident) differs from the full scan (%d bytes)",
-			what, got.Len(), len(resident), want.Len())
+			what, len(got.Bytes()), len(resident), len(want.Bytes()))
 	}
-	if got.Len() != p.SnapshotSize(len(resident)) {
-		t.Fatalf("%s: SnapshotSize = %d, encoded %d", what, p.SnapshotSize(len(resident)), got.Len())
+	if len(got.Bytes()) != p.SnapshotSize(len(resident)) {
+		t.Fatalf("%s: SnapshotSize = %d, encoded %d", what, p.SnapshotSize(len(resident)), len(got.Bytes()))
 	}
 	return got.Bytes()
 }
@@ -145,7 +145,7 @@ func TestCaptureOracleRestore(t *testing.T) {
 		p.WriteU32(uint64(f)<<mem.PageShift+uint64(i)*8, 0x1000+uint32(i))
 	}
 	img := checkOracle(t, "origin", p)
-	q, err := mem.RestorePhys(wire.NewReader(img), p.Size())
+	q, err := mem.RestorePhys(wire.NewDecoder(img), p.Size())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -314,7 +314,7 @@ func TestReleaseLeavesArraysZero(t *testing.T) {
 	p := newPhys(t, 96)
 	dirty(t, p)
 	img := checkOracle(t, "dirty", p)
-	q, err := mem.RestorePhys(wire.NewReader(img), p.Size())
+	q, err := mem.RestorePhys(wire.NewDecoder(img), p.Size())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -341,7 +341,7 @@ func TestReleaseRejectedRestore(t *testing.T) {
 	p := newPhys(t, 16)
 	dirty(t, p)
 	img := checkOracle(t, "dirty", p)
-	if _, err := mem.RestorePhys(wire.NewReader(img[:len(img)-100]), p.Size()); err == nil {
+	if _, err := mem.RestorePhys(wire.NewDecoder(img[:len(img)-100]), p.Size()); err == nil {
 		t.Fatal("truncated image restored without error")
 	}
 	// Whatever array the next tenant gets, it is clean.

@@ -7,26 +7,26 @@ import "misp/internal/snap/wire"
 // frame of the configured memory, twice, and knows nothing of store
 // generations. The oracle tests require EncodeSnapshot to produce the
 // same bytes.
-func (p *Phys) EncodeSnapshotFullScan(w *wire.Writer) {
-	w.U32(p.numFrames)
-	w.U64(uint64(len(p.free)))
-	for _, f := range p.free {
-		w.U32(f)
+func (p *Phys) EncodeSnapshotFullScan(c *wire.Codec) {
+	c.U32(&p.numFrames)
+	c.Count(len(p.free))
+	for i := range p.free {
+		c.U32(&p.free[i])
 	}
-	var resident uint64
+	var resident int
 	for f := uint32(0); f < p.numFrames; f++ {
 		if !zeroFrame(p.frameBytes(f)) {
 			resident++
 		}
 	}
-	w.U64(resident)
+	c.Count(resident)
 	for f := uint32(0); f < p.numFrames; f++ {
 		b := p.frameBytes(f)
 		if zeroFrame(b) {
 			continue
 		}
-		w.U32(f)
-		w.Raw(b)
+		c.U32(&f)
+		c.Raw(b)
 	}
 }
 

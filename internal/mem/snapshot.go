@@ -51,20 +51,71 @@ func (p *Phys) SnapshotSize(resident int) int {
 	return 4 + 8 + 4*len(p.free) + 8 + resident*(4+PageSize)
 }
 
-// EncodeSnapshot writes the physical memory: frame count, the free
-// stack verbatim (allocation order is architectural — AllocFrame pops
-// deterministically), and the resident frames, which the caller
-// obtains from Resident (once, so it can size the writer first).
-func (p *Phys) EncodeSnapshot(w *wire.Writer, resident []uint32) {
-	w.U32(p.numFrames)
-	w.U64(uint64(len(p.free)))
-	for _, f := range p.free {
-		w.U32(f)
+// EncodeSnapshot writes the physical memory. resident is the frame list
+// from Resident, which the caller obtains once so it can size the
+// encoder first.
+func (p *Phys) EncodeSnapshot(c *wire.Codec, resident []uint32) {
+	c.U32(&p.numFrames)
+	p.snapshot(c, resident)
+}
+
+// RestorePhys rebuilds a physical memory from its snapshot. size is the
+// configured physical memory size, validated against the encoded frame
+// count before arrays of that size are taken.
+func RestorePhys(c *wire.Codec, size uint64) (*Phys, error) {
+	var n uint32
+	c.U32(&n)
+	if err := c.Err(); err != nil {
+		return nil, err
 	}
-	w.U64(uint64(len(resident)))
-	for _, f := range resident {
-		w.U32(f)
-		w.Raw(p.frameBytes(f))
+	if size == 0 || size%PageSize != 0 || uint64(n) != size/PageSize {
+		return nil, fmt.Errorf("mem: snapshot has %d frames, config wants %d bytes", n, size)
+	}
+	a := acquire(size)
+	p := &Phys{data: a.data, numFrames: n, gens: a.gens}
+	p.snapshot(c, nil)
+	if err := c.Err(); err != nil {
+		p.Release()
+		return nil, err
+	}
+	return p, nil
+}
+
+// snapshot codes what follows the frame count: the free stack verbatim
+// (allocation order is architectural — AllocFrame pops
+// deterministically), then the resident frames, each as its number and
+// page image. An encoder takes the frames from resident; a decoder marks
+// each frame it fills as touched — to the touched set a restored frame
+// is a written frame.
+func (p *Phys) snapshot(c *wire.Codec, resident []uint32) {
+	n := c.Count(len(p.free))
+	if c.Decoding() {
+		p.free = make([]uint32, n)
+	}
+	c.U32s(p.free)
+	for i := 0; c.Decoding() && i < len(p.free); i++ {
+		if f := p.free[i]; f == 0 || f >= p.numFrames {
+			c.Fail(fmt.Errorf("mem: snapshot free frame %d out of range", f))
+			break
+		}
+	}
+	n = c.Count(len(resident))
+	for i := 0; i < n; i++ {
+		var f uint32
+		if !c.Decoding() {
+			f = resident[i]
+		}
+		c.U32(&f)
+		if c.Decoding() {
+			if f >= p.numFrames {
+				c.Fail(fmt.Errorf("mem: snapshot resident frame %d out of range", f))
+			}
+			if c.Err() != nil {
+				return
+			}
+			p.touch(uint64(f))
+		}
+		c.Raw(p.frameBytes(f))
 	}
 }
 
@@ -90,107 +141,54 @@ func zeroFrame(b []byte) bool {
 	return true
 }
 
-// RestorePhys rebuilds a physical memory from its snapshot. size is the
-// configured physical memory size and is validated against the encoded
-// frame count.
-func RestorePhys(r *wire.Reader, size uint64) (*Phys, error) {
-	numFrames := r.U32()
-	if err := r.Err(); err != nil {
-		return nil, err
-	}
-	if size == 0 || size%PageSize != 0 || uint64(numFrames) != size/PageSize {
-		return nil, fmt.Errorf("mem: snapshot has %d frames, config wants %d bytes", numFrames, size)
-	}
-	nFree := r.Len(int(numFrames))
-	if nFree < 0 {
-		return nil, r.Err()
-	}
-	free := make([]uint32, nFree)
-	for i := range free {
-		f := r.U32()
-		if f == 0 || f >= numFrames {
-			return nil, fmt.Errorf("mem: snapshot free frame %d out of range", f)
-		}
-		free[i] = f
-	}
-	resident := r.Len(int(numFrames))
-	if resident < 0 {
-		return nil, r.Err()
-	}
-	a := acquire(size)
-	p := &Phys{data: a.data, numFrames: numFrames, free: free, gens: a.gens}
-	if err := p.restoreFrames(r, resident); err != nil {
-		p.Release()
-		return nil, err
-	}
-	return p, nil
-}
-
-// restoreFrames copies the encoded resident frames in, marking each as
-// touched: to the touched set a restored frame is a written frame.
-func (p *Phys) restoreFrames(r *wire.Reader, resident int) error {
-	for i := 0; i < resident; i++ {
-		f := r.U32()
-		if r.Err() != nil {
-			return r.Err()
-		}
-		if f >= p.numFrames {
-			return fmt.Errorf("mem: snapshot resident frame %d out of range", f)
-		}
-		p.touch(uint64(f))
-		if err := r.CopyInto(p.frameBytes(f)); err != nil {
-			return err
-		}
-	}
-	return r.Err()
-}
-
-// EncodeSnapshot writes the TLB: all entries (valid or not — the
-// direct-mapped slot position is architectural) plus the statistics
-// counters. The stats feed Table 1, so restore must
-// continue them exactly where the capture left off.
-func (t *TLB) EncodeSnapshot(w *wire.Writer) {
+// Snapshot codes the TLB: every entry, valid or not (the direct-mapped
+// slot position is architectural), then the statistics counters. The
+// stats feed Table 1, so a restore must continue them exactly where the
+// capture left off.
+func (t *TLB) Snapshot(c *wire.Codec) {
 	for i := range t.entries {
 		e := &t.entries[i]
-		w.U32(e.vpn)
-		w.U32(e.pfn)
-		w.Bool(e.write)
+		c.U32(&e.vpn)
+		c.U32(&e.pfn)
+		c.Bool(&e.write)
 	}
-	w.U64(t.Hits)
-	w.U64(t.Misses)
-	w.U64(t.Flushes)
-	w.U64(t.PermMisses)
+	c.U64(&t.Hits)
+	c.U64(&t.Misses)
+	c.U64(&t.Flushes)
+	c.U64(&t.PermMisses)
 }
 
-// DecodeSnapshot restores the TLB in place.
-func (t *TLB) DecodeSnapshot(r *wire.Reader) {
-	for i := range t.entries {
-		t.entries[i] = tlbEntry{vpn: r.U32(), pfn: r.U32(), write: r.Bool()}
+// SnapshotSpace codes an address space: its page-table root, break,
+// mapped-page count and VMA list, with backing coding each VMA's backing
+// slice (only the owner of the program image can name one). Decoding
+// ignores s and returns a new space over p that reattaches the page
+// directory already living in the restored memory: no frame is allocated
+// and no page is mapped.
+func SnapshotSpace(c *wire.Codec, s *Space, p *Phys, backing func(*VMA)) *Space {
+	if c.Decoding() {
+		s = &Space{Phys: p, PT: &PageTable{Phys: p}}
 	}
-	t.Hits = r.U64()
-	t.Misses = r.U64()
-	t.Flushes = r.U64()
-	t.PermMisses = r.U64()
-}
-
-// RestoreSpace reassembles an address space whose page tables already
-// live in the restored physical memory: no frames are allocated and no
-// pages are mapped — root simply reattaches the existing page
-// directory. vmas is the decoded region list (kept sorted by start, as
-// AddVMA maintains it).
-func RestoreSpace(p *Phys, root uint32, brk, mapped uint64, vmas []*VMA) (*Space, error) {
-	if !p.frameValid(root) {
-		return nil, fmt.Errorf("mem: snapshot page-table root %d out of range", root)
+	c.U32(&s.PT.Root)
+	c.U64(&s.Brk)
+	c.U64(&s.Mapped)
+	wire.Slice(c, &s.vmas, func(pv **VMA) {
+		if c.Decoding() {
+			*pv = new(VMA)
+		}
+		v := *pv
+		c.String(&v.Name)
+		c.U64(&v.Start)
+		c.U64(&v.End)
+		c.Bool(&v.Writable)
+		backing(v)
+	})
+	if c.Decoding() {
+		if !p.frameValid(s.PT.Root) {
+			c.Fail(fmt.Errorf("mem: snapshot page-table root %d out of range", s.PT.Root))
+		}
+		if !sort.SliceIsSorted(s.vmas, func(i, j int) bool { return s.vmas[i].Start < s.vmas[j].Start }) {
+			c.Fail(fmt.Errorf("mem: snapshot VMA list out of order"))
+		}
 	}
-	sorted := sort.SliceIsSorted(vmas, func(i, j int) bool { return vmas[i].Start < vmas[j].Start })
-	if !sorted {
-		return nil, fmt.Errorf("mem: snapshot VMA list out of order")
-	}
-	return &Space{
-		Phys:   p,
-		PT:     &PageTable{Phys: p, Root: root},
-		vmas:   vmas,
-		Brk:    brk,
-		Mapped: mapped,
-	}, nil
+	return s
 }

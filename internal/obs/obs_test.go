@@ -242,10 +242,10 @@ func TestHostSectionExcludedFromIdentitySurfaces(t *testing.T) {
 	// a compiled run and an oracle run differ only in the host section.
 	bare := NewRegistry()
 	bare.Counter(MInstrs).Set(7)
-	w1 := wire.NewWriter(256)
-	r.EncodeSnapshot(w1)
-	w2 := wire.NewWriter(256)
-	bare.EncodeSnapshot(w2)
+	w1 := wire.NewEncoder(256)
+	r.Snapshot(w1)
+	w2 := wire.NewEncoder(256)
+	bare.Snapshot(w2)
 	if !bytes.Equal(w1.Bytes(), w2.Bytes()) {
 		t.Fatal("host counters changed the registry snapshot encoding")
 	}

@@ -2,7 +2,6 @@ package obs
 
 import (
 	"fmt"
-	"sort"
 
 	"misp/internal/snap/wire"
 )
@@ -15,155 +14,78 @@ import (
 // profile exactly where the capture left off. Sinks are host-side
 // attachments and are not captured; a restored bus starts with none.
 
-// EncodeSnapshot writes the bus: recording flags, the buffered events
-// in storage order (ring head preserved), and the loss/kind counters.
-func (b *Bus) EncodeSnapshot(w *wire.Writer) {
-	w.Bool(b.enabled)
-	w.U8(uint8(b.mode))
-	w.Int(b.max)
-	w.Int(b.head)
-	w.U64(b.dropped)
-	w.U64(b.evicted)
-	for _, n := range b.kindCount {
-		w.U64(n)
+// Snapshot codes the bus: recording flags and geometry, the loss and
+// kind counters, and the buffered events in storage order (ring head
+// preserved). Decoding replaces the buffer, once the geometry it will
+// be indexed by has checked out.
+func (b *Bus) Snapshot(c *wire.Codec) {
+	c.Bool(&b.enabled)
+	wire.Enum(c, &b.mode)
+	c.Int(&b.max)
+	c.Int(&b.head)
+	c.U64(&b.dropped)
+	c.U64(&b.evicted)
+	c.U64s(b.kindCount[:])
+	if c.Decoding() && (b.max <= 0 || b.head < 0 || b.head >= b.max) {
+		c.Fail(fmt.Errorf("obs: snapshot bus geometry max=%d head=%d", b.max, b.head))
 	}
-	w.U64(uint64(len(b.buf)))
-	for _, e := range b.buf {
-		w.U64(e.TS)
-		w.U64(uint64(uint32(e.Seq)))
-		w.U8(uint8(e.Kind))
-		w.U64(e.A)
-		w.U64(e.B)
+	wire.Slice(c, &b.buf, func(e *Event) {
+		seq := uint64(uint32(e.Seq))
+		c.U64(&e.TS)
+		c.U64(&seq)
+		wire.Enum(c, &e.Kind)
+		c.U64(&e.A)
+		c.U64(&e.B)
+		if c.Decoding() {
+			e.Seq = int32(uint32(seq))
+		}
+	})
+	if len(b.buf) > b.max || b.head > len(b.buf) {
+		c.Fail(fmt.Errorf("obs: snapshot bus holds %d events, max %d, head %d", len(b.buf), b.max, b.head))
 	}
 }
 
-// DecodeSnapshot restores the bus in place, replacing its buffer.
-func (b *Bus) DecodeSnapshot(r *wire.Reader) error {
-	b.enabled = r.Bool()
-	b.mode = BufferMode(r.U8())
-	b.max = r.Int()
-	b.head = r.Int()
-	b.dropped = r.U64()
-	b.evicted = r.U64()
-	for i := range b.kindCount {
-		b.kindCount[i] = r.U64()
-	}
-	n := r.Len(b.max)
-	if n < 0 {
-		return r.Err()
-	}
-	b.buf = make([]Event, n)
-	for i := range b.buf {
-		b.buf[i] = Event{
-			TS:   r.U64(),
-			Seq:  int32(uint32(r.U64())),
-			Kind: Kind(r.U8()),
-			A:    r.U64(),
-			B:    r.U64(),
-		}
-	}
-	if b.max <= 0 || b.head < 0 || b.head >= b.max {
-		return fmt.Errorf("obs: snapshot bus geometry max=%d head=%d", b.max, b.head)
-	}
-	return r.Err()
-}
-
-// EncodeSnapshot writes the registry with names sorted, so identical
-// state always encodes to identical bytes. The host section is
-// excluded: host metrics describe the simulator process that produced
-// the snapshot, not the simulated machine, and including them would
-// break byte-identity across host-side optimization knobs.
-func (g *Registry) EncodeSnapshot(w *wire.Writer) {
-	cnames := make([]string, 0, len(g.counters))
-	for name := range g.counters {
-		if !IsHost(name) {
-			cnames = append(cnames, name)
-		}
-	}
-	sort.Strings(cnames)
-	w.U64(uint64(len(cnames)))
-	for _, name := range cnames {
-		w.String(name)
-		w.U64(g.counters[name].v)
-	}
-	hnames := make([]string, 0, len(g.hists))
-	for name := range g.hists {
-		if !IsHost(name) {
-			hnames = append(hnames, name)
-		}
-	}
-	sort.Strings(hnames)
-	w.U64(uint64(len(hnames)))
-	for _, name := range hnames {
-		w.String(name)
-		h := g.hists[name]
-		w.U64(h.count)
-		w.U64(h.sum)
-		w.U64(h.min)
-		w.U64(h.max)
-		for _, n := range h.buckets {
-			w.U64(n)
-		}
-	}
-}
-
-// DecodeSnapshot restores the registry in place (get-or-create per
-// name, so handles resolved before or after the decode see the same
-// objects).
-func (g *Registry) DecodeSnapshot(r *wire.Reader) error {
-	nc := r.Len(1 << 20)
-	for i := 0; i < nc; i++ {
-		name := r.String()
-		v := r.U64()
-		if r.Err() != nil {
-			return r.Err()
-		}
-		g.Counter(name).Set(v)
-	}
-	nh := r.Len(1 << 20)
-	for i := 0; i < nh; i++ {
-		name := r.String()
-		if r.Err() != nil {
-			return r.Err()
-		}
+// Snapshot codes the registry with names sorted, so identical state
+// always encodes to identical bytes. The host section is excluded: host
+// metrics describe the simulator process that produced the snapshot,
+// not the simulated machine, and including them would break
+// byte-identity across host-side optimization knobs. Decoding gets or
+// creates each metric by name, so handles resolved before or after the
+// decode see the same objects.
+func (g *Registry) Snapshot(c *wire.Codec) {
+	wire.Sorted(c, simNames(g.counters), c.String, func(name string) {
+		c.U64(&g.Counter(name).v)
+	})
+	wire.Sorted(c, simNames(g.hists), c.String, func(name string) {
 		h := g.Histogram(name)
-		h.count = r.U64()
-		h.sum = r.U64()
-		h.min = r.U64()
-		h.max = r.U64()
-		for j := range h.buckets {
-			h.buckets[j] = r.U64()
-		}
-	}
-	return r.Err()
+		c.U64(&h.count)
+		c.U64(&h.sum)
+		c.U64(&h.min)
+		c.U64(&h.max)
+		c.U64s(h.buckets[:])
+	})
 }
 
-// EncodeSnapshot writes the PC profile sorted by PC.
-func (p *Profile) EncodeSnapshot(w *wire.Writer) {
-	pcs := make([]uint64, 0, len(p.pcs))
-	for pc := range p.pcs {
-		pcs = append(pcs, pc)
+// simNames returns the simulation-section names of a metric set.
+func simNames[T any](set map[string]*T) []string {
+	var names []string
+	for name := range set {
+		if !IsHost(name) {
+			names = append(names, name)
+		}
 	}
-	sort.Slice(pcs, func(i, j int) bool { return pcs[i] < pcs[j] })
-	w.U64(uint64(len(pcs)))
-	for _, pc := range pcs {
+	return names
+}
+
+// Snapshot codes the PC profile in PC order.
+func (p *Profile) Snapshot(c *wire.Codec) {
+	wire.Map(c, p.pcs, c.U64, func(pc uint64) {
 		st := p.pcs[pc]
-		w.U64(pc)
-		w.U64(st.Cycles)
-		w.U64(st.Count)
-	}
-}
-
-// DecodeSnapshot restores the profile in place.
-func (p *Profile) DecodeSnapshot(r *wire.Reader) error {
-	n := r.Len(1 << 26)
-	for i := 0; i < n; i++ {
-		pc := r.U64()
-		st := &PCStat{Cycles: r.U64(), Count: r.U64()}
-		if r.Err() != nil {
-			return r.Err()
+		if st == nil {
+			st = &PCStat{}
+			p.pcs[pc] = st
 		}
-		p.pcs[pc] = st
-	}
-	return r.Err()
+		c.U64(&st.Cycles)
+		c.U64(&st.Count)
+	})
 }

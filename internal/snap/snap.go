@@ -58,16 +58,17 @@ func Capture(m *core.Machine, k *kernel.Kernel) (*Snapshot, error) {
 	// the memory section exactly, from the resident list, plus stateSlack
 	// for everything else.
 	resident := m.Phys.Resident()
-	w := wire.NewWriter(m.Phys.SnapshotSize(len(resident)) + stateSlack)
-	w.Raw([]byte(magic))
-	w.U32(Version)
-	if err := m.EncodeSnapshot(w, resident); err != nil {
+	c := wire.NewEncoder(m.Phys.SnapshotSize(len(resident)) + stateSlack)
+	c.Raw([]byte(magic))
+	v := uint32(Version)
+	c.U32(&v)
+	if err := m.EncodeSnapshot(c, resident); err != nil {
 		return nil, err
 	}
-	if err := k.EncodeSnapshot(w); err != nil {
+	if err := k.EncodeSnapshot(c); err != nil {
 		return nil, err
 	}
-	buf := w.Bytes()
+	buf := c.Bytes()
 	if cap(buf)-len(buf) > stateSlack {
 		// The non-memory state (a large event buffer, a PC profile)
 		// outgrew the slack and append's doubling over-allocated.
@@ -91,15 +92,25 @@ func (s *Snapshot) Size() int { return len(s.buf) }
 
 // Load wraps an encoded image, validating the header.
 func Load(buf []byte) (*Snapshot, error) {
+	if _, err := header(buf); err != nil {
+		return nil, err
+	}
+	return &Snapshot{buf: buf}, nil
+}
+
+// header checks buf's magic and format version and returns a decoder
+// positioned after them.
+func header(buf []byte) (*wire.Codec, error) {
 	if len(buf) < len(magic)+4 || string(buf[:len(magic)]) != magic {
 		return nil, fmt.Errorf("snap: not a snapshot image")
 	}
-	s := &Snapshot{buf: buf}
-	r := wire.NewReader(buf[len(magic):])
-	if v := r.U32(); v != Version {
+	c := wire.NewDecoder(buf[len(magic):])
+	var v uint32
+	c.U32(&v)
+	if v != Version {
 		return nil, fmt.Errorf("snap: format version %d, this build reads %d", v, Version)
 	}
-	return s, nil
+	return c, nil
 }
 
 // Fork materializes a fresh machine+kernel pair from the image. Every
@@ -107,26 +118,24 @@ func Load(buf []byte) (*Snapshot, error) {
 // run-only configuration (cost model, limits, fault plane) —
 // structural parameters are rejected by the core codec. The returned
 // kernel is already attached (SetOS); call Run on the machine to
-// continue from the captured point.
+// continue from the captured point. A rejected image returns its
+// machine's memory to the recycler.
 func (s *Snapshot) Fork(override func(*core.Config)) (*core.Machine, *kernel.Kernel, error) {
-	r := wire.NewReader(s.buf)
-	var hdr [len(magic)]byte
-	if err := r.CopyInto(hdr[:]); err != nil || string(hdr[:]) != magic {
-		return nil, nil, fmt.Errorf("snap: not a snapshot image")
-	}
-	if v := r.U32(); v != Version {
-		return nil, nil, fmt.Errorf("snap: format version %d, this build reads %d", v, Version)
-	}
-	m, err := core.RestoreMachine(r, override)
+	c, err := header(s.buf)
 	if err != nil {
 		return nil, nil, err
 	}
-	k, err := kernel.RestoreSnapshot(m, r)
+	m, err := core.RestoreMachine(c, override)
 	if err != nil {
 		return nil, nil, err
 	}
-	if n := r.Remaining(); n != 0 {
-		return nil, nil, fmt.Errorf("snap: %d trailing bytes after decode", n)
+	k, err := kernel.RestoreSnapshot(m, c)
+	if err == nil && c.Remaining() != 0 {
+		err = fmt.Errorf("snap: %d trailing bytes after decode", c.Remaining())
+	}
+	if err != nil {
+		m.Release()
+		return nil, nil, err
 	}
 	return m, k, nil
 }

@@ -2,14 +2,17 @@ package snap_test
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 
 	"misp/internal/core"
 	"misp/internal/fault"
+	"misp/internal/obs"
 	"misp/internal/shredlib"
 	"misp/internal/snap"
 	"misp/internal/snap/wire"
@@ -52,27 +55,20 @@ func prep(t *testing.T, cfg core.Config) *workloads.Prepared {
 // metrics registry, and the complete obs event stream.
 func fingerprint(t *testing.T, m *core.Machine) []byte {
 	t.Helper()
-	w := wire.NewWriter(1 << 16)
-	w.U64(m.Steps)
+	w := wire.NewEncoder(1 << 16)
+	w.U64(&m.Steps)
 	for _, s := range m.Seqs {
-		w.U64(s.Clock)
-		w.U64(s.PC)
-		w.U64(s.C.Instrs)
-		w.U64(s.C.Syscalls)
-		w.U64(s.C.PageFaults)
-		w.U64(s.C.Timers)
-		w.U64(s.C.Interrupts)
-		w.U64(s.C.ProxySyscalls)
-		w.U64(s.C.ProxyPageFaults)
-		w.U64(s.C.RingStall)
-		w.U64(s.C.ProxyStall)
-		w.U64(s.C.IdleCycles)
-		w.U64(s.C.SignalsSent)
-		w.U64(s.C.SignalsReceived)
-		w.U64(s.C.YieldsTaken)
+		for _, v := range []*uint64{
+			&s.Clock, &s.PC, &s.C.Instrs, &s.C.Syscalls, &s.C.PageFaults,
+			&s.C.Timers, &s.C.Interrupts, &s.C.ProxySyscalls, &s.C.ProxyPageFaults,
+			&s.C.RingStall, &s.C.ProxyStall, &s.C.IdleCycles, &s.C.SignalsSent,
+			&s.C.SignalsReceived, &s.C.YieldsTaken,
+		} {
+			w.U64(v)
+		}
 	}
-	m.Obs.Metrics.EncodeSnapshot(w)
-	m.Obs.Bus.EncodeSnapshot(w)
+	m.Obs.Metrics.Snapshot(w)
+	m.Obs.Bus.Snapshot(w)
 	return w.Bytes()
 }
 
@@ -355,6 +351,49 @@ func TestLoadRejectsGarbage(t *testing.T) {
 		_, err := snap.Load(append([]byte("MISPSNP4"), v, 0, 0, 0))
 		if want := fmt.Sprintf("format version %d", v); err == nil || !strings.Contains(err.Error(), want) {
 			t.Fatalf("Load of a version-%d header: err = %v, want the format-version error", v, err)
+		}
+	}
+}
+
+// TestLoadRejectsHugeCounts: a count is trusted no further than the
+// bytes left. Each crafted section — an event bus claiming 2^24 events
+// under a 2^31-event cap, a fault plan claiming 2^24 log records — is
+// all header and no elements; decoding it must fail without allocating
+// for the elements it promises (512 MiB and 384 MiB before counts were
+// bounded).
+func TestLoadRejectsHugeCounts(t *testing.T) {
+	le := binary.LittleEndian
+	bus := []byte{1, byte(obs.DropNewest)}                       // enabled, mode
+	bus = le.AppendUint64(bus, 1<<31)                            // max
+	bus = append(bus, make([]byte, 8+16+8*int(obs.NumKinds))...) // head, dropped, evicted, kind counts
+	bus = le.AppendUint64(bus, 1<<24)                            // events
+
+	plan := le.AppendUint64(nil, 1)   // seed
+	plan = le.AppendUint64(plan, 100) // Period[SignalDrop]: the plan is enabled
+	plan = append(plan, make([]byte, 8*(2*int(fault.NumKinds)-1)+16+8*(3*int(fault.NumKinds)+1))...)
+	plan = le.AppendUint64(plan, 1<<24) // log records
+
+	for name, tc := range map[string]struct {
+		section []byte
+		size    int
+		decode  func(*wire.Codec)
+	}{
+		"bus":  {bus, 186, obs.NewBus(false, 0, obs.DropNewest).Snapshot},
+		"plan": {plan, 400, new(fault.Plan).Snapshot},
+	} {
+		if len(tc.section) != tc.size {
+			t.Fatalf("%s: crafted section is %d bytes, want %d", name, len(tc.section), tc.size)
+		}
+		c := wire.NewDecoder(tc.section)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		tc.decode(c)
+		runtime.ReadMemStats(&after)
+		if c.Err() == nil {
+			t.Errorf("%s: a count past the end of the section decoded without error", name)
+		}
+		if n := after.TotalAlloc - before.TotalAlloc; n >= 1<<20 {
+			t.Errorf("%s: rejecting a %d-byte section allocated %d bytes", name, len(tc.section), n)
 		}
 	}
 }

@@ -1,208 +1,287 @@
-// Package wire implements the snapshot plane's byte codec: a
-// fixed-width little-endian writer and an error-sticky reader.
+// Package wire implements the snapshot plane's byte codec: one Codec
+// type that either writes an image or reads one back.
 //
-// The format is deliberately primitive — no varints, no compression,
-// no reflection — because the snapshot plane's contract is byte
-// determinism: encoding the same machine state twice must produce the
-// same bytes, on every platform, forever within a format version.
-// Fixed-width fields and explicit field order are the cheapest way to
-// make that auditable. Anything with nondeterministic iteration order
-// (Go maps) must be sorted by the caller before encoding.
+// The format is deliberately primitive — fixed-width little-endian
+// fields, no varints, no compression, no reflection — because the
+// snapshot plane's contract is byte determinism: encoding the same
+// machine state twice must produce the same bytes, on every platform,
+// forever within a format version. Fixed-width fields and explicit field
+// order are the cheapest way to make that auditable.
+//
+// A snapshotted type states its layout once, as a function that hands a
+// pointer to each field, in order, to a *Codec: an encoder appends the
+// field's value, a decoder overwrites it with the next value read. The
+// same function writes and reads the format, so the two cannot drift
+// apart. Code that must know the direction asks Decoding — to allocate
+// and validate on the way in, to sort map keys on the way out (Go maps
+// iterate in no fixed order; Map and Sorted do it for the caller).
 package wire
 
 import (
+	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"maps"
 	"math"
+	"slices"
 )
 
 // ErrTruncated reports a read past the end of the snapshot buffer.
 var ErrTruncated = errors.New("wire: truncated snapshot")
 
-// maxLen bounds any single length prefix (strings, byte blobs, counts)
-// to catch corrupt snapshots before they turn into huge allocations.
-const maxLen = 1 << 31
-
-// Writer accumulates the encoded snapshot.
-type Writer struct {
+// Codec writes or reads one snapshot image.
+//
+// Decoding is error-sticky: the first failed read, or the first Fail,
+// latches an error; every later call leaves its field alone and Count
+// returns 0, so a field list runs straight through and its caller
+// checks Err once.
+type Codec struct {
 	buf []byte
-}
-
-// NewWriter creates a Writer with some preallocated capacity.
-func NewWriter(capacity int) *Writer {
-	return &Writer{buf: make([]byte, 0, capacity)}
-}
-
-// Bytes returns the encoded buffer.
-func (w *Writer) Bytes() []byte { return w.buf }
-
-// Len returns the number of bytes written so far.
-func (w *Writer) Len() int { return len(w.buf) }
-
-func (w *Writer) U8(v uint8)   { w.buf = append(w.buf, v) }
-func (w *Writer) U32(v uint32) { w.buf = binary.LittleEndian.AppendUint32(w.buf, v) }
-func (w *Writer) U64(v uint64) { w.buf = binary.LittleEndian.AppendUint64(w.buf, v) }
-func (w *Writer) I64(v int64)  { w.U64(uint64(v)) }
-
-// Int encodes a host int as a fixed 64-bit value.
-func (w *Writer) Int(v int) { w.U64(uint64(int64(v))) }
-
-func (w *Writer) Bool(v bool) {
-	if v {
-		w.U8(1)
-	} else {
-		w.U8(0)
-	}
-}
-
-// F64 encodes the exact IEEE-754 bit pattern (NaN payloads included).
-func (w *Writer) F64(v float64) { w.U64(math.Float64bits(v)) }
-
-// Raw appends bytes with no length prefix — for fixed-size images
-// (physical frames) whose length is implied by the format.
-func (w *Writer) Raw(b []byte) { w.buf = append(w.buf, b...) }
-
-// Bytes encodes a length-prefixed byte blob.
-func (w *Writer) Blob(b []byte) {
-	w.U64(uint64(len(b)))
-	w.buf = append(w.buf, b...)
-}
-
-// String encodes a length-prefixed UTF-8 string.
-func (w *Writer) String(s string) {
-	w.U64(uint64(len(s)))
-	w.buf = append(w.buf, s...)
-}
-
-// Reader decodes a snapshot buffer. The first failed read latches an
-// error; every subsequent read returns zero values, so decode code can
-// run straight-line and check Err once per section.
-type Reader struct {
-	buf []byte
-	off int
+	off int // next byte a decoder reads
+	dec bool
 	err error
 }
 
-// NewReader wraps buf for decoding.
-func NewReader(buf []byte) *Reader { return &Reader{buf: buf} }
+// NewEncoder returns an encoder whose buffer starts with the given
+// capacity.
+func NewEncoder(capacity int) *Codec { return &Codec{buf: make([]byte, 0, capacity)} }
+
+// NewDecoder returns a decoder over buf.
+func NewDecoder(buf []byte) *Codec { return &Codec{buf: buf, dec: true} }
+
+// Decoding reports whether c reads (true) or writes (false).
+func (c *Codec) Decoding() bool { return c.dec }
+
+// Bytes returns the encoded buffer.
+func (c *Codec) Bytes() []byte { return c.buf }
+
+// Remaining returns the number of bytes a decoder has not read yet.
+func (c *Codec) Remaining() int { return len(c.buf) - c.off }
 
 // Err returns the first decode error, if any.
-func (r *Reader) Err() error { return r.err }
+func (c *Codec) Err() error { return c.err }
 
-// Remaining returns the number of unread bytes.
-func (r *Reader) Remaining() int { return len(r.buf) - r.off }
-
-// fail latches err (first one wins) and returns false.
-func (r *Reader) fail(err error) bool {
-	if r.err == nil {
-		r.err = err
+// Fail latches err unless an error is already latched. Field lists use
+// it for bytes that read cleanly but mean nothing — an unknown
+// reference, a structural mismatch — exactly as a short read latches
+// ErrTruncated.
+func (c *Codec) Fail(err error) {
+	if c.err == nil {
+		c.err = err
 	}
-	return false
 }
 
-func (r *Reader) need(n int) bool {
-	if r.err != nil {
-		return false
+// next consumes the next n bytes, or latches ErrTruncated when fewer
+// remain. It returns ok == false once any error is latched.
+func (c *Codec) next(n int) (b []byte, ok bool) {
+	if c.err != nil {
+		return nil, false
 	}
-	if n < 0 || len(r.buf)-r.off < n {
-		return r.fail(fmt.Errorf("%w: need %d bytes at offset %d of %d", ErrTruncated, n, r.off, len(r.buf)))
+	if n > len(c.buf)-c.off {
+		c.Fail(fmt.Errorf("%w: need %d bytes at offset %d of %d", ErrTruncated, n, c.off, len(c.buf)))
+		return nil, false
 	}
-	return true
+	c.off += n
+	return c.buf[c.off-n : c.off], true
 }
 
-func (r *Reader) U8() uint8 {
-	if !r.need(1) {
+func (c *Codec) U8(p *uint8) {
+	if !c.dec {
+		c.buf = append(c.buf, *p)
+	} else if b, ok := c.next(1); ok {
+		*p = b[0]
+	}
+}
+
+func (c *Codec) U32(p *uint32) {
+	if !c.dec {
+		c.buf = binary.LittleEndian.AppendUint32(c.buf, *p)
+	} else if b, ok := c.next(4); ok {
+		*p = binary.LittleEndian.Uint32(b)
+	}
+}
+
+func (c *Codec) U64(p *uint64) {
+	if !c.dec {
+		c.buf = binary.LittleEndian.AppendUint64(c.buf, *p)
+	} else if b, ok := c.next(8); ok {
+		*p = binary.LittleEndian.Uint64(b)
+	}
+}
+
+// Int codes a host int as a fixed 64-bit value.
+func (c *Codec) Int(p *int) {
+	v := uint64(*p)
+	c.U64(&v)
+	if c.dec {
+		*p = int(v)
+	}
+}
+
+// Bool codes a bool as one byte; any nonzero byte decodes as true.
+func (c *Codec) Bool(p *bool) {
+	var v uint8
+	if *p {
+		v = 1
+	}
+	c.U8(&v)
+	if c.dec {
+		*p = v != 0
+	}
+}
+
+// F64 codes the exact IEEE-754 bit pattern (NaN payloads included).
+func (c *Codec) F64(p *float64) {
+	v := math.Float64bits(*p)
+	c.U64(&v)
+	if c.dec {
+		*p = math.Float64frombits(v)
+	}
+}
+
+// Enum codes a small enumeration as one byte.
+func Enum[T ~uint8](c *Codec, p *T) {
+	v := uint8(*p)
+	c.U8(&v)
+	if c.dec {
+		*p = T(v)
+	}
+}
+
+// U32s codes the elements of s in order, with no length prefix: the
+// length is the format's, or a Count coded before it.
+func (c *Codec) U32s(s []uint32) {
+	if !c.dec {
+		for _, v := range s {
+			c.buf = binary.LittleEndian.AppendUint32(c.buf, v)
+		}
+	} else if b, ok := c.next(4 * len(s)); ok {
+		for i := range s {
+			s[i] = binary.LittleEndian.Uint32(b[4*i:])
+		}
+	}
+}
+
+// U64s is U32s for uint64 arrays (registers, counters).
+func (c *Codec) U64s(s []uint64) {
+	if !c.dec {
+		for _, v := range s {
+			c.buf = binary.LittleEndian.AppendUint64(c.buf, v)
+		}
+	} else if b, ok := c.next(8 * len(s)); ok {
+		for i := range s {
+			s[i] = binary.LittleEndian.Uint64(b[8*i:])
+		}
+	}
+}
+
+// F64s is U64s for float64 arrays.
+func (c *Codec) F64s(s []float64) {
+	for i := range s {
+		c.F64(&s[i])
+	}
+}
+
+// Raw codes b's bytes with no length prefix — for fixed-size images
+// (physical frames) whose length is implied by the format. Decoding
+// fills b.
+func (c *Codec) Raw(b []byte) {
+	if !c.dec {
+		c.buf = append(c.buf, b...)
+	} else if src, ok := c.next(len(b)); ok {
+		copy(b, src)
+	}
+}
+
+// Count codes a length prefix: encoding writes n and returns it,
+// decoding reads a count and returns it. Every element or byte a count
+// introduces takes at least one byte of the image, so a decoded count
+// larger than the bytes left fails (and returns 0, as every count does
+// once an error is latched): no count can size an allocation beyond the
+// input's own length.
+func (c *Codec) Count(n int) int {
+	v := uint64(n)
+	c.U64(&v)
+	if !c.dec {
+		return n
+	}
+	if c.err == nil && v > uint64(c.Remaining()) {
+		c.Fail(fmt.Errorf("wire: count %d exceeds the %d bytes left", v, c.Remaining()))
+	}
+	if c.err != nil {
 		return 0
 	}
-	v := r.buf[r.off]
-	r.off++
-	return v
+	return int(v)
 }
 
-func (r *Reader) U32() uint32 {
-	if !r.need(4) {
-		return 0
+// Blob codes a length-prefixed byte slice. Decoding stores a fresh copy,
+// non-nil even when empty.
+func (c *Codec) Blob(p *[]byte) {
+	n := c.Count(len(*p))
+	if !c.dec {
+		c.buf = append(c.buf, *p...)
+	} else if b, ok := c.next(n); ok {
+		*p = make([]byte, n)
+		copy(*p, b)
 	}
-	v := binary.LittleEndian.Uint32(r.buf[r.off:])
-	r.off += 4
-	return v
 }
 
-func (r *Reader) U64() uint64 {
-	if !r.need(8) {
-		return 0
+// String codes a length-prefixed string.
+func (c *Codec) String(p *string) {
+	n := c.Count(len(*p))
+	if !c.dec {
+		c.buf = append(c.buf, *p...)
+	} else if b, ok := c.next(n); ok {
+		*p = string(b)
 	}
-	v := binary.LittleEndian.Uint64(r.buf[r.off:])
-	r.off += 8
-	return v
 }
 
-func (r *Reader) I64() int64 { return int64(r.U64()) }
-
-// Int decodes a fixed 64-bit value back to a host int.
-func (r *Reader) Int() int { return int(r.I64()) }
-
-func (r *Reader) Bool() bool { return r.U8() != 0 }
-
-func (r *Reader) F64() float64 { return math.Float64frombits(r.U64()) }
-
-// CopyInto fills dst with the next len(dst) raw bytes (the inverse of
-// Writer.Raw).
-func (r *Reader) CopyInto(dst []byte) error {
-	if !r.need(len(dst)) {
-		return r.err
+// Slice codes *s as a count followed by each element, coded by each.
+// Decoding replaces *s with that many zero elements (nil for none) and
+// fills them in order; an error stops it with *s cut to the elements
+// begun.
+func Slice[S ~[]E, E any](c *Codec, s *S, each func(*E)) {
+	n := c.Count(len(*s))
+	if c.dec {
+		*s = nil
+		if n > 0 {
+			*s = make(S, n)
+		}
 	}
-	copy(dst, r.buf[r.off:])
-	r.off += len(dst)
-	return nil
+	for i := range *s {
+		if c.err != nil {
+			*s = (*s)[:i]
+			return
+		}
+		each(&(*s)[i])
+	}
 }
 
-// Blob decodes a length-prefixed byte blob into a fresh slice.
-func (r *Reader) Blob() []byte {
-	n := r.U64()
-	if n > maxLen {
-		r.fail(fmt.Errorf("wire: blob length %d exceeds limit", n))
-		return nil
+// Sorted codes a keyed collection as a count, then each key in
+// ascending order, each followed by whatever entry codes for it.
+// Encoding sorts and writes keys; decoding ignores keys, reads the key
+// set instead, and leaves installing each entry to entry.
+func Sorted[K cmp.Ordered](c *Codec, keys []K, key func(*K), entry func(K)) {
+	if c.dec {
+		keys = nil
+	} else {
+		slices.Sort(keys)
 	}
-	if !r.need(int(n)) {
-		return nil
+	n := c.Count(len(keys))
+	var k K // one variable: key's pointer escapes, so each would be allocated
+	for i := 0; i < n && c.err == nil; i++ {
+		if !c.dec {
+			k = keys[i]
+		}
+		key(&k)
+		if c.err == nil {
+			entry(k)
+		}
 	}
-	out := make([]byte, n)
-	copy(out, r.buf[r.off:])
-	r.off += int(n)
-	return out
 }
 
-// String decodes a length-prefixed string.
-func (r *Reader) String() string {
-	n := r.U64()
-	if n > maxLen {
-		r.fail(fmt.Errorf("wire: string length %d exceeds limit", n))
-		return ""
-	}
-	if !r.need(int(n)) {
-		return ""
-	}
-	s := string(r.buf[r.off : r.off+int(n)])
-	r.off += int(n)
-	return s
-}
-
-// Len decodes a count prefix and validates it against a sanity bound.
-// Returns -1 (with the error latched) when the count is implausible, so
-// callers can range over the result without separately re-checking.
-func (r *Reader) Len(limit int) int {
-	n := r.U64()
-	if r.err != nil {
-		return -1
-	}
-	if limit <= 0 || limit > maxLen {
-		limit = maxLen
-	}
-	if n > uint64(limit) {
-		r.fail(fmt.Errorf("wire: count %d exceeds limit %d", n, limit))
-		return -1
-	}
-	return int(n)
+// Map is Sorted over the keys of m.
+func Map[K cmp.Ordered, V any](c *Codec, m map[K]V, key func(*K), entry func(K)) {
+	Sorted(c, slices.Collect(maps.Keys(m)), key, entry)
 }

@@ -6,109 +6,141 @@ import (
 	"testing"
 )
 
-func TestRoundTrip(t *testing.T) {
-	w := NewWriter(0)
-	w.U8(0xAB)
-	w.U32(0xDEADBEEF)
-	w.U64(^uint64(0))
-	w.I64(-42)
-	w.Int(-7)
-	w.Bool(true)
-	w.Bool(false)
-	w.F64(math.Pi)
-	w.F64(math.Float64frombits(0x7FF8_0000_0000_0001)) // NaN payload
-	w.Raw([]byte{1, 2, 3})
-	w.Blob([]byte("blob"))
-	w.Blob(nil)
-	w.String("héllo")
+// fields is one of everything the codec can code, with a field list
+// that runs both ways.
+type fields struct {
+	u8    uint8
+	u32   uint32
+	u64   uint64
+	i     int
+	t, f  bool
+	pi    float64
+	nan   float64
+	raw   [3]byte
+	blob  []byte
+	empty []byte
+	str   string
+	enum  kind
+	arr   [2]uint64
+	list  []uint32
+	set   map[string]uint64
+}
 
-	r := NewReader(w.Bytes())
-	if v := r.U8(); v != 0xAB {
-		t.Fatalf("U8 = %#x", v)
+type kind uint8
+
+func (x *fields) code(c *Codec) {
+	c.U8(&x.u8)
+	c.U32(&x.u32)
+	c.U64(&x.u64)
+	c.Int(&x.i)
+	c.Bool(&x.t)
+	c.Bool(&x.f)
+	c.F64(&x.pi)
+	c.F64(&x.nan)
+	c.Raw(x.raw[:])
+	c.Blob(&x.blob)
+	c.Blob(&x.empty)
+	c.String(&x.str)
+	Enum(c, &x.enum)
+	c.U64s(x.arr[:])
+	Slice(c, &x.list, c.U32)
+	Map(c, x.set, c.String, func(k string) {
+		v := x.set[k]
+		c.U64(&v)
+		if c.Decoding() {
+			x.set[k] = v
+		}
+	})
+}
+
+func TestRoundTrip(t *testing.T) {
+	in := fields{
+		u8: 0xAB, u32: 0xDEADBEEF, u64: ^uint64(0), i: -7, t: true,
+		pi: math.Pi, nan: math.Float64frombits(0x7FF8_0000_0000_0001), // NaN payload
+		raw: [3]byte{1, 2, 3}, blob: []byte("blob"), empty: []byte{}, str: "héllo",
+		enum: 9, arr: [2]uint64{4, 5}, list: []uint32{6, 7, 8},
+		set: map[string]uint64{"b": 2, "a": 1, "c": 3},
 	}
-	if v := r.U32(); v != 0xDEADBEEF {
-		t.Fatalf("U32 = %#x", v)
+	enc := NewEncoder(0)
+	in.code(enc)
+
+	out := fields{set: map[string]uint64{}}
+	dec := NewDecoder(enc.Bytes())
+	out.code(dec)
+	if dec.Err() != nil {
+		t.Fatal(dec.Err())
 	}
-	if v := r.U64(); v != ^uint64(0) {
-		t.Fatalf("U64 = %#x", v)
+	if dec.Remaining() != 0 {
+		t.Fatalf("%d bytes left over", dec.Remaining())
 	}
-	if v := r.I64(); v != -42 {
-		t.Fatalf("I64 = %d", v)
-	}
-	if v := r.Int(); v != -7 {
-		t.Fatalf("Int = %d", v)
-	}
-	if !r.Bool() || r.Bool() {
-		t.Fatal("Bool round-trip")
-	}
-	if v := r.F64(); v != math.Pi {
-		t.Fatalf("F64 = %v", v)
-	}
-	if bits := math.Float64bits(r.F64()); bits != 0x7FF8_0000_0000_0001 {
+	if bits := math.Float64bits(out.nan); bits != 0x7FF8_0000_0000_0001 {
 		t.Fatalf("NaN payload not preserved: %#x", bits)
 	}
-	var raw [3]byte
-	if err := r.CopyInto(raw[:]); err != nil || raw != [3]byte{1, 2, 3} {
-		t.Fatalf("CopyInto = %v, %v", raw, err)
+	if out.u8 != in.u8 || out.u32 != in.u32 || out.u64 != in.u64 || out.i != in.i ||
+		out.t != in.t || out.f != in.f || out.pi != in.pi || out.raw != in.raw ||
+		string(out.blob) != "blob" || out.empty == nil || len(out.empty) != 0 ||
+		out.str != in.str || out.enum != in.enum || out.arr != in.arr ||
+		len(out.list) != 3 || out.list[2] != 8 || len(out.set) != 3 || out.set["c"] != 3 {
+		t.Fatalf("decoded %+v, encoded %+v", out, in)
 	}
-	if v := r.Blob(); string(v) != "blob" {
-		t.Fatalf("Blob = %q", v)
-	}
-	if v := r.Blob(); len(v) != 0 {
-		t.Fatalf("empty Blob = %q", v)
-	}
-	if v := r.String(); v != "héllo" {
-		t.Fatalf("String = %q", v)
-	}
-	if r.Remaining() != 0 {
-		t.Fatalf("%d bytes left over", r.Remaining())
-	}
-	if r.Err() != nil {
-		t.Fatal(r.Err())
+
+	// Map writes keys in ascending order, whatever the map's own order.
+	again := NewEncoder(0)
+	out.code(again)
+	if string(again.Bytes()) != string(enc.Bytes()) {
+		t.Fatal("re-encoding the decoded fields changed the bytes")
 	}
 }
 
 func TestTruncation(t *testing.T) {
-	w := NewWriter(0)
-	w.U64(7)
-	r := NewReader(w.Bytes()[:4])
-	if v := r.U64(); v != 0 {
-		t.Fatalf("truncated U64 = %d, want 0", v)
+	v := uint64(7)
+	enc := NewEncoder(0)
+	enc.U64(&v)
+	dec := NewDecoder(enc.Bytes()[:4])
+	got := uint64(42)
+	dec.U64(&got)
+	if got != 42 {
+		t.Fatalf("truncated U64 overwrote its field with %d", got)
 	}
-	if !errors.Is(r.Err(), ErrTruncated) {
-		t.Fatalf("err = %v, want ErrTruncated", r.Err())
+	if !errors.Is(dec.Err(), ErrTruncated) {
+		t.Fatalf("err = %v, want ErrTruncated", dec.Err())
 	}
-	// Error is sticky: later reads keep returning zero values.
-	if v := r.U32(); v != 0 {
-		t.Fatalf("read after error = %d", v)
+	// The error is sticky: later reads leave their fields alone.
+	w := uint32(5)
+	dec.U32(&w)
+	if w != 5 {
+		t.Fatalf("read after error = %d", w)
 	}
 }
 
+// TestLenLimit: a count can never claim more elements than there are
+// bytes left, so it cannot size an allocation beyond the input.
 func TestLenLimit(t *testing.T) {
-	w := NewWriter(0)
-	w.U64(1000)
-	r := NewReader(w.Bytes())
-	if n := r.Len(10); n != -1 {
-		t.Fatalf("Len over limit = %d, want -1", n)
-	}
-	if r.Err() == nil {
-		t.Fatal("Len over limit latched no error")
+	enc := NewEncoder(0)
+	enc.Count(1000)
+	enc.Raw(make([]byte, 999))
+	dec := NewDecoder(enc.Bytes())
+	if n := dec.Count(0); n != 0 || dec.Err() == nil {
+		t.Fatalf("count over the bytes left = %d, err %v", n, dec.Err())
 	}
 
-	r = NewReader(w.Bytes())
-	if n := r.Len(2000); n != 1000 {
-		t.Fatalf("Len = %d, want 1000", n)
+	enc.Raw([]byte{0})
+	dec = NewDecoder(enc.Bytes())
+	if n := dec.Count(0); n != 1000 || dec.Err() != nil {
+		t.Fatalf("Count = %d, %v; want 1000", n, dec.Err())
 	}
 }
 
 func TestBlobLengthBomb(t *testing.T) {
-	w := NewWriter(0)
-	w.U64(1 << 40) // claims a petabyte-scale blob
-	r := NewReader(w.Bytes())
-	if v := r.Blob(); v != nil {
-		t.Fatalf("bomb blob = %d bytes", len(v))
+	enc := NewEncoder(0)
+	enc.Count(1 << 40) // claims a terabyte-scale blob
+	dec := NewDecoder(enc.Bytes())
+	var b []byte
+	dec.Blob(&b)
+	if b != nil {
+		t.Fatalf("bomb blob = %d bytes", len(b))
 	}
-	if r.Err() == nil {
+	if dec.Err() == nil {
 		t.Fatal("bomb blob latched no error")
 	}
 }
