@@ -78,10 +78,14 @@ equivgrid:
 
 # fuzzcheck searches seeds nobody picked, a bounded time per target:
 # generated shared-memory programs on 2-24 sequencers, fast loop vs legacy
-# oracle on registers, clocks, retirements, TLB counters and memory. A
-# crasher lands under testdata/fuzz and is committed as a seed.
+# oracle on registers, clocks, retirements, TLB counters and memory; and
+# mutated snapshot images, seeded with the golden ones, which Load and
+# Fork must reject with an error, never a panic, and whose forks must
+# re-capture to a fixed point. A crasher lands under testdata/fuzz and is
+# committed as a seed.
 fuzzcheck:
 	$(GO) test -run '^$$' -fuzz FuzzWaveSharedMem -fuzztime 10s ./internal/core
+	$(GO) test -run '^$$' -fuzz FuzzSnapshotFork -fuzztime 10s ./internal/snap
 
 # resultscheck: results/ is exactly what the code produces. It
 # regenerates every published CSV at -size small twice, serially and on
@@ -115,7 +119,9 @@ faultcheck:
 	$(GO) run ./cmd/mispbench -exp resilience -size test -faultseeds 3 -csv /tmp/misp-csv-fN -parallel 0 > /dev/null
 	diff -r /tmp/misp-csv-f1 /tmp/misp-csv-fN
 
-# snapcheck: the snapshot/fork plane gate. Difftests the codec (capture
+# snapcheck: the snapshot/fork plane gate. Pins every golden image's
+# bytes (TestCaptureGolden), rejects crafted counts without allocating
+# for them (TestLoadRejectsHugeCounts), difftests the codec (capture
 # → restore → run-to-completion bit-identical to the uninterrupted run,
 # on both loops and under fault injection), the warm pool's fork-vs-cold
 # parity, and mispsim's -snapshot/-restore crash-resume flow: the
