@@ -269,8 +269,13 @@ func (m *Machine) snapshot(c *wire.Codec, snapFault fault.Config) {
 			c.U64(&req.TS)
 			c.Int(&ams)
 			c.U64(&req.FrameVA)
-			if c.Decoding() {
-				req.AMS = m.seqRef(c, ams)
+			if !c.Decoding() {
+				return
+			}
+			if ams < 0 || ams >= len(m.Seqs) {
+				c.Fail(fmt.Errorf("core: snapshot proxy request references sequencer %d", ams))
+			} else {
+				req.AMS = m.Seqs[ams]
 			}
 		})
 	})
@@ -315,15 +320,6 @@ func (m *Machine) snapshot(c *wire.Codec, snapFault fault.Config) {
 	if hasProf && c.Err() == nil {
 		m.prof.Snapshot(c)
 	}
-}
-
-// seqRef resolves a decoded sequencer ID.
-func (m *Machine) seqRef(c *wire.Codec, id int) *Sequencer {
-	if id < 0 || id >= len(m.Seqs) {
-		c.Fail(fmt.Errorf("core: snapshot references sequencer %d", id))
-		return nil
-	}
-	return m.Seqs[id]
 }
 
 // resolveMembers rebuilds p's sequencer list from decoded IDs: each

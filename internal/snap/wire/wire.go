@@ -269,7 +269,7 @@ func Sorted[K cmp.Ordered](c *Codec, keys []K, key func(*K), entry func(K)) {
 		slices.Sort(keys)
 	}
 	n := c.Count(len(keys))
-	var k K // one variable: key's pointer escapes, so each would be allocated
+	var k K // declared once: key gets its address, so a per-key variable would escape per key
 	for i := 0; i < n && c.err == nil; i++ {
 		if !c.dec {
 			k = keys[i]
