@@ -100,7 +100,7 @@ func midRun(t testing.TB, build func() (*core.Machine, *kernel.Kernel)) []byte {
 	return capture(t, m, k)
 }
 
-// workload returns a builder that prepares app in mode on cfg at test size.
+// workload returns a function that prepares app in mode on cfg at test size.
 func workload(t testing.TB, app string, mode shredlib.Mode, cfg core.Config) func() (*core.Machine, *kernel.Kernel) {
 	return func() (*core.Machine, *kernel.Kernel) {
 		t.Helper()
