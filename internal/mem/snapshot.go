@@ -93,10 +93,12 @@ func (p *Phys) snapshot(c *wire.Codec, resident []uint32) {
 		p.free = make([]uint32, n)
 	}
 	c.U32s(p.free)
-	for i := 0; c.Decoding() && i < len(p.free); i++ {
-		if f := p.free[i]; f == 0 || f >= p.numFrames {
-			c.Fail(fmt.Errorf("mem: snapshot free frame %d out of range", f))
-			break
+	if c.Decoding() {
+		for _, f := range p.free {
+			if f == 0 || f >= p.numFrames {
+				c.Fail(fmt.Errorf("mem: snapshot free frame %d out of range", f))
+				break
+			}
 		}
 	}
 	n = c.Count(len(resident))
