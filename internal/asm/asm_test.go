@@ -216,20 +216,26 @@ func TestAssembleDefaultsEntryToMain(t *testing.T) {
 	}
 }
 
+// badSources are sources the text assembler must reject; TestTextGolden
+// also pins whether each error names its line.
+var badSources = []string{
+	"bogus r1, r2",          // unknown mnemonic
+	"add r1, r2",            // wrong operand count
+	"add r1, r2, r99",       // bad register
+	"ldd r1, [zz+8]",        // bad mem base
+	"beq r1, r2, 12x",       // bad target
+	".data\nadd r1, r2, r3", // instruction in data
+	".unknown 5",            // unknown directive
+	"li r1, zzz",            // bad constant
+	"movtcr cr9, r1",        // bad control register
+	"jmp nowhere",           // undefined label
+	"add r16, r1, r2",       // register 16
+	"fadd f1, f16, f2",      // float register 16
+	"ldd r1, [r16+8]",       // mem base register 16
+}
+
 func TestAssembleErrors(t *testing.T) {
-	cases := []string{
-		"bogus r1, r2",          // unknown mnemonic
-		"add r1, r2",            // wrong operand count
-		"add r1, r2, r99",       // bad register
-		"ldd r1, [zz+8]",        // bad mem base
-		"beq r1, r2, 12x",       // bad target
-		".data\nadd r1, r2, r3", // instruction in data
-		".unknown 5",            // unknown directive
-		"li r1, zzz",            // bad constant
-		"movtcr cr9, r1",        // bad control register
-		"jmp nowhere",           // undefined label
-	}
-	for _, src := range cases {
+	for _, src := range badSources {
 		if _, err := Assemble(src); err == nil {
 			t.Errorf("accepted bad source %q", src)
 		}
