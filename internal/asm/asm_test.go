@@ -1,7 +1,9 @@
 package asm
 
 import (
+	"fmt"
 	"math"
+	"runtime"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -234,10 +236,51 @@ var badSources = []string{
 	"ldd r1, [r16+8]",       // mem base register 16
 }
 
+// lineErrors are bad sources that must be rejected at their last line,
+// not at link.
+var lineErrors = []string{
+	"subi r1, r2, -2147483648", // the negation wraps
+	"jmp 12x",                  // bad targets, each kind of writer
+	"jal r1, 12x",
+	"j 1",
+	"call 1x",
+	"la r1, 2",
+	"nop\nbne r1, r2, .+8", // a relative target
+}
+
 func TestAssembleErrors(t *testing.T) {
 	for _, src := range badSources {
 		if _, err := Assemble(src); err == nil {
 			t.Errorf("accepted bad source %q", src)
+		}
+	}
+	for _, src := range lineErrors {
+		want := fmt.Sprintf("rejected at line %d", strings.Count(src, "\n")+1)
+		if got := verdict(src); got != want {
+			t.Errorf("%q: %s, want %s", src, got, want)
+		}
+	}
+}
+
+// TestDataImageBounded: a .space or .align that would grow the data
+// image past what a loader maps fails at its line before allocating it.
+func TestDataImageBounded(t *testing.T) {
+	for _, src := range []string{
+		".data\nx: .space 0x10000000",
+		".data\nx: .space 0xffffffff",
+		".data\nx: .u8 1\n.space 0x7000000", // one byte past the window
+		".data\nx: .u8 1\n.align 134217728",
+		".data\nx: .u8 1\n.align 4611686018427387904",
+	} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		got := verdict(src)
+		runtime.ReadMemStats(&after)
+		if want := fmt.Sprintf("rejected at line %d", strings.Count(src, "\n")+1); got != want {
+			t.Errorf("%q: %s, want %s", src, got, want)
+		}
+		if n := after.TotalAlloc - before.TotalAlloc; n >= 1<<20 {
+			t.Errorf("%q: rejecting it allocated %d bytes", src, n)
 		}
 	}
 }
@@ -300,46 +343,76 @@ func TestTextRoundTripR3(t *testing.T) {
 	}
 }
 
-// TestTextRoundTripAllFormats: for every opcode whose disassembly is
-// re-parseable (i.e. not a pc-relative branch, which disassembles to an
-// absolute address), Disasm -> Assemble must reproduce the encoding.
+// hasTarget reports whether op's format has a branch target operand.
+func hasTarget(op isa.Op) bool {
+	for _, o := range isa.Lookup(op).Fmt.Operands() {
+		if o.Kind == isa.OpndTarget {
+			return true
+		}
+	}
+	return false
+}
+
+// maxTargetWords bounds how far away textSource lays out a target.
+const maxTargetWords = 64
+
+// textSource returns a program whose word at index at assembles from
+// Disasm(in, 0). A branch target, which disassembles as an offset
+// (".+N"), becomes a label that many bytes away, with nops between; ok
+// is false when that is more than maxTargetWords words.
+func textSource(in isa.Instr) (src string, at int, ok bool) {
+	text := isa.Disasm(in, 0)
+	if !hasTarget(in.Op) {
+		return "main:\n    " + text + "\n", 0, true
+	}
+	k := int(in.Imm / isa.WordSize)
+	if k < -maxTargetWords || k > maxTargetWords {
+		return "", 0, false
+	}
+	text = text[:strings.LastIndexByte(text, ' ')+1] + "t" // the target is the last operand
+	at = max(0, -k)
+	var b strings.Builder
+	b.WriteString("main:\n")
+	for j := 0; j <= at+max(0, k); j++ {
+		if j == at+k {
+			b.WriteString("t:\n")
+		}
+		line := "nop"
+		if j == at {
+			line = text
+		}
+		fmt.Fprintf(&b, "    %s\n", line)
+	}
+	return b.String(), at, true
+}
+
+// TestTextRoundTripAllFormats: every opcode, each operand its format
+// lists set to a value of its own, must re-assemble from its
+// disassembly to the same word.
 func TestTextRoundTripAllFormats(t *testing.T) {
 	for op := isa.Op(0); int(op) < isa.NumOps; op++ {
-		info := isa.Lookup(op)
-		switch info.Fmt {
-		case isa.FmtJmp, isa.FmtJal, isa.FmtBranch:
-			continue // targets print as absolute addresses
-		}
 		in := isa.Instr{Op: op}
-		switch info.Fmt {
-		case isa.FmtNone:
-		case isa.FmtRd:
-			in.Rd = 3
-		case isa.FmtR1:
-			in.Rs1 = 4
-		case isa.FmtR2, isa.FmtF2, isa.FmtFI, isa.FmtIF:
-			in.Rd, in.Rs1 = 3, 4
-		case isa.FmtR3, isa.FmtSig, isa.FmtF3, isa.FmtFCmp:
-			in.Rd, in.Rs1, in.Rs2 = 3, 4, 5
-		case isa.FmtR2I, isa.FmtMem, isa.FmtFMem:
-			in.Rd, in.Rs1, in.Imm = 3, 4, 16
-		case isa.FmtRI:
-			in.Rd, in.Imm = 3, 16
-		case isa.FmtCRW:
-			in.Rs1, in.Imm = 4, 3
-		case isa.FmtCRR:
-			in.Rd, in.Imm = 3, 3
-		case isa.FmtYield:
-			in.Rs1, in.Imm = 4, 1
+		for k, o := range isa.Lookup(op).Fmt.Operands() {
+			switch o.Kind {
+			case isa.OpndReg, isa.OpndFReg:
+				*in.Field(o.Reg) = uint8(3 + k)
+			case isa.OpndImm:
+				in.Imm = 16
+			case isa.OpndMem:
+				in.Rs1, in.Imm = uint8(3+k), -16
+			case isa.OpndCR:
+				in.Imm = 3
+			case isa.OpndTarget:
+				in.Imm = -2 * isa.WordSize
+			}
 		}
-		src := "main:\n  " + isa.Disasm(in, 0) + "\n"
+		src, at, _ := textSource(in)
 		p, err := Assemble(src)
 		if err != nil {
 			t.Errorf("%s: %v (src %q)", isa.Name(op), err, src)
 			continue
 		}
-		got, _ := p.Instr(p.TextBase)
-		if got != in {
+		if got, _ := p.Instr(p.TextBase + uint64(at)*isa.WordSize); got != in {
 			t.Errorf("%s: %+v -> %q -> %+v", isa.Name(op), in, src, got)
 		}
 	}

@@ -422,8 +422,8 @@ func (b *Builder) defDataSym(name string, off uint64) {
 }
 
 func (b *Builder) alignData(n int) {
-	for len(b.data)%n != 0 {
-		b.data = append(b.data, 0)
+	if r := len(b.data) % n; r != 0 {
+		b.data = append(b.data, make([]byte, n-r)...)
 	}
 }
 

@@ -2,6 +2,7 @@ package asm
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 
@@ -27,7 +28,7 @@ import (
 //	beq r1, r2, label            (branch targets are labels)
 //	li r1, 0x123456789           (pseudo: expands to ldi/ldih)
 //	la r1, sym                   (pseudo: load symbol address)
-//	mov/call/ret/j/subi          (pseudos)
+//	mov/subi/call/ret/j/push/pop (pseudos)
 //	movtcr cr3, r1               (control registers)
 func Assemble(src string) (*Program, error) {
 	b := NewBuilder()
@@ -139,6 +140,10 @@ func splitOnce(s string) [2]string {
 	return [2]string{s[:i], strings.TrimSpace(s[i+1:])}
 }
 
+// maxData is the largest data image a loader can map: kernel.Spawn and
+// BareOS both put the heap at HeapBase, right above the data segment.
+const maxData = HeapBase - DefaultDataBase
+
 func directive(b *Builder, d, rest string, inData, entrySet *bool) error {
 	switch d {
 	case ".text":
@@ -155,6 +160,9 @@ func directive(b *Builder, d, rest string, inData, entrySet *bool) error {
 		n, err := strconv.Atoi(rest)
 		if err != nil || n <= 0 || n&(n-1) != 0 {
 			return fmt.Errorf(".align: bad alignment %q", rest)
+		}
+		if len(b.data)+(n-len(b.data)%n)%n > maxData {
+			return fmt.Errorf(".align: %d pads the data image past the %d bytes a loader maps", n, maxData)
 		}
 		b.AlignData(n)
 	case ".u8", ".u16", ".u32", ".u64":
@@ -207,32 +215,43 @@ func directive(b *Builder, d, rest string, inData, entrySet *bool) error {
 		if err != nil || n == 0 {
 			return fmt.Errorf(".space: bad size %q", rest)
 		}
-		// .space only works after a label on the same logical position;
-		// bind via a synthetic BSS name is impossible here, so .space in
-		// the middle of data emits literal zeros instead.
-		b.DataBytes("", make([]byte, n))
+		if uint64(len(b.data))+n > maxData {
+			return fmt.Errorf(".space: %d bytes grow the data image past the %d bytes a loader maps", n, maxData)
+		}
+		b.data = append(b.data, make([]byte, n)...)
 	default:
 		return fmt.Errorf("unknown directive %q", d)
 	}
 	return nil
 }
 
+// parseInt reads a 64-bit literal, signed or, past the signed range,
+// unsigned (kept as its two's-complement bits).
+func parseInt(s string) (int64, error) {
+	v, err := strconv.ParseInt(s, 0, 64)
+	if err != nil {
+		u, uerr := strconv.ParseUint(s, 0, 64)
+		if uerr != nil {
+			return 0, err
+		}
+		v = int64(u)
+	}
+	return v, nil
+}
+
 func parseIntList(s string) ([]int64, error) {
 	var out []int64
 	for _, f := range strings.Split(s, ",") {
-		v, err := strconv.ParseInt(strings.TrimSpace(f), 0, 64)
+		v, err := parseInt(strings.TrimSpace(f))
 		if err != nil {
-			// Allow unsigned 64-bit literals too.
-			u, uerr := strconv.ParseUint(strings.TrimSpace(f), 0, 64)
-			if uerr != nil {
-				return nil, err
-			}
-			v = int64(u)
+			return nil, err
 		}
 		out = append(out, v)
 	}
 	return out, nil
 }
+
+// The per-kind operand parsers, one for each isa.OperandKind.
 
 func parseReg(s string) (uint8, error) {
 	switch s {
@@ -303,6 +322,14 @@ func parseCR(s string) (int32, error) {
 	return 0, fmt.Errorf("bad control register %q", s)
 }
 
+// parseTarget parses a branch target, or la's symbol: a label name.
+func parseTarget(s string) (string, error) {
+	if !validIdent(s) {
+		return "", fmt.Errorf("bad target %q", s)
+	}
+	return s, nil
+}
+
 func splitOperands(s string) []string {
 	if strings.TrimSpace(s) == "" {
 		return nil
@@ -314,321 +341,101 @@ func splitOperands(s string) []string {
 	return parts
 }
 
+// args is one line's operands, each parsed into the field its kind
+// fills.
+type args struct {
+	isa.Instr
+	sym string // a target operand
+	lit int64  // a wide immediate (li's constant)
+}
+
+// parse reads ops as the operand list want of mnem. With wide, an
+// immediate operand is a 64-bit constant for lit instead of an imm32.
+func (a *args) parse(mnem string, want []isa.Operand, wide bool, ops []string) error {
+	if len(ops) != len(want) {
+		return fmt.Errorf("%s: want %d operands, got %d", mnem, len(want), len(ops))
+	}
+	for k, o := range want {
+		var err error
+		s := ops[k]
+		switch o.Kind {
+		case isa.OpndReg:
+			*a.Field(o.Reg), err = parseReg(s)
+		case isa.OpndFReg:
+			*a.Field(o.Reg), err = parseFReg(s)
+		case isa.OpndImm:
+			if wide {
+				if a.lit, err = parseInt(s); err != nil {
+					err = fmt.Errorf("bad constant %q", s)
+				}
+			} else {
+				a.Imm, err = parseImm32(s)
+			}
+		case isa.OpndMem:
+			a.Rs1, a.Imm, err = parseMem(s)
+		case isa.OpndCR:
+			a.Imm, err = parseCR(s)
+		case isa.OpndTarget:
+			a.sym, err = parseTarget(s)
+		}
+		if err != nil {
+			return fmt.Errorf("%s: %v", mnem, err)
+		}
+	}
+	return nil
+}
+
+// A pseudo is a mnemonic that exists only in text. It is written like an
+// instruction of its format, its operands are read by the same parsers,
+// and it expands through the Builder.
+type pseudo struct {
+	fmt  isa.Fmt
+	wide bool // the immediate is a 64-bit constant
+	emit func(b *Builder, a args) error
+}
+
+var pseudos = map[string]pseudo{
+	"li":   {isa.FmtRI, true, func(b *Builder, a args) error { b.Li(a.Rd, a.lit); return nil }},
+	"la":   {isa.FmtJal, false, func(b *Builder, a args) error { b.La(a.Rd, a.sym); return nil }},
+	"mov":  {isa.FmtR2, false, func(b *Builder, a args) error { b.Mov(a.Rd, a.Rs1); return nil }},
+	"subi": {isa.FmtR2I, false, subi},
+	"call": {isa.FmtJmp, false, func(b *Builder, a args) error { b.Call(a.sym); return nil }},
+	"ret":  {isa.FmtNone, false, func(b *Builder, a args) error { b.Ret(); return nil }},
+	"j":    {isa.FmtJmp, false, func(b *Builder, a args) error { b.Jmp(a.sym); return nil }},
+	"push": {isa.FmtRd, false, func(b *Builder, a args) error { b.Push(a.Rd); return nil }},
+	"pop":  {isa.FmtRd, false, func(b *Builder, a args) error { b.Pop(a.Rd); return nil }},
+}
+
+// subi is addi of the negated immediate, which must itself fit.
+func subi(b *Builder, a args) error {
+	if a.Imm == math.MinInt32 {
+		return fmt.Errorf("subi: immediate %d out of range: its negation exceeds 32 bits", a.Imm)
+	}
+	b.Addi(a.Rd, a.Rs1, -a.Imm)
+	return nil
+}
+
 func instruction(b *Builder, mnem, rest string) error {
 	ops := splitOperands(rest)
-	need := func(n int) error {
-		if len(ops) != n {
-			return fmt.Errorf("%s: want %d operands, got %d", mnem, n, len(ops))
+	var a args
+	if p, ok := pseudos[mnem]; ok {
+		if err := a.parse(mnem, p.fmt.Operands(), p.wide, ops); err != nil {
+			return err
 		}
-		return nil
+		return p.emit(b, a)
 	}
-
-	// Pseudo-instructions first.
-	switch mnem {
-	case "li":
-		if err := need(2); err != nil {
-			return err
-		}
-		rd, err := parseReg(ops[0])
-		if err != nil {
-			return err
-		}
-		v, err := strconv.ParseInt(ops[1], 0, 64)
-		if err != nil {
-			u, uerr := strconv.ParseUint(ops[1], 0, 64)
-			if uerr != nil {
-				return fmt.Errorf("li: bad constant %q", ops[1])
-			}
-			v = int64(u)
-		}
-		b.Li(rd, v)
-		return nil
-	case "la":
-		if err := need(2); err != nil {
-			return err
-		}
-		rd, err := parseReg(ops[0])
-		if err != nil {
-			return err
-		}
-		if !validIdent(ops[1]) {
-			return fmt.Errorf("la: bad symbol %q", ops[1])
-		}
-		b.La(rd, ops[1])
-		return nil
-	case "mov":
-		if err := need(2); err != nil {
-			return err
-		}
-		rd, err1 := parseReg(ops[0])
-		rs, err2 := parseReg(ops[1])
-		if err1 != nil || err2 != nil {
-			return fmt.Errorf("mov: bad operands")
-		}
-		b.Mov(rd, rs)
-		return nil
-	case "subi":
-		if err := need(3); err != nil {
-			return err
-		}
-		rd, err1 := parseReg(ops[0])
-		rs, err2 := parseReg(ops[1])
-		imm, err3 := parseImm32(ops[2])
-		if err1 != nil || err2 != nil || err3 != nil {
-			return fmt.Errorf("subi: bad operands")
-		}
-		b.Addi(rd, rs, -imm)
-		return nil
-	case "call":
-		if err := need(1); err != nil {
-			return err
-		}
-		if !validIdent(ops[0]) {
-			return fmt.Errorf("call: bad target %q", ops[0])
-		}
-		b.Call(ops[0])
-		return nil
-	case "ret":
-		if err := need(0); err != nil {
-			return err
-		}
-		b.Ret()
-		return nil
-	case "j":
-		if err := need(1); err != nil {
-			return err
-		}
-		b.Jmp(ops[0])
-		return nil
-	case "push":
-		if err := need(1); err != nil {
-			return err
-		}
-		r, err := parseReg(ops[0])
-		if err != nil {
-			return err
-		}
-		b.Push(r)
-		return nil
-	case "pop":
-		if err := need(1); err != nil {
-			return err
-		}
-		r, err := parseReg(ops[0])
-		if err != nil {
-			return err
-		}
-		b.Pop(r)
-		return nil
-	}
-
 	op, ok := isa.ByName[mnem]
 	if !ok {
 		return fmt.Errorf("unknown mnemonic %q", mnem)
 	}
-	info := isa.Lookup(op)
-	in := isa.Instr{Op: op}
-
-	switch info.Fmt {
-	case isa.FmtNone:
-		if err := need(0); err != nil {
-			return err
-		}
-	case isa.FmtRd:
-		if err := need(1); err != nil {
-			return err
-		}
-		r, err := parseReg(ops[0])
-		if err != nil {
-			return err
-		}
-		in.Rd = r
-	case isa.FmtR1:
-		if err := need(1); err != nil {
-			return err
-		}
-		r, err := parseReg(ops[0])
-		if err != nil {
-			return err
-		}
-		in.Rs1 = r
-	case isa.FmtR2:
-		if err := need(2); err != nil {
-			return err
-		}
-		rd, err1 := parseReg(ops[0])
-		rs, err2 := parseReg(ops[1])
-		if err1 != nil || err2 != nil {
-			return fmt.Errorf("%s: bad operands", mnem)
-		}
-		in.Rd, in.Rs1 = rd, rs
-	case isa.FmtR3, isa.FmtSig:
-		if err := need(3); err != nil {
-			return err
-		}
-		rd, e1 := parseReg(ops[0])
-		r1, e2 := parseReg(ops[1])
-		r2, e3 := parseReg(ops[2])
-		if e1 != nil || e2 != nil || e3 != nil {
-			return fmt.Errorf("%s: bad operands", mnem)
-		}
-		in.Rd, in.Rs1, in.Rs2 = rd, r1, r2
-	case isa.FmtR2I:
-		if err := need(3); err != nil {
-			return err
-		}
-		rd, e1 := parseReg(ops[0])
-		r1, e2 := parseReg(ops[1])
-		imm, e3 := parseImm32(ops[2])
-		if e1 != nil || e2 != nil || e3 != nil {
-			return fmt.Errorf("%s: bad operands", mnem)
-		}
-		in.Rd, in.Rs1, in.Imm = rd, r1, imm
-	case isa.FmtRI:
-		if err := need(2); err != nil {
-			return err
-		}
-		rd, e1 := parseReg(ops[0])
-		imm, e2 := parseImm32(ops[1])
-		if e1 != nil || e2 != nil {
-			return fmt.Errorf("%s: bad operands", mnem)
-		}
-		in.Rd, in.Imm = rd, imm
-	case isa.FmtMem:
-		if err := need(2); err != nil {
-			return err
-		}
-		rd, e1 := parseReg(ops[0])
-		rs, off, e2 := parseMem(ops[1])
-		if e1 != nil || e2 != nil {
-			return fmt.Errorf("%s: bad operands", mnem)
-		}
-		in.Rd, in.Rs1, in.Imm = rd, rs, off
-	case isa.FmtFMem:
-		if err := need(2); err != nil {
-			return err
-		}
-		fd, e1 := parseFReg(ops[0])
-		rs, off, e2 := parseMem(ops[1])
-		if e1 != nil || e2 != nil {
-			return fmt.Errorf("%s: bad operands", mnem)
-		}
-		in.Rd, in.Rs1, in.Imm = fd, rs, off
-	case isa.FmtF3:
-		if err := need(3); err != nil {
-			return err
-		}
-		fd, e1 := parseFReg(ops[0])
-		f1, e2 := parseFReg(ops[1])
-		f2, e3 := parseFReg(ops[2])
-		if e1 != nil || e2 != nil || e3 != nil {
-			return fmt.Errorf("%s: bad operands", mnem)
-		}
-		in.Rd, in.Rs1, in.Rs2 = fd, f1, f2
-	case isa.FmtF2:
-		if err := need(2); err != nil {
-			return err
-		}
-		fd, e1 := parseFReg(ops[0])
-		f1, e2 := parseFReg(ops[1])
-		if e1 != nil || e2 != nil {
-			return fmt.Errorf("%s: bad operands", mnem)
-		}
-		in.Rd, in.Rs1 = fd, f1
-	case isa.FmtFCmp:
-		if err := need(3); err != nil {
-			return err
-		}
-		rd, e1 := parseReg(ops[0])
-		f1, e2 := parseFReg(ops[1])
-		f2, e3 := parseFReg(ops[2])
-		if e1 != nil || e2 != nil || e3 != nil {
-			return fmt.Errorf("%s: bad operands", mnem)
-		}
-		in.Rd, in.Rs1, in.Rs2 = rd, f1, f2
-	case isa.FmtFI:
-		if err := need(2); err != nil {
-			return err
-		}
-		fd, e1 := parseFReg(ops[0])
-		rs, e2 := parseReg(ops[1])
-		if e1 != nil || e2 != nil {
-			return fmt.Errorf("%s: bad operands", mnem)
-		}
-		in.Rd, in.Rs1 = fd, rs
-	case isa.FmtIF:
-		if err := need(2); err != nil {
-			return err
-		}
-		rd, e1 := parseReg(ops[0])
-		f1, e2 := parseFReg(ops[1])
-		if e1 != nil || e2 != nil {
-			return fmt.Errorf("%s: bad operands", mnem)
-		}
-		in.Rd, in.Rs1 = rd, f1
-	case isa.FmtJmp:
-		if err := need(1); err != nil {
-			return err
-		}
-		b.Jmp(ops[0])
-		return nil
-	case isa.FmtJal:
-		if err := need(2); err != nil {
-			return err
-		}
-		rd, err := parseReg(ops[0])
-		if err != nil {
-			return err
-		}
-		b.emitFix(isa.Instr{Op: isa.OpJal, Rd: rd}, fixRel, ops[1])
-		return nil
-	case isa.FmtBranch:
-		if err := need(3); err != nil {
-			return err
-		}
-		r1, e1 := parseReg(ops[0])
-		r2, e2 := parseReg(ops[1])
-		if e1 != nil || e2 != nil {
-			return fmt.Errorf("%s: bad operands", mnem)
-		}
-		if !validIdent(ops[2]) {
-			return fmt.Errorf("%s: bad target %q", mnem, ops[2])
-		}
-		b.emitFix(isa.Instr{Op: op, Rs1: r1, Rs2: r2}, fixRel, ops[2])
-		return nil
-	case isa.FmtCRW:
-		if err := need(2); err != nil {
-			return err
-		}
-		cr, e1 := parseCR(ops[0])
-		rs, e2 := parseReg(ops[1])
-		if e1 != nil || e2 != nil {
-			return fmt.Errorf("%s: bad operands", mnem)
-		}
-		in.Rs1, in.Imm = rs, cr
-	case isa.FmtCRR:
-		if err := need(2); err != nil {
-			return err
-		}
-		rd, e1 := parseReg(ops[0])
-		cr, e2 := parseCR(ops[1])
-		if e1 != nil || e2 != nil {
-			return fmt.Errorf("%s: bad operands", mnem)
-		}
-		in.Rd, in.Imm = rd, cr
-	case isa.FmtYield:
-		if err := need(2); err != nil {
-			return err
-		}
-		rs, e1 := parseReg(ops[0])
-		imm, e2 := parseImm32(ops[1])
-		if e1 != nil || e2 != nil {
-			return fmt.Errorf("%s: bad operands", mnem)
-		}
-		in.Rs1, in.Imm = rs, imm
-	default:
-		return fmt.Errorf("%s: unhandled format", mnem)
+	if err := a.parse(mnem, isa.Lookup(op).Fmt.Operands(), false, ops); err != nil {
+		return err
 	}
-	b.Emit(in)
+	a.Op = op
+	if a.sym != "" {
+		b.emitFix(a.Instr, fixRel, a.sym)
+	} else {
+		b.Emit(a.Instr)
+	}
 	return nil
 }

@@ -1,6 +1,9 @@
 package isa
 
-import "fmt"
+import (
+	"fmt"
+	"strings"
+)
 
 // RegName returns the conventional name of integer register r.
 func RegName(r uint8) string {
@@ -25,59 +28,35 @@ func Disasm(i Instr, pc uint64) string {
 		return fmt.Sprintf(".word 0x%016x", i.Encode())
 	}
 	info := infos[i.Op]
-	n := info.Name
-	target := func() string {
-		if pc != 0 {
-			return fmt.Sprintf("0x%x", uint64(int64(pc)+int64(i.Imm)))
+	var b strings.Builder
+	b.WriteString(info.Name)
+	for k, o := range info.Fmt.Operands() {
+		if k == 0 {
+			b.WriteByte(' ')
+		} else {
+			b.WriteString(", ")
 		}
-		if i.Imm >= 0 {
-			return fmt.Sprintf(".+%d", i.Imm)
-		}
-		return fmt.Sprintf(".%d", i.Imm)
+		b.WriteString(o.text(i, pc))
 	}
-	switch info.Fmt {
-	case FmtNone:
-		return n
-	case FmtRd:
-		return fmt.Sprintf("%s %s", n, RegName(i.Rd))
-	case FmtR1:
-		return fmt.Sprintf("%s %s", n, RegName(i.Rs1))
-	case FmtR2:
-		return fmt.Sprintf("%s %s, %s", n, RegName(i.Rd), RegName(i.Rs1))
-	case FmtR3:
-		return fmt.Sprintf("%s %s, %s, %s", n, RegName(i.Rd), RegName(i.Rs1), RegName(i.Rs2))
-	case FmtR2I:
-		return fmt.Sprintf("%s %s, %s, %d", n, RegName(i.Rd), RegName(i.Rs1), i.Imm)
-	case FmtRI:
-		return fmt.Sprintf("%s %s, %d", n, RegName(i.Rd), i.Imm)
-	case FmtMem:
-		return fmt.Sprintf("%s %s, [%s%+d]", n, RegName(i.Rd), RegName(i.Rs1), i.Imm)
-	case FmtFMem:
-		return fmt.Sprintf("%s %s, [%s%+d]", n, FRegName(i.Rd), RegName(i.Rs1), i.Imm)
-	case FmtF3:
-		return fmt.Sprintf("%s %s, %s, %s", n, FRegName(i.Rd), FRegName(i.Rs1), FRegName(i.Rs2))
-	case FmtF2:
-		return fmt.Sprintf("%s %s, %s", n, FRegName(i.Rd), FRegName(i.Rs1))
-	case FmtFCmp:
-		return fmt.Sprintf("%s %s, %s, %s", n, RegName(i.Rd), FRegName(i.Rs1), FRegName(i.Rs2))
-	case FmtFI:
-		return fmt.Sprintf("%s %s, %s", n, FRegName(i.Rd), RegName(i.Rs1))
-	case FmtIF:
-		return fmt.Sprintf("%s %s, %s", n, RegName(i.Rd), FRegName(i.Rs1))
-	case FmtJmp:
-		return fmt.Sprintf("%s %s", n, target())
-	case FmtJal:
-		return fmt.Sprintf("%s %s, %s", n, RegName(i.Rd), target())
-	case FmtBranch:
-		return fmt.Sprintf("%s %s, %s, %s", n, RegName(i.Rs1), RegName(i.Rs2), target())
-	case FmtCRW:
-		return fmt.Sprintf("%s cr%d, %s", n, i.Imm, RegName(i.Rs1))
-	case FmtCRR:
-		return fmt.Sprintf("%s %s, cr%d", n, RegName(i.Rd), i.Imm)
-	case FmtSig:
-		return fmt.Sprintf("%s %s, %s, %s", n, RegName(i.Rd), RegName(i.Rs1), RegName(i.Rs2))
-	case FmtYield:
-		return fmt.Sprintf("%s %s, %d", n, RegName(i.Rs1), i.Imm)
+	return b.String()
+}
+
+// text renders operand o of i, at pc as Disasm does.
+func (o Operand) text(i Instr, pc uint64) string {
+	switch o.Kind {
+	case OpndReg:
+		return RegName(*i.Field(o.Reg))
+	case OpndFReg:
+		return FRegName(*i.Field(o.Reg))
+	case OpndImm:
+		return fmt.Sprint(i.Imm)
+	case OpndMem:
+		return fmt.Sprintf("[%s%+d]", RegName(i.Rs1), i.Imm)
+	case OpndCR:
+		return fmt.Sprintf("cr%d", i.Imm)
 	}
-	return n
+	if pc != 0 {
+		return fmt.Sprintf("0x%x", uint64(int64(pc)+int64(i.Imm)))
+	}
+	return fmt.Sprintf(".%+d", i.Imm)
 }

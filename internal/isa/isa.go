@@ -137,33 +137,105 @@ const (
 // NumOps is the number of defined opcodes.
 const NumOps = int(opCount)
 
-// Fmt describes the operand format of an opcode, for the assembler and
-// disassembler.
+// Fmt names the operand format of an opcode; formats lists the
+// operands of each.
 type Fmt uint8
 
 const (
-	FmtNone   Fmt = iota // no operands
-	FmtRd                // rd
-	FmtR2                // rd, rs1
-	FmtR3                // rd, rs1, rs2
-	FmtR2I               // rd, rs1, imm
-	FmtRI                // rd, imm
-	FmtMem               // rd, [rs1+imm]
-	FmtF3                // fd, fs1, fs2
-	FmtF2                // fd, fs1
-	FmtFMem              // fd, [rs1+imm]
-	FmtFCmp              // rd, fs1, fs2
-	FmtFI                // fd, rs1 (cross-file moves, itof)
-	FmtIF                // rd, fs1 (ftoi, imvf)
-	FmtJmp               // imm (branch target)
-	FmtJal               // rd, imm
-	FmtR1                // rs1
-	FmtBranch            // rs1, rs2, imm (branch target)
-	FmtCRW               // cr=imm, rs1
-	FmtCRR               // rd, cr=imm
-	FmtSig               // rd, rs1, rs2 (signal: sid, ip, sp)
-	FmtYield             // rs1, imm (setyield: handler, scenario)
+	FmtNone Fmt = iota
+	FmtRd
+	FmtR2
+	FmtR3
+	FmtR2I
+	FmtRI
+	FmtMem
+	FmtF3
+	FmtF2
+	FmtFMem
+	FmtFCmp
+	FmtFI
+	FmtIF
+	FmtJmp
+	FmtJal
+	FmtR1
+	FmtBranch
+	FmtCRW
+	FmtCRR
+	FmtSig
+	FmtYield
 )
+
+// OperandKind says how an operand is written in assembler text.
+type OperandKind uint8
+
+const (
+	OpndReg    OperandKind = iota // integer register: r0..r13, lr, sp
+	OpndFReg                      // float register: f0..f15
+	OpndImm                       // signed imm32 in Imm
+	OpndMem                       // [rs1±imm]: base register in Rs1, offset in Imm
+	OpndCR                        // control register crN, N in Imm
+	OpndTarget                    // branch target: a byte offset from the instruction, in Imm
+)
+
+// RegField names the Instr field a register operand fills.
+type RegField uint8
+
+const (
+	FieldRd RegField = iota
+	FieldRs1
+	FieldRs2
+)
+
+// Operand is one operand of an instruction format: how it is written
+// and, for a register, which field holds it.
+type Operand struct {
+	Kind OperandKind
+	Reg  RegField // OpndReg and OpndFReg only
+}
+
+var (
+	rd     = Operand{OpndReg, FieldRd}
+	rs1    = Operand{OpndReg, FieldRs1}
+	rs2    = Operand{OpndReg, FieldRs2}
+	fd     = Operand{OpndFReg, FieldRd}
+	fs1    = Operand{OpndFReg, FieldRs1}
+	fs2    = Operand{OpndFReg, FieldRs2}
+	imm    = Operand{Kind: OpndImm}
+	mem    = Operand{Kind: OpndMem}
+	cr     = Operand{Kind: OpndCR}
+	target = Operand{Kind: OpndTarget}
+)
+
+// formats lists, for each Fmt, the operands an instruction of that
+// format is written with, in order. It is the one statement of the
+// assembler syntax: Disasm writes it and the text assembler reads it.
+var formats = [...][]Operand{
+	FmtNone:   nil,
+	FmtRd:     {rd},
+	FmtR2:     {rd, rs1},
+	FmtR3:     {rd, rs1, rs2},
+	FmtR2I:    {rd, rs1, imm},
+	FmtRI:     {rd, imm},
+	FmtMem:    {rd, mem},
+	FmtF3:     {fd, fs1, fs2},
+	FmtF2:     {fd, fs1},
+	FmtFMem:   {fd, mem},
+	FmtFCmp:   {rd, fs1, fs2},
+	FmtFI:     {fd, rs1}, // cross-file moves, itof
+	FmtIF:     {rd, fs1}, // ftoi, imvf
+	FmtJmp:    {target},
+	FmtJal:    {rd, target},
+	FmtR1:     {rs1},
+	FmtBranch: {rs1, rs2, target},
+	FmtCRW:    {cr, rs1},
+	FmtCRR:    {rd, cr},
+	FmtSig:    {rd, rs1, rs2}, // signal: sid, ip, sp
+	FmtYield:  {rs1, imm},     // setyield: handler, scenario
+}
+
+// Operands returns the operands of format f, in the order they are
+// written. The slice is shared: callers must not modify it.
+func (f Fmt) Operands() []Operand { return formats[f] }
 
 // Info holds static properties of one opcode.
 type Info struct {
@@ -312,6 +384,17 @@ type Instr struct {
 	Imm int32
 }
 
+// Field returns the register field of i that r names.
+func (i *Instr) Field(r RegField) *uint8 {
+	switch r {
+	case FieldRd:
+		return &i.Rd
+	case FieldRs1:
+		return &i.Rs1
+	}
+	return &i.Rs2
+}
+
 // WordSize is the size in bytes of one encoded instruction.
 const WordSize = 8
 
@@ -346,9 +429,8 @@ func (i Instr) Validate() error {
 		return fmt.Errorf("isa: %s: register field out of range (rd=%d rs1=%d rs2=%d)",
 			Name(i.Op), i.Rd, i.Rs1, i.Rs2)
 	}
-	switch infos[i.Op].Fmt {
-	case FmtJmp, FmtJal, FmtBranch:
-		if i.Imm%WordSize != 0 {
+	for _, o := range infos[i.Op].Fmt.Operands() {
+		if o.Kind == OpndTarget && i.Imm%WordSize != 0 {
 			return fmt.Errorf("isa: %s: branch offset %d not a multiple of %d", Name(i.Op), i.Imm, WordSize)
 		}
 	}
