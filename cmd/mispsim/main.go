@@ -81,19 +81,22 @@ func main() {
 	cfg.TraceEvents = *trace || *traceOut != ""
 	cfg.WatchdogHorizon = *watchdog
 	if *faultPeriod != 0 {
-		kinds, err := parseFaultKinds(*faultKinds)
+		var names []string
+		if *faultKinds != "" {
+			names = strings.Split(strings.ReplaceAll(*faultKinds, " ", ""), ",")
+		}
+		kinds, err := fault.ParseKinds(names)
 		if err != nil {
 			fatal(err)
 		}
 		cfg.Fault = fault.Uniform(*faultSeed, *faultPeriod, kinds...)
 	}
-	switch *policy {
-	case "suspend-all":
-		cfg.RingPolicy = core.RingSuspendAll
-	case "monitor-cr":
-		cfg.RingPolicy = core.RingMonitorCR
-	default:
-		fatal(fmt.Errorf("unknown ring policy %q", *policy))
+	if cfg.RingPolicy, err = core.ParseRingPolicy(*policy); err != nil {
+		fatal(err)
+	}
+	mode, err := shredlib.ParseMode(*modeName)
+	if err != nil {
+		fatal(err)
 	}
 
 	// First SIGINT/SIGTERM cancels the run at its next event horizon;
@@ -151,11 +154,6 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	mode := shredlib.ModeShred
-	if *modeName == "thread" {
-		mode = shredlib.ModeThread
-	}
-
 	var pr *workloads.Prepared
 	if *restorePath != "" {
 		s, err := snap.LoadFile(*restorePath)
@@ -281,28 +279,6 @@ func printTrace(m *core.Machine, max int) {
 	for _, e := range ev {
 		fmt.Printf("  %12d %-10s %-14s a=0x%x b=0x%x\n", e.TS, m.Seqs[e.Seq].Name(), e.Kind, e.A, e.B)
 	}
-}
-
-func parseFaultKinds(s string) ([]fault.Kind, error) {
-	if s == "" {
-		return nil, nil
-	}
-	var kinds []fault.Kind
-	for _, name := range strings.Split(s, ",") {
-		name = strings.TrimSpace(name)
-		found := false
-		for _, k := range fault.Kinds() {
-			if k.String() == name {
-				kinds = append(kinds, k)
-				found = true
-				break
-			}
-		}
-		if !found {
-			return nil, fmt.Errorf("unknown fault kind %q (known: %v)", name, fault.Kinds())
-		}
-	}
-	return kinds, nil
 }
 
 // stopProfiles flushes any active -cpuprofile/-memprofile output; set

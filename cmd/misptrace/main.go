@@ -61,6 +61,10 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
+	mode, err := shredlib.ParseMode(*modeName)
+	if err != nil {
+		fatal(err)
+	}
 	cfg := workloads.DefaultConfig(top)
 	cfg.TraceEvents = true
 	cfg.MaxTraceEvents = *eventCap
@@ -77,7 +81,7 @@ func main() {
 		m, prog, err = runDemo(cfg)
 	} else {
 		label = *wname
-		m, prog, err = runWorkload(*wname, *modeName, *sizeName, cfg)
+		m, prog, err = runWorkload(*wname, mode, *sizeName, cfg)
 	}
 	if err != nil {
 		fatal(err)
@@ -172,7 +176,7 @@ func runDemo(cfg core.Config) (*core.Machine, *asm.Program, error) {
 	return m, prog, nil
 }
 
-func runWorkload(name, modeName, sizeName string, cfg core.Config) (*core.Machine, *asm.Program, error) {
+func runWorkload(name string, mode shredlib.Mode, sizeName string, cfg core.Config) (*core.Machine, *asm.Program, error) {
 	w, err := workloads.ByName(name)
 	if err != nil {
 		return nil, nil, err
@@ -180,10 +184,6 @@ func runWorkload(name, modeName, sizeName string, cfg core.Config) (*core.Machin
 	size, err := workloads.ParseSize(sizeName)
 	if err != nil {
 		return nil, nil, err
-	}
-	mode := shredlib.ModeShred
-	if modeName == "thread" {
-		mode = shredlib.ModeThread
 	}
 	res, err := workloads.Run(w, mode, cfg, size)
 	if err != nil {

@@ -44,6 +44,16 @@ func (p RingPolicy) String() string {
 	return "suspend-all"
 }
 
+// ParseRingPolicy reads a ring policy by its String name.
+func ParseRingPolicy(s string) (RingPolicy, error) {
+	for _, p := range []RingPolicy{RingSuspendAll, RingMonitorCR} {
+		if p.String() == s {
+			return p, nil
+		}
+	}
+	return 0, fmt.Errorf("unknown ring policy %q (want suspend-all or monitor-cr)", s)
+}
+
 // Topology describes a machine as the number of AMSs attached to each
 // MISP processor. Element i is processor i's AMS count; a value of 0
 // gives a plain OS-visible core. Examples from the paper's Figure 6:

@@ -651,6 +651,19 @@ func TestParseTopology(t *testing.T) {
 	}
 }
 
+func TestParseRingPolicy(t *testing.T) {
+	for _, p := range []RingPolicy{RingSuspendAll, RingMonitorCR} {
+		if got, err := ParseRingPolicy(p.String()); got != p || err != nil {
+			t.Errorf("ParseRingPolicy(%q) = %v, %v", p, got, err)
+		}
+	}
+	for _, bad := range []string{"", "monitor", "Suspend-All"} {
+		if _, err := ParseRingPolicy(bad); err == nil {
+			t.Errorf("ParseRingPolicy(%q) accepted", bad)
+		}
+	}
+}
+
 func TestConfigValidation(t *testing.T) {
 	bad := []Config{
 		{},

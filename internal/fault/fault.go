@@ -63,6 +63,22 @@ func (k Kind) String() string {
 	return "fault?"
 }
 
+// ParseKinds reads fault kinds by their String names.
+func ParseKinds(names []string) ([]Kind, error) {
+	var kinds []Kind
+next:
+	for _, name := range names {
+		for k := Kind(0); k < NumKinds; k++ {
+			if k.String() == name {
+				kinds = append(kinds, k)
+				continue next
+			}
+		}
+		return nil, fmt.Errorf("unknown fault kind %q (known: %v)", name, Kinds())
+	}
+	return kinds, nil
+}
+
 // Kinds returns every injectable kind, in injection-priority order.
 func Kinds() []Kind {
 	ks := make([]Kind, NumKinds)

@@ -118,6 +118,22 @@ func TestKindNames(t *testing.T) {
 	}
 }
 
+func TestParseKinds(t *testing.T) {
+	var names []string
+	for _, k := range Kinds() {
+		names = append(names, k.String())
+	}
+	got, err := ParseKinds(names)
+	if err != nil || fmt.Sprint(got) != fmt.Sprint(Kinds()) {
+		t.Fatalf("ParseKinds(%v) = %v, %v", names, got, err)
+	}
+	for _, bad := range [][]string{{"ams-kill", "nope"}, {" ams-kill"}, {""}} {
+		if _, err := ParseKinds(bad); err == nil {
+			t.Errorf("ParseKinds(%q) accepted", bad)
+		}
+	}
+}
+
 func TestDiagnosisWrapsError(t *testing.T) {
 	base := errors.New("core: deadlock at cycle 99")
 	d := &Diagnosis{Reason: ReasonDeadlock, Cycle: 99, Err: fmt.Errorf("wrapped: %w", base)}

@@ -98,16 +98,16 @@ func (req *Request) Canonicalize() (*Request, error) {
 	if c.RingPolicy == "" {
 		c.RingPolicy = core.RingSuspendAll.String()
 	}
-	if _, err := parseRingPolicy(c.RingPolicy); err != nil {
-		return nil, err
+	if _, err := core.ParseRingPolicy(c.RingPolicy); err != nil {
+		return nil, fmt.Errorf("serve: %w", err)
 	}
 	if c.FaultPeriod == 0 {
 		// No injection: seed and kinds are inert, so normalize them away.
 		c.FaultSeed, c.FaultKinds = 0, nil
 	} else {
-		kinds, err := parseFaultKinds(c.FaultKinds)
+		kinds, err := fault.ParseKinds(c.FaultKinds)
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("serve: %w", err)
 		}
 		c.FaultKinds = canonicalKindNames(kinds)
 	}
@@ -124,8 +124,8 @@ func (req *Request) Canonicalize() (*Request, error) {
 		if c.Mode == "" {
 			c.Mode = "shred"
 		}
-		if c.Mode != "shred" && c.Mode != "thread" {
-			return nil, fmt.Errorf("serve: unknown mode %q", c.Mode)
+		if _, err := shredlib.ParseMode(c.Mode); err != nil {
+			return nil, fmt.Errorf("serve: %w", err)
 		}
 		if len(c.Topology) == 0 {
 			c.Topology = []int{7}
@@ -216,7 +216,7 @@ func (c *Request) Key() string {
 func (c *Request) config() (core.Config, error) {
 	cfg := workloads.DefaultConfig(core.Topology(c.Topology))
 	cfg.SignalCost = *c.SignalCost
-	policy, err := parseRingPolicy(c.RingPolicy)
+	policy, err := core.ParseRingPolicy(c.RingPolicy)
 	if err != nil {
 		return cfg, err
 	}
@@ -224,7 +224,7 @@ func (c *Request) config() (core.Config, error) {
 	cfg.WatchdogHorizon = c.Watchdog
 	cfg.TraceEvents = c.Trace
 	if c.FaultPeriod != 0 {
-		kinds, err := parseFaultKinds(c.FaultKinds)
+		kinds, err := fault.ParseKinds(c.FaultKinds)
 		if err != nil {
 			return cfg, err
 		}
@@ -233,45 +233,16 @@ func (c *Request) config() (core.Config, error) {
 	return cfg, nil
 }
 
-// mode returns the canonical run request's runtime mode.
+// mode returns the canonical run request's runtime mode (Canonicalize
+// has rejected any name ParseMode would).
 func (c *Request) mode() shredlib.Mode {
-	if c.Mode == "thread" {
-		return shredlib.ModeThread
-	}
-	return shredlib.ModeShred
+	m, _ := shredlib.ParseMode(c.Mode)
+	return m
 }
 
 // ParseSize is workloads.ParseSize, kept under this name for the
 // daemon's clients.
 func ParseSize(s string) (workloads.Size, error) { return workloads.ParseSize(s) }
-
-func parseRingPolicy(s string) (core.RingPolicy, error) {
-	switch s {
-	case core.RingSuspendAll.String():
-		return core.RingSuspendAll, nil
-	case core.RingMonitorCR.String():
-		return core.RingMonitorCR, nil
-	}
-	return 0, fmt.Errorf("serve: unknown ring policy %q", s)
-}
-
-func parseFaultKinds(names []string) ([]fault.Kind, error) {
-	var kinds []fault.Kind
-	for _, name := range names {
-		found := false
-		for _, k := range fault.Kinds() {
-			if k.String() == name {
-				kinds = append(kinds, k)
-				found = true
-				break
-			}
-		}
-		if !found {
-			return nil, fmt.Errorf("serve: unknown fault kind %q (known: %v)", name, fault.Kinds())
-		}
-	}
-	return kinds, nil
-}
 
 // canonicalKindNames renders a kind set sorted in enum order with
 // duplicates removed: the fault plan is a pure function of the set, so

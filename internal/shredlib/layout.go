@@ -15,7 +15,11 @@
 // header and recompile" (§5.5).
 package shredlib
 
-import "misp/internal/shredlib/arena"
+import (
+	"fmt"
+
+	"misp/internal/shredlib/arena"
+)
 
 // Mode selects which runtime Emit generates.
 type Mode int
@@ -32,6 +36,18 @@ func (m Mode) String() string {
 		return "threadlib"
 	}
 	return "shredlib"
+}
+
+// ParseMode reads a runtime mode as the command line and the service
+// name it: "shred" or "thread".
+func ParseMode(s string) (Mode, error) {
+	switch s {
+	case "shred":
+		return ModeShred, nil
+	case "thread":
+		return ModeThread, nil
+	}
+	return 0, fmt.Errorf("unknown mode %q (want shred or thread)", s)
 }
 
 // Runtime arena layout. The authoritative constants live in the leaf
