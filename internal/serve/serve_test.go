@@ -3,6 +3,7 @@ package serve
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
@@ -208,6 +209,41 @@ func assertSameArtifacts(t *testing.T, a, b Artifacts) {
 	for name := range a {
 		if !bytes.Equal(a[name], b[name]) {
 			t.Fatalf("artifact %s differs between execution strategies", name)
+		}
+	}
+}
+
+// TestSummaryKernelMatchesMetrics: a run's summary.json and metrics.txt
+// report the same kernel activity. On [6,0] the shredded thread yields
+// on the plain processor and migrates, a context switch the registry
+// once missed.
+func TestSummaryKernelMatchesMetrics(t *testing.T) {
+	for _, top := range [][]int{{6, 0}, {3, 0, 0, 0, 0}, {7}} {
+		art, _, err := Execute(context.Background(), mustCanonical(t, &Request{App: "raytracer", Size: "test", Topology: top}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var sum struct {
+			Kernel map[string]uint64 `json:"kernel"`
+		}
+		if err := json.Unmarshal(art["summary.json"], &sum); err != nil {
+			t.Fatal(err)
+		}
+		metrics := map[string]uint64{}
+		for _, line := range strings.Split(string(art["metrics.txt"]), "\n") {
+			var name string
+			var v uint64
+			if n, _ := fmt.Sscanf(line, "counter %s %d", &name, &v); n == 2 {
+				metrics[name] = v
+			}
+		}
+		for field, metric := range map[string]string{
+			"ticks": "kernel.ticks", "switches": "kernel.ctx_switches", "syscalls": "kernel.syscalls",
+			"page_faults": "kernel.page_faults", "ipis": "kernel.ipis",
+		} {
+			if got, want := metrics[metric], sum.Kernel[field]; got != want {
+				t.Errorf("%v: metrics.txt %s %d, summary.json kernel.%s %d", top, metric, got, field, want)
+			}
 		}
 	}
 }
