@@ -135,7 +135,7 @@ func main() {
 		if bos.Out.Len() > 0 {
 			fmt.Printf("output: %s\n", bos.Out.String())
 		}
-		printStats(m)
+		fmt.Print("\n", report.SeqCounters(m))
 		if *trace {
 			printTrace(m, *traceMax)
 		}
@@ -215,7 +215,7 @@ func main() {
 	fmt.Printf("kernel     ticks=%d switches=%d syscalls=%d pagefaults=%d ipis=%d\n",
 		res.Kernel.Stats.Ticks, res.Kernel.Stats.Switches, res.Kernel.Stats.Syscalls,
 		res.Kernel.Stats.PageFaults, res.Kernel.Stats.IPIs)
-	printStats(res.Machine)
+	fmt.Print("\n", report.SeqCounters(res.Machine))
 	if *trace {
 		printTrace(res.Machine, *traceMax)
 	}
@@ -239,15 +239,11 @@ func finish(m *core.Machine, traceOut string, metrics bool) {
 		fmt.Print(report.RunSummary(rep))
 	}
 	if traceOut != "" {
-		tracks := make([]obs.Track, 0, len(m.Seqs))
-		for _, s := range m.Seqs {
-			tracks = append(tracks, obs.Track{Seq: s.ID, Proc: s.ProcID, Name: s.Name()})
-		}
 		f, err := os.Create(traceOut)
 		if err != nil {
 			fatal(err)
 		}
-		if err := obs.WriteChromeTrace(f, m.Obs.Bus.Events(), tracks); err != nil {
+		if err := obs.WriteChromeTrace(f, m.Obs.Bus.Events(), m.Tracks()); err != nil {
 			f.Close()
 			fatal(err)
 		}
@@ -258,20 +254,9 @@ func finish(m *core.Machine, traceOut string, metrics bool) {
 	}
 }
 
-func printStats(m *core.Machine) {
-	fmt.Println("\nper-sequencer counters:")
-	fmt.Printf("  %-10s %-8s %12s %9s %9s %7s %9s %9s %9s %11s %11s\n",
-		"seq", "state", "instrs", "syscalls", "pf", "timer", "proxySys", "proxyPF", "yields", "ringStall", "idle")
-	for _, s := range m.Seqs {
-		fmt.Printf("  %-10s %-8s %12d %9d %9d %7d %9d %9d %9d %11d %11d\n",
-			s.Name(), s.State, s.C.Instrs, s.C.Syscalls, s.C.PageFaults, s.C.Timers,
-			s.C.ProxySyscalls, s.C.ProxyPageFaults, s.C.YieldsTaken, s.C.RingStall, s.C.IdleCycles)
-	}
-}
-
 func printTrace(m *core.Machine, max int) {
 	fmt.Println("\nfirmware event trace:")
-	ev := m.Trace.Events()
+	ev := m.Obs.Bus.Events()
 	if len(ev) > max {
 		fmt.Printf("  (showing first %d of %d events)\n", max, len(ev))
 		ev = ev[:max]

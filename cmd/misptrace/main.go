@@ -90,12 +90,8 @@ func main() {
 	if err := os.MkdirAll(*outDir, 0o755); err != nil {
 		fatal(err)
 	}
-	tracks := make([]obs.Track, 0, len(m.Seqs))
-	for _, s := range m.Seqs {
-		tracks = append(tracks, obs.Track{Seq: s.ID, Proc: s.ProcID, Name: s.Name()})
-	}
 	if err := writeFile(filepath.Join(*outDir, "trace.json"), func(f *os.File) error {
-		return obs.WriteChromeTrace(f, m.Obs.Bus.Events(), tracks)
+		return obs.WriteChromeTrace(f, m.Obs.Bus.Events(), m.Tracks())
 	}); err != nil {
 		fatal(err)
 	}

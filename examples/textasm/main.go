@@ -81,7 +81,7 @@ func main() {
 	fmt.Printf("exit code: %d (the shred's proxied store)\n\n", bos.ExitCode)
 
 	fmt.Println("firmware event trace:")
-	for _, e := range m.Trace.Events() {
+	for _, e := range m.Obs.Bus.Events() {
 		fmt.Printf("  %8d %-8s %s\n", e.TS, m.Seqs[e.Seq].Name(), e.Kind)
 	}
 	ams := m.Procs[0].Seqs[1]

@@ -7,6 +7,7 @@ import (
 
 	"misp/internal/asm"
 	"misp/internal/isa"
+	"misp/internal/obs"
 )
 
 // testCfg returns a small uniprocessor config: 1 OMS + nAMS.
@@ -604,14 +605,15 @@ func TestTraceLog(t *testing.T) {
 	if err := m.Run(); err != nil || b.Err != nil {
 		t.Fatalf("run: %v / %v", err, b.Err)
 	}
-	if m.Trace.CountKind(EvProxyRequest) < 2 {
-		t.Fatalf("trace has %d proxy requests, want >= 2", m.Trace.CountKind(EvProxyRequest))
+	bus := m.Obs.Bus
+	if bus.KindCount(obs.KProxyRequest) < 2 {
+		t.Fatalf("trace has %d proxy requests, want >= 2", bus.KindCount(obs.KProxyRequest))
 	}
-	if m.Trace.CountKind(EvRingEnter) == 0 || m.Trace.CountKind(EvRingEnter) != m.Trace.CountKind(EvRingExit) {
+	if bus.KindCount(obs.KRingEnter) == 0 || bus.KindCount(obs.KRingEnter) != bus.KindCount(obs.KRingExit) {
 		t.Fatal("unbalanced ring enter/exit in trace")
 	}
-	if !strings.Contains(m.Trace.String(), "proxy-request") {
-		t.Fatal("trace rendering broken")
+	if !slices.ContainsFunc(bus.Events(), func(e obs.Event) bool { return e.Kind.String() == "proxy-request" }) {
+		t.Fatal("no proxy-request event in the buffer")
 	}
 }
 

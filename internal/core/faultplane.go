@@ -79,7 +79,7 @@ func (m *Machine) injectRetire(s *Sequencer) bool {
 		m.Phys.FlipBit(arg, uint(arg>>56))
 	}
 	m.flt.injected.Inc()
-	m.emit(s.Clock, s.ID, EvFaultInject, uint64(k), arg)
+	m.Obs.Emit(s.Clock, s.ID, obs.KFaultInject, uint64(k), arg)
 	return true
 }
 
@@ -117,7 +117,7 @@ func (m *Machine) signalFault(s *Sequencer, ip uint64) (drop bool, extra uint64)
 		k = fault.SignalDelay
 	}
 	m.flt.injected.Inc()
-	m.emit(s.Clock, s.ID, EvFaultInject, uint64(k), ip)
+	m.Obs.Emit(s.Clock, s.ID, obs.KFaultInject, uint64(k), ip)
 	return op == fault.SignalDropped, delay
 }
 
@@ -131,7 +131,7 @@ func (m *Machine) proxyFault(ams *Sequencer, frameVA uint64) bool {
 	ams.proxyLost = true
 	ams.stallStart = ams.Clock // recovery-latency anchor
 	m.flt.injected.Inc()
-	m.emit(ams.Clock, ams.ID, EvFaultInject, uint64(fault.ProxyDrop), frameVA)
+	m.Obs.Emit(ams.Clock, ams.ID, obs.KFaultInject, uint64(fault.ProxyDrop), frameVA)
 	return true
 }
 
@@ -195,7 +195,7 @@ func (m *Machine) watchdogTick(now uint64) {
 		return
 	}
 	m.Obs.Metrics.Counter(obs.MFaultDetected).Inc()
-	m.emit(now, 0, EvFaultDetect, uint64(fault.NumKinds), m.wdHorizon)
+	m.Obs.Emit(now, 0, obs.KFaultDetect, uint64(fault.NumKinds), m.wdHorizon)
 	m.stopErr = m.Diagnose(fault.ReasonLivelock, fmt.Errorf(
 		"core: livelock — clock advanced %d cycles with no instruction retired (cycle %d)",
 		m.wdHorizon, now))

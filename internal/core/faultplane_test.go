@@ -170,7 +170,7 @@ func checkEquivFault(t *testing.T, cfg Config, src string) {
 			t.Errorf("%s: counters diverge:\nlegacy %+v\nfast   %+v", sl.Name(), sl.C, sf.C)
 		}
 	}
-	evL, evF := mL.Trace.Events(), mF.Trace.Events()
+	evL, evF := mL.Obs.Bus.Events(), mF.Obs.Bus.Events()
 	if len(evL) != len(evF) {
 		t.Fatalf("event streams diverge in length: legacy %d fast %d", len(evL), len(evF))
 	}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"misp/internal/isa"
+	"misp/internal/obs"
 )
 
 // This file implements the MISP firmware: the machinery behind the
@@ -30,27 +31,20 @@ func (m *Machine) kernelTrap(s *Sequencer, trap isa.Trap, info uint64) {
 		// accounted to the AMS's proxy counters, not the OMS's own
 		// serializing-event columns (Table 1 separates the two).
 		s.C.ProxiedServices++
-		m.mx.omsProxied.Inc()
 	case trap == isa.TrapSyscall:
 		s.C.Syscalls++
-		m.mx.omsSyscalls.Inc()
 	case trap == isa.TrapPageFault:
 		s.C.PageFaults++
-		m.mx.omsPageFaults.Inc()
 	case trap == isa.TrapTimer:
 		s.C.Timers++
-		m.mx.omsTimers.Inc()
-	case trap == isa.TrapInterrupt:
-		s.C.Interrupts++
-		m.mx.omsInterrupts.Inc()
 	default:
-		// Fatal conditions (GP, divide by zero, bad instruction, break)
-		// also serialize; bucket them with interrupts.
+		// Interrupts, and fatal conditions (GP, divide by zero, bad
+		// instruction, break), which also serialize and are bucketed
+		// with them.
 		s.C.Interrupts++
-		m.mx.omsInterrupts.Inc()
 	}
 	proc := m.Proc(s)
-	m.emit(s.Clock, s.ID, EvRingEnter, uint64(trap), info)
+	m.Obs.Emit(s.Clock, s.ID, obs.KRingEnter, uint64(trap), info)
 	t0 := s.Clock
 	s.Clock += m.Cfg.TrapCost
 	proc.inRing0 = true
@@ -68,7 +62,7 @@ func (m *Machine) kernelTrap(s *Sequencer, trap isa.Trap, info uint64) {
 	m.mx.privCycles.Add(s.Clock - t0)
 	m.resumeAMSs(proc)
 	proc.inRing0 = false
-	m.emit(s.Clock, s.ID, EvRingExit, uint64(trap), 0)
+	m.Obs.Emit(s.Clock, s.ID, obs.KRingExit, uint64(trap), 0)
 	// The kernel may have mutated any sequencer (context switches, IPIs,
 	// timer re-arming, thread exits) or finished the run: the fast loop's
 	// round is void.
@@ -96,7 +90,7 @@ func (m *Machine) suspendAMSs(proc *Processor, t0 uint64) {
 		}
 		a.State = StateSuspendRing
 		a.stallStart = a.Clock
-		m.emit(a.Clock, a.ID, EvSuspendAMS, 0, 0)
+		m.Obs.Emit(a.Clock, a.ID, obs.KSuspendAMS, 0, 0)
 	}
 }
 
@@ -121,7 +115,7 @@ func (m *Machine) resumeAMSs(proc *Processor) {
 			a.flushTranslation()
 		}
 		a.State = StateRunning
-		m.emit(a.Clock, a.ID, EvResumeAMS, 0, 0)
+		m.Obs.Emit(a.Clock, a.ID, obs.KResumeAMS, 0, 0)
 	}
 }
 
@@ -146,13 +140,11 @@ func (m *Machine) proxyRequest(ams *Sequencer, f *trapFault) {
 	switch f.trap {
 	case isa.TrapSyscall:
 		ams.C.ProxySyscalls++
-		m.mx.amsProxySyscalls.Inc()
 	default:
 		// Page faults and fatal conditions. (Fatal conditions still ride
 		// the proxy path: the OMS re-executes and the kernel kills the
 		// process — the AMS is architecturally unable to reach ring 0.)
 		ams.C.ProxyPageFaults++
-		m.mx.amsProxyPageFaults.Inc()
 	}
 	frameVA := FrameVA(ams.ID)
 	ams.Clock += uint64(isa.Lookup(isa.OpSavectx).Cost) + m.Cfg.CtxMemCost
@@ -170,7 +162,7 @@ func (m *Machine) proxyRequest(ams *Sequencer, f *trapFault) {
 		// The request is lost in flight: the AMS parks awaiting an OMS
 		// that never heard from it. The kernel health check spots the
 		// ProxyLost flag on a timer tick and re-posts (RecoverLostProxy).
-		m.emit(ams.Clock, ams.ID, EvProxyRequest, uint64(f.trap), f.info)
+		m.Obs.Emit(ams.Clock, ams.ID, obs.KProxyRequest, uint64(f.trap), f.info)
 		return
 	}
 	proc.PendingProxy = append(proc.PendingProxy, ProxyReq{
@@ -178,7 +170,7 @@ func (m *Machine) proxyRequest(ams *Sequencer, f *trapFault) {
 		AMS:     ams,
 		FrameVA: frameVA,
 	})
-	m.emit(ams.Clock, ams.ID, EvProxyRequest, uint64(f.trap), f.info)
+	m.Obs.Emit(ams.Clock, ams.ID, obs.KProxyRequest, uint64(f.trap), f.info)
 }
 
 // proxyExec implements the PROXYEXEC instruction on the OMS (§2.5):
@@ -270,7 +262,7 @@ func (m *Machine) proxyExec(oms *Sequencer, frameVA uint64) *trapFault {
 	m.mx.proxyRTT.Observe(ams.Clock - ams.stallStart)
 	ams.State = StateRunning
 	ams.proxyFrame = 0
-	m.emit(oms.Clock, oms.ID, EvProxyDone, uint64(ams.ID), frameVA)
+	m.Obs.Emit(oms.Clock, oms.ID, obs.KProxyDone, uint64(ams.ID), frameVA)
 	return nil
 }
 
@@ -295,14 +287,14 @@ func (m *Machine) doSignal(s *Sequencer, in isa.Instr) *trapFault {
 			// Lost in flight: the instruction retires and the sender
 			// observes success, but the continuation never arrives.
 			s.C.SignalsSent++
-			m.emit(s.Clock, s.ID, EvSignalSend, sid, ip)
+			m.Obs.Emit(s.Clock, s.ID, obs.KSignalSend, sid, ip)
 			return nil
 		}
 		ts += extra
 	}
 	target.queueSignal(s.Clock, ts, ip, sp)
 	s.C.SignalsSent++
-	m.emit(s.Clock, s.ID, EvSignalSend, sid, ip)
+	m.Obs.Emit(s.Clock, s.ID, obs.KSignalSend, sid, ip)
 	return nil
 }
 
@@ -469,7 +461,7 @@ func (m *Machine) RebindAMS(a *Sequencer, toProc int) error {
 		a.C.IdleCycles += target.OMS().Clock - a.Clock
 		a.Clock = target.OMS().Clock
 	}
-	m.emit(a.Clock, a.ID, EvRebind, uint64(donor.ID), uint64(toProc))
+	m.Obs.Emit(a.Clock, a.ID, obs.KRebind, uint64(donor.ID), uint64(toProc))
 	return nil
 }
 

@@ -10,6 +10,7 @@ import (
 	"misp/internal/asm"
 	"misp/internal/isa"
 	"misp/internal/mem"
+	"misp/internal/obs"
 )
 
 // idleProxyProg: the OMS registers a proxy handler, signals a shred,
@@ -132,8 +133,8 @@ delay:
 		}
 		// The OMS idled once, from its HLT to the proxy delivery.
 		var hlt uint64
-		for _, e := range ref.Trace.Events() {
-			if e.Kind == EvProxyDeliver {
+		for _, e := range ref.Obs.Bus.Events() {
+			if e.Kind == obs.KProxyDeliver {
 				hlt = e.TS - ref.Seqs[0].C.IdleCycles
 			}
 		}

@@ -93,7 +93,7 @@ func compareRuns(t *testing.T, bL *BareOS, mL *Machine, bF *BareOS, mF *Machine)
 			t.Errorf("%s: TLB hits/misses/perm-misses/flushes diverge: legacy %v fast %v", sl.Name(), tl, tf)
 		}
 	}
-	evL, evF := mL.Trace.Events(), mF.Trace.Events()
+	evL, evF := mL.Obs.Bus.Events(), mF.Obs.Bus.Events()
 	if len(evL) != len(evF) {
 		t.Fatalf("event streams diverge in length: legacy %d fast %d", len(evL), len(evF))
 	}
@@ -313,7 +313,7 @@ func checkEquivArmed(t *testing.T, cfg Config, p *asm.Program) {
 			t.Errorf("%s diverges between loops", mL.Seqs[i].Name())
 		}
 	}
-	evL, evF := mL.Trace.Events(), mF.Trace.Events()
+	evL, evF := mL.Obs.Bus.Events(), mF.Obs.Bus.Events()
 	if len(evL) != len(evF) {
 		t.Fatalf("event streams diverge in length: %d/%d", len(evL), len(evF))
 	}

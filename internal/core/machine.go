@@ -55,6 +55,12 @@ type OS interface {
 	Done() bool
 }
 
+// metricsPublisher is an OS that keeps counts of its own (the kernel's
+// Stats): FinalizeMetrics has it publish them at every Run exit.
+type metricsPublisher interface {
+	PublishMetrics(*obs.Registry)
+}
+
 // SaveAreaBase is the per-sequencer architectural context save area:
 // global sequencer i's frame lives at SaveAreaBase + i*isa.CtxSize.
 // The MISP firmware spills AMS state here during proxy execution; the
@@ -77,8 +83,6 @@ type Machine struct {
 	// Obs is the observability subsystem: the event bus the firmware
 	// emits into, the metrics registry, and the optional PC profile.
 	Obs *obs.Observer
-	// Trace is the backwards-compatible read adapter over Obs.Bus.
-	Trace *Trace
 
 	os      OS
 	stopErr error
@@ -157,34 +161,27 @@ type Machine struct {
 	Wall time.Duration
 }
 
-// machMetrics are the machine's pre-resolved registry handles.
+// machMetrics are the machine's pre-resolved registry handles: the
+// quantities no sequencer counts itself. Everything else the machine
+// publishes is summed from SeqCounters by FinalizeMetrics.
 type machMetrics struct {
-	omsSyscalls, omsPageFaults, omsTimers, omsInterrupts *obs.Counter
-	omsProxied                                           *obs.Counter
-	amsProxySyscalls, amsProxyPageFaults                 *obs.Counter
-	privCycles                                           *obs.Counter
-	signalLatency, proxyRTT, ringStall                   *obs.Histogram
+	privCycles                         *obs.Counter
+	signalLatency, proxyRTT, ringStall *obs.Histogram
 }
 
 func newMachMetrics(r *obs.Registry) machMetrics {
-	return machMetrics{
-		omsSyscalls:        r.Counter(obs.MOMSSyscalls),
-		omsPageFaults:      r.Counter(obs.MOMSPageFaults),
-		omsTimers:          r.Counter(obs.MOMSTimers),
-		omsInterrupts:      r.Counter(obs.MOMSInterrupts),
-		omsProxied:         r.Counter(obs.MOMSProxied),
-		amsProxySyscalls:   r.Counter(obs.MAMSProxySyscalls),
-		amsProxyPageFaults: r.Counter(obs.MAMSProxyPageFaults),
-		privCycles:         r.Counter(obs.MCyclesPriv),
-		signalLatency:      r.Histogram(obs.MSignalLatency),
-		proxyRTT:           r.Histogram(obs.MProxyRTT),
-		ringStall:          r.Histogram(obs.MRingStall),
+	// Register Table 1's counters so every dump and image lists them,
+	// at zero before the first run.
+	var none SeqCounters
+	for _, p := range none.table1() {
+		r.Counter(p.name)
 	}
-}
-
-// emit records one firmware event on the obs bus.
-func (m *Machine) emit(ts uint64, seq int, k EventKind, a, b uint64) {
-	m.Obs.Bus.Emit(obs.Event{TS: ts, Seq: int32(seq), Kind: k, A: a, B: b})
+	return machMetrics{
+		privCycles:    r.Counter(obs.MCyclesPriv),
+		signalLatency: r.Histogram(obs.MSignalLatency),
+		proxyRTT:      r.Histogram(obs.MProxyRTT),
+		ringStall:     r.Histogram(obs.MRingStall),
+	}
 }
 
 // Release recycles the machine's physical memory (mem.Phys.Release)
@@ -244,7 +241,7 @@ func assemble(cfg Config, phys *mem.Phys) *Machine {
 		Mode:      mode,
 		ProfilePC: cfg.ProfilePC,
 	})
-	m := &Machine{Cfg: cfg, Phys: phys, Obs: o, Trace: &Trace{bus: o.Bus}, prof: o.Prof}
+	m := &Machine{Cfg: cfg, Phys: phys, Obs: o, prof: o.Prof}
 	m.mx = newMachMetrics(o.Metrics)
 	m.initFaultPlane()
 	return m
@@ -702,24 +699,24 @@ func batchBreak(op isa.Op) bool {
 	return false
 }
 
-// FinalizeMetrics publishes the end-of-run cycle attribution to the
-// metrics registry: total sequencer cycles split into privileged
+// FinalizeMetrics publishes the counts the machine and its OS keep to
+// the metrics registry: total sequencer cycles split into privileged
 // (ring-0 episodes, accumulated live), ring-transition stall, proxy
-// stall, idle, and the user remainder. Idempotent; Run calls it on
-// every exit path.
+// stall, idle, and the user remainder; instructions retired; Table 1's
+// serializing events, summed over sequencers; and the OS's own counts.
+// Idempotent; Run calls it on every exit path, pauses included, so a
+// mid-run image carries the counts up to its pause.
 func (m *Machine) FinalizeMetrics() {
-	var total, idle, ringStall, proxyStall, instrs uint64
+	var total uint64
+	var c SeqCounters
 	for _, s := range m.Seqs {
 		total += s.Clock
-		idle += s.C.IdleCycles
-		ringStall += s.C.RingStall
-		proxyStall += s.C.ProxyStall
-		instrs += s.C.Instrs
+		c.Add(&s.C)
 	}
 	reg := m.Obs.Metrics
 	priv := m.mx.privCycles.Value()
 	user := total
-	for _, part := range []uint64{priv, idle, ringStall, proxyStall} {
+	for _, part := range []uint64{priv, c.IdleCycles, c.RingStall, c.ProxyStall} {
 		if part > user {
 			user = 0
 			break
@@ -727,11 +724,17 @@ func (m *Machine) FinalizeMetrics() {
 		user -= part
 	}
 	reg.Counter(obs.MCyclesTotal).Set(total)
-	reg.Counter(obs.MCyclesIdle).Set(idle)
-	reg.Counter(obs.MCyclesRingStall).Set(ringStall)
-	reg.Counter(obs.MCyclesProxyStall).Set(proxyStall)
+	reg.Counter(obs.MCyclesIdle).Set(c.IdleCycles)
+	reg.Counter(obs.MCyclesRingStall).Set(c.RingStall)
+	reg.Counter(obs.MCyclesProxyStall).Set(c.ProxyStall)
 	reg.Counter(obs.MCyclesUser).Set(user)
-	reg.Counter(obs.MInstrs).Set(instrs)
+	reg.Counter(obs.MInstrs).Set(c.Instrs)
+	for _, p := range c.table1() {
+		reg.Counter(p.name).Set(p.v)
+	}
+	if pub, ok := m.os.(metricsPublisher); ok {
+		pub.PublishMetrics(reg)
+	}
 	// Host section: superblock cache activity. Host metrics stay out of
 	// dumps and snapshots, so publishing them cannot perturb identity
 	// comparisons between compiled and oracle runs.
@@ -740,9 +743,18 @@ func (m *Machine) FinalizeMetrics() {
 	reg.Counter(obs.MSBRuns).Set(m.sbRuns)
 }
 
+// Tracks names one Chrome-trace track per sequencer, for
+// obs.WriteChromeTrace.
+func (m *Machine) Tracks() []obs.Track {
+	tracks := make([]obs.Track, len(m.Seqs))
+	for i, s := range m.Seqs {
+		tracks[i] = obs.Track{Seq: s.ID, Proc: s.ProcID, Name: s.Name()}
+	}
+	return tracks
+}
+
 // RunReport summarizes a finished run for end-of-run reporting,
-// including the event-log loss accounting that used to be visible only
-// in Trace.String().
+// including the event-log loss accounting.
 type RunReport struct {
 	Cycles uint64        // machine wall time (max sequencer clock)
 	Instrs uint64        // total instructions retired
@@ -939,7 +951,7 @@ func (m *Machine) startContinuation(s *Sequencer, p PendingSignal) {
 	if p.SentTS != 0 && s.Clock >= p.SentTS {
 		m.mx.signalLatency.Observe(s.Clock - p.SentTS)
 	}
-	m.emit(s.Clock, s.ID, EvSignalStart, p.IP, p.SP)
+	m.Obs.Emit(s.Clock, s.ID, obs.KSignalStart, p.IP, p.SP)
 }
 
 // deliverSignalRunning delivers a pending ingress signal to a running
@@ -978,7 +990,7 @@ func (m *Machine) deliverProxy(s *Sequencer) bool {
 	}
 	req := proc.PendingProxy[best]
 	proc.PendingProxy = append(proc.PendingProxy[:best], proc.PendingProxy[best+1:]...)
-	m.emit(s.Clock, s.ID, EvProxyDeliver, uint64(req.AMS.ID), req.FrameVA)
+	m.Obs.Emit(s.Clock, s.ID, obs.KProxyDeliver, uint64(req.AMS.ID), req.FrameVA)
 	m.yieldTo(s, isa.ScenarioProxy, req.FrameVA, 0)
 	return true
 }
@@ -995,7 +1007,7 @@ func (m *Machine) yieldTo(s *Sequencer, sc isa.Scenario, a1, a2 uint64) {
 	s.PC = s.Yield[sc]
 	s.Clock += m.Cfg.YieldCost
 	s.C.YieldsTaken++
-	m.emit(s.Clock, s.ID, EvYield, uint64(sc), a1)
+	m.Obs.Emit(s.Clock, s.ID, obs.KYield, uint64(sc), a1)
 }
 
 // sret returns from a yield handler to the interrupted shred.
@@ -1007,5 +1019,5 @@ func (m *Machine) sret(s *Sequencer) {
 	s.RestoreCtx(s.YieldSave)
 	s.InHandler = false
 	s.Clock += m.Cfg.YieldCost
-	m.emit(s.Clock, s.ID, EvSret, 0, 0)
+	m.Obs.Emit(s.Clock, s.ID, obs.KSret, 0, 0)
 }

@@ -5,6 +5,7 @@ import (
 
 	"misp/internal/isa"
 	"misp/internal/mem"
+	"misp/internal/obs"
 )
 
 // SeqState is the execution state of a sequencer.
@@ -210,6 +211,43 @@ func (c *SeqCounters) SerializingEvents() uint64 {
 // ProxyEvents returns the total AMS proxy-request count.
 func (c *SeqCounters) ProxyEvents() uint64 {
 	return c.ProxySyscalls + c.ProxyPageFaults
+}
+
+// Add accumulates o into c, field by field.
+func (c *SeqCounters) Add(o *SeqCounters) {
+	c.Instrs += o.Instrs
+	c.Syscalls += o.Syscalls
+	c.PageFaults += o.PageFaults
+	c.Timers += o.Timers
+	c.Interrupts += o.Interrupts
+	c.ProxySyscalls += o.ProxySyscalls
+	c.ProxyPageFaults += o.ProxyPageFaults
+	c.ProxiedServices += o.ProxiedServices
+	c.RingStall += o.RingStall
+	c.ProxyStall += o.ProxyStall
+	c.IdleCycles += o.IdleCycles
+	c.SignalsSent += o.SignalsSent
+	c.SignalsReceived += o.SignalsReceived
+	c.YieldsTaken += o.YieldsTaken
+}
+
+// namedCount is one count and the registry counter it is published to.
+type namedCount struct {
+	name string
+	v    uint64
+}
+
+// table1 pairs each of Table 1's registry counters with its count in c.
+func (c *SeqCounters) table1() [7]namedCount {
+	return [7]namedCount{
+		{obs.MOMSSyscalls, c.Syscalls},
+		{obs.MOMSPageFaults, c.PageFaults},
+		{obs.MOMSTimers, c.Timers},
+		{obs.MOMSInterrupts, c.Interrupts},
+		{obs.MOMSProxied, c.ProxiedServices},
+		{obs.MAMSProxySyscalls, c.ProxySyscalls},
+		{obs.MAMSProxyPageFaults, c.ProxyPageFaults},
+	}
 }
 
 // SnapshotCtx captures the sequencer's ring-3 context.

@@ -15,7 +15,6 @@ import (
 	"math"
 
 	"misp/internal/core"
-	"misp/internal/obs"
 	"misp/internal/overhead"
 	"misp/internal/report"
 	"misp/internal/shredlib"
@@ -124,19 +123,11 @@ type AppResult struct {
 	CyclesMISP uint64
 	CyclesSMP  uint64
 
-	// MISP-run event accounting.
+	// MISP-run event accounting: the OMS's counters and the sum of its
+	// AMSs' (Table 1's OMS and AMS columns).
 	Events overhead.Events
 	OMS    core.SeqCounters
-
-	// Table-1 serializing-event counts, sourced from the MISP run's obs
-	// metrics registry (machine-global; the MISP configuration has a
-	// single processor, so these equal the per-sequencer counters).
-	OMSSys    uint64
-	OMSPF     uint64
-	OMSTimers uint64
-	OMSIntr   uint64
-	AMSSys    uint64
-	AMSPF     uint64
+	AMS    core.SeqCounters
 
 	// TLB accounting across all sequencers of the MISP run. Cold misses
 	// (no translation cached) and permission misses (resident read-only
@@ -179,10 +170,9 @@ type evalRun struct {
 	Checksum float64
 
 	// MISP-configuration extras (zero for 1P/SMP runs).
-	Events                                           overhead.Events
-	OMS                                              core.SeqCounters
-	OMSSys, OMSPF, OMSTimers, OMSIntr, AMSSys, AMSPF uint64
-	TLBMisses, TLBPermMisses                         uint64
+	Events                   overhead.Events
+	OMS, AMS                 core.SeqCounters
+	TLBMisses, TLBPermMisses uint64
 }
 
 // Evaluate runs every selected workload on the three standard
@@ -221,13 +211,9 @@ func Evaluate(opt Options) ([]*AppResult, error) {
 		if c == 1 {
 			r.Events = overhead.Collect(res.Machine)
 			r.OMS = res.Machine.Procs[0].OMS().C
-			reg := res.Machine.Obs.Metrics
-			r.OMSSys = reg.CounterValue(obs.MOMSSyscalls)
-			r.OMSPF = reg.CounterValue(obs.MOMSPageFaults)
-			r.OMSTimers = reg.CounterValue(obs.MOMSTimers)
-			r.OMSIntr = reg.CounterValue(obs.MOMSInterrupts)
-			r.AMSSys = reg.CounterValue(obs.MAMSProxySyscalls)
-			r.AMSPF = reg.CounterValue(obs.MAMSProxyPageFaults)
+			for _, a := range res.Machine.Procs[0].AMSs() {
+				r.AMS.Add(&a.C)
+			}
 			for _, s := range res.Machine.Seqs {
 				r.TLBMisses += s.TLB.Misses
 				r.TLBPermMisses += s.TLB.PermMisses
@@ -251,13 +237,7 @@ func Evaluate(opt Options) ([]*AppResult, error) {
 
 			Events: rm.Events,
 			OMS:    rm.OMS,
-
-			OMSSys:    rm.OMSSys,
-			OMSPF:     rm.OMSPF,
-			OMSTimers: rm.OMSTimers,
-			OMSIntr:   rm.OMSIntr,
-			AMSSys:    rm.AMSSys,
-			AMSPF:     rm.AMSPF,
+			AMS:    rm.AMS,
 
 			TLBMisses:     rm.TLBMisses,
 			TLBPermMisses: rm.TLBPermMisses,
@@ -290,8 +270,8 @@ func Table1(results []*AppResult) *report.Table {
 			"OMS Interrupt", "AMS SysCall", "AMS PF", "TLB Miss", "TLB PermMiss"},
 	}
 	for _, r := range results {
-		t.Add(r.Name, r.Suite, r.OMSSys, r.OMSPF, r.OMSTimers,
-			r.OMSIntr, r.AMSSys, r.AMSPF, r.TLBMisses, r.TLBPermMisses)
+		t.Add(r.Name, r.Suite, r.OMS.Syscalls, r.OMS.PageFaults, r.OMS.Timers,
+			r.OMS.Interrupts, r.AMS.ProxySyscalls, r.AMS.ProxyPageFaults, r.TLBMisses, r.TLBPermMisses)
 	}
 	return t
 }

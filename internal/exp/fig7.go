@@ -8,7 +8,6 @@ import (
 	"misp/internal/asm"
 	"misp/internal/core"
 	"misp/internal/kernel"
-	"misp/internal/obs"
 	"misp/internal/report"
 	"misp/internal/shredlib"
 	"misp/internal/workloads"
@@ -140,7 +139,7 @@ func multiprogRun(ctx context.Context, opt *Options, w *workloads.Workload, prog
 	if err := checkRun(w, &res, "a multiprogrammed machine", opt.Size); err != nil {
 		return 0, 0, err
 	}
-	return app.ExitTime - app.StartTime, m.Obs.Metrics.CounterValue(obs.MKRebinds), nil
+	return app.ExitTime - app.StartTime, k.Stats.Rebinds, nil
 }
 
 // Fig7Table renders the curves: one row per configuration, one column

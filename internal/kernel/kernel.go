@@ -114,11 +114,12 @@ type Kernel struct {
 	// to processors running shredded threads, one per timer tick.
 	DynamicAMSBinding bool
 
+	// Stats is the one count of the kernel's activity; PublishMetrics
+	// copies it into the machine's registry at every Run exit.
 	Stats Stats
 
-	// mx holds pre-resolved handles into the machine's obs metrics
-	// registry, mirroring Stats so downstream consumers (cmd/misptrace,
-	// internal/exp) read scheduler activity from one place.
+	// mx holds pre-resolved handles for the fault-plane metrics, which
+	// the health check writes live.
 	mx kernMetrics
 
 	// AMS health-check state (health.go): seenDead records first
@@ -134,9 +135,34 @@ type Kernel struct {
 
 // kernMetrics are the kernel's pre-resolved registry handles.
 type kernMetrics struct {
-	ticks, syscalls, pageFaults, ipis, switches, rebinds *obs.Counter
-	faultDetected, faultRecovered                        *obs.Counter
-	recoveryLat                                          *obs.Histogram
+	faultDetected, faultRecovered *obs.Counter
+	recoveryLat                   *obs.Histogram
+}
+
+// namedCount is one count and the registry counter it is published to.
+type namedCount struct {
+	name string
+	v    uint64
+}
+
+// published pairs each scheduler registry counter with its count in st.
+func (st *Stats) published() [6]namedCount {
+	return [6]namedCount{
+		{obs.MKTicks, st.Ticks},
+		{obs.MKSyscalls, st.Syscalls},
+		{obs.MKPageFaults, st.PageFaults},
+		{obs.MKIPIs, st.IPIs},
+		{obs.MKSwitches, st.Switches},
+		{obs.MKRebinds, st.Rebinds},
+	}
+}
+
+// PublishMetrics sets the scheduler counters of reg to Stats. The
+// machine calls it at every Run exit (core.Machine.FinalizeMetrics).
+func (k *Kernel) PublishMetrics(reg *obs.Registry) {
+	for _, p := range k.Stats.published() {
+		reg.Counter(p.name).Set(p.v)
+	}
 }
 
 // New creates a kernel, attaches it to m, and arms every OMS timer.
@@ -151,9 +177,16 @@ func New(m *core.Machine) *Kernel {
 }
 
 // newKernel builds an empty kernel for m, its metric handles resolved
-// against m's registry: what New and a snapshot restore share.
+// against m's registry: what New and a snapshot restore share. The
+// scheduler counters are registered here, so every dump and image lists
+// them, at zero before the first run; a restore keeps the values it
+// decoded.
 func newKernel(m *core.Machine) *Kernel {
 	reg := m.Obs.Metrics
+	var none Stats
+	for _, p := range none.published() {
+		reg.Counter(p.name)
+	}
 	return &Kernel{
 		M:        m,
 		Procs:    make(map[int]*Process),
@@ -162,13 +195,6 @@ func newKernel(m *core.Machine) *Kernel {
 		latched:  make(map[int]bool),
 		backlog:  make(map[int][]qentry),
 		mx: kernMetrics{
-			ticks:      reg.Counter(obs.MKTicks),
-			syscalls:   reg.Counter(obs.MKSyscalls),
-			pageFaults: reg.Counter(obs.MKPageFaults),
-			ipis:       reg.Counter(obs.MKIPIs),
-			switches:   reg.Counter(obs.MKSwitches),
-			rebinds:    reg.Counter(obs.MKRebinds),
-
 			faultDetected:  reg.Counter(obs.MFaultDetected),
 			faultRecovered: reg.Counter(obs.MFaultRecovered),
 			recoveryLat:    reg.Histogram(obs.MFaultRecoveryLat),
@@ -273,19 +299,15 @@ func (k *Kernel) HandleTrap(s *core.Sequencer, trap isa.Trap, info uint64) {
 	switch trap {
 	case isa.TrapSyscall:
 		k.Stats.Syscalls++
-		k.mx.syscalls.Inc()
 		k.syscall(s)
 	case isa.TrapPageFault:
 		k.Stats.PageFaults++
-		k.mx.pageFaults.Inc()
 		k.pageFault(s, info)
 	case isa.TrapTimer:
 		k.Stats.Ticks++
-		k.mx.ticks.Inc()
 		k.timerTick(s, true)
 	case isa.TrapInterrupt:
 		k.Stats.IPIs++
-		k.mx.ipis.Inc()
 		k.timerTick(s, false)
 	default:
 		k.fatalTrap(s, trap, info)

@@ -127,7 +127,6 @@ func (k *Kernel) timerTick(s *core.Sequencer, tick bool) {
 	case !k.eligible(t, proc):
 		// The thread's AMS demand outgrew this processor: migrate it.
 		k.Stats.Switches++
-		k.mx.switches.Inc()
 		k.saveCurrent(s, t)
 		k.enqueue(t)
 		k.kickIdle(t)
@@ -140,7 +139,6 @@ func (k *Kernel) timerTick(s *core.Sequencer, tick bool) {
 	case t.QuantumLeft <= 0:
 		if n := k.dequeueFor(proc); n != nil {
 			k.Stats.Switches++
-			k.mx.switches.Inc()
 			k.saveCurrent(s, t)
 			k.enqueue(t)
 			k.switchTo(s, n)
@@ -187,7 +185,6 @@ func (k *Kernel) saveCurrent(s *core.Sequencer, t *Thread) {
 // switchTo installs thread t on OMS s and charges the context switch.
 func (k *Kernel) switchTo(s *core.Sequencer, t *Thread) {
 	k.Stats.Switches++
-	k.mx.switches.Inc()
 	s.Clock += k.M.Cfg.CtxSwitchCost
 	k.M.Obs.Emit(s.Clock, s.ID, obs.KCtxSwitch, uint64(t.TID), uint64(t.Proc.PID))
 	proc := k.M.Proc(s)
@@ -394,7 +391,6 @@ func (k *Kernel) tryAccreteAMS(s *core.Sequencer) {
 		// Inter-processor coordination cost.
 		s.Clock += k.M.Cfg.SignalCost
 		k.Stats.Rebinds++
-		k.mx.rebinds.Inc() // RebindAMS already emitted EvRebind on the bus
 		return
 	}
 }

@@ -85,7 +85,6 @@ func (k *Kernel) syscall(s *core.Sequencer) {
 			// force a migration — park it on the run queue, wake an
 			// eligible OMS, and schedule other work here.
 			k.Stats.Switches++
-			k.mx.switches.Inc()
 			k.saveCurrent(s, t)
 			k.enqueue(t)
 			k.kickIdle(t)
@@ -99,7 +98,6 @@ func (k *Kernel) syscall(s *core.Sequencer) {
 		}
 		if nxt := k.dequeueFor(proc); nxt != nil {
 			k.Stats.Switches++
-			k.mx.switches.Inc()
 			k.saveCurrent(s, t)
 			k.enqueue(t)
 			k.switchTo(s, nxt)

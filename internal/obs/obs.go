@@ -1,6 +1,5 @@
 // Package obs is the simulator's observability subsystem: a typed,
-// allocation-conscious event bus with pluggable sinks, a metrics
-// registry (counters and cycle-bucketed histograms), a Chrome
+// allocation-conscious event bus, a metrics registry (counters and cycle-bucketed histograms), a Chrome
 // trace-event exporter, and a per-PC cycle profiler.
 //
 // It generalizes the prototype firmware's time-stamped event log and
@@ -62,13 +61,6 @@ type Event struct {
 	A, B uint64
 }
 
-// Sink receives every event emitted on a bus, in emission order.
-// Sinks observe events even when they are later evicted or dropped
-// from the bus's own buffer.
-type Sink interface {
-	OnEvent(Event)
-}
-
 // BufferMode selects what the bus buffer loses when it is full.
 type BufferMode uint8
 
@@ -92,8 +84,8 @@ func (m BufferMode) String() string {
 const DefaultEventCap = 1 << 16
 
 // Bus is the event log: a bounded buffer of events plus per-kind
-// counters and optional attached sinks. The disabled emit path is a
-// single branch with no allocation.
+// counters. The disabled emit path is a single branch with no
+// allocation.
 type Bus struct {
 	enabled bool
 	mode    BufferMode
@@ -105,7 +97,6 @@ type Bus struct {
 	evicted uint64
 
 	kindCount [NumKinds]uint64
-	sinks     []Sink
 }
 
 // NewBus creates a bus. cap <= 0 selects DefaultEventCap.
@@ -119,14 +110,8 @@ func NewBus(enabled bool, cap int, mode BufferMode) *Bus {
 // Enabled reports whether the bus records events.
 func (b *Bus) Enabled() bool { return b.enabled }
 
-// SetEnabled toggles event recording.
-func (b *Bus) SetEnabled(on bool) { b.enabled = on }
-
 // Mode returns the buffer's full-policy.
 func (b *Bus) Mode() BufferMode { return b.mode }
-
-// Attach registers an additional sink.
-func (b *Bus) Attach(s Sink) { b.sinks = append(b.sinks, s) }
 
 // Emit records one event. Hot path: when the bus is disabled this is a
 // single branch; when enabled and the buffer is at capacity it performs
@@ -137,9 +122,6 @@ func (b *Bus) Emit(e Event) {
 	}
 	if e.Kind < NumKinds {
 		b.kindCount[e.Kind]++
-	}
-	for _, s := range b.sinks {
-		s.OnEvent(e)
 	}
 	if len(b.buf) < b.max {
 		b.buf = append(b.buf, e)
@@ -232,9 +214,10 @@ func (o *Observer) Emit(ts uint64, seq int, k Kind, a, b uint64) {
 	o.Bus.Emit(Event{TS: ts, Seq: int32(seq), Kind: k, A: a, B: b})
 }
 
-// Canonical metric names. Counters and histograms under these names are
-// maintained by internal/core and internal/kernel; exporters and the
-// experiment drivers read them back by name.
+// Canonical metric names. internal/core and internal/kernel publish
+// their own counts (per-sequencer counters, kernel Stats) under these
+// names at every run exit; cycles.priv, the histograms and fault.* are
+// written live. Exporters read them back by name.
 const (
 	// Serializing events by cause, summed over OMSs (Table 1's OMS
 	// columns).

@@ -68,22 +68,6 @@ func TestKindCountExactUnderLoss(t *testing.T) {
 	}
 }
 
-type collectSink struct{ got []Event }
-
-func (c *collectSink) OnEvent(e Event) { c.got = append(c.got, e) }
-
-func TestSinkSeesEvictedEvents(t *testing.T) {
-	b := NewBus(true, 2, EvictOldest)
-	sink := &collectSink{}
-	b.Attach(sink)
-	for i := 0; i < 5; i++ {
-		b.Emit(ev(uint64(i), 0, KYield))
-	}
-	if len(sink.got) != 5 {
-		t.Fatalf("sink saw %d events, want all 5", len(sink.got))
-	}
-}
-
 func TestDisabledPathsDoNotAllocate(t *testing.T) {
 	bus := NewBus(false, 4, DropNewest)
 	// A disabled bus built with capacity 0 (the default-cap path).

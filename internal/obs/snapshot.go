@@ -11,8 +11,7 @@ import (
 // read the metrics registry and the difftest oracles compare event
 // streams — so a restored run must continue counters, histograms, the
 // event buffer (including its ring head and drop counts), and the PC
-// profile exactly where the capture left off. Sinks are host-side
-// attachments and are not captured; a restored bus starts with none.
+// profile exactly where the capture left off.
 
 // Snapshot codes the bus: recording flags and geometry, the loss and
 // kind counters, and the buffered events in storage order (ring head

@@ -39,6 +39,22 @@ func RunSummary(rep core.RunReport) *Table {
 	return t
 }
 
+// SeqCounters renders the per-sequencer counters (the prototype
+// firmware's coarse-grained accounting, §4.1), one row per sequencer.
+func SeqCounters(m *core.Machine) *Table {
+	t := &Table{
+		Title: "Per-sequencer counters",
+		Cols: []string{"seq", "state", "instrs", "syscalls", "pf", "timer",
+			"proxySys", "proxyPF", "yields", "ringStall", "idle"},
+	}
+	for _, s := range m.Seqs {
+		t.Add(s.Name(), s.State.String(), s.C.Instrs, s.C.Syscalls, s.C.PageFaults,
+			s.C.Timers, s.C.ProxySyscalls, s.C.ProxyPageFaults, s.C.YieldsTaken,
+			s.C.RingStall, s.C.IdleCycles)
+	}
+	return t
+}
+
 // SweepSummary renders the host-side cost of a parallel experiment
 // sweep: how many independent runs were fanned out, over how many
 // workers, and how well the host cores were used. Wall times are

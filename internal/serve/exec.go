@@ -315,16 +315,12 @@ func runArtifacts(c *Request, w *workloads.Workload, size workloads.Size, cfg co
 
 	art := Artifacts{
 		"summary.json": sumJSON,
-		"counters.csv": []byte(countersTable(res.Machine).CSV()),
+		"counters.csv": []byte(report.SeqCounters(res.Machine).CSV()),
 		"metrics.txt":  []byte(res.Machine.Obs.Metrics.String()),
 	}
 	if c.Trace {
 		var buf bytes.Buffer
-		tracks := make([]obs.Track, 0, len(res.Machine.Seqs))
-		for _, s := range res.Machine.Seqs {
-			tracks = append(tracks, obs.Track{Seq: s.ID, Proc: s.ProcID, Name: s.Name()})
-		}
-		if err := obs.WriteChromeTrace(&buf, res.Machine.Obs.Bus.Events(), tracks); err != nil {
+		if err := obs.WriteChromeTrace(&buf, res.Machine.Obs.Bus.Events(), res.Machine.Tracks()); err != nil {
 			return nil, nil, err
 		}
 		art["trace.json"] = buf.Bytes()
@@ -335,22 +331,6 @@ func runArtifacts(c *Request, w *workloads.Workload, size workloads.Size, cfg co
 		Checksum:   res.Checksum,
 		ChecksumOK: sum.ChecksumOK,
 	}, nil
-}
-
-// countersTable renders the per-sequencer counters (mispsim's stat
-// block) as a table so the service can ship it as CSV.
-func countersTable(m *core.Machine) *report.Table {
-	t := &report.Table{
-		Title: "Per-sequencer counters",
-		Cols: []string{"seq", "state", "instrs", "syscalls", "pf", "timer",
-			"proxySys", "proxyPF", "yields", "ringStall", "idle"},
-	}
-	for _, s := range m.Seqs {
-		t.Add(s.Name(), s.State.String(), s.C.Instrs, s.C.Syscalls, s.C.PageFaults,
-			s.C.Timers, s.C.ProxySyscalls, s.C.ProxyPageFaults, s.C.YieldsTaken,
-			s.C.RingStall, s.C.IdleCycles)
-	}
-	return t
 }
 
 func executeSweep(ctx context.Context, c *Request, warm *workloads.WarmPool) (Artifacts, *Result, error) {
