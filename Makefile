@@ -83,15 +83,20 @@ equivgrid:
 # Fork must reject with an error, never a panic, and whose forks must
 # re-capture to a fixed point; mutated assembler sources, which must fail
 # with an error or link to text whose every word validates and
-# re-assembles from its disassembly; and arbitrary instruction words,
+# re-assembles from its disassembly; arbitrary instruction words,
 # which must decode, validate and disassemble without panicking and, when
-# canonical, re-assemble from their text. A crasher lands under
-# testdata/fuzz and is committed as a seed.
+# canonical, re-assemble from their text; arbitrary submit bodies, whose
+# canonical requests must re-canonicalize to themselves and their key;
+# and arbitrary journal files, whose every byte Open must account for
+# and whose replayed records must survive a rotation. A crasher lands
+# under testdata/fuzz and is committed as a seed.
 fuzzcheck:
 	$(GO) test -run '^$$' -fuzz FuzzWaveSharedMem -fuzztime 10s ./internal/core
 	$(GO) test -run '^$$' -fuzz FuzzSnapshotFork -fuzztime 10s ./internal/snap
 	$(GO) test -run '^$$' -fuzz FuzzAssemble -fuzztime 10s ./internal/asm
 	$(GO) test -run '^$$' -fuzz FuzzInstrText -fuzztime 10s ./internal/asm
+	$(GO) test -run '^$$' -fuzz FuzzRequest -fuzztime 10s ./internal/serve
+	$(GO) test -run '^$$' -fuzz FuzzJournalOpen -fuzztime 10s ./internal/journal
 
 # resultscheck: results/ is exactly what the code produces. It
 # regenerates every published CSV at -size small twice, serially and on
