@@ -104,7 +104,7 @@ func main() {
 	a3Apps := []string{"dense_mmm", "kmeans", "sparse_mvm", "swim"}
 	appsLabel := "all"
 	if *apps != "" {
-		opt.Apps = strings.Split(*apps, ",")
+		opt.Apps = cli.List(*apps)
 		a3Apps, appsLabel = opt.Apps, *apps
 	}
 

@@ -78,3 +78,10 @@ func TestUnknownExperiment(t *testing.T) {
 		t.Errorf("-csv dir created for an unknown experiment (stat: %v)", err)
 	}
 }
+
+// TestAppsTrimmed: -apps "a, b" names the same apps as "a,b".
+func TestAppsTrimmed(t *testing.T) {
+	if code, stderr := mispbench(t, "-exp", "table1", "-size", "test", "-apps", "dense_mmm, kmeans", "-parallel", "1"); code != 0 {
+		t.Fatalf("exit %d, stderr:\n%s", code, stderr)
+	}
+}

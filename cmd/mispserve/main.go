@@ -42,6 +42,8 @@ import (
 	"syscall"
 	"time"
 
+	"misp/internal/cli"
+	"misp/internal/core"
 	"misp/internal/serve"
 	"misp/internal/version"
 )
@@ -218,20 +220,14 @@ func clientSubmit(args []string) {
 	if *sweepKind {
 		req.Kind = serve.KindSweep
 	}
-	if *apps != "" {
-		req.Apps = strings.Split(*apps, ",")
-	}
-	if *faultKinds != "" {
-		req.FaultKinds = strings.Split(*faultKinds, ",")
-	}
+	req.Apps = cli.List(*apps)
+	req.FaultKinds = cli.List(*faultKinds)
 	if *top != "" {
-		for _, f := range strings.Split(*top, ",") {
-			n, err := strconv.Atoi(strings.TrimSpace(f))
-			if err != nil {
-				fatal(fmt.Errorf("bad topology %q", *top))
-			}
-			req.Topology = append(req.Topology, n)
+		t, err := core.ParseTopology(*top)
+		if err != nil {
+			fatal(err)
 		}
+		req.Topology = t
 	}
 	if *signal >= 0 {
 		sc := uint64(*signal)

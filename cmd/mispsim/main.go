@@ -22,7 +22,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strings"
 
 	"misp/internal/asm"
 	"misp/internal/cli"
@@ -81,11 +80,7 @@ func main() {
 	cfg.TraceEvents = *trace || *traceOut != ""
 	cfg.WatchdogHorizon = *watchdog
 	if *faultPeriod != 0 {
-		var names []string
-		if *faultKinds != "" {
-			names = strings.Split(strings.ReplaceAll(*faultKinds, " ", ""), ",")
-		}
-		kinds, err := fault.ParseKinds(names)
+		kinds, err := fault.ParseKinds(cli.List(*faultKinds))
 		if err != nil {
 			fatal(err)
 		}

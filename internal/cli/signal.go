@@ -1,5 +1,6 @@
 // Package cli holds the few behaviors the misp command-line tools
-// share: interruptible runs via a signal-driven context.
+// share: interruptible runs via a signal-driven context, profiles, and
+// comma-separated list flags.
 package cli
 
 import (
