@@ -1,6 +1,7 @@
 // Package obs is the simulator's observability subsystem: a typed,
-// allocation-conscious event bus, a metrics registry (counters and cycle-bucketed histograms), a Chrome
-// trace-event exporter, and a per-PC cycle profiler.
+// allocation-conscious event bus, a metrics registry (counters and
+// cycle-bucketed histograms), a Chrome trace-event exporter, and a
+// per-PC cycle profiler.
 //
 // It generalizes the prototype firmware's time-stamped event log and
 // per-sequencer counters (paper §4.1) into a first-class subsystem that
