@@ -120,15 +120,11 @@ resultscheck:
 # faultcheck: the resilience gate. Runs the fixed-seed fault-campaign
 # matrix (every campaign must complete with the right checksum or die
 # in a structured Diagnosis — never hang, never panic) under the race
-# detector, then checks the resilience sweep's CSV is byte-identical
-# for serial and parallel execution.
+# detector, and pins the resilience sweep's CSV at test size with three
+# seeds (TestResilienceGolden), computed serially and in parallel.
 faultcheck:
-	$(GO) test -race -run 'TestFaultEquiv|TestWatchdog|TestCycleLimit|TestDiagnosis|TestFaultCampaign|TestParfor(UnderAMSStalls|AllProxiesLost|SurvivesAMSKill)|TestJoinSingleSequencer|TestPthreadTimedjoin|TestPreemptionUnder|TestHealthCheck' \
-		./internal/core ./internal/fault ./internal/workloads ./internal/shredlib ./internal/kernel
-	rm -rf /tmp/misp-csv-f1 /tmp/misp-csv-fN
-	$(GO) run ./cmd/mispbench -exp resilience -size test -faultseeds 3 -csv /tmp/misp-csv-f1 -parallel 1 > /dev/null
-	$(GO) run ./cmd/mispbench -exp resilience -size test -faultseeds 3 -csv /tmp/misp-csv-fN -parallel 0 > /dev/null
-	diff -r /tmp/misp-csv-f1 /tmp/misp-csv-fN
+	$(GO) test -race -run 'TestFaultEquiv|TestWatchdog|TestCycleLimit|TestDiagnosis|TestFaultCampaign|TestParfor(UnderAMSStalls|AllProxiesLost|SurvivesAMSKill)|TestJoinSingleSequencer|TestPthreadTimedjoin|TestPreemptionUnder|TestHealthCheck|TestResilienceGolden' \
+		./internal/core ./internal/fault ./internal/workloads ./internal/shredlib ./internal/kernel ./internal/exp
 
 # snapcheck: the snapshot/fork plane gate. Pins every golden image's
 # bytes (TestCaptureGolden), rejects crafted counts without allocating

@@ -7,6 +7,8 @@ import (
 
 	"misp/internal/asm"
 	"misp/internal/fault"
+	"misp/internal/isa"
+	"misp/internal/obs"
 )
 
 // Fault-plane difftests: with an injection plan attached, the legacy
@@ -248,6 +250,63 @@ func TestWatchdogDetectsLivelock(t *testing.T) {
 	}
 	if len(d.Seqs) != len(m.Seqs) {
 		t.Fatalf("diagnosis covers %d of %d sequencers", len(d.Seqs), len(m.Seqs))
+	}
+	// The trip is one detection, published once however often the
+	// metrics are finalized.
+	for i := 0; i < 2; i++ {
+		m.FinalizeMetrics()
+		if got := m.Obs.Metrics.CounterValue(obs.MFaultDetected); got != 1 {
+			t.Fatalf("finalize %d: fault.detected = %d, want 1", i, got)
+		}
+	}
+}
+
+// idlingOS is a BareOS that parks the OMS at every timer tick and
+// re-arms the timer: after the first tick the clock keeps advancing but
+// nothing retires — a livelock for the watchdog, not a deadlock.
+type idlingOS struct{ *BareOS }
+
+func (o idlingOS) HandleTrap(s *Sequencer, trap isa.Trap, info uint64) {
+	if trap != isa.TrapTimer {
+		o.BareOS.HandleTrap(s, trap, info)
+		return
+	}
+	s.State = StateIdle
+	s.TimerDeadline = s.Clock + o.M.Cfg.TimerInterval
+}
+
+// TestWatchdogLivelockBareOS: with no kernel to publish detections, a
+// real run that trips the watchdog still reads fault.detected 1, on
+// both loops.
+func TestWatchdogLivelockBareOS(t *testing.T) {
+	p := asm.MustAssemble(`
+main:
+    j main
+`)
+	for _, legacy := range []bool{true, false} {
+		cfg := testCfg(0)
+		cfg.TimerInterval = 1_000
+		cfg.WatchdogHorizon = 10_000
+		m, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := LoadBare(m, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m.SetOS(idlingOS{b})
+		m.Procs[0].OMS().TimerDeadline = cfg.TimerInterval
+		m.Oracle = legacy
+		err = m.Run()
+		var d *fault.Diagnosis
+		if !errors.As(err, &d) || d.Reason != fault.ReasonLivelock {
+			t.Fatalf("legacy=%v: want a livelock Diagnosis, got %v", legacy, err)
+		}
+		m.FinalizeMetrics()
+		if got := m.Obs.Metrics.CounterValue(obs.MFaultDetected); got != 1 {
+			t.Fatalf("legacy=%v: fault.detected = %d, want 1", legacy, got)
+		}
 	}
 }
 
