@@ -19,35 +19,26 @@ import (
 // fast loop (difftested in faultplane_test.go). With no plan attached
 // the hot paths pay a single nil check.
 
-// fltState bundles the machine's fault plan with its pre-resolved
-// metric handle.
-type fltState struct {
-	plan     *fault.Plan
-	injected *obs.Counter
-}
-
 // initFaultPlane constructs the machine's injection plan and watchdog
 // horizon from its Config (called by assemble; lives here because the
 // core package's internal page-fault type shadows the fault package name
 // in the files that use it).
 func (m *Machine) initFaultPlane() {
-	if plan := fault.NewPlan(m.Cfg.Fault); plan != nil {
-		m.flt = &fltState{plan: plan, injected: m.Obs.Metrics.Counter(obs.MFaultInjected)}
-	}
+	m.plan = fault.NewPlan(m.Cfg.Fault)
 	m.wdHorizon = m.Cfg.WatchdogHorizon
-	if m.wdHorizon == 0 && m.flt != nil {
-		m.wdHorizon = 8 * m.Cfg.TimerInterval
+	if m.plan != nil {
+		// Registered so every dump and image of a faulted machine lists
+		// it, at zero before the first run; FinalizeMetrics sets it.
+		m.Obs.Metrics.Counter(obs.MFaultInjected)
+		if m.wdHorizon == 0 {
+			m.wdHorizon = 8 * m.Cfg.TimerInterval
+		}
 	}
 }
 
 // FaultPlan returns the attached injection plan, or nil when the fault
 // plane is disabled.
-func (m *Machine) FaultPlan() *fault.Plan {
-	if m.flt == nil {
-		return nil
-	}
-	return m.flt.plan
-}
+func (m *Machine) FaultPlan() *fault.Plan { return m.plan }
 
 // injectRetire consults the plan after one retired instruction on s and
 // applies at most one injection. It returns true when a fault was
@@ -55,7 +46,7 @@ func (m *Machine) FaultPlan() *fault.Plan {
 // event heap observes any state change, matching the legacy loop's
 // per-instruction re-selection.
 func (m *Machine) injectRetire(s *Sequencer) bool {
-	k, arg, ok := m.flt.plan.OnRetire(!s.IsOMS)
+	k, arg, ok := m.plan.OnRetire(!s.IsOMS)
 	if !ok {
 		return false
 	}
@@ -65,7 +56,7 @@ func (m *Machine) injectRetire(s *Sequencer) bool {
 		// configured window. Rendered as a clock jump — in a
 		// discrete-event machine "frozen for N cycles" and "its next
 		// event is N cycles out" are the same statement.
-		s.Clock += m.flt.plan.StallCycles()
+		s.Clock += m.plan.StallCycles()
 	case fault.AMSKill:
 		s.State = StateDead
 		s.stallStart = s.Clock
@@ -78,7 +69,6 @@ func (m *Machine) injectRetire(s *Sequencer) bool {
 	case fault.MemBitFlip:
 		m.Phys.FlipBit(arg, uint(arg>>56))
 	}
-	m.flt.injected.Inc()
 	m.Obs.Emit(s.Clock, s.ID, obs.KFaultInject, uint64(k), arg)
 	return true
 }
@@ -106,9 +96,9 @@ func (m *Machine) spuriousYield(s *Sequencer) {
 // signalFault consults the plan at a SIGNAL issue (firmware.go cannot
 // name the fault package — the core-internal page-fault type shadows
 // it). It reports whether the signal is dropped and any extra
-// visibility delay, and records the injection.
+// visibility delay, and emits the injection.
 func (m *Machine) signalFault(s *Sequencer, ip uint64) (drop bool, extra uint64) {
-	op, delay := m.flt.plan.OnSignal()
+	op, delay := m.plan.OnSignal()
 	if op == fault.SignalOK {
 		return false, 0
 	}
@@ -116,7 +106,6 @@ func (m *Machine) signalFault(s *Sequencer, ip uint64) (drop bool, extra uint64)
 	if op == fault.SignalDelayed {
 		k = fault.SignalDelay
 	}
-	m.flt.injected.Inc()
 	m.Obs.Emit(s.Clock, s.ID, obs.KFaultInject, uint64(k), ip)
 	return op == fault.SignalDropped, delay
 }
@@ -125,12 +114,11 @@ func (m *Machine) signalFault(s *Sequencer, ip uint64) (drop bool, extra uint64)
 // the request is lost in flight: the AMS is marked ProxyLost for the
 // kernel health check to find.
 func (m *Machine) proxyFault(ams *Sequencer, frameVA uint64) bool {
-	if !m.flt.plan.OnProxyRequest() {
+	if !m.plan.OnProxyRequest() {
 		return false
 	}
 	ams.proxyLost = true
 	ams.stallStart = ams.Clock // recovery-latency anchor
-	m.flt.injected.Inc()
 	m.Obs.Emit(ams.Clock, ams.ID, obs.KFaultInject, uint64(fault.ProxyDrop), frameVA)
 	return true
 }
@@ -194,12 +182,16 @@ func (m *Machine) watchdogTick(now uint64) {
 		m.wdNext = now + m.wdHorizon
 		return
 	}
-	m.Obs.Metrics.Counter(obs.MFaultDetected).Inc()
+	m.wdTrips++
 	m.Obs.Emit(now, 0, obs.KFaultDetect, uint64(fault.NumKinds), m.wdHorizon)
 	m.stopErr = m.Diagnose(fault.ReasonLivelock, fmt.Errorf(
 		"core: livelock — clock advanced %d cycles with no instruction retired (cycle %d)",
 		m.wdHorizon, now))
 }
+
+// WatchdogTrips returns the livelocks the watchdog detected: at most
+// one, since a trip stops the run.
+func (m *Machine) WatchdogTrips() uint64 { return m.wdTrips }
 
 // deadlockDiag builds the structured abort for the no-runnable-
 // sequencer condition (both run loops share it).
@@ -252,9 +244,8 @@ func (m *Machine) Diagnose(reason string, err error) error {
 			})
 		}
 	}
-	if m.flt != nil {
-		d.Injected = m.flt.plan.Counts()
-		d.Log = m.flt.plan.Log()
+	if m.plan != nil {
+		d.Log = m.plan.Log()
 	}
 	evs := m.Obs.Bus.Events()
 	if len(evs) > fault.DiagEventTail {

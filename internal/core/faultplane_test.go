@@ -355,8 +355,8 @@ func TestDiagnosisCarriesSchedule(t *testing.T) {
 	if !errors.As(err, &d) {
 		t.Fatalf("faulty abort is not a Diagnosis: %v", err)
 	}
-	if len(d.Log) == 0 || d.Injected[fault.AMSKill] == 0 {
-		t.Fatalf("diagnosis lost the injection schedule: log=%d injected=%v", len(d.Log), d.Injected)
+	if len(d.Log) == 0 || d.Log[0].Kind != fault.AMSKill {
+		t.Fatalf("diagnosis lost the injection schedule: %v", d.Log)
 	}
 	if plan := m.FaultPlan(); plan == nil || plan.Total() == 0 {
 		t.Fatal("machine lost its fault plan")

@@ -158,7 +158,7 @@ func (m *Machine) proxyRequest(ams *Sequencer, f *trapFault) {
 	ams.proxyFrame = frameVA
 	ams.C.SignalsSent++
 	proc := m.Proc(ams)
-	if m.flt != nil && m.proxyFault(ams, frameVA) {
+	if m.plan != nil && m.proxyFault(ams, frameVA) {
 		// The request is lost in flight: the AMS parks awaiting an OMS
 		// that never heard from it. The kernel health check spots the
 		// ProxyLost flag on a timer tick and re-posts (RecoverLostProxy).
@@ -281,7 +281,7 @@ func (m *Machine) doSignal(s *Sequencer, in isa.Instr) *trapFault {
 	}
 	ip, sp := s.Regs[in.Rs1], s.Regs[in.Rs2]
 	ts := s.Clock + m.Cfg.SignalCost
-	if m.flt != nil {
+	if m.plan != nil {
 		drop, extra := m.signalFault(s, ip)
 		if drop {
 			// Lost in flight: the instruction retires and the sender

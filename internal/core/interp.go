@@ -15,7 +15,7 @@ func (m *Machine) exec(s *Sequencer) {
 	if m.prof == nil {
 		if f := m.execOne(s); f != nil {
 			m.dispatchFault(s, f)
-		} else if m.flt != nil {
+		} else if m.plan != nil {
 			m.injectRetire(s)
 		}
 		return
@@ -25,7 +25,7 @@ func (m *Machine) exec(s *Sequencer) {
 	m.prof.Add(pc, s.Clock-c0)
 	if f != nil {
 		m.dispatchFault(s, f)
-	} else if m.flt != nil {
+	} else if m.plan != nil {
 		m.injectRetire(s)
 	}
 }

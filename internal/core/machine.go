@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"misp/internal/asm"
+	"misp/internal/fault"
 	"misp/internal/isa"
 	"misp/internal/mem"
 	"misp/internal/obs"
@@ -146,13 +147,15 @@ type Machine struct {
 	// interpreter's hot path.
 	prof *obs.Profile
 
-	// flt is the fault-injection plane (nil when disabled — the hot loops
-	// pay exactly one nil check per retired instruction).
-	flt *fltState
+	// plan is the fault-injection plane (nil when disabled — the hot loops
+	// pay exactly one nil check per retired instruction). It owns the
+	// injection count FinalizeMetrics publishes.
+	plan *fault.Plan
 	// Watchdog state: wdHorizon is the livelock window (0 = disabled);
 	// wdNext the next check time; wdSteps the retirement count at the
-	// last check. See watchdogTick.
-	wdHorizon, wdNext, wdSteps uint64
+	// last check; wdTrips the livelocks it detected — the one detection
+	// the OS does not see. See watchdogTick.
+	wdHorizon, wdNext, wdSteps, wdTrips uint64
 
 	// GlobalStats
 	Steps uint64 // total instructions executed
@@ -469,7 +472,7 @@ func (m *Machine) runRound() error {
 	// The one place the hooks are read: profiling attribution and fault
 	// injection run once per retired instruction, which runBatch does and
 	// the wave does not.
-	sbFast := m.prof == nil && m.flt == nil && nm > 1
+	sbFast := m.prof == nil && m.plan == nil && nm > 1
 	// A cancel — the wave hands back for one at its next pop — leaves the
 	// round here and surfaces in runFast.
 	for !m.canceled() {
@@ -675,7 +678,7 @@ func (m *Machine) runBatch(s *Sequencer, hT uint64, hID int, evT uint64) (clean 
 			m.dispatchFault(s, f)
 			return false, nil
 		}
-		if m.flt != nil && m.injectRetire(s) {
+		if m.plan != nil && m.injectRetire(s) {
 			// Like a break op: the injection may have changed this
 			// sequencer's state or another's view of memory, so end the
 			// batch and let selection re-run.
@@ -703,7 +706,8 @@ func batchBreak(op isa.Op) bool {
 // the metrics registry: total sequencer cycles split into privileged
 // (ring-0 episodes, accumulated live), ring-transition stall, proxy
 // stall, idle, and the user remainder; instructions retired; Table 1's
-// serializing events, summed over sequencers; and the OS's own counts.
+// serializing events, summed over sequencers; the OS's own counts; and
+// the fault plane's injections and watchdog trips.
 // Idempotent; Run calls it on every exit path, pauses included, so a
 // mid-run image carries the counts up to its pause.
 func (m *Machine) FinalizeMetrics() {
@@ -732,8 +736,23 @@ func (m *Machine) FinalizeMetrics() {
 	for _, p := range c.table1() {
 		reg.Counter(p.name).Set(p.v)
 	}
+	// The OS publishes its own counts, fault.detected among them; the
+	// watchdog's trips are added to what it set (nothing, for an OS
+	// without counts), so publishing twice publishes the same.
+	var detected uint64
 	if pub, ok := m.os.(metricsPublisher); ok {
 		pub.PublishMetrics(reg)
+		detected = reg.CounterValue(obs.MFaultDetected)
+	}
+	if m.wdTrips != 0 {
+		reg.Counter(obs.MFaultDetected).Set(detected + m.wdTrips)
+	}
+	// fault.injected is the attached plan's count. A fork that dropped
+	// the plan sets 0 over the count its image carried.
+	if m.plan != nil {
+		reg.Counter(obs.MFaultInjected).Set(m.plan.Total())
+	} else if reg.CounterValue(obs.MFaultInjected) != 0 {
+		reg.Counter(obs.MFaultInjected).Set(0)
 	}
 	// Host section: superblock cache activity. Host metrics stay out of
 	// dumps and snapshots, so publishing them cannot perturb identity

@@ -299,14 +299,14 @@ func (m *Machine) snapshot(c *wire.Codec, snapFault fault.Config) {
 	c.U64(&m.Steps)
 	c.U64(&m.wdNext)
 	c.U64(&m.wdSteps)
-	hasPlan := m.flt != nil
+	hasPlan := m.plan != nil
 	c.Bool(&hasPlan)
 	if hasPlan {
 		// A fork whose override replaced the fault configuration reads
 		// past the captured plan and keeps the fresh one assemble built.
 		plan := new(fault.Plan)
-		if m.flt != nil && m.Cfg.Fault == snapFault {
-			plan = m.flt.plan
+		if m.plan != nil && m.Cfg.Fault == snapFault {
+			plan = m.plan
 		}
 		plan.Snapshot(c)
 	}

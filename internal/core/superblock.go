@@ -634,7 +634,7 @@ func (m *Machine) commitOrdered(s *Sequencer, u *sbUop) (f *trapFault, stored, o
 // ("exactly one instruction commits machine-wide at a time, ordered by
 // (clock, sequencer ID)") executed directly.
 //
-// Only called with m.prof == nil and m.flt == nil (runRound's sbFast): the
+// Only called with m.prof == nil and m.plan == nil (runRound's sbFast): the
 // profiler's per-retirement events and the fault plane's injection probes
 // stay on runBatch (runUops / the interpreter leg) instead of being
 // duplicated here.
@@ -849,7 +849,7 @@ func (m *Machine) runUops(s *Sequencer, sb *sbPage, n, max int, tstar uint64) (i
 	genp := sb.genPtr
 	gen := sb.gen
 	prof := m.prof
-	flt := m.flt
+	flt := m.plan
 	for {
 		pc0, c0 := s.PC, s.Clock
 		budget := max - n

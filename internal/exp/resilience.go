@@ -114,10 +114,9 @@ func Resilience(opt Options, seeds int) ([]ResilienceRow, error) {
 		if plan := pr.Machine.FaultPlan(); plan != nil {
 			out.injected = plan.Total()
 		}
-		reg := pr.Machine.Obs.Metrics
-		out.detected = reg.CounterValue(obs.MFaultDetected)
-		out.recovered = reg.CounterValue(obs.MFaultRecovered)
-		lat := reg.Histogram(obs.MFaultRecoveryLat)
+		out.detected = pr.Kernel.Stats.Detected + pr.Machine.WatchdogTrips()
+		out.recovered = pr.Kernel.Stats.Recovered
+		lat := pr.Machine.Obs.Metrics.Histogram(obs.MFaultRecoveryLat)
 		out.latSum, out.latCount = lat.Sum(), lat.Count()
 		switch {
 		case runErr == nil:

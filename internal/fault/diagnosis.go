@@ -56,10 +56,9 @@ type Diagnosis struct {
 	Seqs    []SeqDiag
 	Proxies []ProxyDiag
 
-	// Injected/Log describe the fault plan's activity (zero/nil when no
+	// Log is the fault plan's injection schedule so far (nil when no
 	// plan was attached).
-	Injected [NumKinds]uint64
-	Log      []Record
+	Log []Record
 
 	// Events is the tail of the obs event stream (up to DiagEventTail
 	// entries; empty when event tracing was off).
@@ -82,7 +81,7 @@ func (d *Diagnosis) Error() string {
 		fmt.Fprintf(&b, "fault: %s", d.Reason)
 	}
 	fmt.Fprintf(&b, "\n  diagnosis: reason=%s cycle=%d instrs=%d injections=%d",
-		d.Reason, d.Cycle, d.Instrs, d.totalInjected())
+		d.Reason, d.Cycle, d.Instrs, len(d.Log))
 	for _, s := range d.Seqs {
 		fmt.Fprintf(&b, "\n  %-8s state=%-12s ring=%d pc=0x%x clock=%d pending=%d",
 			s.Name, s.State, s.Ring, s.PC, s.Clock, s.Pending)
@@ -125,12 +124,4 @@ func (d *Diagnosis) Error() string {
 		}
 	}
 	return b.String()
-}
-
-func (d *Diagnosis) totalInjected() uint64 {
-	var n uint64
-	for _, c := range d.Injected {
-		n += c
-	}
-	return n
 }

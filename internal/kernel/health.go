@@ -57,14 +57,12 @@ func (k *Kernel) checkAMSHealth(s *core.Sequencer) {
 	for _, a := range k.M.Proc(s).AMSs() {
 		if a.State == core.StateWaitProxy && a.ProxyLost() {
 			k.Stats.Detected++
-			k.mx.faultDetected.Inc()
 			k.M.Obs.Emit(now, a.ID, obs.KFaultDetect, uint64(fault.ProxyDrop), a.PC)
 			death := a.StallStart()
 			k.M.RecoverLostProxy(a, now)
 			k.Stats.Recovered++
-			k.mx.faultRecovered.Inc()
 			if now >= death {
-				k.mx.recoveryLat.Observe(now - death)
+				k.recoveryLat.Observe(now - death)
 			}
 			k.M.Obs.Emit(now, a.ID, obs.KFaultRecover, uint64(fault.ProxyDrop), a.PC)
 			continue
@@ -92,7 +90,6 @@ func (k *Kernel) noteDead(a *core.Sequencer, now uint64) {
 	}
 	k.seenDead[a.ID] = true
 	k.Stats.Detected++
-	k.mx.faultDetected.Inc()
 	k.M.Obs.Emit(now, a.ID, obs.KFaultDetect, uint64(fault.AMSKill), a.PC)
 }
 
@@ -135,9 +132,8 @@ func (k *Kernel) recoverDeadAMS(a *core.Sequencer, now uint64) {
 	st := k.M.SaveSeqForSwitch(a)
 	k.requeuePending(p, st.Pending)
 	k.Stats.Recovered++
-	k.mx.faultRecovered.Inc()
 	if now >= death {
-		k.mx.recoveryLat.Observe(now - death)
+		k.recoveryLat.Observe(now - death)
 	}
 	k.M.Obs.Emit(now, a.ID, obs.KFaultRecover, uint64(fault.AMSKill), ctx.PC)
 }
@@ -154,7 +150,6 @@ func (k *Kernel) requeueSavedState(s *core.Sequencer, t *Thread, a *core.Sequenc
 		if shred, err := arena.ClassifyDeadContext(p.Space, st.Ctx.TP, st.Ctx.Regs[isa.SP]); err == nil && shred {
 			if k.tryRequeueCtx(p, st.Ctx) {
 				k.Stats.Recovered++
-				k.mx.faultRecovered.Inc()
 				k.M.Obs.Emit(s.Clock, a.ID, obs.KFaultRecover, uint64(fault.AMSKill), st.Ctx.PC)
 			}
 		}

@@ -118,9 +118,9 @@ type Kernel struct {
 	// copies it into the machine's registry at every Run exit.
 	Stats Stats
 
-	// mx holds pre-resolved handles for the fault-plane metrics, which
-	// the health check writes live.
-	mx kernMetrics
+	// recoveryLat is the health check's detection-to-repair latency
+	// histogram, the one metric the kernel writes live.
+	recoveryLat *obs.Histogram
 
 	// AMS health-check state (health.go): seenDead records first
 	// sightings for detection accounting, latched marks corpses whose
@@ -133,31 +133,28 @@ type Kernel struct {
 	fatal error
 }
 
-// kernMetrics are the kernel's pre-resolved registry handles.
-type kernMetrics struct {
-	faultDetected, faultRecovered *obs.Counter
-	recoveryLat                   *obs.Histogram
-}
-
 // namedCount is one count and the registry counter it is published to.
 type namedCount struct {
 	name string
 	v    uint64
 }
 
-// published pairs each scheduler registry counter with its count in st.
-func (st *Stats) published() [6]namedCount {
-	return [6]namedCount{
+// published pairs each registry counter the kernel owns with its count
+// in st.
+func (st *Stats) published() [8]namedCount {
+	return [8]namedCount{
 		{obs.MKTicks, st.Ticks},
 		{obs.MKSyscalls, st.Syscalls},
 		{obs.MKPageFaults, st.PageFaults},
 		{obs.MKIPIs, st.IPIs},
 		{obs.MKSwitches, st.Switches},
 		{obs.MKRebinds, st.Rebinds},
+		{obs.MFaultDetected, st.Detected},
+		{obs.MFaultRecovered, st.Recovered},
 	}
 }
 
-// PublishMetrics sets the scheduler counters of reg to Stats. The
+// PublishMetrics sets the kernel's counters of reg to Stats. The
 // machine calls it at every Run exit (core.Machine.FinalizeMetrics).
 func (k *Kernel) PublishMetrics(reg *obs.Registry) {
 	for _, p := range k.Stats.published() {
@@ -176,9 +173,9 @@ func New(m *core.Machine) *Kernel {
 	return k
 }
 
-// newKernel builds an empty kernel for m, its metric handles resolved
+// newKernel builds an empty kernel for m, its latency histogram resolved
 // against m's registry: what New and a snapshot restore share. The
-// scheduler counters are registered here, so every dump and image lists
+// kernel's counters are registered here, so every dump and image lists
 // them, at zero before the first run; a restore keeps the values it
 // decoded.
 func newKernel(m *core.Machine) *Kernel {
@@ -194,11 +191,8 @@ func newKernel(m *core.Machine) *Kernel {
 		seenDead: make(map[int]bool),
 		latched:  make(map[int]bool),
 		backlog:  make(map[int][]qentry),
-		mx: kernMetrics{
-			faultDetected:  reg.Counter(obs.MFaultDetected),
-			faultRecovered: reg.Counter(obs.MFaultRecovered),
-			recoveryLat:    reg.Histogram(obs.MFaultRecoveryLat),
-		},
+
+		recoveryLat: reg.Histogram(obs.MFaultRecoveryLat),
 	}
 }
 

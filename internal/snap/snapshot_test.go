@@ -305,6 +305,56 @@ func TestMidRunCaptureRestoreWithFaults(t *testing.T) {
 	}
 }
 
+// TestForkFaultPlanOverrideCount: fault.injected is the attached plan's
+// count. A mid-run image carries the captured plan's injections in its
+// registry; a fork that replaces the plan publishes the new plan's
+// count, and a fork that removes it publishes 0 — never the discarded
+// plan's.
+func TestForkFaultPlanOverrideCount(t *testing.T) {
+	cfg := testCfg(t)
+	cfg.Fault = fault.Uniform(12345, 300, fault.TLBFlush)
+	ref, _ := refRun(t, cfg)
+
+	pr := prep(t, cfg)
+	pauseMid(t, pr, ref.Cycles/2)
+	if pr.Machine.FaultPlan().Total() == 0 {
+		t.Fatal("no injection before the pause")
+	}
+	s, err := snap.Capture(pr.Machine, pr.Kernel)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		plan fault.Config
+	}{
+		{"replaced", fault.Uniform(777, 400, fault.TLBFlush)},
+		{"removed", fault.Config{}},
+	} {
+		m, k, err := s.Fork(func(c *core.Config) { c.Fault = tc.plan })
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		fpr, err := workloads.Resume(pr.W, pr.Mode, m, k)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if _, err := fpr.Run(); err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		var want uint64
+		if plan := m.FaultPlan(); plan != nil {
+			want = plan.Total()
+			if want == 0 {
+				t.Fatalf("%s: the new plan injected nothing", tc.name)
+			}
+		}
+		if got := m.Obs.Metrics.CounterValue(obs.MFaultInjected); got != want {
+			t.Errorf("%s: fault.injected = %d, the run's plan counted %d", tc.name, got, want)
+		}
+	}
+}
+
 func TestSnapshotFileRoundTrip(t *testing.T) {
 	cfg := testCfg(t)
 	ref, refFP := refRun(t, cfg)
