@@ -236,10 +236,10 @@ func manifestBytes(art Artifacts) []byte {
 // load reads a disk entry. Called WITHOUT c.mu (disk entries are
 // immutable once renamed into place, so lock-free reads are safe).
 // Entries carrying a manifest are verified against it: a truncated,
-// bit-flipped, or missing artifact makes the whole entry a miss — and
-// the corrupt directory is removed so a later Put can rewrite it —
-// never a panic and never corrupt bytes served to a client. Entries
-// written before the manifest existed load as-is.
+// bit-flipped, missing or unlisted artifact makes the whole entry a
+// miss — and the corrupt directory is removed so a later Put can
+// rewrite it — never a panic and never unverified bytes served to a
+// client. Entries written before the manifest existed load as-is.
 func (c *Cache) load(key string) (Artifacts, bool) {
 	if c.loadDelay != nil {
 		c.loadDelay(key)
@@ -274,12 +274,12 @@ func (c *Cache) load(key string) (Artifacts, bool) {
 	return art, true
 }
 
-// verifyManifest checks every manifest digest against the loaded
-// bytes. Extra on-disk files are tolerated (forward compatibility);
-// missing or mismatching ones are corruption.
+// verifyManifest checks the loaded artifacts against the manifest: Put
+// writes exactly the listed set, so a missing, mismatching or unlisted
+// file is corruption.
 func verifyManifest(manifest []byte, art Artifacts) bool {
 	var sums map[string]string
-	if json.Unmarshal(manifest, &sums) != nil || len(sums) == 0 {
+	if json.Unmarshal(manifest, &sums) != nil || len(sums) == 0 || len(sums) != len(art) {
 		return false
 	}
 	for name, want := range sums {

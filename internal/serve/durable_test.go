@@ -523,6 +523,9 @@ func TestCacheCorruptionIsAMiss(t *testing.T) {
 		"remove": func(path string) {
 			os.Remove(path)
 		},
+		"unlisted-file": func(path string) {
+			os.WriteFile(filepath.Join(filepath.Dir(path), "trace.json"), []byte("{}\n"), 0o644)
+		},
 	}
 	for name, corrupt := range corruptions {
 		t.Run(name, func(t *testing.T) {
