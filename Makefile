@@ -87,15 +87,18 @@ equivgrid:
 # which must decode, validate and disassemble without panicking and, when
 # canonical, re-assemble from their text; arbitrary submit bodies, whose
 # canonical requests must re-canonicalize to themselves and their key;
-# and arbitrary journal files, whose every byte Open must account for
-# and whose replayed records must survive a rotation. A crasher lands
-# under testdata/fuzz and is committed as a seed.
+# arbitrary cache entry directories, which must load only as exactly the
+# files their manifest lists and digests, and otherwise miss and be
+# evicted; and arbitrary journal files, whose every byte Open must
+# account for and whose replayed records must survive a rotation. A
+# crasher lands under testdata/fuzz and is committed as a seed.
 fuzzcheck:
 	$(GO) test -run '^$$' -fuzz FuzzWaveSharedMem -fuzztime 10s ./internal/core
 	$(GO) test -run '^$$' -fuzz FuzzSnapshotFork -fuzztime 10s ./internal/snap
 	$(GO) test -run '^$$' -fuzz FuzzAssemble -fuzztime 10s ./internal/asm
 	$(GO) test -run '^$$' -fuzz FuzzInstrText -fuzztime 10s ./internal/asm
 	$(GO) test -run '^$$' -fuzz FuzzRequest -fuzztime 10s ./internal/serve
+	$(GO) test -run '^$$' -fuzz FuzzCacheLoad -fuzztime 10s ./internal/serve
 	$(GO) test -run '^$$' -fuzz FuzzJournalOpen -fuzztime 10s ./internal/journal
 
 # resultscheck: results/ is exactly what the code produces. It
@@ -172,15 +175,13 @@ crashcheck:
 	$(GO) test -race ./internal/serve/ ./internal/journal/
 	bash scripts/crash_smoke.sh
 
-# soakcheck is the overload-robustness gate: the same two packages under
-# -race (the governance unit tests — drain estimator, pressure
-# escalation, victim selection, preempt/resume byte-identity, client
-# breaker — live in internal/serve), then the overload smoke — flood a
-# small-budget daemon with distinct tiny runs and assert it sheds with
-# computed Retry-After hints, loses nothing it accepted, stays alive,
-# and still drains cleanly on SIGTERM.
+# soakcheck is the overload-robustness gate: flood a small-budget daemon
+# with distinct tiny runs and assert it sheds with computed Retry-After
+# hints, loses nothing it accepted, stays alive, and still drains
+# cleanly on SIGTERM. The governance unit tests — drain estimator,
+# pressure escalation, victim selection, preempt/resume byte-identity —
+# live in internal/serve, which crashcheck and race run under -race.
 soakcheck:
-	$(GO) test -race ./internal/serve/ ./internal/journal/
 	bash scripts/overload_smoke.sh
 
 # ci is the full gate run by the GitHub Actions workflow.

@@ -12,7 +12,7 @@
 //	          [-mem-budget 2g]
 //	mispserve submit -app dense_mmm [-size test] [-priority interactive] [-wait] [-server URL] [flags...]
 //	mispserve submit -sweep -exp table1 [-apps a,b] [-wait] [-server URL]
-//	mispserve status [-id JOB | -list] [-hedge 2s] [-server URL]
+//	mispserve status [-id JOB | -list] [-server URL]
 //	mispserve fetch -id JOB -name table1.csv [-o FILE] [-server URL]
 //	mispserve -version
 //
@@ -177,7 +177,7 @@ func parseBytes(s string) (uint64, error) {
 // exponential backoff, honoring the daemon's Retry-After hint.
 func newClient(server string, retries int) *serve.Client {
 	cl := serve.NewClient(server)
-	cl.Retry = serve.RetryPolicy{MaxAttempts: retries}
+	cl.MaxAttempts = retries
 	return cl
 }
 
@@ -249,7 +249,6 @@ func clientStatus(args []string) {
 	list := fs.Bool("list", false, "list every job")
 	wait := fs.Bool("wait", false, "block until the job completes")
 	retries := fs.Int("retries", 3, "attempts for transient errors and backpressure (1 = no retry)")
-	hedge := fs.Duration("hedge", 0, "fire a second status request if the first hasn't answered in this long (0 = off)")
 	fs.Parse(args)
 
 	cl := newClient(*server, *retries)
@@ -263,7 +262,7 @@ func clientStatus(args []string) {
 		}
 		return
 	}
-	view, err := cl.StatusHedged(context.Background(), *id, *wait, *hedge)
+	view, err := cl.Status(context.Background(), *id, *wait)
 	if err != nil {
 		fatal(err)
 	}

@@ -29,17 +29,15 @@ func ValidArtifactName(name string) bool {
 
 // Cache is the content-addressed result store: canonical request key →
 // artifact set. Entries are immutable once stored (the key binds the
-// full simulation input, and simulation is deterministic), so there is
-// no invalidation — only insertion and lookup. An optional disk
-// directory persists entries across daemon restarts; the in-memory map
-// fronts it.
+// full simulation input and the code's result epoch, and simulation is
+// deterministic), so there is no invalidation — only insertion and
+// lookup. An optional disk directory persists entries across daemon
+// restarts; the in-memory map fronts it.
 type Cache struct {
 	mu    sync.Mutex
 	mem   map[string]Artifacts
 	dir   string                 // "" = memory only
 	loads map[string]*loadFlight // per-key in-flight disk loads
-
-	hits, misses uint64
 
 	// loadDelay, when non-nil, runs at the start of every disk load.
 	// Test seam: lets cache_test.go hold a load open and verify that
@@ -72,69 +70,38 @@ func NewCache(dir string) (*Cache, error) {
 }
 
 // Get returns the artifact set stored under key, falling back to the
-// disk layer, and records the hit/miss.
+// disk layer; counting hits and misses is the caller's business. Disk
+// reads run OUTSIDE the cache mutex — a slow disk must never stall
+// in-memory lookups of other keys — with per-key single-flight so a
+// thundering herd on one cold key does one read, not one per caller.
 func (c *Cache) Get(key string) (Artifacts, bool) {
-	return c.lookup(key, true)
-}
-
-// Peek returns the artifact set stored under key without touching the
-// hit/miss accounting (artifact fetches are reads of an entry whose
-// hit was already counted at submission).
-func (c *Cache) Peek(key string) (Artifacts, bool) {
-	return c.lookup(key, false)
-}
-
-// lookup is the shared Get/Peek path. Disk reads run OUTSIDE the
-// cache mutex — a slow disk must never stall in-memory lookups of
-// other keys — with per-key single-flight so a thundering herd on one
-// cold key does one read, not one per caller.
-func (c *Cache) lookup(key string, count bool) (Artifacts, bool) {
 	c.mu.Lock()
-	if art, ok := c.mem[key]; ok {
-		if count {
-			c.hits++
-		}
+	if art, ok := c.mem[key]; ok || c.dir == "" {
 		c.mu.Unlock()
-		return art, true
+		return art, ok
 	}
-	if c.dir == "" {
-		if count {
-			c.misses++
-		}
-		c.mu.Unlock()
-		return nil, false
-	}
-	f := c.loads[key]
-	if f == nil {
-		f = &loadFlight{done: make(chan struct{})}
-		c.loads[key] = f
-		c.mu.Unlock()
-		f.art, f.ok = c.load(key)
-		c.mu.Lock()
-		delete(c.loads, key)
-		if f.ok {
-			// A concurrent Put may have stored the entry while we read the
-			// disk; entries are immutable per key, so either copy is right —
-			// keep the first one in.
-			if cur, ok := c.mem[key]; ok {
-				f.art = cur
-			} else {
-				c.mem[key] = f.art
-			}
-		}
-		close(f.done)
-	} else {
+	if f := c.loads[key]; f != nil {
 		c.mu.Unlock()
 		<-f.done
-		c.mu.Lock()
+		return f.art, f.ok
 	}
-	if count {
-		if f.ok {
-			c.hits++
+	f := &loadFlight{done: make(chan struct{})}
+	c.loads[key] = f
+	c.mu.Unlock()
+	f.art, f.ok = c.load(key)
+	c.mu.Lock()
+	delete(c.loads, key)
+	if f.ok {
+		// A concurrent Put may have stored the entry while we read the
+		// disk; entries are immutable per key, so either copy is right —
+		// keep the first one in.
+		if cur, ok := c.mem[key]; ok {
+			f.art = cur
 		} else {
-			c.misses++
+			c.mem[key] = f.art
 		}
 	}
+	close(f.done)
 	c.mu.Unlock()
 	return f.art, f.ok
 }
@@ -226,20 +193,24 @@ func (c *Cache) syncDir(path string) error {
 func manifestBytes(art Artifacts) []byte {
 	sums := make(map[string]string, len(art))
 	for name, data := range art {
-		h := sha256.Sum256(data)
-		sums[name] = hex.EncodeToString(h[:])
+		sums[name] = digest(data)
 	}
 	b, _ := json.MarshalIndent(sums, "", "  ") // map keys marshal sorted
 	return append(b, '\n')
 }
 
+func digest(data []byte) string {
+	h := sha256.Sum256(data)
+	return hex.EncodeToString(h[:])
+}
+
 // load reads a disk entry. Called WITHOUT c.mu (disk entries are
-// immutable once renamed into place, so lock-free reads are safe).
-// Entries carrying a manifest are verified against it: a truncated,
-// bit-flipped, missing or unlisted artifact makes the whole entry a
-// miss — and the corrupt directory is removed so a later Put can
-// rewrite it — never a panic and never unverified bytes served to a
-// client. Entries written before the manifest existed load as-is.
+// immutable once renamed into place, so lock-free reads are safe). Put
+// writes exactly the files its manifest lists, so anything else — no
+// manifest, an unreadable one, a truncated, bit-flipped, missing or
+// unlisted artifact — is corruption: the lookup is a miss, never a
+// panic and never unverified bytes served to a client, and the entry is
+// evicted so the next Put (a re-simulation) can land a good copy.
 func (c *Cache) load(key string) (Artifacts, bool) {
 	if c.loadDelay != nil {
 		c.loadDelay(key)
@@ -247,57 +218,40 @@ func (c *Cache) load(key string) (Artifacts, bool) {
 	dir := filepath.Join(c.dir, key)
 	entries, err := os.ReadDir(dir)
 	if err != nil {
+		return nil, false // no entry
+	}
+	art, ok := readEntry(dir, len(entries))
+	if !ok {
+		os.RemoveAll(dir)
+	}
+	return art, ok
+}
+
+// readEntry reads the n-file entry in dir: its manifest and exactly the
+// artifacts it lists, each with its listed SHA-256.
+func readEntry(dir string, n int) (Artifacts, bool) {
+	mb, err := os.ReadFile(filepath.Join(dir, manifestName))
+	var sums map[string]string
+	if err != nil || json.Unmarshal(mb, &sums) != nil || len(sums) == 0 || len(sums)+1 != n {
 		return nil, false
 	}
-	art := Artifacts{}
-	for _, e := range entries {
-		if e.IsDir() || !ValidArtifactName(e.Name()) {
-			continue
-		}
-		data, err := os.ReadFile(filepath.Join(dir, e.Name()))
-		if err != nil {
+	art := make(Artifacts, len(sums))
+	for name, want := range sums {
+		if !ValidArtifactName(name) {
 			return nil, false
 		}
-		art[e.Name()] = data
-	}
-	if len(art) == 0 {
-		return nil, false
-	}
-	if mb, err := os.ReadFile(filepath.Join(dir, manifestName)); err == nil {
-		if !verifyManifest(mb, art) {
-			// The entry is torn or bit-flipped: evict it so the next Put
-			// (a re-simulation) can land a good copy under the same key.
-			os.RemoveAll(dir)
+		data, err := os.ReadFile(filepath.Join(dir, name))
+		if err != nil || digest(data) != want {
 			return nil, false
 		}
+		art[name] = data
 	}
 	return art, true
 }
 
-// verifyManifest checks the loaded artifacts against the manifest: Put
-// writes exactly the listed set, so a missing, mismatching or unlisted
-// file is corruption.
-func verifyManifest(manifest []byte, art Artifacts) bool {
-	var sums map[string]string
-	if json.Unmarshal(manifest, &sums) != nil || len(sums) == 0 || len(sums) != len(art) {
-		return false
-	}
-	for name, want := range sums {
-		data, ok := art[name]
-		if !ok {
-			return false
-		}
-		h := sha256.Sum256(data)
-		if hex.EncodeToString(h[:]) != want {
-			return false
-		}
-	}
-	return true
-}
-
-// Stats returns entry count (in-memory layer) and hit/miss counters.
-func (c *Cache) Stats() (entries int, hits, misses uint64) {
+// Len returns the number of entries in the memory layer.
+func (c *Cache) Len() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return len(c.mem), c.hits, c.misses
+	return len(c.mem)
 }

@@ -116,7 +116,7 @@ func TestChaosSeededKills(t *testing.T) {
 				waitJob(t, j)
 				switch j.Status {
 				case StatusDone:
-					art, ok := s2.cache.Peek(j.Key)
+					art, ok := s2.cache.Get(j.Key)
 					if !ok {
 						t.Fatalf("seed %d: done job %s has no artifacts", seed, j.ID)
 					}

@@ -2,175 +2,43 @@ package serve
 
 import (
 	"bytes"
+	"cmp"
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
-	"math/rand/v2"
 	"net/http"
 	"net/url"
 	"strconv"
 	"strings"
-	"sync"
 	"time"
 )
 
-// RetryPolicy tunes the client's resilience loop. The zero value means
-// a single attempt (no retries) so embedding the client costs nothing
-// unless resilience is asked for.
-type RetryPolicy struct {
-	// MaxAttempts is the total number of tries (first attempt included);
-	// values <= 1 disable retries.
-	MaxAttempts int
-	// Base is the first backoff delay (default 200ms). Successive delays
-	// double with uniform ±50% jitter.
-	Base time.Duration
-	// Max caps a single backoff delay (default 5s). A server Retry-After
-	// hint overrides the computed backoff but is still capped at 4×Max
-	// so a hostile or confused server cannot park the client forever.
-	Max time.Duration
-	// Seed makes the backoff jitter deterministic: the same seed yields
-	// the same delay sequence, so resilience tests reproduce instead of
-	// flaking. 0 seeds from the global generator (non-deterministic).
-	Seed uint64
-}
-
-// BreakerPolicy is the client's circuit breaker over shed responses
-// (429/503): Threshold consecutive sheds trip it, and while tripped
-// every call fails fast with ErrCircuitOpen — no request, no retries —
-// until Cooldown has passed, after which exactly one probe is let
-// through (success closes the breaker, another shed re-trips it). The
-// zero value disables the breaker.
-type BreakerPolicy struct {
-	Threshold int           // consecutive sheds before tripping (0 = off)
-	Cooldown  time.Duration // fail-fast window after a trip (default 5s)
-}
-
-func (b BreakerPolicy) cooldown() time.Duration {
-	if b.Cooldown > 0 {
-		return b.Cooldown
-	}
-	return 5 * time.Second
-}
-
-// ErrCircuitOpen fails a call without touching the network: the breaker
-// tripped on consecutive shed responses and the cooldown has not passed.
-var ErrCircuitOpen = errors.New("serve: circuit breaker open (server shedding load)")
-
-func (p RetryPolicy) base() time.Duration {
-	if p.Base > 0 {
-		return p.Base
-	}
-	return 200 * time.Millisecond
-}
-
-func (p RetryPolicy) max() time.Duration {
-	if p.Max > 0 {
-		return p.Max
-	}
-	return 5 * time.Second
-}
-
-// delay computes the jittered backoff before try attempt+1, honoring a
-// Retry-After hint of the server when one was given. jitter draws the
-// uniform variate (the client's seeded source, or the global one).
-func (p RetryPolicy) delay(attempt int, retryAfter time.Duration, jitter func(time.Duration) time.Duration) time.Duration {
-	d := p.base() << (attempt - 1)
-	if d > p.max() || d <= 0 {
-		d = p.max()
-	}
-	d = d/2 + jitter(d) // uniform in [d/2, 3d/2)
-	if retryAfter > d {
-		d = min(retryAfter, 4*p.max())
-	}
-	return d
-}
+// The client's retry backoff: the first delay, and the cap on any one.
+const (
+	retryBase = 200 * time.Millisecond
+	retryMax  = 5 * time.Second
+)
 
 // Client is a minimal HTTP client for a running mispserve daemon. It
 // exists so the CLI and tests speak the same wire format as any other
 // consumer; there is no hidden side channel into the server.
 //
-// With a RetryPolicy set, transient failures — connection errors,
+// With MaxAttempts above one, transient failures — connection errors,
 // 429 (queue full) and 503 (draining) responses — are retried with
 // jittered exponential backoff, honoring the server's Retry-After
-// header; the final error reports how many attempts were burned. With a
-// BreakerPolicy set, consecutive shed responses trip a circuit breaker:
-// the tripping call returns immediately (a tripped breaker is never
-// retried — the server has said "stop", repeatedly) and later calls
-// fail fast until the cooldown passes.
+// header; the final error reports how many attempts were burned.
 type Client struct {
-	base    string
-	http    *http.Client
-	Retry   RetryPolicy
-	Breaker BreakerPolicy
+	// MaxAttempts is the total number of tries per call, the first
+	// included; values <= 1 (the zero value) mean a single attempt.
+	MaxAttempts int
 
-	mu        sync.Mutex
-	rng       *rand.Rand // lazily built from Retry.Seed; nil = global rand
-	shedCount int        // consecutive shed responses
-	openUntil time.Time  // breaker fail-fast horizon (zero = closed)
-}
+	base string
+	http *http.Client
 
-// jitter returns a uniform variate in [0, d) from the client's seeded
-// source when Retry.Seed is set (deterministic, mutex-guarded — hedged
-// calls share the client concurrently), else from the global generator.
-func (c *Client) jitter(d time.Duration) time.Duration {
-	if c.Retry.Seed == 0 {
-		return rand.N(d)
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.rng == nil {
-		c.rng = rand.New(rand.NewPCG(c.Retry.Seed, 0))
-	}
-	return time.Duration(c.rng.Int64N(int64(d)))
-}
-
-// breakerAllows reports whether a call may proceed. Inside the cooldown
-// it fails fast; at the cooldown edge it lets one probe through
-// (half-open) by clearing the horizon.
-func (c *Client) breakerAllows() bool {
-	if c.Breaker.Threshold <= 0 {
-		return true
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.openUntil.IsZero() {
-		return true
-	}
-	if time.Now().Before(c.openUntil) {
-		return false
-	}
-	c.openUntil = time.Time{} // half-open: this caller is the probe
-	c.shedCount = c.Breaker.Threshold - 1
-	return true
-}
-
-// noteShed records one shed response (429/503). Returns true when this
-// shed tripped the breaker — the caller must stop retrying.
-func (c *Client) noteShed() bool {
-	if c.Breaker.Threshold <= 0 {
-		return false
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.shedCount++
-	if c.shedCount < c.Breaker.Threshold {
-		return false
-	}
-	c.openUntil = time.Now().Add(c.Breaker.cooldown())
-	return true
-}
-
-// noteOK resets the shed streak and closes the breaker.
-func (c *Client) noteOK() {
-	if c.Breaker.Threshold <= 0 {
-		return
-	}
-	c.mu.Lock()
-	c.shedCount = 0
-	c.openUntil = time.Time{}
-	c.mu.Unlock()
+	// Test seams, like Config.retryBackoff: the backoff's first delay and
+	// cap, retryBase and retryMax when zero.
+	backoffBase, backoffMax time.Duration
 }
 
 // NewClient builds a client for the daemon at base (e.g.
@@ -180,6 +48,15 @@ func NewClient(base string) *Client {
 		base: strings.TrimRight(base, "/"),
 		http: &http.Client{Timeout: 10 * time.Minute},
 	}
+}
+
+// delay is the wait before try attempt+1: the jittered backoff, or the
+// server's Retry-After hint when that is longer — capped at 4× the
+// backoff cap, so a hostile or confused server cannot park the client
+// forever.
+func (c *Client) delay(attempt int, hint time.Duration) time.Duration {
+	limit := cmp.Or(c.backoffMax, retryMax)
+	return max(backoff(cmp.Or(c.backoffBase, retryBase), limit, attempt), min(hint, 4*limit))
 }
 
 // Submit posts req. With wait it blocks until the job is terminal and
@@ -212,47 +89,6 @@ func (c *Client) Status(ctx context.Context, id string, wait bool) (*JobView, er
 	return c.jobView(ctx, func() (*http.Request, error) {
 		return http.NewRequestWithContext(ctx, http.MethodGet, u, nil)
 	})
-}
-
-// StatusHedged is Status with a hedge against a slow or stuck daemon
-// connection: if the first request has not answered within hedge, a
-// second identical request is fired and the first result (success or
-// failure) wins. Status polling is idempotent and read-only, so the
-// duplicate is always safe; the loser's response is discarded. hedge
-// <= 0 degrades to plain Status.
-func (c *Client) StatusHedged(ctx context.Context, id string, wait bool, hedge time.Duration) (*JobView, error) {
-	if hedge <= 0 {
-		return c.Status(ctx, id, wait)
-	}
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel() // the winner cancels the loser's request
-
-	type outcome struct {
-		v   *JobView
-		err error
-	}
-	results := make(chan outcome, 2)
-	launch := func() {
-		v, err := c.Status(ctx, id, wait)
-		results <- outcome{v, err}
-	}
-	go launch()
-	timer := time.NewTimer(hedge)
-	defer timer.Stop()
-	select {
-	case r := <-results:
-		return r.v, r.err
-	case <-timer.C:
-		go launch()
-	}
-	r := <-results
-	if r.err != nil && ctx.Err() == nil {
-		// The faster request failed on its own; give the survivor its say.
-		if r2 := <-results; r2.err == nil {
-			return r2.v, nil
-		}
-	}
-	return r.v, r.err
 }
 
 // List returns every job the daemon knows about.
@@ -311,20 +147,9 @@ func (c *Client) Cancel(ctx context.Context, id string) (*JobView, error) {
 // do issues one logical request through the retry loop. build runs per
 // attempt so each try gets a fresh body reader. Only transport errors
 // and backpressure statuses (429, 503) retry; every other response is
-// returned to the caller, body open. Shed responses feed the circuit
-// breaker: the shed that trips it ends the call at once (never retried
-// past a trip), and while the breaker is open calls fail fast with
-// ErrCircuitOpen before touching the network. Transport errors do not
-// count toward the breaker — it measures the server's explicit "go
-// away", not the network's health.
+// returned to the caller, body open.
 func (c *Client) do(ctx context.Context, build func() (*http.Request, error)) (*http.Response, error) {
-	attempts := c.Retry.MaxAttempts
-	if attempts < 1 {
-		attempts = 1
-	}
-	if !c.breakerAllows() {
-		return nil, ErrCircuitOpen
-	}
+	attempts := max(c.MaxAttempts, 1)
 	var lastErr error
 	for attempt := 1; ; attempt++ {
 		hr, err := build()
@@ -335,7 +160,6 @@ func (c *Client) do(ctx context.Context, build func() (*http.Request, error)) (*
 		var retryAfter time.Duration
 		switch {
 		case err == nil && resp.StatusCode != http.StatusTooManyRequests && resp.StatusCode != http.StatusServiceUnavailable:
-			c.noteOK()
 			return resp, nil
 		case err == nil:
 			// Backpressure: drain and close so the connection is reusable,
@@ -343,10 +167,6 @@ func (c *Client) do(ctx context.Context, build func() (*http.Request, error)) (*
 			retryAfter = parseRetryAfter(resp.Header.Get("Retry-After"))
 			lastErr = apiError(resp)
 			resp.Body.Close()
-			if c.noteShed() {
-				return nil, fmt.Errorf("serve: circuit breaker tripped after %d consecutive shed responses: %w",
-					c.Breaker.Threshold, lastErr)
-			}
 		case ctx.Err() != nil:
 			// The caller gave up; that outranks any retry budget.
 			return nil, ctx.Err()
@@ -359,9 +179,7 @@ func (c *Client) do(ctx context.Context, build func() (*http.Request, error)) (*
 			}
 			return nil, lastErr
 		}
-		select {
-		case <-time.After(c.Retry.delay(attempt, retryAfter, c.jitter)):
-		case <-ctx.Done():
+		if !sleep(ctx, c.delay(attempt, retryAfter)) {
 			return nil, ctx.Err()
 		}
 	}

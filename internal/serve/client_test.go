@@ -1,223 +1,41 @@
 package serve
 
 import (
-	"context"
-	"errors"
-	"fmt"
-	"net/http"
-	"net/http/httptest"
-	"strings"
-	"sync/atomic"
 	"testing"
 	"time"
 )
 
-// --- seeded backoff jitter --------------------------------------------
-
-// TestRetryJitterSeeded: the same seed yields the same backoff delay
-// sequence (resilience tests reproduce instead of flaking), a different
-// seed yields a different one.
-func TestRetryJitterSeeded(t *testing.T) {
-	policy := RetryPolicy{MaxAttempts: 6, Base: 100 * time.Millisecond, Max: 5 * time.Second}
-	seq := func(seed uint64) []time.Duration {
-		c := &Client{Retry: policy}
-		c.Retry.Seed = seed
-		var out []time.Duration
-		for attempt := 1; attempt <= 6; attempt++ {
-			out = append(out, c.Retry.delay(attempt, 0, c.jitter))
-		}
-		return out
-	}
-	a, b := seq(42), seq(42)
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("same seed diverged at attempt %d: %v != %v", i+1, a[i], b[i])
+// TestBackoffEnvelope: the one backoff the server's leases and the
+// client's requests share doubles from base, stops at the cap, and draws
+// each delay uniformly from [d/2, 3d/2).
+func TestBackoffEnvelope(t *testing.T) {
+	const base, limit = 100 * time.Millisecond, 5 * time.Second
+	for attempt := 1; attempt <= 12; attempt++ {
+		d := min(base<<(attempt-1), limit)
+		for range 200 {
+			if got := backoff(base, limit, attempt); got < d/2 || got >= d/2+d {
+				t.Fatalf("attempt %d delay %v outside [%v, %v)", attempt, got, d/2, d/2+d)
+			}
 		}
 	}
-	c := seq(43)
-	same := true
-	for i := range a {
-		if a[i] != c[i] {
-			same = false
-		}
-	}
-	if same {
-		t.Fatal("different seeds produced identical delay sequences")
-	}
-	// The jittered delay stays inside the documented envelope
-	// [d/2, 3d/2) for the un-hinted case.
-	for i, d := range a {
-		base := policy.Base << i
-		if base > policy.Max || base <= 0 {
-			base = policy.Max
-		}
-		if d < base/2 || d >= base/2+base {
-			t.Fatalf("attempt %d delay %v outside [%v, %v)", i+1, d, base/2, base/2+base)
-		}
+	// An attempt count far past the cap must not overflow the doubling.
+	if got := backoff(base, limit, 1000); got < limit/2 || got >= limit/2+limit {
+		t.Fatalf("attempt 1000 delay %v outside [%v, %v)", got, limit/2, limit/2+limit)
 	}
 }
 
 // TestRetryDelayHonorsHint: a server Retry-After hint overrides a
-// shorter computed backoff but is capped at 4×Max so a confused server
-// cannot park the client forever.
+// shorter computed backoff but is capped at 4× the backoff cap so a
+// confused server cannot park the client forever.
 func TestRetryDelayHonorsHint(t *testing.T) {
-	c := &Client{Retry: RetryPolicy{Seed: 1, Base: time.Millisecond, Max: 2 * time.Millisecond}}
-	if d := c.Retry.delay(1, time.Second, c.jitter); d != 8*time.Millisecond {
+	c := &Client{backoffBase: time.Millisecond, backoffMax: 2 * time.Millisecond}
+	if d := c.delay(1, time.Second); d != 8*time.Millisecond {
 		t.Fatalf("hinted delay = %v, want 8ms (hint capped at 4×Max)", d)
 	}
-	if d := c.Retry.delay(1, 5*time.Millisecond, c.jitter); d != 5*time.Millisecond {
+	if d := c.delay(1, 5*time.Millisecond); d != 5*time.Millisecond {
 		t.Fatalf("hinted delay = %v, want the 5ms hint", d)
 	}
-}
-
-// --- circuit breaker --------------------------------------------------
-
-// shedServer is a test daemon stub whose shed flag switches between
-// constant 429s (with a Retry-After hint) and healthy job views.
-func shedServer(t *testing.T) (*httptest.Server, *atomic.Int32, *atomic.Bool) {
-	t.Helper()
-	var hits atomic.Int32
-	var shed atomic.Bool
-	shed.Store(true)
-	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		hits.Add(1)
-		if shed.Load() {
-			w.Header().Set("Retry-After", "1")
-			w.Header().Set("Content-Type", "application/json")
-			w.WriteHeader(http.StatusTooManyRequests)
-			fmt.Fprint(w, `{"error":"serve: job queue full"}`)
-			return
-		}
-		w.Header().Set("Content-Type", "application/json")
-		fmt.Fprint(w, `{"id":"x","status":"done"}`)
-	}))
-	t.Cleanup(ts.Close)
-	return ts, &hits, &shed
-}
-
-// TestBreakerTripsAndRecovers walks the breaker's whole lifecycle:
-// Threshold consecutive sheds trip it mid-call (the tripping call stops
-// retrying immediately, well under its attempt budget), calls during
-// the cooldown fail fast without touching the network, the half-open
-// probe re-trips on another shed after exactly one request, and a
-// healthy response closes the breaker again.
-func TestBreakerTripsAndRecovers(t *testing.T) {
-	ts, hits, shed := shedServer(t)
-	cl := NewClient(ts.URL)
-	cl.Retry = RetryPolicy{MaxAttempts: 10, Base: time.Millisecond, Max: 2 * time.Millisecond, Seed: 7}
-	cl.Breaker = BreakerPolicy{Threshold: 3, Cooldown: 50 * time.Millisecond}
-	ctx := context.Background()
-
-	_, err := cl.Status(ctx, "x", false)
-	if err == nil || !strings.Contains(err.Error(), "circuit breaker tripped") {
-		t.Fatalf("err = %v, want tripped-breaker error", err)
-	}
-	if got := hits.Load(); got != 3 {
-		t.Fatalf("server saw %d requests, want exactly 3 (never retry past a trip)", got)
-	}
-
-	// Open breaker: fail fast, zero network traffic.
-	if _, err := cl.Status(ctx, "x", false); !errors.Is(err, ErrCircuitOpen) {
-		t.Fatalf("err during cooldown = %v, want ErrCircuitOpen", err)
-	}
-	if got := hits.Load(); got != 3 {
-		t.Fatalf("open breaker let %d requests through", got-3)
-	}
-
-	// Half-open probe against a still-shedding server: one request, then
-	// tripped again.
-	time.Sleep(60 * time.Millisecond)
-	if _, err := cl.Status(ctx, "x", false); err == nil || !strings.Contains(err.Error(), "circuit breaker tripped") {
-		t.Fatalf("probe err = %v, want tripped-breaker error", err)
-	}
-	if got := hits.Load(); got != 4 {
-		t.Fatalf("half-open probe burned %d requests, want 1", got-3)
-	}
-
-	// Recovery: the next probe succeeds and the breaker closes.
-	shed.Store(false)
-	time.Sleep(60 * time.Millisecond)
-	v, err := cl.Status(ctx, "x", false)
-	if err != nil || v.ID != "x" {
-		t.Fatalf("probe after recovery: %v, %v", v, err)
-	}
-	if v, err := cl.Status(ctx, "x", false); err != nil || v.ID != "x" {
-		t.Fatalf("closed breaker blocked a healthy call: %v, %v", v, err)
-	}
-}
-
-// TestBreakerIgnoresTransportErrors: the breaker measures the server's
-// explicit shed responses, not network health — connection failures
-// never trip it.
-func TestBreakerIgnoresTransportErrors(t *testing.T) {
-	cl := NewClient("http://127.0.0.1:1") // nothing listens here
-	cl.Retry = RetryPolicy{MaxAttempts: 2, Base: time.Millisecond, Max: 2 * time.Millisecond, Seed: 7}
-	cl.Breaker = BreakerPolicy{Threshold: 1}
-	ctx := context.Background()
-	for i := 0; i < 3; i++ {
-		_, err := cl.Status(ctx, "x", false)
-		if err == nil {
-			t.Fatal("call to a dead address succeeded")
-		}
-		if errors.Is(err, ErrCircuitOpen) || strings.Contains(err.Error(), "circuit breaker") {
-			t.Fatalf("call %d: transport errors tripped the breaker: %v", i, err)
-		}
-	}
-}
-
-// --- hedged status polling --------------------------------------------
-
-// TestStatusHedged: when the first status request stalls, the hedge
-// fires a second one and the caller gets the fast answer; the stalled
-// request is canceled, not waited for.
-func TestStatusHedged(t *testing.T) {
-	var hits atomic.Int32
-	release := make(chan struct{})
-	defer close(release)
-	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if hits.Add(1) == 1 {
-			// First request stalls until the test ends (or its context is
-			// canceled by the winning hedge).
-			select {
-			case <-release:
-			case <-r.Context().Done():
-				return
-			}
-		}
-		w.Header().Set("Content-Type", "application/json")
-		fmt.Fprint(w, `{"id":"x","status":"done"}`)
-	}))
-	defer ts.Close()
-
-	cl := NewClient(ts.URL)
-	start := time.Now()
-	v, err := cl.StatusHedged(context.Background(), "x", false, 30*time.Millisecond)
-	if err != nil || v == nil || v.ID != "x" {
-		t.Fatalf("hedged status: %v, %v", v, err)
-	}
-	if elapsed := time.Since(start); elapsed > 2*time.Second {
-		t.Fatalf("hedged call took %v; the hedge did not rescue the stalled request", elapsed)
-	}
-	if got := hits.Load(); got != 2 {
-		t.Fatalf("server saw %d requests, want 2 (primary + hedge)", got)
-	}
-}
-
-// TestStatusHedgedDegradesToStatus: hedge <= 0 is plain Status — one
-// request, no goroutines.
-func TestStatusHedgedDegradesToStatus(t *testing.T) {
-	var hits atomic.Int32
-	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		hits.Add(1)
-		w.Header().Set("Content-Type", "application/json")
-		fmt.Fprint(w, `{"id":"x","status":"done"}`)
-	}))
-	defer ts.Close()
-	v, err := NewClient(ts.URL).StatusHedged(context.Background(), "x", false, 0)
-	if err != nil || v.ID != "x" {
-		t.Fatalf("degraded hedge: %v, %v", v, err)
-	}
-	if got := hits.Load(); got != 1 {
-		t.Fatalf("server saw %d requests, want 1", got)
+	if d := (&Client{}).delay(1, 0); d < retryBase/2 || d >= retryBase/2+retryBase {
+		t.Fatalf("unhinted first delay = %v, want within [%v, %v)", d, retryBase/2, retryBase/2+retryBase)
 	}
 }

@@ -115,7 +115,7 @@ func TestCrashRecoveryCompletesJobs(t *testing.T) {
 	}
 	// The mid-run job's artifacts are byte-identical to the reference.
 	rj, _ := s2.Job(j1.ID)
-	got, ok := s2.cache.Peek(rj.Key)
+	got, ok := s2.cache.Get(rj.Key)
 	if !ok {
 		t.Fatal("recovered job produced no cache entry")
 	}
@@ -192,6 +192,50 @@ func TestRecoveryDedupesAgainstCache(t *testing.T) {
 	}
 	if q, _ := s.QueueDepth(); q != 0 {
 		t.Fatalf("deduped job was re-enqueued (queue depth %d)", q)
+	}
+}
+
+// TestReplayedDoneWithoutEntry: a journaled done job whose artifacts the
+// cache no longer holds — here a memory-only cache that died with the
+// process — comes back failed with ReasonResultGone, not done with
+// nothing to serve, and resubmitting the request simulates it afresh.
+func TestReplayedDoneWithoutEntry(t *testing.T) {
+	jdir, _ := durableDirs(t)
+	ran := func(ctx context.Context, j *Job) (Artifacts, *Result, error) {
+		return diskArt("ran"), &Result{ChecksumOK: true}, nil
+	}
+	s1, err := NewServer(Config{Workers: 1, JournalDir: jdir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s1.exec = ran
+	j, err := s1.Submit(tinyRun(), true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitJob(t, j)
+	// Drain, not crash: the done record is appended after done closes.
+	if err := s1.Drain(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+
+	s2 := newTestServer(t, Config{Workers: 1, JournalDir: jdir})
+	s2.exec = ran
+	rj, ok := s2.Job(j.ID)
+	if !ok {
+		t.Fatalf("job %s lost across restart", j.ID)
+	}
+	if v := s2.View(rj, false); v.Status != StatusFailed || v.Failure != ReasonResultGone {
+		t.Fatalf("replayed done job without its entry: status=%s failure_reason=%q artifacts=%v, want failed %q",
+			v.Status, v.Failure, v.Artifacts, ReasonResultGone)
+	}
+	again, err := s2.Submit(tinyRun(), true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitJob(t, again)
+	if v := s2.View(again, false); v.Status != StatusDone || v.Cached || len(v.Artifacts) == 0 {
+		t.Fatalf("resubmission: status=%s cached=%v artifacts=%v, want a fresh done run", v.Status, v.Cached, v.Artifacts)
 	}
 }
 
@@ -506,9 +550,10 @@ func TestReplayToleratesRemovedKnobs(t *testing.T) {
 	}
 }
 
-// TestCacheCorruptionIsAMiss: truncated or bit-flipped disk entries are
-// detected by the manifest at load, evicted, and reported as misses —
-// and a later Put can rewrite the entry.
+// TestCacheCorruptionIsAMiss: a disk entry that is not exactly what Put
+// wrote — an artifact truncated, bit-flipped, removed or unlisted, or
+// the manifest gone — is detected at load, evicted, and reported as a
+// miss, and a later Put can rewrite the entry.
 func TestCacheCorruptionIsAMiss(t *testing.T) {
 	corruptions := map[string]func(path string){
 		"bit-flip": func(path string) {
@@ -525,6 +570,9 @@ func TestCacheCorruptionIsAMiss(t *testing.T) {
 		},
 		"unlisted-file": func(path string) {
 			os.WriteFile(filepath.Join(filepath.Dir(path), "trace.json"), []byte("{}\n"), 0o644)
+		},
+		"no-manifest": func(path string) {
+			os.Remove(filepath.Join(filepath.Dir(path), manifestName))
 		},
 	}
 	for name, corrupt := range corruptions {
@@ -554,6 +602,9 @@ func TestCacheCorruptionIsAMiss(t *testing.T) {
 				t.Fatal("corrupt entry served as a hit")
 			}
 			// The corrupt entry was evicted: Put can land a good copy.
+			if _, err := os.Stat(filepath.Join(dir, key)); !errors.Is(err, os.ErrNotExist) {
+				t.Fatalf("corrupt entry not evicted: %v", err)
+			}
 			if err := c2.Put(key, art); err != nil {
 				t.Fatal(err)
 			}
@@ -563,26 +614,6 @@ func TestCacheCorruptionIsAMiss(t *testing.T) {
 			}
 			assertSameArtifacts(t, art, got)
 		})
-	}
-}
-
-// TestCacheLegacyEntryWithoutManifest: entries written before the
-// manifest existed still load (no forced re-simulation on upgrade).
-func TestCacheLegacyEntryWithoutManifest(t *testing.T) {
-	dir := t.TempDir()
-	key := "cafebabecafebabecafebabecafebabe"
-	if err := os.MkdirAll(filepath.Join(dir, key), 0o755); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(filepath.Join(dir, key, "summary.json"), []byte("{}\n"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	c, err := NewCache(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := c.Get(key); !ok {
-		t.Fatal("legacy entry without manifest did not load")
 	}
 }
 
@@ -628,7 +659,7 @@ func TestClientRetriesBackpressure(t *testing.T) {
 	defer ts.Close()
 
 	cl := NewClient(ts.URL)
-	cl.Retry = RetryPolicy{MaxAttempts: 4, Base: time.Millisecond, Max: 2 * time.Millisecond}
+	cl.MaxAttempts, cl.backoffBase, cl.backoffMax = 4, time.Millisecond, 2*time.Millisecond
 	jobs, err := cl.List(context.Background())
 	if err != nil {
 		t.Fatalf("retry loop did not recover: %v", err)
@@ -646,7 +677,7 @@ func TestClientRetryExhaustion(t *testing.T) {
 	defer ts.Close()
 
 	cl := NewClient(ts.URL)
-	cl.Retry = RetryPolicy{MaxAttempts: 3, Base: time.Millisecond, Max: 2 * time.Millisecond}
+	cl.MaxAttempts, cl.backoffBase, cl.backoffMax = 3, time.Millisecond, 2*time.Millisecond
 	_, err := cl.List(context.Background())
 	if err == nil {
 		t.Fatal("exhausted retries returned no error")
@@ -663,7 +694,7 @@ func TestClientRetriesConnectError(t *testing.T) {
 	ts.Close()
 
 	cl := NewClient(url)
-	cl.Retry = RetryPolicy{MaxAttempts: 2, Base: time.Millisecond, Max: 2 * time.Millisecond}
+	cl.MaxAttempts, cl.backoffBase, cl.backoffMax = 2, time.Millisecond, 2*time.Millisecond
 	_, err := cl.List(context.Background())
 	if err == nil {
 		t.Fatal("dead server returned no error")
@@ -683,7 +714,7 @@ func TestClientRetryHonorsContext(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
 	defer cancel()
 	cl := NewClient(ts.URL)
-	cl.Retry = RetryPolicy{MaxAttempts: 1000, Base: 5 * time.Millisecond, Max: 10 * time.Millisecond}
+	cl.MaxAttempts, cl.backoffBase, cl.backoffMax = 1000, 5*time.Millisecond, 10*time.Millisecond
 	_, err := cl.List(ctx)
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("canceled retry loop returned %v, want deadline exceeded", err)

@@ -4,6 +4,9 @@ import (
 	"bytes"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
+	"os"
+	"path/filepath"
 	"reflect"
 	"testing"
 )
@@ -60,6 +63,77 @@ func FuzzRequest(f *testing.F) {
 		}
 		if again.Key() != key {
 			t.Fatalf("re-canonicalized key %s, want %s", again.Key(), key)
+		}
+	})
+}
+
+// FuzzCacheLoad writes an arbitrary cache entry directory — manifest
+// bytes and three artifact files, each present when its bit of layout is
+// set — and looks it up through a fresh cache, as a restarted daemon
+// does. Nothing may panic. A hit must return exactly the files the
+// manifest lists, each with its listed digest; anything else must be a
+// miss that returns no bytes and evicts the directory.
+func FuzzCacheLoad(f *testing.F) {
+	summary, counters := []byte("{\"cycles\":12345}\n"), []byte("seq,instrs\n0,99\n")
+	good := manifestBytes(Artifacts{"summary.json": summary, "counters.csv": counters})
+	flipped := bytes.Clone(summary)
+	flipped[len(flipped)/2] ^= 0x20
+	const manifest, sum, ctr, trace = 1, 2, 4, 8
+	for _, seed := range []struct {
+		manifest, summary []byte
+		layout            uint8
+	}{
+		{good, summary, manifest | sum | ctr},         // what Put writes
+		{good, flipped, manifest | sum | ctr},         // bit-flip
+		{good, summary[:5], manifest | sum | ctr},     // truncate
+		{good, summary, manifest | ctr},               // remove
+		{good, summary, manifest | sum | ctr | trace}, // unlisted-file
+		{good, summary, sum | ctr},                    // no-manifest
+		{[]byte(`{"../summary.json":"00"}`), summary, manifest | sum},
+		{[]byte(`{}`), nil, manifest},
+		{[]byte(`[`), summary, manifest | sum | ctr},
+	} {
+		f.Add(seed.manifest, seed.summary, counters, []byte("{}\n"), seed.layout)
+	}
+
+	f.Fuzz(func(t *testing.T, manifest, summary, counters, trace []byte, layout uint8) {
+		const key = "0123456789abcdef0123456789abcdef"
+		dir := t.TempDir()
+		entry := filepath.Join(dir, key)
+		if err := os.Mkdir(entry, 0o755); err != nil {
+			t.Fatal(err)
+		}
+		files := map[string][]byte{}
+		for i, name := range []string{manifestName, "summary.json", "counters.csv", "trace.json"} {
+			if layout&(1<<i) != 0 {
+				files[name] = [][]byte{manifest, summary, counters, trace}[i]
+				if err := os.WriteFile(filepath.Join(entry, name), files[name], 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		c, err := NewCache(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		art, ok := c.Get(key)
+		if !ok {
+			if art != nil {
+				t.Fatalf("a miss returned %d artifacts", len(art))
+			}
+			if _, err := os.Stat(entry); !errors.Is(err, os.ErrNotExist) {
+				t.Fatalf("rejected entry not evicted: %v", err)
+			}
+			return
+		}
+		var sums map[string]string
+		if err := json.Unmarshal(manifest, &sums); err != nil || len(sums) != len(art) || len(files) != len(art)+1 {
+			t.Fatalf("hit with %d artifacts from %d files against manifest %q", len(art), len(files), manifest)
+		}
+		for name, data := range art {
+			if !bytes.Equal(data, files[name]) || digest(data) != sums[name] {
+				t.Fatalf("hit served %s unverified: %q", name, data)
+			}
 		}
 	})
 }

@@ -92,4 +92,15 @@ func TestRunOutputsGolden(t *testing.T) {
 	}
 	checkGolden(t, goldenOutputsPath,
 		"# point/artifact bytes sha256; rewrite with: go test ./internal/serve -run TestRunOutputsGolden -update", got)
+
+	// The cache key's result epoch is this file's digest: artifacts that
+	// moved must not be served from entries an older build wrote.
+	data, err := os.ReadFile(goldenOutputsPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if epoch := fmt.Sprintf("%x", sha256.Sum256(data))[:12]; epoch != resultEpoch {
+		t.Fatalf("resultEpoch is %q but %s hashes to %q: the artifacts moved, so set resultEpoch (request.go) to %q",
+			resultEpoch, goldenOutputsPath, epoch, epoch)
+	}
 }

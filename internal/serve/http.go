@@ -69,7 +69,7 @@ func (s *Server) View(j *Job, withRequest bool) JobView {
 	}
 	s.mu.Unlock()
 	if v.Status == StatusDone {
-		if art, ok := s.cache.Peek(j.Key); ok {
+		if art, ok := s.cache.Get(j.Key); ok {
 			v.Artifacts = art.Names()
 		}
 	}
@@ -277,7 +277,9 @@ func contentType(name string) string {
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	queued, running, done, failed, canceled := s.Counts()
-	entries, hits, misses := s.cache.Stats()
+	s.mu.Lock()
+	hits, misses := s.reg.CounterValue("serve.cache.hits"), s.reg.CounterValue("serve.cache.misses")
+	s.mu.Unlock()
 	status := "ok"
 	code := http.StatusOK
 	if s.Draining() {
@@ -293,7 +295,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 			"failed": failed, "canceled": canceled,
 		},
 		"cache": map[string]uint64{
-			"entries": uint64(entries), "hits": hits, "misses": misses,
+			"entries": uint64(s.cache.Len()), "hits": hits, "misses": misses,
 		},
 	}
 	if s.governed() {

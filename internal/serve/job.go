@@ -67,8 +67,10 @@ type Job struct {
 	// Governance state. Lane is the priority lane ordering the queue
 	// (execution-only, from Request.Priority); Budget is the admission-
 	// time resource envelope (zero without Config.MemBudget); Preempted
-	// marks a job currently re-queued after a cooperative preemption;
-	// Preempts counts preemptions this process has applied to the job.
+	// marks a job currently re-queued after a cooperative preemption,
+	// whose next lease resumes the preempted attempt instead of burning a
+	// new one; Preempts counts preemptions this process has applied to
+	// the job.
 	Lane      int
 	Budget    Budget
 	Preempted bool
@@ -83,9 +85,6 @@ type Job struct {
 	// the executor — SetPause itself is not goroutine-safe, so the
 	// request travels as a flag, never a direct pause).
 	preemptReq atomic.Bool
-	// resume marks the next execution lease as the continuation of a
-	// preempted one: it re-leases without burning a retry attempt.
-	resume bool
 
 	// refs counts live waiters. A job submitted synchronously (detached
 	// == false) whose last waiter disconnects before completion is
@@ -133,6 +132,7 @@ const (
 	ReasonRetries    = "retries-exhausted"
 	ReasonDeadline   = "deadline-exceeded"
 	ReasonNotDurable = "not-durable" // the accepted record did not reach the journal (ErrNotDurable)
+	ReasonResultGone = "result-gone" // a replayed done job whose artifacts the cache no longer holds
 )
 
 // JobError is the structured terminal diagnosis of a job that the
@@ -144,7 +144,7 @@ const (
 type JobError struct {
 	ID       string
 	Key      string
-	Reason   string // ReasonRetries, ReasonDeadline, ReasonNotDurable, or ReasonBudget
+	Reason   string // ReasonRetries, ReasonDeadline, ReasonNotDurable, ReasonResultGone, or ReasonBudget
 	Attempts int
 	Err      error // last attempt's error (nil when recovered from the journal)
 }
@@ -185,11 +185,11 @@ func advanceLocked(j *Job, r jrec) {
 	case opAccepted:
 		j.Status = StatusQueued
 		j.Attempt, j.Ckpt = r.Attempt, r.Cycle
-		j.Preempted, j.resume = r.Preempted, r.Preempted
+		j.Preempted = r.Preempted
 	case opStarted:
 		j.Status = StatusRunning
 		j.Attempt = max(j.Attempt, r.Attempt)
-		j.Preempted, j.resume = false, false
+		j.Preempted = false
 	case opCheckpoint:
 		j.Ckpt = max(j.Ckpt, r.Cycle)
 	case opPreempted:
@@ -198,7 +198,7 @@ func advanceLocked(j *Job, r jrec) {
 		// record is all that survives a crash, in the next.
 		j.Status = StatusQueued
 		j.Ckpt = max(j.Ckpt, r.Cycle)
-		j.Preempted, j.resume = true, true
+		j.Preempted = true
 	}
 }
 
@@ -328,7 +328,11 @@ var jobSeq = regexp.MustCompile(`^j(\d+)-`)
 // submission was never acknowledged, so there is nothing to honor.
 //
 // Each job then settles or re-enqueues, first rule that applies:
-//   - the journal holds its verdict → settle with it.
+//   - the journal holds its verdict → settle with it. Done must mean
+//     fetchable: a done verdict whose artifacts the cache does not hold
+//     (a memory-only cache died with the process, or the key moved to a
+//     new result epoch) settles failed, ReasonResultGone; resubmitting
+//     the request simulates it afresh.
 //   - the result cache has the key → the job finished; the crash beat
 //     the terminal record. Settle done (dedupe: never re-simulate).
 //   - attempts ≥ MaxRetries → every lease expired; fail with a JobError
@@ -379,6 +383,11 @@ func (s *Server) recover(payloads [][]byte) []*Job {
 		case j == nil || r.Op == opAccepted:
 		case JobStatus(r.Op).Terminal():
 			res, err := verdict(j, r)
+			if err == nil {
+				if _, ok := s.cache.Get(j.Key); !ok {
+					err = &JobError{ID: j.ID, Key: j.Key, Reason: ReasonResultGone, Attempts: j.Attempt}
+				}
+			}
 			s.settleLocked(j, res, err)
 		default:
 			advanceLocked(j, r)
@@ -389,12 +398,13 @@ func (s *Server) recover(payloads [][]byte) []*Job {
 	var enqueue []*Job
 	for _, id := range s.order {
 		j := s.jobs[id]
-		// Peek (not a directory probe) so the dedupe verifies the entry's
+		if j.Status.Terminal() {
+			continue // the journal held its verdict
+		}
+		// Get (not a directory probe) so the dedupe verifies the entry's
 		// manifest: a torn cache entry must re-run, not satisfy the job.
-		_, cached := s.cache.Peek(j.Key)
+		_, cached := s.cache.Get(j.Key)
 		switch {
-		case j.Status.Terminal():
-			// The journal held its verdict.
 		case cached:
 			// Finished before the crash; only the terminal record was lost.
 			s.reg.Counter("serve.resume.deduped").Inc()

@@ -118,7 +118,7 @@ func TestReplayEveryPrefix(t *testing.T) {
 		if got := s.reg.CounterValue("serve.jobs.completed"); got != 1 {
 			t.Fatalf("serve.jobs.completed = %d, want 1 (settled exactly once)", got)
 		}
-		gotArt, ok := s.cache.Peek(j.Key)
+		gotArt, ok := s.cache.Get(j.Key)
 		if !ok {
 			t.Fatal("done job has no artifacts")
 		}

@@ -206,7 +206,7 @@ func TestPreemptResumeBitIdentical(t *testing.T) {
 			if j.Result.Cycles != wantRes.Cycles || j.Result.Checksum != wantRes.Checksum {
 				t.Fatalf("resumed result diverged: %+v != %+v", j.Result, wantRes)
 			}
-			gotArt, ok := s.cache.Peek(j.Key)
+			gotArt, ok := s.cache.Get(j.Key)
 			if !ok {
 				t.Fatal("done job has no artifacts")
 			}
@@ -291,7 +291,7 @@ func TestPreemptedCrashReplay(t *testing.T) {
 	if got := s2.reg.CounterValue("serve.resume.restores"); got < 1 {
 		t.Fatalf("serve.resume.restores = %d, want >= 1 (replayed job did not resume from its image)", got)
 	}
-	gotArt, ok := s2.cache.Peek(j2.Key)
+	gotArt, ok := s2.cache.Get(j2.Key)
 	if !ok {
 		t.Fatal("done job has no artifacts")
 	}
@@ -333,7 +333,7 @@ func TestPreemptDuringDrain(t *testing.T) {
 	if j.Status != StatusDone {
 		t.Fatalf("after drain: status=%s err=%q (preempted job lost to the race)", j.Status, j.Err)
 	}
-	gotArt, ok := s.cache.Peek(j.Key)
+	gotArt, ok := s.cache.Get(j.Key)
 	if !ok {
 		t.Fatal("done job has no artifacts")
 	}

@@ -288,7 +288,10 @@ func TestServerCacheHit(t *testing.T) {
 	if !bytes.Equal(sum1, sum2) {
 		t.Fatal("cached artifact differs from the original")
 	}
-	if _, hits, _ := s.cache.Stats(); hits == 0 {
+	s.mu.Lock()
+	hits := s.reg.CounterValue("serve.cache.hits")
+	s.mu.Unlock()
+	if hits == 0 {
 		t.Fatal("cache recorded no hit")
 	}
 }
@@ -425,7 +428,7 @@ func TestServerDrainDeadline(t *testing.T) {
 			t.Fatalf("job %s settled as %s, want canceled", j.ID, v.Status)
 		}
 	}
-	if _, ok := s.cache.Peek(jobs[0].Key); ok {
+	if _, ok := s.cache.Get(jobs[0].Key); ok {
 		t.Fatal("canceled job left a cache entry (partial artifacts)")
 	}
 }
@@ -513,9 +516,16 @@ func TestHTTPAPI(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	var health struct {
+		Cache map[string]uint64 `json:"cache"`
+	}
+	err = json.NewDecoder(resp.Body).Decode(&health)
 	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("healthz: %d", resp.StatusCode)
+	if resp.StatusCode != http.StatusOK || err != nil {
+		t.Fatalf("healthz: %d, %v", resp.StatusCode, err)
+	}
+	if health.Cache["hits"] != 1 || health.Cache["misses"] != 1 {
+		t.Fatalf("healthz cache block = %v, want 1 hit and 1 miss", health.Cache)
 	}
 	mresp, err := http.Get(ts.URL + "/metrics")
 	if err != nil {

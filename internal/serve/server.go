@@ -292,9 +292,9 @@ func (s *Server) Submit(req *Request, detached bool) (*Job, error) {
 
 	// Pull a disk-resident entry into memory before taking mu: the read
 	// and its SHA-256 check must not stall every View, /metrics, settle
-	// and Submit behind them. Uncounted, so the Get under mu — now a map
-	// hit — keeps the hit/miss accounting where the admission order puts it.
-	s.cache.Peek(key)
+	// and Submit behind them. The Get under mu is then a map hit, and the
+	// hit/miss count stays where the admission order puts it.
+	s.cache.Get(key)
 
 	s.mu.Lock()
 	j, accepted, err := s.admitLocked(c, key, detached)
@@ -343,8 +343,10 @@ func (s *Server) admitLocked(c *Request, key string, detached bool) (*Job, *jrec
 	}
 
 	// Cache: an identical completed request is served without touching
-	// the queue at all.
+	// the queue at all. Every admission that gets this far counts one hit
+	// or one miss.
 	if _, ok := s.cache.Get(key); ok {
+		s.reg.Counter("serve.cache.hits").Inc()
 		j := s.newJobLocked(c, key, detached)
 		j.Cached = true
 		s.registerLocked(j)
@@ -352,6 +354,7 @@ func (s *Server) admitLocked(c *Request, key string, detached bool) (*Job, *jrec
 		s.settleLocked(j, &Result{ChecksumOK: true}, nil)
 		return j, nil, nil
 	}
+	s.reg.Counter("serve.cache.misses").Inc()
 
 	// Admission: the governance checks (estimate the budget, reject
 	// over-budget and pressure-shed submissions), then the queue bound.
@@ -425,7 +428,7 @@ func (s *Server) Artifact(j *Job, name string) ([]byte, bool) {
 	if !ValidArtifactName(name) {
 		return nil, false
 	}
-	art, ok := s.cache.Peek(j.Key)
+	art, ok := s.cache.Get(j.Key)
 	if !ok {
 		return nil, false
 	}
@@ -510,7 +513,7 @@ func (s *Server) runJob(j *Job) {
 			return
 		}
 		attempt, started := j.Attempt, time.Now()
-		if !j.resume || attempt == 0 {
+		if !j.Preempted || attempt == 0 {
 			// A fresh lease burns an attempt; a resume lease continues the
 			// one its preemption interrupted.
 			if attempt++; attempt > 1 {
@@ -569,7 +572,7 @@ func (s *Server) runJob(j *Job) {
 			err = &JobError{ID: j.ID, Key: j.Key, Reason: ReasonBudget, Attempts: attempt, Err: err}
 		case attempt >= s.cfg.MaxRetries:
 			err = &JobError{ID: j.ID, Key: j.Key, Reason: ReasonRetries, Attempts: attempt, Err: err}
-		case sleepBackoff(ctx, s.cfg.retryBackoff, attempt):
+		case sleep(ctx, backoff(s.cfg.retryBackoff, 32*s.cfg.retryBackoff, attempt)):
 			continue // the next lease burns the next attempt
 		default:
 			err = context.Cause(ctx) // canceled mid-backoff: a dying job does not sit it out
@@ -579,15 +582,22 @@ func (s *Server) runJob(j *Job) {
 	}
 }
 
-// sleepBackoff waits out the jittered exponential backoff before retry
-// `attempt+1`: base·2^(attempt−1), jittered uniformly over ±50%, capped
-// at 32·base. Returns false if ctx is canceled first.
-func sleepBackoff(ctx context.Context, base time.Duration, attempt int) bool {
-	if attempt > 5 {
-		attempt = 6 // 2^5 = 32·base cap
+// backoff is the jittered exponential backoff before retry attempt+1,
+// for the server's leases and the client's requests alike:
+// base·2^(attempt−1), capped at limit, then drawn uniformly from
+// [d/2, 3d/2).
+func backoff(base, limit time.Duration, attempt int) time.Duration {
+	d := base
+	for i := 1; i < attempt && d < limit; i++ {
+		d *= 2
 	}
-	d := base << (attempt - 1)
-	d = d/2 + rand.N(d) // uniform in [d/2, 3d/2)
+	d = min(d, limit)
+	return d/2 + rand.N(d)
+}
+
+// sleep waits d and reports true, or reports false as soon as ctx is
+// done.
+func sleep(ctx context.Context, d time.Duration) bool {
 	select {
 	case <-time.After(d):
 		return true
@@ -692,14 +702,13 @@ func (s *Server) Drain(ctx context.Context) error {
 }
 
 // Metrics renders the service metrics registry plus the live gauges
-// (queue depth, in-flight jobs, cache hit rate) as plain text.
+// (queue depth, in-flight jobs, cache entries) as plain text.
 func (s *Server) Metrics() string {
 	queued := s.queue.len()
 	waitEst := s.EstimatedRetryAfter()
 	_, running, _, _, _ := s.Counts()
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	entries, hits, misses := s.cache.Stats()
 	warmHits, warmMisses := s.warm.Stats()
 	s.reg.Counter("serve.warm.forks").Set(warmHits)
 	s.reg.Counter("serve.warm.prepares").Set(warmMisses)
@@ -707,9 +716,7 @@ func (s *Server) Metrics() string {
 	s.reg.Counter("serve.queue.capacity").Set(uint64(s.cfg.QueueDepth))
 	s.reg.Counter("serve.queue.wait_est_ms").Set(uint64(waitEst.Milliseconds()))
 	s.reg.Counter("serve.jobs.inflight").Set(uint64(running))
-	s.reg.Counter("serve.cache.entries").Set(uint64(entries))
-	s.reg.Counter("serve.cache.hits").Set(hits)
-	s.reg.Counter("serve.cache.misses").Set(misses)
+	s.reg.Counter("serve.cache.entries").Set(uint64(s.cache.Len()))
 	if s.governed() {
 		s.reg.Counter("serve.pressure.committed_bytes").Set(s.committed)
 		s.reg.Counter("serve.pressure.budget_bytes").Set(s.cfg.MemBudget)
