@@ -10,16 +10,17 @@
 //	mispserve [-addr :8077] [-queue 64] [-workers N] [-cachedir DIR] [-drain 30s]
 //	          [-journal DIR] [-checkpoint-cycles N] [-max-retries N] [-job-timeout D]
 //	          [-mem-budget 2g]
-//	mispserve submit -app dense_mmm [-size test] [-priority interactive] [-wait] [-server URL] [flags...]
+//	mispserve submit -app dense_mmm [-size test] [-wait] [-server URL] [flags...]
 //	mispserve submit -sweep -exp table1 [-apps a,b] [-wait] [-server URL]
 //	mispserve status [-id JOB | -list] [-server URL]
 //	mispserve fetch -id JOB -name table1.csv [-o FILE] [-server URL]
 //	mispserve -version
 //
 // With -mem-budget the daemon governs its memory: admissions carry
-// resource budgets, a pressure monitor sheds load as the heap climbs
-// toward the budget, and at the critical watermark the largest running
-// job is checkpoint-preempted instead of letting the host OOM.
+// resource budgets, a pressure monitor sheds every fresh admission once
+// the heap reaches 70% of the budget, and at 95% it holds the queue and
+// checkpoint-preempts the largest running job instead of letting the
+// host OOM.
 // /healthz/live and /healthz/ready split liveness from readiness for
 // load balancers.
 //
@@ -199,8 +200,7 @@ func clientSubmit(args []string) {
 	faultPeriod := fs.Uint64("faultperiod", 0, "mean retirements between faults (0 = off)")
 	faultKinds := fs.String("faultkinds", "", "comma-separated fault kinds")
 	trace := fs.Bool("trace", false, "run: record the Chrome trace artifact")
-	parallel := fs.Int("parallel", 0, "host workers inside the job (sweep fan-out)")
-	priority := fs.String("priority", "", "queue lane: interactive or batch (default)")
+	parallel := fs.Int("parallel", 0, "sweep: host workers for the fan-out")
 	wait := fs.Bool("wait", false, "block until the job completes")
 	fs.Parse(args)
 
@@ -213,7 +213,6 @@ func clientSubmit(args []string) {
 		FaultPeriod: *faultPeriod,
 		Trace:       *trace,
 		Parallel:    *parallel,
-		Priority:    *priority,
 		Seqs:        *seqs,
 		Exp:         *expName,
 	}

@@ -14,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	"misp/internal/fault"
 	"misp/internal/journal"
 )
 
@@ -409,6 +410,33 @@ func TestRetryExhaustionDiagnosis(t *testing.T) {
 	}
 }
 
+// TestCycleLimitNeverRetries: core's cycle-limit abort is deterministic,
+// so a job that hits it fails at once with reason budget-exceeded — on a
+// daemon without a memory budget too — instead of re-running the same
+// cycles to the same verdict.
+func TestCycleLimitNeverRetries(t *testing.T) {
+	s := newTestServer(t, Config{Workers: 1, MaxRetries: 3, retryBackoff: time.Millisecond})
+	var calls atomic.Int32
+	s.exec = func(ctx context.Context, j *Job) (Artifacts, *Result, error) {
+		calls.Add(1)
+		return nil, nil, &fault.Diagnosis{Reason: fault.ReasonCycleLimit}
+	}
+	j, err := s.Submit(tinyRun(), true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitJob(t, j)
+	if got := calls.Load(); got != 1 {
+		t.Fatalf("executed %d attempts, want 1", got)
+	}
+	if v := s.View(j, false); v.Status != StatusFailed || v.Failure != ReasonBudget {
+		t.Fatalf("status=%s failure_reason=%q, want failed/%s", v.Status, v.Failure, ReasonBudget)
+	}
+	if got := s.reg.CounterValue("serve.jobs.retries"); got != 0 {
+		t.Fatalf("serve.jobs.retries = %d, want 0", got)
+	}
+}
+
 // TestJobTimeoutDiagnosis: the per-job deadline settles the job as a
 // failed JobError (reason deadline-exceeded), not a bare cancellation.
 func TestJobTimeoutDiagnosis(t *testing.T) {
@@ -504,9 +532,11 @@ func TestServerTornJournalTail(t *testing.T) {
 }
 
 // TestReplayToleratesRemovedKnobs: a journal written before the
-// data-window, superblock and legacy-loop request fields were removed still carries
-// them in its accepted records. Replay is lenient where the HTTP
-// decoder is strict: the job must recover and settle.
+// data-window, superblock, legacy-loop and priority request fields were
+// removed still carries them in its accepted records, beside a run's
+// parallel setting, which canonicalization now zeroes. Replay is lenient
+// where the HTTP decoder is strict: the job must recover under the same
+// key and settle.
 func TestReplayToleratesRemovedKnobs(t *testing.T) {
 	jdir, cdir := durableDirs(t)
 	c := mustCanonical(t, tinyRun())
@@ -516,7 +546,7 @@ func TestReplayToleratesRemovedKnobs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	oldReq := strings.TrimSuffix(string(req), "}") + `,"no_data_window":true,"no_superblock":true,"legacy_loop":true}`
+	oldReq := strings.TrimSuffix(string(req), "}") + `,"no_data_window":true,"no_superblock":true,"legacy_loop":true,"priority":"interactive","parallel":4}`
 	rec := fmt.Sprintf(`{"op":%q,"id":%q,"key":%q,"req":%s}`, opAccepted, id, c.Key(), oldReq)
 
 	if err := os.MkdirAll(jdir, 0o755); err != nil {
@@ -543,6 +573,9 @@ func TestReplayToleratesRemovedKnobs(t *testing.T) {
 	j, ok := s.Job(id)
 	if !ok {
 		t.Fatal("accepted record carrying removed fields was not recovered")
+	}
+	if j.Key != c.Key() {
+		t.Fatalf("recovered under key %s, want %s", j.Key, c.Key())
 	}
 	waitJob(t, j)
 	if j.Status != StatusDone {

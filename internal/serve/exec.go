@@ -103,9 +103,6 @@ type CheckpointSpec struct {
 	// persists an image at the current cycle and aborts the lease with
 	// ErrPreempted. nil never preempts.
 	Preempt func() bool
-	// MaxCycles tightens the machine's cycle-limit abort to the job's
-	// admission budget (0 = leave the workload default).
-	MaxCycles uint64
 
 	OnCheckpoint func(cycle uint64) // after an image is durably persisted
 	OnRestore    func(cycle uint64) // resumed from an image at this cycle
@@ -168,12 +165,6 @@ func executeRun(ctx context.Context, c *Request, warm *workloads.WarmPool, cs *C
 	w, size, cfg, err := runSetup(c)
 	if err != nil {
 		return nil, nil, err
-	}
-	if cs != nil && cs.MaxCycles > 0 && (cfg.MaxCycles == 0 || cs.MaxCycles < cfg.MaxCycles) {
-		// The admission cycle budget composes with the workload's own
-		// deadlock guard: whichever is tighter aborts the run (MaxCycles
-		// is run-only config, so this never perturbs image identity).
-		cfg.MaxCycles = cs.MaxCycles
 	}
 
 	ckpting := cs.enabled()

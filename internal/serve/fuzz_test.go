@@ -14,7 +14,8 @@ import (
 // FuzzRequest decodes arbitrary bytes exactly as handleSubmit does and
 // canonicalizes the result. Neither step may panic, and a canonical
 // request must be a fixed point: it re-canonicalizes to a deep-equal
-// request with the same 64-hex-digit key.
+// request with the same 64-hex-digit key. A canonical run's JSON — what
+// its summary.json embeds — must not depend on Parallel.
 func FuzzRequest(f *testing.F) {
 	seeds := []*Request{tinyRun(), {Kind: KindSweep, Apps: []string{"dense_mmm", "kmeans"}, Size: "test", Seqs: 4, Parallel: 4}}
 	for _, g := range goldenRequests() {
@@ -63,6 +64,18 @@ func FuzzRequest(f *testing.F) {
 		}
 		if again.Key() != key {
 			t.Fatalf("re-canonicalized key %s, want %s", again.Key(), key)
+		}
+		if c.Kind == KindRun {
+			par := *c
+			par.Parallel = 4
+			pc, err := par.Canonicalize()
+			if err != nil {
+				t.Fatalf("canonical run with parallel 4 rejected: %v", err)
+			}
+			want, _ := json.Marshal(c)
+			if got, _ := json.Marshal(pc); !bytes.Equal(got, want) {
+				t.Fatalf("parallel changed a canonical run's JSON:\n%s\n%s", want, got)
+			}
 		}
 	})
 }

@@ -13,10 +13,10 @@ import (
 
 // This file is the resource-governance layer: per-job budgets computed
 // at admission (estimated resident host memory from topology/physmem,
-// a simulated-cycle ceiling, a wall-clock allowance), the queue-drain
-// estimator behind computed Retry-After hints, and the host pressure
-// monitor that escalates through shedding, brownout, and cooperative
-// preemption instead of letting the kernel OOM-kill the daemon.
+// a wall-clock allowance), the queue-drain estimator behind computed
+// Retry-After hints, and the host pressure monitor that escalates
+// through shedding and cooperative preemption instead of letting the
+// kernel OOM-kill the daemon.
 
 // Overload-control sentinels, on top of ErrQueueFull/ErrDraining.
 var (
@@ -33,15 +33,13 @@ var (
 
 // Budget is one job's admission-time resource envelope. EstBytes is the
 // projected peak resident host memory (simulated physical memory is
-// allocated eagerly per machine, so it dominates); MaxCycles caps the
-// simulated clock (enforced by core's MaxCycles abort, surfacing as a
-// structured Diagnosis); MaxWall bounds host wall time from admission
-// (enforced as a deadline with a JobError cause). Zero fields are
-// unenforced.
+// allocated eagerly per machine, so it dominates); MaxWall bounds host
+// wall time from admission (enforced as a deadline with a JobError
+// cause). Zero fields are unenforced. The simulated clock has one limit,
+// the workload's own cycle guard that every run carries.
 type Budget struct {
-	EstBytes  uint64        `json:"est_bytes,omitempty"`
-	MaxCycles uint64        `json:"max_cycles,omitempty"`
-	MaxWall   time.Duration `json:"max_wall,omitempty"`
+	EstBytes uint64        `json:"est_bytes,omitempty"`
+	MaxWall  time.Duration `json:"max_wall,omitempty"`
 }
 
 // estMachineOverhead is the per-machine resident estimate beyond the
@@ -49,10 +47,6 @@ type Budget struct {
 // obs buffers, and the snapshot image a checkpoint or warm-pool capture
 // holds transiently.
 const estMachineOverhead = 32 << 20
-
-// JobError failure reason for a blown cycle budget (MaxCycles). Wall
-// budget overruns surface as ReasonDeadline through the deadline path.
-const ReasonBudget = "budget-exceeded"
 
 // estimateBudget computes a canonical request's resource envelope.
 // Estimates are deliberately conservative (admission control must err
@@ -70,11 +64,11 @@ func estimateBudget(c *Request) Budget {
 		b.EstBytes = phys + estMachineOverhead
 		switch c.Size {
 		case "test":
-			b.MaxCycles, b.MaxWall = 2_000_000_000, 5*time.Minute
+			b.MaxWall = 5 * time.Minute
 		case "small":
-			b.MaxCycles, b.MaxWall = 200_000_000_000, 30*time.Minute
+			b.MaxWall = 30 * time.Minute
 		default: // ref
-			b.MaxCycles, b.MaxWall = 20_000_000_000_000, 4*time.Hour
+			b.MaxWall = 4 * time.Hour
 		}
 	case KindSweep:
 		points := 3 * len(c.Apps) // every app × 1P/MISP/SMP
@@ -92,8 +86,8 @@ func estimateBudget(c *Request) Budget {
 		// trivial topology probes the per-machine allocation.
 		phys := workloads.DefaultConfig(core.Topology{1}).PhysMem
 		b.EstBytes = uint64(width) * (phys + estMachineOverhead)
-		// Grid points are individually short; only wall time is bounded
-		// (core's MaxCycles guard is per machine, not per sweep).
+		// Grid points are individually short; wall time bounds the sweep
+		// (each machine's cycle guard bounds its grid point).
 		switch c.Size {
 		case "test":
 			b.MaxWall = 20 * time.Minute
@@ -181,37 +175,27 @@ type pressureLevel int32
 const (
 	// pressureNominal: full service.
 	pressureNominal pressureLevel = iota
-	// pressureShed: new batch admissions are shed with a computed
-	// Retry-After; interactive admissions still land.
+	// pressureShed: every fresh admission is shed with a computed
+	// Retry-After, and readiness reports 503.
 	pressureShed
-	// pressureBrownout: all new admissions are shed; jobs that start
-	// executing run in brownout mode — warm-pool forks disabled and
-	// checkpoint cadence reduced — to cap memory growth.
-	pressureBrownout
-	// pressureCritical: the batch lane is held and the largest running
-	// job is cooperatively preempted (paused at a quiescent boundary,
-	// image persisted, re-enqueued) until the heap falls back below the
-	// brownout watermark. Jobs are never killed.
+	// pressureCritical: the queue is held and the largest running job
+	// is cooperatively preempted (paused at a quiescent boundary, image
+	// persisted, re-enqueued) until the heap falls back below the
+	// critical watermark. Jobs are never killed.
 	pressureCritical
 )
 
-// The escalation watermarks, as fractions of Config.MemBudget, and the
-// factor by which a job starting during a brownout stretches its
-// checkpoint cadence (fewer transient capture buffers while the host is
-// tight). Fixed policy: no caller ever set them.
+// The escalation watermarks, as fractions of Config.MemBudget. Fixed
+// policy: no caller ever set them.
 const (
-	shedFrac                = 0.70
-	brownoutFrac            = 0.85
-	criticalFrac            = 0.95
-	brownoutCheckpointScale = 4
+	shedFrac     = 0.70
+	criticalFrac = 0.95
 )
 
 func (l pressureLevel) String() string {
 	switch l {
 	case pressureShed:
 		return "shed"
-	case pressureBrownout:
-		return "brownout"
 	case pressureCritical:
 		return "critical"
 	}
@@ -247,8 +231,8 @@ func (s *Server) governor() {
 func (s *Server) governTick() {
 	budget := s.cfg.MemBudget
 	heap := s.heapBytes()
-	if heap >= uint64(float64(budget)*brownoutFrac) {
-		// Above the brownout watermark the reading must separate live
+	if heap >= uint64(float64(budget)*shedFrac) {
+		// Above the shed watermark the reading must separate live
 		// simulation state from collectable garbage before the daemon
 		// degrades service (or preempts a job) over memory that one GC
 		// would have handed back.
@@ -259,8 +243,6 @@ func (s *Server) governTick() {
 	switch {
 	case heap >= uint64(float64(budget)*criticalFrac):
 		level = pressureCritical
-	case heap >= uint64(float64(budget)*brownoutFrac):
-		level = pressureBrownout
 	case heap >= uint64(float64(budget)*shedFrac):
 		level = pressureShed
 	}
@@ -272,9 +254,6 @@ func (s *Server) governTick() {
 	s.reg.Counter("serve.pressure.heap_bytes").Set(heap)
 	if level != prev {
 		s.reg.Counter("serve.pressure.transitions").Inc()
-		if level >= pressureBrownout && prev < pressureBrownout {
-			s.reg.Counter("serve.pressure.brownouts").Inc()
-		}
 	}
 	s.mu.Unlock()
 	if level != prev {
@@ -304,18 +283,18 @@ func (s *Server) preemptLargest() bool {
 	}
 	s.mu.Unlock()
 	if v != nil {
-		s.logf("preempting job %s (lane %s, est %dMiB)", v.ID, laneName(v.Lane), v.Budget.EstBytes>>20)
+		s.logf("preempting job %s (est %dMiB)", v.ID, v.Budget.EstBytes>>20)
 	}
 	return v != nil
 }
 
 // pickVictimLocked selects the preemption victim among running,
-// preemptable jobs: batch lane before interactive, then the largest
-// estimated memory (the point of preempting is to free the most), then
-// the youngest start (least progress thrown to disk), then job ID for
-// determinism. Only run requests are preemptable — a sweep's machines
-// have no single quiescent pause boundary; sweeps stay bounded by their
-// wall budget instead. Called with mu held.
+// preemptable jobs: the largest estimated memory (the point of
+// preempting is to free the most), then the youngest start (least
+// progress thrown to disk), then job ID for determinism. Only run
+// requests are preemptable — a sweep's machines have no single
+// quiescent pause boundary; sweeps stay bounded by their wall budget
+// instead. Called with mu held.
 func (s *Server) pickVictimLocked() *Job {
 	var v *Job
 	for _, j := range s.jobs {
@@ -331,9 +310,6 @@ func (s *Server) pickVictimLocked() *Job {
 
 // betterVictim reports whether a should be preempted before b.
 func betterVictim(a, b *Job) bool {
-	if a.Lane != b.Lane {
-		return a.Lane < b.Lane // batch (0) before interactive (1)
-	}
 	if a.Budget.EstBytes != b.Budget.EstBytes {
 		return a.Budget.EstBytes > b.Budget.EstBytes
 	}
@@ -372,8 +348,7 @@ func (s *Server) admitGovernedLocked(j *Job) error {
 		return fmt.Errorf("%w (committed %dMiB + estimated %dMiB over %dMiB budget)",
 			ErrPressure, s.committed>>20, j.Budget.EstBytes>>20, s.cfg.MemBudget>>20)
 	}
-	level := s.level()
-	if level >= pressureBrownout || (level >= pressureShed && j.Lane == LaneBatch) {
+	if level := s.level(); level >= pressureShed {
 		s.reg.Counter("serve.pressure.sheds").Inc()
 		return fmt.Errorf("%w (level %s)", ErrPressure, level)
 	}

@@ -94,8 +94,8 @@ func TestDrainEstimatorMonotone(t *testing.T) {
 
 // TestEstimateBudget checks the admission-time envelope: a run is sized
 // by its config's physical memory plus the per-machine overhead, a
-// sweep by its effective width, and the cycle/wall allowances follow
-// the declared size class.
+// sweep by its effective width, and the wall allowance follows the
+// declared size class.
 func TestEstimateBudget(t *testing.T) {
 	run := mustCanonical(t, tinyRun())
 	cfg, err := run.config()
@@ -106,12 +106,12 @@ func TestEstimateBudget(t *testing.T) {
 	if want := cfg.PhysMem + estMachineOverhead; b.EstBytes != want {
 		t.Fatalf("run EstBytes = %d, want %d (physmem + overhead)", b.EstBytes, want)
 	}
-	if b.MaxCycles == 0 || b.MaxWall == 0 {
-		t.Fatalf("run budget leaves cycles/wall unbounded: %+v", b)
+	if b.MaxWall == 0 {
+		t.Fatalf("run budget leaves wall time unbounded: %+v", b)
 	}
 	small := mustCanonical(t, &Request{Kind: KindRun, App: "dense_mmm", Size: "small", Topology: []int{3}})
 	bs := estimateBudget(small)
-	if bs.MaxCycles <= b.MaxCycles || bs.MaxWall <= b.MaxWall {
+	if bs.MaxWall <= b.MaxWall {
 		t.Fatalf("small budget (%+v) not looser than test budget (%+v)", bs, b)
 	}
 
@@ -120,9 +120,6 @@ func TestEstimateBudget(t *testing.T) {
 	perMachine := b.EstBytes // same default physmem per machine
 	if want := 2 * perMachine; sb.EstBytes != want {
 		t.Fatalf("sweep(width 2) EstBytes = %d, want %d", sb.EstBytes, want)
-	}
-	if sb.MaxCycles != 0 {
-		t.Fatalf("sweep budget set a cycle cap (%d); cycles are per machine, not per sweep", sb.MaxCycles)
 	}
 	if sb.MaxWall == 0 {
 		t.Fatal("sweep budget leaves wall time unbounded")
@@ -139,8 +136,7 @@ func TestEstimateBudget(t *testing.T) {
 
 // TestPressureEscalation drives the monitor synchronously through the
 // watermarks with an injected heap reader and checks the level ladder,
-// the batch-lane hold at critical, the transition metrics, and the log
-// lines.
+// the queue hold at critical, the transition metrics, and the log lines.
 func TestPressureEscalation(t *testing.T) {
 	var logs []string
 	s := newTestServer(t, Config{
@@ -157,10 +153,10 @@ func TestPressureEscalation(t *testing.T) {
 	}{
 		{0, pressureNominal, false},
 		{699, pressureNominal, false},
-		{700, pressureShed, false},     // 0.70 × 1000
-		{850, pressureBrownout, false}, // 0.85 × 1000
-		{950, pressureCritical, true},  // 0.95 × 1000
-		{100, pressureNominal, false},  // recovery releases the hold
+		{700, pressureShed, false},    // 0.70 × 1000
+		{949, pressureShed, false},    // between the watermarks
+		{950, pressureCritical, true}, // 0.95 × 1000
+		{100, pressureNominal, false}, // recovery releases the hold
 	}
 	for _, st := range steps {
 		heap = st.heap
@@ -169,34 +165,29 @@ func TestPressureEscalation(t *testing.T) {
 			t.Fatalf("heap %d: level = %s, want %s", st.heap, got, st.want)
 		}
 		if got := s.queue.held(); got != st.held {
-			t.Fatalf("heap %d: batch hold = %v, want %v", st.heap, got, st.held)
+			t.Fatalf("heap %d: queue hold = %v, want %v", st.heap, got, st.held)
 		}
 	}
-	if got := s.reg.CounterValue("serve.pressure.transitions"); got != 4 {
-		t.Fatalf("serve.pressure.transitions = %d, want 4", got)
-	}
-	if got := s.reg.CounterValue("serve.pressure.brownouts"); got != 1 {
-		t.Fatalf("serve.pressure.brownouts = %d, want 1", got)
+	if got := s.reg.CounterValue("serve.pressure.transitions"); got != 3 {
+		t.Fatalf("serve.pressure.transitions = %d, want 3", got)
 	}
 	if got := s.reg.CounterValue("serve.pressure.heap_bytes"); got != 100 {
 		t.Fatalf("serve.pressure.heap_bytes gauge = %d, want last reading 100", got)
 	}
 	joined := strings.Join(logs, "\n")
-	for _, want := range []string{"nominal -> shed", "shed -> brownout", "brownout -> critical", "critical -> nominal"} {
+	for _, want := range []string{"nominal -> shed", "shed -> critical", "critical -> nominal"} {
 		if !strings.Contains(joined, want) {
 			t.Fatalf("logs missing transition %q:\n%s", want, joined)
 		}
 	}
 }
 
-// TestShedByLane: at the shed watermark batch admissions bounce with
-// ErrPressure while interactive ones still land; at brownout everything
-// fresh is shed. Cache hits and coalesced submissions are never shed —
-// they cost no new memory.
-func TestShedByLane(t *testing.T) {
+// TestShedSparesCoalescedAndCached: at the shed watermark every fresh
+// admission bounces with ErrPressure, while coalesced submissions and
+// cache hits still land — they cost no new memory.
+func TestShedSparesCoalescedAndCached(t *testing.T) {
 	s := newTestServer(t, Config{Workers: 1, MemBudget: 1 << 30, pressureTick: quietTick})
 	block := make(chan struct{})
-	defer close(block)
 	s.exec = func(ctx context.Context, j *Job) (Artifacts, *Result, error) {
 		select {
 		case <-block:
@@ -205,34 +196,26 @@ func TestShedByLane(t *testing.T) {
 		return Artifacts{"summary.json": []byte("{}")}, &Result{ChecksumOK: true}, nil
 	}
 
-	s.pressure.Store(int32(pressureShed))
-	batch := &Request{Kind: KindRun, App: "dense_mmm", Size: "test", Topology: []int{2}}
-	if _, err := s.Submit(batch, true); !errors.Is(err, ErrPressure) {
-		t.Fatalf("batch admission at shed level: err = %v, want ErrPressure", err)
-	}
-	inter := &Request{Kind: KindRun, App: "dense_mmm", Size: "test", Topology: []int{3}, Priority: "interactive"}
-	j, err := s.Submit(inter, true)
+	j, err := s.Submit(tinyRun(), true)
 	if err != nil {
-		t.Fatalf("interactive admission at shed level: %v", err)
+		t.Fatal(err)
 	}
-	if j.Lane != LaneInteractive {
-		t.Fatalf("admitted job lane = %s, want interactive", laneName(j.Lane))
+	s.pressure.Store(int32(pressureShed))
+	fresh := &Request{Kind: KindRun, App: "dense_mmm", Size: "test", Topology: []int{2}}
+	if _, err := s.Submit(fresh, true); !errors.Is(err, ErrPressure) {
+		t.Fatalf("fresh admission at shed level: err = %v, want ErrPressure", err)
 	}
-	// The same canonical request coalesces instead of shedding, even for
-	// the batch flavor (priority is execution-only, not part of the key).
-	interAsBatch := &Request{Kind: KindRun, App: "dense_mmm", Size: "test", Topology: []int{3}}
-	j2, err := s.Submit(interAsBatch, true)
-	if err != nil || j2 != j {
+	if j2, err := s.Submit(tinyRun(), true); err != nil || j2 != j {
 		t.Fatalf("coalesce under shed: job %p err %v, want %p nil", j2, err, j)
 	}
-
-	s.pressure.Store(int32(pressureBrownout))
-	inter2 := &Request{Kind: KindRun, App: "dense_mmm", Size: "test", Topology: []int{4}, Priority: "interactive"}
-	if _, err := s.Submit(inter2, true); !errors.Is(err, ErrPressure) {
-		t.Fatalf("interactive admission at brownout: err = %v, want ErrPressure", err)
+	close(block)
+	waitJob(t, j)
+	hit, err := s.Submit(tinyRun(), true)
+	if err != nil || !hit.Cached {
+		t.Fatalf("cache hit under shed: err %v, want a cached job", err)
 	}
-	if got := s.reg.CounterValue("serve.pressure.sheds"); got != 2 {
-		t.Fatalf("serve.pressure.sheds = %d, want 2", got)
+	if got := s.reg.CounterValue("serve.pressure.sheds"); got != 1 {
+		t.Fatalf("serve.pressure.sheds = %d, want 1", got)
 	}
 }
 
@@ -300,11 +283,11 @@ func TestCommitmentShedding(t *testing.T) {
 	waitJob(t, j2)
 }
 
-// TestHealthzProbes: /healthz/live stays 200 through brownout and
-// drain (alive ≠ ready; restarting a browned-out daemon would destroy
-// its backlog), while /healthz/ready flips to 503 — with a Retry-After
-// hint — under brownout and while draining, and /healthz gains the
-// pressure block when governed.
+// TestHealthzProbes: /healthz/live stays 200 under pressure and through
+// drain (alive ≠ ready; restarting a shedding daemon would destroy its
+// backlog), while /healthz/ready flips to 503 — with a Retry-After hint
+// — at every level that sheds and while draining: readiness agrees with
+// admission. /healthz gains the pressure block when governed.
 func TestHealthzProbes(t *testing.T) {
 	s := newTestServer(t, Config{Workers: 1, MemBudget: 1 << 30, pressureTick: quietTick})
 	ts := httptest.NewServer(s.Handler())
@@ -324,29 +307,38 @@ func TestHealthzProbes(t *testing.T) {
 		return resp.StatusCode, body, resp.Header
 	}
 
-	if code, body, _ := get("/healthz/live"); code != http.StatusOK || body["status"] != "live" {
-		t.Fatalf("live: %d %v", code, body)
+	for _, lv := range []struct {
+		level  pressureLevel
+		code   int
+		status string
+		held   bool
+	}{
+		{pressureNominal, http.StatusOK, "ready", false},
+		{pressureShed, http.StatusServiceUnavailable, "shed", false},
+		{pressureCritical, http.StatusServiceUnavailable, "critical", true},
+	} {
+		s.pressure.Store(int32(lv.level))
+		s.queue.setHold(lv.held)
+		code, body, hdr := get("/healthz/ready")
+		if code != lv.code || body["status"] != lv.status {
+			t.Fatalf("ready (%s): %d %v, want %d %q", lv.level, code, body, lv.code, lv.status)
+		}
+		if ra, err := strconv.Atoi(hdr.Get("Retry-After")); code != http.StatusOK && (err != nil || ra < 1) {
+			t.Fatalf("ready 503 (%s) Retry-After = %q, want integer >= 1", lv.level, hdr.Get("Retry-After"))
+		}
+		if code, body, _ := get("/healthz/live"); code != http.StatusOK || body["status"] != "live" {
+			t.Fatalf("live (%s): %d %v", lv.level, code, body)
+		}
+		_, body, _ = get("/healthz")
+		p, ok := body["pressure"].(map[string]any)
+		if !ok {
+			t.Fatal("/healthz on a governed daemon lacks the pressure block")
+		}
+		if p["level"] != lv.level.String() || p["held"] != lv.held {
+			t.Fatalf("/healthz pressure = %v, want level %s held %v", p, lv.level, lv.held)
+		}
 	}
-	if code, body, _ := get("/healthz/ready"); code != http.StatusOK || body["status"] != "ready" {
-		t.Fatalf("ready (nominal): %d %v", code, body)
-	}
-
-	s.pressure.Store(int32(pressureBrownout))
-	code, body, hdr := get("/healthz/ready")
-	if code != http.StatusServiceUnavailable || body["status"] != "brownout" {
-		t.Fatalf("ready (brownout): %d %v", code, body)
-	}
-	if ra, err := strconv.Atoi(hdr.Get("Retry-After")); err != nil || ra < 1 {
-		t.Fatalf("ready 503 Retry-After = %q, want integer >= 1", hdr.Get("Retry-After"))
-	}
-	if code, _, _ := get("/healthz/live"); code != http.StatusOK {
-		t.Fatal("liveness flipped under brownout")
-	}
-	if _, body, _ := get("/healthz"); body["pressure"] == nil {
-		t.Fatal("/healthz on a governed daemon lacks the pressure block")
-	} else if p := body["pressure"].(map[string]any); p["level"] != "brownout" {
-		t.Fatalf("/healthz pressure.level = %v, want brownout", p["level"])
-	}
+	s.queue.setHold(false)
 
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()

@@ -35,7 +35,6 @@ type JobView struct {
 	// persisted image awaiting its resume lease; Preempts counts how
 	// often that has happened; MemEstBytes is the admission-time memory
 	// estimate (zero without Config.MemBudget).
-	Lane        string `json:"lane,omitempty"`
 	Preempted   bool   `json:"preempted,omitempty"`
 	Preempts    int    `json:"preempts,omitempty"`
 	MemEstBytes uint64 `json:"mem_est_bytes,omitempty"`
@@ -56,7 +55,6 @@ func (s *Server) View(j *Job, withRequest bool) JobView {
 		Attempts:    j.Attempt,
 		Checkpoint:  j.Ckpt,
 		Recovered:   j.Recovered,
-		Lane:        laneName(j.Lane),
 		Preempted:   j.Preempted,
 		Preempts:    j.Preempts,
 		MemEstBytes: j.Budget.EstBytes,
@@ -302,25 +300,25 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		body["pressure"] = map[string]any{
 			"level":        s.level().String(),
 			"budget_bytes": s.cfg.MemBudget,
-			"batch_held":   s.queue.held(),
+			"held":         s.queue.held(),
 		}
 	}
 	writeJSON(w, code, body)
 }
 
 // handleLive is the liveness probe: the process is up and serving HTTP.
-// Always 200 — a draining or browned-out daemon is still alive and must
+// Always 200 — a draining or shedding daemon is still alive and must
 // not be restarted out from under its backlog.
 func (s *Server) handleLive(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]string{"status": "live"})
 }
 
 // handleReady is the readiness probe: 200 only while the daemon is
-// accepting new work. Draining and pressure at or above the brownout
-// watermark (where all fresh admissions shed) report 503 so load
+// accepting new work. Draining and pressure at or above the shed
+// watermark (where every fresh admission sheds) report 503 so load
 // balancers steer traffic elsewhere without killing the instance.
 func (s *Server) handleReady(w http.ResponseWriter, r *http.Request) {
-	ready := !s.Draining() && (!s.governed() || s.level() < pressureBrownout)
+	ready := !s.Draining() && s.level() == pressureNominal
 	status, code := "ready", http.StatusOK
 	if !ready {
 		code = http.StatusServiceUnavailable

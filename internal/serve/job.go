@@ -64,14 +64,11 @@ type Job struct {
 	Recovered bool
 	Failure   *JobError
 
-	// Governance state. Lane is the priority lane ordering the queue
-	// (execution-only, from Request.Priority); Budget is the admission-
-	// time resource envelope (zero without Config.MemBudget); Preempted
-	// marks a job currently re-queued after a cooperative preemption,
-	// whose next lease resumes the preempted attempt instead of burning a
-	// new one; Preempts counts preemptions this process has applied to
-	// the job.
-	Lane      int
+	// Governance state. Budget is the admission-time resource envelope
+	// (zero without Config.MemBudget); Preempted marks a job currently
+	// re-queued after a cooperative preemption, whose next lease resumes
+	// the preempted attempt instead of burning a new one; Preempts counts
+	// preemptions this process has applied to the job.
 	Budget    Budget
 	Preempted bool
 	Preempts  int
@@ -127,17 +124,18 @@ type jrec struct {
 	Preempted bool     `json:"preempted,omitempty"` // accepted (compaction fold) only
 }
 
-// JobError failure reasons. ReasonBudget lives in governor.go.
+// JobError failure reasons.
 const (
 	ReasonRetries    = "retries-exhausted"
 	ReasonDeadline   = "deadline-exceeded"
-	ReasonNotDurable = "not-durable" // the accepted record did not reach the journal (ErrNotDurable)
-	ReasonResultGone = "result-gone" // a replayed done job whose artifacts the cache no longer holds
+	ReasonBudget     = "budget-exceeded" // the run hit its cycle limit: deterministic, never retried
+	ReasonNotDurable = "not-durable"     // the accepted record did not reach the journal (ErrNotDurable)
+	ReasonResultGone = "result-gone"     // a replayed done job whose artifacts the cache no longer holds
 )
 
 // JobError is the structured terminal diagnosis of a job that the
 // durable plane gave up on: retries exhausted, the per-job deadline hit,
-// or the cycle budget blown. It is errors.As-reachable from the job's
+// or the cycle limit reached. It is errors.As-reachable from the job's
 // terminal error (and from Job.Failure), wraps the last attempt's error,
 // and is journaled so the verdict survives restarts — a job never just
 // vanishes.
@@ -359,7 +357,7 @@ func (s *Server) recover(payloads [][]byte) []*Job {
 			}
 		}
 		j := &Job{
-			ID: r.ID, Key: c.Key(), Req: c, Lane: laneOf(c),
+			ID: r.ID, Key: c.Key(), Req: c,
 			// The journal records no admission time: a recovered job's
 			// deadline clock restarts at this boot.
 			Created:   time.Now(),

@@ -51,16 +51,15 @@ func gateExec(s *Server) (running <-chan struct{}, release func()) {
 
 // --- victim selection -------------------------------------------------
 
-func victim(id string, lane int, est uint64, started time.Time) *Job {
+func victim(id string, est uint64, started time.Time) *Job {
 	return &Job{
-		ID: id, Lane: lane, Budget: Budget{EstBytes: est}, Started: started,
+		ID: id, Budget: Budget{EstBytes: est}, Started: started,
 		Status: StatusRunning, Req: &Request{Kind: KindRun},
 	}
 }
 
-// TestBetterVictim pins the preemption order: batch before interactive,
-// then largest memory estimate, then least progress (latest start),
-// then job ID for determinism.
+// TestBetterVictim pins the preemption order: largest memory estimate,
+// then least progress (latest start), then job ID for determinism.
 func TestBetterVictim(t *testing.T) {
 	t0 := time.Now()
 	t1 := t0.Add(time.Second)
@@ -69,13 +68,11 @@ func TestBetterVictim(t *testing.T) {
 		a, b *Job
 		want bool
 	}{
-		{"batch-before-interactive", victim("a", LaneBatch, 1, t0), victim("b", LaneInteractive, 100, t0), true},
-		{"interactive-spared", victim("a", LaneInteractive, 100, t0), victim("b", LaneBatch, 1, t0), false},
-		{"larger-estimate-first", victim("a", LaneBatch, 200, t0), victim("b", LaneBatch, 100, t0), true},
-		{"smaller-estimate-spared", victim("a", LaneBatch, 100, t0), victim("b", LaneBatch, 200, t0), false},
-		{"least-progress-first", victim("a", LaneBatch, 100, t1), victim("b", LaneBatch, 100, t0), true},
-		{"most-progress-spared", victim("a", LaneBatch, 100, t0), victim("b", LaneBatch, 100, t1), false},
-		{"id-breaks-ties", victim("a", LaneBatch, 100, t0), victim("b", LaneBatch, 100, t0), true},
+		{"larger-estimate-first", victim("a", 200, t0), victim("b", 100, t0), true},
+		{"smaller-estimate-spared", victim("a", 100, t0), victim("b", 200, t0), false},
+		{"least-progress-first", victim("a", 100, t1), victim("b", 100, t0), true},
+		{"most-progress-spared", victim("a", 100, t0), victim("b", 100, t1), false},
+		{"id-breaks-ties", victim("a", 100, t0), victim("b", 100, t0), true},
 	}
 	for _, tc := range cases {
 		if got := betterVictim(tc.a, tc.b); got != tc.want {
@@ -86,20 +83,20 @@ func TestBetterVictim(t *testing.T) {
 
 // TestPickVictim: only running, not-yet-marked run jobs are candidates
 // — queued jobs, sweeps, and jobs already asked to yield are skipped —
-// and among candidates the batch/largest/youngest order applies.
+// and among candidates the largest/youngest order applies.
 func TestPickVictim(t *testing.T) {
 	s := newTestServer(t, Config{Workers: 1})
 	t0 := time.Now()
 	jobs := []*Job{
-		victim("j1", LaneBatch, 100<<20, t0),
-		victim("j2", LaneBatch, 200<<20, t0), // the pick: batch, largest
-		victim("j3", LaneInteractive, 300<<20, t0),
+		victim("j1", 100<<20, t0),
+		victim("j2", 200<<20, t0),
+		victim("j3", 300<<20, t0), // the pick: largest
 	}
-	queued := victim("j4", LaneBatch, 400<<20, t0)
+	queued := victim("j4", 400<<20, t0)
 	queued.Status = StatusQueued
-	sweep := victim("j5", LaneBatch, 500<<20, t0)
+	sweep := victim("j5", 500<<20, t0)
 	sweep.Req = &Request{Kind: KindSweep}
-	marked := victim("j6", LaneBatch, 600<<20, t0)
+	marked := victim("j6", 600<<20, t0)
 	marked.preemptReq.Store(true)
 	jobs = append(jobs, queued, sweep, marked)
 
@@ -107,7 +104,7 @@ func TestPickVictim(t *testing.T) {
 	for _, j := range jobs {
 		s.jobs[j.ID] = j
 	}
-	for _, want := range []string{"j2", "j1", "j3"} {
+	for _, want := range []string{"j3", "j2", "j1"} {
 		v := s.pickVictimLocked()
 		if v == nil || v.ID != want {
 			s.mu.Unlock()
@@ -134,7 +131,7 @@ func TestPickVictim(t *testing.T) {
 // an eligible victim.
 func TestPreemptRequiresJournal(t *testing.T) {
 	s := newTestServer(t, Config{Workers: 1, MemBudget: 1 << 40, pressureTick: quietTick})
-	j := victim("j1", LaneBatch, 100<<20, time.Now())
+	j := victim("j1", 100<<20, time.Now())
 	s.mu.Lock()
 	s.jobs[j.ID] = j
 	s.mu.Unlock()
@@ -179,7 +176,7 @@ func TestPreemptResumeBitIdentical(t *testing.T) {
 				}
 			}
 			// Arm the preemption while the job is parked behind a held
-			// lane, so the request is visible before the first cycle
+			// queue, so the request is visible before the first cycle
 			// executes and the first pause-slice boundary always yields.
 			// (markVictim against a free-running job races the run's
 			// last boundary — a warm fork finishes in milliseconds.)
@@ -247,7 +244,7 @@ func TestPreemptedCrashReplay(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Once the job is running, hold the batch lane so the preempted job
+	// Once the job is running, hold the queue so the preempted job
 	// cannot be re-leased: the crash below deterministically lands while
 	// it is parked in the queue, preempted record journaled, image on
 	// disk. (The hold must come after dispatch, or the job never starts.)

@@ -30,34 +30,12 @@ func mustPop(t *testing.T, q *laneQueue) *Job {
 	}
 }
 
-// TestLaneQueueOrdering: interactive jobs dispatch before batch jobs
-// regardless of arrival order; within a lane, FIFO.
-func TestLaneQueueOrdering(t *testing.T) {
-	q := newLaneQueue()
-	b1 := &Job{ID: "b1", Lane: LaneBatch}
-	b2 := &Job{ID: "b2", Lane: LaneBatch}
-	i1 := &Job{ID: "i1", Lane: LaneInteractive}
-	for _, j := range []*Job{b1, b2, i1} {
-		if !q.push(j) {
-			t.Fatalf("push(%s) refused on an open queue", j.ID)
-		}
-	}
-	if q.len() != 3 {
-		t.Fatalf("len = %d, want 3", q.len())
-	}
-	for i, want := range []string{"i1", "b1", "b2"} {
-		if got := mustPop(t, q); got.ID != want {
-			t.Fatalf("pop %d = %s, want %s", i, got.ID, want)
-		}
-	}
-}
-
-// TestLaneQueueHold: a held batch lane blocks batch dispatch but not
-// interactive dispatch, and releasing the hold wakes the blocked
-// popper.
+// TestLaneQueueHold: a held queue blocks dispatch, and releasing the
+// hold wakes the blocked popper, which takes the backlog in FIFO order.
 func TestLaneQueueHold(t *testing.T) {
 	q := newLaneQueue()
-	q.push(&Job{ID: "b1", Lane: LaneBatch})
+	q.push(&Job{ID: "j1"})
+	q.push(&Job{ID: "j2"})
 	q.setHold(true)
 	if !q.held() {
 		t.Fatal("held() = false after setHold(true)")
@@ -65,53 +43,43 @@ func TestLaneQueueHold(t *testing.T) {
 	ch := popped(q)
 	select {
 	case j := <-ch:
-		t.Fatalf("held batch lane dispatched %v", j)
+		t.Fatalf("held queue dispatched %v", j)
 	case <-time.After(50 * time.Millisecond):
 	}
-	// Interactive work flows through the hold.
-	q.push(&Job{ID: "i1", Lane: LaneInteractive})
-	select {
-	case j := <-ch:
-		if j.ID != "i1" {
-			t.Fatalf("popped %s through the hold, want i1", j.ID)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("interactive job did not flow through a batch hold")
-	}
-	// Releasing the hold frees the batch backlog.
-	ch = popped(q)
 	q.setHold(false)
 	select {
 	case j := <-ch:
-		if j.ID != "b1" {
-			t.Fatalf("popped %s after release, want b1", j.ID)
+		if j.ID != "j1" {
+			t.Fatalf("popped %s after release, want j1", j.ID)
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("releasing the hold did not wake the popper")
 	}
+	if got := mustPop(t, q); got.ID != "j2" {
+		t.Fatalf("second pop = %s, want j2", got.ID)
+	}
 }
 
 // TestLaneQueueCloseDrainsBacklog: close() stops admission (push
-// returns false) but the backlog — including a held batch lane — still
-// drains before pop reports closed. The drain contract must beat the
-// pressure gate, or a drain under critical pressure would deadlock.
+// returns false) but the backlog — held or not — still drains before
+// pop reports closed. The drain contract must beat the pressure gate,
+// or a drain under critical pressure would deadlock.
 func TestLaneQueueCloseDrainsBacklog(t *testing.T) {
 	q := newLaneQueue()
-	q.push(&Job{ID: "b1", Lane: LaneBatch})
-	q.push(&Job{ID: "i1", Lane: LaneInteractive})
+	q.push(&Job{ID: "j1"})
+	q.push(&Job{ID: "j2"})
 	q.setHold(true)
 	q.close()
-	if q.push(&Job{ID: "late", Lane: LaneBatch}) {
+	if q.push(&Job{ID: "late"}) {
 		t.Fatal("push succeeded on a closed queue")
 	}
 	if q.held() {
 		t.Fatal("held() = true on a closed queue (drain must ignore holds)")
 	}
-	if got := mustPop(t, q); got.ID != "i1" {
-		t.Fatalf("first drained job = %s, want i1", got.ID)
-	}
-	if got := mustPop(t, q); got.ID != "b1" {
-		t.Fatalf("second drained job = %s, want b1 (hold ignored after close)", got.ID)
+	for _, want := range []string{"j1", "j2"} {
+		if got := mustPop(t, q); got.ID != want {
+			t.Fatalf("drained %s, want %s (hold ignored after close)", got.ID, want)
+		}
 	}
 	j, ok := q.pop()
 	if ok || j != nil {

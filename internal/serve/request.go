@@ -10,8 +10,8 @@
 // cost model, fault plan — and is bit-identical across host worker
 // counts and across the legacy and fast execution loops (PR 2–4
 // difftests). The cache key is therefore a hash of the canonical
-// request with every execution-strategy knob (parallelism, loop
-// choice) excluded: a byte-identical request never simulates twice, and
+// request with the one execution-strategy knob (sweep parallelism)
+// excluded: a byte-identical request never simulates twice, and
 // artifacts fetched from the cache are byte-identical to a fresh
 // simulation's.
 package serve
@@ -42,9 +42,9 @@ const (
 // valid; Canonicalize applies defaults and validates.
 //
 // Fields under "result-affecting" define the simulation and feed the
-// cache key. Fields under "execution-only" change how the host
-// schedules the work (never its output) and are excluded from the key:
-// requests differing only in execution knobs share one cache entry.
+// cache key. The one execution-only field changes how the host
+// schedules a sweep (never its output) and is excluded from the key:
+// requests differing only in it share one cache entry.
 type Request struct {
 	// --- result-affecting ---------------------------------------------
 	Kind string `json:"kind,omitempty"` // "run" (default) or "sweep"
@@ -68,8 +68,7 @@ type Request struct {
 	Watchdog    uint64   `json:"watchdog,omitempty"`     // livelock horizon, cycles
 
 	// --- execution-only (never in the cache key) ----------------------
-	Parallel int    `json:"parallel,omitempty"` // host workers for sweep fan-out
-	Priority string `json:"priority,omitempty"` // queue lane: "batch" (default) or "interactive"
+	Parallel int `json:"parallel,omitempty"` // sweep: host workers for the fan-out
 }
 
 // DefaultSignalCost is the paper's conservative signal estimate,
@@ -114,7 +113,7 @@ func (req *Request) Canonicalize() (*Request, error) {
 
 	switch c.Kind {
 	case KindRun:
-		c.Apps, c.Exp, c.Seqs = nil, "", 0
+		c.Apps, c.Exp, c.Seqs, c.Parallel = nil, "", 0, 0
 		if c.App == "" {
 			return nil, fmt.Errorf("serve: run request needs an app")
 		}
@@ -160,24 +159,7 @@ func (req *Request) Canonicalize() (*Request, error) {
 	if c.Parallel < 0 {
 		c.Parallel = 0
 	}
-	switch c.Priority {
-	case "":
-		c.Priority = "batch"
-	case "batch", "interactive":
-	default:
-		return nil, fmt.Errorf("serve: unknown priority %q (want interactive or batch)", c.Priority)
-	}
 	return &c, nil
-}
-
-// laneOf maps a canonical request's priority to its queue lane.
-// Priority is execution-only: it orders dispatch and picks preemption
-// victims, never changes artifacts, and stays out of the cache key.
-func laneOf(c *Request) int {
-	if c.Priority == "interactive" {
-		return LaneInteractive
-	}
-	return LaneBatch
 }
 
 // keySchema versions the canonical encoding; bump it whenever a
@@ -190,14 +172,13 @@ const keySchema = "mispserve/v1"
 // of the golden requests (key blanked). TestRunOutputsGolden fails until
 // the two agree, so a build whose artifacts moved keys its results apart
 // from an older build's in the same cache directory.
-const resultEpoch = "2b705afbdc82"
+const resultEpoch = "fc0a166ad745"
 
 // Key derives the content-address of a canonical request: a SHA-256
 // over the result epoch and a line-oriented rendering of every
 // result-affecting field.
-// Execution-only knobs (Parallel, Priority) are deliberately absent —
-// the simulation is bit-identical across them, so they must map to the
-// same cache entry.
+// The execution-only Parallel is deliberately absent — a sweep is
+// bit-identical across it, so it must map to the same cache entry.
 func (c *Request) Key() string {
 	var b strings.Builder
 	fmt.Fprintln(&b, keySchema)

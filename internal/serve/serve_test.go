@@ -60,24 +60,15 @@ func waitJob(t *testing.T, j *Job) {
 // --- cache-key determinism -------------------------------------------
 
 // TestKeyIgnoresExecutionKnobs: the simulator is bit-identical across
-// host parallelism and queue lanes, so requests differing only in those
-// knobs must share one cache entry.
+// host parallelism, so requests differing only in it must share one
+// cache entry.
 func TestKeyIgnoresExecutionKnobs(t *testing.T) {
 	base := mustCanonical(t, &Request{Kind: KindSweep, Apps: []string{"dense_mmm"}, Size: "test"})
 	want := base.Key()
-	for _, mutate := range []func(r *Request){
-		func(r *Request) { r.Parallel = 1 },
-		func(r *Request) { r.Parallel = 7 },
-		func(r *Request) { r.Priority = "interactive" },
-		func(r *Request) {
-			r.Parallel = 4
-			r.Priority = "interactive"
-		},
-	} {
-		req := &Request{Kind: KindSweep, Apps: []string{"dense_mmm"}, Size: "test"}
-		mutate(req)
+	for _, parallel := range []int{1, 4, 7} {
+		req := &Request{Kind: KindSweep, Apps: []string{"dense_mmm"}, Size: "test", Parallel: parallel}
 		if got := mustCanonical(t, req).Key(); got != want {
-			t.Fatalf("execution-only knob changed the cache key: %s != %s", got, want)
+			t.Fatalf("parallel %d changed the cache key: %s != %s", parallel, got, want)
 		}
 	}
 }
@@ -174,30 +165,40 @@ func TestCanonicalizeZeroesInapplicable(t *testing.T) {
 
 // TestExecuteDeterministicAcrossKnobs: the artifacts (not just the key)
 // must be byte-identical across execution strategies — this is the
-// soundness condition for serving a fast-loop parallel run's bytes to a
-// client that asked with -parallel 1.
+// soundness condition for serving a parallel sweep's bytes to a client
+// that asked with -parallel 1, and for serving a run's summary.json
+// (which embeds the canonical request) to every request with its key.
 func TestExecuteDeterministicAcrossKnobs(t *testing.T) {
-	base := mustCanonical(t, &Request{Kind: KindSweep, Apps: []string{"dense_mmm", "kmeans"}, Size: "test", Seqs: 4})
-	art1, _, err := Execute(context.Background(), base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	variants := []func(r *Request){
-		func(r *Request) { r.Parallel = 4 },
-		func(r *Request) { r.Parallel = 1 },
-	}
-	for i, mutate := range variants {
-		req := &Request{Kind: KindSweep, Apps: []string{"dense_mmm", "kmeans"}, Size: "test", Seqs: 4}
-		mutate(req)
-		c := mustCanonical(t, req)
-		if c.Key() != base.Key() {
-			t.Fatalf("variant %d changed the key", i)
-		}
-		art2, _, err := Execute(context.Background(), c)
-		if err != nil {
-			t.Fatal(err)
-		}
-		assertSameArtifacts(t, art1, art2)
+	for _, tc := range []struct {
+		name      string
+		req       func() *Request
+		parallels []int
+	}{
+		{"sweep", func() *Request {
+			return &Request{Kind: KindSweep, Apps: []string{"dense_mmm", "kmeans"}, Size: "test", Seqs: 4}
+		}, []int{4, 1}},
+		{"run", func() *Request { return &Request{App: "gauss", Size: "test", Topology: []int{3}} }, []int{4}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			base := mustCanonical(t, tc.req())
+			art1, _, err := Execute(context.Background(), base)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, parallel := range tc.parallels {
+				req := tc.req()
+				req.Parallel = parallel
+				c := mustCanonical(t, req)
+				if c.Key() != base.Key() {
+					t.Fatalf("parallel %d changed the key", parallel)
+				}
+				art2, _, err := Execute(context.Background(), c)
+				if err != nil {
+					t.Fatal(err)
+				}
+				assertSameArtifacts(t, art1, art2)
+			}
+		})
 	}
 }
 
@@ -271,7 +272,7 @@ func TestServerCacheHit(t *testing.T) {
 	}
 
 	req2 := tinyRun()
-	req2.Priority = "interactive" // same key: must not re-simulate
+	req2.Parallel = 4 // same key: must not re-simulate
 	j2, err := s.Submit(req2, false)
 	if err != nil {
 		t.Fatal(err)
@@ -658,14 +659,14 @@ func TestSubmitValidation(t *testing.T) {
 }
 
 // TestHTTPRejectsRemovedKnobs: the data-window and superblock ablation
-// fields and the legacy-loop switch are gone from the request model; the strict HTTP decoder must
-// refuse a body that still carries one, naming the field, rather than
-// silently ignoring it.
+// fields, the legacy-loop switch and the priority lane are gone from the
+// request model; the strict HTTP decoder must refuse a body that still
+// carries one, naming the field, rather than silently ignoring it.
 func TestHTTPRejectsRemovedKnobs(t *testing.T) {
 	s := newTestServer(t, Config{Workers: 1})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
-	for _, field := range []string{"no_data_window", "no_superblock", "legacy_loop"} {
+	for _, field := range []string{"no_data_window", "no_superblock", "legacy_loop", "priority"} {
 		body := fmt.Sprintf(`{"kind":"run","app":"dense_mmm","size":"test","topology":[3],%q:true}`, field)
 		resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(body))
 		if err != nil {

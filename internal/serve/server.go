@@ -38,7 +38,7 @@ type Config struct {
 	// (default 64). A full queue rejects with ErrQueueFull.
 	QueueDepth int
 	// Workers is the number of jobs executed concurrently (default
-	// GOMAXPROCS/2, min 1). Each job may itself fan out over
+	// GOMAXPROCS/2, min 1). Each sweep may itself fan out over
 	// Request.Parallel host workers.
 	Workers int
 	// CacheDir persists the result cache across restarts ("" = memory
@@ -70,7 +70,7 @@ type Config struct {
 	// behavior). With a budget set, every admission computes a Budget,
 	// over-budget jobs are rejected outright, the committed estimate is
 	// bounded by the budget, and the pressure monitor escalates through
-	// shed → brownout → preempt as the heap approaches it.
+	// shed → preempt as the heap approaches it.
 	MemBudget uint64
 	// Logf, when set, receives operational log lines (pressure
 	// transitions, preemptions). Printf-style; nil discards.
@@ -190,8 +190,7 @@ func NewServer(cfg Config) (*Server, error) {
 		"serve.resume.jobs", "serve.resume.deduped", "serve.resume.failed",
 		"serve.resume.checkpoints", "serve.resume.restores", "serve.resume.corrupt",
 		"serve.pressure.level", "serve.pressure.heap_bytes", "serve.pressure.sheds",
-		"serve.pressure.transitions", "serve.pressure.brownouts", "serve.pressure.preempt_requests",
-		"serve.brownout.colds", "serve.queue.wait_est_ms",
+		"serve.pressure.transitions", "serve.pressure.preempt_requests", "serve.queue.wait_est_ms",
 	} {
 		s.reg.Counter(name)
 	}
@@ -233,18 +232,13 @@ func NewServer(cfg Config) (*Server, error) {
 
 // executeJob is the default execution path: the warm pool composed
 // with, when the durable plane is configured, periodic mid-run
-// checkpoints journaled per image — plus, under governance, the cycle
-// budget, the preemption poll, and the brownout degradations (a job
-// starting at or above the brownout watermark runs cold, growing no
-// warm-pool image, on a stretched checkpoint cadence). Without a
-// journal directory the spec is disabled and the run goes straight
-// through.
+// checkpoints journaled per image — plus, under governance, the
+// preemption poll. Without a journal directory the spec is disabled and
+// the run goes straight through.
 func (s *Server) executeJob(ctx context.Context, j *Job) (Artifacts, *Result, error) {
-	warm := s.warm
 	cs := &CheckpointSpec{
-		Dir:       s.cfg.JournalDir,
-		Every:     s.cfg.CheckpointCycles,
-		MaxCycles: j.Budget.MaxCycles,
+		Dir:   s.cfg.JournalDir,
+		Every: s.cfg.CheckpointCycles,
 		OnCheckpoint: func(cycle uint64) {
 			s.count("serve.resume.checkpoints")
 			s.step(j, jrec{Op: opCheckpoint, ID: j.ID, Cycle: cycle})
@@ -253,15 +247,10 @@ func (s *Server) executeJob(ctx context.Context, j *Job) (Artifacts, *Result, er
 		OnCorrupt: func(error) { s.count("serve.resume.corrupt") },
 	}
 	if s.governed() {
-		if s.level() >= pressureBrownout {
-			warm = nil
-			cs.Every *= brownoutCheckpointScale
-			s.count("serve.brownout.colds")
-		}
 		cs.Quantum = s.cfg.preemptQuantum
 		cs.Preempt = func() bool { return j.preemptReq.Load() && !s.Draining() }
 	}
-	return ExecuteCheckpointed(ctx, j.Req, warm, cs)
+	return ExecuteCheckpointed(ctx, j.Req, s.warm, cs)
 }
 
 // count bumps one service counter by name, for events outside any
@@ -326,18 +315,11 @@ func (s *Server) admitLocked(c *Request, key string, detached bool) (*Job, *jrec
 		return nil, nil, ErrDraining
 	}
 
-	// Single-flight: piggyback on an identical in-flight job. An
-	// interactive submission promotes the job's lane (best-effort: a
-	// job already sitting in the batch backlog keeps its position, but
-	// dispatch preference and preemption-victim ordering see the
-	// promotion).
+	// Single-flight: piggyback on an identical in-flight job.
 	if j := s.inflight[key]; j != nil {
 		s.reg.Counter("serve.jobs.coalesced").Inc()
 		if detached {
 			j.detached = true
-		}
-		if laneOf(c) == LaneInteractive {
-			j.Lane = LaneInteractive
 		}
 		return j, nil, nil
 	}
@@ -386,7 +368,6 @@ func (s *Server) newJobLocked(c *Request, key string, detached bool) *Job {
 		ID:       fmt.Sprintf("j%d-%s", s.seq, key[:8]),
 		Key:      key,
 		Req:      c,
-		Lane:     laneOf(c),
 		Created:  time.Now(),
 		detached: detached,
 	}
@@ -551,7 +532,7 @@ func (s *Server) runJob(j *Job) {
 			s.mu.Unlock()
 			s.step(j, jrec{Op: opPreempted, ID: j.ID, Cycle: ckpt})
 			if s.queue.push(j) {
-				s.logf("job %s preempted at cycle %d, re-enqueued (lane %s)", j.ID, ckpt, laneName(j.Lane))
+				s.logf("job %s preempted at cycle %d, re-enqueued", j.ID, ckpt)
 				return // the job is queued again; this worker moves on
 			}
 			// Drain closed the queue between the preemption request and the
@@ -565,10 +546,10 @@ func (s *Server) runJob(j *Job) {
 			err = je
 		case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
 			// Cancellation is a verdict, not a failure to retry.
-		case cycleBudgetExceeded(j, err):
-			// The cycle budget tripped core's deterministic MaxCycles
-			// abort; re-running would burn the identical cycles to the
-			// identical verdict, so the retry budget does not apply.
+		case cycleLimit(err):
+			// The run tripped core's deterministic cycle-limit abort;
+			// re-running would burn the identical cycles to the identical
+			// verdict, so the retry budget does not apply.
 			err = &JobError{ID: j.ID, Key: j.Key, Reason: ReasonBudget, Attempts: attempt, Err: err}
 		case attempt >= s.cfg.MaxRetries:
 			err = &JobError{ID: j.ID, Key: j.Key, Reason: ReasonRetries, Attempts: attempt, Err: err}
@@ -620,12 +601,8 @@ func (s *Server) jobDeadline(j *Job) (time.Time, bool) {
 	return j.Created.Add(limit), true
 }
 
-// cycleBudgetExceeded reports whether err is core's cycle-limit abort
-// on a job whose admission budget set (or tightened) that limit.
-func cycleBudgetExceeded(j *Job, err error) bool {
-	if j.Budget.MaxCycles == 0 {
-		return false
-	}
+// cycleLimit reports whether err is core's cycle-limit abort.
+func cycleLimit(err error) bool {
 	var d *fault.Diagnosis
 	return errors.As(err, &d) && d.Reason == fault.ReasonCycleLimit
 }

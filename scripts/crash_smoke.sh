@@ -12,9 +12,9 @@
 # run or fails with a recorded diagnosis.
 set -euo pipefail
 
-BIN=${BIN:-/tmp/misp-crash-smoke/mispserve}
+BIN=${BIN:-${TMPDIR:-/tmp}/misp-crash-smoke/mispserve}
 KILLS=${KILLS:-20}
-ROOT=$(mktemp -d /tmp/misp-crash-smoke.XXXXXX)
+ROOT=$(mktemp -d "${TMPDIR:-/tmp}/misp-crash-smoke.XXXXXX")
 SERVER_PID=
 trap 'kill -9 "$SERVER_PID" 2>/dev/null || true; rm -rf "$ROOT"' EXIT
 

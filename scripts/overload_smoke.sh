@@ -12,14 +12,16 @@
 #   - every accepted job reaches a terminal state: nothing is lost,
 #     no job id is ever issued twice;
 #   - readiness (/healthz/ready) and the serve.pressure.* metrics
-#     surface the governance state;
+#     surface the governance state, and agree: ready is 200 exactly
+#     when serve.pressure.level is 0 (nominal);
+#   - a body carrying the removed "priority" field is refused with 400;
 #   - a resubmission of a completed request is a cache hit (governance
 #     never sheds work the cache can answer);
 #   - SIGTERM still drains cleanly under governance.
 set -euo pipefail
 
-BIN=${BIN:-/tmp/misp-overload-smoke/mispserve}
-WORK=$(mktemp -d /tmp/misp-overload-smoke.XXXXXX)
+BIN=${BIN:-${TMPDIR:-/tmp}/misp-overload-smoke/mispserve}
+WORK=$(mktemp -d "${TMPDIR:-/tmp}/misp-overload-smoke.XXXXXX")
 trap 'kill "$SERVER_PID" 2>/dev/null || true; rm -rf "$WORK"' EXIT
 
 mkdir -p "$(dirname "$BIN")"
@@ -118,6 +120,30 @@ echo "$METRICS" | grep -q 'serve.pressure.level'        || { echo "FAIL: no serv
 echo "$METRICS" | grep -q 'serve.pressure.budget_bytes' || { echo "FAIL: no serve.pressure.budget_bytes metric"; exit 1; }
 SHEDS_SEEN=$(echo "$METRICS" | awk '$2 == "serve.pressure.sheds" { print $3 }')
 [ -n "$SHEDS_SEEN" ] && [ "$SHEDS_SEEN" -ge "$SHED" ] || { echo "$METRICS"; echo "FAIL: serve.pressure.sheds=$SHEDS_SEEN < observed $SHED"; exit 1; }
+
+# Readiness agrees with admission: 200 exactly when the monitor reads
+# nominal (level 0), 503 at every level that sheds. The monitor may tick
+# between two reads, so the probe is bracketed by two level readings
+# and retried until they agree.
+level() { curl -fsS "$URL/metrics" | awk '$2 == "serve.pressure.level" { print $3 }'; }
+AGREED=
+for _ in $(seq 1 20); do
+    L1=$(level)
+    READY=$(curl -s -o /dev/null -w '%{http_code}' "$URL/healthz/ready")
+    L2=$(level)
+    [ -n "$L1" ] && [ "$L1" = "$L2" ] || { sleep 0.1; continue; }
+    if [ "$L1" -eq 0 ]; then WANT=200; else WANT=503; fi
+    [ "$READY" = "$WANT" ] || { echo "FAIL: /healthz/ready $READY at serve.pressure.level $L1, want $WANT"; exit 1; }
+    AGREED=1
+    break
+done
+[ -n "$AGREED" ] || { echo "FAIL: serve.pressure.level never held still around a readiness probe"; exit 1; }
+
+# The priority lane is gone: the strict decoder refuses a body that
+# still carries the field, naming it.
+CODE=$(curl -s -o "$WORK/prio" -w '%{http_code}' -X POST -H 'Content-Type: application/json' \
+    -d '{"kind":"run","app":"dense_mmm","size":"test","topology":[3],"priority":"interactive"}' "$URL/v1/jobs")
+[ "$CODE" = 400 ] && grep -q priority "$WORK/prio" || { cat "$WORK/prio"; echo "FAIL: priority body got $CODE, want 400 naming the field"; exit 1; }
 
 # Governance never sheds what the cache can answer: resubmitting a
 # completed request is a cache hit even though its estimate would not

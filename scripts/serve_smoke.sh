@@ -9,8 +9,8 @@
 # and graceful SIGTERM drain.
 set -euo pipefail
 
-BIN=${BIN:-/tmp/misp-serve-smoke/mispserve}
-WORK=$(mktemp -d /tmp/misp-serve-smoke.XXXXXX)
+BIN=${BIN:-${TMPDIR:-/tmp}/misp-serve-smoke/mispserve}
+WORK=$(mktemp -d "${TMPDIR:-/tmp}/misp-serve-smoke.XXXXXX")
 trap 'kill "$SERVER_PID" 2>/dev/null || true; rm -rf "$WORK"' EXIT
 
 mkdir -p "$(dirname "$BIN")"
