@@ -49,7 +49,9 @@ verify: build vet race smoke
 # 1x24 with a background one; eight
 # desynchronised loops with no memory ops, private ones, a shared word
 # one member stores to, and a default-arm word that ends the wave every
-# 64th instruction) beside runUops on one sequencer, in ns per retired
+# 64th instruction; seven members idling in a pause loop beside one
+# worker, the regime the spin fast-forward skips) beside runUops on one
+# sequencer, in ns per retired
 # instruction, then one page's superblock compile and a data translation
 # that hits and one that walks.
 benchsmoke:

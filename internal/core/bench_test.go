@@ -9,6 +9,7 @@ import (
 	"misp/internal/core"
 	"misp/internal/isa"
 	"misp/internal/mem"
+	"misp/internal/obs"
 	"misp/internal/shredlib"
 	"misp/internal/workloads"
 )
@@ -54,7 +55,9 @@ func benchRunCtx(b *testing.B, ctx context.Context, top core.Topology, mode shre
 // eight OS threads on an 8-way SMP. There the eight members execute one
 // loop in a fixed phase, which is the wave's easy case; desync is the
 // hard one. misp1x24 is the same program with 24 members in the wave: the
-// per-pop min scan is the one cost that grows with the cohort.
+// per-pop min scan is the one cost that grows with the cohort. idle is the
+// gang scheduler's idle regime, where most retirements are spin-loop
+// iterations the wave fast-forwards.
 func BenchmarkCohortWave(b *testing.B) {
 	b.Run("misp1x8", func(b *testing.B) { benchRun(b, core.Topology{7}, shredlib.ModeShred) })
 	b.Run("misp1x24/ctx=background", func(b *testing.B) {
@@ -70,6 +73,78 @@ func BenchmarkCohortWave(b *testing.B) {
 		}
 		b.Run("loops=distinct/exit", func(b *testing.B) { benchDesync(b, true, "exit") })
 	})
+	b.Run("idle", benchIdle)
+}
+
+// benchIdle times the wave on a bare machine of eight ring-0 sequencers
+// where one member works — an ALU loop that stores to its own word — and
+// the other seven are parked in the runtime's park loop (shredlib's
+// emitSchedLoop once the shreds are done): pause, and jump back to it.
+// Every parked iteration repeats the last, so the wave skips them
+// (superblock.go, invariant 5). Beside ns/instr it reports the share of
+// retirements the skips made.
+func benchIdle(b *testing.B) {
+	const (
+		seqs   = 8
+		code   = asm.HeapBase
+		park   = code + 64*isa.WordSize
+		data   = asm.HeapBase + mem.PageSize
+		cycles = 1 << 20
+	)
+	work := []isa.Instr{
+		{Op: isa.OpAdd, Rd: 1, Rs1: 1, Rs2: 2}, {Op: isa.OpXori, Rd: 3, Rs1: 1, Imm: 0x55},
+		{Op: isa.OpMul, Rd: 4, Rs1: 3, Rs2: 2}, {Op: isa.OpStd, Rd: 4, Rs1: 11},
+		{Op: isa.OpSub, Rd: 5, Rs1: 4, Rs2: 1}, {Op: isa.OpAddi, Rd: 2, Rs1: 2, Imm: 1},
+		{Op: isa.OpJmp, Imm: -6 * isa.WordSize},
+	}
+	parked := []isa.Instr{{Op: isa.OpPause}, {Op: isa.OpJmp, Imm: -isa.WordSize}}
+	var instrs, skipped uint64
+	for n := 0; n < b.N; n++ {
+		b.StopTimer()
+		cfg := core.DefaultConfig(core.Topology{seqs - 1})
+		cfg.PhysMem = 4 << 20
+		m, err := core.New(cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		os, err := core.LoadBare(m, asm.MustAssemble("main:\n    li r0, 1\n    syscall\n"))
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := os.Space.Prefault(code, 2*mem.PageSize); err != nil {
+			b.Fatal(err)
+		}
+		for k, in := range work {
+			if err := os.Space.WriteU64(code+uint64(k)*isa.WordSize, in.Encode()); err != nil {
+				b.Fatal(err)
+			}
+		}
+		for k, in := range parked {
+			if err := os.Space.WriteU64(park+uint64(k)*isa.WordSize, in.Encode()); err != nil {
+				b.Fatal(err)
+			}
+		}
+		for i, s := range m.Seqs {
+			s.PC, s.Ring, s.State = park, isa.Ring0, core.StateRunning
+			if i == 0 {
+				s.PC = code
+			}
+			s.Regs[1], s.Regs[2], s.Regs[11] = uint64(i+1), 3, data+64
+		}
+		m.SetPause(cycles)
+		b.StartTimer()
+		err = m.Run()
+		b.StopTimer()
+		if !errors.Is(err, core.ErrPaused) {
+			b.Fatal(err)
+		}
+		m.FinalizeMetrics()
+		instrs += m.Steps
+		skipped += m.Obs.Metrics.CounterValue(obs.MSBSpinInstrs)
+		m.Release()
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(instrs), "ns/instr")
+	b.ReportMetric(float64(skipped)/float64(instrs), "skipped/instr")
 }
 
 // benchDesync times the wave on a bare machine whose eight ring-0

@@ -129,6 +129,12 @@ type Machine struct {
 	// The cohort wave's own two: its exits, and the run-ahead retirements
 	// they took back (BenchmarkCohortWave reports the ratio).
 	waveExits, waveTakenBack uint64
+	// spin is runAhead's per-call record of its latest pause; spinSkips
+	// and spinInstrs count the fixed-point skips it made and the
+	// retirements they made (invariant 5 in superblock.go), less those a
+	// wave exit took back.
+	spin                  spinRec
+	spinSkips, spinInstrs uint64
 
 	// mx holds pre-resolved metric handles so hot paths pay a plain
 	// increment, never a registry lookup.
@@ -760,6 +766,8 @@ func (m *Machine) FinalizeMetrics() {
 	reg.Counter(obs.MSBBuilds).Set(m.sbBuilds)
 	reg.Counter(obs.MSBInvalidates).Set(m.sbInvalidates)
 	reg.Counter(obs.MSBRuns).Set(m.sbRuns)
+	reg.Counter(obs.MSBSpinSkips).Set(m.spinSkips)
+	reg.Counter(obs.MSBSpinInstrs).Set(m.spinInstrs)
 }
 
 // Tracks names one Chrome-trace track per sequencer, for

@@ -19,14 +19,18 @@ import (
 // shared region (which straddles two pages) and a private page, with
 // every load width, every store width, the atomics, seqid, rdtsc,
 // branches and — on an OMS, which may enter the kernel — a syscall or a
-// division by a loaded value. Some sequencers also store to a page that
-// shares a TLB slot with their private one, so neither stays resident and
-// the wave meets stores it cannot place without a walk; and in some runs
-// one sequencer overwrites an ALU word of a peer's loop with another, so
-// the peer's run-ahead through the old word must be cut at the store. The
-// fast loop must leave registers, clocks, retirements, TLB counters and
-// memory exactly where the legacy loop does after a fixed cycle budget, or
-// at the first fatal trap.
+// division by a loaded value. Some spin-wait on an aligned shared word
+// with a pause loop until a peer's store changes it, sometimes with a
+// clock read or a counter in the loop body, so the fast loop skips the
+// spin (superblock.go, invariant 5) and the wave takes skipped spans back
+// at the store and at every other exit. Some sequencers also store to a
+// page that shares a TLB slot with their private one, so neither stays
+// resident and the wave meets stores it cannot place without a walk; and
+// in some runs one sequencer overwrites an ALU word of a peer's loop with
+// another, so the peer's run-ahead through the old word must be cut at
+// the store. The fast loop must leave registers, clocks, retirements, TLB
+// counters and memory exactly where the legacy loop does after a fixed
+// cycle budget, or at the first fatal trap.
 
 const (
 	smShared  = uopData + mem.PageSize - 32  // 64 shared bytes over a page edge
@@ -54,9 +58,10 @@ func (o smOS) HandleTrap(s *Sequencer, trap isa.Trap, info uint64) {
 // smProgram draws one sequencer's loop. Registers: r1 the shared region,
 // r2 the private page, r3-r9 data, r10 an atomic's address (always an
 // aligned word of the shared region), r13 the page aliasing the private
-// one, f1-f4 data. With patch the loop also stores r12 and, elsewhere, r14
-// to [r11]: the caller points that at a word of a peer's loop and gives
-// the two registers different words, so every such store changes it.
+// one, r15 what a spin-wait's word held on entry, f1-f4 data. With patch
+// the loop also stores r12 and, elsewhere, r14 to [r11]: the caller
+// points that at a word of a peer's loop and gives the two registers
+// different words, so every such store changes it.
 func smProgram(rng *rand.Rand, oms, patch bool) []isa.Instr {
 	reg := func() uint8 { return uint8(3 + rng.IntN(7)) }
 	freg := func() uint8 { return uint8(1 + rng.IntN(4)) }
@@ -72,7 +77,10 @@ func smProgram(rng *rand.Rand, oms, patch bool) []isa.Instr {
 	}
 	n := 8 + rng.IntN(40)
 	cold := rng.IntN(3) == 0 // stores to the aliasing page too
-	syscallAt, divAt, patchAt, repatchAt := -1, -1, -1, -1
+	syscallAt, divAt, patchAt, repatchAt, spinAt := -1, -1, -1, -1, -1
+	if rng.IntN(3) == 0 {
+		spinAt = rng.IntN(n)
+	}
 	if patch {
 		patchAt, repatchAt = rng.IntN(n), rng.IntN(n)
 	}
@@ -94,6 +102,25 @@ func smProgram(rng *rand.Rand, oms, patch bool) []isa.Instr {
 				isa.Instr{Op: isa.OpLdbu, Rd: 4, Rs1: 1, Imm: int32(rng.IntN(64))},
 				isa.Instr{Op: isa.OpAndi, Rd: 4, Rs1: 4, Imm: 31},
 				isa.Instr{Op: pick(isa.OpDiv, isa.OpRem), Rd: reg(), Rs1: reg(), Rs2: 4})
+		case spinAt >= 0 && len(code) >= spinAt:
+			spinAt = -1
+			// Spin while the word still holds what it held on entry.
+			off, v := int32(8*rng.IntN(8)), reg()
+			code = append(code, isa.Instr{Op: isa.OpLdd, Rd: 15, Rs1: 1, Imm: off})
+			top := len(code)
+			code = append(code, isa.Instr{Op: isa.OpLdd, Rd: v, Rs1: 1, Imm: off})
+			switch rng.IntN(4) {
+			case 0:
+				code = append(code, isa.Instr{Op: isa.OpRdtsc, Rd: reg()})
+			case 1:
+				c := reg()
+				code = append(code, isa.Instr{Op: isa.OpAddi, Rd: c, Rs1: c, Imm: 1})
+			}
+			back := -int32(len(code)+2-top) * isa.WordSize
+			code = append(code,
+				isa.Instr{Op: isa.OpBne, Rs1: v, Rs2: 15, Imm: 3 * isa.WordSize},
+				isa.Instr{Op: isa.OpPause},
+				isa.Instr{Op: isa.OpJmp, Imm: back})
 		case patchAt >= 0 && len(code) >= patchAt:
 			patchAt = -1
 			code = append(code, isa.Instr{Op: isa.OpStd, Rd: 12, Rs1: 11})
@@ -160,7 +187,9 @@ type smOutcome struct {
 	Trap, Err string
 }
 
-func smRun(t *testing.T, seed uint64, legacy bool) smOutcome {
+// smRun runs seed's programs on one loop and returns what they left and
+// how many spin skips the run made.
+func smRun(t *testing.T, seed uint64, legacy bool) (smOutcome, uint64) {
 	t.Helper()
 	rng := rand.New(rand.NewPCG(seed, 0x6d697370))
 	n := 2 + rng.IntN(7)
@@ -249,14 +278,17 @@ func smRun(t *testing.T, seed uint64, legacy bool) smOutcome {
 		return b
 	}
 	o.Mem, o.Alias, o.Code = read(uopData, len(data)), read(smAlias, n*mem.PageSize), read(uopCode, len(code)*isa.WordSize)
-	return o
+	return o, m.spinSkips
 }
 
-func smEquiv(t *testing.T, seed uint64) {
+// smEquiv holds the fast loop to the legacy one on seed and returns the
+// fast run's spin skips.
+func smEquiv(t *testing.T, seed uint64) uint64 {
 	t.Helper()
-	want, got := smRun(t, seed, true), smRun(t, seed, false)
+	want, _ := smRun(t, seed, true)
+	got, skips := smRun(t, seed, false)
 	if reflect.DeepEqual(want, got) {
-		return
+		return skips
 	}
 	t.Errorf("seed %d: trap %q / %q, error %q / %q, memory equal %v (legacy / fast)",
 		seed, want.Trap, got.Trap, want.Err, got.Err, reflect.DeepEqual(want.Mem, got.Mem))
@@ -265,11 +297,16 @@ func smEquiv(t *testing.T, seed uint64) {
 			t.Errorf("  sequencer %d:\n  legacy %+v\n  fast   %+v", i, want.Seqs[i], got.Seqs[i])
 		}
 	}
+	return skips
 }
 
 func TestWaveSharedMemEquiv(t *testing.T) {
+	var skips uint64
 	for seed := uint64(0); seed < 200; seed++ {
-		smEquiv(t, seed)
+		skips += smEquiv(t, seed)
+	}
+	if skips == 0 {
+		t.Error("no generated spin-wait was skipped")
 	}
 }
 
@@ -280,5 +317,5 @@ func FuzzWaveSharedMem(f *testing.F) {
 	for _, seed := range []uint64{200, 1 << 20, 1 << 40, math.MaxUint64} {
 		f.Add(seed)
 	}
-	f.Fuzz(smEquiv)
+	f.Fuzz(func(t *testing.T, seed uint64) { smEquiv(t, seed) })
 }

@@ -32,7 +32,7 @@ package core
 // leg (see runBatch).
 //
 // Bit-identity with the legacy loop, the reference the equivalence
-// difftests compare against, rests on four invariants:
+// difftests compare against, rests on five invariants:
 //
 //  1. Stop checks: the per-instruction horizon, delivery-threshold and
 //     cycle/pause-limit checks only read s.Clock against batch
@@ -94,6 +94,29 @@ package core
 //     revalidates every member's page and stops the wave just after
 //     itself if one moved; the exit re-makes what was ordered before the
 //     store from the page as it was compiled.
+//  5. Spin fast-forward: within one runAhead call, what a micro-op does
+//     is a function of the PC, Regs and FRegs alone — memory, the
+//     compiled page, the TLB, TP, CRs and the topology cannot change
+//     during the call (runAhead stores nothing and loads only through
+//     TLB hits) — except rdtsc, which reads the clock. So when two
+//     pauses the call retires sit at the same PC with bit-identical Regs
+//     and FRegs and no rdtsc retired between them, the span between them
+//     is one iteration of a fixed point: every later iteration retires
+//     the same K micro-ops in the same C cycles with the same H TLB hits
+//     and comes back to the same state. spinPause retires k more whole
+//     iterations at once — the count grows by k·K, the clock by k·C,
+//     TLB.Hits by k·H, PC and registers stay — with k the largest whole
+//     count that keeps the clock below the call's bound (and the run's
+//     count inside waveMember.nrun). Two exclusions: an iteration that
+//     retires rdtsc is never a fixed point (the clock it read may have
+//     steered a branch and then been overwritten before the pause), and
+//     FRegs compare by their bits (== calls +0 and -0 equal and never
+//     matches a NaN). A skipped iteration loads exactly the addresses the
+//     executed one recorded, so invariant 4(e)'s snoop covers it without
+//     new entries; and the take-back's second call makes its skip by the
+//     same rule against the stop position, which re-makes the kept
+//     prefix exactly. Micro-ops executed one at a time stay capped by the
+//     caller's max.
 //
 // Compiled pages are derived, host-side state: never snapshotted,
 // rebuilt on demand after a restore or fork (see snapshot.go).
@@ -310,6 +333,65 @@ func sbAccess(op isa.Op) (size, sx uint8) {
 // the cancellation latency and the size of waveSnap.
 const waveRunAhead = 64
 
+// spinRunMax bounds what one runAhead call retires through its skip, so
+// that with the at most waveRunAhead micro-ops it executes the run's count
+// still fits waveMember.nrun.
+const spinRunMax = math.MaxUint32 - waveRunAhead
+
+// spinRec is runAhead's record of the latest pause it retired in the
+// current call (invariant 5): its PC — ^0, which no aligned PC equals,
+// when there is none — the call's retirement count, clock and TLB hit
+// count there, the registers, and whether an rdtsc has retired since.
+// skipped is what the call's skip retired: a call skips at most once,
+// since its k is the largest the bounds allow. Host-side scratch, one
+// per machine: reset by every call, never snapshotted.
+type spinRec struct {
+	pc       uint64
+	n        int
+	nc, hits uint64
+	clk      bool
+	skipped  uint32
+	regs     [isa.NumRegs]uint64
+	fregs    [isa.NumRegs]float64
+}
+
+// spinPause is invariant 5 at a pause at pc that runAhead is about to
+// retire, n micro-ops into the call with the clock at nc < lim. When the
+// span since the call's previous pause is one iteration of a fixed point
+// it retires k more whole iterations and returns the micro-ops and cycles
+// they add (TLB.Hits it adds itself); otherwise it records this pause and
+// returns zeros.
+func (m *Machine) spinPause(c *Sequencer, pc uint64, n int, nc, lim uint64) (dn int, dc uint64) {
+	sr := &m.spin
+	if sr.clk || pc != sr.pc || c.Regs != sr.regs || !sameBits(&c.FRegs, &sr.fregs) {
+		sr.pc, sr.n, sr.nc, sr.hits, sr.clk = pc, n, nc, c.TLB.Hits, false
+		sr.regs, sr.fregs = c.Regs, c.FRegs
+		return 0, 0
+	}
+	// iC is at least the pause's own cost, so never 0.
+	iK, iC, iH := uint64(n-sr.n), nc-sr.nc, c.TLB.Hits-sr.hits
+	k := min((lim-1-nc)/iC, (spinRunMax-min(uint64(n), spinRunMax))/iK)
+	dn, dc = int(k*iK), k*iC
+	c.TLB.Hits += k * iH
+	sr.n, sr.nc, sr.hits = n+dn, nc+dc, c.TLB.Hits
+	if k != 0 {
+		sr.skipped = uint32(dn)
+		m.spinSkips++
+		m.spinInstrs += uint64(dn)
+	}
+	return dn, dc
+}
+
+// sameBits reports whether two float register files hold the same bits.
+func sameBits(a, b *[isa.NumRegs]float64) bool {
+	for i := range a {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			return false
+		}
+	}
+	return true
+}
+
 // waveSnap is what the cohort wave keeps of a member's latest run so that
 // its exit can take the run back and re-make the part that stays: the
 // registers, PC, clock and TLB hit count the run started from, and the
@@ -348,14 +430,15 @@ type waveSnap struct {
 // it still takes part in the min scan and stops the wave when it pops as
 // the minimum.
 //
-// nrun, nld and lbloom describe the member's latest run: how many
-// micro-ops, how many of them loads (their addresses are in snap.loads)
-// and the granule filter over those addresses; snap is what the run
-// started from.
+// nrun, skip, nld and lbloom describe the member's latest run: how many
+// micro-ops it retired, how many of those its spin skip retired
+// (invariant 5), how many of the executed ones were loads (their
+// addresses are in snap.loads) and the granule filter over those
+// addresses; snap is what the run started from.
 type waveMember struct {
 	genp              *uint32
-	dg                uint32
-	nrun, nld         uint8
+	dg, nrun, skip    uint32
+	nld               uint8
 	ub                *[sbSlots]sbUop
 	wva, pc, thr, ret uint64
 	lbloom            uint64
@@ -382,17 +465,25 @@ const (
 // micro-ops of c's compiled page ub (mapped at wva) while there are fewer
 // than max, the clock is below lim and the next one is in the page and is
 // either pure (sbPure) or a load that is a plain hit — inside one page,
-// paging on, resident in c's own TLB — which counts its TLB hit here. It stops in front of anything else without touching a counter: a
-// declined load, like every other opcode, is the caller's to commit in
-// order. c.PC, c.Clock and the retirement counters are the caller's too.
+// paging on, resident in c's own TLB — which counts its TLB hit here. It
+// stops in front of anything else without touching a counter: a declined
+// load, like every other opcode, is the caller's to commit in order. c.PC,
+// c.Clock and the retirement counters are the caller's too.
+//
+// max caps the micro-ops executed one at a time. A spin loop's repeated
+// iterations do not count against it: at a pause, spinPause may retire
+// whole iterations of a fixed point at once (invariant 5), up to lim, and
+// leaves in m.spin.skipped how many micro-ops that was.
 //
 // With loads non-nil (the cohort wave; max <= waveRunAhead) the k-th load
-// retired also records its physical address in loads[k] and, in
+// executed also records its physical address in loads[k] and, in
 // loadBloom, the bits of the one or two 8-byte granules the eight bytes at
-// that address touch; nloads counts them.
+// that address touch; nloads counts them. A skipped iteration loads what
+// the executed one recorded.
 func runAhead(m *Machine, c *Sequencer, ub *[sbSlots]sbUop, loads *[waveRunAhead]uint64, wva, pc, nc, lim uint64, max int) (n int, pcOut, ncOut uint64, nloads int, loadBloom uint64) {
 	r := &c.Regs
 	fr := &c.FRegs
+	m.spin.pc, m.spin.skipped = ^uint64(0), 0
 run:
 	for n < max && nc < lim {
 		off := pc - wva
@@ -402,10 +493,13 @@ run:
 		u := &ub[off>>3]
 		t := pc + isa.WordSize
 		switch isa.Op(u.op) {
-		case isa.OpNop, isa.OpPause, isa.OpFence:
+		case isa.OpNop, isa.OpFence:
 			// cost only
+		case isa.OpPause:
+			goto pause
 		case isa.OpRdtsc:
 			r[u.rd] = nc
+			m.spin.clk = true
 		case isa.OpSeqid:
 			r[u.rd] = m.seqid(c, u.imm)
 		case isa.OpGettp:
@@ -554,6 +648,13 @@ run:
 		n++
 	}
 	return n, pc, nc, nloads, loadBloom
+pause:
+	// Out of the loop, so the call does not make the loop spill what lives
+	// across it on every micro-op.
+	dn, dc := m.spinPause(c, pc, n, nc, lim)
+	n, max, nc = n+dn, max+dn, nc+dc
+	pc, nc, n = pc+isa.WordSize, nc+uint64(ub[(pc-wva)>>3].cost), n+1
+	goto run
 }
 
 // commitOrdered executes the micro-op u at s.PC when it is one the
@@ -652,27 +753,28 @@ func (m *Machine) commitOrdered(s *Sequencer, u *sbUop) (f *trapFault, stored, o
 // streams mispredicts on most commits, and a dispatch inside this
 // function would spill its state around every micro-op, so the popped
 // member's commit and what follows it run in the leaf, runAhead, whose
-// loop the compiler keeps in registers: up to waveRunAhead micro-ops that
-// are pure or plain-hit loads, in the page and below the member's own
-// threshold, after which the member's clock is written once. The first of
-// them is the ordered commit; when the popped micro-op is not runAhead's
-// (its kind byte says so, or it is a load runAhead declines),
-// commitOrdered makes the ordered commit and the run follows it. The
-// wave snapshots the member (waveSnap) just before each run. The early
-// retirements are not wrong — only a store into a load's bytes or a
-// member's page can change them — unless the wave stops at a position
-// ordered before them. Every stop leaves through the one exit with that
-// position in (T, i): a popped member that may not commit (threshold,
-// left the page, stale page, default-arm word), faults (a load or store,
-// div by zero, a misaligned atomic), or whose store would hit a peer's
-// load or cannot be placed stops at its own pop, nothing committed; a
-// store that moved a member's page stops just after itself; a cancel
-// stops at the earliest member's next commit. The exit takes back every
-// run that reaches past (T, i) — restore the snapshot, run again up to
-// the position; invariant 4 in the file header says why that re-makes the
-// kept part exactly — then folds the counters, then dispatches the fault:
-// the faulting member's later-ordered peers are where the legacy loop has
-// them.
+// loop the compiler keeps in registers: up to waveRunAhead executed
+// micro-ops that are pure or plain-hit loads, in the page and below the
+// member's own threshold, plus whatever a spin loop's fast-forward
+// retires at once (invariant 5), after which the member's clock is
+// written once. The first of them is the ordered commit; when the popped
+// micro-op is not runAhead's (its kind byte says so, or it is a load
+// runAhead declines), commitOrdered makes the ordered commit and the run
+// follows it. The wave snapshots the member (waveSnap) just before each
+// run. The early retirements are not wrong — only a store into a load's
+// bytes or a member's page can change them — unless the wave stops at a
+// position ordered before them. Every stop leaves through the one exit
+// with that position in (T, i): a popped member that may not commit
+// (threshold, left the page, stale page, default-arm word), faults (a
+// load or store, div by zero, a misaligned atomic), or whose store would
+// hit a peer's load or cannot be placed stops at its own pop, nothing
+// committed; a store that moved a member's page stops just after itself;
+// a cancel stops at the earliest member's next commit. The exit takes
+// back every run that reaches past (T, i) — restore the snapshot, run
+// again up to the position; invariants 4 and 5 in the file header say why
+// that re-makes the kept part exactly — then folds the counters, then
+// dispatches the fault: the faulting member's later-ordered peers are
+// where the legacy loop has them.
 func (m *Machine) runCohortWave(nm int, outT uint64, outID int) (progress, unclean bool) {
 	mems, evts, clocks, wave := m.mems[:nm], m.evts[:nm], m.clocks[:nm], m.wave[:nm]
 	limit := min(m.cycLimit, m.pauseLimit)
@@ -713,8 +815,8 @@ wave:
 			}
 		}
 		// One cancellation poll per pop: a cancel waits at most one run
-		// (waveRunAhead micro-ops of one member) before the wave hands
-		// back, at the earliest member's next commit, and runRound
+		// (waveRunAhead executed micro-ops of one member) before the wave
+		// hands back, at the earliest member's next commit, and runRound
 		// surfaces it.
 		if m.canceled() {
 			break
@@ -805,7 +907,7 @@ wave:
 		}
 		w.pc, c.PC, c.Clock, clocks[i] = pc, pc, nc, nc
 		w.ret += uint64(n)
-		w.nrun, w.nld, w.lbloom = uint8(n), uint8(nl), lb
+		w.nrun, w.skip, w.nld, w.lbloom = uint32(n), m.spin.skipped, uint8(nl), lb
 	}
 	// Take back every run that reaches past the stop position: restore
 	// what it started from and run it again up to the position — the
@@ -814,12 +916,17 @@ wave:
 	// snapshot is of its latest run only: an earlier run ended at one of
 	// its own pops, which no later stop position precedes. The key of a
 	// micro-op is (its clock before, member index) — mems is in ID order.
+	// The second call makes its own spin skip by the same rule and counts
+	// it, so the first call's is uncounted.
 	steps := m.Steps
 	for j := range wave {
 		s, w := mems[j], &wave[j]
 		if lim := T + b2u(j <= i); w.nrun != 0 && clocks[j] > lim {
 			sn := &w.snap
 			s.Regs, s.FRegs, s.TLB.Hits = sn.regs, sn.fregs, sn.hits
+			if w.skip != 0 {
+				m.spinSkips, m.spinInstrs = m.spinSkips-1, m.spinInstrs-uint64(w.skip)
+			}
 			n, pc, nc, _, _ := runAhead(m, s, w.ub, nil, w.wva, sn.pc, sn.nc, lim, int(w.nrun))
 			s.PC, s.Clock, clocks[j] = pc, nc, nc
 			back := uint64(int(w.nrun) - n)
@@ -842,8 +949,11 @@ wave:
 // control leaves the page, a store invalidates it, or the next slot needs
 // the interpreter. Returns the updated retirement count. The caller has
 // already validated the fetch window and the page's generation for the
-// first slot. With a per-retirement hook attached (profiler, fault plane)
-// every runAhead call retires one micro-op, so the hooks run after each.
+// first slot. A spin loop's repeated iterations retire at once up to
+// tstar (invariant 5), so n may pass max. With a per-retirement hook
+// attached (profiler, fault plane) every runAhead call retires one
+// micro-op — never two pauses, so never a skip — and the hooks run after
+// each.
 func (m *Machine) runUops(s *Sequencer, sb *sbPage, n, max int, tstar uint64) (int, sbResult) {
 	base := s.winVA
 	genp := sb.genPtr

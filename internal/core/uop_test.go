@@ -81,9 +81,21 @@ func (r *trapRecorder) Done() bool { return r.hit || r.BareOS.Done() }
 // from the first code word after init set its registers.
 func uopMachine(t testing.TB, top Topology, legacy bool, code []isa.Instr, init func(*Sequencer)) (*Machine, *trapRecorder) {
 	t.Helper()
+	return uopMachineCfg(t, uopConfig(top), legacy, code, init)
+}
+
+// uopConfig is uopMachine's configuration: 4 MiB of memory and a cycle
+// limit of 2^20.
+func uopConfig(top Topology) Config {
 	cfg := DefaultConfig(top)
 	cfg.PhysMem = 4 << 20
 	cfg.MaxCycles = 1 << 20
+	return cfg
+}
+
+// uopMachineCfg is uopMachine on a configuration of the caller's.
+func uopMachineCfg(t testing.TB, cfg Config, legacy bool, code []isa.Instr, init func(*Sequencer)) (*Machine, *trapRecorder) {
+	t.Helper()
 	m, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)

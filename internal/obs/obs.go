@@ -264,10 +264,14 @@ const (
 	// Host section (excluded from dumps and snapshots; see hostPrefix):
 	// superblock compiled-page cache activity in the fast loop — pages
 	// compiled, pages invalidated by stores or translation changes, and
-	// entries into the compiled-path executors.
+	// entries into the compiled-path executors — and the spin loops it
+	// fast-forwarded: the fixed-point skips and the instructions they
+	// retired.
 	MSBBuilds      = "host.superblock.builds"
 	MSBInvalidates = "host.superblock.invalidates"
 	MSBRuns        = "host.superblock.block_runs"
+	MSBSpinSkips   = "host.superblock.spin_skips"
+	MSBSpinInstrs  = "host.superblock.spin_instrs"
 
 	// Fault plane: injections performed by the plan, faults detected by
 	// the kernel health check or core watchdog, recoveries completed,
