@@ -53,10 +53,13 @@ verify: build vet race smoke
 # worker, the regime the spin fast-forward skips) beside runUops on one
 # sequencer, in ns per retired
 # instruction, then one page's superblock compile and a data translation
-# that hits and one that walks.
+# that hits and one that walks; and a cold prepare and a fork at 32 MiB,
+# 128 MiB and 1 GiB of configured memory, each with its machine released
+# for the next one and dropped as garbage.
 benchsmoke:
 	$(GO) test ./benchmark
 	$(GO) test -run '^$$' -bench 'BenchmarkCohortWave|BenchmarkRunUops|BenchmarkSbCompile|BenchmarkTranslate' -benchtime=1x ./internal/core
+	$(GO) test -run '^$$' -bench 'BenchmarkPrepare|BenchmarkFork' -benchtime=1x ./internal/workloads ./internal/snap
 
 # perfcheck is for humans, ungated and not part of ci: two passes of the
 # benchmark BENCHMARK.json declares (four workloads, end-to-end and
@@ -80,7 +83,10 @@ equivgrid:
 
 # fuzzcheck searches seeds nobody picked, a bounded time per target:
 # generated shared-memory programs on 2-24 sequencers, fast loop vs legacy
-# oracle on registers, clocks, retirements, TLB counters and memory; and
+# oracle on registers, clocks, retirements, TLB counters and memory;
+# operation strings on a physical memory backed past its initial size —
+# allocation, frees, every write path, bit flips, release and restore —
+# held to a flat reference of the whole memory; and
 # mutated snapshot images, seeded with the golden ones, which Load and
 # Fork must reject with an error, never a panic, and whose forks must
 # re-capture to a fixed point; mutated assembler sources, which must fail
@@ -96,6 +102,7 @@ equivgrid:
 # crasher lands under testdata/fuzz and is committed as a seed.
 fuzzcheck:
 	$(GO) test -run '^$$' -fuzz FuzzWaveSharedMem -fuzztime 10s ./internal/core
+	$(GO) test -run '^$$' -fuzz FuzzPhysBacking -fuzztime 10s ./internal/mem
 	$(GO) test -run '^$$' -fuzz FuzzSnapshotFork -fuzztime 10s ./internal/snap
 	$(GO) test -run '^$$' -fuzz FuzzAssemble -fuzztime 10s ./internal/asm
 	$(GO) test -run '^$$' -fuzz FuzzInstrText -fuzztime 10s ./internal/asm

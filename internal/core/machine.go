@@ -760,14 +760,16 @@ func (m *Machine) FinalizeMetrics() {
 	} else if reg.CounterValue(obs.MFaultInjected) != 0 {
 		reg.Counter(obs.MFaultInjected).Set(0)
 	}
-	// Host section: superblock cache activity. Host metrics stay out of
-	// dumps and snapshots, so publishing them cannot perturb identity
-	// comparisons between compiled and oracle runs.
+	// Host section: superblock cache activity and the memory backing.
+	// Host metrics stay out of dumps and snapshots, so publishing them
+	// cannot perturb identity comparisons between compiled and oracle
+	// runs.
 	reg.Counter(obs.MSBBuilds).Set(m.sbBuilds)
 	reg.Counter(obs.MSBInvalidates).Set(m.sbInvalidates)
 	reg.Counter(obs.MSBRuns).Set(m.sbRuns)
 	reg.Counter(obs.MSBSpinSkips).Set(m.spinSkips)
 	reg.Counter(obs.MSBSpinInstrs).Set(m.spinInstrs)
+	reg.Counter(obs.MMemBacking).Set(m.Phys.Backed())
 }
 
 // Tracks names one Chrome-trace track per sequencer, for

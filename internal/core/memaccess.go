@@ -49,7 +49,7 @@ func pfFault(va uint64, write, fetch bool) *trapFault {
 // disabled (CR0), addresses are physical.
 func (m *Machine) translate(s *Sequencer, va uint64, write bool) (uint64, *trapFault) {
 	if s.CRs[isa.CR0]&isa.CR0Paging == 0 {
-		if !m.Phys.InRange(va, 1) {
+		if !m.Phys.Back(va, 1) {
 			return 0, &trapFault{trap: isa.TrapGP, info: va}
 		}
 		return va, nil
@@ -170,7 +170,7 @@ func (m *Machine) fetchTranslate(s *Sequencer) (uint64, *trapFault) {
 		return 0, &trapFault{trap: isa.TrapBadInstr, info: pc}
 	}
 	if s.CRs[isa.CR0]&isa.CR0Paging == 0 {
-		if !m.Phys.InRange(pc, isa.WordSize) {
+		if !m.Phys.Back(pc, isa.WordSize) {
 			return 0, &trapFault{trap: isa.TrapGP, info: pc}
 		}
 		return pc &^ uint64(mem.PageMask), nil

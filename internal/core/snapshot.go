@@ -116,8 +116,10 @@ func (st *ThreadSeqState) Snapshot(c *wire.Codec) {
 
 // snapshot codes one sequencer's architectural and timing state. A
 // restored sequencer's host-side fetch window starts cold; refilling it
-// is counter-neutral by construction.
-func (s *Sequencer) snapshot(c *wire.Codec) {
+// is counter-neutral by construction. phys is the machine's memory,
+// which decoding checks the frames the TLB and fetch cache name
+// against, backing them.
+func (s *Sequencer) snapshot(c *wire.Codec, phys *mem.Phys) {
 	c.Int(&s.ID)
 	c.Int(&s.ProcID)
 	c.Int(&s.SID)
@@ -130,11 +132,14 @@ func (s *Sequencer) snapshot(c *wire.Codec) {
 	c.U64(&s.TP)
 	wire.Enum(c, &s.Ring)
 	c.U64s(s.CRs[:])
-	s.TLB.Snapshot(c)
+	s.TLB.Snapshot(c, phys)
 	// The fetch micro-cache is timing-relevant: a hit bypasses the TLB
 	// entirely, so its contents shape the TLB hit/miss counters.
 	c.U64(&s.fetchVPN)
 	c.U64(&s.fetchBase)
+	if c.Decoding() && s.fetchVPN != 0 && !phys.Back(s.fetchBase, mem.PageSize) {
+		c.Fail(fmt.Errorf("core: snapshot fetch base %#x out of range", s.fetchBase))
+	}
 	c.U64s(s.Yield[:])
 	c.Bool(&s.InHandler)
 	snapshotCtx(c, &s.YieldSave)
@@ -226,7 +231,7 @@ func (m *Machine) snapshot(c *wire.Codec, snapFault fault.Config) {
 		if c.Decoding() {
 			*s = new(Sequencer)
 		}
-		(*s).snapshot(c)
+		(*s).snapshot(c, m.Phys)
 	})
 	if c.Decoding() {
 		if len(m.Seqs) != m.Cfg.Topology.Seqs() {

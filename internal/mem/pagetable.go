@@ -123,7 +123,7 @@ func (pt *PageTable) MappedPages() int {
 	n := 0
 	for d := uint64(0); d < entriesPerTab; d++ {
 		pde := pt.Phys.ReadU32(pt.RootPA() + d*4)
-		if pde&PTEPresent == 0 {
+		if pde&PTEPresent == 0 || !pt.Phys.frameValid(pteFrame(pde)) {
 			continue
 		}
 		tab := uint64(pteFrame(pde)) << PageShift
@@ -141,7 +141,7 @@ func (pt *PageTable) MappedPages() int {
 func (pt *PageTable) Free() {
 	for d := uint64(0); d < entriesPerTab; d++ {
 		pde := pt.Phys.ReadU32(pt.RootPA() + d*4)
-		if pde&PTEPresent == 0 {
+		if pde&PTEPresent == 0 || !pt.Phys.frameValid(pteFrame(pde)) {
 			continue
 		}
 		tab := uint64(pteFrame(pde)) << PageShift
@@ -172,12 +172,16 @@ const (
 
 // Walk performs the hardware page walk for va rooted at the directory
 // frame in cr3 (a physical address). user/write describe the access.
-// On success it returns the PTE; otherwise the fault kind.
+// On success it returns the PTE; otherwise the fault kind. A directory
+// entry outside physical memory (a ring-0 program may load CR3 with any
+// value) is not present; every frame the walk goes on to name is backed
+// before it is read or returned.
 func Walk(p *Phys, cr3 uint64, va uint64, write, user bool) (uint32, FaultKind) {
-	if va >= VAMax {
+	pdePA := cr3 + pdIndex(va)*4
+	if va >= VAMax || !p.Back(pdePA, 4) {
 		return 0, FaultNotPresent
 	}
-	pde := p.ReadU32(cr3 + pdIndex(va)*4)
+	pde := p.ReadU32(pdePA)
 	if pde&PTEPresent == 0 || !p.frameValid(pteFrame(pde)) {
 		return 0, FaultNotPresent
 	}

@@ -23,8 +23,22 @@ const (
 	PageMask  = PageSize - 1
 )
 
-// Phys is the machine's physical memory: a flat byte array managed in
-// page-sized frames.
+// Phys is the machine's physical memory, managed in page-sized frames.
+//
+// Its geometry is the configured size: Size, InRange, the frame
+// allocator and the store generations all span every frame. Its bytes
+// do not: data backs only frames [0, len(data)/PageSize), starting at
+// initialBacking and doubling whenever a frame at or above the backing
+// first becomes reachable, up to the configured size. Frames beyond the
+// backing read as zero — nothing has written them.
+//
+// One invariant keeps the accessors free of checks: every frame a TLB
+// entry, a page walk, a paging-off access or a slice accessor can name
+// is already backed. It is set up where frame numbers enter —
+// AllocFrame, frameValid (so every page-table walk), Back (the core's
+// paging-off accesses), FlipBit, Frame, Bytes, BytesRW, and the decoders
+// of a snapshot's frames and TLB entries — never on the ReadU*/WriteU*
+// path, which stays a single bounds-checked index.
 type Phys struct {
 	data      []byte
 	free      []uint32 // free frame stack (frame numbers)
@@ -34,6 +48,8 @@ type Phys struct {
 	// write into the frame. Consumers that cache derived views of a page
 	// (the core's compiled superblock pages) snapshot the counter and
 	// revalidate against it instead of observing individual stores.
+	// It spans the configured memory, so GenPtr's pointers stay valid
+	// across growth of the backing.
 	//
 	// The counters double as the touched set: a frame whose generation
 	// is zero has not been written since the array was last all-zero, so
@@ -42,9 +58,18 @@ type Phys struct {
 	// over — a write path that skipped the bump would not just leave a
 	// stale superblock, it would drop the frame from every capture and
 	// leak its content into the array's next tenant. touch pins the top
-	// bit, so wrapping cannot bring a written frame back to zero.
+	// bit, so wrapping cannot bring a written frame back to zero. Only
+	// backed frames are ever written, so a nonzero generation always
+	// names a backed frame.
 	gens []uint32
 }
+
+// initialBacking is the backing a memory starts with, in bytes (or its
+// whole size, if smaller). No evaluated application reaches a frame
+// above 660 (2.6 MiB) at any size or machine shape, so a run that grows
+// the backing is one that writes far outside its working set — a
+// fault-plane bit flip, or a program built to.
+const initialBacking = 4 << 20
 
 // written is the sticky bit of a store generation; the low 31 bits
 // count.
@@ -54,37 +79,85 @@ const written = 1 << 31
 // and never 0 after a write: the count wraps under the written bit.
 func (p *Phys) touch(f uint64) { p.gens[f] = (p.gens[f] + 1) | written }
 
-// arrays is the bulk of a Phys — everything whose size follows the
-// configured memory rather than the touched frames. Release parks it
-// all-zero; NewPhys and RestorePhys draw from the same store, so a
-// grid of short runs clears and faults in PhysMem once, not per run.
-type arrays struct {
-	data []byte
-	gens []uint32
+// cover makes frame f addressable in data.
+func (p *Phys) cover(f uint64) {
+	if f >= uint64(len(p.data))>>PageShift {
+		p.grow(f)
+	}
 }
 
-// arrayPools maps a memory size to the sync.Pool of its idle arrays.
-// A sync.Pool is emptied by the garbage collector, so idle arrays are
-// collectable and need no retention policy.
-var arrayPools sync.Map // uint64 → *sync.Pool
+// coverRange covers every frame of [pa, pa+n).
+func (p *Phys) coverRange(pa, n uint64) {
+	if n != 0 {
+		p.cover((pa + n - 1) >> PageShift)
+	}
+}
 
-// acquire returns all-zero arrays for a memory of size bytes, recycled
-// when a released set is on hand.
-func acquire(size uint64) arrays {
-	if pool, ok := arrayPools.Load(size); ok {
-		if a, ok := pool.(*sync.Pool).Get().(*arrays); ok {
-			return *a
+// grow doubles the backing until it covers frame f or the whole
+// memory, moving the bytes to an array drawn from the recycler. The old
+// array is dropped, not parked: growth is rare, and its touched frames
+// would need clearing first.
+func (p *Phys) grow(f uint64) {
+	if p.data == nil {
+		panic("mem: access to a released Phys")
+	}
+	n := uint64(len(p.data))
+	for n>>PageShift <= f && n < p.Size() {
+		n *= 2
+	}
+	data := dataPool.get(int(min(n, p.Size())))
+	copy(data, p.data)
+	p.data = data
+}
+
+// Backed returns the bytes of host memory backing the simulated memory:
+// initialBacking (or the whole memory, if smaller) until a run reaches a
+// frame beyond it. It is host-side accounting, never simulated state.
+func (p *Phys) Backed() uint64 { return uint64(len(p.data)) }
+
+// recycler parks idle all-zero slices by length. A sync.Pool is emptied
+// by the garbage collector, so idle slices are collectable and need no
+// retention policy.
+type recycler[T byte | uint32] struct {
+	pools sync.Map // int → *sync.Pool of *[]T
+}
+
+// dataPool holds backings, genPool generation arrays. Lengths are
+// exact, so the backing a run ends with depends on the run alone, never
+// on what the pool happened to hold.
+var (
+	dataPool recycler[byte]
+	genPool  recycler[uint32]
+)
+
+// get returns an all-zero slice of length n, recycled when one is on
+// hand.
+func (r *recycler[T]) get(n int) []T {
+	if pool, ok := r.pools.Load(n); ok {
+		if s, ok := pool.(*sync.Pool).Get().(*[]T); ok {
+			return *s
 		}
 	}
-	return arrays{data: make([]byte, size), gens: make([]uint32, size/PageSize)}
+	return make([]T, n)
 }
 
-// Release hands the memory's arrays to the recycler for the next
-// NewPhys or RestorePhys of the same size, clearing only the frames
-// that were written. It is optional — an unreleased Phys is ordinary
-// garbage — and idempotent. The caller must be done with the memory:
-// a released Phys is poisoned, and any later access panics instead of
-// reading or corrupting the arrays' next tenant.
+// put parks s, which must be all-zero, for the next get of its length.
+func (r *recycler[T]) put(s []T) {
+	pool, ok := r.pools.Load(len(s))
+	if !ok {
+		pool, _ = r.pools.LoadOrStore(len(s), new(sync.Pool))
+	}
+	pool.(*sync.Pool).Put(&s)
+}
+
+// Release hands the memory's backing and generations to the recycler
+// for the next NewPhys or RestorePhys, clearing only the frames that
+// were written; what it parks is about initialBacking, not the
+// configured size. It is optional — an unreleased Phys is ordinary
+// garbage, and the next machine takes a fresh initialBacking — and
+// idempotent. The caller must be done with the memory: a released Phys
+// is poisoned, and any later access panics instead of reading or
+// corrupting the arrays' next tenant.
 func (p *Phys) Release() {
 	if p.data == nil {
 		return
@@ -95,29 +168,33 @@ func (p *Phys) Release() {
 			p.gens[f] = 0
 		}
 	}
-	pool, ok := arrayPools.Load(p.Size())
-	if !ok {
-		pool, _ = arrayPools.LoadOrStore(p.Size(), new(sync.Pool))
-	}
-	pool.(*sync.Pool).Put(&arrays{data: p.data, gens: p.gens})
+	dataPool.put(p.data)
+	genPool.put(p.gens)
 	*p = Phys{}
+}
+
+// newPhys returns a memory of n frames with an all-zero initial backing
+// and generations, and an empty free stack.
+func newPhys(n uint32) *Phys {
+	size := uint64(n) << PageShift
+	return &Phys{
+		data:      dataPool.get(int(min(size, initialBacking))),
+		numFrames: n,
+		gens:      genPool.get(int(n)),
+	}
 }
 
 // NewPhys creates a physical memory of the given size, which must be a
 // positive multiple of PageSize. Frame 0 is reserved (never allocated)
 // so that a zero page-table entry can never denote a valid mapping.
+// Only the first initialBacking bytes are backed; see Phys.
 func NewPhys(size uint64) (*Phys, error) {
 	if size == 0 || size%PageSize != 0 {
 		return nil, fmt.Errorf("mem: physical size %d is not a positive multiple of %d", size, PageSize)
 	}
 	n := uint32(size / PageSize)
-	a := acquire(size)
-	p := &Phys{
-		data:      a.data,
-		numFrames: n,
-		free:      make([]uint32, 0, n-1),
-		gens:      a.gens,
-	}
+	p := newPhys(n)
+	p.free = make([]uint32, 0, n-1)
 	// Push frames in reverse so allocation order is ascending.
 	for f := n - 1; f >= 1; f-- {
 		p.free = append(p.free, f)
@@ -125,8 +202,8 @@ func NewPhys(size uint64) (*Phys, error) {
 	return p, nil
 }
 
-// Size returns the physical memory size in bytes.
-func (p *Phys) Size() uint64 { return uint64(len(p.data)) }
+// Size returns the configured physical memory size in bytes.
+func (p *Phys) Size() uint64 { return uint64(p.numFrames) << PageShift }
 
 // FreeFrames returns the number of allocatable frames remaining.
 func (p *Phys) FreeFrames() int { return len(p.free) }
@@ -138,8 +215,8 @@ func (p *Phys) AllocFrame() (uint32, error) {
 	}
 	f := p.free[len(p.free)-1]
 	p.free = p.free[:len(p.free)-1]
-	base := uint64(f) << PageShift
-	clear(p.data[base : base+PageSize])
+	p.cover(uint64(f))
+	clear(p.frameBytes(f))
 	p.touch(uint64(f))
 	return f, nil
 }
@@ -155,39 +232,64 @@ func (p *Phys) FreeFrame(f uint32) {
 // FlipBit flips one bit of physical memory (the fault plane's
 // bit-flip primitive). pa is reduced modulo the memory size and bit
 // modulo 8, so any 64-bit draw addresses a valid bit deterministically.
+// A flip beyond the backing grows it, so a campaign of flips at random
+// addresses ends up backing most of the configured memory.
 func (p *Phys) FlipBit(pa uint64, bit uint) {
-	pa %= uint64(len(p.data))
+	pa %= p.Size()
+	p.cover(pa >> PageShift)
 	p.touch(pa >> PageShift)
 	p.data[pa] ^= 1 << (bit & 7)
 }
 
-// frameValid reports whether f denotes an existing, non-reserved frame.
-// Page-table consumers check extracted frame numbers against it so a
-// bit flip landing in a page table yields an architectural fault
-// instead of an out-of-bounds slice access in the simulator.
-func (p *Phys) frameValid(f uint32) bool { return f != 0 && f < p.numFrames }
+// frameValid reports whether f denotes an existing, non-reserved frame,
+// backing it if so. Page-table consumers check extracted frame numbers
+// against it so a bit flip landing in a page table yields an
+// architectural fault instead of an out-of-bounds slice access in the
+// simulator — and so every frame a walk can hand to a TLB is backed.
+func (p *Phys) frameValid(f uint32) bool {
+	if f == 0 || f >= p.numFrames {
+		return false
+	}
+	p.cover(uint64(f))
+	return true
+}
 
 // InRange reports whether the physical byte range [pa, pa+n) is valid.
 func (p *Phys) InRange(pa, n uint64) bool {
-	return pa < uint64(len(p.data)) && n <= uint64(len(p.data))-pa
+	return pa < p.Size() && n <= p.Size()-pa
+}
+
+// Back is InRange for a range that is about to be accessed unchecked
+// (a paging-off access, a page walk's directory read): when the range
+// is valid it also backs every frame it spans.
+func (p *Phys) Back(pa, n uint64) bool {
+	if !p.InRange(pa, n) {
+		return false
+	}
+	p.coverRange(pa, n)
+	return true
 }
 
 // Frame returns the byte slice of one whole frame. The slice is
 // mutable, so the frame's store generation is bumped conservatively.
 func (p *Phys) Frame(f uint32) []byte {
+	p.cover(uint64(f))
 	p.touch(uint64(f))
-	base := uint64(f) << PageShift
-	return p.data[base : base+PageSize]
+	return p.frameBytes(f)
 }
 
 // Bytes returns the slice [pa, pa+n) for READ access. The caller must
 // ensure the range is valid (typically via a prior translation) and
 // page-local. Writers must use BytesRW so the page generation advances.
-func (p *Phys) Bytes(pa, n uint64) []byte { return p.data[pa : pa+n] }
+func (p *Phys) Bytes(pa, n uint64) []byte {
+	p.coverRange(pa, n)
+	return p.data[pa : pa+n]
+}
 
 // BytesRW returns the slice [pa, pa+n) for write access, bumping the
 // store generation of every page the range touches.
 func (p *Phys) BytesRW(pa, n uint64) []byte {
+	p.coverRange(pa, n)
 	for f := pa >> PageShift; f <= (pa+n-1)>>PageShift; f++ {
 		p.touch(f)
 	}

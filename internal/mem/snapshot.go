@@ -11,18 +11,24 @@ import (
 // Snapshot codecs for the memory system. The encoding is content
 // driven: physical memory stores exactly the frames that contain any
 // nonzero byte (page tables included — they live in simulated physical
-// memory), and restore takes an all-zero flat array and copies only the
-// stored frames in. The encoded frame images are the shared, immutable
-// side of the snapshot plane's copy-on-write story: every fork decodes
-// against the same buffer and owns a private array.
+// memory), and restore takes an all-zero initial backing and copies
+// only the stored frames in, growing the backing to cover each. The
+// encoded frame images are the shared, immutable side of the snapshot
+// plane's copy-on-write story: every fork decodes against the same
+// buffer and owns a private backing.
 //
 // Neither direction reads memory the machine never wrote: a frame's
 // store generation (Phys.gens) is nonzero exactly when it has been
 // written since the array was all-zero, so capture content-tests only
 // those frames, and restore marks each frame it fills so a capture of
-// the fork stays complete. What remains proportional to configured
-// memory is 4 bytes per frame twice over: the generation scan and the
-// free stack.
+// the fork stays complete. Restore backs what a restored machine can
+// name without a page walk: the stored frames here, and each valid TLB
+// entry's frame as TLB.Snapshot decodes it (the core's fetch cache does
+// the same through Back); a page-table frame is backed by the walk that
+// reaches it (frameValid). What remains
+// proportional to configured memory is 4 bytes per frame twice over:
+// the generation scan and the free stack. The backing bytes follow the
+// highest frame a run reached.
 //
 // Deliberately NOT captured (host-side caches, rebuilt or re-warmed
 // after restore):
@@ -61,7 +67,8 @@ func (p *Phys) EncodeSnapshot(c *wire.Codec, resident []uint32) {
 
 // RestorePhys rebuilds a physical memory from its snapshot. size is the
 // configured physical memory size, validated against the encoded frame
-// count before arrays of that size are taken.
+// count before any array is taken. The backing starts at its initial
+// size and grows to cover the highest stored frame.
 func RestorePhys(c *wire.Codec, size uint64) (*Phys, error) {
 	var n uint32
 	c.U32(&n)
@@ -71,8 +78,7 @@ func RestorePhys(c *wire.Codec, size uint64) (*Phys, error) {
 	if size == 0 || size%PageSize != 0 || uint64(n) != size/PageSize {
 		return nil, fmt.Errorf("mem: snapshot has %d frames, config wants %d bytes", n, size)
 	}
-	a := acquire(size)
-	p := &Phys{data: a.data, numFrames: n, gens: a.gens}
+	p := newPhys(n)
 	p.snapshot(c, nil)
 	if err := c.Err(); err != nil {
 		p.Release()
@@ -115,6 +121,7 @@ func (p *Phys) snapshot(c *wire.Codec, resident []uint32) {
 			if c.Err() != nil {
 				return
 			}
+			p.cover(uint64(f))
 			p.touch(uint64(f))
 		}
 		c.Raw(p.frameBytes(f))
@@ -146,13 +153,19 @@ func zeroFrame(b []byte) bool {
 // Snapshot codes the TLB: every entry, valid or not (the direct-mapped
 // slot position is architectural), then the statistics counters. The
 // stats feed Table 1, so a restore must continue them exactly where the
-// capture left off.
-func (t *TLB) Snapshot(c *wire.Codec) {
+// capture left off. Decoding checks each valid entry's frame against p,
+// the restored memory, which backs it: a hit goes straight to the
+// unchecked accessors, and the frame may be one the image omits (an
+// allocated frame still all-zero, or one a corrupted PTE named).
+func (t *TLB) Snapshot(c *wire.Codec, p *Phys) {
 	for i := range t.entries {
 		e := &t.entries[i]
 		c.U32(&e.vpn)
 		c.U32(&e.pfn)
 		c.Bool(&e.write)
+		if c.Decoding() && e.vpn != 0 && !p.frameValid(e.pfn) {
+			c.Fail(fmt.Errorf("mem: snapshot TLB entry %d names frame %d", i, e.pfn))
+		}
 	}
 	c.U64(&t.Hits)
 	c.U64(&t.Misses)

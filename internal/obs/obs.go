@@ -273,6 +273,11 @@ const (
 	MSBSpinSkips   = "host.superblock.spin_skips"
 	MSBSpinInstrs  = "host.superblock.spin_instrs"
 
+	// Host section: the bytes of host memory backing the simulated
+	// physical memory (mem.Phys.Backed), which follow the highest frame
+	// the run reached rather than the configured size.
+	MMemBacking = "host.mem.backing_bytes"
+
 	// Fault plane: injections performed by the plan, faults detected by
 	// the kernel health check or core watchdog, recoveries completed,
 	// and the detection-to-recovery latency histogram (cycles).

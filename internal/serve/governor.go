@@ -32,8 +32,9 @@ var (
 )
 
 // Budget is one job's admission-time resource envelope. EstBytes is the
-// projected peak resident host memory (simulated physical memory is
-// allocated eagerly per machine, so it dominates); MaxWall bounds host
+// projected peak resident host memory (it charges each machine its
+// configured simulated physical memory, an upper bound: a machine backs
+// only the frames its run reaches); MaxWall bounds host
 // wall time from admission (enforced as a deadline with a JobError
 // cause). Zero fields are unenforced. The simulated clock has one limit,
 // the workload's own cycle guard that every run carries.

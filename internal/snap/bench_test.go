@@ -82,24 +82,46 @@ func BenchmarkCapture(b *testing.B) {
 }
 
 // BenchmarkFork times what a warm hit costs a grid in steady state:
-// fork the image, then release the machine for the next fork.
+// fork the image, then either release the machine for the next fork
+// (released) or drop it as garbage (unreleased), as a caller that never
+// calls Release does — the next fork then takes a fresh backing.
 func BenchmarkFork(b *testing.B) {
-	forEachPhysMem(b, func(b *testing.B, pr *workloads.Prepared) {
-		img, err := snap.Capture(pr.Machine, pr.Kernel)
-		if err != nil {
-			b.Fatal(err)
-		}
-		fork := func() {
-			m, _, err := img.Fork(nil)
+	for _, size := range benchPhysMem {
+		b.Run(fmt.Sprintf("physmem=%dMiB", size>>20), func(b *testing.B) {
+			pr := benchMachine(b, size)
+			defer pr.Release()
+			img, err := snap.Capture(pr.Machine, pr.Kernel)
 			if err != nil {
 				b.Fatal(err)
 			}
-			m.Release()
-		}
-		fork() // the first fork of a size has no released array to take
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			fork()
-		}
-	})
+			for _, release := range []bool{true, false} {
+				b.Run(releaseRow(release), func(b *testing.B) {
+					fork := func() {
+						m, _, err := img.Fork(nil)
+						if err != nil {
+							b.Fatal(err)
+						}
+						if release {
+							m.Release()
+						}
+					}
+					fork() // the first fork of a size has no released array to take
+					b.ReportAllocs()
+					b.ResetTimer()
+					for i := 0; i < b.N; i++ {
+						fork()
+					}
+					b.ReportMetric(float64(len(pr.Machine.Phys.Resident())), "resident_frames")
+				})
+			}
+		})
+	}
+}
+
+// releaseRow names a row by what becomes of each machine it builds.
+func releaseRow(release bool) string {
+	if release {
+		return "released"
+	}
+	return "unreleased"
 }
