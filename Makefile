@@ -147,14 +147,13 @@ faultcheck:
 # restored run must report the same cycle count and checksum as an
 # uninterrupted one. It also holds the touched-frame capture to the
 # full-scan encoder it replaced (byte-identical images), the memory
-# recycler to fresh-array parity, and smoke-runs the per-layer
-# capture/fork/prepare benchmarks once so they cannot rot (no ratio
-# gate: the numbers are for reading, see DESIGN.md §12).
+# recycler to fresh-array parity, and smoke-runs the capture benchmark
+# once so it cannot rot (no ratio gate: the numbers are for reading, see
+# DESIGN.md §12; the fork and prepare benchmarks run in benchsmoke).
 snapcheck:
 	$(GO) test -race -run 'TestCapture|TestFork|TestStructural|TestPause|TestMidRun|TestSnapshotFile|TestSaveFile|TestLoadRejects|TestWarmPool|TestRecycle|TestRelease' \
 		./internal/mem ./internal/snap/... ./internal/workloads
-	$(GO) test -run '^$$' -bench 'BenchmarkCapture|BenchmarkFork|BenchmarkPrepare' -benchtime=1x \
-		./internal/snap ./internal/workloads
+	$(GO) test -run '^$$' -bench 'BenchmarkCapture' -benchtime=1x ./internal/snap
 	$(GO) build -o /tmp/misp-snapcheck-sim ./cmd/mispsim
 	rm -f /tmp/misp-snapcheck.misp
 	/tmp/misp-snapcheck-sim -w gauss -size test -snapshot /tmp/misp-snapcheck.misp -snapat 60000 > /dev/null

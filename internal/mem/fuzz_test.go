@@ -121,6 +121,12 @@ func FuzzPhysBacking(f *testing.F) {
 	f.Add([]byte{0, 0, 0, 5, 0, 0, 0, 0, 0x00, 0xC0, 0x12, 0x34, 1, 8, 1, 0, 3, 0x00, 0x50, 0x00, 0x00, 9, 7, 0, 8, 4, 1, 0, 0, 2})
 	f.Add([]byte{3, 0x00, 0x3F, 0xFF, 0xFC, 15, 8, 7, 0, 4, 0, 1, 0, 0, 3, 6, 0, 0, 2})
 	f.Add([]byte{6, 0, 0, 0x00, 0xA0, 0x00, 0x00, 8})
+	// A written frame, then a flip at 15 MiB that grows the backing in
+	// one step: the frame must move into the new backing (checked at the
+	// restore), and the outgrown backing, parked by the growth, must be
+	// all-zero for the rebuilt memory that takes it.
+	f.Add([]byte{2, 0, 5, 0, 16, 0x77, 5, 0, 0, 0, 0, 0, 0xF0, 0, 0, 1, 8})
+	f.Add([]byte{2, 0, 5, 0, 16, 0x77, 5, 0, 0, 0, 0, 0, 0xF0, 0, 0, 1, 7})
 	f.Fuzz(func(t *testing.T, in []byte) {
 		if len(in) > 512 {
 			in = in[:512]

@@ -94,9 +94,9 @@ func (p *Phys) coverRange(pa, n uint64) {
 }
 
 // grow doubles the backing until it covers frame f or the whole
-// memory, moving the bytes to an array drawn from the recycler. The old
-// array is dropped, not parked: growth is rare, and its touched frames
-// would need clearing first.
+// memory, in one step: the larger array is drawn from the recycler, the
+// written frames move into it, and the outgrown array, left all-zero by
+// the move, is parked for the next machine that grows this far.
 func (p *Phys) grow(f uint64) {
 	if p.data == nil {
 		panic("mem: access to a released Phys")
@@ -106,8 +106,25 @@ func (p *Phys) grow(f uint64) {
 		n *= 2
 	}
 	data := dataPool.get(int(min(n, p.Size())))
-	copy(data, p.data)
+	p.scrub(data)
+	dataPool.put(p.data)
 	p.data = data
+}
+
+// scrub clears every written frame of the backing, copying it first to
+// the same offset of dst unless dst is nil, and so leaves the backing
+// all-zero. Only backed frames are ever written, so the generations
+// beyond the backing need no visit.
+func (p *Phys) scrub(dst []byte) {
+	for f, g := range p.gens[:len(p.data)>>PageShift] {
+		if g != 0 {
+			b := p.frameBytes(uint32(f))
+			if dst != nil {
+				copy(dst[uint64(f)<<PageShift:], b)
+			}
+			clear(b)
+		}
+	}
 }
 
 // Backed returns the bytes of host memory backing the simulated memory:
@@ -162,12 +179,8 @@ func (p *Phys) Release() {
 	if p.data == nil {
 		return
 	}
-	for f, g := range p.gens {
-		if g != 0 {
-			clear(p.frameBytes(uint32(f)))
-			p.gens[f] = 0
-		}
-	}
+	p.scrub(nil)
+	clear(p.gens)
 	dataPool.put(p.data)
 	genPool.put(p.gens)
 	*p = Phys{}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 
 	"misp/internal/core"
@@ -160,15 +161,23 @@ func (l life) equal(o life) bool {
 // TestRecycleParity: a machine built on, or forked onto, an array that a
 // dirtier tenant released is indistinguishable from one on a fresh
 // array — same capture bytes cold and mid-run, same instrs, cycles,
-// metrics and event stream — and so is a machine of another PhysMem,
-// which may take the same pooled backing.
+// metrics and event stream. That holds for the initial backing, for a
+// backing grown to the whole memory and released dirty end to end, and
+// for a machine of another PhysMem, which may take the same pooled
+// initial backing.
 func TestRecycleParity(t *testing.T) {
-	// Sizes no other test in this package uses, so the first machine of
-	// each is certain to be on a fresh array.
+	// Sizes no other test in this package uses, so the generations, and
+	// a backing grown to the whole memory, are certain to be fresh the
+	// first time. The initial backing is pooled by length across every
+	// size; two collections empty every sync.Pool (the first moves its
+	// items to the victim cache, the second drops them), so the first
+	// machines below are on fresh initial backings too.
 	cfg := testCfg(t)
 	cfg.PhysMem = 40<<20 + 3<<12
 	other := cfg
 	other.PhysMem = 24<<20 + 5<<12
+	runtime.GC()
+	runtime.GC()
 
 	fresh := prep(t, cfg)
 	ref, err := prep(t, cfg).Run()
@@ -179,10 +188,24 @@ func TestRecycleParity(t *testing.T) {
 	want := live(t, fresh, mid)
 	wantOther := live(t, prep(t, other), mid)
 
+	// A machine whose backing grows to the whole memory: one bit flipped
+	// in the last frame, which the program never allocates. The first
+	// is on a fresh array and is never released.
+	top := cfg.PhysMem - 8
+	grownPrep := func() *workloads.Prepared {
+		pr := prep(t, cfg)
+		pr.Machine.Phys.FlipBit(top, 3)
+		if got := pr.Machine.Phys.Backed(); got != cfg.PhysMem {
+			t.Fatalf("a flip in the last frame left a %d-byte backing, want %d", got, cfg.PhysMem)
+		}
+		return pr
+	}
+	wantGrown := live(t, grownPrep(), mid)
+
 	// The dirtier tenant: a bigger program run to completion, plus
-	// writes the allocator never made, up to the last backed frame (one
-	// beyond it would grow the backing into an array no cold machine
-	// takes).
+	// writes the allocator never made, up to the last frame, so its
+	// backing grows through every doubling to the whole memory. Each
+	// outgrown backing, dirty from the run, is parked by the growth.
 	released := map[*byte]bool{}
 	release := func(m *core.Machine) {
 		released[arrayID(m)] = true
@@ -199,11 +222,14 @@ func TestRecycleParity(t *testing.T) {
 	if _, err := big.Run(); err != nil {
 		t.Fatal(err)
 	}
-	backed := big.Machine.Phys.Backed()
-	for pa := uint64(4096); pa < backed; pa += 37 * 4096 {
+	released[arrayID(big.Machine)] = true // the initial backing, outgrown below
+	for pa := uint64(4096); pa < cfg.PhysMem; pa += 37 * 4096 {
 		big.Machine.Phys.FlipBit(pa+pa%4096, 5)
 	}
-	big.Machine.Phys.WriteU64(backed-8, ^uint64(0))
+	big.Machine.Phys.WriteU64(top, ^uint64(0))
+	if got := big.Machine.Phys.Backed(); got != cfg.PhysMem {
+		t.Fatalf("the dirty tenant's backing is %d bytes, want the whole %d", got, cfg.PhysMem)
+	}
 	if len(big.Machine.Phys.Resident()) <= len(fresh.Machine.Phys.Resident()) {
 		t.Fatal("the dirty tenant is no dirtier than the reference")
 	}
@@ -257,6 +283,15 @@ func TestRecycleParity(t *testing.T) {
 		t.Fatal("a fork onto a recycled array finished differently from the uninterrupted run")
 	}
 	release(forked.Machine)
+
+	// A machine that grows to the whole memory takes the backing the
+	// tenant released dirty from end to end, and still matches the one
+	// that grew on a fresh array.
+	grown := recycled(grownPrep)
+	if got := live(t, grown, mid); !got.equal(wantGrown) {
+		t.Fatal("a machine grown onto a recycled backing diverged from one grown on a fresh backing")
+	}
+	release(grown.Machine)
 
 	// Backings are pooled by length, not by PhysMem: the other size's
 	// next machine may sit on an array released above, and must still
