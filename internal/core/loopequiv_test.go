@@ -9,6 +9,7 @@ import (
 	"misp/internal/asm"
 	"misp/internal/isa"
 	"misp/internal/mem"
+	"misp/internal/obs"
 )
 
 // Loop-equivalence difftest: the event-horizon fast path must be
@@ -78,6 +79,8 @@ func compareRuns(t *testing.T, bL *BareOS, mL *Machine, bF *BareOS, mF *Machine)
 	if mL.Steps != mF.Steps {
 		t.Fatalf("steps diverge: legacy %d fast %d", mL.Steps, mF.Steps)
 	}
+	checkLedger(t, mL, "legacy")
+	checkLedger(t, mF, "fast")
 	if mL.MaxClock() != mF.MaxClock() {
 		t.Fatalf("wall clock diverges: legacy %d fast %d", mL.MaxClock(), mF.MaxClock())
 	}
@@ -109,6 +112,22 @@ func compareRuns(t *testing.T, bL *BareOS, mL *Machine, bF *BareOS, mF *Machine)
 			t.Errorf("per-PC profiles diverge: legacy %d PCs / %d cycles, fast %d PCs / %d cycles",
 				len(pL), mL.prof.TotalCycles(), len(pF), mF.prof.TotalCycles())
 		}
+	}
+}
+
+// checkLedger asserts that the cycle ledger of m's finished run closes:
+// its privileged, idle, ring-stall and proxy-stall cycles fit in
+// cycles.total, so the user remainder FinalizeMetrics publishes is never
+// clamped to 0.
+func checkLedger(t *testing.T, m *Machine, loop string) {
+	t.Helper()
+	reg := m.Obs.Metrics
+	var parts uint64
+	for _, name := range []string{obs.MCyclesPriv, obs.MCyclesIdle, obs.MCyclesRingStall, obs.MCyclesProxyStall} {
+		parts += reg.CounterValue(name)
+	}
+	if total := reg.CounterValue(obs.MCyclesTotal); total == 0 || parts > total {
+		t.Errorf("%s loop: the cycle ledger's parts sum to %d, cycles.total is %d", loop, parts, total)
 	}
 }
 
@@ -305,6 +324,8 @@ func checkEquivArmed(t *testing.T, cfg Config, p *asm.Program) {
 		ms[mode] = m
 	}
 	mL, mF := ms[0], ms[1]
+	checkLedger(t, mL, "legacy")
+	checkLedger(t, mF, "fast")
 	if mL.Steps != mF.Steps || mL.MaxClock() != mF.MaxClock() {
 		t.Fatalf("diverge: steps %d/%d clock %d/%d", mL.Steps, mF.Steps, mL.MaxClock(), mF.MaxClock())
 	}

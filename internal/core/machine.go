@@ -551,18 +551,19 @@ const batchInstrs = 64
 // While s's clock stays below the event horizon (hT, with hID breaking
 // ties by sequencer ID), s provably remains the machine's earliest
 // event, so instructions can commit back to back without re-selecting.
-// Any instruction that can create an event for another sequencer —
-// SIGNAL, PROXYEXEC, MOVTCR, HLT/HALT, SRET, SETYIELD, or any trap —
-// ends the batch so selection runs again.
+// Any instruction that can create an event for another sequencer — an
+// isa.ClassEvent opcode, or any trap — ends the batch so selection runs
+// again.
 //
 // evT is the earliest time an event (timer, proxy request, ingress
 // signal) becomes deliverable to s — nextDeliveryTime(s). Every input
 // feeding it is written only by other sequencers, by the kernel, or by
-// batch-breaking instructions — none of which can run mid-batch — so it
-// is a batch constant: one comparison per instruction replaces the
-// legacy loop's three delivery probes. The same invariance covers
-// stopErr, halted, os.Done(), and s.State: each changes only on a path
-// that already ends the batch (a fault, a break op, or a kernel entry).
+// batch-breaking instructions (isa.ClassEvent) — none of which can run
+// mid-batch — so it is a batch constant: one comparison per instruction
+// replaces the legacy loop's three delivery probes. The same invariance
+// covers stopErr, halted, os.Done(), and s.State: each changes only on a
+// path that already ends the batch (a fault, a break op, or a kernel
+// entry).
 // The same reasoning makes evT a round constant for runRound, which
 // caches it across clean batches.
 //
@@ -675,7 +676,6 @@ func (m *Machine) runBatch(s *Sequencer, hT uint64, hID int, evT uint64) (clean 
 			return false, nil
 		}
 		step = false
-		brk := batchBreak(in.Op)
 		f = m.execInstr(s, in)
 		if prof != nil {
 			prof.Add(pc, s.Clock-c0)
@@ -690,22 +690,14 @@ func (m *Machine) runBatch(s *Sequencer, hT uint64, hID int, evT uint64) (clean 
 			// batch and let selection re-run.
 			return false, nil
 		}
-		if brk {
+		// An op that can create or reorder events on another sequencer (or
+		// stop the machine) ends the batch. execInstr raised no fault, so
+		// the word is not malformed: its opcode has an isa.Info row.
+		if isa.Lookup(in.Op).Class == isa.ClassEvent {
 			return false, nil
 		}
 		n++
 	}
-}
-
-// batchBreak reports whether op can create or reorder events on another
-// sequencer (or stop the machine) and must therefore end the batch.
-func batchBreak(op isa.Op) bool {
-	switch op {
-	case isa.OpSignal, isa.OpProxyexec, isa.OpMovtcr, isa.OpHlt,
-		isa.OpHalt, isa.OpSret, isa.OpSetyield:
-		return true
-	}
-	return false
 }
 
 // FinalizeMetrics publishes the counts the machine and its OS keep to

@@ -6,25 +6,27 @@ package core
 // executed code page — keyed on the physical page and its store
 // generation — is compiled into an array of 16-byte micro-ops, and the
 // micro-op is the decoded instruction: its isa.Op, its register fields
-// (validated at compile time), the sign-extended immediate and the
-// precomputed opcode cost. The fast path states an inline opcode's
-// semantics once, in one of two functions both executors call. runAhead
-// is a run loop over everything that cannot trap: the pure opcodes
-// (sbPure — ALU, FP, branches, seqid, rdtsc ...) and the loads, which it
-// retires only as plain TLB hits. commitOrdered is one step of what must
-// commit at its place in the global order: settp, div/rem, stores, the
-// atomics and any load runAhead declined (TLB miss, page straddle,
-// paging off). Neither executor has a switch of its own: runUops
-// alternates the two until a stop, the cohort wave calls runAhead at
-// every pop and commitOrdered when the popped micro-op is not runAhead's.
-// An opcode neither implements takes commitOrdered's default arm: runUops
-// hands the word to the interpreter leg (sbStep), the cohort wave hands
-// back to the general path. That covers privileged and system ops, break
-// ops, SRET/SAVECTX/LDCTX's non-standard retirement, and — through the
-// sbSlow op byte — invalid words and words with a register field out of
-// range. runUops executes straight-line superblocks (runs ending at a
-// cross-page or misaligned control transfer, a default-arm word, a store
-// into the executing page, or the page edge) with one combined stop
+// (validated at compile time), the sign-extended immediate, and the
+// cost, class, access size and sign extension of its isa.Info row — the
+// one table that says where each opcode may run. The fast path states an
+// inline opcode's semantics once, in one of two functions both executors
+// call. runAhead is a run loop over everything that cannot trap: the
+// isa.ClassPure opcodes (ALU, FP, branches, seqid, rdtsc ...) and the
+// loads, which it retires only as plain TLB hits. commitOrdered is one
+// step of what must commit at its place in the global order: settp,
+// div/rem (isa.ClassOrdered), stores, the atomics and any load runAhead
+// declined (TLB miss, page straddle, paging off). Neither executor has a
+// switch of its own: runUops alternates the two until a stop, the cohort
+// wave calls runAhead at every pop and commitOrdered when the popped
+// micro-op is not runAhead's. An opcode neither implements takes
+// commitOrdered's default arm: runUops hands the word to the interpreter
+// leg (sbStep), the cohort wave hands back to the general path. That
+// covers — through the sbSlow op byte — the isa.ClassInterp and
+// isa.ClassEvent opcodes (privileged and system ops, SRET/SAVECTX/LDCTX's
+// non-standard retirement), invalid words and words with a register field
+// out of range. runUops executes straight-line superblocks (runs ending
+// at a cross-page or misaligned control transfer, a default-arm word, a
+// store into the executing page, or the page edge) with one combined stop
 // check per instruction and zero per-instruction Lookup/Valid/priv
 // overhead. Everything else — default-arm words, the first instruction
 // after a fetch-window miss, and blacklisted self-modifying pages — is
@@ -138,30 +140,28 @@ type sbUop struct {
 	rd   uint8
 	rs1  uint8
 	rs2  uint8
-	kind uint8 // whose the micro-op is: uopPure, uopLoad or uopOrdered
-	size uint8 // bytes a load or store moves; 0 for every other opcode
-	sx   uint8 // a sign-extending load's shift, 64 - 8*size; 0 otherwise
+	// class is the opcode's isa.Class, ClassInterp for a malformed word.
+	// The wave starts a run on a ClassLoad or ClassPure micro-op: a pure
+	// one commutes with every other sequencer's commit, and a load runs
+	// ahead only as a plain TLB hit under the wave's store snoop. Every
+	// other class is commitOrdered's — stores and atomics write memory,
+	// div/rem can trap, settp writes TP, which a run's snapshot does not
+	// cover — or the default arm's.
+	class isa.Class
+	size  uint8 // isa.Info.Size: bytes a load, store or atomic moves
+	sx    uint8 // a sign-extending load's shift, 64 - 8*size; 0 otherwise
 }
-
-// Whose a micro-op is. runAhead starts on the pure opcodes (sbPure) and on
-// the loads; everything else — what commitOrdered runs, and every word
-// that takes its default arm — is uopOrdered.
-const (
-	uopOrdered uint8 = iota
-	uopPure
-	uopLoad
-)
 
 // storeVA is the one definition of where a store or an atomic writes,
 // given its sequencer's registers: the address and the byte count, 0 for
-// an opcode that cannot store. An atomic counts as an 8-byte store
+// an opcode that cannot store. An atomic counts as a store of its size
 // whether or not it will store (a failing acas, a misaligned address).
 func (u *sbUop) storeVA(r *[isa.NumRegs]uint64) (va, size uint64) {
-	switch isa.Op(u.op) {
-	case isa.OpStb, isa.OpSth, isa.OpStw, isa.OpStd, isa.OpFst:
+	switch u.class {
+	case isa.ClassStore:
 		return r[u.rs1] + uint64(u.imm), uint64(u.size)
-	case isa.OpAxchg, isa.OpAcas, isa.OpAadd:
-		return r[u.rs1], 8
+	case isa.ClassAtomic:
+		return r[u.rs1], uint64(u.size)
 	}
 	return 0, 0
 }
@@ -248,79 +248,25 @@ func (m *Machine) sbCompile(p *sbPage) {
 	}
 }
 
-// sbClassify maps one decoded instruction to its micro-op. A malformed
-// word is marked sbSlow: execInstr raises TrapBadInstr for it. Its
-// register fields stay zero, so every micro-op's fields index the
-// register files (runAhead reads Regs[rd] before it looks at the op).
+// sbClassify maps one decoded instruction to its micro-op: its class,
+// access size and sign extension are its isa.Info row's, and an opcode
+// whose class is not inline keeps the op byte sbSlow. So does a malformed
+// word, for which execInstr raises TrapBadInstr; its register fields stay
+// zero, so every micro-op's fields index the register files (runAhead
+// reads Regs[rd] before it looks at the op).
 func sbClassify(in isa.Instr) sbUop {
 	if malformed(in) {
 		return sbUop{op: sbSlow}
 	}
-	u := sbUop{imm: int64(in.Imm), op: sbSlow, rd: in.Rd, rs1: in.Rs1, rs2: in.Rs2}
-	if info := isa.Lookup(in.Op); !info.Priv && info.Cost <= math.MaxUint8 {
+	info := isa.Lookup(in.Op)
+	u := sbUop{imm: int64(in.Imm), op: sbSlow, rd: in.Rd, rs1: in.Rs1, rs2: in.Rs2, class: info.Class, size: info.Size}
+	if info.Signed {
+		u.sx = 64 - 8*info.Size
+	}
+	if info.Class.Inline() {
 		u.op, u.cost = uint8(in.Op), uint8(info.Cost)
-		u.size, u.sx = sbAccess(in.Op)
-		switch in.Op {
-		case isa.OpLdb, isa.OpLdbu, isa.OpLdh, isa.OpLdhu, isa.OpLdw, isa.OpLdwu, isa.OpLdd, isa.OpFld:
-			u.kind = uopLoad
-		default:
-			if sbPure(in.Op) {
-				u.kind = uopPure
-			}
-		}
 	}
 	return u
-}
-
-// sbPure reports whether op reads and writes nothing but its own
-// sequencer's Regs, FRegs, PC and clock (SEQID also reads the machine's
-// fixed topology), writes at most Regs[rd] or FRegs[rd], and cannot trap.
-// A pure micro-op commutes with every other sequencer's commit, so
-// runAhead may retire it out of the global order unconditionally. Loads
-// are not pure — a peer's store can change what they read — and run ahead
-// only as plain TLB hits under the wave's store snoop; stores and atomics
-// write memory, div/rem can trap, settp writes TP (which a run's snapshot
-// does not cover), and everything else is not inline at all.
-func sbPure(op isa.Op) bool {
-	switch op {
-	case isa.OpNop, isa.OpPause, isa.OpFence, isa.OpRdtsc, isa.OpSeqid, isa.OpGettp,
-		isa.OpAdd, isa.OpSub, isa.OpMul, isa.OpAnd, isa.OpOr, isa.OpXor,
-		isa.OpShl, isa.OpShr, isa.OpSar, isa.OpSlt, isa.OpSltu,
-		isa.OpAddi, isa.OpMuli, isa.OpAndi, isa.OpOri, isa.OpXori,
-		isa.OpShli, isa.OpShri, isa.OpSari, isa.OpSlti,
-		isa.OpLdi, isa.OpLdih,
-		isa.OpFadd, isa.OpFsub, isa.OpFmul, isa.OpFdiv, isa.OpFmin, isa.OpFmax,
-		isa.OpFsqrt, isa.OpFabs, isa.OpFneg, isa.OpFmov,
-		isa.OpFlt, isa.OpFle, isa.OpFeq,
-		isa.OpItof, isa.OpFtoi, isa.OpFmvi, isa.OpImvf,
-		isa.OpJmp, isa.OpJal, isa.OpJr, isa.OpJalr,
-		isa.OpBeq, isa.OpBne, isa.OpBlt, isa.OpBge, isa.OpBltu, isa.OpBgeu:
-		return true
-	}
-	return false
-}
-
-// sbAccess gives the bytes a load or store opcode moves and, for a
-// sign-extending load, the shift pair (left, then arithmetic right) that
-// extends them.
-func sbAccess(op isa.Op) (size, sx uint8) {
-	switch op {
-	case isa.OpLdb:
-		return 1, 56
-	case isa.OpLdbu, isa.OpStb:
-		return 1, 0
-	case isa.OpLdh:
-		return 2, 48
-	case isa.OpLdhu, isa.OpSth:
-		return 2, 0
-	case isa.OpLdw:
-		return 4, 32
-	case isa.OpLdwu, isa.OpStw:
-		return 4, 0
-	case isa.OpLdd, isa.OpStd, isa.OpFld, isa.OpFst:
-		return 8, 0
-	}
-	return 0, 0
 }
 
 // waveRunAhead caps how many micro-ops one runAhead call retires for a
@@ -464,11 +410,11 @@ const (
 // cannot trap does: starting at pc with the running clock nc, it retires
 // micro-ops of c's compiled page ub (mapped at wva) while there are fewer
 // than max, the clock is below lim and the next one is in the page and is
-// either pure (sbPure) or a load that is a plain hit — inside one page,
-// paging on, resident in c's own TLB — which counts its TLB hit here. It
-// stops in front of anything else without touching a counter: a declined
-// load, like every other opcode, is the caller's to commit in order. c.PC,
-// c.Clock and the retirement counters are the caller's too.
+// either pure (isa.ClassPure) or a load that is a plain hit — inside one
+// page, paging on, resident in c's own TLB — which counts its TLB hit
+// here. It stops in front of anything else without touching a counter: a
+// declined load, like every other opcode, is the caller's to commit in
+// order. c.PC, c.Clock and the retirement counters are the caller's too.
 //
 // max caps the micro-ops executed one at a time. A spin loop's repeated
 // iterations do not count against it: at a pause, spinPause may retire
@@ -758,7 +704,7 @@ func (m *Machine) commitOrdered(s *Sequencer, u *sbUop) (f *trapFault, stored, o
 // member's own threshold, plus whatever a spin loop's fast-forward
 // retires at once (invariant 5), after which the member's clock is
 // written once. The first of them is the ordered commit; when the popped
-// micro-op is not runAhead's (its kind byte says so, or it is a load
+// micro-op is not runAhead's (its class byte says so, or it is a load
 // runAhead declines), commitOrdered makes the ordered commit and the run
 // follows it. The wave snapshots the member (waveSnap) just before each
 // run. The early retirements are not wrong — only a store into a load's
@@ -845,7 +791,7 @@ wave:
 		var n, nl int
 		var lb uint64
 		nc := T
-		if u.kind != uopOrdered {
+		if u.class >= isa.ClassLoad {
 			sn.regs, sn.fregs, sn.pc, sn.nc, sn.hits = c.Regs, c.FRegs, pc, nc, c.TLB.Hits
 			n, pc, nc, nl, lb = runAhead(m, c, w.ub, &sn.loads, w.wva, pc, nc, lim, waveRunAhead)
 		}

@@ -33,8 +33,8 @@ var interpOnly = map[isa.Op]bool{
 	isa.OpSavectx: true, isa.OpLdctx: true, isa.OpProxyexec: true,
 }
 
-// uopAccess pins the two bytes sbClassify compiles into a load or store:
-// the bytes it moves and a sign-extending load's shift.
+// uopAccess pins the two bytes sbClassify compiles into a load, store or
+// atomic: the bytes it moves and a sign-extending load's shift.
 var uopAccess = map[isa.Op]struct {
 	size, sx uint8
 	load     bool
@@ -42,6 +42,7 @@ var uopAccess = map[isa.Op]struct {
 	isa.OpLdb: {1, 56, true}, isa.OpLdbu: {1, 0, true}, isa.OpLdh: {2, 48, true}, isa.OpLdhu: {2, 0, true},
 	isa.OpLdw: {4, 32, true}, isa.OpLdwu: {4, 0, true}, isa.OpLdd: {8, 0, true}, isa.OpFld: {8, 0, true},
 	isa.OpStb: {size: 1}, isa.OpSth: {size: 2}, isa.OpStw: {size: 4}, isa.OpStd: {size: 8}, isa.OpFst: {size: 8},
+	isa.OpAxchg: {size: 8}, isa.OpAcas: {size: 8}, isa.OpAadd: {size: 8},
 }
 
 // Guest layout of the one-instruction programs: code on the first heap
@@ -257,8 +258,17 @@ func uopCases(op isa.Op) []uopCase {
 			in.Imm = imm
 			cs = append(cs, uopCase{in: in, r: [3]uint64{rdInit}})
 		}
-	case isa.FmtR1, isa.FmtR2: // settp, jr, jalr
+	case isa.FmtR1, isa.FmtR2, isa.FmtYield: // r2 is a target, a handler, a frame or a TP
 		cs = append(cs, uopCase{in: base, r: [3]uint64{rdInit, uopCode + 3*isa.WordSize}})
+		if op == isa.OpProxyexec {
+			// Sequencer 1's frame: TestOpTableMatchesOracle posts its
+			// proxy request.
+			cs = append(cs, uopCase{in: base, r: [3]uint64{rdInit, FrameVA(1)}})
+		}
+	case isa.FmtSig: // signal: to SID 1, and to an SID no processor has
+		for _, sid := range []uint64{1, rdInit} {
+			cs = append(cs, uopCase{in: base, r: [3]uint64{sid, uopCode + 3*isa.WordSize, uopData + 64}})
+		}
 	default: // FmtNone, FmtRd
 		cs = append(cs, uopCase{in: base, r: [3]uint64{rdInit}})
 	}
@@ -288,17 +298,18 @@ func TestUopSemanticsMatchOracle(t *testing.T) {
 	}
 	for op := isa.Op(0); isa.Valid(op); op++ {
 		u, acc := sbClassify(isa.Instr{Op: op}), uopAccess[op]
-		ahead := sbPure(op) || acc.load // what runAhead may retire
+		ahead := u.class >= isa.ClassLoad // what the wave starts a run on
 		uopProbeRunUops(t, op)
 		uopProbeWave(t, op)
 		uopProbeLeaf(t, op, ahead)
-		// The kind byte is what the wave starts a run on. A pure opcode is
-		// re-made from the run's snapshot alone: it may touch no memory. A
-		// load is not pure: the run also keeps the address a peer's store
+		// The class byte is what the wave starts a run on; the probes hold
+		// it to runAhead's and commitOrdered's own switches. A pure opcode
+		// is re-made from the run's snapshot alone: it may touch no memory.
+		// A load is not pure: the run also keeps the address a peer's store
 		// is checked against. Everything else is commitOrdered's or nobody's.
-		pure, f := u.kind == uopPure, isa.Lookup(op).Fmt
-		if pure != sbPure(op) || (u.kind == uopLoad) != acc.load || pure && (interpOnly[op] || f == isa.FmtMem || f == isa.FmtFMem) {
-			t.Errorf("%s: pure %v load %v compiled kind %d, interpreter-only %v, format %d", isa.Name(op), sbPure(op), acc.load, u.kind, interpOnly[op], f)
+		pure, f := u.class == isa.ClassPure, isa.Lookup(op).Fmt
+		if (u.class == isa.ClassLoad) != acc.load || pure && (interpOnly[op] || f == isa.FmtMem || f == isa.FmtFMem) {
+			t.Errorf("%s: load %v compiled class %d, interpreter-only %v, format %d", isa.Name(op), acc.load, u.class, interpOnly[op], f)
 		}
 		if u.size != acc.size || u.sx != acc.sx {
 			t.Errorf("%s compiles to access size %d shift %d, want %d and %d", isa.Name(op), u.size, u.sx, acc.size, acc.sx)
@@ -308,8 +319,8 @@ func TestUopSemanticsMatchOracle(t *testing.T) {
 		}
 		// The compile-time facts the default arm relies on.
 		info := isa.Lookup(op)
-		if info.Cost > math.MaxUint8 || info.Priv || batchBreak(op) {
-			t.Errorf("%s is inline but cost %d priv %v break %v", info.Name, info.Cost, info.Priv, batchBreak(op))
+		if info.Cost > math.MaxUint8 || info.Priv || info.Class == isa.ClassEvent {
+			t.Errorf("%s is inline but cost %d priv %v class %d", info.Name, info.Cost, info.Priv, info.Class)
 		}
 		if isa.Op(u.op) != op || uint32(u.cost) != info.Cost {
 			t.Errorf("%s compiles to op %d cost %d", info.Name, u.op, u.cost)
@@ -495,7 +506,7 @@ func uopProbeLeaf(t *testing.T, op isa.Op, ahead bool) {
 	case load != (nl == 1) || load != (bloom != 0) || load != (loads[0] != 0) || load != (hits == 1):
 		t.Errorf("runAhead on %s: %d loads, filter %#x address %#x TLB hits %d", isa.Name(op), nl, bloom, loads[0], hits)
 	}
-	if _, _, ok := m.commitOrdered(s, &s.sb.uops[0]); ok != (!interpOnly[op] && !sbPure(op)) {
+	if _, _, ok := m.commitOrdered(s, &s.sb.uops[0]); ok != (!interpOnly[op] && (!ahead || uopAccess[op].load)) {
 		t.Errorf("commitOrdered takes %s: %v", isa.Name(op), ok)
 	}
 }
@@ -518,11 +529,12 @@ func TestRunAheadDeclinesPagingOff(t *testing.T) {
 }
 
 // TestBadRegisterFieldTraps: isa.Decode masks nothing and only the
-// assembler validates register fields, so a word with one >= NumRegs can
-// reach the core from stored code, a jump into data or a memory bit
-// flip. It must raise a bad-instruction trap at its PC without retiring,
-// not index past the register file, on the legacy loop, in runUops and
-// as a member of a lockstep cohort.
+// assembler validates register fields, so a word with one >= NumRegs, or
+// with an undefined opcode, can reach the core from stored code, a jump
+// into data or a memory bit flip. It must raise a bad-instruction trap at
+// its PC without retiring, not index past the register file or the
+// opcode table, on the legacy loop, in runUops and as a member of a
+// lockstep cohort.
 func TestBadRegisterFieldTraps(t *testing.T) {
 	words := []isa.Instr{
 		{Op: isa.OpAdd, Rd: 200},
@@ -530,6 +542,8 @@ func TestBadRegisterFieldTraps(t *testing.T) {
 		{Op: isa.OpLdd, Rd: 1, Rs1: 2, Rs2: 255},
 		{Op: isa.OpFadd, Rd: 1, Rs1: 16, Rs2: 3},
 		{Op: isa.OpSeqid, Rd: 16},
+		{Op: isa.Op(isa.NumOps)},
+		{Op: 0xff},
 	}
 	runs := []struct {
 		name   string

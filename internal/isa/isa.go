@@ -237,113 +237,156 @@ var formats = [...][]Operand{
 // written. The slice is shared: callers must not modify it.
 func (f Fmt) Operands() []Operand { return formats[f] }
 
-// Info holds static properties of one opcode.
+// Info holds static properties of one opcode: how it is written, what it
+// costs, and what executing it touches. It is the one statement of the
+// latter, from which the core's fast path takes where each opcode may
+// run; the core's interpreter, the reference the table is tested
+// against, does not read Class, Size or Signed.
 type Info struct {
-	Name string
-	Fmt  Fmt
-	Cost uint32 // base cycle cost
-	Priv bool   // requires ring 0
+	Name   string
+	Fmt    Fmt
+	Cost   uint32 // base cycle cost
+	Priv   bool   // requires ring 0
+	Class  Class
+	Size   uint8 // bytes a load, store or atomic moves; 0 for every other class
+	Signed bool  // a load that sign-extends its Size bytes
 }
 
+// Class says what executing an opcode may read, write or cause. The order
+// is part of the definition: the classes from ClassOrdered on are the
+// inline ones, and the last two, which write nothing another sequencer
+// reads, are the ones a fast path may retire ahead of the global commit
+// order — so one compare selects either set.
+type Class uint8
+
+const (
+	// ClassInterp: run only by the interpreter — the privileged ops,
+	// which trap outside ring 0, brk and syscall, which always trap, and
+	// the ops whose effects reach past the sequencer's registers, TP and
+	// a few bytes of memory.
+	ClassInterp Class = iota
+	// ClassEvent: an interpreter-only op that can create or reorder events
+	// on another sequencer or stop the machine, so a batch of retirements
+	// ends after it.
+	ClassEvent
+	// ClassOrdered: writes only its own registers or TP, but can trap or
+	// writes TP: settp, div, rem.
+	ClassOrdered
+	// ClassStore writes the low Size bytes of rd at rs1+imm.
+	ClassStore
+	// ClassAtomic reads the Size bytes at rs1 into rd and may write them.
+	ClassAtomic
+	// ClassLoad reads the Size bytes at rs1+imm into rd.
+	ClassLoad
+	// ClassPure reads and writes nothing but its own sequencer's
+	// registers, PC and clock (seqid also the fixed topology, gettp the
+	// TP), writes at most rd, and cannot trap.
+	ClassPure
+)
+
+// Inline reports whether a fast path may run an opcode of class c itself
+// rather than hand it to the interpreter.
+func (c Class) Inline() bool { return c >= ClassOrdered }
+
 var infos = [opCount]Info{
-	OpNop:   {"nop", FmtNone, 1, false},
-	OpHalt:  {"halt", FmtNone, 1, true},
-	OpBrk:   {"brk", FmtNone, 1, false},
-	OpPause: {"pause", FmtNone, 10, false},
-	OpFence: {"fence", FmtNone, 4, false},
-	OpRdtsc: {"rdtsc", FmtRd, 8, false},
-	OpSeqid: {"seqid", FmtRI, 1, false},
+	OpNop:   {"nop", FmtNone, 1, false, ClassPure, 0, false},
+	OpHalt:  {"halt", FmtNone, 1, true, ClassEvent, 0, false},
+	OpBrk:   {"brk", FmtNone, 1, false, ClassInterp, 0, false},
+	OpPause: {"pause", FmtNone, 10, false, ClassPure, 0, false},
+	OpFence: {"fence", FmtNone, 4, false, ClassPure, 0, false},
+	OpRdtsc: {"rdtsc", FmtRd, 8, false, ClassPure, 0, false},
+	OpSeqid: {"seqid", FmtRI, 1, false, ClassPure, 0, false},
 
-	OpAdd:  {"add", FmtR3, 1, false},
-	OpSub:  {"sub", FmtR3, 1, false},
-	OpMul:  {"mul", FmtR3, 3, false},
-	OpDiv:  {"div", FmtR3, 20, false},
-	OpRem:  {"rem", FmtR3, 20, false},
-	OpAnd:  {"and", FmtR3, 1, false},
-	OpOr:   {"or", FmtR3, 1, false},
-	OpXor:  {"xor", FmtR3, 1, false},
-	OpShl:  {"shl", FmtR3, 1, false},
-	OpShr:  {"shr", FmtR3, 1, false},
-	OpSar:  {"sar", FmtR3, 1, false},
-	OpSlt:  {"slt", FmtR3, 1, false},
-	OpSltu: {"sltu", FmtR3, 1, false},
+	OpAdd:  {"add", FmtR3, 1, false, ClassPure, 0, false},
+	OpSub:  {"sub", FmtR3, 1, false, ClassPure, 0, false},
+	OpMul:  {"mul", FmtR3, 3, false, ClassPure, 0, false},
+	OpDiv:  {"div", FmtR3, 20, false, ClassOrdered, 0, false},
+	OpRem:  {"rem", FmtR3, 20, false, ClassOrdered, 0, false},
+	OpAnd:  {"and", FmtR3, 1, false, ClassPure, 0, false},
+	OpOr:   {"or", FmtR3, 1, false, ClassPure, 0, false},
+	OpXor:  {"xor", FmtR3, 1, false, ClassPure, 0, false},
+	OpShl:  {"shl", FmtR3, 1, false, ClassPure, 0, false},
+	OpShr:  {"shr", FmtR3, 1, false, ClassPure, 0, false},
+	OpSar:  {"sar", FmtR3, 1, false, ClassPure, 0, false},
+	OpSlt:  {"slt", FmtR3, 1, false, ClassPure, 0, false},
+	OpSltu: {"sltu", FmtR3, 1, false, ClassPure, 0, false},
 
-	OpAddi: {"addi", FmtR2I, 1, false},
-	OpMuli: {"muli", FmtR2I, 3, false},
-	OpAndi: {"andi", FmtR2I, 1, false},
-	OpOri:  {"ori", FmtR2I, 1, false},
-	OpXori: {"xori", FmtR2I, 1, false},
-	OpShli: {"shli", FmtR2I, 1, false},
-	OpShri: {"shri", FmtR2I, 1, false},
-	OpSari: {"sari", FmtR2I, 1, false},
-	OpSlti: {"slti", FmtR2I, 1, false},
+	OpAddi: {"addi", FmtR2I, 1, false, ClassPure, 0, false},
+	OpMuli: {"muli", FmtR2I, 3, false, ClassPure, 0, false},
+	OpAndi: {"andi", FmtR2I, 1, false, ClassPure, 0, false},
+	OpOri:  {"ori", FmtR2I, 1, false, ClassPure, 0, false},
+	OpXori: {"xori", FmtR2I, 1, false, ClassPure, 0, false},
+	OpShli: {"shli", FmtR2I, 1, false, ClassPure, 0, false},
+	OpShri: {"shri", FmtR2I, 1, false, ClassPure, 0, false},
+	OpSari: {"sari", FmtR2I, 1, false, ClassPure, 0, false},
+	OpSlti: {"slti", FmtR2I, 1, false, ClassPure, 0, false},
 
-	OpLdi:  {"ldi", FmtRI, 1, false},
-	OpLdih: {"ldih", FmtRI, 1, false},
+	OpLdi:  {"ldi", FmtRI, 1, false, ClassPure, 0, false},
+	OpLdih: {"ldih", FmtRI, 1, false, ClassPure, 0, false},
 
-	OpLdb:  {"ldb", FmtMem, 2, false},
-	OpLdbu: {"ldbu", FmtMem, 2, false},
-	OpLdh:  {"ldh", FmtMem, 2, false},
-	OpLdhu: {"ldhu", FmtMem, 2, false},
-	OpLdw:  {"ldw", FmtMem, 2, false},
-	OpLdwu: {"ldwu", FmtMem, 2, false},
-	OpLdd:  {"ldd", FmtMem, 2, false},
-	OpStb:  {"stb", FmtMem, 2, false},
-	OpSth:  {"sth", FmtMem, 2, false},
-	OpStw:  {"stw", FmtMem, 2, false},
-	OpStd:  {"std", FmtMem, 2, false},
+	OpLdb:  {"ldb", FmtMem, 2, false, ClassLoad, 1, true},
+	OpLdbu: {"ldbu", FmtMem, 2, false, ClassLoad, 1, false},
+	OpLdh:  {"ldh", FmtMem, 2, false, ClassLoad, 2, true},
+	OpLdhu: {"ldhu", FmtMem, 2, false, ClassLoad, 2, false},
+	OpLdw:  {"ldw", FmtMem, 2, false, ClassLoad, 4, true},
+	OpLdwu: {"ldwu", FmtMem, 2, false, ClassLoad, 4, false},
+	OpLdd:  {"ldd", FmtMem, 2, false, ClassLoad, 8, false},
+	OpStb:  {"stb", FmtMem, 2, false, ClassStore, 1, false},
+	OpSth:  {"sth", FmtMem, 2, false, ClassStore, 2, false},
+	OpStw:  {"stw", FmtMem, 2, false, ClassStore, 4, false},
+	OpStd:  {"std", FmtMem, 2, false, ClassStore, 8, false},
 
-	OpFld:   {"fld", FmtFMem, 2, false},
-	OpFst:   {"fst", FmtFMem, 2, false},
-	OpFadd:  {"fadd", FmtF3, 4, false},
-	OpFsub:  {"fsub", FmtF3, 4, false},
-	OpFmul:  {"fmul", FmtF3, 4, false},
-	OpFdiv:  {"fdiv", FmtF3, 20, false},
-	OpFmin:  {"fmin", FmtF3, 4, false},
-	OpFmax:  {"fmax", FmtF3, 4, false},
-	OpFsqrt: {"fsqrt", FmtF2, 30, false},
-	OpFabs:  {"fabs", FmtF2, 1, false},
-	OpFneg:  {"fneg", FmtF2, 1, false},
-	OpFmov:  {"fmov", FmtF2, 1, false},
-	OpFlt:   {"flt", FmtFCmp, 2, false},
-	OpFle:   {"fle", FmtFCmp, 2, false},
-	OpFeq:   {"feq", FmtFCmp, 2, false},
-	OpItof:  {"itof", FmtFI, 4, false},
-	OpFtoi:  {"ftoi", FmtIF, 4, false},
-	OpFmvi:  {"fmvi", FmtFI, 1, false},
-	OpImvf:  {"imvf", FmtIF, 1, false},
+	OpFld:   {"fld", FmtFMem, 2, false, ClassLoad, 8, false},
+	OpFst:   {"fst", FmtFMem, 2, false, ClassStore, 8, false},
+	OpFadd:  {"fadd", FmtF3, 4, false, ClassPure, 0, false},
+	OpFsub:  {"fsub", FmtF3, 4, false, ClassPure, 0, false},
+	OpFmul:  {"fmul", FmtF3, 4, false, ClassPure, 0, false},
+	OpFdiv:  {"fdiv", FmtF3, 20, false, ClassPure, 0, false},
+	OpFmin:  {"fmin", FmtF3, 4, false, ClassPure, 0, false},
+	OpFmax:  {"fmax", FmtF3, 4, false, ClassPure, 0, false},
+	OpFsqrt: {"fsqrt", FmtF2, 30, false, ClassPure, 0, false},
+	OpFabs:  {"fabs", FmtF2, 1, false, ClassPure, 0, false},
+	OpFneg:  {"fneg", FmtF2, 1, false, ClassPure, 0, false},
+	OpFmov:  {"fmov", FmtF2, 1, false, ClassPure, 0, false},
+	OpFlt:   {"flt", FmtFCmp, 2, false, ClassPure, 0, false},
+	OpFle:   {"fle", FmtFCmp, 2, false, ClassPure, 0, false},
+	OpFeq:   {"feq", FmtFCmp, 2, false, ClassPure, 0, false},
+	OpItof:  {"itof", FmtFI, 4, false, ClassPure, 0, false},
+	OpFtoi:  {"ftoi", FmtIF, 4, false, ClassPure, 0, false},
+	OpFmvi:  {"fmvi", FmtFI, 1, false, ClassPure, 0, false},
+	OpImvf:  {"imvf", FmtIF, 1, false, ClassPure, 0, false},
 
-	OpJmp:  {"jmp", FmtJmp, 1, false},
-	OpJal:  {"jal", FmtJal, 1, false},
-	OpJr:   {"jr", FmtR1, 1, false},
-	OpJalr: {"jalr", FmtR2, 1, false},
-	OpBeq:  {"beq", FmtBranch, 1, false},
-	OpBne:  {"bne", FmtBranch, 1, false},
-	OpBlt:  {"blt", FmtBranch, 1, false},
-	OpBge:  {"bge", FmtBranch, 1, false},
-	OpBltu: {"bltu", FmtBranch, 1, false},
-	OpBgeu: {"bgeu", FmtBranch, 1, false},
+	OpJmp:  {"jmp", FmtJmp, 1, false, ClassPure, 0, false},
+	OpJal:  {"jal", FmtJal, 1, false, ClassPure, 0, false},
+	OpJr:   {"jr", FmtR1, 1, false, ClassPure, 0, false},
+	OpJalr: {"jalr", FmtR2, 1, false, ClassPure, 0, false},
+	OpBeq:  {"beq", FmtBranch, 1, false, ClassPure, 0, false},
+	OpBne:  {"bne", FmtBranch, 1, false, ClassPure, 0, false},
+	OpBlt:  {"blt", FmtBranch, 1, false, ClassPure, 0, false},
+	OpBge:  {"bge", FmtBranch, 1, false, ClassPure, 0, false},
+	OpBltu: {"bltu", FmtBranch, 1, false, ClassPure, 0, false},
+	OpBgeu: {"bgeu", FmtBranch, 1, false, ClassPure, 0, false},
 
-	OpAxchg: {"axchg", FmtR3, 8, false},
-	OpAcas:  {"acas", FmtR3, 10, false},
-	OpAadd:  {"aadd", FmtR3, 8, false},
+	OpAxchg: {"axchg", FmtR3, 8, false, ClassAtomic, 8, false},
+	OpAcas:  {"acas", FmtR3, 10, false, ClassAtomic, 8, false},
+	OpAadd:  {"aadd", FmtR3, 8, false, ClassAtomic, 8, false},
 
-	OpSyscall:  {"syscall", FmtNone, 1, false},
-	OpIret:     {"iret", FmtNone, 10, true},
-	OpMovtcr:   {"movtcr", FmtCRW, 10, true},
-	OpMovfcr:   {"movfcr", FmtCRR, 4, true},
-	OpHlt:      {"hlt", FmtNone, 1, true},
-	OpInvlpg:   {"invlpg", FmtR1, 20, true},
-	OpTlbflush: {"tlbflush", FmtNone, 40, true},
+	OpSyscall:  {"syscall", FmtNone, 1, false, ClassInterp, 0, false},
+	OpIret:     {"iret", FmtNone, 10, true, ClassInterp, 0, false},
+	OpMovtcr:   {"movtcr", FmtCRW, 10, true, ClassEvent, 0, false},
+	OpMovfcr:   {"movfcr", FmtCRR, 4, true, ClassInterp, 0, false},
+	OpHlt:      {"hlt", FmtNone, 1, true, ClassEvent, 0, false},
+	OpInvlpg:   {"invlpg", FmtR1, 20, true, ClassInterp, 0, false},
+	OpTlbflush: {"tlbflush", FmtNone, 40, true, ClassInterp, 0, false},
 
-	OpSettp:     {"settp", FmtR1, 1, false},
-	OpGettp:     {"gettp", FmtRd, 1, false},
-	OpSignal:    {"signal", FmtSig, 20, false},
-	OpSetyield:  {"setyield", FmtYield, 10, false},
-	OpSret:      {"sret", FmtNone, 10, false},
-	OpSavectx:   {"savectx", FmtR1, 60, false},
-	OpLdctx:     {"ldctx", FmtR1, 60, false},
-	OpProxyexec: {"proxyexec", FmtR1, 60, false},
+	OpSettp:     {"settp", FmtR1, 1, false, ClassOrdered, 0, false},
+	OpGettp:     {"gettp", FmtRd, 1, false, ClassPure, 0, false},
+	OpSignal:    {"signal", FmtSig, 20, false, ClassEvent, 0, false},
+	OpSetyield:  {"setyield", FmtYield, 10, false, ClassEvent, 0, false},
+	OpSret:      {"sret", FmtNone, 10, false, ClassEvent, 0, false},
+	OpSavectx:   {"savectx", FmtR1, 60, false, ClassInterp, 0, false},
+	OpLdctx:     {"ldctx", FmtR1, 60, false, ClassInterp, 0, false},
+	OpProxyexec: {"proxyexec", FmtR1, 60, false, ClassEvent, 0, false},
 }
 
 // Lookup returns the static Info for op. It panics on an out-of-range

@@ -36,6 +36,9 @@ func TestEncodeDecodeAllOpcodes(t *testing.T) {
 	}
 }
 
+// TestInfoTableComplete also holds each row's class, access size and
+// sign extension to one another and to its format. What the class says
+// an opcode does is held to the core's interpreter in internal/core.
 func TestInfoTableComplete(t *testing.T) {
 	for op := Op(0); int(op) < NumOps; op++ {
 		info := Lookup(op)
@@ -44,6 +47,30 @@ func TestInfoTableComplete(t *testing.T) {
 		}
 		if info.Cost == 0 {
 			t.Errorf("opcode %s has zero cost", info.Name)
+		}
+		if info.Class > ClassPure {
+			t.Errorf("%s: undefined class %d", info.Name, info.Class)
+		}
+		load, store := info.Class == ClassLoad, info.Class == ClassStore
+		switch {
+		case info.Class == ClassAtomic && info.Size != 8:
+			t.Errorf("%s: atomic of size %d, want 8", info.Name, info.Size)
+		case load || store:
+			if info.Size != 1 && info.Size != 2 && info.Size != 4 && info.Size != 8 {
+				t.Errorf("%s: access size %d", info.Name, info.Size)
+			}
+		case info.Class != ClassAtomic && info.Size != 0:
+			t.Errorf("%s: class %d moves no bytes but has size %d", info.Name, info.Class, info.Size)
+		}
+		if info.Signed && (!load || info.Size == 8) {
+			t.Errorf("%s: only a load narrower than a register sign-extends", info.Name)
+		}
+		// The compiled micro-op holds an inline opcode's cost in a byte.
+		if info.Class.Inline() && info.Cost > 255 {
+			t.Errorf("%s: inline with cost %d", info.Name, info.Cost)
+		}
+		if mem := info.Fmt == FmtMem || info.Fmt == FmtFMem; mem != (load || store) {
+			t.Errorf("%s: format %d with class %d", info.Name, info.Fmt, info.Class)
 		}
 	}
 }
@@ -88,6 +115,12 @@ func TestPrivilegedOpcodes(t *testing.T) {
 	for _, op := range priv {
 		if !Lookup(op).Priv {
 			t.Errorf("%s should be privileged", Name(op))
+		}
+	}
+	// A fast path runs an inline opcode without the ring check.
+	for op := Op(0); int(op) < NumOps; op++ {
+		if info := Lookup(op); info.Priv && info.Class.Inline() {
+			t.Errorf("%s is privileged but of inline class %d", info.Name, info.Class)
 		}
 	}
 	// The MISP extension is explicitly user-level (the whole point of the

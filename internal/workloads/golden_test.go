@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"misp/internal/asm"
+	"misp/internal/obs"
 	"misp/internal/shredlib"
 )
 
@@ -133,6 +134,16 @@ func TestGoldenCounters(t *testing.T) {
 					}
 					defer r.Release()
 					got[i*len(shapes)+j] = fmt.Sprintf("%s %s %d %d", w.Name, s.label, r.Machine.Steps, r.Machine.MaxClock())
+					// The cycle ledger closes: its parts fit in the total, so
+					// the published user remainder is never clamped to 0.
+					reg := r.Machine.Obs.Metrics
+					var parts uint64
+					for _, name := range []string{obs.MCyclesPriv, obs.MCyclesIdle, obs.MCyclesRingStall, obs.MCyclesProxyStall} {
+						parts += reg.CounterValue(name)
+					}
+					if total := reg.CounterValue(obs.MCyclesTotal); total == 0 || parts > total {
+						t.Errorf("the cycle ledger's parts sum to %d, cycles.total is %d", parts, total)
+					}
 				})
 			}
 		}
