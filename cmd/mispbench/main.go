@@ -51,7 +51,6 @@ func main() {
 	maxLoad := flag.Int("load", 4, "fig7: maximum number of competing processes")
 	parallel := flag.Int("parallel", 0, "host workers for independent simulation runs (0 = all cores, 1 = serial); results are identical for any value")
 	faultSeeds := flag.Int("faultseeds", 5, "resilience: seeded fault campaigns per sweep cell")
-	cold := flag.Bool("cold", false, "disable the snapshot warm-start pool (prepare every machine from scratch); results are identical either way")
 	cpuProfile := flag.String("cpuprofile", "", "write a pprof CPU profile to this file")
 	memProfile := flag.String("memprofile", "", "write a pprof heap profile to this file at exit")
 	showVersion := flag.Bool("version", false, "print version and exit")
@@ -91,14 +90,11 @@ func main() {
 	defer stopProf()
 
 	var stats sweep.Stats
-	opt := exp.Options{Size: size, Seqs: *seqs, Parallel: *parallel, SweepStats: &stats, Ctx: ctx}
-	if !*cold {
-		// One pool for the whole invocation: grid points that differ only
-		// in run-only configuration (ring policy, fault plane, cost
-		// model) fork a shared post-prepare snapshot instead of building
-		// and zeroing a machine each. CSVs are byte-identical either way.
-		opt.Warm = workloads.NewWarmPool()
-	}
+	// One pool for the whole invocation: grid points that differ only in
+	// run-only configuration (ring policy, fault plane) fork a shared
+	// post-prepare snapshot instead of building and zeroing a machine
+	// each. CSVs are byte-identical either way.
+	opt := exp.Options{Size: size, Seqs: *seqs, Parallel: *parallel, SweepStats: &stats, Ctx: ctx, Warm: workloads.NewWarmPool()}
 	// A3's table prints every app × signal-cost point, so without -apps
 	// it shows a 4-app subset.
 	a3Apps := []string{"dense_mmm", "kmeans", "sparse_mvm", "swim"}
@@ -169,10 +165,10 @@ func main() {
 	}
 
 	if *csvDir != "" {
-		// Everything that can change a CSV byte — never -parallel or
-		// -cold — then the base machine configuration, whose hash moves
-		// with any field, and last the build, the one line two runs that
-		// wrote the same CSVs may disagree on.
+		// Everything that can change a CSV byte — never -parallel — then
+		// the base machine configuration, whose hash moves with any
+		// field, and last the build, the one line two runs that wrote the
+		// same CSVs may disagree on.
 		base := workloads.DefaultConfig(core.Topology{*seqs - 1})
 		write(filepath.Join(*csvDir, "PROVENANCE"), fmt.Sprintf(
 			"exp %s\nsize %s\nseqs %d\napps %s\nload %d\nfaultseeds %d\n"+
@@ -187,10 +183,8 @@ func main() {
 	if stats.Jobs > 0 {
 		fmt.Println(report.SweepSummary(stats).String())
 	}
-	if opt.Warm != nil {
-		if hits, misses := opt.Warm.Stats(); hits+misses > 0 {
-			fmt.Printf("warm pool: %d forks, %d cold prepares\n", hits, misses)
-		}
+	if hits, misses := opt.Warm.Stats(); hits+misses > 0 {
+		fmt.Printf("warm pool: %d forks, %d cold prepares\n", hits, misses)
 	}
 }
 

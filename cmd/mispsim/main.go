@@ -215,6 +215,9 @@ func main() {
 		printTrace(res.Machine, *traceMax)
 	}
 	finish(res.Machine, *traceOut, *metrics)
+	if res.Checksum != want {
+		fatal(fmt.Errorf("%s: checksum %g does not match reference %g", w.Name, res.Checksum, want))
+	}
 }
 
 // finish emits the optional observability outputs and, when tracing was

@@ -76,7 +76,7 @@ func LoadBare(m *Machine, prog *asm.Program) (*BareOS, error) {
 func (b *BareOS) HandleTrap(s *Sequencer, trap isa.Trap, info uint64) {
 	switch trap {
 	case isa.TrapPageFault:
-		s.Clock += b.M.Cfg.PageFaultCost
+		s.Clock += PageFaultCost
 		va := PFAddr(info)
 		ok, err := b.Space.HandleFault(va, PFIsWrite(info))
 		if err != nil {
@@ -94,7 +94,7 @@ func (b *BareOS) HandleTrap(s *Sequencer, trap isa.Trap, info uint64) {
 }
 
 func (b *BareOS) syscall(s *Sequencer) {
-	s.Clock += b.M.Cfg.SyscallBaseCost
+	s.Clock += SyscallBaseCost
 	n := s.Regs[isa.RRet]
 	a1, a2 := s.Regs[isa.RArg0], s.Regs[isa.RArg1]
 	var ret uint64

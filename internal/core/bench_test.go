@@ -138,7 +138,9 @@ func benchIdle(b *testing.B) {
 		if !errors.Is(err, core.ErrPaused) {
 			b.Fatal(err)
 		}
-		m.FinalizeMetrics()
+		if err := m.FinalizeMetrics(); err != nil {
+			b.Fatal(err)
+		}
 		instrs += m.Steps
 		skipped += m.Obs.Metrics.CounterValue(obs.MSBSpinInstrs)
 		m.Release()

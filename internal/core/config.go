@@ -111,27 +111,18 @@ func ParseTopology(s string) (Topology, error) {
 	return top, nil
 }
 
-// Config holds every machine parameter. The zero value is not usable;
-// start from DefaultConfig.
+// Config holds the machine parameters a run may vary. The zero value
+// is not usable; start from DefaultConfig.
 type Config struct {
 	Topology Topology
 	PhysMem  uint64 // bytes of simulated physical memory
 
-	// MISP cost model (cycles).
+	// MISP cost model (cycles): the one cost the sensitivity study
+	// varies (§5.3). The rest of the model is the constants below.
 	SignalCost uint64 // inter-sequencer signal latency (paper §5.2: 5000 conservative)
-	TrapCost   uint64 // one ring crossing (entry or exit)
-	YieldCost  uint64 // YIELD-CONDITIONAL flyweight transfer into a handler
-	CtxMemCost uint64 // SAVECTX/LDCTX beyond the opcode base cost
-	WalkCost   uint64 // hardware page walk on TLB miss
 
 	// OS model (cycles).
-	TimerInterval   uint64 // cycles between timer interrupts on each OMS
-	QuantumTicks    int    // timer ticks per scheduling quantum
-	TimerTickCost   uint64 // kernel timer-interrupt service
-	PageFaultCost   uint64 // kernel page-fault service
-	SyscallBaseCost uint64 // kernel syscall dispatch
-	CtxSwitchCost   uint64 // thread context switch
-	AMSStateCost    uint64 // additional save/restore per AMS on context switch (§2.2)
+	TimerInterval uint64 // cycles between timer interrupts on each OMS
 
 	RingPolicy RingPolicy
 
@@ -167,28 +158,45 @@ type Config struct {
 	WatchdogHorizon uint64
 }
 
+// The firmware and OS cost model, in cycles (DESIGN.md §6). The
+// per-opcode costs are isa's; the hardware page walk is mem.WalkCost.
+const (
+	TrapCost   = 150 // one ring crossing (entry or exit)
+	YieldCost  = 30  // YIELD-CONDITIONAL flyweight transfer into a handler
+	CtxMemCost = 40  // SAVECTX/LDCTX beyond the opcode base cost
+
+	QuantumTicks    = 5    // timer ticks per scheduling quantum
+	TimerTickCost   = 600  // kernel timer-interrupt service
+	PageFaultCost   = 1200 // page-fault service (kernel and BareOS)
+	SyscallBaseCost = 400  // syscall dispatch (kernel and BareOS)
+	CtxSwitchCost   = 2500 // thread context switch
+	AMSStateCost    = 400  // additional save/restore per AMS on context switch (§2.2)
+)
+
 // DefaultConfig returns the baseline configuration used throughout the
-// evaluation: the paper's 5000-cycle signal estimate and a scaled OS
-// cost model (see DESIGN.md §6).
+// evaluation: the paper's 5000-cycle signal estimate and a 1M-cycle
+// timer (see DESIGN.md §6).
 func DefaultConfig(top Topology) Config {
 	return Config{
-		Topology:        top,
-		PhysMem:         256 << 20,
-		SignalCost:      5000,
-		TrapCost:        150,
-		YieldCost:       30,
-		CtxMemCost:      40,
-		WalkCost:        mem.WalkCost,
-		TimerInterval:   1_000_000,
-		QuantumTicks:    5,
-		TimerTickCost:   600,
-		PageFaultCost:   1200,
-		SyscallBaseCost: 400,
-		CtxSwitchCost:   2500,
-		AMSStateCost:    400,
-		RingPolicy:      RingSuspendAll,
-		MaxTraceEvents:  1 << 16,
+		Topology:       top,
+		PhysMem:        256 << 20,
+		SignalCost:     5000,
+		TimerInterval:  1_000_000,
+		RingPolicy:     RingSuspendAll,
+		MaxTraceEvents: 1 << 16,
 	}
+}
+
+// Structural renders the parameters a machine consumes while it is
+// built, so a snapshot cannot change them on restore: the topology and
+// memory size are literal in the image, kernel.New bakes TimerInterval
+// into every OMS timer deadline, Spawn's kick-idle IPI bakes SignalCost
+// into the target OMS's, and the obs bus geometry is fixed at
+// construction. Every other field is a run-only override.
+func (c *Config) Structural() string {
+	return fmt.Sprintf("top=%v|mem=%d|ti=%d|sig=%d|tr=%t|trmax=%d|trev=%t|prof=%t",
+		c.Topology, c.PhysMem, c.TimerInterval, c.SignalCost,
+		c.TraceEvents, c.MaxTraceEvents, c.TraceEvictOldest, c.ProfilePC)
 }
 
 // Validate reports configuration errors.
@@ -206,9 +214,6 @@ func (c *Config) Validate() error {
 	}
 	if c.TimerInterval == 0 {
 		return fmt.Errorf("core: TimerInterval must be positive")
-	}
-	if c.QuantumTicks <= 0 {
-		return fmt.Errorf("core: QuantumTicks must be positive")
 	}
 	return nil
 }

@@ -669,9 +669,9 @@ func TestParseRingPolicy(t *testing.T) {
 func TestConfigValidation(t *testing.T) {
 	bad := []Config{
 		{},
-		{Topology: Topology{-1}, PhysMem: 1 << 20, TimerInterval: 1, QuantumTicks: 1},
-		{Topology: Topology{1}, PhysMem: 12345, TimerInterval: 1, QuantumTicks: 1},
-		{Topology: Topology{1}, PhysMem: 1 << 20, TimerInterval: 0, QuantumTicks: 1},
+		{Topology: Topology{-1}, PhysMem: 1 << 20, TimerInterval: 1},
+		{Topology: Topology{1}, PhysMem: 12345, TimerInterval: 1},
+		{Topology: Topology{1}, PhysMem: 1 << 20, TimerInterval: 0},
 	}
 	for i, c := range bad {
 		if err := c.Validate(); err == nil {

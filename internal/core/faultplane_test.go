@@ -254,7 +254,9 @@ func TestWatchdogDetectsLivelock(t *testing.T) {
 	// The trip is one detection, published once however often the
 	// metrics are finalized.
 	for i := 0; i < 2; i++ {
-		m.FinalizeMetrics()
+		if err := m.FinalizeMetrics(); err != nil {
+			t.Fatal(err)
+		}
 		if got := m.Obs.Metrics.CounterValue(obs.MFaultDetected); got != 1 {
 			t.Fatalf("finalize %d: fault.detected = %d, want 1", i, got)
 		}
@@ -303,7 +305,9 @@ main:
 		if !errors.As(err, &d) || d.Reason != fault.ReasonLivelock {
 			t.Fatalf("legacy=%v: want a livelock Diagnosis, got %v", legacy, err)
 		}
-		m.FinalizeMetrics()
+		if err := m.FinalizeMetrics(); err != nil {
+			t.Fatal(err)
+		}
 		if got := m.Obs.Metrics.CounterValue(obs.MFaultDetected); got != 1 {
 			t.Fatalf("legacy=%v: fault.detected = %d, want 1", legacy, got)
 		}
@@ -360,5 +364,40 @@ func TestDiagnosisCarriesSchedule(t *testing.T) {
 	}
 	if plan := m.FaultPlan(); plan == nil || plan.Total() == 0 {
 		t.Fatal("machine lost its fault plan")
+	}
+}
+
+// TestCycleLedgerDiagnosis: when the ledger's parts exceed cycles.total
+// (here an AMS charged 2^40 idle cycles it never spent), a clean exit
+// or a pause ends in a cycle-ledger Diagnosis instead of a user
+// remainder clamped to 0, and a run that already failed keeps its own
+// error.
+func TestCycleLedgerDiagnosis(t *testing.T) {
+	exit := asm.MustAssemble("main:\n    li r1, 0\n    li r0, 1\n    syscall\n")
+	m, err := New(testCfg(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := LoadBare(m, exit); err != nil {
+		t.Fatal(err)
+	}
+	paused := spinMachine(t, Topology{1}, 1<<40)
+	paused.SetPause(100_000)
+	limited := spinMachine(t, Topology{1}, 100_000)
+	for name, c := range map[string]struct {
+		m    *Machine
+		want string
+	}{
+		"exit":        {m, fault.ReasonCycleLedger},
+		"pause":       {paused, fault.ReasonCycleLedger},
+		"cycle-limit": {limited, fault.ReasonCycleLimit},
+	} {
+		c.m.Seqs[1].C.IdleCycles = 1 << 40
+		err := c.m.Run()
+		var d *fault.Diagnosis
+		if !errors.As(err, &d) || d.Reason != c.want {
+			t.Errorf("%s: Run returned %v, want a %s Diagnosis", name, err, c.want)
+		}
+		c.m.Release()
 	}
 }

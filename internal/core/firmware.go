@@ -46,7 +46,7 @@ func (m *Machine) kernelTrap(s *Sequencer, trap isa.Trap, info uint64) {
 	proc := m.Proc(s)
 	m.Obs.Emit(s.Clock, s.ID, obs.KRingEnter, uint64(trap), info)
 	t0 := s.Clock
-	s.Clock += m.Cfg.TrapCost
+	s.Clock += TrapCost
 	proc.inRing0 = true
 	proc.crWritten = false
 	if m.Cfg.RingPolicy == RingSuspendAll {
@@ -55,7 +55,7 @@ func (m *Machine) kernelTrap(s *Sequencer, trap isa.Trap, info uint64) {
 	s.Ring = isa.Ring0
 	m.os.HandleTrap(s, trap, info)
 	s.Ring = isa.Ring3
-	s.Clock += m.Cfg.TrapCost
+	s.Clock += TrapCost
 	// The episode's full cost on the OMS — both ring crossings plus the
 	// kernel service time the OS charged — is the `priv` term of
 	// Equation 1; attribute it to the privileged-cycle account.
@@ -147,7 +147,7 @@ func (m *Machine) proxyRequest(ams *Sequencer, f *trapFault) {
 		ams.C.ProxyPageFaults++
 	}
 	frameVA := FrameVA(ams.ID)
-	ams.Clock += uint64(isa.Lookup(isa.OpSavectx).Cost) + m.Cfg.CtxMemCost
+	ams.Clock += uint64(isa.Lookup(isa.OpSavectx).Cost) + CtxMemCost
 	if ff := m.writeCtxFrame(ams, frameVA, ams.PC, f); ff != nil {
 		m.fatalf("core: %s: proxy save area 0x%x unmapped (runtime must prefault it): trap %v",
 			ams.Name(), frameVA, ff.trap)
@@ -197,7 +197,7 @@ func (m *Machine) proxyExec(oms *Sequencer, frameVA uint64) *trapFault {
 
 	// Impersonate: stash the handler's context, assume the AMS's.
 	hsave := oms.SnapshotCtx()
-	oms.Clock += 2 * m.Cfg.CtxMemCost
+	oms.Clock += 2 * CtxMemCost
 	if ff := m.readCtxFrame(oms, frameVA); ff != nil {
 		oms.RestoreCtx(hsave)
 		return ff
@@ -246,7 +246,7 @@ func (m *Machine) proxyExec(oms *Sequencer, frameVA uint64) *trapFault {
 	if due > ams.Clock {
 		ams.Clock = due
 	}
-	ams.Clock += uint64(isa.Lookup(isa.OpLdctx).Cost) + m.Cfg.CtxMemCost
+	ams.Clock += uint64(isa.Lookup(isa.OpLdctx).Cost) + CtxMemCost
 	// Adopt the OMS's ring-0 state BEFORE the frame load: the save area
 	// must be read through the current thread's address space.
 	ams.CRs = oms.CRs
@@ -316,7 +316,7 @@ type ThreadSeqState struct {
 // SaveSeqForSwitch captures a sequencer's state for a thread context
 // switch and resets the sequencer. For an AMS this must be called while
 // the OMS is at ring 0 (the AMS is parked). The kernel charges
-// Cfg.AMSStateCost per AMS itself.
+// AMSStateCost per AMS itself.
 func (m *Machine) SaveSeqForSwitch(s *Sequencer) ThreadSeqState {
 	st := ThreadSeqState{
 		Ctx:       s.SnapshotCtx(),

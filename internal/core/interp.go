@@ -357,7 +357,7 @@ func (m *Machine) execInstr(s *Sequencer, in isa.Instr) *trapFault {
 		m.sret(s) // restores PC itself
 		return nil
 	case isa.OpSavectx:
-		s.Clock += m.Cfg.CtxMemCost
+		s.Clock += CtxMemCost
 		if f := m.writeCtxFrame(s, r[in.Rs1], s.PC+isa.WordSize, nil); f != nil {
 			return f
 		}
@@ -365,7 +365,7 @@ func (m *Machine) execInstr(s *Sequencer, in isa.Instr) *trapFault {
 		if f := m.readCtxFrame(s, r[in.Rs1]); f != nil {
 			return f
 		}
-		s.Clock += m.Cfg.CtxMemCost + uint64(info.Cost)
+		s.Clock += CtxMemCost + uint64(info.Cost)
 		s.C.Instrs++
 		m.Steps++
 		return nil // PC comes from the frame

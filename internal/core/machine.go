@@ -358,15 +358,19 @@ var ErrPaused = errors.New("core: run paused")
 func (m *Machine) SetPause(cycle uint64) { m.pauseAt = cycle }
 
 // Run drives the machine until the OS reports completion, a fatal
-// condition occurs, or the cycle limit is exceeded.
-func (m *Machine) Run() error {
+// condition occurs, or the cycle limit is exceeded. A cycle ledger that
+// does not close (FinalizeMetrics) turns a clean exit or a pause into
+// that error.
+func (m *Machine) Run() (err error) {
 	if m.os == nil {
 		return fmt.Errorf("core: Run without an OS attached")
 	}
 	t0 := time.Now()
 	defer func() {
 		m.Wall += time.Since(t0)
-		m.FinalizeMetrics()
+		if ferr := m.FinalizeMetrics(); ferr != nil && (err == nil || errors.Is(err, ErrPaused)) {
+			err = ferr
+		}
 	}()
 	if m.cancelFlag != nil && m.ctx.Err() != nil {
 		// AfterFunc sets the flag from its own goroutine; a cancel that
@@ -707,8 +711,11 @@ func (m *Machine) runBatch(s *Sequencer, hT uint64, hID int, evT uint64) (clean 
 // serializing events, summed over sequencers; the OS's own counts; and
 // the fault plane's injections and watchdog trips.
 // Idempotent; Run calls it on every exit path, pauses included, so a
-// mid-run image carries the counts up to its pause.
-func (m *Machine) FinalizeMetrics() {
+// mid-run image carries the counts up to its pause. The parts of the
+// cycle ledger must fit in cycles.total: if they do not, an account
+// double-charged a cycle, and FinalizeMetrics publishes nothing and
+// returns a cycle-ledger Diagnosis.
+func (m *Machine) FinalizeMetrics() error {
 	var total uint64
 	var c SeqCounters
 	for _, s := range m.Seqs {
@@ -717,19 +724,17 @@ func (m *Machine) FinalizeMetrics() {
 	}
 	reg := m.Obs.Metrics
 	priv := m.mx.privCycles.Value()
-	user := total
-	for _, part := range []uint64{priv, c.IdleCycles, c.RingStall, c.ProxyStall} {
-		if part > user {
-			user = 0
-			break
-		}
-		user -= part
+	parts := priv + c.IdleCycles + c.RingStall + c.ProxyStall
+	if parts > total {
+		return m.Diagnose(fault.ReasonCycleLedger, fmt.Errorf(
+			"core: cycle ledger: priv %d + idle %d + ring_stall %d + proxy_stall %d exceed cycles.total %d",
+			priv, c.IdleCycles, c.RingStall, c.ProxyStall, total))
 	}
 	reg.Counter(obs.MCyclesTotal).Set(total)
 	reg.Counter(obs.MCyclesIdle).Set(c.IdleCycles)
 	reg.Counter(obs.MCyclesRingStall).Set(c.RingStall)
 	reg.Counter(obs.MCyclesProxyStall).Set(c.ProxyStall)
-	reg.Counter(obs.MCyclesUser).Set(user)
+	reg.Counter(obs.MCyclesUser).Set(total - parts)
 	reg.Counter(obs.MInstrs).Set(c.Instrs)
 	for _, p := range c.table1() {
 		reg.Counter(p.name).Set(p.v)
@@ -762,6 +767,7 @@ func (m *Machine) FinalizeMetrics() {
 	reg.Counter(obs.MSBSpinSkips).Set(m.spinSkips)
 	reg.Counter(obs.MSBSpinInstrs).Set(m.spinInstrs)
 	reg.Counter(obs.MMemBacking).Set(m.Phys.Backed())
+	return nil
 }
 
 // Tracks names one Chrome-trace track per sequencer, for
@@ -1026,7 +1032,7 @@ func (m *Machine) yieldTo(s *Sequencer, sc isa.Scenario, a1, a2 uint64) {
 	s.Regs[isa.RArg0] = a1
 	s.Regs[isa.RArg1] = a2
 	s.PC = s.Yield[sc]
-	s.Clock += m.Cfg.YieldCost
+	s.Clock += YieldCost
 	s.C.YieldsTaken++
 	m.Obs.Emit(s.Clock, s.ID, obs.KYield, uint64(sc), a1)
 }
@@ -1039,6 +1045,6 @@ func (m *Machine) sret(s *Sequencer) {
 	}
 	s.RestoreCtx(s.YieldSave)
 	s.InHandler = false
-	s.Clock += m.Cfg.YieldCost
+	s.Clock += YieldCost
 	m.Obs.Emit(s.Clock, s.ID, obs.KSret, 0, 0)
 }

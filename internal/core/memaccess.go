@@ -63,7 +63,7 @@ func (m *Machine) translate(s *Sequencer, va uint64, write bool) (uint64, *trapF
 	if pfn, ok := s.TLB.Lookup(va, write); ok {
 		return uint64(pfn)<<mem.PageShift | va&mem.PageMask, nil
 	}
-	s.Clock += m.Cfg.WalkCost
+	s.Clock += mem.WalkCost
 	pte, k := mem.Walk(m.Phys, s.CRs[isa.CR3], va, write, s.Ring == isa.Ring3)
 	if k != mem.FaultNone {
 		return 0, pfFault(va, write, false)
@@ -184,7 +184,7 @@ func (m *Machine) fetchTranslate(s *Sequencer) (uint64, *trapFault) {
 			s.fetchVPN = vpn + 1
 			s.fetchBase = uint64(pfn) << mem.PageShift
 		} else {
-			s.Clock += m.Cfg.WalkCost
+			s.Clock += mem.WalkCost
 			pte, k := mem.Walk(m.Phys, s.CRs[isa.CR3], pc, false, s.Ring == isa.Ring3)
 			if k != mem.FaultNone {
 				return 0, pfFault(pc, false, true)

@@ -30,19 +30,9 @@ import (
 // snapshotConfig codes a machine configuration in struct order.
 func snapshotConfig(c *wire.Codec, cfg *Config) {
 	wire.Slice(c, &cfg.Topology, c.Int)
-	for _, p := range []*uint64{
-		&cfg.PhysMem, &cfg.SignalCost, &cfg.TrapCost, &cfg.YieldCost,
-		&cfg.CtxMemCost, &cfg.WalkCost, &cfg.TimerInterval,
-	} {
-		c.U64(p)
-	}
-	c.Int(&cfg.QuantumTicks)
-	for _, p := range []*uint64{
-		&cfg.TimerTickCost, &cfg.PageFaultCost, &cfg.SyscallBaseCost,
-		&cfg.CtxSwitchCost, &cfg.AMSStateCost,
-	} {
-		c.U64(p)
-	}
+	c.U64(&cfg.PhysMem)
+	c.U64(&cfg.SignalCost)
+	c.U64(&cfg.TimerInterval)
 	wire.Enum(c, &cfg.RingPolicy)
 	c.Bool(&cfg.TraceEvents)
 	c.Int(&cfg.MaxTraceEvents)
@@ -51,36 +41,6 @@ func snapshotConfig(c *wire.Codec, cfg *Config) {
 	c.U64(&cfg.MaxCycles)
 	fault.SnapshotConfig(c, &cfg.Fault)
 	c.U64(&cfg.WatchdogHorizon)
-}
-
-// structuralMismatch reports the first restore-time override that a
-// snapshot cannot honor. These parameters were consumed while building
-// the captured state — the topology and memory image are literal in the
-// snapshot, kernel.New baked TimerInterval (and, via the spawn-time
-// reschedule IPI, SignalCost) into timer deadlines, and the obs bus
-// geometry is fixed at construction — so changing them cannot reproduce
-// a cold machine with the new value.
-func structuralMismatch(snap, want Config) error {
-	if !slices.Equal(snap.Topology, want.Topology) {
-		return fmt.Errorf("topology %v -> %v", snap.Topology, want.Topology)
-	}
-	switch {
-	case snap.PhysMem != want.PhysMem:
-		return fmt.Errorf("PhysMem %d -> %d", snap.PhysMem, want.PhysMem)
-	case snap.TimerInterval != want.TimerInterval:
-		return fmt.Errorf("TimerInterval %d -> %d", snap.TimerInterval, want.TimerInterval)
-	case snap.SignalCost != want.SignalCost:
-		return fmt.Errorf("SignalCost %d -> %d", snap.SignalCost, want.SignalCost)
-	case snap.TraceEvents != want.TraceEvents:
-		return fmt.Errorf("TraceEvents %v -> %v", snap.TraceEvents, want.TraceEvents)
-	case snap.MaxTraceEvents != want.MaxTraceEvents:
-		return fmt.Errorf("MaxTraceEvents %d -> %d", snap.MaxTraceEvents, want.MaxTraceEvents)
-	case snap.TraceEvictOldest != want.TraceEvictOldest:
-		return fmt.Errorf("TraceEvictOldest %v -> %v", snap.TraceEvictOldest, want.TraceEvictOldest)
-	case snap.ProfilePC != want.ProfilePC:
-		return fmt.Errorf("ProfilePC %v -> %v", snap.ProfilePC, want.ProfilePC)
-	}
-	return nil
 }
 
 // snapshotCtx codes a full ring-3 context.
@@ -181,10 +141,10 @@ func (m *Machine) EncodeSnapshot(c *wire.Codec, resident []uint32) error {
 }
 
 // RestoreMachine rebuilds a machine from its snapshot. override, if
-// non-nil, may adjust run-only configuration (cost model, limits, fault
-// plane) before the machine is assembled; structural parameters that
-// were consumed during construction cannot change — see
-// structuralMismatch. A changed Fault configuration discards the
+// non-nil, may adjust run-only configuration (ring policy, limits,
+// fault plane) before the machine is assembled; the structural
+// parameters consumed during construction cannot change — see
+// Config.Structural. A changed Fault configuration discards the
 // captured plan state and keeps the fresh plan assemble builds, exactly
 // as a cold machine with that configuration would start.
 //
@@ -204,8 +164,8 @@ func RestoreMachine(c *wire.Codec, override func(*Config)) (*Machine, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, fmt.Errorf("core: snapshot override: %w", err)
 	}
-	if err := structuralMismatch(snapCfg, cfg); err != nil {
-		return nil, fmt.Errorf("core: snapshot override changes structural parameter: %v", err)
+	if a, b := snapCfg.Structural(), cfg.Structural(); a != b {
+		return nil, fmt.Errorf("core: snapshot override changes structural parameters: %s -> %s", a, b)
 	}
 	phys, err := mem.RestorePhys(c, cfg.PhysMem)
 	if err != nil {

@@ -221,8 +221,12 @@ func TestSuperblockSnapshotExcludesCompiledState(t *testing.T) {
 	if len(mLegacy.sbCache) != 0 {
 		t.Fatal("legacy run compiled pages")
 	}
-	mFast.FinalizeMetrics()
-	mLegacy.FinalizeMetrics()
+	if err := mFast.FinalizeMetrics(); err != nil {
+		t.Fatal(err)
+	}
+	if err := mLegacy.FinalizeMetrics(); err != nil {
+		t.Fatal(err)
+	}
 	reg := mFast.Obs.Metrics
 	if got := reg.CounterValue("host.superblock.builds"); got != mFast.sbBuilds {
 		t.Fatalf("host.superblock.builds = %d, want %d", got, mFast.sbBuilds)

@@ -81,8 +81,8 @@ func (h *tlbHarness) mustMiss(t *testing.T, va uint64, want uint64) {
 	if v := h.load8(t, va); v != want {
 		t.Fatalf("load = %#x, want %#x", v, want)
 	}
-	if h.oms.Clock != clock+h.m.Cfg.WalkCost {
-		t.Fatalf("miss charged %d cycles, want WalkCost %d", h.oms.Clock-clock, h.m.Cfg.WalkCost)
+	if h.oms.Clock != clock+mem.WalkCost {
+		t.Fatalf("miss charged %d cycles, want WalkCost %d", h.oms.Clock-clock, mem.WalkCost)
 	}
 	if h.oms.TLB.Misses != tlb.Misses+1 || h.oms.TLB.Hits != tlb.Hits {
 		t.Fatalf("miss counted hits %d->%d misses %d->%d, want one miss",

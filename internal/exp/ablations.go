@@ -7,6 +7,7 @@ import (
 	"misp/internal/overhead"
 	"misp/internal/report"
 	"misp/internal/shredlib"
+	"misp/internal/workloads"
 )
 
 // This file implements the ablations DESIGN.md calls out:
@@ -44,7 +45,7 @@ func AblationRingPolicy(opt Options) ([]RingPolicyRow, error) {
 	}
 	cells, err := grid(&opt, 2*len(ws), func(ctx context.Context, i int) (cell, error) {
 		w, policy := ws[i/2], policies[i%2]
-		cfg := opt.Config(core.Topology{opt.Seqs - 1})
+		cfg := workloads.DefaultConfig(core.Topology{opt.Seqs - 1})
 		cfg.RingPolicy = policy
 		res, err := opt.run(ctx, w, shredlib.ModeShred, cfg, 0)
 		if err != nil {
@@ -117,7 +118,7 @@ func AblationProbe(opt Options) ([]ProbeRow, error) {
 		if probe {
 			extra = shredlib.FlagProbePages
 		}
-		res, err := opt.run(ctx, w, shredlib.ModeShred, opt.Config(core.Topology{opt.Seqs - 1}), extra)
+		res, err := opt.run(ctx, w, shredlib.ModeShred, workloads.DefaultConfig(core.Topology{opt.Seqs - 1}), extra)
 		if err != nil {
 			return cell{}, err
 		}
@@ -196,7 +197,7 @@ func SignalSweep(opt Options) ([]SweepRow, error) {
 	nc := len(signalCosts)
 	cells, err := grid(&opt, nc*len(ws), func(ctx context.Context, i int) (cell, error) {
 		w, sig := ws[i/nc], signalCosts[i%nc]
-		cfg := opt.Config(core.Topology{opt.Seqs - 1})
+		cfg := workloads.DefaultConfig(core.Topology{opt.Seqs - 1})
 		cfg.SignalCost = sig
 		res, err := opt.run(ctx, w, shredlib.ModeShred, cfg, 0)
 		if err != nil {

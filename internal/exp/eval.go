@@ -12,7 +12,6 @@ package exp
 import (
 	"context"
 	"fmt"
-	"math"
 
 	"misp/internal/core"
 	"misp/internal/overhead"
@@ -27,11 +26,6 @@ type Options struct {
 	Size workloads.Size
 	Seqs int      // total sequencers per configuration (paper: 8)
 	Apps []string // subset of workloads; nil = all 16
-	// Config, when non-nil, overrides the base machine configuration
-	// factory (used by ablations and tests). Experiments fan runs out
-	// across host cores, so the factory must be safe for concurrent
-	// calls (a pure function of the topology).
-	Config func(core.Topology) core.Config
 	// Parallel is the host worker count for independent simulation runs
 	// (sweep.Map semantics: <= 0 uses GOMAXPROCS, 1 runs serially).
 	// Results are bit-identical for every value.
@@ -57,9 +51,6 @@ type Options struct {
 func (o *Options) defaults() {
 	if o.Seqs == 0 {
 		o.Seqs = 8
-	}
-	if o.Config == nil {
-		o.Config = workloads.DefaultConfig
 	}
 	if o.Ctx == nil {
 		o.Ctx = context.Background()
@@ -147,17 +138,10 @@ func (r *AppResult) SpeedupSMP() float64 { return float64(r.Cycles1P) / float64(
 
 // checkRun validates a run's checksum against the reference.
 func checkRun(w *workloads.Workload, res *workloads.RunResult, label string, sz workloads.Size) error {
-	want := w.Ref(sz)
-	got := res.Checksum
-	if got == want {
-		return nil
+	if want := w.Ref(sz); res.Checksum != want {
+		return fmt.Errorf("exp: %s on %s: checksum %g does not match reference %g", w.Name, label, res.Checksum, want)
 	}
-	diff := math.Abs(got - want)
-	scale := math.Max(math.Abs(got), math.Abs(want))
-	if diff <= 1e-9*scale {
-		return nil
-	}
-	return fmt.Errorf("exp: %s on %s: checksum %g does not match reference %g", w.Name, label, got, want)
+	return nil
 }
 
 // evalRun is one (app, configuration) job's compact extract. Jobs
@@ -190,13 +174,13 @@ func Evaluate(opt Options) ([]*AppResult, error) {
 	labels := [3]string{"1P", "MISP", "SMP"}
 	runs, err := grid(&opt, 3*len(ws), func(ctx context.Context, i int) (evalRun, error) {
 		w, c := ws[i/3], i%3
-		cfg := opt.Config(core.Topology{0})
+		cfg := workloads.DefaultConfig(core.Topology{0})
 		mode := shredlib.ModeShred
 		switch c {
 		case 1:
-			cfg = opt.Config(core.Topology{opt.Seqs - 1})
+			cfg = workloads.DefaultConfig(core.Topology{opt.Seqs - 1})
 		case 2:
-			cfg = opt.Config(smpTop)
+			cfg = workloads.DefaultConfig(smpTop)
 			mode = shredlib.ModeThread
 		}
 		res, err := opt.run(ctx, w, mode, cfg, 0)

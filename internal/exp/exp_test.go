@@ -5,7 +5,6 @@ import (
 	"strings"
 	"testing"
 
-	"misp/internal/core"
 	"misp/internal/sweep"
 	"misp/internal/workloads"
 )
@@ -15,12 +14,6 @@ func testOpts(apps ...string) Options {
 		Size: workloads.SizeTest,
 		Seqs: 4,
 		Apps: apps,
-		Config: func(top core.Topology) core.Config {
-			cfg := core.DefaultConfig(top)
-			cfg.PhysMem = 64 << 20
-			cfg.MaxCycles = 8_000_000_000
-			return cfg
-		},
 	}
 }
 

@@ -102,7 +102,7 @@ const multiprogTick = 50_000
 // even under the interference; the results are the app's turnaround
 // cycles and the binder's rebind count.
 func multiprogRun(ctx context.Context, opt *Options, w *workloads.Workload, prog *asm.Program, top core.Topology, loads int, dynamic bool) (cycles, rebinds uint64, err error) {
-	cfg := opt.Config(top)
+	cfg := workloads.DefaultConfig(top)
 	cfg.TimerInterval = multiprogTick
 	m, err := core.New(cfg)
 	if err != nil {

@@ -97,11 +97,11 @@ func Resilience(opt Options, seeds int) ([]ResilienceRow, error) {
 	runs, err := grid(&opt, nA+nA*nP*nS, func(ctx context.Context, i int) (campaignRun, error) {
 		var cfg core.Config
 		if i < nA {
-			cfg = opt.Config(core.Topology{resilienceAMS[i]})
+			cfg = workloads.DefaultConfig(core.Topology{resilienceAMS[i]})
 		} else {
 			j := i - nA
 			ai, pi, si := j/(nP*nS), (j/nS)%nP, j%nS
-			cfg = opt.Config(core.Topology{resilienceAMS[ai]})
+			cfg = workloads.DefaultConfig(core.Topology{resilienceAMS[ai]})
 			cfg.Fault = fault.Uniform(uint64(si)*1_000_003+7, resiliencePeriods[pi])
 		}
 		pr, err := opt.Warm.Prepare(w, shredlib.ModeShred, cfg, opt.Size, 0)

@@ -9,11 +9,12 @@ import (
 
 // Diagnosis reasons.
 const (
-	ReasonDeadlock   = "deadlock"
-	ReasonCycleLimit = "cycle-limit"
-	ReasonLivelock   = "livelock"
-	ReasonKernel     = "kernel-fault"
-	ReasonCorruption = "silent-corruption"
+	ReasonDeadlock    = "deadlock"
+	ReasonCycleLimit  = "cycle-limit"
+	ReasonLivelock    = "livelock"
+	ReasonKernel      = "kernel-fault"
+	ReasonCorruption  = "silent-corruption"
+	ReasonCycleLedger = "cycle-ledger"
 )
 
 // SeqDiag is one sequencer's state at diagnosis time.

@@ -311,7 +311,7 @@ func (k *Kernel) HandleTrap(s *core.Sequencer, trap isa.Trap, info uint64) {
 // pageFault services a demand-paging fault; an illegal access kills the
 // process.
 func (k *Kernel) pageFault(s *core.Sequencer, info uint64) {
-	s.Clock += k.M.Cfg.PageFaultCost
+	s.Clock += core.PageFaultCost
 	t := k.current(s)
 	if t == nil {
 		k.fatal = fmt.Errorf("kernel: page fault with no thread on %s", s.Name())

@@ -11,9 +11,9 @@ func testCfg(top core.Topology) core.Config {
 	cfg := core.DefaultConfig(top)
 	cfg.PhysMem = 64 << 20
 	cfg.MaxCycles = 2_000_000_000
-	// Fast ticks so scheduling happens within small tests.
-	cfg.TimerInterval = 20_000
-	cfg.QuantumTicks = 2
+	// Fast ticks so scheduling happens within small tests: a quantum
+	// of core.QuantumTicks ticks is 40 000 cycles.
+	cfg.TimerInterval = 8_000
 	return cfg
 }
 

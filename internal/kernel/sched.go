@@ -90,7 +90,7 @@ func (k *Kernel) sendIPI(oms *core.Sequencer, now uint64) {
 // timerTick handles a timer interrupt (tick=true) or a reschedule IPI
 // (tick=false) on OMS s.
 func (k *Kernel) timerTick(s *core.Sequencer, tick bool) {
-	s.Clock += k.M.Cfg.TimerTickCost
+	s.Clock += core.TimerTickCost
 	// Re-arm.
 	next := s.TimerDeadline + k.M.Cfg.TimerInterval
 	if next <= s.Clock {
@@ -143,7 +143,7 @@ func (k *Kernel) timerTick(s *core.Sequencer, tick bool) {
 			k.enqueue(t)
 			k.switchTo(s, n)
 		} else {
-			t.QuantumLeft = k.M.Cfg.QuantumTicks
+			t.QuantumLeft = core.QuantumTicks
 		}
 	}
 }
@@ -177,7 +177,7 @@ func (k *Kernel) saveCurrent(s *core.Sequencer, t *Thread) {
 	}
 	if n := len(proc.AMSs()); n > 0 {
 		// Saves proceed concurrently across AMSs; charge once.
-		s.Clock += k.M.Cfg.AMSStateCost
+		s.Clock += core.AMSStateCost
 	}
 	s.CurTID = 0
 }
@@ -185,12 +185,12 @@ func (k *Kernel) saveCurrent(s *core.Sequencer, t *Thread) {
 // switchTo installs thread t on OMS s and charges the context switch.
 func (k *Kernel) switchTo(s *core.Sequencer, t *Thread) {
 	k.Stats.Switches++
-	s.Clock += k.M.Cfg.CtxSwitchCost
+	s.Clock += core.CtxSwitchCost
 	k.M.Obs.Emit(s.Clock, s.ID, obs.KCtxSwitch, uint64(t.TID), uint64(t.Proc.PID))
 	proc := k.M.Proc(s)
 
 	t.State = ThreadRunning
-	t.QuantumLeft = k.M.Cfg.QuantumTicks
+	t.QuantumLeft = core.QuantumTicks
 	s.CurTID = t.TID
 	s.State = core.StateRunning
 	now := s.Clock
@@ -220,7 +220,7 @@ func (k *Kernel) switchTo(s *core.Sequencer, t *Thread) {
 		}
 	}
 	if len(t.AMSStates) > 0 {
-		s.Clock += k.M.Cfg.AMSStateCost
+		s.Clock += core.AMSStateCost
 	}
 	t.AMSStates = t.AMSStates[:0]
 }

@@ -14,7 +14,7 @@ const ENOSYS = ^uint64(0)
 // past the SYSCALL instruction. Blocking calls prepare the continuation
 // (PC advanced, result pending) before the thread is parked.
 func (k *Kernel) syscall(s *core.Sequencer) {
-	s.Clock += k.M.Cfg.SyscallBaseCost
+	s.Clock += core.SyscallBaseCost
 	t := k.current(s)
 	if t == nil {
 		k.fatalTrap(s, isa.TrapSyscall, 0)

@@ -133,6 +133,7 @@ func TestCheckpointCorruptImageFallsBackCold(t *testing.T) {
 		"garbage":       []byte("not a snapshot image"),
 		"stale-version": []byte("MISPSNP2\x02\x00\x00\x00a version-2 machine image"),
 		"stale-v3":      []byte("MISPSNP3\x03\x00\x00\x00a version-3 machine image"),
+		"stale-v4":      []byte("MISPSNP4\x04\x00\x00\x00a version-4 machine image"),
 	}
 	for name, image := range images {
 		t.Run(name, func(t *testing.T) {

@@ -49,8 +49,9 @@ const goldenFaultSeed = 9
 // goldenRequests are the requests whose artifacts the golden gate pins,
 // all at test size: a traced MISP 1x8 run, a MISP processor beside a
 // plain one, thread mode on SMP 4, two MISP processors under the
-// monitor-CR ring policy, a run with every fault kind injected, and an
-// evaluation sweep (Figure 4 and Table 1).
+// monitor-CR ring policy, a run with every fault kind injected, an
+// evaluation sweep (Figure 4 and Table 1), and art, whose summary once
+// reported checksum_ok false.
 func goldenRequests() []struct {
 	name string
 	req  *Request
@@ -65,6 +66,7 @@ func goldenRequests() []struct {
 		{"kmeans-3,3-monitor-cr", &Request{App: "kmeans", Size: "test", Topology: []int{3, 3}, RingPolicy: "monitor-cr"}},
 		{"raytracer-faults-seed9", &Request{App: "raytracer", Size: "test", FaultSeed: goldenFaultSeed, FaultPeriod: 2_000}},
 		{"sweep-eval", &Request{Kind: KindSweep, Exp: "eval", Size: "test", Apps: []string{"gauss", "swim", "dense_mmm"}}},
+		{"art-7", &Request{App: "art", Size: "test", Topology: []int{7}}},
 	}
 }
 
@@ -81,9 +83,12 @@ func TestRunOutputsGolden(t *testing.T) {
 	var got []string
 	for _, g := range goldenRequests() {
 		c := mustCanonical(t, g.req)
-		art, _, err := Execute(context.Background(), c)
+		art, res, err := Execute(context.Background(), c)
 		if err != nil {
 			t.Fatalf("%s: %v", g.name, err)
+		}
+		if !res.ChecksumOK {
+			t.Errorf("%s: checksum does not match the reference", g.name)
 		}
 		for _, name := range art.Names() {
 			data := bytes.ReplaceAll(art[name], []byte(c.Key()), nil)

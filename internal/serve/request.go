@@ -7,7 +7,7 @@
 //
 // The cache is sound because the simulator is deterministic: a run is a
 // pure function of its canonical request — topology, workload, size,
-// cost model, fault plan — and is bit-identical across host worker
+// signal cost, fault plan — and is bit-identical across host worker
 // counts and across the legacy and fast execution loops (PR 2–4
 // difftests). The cache key is therefore a hash of the canonical
 // request with the one execution-strategy knob (sweep parallelism)
@@ -172,7 +172,7 @@ const keySchema = "mispserve/v1"
 // of the golden requests (key blanked). TestRunOutputsGolden fails until
 // the two agree, so a build whose artifacts moved keys its results apart
 // from an older build's in the same cache directory.
-const resultEpoch = "fc0a166ad745"
+const resultEpoch = "863ec84f46b8"
 
 // Key derives the content-address of a canonical request: a SHA-256
 // over the result epoch and a line-oriented rendering of every

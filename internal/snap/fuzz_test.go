@@ -2,6 +2,9 @@ package snap_test
 
 import (
 	"bytes"
+	"os"
+	"strconv"
+	"strings"
 	"testing"
 
 	"misp/internal/core"
@@ -50,4 +53,29 @@ func FuzzSnapshotFork(f *testing.F) {
 			t.Fatalf("a fork's capture re-captures to different bytes (%d vs %d)", len(twice), len(once))
 		}
 	})
+}
+
+// TestFuzzSeedPhysMemRefused: the physmem-2tib seed is a current-format
+// image naming 2 TiB of memory. It must pass the magic and version
+// checks and be refused at the structural comparison FuzzSnapshotFork's
+// pin sets up, before a restore allocates anything for it.
+func TestFuzzSeedPhysMemRefused(t *testing.T) {
+	raw, err := os.ReadFile("testdata/fuzz/FuzzSnapshotFork/physmem-2tib")
+	if err != nil {
+		t.Fatal(err)
+	}
+	lit := strings.TrimSpace(strings.TrimPrefix(string(raw), "go test fuzz v1\n"))
+	image, err := strconv.Unquote(strings.TrimSuffix(strings.TrimPrefix(lit, "[]byte("), ")"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := snap.Load([]byte(image))
+	if err != nil {
+		t.Fatalf("the seed does not load: %v", err)
+	}
+	physMem := goldenCfg(nil).PhysMem
+	_, _, err = s.Fork(func(c *core.Config) { c.PhysMem = physMem })
+	if want := "structural parameters: top=1x8|mem=2199023255552|"; err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("fork of the seed: err = %v, want %q", err, want)
+	}
 }

@@ -35,8 +35,8 @@ import (
 // bumped on any codec layout change (there is no cross-version
 // migration — a snapshot is a cache artifact, not an archival format).
 const (
-	magic   = "MISPSNP4"
-	Version = 4
+	magic   = "MISPSNP5"
+	Version = 5
 )
 
 // Snapshot is an encoded machine+kernel image.
@@ -115,7 +115,7 @@ func header(buf []byte) (*wire.Codec, error) {
 
 // Fork materializes a fresh machine+kernel pair from the image. Every
 // call returns an independent system; override, if non-nil, may adjust
-// run-only configuration (cost model, limits, fault plane) —
+// run-only configuration (ring policy, limits, fault plane) —
 // structural parameters are rejected by the core codec. The returned
 // kernel is already attached (SetOS); call Run on the machine to
 // continue from the captured point. A rejected image returns its

@@ -136,8 +136,8 @@ func TestForkRunOnlyOverride(t *testing.T) {
 	}
 
 	over := base
-	over.TrapCost = 300
-	over.CtxSwitchCost = 5000
+	over.RingPolicy = core.RingMonitorCR
+	over.WatchdogHorizon = 50_000_000
 
 	m, k, err := s.Fork(func(c *core.Config) { *c = over })
 	if err != nil {
@@ -171,9 +171,12 @@ func TestStructuralOverrideRejected(t *testing.T) {
 		"timerinterval": func(c *core.Config) { c.TimerInterval *= 2 },
 		"signalcost":    func(c *core.Config) { c.SignalCost += 1 },
 		"traceevents":   func(c *core.Config) { c.TraceEvents = false },
+		"maxtrace":      func(c *core.Config) { c.MaxTraceEvents *= 2 },
+		"traceevict":    func(c *core.Config) { c.TraceEvictOldest = true },
+		"profilepc":     func(c *core.Config) { c.ProfilePC = true },
 	} {
-		if _, _, err := s.Fork(mut); err == nil {
-			t.Errorf("fork with %s override unexpectedly succeeded", name)
+		if _, _, err := s.Fork(mut); err == nil || !strings.Contains(err.Error(), "structural") {
+			t.Errorf("fork with %s override: err = %v, want the structural-parameter error", name, err)
 		}
 	}
 }
@@ -395,10 +398,10 @@ func TestLoadRejectsGarbage(t *testing.T) {
 		t.Fatal("Load accepted empty input")
 	}
 	// A stale format version behind the current magic — 3 is the layout
-	// that still carried the two loop knobs — gets the version error, not
-	// a decode attempt.
-	for _, v := range []byte{2, 3} {
-		_, err := snap.Load(append([]byte("MISPSNP4"), v, 0, 0, 0))
+	// that still carried the two loop knobs, 4 the one that still carried
+	// the cost model — gets the version error, not a decode attempt.
+	for _, v := range []byte{2, 3, 4} {
+		_, err := snap.Load(append([]byte("MISPSNP5"), v, 0, 0, 0))
 		if want := fmt.Sprintf("format version %d", v); err == nil || !strings.Contains(err.Error(), want) {
 			t.Fatalf("Load of a version-%d header: err = %v, want the format-version error", v, err)
 		}

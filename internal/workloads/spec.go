@@ -594,9 +594,7 @@ var _ = define(def[artParams]{
 					sl[best] += bestM
 				}
 			})
-			for _, v := range SCORE {
-				acc += v
-			}
+			acc += sumF64(SCORE)
 			for i := range WT {
 				WT[i] *= 0.999
 			}

@@ -17,13 +17,11 @@ import (
 //
 // The pool key covers everything that shapes the prepared state: the
 // workload identity (name, mode, size, rt_init flags) and the
-// prepare-affecting configuration (topology, physical memory, the
-// timer interval and signal cost baked into timer deadlines at spawn,
-// and the obs-bus geometry). Everything else — the cost model, loop
-// flavor, limits, and the fault plane — is run-only and is applied as
-// a fork-time override, so a forked machine is bit-identical to a
-// cold-prepared one with the same full configuration (difftested in
-// warm_test.go).
+// prepare-affecting configuration (core.Config.Structural). Everything
+// else — the ring policy, limits, and the fault plane — is run-only
+// and is applied as a fork-time override, so a forked machine is
+// bit-identical to a cold-prepared one with the same full configuration
+// (difftested in warm_test.go).
 //
 // Misses are per-key single-flight: the first caller prepares cold and
 // captures; concurrent callers for the same key wait for that capture
@@ -47,15 +45,9 @@ func NewWarmPool() *WarmPool {
 }
 
 // warmKey identifies one prepared state. Config fields not in the key
-// are run-only overrides by construction (see internal/core's
-// structuralMismatch plus the spawn path: kernel.New bakes
-// TimerInterval into every OMS timer deadline, and Spawn's kick-idle
-// IPI bakes SignalCost into the target OMS's deadline).
+// are run-only overrides by construction (see core.Config.Structural).
 func warmKey(w *Workload, mode shredlib.Mode, sz Size, extra int64, cfg core.Config) string {
-	return fmt.Sprintf("%s|%d|%d|%d|top=%v|mem=%d|ti=%d|sig=%d|tr=%t|trmax=%d|trev=%t|prof=%t",
-		w.Name, mode, sz, extra,
-		cfg.Topology, cfg.PhysMem, cfg.TimerInterval, cfg.SignalCost,
-		cfg.TraceEvents, cfg.MaxTraceEvents, cfg.TraceEvictOldest, cfg.ProfilePC)
+	return fmt.Sprintf("%s|%d|%d|%d|%s", w.Name, mode, sz, extra, cfg.Structural())
 }
 
 // Prepare is PrepareFlags through the pool: a cold miss prepares,

@@ -45,7 +45,7 @@ func TestWarmPoolParity(t *testing.T) {
 
 	// A run-only variation shares the key but must match its own cold run.
 	vari := base
-	vari.CtxSwitchCost *= 2
+	vari.WatchdogHorizon = 50_000_000
 	vari.RingPolicy = core.RingMonitorCR
 	coldVar, err := Run(w, shredlib.ModeShred, vari, SizeTest)
 	if err != nil {

@@ -1,25 +1,11 @@
 package workloads
 
 import (
-	"math"
 	"testing"
 
 	"misp/internal/core"
 	"misp/internal/shredlib"
 )
-
-// closeEnough compares a simulated checksum against the Go reference.
-// The assembly mirrors the reference's operation order, so results are
-// normally bit-identical; the tolerance guards against benign
-// last-bit differences only.
-func closeEnough(a, b float64) bool {
-	if a == b {
-		return true
-	}
-	diff := math.Abs(a - b)
-	scale := math.Max(math.Abs(a), math.Abs(b))
-	return diff <= 1e-9*scale
-}
 
 func testConfig(top core.Topology) core.Config {
 	cfg := DefaultConfig(top)
@@ -54,7 +40,7 @@ func verify(t *testing.T, name string) {
 		if err != nil {
 			t.Fatalf("%s on %s: %v", name, c.label, err)
 		}
-		if !closeEnough(res.Checksum, want) {
+		if res.Checksum != want {
 			t.Fatalf("%s on %s: checksum %g, reference %g", name, c.label, res.Checksum, want)
 		}
 		results = append(results, res.Checksum)
@@ -117,7 +103,7 @@ func TestAllWorkloadsOnMISPMultiprocessor(t *testing.T) {
 			t.Fatalf("%s: %v", w.Name, err)
 		}
 		want := w.Ref(SizeTest)
-		if !closeEnough(res.Checksum, want) {
+		if res.Checksum != want {
 			t.Fatalf("%s: checksum %g != reference %g", w.Name, res.Checksum, want)
 		}
 		// Both processors' AMSs must have participated.

@@ -32,8 +32,8 @@ import (
 
 // Machine configuration.
 type (
-	// Config holds every machine parameter (topology, memory, the MISP
-	// cost model, the OS model, ring policy).
+	// Config holds the machine parameters a run may vary (topology,
+	// memory, signal cost, timer interval, ring policy, limits).
 	Config = core.Config
 	// Topology lists the AMS count of each MISP processor; 0 entries
 	// are plain OS-visible cores. Topology{7} is the paper's 1×8.
