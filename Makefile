@@ -151,7 +151,7 @@ faultcheck:
 # once so it cannot rot (no ratio gate: the numbers are for reading, see
 # DESIGN.md §12; the fork and prepare benchmarks run in benchsmoke).
 snapcheck:
-	$(GO) test -race -run 'TestCapture|TestFork|TestStructural|TestPause|TestMidRun|TestSnapshotFile|TestSaveFile|TestLoadRejects|TestWarmPool|TestRecycle|TestRelease' \
+	$(GO) test -race -run 'TestCapture|TestFork|TestStructural|TestPause|TestMidRun|TestSnapshotFile|TestLoadRejects|TestWarmPool|TestRecycle|TestRelease' \
 		./internal/mem ./internal/snap/... ./internal/workloads
 	$(GO) test -run '^$$' -bench 'BenchmarkCapture' -benchtime=1x ./internal/snap
 	$(GO) build -o /tmp/misp-snapcheck-sim ./cmd/mispsim
@@ -171,7 +171,7 @@ snapcheck:
 servecheck:
 	bash scripts/serve_smoke.sh
 
-# crashcheck is the durability gate: the whole serve and journal
+# crashcheck is the durability gate: the whole serve, journal and durable
 # packages under -race (no -run list to rot: the journal codec property
 # tests, the job state machine's replay enumeration, the checkpoint/
 # resume byte-identity difftests and the in-process chaos harness are all
@@ -180,7 +180,7 @@ servecheck:
 # (never lost, never duplicated) and finish it with artifacts
 # byte-identical to an uninterrupted run.
 crashcheck:
-	$(GO) test -race ./internal/serve/ ./internal/journal/
+	$(GO) test -race ./internal/serve/ ./internal/journal/ ./internal/durable/
 	bash scripts/crash_smoke.sh
 
 # soakcheck is the overload-robustness gate: flood a small-budget daemon

@@ -42,7 +42,6 @@ func FuzzJournalOpen(f *testing.F) {
 			return
 		}
 		defer j.Close()
-		j.NoSync = true
 		if len(data) < len(magic) {
 			// A torn creation: reinitialized, nothing replayed.
 			if len(got) != 0 || j.TornTail() != 0 {

@@ -9,9 +9,9 @@
 // bit-flipped tail is an ignored suffix, never a panic and never a
 // parse of garbage. Everything before the tear replays verbatim.
 //
-// Rotation rewrites the live record set into a fresh file and renames
-// it over the old one (write, fsync, rename, directory fsync), so a
-// crash during rotation leaves either the complete old journal or the
+// Rotation writes the live record set as a fresh file through
+// durable.WriteFile (write, fsync, rename, directory fsync), so a crash
+// during rotation leaves either the complete old journal or the
 // complete new one.
 package journal
 
@@ -21,8 +21,9 @@ import (
 	"fmt"
 	"hash/crc32"
 	"os"
-	"path/filepath"
 	"sync"
+
+	"misp/internal/durable"
 )
 
 // magic identifies a journal file. It is written once at creation; a
@@ -48,11 +49,6 @@ var ErrClosed = errors.New("journal: closed")
 
 // Journal is an open write-ahead log positioned for appends.
 type Journal struct {
-	// NoSync disables the per-append and rotation fsyncs. Test seam
-	// only: unit tests of callers that do not assert durability can skip
-	// the physical sync; production code leaves it false.
-	NoSync bool
-
 	mu       sync.Mutex
 	f        *os.File
 	path     string
@@ -153,7 +149,7 @@ func (j *Journal) reinit() error {
 	if _, err := j.f.Write([]byte(magic)); err != nil {
 		return err
 	}
-	return j.sync(j.f)
+	return j.f.Sync()
 }
 
 // Append frames payload, writes it, and fsyncs before returning: once
@@ -170,7 +166,7 @@ func (j *Journal) Append(payload []byte) error {
 	if _, err := j.f.Write(frame(payload)); err != nil {
 		return err
 	}
-	if err := j.sync(j.f); err != nil {
+	if err := j.f.Sync(); err != nil {
 		return err
 	}
 	j.records++
@@ -187,54 +183,34 @@ func frame(payload []byte) []byte {
 }
 
 // Rotate atomically replaces the journal's contents with payloads (the
-// caller's compacted live set): the new file is written and fsync'd
-// under a temporary name, renamed over the journal, and the directory
-// is fsync'd so the rename itself survives a crash.
+// caller's compacted live set): the new file lands through
+// durable.WriteFile, and appends continue in whatever file is then at
+// the journal's path — the rotated one, or the old one when the write
+// failed before its rename — never in an unlinked inode. A failed
+// Rotate leaves Records at the old count.
 func (j *Journal) Rotate(payloads [][]byte) error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if j.closed {
 		return ErrClosed
 	}
-	tmp := j.path + ".rotate"
-	f, err := os.Create(tmp)
-	if err != nil {
-		return err
-	}
-	if _, err := f.Write([]byte(magic)); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
+	buf := []byte(magic)
 	for _, p := range payloads {
 		if len(p) > maxRecord {
-			f.Close()
-			os.Remove(tmp)
 			return fmt.Errorf("journal: record of %d bytes exceeds the %d limit", len(p), maxRecord)
 		}
-		if _, err := f.Write(frame(p)); err != nil {
-			f.Close()
-			os.Remove(tmp)
-			return err
-		}
+		buf = append(buf, frame(p)...)
 	}
-	if err := j.sync(f); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
+	werr := durable.WriteFile(j.path, buf)
+	f, err := os.OpenFile(j.path, os.O_WRONLY|os.O_APPEND, 0)
+	if err != nil {
+		return errors.Join(werr, err)
 	}
-	if err := os.Rename(tmp, j.path); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := j.syncDir(); err != nil {
-		f.Close()
-		return err
-	}
-	// The renamed handle IS the live journal now; drop the old inode.
 	j.f.Close()
 	j.f = f
+	if werr != nil {
+		return werr
+	}
 	j.records = len(payloads)
 	return nil
 }
@@ -265,27 +241,6 @@ func (j *Journal) TornTail() int { return j.tornTail }
 
 // Path returns the journal's file path.
 func (j *Journal) Path() string { return j.path }
-
-func (j *Journal) sync(f *os.File) error {
-	if j.NoSync {
-		return nil
-	}
-	return f.Sync()
-}
-
-// syncDir fsyncs the journal's directory so a just-renamed file's
-// directory entry is durable.
-func (j *Journal) syncDir() error {
-	if j.NoSync {
-		return nil
-	}
-	d, err := os.Open(filepath.Dir(j.path))
-	if err != nil {
-		return err
-	}
-	defer d.Close()
-	return d.Sync()
-}
 
 // readAll reads the whole file from the start (the handle may be at an
 // arbitrary position).

@@ -158,9 +158,44 @@ func TestRotation(t *testing.T) {
 	j.Close()
 	_, got := open(t, path)
 	assertReplay(t, got, [][]byte{[]byte("live-1"), []byte("live-2"), []byte("post-rotate")})
-	if _, err := os.Stat(path + ".rotate"); !os.IsNotExist(err) {
+	if _, err := os.Stat(path + ".tmp"); !os.IsNotExist(err) {
 		t.Fatalf("rotation left its temp file behind: %v", err)
 	}
+}
+
+// TestRotateFailureKeepsJournal: a rotation whose write fails (the
+// disk is full) returns the error and leaves the old journal in place,
+// replayable, and appendable through the journal it was called on.
+func TestRotateFailureKeepsJournal(t *testing.T) {
+	if _, err := os.Stat("/dev/full"); err != nil {
+		t.Skip("no /dev/full to stand in for a full disk")
+	}
+	path := filepath.Join(t.TempDir(), "j.wal")
+	j, _ := open(t, path)
+	old := [][]byte{[]byte("old-1"), []byte("old-2")}
+	for _, p := range old {
+		if err := j.Append(p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := os.Symlink("/dev/full", path+".tmp"); err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Rotate([][]byte{[]byte("live")}); err == nil {
+		t.Fatal("Rotate onto a full device succeeded")
+	}
+	if _, err := os.Lstat(path + ".tmp"); !os.IsNotExist(err) {
+		t.Fatalf("failed rotation left its temp file behind: %v", err)
+	}
+	if j.Records() != len(old) {
+		t.Fatalf("Records() after a failed rotate = %d, want %d", j.Records(), len(old))
+	}
+	if err := j.Append([]byte("after")); err != nil {
+		t.Fatal(err)
+	}
+	j.Close()
+	_, got := open(t, path)
+	assertReplay(t, got, append(old, []byte("after")))
 }
 
 // TestTornCreation: a file cut off mid-header (crash between create and

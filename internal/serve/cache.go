@@ -1,25 +1,23 @@
 package serve
 
 import (
+	"bytes"
 	"crypto/sha256"
-	"encoding/hex"
-	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
 	"regexp"
 	"sync"
+
+	"misp/internal/durable"
+	"misp/internal/snap/wire"
 )
 
-// manifestName is the per-entry integrity record: artifact name →
-// SHA-256 of its bytes, written alongside the artifacts. The leading
-// dot fails ValidArtifactName, so the manifest is invisible to artifact
-// listing and HTTP fetches.
-const manifestName = ".manifest"
-
-// artifactName constrains artifact file names so a disk-backed cache
-// entry can never escape its directory. Every producer in exec.go uses
-// names from this set shape; the HTTP layer re-validates on fetch.
+// artifactName constrains artifact names to plain file names, safe to
+// save under and to put in a URL path. Every producer in exec.go uses
+// names from this set shape; a cache entry refuses any other, and the
+// HTTP layer re-validates on fetch.
 var artifactName = regexp.MustCompile(`^[a-zA-Z0-9][a-zA-Z0-9._-]*$`)
 
 // ValidArtifactName reports whether name is a safe artifact file name.
@@ -43,11 +41,6 @@ type Cache struct {
 	// Test seam: lets cache_test.go hold a load open and verify that
 	// disk I/O never blocks unrelated lookups (loads happen outside mu).
 	loadDelay func(key string)
-
-	// noSync skips the Put fsyncs (files, entry dir, parent dir). Test
-	// seam only: unit tests that do not assert crash durability keep the
-	// happy path fast; production code leaves it false.
-	noSync bool
 }
 
 // loadFlight is one in-flight disk load; done is closed when art/ok
@@ -107,144 +100,117 @@ func (c *Cache) Get(key string) (Artifacts, bool) {
 }
 
 // Put stores an artifact set under key. Disk persistence is
-// crash-safe write-through: entry files (plus a SHA-256 manifest) land
-// in a temp directory, every file and the directory itself are fsync'd,
-// the directory is renamed into place, and the parent directory is
-// fsync'd — so a crashed daemon never leaves a partial or silently torn
-// entry where Get could find it.
+// crash-safe write-through: the entry is encoded as one file (see
+// encodeEntry) and lands through durable.WriteFile, so a crashed daemon
+// never leaves a partial or silently torn entry where Get could find
+// it. A key already in the memory layer is not written again: entries
+// are immutable, so the first Put (or the disk load that found the
+// entry) wins, and two Puts of one key never share a temp file.
 func (c *Cache) Put(key string, art Artifacts) error {
 	c.mu.Lock()
-	c.mem[key] = art
+	_, had := c.mem[key]
+	if !had {
+		c.mem[key] = art
+	}
 	dir := c.dir
 	c.mu.Unlock()
-	if dir == "" {
+	if dir == "" || had {
 		return nil
 	}
-	final := filepath.Join(dir, key)
-	if st, err := os.Stat(final); err == nil && st.IsDir() {
-		return nil // immutable: first writer wins
-	}
-	tmp, err := os.MkdirTemp(dir, ".tmp-"+key[:8]+"-")
+	buf, err := encodeEntry(art)
 	if err != nil {
 		return err
 	}
-	defer os.RemoveAll(tmp)
+	return durable.WriteFile(filepath.Join(dir, key), buf)
+}
+
+// entryMagic identifies a cache entry file; the SHA-256 of the body
+// follows it.
+const entryMagic = "MISPCAC1"
+
+// entryHeader is the byte length of the magic and the body digest.
+const entryHeader = len(entryMagic) + sha256.Size
+
+// encodeEntry renders art as one entry file: entryMagic, the SHA-256
+// of the body, then the body — the artifacts as (name, blob) pairs in
+// ascending name order (codeArtifacts).
+func encodeEntry(art Artifacts) ([]byte, error) {
+	size := entryHeader + 8
 	for name, data := range art {
-		if !ValidArtifactName(name) {
-			return fmt.Errorf("serve: invalid artifact name %q", name)
-		}
-		if err := c.writeFileSync(filepath.Join(tmp, name), data); err != nil {
-			return err
-		}
+		size += 16 + len(name) + len(data)
 	}
-	if err := c.writeFileSync(filepath.Join(tmp, manifestName), manifestBytes(art)); err != nil {
-		return err
+	c := wire.NewEncoder(size)
+	c.Raw(make([]byte, entryHeader)) // filled in once the body is known
+	codeArtifacts(c, art)
+	if err := c.Err(); err != nil {
+		return nil, err
 	}
-	if err := c.syncDir(tmp); err != nil {
-		return err
-	}
-	if err := os.Rename(tmp, final); err != nil {
-		// A concurrent writer won the rename; its content is identical by
-		// construction (same key, deterministic artifacts).
-		if st, statErr := os.Stat(final); statErr == nil && st.IsDir() {
-			return nil
-		}
-		return err
-	}
-	return c.syncDir(dir)
+	buf := c.Bytes()
+	sum := sha256.Sum256(buf[entryHeader:])
+	copy(buf, entryMagic)
+	copy(buf[len(entryMagic):], sum[:])
+	return buf, nil
 }
 
-// writeFileSync writes data and fsyncs before closing, so the bytes —
-// not just the directory entry — survive a crash after Put returns.
-func (c *Cache) writeFileSync(path string, data []byte) error {
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return err
-	}
-	if _, err := f.Write(data); err != nil {
-		f.Close()
-		return err
-	}
-	if !c.noSync {
-		if err := f.Sync(); err != nil {
-			f.Close()
-			return err
-		}
-	}
-	return f.Close()
-}
-
-// syncDir fsyncs a directory so renames and file creations inside it
-// are durable.
-func (c *Cache) syncDir(path string) error {
-	if c.noSync {
+// decodeEntry is encodeEntry's inverse, or nil for anything encodeEntry
+// cannot have written: a bad magic or digest, a short or overlong body,
+// no artifacts, or a name that is invalid or out of order.
+func decodeEntry(buf []byte) Artifacts {
+	if len(buf) < entryHeader || string(buf[:len(entryMagic)]) != entryMagic {
 		return nil
 	}
-	d, err := os.Open(path)
-	if err != nil {
-		return err
+	if sum := sha256.Sum256(buf[entryHeader:]); !bytes.Equal(sum[:], buf[len(entryMagic):entryHeader]) {
+		return nil
 	}
-	defer d.Close()
-	return d.Sync()
+	c := wire.NewDecoder(buf[entryHeader:])
+	art := make(Artifacts)
+	codeArtifacts(c, art)
+	if c.Err() != nil || c.Remaining() != 0 || len(art) == 0 {
+		return nil
+	}
+	return art
 }
 
-// manifestBytes renders the entry manifest: sorted artifact names with
-// hex SHA-256 digests, one JSON object.
-func manifestBytes(art Artifacts) []byte {
-	sums := make(map[string]string, len(art))
-	for name, data := range art {
-		sums[name] = digest(data)
-	}
-	b, _ := json.MarshalIndent(sums, "", "  ") // map keys marshal sorted
-	return append(b, '\n')
-}
-
-func digest(data []byte) string {
-	h := sha256.Sum256(data)
-	return hex.EncodeToString(h[:])
+// codeArtifacts states the entry body once for both directions: a
+// count, then each artifact's name and bytes, names strictly ascending.
+// Every name must pass ValidArtifactName, so no entry can carry a name
+// the HTTP layer would refuse to serve.
+func codeArtifacts(c *wire.Codec, art Artifacts) {
+	prev := ""
+	wire.Map(c, art, c.String, func(name string) {
+		if !ValidArtifactName(name) || name <= prev {
+			c.Fail(fmt.Errorf("serve: invalid or unordered artifact name %q", name))
+			return
+		}
+		prev = name
+		data := art[name]
+		c.Blob(&data)
+		if c.Decoding() {
+			art[name] = data
+		}
+	})
 }
 
 // load reads a disk entry. Called WITHOUT c.mu (disk entries are
-// immutable once renamed into place, so lock-free reads are safe). Put
-// writes exactly the files its manifest lists, so anything else — no
-// manifest, an unreadable one, a truncated, bit-flipped, missing or
-// unlisted artifact — is corruption: the lookup is a miss, never a
-// panic and never unverified bytes served to a client, and the entry is
-// evicted so the next Put (a re-simulation) can land a good copy.
+// immutable once renamed into place, so lock-free reads are safe).
+// Anything decodeEntry rejects — a truncated, bit-flipped or extended
+// file, or a directory an older daemon left at the key — is corruption:
+// the lookup is a miss, never a panic and never unverified bytes served
+// to a client, and the entry is evicted so the next Put (a
+// re-simulation) can land a good copy.
 func (c *Cache) load(key string) (Artifacts, bool) {
 	if c.loadDelay != nil {
 		c.loadDelay(key)
 	}
-	dir := filepath.Join(c.dir, key)
-	entries, err := os.ReadDir(dir)
-	if err != nil {
+	path := filepath.Join(c.dir, key)
+	buf, err := os.ReadFile(path)
+	if errors.Is(err, os.ErrNotExist) {
 		return nil, false // no entry
 	}
-	art, ok := readEntry(dir, len(entries))
-	if !ok {
-		os.RemoveAll(dir)
-	}
-	return art, ok
-}
-
-// readEntry reads the n-file entry in dir: its manifest and exactly the
-// artifacts it lists, each with its listed SHA-256.
-func readEntry(dir string, n int) (Artifacts, bool) {
-	mb, err := os.ReadFile(filepath.Join(dir, manifestName))
-	var sums map[string]string
-	if err != nil || json.Unmarshal(mb, &sums) != nil || len(sums) == 0 || len(sums)+1 != n {
+	art := decodeEntry(buf)
+	if err != nil || art == nil {
+		os.RemoveAll(path)
 		return nil, false
-	}
-	art := make(Artifacts, len(sums))
-	for name, want := range sums {
-		if !ValidArtifactName(name) {
-			return nil, false
-		}
-		data, err := os.ReadFile(filepath.Join(dir, name))
-		if err != nil || digest(data) != want {
-			return nil, false
-		}
-		art[name] = data
 	}
 	return art, true
 }

@@ -584,9 +584,9 @@ func TestReplayToleratesRemovedKnobs(t *testing.T) {
 }
 
 // TestCacheCorruptionIsAMiss: a disk entry that is not exactly what Put
-// wrote — an artifact truncated, bit-flipped, removed or unlisted, or
-// the manifest gone — is detected at load, evicted, and reported as a
-// miss, and a later Put can rewrite the entry.
+// wrote — truncated, bit-flipped, extended or removed, or a directory
+// an older daemon left at the key — is detected at load, evicted, and
+// reported as a miss, and a later Put can rewrite the entry.
 func TestCacheCorruptionIsAMiss(t *testing.T) {
 	corruptions := map[string]func(path string){
 		"bit-flip": func(path string) {
@@ -598,14 +598,18 @@ func TestCacheCorruptionIsAMiss(t *testing.T) {
 			b, _ := os.ReadFile(path)
 			os.WriteFile(path, b[:len(b)/2], 0o644)
 		},
+		"trailing-bytes": func(path string) {
+			b, _ := os.ReadFile(path)
+			os.WriteFile(path, append(b, 0), 0o644)
+		},
 		"remove": func(path string) {
 			os.Remove(path)
 		},
-		"unlisted-file": func(path string) {
-			os.WriteFile(filepath.Join(filepath.Dir(path), "trace.json"), []byte("{}\n"), 0o644)
-		},
-		"no-manifest": func(path string) {
-			os.Remove(filepath.Join(filepath.Dir(path), manifestName))
+		"legacy-entry-directory": func(path string) {
+			os.Remove(path)
+			os.Mkdir(path, 0o755)
+			os.WriteFile(filepath.Join(path, "summary.json"), []byte("{\"cycles\":12345}\n"), 0o644)
+			os.WriteFile(filepath.Join(path, ".manifest"), []byte("{}\n"), 0o644)
 		},
 	}
 	for name, corrupt := range corruptions {
@@ -623,7 +627,7 @@ func TestCacheCorruptionIsAMiss(t *testing.T) {
 			if err := c1.Put(key, art); err != nil {
 				t.Fatal(err)
 			}
-			corrupt(filepath.Join(dir, key, "summary.json"))
+			corrupt(filepath.Join(dir, key))
 
 			// A fresh cache (the restarted daemon) must see a miss, not a
 			// panic and not corrupt bytes.
@@ -641,37 +645,16 @@ func TestCacheCorruptionIsAMiss(t *testing.T) {
 			if err := c2.Put(key, art); err != nil {
 				t.Fatal(err)
 			}
-			got, ok := c2.Get(key)
+			c3, err := NewCache(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, ok := c3.Get(key)
 			if !ok {
 				t.Fatal("rewritten entry missing")
 			}
 			assertSameArtifacts(t, art, got)
 		})
-	}
-}
-
-// TestManifestInvisibleToArtifacts: the manifest never appears in
-// artifact listings or loads (its dot prefix fails ValidArtifactName).
-func TestManifestInvisibleToArtifacts(t *testing.T) {
-	if ValidArtifactName(manifestName) {
-		t.Fatalf("%s passes ValidArtifactName; it would leak over HTTP", manifestName)
-	}
-	dir := t.TempDir()
-	c, err := NewCache(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	key := "0123456789abcdef0123456789abcdef"
-	if err := c.Put(key, Artifacts{"a.txt": []byte("x")}); err != nil {
-		t.Fatal(err)
-	}
-	c2, _ := NewCache(dir)
-	got, ok := c2.Get(key)
-	if !ok {
-		t.Fatal("entry missing")
-	}
-	if _, leaked := got[manifestName]; leaked {
-		t.Fatal("manifest leaked into the artifact set")
 	}
 }
 

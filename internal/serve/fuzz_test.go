@@ -2,13 +2,17 @@ package serve
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"testing"
+
+	"misp/internal/snap/wire"
 )
 
 // FuzzRequest decodes arbitrary bytes exactly as handleSubmit does and
@@ -80,50 +84,39 @@ func FuzzRequest(f *testing.F) {
 	})
 }
 
-// FuzzCacheLoad writes an arbitrary cache entry directory — manifest
-// bytes and three artifact files, each present when its bit of layout is
-// set — and looks it up through a fresh cache, as a restarted daemon
-// does. Nothing may panic. A hit must return exactly the files the
-// manifest lists, each with its listed digest; anything else must be a
-// miss that returns no bytes and evicts the directory.
+// FuzzCacheLoad writes arbitrary bytes as a cache entry file and looks
+// the key up through a fresh cache, as a restarted daemon does. Nothing
+// may panic. A hit must re-encode to exactly the bytes on disk, so it
+// can serve nothing Put would not have written; anything else must be
+// a miss that returns no bytes and evicts the file.
 func FuzzCacheLoad(f *testing.F) {
-	summary, counters := []byte("{\"cycles\":12345}\n"), []byte("seq,instrs\n0,99\n")
-	good := manifestBytes(Artifacts{"summary.json": summary, "counters.csv": counters})
-	flipped := bytes.Clone(summary)
+	summary, counters := "{\"cycles\":12345}\n", "seq,instrs\n0,99\n"
+	good, err := encodeEntry(Artifacts{"summary.json": []byte(summary), "counters.csv": []byte(counters)})
+	if err != nil {
+		f.Fatal(err)
+	}
+	flipped := bytes.Clone(good)
 	flipped[len(flipped)/2] ^= 0x20
-	const manifest, sum, ctr, trace = 1, 2, 4, 8
-	for _, seed := range []struct {
-		manifest, summary []byte
-		layout            uint8
-	}{
-		{good, summary, manifest | sum | ctr},         // what Put writes
-		{good, flipped, manifest | sum | ctr},         // bit-flip
-		{good, summary[:5], manifest | sum | ctr},     // truncate
-		{good, summary, manifest | ctr},               // remove
-		{good, summary, manifest | sum | ctr | trace}, // unlisted-file
-		{good, summary, sum | ctr},                    // no-manifest
-		{[]byte(`{"../summary.json":"00"}`), summary, manifest | sum},
-		{[]byte(`{}`), nil, manifest},
-		{[]byte(`[`), summary, manifest | sum | ctr},
+	for _, seed := range [][]byte{
+		good,                         // what Put writes
+		flipped,                      // bit-flip
+		good[:len(good)-5],           // truncation
+		append(bytes.Clone(good), 0), // trailing bytes
+		{},                           // empty file
+		entryBytes("../x", summary),
+		entryBytes(".manifest", "{}\n"),
+		entryBytes("summary.json", summary, "counters.csv", counters), // names out of order
+		entryBytes(), // no artifacts
 	} {
-		f.Add(seed.manifest, seed.summary, counters, []byte("{}\n"), seed.layout)
+		f.Add(seed)
 	}
 
-	f.Fuzz(func(t *testing.T, manifest, summary, counters, trace []byte, layout uint8) {
+	f.Fuzz(func(t *testing.T, data []byte) {
 		const key = "0123456789abcdef0123456789abcdef"
 		dir := t.TempDir()
-		entry := filepath.Join(dir, key)
-		if err := os.Mkdir(entry, 0o755); err != nil {
+		path := filepath.Join(dir, key)
+		if err := os.WriteFile(path, data, 0o644); err != nil {
 			t.Fatal(err)
-		}
-		files := map[string][]byte{}
-		for i, name := range []string{manifestName, "summary.json", "counters.csv", "trace.json"} {
-			if layout&(1<<i) != 0 {
-				files[name] = [][]byte{manifest, summary, counters, trace}[i]
-				if err := os.WriteFile(filepath.Join(entry, name), files[name], 0o644); err != nil {
-					t.Fatal(err)
-				}
-			}
 		}
 		c, err := NewCache(dir)
 		if err != nil {
@@ -134,19 +127,29 @@ func FuzzCacheLoad(f *testing.F) {
 			if art != nil {
 				t.Fatalf("a miss returned %d artifacts", len(art))
 			}
-			if _, err := os.Stat(entry); !errors.Is(err, os.ErrNotExist) {
+			if _, err := os.Stat(path); !errors.Is(err, os.ErrNotExist) {
 				t.Fatalf("rejected entry not evicted: %v", err)
 			}
 			return
 		}
-		var sums map[string]string
-		if err := json.Unmarshal(manifest, &sums); err != nil || len(sums) != len(art) || len(files) != len(art)+1 {
-			t.Fatalf("hit with %d artifacts from %d files against manifest %q", len(art), len(files), manifest)
-		}
-		for name, data := range art {
-			if !bytes.Equal(data, files[name]) || digest(data) != sums[name] {
-				t.Fatalf("hit served %s unverified: %q", name, data)
-			}
+		again, err := encodeEntry(art)
+		if err != nil || !bytes.Equal(again, data) {
+			t.Fatalf("hit with %d artifacts does not re-encode to the entry file (%v)", len(art), err)
 		}
 	})
+}
+
+// entryBytes encodes name, blob pairs as a cache entry file, in the
+// order given and with a valid digest but no name checks: the entries
+// Put refuses to write.
+func entryBytes(pairs ...string) []byte {
+	c := wire.NewEncoder(0)
+	c.Count(len(pairs) / 2)
+	for i := 0; i < len(pairs); i += 2 {
+		name, data := pairs[i], []byte(pairs[i+1])
+		c.String(&name)
+		c.Blob(&data)
+	}
+	sum := sha256.Sum256(c.Bytes())
+	return slices.Concat([]byte(entryMagic), sum[:], c.Bytes())
 }

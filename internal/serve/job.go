@@ -399,8 +399,8 @@ func (s *Server) recover(payloads [][]byte) []*Job {
 		if j.Status.Terminal() {
 			continue // the journal held its verdict
 		}
-		// Get (not a directory probe) so the dedupe verifies the entry's
-		// manifest: a torn cache entry must re-run, not satisfy the job.
+		// Get (not a file probe) so the dedupe verifies the entry's
+		// digest: a torn cache entry must re-run, not satisfy the job.
 		_, cached := s.cache.Get(j.Key)
 		switch {
 		case cached:

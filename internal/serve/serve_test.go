@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"regexp"
 	"strconv"
 	"strings"
 	"testing"
@@ -619,6 +620,17 @@ func TestCacheDiskPersistence(t *testing.T) {
 	sum2, ok := s2.Artifact(j2, "summary.json")
 	if !ok || !bytes.Equal(sum1, sum2) {
 		t.Fatal("persisted artifact differs from the original")
+	}
+}
+
+// TestMetricsListedAtZero: a fresh server's /metrics lists the
+// counters its failure paths bump, at zero, before any failure happens.
+func TestMetricsListedAtZero(t *testing.T) {
+	s := newTestServer(t, Config{Workers: 1})
+	for _, name := range []string{"serve.cache.put_errors", "serve.journal.append_errors"} {
+		if !regexp.MustCompile(`(?m)^counter ` + regexp.QuoteMeta(name) + ` +0$`).MatchString(s.Metrics()) {
+			t.Errorf("/metrics does not list %s at 0", name)
+		}
 	}
 }
 

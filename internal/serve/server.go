@@ -184,7 +184,7 @@ func NewServer(cfg Config) (*Server, error) {
 		"serve.jobs.submitted", "serve.jobs.completed", "serve.jobs.failed", "serve.jobs.canceled",
 		"serve.jobs.coalesced", "serve.jobs.retries", "serve.jobs.preempted",
 		"serve.rejected.queue_full", "serve.rejected.draining", "serve.rejected.over_budget",
-		"serve.cache.hits", "serve.cache.misses",
+		"serve.cache.hits", "serve.cache.misses", "serve.cache.put_errors",
 		"serve.journal.appends", "serve.journal.append_errors",
 		"serve.journal.replayed", "serve.journal.torn_bytes", "serve.journal.rotations",
 		"serve.resume.jobs", "serve.resume.deduped", "serve.resume.failed",

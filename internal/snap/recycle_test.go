@@ -2,8 +2,6 @@ package snap_test
 
 import (
 	"bytes"
-	"os"
-	"path/filepath"
 	"runtime"
 	"testing"
 
@@ -49,79 +47,6 @@ func TestCaptureBufferSized(t *testing.T) {
 	if state := check("64 sequencers", pr); state < 2*snap.StateSlack {
 		t.Fatalf("non-memory state is %d bytes: it does not outgrow the %d-byte slack", state, snap.StateSlack)
 	}
-}
-
-// --- SaveFile failure paths ------------------------------------------
-
-func tmpFiles(t *testing.T, dir string) []string {
-	t.Helper()
-	m, err := filepath.Glob(filepath.Join(dir, "*.tmp"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	return m
-}
-
-// TestSaveFileFailureLeavesNoTemp: a save that fails — at the write
-// (the disk is full) or at the rename — removes its temp file and leaves
-// the previous image as it was.
-func TestSaveFileFailureLeavesNoTemp(t *testing.T) {
-	pr := prep(t, testCfg(t))
-	s, err := snap.Capture(pr.Machine, pr.Kernel)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	t.Run("write", func(t *testing.T) {
-		if _, err := os.Stat("/dev/full"); err != nil {
-			t.Skip("no /dev/full to stand in for a full disk")
-		}
-		dir := t.TempDir()
-		path := filepath.Join(dir, "job.ckpt")
-		if err := s.SaveFile(path); err != nil {
-			t.Fatal(err)
-		}
-		// The next save's temp file lands on a device with no space.
-		if err := os.Symlink("/dev/full", path+".tmp"); err != nil {
-			t.Fatal(err)
-		}
-		if err := s.SaveFile(path); err == nil {
-			t.Fatal("SaveFile onto a full device succeeded")
-		}
-		if left := tmpFiles(t, dir); len(left) != 0 {
-			t.Fatalf("failed save left %v behind", left)
-		}
-		prev, err := snap.LoadFile(path)
-		if err != nil {
-			t.Fatalf("previous image unreadable after a failed save: %v", err)
-		}
-		if !bytes.Equal(prev.Bytes(), s.Bytes()) {
-			t.Fatal("previous image changed by a failed save")
-		}
-	})
-
-	t.Run("rename", func(t *testing.T) {
-		dir := t.TempDir()
-		path := filepath.Join(dir, "job.ckpt")
-		// A non-empty directory squatting on the final name: the temp
-		// file is written and synced, then the rename is refused.
-		if err := os.MkdirAll(filepath.Join(path, "x"), 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := s.SaveFile(path); err == nil {
-			t.Fatal("SaveFile over a directory succeeded")
-		}
-		if left := tmpFiles(t, dir); len(left) != 0 {
-			t.Fatalf("failed save left %v behind", left)
-		}
-	})
-
-	t.Run("open", func(t *testing.T) {
-		dir := filepath.Join(t.TempDir(), "gone")
-		if err := s.SaveFile(filepath.Join(dir, "job.ckpt")); err == nil {
-			t.Fatal("SaveFile into a missing directory succeeded")
-		}
-	})
 }
 
 // --- recycled arrays -------------------------------------------------

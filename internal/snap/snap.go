@@ -24,9 +24,9 @@ import (
 	"bytes"
 	"fmt"
 	"os"
-	"path/filepath"
 
 	"misp/internal/core"
+	"misp/internal/durable"
 	"misp/internal/kernel"
 	"misp/internal/snap/wire"
 )
@@ -140,43 +140,11 @@ func (s *Snapshot) Fork(override func(*core.Config)) (*core.Machine, *kernel.Ker
 	return m, k, nil
 }
 
-// SaveFile writes the image to path, crash-safely: the bytes are
-// fsync'd under a temp name, renamed into place, and the directory is
-// fsync'd so a SIGKILL right after SaveFile returns still finds the
-// complete image (or the complete previous one — never a torn mix).
-func (s *Snapshot) SaveFile(path string) (err error) {
-	tmp := path + ".tmp"
-	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return err
-	}
-	// A failed save leaves no temp file beside the journal. (Once the
-	// rename has happened the name is gone and Remove is a no-op.)
-	defer func() {
-		if err != nil {
-			os.Remove(tmp)
-		}
-	}()
-	if _, err := f.Write(s.buf); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		return err
-	}
-	d, err := os.Open(filepath.Dir(path))
-	if err != nil {
-		return err
-	}
-	defer d.Close()
-	return d.Sync()
+// SaveFile writes the image to path through durable.WriteFile, so a
+// SIGKILL right after SaveFile returns still finds the complete image
+// (or the complete previous one — never a torn mix).
+func (s *Snapshot) SaveFile(path string) error {
+	return durable.WriteFile(path, s.buf)
 }
 
 // LoadFile reads and validates an image from path.

@@ -1,5 +1,6 @@
 // Package wire implements the snapshot plane's byte codec: one Codec
-// type that either writes an image or reads one back.
+// type that either writes an image or reads one back. The service
+// plane's cache entry files (internal/serve) use it too.
 //
 // The format is deliberately primitive — fixed-width little-endian
 // fields, no varints, no compression, no reflection — because the

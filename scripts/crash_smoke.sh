@@ -28,6 +28,7 @@ REQ='{"kind":"run","app":"dense_mmm","size":"test","topology":[3]}'
 # restart never parses its predecessor's address), set URL/SERVER_PID.
 boot() {
     local work=$1 log=$2
+    : >"$log" # exists before the daemon's own redirect opens it, so sed below can read it
     "$BIN" -addr 127.0.0.1:0 -cachedir "$work/cache" -journal "$work/journal" \
         -checkpoint-cycles 50000 -workers 2 >"$log" 2>&1 &
     SERVER_PID=$!

@@ -30,6 +30,7 @@ go build -o "$BIN" ./cmd/mispserve
 # 256m fits exactly one tiny-run estimate (128m simulated physmem +
 # per-machine overhead), so concurrent distinct submissions must shed on
 # committed memory before the heap ever grows.
+: >"$WORK/serve.log" # exists before the daemon's own redirect opens it, so sed below can read it
 "$BIN" -addr 127.0.0.1:0 -cachedir "$WORK/cache" -journal "$WORK/journal" \
     -mem-budget 256m -queue 4 -workers 2 >"$WORK/serve.log" 2>&1 &
 SERVER_PID=$!

@@ -16,6 +16,7 @@ trap 'kill "$SERVER_PID" 2>/dev/null || true; rm -rf "$WORK"' EXIT
 mkdir -p "$(dirname "$BIN")"
 go build -o "$BIN" ./cmd/mispserve
 
+: >"$WORK/serve.log" # exists before the daemon's own redirect opens it, so sed below can read it
 "$BIN" -addr 127.0.0.1:0 -cachedir "$WORK/cache" >"$WORK/serve.log" 2>&1 &
 SERVER_PID=$!
 
