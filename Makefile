@@ -30,14 +30,16 @@ test:
 race:
 	$(GO) test -race ./...
 
-# smoke runs misptrace end-to-end on the built-in demo and checks that
-# all three artifacts come out non-empty and the trace parses as JSON.
+# smoke runs mispsim -o end-to-end on one workload and checks that all
+# four run files come out non-empty. TestRunFilesMatchServe in
+# ./cmd/mispsim pins their bytes against the serve daemon's.
 smoke:
-	$(GO) run ./cmd/misptrace -o /tmp/misptrace-smoke
-	test -s /tmp/misptrace-smoke/trace.json
-	test -s /tmp/misptrace-smoke/profile.txt
-	test -s /tmp/misptrace-smoke/metrics.txt
-	$(GO) run ./cmd/misptrace -validate /tmp/misptrace-smoke/trace.json
+	rm -rf /tmp/mispsim-smoke
+	$(GO) run ./cmd/mispsim -w gauss -size test -o /tmp/mispsim-smoke > /dev/null
+	test -s /tmp/mispsim-smoke/counters.csv
+	test -s /tmp/mispsim-smoke/metrics.txt
+	test -s /tmp/mispsim-smoke/trace.json
+	test -s /tmp/mispsim-smoke/profile.txt
 
 verify: build vet race smoke
 

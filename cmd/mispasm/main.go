@@ -4,7 +4,8 @@
 //
 //	mispasm file.svm            assemble and print the listing
 //	mispasm -symbols file.svm   also print the symbol table
-//	mispasm -run file.svm       assemble and execute under BareOS
+//
+// To run a program, use mispsim -run file.svm.
 package main
 
 import (
@@ -14,14 +15,11 @@ import (
 	"sort"
 
 	"misp/internal/asm"
-	"misp/internal/core"
 	"misp/internal/version"
 )
 
 func main() {
 	symbols := flag.Bool("symbols", false, "print the symbol table")
-	run := flag.Bool("run", false, "execute the program under BareOS on a 1x4 MISP machine")
-	topAMS := flag.Int("ams", 3, "with -run: number of AMSs")
 	showVersion := flag.Bool("version", false, "print version and exit")
 	flag.Parse()
 
@@ -30,7 +28,7 @@ func main() {
 		return
 	}
 	if flag.NArg() != 1 {
-		fmt.Fprintln(os.Stderr, "usage: mispasm [-symbols] [-run] file.svm")
+		fmt.Fprintln(os.Stderr, "usage: mispasm [-symbols] file.svm")
 		os.Exit(2)
 	}
 	src, err := os.ReadFile(flag.Arg(0))
@@ -59,21 +57,6 @@ func main() {
 		sort.Slice(syms, func(i, j int) bool { return syms[i].addr < syms[j].addr })
 		for _, s := range syms {
 			fmt.Printf("  0x%08x  %s\n", s.addr, s.name)
-		}
-	}
-
-	if *run {
-		cfg := core.DefaultConfig(core.Topology{*topAMS})
-		cfg.PhysMem = 64 << 20
-		cfg.MaxCycles = 10_000_000_000
-		bos, m, err := core.RunBare(cfg, prog)
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Printf("\nexit code: %d (after %d cycles, %d instructions)\n",
-			bos.ExitCode, m.MaxClock(), m.Steps)
-		if bos.Out.Len() > 0 {
-			fmt.Printf("output:\n%s\n", bos.Out.String())
 		}
 	}
 }

@@ -7,8 +7,16 @@
 //
 //	mispsim -w raytracer [-mode shred|thread] [-top 7 | -top 3,3] [-size small] [-trace]
 //	mispsim -run prog.svm [-top 3]
+//	mispsim -w gauss -size test -o out                     # write the run files
 //	mispsim -w swim -snapshot ckpt.misp -snapat 50000000   # checkpoint mid-run
 //	mispsim -w swim -restore ckpt.misp                     # resume to completion
+//
+// -o DIR records the event log and the per-PC profile and writes the
+// run's files to DIR: counters.csv (per-sequencer counters),
+// metrics.txt (the metrics registry), trace.json (Chrome trace-event
+// JSON; open in ui.perfetto.dev) and profile.txt (the hottest PCs,
+// symbolized). The first three are byte for byte what the serve daemon
+// returns for the same run with trace on.
 //
 // A restored run is bit-identical to the uninterrupted one: same
 // cycles, checksum, counters, and trace events. `-w` and `-size` must
@@ -17,11 +25,15 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"flag"
 	"fmt"
+	"maps"
 	"os"
+	"path/filepath"
+	"slices"
 
 	"misp/internal/asm"
 	"misp/internal/cli"
@@ -43,7 +55,7 @@ func main() {
 	sizeName := flag.String("size", "small", "problem size: test, small, ref")
 	trace := flag.Bool("trace", false, "print the fine-grained firmware event trace")
 	traceMax := flag.Int("tracemax", 200, "maximum trace events to print")
-	traceOut := flag.String("traceout", "", "write the event log as Chrome trace JSON to this file (implies -trace recording)")
+	outDir := flag.String("o", "", "write counters.csv, metrics.txt, trace.json and profile.txt to this directory (records the event log and PC profile)")
 	metrics := flag.Bool("metrics", false, "print the metrics registry dump")
 	runFile := flag.String("run", "", "assemble and run an .svm file under BareOS instead of a workload")
 	signal := flag.Uint64("signal", 5000, "inter-sequencer signal cost in cycles")
@@ -77,7 +89,8 @@ func main() {
 	}
 	cfg := workloads.DefaultConfig(top)
 	cfg.SignalCost = *signal
-	cfg.TraceEvents = *trace || *traceOut != ""
+	cfg.TraceEvents = *trace || *outDir != ""
+	cfg.ProfilePC = *outDir != ""
 	cfg.WatchdogHorizon = *watchdog
 	if *faultPeriod != 0 {
 		kinds, err := fault.ParseKinds(cli.List(*faultKinds))
@@ -134,7 +147,7 @@ func main() {
 		if *trace {
 			printTrace(m, *traceMax)
 		}
-		finish(m, *traceOut, *metrics)
+		finish(m, prog, *outDir, *metrics)
 		return
 	}
 
@@ -214,15 +227,16 @@ func main() {
 	if *trace {
 		printTrace(res.Machine, *traceMax)
 	}
-	finish(res.Machine, *traceOut, *metrics)
+	finish(res.Machine, res.Proc.Prog, *outDir, *metrics)
 	if res.Checksum != want {
 		fatal(fmt.Errorf("%s: checksum %g does not match reference %g", w.Name, res.Checksum, want))
 	}
 }
 
-// finish emits the optional observability outputs and, when tracing was
-// on, the end-of-run summary that surfaces event-log loss.
-func finish(m *core.Machine, traceOut string, metrics bool) {
+// finish emits the optional observability outputs: the metrics dump,
+// the end-of-run summary that surfaces event-log loss when tracing was
+// on, and the run files -o asked for.
+func finish(m *core.Machine, prog *asm.Program, outDir string, metrics bool) {
 	if metrics {
 		fmt.Println("\nmetrics registry:")
 		fmt.Print(m.Obs.Metrics.String())
@@ -236,20 +250,43 @@ func finish(m *core.Machine, traceOut string, metrics bool) {
 		fmt.Println()
 		fmt.Print(report.RunSummary(rep))
 	}
-	if traceOut != "" {
-		f, err := os.Create(traceOut)
+	if outDir != "" {
+		names, err := writeRunFiles(m, prog, outDir)
 		if err != nil {
 			fatal(err)
 		}
-		if err := obs.WriteChromeTrace(f, m.Obs.Bus.Events(), m.Tracks()); err != nil {
-			f.Close()
-			fatal(err)
-		}
-		if err := f.Close(); err != nil {
-			fatal(err)
-		}
-		fmt.Printf("\nwrote Chrome trace to %s (load in ui.perfetto.dev)\n", traceOut)
+		fmt.Printf("\nwrote %v to %s\n", names, outDir)
 	}
+}
+
+// profileTop is how many of the hottest PCs profile.txt lists.
+const profileTop = 30
+
+// writeRunFiles writes report.RunFiles plus, when the machine kept a
+// PC profile, profile.txt symbolized against prog, and returns the
+// file names written.
+func writeRunFiles(m *core.Machine, prog *asm.Program, dir string) ([]string, error) {
+	files, err := report.RunFiles(m)
+	if err != nil {
+		return nil, err
+	}
+	if m.Obs.Prof != nil {
+		var buf bytes.Buffer
+		if err := m.Obs.Prof.WriteTo(&buf, obs.Symbolizer(prog.Symbols), profileTop); err != nil {
+			return nil, err
+		}
+		files["profile.txt"] = buf.Bytes()
+	}
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return nil, err
+	}
+	names := slices.Sorted(maps.Keys(files))
+	for _, name := range names {
+		if err := os.WriteFile(filepath.Join(dir, name), files[name], 0o644); err != nil {
+			return nil, err
+		}
+	}
+	return names, nil
 }
 
 func printTrace(m *core.Machine, max int) {

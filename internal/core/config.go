@@ -128,15 +128,9 @@ type Config struct {
 
 	// TraceEvents enables the fine-grained time-stamped event log
 	// (the prototype firmware's logging facility, §4.1), kept by the
-	// obs subsystem's event bus.
+	// obs subsystem's event bus. The log holds at most obs.EventCap
+	// events; a longer run keeps the head and counts the rest as dropped.
 	TraceEvents bool
-	// MaxTraceEvents caps the log size.
-	MaxTraceEvents int
-	// TraceEvictOldest selects ring-buffer semantics for the event log:
-	// when the cap is reached the oldest events are evicted so the tail
-	// of the run is never silently lost. The default (false) keeps the
-	// head and counts the tail as dropped.
-	TraceEvictOldest bool
 	// ProfilePC enables the per-PC cycle profile (the obs hot-spot
 	// report: exact simulated-cycle attribution per program counter).
 	ProfilePC bool
@@ -178,12 +172,11 @@ const (
 // timer (see DESIGN.md §6).
 func DefaultConfig(top Topology) Config {
 	return Config{
-		Topology:       top,
-		PhysMem:        256 << 20,
-		SignalCost:     5000,
-		TimerInterval:  1_000_000,
-		RingPolicy:     RingSuspendAll,
-		MaxTraceEvents: 1 << 16,
+		Topology:      top,
+		PhysMem:       256 << 20,
+		SignalCost:    5000,
+		TimerInterval: 1_000_000,
+		RingPolicy:    RingSuspendAll,
 	}
 }
 
@@ -191,12 +184,11 @@ func DefaultConfig(top Topology) Config {
 // built, so a snapshot cannot change them on restore: the topology and
 // memory size are literal in the image, kernel.New bakes TimerInterval
 // into every OMS timer deadline, Spawn's kick-idle IPI bakes SignalCost
-// into the target OMS's, and the obs bus geometry is fixed at
-// construction. Every other field is a run-only override.
+// into the target OMS's, and the obs subsystem is built with or without
+// its event log and PC profile. Every other field is a run-only override.
 func (c *Config) Structural() string {
-	return fmt.Sprintf("top=%v|mem=%d|ti=%d|sig=%d|tr=%t|trmax=%d|trev=%t|prof=%t",
-		c.Topology, c.PhysMem, c.TimerInterval, c.SignalCost,
-		c.TraceEvents, c.MaxTraceEvents, c.TraceEvictOldest, c.ProfilePC)
+	return fmt.Sprintf("top=%v|mem=%d|ti=%d|sig=%d|tr=%t|prof=%t",
+		c.Topology, c.PhysMem, c.TimerInterval, c.SignalCost, c.TraceEvents, c.ProfilePC)
 }
 
 // Validate reports configuration errors.

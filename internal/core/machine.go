@@ -240,16 +240,7 @@ func New(cfg Config) (*Machine, error) {
 // New then adds the sequencers its topology describes; a restore
 // decodes them.
 func assemble(cfg Config, phys *mem.Phys) *Machine {
-	mode := obs.DropNewest
-	if cfg.TraceEvictOldest {
-		mode = obs.EvictOldest
-	}
-	o := obs.New(obs.Options{
-		Events:    cfg.TraceEvents,
-		EventCap:  cfg.MaxTraceEvents,
-		Mode:      mode,
-		ProfilePC: cfg.ProfilePC,
-	})
+	o := obs.New(obs.Options{Events: cfg.TraceEvents, ProfilePC: cfg.ProfilePC})
 	m := &Machine{Cfg: cfg, Phys: phys, Obs: o, prof: o.Prof}
 	m.mx = newMachMetrics(o.Metrics)
 	m.initFaultPlane()
@@ -789,8 +780,7 @@ type RunReport struct {
 
 	TraceEnabled bool
 	TraceEvents  int    // events retained in the buffer
-	TraceDropped uint64 // events emitted but not retained
-	TraceEvicted uint64 // subset of dropped that were oldest-evicted (ring mode)
+	TraceDropped uint64 // events emitted after the buffer filled
 }
 
 // Report builds the end-of-run summary.
@@ -802,7 +792,6 @@ func (m *Machine) Report() RunReport {
 		TraceEnabled: m.Obs.Bus.Enabled(),
 		TraceEvents:  m.Obs.Bus.Len(),
 		TraceDropped: m.Obs.Bus.Dropped(),
-		TraceEvicted: m.Obs.Bus.Evicted(),
 	}
 }
 

@@ -35,8 +35,6 @@ func snapshotConfig(c *wire.Codec, cfg *Config) {
 	c.U64(&cfg.TimerInterval)
 	wire.Enum(c, &cfg.RingPolicy)
 	c.Bool(&cfg.TraceEvents)
-	c.Int(&cfg.MaxTraceEvents)
-	c.Bool(&cfg.TraceEvictOldest)
 	c.Bool(&cfg.ProfilePC)
 	c.U64(&cfg.MaxCycles)
 	fault.SnapshotConfig(c, &cfg.Fault)

@@ -5,9 +5,9 @@
 //
 // It generalizes the prototype firmware's time-stamped event log and
 // per-sequencer counters (paper §4.1) into a first-class subsystem that
-// downstream tools — the experiment drivers in internal/exp, the
-// cmd/misptrace CLI, perf dashboards — consume directly. The package
-// has no dependency on the machine; internal/core emits into it.
+// downstream tools — the experiment drivers in internal/exp and the run
+// files cmd/mispsim and the serve daemon write — consume directly. The
+// package has no dependency on the machine; internal/core emits into it.
 package obs
 
 // Kind classifies fine-grained firmware and kernel events. The values
@@ -62,57 +62,31 @@ type Event struct {
 	A, B uint64
 }
 
-// BufferMode selects what the bus buffer loses when it is full.
-type BufferMode uint8
-
-const (
-	// DropNewest keeps the head of the run and counts everything past
-	// the cap as dropped — the prototype's original semantics.
-	DropNewest BufferMode = iota
-	// EvictOldest keeps the tail of the run (a ring buffer), so the
-	// events leading up to the end of a long run are never lost.
-	EvictOldest
-)
-
-func (m BufferMode) String() string {
-	if m == EvictOldest {
-		return "evict-oldest"
-	}
-	return "drop-newest"
-}
-
-// DefaultEventCap bounds the event buffer when no cap is configured.
-const DefaultEventCap = 1 << 16
+// EventCap bounds the event buffer. A run that emits more keeps the
+// head of its log and counts the rest as dropped — the prototype's
+// semantics. No evaluated run comes near it.
+const EventCap = 1 << 16
 
 // Bus is the event log: a bounded buffer of events plus per-kind
 // counters. The disabled emit path is a single branch with no
 // allocation.
 type Bus struct {
 	enabled bool
-	mode    BufferMode
-	max     int
+	max     int // EventCap; a field so in-package tests can shrink it
 
 	buf     []Event
-	head    int // ring mode: index of the oldest stored event
 	dropped uint64
-	evicted uint64
 
 	kindCount [NumKinds]uint64
 }
 
-// NewBus creates a bus. cap <= 0 selects DefaultEventCap.
-func NewBus(enabled bool, cap int, mode BufferMode) *Bus {
-	if cap <= 0 {
-		cap = DefaultEventCap
-	}
-	return &Bus{enabled: enabled, max: cap, mode: mode}
+// NewBus creates a bus holding at most EventCap events.
+func NewBus(enabled bool) *Bus {
+	return &Bus{enabled: enabled, max: EventCap}
 }
 
 // Enabled reports whether the bus records events.
 func (b *Bus) Enabled() bool { return b.enabled }
-
-// Mode returns the buffer's full-policy.
-func (b *Bus) Mode() BufferMode { return b.mode }
 
 // Emit records one event. Hot path: when the bus is disabled this is a
 // single branch; when enabled and the buffer is at capacity it performs
@@ -128,46 +102,24 @@ func (b *Bus) Emit(e Event) {
 		b.buf = append(b.buf, e)
 		return
 	}
-	if b.mode == EvictOldest {
-		b.buf[b.head] = e
-		b.head++
-		if b.head == b.max {
-			b.head = 0
-		}
-		b.evicted++
-		return
-	}
 	b.dropped++
 }
 
 // Len returns the number of buffered events.
 func (b *Bus) Len() int { return len(b.buf) }
 
-// Events returns the buffered events in chronological emission order.
-// In ring mode the slice is linearized; the returned slice must not be
-// mutated while the bus is still emitting.
-func (b *Bus) Events() []Event {
-	if b.head == 0 {
-		return b.buf
-	}
-	out := make([]Event, 0, len(b.buf))
-	out = append(out, b.buf[b.head:]...)
-	out = append(out, b.buf[:b.head]...)
-	return out
-}
+// Events returns the buffered events in emission order; the returned
+// slice must not be mutated while the bus is still emitting.
+func (b *Bus) Events() []Event { return b.buf }
 
 // Dropped returns the number of emitted events not present in the
-// buffer: tail drops in DropNewest mode plus head evictions in
-// EvictOldest mode. A non-zero value means the buffer is a window, not
-// the whole run.
-func (b *Bus) Dropped() uint64 { return b.dropped + b.evicted }
-
-// Evicted returns the number of oldest-evicted events (ring mode).
-func (b *Bus) Evicted() uint64 { return b.evicted }
+// buffer (all emitted after it filled). A non-zero value means the
+// buffer holds the head of the run, not the whole run.
+func (b *Bus) Dropped() uint64 { return b.dropped }
 
 // KindCount returns how many events of kind k were emitted — counted at
-// emission, so it is exact even when the buffer dropped or evicted
-// events, and O(1) instead of the former scan over the log.
+// emission, so it is exact even when the buffer dropped events, and
+// O(1) instead of the former scan over the log.
 func (b *Bus) KindCount(k Kind) uint64 {
 	if k >= NumKinds {
 		return 0
@@ -179,10 +131,6 @@ func (b *Bus) KindCount(k Kind) uint64 {
 type Options struct {
 	// Events enables the fine-grained event log.
 	Events bool
-	// EventCap bounds the event buffer (0 = DefaultEventCap).
-	EventCap int
-	// Mode selects the buffer's full-policy.
-	Mode BufferMode
 	// ProfilePC enables the per-PC cycle profile (hot-spot report).
 	ProfilePC bool
 }
@@ -201,7 +149,7 @@ type Observer struct {
 // accounting; only the event log and profile are optional.
 func New(opt Options) *Observer {
 	o := &Observer{
-		Bus:     NewBus(opt.Events, opt.EventCap, opt.Mode),
+		Bus:     NewBus(opt.Events),
 		Metrics: NewRegistry(),
 	}
 	if opt.ProfilePC {

@@ -12,53 +12,78 @@ func ev(ts uint64, seq int, k Kind) Event {
 	return Event{TS: ts, Seq: int32(seq), Kind: k, A: uint64(ts), B: 0}
 }
 
+// smallBus returns an enabled bus holding at most max events, so a
+// test can fill one past its cap without emitting EventCap events.
+func smallBus(max int) *Bus {
+	b := NewBus(true)
+	b.max = max
+	return b
+}
+
+// TestBusDropNewest: a bus filled past its cap keeps the head of the
+// run, counts the rest as dropped and still counts every kind exactly,
+// and its snapshot round-trips byte for byte with the loss recorded.
 func TestBusDropNewest(t *testing.T) {
-	b := NewBus(true, 4, DropNewest)
+	b := smallBus(4)
 	for i := 0; i < 6; i++ {
 		b.Emit(ev(uint64(i), 0, KYield))
 	}
-	if b.Len() != 4 {
-		t.Fatalf("Len = %d, want 4", b.Len())
+	b.Emit(ev(6, 1, KSignalSend))
+	if b.Len() != 4 || b.Dropped() != 3 {
+		t.Fatalf("Len/Dropped = %d/%d, want 4/3", b.Len(), b.Dropped())
 	}
-	if b.Dropped() != 2 || b.Evicted() != 0 {
-		t.Fatalf("Dropped/Evicted = %d/%d, want 2/0", b.Dropped(), b.Evicted())
-	}
-	// Head of the run is kept.
 	for i, e := range b.Events() {
 		if e.TS != uint64(i) {
-			t.Fatalf("event %d has TS %d", i, e.TS)
+			t.Fatalf("event %d has TS %d: the head of the run must be kept", i, e.TS)
 		}
+	}
+	if y, s := b.KindCount(KYield), b.KindCount(KSignalSend); y != 6 || s != 1 {
+		t.Fatalf("KindCount yield/signal-send = %d/%d, want 6/1", y, s)
+	}
+
+	enc := wire.NewEncoder(256)
+	b.Snapshot(enc)
+	back := NewBus(false)
+	dec := wire.NewDecoder(enc.Bytes())
+	back.Snapshot(dec)
+	if err := dec.Err(); err != nil {
+		t.Fatal(err)
+	}
+	if dec.Remaining() != 0 || !back.Enabled() || back.Dropped() != 3 || back.Len() != 4 || back.KindCount(KYield) != 6 {
+		t.Fatalf("decoded bus: enabled %v, %d events, %d dropped, %d yields, %d bytes left",
+			back.Enabled(), back.Len(), back.Dropped(), back.KindCount(KYield), dec.Remaining())
+	}
+	again := wire.NewEncoder(256)
+	back.Snapshot(again)
+	if !bytes.Equal(again.Bytes(), enc.Bytes()) {
+		t.Fatal("a decoded bus re-encodes to different bytes")
 	}
 }
 
-func TestBusEvictOldest(t *testing.T) {
-	b := NewBus(true, 4, EvictOldest)
-	for i := 0; i < 7; i++ {
+// TestBusSnapshotRefusesOverfull: an image holding more events than the
+// cap is refused, not decoded into a buffer Emit would overrun.
+func TestBusSnapshotRefusesOverfull(t *testing.T) {
+	b := smallBus(8)
+	for i := 0; i < 5; i++ {
 		b.Emit(ev(uint64(i), 0, KYield))
 	}
-	if b.Len() != 4 {
-		t.Fatalf("Len = %d, want 4", b.Len())
-	}
-	if b.Dropped() != 3 || b.Evicted() != 3 {
-		t.Fatalf("Dropped/Evicted = %d/%d, want 3/3", b.Dropped(), b.Evicted())
-	}
-	// Tail of the run is kept, linearized in emission order.
-	got := b.Events()
-	for i, e := range got {
-		if want := uint64(3 + i); e.TS != want {
-			t.Fatalf("event %d has TS %d, want %d", i, e.TS, want)
-		}
+	enc := wire.NewEncoder(256)
+	b.Snapshot(enc)
+	dec := wire.NewDecoder(enc.Bytes())
+	smallBus(4).Snapshot(dec)
+	if dec.Err() == nil {
+		t.Fatal("a 5-event image decoded into a 4-event bus")
 	}
 }
 
 func TestKindCountExactUnderLoss(t *testing.T) {
-	b := NewBus(true, 2, EvictOldest)
+	b := smallBus(2)
 	for i := 0; i < 10; i++ {
 		b.Emit(ev(uint64(i), 0, KSignalSend))
 	}
 	b.Emit(ev(11, 0, KYield))
 	if got := b.KindCount(KSignalSend); got != 10 {
-		t.Fatalf("KindCount(signal-send) = %d, want 10 (must count evicted events)", got)
+		t.Fatalf("KindCount(signal-send) = %d, want 10 (must count dropped events)", got)
 	}
 	if got := b.KindCount(KYield); got != 1 {
 		t.Fatalf("KindCount(yield) = %d, want 1", got)
@@ -69,25 +94,22 @@ func TestKindCountExactUnderLoss(t *testing.T) {
 }
 
 func TestDisabledPathsDoNotAllocate(t *testing.T) {
-	bus := NewBus(false, 4, DropNewest)
-	// A disabled bus built with capacity 0 (the default-cap path).
-	empty := NewBus(false, 0, DropNewest)
+	bus := NewBus(false)
 	reg := NewRegistry()
 	c := reg.Counter("c")
 	h := reg.Histogram("h")
-	// Pre-fill a ring-mode bus to capacity: steady-state enabled emission
-	// must not allocate either.
-	ring := NewBus(true, 8, EvictOldest)
+	// Pre-fill an enabled bus to capacity: steady-state emission past
+	// the cap must not allocate either.
+	full := smallBus(8)
 	for i := 0; i < 8; i++ {
-		ring.Emit(ev(uint64(i), 0, KYield))
+		full.Emit(ev(uint64(i), 0, KYield))
 	}
 	e := ev(99, 1, KSignalSend)
 	if n := testing.AllocsPerRun(1000, func() {
 		bus.Emit(e)
-		empty.Emit(e)
 		c.Inc()
 		h.Observe(12345)
-		ring.Emit(e)
+		full.Emit(e)
 	}); n != 0 {
 		t.Fatalf("hot paths allocated %.1f times per op, want 0", n)
 	}

@@ -10,24 +10,16 @@ import (
 // part of the machine's architectural output — the experiment tables
 // read the metrics registry and the difftest oracles compare event
 // streams — so a restored run must continue counters, histograms, the
-// event buffer (including its ring head and drop counts), and the PC
-// profile exactly where the capture left off.
+// event buffer (including its drop count), and the PC profile exactly
+// where the capture left off.
 
-// Snapshot codes the bus: recording flags and geometry, the loss and
-// kind counters, and the buffered events in storage order (ring head
-// preserved). Decoding replaces the buffer, once the geometry it will
-// be indexed by has checked out.
+// Snapshot codes the bus: the recording flag, the loss and kind
+// counters, and the buffered events. The cap is EventCap, not coded;
+// decoding refuses a buffer longer than it.
 func (b *Bus) Snapshot(c *wire.Codec) {
 	c.Bool(&b.enabled)
-	wire.Enum(c, &b.mode)
-	c.Int(&b.max)
-	c.Int(&b.head)
 	c.U64(&b.dropped)
-	c.U64(&b.evicted)
 	c.U64s(b.kindCount[:])
-	if c.Decoding() && (b.max <= 0 || b.head < 0 || b.head >= b.max) {
-		c.Fail(fmt.Errorf("obs: snapshot bus geometry max=%d head=%d", b.max, b.head))
-	}
 	wire.Slice(c, &b.buf, func(e *Event) {
 		seq := uint64(uint32(e.Seq))
 		c.U64(&e.TS)
@@ -39,8 +31,8 @@ func (b *Bus) Snapshot(c *wire.Codec) {
 			e.Seq = int32(uint32(seq))
 		}
 	})
-	if len(b.buf) > b.max || b.head > len(b.buf) {
-		c.Fail(fmt.Errorf("obs: snapshot bus holds %d events, max %d, head %d", len(b.buf), b.max, b.head))
+	if len(b.buf) > b.max {
+		c.Fail(fmt.Errorf("obs: snapshot bus holds %d events, max %d", len(b.buf), b.max))
 	}
 }
 

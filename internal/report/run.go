@@ -1,11 +1,33 @@
 package report
 
 import (
+	"bytes"
 	"fmt"
 
 	"misp/internal/core"
+	"misp/internal/obs"
 	"misp/internal/sweep"
 )
+
+// RunFiles renders a finished run's files: counters.csv (the
+// per-sequencer counters), metrics.txt (the registry's simulation
+// section) and, when the machine recorded its event log, trace.json
+// (Chrome trace-event JSON, one track per sequencer). mispsim -o and
+// the serve daemon's run artifacts are both these bytes.
+func RunFiles(m *core.Machine) (map[string][]byte, error) {
+	files := map[string][]byte{
+		"counters.csv": []byte(SeqCounters(m).CSV()),
+		"metrics.txt":  []byte(m.Obs.Metrics.String()),
+	}
+	if m.Obs.Bus.Enabled() {
+		var buf bytes.Buffer
+		if err := obs.WriteChromeTrace(&buf, m.Obs.Bus.Events(), m.Tracks()); err != nil {
+			return nil, err
+		}
+		files["trace.json"] = buf.Bytes()
+	}
+	return files, nil
+}
 
 // RunSummary renders a machine's end-of-run report, including the
 // event-log loss accounting: when the trace buffer is a window on the
@@ -25,9 +47,6 @@ func RunSummary(rep core.RunReport) *Table {
 	if rep.TraceEnabled {
 		t.Add("trace events retained", rep.TraceEvents)
 		t.Add("trace events dropped", rep.TraceDropped)
-		if rep.TraceEvicted > 0 {
-			t.Add("  of which oldest-evicted", rep.TraceEvicted)
-		}
 		if rep.TraceDropped > 0 {
 			t.Add("trace coverage", fmt.Sprintf("PARTIAL (%d events lost)", rep.TraceDropped))
 		} else {

@@ -50,6 +50,39 @@ func appendRec(t *testing.T, jn *journal.Journal, r jrec) {
 	}
 }
 
+// TestFailedBootClosesJournal: when the boot-time compaction cannot
+// write (the disk is full), NewServer fails and leaves no descriptor
+// open on the journal it opened for replay.
+func TestFailedBootClosesJournal(t *testing.T) {
+	if _, err := os.Stat("/dev/full"); err != nil {
+		t.Skip("no /dev/full to stand in for a full disk")
+	}
+	if _, err := os.ReadDir("/proc/self/fd"); err != nil {
+		t.Skip("no /proc/self/fd to list open descriptors")
+	}
+	jdir, cdir := durableDirs(t)
+	if err := os.MkdirAll(jdir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	wal := filepath.Join(jdir, "journal.wal")
+	if err := os.Symlink("/dev/full", wal+".tmp"); err != nil {
+		t.Fatal(err)
+	}
+	if s, err := NewServer(Config{Workers: 1, JournalDir: jdir, CacheDir: cdir}); err == nil {
+		s.Drain(context.Background())
+		t.Fatal("NewServer booted with a journal it could not compact")
+	}
+	fds, err := os.ReadDir("/proc/self/fd")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, fd := range fds {
+		if target, err := os.Readlink(filepath.Join("/proc/self/fd", fd.Name())); err == nil && target == wal {
+			t.Fatalf("descriptor %s still open on %s after the failed boot", fd.Name(), wal)
+		}
+	}
+}
+
 // TestCrashRecoveryCompletesJobs is the tentpole in miniature: jobs
 // accepted (and one mid-run) when the process dies are replayed from
 // the journal by the next server and run to completion, with artifacts

@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -12,7 +11,6 @@ import (
 
 	"misp/internal/core"
 	"misp/internal/exp"
-	"misp/internal/obs"
 	"misp/internal/report"
 	"misp/internal/snap"
 	"misp/internal/workloads"
@@ -272,8 +270,8 @@ func runSetup(c *Request) (*workloads.Workload, workloads.Size, core.Config, err
 	return w, size, cfg, nil
 }
 
-// runArtifacts builds a completed run's artifact set and result
-// summary. Everything here is a pure function of the request and the
+// runArtifacts builds a completed run's artifact set — report.RunFiles
+// plus summary.json — and result summary. Everything here is a pure function of the request and the
 // deterministic run result, so an interrupted-and-resumed run yields
 // bytes identical to an uninterrupted one.
 func runArtifacts(c *Request, w *workloads.Workload, size workloads.Size, cfg core.Config, res *workloads.RunResult) (Artifacts, *Result, error) {
@@ -304,18 +302,11 @@ func runArtifacts(c *Request, w *workloads.Workload, size workloads.Size, cfg co
 	}
 	sumJSON = append(sumJSON, '\n')
 
-	art := Artifacts{
-		"summary.json": sumJSON,
-		"counters.csv": []byte(report.SeqCounters(res.Machine).CSV()),
-		"metrics.txt":  []byte(res.Machine.Obs.Metrics.String()),
+	art, err := report.RunFiles(res.Machine)
+	if err != nil {
+		return nil, nil, err
 	}
-	if c.Trace {
-		var buf bytes.Buffer
-		if err := obs.WriteChromeTrace(&buf, res.Machine.Obs.Bus.Events(), res.Machine.Tracks()); err != nil {
-			return nil, nil, err
-		}
-		art["trace.json"] = buf.Bytes()
-	}
+	art["summary.json"] = sumJSON
 	return art, &Result{
 		Cycles:     res.Cycles,
 		Instrs:     res.Machine.Steps,

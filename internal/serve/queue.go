@@ -2,13 +2,13 @@ package serve
 
 import "sync"
 
-// laneQueue is the worker feed: one FIFO with a condition variable
+// jobQueue is the worker feed: one FIFO with a condition variable
 // instead of a channel, so the scheduler can re-admit preempted jobs and
 // hold dispatch while the host is under critical memory pressure.
 //
 // Admission bounds are NOT enforced here — the server checks depth
 // before pushing (and recovery may legally exceed the configured bound).
-type laneQueue struct {
+type jobQueue struct {
 	mu     sync.Mutex
 	cond   *sync.Cond
 	jobs   []*Job
@@ -16,15 +16,15 @@ type laneQueue struct {
 	hold   bool // dispatch paused (critical pressure); void once closed
 }
 
-func newLaneQueue() *laneQueue {
-	q := &laneQueue{}
+func newJobQueue() *jobQueue {
+	q := &jobQueue{}
 	q.cond = sync.NewCond(&q.mu)
 	return q
 }
 
 // push enqueues j. Returns false if the queue is closed (draining) —
 // the caller keeps responsibility for the job.
-func (q *laneQueue) push(j *Job) bool {
+func (q *jobQueue) push(j *Job) bool {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	if q.closed {
@@ -38,7 +38,7 @@ func (q *laneQueue) push(j *Job) bool {
 // pop blocks for the next job unless held. After close the backlog —
 // hold ignored — drains before pop reports (nil, false), mirroring a
 // closed channel.
-func (q *laneQueue) pop() (*Job, bool) {
+func (q *jobQueue) pop() (*Job, bool) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	for {
@@ -56,7 +56,7 @@ func (q *laneQueue) pop() (*Job, bool) {
 }
 
 // len reports the queued job count.
-func (q *laneQueue) len() int {
+func (q *jobQueue) len() int {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	return len(q.jobs)
@@ -65,7 +65,7 @@ func (q *laneQueue) len() int {
 // close stops admission into the queue and wakes every popper; the
 // remaining backlog still drains (the drain contract: accepted jobs are
 // never dropped). Idempotent.
-func (q *laneQueue) close() {
+func (q *jobQueue) close() {
 	q.mu.Lock()
 	q.closed = true
 	q.cond.Broadcast()
@@ -74,7 +74,7 @@ func (q *laneQueue) close() {
 
 // setHold pauses (true) or resumes (false) dispatch. A closed queue
 // ignores holds so a drain can never deadlock behind a pressure gate.
-func (q *laneQueue) setHold(hold bool) {
+func (q *jobQueue) setHold(hold bool) {
 	q.mu.Lock()
 	if q.hold != hold {
 		q.hold = hold
@@ -86,7 +86,7 @@ func (q *laneQueue) setHold(hold bool) {
 }
 
 // held reports whether dispatch is currently gated.
-func (q *laneQueue) held() bool {
+func (q *jobQueue) held() bool {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	return q.hold && !q.closed

@@ -7,7 +7,7 @@ import (
 
 // popped pops in a goroutine and returns the result channel, so tests
 // can assert both "pops promptly" and "stays blocked".
-func popped(q *laneQueue) <-chan *Job {
+func popped(q *jobQueue) <-chan *Job {
 	ch := make(chan *Job, 1)
 	go func() {
 		j, ok := q.pop()
@@ -19,7 +19,7 @@ func popped(q *laneQueue) <-chan *Job {
 	return ch
 }
 
-func mustPop(t *testing.T, q *laneQueue) *Job {
+func mustPop(t *testing.T, q *jobQueue) *Job {
 	t.Helper()
 	select {
 	case j := <-popped(q):
@@ -33,7 +33,7 @@ func mustPop(t *testing.T, q *laneQueue) *Job {
 // TestLaneQueueHold: a held queue blocks dispatch, and releasing the
 // hold wakes the blocked popper, which takes the backlog in FIFO order.
 func TestLaneQueueHold(t *testing.T) {
-	q := newLaneQueue()
+	q := newJobQueue()
 	q.push(&Job{ID: "j1"})
 	q.push(&Job{ID: "j2"})
 	q.setHold(true)
@@ -65,7 +65,7 @@ func TestLaneQueueHold(t *testing.T) {
 // pop reports closed. The drain contract must beat the pressure gate,
 // or a drain under critical pressure would deadlock.
 func TestLaneQueueCloseDrainsBacklog(t *testing.T) {
-	q := newLaneQueue()
+	q := newJobQueue()
 	q.push(&Job{ID: "j1"})
 	q.push(&Job{ID: "j2"})
 	q.setHold(true)

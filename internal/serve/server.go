@@ -115,7 +115,7 @@ type Server struct {
 	jobs      map[string]*Job
 	order     []string        // submission order, for listing
 	inflight  map[string]*Job // key → non-terminal job (single-flight)
-	queue     *laneQueue
+	queue     *jobQueue
 	draining  bool
 	seq       int
 	committed uint64 // admitted-but-unsettled estimated bytes (governed only)
@@ -209,13 +209,14 @@ func NewServer(cfg Config) (*Server, error) {
 		s.reg.Counter("serve.journal.torn_bytes").Set(uint64(jnl.TornTail()))
 		recovered = s.recover(payloads)
 		if err := jnl.Rotate(s.compactionRecords()); err != nil {
+			jnl.Close()
 			return nil, fmt.Errorf("serve: journal compaction: %w", err)
 		}
 		s.reg.Counter("serve.journal.rotations").Inc()
 	}
 	// Recovered jobs bypass the admission bound: they were already
 	// accepted once, so re-admission cannot be refused.
-	s.queue = newLaneQueue()
+	s.queue = newJobQueue()
 	for _, j := range recovered {
 		s.queue.push(j)
 	}

@@ -169,8 +169,7 @@ tids: .u64 0, 0, 0, 0, 0
 // goldenImages builds every image the golden gate pins: each workload
 // right after Prepare (shred mode, MISP 1x8, test size), then mid-run
 // captures that populate the rest of the format — kernel threads,
-// joiners and run queues, a wrapped event buffer under both loss
-// policies, a PC profile, a fault plane with every kind, and a
+// joiners and run queues, an event log, a PC profile, a fault plane with every kind, and a
 // two-processor MISP machine.
 func goldenImages(t testing.TB) []goldenImage {
 	t.Helper()
@@ -195,14 +194,10 @@ func goldenImages(t testing.TB) []goldenImage {
 		}
 		return m, k
 	}))
-	for _, evict := range []bool{true, false} {
-		cfg := goldenCfg(core.Topology{7})
-		cfg.TraceEvents = true
-		cfg.MaxTraceEvents = 16
-		cfg.TraceEvictOldest = evict
-		add(fmt.Sprintf("mid/trace-wrap-evict=%v", evict), midRun(t, workload(t, "gauss", shredlib.ModeShred, cfg)))
-	}
 	cfg := goldenCfg(core.Topology{7})
+	cfg.TraceEvents = true
+	add("mid/trace", midRun(t, workload(t, "gauss", shredlib.ModeShred, cfg)))
+	cfg = goldenCfg(core.Topology{7})
 	cfg.ProfilePC = true
 	add("mid/profile-pc", midRun(t, workload(t, "gauss", shredlib.ModeShred, cfg)))
 	cfg = goldenCfg(core.Topology{7})

@@ -35,8 +35,8 @@ import (
 // bumped on any codec layout change (there is no cross-version
 // migration — a snapshot is a cache artifact, not an archival format).
 const (
-	magic   = "MISPSNP5"
-	Version = 5
+	magic   = "MISPSNP6"
+	Version = 6
 )
 
 // Snapshot is an encoded machine+kernel image.

@@ -33,7 +33,6 @@ func testCfg(t *testing.T) core.Config {
 	cfg.PhysMem = 64 << 20
 	cfg.MaxCycles = 8_000_000_000
 	cfg.TraceEvents = true
-	cfg.MaxTraceEvents = 1 << 12
 	return cfg
 }
 
@@ -171,8 +170,6 @@ func TestStructuralOverrideRejected(t *testing.T) {
 		"timerinterval": func(c *core.Config) { c.TimerInterval *= 2 },
 		"signalcost":    func(c *core.Config) { c.SignalCost += 1 },
 		"traceevents":   func(c *core.Config) { c.TraceEvents = false },
-		"maxtrace":      func(c *core.Config) { c.MaxTraceEvents *= 2 },
-		"traceevict":    func(c *core.Config) { c.TraceEvictOldest = true },
 		"profilepc":     func(c *core.Config) { c.ProfilePC = true },
 	} {
 		if _, _, err := s.Fork(mut); err == nil || !strings.Contains(err.Error(), "structural") {
@@ -399,9 +396,10 @@ func TestLoadRejectsGarbage(t *testing.T) {
 	}
 	// A stale format version behind the current magic — 3 is the layout
 	// that still carried the two loop knobs, 4 the one that still carried
-	// the cost model — gets the version error, not a decode attempt.
-	for _, v := range []byte{2, 3, 4} {
-		_, err := snap.Load(append([]byte("MISPSNP5"), v, 0, 0, 0))
+	// the cost model, 5 the one that still carried the event buffer's cap
+	// and loss policy — gets the version error, not a decode attempt.
+	for _, v := range []byte{2, 3, 4, 5} {
+		_, err := snap.Load(append([]byte("MISPSNP6"), v, 0, 0, 0))
 		if want := fmt.Sprintf("format version %d", v); err == nil || !strings.Contains(err.Error(), want) {
 			t.Fatalf("Load of a version-%d header: err = %v, want the format-version error", v, err)
 		}
@@ -409,17 +407,15 @@ func TestLoadRejectsGarbage(t *testing.T) {
 }
 
 // TestLoadRejectsHugeCounts: a count is trusted no further than the
-// bytes left. Each crafted section — an event bus claiming 2^24 events
-// under a 2^31-event cap, a fault plan claiming 2^24 log records — is
-// all header and no elements; decoding it must fail without allocating
-// for the elements it promises (512 MiB and 384 MiB before counts were
-// bounded).
+// bytes left. Each crafted section — an event bus claiming 2^24 events,
+// a fault plan claiming 2^24 log records — is all header and no
+// elements; decoding it must fail without allocating for the elements
+// it promises (512 MiB and 384 MiB before counts were bounded).
 func TestLoadRejectsHugeCounts(t *testing.T) {
 	le := binary.LittleEndian
-	bus := []byte{1, byte(obs.DropNewest)}                       // enabled, mode
-	bus = le.AppendUint64(bus, 1<<31)                            // max
-	bus = append(bus, make([]byte, 8+16+8*int(obs.NumKinds))...) // head, dropped, evicted, kind counts
-	bus = le.AppendUint64(bus, 1<<24)                            // events
+	bus := []byte{1}                                          // enabled
+	bus = append(bus, make([]byte, 8+8*int(obs.NumKinds))...) // dropped, kind counts
+	bus = le.AppendUint64(bus, 1<<24)                         // events
 
 	plan := le.AppendUint64(nil, 1)   // seed
 	plan = le.AppendUint64(plan, 100) // Period[SignalDrop]: the plan is enabled
@@ -431,7 +427,7 @@ func TestLoadRejectsHugeCounts(t *testing.T) {
 		size    int
 		decode  func(*wire.Codec)
 	}{
-		"bus":  {bus, 186, obs.NewBus(false, 0, obs.DropNewest).Snapshot},
+		"bus":  {bus, 161, obs.NewBus(false).Snapshot},
 		"plan": {plan, 400, new(fault.Plan).Snapshot},
 	} {
 		if len(tc.section) != tc.size {
