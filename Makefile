@@ -18,11 +18,17 @@ fmtcheck:
 # rounded with an explicit float64(...); this cross-builds each command
 # for arm64 and fails on any fused multiply-add (FMADDD, FMSUBD,
 # FNMADDD, FNMSUBD) in this module's own functions.
+#
+# This recipe and smoke, snapcheck and resultscheck each work in one
+# fresh directory under $TMPDIR (default /tmp), removed on success and
+# kept for inspection on failure. Make runs every recipe line in its own
+# shell, so each chain that uses the directory is one line.
 fmacheck:
-	rm -rf /tmp/misp-fmacheck
-	GOARCH=arm64 $(GO) build -o /tmp/misp-fmacheck/ ./cmd/...
-	for f in /tmp/misp-fmacheck/*; do $(GO) tool objdump $$f > $$f.s || exit 1; done
-	awk '/^TEXT /{fn = $$2; next} fn ~ /^misp\// && /[[:space:]]FN?M(ADD|SUB)D[[:space:]]/ && !seen[fn, $$1]++ {print fn, $$1, $$4, $$5, $$6, $$7, $$8; bad = 1} END{exit bad}' /tmp/misp-fmacheck/*.s
+	d=$$(mktemp -d "$${TMPDIR:-/tmp}/misp-fmacheck.XXXXXX") && \
+	GOARCH=arm64 $(GO) build -o $$d/ ./cmd/... && \
+	for f in $$d/*; do $(GO) tool objdump $$f > $$f.s || exit 1; done && \
+	awk '/^TEXT /{fn = $$2; next} fn ~ /^misp\// && /[[:space:]]FN?M(ADD|SUB)D[[:space:]]/ && !seen[fn, $$1]++ {print fn, $$1, $$4, $$5, $$6, $$7, $$8; bad = 1} END{exit bad}' $$d/*.s && \
+	rm -rf $$d
 
 test:
 	$(GO) test ./...
@@ -34,12 +40,13 @@ race:
 # four run files come out non-empty. TestRunFilesMatchServe in
 # ./cmd/mispsim pins their bytes against the serve daemon's.
 smoke:
-	rm -rf /tmp/mispsim-smoke
-	$(GO) run ./cmd/mispsim -w gauss -size test -o /tmp/mispsim-smoke > /dev/null
-	test -s /tmp/mispsim-smoke/counters.csv
-	test -s /tmp/mispsim-smoke/metrics.txt
-	test -s /tmp/mispsim-smoke/trace.json
-	test -s /tmp/mispsim-smoke/profile.txt
+	d=$$(mktemp -d "$${TMPDIR:-/tmp}/misp-smoke.XXXXXX") && \
+	$(GO) run ./cmd/mispsim -w gauss -size test -o $$d > /dev/null && \
+	test -s $$d/counters.csv && \
+	test -s $$d/metrics.txt && \
+	test -s $$d/trace.json && \
+	test -s $$d/profile.txt && \
+	rm -rf $$d
 
 verify: build vet race smoke
 
@@ -121,15 +128,16 @@ fuzzcheck:
 # moves a number ships its regenerated results/ in the same commit:
 #   go run ./cmd/mispbench -size small -csv results -parallel 0
 resultscheck:
-	rm -rf /tmp/misp-results-p1 /tmp/misp-results-pN
-	$(GO) build -o /tmp/misp-resultscheck-bench ./cmd/mispbench
-	/tmp/misp-resultscheck-bench -size small -csv /tmp/misp-results-p1 -parallel 1 > /dev/null
-	/tmp/misp-resultscheck-bench -size small -csv /tmp/misp-results-pN -parallel 0 > /dev/null
-	grep -v '^version ' results/PROVENANCE > /tmp/misp-results-provenance
-	for d in /tmp/misp-results-p1 /tmp/misp-results-pN; do \
-		diff -r -x PROVENANCE results $$d || exit 1; \
-		grep -v '^version ' $$d/PROVENANCE | cmp - /tmp/misp-results-provenance || exit 1; \
-	done
+	d=$$(mktemp -d "$${TMPDIR:-/tmp}/misp-resultscheck.XXXXXX") && \
+	$(GO) build -o $$d/mispbench ./cmd/mispbench && \
+	$$d/mispbench -size small -csv $$d/p1 -parallel 1 > /dev/null && \
+	$$d/mispbench -size small -csv $$d/pN -parallel 0 > /dev/null && \
+	grep -v '^version ' results/PROVENANCE > $$d/provenance && \
+	for r in $$d/p1 $$d/pN; do \
+		diff -r -x PROVENANCE results $$r || exit 1; \
+		grep -v '^version ' $$r/PROVENANCE | cmp - $$d/provenance || exit 1; \
+	done && \
+	rm -rf $$d
 
 # faultcheck: the resilience gate. Runs the fixed-seed fault-campaign
 # matrix (every campaign must complete with the right checksum or die
@@ -156,15 +164,16 @@ snapcheck:
 	$(GO) test -race -run 'TestCapture|TestFork|TestStructural|TestPause|TestMidRun|TestSnapshotFile|TestLoadRejects|TestWarmPool|TestRecycle|TestRelease' \
 		./internal/mem ./internal/snap/... ./internal/workloads
 	$(GO) test -run '^$$' -bench 'BenchmarkCapture' -benchtime=1x ./internal/snap
-	$(GO) build -o /tmp/misp-snapcheck-sim ./cmd/mispsim
-	rm -f /tmp/misp-snapcheck.misp
-	/tmp/misp-snapcheck-sim -w gauss -size test -snapshot /tmp/misp-snapcheck.misp -snapat 60000 > /dev/null
-	test -s /tmp/misp-snapcheck.misp
-	/tmp/misp-snapcheck-sim -w gauss -size test -restore /tmp/misp-snapcheck.misp > /tmp/misp-snapcheck-resumed.txt
-	/tmp/misp-snapcheck-sim -w gauss -size test > /tmp/misp-snapcheck-full.txt
-	grep -E 'cycles|checksum' /tmp/misp-snapcheck-resumed.txt > /tmp/misp-snapcheck-resumed.key
-	grep -E 'cycles|checksum' /tmp/misp-snapcheck-full.txt > /tmp/misp-snapcheck-full.key
-	diff /tmp/misp-snapcheck-resumed.key /tmp/misp-snapcheck-full.key
+	d=$$(mktemp -d "$${TMPDIR:-/tmp}/misp-snapcheck.XXXXXX") && \
+	$(GO) build -o $$d/mispsim ./cmd/mispsim && \
+	$$d/mispsim -w gauss -size test -snapshot $$d/gauss.misp -snapat 60000 > /dev/null && \
+	test -s $$d/gauss.misp && \
+	$$d/mispsim -w gauss -size test -restore $$d/gauss.misp > $$d/resumed.txt && \
+	$$d/mispsim -w gauss -size test > $$d/full.txt && \
+	grep -E 'cycles|checksum' $$d/resumed.txt > $$d/resumed.key && \
+	grep -E 'cycles|checksum' $$d/full.txt > $$d/full.key && \
+	diff $$d/resumed.key $$d/full.key && \
+	rm -rf $$d
 
 # servecheck boots the mispserve daemon on a random port, submits a
 # tiny run over HTTP, re-submits it, and asserts the second submission
@@ -185,10 +194,13 @@ crashcheck:
 	$(GO) test -race ./internal/serve/ ./internal/journal/ ./internal/durable/
 	bash scripts/crash_smoke.sh
 
-# soakcheck is the overload-robustness gate: flood a small-budget daemon
-# with distinct tiny runs and assert it sheds with computed Retry-After
-# hints, loses nothing it accepted, stays alive, and still drains
-# cleanly on SIGTERM. The governance unit tests — drain estimator,
+# soakcheck is the overload-robustness gate: boot a daemon whose
+# -mem-budget (128m) is below one machine's configured simulated
+# memory, occupy its one worker with a serial small sweep, flood its
+# one-slot queue with distinct tiny runs, and assert it admits without
+# a 413, sheds with computed Retry-After hints (every 429 counted in
+# serve.rejected.queue_full + serve.pressure.sheds), loses nothing it
+# accepted, stays alive, and still drains cleanly on SIGTERM. The governance unit tests — drain estimator,
 # pressure escalation, victim selection, preempt/resume byte-identity —
 # live in internal/serve, which crashcheck and race run under -race.
 soakcheck:

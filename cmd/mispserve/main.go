@@ -16,11 +16,11 @@
 //	mispserve fetch -id JOB -name table1.csv [-o FILE] [-server URL]
 //	mispserve -version
 //
-// With -mem-budget the daemon governs its memory: admissions carry
-// resource budgets, a pressure monitor sheds every fresh admission once
-// the heap reaches 70% of the budget, and at 95% it holds the queue and
-// checkpoint-preempts the largest running job instead of letting the
-// host OOM.
+// With -mem-budget the daemon governs its memory by the measured heap:
+// a pressure monitor sheds every fresh admission once the heap reaches
+// 70% of the budget, and at 95% it holds the queue and
+// checkpoint-preempts the youngest running run instead of letting the
+// host OOM. Governed jobs also get a wall-clock allowance by size.
 // /healthz/live and /healthz/ready split liveness from readiness for
 // load balancers.
 //

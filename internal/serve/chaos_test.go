@@ -81,7 +81,7 @@ func TestChaosSeededKills(t *testing.T) {
 			// landing while a preempted job sits queued behind its image).
 			if seed%2 == 0 {
 				time.Sleep(time.Duration(rng.Intn(125)) * time.Millisecond)
-				s1.preemptLargest()
+				s1.preemptVictim()
 				time.Sleep(time.Duration(rng.Intn(125)) * time.Millisecond)
 			} else {
 				time.Sleep(time.Duration(rng.Intn(250)) * time.Millisecond)

@@ -6,99 +6,37 @@ import (
 	"runtime"
 	"sync"
 	"time"
-
-	"misp/internal/core"
-	"misp/internal/workloads"
 )
 
-// This file is the resource-governance layer: per-job budgets computed
-// at admission (estimated resident host memory from topology/physmem,
-// a wall-clock allowance), the queue-drain estimator behind computed
-// Retry-After hints, and the host pressure monitor that escalates
-// through shedding and cooperative preemption instead of letting the
-// kernel OOM-kill the daemon.
+// This file is the resource-governance layer: the per-size wall-clock
+// allowance, the queue-drain estimator behind computed Retry-After
+// hints, and the host pressure monitor that escalates through shedding
+// and cooperative preemption instead of letting the kernel OOM-kill the
+// daemon. Memory is governed by the measured heap alone.
 
-// Overload-control sentinels, on top of ErrQueueFull/ErrDraining.
-var (
-	// ErrPressure rejects an admission under host memory pressure. The
-	// HTTP layer maps it to 429 with a computed Retry-After, same as a
-	// full queue: the condition is transient, the client should back off
-	// and retry.
-	ErrPressure = errors.New("serve: shedding load under memory pressure")
-	// ErrOverBudget rejects a job whose estimated resident memory exceeds
-	// the daemon's entire budget: no amount of waiting will make it fit,
-	// so the HTTP layer maps it to 413 (not retryable).
-	ErrOverBudget = errors.New("serve: job memory estimate exceeds daemon budget")
-)
+// ErrPressure rejects an admission under host memory pressure. The HTTP
+// layer maps it to 429 with a computed Retry-After, same as a full
+// queue: the condition is transient, the client should back off and
+// retry.
+var ErrPressure = errors.New("serve: shedding load under memory pressure")
 
-// Budget is one job's admission-time resource envelope. EstBytes is the
-// projected peak resident host memory (it charges each machine its
-// configured simulated physical memory, an upper bound: a machine backs
-// only the frames its run reaches); MaxWall bounds host
-// wall time from admission (enforced as a deadline with a JobError
-// cause). Zero fields are unenforced. The simulated clock has one limit,
-// the workload's own cycle guard that every run carries.
-type Budget struct {
-	EstBytes uint64        `json:"est_bytes,omitempty"`
-	MaxWall  time.Duration `json:"max_wall,omitempty"`
-}
-
-// estMachineOverhead is the per-machine resident estimate beyond the
-// simulated physical memory: page tables, compiled superblock pages,
-// obs buffers, and the snapshot image a checkpoint or warm-pool capture
-// holds transiently.
-const estMachineOverhead = 32 << 20
-
-// estimateBudget computes a canonical request's resource envelope.
-// Estimates are deliberately conservative (admission control must err
-// toward shedding, not OOM): a run is one machine sized by its
-// config's PhysMem; a sweep runs up to min(parallel, host cores,
-// grid points) machines concurrently.
-func estimateBudget(c *Request) Budget {
-	var b Budget
-	switch c.Kind {
-	case KindRun:
-		phys := uint64(256 << 20)
-		if cfg, err := c.config(); err == nil {
-			phys = cfg.PhysMem
-		}
-		b.EstBytes = phys + estMachineOverhead
-		switch c.Size {
-		case "test":
-			b.MaxWall = 5 * time.Minute
-		case "small":
-			b.MaxWall = 30 * time.Minute
-		default: // ref
-			b.MaxWall = 4 * time.Hour
-		}
-	case KindSweep:
-		points := 3 * len(c.Apps) // every app × 1P/MISP/SMP
-		if len(c.Apps) == 0 {
-			points = 3 * len(workloads.All())
-		}
-		width := c.Parallel
-		if width <= 0 {
-			width = runtime.GOMAXPROCS(0)
-		}
-		if width > points {
-			width = points
-		}
-		// PhysMem is topology-independent in the sweep default config; a
-		// trivial topology probes the per-machine allocation.
-		phys := workloads.DefaultConfig(core.Topology{1}).PhysMem
-		b.EstBytes = uint64(width) * (phys + estMachineOverhead)
-		// Grid points are individually short; wall time bounds the sweep
-		// (each machine's cycle guard bounds its grid point).
-		switch c.Size {
-		case "test":
-			b.MaxWall = 20 * time.Minute
-		case "small":
-			b.MaxWall = 2 * time.Hour
-		default:
-			b.MaxWall = 16 * time.Hour
-		}
+// wallLimit is a governed job's host wall-clock allowance, measured from
+// admission and scaled by the request's declared size (jobDeadline
+// merges it with JobTimeout). A sweep's grid points are individually
+// short, so wall time bounds the sweep as a whole; each machine's cycle
+// guard bounds its own run.
+func wallLimit(c *Request) time.Duration {
+	run, sweep := 4*time.Hour, 16*time.Hour // ref
+	switch c.Size {
+	case "test":
+		run, sweep = 5*time.Minute, 20*time.Minute
+	case "small":
+		run, sweep = 30*time.Minute, 2*time.Hour
 	}
-	return b
+	if c.Kind == KindSweep {
+		return sweep
+	}
+	return run
 }
 
 // --- queue-drain estimator -------------------------------------------
@@ -179,7 +117,7 @@ const (
 	// pressureShed: every fresh admission is shed with a computed
 	// Retry-After, and readiness reports 503.
 	pressureShed
-	// pressureCritical: the queue is held and the largest running job
+	// pressureCritical: the queue is held and the youngest running run
 	// is cooperatively preempted (paused at a quiescent boundary, image
 	// persisted, re-enqueued) until the heap falls back below the
 	// critical watermark. Jobs are never killed.
@@ -262,17 +200,17 @@ func (s *Server) governTick() {
 			prev, level, heap>>20, budget>>20)
 	}
 	if level >= pressureCritical {
-		s.preemptLargest()
+		s.preemptVictim()
 	}
 }
 
-// preemptLargest requests cooperative preemption of the best victim
+// preemptVictim requests cooperative preemption of the best victim
 // among the running jobs, if any. The request is a flag the executing
 // worker polls at its next quiescent pause boundary: the job persists
 // its image there and re-enqueues (runJob's ErrPreempted path). No-op
 // while draining, without a journal (no image plane to persist into),
 // or when every running job is already marked.
-func (s *Server) preemptLargest() bool {
+func (s *Server) preemptVictim() bool {
 	if s.jnl == nil || s.Draining() {
 		return false
 	}
@@ -284,18 +222,16 @@ func (s *Server) preemptLargest() bool {
 	}
 	s.mu.Unlock()
 	if v != nil {
-		s.logf("preempting job %s (est %dMiB)", v.ID, v.Budget.EstBytes>>20)
+		s.logf("preempting job %s", v.ID)
 	}
 	return v != nil
 }
 
 // pickVictimLocked selects the preemption victim among running,
-// preemptable jobs: the largest estimated memory (the point of
-// preempting is to free the most), then the youngest start (least
-// progress thrown to disk), then job ID for determinism. Only run
-// requests are preemptable — a sweep's machines have no single
-// quiescent pause boundary; sweeps stay bounded by their wall budget
-// instead. Called with mu held.
+// preemptable jobs: the youngest start (least progress thrown to disk),
+// then job ID for determinism. Only run requests are preemptable — a
+// sweep's machines have no single quiescent pause boundary; sweeps stay
+// bounded by their wall allowance instead. Called with mu held.
 func (s *Server) pickVictimLocked() *Job {
 	var v *Job
 	for _, j := range s.jobs {
@@ -311,9 +247,6 @@ func (s *Server) pickVictimLocked() *Job {
 
 // betterVictim reports whether a should be preempted before b.
 func betterVictim(a, b *Job) bool {
-	if a.Budget.EstBytes != b.Budget.EstBytes {
-		return a.Budget.EstBytes > b.Budget.EstBytes
-	}
 	if !a.Started.Equal(b.Started) {
 		return a.Started.After(b.Started)
 	}
@@ -327,27 +260,13 @@ func (s *Server) logf(format string, args ...any) {
 	}
 }
 
-// admitGovernedLocked applies the memory-governance admission checks to
-// a fresh (non-coalesced, non-cached) submission and fills in its
-// budget. Called with mu held; returns the admission error, if any.
-func (s *Server) admitGovernedLocked(j *Job) error {
+// admitGovernedLocked sheds a fresh (non-coalesced, non-cached)
+// submission while the monitor's last heap reading is at or above the
+// shed watermark. Called with mu held; returns the admission error, if
+// any.
+func (s *Server) admitGovernedLocked() error {
 	if !s.governed() {
 		return nil
-	}
-	j.Budget = estimateBudget(j.Req)
-	if j.Budget.EstBytes > s.cfg.MemBudget {
-		s.reg.Counter("serve.rejected.over_budget").Inc()
-		return fmt.Errorf("%w (estimated %dMiB, budget %dMiB)",
-			ErrOverBudget, j.Budget.EstBytes>>20, s.cfg.MemBudget>>20)
-	}
-	if s.committed+j.Budget.EstBytes > s.cfg.MemBudget {
-		// Commitment shedding: the admitted-but-unsettled working set
-		// alone would exceed the budget. Unlike the heap watermarks this
-		// trips before the memory is ever allocated — it is the first
-		// line of defense for a burst of large jobs on an idle daemon.
-		s.reg.Counter("serve.pressure.sheds").Inc()
-		return fmt.Errorf("%w (committed %dMiB + estimated %dMiB over %dMiB budget)",
-			ErrPressure, s.committed>>20, j.Budget.EstBytes>>20, s.cfg.MemBudget>>20)
 	}
 	if level := s.level(); level >= pressureShed {
 		s.reg.Counter("serve.pressure.sheds").Inc()

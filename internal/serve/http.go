@@ -33,11 +33,9 @@ type JobView struct {
 
 	// Governance fields. Preempted marks a job currently parked behind a
 	// persisted image awaiting its resume lease; Preempts counts how
-	// often that has happened; MemEstBytes is the admission-time memory
-	// estimate (zero without Config.MemBudget).
-	Preempted   bool   `json:"preempted,omitempty"`
-	Preempts    int    `json:"preempts,omitempty"`
-	MemEstBytes uint64 `json:"mem_est_bytes,omitempty"`
+	// often that has happened.
+	Preempted bool `json:"preempted,omitempty"`
+	Preempts  int  `json:"preempts,omitempty"`
 }
 
 // View snapshots j under the server lock. Artifact names are listed
@@ -45,19 +43,18 @@ type JobView struct {
 func (s *Server) View(j *Job, withRequest bool) JobView {
 	s.mu.Lock()
 	v := JobView{
-		ID:          j.ID,
-		Key:         j.Key,
-		Status:      j.Status,
-		Cached:      j.Cached,
-		Error:       j.Err,
-		Result:      j.Result,
-		WallMS:      j.Wall.Milliseconds(),
-		Attempts:    j.Attempt,
-		Checkpoint:  j.Ckpt,
-		Recovered:   j.Recovered,
-		Preempted:   j.Preempted,
-		Preempts:    j.Preempts,
-		MemEstBytes: j.Budget.EstBytes,
+		ID:         j.ID,
+		Key:        j.Key,
+		Status:     j.Status,
+		Cached:     j.Cached,
+		Error:      j.Err,
+		Result:     j.Result,
+		WallMS:     j.Wall.Milliseconds(),
+		Attempts:   j.Attempt,
+		Checkpoint: j.Ckpt,
+		Recovered:  j.Recovered,
+		Preempted:  j.Preempted,
+		Preempts:   j.Preempts,
 	}
 	if j.Failure != nil {
 		v.Failure = j.Failure.Reason
@@ -130,10 +127,6 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		// truth about the wait instead of a constant.
 		w.Header().Set("Retry-After", strconv.Itoa(retryAfterSeconds(s.EstimatedRetryAfter())))
 		writeError(w, http.StatusTooManyRequests, err)
-		return
-	case errors.Is(err, ErrOverBudget):
-		// Not transient: this job can never fit this daemon's budget.
-		writeError(w, http.StatusRequestEntityTooLarge, err)
 		return
 	case errors.Is(err, ErrDraining) || errors.Is(err, ErrNotDurable):
 		// This daemon cannot take the job now — it is going away, or its

@@ -64,12 +64,10 @@ type Job struct {
 	Recovered bool
 	Failure   *JobError
 
-	// Governance state. Budget is the admission-time resource envelope
-	// (zero without Config.MemBudget); Preempted marks a job currently
-	// re-queued after a cooperative preemption, whose next lease resumes
-	// the preempted attempt instead of burning a new one; Preempts counts
-	// preemptions this process has applied to the job.
-	Budget    Budget
+	// Governance state. Preempted marks a job currently re-queued after
+	// a cooperative preemption, whose next lease resumes the preempted
+	// attempt instead of burning a new one; Preempts counts preemptions
+	// this process has applied to the job.
 	Preempted bool
 	Preempts  int
 
@@ -212,10 +210,10 @@ func (s *Server) step(j *Job, r jrec) {
 
 // settleLocked is the terminal half and the only place a job becomes
 // terminal: res/err classify into done, failed or canceled, the
-// single-flight slot and the admission commitment are released, and done
-// is closed — exactly once; settling a terminal job is a no-op that
-// reports false. Called with mu held, by settle, by the cache-hit
-// admission, and by recover for every verdict it restores or reaches.
+// single-flight slot is released, and done is closed — exactly once;
+// settling a terminal job is a no-op that reports false. Called with mu
+// held, by settle, by the cache-hit admission, and by recover for every
+// verdict it restores or reaches.
 func (s *Server) settleLocked(j *Job, res *Result, err error) bool {
 	if j.Status.Terminal() {
 		return false
@@ -249,9 +247,6 @@ func (s *Server) settleLocked(j *Job, res *Result, err error) bool {
 	if s.inflight[j.Key] == j {
 		delete(s.inflight, j.Key)
 	}
-	// Release the commitment registerLocked made (nothing for cache hits
-	// and ungoverned jobs).
-	s.committed -= min(s.committed, j.Budget.EstBytes)
 	close(j.done)
 	return true
 }
@@ -363,9 +358,6 @@ func (s *Server) recover(payloads [][]byte) []*Job {
 			Created:   time.Now(),
 			Recovered: true,
 			detached:  true, // whoever was waiting died with the old process
-		}
-		if s.governed() {
-			j.Budget = estimateBudget(c) // a pure function of the request: what admission computed
 		}
 		s.registerLocked(j)
 		advanceLocked(j, r)

@@ -19,11 +19,11 @@ func waitCond(t *testing.T, cond func() bool, msg string) {
 	}
 }
 
-// markVictim polls preemptLargest until it marks a victim (the job must
+// markVictim polls preemptVictim until it marks a victim (the job must
 // first reach StatusRunning for one to exist).
 func markVictim(t *testing.T, s *Server) {
 	t.Helper()
-	waitCond(t, func() bool { return s.preemptLargest() }, "no preemption victim appeared")
+	waitCond(t, func() bool { return s.preemptVictim() }, "no preemption victim appeared")
 }
 
 // gateExec parks every lease at the top of s.exec — the job is
@@ -51,15 +51,15 @@ func gateExec(s *Server) (running <-chan struct{}, release func()) {
 
 // --- victim selection -------------------------------------------------
 
-func victim(id string, est uint64, started time.Time) *Job {
+func victim(id string, started time.Time) *Job {
 	return &Job{
-		ID: id, Budget: Budget{EstBytes: est}, Started: started,
+		ID: id, Started: started,
 		Status: StatusRunning, Req: &Request{Kind: KindRun},
 	}
 }
 
-// TestBetterVictim pins the preemption order: largest memory estimate,
-// then least progress (latest start), then job ID for determinism.
+// TestBetterVictim pins the preemption order: least progress (latest
+// start), then job ID for determinism.
 func TestBetterVictim(t *testing.T) {
 	t0 := time.Now()
 	t1 := t0.Add(time.Second)
@@ -68,11 +68,10 @@ func TestBetterVictim(t *testing.T) {
 		a, b *Job
 		want bool
 	}{
-		{"larger-estimate-first", victim("a", 200, t0), victim("b", 100, t0), true},
-		{"smaller-estimate-spared", victim("a", 100, t0), victim("b", 200, t0), false},
-		{"least-progress-first", victim("a", 100, t1), victim("b", 100, t0), true},
-		{"most-progress-spared", victim("a", 100, t0), victim("b", 100, t1), false},
-		{"id-breaks-ties", victim("a", 100, t0), victim("b", 100, t0), true},
+		{"least-progress-first", victim("a", t1), victim("b", t0), true},
+		{"most-progress-spared", victim("a", t0), victim("b", t1), false},
+		{"id-breaks-ties", victim("a", t0), victim("b", t0), true},
+		{"id-spares-later", victim("b", t0), victim("a", t0), false},
 	}
 	for _, tc := range cases {
 		if got := betterVictim(tc.a, tc.b); got != tc.want {
@@ -83,20 +82,21 @@ func TestBetterVictim(t *testing.T) {
 
 // TestPickVictim: only running, not-yet-marked run jobs are candidates
 // — queued jobs, sweeps, and jobs already asked to yield are skipped —
-// and among candidates the largest/youngest order applies.
+// and among candidates the youngest-first order applies.
 func TestPickVictim(t *testing.T) {
 	s := newTestServer(t, Config{Workers: 1})
 	t0 := time.Now()
+	at := func(n int) time.Time { return t0.Add(time.Duration(n) * time.Second) }
 	jobs := []*Job{
-		victim("j1", 100<<20, t0),
-		victim("j2", 200<<20, t0),
-		victim("j3", 300<<20, t0), // the pick: largest
+		victim("j1", at(1)),
+		victim("j2", at(2)),
+		victim("j3", at(3)), // the pick: youngest
 	}
-	queued := victim("j4", 400<<20, t0)
+	queued := victim("j4", at(4))
 	queued.Status = StatusQueued
-	sweep := victim("j5", 500<<20, t0)
+	sweep := victim("j5", at(5))
 	sweep.Req = &Request{Kind: KindSweep}
-	marked := victim("j6", 600<<20, t0)
+	marked := victim("j6", at(6))
 	marked.preemptReq.Store(true)
 	jobs = append(jobs, queued, sweep, marked)
 
@@ -127,16 +127,16 @@ func TestPickVictim(t *testing.T) {
 }
 
 // TestPreemptRequiresJournal: without a journal there is no image plane
-// to park a preempted job behind, so preemptLargest declines even with
+// to park a preempted job behind, so preemptVictim declines even with
 // an eligible victim.
 func TestPreemptRequiresJournal(t *testing.T) {
 	s := newTestServer(t, Config{Workers: 1, MemBudget: 1 << 40, pressureTick: quietTick})
-	j := victim("j1", 100<<20, time.Now())
+	j := victim("j1", time.Now())
 	s.mu.Lock()
 	s.jobs[j.ID] = j
 	s.mu.Unlock()
-	if s.preemptLargest() {
-		t.Fatal("preemptLargest marked a victim on a journal-less server")
+	if s.preemptVictim() {
+		t.Fatal("preemptVictim marked a victim on a journal-less server")
 	}
 	s.mu.Lock()
 	delete(s.jobs, j.ID)

@@ -67,10 +67,9 @@ type Config struct {
 
 	// MemBudget is the host heap budget in bytes and the master switch
 	// for resource governance (0 = governance off, the historical
-	// behavior). With a budget set, every admission computes a Budget,
-	// over-budget jobs are rejected outright, the committed estimate is
-	// bounded by the budget, and the pressure monitor escalates through
-	// shed → preempt as the heap approaches it.
+	// behavior). With a budget set, every job carries a per-size wall
+	// allowance and the pressure monitor escalates through shed →
+	// preempt as the measured heap approaches the budget.
 	MemBudget uint64
 	// Logf, when set, receives operational log lines (pressure
 	// transitions, preemptions). Printf-style; nil discards.
@@ -111,14 +110,13 @@ type Server struct {
 	cache *Cache
 	start time.Time
 
-	mu        sync.Mutex
-	jobs      map[string]*Job
-	order     []string        // submission order, for listing
-	inflight  map[string]*Job // key → non-terminal job (single-flight)
-	queue     *jobQueue
-	draining  bool
-	seq       int
-	committed uint64 // admitted-but-unsettled estimated bytes (governed only)
+	mu       sync.Mutex
+	jobs     map[string]*Job
+	order    []string        // submission order, for listing
+	inflight map[string]*Job // key → non-terminal job (single-flight)
+	queue    *jobQueue
+	draining bool
+	seq      int
 
 	baseCtx    context.Context
 	baseCancel context.CancelCauseFunc
@@ -183,7 +181,7 @@ func NewServer(cfg Config) (*Server, error) {
 	for _, name := range []string{
 		"serve.jobs.submitted", "serve.jobs.completed", "serve.jobs.failed", "serve.jobs.canceled",
 		"serve.jobs.coalesced", "serve.jobs.retries", "serve.jobs.preempted",
-		"serve.rejected.queue_full", "serve.rejected.draining", "serve.rejected.over_budget",
+		"serve.rejected.queue_full", "serve.rejected.draining",
 		"serve.cache.hits", "serve.cache.misses", "serve.cache.put_errors",
 		"serve.journal.appends", "serve.journal.append_errors",
 		"serve.journal.replayed", "serve.journal.torn_bytes", "serve.journal.rotations",
@@ -339,10 +337,9 @@ func (s *Server) admitLocked(c *Request, key string, detached bool) (*Job, *jrec
 	}
 	s.reg.Counter("serve.cache.misses").Inc()
 
-	// Admission: the governance checks (estimate the budget, reject
-	// over-budget and pressure-shed submissions), then the queue bound.
+	// Admission: the pressure shed, then the queue bound.
 	j := s.newJobLocked(c, key, detached)
-	if err := s.admitGovernedLocked(j); err != nil {
+	if err := s.admitGovernedLocked(); err != nil {
 		return nil, nil, err
 	}
 	if s.queue.len() >= s.cfg.QueueDepth {
@@ -374,16 +371,14 @@ func (s *Server) newJobLocked(c *Request, key string, detached bool) *Job {
 	}
 }
 
-// registerLocked enters j into the job table, gives it its context and
-// completion channel, and commits its memory estimate until it settles —
-// for a submission and a replayed job alike. Called with mu held (or, by
-// recover, before anyone else can take it).
+// registerLocked enters j into the job table and gives it its context
+// and completion channel — for a submission and a replayed job alike.
+// Called with mu held (or, by recover, before anyone else can take it).
 func (s *Server) registerLocked(j *Job) {
 	j.done = make(chan struct{})
 	j.ctx, j.cancel = context.WithCancelCause(s.baseCtx)
 	s.jobs[j.ID] = j
 	s.order = append(s.order, j.ID)
-	s.committed += j.Budget.EstBytes
 }
 
 // Job looks up a job by ID.
@@ -589,12 +584,14 @@ func sleep(ctx context.Context, d time.Duration) bool {
 }
 
 // jobDeadline resolves a job's wall deadline: the tighter of the
-// configured JobTimeout and the job's admission-time wall budget, both
-// measured from admission.
+// configured JobTimeout and, when governed, the request's wall
+// allowance, both measured from admission.
 func (s *Server) jobDeadline(j *Job) (time.Time, bool) {
 	limit := s.cfg.JobTimeout
-	if j.Budget.MaxWall > 0 && (limit == 0 || j.Budget.MaxWall < limit) {
-		limit = j.Budget.MaxWall
+	if s.governed() {
+		if w := wallLimit(j.Req); limit == 0 || w < limit {
+			limit = w
+		}
 	}
 	if limit == 0 {
 		return time.Time{}, false
@@ -696,7 +693,6 @@ func (s *Server) Metrics() string {
 	s.reg.Counter("serve.jobs.inflight").Set(uint64(running))
 	s.reg.Counter("serve.cache.entries").Set(uint64(s.cache.Len()))
 	if s.governed() {
-		s.reg.Counter("serve.pressure.committed_bytes").Set(s.committed)
 		s.reg.Counter("serve.pressure.budget_bytes").Set(s.cfg.MemBudget)
 	}
 	return s.reg.String()

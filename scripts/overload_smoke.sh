@@ -1,22 +1,26 @@
 #!/usr/bin/env bash
 # overload_smoke.sh — flood test of mispserve's resource governance.
 #
-# Boots mispserve with a deliberately small memory budget and a shallow
-# queue, then floods it with distinct tiny runs so admission control
-# must shed. Asserts the overload contract end to end:
+# Boots mispserve with a memory budget below one machine's configured
+# simulated physical memory (128 MiB), one worker and a one-slot queue.
+# A serial small-size eval sweep occupies the worker; once it runs, a
+# flood of distinct tiny runs fills the queue and the rest must shed.
+# Asserts the overload contract end to end:
 #
+#   - a budget below the configured PhysMem admits work: memory is
+#     governed by the measured heap, and any 413 fails;
 #   - the daemon survives the flood (alive and answering /healthz/live
 #     throughout — overload must never OOM-kill or wedge it);
 #   - at least one job is admitted and at least one is shed with 429 +
-#     a sensible integer Retry-After (>= 1s);
+#     a sensible integer Retry-After (>= 1s), and every shed is counted
+#     in serve.rejected.queue_full + serve.pressure.sheds;
 #   - every accepted job reaches a terminal state: nothing is lost,
 #     no job id is ever issued twice;
 #   - readiness (/healthz/ready) and the serve.pressure.* metrics
 #     surface the governance state, and agree: ready is 200 exactly
 #     when serve.pressure.level is 0 (nominal);
 #   - a body carrying the removed "priority" field is refused with 400;
-#   - a resubmission of a completed request is a cache hit (governance
-#     never sheds work the cache can answer);
+#   - a resubmission of a completed request is a cache hit;
 #   - SIGTERM still drains cleanly under governance.
 set -euo pipefail
 
@@ -27,12 +31,9 @@ trap 'kill "$SERVER_PID" 2>/dev/null || true; rm -rf "$WORK"' EXIT
 mkdir -p "$(dirname "$BIN")"
 go build -o "$BIN" ./cmd/mispserve
 
-# 256m fits exactly one tiny-run estimate (128m simulated physmem +
-# per-machine overhead), so concurrent distinct submissions must shed on
-# committed memory before the heap ever grows.
 : >"$WORK/serve.log" # exists before the daemon's own redirect opens it, so sed below can read it
 "$BIN" -addr 127.0.0.1:0 -cachedir "$WORK/cache" -journal "$WORK/journal" \
-    -mem-budget 256m -queue 4 -workers 2 >"$WORK/serve.log" 2>&1 &
+    -mem-budget 128m -queue 1 -workers 1 >"$WORK/serve.log" 2>&1 &
 SERVER_PID=$!
 
 ADDR=
@@ -44,17 +45,30 @@ for _ in $(seq 1 50); do
 done
 [ -n "$ADDR" ] || { cat "$WORK/serve.log"; echo "FAIL: daemon never bound"; exit 1; }
 URL="http://$ADDR"
-echo "daemon at $URL (mem-budget 256m)"
+echo "daemon at $URL (mem-budget 128m, 1 worker, queue 1)"
 
 curl -fsS "$URL/healthz/live"  | grep -q '"status": "live"'  || { echo "FAIL: liveness"; exit 1; }
 curl -fsS "$URL/healthz/ready" | grep -q '"status": "ready"' || { echo "FAIL: readiness before flood"; exit 1; }
 
+# The occupant: a serial small eval sweep (48 machines one after
+# another, about a second) holds the one worker for the whole flood.
+# Its id is the first accepted one.
+CODE=$(curl -s -o "$WORK/resp.sweep" -w '%{http_code}' -X POST -H 'Content-Type: application/json' \
+    -d '{"kind":"sweep","size":"small","parallel":1}' "$URL/v1/jobs")
+[ "$CODE" = 413 ] && { cat "$WORK/resp.sweep"; echo; echo "FAIL: sweep judged over-budget at 128m (413)"; exit 1; }
+[ "$CODE" = 202 ] || { cat "$WORK/resp.sweep"; echo "FAIL: sweep submission got $CODE, want 202"; exit 1; }
+SWEEP_ID=$(sed -n 's/.*"id": "\([^"]*\)".*/\1/p' "$WORK/resp.sweep" | head -1)
+for _ in $(seq 1 100); do
+    curl -fsS "$URL/v1/jobs/$SWEEP_ID" | grep -q '"status": "running"' && break
+    sleep 0.05
+done
+curl -fsS "$URL/v1/jobs/$SWEEP_ID" | grep -q '"status": "running"' || { echo "FAIL: sweep never ran"; exit 1; }
+
 # The flood: 12 distinct canonical requests (every workload, plus
-# topology variants [4]..[7] — [3] would coalesce onto the dense_mmm job
-# above and share its id) fired concurrently, detached — a tiny run settles
-# in milliseconds, so back-to-back submissions from one shell can each
-# find the budget free again on a fast host. Each is accepted (202), shed
-# (429), or — if ever the estimate cannot fit at all — 413.
+# topology variants [4]..[7]) fired concurrently, detached, while the
+# sweep holds the worker. The first to reach admission takes the queue
+# slot (202); the rest are shed (429) by the queue bound, or by the
+# pressure monitor should the heap reach its shed watermark.
 APPS=(ADAt dense_mmm dense_mvm dense_mvm_sym gauss kmeans sparse_mvm sparse_mvm_sym)
 REQS=()
 CURLS=()
@@ -70,7 +84,7 @@ for i in $(seq 0 11); do
     CURLS+=($!)
 done
 wait "${CURLS[@]}"
-ACCEPTED_IDS=()
+ACCEPTED_IDS=("$SWEEP_ID")
 SHED=0
 FIRST_REQ=
 for i in $(seq 0 11); do
@@ -88,16 +102,16 @@ for i in $(seq 0 11); do
         [ -n "$RA" ] && [ "$RA" -ge 1 ] || { cat "$WORK/hdr.$i"; echo "FAIL: shed without a sensible Retry-After"; exit 1; }
         ;;
     413)
-        cat "$WORK/resp.$i"; echo "FAIL: tiny run judged over-budget (estimator regression)"; exit 1
+        cat "$WORK/resp.$i"; echo; echo "FAIL: tiny run judged over-budget (413)"; exit 1
         ;;
     *)
         cat "$WORK/resp.$i"; echo "FAIL: unexpected status $CODE"; exit 1
         ;;
     esac
 done
-echo "flood: ${#ACCEPTED_IDS[@]} accepted, $SHED shed"
-[ "${#ACCEPTED_IDS[@]}" -ge 1 ] || { echo "FAIL: flood admitted nothing"; exit 1; }
-[ "$SHED" -ge 1 ]               || { echo "FAIL: flood was never shed (budget not enforced)"; exit 1; }
+echo "flood: $((${#ACCEPTED_IDS[@]} - 1)) accepted, $SHED shed"
+[ -n "$FIRST_REQ" ] || { echo "FAIL: flood admitted nothing"; exit 1; }
+[ "$SHED" -ge 1 ]   || { echo "FAIL: flood was never shed (queue bound not enforced)"; exit 1; }
 
 # The daemon survived the flood.
 kill -0 "$SERVER_PID" 2>/dev/null || { cat "$WORK/serve.log"; echo "FAIL: daemon died under flood"; exit 1; }
@@ -107,20 +121,21 @@ curl -fsS "$URL/healthz/live" | grep -q '"status": "live"' || { echo "FAIL: live
 DUPES=$(printf '%s\n' "${ACCEPTED_IDS[@]}" | sort | uniq -d)
 [ -z "$DUPES" ] || { echo "FAIL: duplicate job ids: $DUPES"; exit 1; }
 
-# Every accepted job settles (done — tiny runs on a healthy sim never
-# fail; the point is none are lost to the overload machinery).
+# Every accepted job settles (done — the sweep and tiny runs on a
+# healthy sim never fail; the point is none are lost to the overload
+# machinery).
 for ID in "${ACCEPTED_IDS[@]}"; do
     FINAL=$(curl -fsS "$URL/v1/jobs/$ID?wait=1")
     echo "$FINAL" | grep -q '"status": "done"' || { echo "$FINAL"; echo "FAIL: accepted job $ID did not complete"; exit 1; }
 done
 
-# Governance is visible: the pressure gauges exist and the flood's
-# sheds were counted.
+# Governance is visible: the pressure gauges exist, and every shed the
+# flood saw was counted, by the queue bound or by the monitor.
 METRICS=$(curl -fsS "$URL/metrics")
 echo "$METRICS" | grep -q 'serve.pressure.level'        || { echo "FAIL: no serve.pressure.level metric"; exit 1; }
 echo "$METRICS" | grep -q 'serve.pressure.budget_bytes' || { echo "FAIL: no serve.pressure.budget_bytes metric"; exit 1; }
-SHEDS_SEEN=$(echo "$METRICS" | awk '$2 == "serve.pressure.sheds" { print $3 }')
-[ -n "$SHEDS_SEEN" ] && [ "$SHEDS_SEEN" -ge "$SHED" ] || { echo "$METRICS"; echo "FAIL: serve.pressure.sheds=$SHEDS_SEEN < observed $SHED"; exit 1; }
+COUNTED=$(echo "$METRICS" | awk '$2 == "serve.rejected.queue_full" || $2 == "serve.pressure.sheds" { n += $3 } END { print n + 0 }')
+[ "$COUNTED" -eq "$SHED" ] || { echo "$METRICS"; echo "FAIL: queue_full + pressure.sheds = $COUNTED, observed $SHED sheds"; exit 1; }
 
 # Readiness agrees with admission: 200 exactly when the monitor reads
 # nominal (level 0), 503 at every level that sheds. The monitor may tick
@@ -147,8 +162,7 @@ CODE=$(curl -s -o "$WORK/prio" -w '%{http_code}' -X POST -H 'Content-Type: appli
 [ "$CODE" = 400 ] && grep -q priority "$WORK/prio" || { cat "$WORK/prio"; echo "FAIL: priority body got $CODE, want 400 naming the field"; exit 1; }
 
 # Governance never sheds what the cache can answer: resubmitting a
-# completed request is a cache hit even though its estimate would not
-# fit next to a running job.
+# completed request is a cache hit.
 HIT=$(curl -fsS -X POST -H 'Content-Type: application/json' -d "$FIRST_REQ" "$URL/v1/jobs?wait=1")
 echo "$HIT" | grep -q '"cached": true' || { echo "$HIT"; echo "FAIL: completed request re-simulated or shed"; exit 1; }
 
@@ -165,4 +179,4 @@ fi
 wait "$SERVER_PID" || { echo "FAIL: daemon exited non-zero after drain"; exit 1; }
 grep -q 'drained cleanly' "$WORK/serve.log" || { cat "$WORK/serve.log"; echo "FAIL: no clean-drain message"; exit 1; }
 
-echo "PASS: overload smoke (${#ACCEPTED_IDS[@]} completed, $SHED shed with Retry-After, alive throughout, clean drain)"
+echo "PASS: overload smoke at 128m (${#ACCEPTED_IDS[@]} completed, $SHED shed with Retry-After, alive throughout, clean drain)"
