@@ -64,11 +64,14 @@ verify: build vet race smoke
 # instruction, then one page's superblock compile and a data translation
 # that hits and one that walks; and a cold prepare and a fork at 32 MiB,
 # 128 MiB and 1 GiB of configured memory, each with its machine released
-# for the next one and dropped as garbage.
+# for the next one and dropped as garbage; and the serve plane's cache
+# read, a hit's POST ?wait=1 plus a GET of each artifact through the
+# handler, with its allocations per hit.
 benchsmoke:
 	$(GO) test ./benchmark
 	$(GO) test -run '^$$' -bench 'BenchmarkCohortWave|BenchmarkRunUops|BenchmarkSbCompile|BenchmarkTranslate' -benchtime=1x ./internal/core
 	$(GO) test -run '^$$' -bench 'BenchmarkPrepare|BenchmarkFork' -benchtime=1x ./internal/workloads ./internal/snap
+	$(GO) test -run '^$$' -bench 'BenchmarkServeHit' -benchtime=1x ./internal/serve
 
 # perfcheck is for humans, ungated and not part of ci: two passes of the
 # benchmark BENCHMARK.json declares (four workloads, end-to-end and

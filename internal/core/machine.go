@@ -525,8 +525,13 @@ func (m *Machine) runRound() error {
 		if second >= 0 && (sc < hT || (sc == hT && mems[second].ID < hID)) {
 			hT, hID = sc, mems[second].ID
 		}
+		// A lone member has nobody to interleave with, so its cap is wide.
+		maxN := batchInstrs
+		if nm == 1 {
+			maxN = soloBatchInstrs
+		}
 		c := mems[best]
-		clean, err := m.runBatch(c, hT, hID, evts[best])
+		clean, err := m.runBatch(c, hT, hID, evts[best], maxN)
 		if err != nil || !clean {
 			return err
 		}
@@ -535,14 +540,18 @@ func (m *Machine) runRound() error {
 	return nil
 }
 
-// batchInstrs caps one runBatch call: the chosen sequencer re-enters
-// runRound's mini-selection at least this often even below its horizon. A
-// constant, not a knob: the cap is unobservable (the legacy loop has
-// none).
-const batchInstrs = 64
+// batchInstrs caps one runBatch call of a cohort with more than one
+// member: the chosen sequencer re-enters runRound's mini-selection at
+// least this often even below its horizon. soloBatchInstrs is the cap
+// when the cohort is one sequencer, which a re-selection can only pick
+// again. Constants, not knobs: the cap is unobservable (the legacy loop
+// has none).
+const (
+	batchInstrs     = 64
+	soloBatchInstrs = 4096
+)
 
-// runBatch advances running sequencer s for up to batchInstrs
-// instructions.
+// runBatch advances running sequencer s for up to maxN instructions.
 // While s's clock stays below the event horizon (hT, with hID breaking
 // ties by sequencer ID), s provably remains the machine's earliest
 // event, so instructions can commit back to back without re-selecting.
@@ -573,7 +582,7 @@ const batchInstrs = 64
 // the batch size cap, with every retired instruction a plain
 // non-breaking one. runRound relies on this to keep a cohort
 // running without re-selection.
-func (m *Machine) runBatch(s *Sequencer, hT uint64, hID int, evT uint64) (clean bool, err error) {
+func (m *Machine) runBatch(s *Sequencer, hT uint64, hID int, evT uint64, maxN int) (clean bool, err error) {
 	if s.Clock > m.pauseLimit {
 		return false, ErrPaused
 	}
@@ -627,7 +636,7 @@ func (m *Machine) runBatch(s *Sequencer, hT uint64, hID int, evT uint64) (clean 
 	n := 0
 	step := false // the next instruction took runUops' default arm
 	for {
-		if n >= batchInstrs {
+		if n >= maxN {
 			return true, nil
 		}
 		if s.Clock >= tstar {
@@ -655,7 +664,7 @@ func (m *Machine) runBatch(s *Sequencer, hT uint64, hID int, evT uint64) (clean 
 			if !step {
 				m.sbRuns++
 				var res sbResult
-				n, res = m.runUops(s, sb, n, batchInstrs, tstar)
+				n, res = m.runUops(s, sb, n, maxN, tstar)
 				if res == sbEnd {
 					return false, nil
 				}

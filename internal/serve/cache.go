@@ -16,8 +16,8 @@ import (
 
 // artifactName constrains artifact names to plain file names, safe to
 // save under and to put in a URL path. Every producer in exec.go uses
-// names from this set shape; a cache entry refuses any other, and the
-// HTTP layer re-validates on fetch.
+// names from this set shape, and a cache entry, in memory or on disk,
+// refuses any other: the HTTP layer serves only names the cache holds.
 var artifactName = regexp.MustCompile(`^[a-zA-Z0-9][a-zA-Z0-9._-]*$`)
 
 // ValidArtifactName reports whether name is a safe artifact file name.
@@ -105,8 +105,14 @@ func (c *Cache) Get(key string) (Artifacts, bool) {
 // never leaves a partial or silently torn entry where Get could find
 // it. A key already in the memory layer is not written again: entries
 // are immutable, so the first Put (or the disk load that found the
-// entry) wins, and two Puts of one key never share a temp file.
+// entry) wins, and two Puts of one key never share a temp file. A set
+// carrying a name ValidArtifactName refuses is not stored at all.
 func (c *Cache) Put(key string, art Artifacts) error {
+	for name := range art {
+		if !ValidArtifactName(name) {
+			return fmt.Errorf("serve: invalid artifact name %q", name)
+		}
+	}
 	c.mu.Lock()
 	_, had := c.mem[key]
 	if !had {

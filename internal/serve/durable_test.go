@@ -769,3 +769,33 @@ func TestClientRetryHonorsContext(t *testing.T) {
 		t.Fatalf("canceled retry loop returned %v, want deadline exceeded", err)
 	}
 }
+
+// TestNoLeaseAfterBaseCancel: canceling the base context reaches the job
+// contexts one by one, so a worker can pop a job whose own context still
+// reads live while the base is already canceled. That job must settle
+// with the base's cause, never take a lease.
+func TestNoLeaseAfterBaseCancel(t *testing.T) {
+	s := newTestServer(t, Config{Workers: 1})
+	var leases atomic.Int32
+	s.exec = func(ctx context.Context, j *Job) (Artifacts, *Result, error) {
+		leases.Add(1)
+		return nil, nil, errors.New("test: leased")
+	}
+	c := mustCanonical(t, tinyRun())
+	s.mu.Lock()
+	j := s.newJobLocked(c, c.Key(), true)
+	s.registerLocked(j)
+	// The state the propagation passes through: base canceled, this job's
+	// context not yet.
+	j.ctx, j.cancel = context.WithCancelCause(context.Background())
+	s.mu.Unlock()
+	s.baseCancel(errors.New("test: teardown"))
+	s.queue.push(j)
+	waitJob(t, j)
+	if n := leases.Load(); n != 0 {
+		t.Fatalf("a job popped after the base cancel took %d lease(s)", n)
+	}
+	if v := s.View(j, false); v.Status != StatusFailed || v.Error != "test: teardown" {
+		t.Fatalf("job settled %s (%q), want failed with the base's cause", v.Status, v.Error)
+	}
+}

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -42,6 +43,19 @@ type JobView struct {
 // only for terminal successful jobs.
 func (s *Server) View(j *Job, withRequest bool) JobView {
 	s.mu.Lock()
+	v := viewLocked(j, withRequest)
+	s.mu.Unlock()
+	if v.Status == StatusDone {
+		if art, ok := s.cache.Get(j.Key); ok {
+			v.Artifacts = art.Names()
+		}
+	}
+	return v
+}
+
+// viewLocked is View without the artifact names, which come from the
+// cache. Called with mu held.
+func viewLocked(j *Job, withRequest bool) JobView {
 	v := JobView{
 		ID:         j.ID,
 		Key:        j.Key,
@@ -61,12 +75,6 @@ func (s *Server) View(j *Job, withRequest bool) JobView {
 	}
 	if withRequest {
 		v.Request = j.Req
-	}
-	s.mu.Unlock()
-	if v.Status == StatusDone {
-		if art, ok := s.cache.Get(j.Key); ok {
-			v.Artifacts = art.Names()
-		}
 	}
 	return v
 }
@@ -98,12 +106,27 @@ func (s *Server) Handler() http.Handler {
 	return mux
 }
 
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
+// encodeJSON renders v as every JSON response body is rendered:
+// two-space indent and a trailing newline.
+func encodeJSON(v any) []byte {
+	var b bytes.Buffer
+	enc := json.NewEncoder(&b)
 	enc.SetIndent("", "  ")
 	enc.Encode(v)
+	return b.Bytes()
+}
+
+func writeJSON(w http.ResponseWriter, status int, v any) {
+	writeBody(w, status, "application/json", encodeJSON(v))
+}
+
+// writeBody sends a whole response body with its Content-Length.
+func writeBody(w http.ResponseWriter, status int, contentType string, body []byte) {
+	h := w.Header()
+	h.Set("Content-Type", contentType)
+	h.Set("Content-Length", strconv.Itoa(len(body)))
+	w.WriteHeader(status)
+	w.Write(body)
 }
 
 func writeError(w http.ResponseWriter, status int, err error) {
@@ -136,6 +159,12 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	case err != nil:
 		writeError(w, http.StatusBadRequest, err)
+		return
+	}
+	if j.view != nil {
+		// A cache hit, with or without wait: the key's terminal hit record,
+		// whose view was rendered when the record was made.
+		writeBody(w, http.StatusOK, "application/json", j.view)
 		return
 	}
 	if wait {
@@ -212,14 +241,20 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleArtifact(w http.ResponseWriter, r *http.Request) {
-	j, ok := s.Job(r.PathValue("id"))
-	if !ok {
-		writeError(w, http.StatusNotFound, fmt.Errorf("serve: unknown job %q", r.PathValue("id")))
+	id := r.PathValue("id")
+	s.mu.Lock()
+	j := s.jobs[id]
+	var status JobStatus
+	if j != nil {
+		status = j.Status
+	}
+	s.mu.Unlock()
+	if j == nil {
+		writeError(w, http.StatusNotFound, fmt.Errorf("serve: unknown job %q", id))
 		return
 	}
-	v := s.View(j, false)
-	if v.Status != StatusDone {
-		writeError(w, http.StatusConflict, fmt.Errorf("serve: job %s is %s, artifacts exist only for done jobs", j.ID, v.Status))
+	if status != StatusDone {
+		writeError(w, http.StatusConflict, fmt.Errorf("serve: job %s is %s, artifacts exist only for done jobs", j.ID, status))
 		return
 	}
 	name := r.PathValue("name")
@@ -236,15 +271,16 @@ func (s *Server) handleArtifact(w http.ResponseWriter, r *http.Request) {
 		w.WriteHeader(http.StatusNotModified)
 		return
 	}
-	w.Header().Set("Content-Type", contentType(name))
-	w.Header().Set("Content-Length", strconv.Itoa(len(data)))
-	w.Write(data)
+	writeBody(w, http.StatusOK, contentType(name), data)
 }
 
 // etagMatch implements the If-None-Match comparison (RFC 9110 §13.1.2):
 // a comma-separated list of entity tags, compared weakly (a W/ prefix
 // on either side is ignored), with "*" matching any representation.
 func etagMatch(header, etag string) bool {
+	if header == "" {
+		return false // no conditional fetch: skip the split
+	}
 	for _, cand := range strings.Split(header, ",") {
 		cand = strings.TrimSpace(cand)
 		cand = strings.TrimPrefix(cand, "W/")

@@ -75,6 +75,11 @@ type Job struct {
 	cancel context.CancelCauseFunc
 	done   chan struct{}
 
+	// view is a cache-hit record's response body, encodeJSON of its
+	// View(j, true), rendered once when admitLocked makes the record and
+	// never changed after; nil for every other job.
+	view []byte
+
 	// preemptReq asks the worker executing this job to yield at its next
 	// quiescent pause boundary (set by the pressure monitor, polled by
 	// the executor — SetPause itself is not goroutine-safe, so the
@@ -210,10 +215,10 @@ func (s *Server) step(j *Job, r jrec) {
 
 // settleLocked is the terminal half and the only place a job becomes
 // terminal: res/err classify into done, failed or canceled, the
-// single-flight slot is released, and done is closed — exactly once;
-// settling a terminal job is a no-op that reports false. Called with mu
-// held, by settle, by the cache-hit admission, and by recover for every
-// verdict it restores or reaches.
+// single-flight slot is released, done is closed and the job's context
+// released — exactly once; settling a terminal job is a no-op that
+// reports false. Called with mu held, by settle, by the cache-hit
+// admission, and by recover for every verdict it restores or reaches.
 func (s *Server) settleLocked(j *Job, res *Result, err error) bool {
 	if j.Status.Terminal() {
 		return false
@@ -247,9 +252,16 @@ func (s *Server) settleLocked(j *Job, res *Result, err error) bool {
 	if s.inflight[j.Key] == j {
 		delete(s.inflight, j.Key)
 	}
+	// The verdict is decided, so nothing reads the context's cause again;
+	// canceling it detaches the job from the server's base context before
+	// any waiter wakes.
+	j.cancel(errSettled)
 	close(j.done)
 	return true
 }
+
+// errSettled is the cause a settled job's context is canceled with.
+var errSettled = errors.New("serve: job settled")
 
 // settle is the live path's terminal transition: settleLocked, then the
 // terminal record. Like every record after accepted, a failed append

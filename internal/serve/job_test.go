@@ -2,6 +2,7 @@ package serve
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
@@ -232,5 +233,64 @@ func TestStepAppliesBeforeItJournals(t *testing.T) {
 	}
 	if got := s.jnl.Records() - before; got != 1 {
 		t.Fatalf("step journaled %d records, want 1", got)
+	}
+}
+
+// TestSettledJobReleasesContext: settling a job cancels its context, so
+// a finished job no longer hangs off the server's base context until
+// shutdown — a run, a cache-hit record and a replayed job alike — and
+// the verdict is what it was: status, error and the journal's terminal
+// record.
+func TestSettledJobReleasesContext(t *testing.T) {
+	jdir, cdir := durableDirs(t)
+	cfg := Config{Workers: 1, JournalDir: jdir, CacheDir: cdir}
+	s, err := NewServer(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	j, err := s.Submit(tinyRun(), true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitJob(t, j)
+	hit, err := s.Submit(tinyRun(), true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, x := range []*Job{j, hit} {
+		if x.ctx.Err() == nil {
+			t.Errorf("job %s settled with its context live", x.ID)
+		}
+		if v := s.View(x, false); v.Status != StatusDone || v.Error != "" || v.Failure != "" {
+			t.Errorf("job %s: %+v, want done with no error", x.ID, v)
+		}
+	}
+	if err := s.Drain(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+
+	jn, payloads, err := journal.Open(filepath.Join(jdir, "journal.wal"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var terminal []jrec
+	for _, p := range payloads {
+		var r jrec
+		if json.Unmarshal(p, &r) == nil && r.ID == j.ID && JobStatus(r.Op).Terminal() {
+			terminal = append(terminal, r)
+		}
+	}
+	jn.Close()
+	if want := (jrec{Op: opDone, ID: j.ID}); len(terminal) != 1 || !reflect.DeepEqual(terminal[0], want) {
+		t.Fatalf("terminal records of %s: %+v, want exactly %+v", j.ID, terminal, want)
+	}
+
+	s2 := newTestServer(t, cfg)
+	r, ok := s2.Job(j.ID)
+	if !ok {
+		t.Fatalf("job %s lost across restart", j.ID)
+	}
+	if v := s2.View(r, false); v.Status != StatusDone || r.ctx.Err() == nil {
+		t.Fatalf("replayed job: status %s, context err %v; want done with its context released", v.Status, r.ctx.Err())
 	}
 }

@@ -21,6 +21,7 @@ import (
 	"encoding/hex"
 	"fmt"
 	"slices"
+	"strconv"
 	"strings"
 
 	"misp/internal/core"
@@ -180,25 +181,28 @@ const resultEpoch = "863ec84f46b8"
 // The execution-only Parallel is deliberately absent — a sweep is
 // bit-identical across it, so it must map to the same cache entry.
 func (c *Request) Key() string {
-	var b strings.Builder
-	fmt.Fprintln(&b, keySchema)
-	fmt.Fprintf(&b, "epoch=%s\n", resultEpoch)
-	fmt.Fprintf(&b, "kind=%s\n", c.Kind)
-	fmt.Fprintf(&b, "app=%s\n", c.App)
-	fmt.Fprintf(&b, "mode=%s\n", c.Mode)
-	fmt.Fprintf(&b, "topology=%s\n", joinInts(c.Topology))
-	fmt.Fprintf(&b, "trace=%t\n", c.Trace)
-	fmt.Fprintf(&b, "apps=%s\n", strings.Join(c.Apps, ","))
-	fmt.Fprintf(&b, "exp=%s\n", c.Exp)
-	fmt.Fprintf(&b, "seqs=%d\n", c.Seqs)
-	fmt.Fprintf(&b, "size=%s\n", c.Size)
-	fmt.Fprintf(&b, "signal=%d\n", *c.SignalCost)
-	fmt.Fprintf(&b, "ringpolicy=%s\n", c.RingPolicy)
-	fmt.Fprintf(&b, "faultseed=%d\n", c.FaultSeed)
-	fmt.Fprintf(&b, "faultperiod=%d\n", c.FaultPeriod)
-	fmt.Fprintf(&b, "faultkinds=%s\n", strings.Join(c.FaultKinds, ","))
-	fmt.Fprintf(&b, "watchdog=%d\n", c.Watchdog)
-	sum := sha256.Sum256([]byte(b.String()))
+	b := make([]byte, 0, 256)
+	field := func(name, value string) {
+		b = append(append(append(append(b, name...), '='), value...), '\n')
+	}
+	b = append(b, keySchema+"\n"...)
+	field("epoch", resultEpoch)
+	field("kind", c.Kind)
+	field("app", c.App)
+	field("mode", c.Mode)
+	field("topology", joinInts(c.Topology))
+	field("trace", strconv.FormatBool(c.Trace))
+	field("apps", strings.Join(c.Apps, ","))
+	field("exp", c.Exp)
+	field("seqs", strconv.Itoa(c.Seqs))
+	field("size", c.Size)
+	field("signal", strconv.FormatUint(*c.SignalCost, 10))
+	field("ringpolicy", c.RingPolicy)
+	field("faultseed", strconv.FormatUint(c.FaultSeed, 10))
+	field("faultperiod", strconv.FormatUint(c.FaultPeriod, 10))
+	field("faultkinds", strings.Join(c.FaultKinds, ","))
+	field("watchdog", strconv.FormatUint(c.Watchdog, 10))
+	sum := sha256.Sum256(b)
 	return hex.EncodeToString(sum[:])
 }
 
@@ -251,9 +255,12 @@ func canonicalKindNames(kinds []fault.Kind) []string {
 }
 
 func joinInts(xs []int) string {
-	parts := make([]string, len(xs))
+	var b []byte
 	for i, x := range xs {
-		parts[i] = fmt.Sprint(x)
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = strconv.AppendInt(b, int64(x), 10)
 	}
-	return strings.Join(parts, ",")
+	return string(b)
 }

@@ -114,6 +114,7 @@ type Server struct {
 	jobs     map[string]*Job
 	order    []string        // submission order, for listing
 	inflight map[string]*Job // key → non-terminal job (single-flight)
+	hits     map[string]*Job // key → its cache-hit record, shared by every hit
 	queue    *jobQueue
 	draining bool
 	seq      int
@@ -169,6 +170,7 @@ func NewServer(cfg Config) (*Server, error) {
 		start:    time.Now(),
 		jobs:     make(map[string]*Job),
 		inflight: make(map[string]*Job),
+		hits:     make(map[string]*Job),
 		reg:      obs.NewRegistry(),
 		warm:     workloads.NewWarmPool(),
 
@@ -262,7 +264,8 @@ func (s *Server) count(name string) {
 
 // Submit validates and admits one request. The returned job is:
 //
-//   - already terminal (StatusDone, Cached=true) on a cache hit;
+//   - already terminal (StatusDone, Cached=true) on a cache hit: the
+//     key's one hit record, the same job for every hit of the key;
 //   - an existing in-flight job when an identical canonical request is
 //     already queued or running (single-flight: a byte-identical
 //     request never simulates twice, even concurrently);
@@ -325,14 +328,26 @@ func (s *Server) admitLocked(c *Request, key string, detached bool) (*Job, *jrec
 
 	// Cache: an identical completed request is served without touching
 	// the queue at all. Every admission that gets this far counts one hit
-	// or one miss.
-	if _, ok := s.cache.Get(key); ok {
+	// or one miss. The first hit of a key makes its hit record, a terminal
+	// job whose view is rendered here once; every later hit counts as a
+	// submitted and completed job and returns that same record, so a hit
+	// allocates no job, context or ID. The record answers only while the
+	// cache does: a key the cache no longer holds takes the miss path.
+	if art, ok := s.cache.Get(key); ok {
 		s.reg.Counter("serve.cache.hits").Inc()
+		s.reg.Counter("serve.jobs.submitted").Inc()
+		if j := s.hits[key]; j != nil {
+			s.reg.Counter("serve.jobs.completed").Inc()
+			return j, nil, nil
+		}
 		j := s.newJobLocked(c, key, detached)
 		j.Cached = true
 		s.registerLocked(j)
-		s.reg.Counter("serve.jobs.submitted").Inc()
 		s.settleLocked(j, &Result{ChecksumOK: true}, nil)
+		v := viewLocked(j, true)
+		v.Artifacts = art.Names()
+		j.view = encodeJSON(v)
+		s.hits[key] = j
 		return j, nil, nil
 	}
 	s.reg.Counter("serve.cache.misses").Inc()
@@ -400,15 +415,11 @@ func (s *Server) Jobs() []*Job {
 	return out
 }
 
-// Artifact fetches one artifact of a completed job from the cache.
+// Artifact fetches one artifact of a completed job from the cache. The
+// cache stores only names that pass ValidArtifactName, so any other name
+// is simply absent.
 func (s *Server) Artifact(j *Job, name string) ([]byte, bool) {
-	if !ValidArtifactName(name) {
-		return nil, false
-	}
-	art, ok := s.cache.Get(j.Key)
-	if !ok {
-		return nil, false
-	}
+	art, _ := s.cache.Get(j.Key)
 	data, ok := art[name]
 	return data, ok
 }
@@ -484,7 +495,11 @@ func (s *Server) runJob(j *Job) {
 	}
 	for {
 		s.mu.Lock()
-		if cause := context.Cause(j.ctx); cause != nil {
+		// A base-context cancel (the drain deadline) reaches the job
+		// contexts one at a time while it holds the base's lock, so a job
+		// popped mid-way can still read as live: asking the base too waits
+		// the propagation out.
+		if cause := cmp.Or(context.Cause(j.ctx), context.Cause(s.baseCtx)); cause != nil {
 			s.mu.Unlock()
 			s.settle(j, nil, cause) // canceled while queued: it never takes the lease
 			return

@@ -23,6 +23,7 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+	"sync"
 
 	"misp/internal/asm"
 	"misp/internal/shredlib"
@@ -75,8 +76,9 @@ type Workload struct {
 	// construction free of shared mutable state, so independent runs can
 	// build concurrently.
 	BuildFlags func(mode shredlib.Mode, sz Size, extra int64) *asm.Program
-	// Ref computes the reference checksum with a mirrored Go
-	// implementation.
+	// Ref returns the reference checksum, computed by a mirrored Go
+	// implementation on a size's first call and remembered after it.
+	// Safe for concurrent callers.
 	Ref func(sz Size) float64
 }
 
@@ -120,6 +122,13 @@ func define[P comparable](d def[P]) *Workload {
 		}
 		return d.sizes[sz]
 	}
+	// A reference is a pure function of its row, and the evaluation and
+	// the serve executor ask for the same one on every run: compute each
+	// size's once.
+	var refs [numSizes]func() float64
+	for sz := range refs {
+		refs[sz] = sync.OnceValue(func() float64 { return d.ref(row(Size(sz))) })
+	}
 	w := &Workload{
 		Name:  d.name,
 		Suite: d.suite,
@@ -134,7 +143,10 @@ func define[P comparable](d def[P]) *Workload {
 			d.emit(b, p)
 			return b.MustBuild()
 		},
-		Ref: func(sz Size) float64 { return d.ref(row(sz)) },
+		Ref: func(sz Size) float64 {
+			row(sz) // a size without parameters panics here, every call
+			return refs[sz]()
+		},
 	}
 	registry[d.name] = w
 	return w

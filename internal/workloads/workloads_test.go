@@ -1,6 +1,8 @@
 package workloads
 
 import (
+	"math"
+	"sync"
 	"testing"
 
 	"misp/internal/core"
@@ -117,6 +119,43 @@ func TestAllWorkloadsOnMISPMultiprocessor(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestRefComputedOnce: Ref remembers each size's checksum. Concurrent
+// first callers (the sweep's workers) all get one value, a later call
+// returns the identical bits, and a remembered call allocates nothing.
+func TestRefComputedOnce(t *testing.T) {
+	for _, w := range All() {
+		for _, sz := range []Size{SizeTest, SizeSmall, SizeRef} {
+			var got [8]uint64
+			var wg sync.WaitGroup
+			for i := range got {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					got[i] = math.Float64bits(w.Ref(sz))
+				}()
+			}
+			wg.Wait()
+			for i, bits := range got {
+				if bits != got[0] {
+					t.Fatalf("%s %s: concurrent caller %d got %016x, caller 0 %016x", w.Name, sz, i, bits, got[0])
+				}
+			}
+			if again := math.Float64bits(w.Ref(sz)); again != got[0] {
+				t.Fatalf("%s %s: second call %016x, first %016x", w.Name, sz, again, got[0])
+			}
+			if n := testing.AllocsPerRun(5, func() { w.Ref(sz) }); n != 0 {
+				t.Errorf("%s %s: a remembered Ref allocates %.0f times", w.Name, sz, n)
+			}
+		}
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("Ref past the size table did not panic")
+		}
+	}()
+	All()[0].Ref(numSizes)
 }
 
 func TestParseSize(t *testing.T) {

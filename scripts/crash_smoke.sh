@@ -12,13 +12,15 @@
 # run or fails with a recorded diagnosis.
 set -euo pipefail
 
-BIN=${BIN:-${TMPDIR:-/tmp}/misp-crash-smoke/mispserve}
 KILLS=${KILLS:-20}
 ROOT=$(mktemp -d "${TMPDIR:-/tmp}/misp-crash-smoke.XXXXXX")
+# The daemon is built inside the run's own directory, so the trap removes
+# it and concurrent runs never share one binary.
+BIN=${BIN:-$ROOT/mispserve}
 SERVER_PID=
 trap 'kill -9 "$SERVER_PID" 2>/dev/null || true; rm -rf "$ROOT"' EXIT
 
-mkdir -p "$(dirname "$BIN")"
+mkdir -p "$(dirname "$BIN")" # a caller-supplied BIN may name a new directory
 go build -o "$BIN" ./cmd/mispserve
 
 REQ='{"kind":"run","app":"dense_mmm","size":"test","topology":[3]}'

@@ -24,11 +24,13 @@
 #   - SIGTERM still drains cleanly under governance.
 set -euo pipefail
 
-BIN=${BIN:-${TMPDIR:-/tmp}/misp-overload-smoke/mispserve}
 WORK=$(mktemp -d "${TMPDIR:-/tmp}/misp-overload-smoke.XXXXXX")
+# The daemon is built inside the run's own directory, so the trap removes
+# it and concurrent runs never share one binary.
+BIN=${BIN:-$WORK/mispserve}
 trap 'kill "$SERVER_PID" 2>/dev/null || true; rm -rf "$WORK"' EXIT
 
-mkdir -p "$(dirname "$BIN")"
+mkdir -p "$(dirname "$BIN")" # a caller-supplied BIN may name a new directory
 go build -o "$BIN" ./cmd/mispserve
 
 : >"$WORK/serve.log" # exists before the daemon's own redirect opens it, so sed below can read it
