@@ -5,8 +5,11 @@ GO ?= go
 build:
 	$(GO) build ./...
 
+# vet also type-checks the tree for a 32-bit host (GOARCH=386), where
+# int is 32 bits wide and an over-wide constant fails to compile.
 vet:
 	$(GO) vet ./...
+	GOARCH=386 $(GO) vet ./...
 
 # fmtcheck fails when any file is not gofmt-clean.
 fmtcheck:
@@ -192,7 +195,9 @@ servecheck:
 # in there), then the chaos smoke — 20 seeded SIGKILLs of a journaled
 # daemon mid-job, each followed by a restart that must recover the job
 # (never lost, never duplicated) and finish it with artifacts
-# byte-identical to an uninterrupted run.
+# byte-identical to an uninterrupted run — or, when its done record beat
+# the kill, have retired it, with a resubmission a cache hit of the same
+# bytes.
 crashcheck:
 	$(GO) test -race ./internal/serve/ ./internal/journal/ ./internal/durable/
 	bash scripts/crash_smoke.sh

@@ -67,9 +67,12 @@ func NewCache(dir string) (*Cache, error) {
 // reads run OUTSIDE the cache mutex — a slow disk must never stall
 // in-memory lookups of other keys — with per-key single-flight so a
 // thundering herd on one cold key does one read, not one per caller.
-func (c *Cache) Get(key string) (Artifacts, bool) {
+func (c *Cache) Get(key string) (Artifacts, bool) { return c.get(key, true) }
+
+// get is Get, falling back to the disk layer only when disk is set.
+func (c *Cache) get(key string, disk bool) (Artifacts, bool) {
 	c.mu.Lock()
-	if art, ok := c.mem[key]; ok || c.dir == "" {
+	if art, ok := c.mem[key]; ok || c.dir == "" || !disk {
 		c.mu.Unlock()
 		return art, ok
 	}

@@ -303,3 +303,37 @@ func TestArtifactIfNoneMatch(t *testing.T) {
 		}
 	}
 }
+
+// TestSubmitReadsDiskOncePerMiss: a submission the cache misses reads the
+// disk layer once, outside the server lock, and the check under the lock
+// asks memory only; a hit of a settled key reads nothing. The regression
+// this guards: Submit looked the key up twice per admission, the second
+// time under the server mutex.
+func TestSubmitReadsDiskOncePerMiss(t *testing.T) {
+	s := newTestServer(t, Config{Workers: 1, CacheDir: t.TempDir()})
+	s.exec = func(ctx context.Context, j *Job) (Artifacts, *Result, error) {
+		return diskArt("ran"), &Result{ChecksumOK: true}, nil
+	}
+	var loads atomic.Int32
+	s.cache.loadDelay = func(string) { loads.Add(1) }
+	const misses = 5
+	for i := range misses {
+		sc := uint64(i + 1)
+		req := &Request{Kind: KindRun, App: "dense_mmm", Size: "test", SignalCost: &sc}
+		j, err := s.Submit(req, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		waitJob(t, j)
+		hit, err := s.Submit(req, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !s.View(hit, false).Cached {
+			t.Fatalf("resubmission %d was not served from the cache", i)
+		}
+	}
+	if got := loads.Load(); got != misses {
+		t.Fatalf("%d disk loads for %d missed submissions and as many hits, want %d", got, misses, misses)
+	}
+}

@@ -13,9 +13,11 @@ import (
 // the on-disk journal, checkpoints, and cache exactly as the crash
 // found them) while real simulations are queued and running. After each
 // crash a successor boots from the same directories and every journaled
-// job must reach a terminal state: done with artifacts byte-identical
-// to an uninterrupted run, or failed with a recorded diagnosis. Never
-// lost, never duplicated.
+// job must either be listed and reach a terminal state — done with
+// artifacts byte-identical to an uninterrupted run, or failed with a
+// recorded diagnosis — or have been retired by its done record, with
+// its key cached and a resubmission a hit with byte-identical artifacts.
+// Never lost, never duplicated: at most one job per request.
 //
 // The kill offset is drawn from a per-seed RNG, so a failure reproduces
 // from its seed; the offsets sweep the interesting window (admission,
@@ -105,14 +107,15 @@ func TestChaosSeededKills(t *testing.T) {
 				s2.Drain(ctx)
 			}()
 
-			jobs := s2.Jobs()
-			if len(jobs) != len(reqs) {
-				t.Fatalf("seed %d: %d jobs after crash, want %d (lost or duplicated)", seed, len(jobs), len(reqs))
-			}
-			for _, j := range jobs {
+			listed := make(map[string]bool, len(reqs))
+			for _, j := range s2.Jobs() {
 				if !ids[j.ID] {
 					t.Fatalf("seed %d: unknown job %s appeared after recovery", seed, j.ID)
 				}
+				if listed[j.Key] {
+					t.Fatalf("seed %d: request %s listed twice after recovery (duplicated)", seed, j.Key[:8])
+				}
+				listed[j.Key] = true
 				waitJob(t, j)
 				switch j.Status {
 				case StatusDone:
@@ -128,6 +131,21 @@ func TestChaosSeededKills(t *testing.T) {
 				default:
 					t.Fatalf("seed %d: job %s settled as %s", seed, j.ID, j.Status)
 				}
+			}
+			for _, r := range reqs {
+				key := mustCanonical(t, r).Key()
+				if listed[key] {
+					continue
+				}
+				hit, err := s2.Submit(r, true)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if v := s2.View(hit, false); !v.Cached {
+					t.Fatalf("seed %d: request %s neither listed nor cached after recovery (lost)", seed, key[:8])
+				}
+				art, _ := s2.cache.Get(key)
+				assertSameArtifacts(t, want[key], art)
 			}
 		})
 	}

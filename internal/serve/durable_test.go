@@ -9,6 +9,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -160,25 +161,35 @@ func TestCrashRecoveryCompletesJobs(t *testing.T) {
 		t.Fatalf("recovered job completed at attempt %d, want >= 2 (lease carried over)", rj.Attempt)
 	}
 
-	// A third boot sees only terminal jobs: nothing re-enqueues, nothing
-	// is lost, and compaction holds the record count at 2 accepted + 2
-	// terminal.
+	// A third boot finds both jobs done, so it retires them: nothing
+	// re-enqueues, the compacted journal is empty, and nothing is lost —
+	// both requests resubmit as cache hits with identical artifacts.
 	crash(s2)
 	s3, err := NewServer(Config{Workers: 1, JournalDir: jdir, CacheDir: cdir})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s3.Drain(context.Background())
-	if n := len(s3.Jobs()); n != 2 {
-		t.Fatalf("third boot sees %d jobs, want 2", n)
+	if n := len(s3.Jobs()); n != 0 {
+		t.Fatalf("third boot sees %d jobs, want 0 (done jobs retire)", n)
 	}
-	for _, j := range s3.Jobs() {
-		if j.Status != StatusDone {
-			t.Fatalf("third boot: job %s is %s, want done", j.ID, j.Status)
+	if got := s3.jnl.Records(); got != 0 {
+		t.Fatalf("compacted journal holds %d records, want 0", got)
+	}
+	for _, req := range []*Request{tinyRun(), sweep} {
+		want, ok := s2.cache.Get(mustCanonical(t, req).Key())
+		if !ok {
+			t.Fatal("second boot's cache lost an entry")
 		}
-	}
-	if got := s3.jnl.Records(); got != 4 {
-		t.Fatalf("compacted journal holds %d records, want 4", got)
+		hit, err := s3.Submit(req, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if v := s3.View(hit, false); v.Status != StatusDone || !v.Cached {
+			t.Fatalf("resubmission after the third boot: status=%s cached=%v, want a cache hit", v.Status, v.Cached)
+		}
+		got, _ := s3.cache.Get(hit.Key)
+		assertSameArtifacts(t, want, got)
 	}
 }
 
@@ -229,10 +240,11 @@ func TestRecoveryDedupesAgainstCache(t *testing.T) {
 	}
 }
 
-// TestReplayedDoneWithoutEntry: a journaled done job whose artifacts the
-// cache no longer holds — here a memory-only cache that died with the
-// process — comes back failed with ReasonResultGone, not done with
-// nothing to serve, and resubmitting the request simulates it afresh.
+// TestReplayedDoneWithoutEntry: a journaled done job is retired at
+// replay without its cache entry being read — here a memory-only cache
+// that died with the process holds none. Its ID answers 404, and
+// resubmitting the request, which the cache cannot serve, simulates it
+// afresh.
 func TestReplayedDoneWithoutEntry(t *testing.T) {
 	jdir, _ := durableDirs(t)
 	ran := func(ctx context.Context, j *Job) (Artifacts, *Result, error) {
@@ -255,13 +267,11 @@ func TestReplayedDoneWithoutEntry(t *testing.T) {
 
 	s2 := newTestServer(t, Config{Workers: 1, JournalDir: jdir})
 	s2.exec = ran
-	rj, ok := s2.Job(j.ID)
-	if !ok {
-		t.Fatalf("job %s lost across restart", j.ID)
+	if rec := serveOne(t, s2.Handler(), http.MethodGet, "/v1/jobs/"+j.ID, nil); rec.Code != http.StatusNotFound {
+		t.Fatalf("GET /v1/jobs/%s after restart: %d %s, want 404 (a done job retires at replay)", j.ID, rec.Code, rec.Body)
 	}
-	if v := s2.View(rj, false); v.Status != StatusFailed || v.Failure != ReasonResultGone {
-		t.Fatalf("replayed done job without its entry: status=%s failure_reason=%q artifacts=%v, want failed %q",
-			v.Status, v.Failure, v.Artifacts, ReasonResultGone)
+	if n := len(s2.Jobs()); n != 0 {
+		t.Fatalf("replay kept %d jobs, want 0", n)
 	}
 	again, err := s2.Submit(tinyRun(), true)
 	if err != nil {
@@ -270,6 +280,118 @@ func TestReplayedDoneWithoutEntry(t *testing.T) {
 	waitJob(t, again)
 	if v := s2.View(again, false); v.Status != StatusDone || v.Cached || len(v.Artifacts) == 0 {
 		t.Fatalf("resubmission: status=%s cached=%v artifacts=%v, want a fresh done run", v.Status, v.Cached, v.Artifacts)
+	}
+}
+
+// TestRestartKeepsOnlyUnfinishedWork: a restart costs what is unfinished,
+// not what ever ran. A hundred done jobs — plus cache-hit records — and
+// keptFailures+5 failed jobs are settled and drained; the reboot reads
+// no cache entry, retires every done job, keeps the newest keptFailures
+// failures, and compacts the journal to their 2·keptFailures records. A
+// second reboot finds the same state.
+func TestRestartKeepsOnlyUnfinishedWork(t *testing.T) {
+	jdir, cdir := durableDirs(t)
+	cfg := Config{Workers: 2, JournalDir: jdir, CacheDir: cdir}
+	const done = 100
+	req := func(i int) *Request {
+		sc := uint64(i + 1) // one distinct key per i
+		return &Request{Kind: KindRun, App: "dense_mmm", Size: "test", SignalCost: &sc}
+	}
+	s1, err := NewServer(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s1.exec = func(ctx context.Context, j *Job) (Artifacts, *Result, error) {
+		if *j.Req.SignalCost > done {
+			return nil, nil, &fault.Diagnosis{Reason: fault.ReasonCycleLimit}
+		}
+		return Artifacts{"summary.json": []byte(j.Key + "\n")}, &Result{ChecksumOK: true}, nil
+	}
+	var failed []string
+	for i := range done + keptFailures + 5 {
+		j, err := s1.Submit(req(i), true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		waitJob(t, j)
+		if i >= done {
+			failed = append(failed, j.ID)
+		} else if i%4 == 0 {
+			if hit, err := s1.Submit(req(i), true); err != nil || !s1.View(hit, false).Cached {
+				t.Fatalf("resubmission %d: %v, want a cache hit", i, err)
+			}
+		}
+	}
+	if err := s1.Drain(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+
+	want := failed[len(failed)-keptFailures:]
+	for boot := 1; boot <= 2; boot++ {
+		var loads atomic.Int32
+		s, err := newServer(cfg, func(s *Server) { s.cache.loadDelay = func(string) { loads.Add(1) } })
+		if err != nil {
+			t.Fatal(err)
+		}
+		var ids []string
+		for _, j := range s.Jobs() {
+			ids = append(ids, j.ID)
+			if j.Status != StatusFailed || j.Failure == nil || j.Failure.Reason != ReasonBudget {
+				t.Fatalf("boot %d: job %s is %s, want failed %q", boot, j.ID, j.Status, ReasonBudget)
+			}
+		}
+		if !slices.Equal(ids, want) {
+			t.Fatalf("boot %d lists %d jobs %v, want the newest %d failures %v", boot, len(ids), ids, keptFailures, want)
+		}
+		if got := s.jnl.Records(); got != 2*keptFailures {
+			t.Fatalf("boot %d: compacted journal holds %d records, want %d", boot, got, 2*keptFailures)
+		}
+		if n := loads.Load(); n != 0 {
+			t.Fatalf("boot %d read %d cache entries, want none", boot, n)
+		}
+		s.Metrics()
+		s.mu.Lock()
+		entries := s.reg.CounterValue("serve.cache.entries")
+		s.mu.Unlock()
+		if entries != 0 {
+			t.Fatalf("boot %d: serve.cache.entries = %d, want 0", boot, entries)
+		}
+		if err := s.Drain(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestDedupedJobIsNotCompacted: a job that recovery settles done against
+// the cache is answered by the cache from then on, so the boot's
+// compaction writes no record for it, as for any other done job.
+func TestDedupedJobIsNotCompacted(t *testing.T) {
+	jdir, cdir := durableDirs(t)
+	c := mustCanonical(t, tinyRun())
+	cache, err := NewCache(cdir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := cache.Put(c.Key(), diskArt("done")); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.MkdirAll(jdir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	jn, _, err := journal.Open(filepath.Join(jdir, "journal.wal"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	appendRec(t, jn, jrec{Op: opAccepted, ID: "j1-" + c.Key()[:8], Key: c.Key(), Req: c})
+	appendRec(t, jn, jrec{Op: opStarted, ID: "j1-" + c.Key()[:8], Attempt: 1})
+	jn.Close()
+
+	s := newTestServer(t, Config{Workers: 1, JournalDir: jdir, CacheDir: cdir})
+	if got := s.reg.CounterValue("serve.resume.deduped"); got != 1 {
+		t.Fatalf("serve.resume.deduped = %d, want 1", got)
+	}
+	if got := s.jnl.Records(); got != 0 {
+		t.Fatalf("compacted journal holds %d records, want 0", got)
 	}
 }
 

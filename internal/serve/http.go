@@ -181,11 +181,11 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, s.View(j, true))
 		return
 	}
-	status := http.StatusAccepted
-	if s.View(j, false).Status.Terminal() {
+	v, status := s.View(j, true), http.StatusAccepted
+	if v.Status.Terminal() {
 		status = http.StatusOK
 	}
-	writeJSON(w, status, s.View(j, true))
+	writeJSON(w, status, v)
 }
 
 // statusClientClosedRequest is nginx's 499: the client disconnected

@@ -5,8 +5,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"regexp"
-	"strconv"
 	"sync/atomic"
 	"time"
 )
@@ -133,7 +131,6 @@ const (
 	ReasonDeadline   = "deadline-exceeded"
 	ReasonBudget     = "budget-exceeded" // the run hit its cycle limit: deterministic, never retried
 	ReasonNotDurable = "not-durable"     // the accepted record did not reach the journal (ErrNotDurable)
-	ReasonResultGone = "result-gone"     // a replayed done job whose artifacts the cache no longer holds
 )
 
 // JobError is the structured terminal diagnosis of a job that the
@@ -145,7 +142,7 @@ const (
 type JobError struct {
 	ID       string
 	Key      string
-	Reason   string // ReasonRetries, ReasonDeadline, ReasonNotDurable, ReasonResultGone, or ReasonBudget
+	Reason   string // ReasonRetries, ReasonDeadline, ReasonNotDurable, or ReasonBudget
 	Attempts int
 	Err      error // last attempt's error (nil when recovered from the journal)
 }
@@ -285,20 +282,6 @@ func terminalRec(j *Job) jrec {
 	return r
 }
 
-// verdict is terminalRec's inverse: the settleLocked arguments that
-// re-create a recorded terminal state, text and failure reason included.
-func verdict(j *Job, r jrec) (*Result, error) {
-	switch {
-	case r.Op == opDone:
-		return &Result{ChecksumOK: true}, nil
-	case r.Op == opCanceled:
-		return nil, &replayedErr{r.Error, context.Canceled}
-	case r.Reason != "":
-		return nil, &replayedErr{r.Error, &JobError{ID: j.ID, Key: j.Key, Reason: r.Reason, Attempts: j.Attempt}}
-	}
-	return nil, errors.New(r.Error)
-}
-
 // journalAppend marshals and appends one record, fsync'd, and counts it.
 // Only Submit acts on the error: an accepted record that did not land
 // breaks the promise a 202 makes. Every later record costs recovery
@@ -320,10 +303,6 @@ func (s *Server) journalAppend(r jrec) error {
 	return err
 }
 
-// jobSeq extracts the numeric sequence from a job ID ("j17-abcd…" →
-// 17) so a restarted server's ID counter continues past recovered IDs.
-var jobSeq = regexp.MustCompile(`^j(\d+)-`)
-
 // recover replays journal payloads into job records on the (not yet
 // started, so effectively locked) server, through the same two halves
 // the live path uses. Two passes: accepted records create the jobs,
@@ -332,12 +311,11 @@ var jobSeq = regexp.MustCompile(`^j(\d+)-`)
 // file. Records for IDs with no accepted record are dropped: the
 // submission was never acknowledged, so there is nothing to honor.
 //
-// Each job then settles or re-enqueues, first rule that applies:
-//   - the journal holds its verdict → settle with it. Done must mean
-//     fetchable: a done verdict whose artifacts the cache does not hold
-//     (a memory-only cache died with the process, or the key moved to a
-//     new result epoch) settles failed, ReasonResultGone; resubmitting
-//     the request simulates it afresh.
+// Each job then leaves, settles or re-enqueues, first rule that applies:
+//   - the journal holds a done record → the job retires: it never enters
+//     the table, no cache entry is read, and resubmitting it is a hit.
+//   - the journal holds a failed or canceled verdict → settle with the
+//     first one recorded.
 //   - the result cache has the key → the job finished; the crash beat
 //     the terminal record. Settle done (dedupe: never re-simulate).
 //   - attempts ≥ MaxRetries → every lease expired; fail with a JobError
@@ -345,11 +323,15 @@ var jobSeq = regexp.MustCompile(`^j(\d+)-`)
 //   - otherwise → re-enqueue; whatever lease it held died with the old
 //     process, its attempt count and parked state carry over.
 //
-// Returns the jobs to enqueue, in original submission order.
-func (s *Server) recover(payloads [][]byte) []*Job {
+// Of the recorded failed and canceled verdicts only the newest
+// keptFailures stay. Re-enqueued jobs are pushed in submission order,
+// past the admission bound.
+func (s *Server) recover(payloads [][]byte) {
+	jobs := make(map[string]*Job) // replayed jobs not (yet) retired
+	var order []*Job
 	for _, p := range payloads {
 		var r jrec
-		if json.Unmarshal(p, &r) != nil || r.Op != opAccepted || r.ID == "" || r.Req == nil || s.jobs[r.ID] != nil {
+		if json.Unmarshal(p, &r) != nil || r.Op != opAccepted || r.ID == "" || r.Req == nil || jobs[r.ID] != nil {
 			continue
 		}
 		c, err := r.Req.Canonicalize()
@@ -358,10 +340,9 @@ func (s *Server) recover(payloads [][]byte) []*Job {
 			// is no simulation to honor under the new schema.
 			continue
 		}
-		if m := jobSeq.FindStringSubmatch(r.ID); m != nil {
-			if n, err := strconv.Atoi(m[1]); err == nil && n > s.seq {
-				s.seq = n
-			}
+		var n int // the ID counter continues past the journal's IDs ("j17-…")
+		if _, err := fmt.Sscanf(r.ID, "j%d-", &n); err == nil {
+			s.seq = max(s.seq, n)
 		}
 		j := &Job{
 			ID: r.ID, Key: c.Key(), Req: c,
@@ -371,38 +352,47 @@ func (s *Server) recover(payloads [][]byte) []*Job {
 			Recovered: true,
 			detached:  true, // whoever was waiting died with the old process
 		}
-		s.registerLocked(j)
 		advanceLocked(j, r)
+		jobs[r.ID] = j
+		order = append(order, j)
 	}
 	replayed := 0
+	verdicts := make(map[string]error) // a job's first recorded verdict stands
 	for _, p := range payloads {
 		var r jrec
 		if json.Unmarshal(p, &r) != nil {
 			continue
 		}
 		replayed++
-		switch j := s.jobs[r.ID]; {
-		case j == nil || r.Op == opAccepted:
-		case JobStatus(r.Op).Terminal():
-			res, err := verdict(j, r)
-			if err == nil {
-				if _, ok := s.cache.Get(j.Key); !ok {
-					err = &JobError{ID: j.ID, Key: j.Key, Reason: ReasonResultGone, Attempts: j.Attempt}
-				}
-			}
-			s.settleLocked(j, res, err)
+		switch j := jobs[r.ID]; {
+		case j == nil || r.Op == opAccepted || verdicts[r.ID] != nil:
+		case r.Op == opDone:
+			delete(jobs, r.ID) // retired: it never enters the table
+		case r.Op == opCanceled:
+			verdicts[r.ID] = &replayedErr{r.Error, context.Canceled}
+		case r.Op == opFailed && r.Reason != "":
+			verdicts[r.ID] = &replayedErr{r.Error, &JobError{ID: j.ID, Key: j.Key, Reason: r.Reason, Attempts: j.Attempt}}
+		case r.Op == opFailed:
+			verdicts[r.ID] = errors.New(r.Error)
 		default:
 			advanceLocked(j, r)
 		}
 	}
 	s.reg.Counter("serve.journal.replayed").Set(uint64(replayed))
 
-	var enqueue []*Job
-	for _, id := range s.order {
-		j := s.jobs[id]
-		if j.Status.Terminal() {
-			continue // the journal held its verdict
+	drop := len(verdicts) - keptFailures // recorded failures older than the window
+	for _, j := range order {
+		if jobs[j.ID] == nil {
+			continue // retired
 		}
+		if err := verdicts[j.ID]; err != nil {
+			if drop--; drop < 0 {
+				s.registerLocked(j)
+				s.settleLocked(j, nil, err)
+			}
+			continue
+		}
+		s.registerLocked(j)
 		// Get (not a file probe) so the dedupe verifies the entry's
 		// digest: a torn cache entry must re-run, not satisfy the job.
 		_, cached := s.cache.Get(j.Key)
@@ -413,7 +403,7 @@ func (s *Server) recover(payloads [][]byte) []*Job {
 			s.settleLocked(j, &Result{ChecksumOK: true}, nil)
 		case j.Attempt >= s.cfg.MaxRetries:
 			s.reg.Counter("serve.resume.failed").Inc()
-			s.settleLocked(j, nil, &JobError{ID: id, Key: j.Key, Reason: ReasonRetries, Attempts: j.Attempt})
+			s.settleLocked(j, nil, &JobError{ID: j.ID, Key: j.Key, Reason: ReasonRetries, Attempts: j.Attempt})
 		case s.inflight[j.Key] != nil:
 			// Two live journaled jobs with one key cannot normally happen
 			// (single-flight); settle the duplicate rather than racing it.
@@ -422,17 +412,19 @@ func (s *Server) recover(payloads [][]byte) []*Job {
 			j.Status = StatusQueued // a replayed lease is a dead one
 			s.inflight[j.Key] = j
 			s.reg.Counter("serve.resume.jobs").Inc()
-			enqueue = append(enqueue, j)
+			s.queue.push(j)
 		}
 	}
-	return enqueue
 }
 
-// compactionRecords renders the full job table back into its minimal
-// journal form for rotation: one accepted record per job (attempts, last
-// checkpoint and parked state folded in), plus the terminal record where
-// one exists. Every job is kept — a terminal job's record is what lets
-// the next boot still answer for its ID.
+// keptFailures is how many failed or canceled jobs, the newest, outlive
+// a restart: a failure has no cache entry to stand for it.
+const keptFailures = 64
+
+// compactionRecords renders the job table recover left back into its
+// minimal journal form: one accepted record per job (attempts, last
+// checkpoint and parked state folded in), plus a kept failure's terminal
+// record. A job recover deduped to done is left out: done needs no record.
 func (s *Server) compactionRecords() [][]byte {
 	var out [][]byte
 	put := func(r jrec) {
@@ -442,6 +434,9 @@ func (s *Server) compactionRecords() [][]byte {
 	}
 	for _, id := range s.order {
 		j := s.jobs[id]
+		if j.Status == StatusDone {
+			continue
+		}
 		put(jrec{Op: opAccepted, ID: j.ID, Key: j.Key, Req: j.Req, Attempt: j.Attempt, Cycle: j.Ckpt, Preempted: j.Preempted})
 		if j.Status.Terminal() {
 			put(terminalRec(j))

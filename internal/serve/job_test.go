@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"misp/internal/fault"
 	"misp/internal/journal"
 )
 
@@ -47,8 +48,10 @@ func checkpointImage(t *testing.T, c *Request, every uint64) ([]byte, uint64) {
 // artifacts byte-identical to an uninterrupted run, and finish at the
 // attempt the lease rules predict: a lease that died with the process
 // is burned, a job parked by a preempted record resumes the attempt it
-// was on. A last history repeats the terminal record, which replay must
-// tolerate.
+// was on. The whole history ends in done, which retires the job: the
+// server holds none, and resubmitting the request is a hit with the
+// same bytes. A last history repeats the terminal record, which replay
+// must tolerate.
 func TestReplayEveryPrefix(t *testing.T) {
 	c := mustCanonical(t, tinyRun())
 	wantArt, wantRes, err := Execute(context.Background(), c)
@@ -101,6 +104,21 @@ func TestReplayEveryPrefix(t *testing.T) {
 
 		s := newTestServer(t, Config{Workers: 1, JournalDir: jdir, CacheDir: cdir, CheckpointCycles: every})
 		jobs := s.Jobs()
+		if settled {
+			if len(jobs) != 0 {
+				t.Fatalf("replayed %d jobs (%v), want none: a done record retires its job", len(jobs), jobs)
+			}
+			hit, err := s.Submit(tinyRun(), true)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if v := s.View(hit, false); v.Status != StatusDone || !v.Cached {
+				t.Fatalf("resubmission: status=%s cached=%v, want a cache hit", v.Status, v.Cached)
+			}
+			gotArt, _ := s.cache.Get(hit.Key)
+			assertSameArtifacts(t, wantArt, gotArt)
+			return
+		}
 		if len(jobs) != 1 || jobs[0].ID != id || !jobs[0].Recovered {
 			t.Fatalf("replayed %d jobs (%v), want exactly the recovered %s", len(jobs), jobs, id)
 		}
@@ -146,12 +164,13 @@ func TestReplayEveryPrefix(t *testing.T) {
 }
 
 // TestLiveThenReplayAgree: the live path and replay are one state
-// machine, so a job driven through submit → forced preemption → resume →
-// completion must look the same to a client of the process that ran it
-// and to a client of the successor that only read its journal. Only what
-// a journal cannot carry may differ: recovered, the host wall time, the
-// run's result figures (artifacts hold those), and preempts, which
-// counts the preemptions this process applied.
+// machine, so a job must look the same to a client of the process that
+// holds it and to a client of the successor that only read its journal —
+// in every state replay keeps: a job parked by a forced preemption,
+// before its resume lease, and a failed verdict. Only what a journal
+// cannot carry may differ: recovered, the host wall time, the run's
+// result figures (artifacts hold those), and preempts, which counts the
+// preemptions this process applied.
 func TestLiveThenReplayAgree(t *testing.T) {
 	_, wantRes, err := Execute(context.Background(), mustCanonical(t, tinyRun()))
 	if err != nil {
@@ -167,39 +186,63 @@ func TestLiveThenReplayAgree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer s1.Drain(context.Background())
 	running, release := gateExec(s1)
-	j1, err := s1.Submit(tinyRun(), true)
+	gated := s1.exec
+	failing := &Request{Kind: KindRun, App: "kmeans", Size: "test", Topology: []int{2}}
+	s1.exec = func(ctx context.Context, j *Job) (Artifacts, *Result, error) {
+		if j.Req.App == failing.App {
+			return nil, nil, &fault.Diagnosis{Reason: fault.ReasonCycleLimit}
+		}
+		return gated(ctx, j)
+	}
+	failed, err := s1.Submit(failing, true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	<-running
-	markVictim(t, s1)
-	release()
-	waitJob(t, j1)
-	live := s1.View(j1, true)
-	if live.Status != StatusDone || live.Preempts != 1 || live.Attempts != 1 || live.Checkpoint == 0 {
-		t.Fatalf("live job: %+v, want done after one preemption on attempt 1", live)
-	}
-	// Drain, not crash: the terminal record is appended after done closes,
-	// and the comparison needs the whole history on disk.
-	if err := s1.Drain(context.Background()); err != nil {
+	waitJob(t, failed)
+	parked, err := s1.Submit(tinyRun(), true)
+	if err != nil {
 		t.Fatal(err)
 	}
+	// Hold the queue once the job runs, so its preemption parks it there;
+	// it is re-enqueued only after its preempted record is journaled.
+	<-running
+	s1.queue.setHold(true)
+	markVictim(t, s1)
+	release()
+	waitCond(t, func() bool { return s1.queue.len() == 1 }, "job was never parked")
+	live := []JobView{s1.View(failed, true), s1.View(parked, true)}
+	if v := live[0]; v.Status != StatusFailed || v.Failure != ReasonBudget || v.Attempts != 1 {
+		t.Fatalf("live failed job: %+v, want failed %q on attempt 1", v, ReasonBudget)
+	}
+	if v := live[1]; v.Status != StatusQueued || !v.Preempted || v.Preempts != 1 || v.Attempts != 1 || v.Checkpoint == 0 {
+		t.Fatalf("live parked job: %+v, want queued and preempted once on attempt 1", v)
+	}
+	crash(s1)
 
-	s2 := newTestServer(t, cfg)
-	j2, ok := s2.Job(j1.ID)
-	if !ok {
-		t.Fatalf("job %s lost across restart", j1.ID)
+	// The successor's queue is held from before replay, so the parked job
+	// is still waiting for its resume lease when it is looked at.
+	s2, err := newServer(cfg, func(s *Server) { s.queue.setHold(true) })
+	if err != nil {
+		t.Fatal(err)
 	}
-	replayed := s2.View(j2, true)
-	if !replayed.Recovered {
-		t.Fatal("replayed job not marked recovered")
-	}
-	for _, v := range []*JobView{&live, &replayed} {
-		v.Recovered, v.WallMS, v.Result, v.Preempts = false, 0, nil, 0
-	}
-	if !reflect.DeepEqual(live, replayed) {
-		t.Fatalf("live and replayed views disagree:\n live   %+v\n replay %+v", live, replayed)
+	defer s2.Drain(context.Background())
+	for i, j := range []*Job{failed, parked} {
+		rj, ok := s2.Job(j.ID)
+		if !ok {
+			t.Fatalf("job %s lost across restart", j.ID)
+		}
+		replayed := s2.View(rj, true)
+		if !replayed.Recovered {
+			t.Fatalf("replayed job %s not marked recovered", j.ID)
+		}
+		for _, v := range []*JobView{&live[i], &replayed} {
+			v.Recovered, v.WallMS, v.Result, v.Preempts = false, 0, nil, 0
+		}
+		if !reflect.DeepEqual(live[i], replayed) {
+			t.Fatalf("live and replayed views disagree:\n live   %+v\n replay %+v", live[i], replayed)
+		}
 	}
 }
 
@@ -238,9 +281,9 @@ func TestStepAppliesBeforeItJournals(t *testing.T) {
 
 // TestSettledJobReleasesContext: settling a job cancels its context, so
 // a finished job no longer hangs off the server's base context until
-// shutdown — a run, a cache-hit record and a replayed job alike — and
-// the verdict is what it was: status, error and the journal's terminal
-// record.
+// shutdown — a run, a cache-hit record and the hit record a restarted
+// server makes for a retired job alike — and the verdict is what it was:
+// status, error and the journal's terminal record.
 func TestSettledJobReleasesContext(t *testing.T) {
 	jdir, cdir := durableDirs(t)
 	cfg := Config{Workers: 1, JournalDir: jdir, CacheDir: cdir}
@@ -286,11 +329,39 @@ func TestSettledJobReleasesContext(t *testing.T) {
 	}
 
 	s2 := newTestServer(t, cfg)
-	r, ok := s2.Job(j.ID)
-	if !ok {
-		t.Fatalf("job %s lost across restart", j.ID)
+	if _, ok := s2.Job(j.ID); ok {
+		t.Fatalf("job %s listed after restart, want it retired", j.ID)
 	}
-	if v := s2.View(r, false); v.Status != StatusDone || r.ctx.Err() == nil {
-		t.Fatalf("replayed job: status %s, context err %v; want done with its context released", v.Status, r.ctx.Err())
+	r, err := s2.Submit(tinyRun(), true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v := s2.View(r, false); v.Status != StatusDone || !v.Cached || r.ctx.Err() == nil {
+		t.Fatalf("resubmitted job: status %s, cached %v, context err %v; want a done hit with its context released", v.Status, v.Cached, r.ctx.Err())
+	}
+}
+
+// TestSettleTwiceIsNoOp: settling a terminal job changes nothing and
+// reports false, so its terminal record is written once and its done
+// channel closed once. Replay no longer settles a job twice (a job's
+// first recorded verdict stands), so this is held directly.
+func TestSettleTwiceIsNoOp(t *testing.T) {
+	s := newTestServer(t, Config{Workers: 1})
+	c := mustCanonical(t, tinyRun())
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	j := s.newJobLocked(c, c.Key(), true)
+	s.registerLocked(j)
+	if !s.settleLocked(j, nil, errors.New("test: first verdict")) {
+		t.Fatal("first settle reported no transition")
+	}
+	if s.settleLocked(j, &Result{ChecksumOK: true}, nil) {
+		t.Fatal("second settle reported a transition")
+	}
+	if j.Status != StatusFailed || j.Err != "test: first verdict" {
+		t.Fatalf("after two settles: status=%s err=%q, want the first verdict", j.Status, j.Err)
+	}
+	if got := s.reg.CounterValue("serve.jobs.failed") + s.reg.CounterValue("serve.jobs.completed"); got != 1 {
+		t.Fatalf("%d verdicts counted, want 1", got)
 	}
 }

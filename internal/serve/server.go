@@ -153,12 +153,15 @@ type Server struct {
 
 // NewServer builds and starts a server: its workers are running and
 // Submit is live when it returns. With Config.JournalDir set, the job
-// journal is replayed first — jobs accepted by a previous process that
-// never reached a terminal state are re-enqueued (resuming from their
-// last checkpoint), deduped against the result cache, or failed with a
+// journal is replayed first — jobs a previous process finished retire,
+// and those it left unfinished are re-enqueued (resuming from their last
+// checkpoint), deduped against the result cache, or failed with a
 // recorded diagnosis when their retry budget is spent — and the journal
 // is compacted by atomic rotation before any new work is admitted.
-func NewServer(cfg Config) (*Server, error) {
+func NewServer(cfg Config) (*Server, error) { return newServer(cfg, func(*Server) {}) }
+
+// newServer is NewServer with a test seam: prep sees the server before replay.
+func newServer(cfg Config, prep func(*Server)) (*Server, error) {
 	cfg.defaults()
 	cache, err := NewCache(cfg.CacheDir)
 	if err != nil {
@@ -171,6 +174,7 @@ func NewServer(cfg Config) (*Server, error) {
 		jobs:     make(map[string]*Job),
 		inflight: make(map[string]*Job),
 		hits:     make(map[string]*Job),
+		queue:    newJobQueue(),
 		reg:      obs.NewRegistry(),
 		warm:     workloads.NewWarmPool(),
 
@@ -179,6 +183,7 @@ func NewServer(cfg Config) (*Server, error) {
 	}
 	s.exec = s.executeJob
 	s.baseCtx, s.baseCancel = context.WithCancelCause(context.Background())
+	prep(s)
 	// Every metric is registered up front so /metrics lists it at zero.
 	for _, name := range []string{
 		"serve.jobs.submitted", "serve.jobs.completed", "serve.jobs.failed", "serve.jobs.canceled",
@@ -196,7 +201,6 @@ func NewServer(cfg Config) (*Server, error) {
 	}
 	s.reg.Histogram("serve.job.wall_ms")
 
-	var recovered []*Job
 	if cfg.JournalDir != "" {
 		if err := os.MkdirAll(cfg.JournalDir, 0o755); err != nil {
 			return nil, fmt.Errorf("serve: journal dir: %w", err)
@@ -207,18 +211,12 @@ func NewServer(cfg Config) (*Server, error) {
 		}
 		s.jnl = jnl
 		s.reg.Counter("serve.journal.torn_bytes").Set(uint64(jnl.TornTail()))
-		recovered = s.recover(payloads)
+		s.recover(payloads)
 		if err := jnl.Rotate(s.compactionRecords()); err != nil {
 			jnl.Close()
 			return nil, fmt.Errorf("serve: journal compaction: %w", err)
 		}
 		s.reg.Counter("serve.journal.rotations").Inc()
-	}
-	// Recovered jobs bypass the admission bound: they were already
-	// accepted once, so re-admission cannot be refused.
-	s.queue = newJobQueue()
-	for _, j := range recovered {
-		s.queue.push(j)
 	}
 	for i := 0; i < cfg.Workers; i++ {
 		s.wg.Add(1)
@@ -281,14 +279,13 @@ func (s *Server) Submit(req *Request, detached bool) (*Job, error) {
 	}
 	key := c.Key()
 
-	// Pull a disk-resident entry into memory before taking mu: the read
-	// and its SHA-256 check must not stall every View, /metrics, settle
-	// and Submit behind them. The Get under mu is then a map hit, and the
-	// hit/miss count stays where the admission order puts it.
-	s.cache.Get(key)
+	// Look the key up before taking mu: a disk read and its SHA-256 check
+	// must not stall every View, /metrics, settle and Submit behind them.
+	// The hit/miss count stays where the admission order puts it.
+	art, cached := s.cache.Get(key)
 
 	s.mu.Lock()
-	j, accepted, err := s.admitLocked(c, key, detached)
+	j, accepted, err := s.admitLocked(c, key, art, cached, detached)
 	s.mu.Unlock()
 	if err != nil || accepted == nil {
 		return j, err
@@ -307,11 +304,11 @@ func (s *Server) Submit(req *Request, detached bool) (*Job, error) {
 	return j, nil
 }
 
-// admitLocked is Submit's admission decision. It returns the accepted
-// record only for a newly queued job (the caller journals it): cache
-// hits and coalesced submissions are not fresh work and carry none.
-// Called with mu held.
-func (s *Server) admitLocked(c *Request, key string, detached bool) (*Job, *jrec, error) {
+// admitLocked is Submit's admission decision, given Submit's cache
+// lookup. It returns the accepted record only for a newly queued job (the
+// caller journals it): cache hits and coalesced submissions are not fresh
+// work and carry none. Called with mu held.
+func (s *Server) admitLocked(c *Request, key string, art Artifacts, cached, detached bool) (*Job, *jrec, error) {
 	if s.draining {
 		s.reg.Counter("serve.rejected.draining").Inc()
 		return nil, nil, ErrDraining
@@ -333,7 +330,12 @@ func (s *Server) admitLocked(c *Request, key string, detached bool) (*Job, *jrec
 	// submitted and completed job and returns that same record, so a hit
 	// allocates no job, context or ID. The record answers only while the
 	// cache does: a key the cache no longer holds takes the miss path.
-	if art, ok := s.cache.Get(key); ok {
+	// A missed lookup asks memory again, never the disk: a job's Put fills
+	// memory before the job settles, so single-flight still holds.
+	if !cached {
+		art, cached = s.cache.get(key, false)
+	}
+	if cached {
 		s.reg.Counter("serve.cache.hits").Inc()
 		s.reg.Counter("serve.jobs.submitted").Inc()
 		if j := s.hits[key]; j != nil {

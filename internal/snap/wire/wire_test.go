@@ -133,7 +133,10 @@ func TestLenLimit(t *testing.T) {
 
 func TestBlobLengthBomb(t *testing.T) {
 	enc := NewEncoder(0)
-	enc.Count(1 << 40) // claims a terabyte-scale blob
+	// A terabyte-scale blob's length prefix, coded as Count codes it but
+	// not through Count's int, which cannot hold it on a 32-bit host.
+	claim := uint64(1 << 40)
+	enc.U64(&claim)
 	dec := NewDecoder(enc.Bytes())
 	var b []byte
 	dec.Blob(&b)

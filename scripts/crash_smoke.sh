@@ -7,9 +7,11 @@
 # SIGKILLs the daemon at a seeded-random offset (landing anywhere from
 # "barely admitted" through "mid-simulation between checkpoints" to
 # "already done"), restarts it on the same journal/cache directories,
-# and asserts the journaled job is neither lost nor duplicated and
-# either completes with artifact bytes identical to the uninterrupted
-# run or fails with a recorded diagnosis.
+# and asserts the journaled job is neither lost nor duplicated: it is
+# listed and either completes with artifact bytes identical to the
+# uninterrupted run or fails with a recorded diagnosis, or its done
+# record retired it and resubmitting the request is a cache hit with
+# identical bytes.
 set -euo pipefail
 
 KILLS=${KILLS:-20}
@@ -82,6 +84,7 @@ echo "reference recorded ($(wc -c <"$ROOT/ref.json") bytes)"
 
 # --- seeded kill points ----------------------------------------------
 RESUMED=0
+RETIRED=0
 for SEED in $(seq 1 "$KILLS"); do
     WORK="$ROOT/kill-$SEED"
     mkdir -p "$WORK"
@@ -100,14 +103,22 @@ for SEED in $(seq 1 "$KILLS"); do
     wait "$SERVER_PID" 2>/dev/null || true
     SERVER_PID=
 
-    # Restart on the same journal/cache: the job must still exist.
+    # Restart on the same journal/cache: the job must still be listed, or
+    # have been retired by its done record with its result in the cache.
     boot "$WORK" "$WORK/serve-2.log"
     LIST=$(curl -fsS "$URL/v1/jobs")
     COUNT=$(echo "$LIST" | grep -c '"id":' || true)
-    [ "$COUNT" -eq 1 ] || { echo "$LIST"; echo "FAIL(seed $SEED, slept $SLEEP): $COUNT jobs after restart, want 1 (lost or duplicated)"; exit 1; }
-    echo "$LIST" | grep -q "\"id\": \"$JOB\"" || { echo "$LIST"; echo "FAIL(seed $SEED): job $JOB lost across SIGKILL"; exit 1; }
-
-    wait_terminal "$JOB" "$WORK/view.json" || { cat "$WORK/view.json"; echo "FAIL(seed $SEED): job never settled after resume"; exit 1; }
+    if [ "$COUNT" -eq 0 ]; then
+        VIEW=$(curl -fsS -X POST -H 'Content-Type: application/json' -d "$REQ" "$URL/v1/jobs?wait=1")
+        echo "$VIEW" | grep -q '"cached": true' || { echo "$VIEW"; echo "FAIL(seed $SEED, slept $SLEEP): job $JOB neither listed nor cached after SIGKILL (lost)"; exit 1; }
+        echo "$VIEW" >"$WORK/view.json"
+        JOB=$(echo "$VIEW" | sed -n 's/.*"id": "\([^"]*\)".*/\1/p' | head -1)
+        RETIRED=$((RETIRED + 1))
+    else
+        [ "$COUNT" -eq 1 ] || { echo "$LIST"; echo "FAIL(seed $SEED, slept $SLEEP): $COUNT jobs after restart, want 1 (duplicated)"; exit 1; }
+        echo "$LIST" | grep -q "\"id\": \"$JOB\"" || { echo "$LIST"; echo "FAIL(seed $SEED): job $JOB lost across SIGKILL"; exit 1; }
+        wait_terminal "$JOB" "$WORK/view.json" || { cat "$WORK/view.json"; echo "FAIL(seed $SEED): job never settled after resume"; exit 1; }
+    fi
     if grep -q '"status": "done"' "$WORK/view.json"; then
         curl -fsS "$URL/v1/jobs/$JOB/artifacts/summary.json" >"$WORK/summary.json"
         curl -fsS "$URL/v1/jobs/$JOB/artifacts/counters.csv" >"$WORK/counters.csv"
@@ -123,4 +134,4 @@ for SEED in $(seq 1 "$KILLS"); do
     echo "seed $SEED ok (slept $SLEEP, job $JOB)"
 done
 
-echo "PASS: crash smoke ($KILLS seeded SIGKILLs, $RESUMED recovered jobs, zero lost, zero duplicated, byte-identical artifacts)"
+echo "PASS: crash smoke ($KILLS seeded SIGKILLs, $RESUMED recovered jobs, $RETIRED retired, zero lost, zero duplicated, byte-identical artifacts)"

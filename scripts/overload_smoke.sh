@@ -61,10 +61,16 @@ CODE=$(curl -s -o "$WORK/resp.sweep" -w '%{http_code}' -X POST -H 'Content-Type:
 [ "$CODE" = 202 ] || { cat "$WORK/resp.sweep"; echo "FAIL: sweep submission got $CODE, want 202"; exit 1; }
 SWEEP_ID=$(sed -n 's/.*"id": "\([^"]*\)".*/\1/p' "$WORK/resp.sweep" | head -1)
 for _ in $(seq 1 100); do
-    curl -fsS "$URL/v1/jobs/$SWEEP_ID" | grep -q '"status": "running"' && break
+    curl -fsS "$URL/v1/jobs/$SWEEP_ID" >"$WORK/view.sweep" || true
+    grep -q '"status": "running"' "$WORK/view.sweep" && break
     sleep 0.05
 done
-curl -fsS "$URL/v1/jobs/$SWEEP_ID" | grep -q '"status": "running"' || { echo "FAIL: sweep never ran"; exit 1; }
+curl -fsS "$URL/v1/jobs/$SWEEP_ID" >"$WORK/view.sweep" || true
+grep -q '"status": "running"' "$WORK/view.sweep" || {
+    cat "$WORK/view.sweep"
+    echo "FAIL: sweep never ran (last status: $(sed -n 's/.*"status": "\([^"]*\)".*/\1/p' "$WORK/view.sweep" | head -1))"
+    exit 1
+}
 
 # The flood: 12 distinct canonical requests (every workload, plus
 # topology variants [4]..[7]) fired concurrently, detached, while the
