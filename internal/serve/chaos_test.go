@@ -2,9 +2,13 @@ package serve
 
 import (
 	"context"
+	"encoding/json"
 	"math/rand"
+	"path/filepath"
 	"testing"
 	"time"
+
+	"misp/internal/journal"
 )
 
 // TestChaosSeededKills is the in-process chaos harness: at 24 seeded,
@@ -69,12 +73,14 @@ func TestChaosSeededKills(t *testing.T) {
 				t.Fatal(err)
 			}
 			ids := make(map[string]bool, len(reqs))
+			idOf := make(map[string]string, len(reqs)) // key → job ID
 			for _, r := range reqs {
 				j, err := s1.Submit(r, true)
 				if err != nil {
 					t.Fatal(err)
 				}
 				ids[j.ID] = true
+				idOf[j.Key] = j.ID
 			}
 			// The seeded kill point: anywhere from "barely admitted" to
 			// "probably finished". Even seeds also request a cooperative
@@ -96,6 +102,22 @@ func TestChaosSeededKills(t *testing.T) {
 			// wait it out before TempDir cleanup removes the directory
 			// under it.
 			defer s1.Drain(context.Background())
+
+			// The journal as the crash left it: a job the successor does
+			// not list must have been retired by a done record here, not
+			// dropped — whatever s1's leftover workers write to the cache.
+			jn, payloads, err := journal.Open(filepath.Join(jdir, "journal.wal"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			jn.Close()
+			retired := make(map[string]bool)
+			for _, p := range payloads {
+				var r jrec
+				if json.Unmarshal(p, &r) == nil && r.Op == opDone {
+					retired[r.ID] = true
+				}
+			}
 
 			s2, err := NewServer(cfg)
 			if err != nil {
@@ -137,12 +159,15 @@ func TestChaosSeededKills(t *testing.T) {
 				if listed[key] {
 					continue
 				}
+				if !retired[idOf[key]] {
+					t.Fatalf("seed %d: job %s neither listed nor retired by a done record after recovery (lost)", seed, idOf[key])
+				}
 				hit, err := s2.Submit(r, true)
 				if err != nil {
 					t.Fatal(err)
 				}
 				if v := s2.View(hit, false); !v.Cached {
-					t.Fatalf("seed %d: request %s neither listed nor cached after recovery (lost)", seed, key[:8])
+					t.Fatalf("seed %d: retired job %s's request is not a cache hit after recovery", seed, idOf[key])
 				}
 				art, _ := s2.cache.Get(key)
 				assertSameArtifacts(t, want[key], art)

@@ -281,9 +281,10 @@ func TestStepAppliesBeforeItJournals(t *testing.T) {
 
 // TestSettledJobReleasesContext: settling a job cancels its context, so
 // a finished job no longer hangs off the server's base context until
-// shutdown — a run, a cache-hit record and the hit record a restarted
-// server makes for a retired job alike — and the verdict is what it was:
-// status, error and the journal's terminal record.
+// shutdown — a run, a cache-hit record and a job replay settles alike
+// (deduped against the cache, or a kept failure) — and the verdict is
+// what it was: status, error and the journal's terminal record. The run
+// itself is retired by its done record and answers 404 after a restart.
 func TestSettledJobReleasesContext(t *testing.T) {
 	jdir, cdir := durableDirs(t)
 	cfg := Config{Workers: 1, JournalDir: jdir, CacheDir: cdir}
@@ -323,21 +324,32 @@ func TestSettledJobReleasesContext(t *testing.T) {
 			terminal = append(terminal, r)
 		}
 	}
-	jn.Close()
 	if want := (jrec{Op: opDone, ID: j.ID}); len(terminal) != 1 || !reflect.DeepEqual(terminal[0], want) {
 		t.Fatalf("terminal records of %s: %+v, want exactly %+v", j.ID, terminal, want)
 	}
+	// Two histories replay settles: a started job whose key the cache
+	// holds (the crash beat its terminal record), and a recorded failure.
+	c := mustCanonical(t, tinyRun())
+	f := mustCanonical(t, &Request{Kind: KindRun, App: "kmeans", Size: "test", Topology: []int{2}})
+	deduped, failed := "j100-"+c.Key()[:8], "j101-"+f.Key()[:8]
+	appendRec(t, jn, jrec{Op: opAccepted, ID: deduped, Key: c.Key(), Req: c})
+	appendRec(t, jn, jrec{Op: opStarted, ID: deduped, Attempt: 1})
+	appendRec(t, jn, jrec{Op: opAccepted, ID: failed, Key: f.Key(), Req: f})
+	appendRec(t, jn, jrec{Op: opFailed, ID: failed, Error: "test: recorded failure"})
+	jn.Close()
 
 	s2 := newTestServer(t, cfg)
 	if _, ok := s2.Job(j.ID); ok {
 		t.Fatalf("job %s listed after restart, want it retired", j.ID)
 	}
-	r, err := s2.Submit(tinyRun(), true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v := s2.View(r, false); v.Status != StatusDone || !v.Cached || r.ctx.Err() == nil {
-		t.Fatalf("resubmitted job: status %s, cached %v, context err %v; want a done hit with its context released", v.Status, v.Cached, r.ctx.Err())
+	for id, want := range map[string]JobStatus{deduped: StatusDone, failed: StatusFailed} {
+		r, ok := s2.Job(id)
+		if !ok {
+			t.Fatalf("job %s lost across restart", id)
+		}
+		if v := s2.View(r, false); v.Status != want || r.ctx.Err() == nil {
+			t.Fatalf("replayed job %s: status %s, context err %v; want %s with its context released", id, v.Status, r.ctx.Err(), want)
+		}
 	}
 }
 

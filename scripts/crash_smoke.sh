@@ -105,12 +105,17 @@ for SEED in $(seq 1 "$KILLS"); do
 
     # Restart on the same journal/cache: the job must still be listed, or
     # have been retired by its done record with its result in the cache.
+    # Whether the killed daemon journaled that record is read off the WAL
+    # first, so an unlisted job without one is caught as lost.
+    DONE_REC=0
+    grep -aqF "{\"op\":\"done\",\"id\":\"$JOB\"}" "$WORK/journal/journal.wal" && DONE_REC=1
     boot "$WORK" "$WORK/serve-2.log"
     LIST=$(curl -fsS "$URL/v1/jobs")
     COUNT=$(echo "$LIST" | grep -c '"id":' || true)
     if [ "$COUNT" -eq 0 ]; then
+        [ "$DONE_REC" -eq 1 ] || { echo "FAIL(seed $SEED, slept $SLEEP): job $JOB neither listed nor retired by a done record after SIGKILL (lost)"; exit 1; }
         VIEW=$(curl -fsS -X POST -H 'Content-Type: application/json' -d "$REQ" "$URL/v1/jobs?wait=1")
-        echo "$VIEW" | grep -q '"cached": true' || { echo "$VIEW"; echo "FAIL(seed $SEED, slept $SLEEP): job $JOB neither listed nor cached after SIGKILL (lost)"; exit 1; }
+        echo "$VIEW" | grep -q '"cached": true' || { echo "$VIEW"; echo "FAIL(seed $SEED, slept $SLEEP): retired job $JOB's request is not a cache hit after SIGKILL"; exit 1; }
         echo "$VIEW" >"$WORK/view.json"
         JOB=$(echo "$VIEW" | sed -n 's/.*"id": "\([^"]*\)".*/\1/p' | head -1)
         RETIRED=$((RETIRED + 1))
