@@ -85,14 +85,15 @@ perfcheck:
 	$(GO) run ./benchmark -repeat 2
 
 # equivgrid holds the fast loop to the legacy oracle on whole
-# applications: 16 apps x {1P, MISP 1x8, SMP 8, MISP 1x4} at small size
+# applications: 16 apps x {1P, MISP 1x8, SMP 8, MISP 1x4, SMP 4} at small size
 # plus three at ref on MISP 1x8 — galgel (the one point that has diverged
 # while every test-size difftest passed), raytracer (most seqid) and
 # gauss (most acas + aadd), the behaviours that stay inside the
 # cohort wave — and raytracer, gauss and swim at small size on MISP 1x24,
 # one cohort of 24 — exact on instructions,
 # cycles and per-sequencer clocks, retirements and TLB
-# hits/misses/perm-misses.
+# hits/misses/perm-misses, and on a digest of every resident physical
+# frame.
 equivgrid:
 	$(GO) test -run TestEquivGrid ./internal/workloads -args -equivgrid
 

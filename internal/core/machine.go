@@ -135,6 +135,11 @@ type Machine struct {
 	// wave exit took back.
 	spin                  spinRec
 	spinSkips, spinInstrs uint64
+	// count is the counted-spin probe's scratch; countSkips and
+	// countInstrs count the counted-spin skips made and the retirements
+	// they made (invariant 6), less those a wave exit took back.
+	count                   countProbe
+	countSkips, countInstrs uint64
 
 	// mx holds pre-resolved metric handles so hot paths pay a plain
 	// increment, never a registry lookup.
@@ -766,6 +771,8 @@ func (m *Machine) FinalizeMetrics() error {
 	reg.Counter(obs.MSBRuns).Set(m.sbRuns)
 	reg.Counter(obs.MSBSpinSkips).Set(m.spinSkips)
 	reg.Counter(obs.MSBSpinInstrs).Set(m.spinInstrs)
+	reg.Counter(obs.MSBCountSkips).Set(m.countSkips)
+	reg.Counter(obs.MSBCountInstrs).Set(m.countInstrs)
 	reg.Counter(obs.MMemBacking).Set(m.Phys.Backed())
 	return nil
 }

@@ -47,6 +47,7 @@ type spinOutcome struct {
 	events          []obs.Event
 	image           []byte // the snapshot image, when the run paused
 	skips, takeBack uint64
+	counts          uint64 // counted-spin skips (invariant 6)
 }
 
 // spinCapture is the machine's snapshot image.
@@ -90,7 +91,7 @@ func spinRun(t *testing.T, top Topology, legacy bool, d spinDraw, pause uint64) 
 	}
 	o.digest = sha256.Sum256(data)
 	o.events = m.Obs.Bus.Events()
-	o.skips, o.takeBack = m.spinSkips, m.waveTakenBack
+	o.skips, o.takeBack, o.counts = m.spinSkips, m.waveTakenBack, m.countSkips
 	return o
 }
 
@@ -286,44 +287,54 @@ func TestWaveSpinFastForward(t *testing.T) {
 	}
 }
 
-// TestSpinHostCounters: the skips are published in the host section —
-// nonzero on a spin-heavy run, and, like every host metric, in no dump and
-// no snapshot, so the fast loop's simulation metrics and image still equal
-// the legacy loop's.
+// TestSpinHostCounters: the fixed-point skips and the counted-spin skips
+// are published in the host section — nonzero on a run that spins that
+// way, and, like every host metric, in no dump and no snapshot, so the
+// fast loop's simulation metrics and image still equal the legacy loop's.
 func TestSpinHostCounters(t *testing.T) {
-	var dumps [2]string
-	var images [2][]byte
-	for k, legacy := range []bool{true, false} {
-		m, _ := uopMachine(t, Topology{7}, legacy, spinFlag, spinOnFlag)
-		m.SetPause(1 << 16)
-		if err := m.Run(); !errors.Is(err, ErrPaused) {
-			t.Fatalf("legacy=%v: %v, want ErrPaused", legacy, err)
+	for _, row := range []struct {
+		skips, instrs string
+		top           Topology
+		code          []isa.Instr
+		init          func(*Sequencer)
+	}{
+		{obs.MSBSpinSkips, obs.MSBSpinInstrs, Topology{7}, spinFlag, spinOnFlag},
+		{obs.MSBCountSkips, obs.MSBCountInstrs, Topology{3}, countLoop(isa.OpBlt), func(s *Sequencer) { countOn(s, 1<<40) }},
+	} {
+		var dumps [2]string
+		var images [2][]byte
+		for k, legacy := range []bool{true, false} {
+			m, _ := uopMachine(t, row.top, legacy, row.code, row.init)
+			m.SetPause(1 << 16)
+			if err := m.Run(); !errors.Is(err, ErrPaused) {
+				t.Fatalf("%s legacy=%v: %v, want ErrPaused", row.skips, legacy, err)
+			}
+			reg := m.Obs.Metrics
+			skips, instrs := reg.CounterValue(row.skips), reg.CounterValue(row.instrs)
+			if legacy && (skips != 0 || instrs != 0) {
+				t.Fatalf("the legacy loop skipped: %d %s, %d instrs", skips, row.skips, instrs)
+			}
+			if !legacy && (skips == 0 || instrs == 0 || instrs > m.Steps) {
+				t.Fatalf("fast loop: %d %s retired %d of %d instrs", skips, row.skips, instrs, m.Steps)
+			}
+			dumps[k], images[k] = reg.String(), spinCapture(t, m)
+			m.Release()
 		}
-		reg := m.Obs.Metrics
-		skips, instrs := reg.CounterValue(obs.MSBSpinSkips), reg.CounterValue(obs.MSBSpinInstrs)
-		if legacy && (skips != 0 || instrs != 0) {
-			t.Fatalf("the legacy loop skipped: %d skips, %d instrs", skips, instrs)
-		}
-		if !legacy && (skips == 0 || instrs == 0 || instrs > m.Steps) {
-			t.Fatalf("fast loop: %d skips retired %d of %d instrs", skips, instrs, m.Steps)
-		}
-		dumps[k], images[k] = reg.String(), spinCapture(t, m)
-		m.Release()
-	}
-	for _, name := range []string{obs.MSBSpinSkips, obs.MSBSpinInstrs} {
-		if !obs.IsHost(name) {
-			t.Errorf("%s is not a host metric", name)
-		}
-		for k := range dumps {
-			if strings.Contains(dumps[k], name) || bytes.Contains(images[k], []byte(name)) {
-				t.Errorf("%s is in a dump or a snapshot", name)
+		for _, name := range []string{row.skips, row.instrs} {
+			if !obs.IsHost(name) {
+				t.Errorf("%s is not a host metric", name)
+			}
+			for k := range dumps {
+				if strings.Contains(dumps[k], name) || bytes.Contains(images[k], []byte(name)) {
+					t.Errorf("%s is in a dump or a snapshot", name)
+				}
 			}
 		}
-	}
-	if dumps[0] != dumps[1] {
-		t.Errorf("the metrics dumps differ:\nlegacy %s\nfast   %s", dumps[0], dumps[1])
-	}
-	if !bytes.Equal(images[0], images[1]) {
-		t.Error("the snapshot images differ")
+		if dumps[0] != dumps[1] {
+			t.Errorf("%s: the metrics dumps differ:\nlegacy %s\nfast   %s", row.skips, dumps[0], dumps[1])
+		}
+		if !bytes.Equal(images[0], images[1]) {
+			t.Errorf("%s: the snapshot images differ", row.skips)
+		}
 	}
 }

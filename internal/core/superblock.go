@@ -34,7 +34,7 @@ package core
 // leg (see runBatch).
 //
 // Bit-identity with the legacy loop, the reference the equivalence
-// difftests compare against, rests on five invariants:
+// difftests compare against, rests on six invariants:
 //
 //  1. Stop checks: the per-instruction horizon, delivery-threshold and
 //     cycle/pause-limit checks only read s.Clock against batch
@@ -119,6 +119,45 @@ package core
 //     same rule against the stop position, which re-makes the kept
 //     prefix exactly. Micro-ops executed one at a time stay capped by the
 //     caller's max.
+//  6. Counted spins: a spin-then-yield idle loop stores its counter plus
+//     one on every pass, which ends every runAhead call, and the counter
+//     changes the registers at every pause, so invariant 5 never applies
+//     to it. An iteration that runs from a std at pc p back to p retires
+//     k more whole iterations at once when its only carried state is the
+//     std's 8-byte word. countWalk steps runAhead through one iteration,
+//     one micro-op at a time, and follows which registers hold the word
+//     plus a known offset (the std's register at the start; an ldd of
+//     the word). Such a value may only move through addi, add and sub
+//     with a loop-invariant operand, or be compared by a branch with a
+//     loop-invariant one. The iteration must load the word, leave every
+//     other register and every FReg as it found them, and bring the std
+//     the word plus delta. Every later iteration is then this one with
+//     each derived value delta further on — memory but for the word, the
+//     page, the TLB, TP and the topology are fixed, as in invariant 5 —
+//     so while every such compare keeps its outcome (countBound: the
+//     value stays on its side of the other operand, without wrapping)
+//     and the clock stays below the caller's bound, k iterations add
+//     k*delta to the word and the register, k*C to the clock, k*K
+//     retirements and k*H TLB hits, the std's own hit included
+//     (countSkip). Only a std whose member's previous run started just
+//     after it and retired a pause is probed, so other runs pay one
+//     compare. runUops' stores are all in order, so a lone runner skips
+//     up to tstar with nothing to check. In the wave the skipped stds are
+//     ahead of the order, and invariant 4 covers them: (e)'s snoop of the
+//     popped std covers them too (the same word, and no pop between), and
+//     the word's page is no member's code page, or the std would have
+//     stopped the wave. A peer that may read the word while the skip is
+//     outstanding — a popped run whose loads meet the wave's filter of
+//     skipped words, or an ordered load or atomic that overlaps one or
+//     whose address would need a walk — stops the wave at its own pop,
+//     its run taken back; a peer's store to the word meets the walk's
+//     load of it in the snoop. The exit's take-back puts the word back
+//     as the run's ordered std left it, then re-makes the walk, the
+//     whole iterations ordered before the stop position in one skip and
+//     the next std and its walk up to it (countRemake). The k stds are one
+//     write, so the page's store generation moves once: only whether it
+//     moved is read. With a profiler or a fault plan attached nothing is
+//     skipped (invariant 3).
 //
 // Compiled pages are derived, host-side state: never snapshotted,
 // rebuilt on demand after a restore or fork (see snapshot.go).
@@ -130,6 +169,18 @@ import (
 	"misp/internal/isa"
 	"misp/internal/mem"
 )
+
+// placed is where an access of size bytes at va on c lands without a page
+// walk: its physical address, and ok false when it straddles a page or
+// its page is not resident in c's TLB (for writing, when write is set).
+// With paging off the address is physical.
+func placed(c *Sequencer, va, size uint64, write bool) (pa uint64, ok bool) {
+	if ok = va&mem.PageMask+size <= mem.PageSize; !ok || c.CRs[isa.CR0]&isa.CR0Paging == 0 {
+		return va, ok
+	}
+	pfn, ok := c.TLB.Peek(va, write)
+	return uint64(pfn)<<mem.PageShift | va&mem.PageMask, ok
+}
 
 // sbUop is one compiled micro-op: the decoded instruction with its
 // validation and cost lookup already resolved.
@@ -338,6 +389,256 @@ func sameBits(a, b *[isa.NumRegs]float64) bool {
 	return true
 }
 
+// countRec is one iteration of a counted spin (invariant 6): the pc of
+// its std, the physical address of the counter word the std writes, the
+// register that carries the word's value to it and the step delta it
+// grows by, and what one whole iteration retires — micro-ops, cycles and
+// TLB hits, the std's own included. k is how many iterations a skip
+// retired at once, 0 for none.
+type countRec struct {
+	pc, pa, delta uint64
+	k, iK, iC, iH uint64
+	reg           uint8
+}
+
+// countCmp is a compare-branch of the probe's iteration between a value
+// derived from the counter word, v, and a loop-invariant one, b.
+type countCmp struct {
+	v, b   uint64
+	signed bool
+}
+
+// countProbe is countWalk's scratch, one per machine: which registers
+// hold the counter word plus a known offset (on, off), the registers the
+// iteration started from, its compares of a derived value, one step's
+// load address, and the iteration it accepted. Host-side, never
+// snapshotted.
+type countProbe struct {
+	rec   countRec
+	on    [isa.NumRegs]bool
+	off   [isa.NumRegs]uint64
+	regs  [isa.NumRegs]uint64
+	fregs [isa.NumRegs]float64
+	cmps  [waveRunAhead]countCmp
+	one   [waveRunAhead]uint64
+}
+
+// regUse is which integer register fields a pure or load micro-op reads
+// (rs1, rs2, rdIn) and whether it writes Regs[rd] (rdOut).
+type regUse struct{ rs1, rs2, rdIn, rdOut bool }
+
+// countUse is regUse per opcode, taken from its isa format — the one
+// statement of its operands: a memory operand reads rs1, and an integer
+// rd is written, except that ldih also reads it. Only the rows of the
+// opcodes runAhead runs are read.
+var countUse = func() (t [isa.NumOps]regUse) {
+	for op := range t {
+		u := &t[op]
+		for _, o := range isa.Lookup(isa.Op(op)).Fmt.Operands() {
+			switch {
+			case o.Kind == isa.OpndMem || o.Kind == isa.OpndReg && o.Reg == isa.FieldRs1:
+				u.rs1 = true
+			case o.Kind == isa.OpndReg && o.Reg == isa.FieldRs2:
+				u.rs2 = true
+			case o.Kind == isa.OpndReg && o.Reg == isa.FieldRd:
+				u.rdOut = true
+			}
+		}
+		u.rdIn = isa.Op(op) == isa.OpLdih
+	}
+	return t
+}()
+
+// countWalk is invariant 6's probe. c has just committed the std at p,
+// which left it at p+8 with the clock at nc. countWalk steps runAhead one
+// micro-op at a time — so each does exactly what runAhead makes it do —
+// while fewer than max have retired, the clock is below lim and c is not
+// back at p, and follows which registers hold the counter word the std
+// wrote plus a known offset: the std's own register at the start, and an
+// ldd of exactly that word. Such a value may only move through addi, add
+// and sub with a loop-invariant operand, or be compared by a branch with
+// a loop-invariant one; anything else that reads it, and rdtsc, ends the
+// walk there (so does any other load that overlaps the word). It returns
+// what the walk retired as runAhead does, with its loads recorded in
+// loads when that is non-nil, and whether it retired a pause.
+//
+// k is how many more whole iterations may retire at once, 0 for none:
+// the walk came back to p, loaded the word, left every register but the
+// std's own and every FReg as it found them, and the std's register
+// holds the word plus delta — so each later iteration is this one with
+// the word and every derived value delta further on, as long as every
+// branch on a derived value keeps its outcome (countBound) and the
+// clock stays below lim. The iteration is in m.count.rec.
+func (m *Machine) countWalk(c *Sequencer, ub *[sbSlots]sbUop, loads *[waveRunAhead]uint64, wva, p, nc, lim uint64, max int) (n int, pc, ncOut uint64, nl int, lb uint64, paused bool, k uint64) {
+	pr, st, r := &m.count, &ub[(p-wva)>>3], &c.Regs
+	pc = p + isa.WordSize
+	va := r[st.rs1] + uint64(st.imm)
+	pa, ok := placed(c, va, 8, true)
+	if !ok || va%8 != 0 || st.rd == st.rs1 {
+		n, pc, nc, nl, lb = runAhead(m, c, ub, loads, wva, pc, nc, lim, max)
+		return n, pc, nc, nl, lb, m.spin.pc != ^uint64(0), 0
+	}
+	max = min(max, waveRunAhead) // what the scratch holds
+	pr.regs, pr.fregs = c.Regs, c.FRegs
+	pr.on, pr.on[st.rd], pr.off[st.rd] = [isa.NumRegs]bool{}, true, 0
+	c0, h0 := nc, c.TLB.Hits
+	ncmp, loaded := 0, false
+	for ok && n < max && pc != p {
+		off := pc - wva
+		if off >= mem.PageSize || off&7 != 0 || ub[off>>3].class < isa.ClassLoad {
+			break
+		}
+		u := &ub[off>>3]
+		op, use := isa.Op(u.op), &countUse[u.op]
+		a, b := use.rs1 && pr.on[u.rs1], use.rs2 && pr.on[u.rs2]
+		out, o := false, uint64(0)
+		switch {
+		case op == isa.OpAddi && a:
+			out, o = true, pr.off[u.rs1]+uint64(u.imm)
+		case op == isa.OpAdd && a && !b:
+			out, o = true, pr.off[u.rs1]+r[u.rs2]
+		case op == isa.OpAdd && b && !a:
+			out, o = true, pr.off[u.rs2]+r[u.rs1]
+		case op == isa.OpSub && a && !b:
+			out, o = true, pr.off[u.rs1]-r[u.rs2]
+		case op >= isa.OpBeq && op <= isa.OpBgeu && a != b:
+			v, w := r[u.rs1], r[u.rs2]
+			if b {
+				v, w = w, v
+			}
+			pr.cmps[ncmp] = countCmp{v, w, op == isa.OpBlt || op == isa.OpBge}
+			ncmp++
+		case a || b || use.rdIn && pr.on[u.rd] || op == isa.OpRdtsc:
+			ok = false
+			continue
+		}
+		dn, npc, nnc, dl, dlb := runAhead(m, c, ub, &pr.one, wva, pc, nc, lim, 1)
+		if dn == 0 {
+			break
+		}
+		n, pc, nc, paused = n+1, npc, nnc, paused || op == isa.OpPause
+		if dl != 0 {
+			lp := pr.one[0]
+			if loads != nil {
+				loads[nl] = lp
+			}
+			nl, lb = nl+1, lb|dlb
+			if lp+8 > pa && pa+8 > lp {
+				ok = op == isa.OpLdd && lp == pa
+				out, o, loaded = ok, 0, loaded || ok
+			}
+		}
+		if use.rdOut {
+			pr.on[u.rd], pr.off[u.rd] = out, o
+		}
+	}
+	if !ok || pc != p || !loaded || nc >= lim || !sameBits(&c.FRegs, &pr.fregs) {
+		return n, pc, nc, nl, lb, paused, 0
+	}
+	for i := range r {
+		if i != int(st.rd) && (pr.on[i] || r[i] != pr.regs[i]) {
+			return n, pc, nc, nl, lb, paused, 0
+		}
+	}
+	rec := countRec{pc: p, pa: pa, delta: pr.off[st.rd], reg: st.rd,
+		iK: uint64(n) + 1, iC: nc - c0 + uint64(st.cost), iH: c.TLB.Hits - h0 + 1}
+	k = min((lim-1-nc)/rec.iC, (spinRunMax-uint64(n))/rec.iK)
+	for _, cm := range pr.cmps[:ncmp] {
+		k = min(k, countBound(cm.v, cm.b, rec.delta, cm.signed))
+	}
+	pr.rec = rec
+	return n, pc, nc, nl, lb, paused, k
+}
+
+// countBound is how many steps of d keep v on the same side of b — below,
+// equal or above, in the signed order when signed — without wrapping
+// round, so that every compare of v with b keeps its outcome. A signed
+// order is the unsigned one with the sign bit flipped, and flipping it
+// commutes with adding d, so one unsigned rule serves both.
+func countBound(v, b, d uint64, signed bool) uint64 {
+	if signed {
+		v, b = v^1<<63, b^1<<63
+	}
+	switch {
+	case d == 0:
+		return math.MaxUint64
+	case v == b:
+		return 0
+	case int64(d) > 0 && v < b:
+		return (b - v - 1) / d
+	case int64(d) > 0:
+		return (math.MaxUint64 - v) / d
+	case v > b:
+		return (v - b - 1) / -d
+	}
+	return v / -d
+}
+
+// countSkip retires k more whole iterations of the counted spin r at once
+// on c, which is at r.pc in front of the std with r.reg holding the value
+// it stores: the word takes what the k-th std writes and r.reg what the
+// next one will, TLB.Hits grows by what k iterations hit, and the
+// micro-ops and cycles they retire are returned. The k stores are one
+// write, so the page's store generation moves once: only whether it moved
+// is ever read (snapshot.go).
+func (m *Machine) countSkip(c *Sequencer, r *countRec, k uint64) (dn, dc uint64) {
+	v := c.Regs[r.reg]
+	m.Phys.WriteU64(r.pa, v+(k-1)*r.delta)
+	c.Regs[r.reg] = v + k*r.delta
+	c.TLB.Hits += k * r.iH
+	m.countSkips++
+	m.countInstrs += k * r.iK
+	return k * r.iK, k * r.iC
+}
+
+// countRemake is a wave exit's take-back of w's latest run when it made a
+// counted-spin skip: s's registers, PC, clock and TLB hit count are back
+// at the run's snapshot; countRemake puts the word back as the run's
+// ordered std left it, uncounts the skip and re-makes what of the run is
+// ordered before lim — the walk, the whole iterations whose every
+// micro-op starts below lim in one skip, then the next std and its walk
+// up to lim. Returns what runAhead would: the retirements kept, PC and
+// clock.
+func (m *Machine) countRemake(s *Sequencer, w *waveMember, lim uint64) (n int, pc, nc uint64) {
+	sn, r := &w.snap, &w.cnt
+	m.Phys.WriteU64(r.pa, sn.regs[r.reg])
+	m.countSkips, m.countInstrs = m.countSkips-1, m.countInstrs-r.k*r.iK
+	walk := int(r.iK - 1)
+	if n, pc, nc, _, _ = runAhead(m, s, w.ub, nil, w.wva, sn.pc, sn.nc, lim, walk); pc != r.pc || nc >= lim {
+		return n, pc, nc
+	}
+	q := min(r.k, (lim-1-nc)/r.iC)
+	if q != 0 {
+		dn, dc := m.countSkip(s, r, q)
+		n, nc = n+int(dn), nc+dc
+	}
+	if q < r.k {
+		// The next std is ordered before lim too: a TLB hit on a page no
+		// member runs code from, so it commits as at its pop.
+		u := &w.ub[(r.pc-w.wva)>>3]
+		m.commitOrdered(s, u)
+		dn, npc, nnc, _, _ := runAhead(m, s, w.ub, nil, w.wva, r.pc+isa.WordSize, nc+uint64(u.cost), lim, walk)
+		n, pc, nc = n+1+dn, npc, nnc
+	}
+	return n, pc, nc
+}
+
+// skipHit reports whether a load of eight bytes at one of the physical
+// addresses in loads overlaps the counter word of an outstanding
+// counted-spin skip — one in the latest run of a member other than i.
+func skipHit(wave []waveMember, i int, loads []uint64) bool {
+	for j := range wave {
+		if a := wave[j].cnt.pa; j != i && wave[j].cnt.k != 0 {
+			for _, lp := range loads {
+				if lp+8 > a && a+8 > lp {
+					return true
+				}
+			}
+		}
+	}
+	return false
+}
+
 // waveSnap is what the cohort wave keeps of a member's latest run so that
 // its exit can take the run back and re-make the part that stays: the
 // registers, PC, clock and TLB hit count the run started from, and the
@@ -380,14 +681,19 @@ type waveSnap struct {
 // micro-ops it retired, how many of those its spin skip retired
 // (invariant 5), how many of the executed ones were loads (their
 // addresses are in snap.loads) and the granule filter over those
-// addresses; snap is what the run started from.
+// addresses; snap is what the run started from. paused says the run
+// retired a pause and cnt is its counted-spin skip, if it made one
+// (cnt.k != 0, invariant 6); noCount is the std at which the probe last
+// found nothing to skip, not probed again in this wave.
 type waveMember struct {
 	genp              *uint32
 	dg, nrun, skip    uint32
 	nld               uint8
+	paused            bool
 	ub                *[sbSlots]sbUop
 	wva, pc, thr, ret uint64
-	lbloom            uint64
+	lbloom, noCount   uint64
+	cnt               countRec
 	snap              waveSnap
 }
 
@@ -701,9 +1007,9 @@ func (m *Machine) commitOrdered(s *Sequencer, u *sbUop) (f *trapFault, stored, o
 // member's commit and what follows it run in the leaf, runAhead, whose
 // loop the compiler keeps in registers: up to waveRunAhead executed
 // micro-ops that are pure or plain-hit loads, in the page and below the
-// member's own threshold, plus whatever a spin loop's fast-forward
-// retires at once (invariant 5), after which the member's clock is
-// written once. The first of them is the ordered commit; when the popped
+// member's own threshold, plus whatever a spin loop's fast-forward or a
+// counted spin's skip retires at once (invariants 5 and 6), after which
+// the member's clock is written once. The first of them is the ordered commit; when the popped
 // micro-op is not runAhead's (its class byte says so, or it is a load
 // runAhead declines), commitOrdered makes the ordered commit and the run
 // follows it. The wave snapshots the member (waveSnap) just before each
@@ -717,7 +1023,7 @@ func (m *Machine) commitOrdered(s *Sequencer, u *sbUop) (f *trapFault, stored, o
 // committed; a store that moved a member's page stops just after itself;
 // a cancel stops at the earliest member's next commit. The exit takes
 // back every run that reaches past (T, i) — restore the snapshot, run
-// again up to the position; invariants 4 and 5 in the file header say why
+// again up to the position; invariants 4 to 6 in the file header say why
 // that re-makes the kept part exactly — then folds the counters, then
 // dispatches the fault: the faulting member's later-ordered peers are
 // where the legacy loop has them.
@@ -729,6 +1035,7 @@ func (m *Machine) runCohortWave(nm int, outT uint64, outID int) (progress, uncle
 	for i := range wave {
 		c, w := mems[i], &wave[i]
 		w.genp, w.thr, w.ret, w.nrun, w.nld = nil, 0, 0, 0, 0
+		w.paused, w.noCount, w.cnt.k = false, ^uint64(0), 0
 		if c.winGen == nil || c.sb == nil || *c.winGen != c.sb.gen {
 			continue
 		}
@@ -750,6 +1057,9 @@ func (m *Machine) runCohortWave(nm int, outT uint64, outID int) (progress, uncle
 	// after it.
 	var T uint64
 	var i int
+	// sbloom is the granule filter over the counter words of the wave's
+	// counted-spin skips (invariant 6), the outstanding ones among them.
+	var sbloom uint64
 wave:
 	for {
 		// The globally earliest commit: the lowest clock, and on a tie the
@@ -784,12 +1094,13 @@ wave:
 		// This pop ends the member's previous run: every commit ordered
 		// before its micro-ops has been made, nothing can take them back
 		// or conflict with them any more.
-		w.nrun, w.nld = 0, 0
+		w.nrun, w.nld, w.cnt.k = 0, 0, 0
 		// The run: when the popped micro-op is runAhead's, its first
 		// retirement is the ordered commit and the rest are ahead of the
 		// order. c.Clock itself is written once, after the run.
 		var n, nl int
 		var lb uint64
+		var paused bool
 		nc := T
 		if u.class >= isa.ClassLoad {
 			sn.regs, sn.fregs, sn.pc, sn.nc, sn.hits = c.Regs, c.FRegs, pc, nc, c.TLB.Hits
@@ -806,12 +1117,7 @@ wave:
 			// filter speaks for the 8-byte granules a record's eight bytes
 			// touch, so a store it passes overlaps none of them.
 			if va, size := u.storeVA(&c.Regs); size != 0 {
-				spa, one := va, va&mem.PageMask+size <= mem.PageSize
-				if one && c.CRs[isa.CR0]&isa.CR0Paging != 0 {
-					var pfn uint32
-					pfn, one = c.TLB.Peek(va, true)
-					spa = uint64(pfn)<<mem.PageShift | va&mem.PageMask
-				}
+				spa, one := placed(c, va, size, true)
 				sbits := uint64(1)<<(spa>>3&63) | 1<<((spa+size-1)>>3&63)
 				for j := range wave {
 					p := &wave[j]
@@ -825,6 +1131,23 @@ wave:
 						if lp+8 > spa && spa+size > lp {
 							break wave
 						}
+					}
+				}
+			}
+			// A load or atomic that may read a peer's counter word while
+			// the peer's skip is outstanding stops the wave here too, so
+			// that the exit puts the word where the order has it first:
+			// one whose bytes may overlap the word, or whose address the
+			// member's TLB cannot give without a walk.
+			if sbloom != 0 && (u.class == isa.ClassLoad || u.class == isa.ClassAtomic) {
+				va := c.Regs[u.rs1]
+				if u.class == isa.ClassLoad {
+					va += uint64(u.imm)
+				}
+				lpa, one := placed(c, va, uint64(u.size), false)
+				for j := range wave {
+					if a := wave[j].cnt.pa; j != i && wave[j].cnt.k != 0 && (!one || lpa+8 > a && a+8 > lpa) {
+						break wave
 					}
 				}
 			}
@@ -848,12 +1171,47 @@ wave:
 					}
 				}
 			}
+			// A counted-spin candidate (invariant 6): a std whose member's
+			// previous run started just after it and retired a pause.
+			std := pc - isa.WordSize
+			count := isa.Op(u.op) == isa.OpStd && w.paused && sn.pc == pc && std != w.noCount
 			sn.regs, sn.fregs, sn.pc, sn.nc, sn.hits = c.Regs, c.FRegs, pc, nc, c.TLB.Hits
-			n, pc, nc, nl, lb = runAhead(m, c, w.ub, &sn.loads, w.wva, pc, nc, lim, waveRunAhead)
+			if !count {
+				n, pc, nc, nl, lb = runAhead(m, c, w.ub, &sn.loads, w.wva, pc, nc, lim, waveRunAhead)
+			} else {
+				// The std's snoop above covered the skipped stds too:
+				// they write the same word, and no other member has
+				// popped since. Its page is no member's code page, or
+				// the std would have stopped the wave.
+				var k uint64
+				n, pc, nc, nl, lb, paused, k = m.countWalk(c, w.ub, &sn.loads, w.wva, std, nc, lim, waveRunAhead)
+				if k == 0 {
+					w.noCount = std
+				} else if lb&sbloom == 0 || !skipHit(wave, i, sn.loads[:nl]) {
+					w.cnt = m.count.rec
+					w.cnt.k = k
+					dn, dc := m.countSkip(c, &w.cnt, k)
+					n, nc = n+int(dn), nc+dc
+					sbloom |= 1 << (w.cnt.pa >> 3 & 63)
+				}
+			}
+		}
+		if lb&sbloom != 0 && skipHit(wave, i, sn.loads[:nl]) {
+			// The run loaded a peer's counter word while the peer's skip
+			// is outstanding, and may have read a value the order has not
+			// reached: take the run back and stop at this pop, so that
+			// the exit puts the word where the order has it first.
+			c.Regs, c.FRegs, c.TLB.Hits = sn.regs, sn.fregs, sn.hits
+			if m.spin.skipped != 0 {
+				m.spinSkips, m.spinInstrs = m.spinSkips-1, m.spinInstrs-uint64(m.spin.skipped)
+			}
+			w.pc, c.PC, c.Clock, clocks[i] = sn.pc, sn.pc, sn.nc, sn.nc
+			break
 		}
 		w.pc, c.PC, c.Clock, clocks[i] = pc, pc, nc, nc
 		w.ret += uint64(n)
 		w.nrun, w.skip, w.nld, w.lbloom = uint32(n), m.spin.skipped, uint8(nl), lb
+		w.paused = paused || m.spin.pc != ^uint64(0)
 	}
 	// Take back every run that reaches past the stop position: restore
 	// what it started from and run it again up to the position — the
@@ -873,7 +1231,13 @@ wave:
 			if w.skip != 0 {
 				m.spinSkips, m.spinInstrs = m.spinSkips-1, m.spinInstrs-uint64(w.skip)
 			}
-			n, pc, nc, _, _ := runAhead(m, s, w.ub, nil, w.wva, sn.pc, sn.nc, lim, int(w.nrun))
+			var n int
+			var pc, nc uint64
+			if w.cnt.k != 0 {
+				n, pc, nc = m.countRemake(s, w, lim)
+			} else {
+				n, pc, nc, _, _ = runAhead(m, s, w.ub, nil, w.wva, sn.pc, sn.nc, lim, int(w.nrun))
+			}
 			s.PC, s.Clock, clocks[j] = pc, nc, nc
 			back := uint64(int(w.nrun) - n)
 			w.ret -= back
@@ -896,16 +1260,20 @@ wave:
 // the interpreter. Returns the updated retirement count. The caller has
 // already validated the fetch window and the page's generation for the
 // first slot. A spin loop's repeated iterations retire at once up to
-// tstar (invariant 5), so n may pass max. With a per-retirement hook
-// attached (profiler, fault plane) every runAhead call retires one
-// micro-op — never two pauses, so never a skip — and the hooks run after
-// each.
+// tstar (invariants 5 and 6), so n may pass max. With a per-retirement
+// hook attached (profiler, fault plane) every runAhead call retires one
+// micro-op — never two pauses, so never a skip — no counted spin is
+// probed, and the hooks run after each.
 func (m *Machine) runUops(s *Sequencer, sb *sbPage, n, max int, tstar uint64) (int, sbResult) {
 	base := s.winVA
 	genp := sb.genPtr
 	gen := sb.gen
 	prof := m.prof
 	flt := m.plan
+	// Invariant 6's candidates: the latest std committed, whether a pause
+	// retired since, and the std at which the probe last found nothing
+	// to skip.
+	last, paused, noCount := ^uint64(0), false, ^uint64(0)
 	for {
 		pc0, c0 := s.PC, s.Clock
 		budget := max - n
@@ -913,6 +1281,7 @@ func (m *Machine) runUops(s *Sequencer, sb *sbPage, n, max int, tstar uint64) (i
 			budget = 1
 		}
 		k, pc, nc, _, _ := runAhead(m, s, &sb.uops, nil, base, pc0, c0, tstar, budget)
+		paused = paused || m.spin.pc != ^uint64(0)
 		exit := false
 		if k == 0 {
 			u := &sb.uops[(pc0-base)>>3]
@@ -929,6 +1298,24 @@ func (m *Machine) runUops(s *Sequencer, sb *sbPage, n, max int, tstar uint64) (i
 			}
 			k, pc, nc = 1, pc0+isa.WordSize, s.Clock+uint64(u.cost)
 			exit = stored && *genp != gen
+			if stored && !exit && isa.Op(u.op) == isa.OpStd && prof == nil && flt == nil {
+				// A lone runner's stores are all in order, up to tstar:
+				// a counted spin skips with no peer to check.
+				count := pc0 == last && paused && pc0 != noCount
+				last, paused = pc0, false
+				if count {
+					var dn int
+					var ck uint64
+					dn, pc, nc, _, _, paused, ck = m.countWalk(s, &sb.uops, nil, base, pc0, nc, tstar, budget-1)
+					k += dn
+					if ck == 0 {
+						noCount = pc0
+					} else {
+						dk, dc := m.countSkip(s, &m.count.rec, ck)
+						k, nc = k+int(dk), nc+dc
+					}
+				}
+			}
 		}
 		s.PC, s.Clock = pc, nc
 		s.C.Instrs += uint64(k)

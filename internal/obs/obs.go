@@ -213,13 +213,15 @@ const (
 	// superblock compiled-page cache activity in the fast loop — pages
 	// compiled, pages invalidated by stores or translation changes, and
 	// entries into the compiled-path executors — and the spin loops it
-	// fast-forwarded: the fixed-point skips and the instructions they
-	// retired.
+	// fast-forwarded: the fixed-point skips and the counted-spin skips,
+	// each with the instructions they retired.
 	MSBBuilds      = "host.superblock.builds"
 	MSBInvalidates = "host.superblock.invalidates"
 	MSBRuns        = "host.superblock.block_runs"
 	MSBSpinSkips   = "host.superblock.spin_skips"
 	MSBSpinInstrs  = "host.superblock.spin_instrs"
+	MSBCountSkips  = "host.superblock.count_skips"
+	MSBCountInstrs = "host.superblock.count_instrs"
 
 	// Host section: the bytes of host memory backing the simulated
 	// physical memory (mem.Phys.Backed), which follow the highest frame

@@ -161,6 +161,22 @@ func TestCrashRecoveryCompletesJobs(t *testing.T) {
 		t.Fatalf("recovered job completed at attempt %d, want >= 2 (lease carried over)", rj.Attempt)
 	}
 
+	// A job's done record is appended just after it settles, so wait for
+	// both records to reach the file before the crash: one the crash cut
+	// off would leave its job to be deduped against the cache instead.
+	deadline := time.Now().Add(10 * time.Second)
+	for _, id := range []string{j1.ID, j2.ID} {
+		rec := `{"op":"done","id":"` + id + `"}`
+		for {
+			if b, _ := os.ReadFile(filepath.Join(jdir, "journal.wal")); strings.Contains(string(b), rec) {
+				break
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("job %s's done record never reached the journal", id)
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
 	// A third boot finds both jobs done, so it retires them: nothing
 	// re-enqueues, the compacted journal is empty, and nothing is lost —
 	// both requests resubmit as cache hits with identical artifacts.

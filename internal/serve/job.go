@@ -401,7 +401,9 @@ func (s *Server) recover(payloads [][]byte) {
 			// Finished before the crash; only the terminal record was lost.
 			s.reg.Counter("serve.resume.deduped").Inc()
 			s.settleLocked(j, &Result{ChecksumOK: true}, nil)
-		case j.Attempt >= s.cfg.MaxRetries:
+		case j.Attempt >= s.cfg.MaxRetries && !j.Preempted:
+			// A parked job is not poison: its resume lease continues the
+			// attempt its preemption interrupted.
 			s.reg.Counter("serve.resume.failed").Inc()
 			s.settleLocked(j, nil, &JobError{ID: j.ID, Key: j.Key, Reason: ReasonRetries, Attempts: j.Attempt})
 		case s.inflight[j.Key] != nil:

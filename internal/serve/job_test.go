@@ -163,6 +163,54 @@ func TestReplayEveryPrefix(t *testing.T) {
 	})
 }
 
+// TestReplayResumesParkedLastAttempt: a job a preemption parked during
+// its last allowed attempt is not poison. Its resume lease continues that
+// attempt, so the successor re-enqueues it and runs it to done — the same
+// verdict the process that parked it would have reached.
+func TestReplayResumesParkedLastAttempt(t *testing.T) {
+	c := mustCanonical(t, tinyRun())
+	wantArt, _, err := Execute(context.Background(), c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	id := "j1-" + c.Key()[:8]
+	jdir, cdir := durableDirs(t)
+	if err := os.MkdirAll(jdir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	jn, _, err := journal.Open(filepath.Join(jdir, "journal.wal"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range []jrec{
+		{Op: opAccepted, ID: id, Key: c.Key(), Req: c},
+		{Op: opStarted, ID: id, Attempt: 1},
+		{Op: opPreempted, ID: id},
+	} {
+		appendRec(t, jn, r)
+	}
+	jn.Close()
+
+	s := newTestServer(t, Config{Workers: 1, JournalDir: jdir, CacheDir: cdir, MaxRetries: 1})
+	jobs := s.Jobs()
+	if len(jobs) != 1 || jobs[0].ID != id {
+		t.Fatalf("replayed %d jobs (%v), want exactly %s", len(jobs), jobs, id)
+	}
+	if got := s.reg.CounterValue("serve.resume.jobs"); got != 1 {
+		t.Fatalf("serve.resume.jobs = %d, want 1: the parked job was not re-enqueued", got)
+	}
+	j := jobs[0]
+	waitJob(t, j)
+	if v := s.View(j, false); v.Status != StatusDone || v.Attempts != 1 {
+		t.Fatalf("status=%s attempts=%d err=%q, want done on attempt 1", v.Status, v.Attempts, v.Error)
+	}
+	gotArt, ok := s.cache.Get(j.Key)
+	if !ok {
+		t.Fatal("done job has no artifacts")
+	}
+	assertSameArtifacts(t, wantArt, gotArt)
+}
+
 // TestLiveThenReplayAgree: the live path and replay are one state
 // machine, so a job must look the same to a client of the process that
 // holds it and to a client of the successor that only read its journal —

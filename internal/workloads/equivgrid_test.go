@@ -1,20 +1,24 @@
 package workloads
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
 	"flag"
 	"testing"
 
 	"misp/internal/core"
+	"misp/internal/mem"
 	"misp/internal/shredlib"
 )
 
 var equivGrid = flag.Bool("equivgrid", false,
-	"run TestEquivGrid (make equivgrid): fast loop vs legacy oracle on every evaluated app x four machine shapes at small size, plus galgel, raytracer and gauss at ref and raytracer, gauss and swim on MISP 1x24")
+	"run TestEquivGrid (make equivgrid): fast loop vs legacy oracle on every evaluated app x five machine shapes at small size, plus galgel, raytracer and gauss at ref and raytracer, gauss and swim on MISP 1x24")
 
 // gridShapes are the machine shapes the whole-application tests run on:
 // the three configurations exp.Evaluate compares (one sequencer, one
 // 8-sequencer MISP processor, an 8-way SMP in thread mode), then MISP
-// 1x4.
+// 1x4 and a 4-way SMP in thread mode — with SMP 8, the thread shapes the
+// serve plane's runs use.
 var gridShapes = []struct {
 	label string
 	mode  shredlib.Mode
@@ -24,12 +28,14 @@ var gridShapes = []struct {
 	{"MISP-1x8", shredlib.ModeShred, core.Topology{7}},
 	{"SMP-8", shredlib.ModeThread, make(core.Topology, 8)},
 	{"MISP-1x4", shredlib.ModeShred, core.Topology{3}},
+	{"SMP-4", shredlib.ModeThread, make(core.Topology, 4)},
 }
 
 // TestEquivGrid holds the fast loop to the legacy oracle on whole
-// applications: 16 apps x {1P, MISP 1x8, SMP 8, MISP 1x4} at small size,
-// comparing retired instructions, cycles and every sequencer's clock,
-// retirement count and TLB hits/misses/perm-misses. Three named extra
+// applications: 16 apps x {1P, MISP 1x8, SMP 8, MISP 1x4, SMP 4} at small
+// size, comparing retired instructions, cycles, every sequencer's clock,
+// retirement count and TLB hits/misses/perm-misses, and every resident
+// physical frame's bytes. Three named extra
 // points run at ref size on MISP 1x8. galgel is the one run that has twice
 // diverged (PROXYEXEC's fetch window; a wrong cohort-wave variant off by
 // 849 instructions) while every test-size difftest in internal/core
@@ -74,7 +80,9 @@ func TestEquivGrid(t *testing.T) {
 }
 
 // equivPoint runs one grid point on both loops and compares the exact
-// counters.
+// counters and a digest of memory: a store the fast loop makes in the
+// wrong place or with the wrong value fails here even when every counter
+// agrees.
 func equivPoint(t *testing.T, w *Workload, mode shredlib.Mode, top core.Topology, sz Size) {
 	var res [2]*RunResult
 	for i, legacy := range []bool{false, true} {
@@ -105,4 +113,17 @@ func equivPoint(t *testing.T, w *Workload, mode shredlib.Mode, top core.Topology
 			t.Errorf("%s: TLB hits/misses/perm-misses fast %v, legacy %v", sf.Name(), tf, tl)
 		}
 	}
+	if physDigest(fast.Phys) != physDigest(legacy.Phys) {
+		t.Error("the resident physical frames differ")
+	}
+}
+
+// physDigest hashes every resident frame: its number and its bytes.
+func physDigest(p *mem.Phys) [sha256.Size]byte {
+	h := sha256.New()
+	for _, f := range p.Resident() {
+		binary.Write(h, binary.LittleEndian, f)
+		h.Write(p.Bytes(uint64(f)<<mem.PageShift, mem.PageSize))
+	}
+	return [sha256.Size]byte(h.Sum(nil))
 }

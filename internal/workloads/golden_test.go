@@ -155,3 +155,37 @@ func TestGoldenCounters(t *testing.T) {
 		"# app shape instructions cycles (-size test); rewrite with: go test ./internal/workloads -run TestGoldenCounters -update",
 		got)
 }
+
+// TestHostCountsExact holds the fast loop's host-side work on two fixed
+// runs to exact values: the counted-spin skips and what they retired, the
+// fixed-point skips' retirements and the pages compiled. Each count is
+// deterministic, and none is in a dump or an artifact, so the goldens
+// above cannot see a change that silently loses a skip or recompiles
+// more; this fails on one. swim and equake on SMP 8 at small size spend
+// the most of their run-ahead work in the runtime's spin-then-yield idle
+// loop. A change that means to move a count updates its row here.
+func TestHostCountsExact(t *testing.T) {
+	for _, row := range []struct {
+		app                                         string
+		countSkips, countInstrs, spinInstrs, builds uint64
+	}{
+		{"swim", 1529, 3375174, 114, 3},
+		{"equake", 970, 2780656, 66, 3},
+	} {
+		w, err := ByName(row.app)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r, err := Run(w, shredlib.ModeThread, DefaultConfig(gridShapes[2].top), SizeSmall)
+		if err != nil {
+			t.Fatal(err)
+		}
+		reg := r.Machine.Obs.Metrics
+		got := [4]uint64{reg.CounterValue(obs.MSBCountSkips), reg.CounterValue(obs.MSBCountInstrs),
+			reg.CounterValue(obs.MSBSpinInstrs), reg.CounterValue(obs.MSBBuilds)}
+		if want := [4]uint64{row.countSkips, row.countInstrs, row.spinInstrs, row.builds}; got != want {
+			t.Errorf("%s SMP-8 small: count_skips, count_instrs, spin_instrs, builds = %v, want %v", row.app, got, want)
+		}
+		r.Release()
+	}
+}

@@ -2,16 +2,19 @@
 # crash_smoke.sh — chaos harness for the durable job plane.
 #
 # Reference pass: boots mispserve with a journal, runs a job
-# uninterrupted, and records its artifact hash. Then, for 20 seeded
-# kill points, it boots a fresh daemon, submits the same job detached,
-# SIGKILLs the daemon at a seeded-random offset (landing anywhere from
-# "barely admitted" through "mid-simulation between checkpoints" to
-# "already done"), restarts it on the same journal/cache directories,
-# and asserts the journaled job is neither lost nor duplicated: it is
-# listed and either completes with artifact bytes identical to the
-# uninterrupted run or fails with a recorded diagnosis, or its done
-# record retired it and resubmitting the request is a cache hit with
-# identical bytes.
+# uninterrupted, and records its artifact hash and how long it took.
+# Then, for 20 seeded kill points, it boots a fresh daemon, submits the
+# same job detached, SIGKILLs the daemon at a seeded-random offset inside
+# the reference run's duration (landing anywhere from "barely admitted"
+# through "mid-simulation between checkpoints" to "already done"),
+# restarts it on the same journal/cache directories, and asserts the
+# journaled job is neither lost nor duplicated: it is listed and either
+# completes with artifact bytes identical to the uninterrupted run or
+# fails with a recorded diagnosis, or its done record retired it and
+# resubmitting the request is a cache hit with identical bytes. At least
+# one seed must have resumed the job from a checkpoint image
+# (serve.resume.restores on the restarted daemon), or the smoke never
+# reached the mid-run case it exists for.
 set -euo pipefail
 
 KILLS=${KILLS:-20}
@@ -75,15 +78,18 @@ mkdir -p "$ROOT/ref"
 boot "$ROOT/ref" "$ROOT/ref/serve.log"
 VIEW=$(curl -fsS -X POST -H 'Content-Type: application/json' -d "$REQ" "$URL/v1/jobs?wait=1")
 echo "$VIEW" | grep -q '"status": "done"' || { echo "$VIEW"; echo "FAIL: reference run not done"; exit 1; }
+# The kill offsets are drawn inside the reference run's own wall time.
+REF_MS=$(( $(echo "$VIEW" | sed -n 's/.*"wall_ms": \([0-9]*\).*/\1/p' | head -1) + 1 ))
 REFJOB=$(echo "$VIEW" | sed -n 's/.*"id": "\([^"]*\)".*/\1/p' | head -1)
 curl -fsS "$URL/v1/jobs/$REFJOB/artifacts/summary.json" >"$ROOT/ref.json"
 curl -fsS "$URL/v1/jobs/$REFJOB/artifacts/counters.csv" >"$ROOT/ref.csv"
 test -s "$ROOT/ref.json" || { echo "FAIL: empty reference artifact"; exit 1; }
 stop
-echo "reference recorded ($(wc -c <"$ROOT/ref.json") bytes)"
+echo "reference recorded ($(wc -c <"$ROOT/ref.json") bytes, ${REF_MS} ms)"
 
 # --- seeded kill points ----------------------------------------------
 RESUMED=0
+RESTORED=0
 RETIRED=0
 for SEED in $(seq 1 "$KILLS"); do
     WORK="$ROOT/kill-$SEED"
@@ -94,10 +100,12 @@ for SEED in $(seq 1 "$KILLS"); do
     JOB=$(echo "$ACCEPT" | sed -n 's/.*"id": "\([^"]*\)".*/\1/p' | head -1)
     [ -n "$JOB" ] || { echo "$ACCEPT"; echo "FAIL(seed $SEED): submit rejected"; exit 1; }
 
-    # The seeded kill point. $RANDOM is deterministic per seed, so a
+    # The seeded kill point, a drawn fraction of the reference run's
+    # duration. $RANDOM is deterministic per seed, so on the same host a
     # failing offset reproduces.
     RANDOM=$SEED
-    SLEEP=$(printf '0.%02d' $((RANDOM % 50)))
+    MS=$(( RANDOM * REF_MS / 32768 ))
+    SLEEP=$(printf '%d.%03d' $((MS / 1000)) $((MS % 1000)))
     sleep "$SLEEP"
     kill -9 "$SERVER_PID"
     wait "$SERVER_PID" 2>/dev/null || true
@@ -135,8 +143,13 @@ for SEED in $(seq 1 "$KILLS"); do
         echo "  seed $SEED: failed with recorded diagnosis (allowed)"
     fi
     grep -q '"recovered": true' "$WORK/view.json" && RESUMED=$((RESUMED + 1))
+    METRICS=$(curl -fsS "$URL/metrics")
+    if grep -Eq '^counter +serve\.resume\.restores +[1-9]' <<<"$METRICS"; then
+        RESTORED=$((RESTORED + 1))
+    fi
     stop
     echo "seed $SEED ok (slept $SLEEP, job $JOB)"
 done
 
-echo "PASS: crash smoke ($KILLS seeded SIGKILLs, $RESUMED recovered jobs, $RETIRED retired, zero lost, zero duplicated, byte-identical artifacts)"
+[ "$RESTORED" -gt 0 ] || { echo "FAIL: no seed resumed the job from a checkpoint image ($RESUMED recovered, $RETIRED retired; kill offsets drawn inside ${REF_MS} ms)"; exit 1; }
+echo "PASS: crash smoke ($KILLS seeded SIGKILLs inside ${REF_MS} ms, $RESUMED recovered jobs, $RESTORED resumed from a checkpoint, $RETIRED retired, zero lost, zero duplicated, byte-identical artifacts)"
