@@ -151,9 +151,21 @@ resultscheck:
 # in a structured Diagnosis — never hang, never panic) under the race
 # detector, and pins the resilience sweep's CSV at test size with three
 # seeds (TestResilienceGolden), computed serially and in parallel.
+# The -run pattern is FAULT_TESTS joined with '|'; first, every name in
+# it must match a test that `go test -list` finds in FAULT_PKGS, so a
+# renamed test fails the gate instead of silently leaving it.
+FAULT_TESTS = TestFaultEquiv TestWatchdog TestCycleLimit TestDiagnosis TestFaultCampaign \
+	TestParforUnderAMSStalls TestParforAllProxiesLost TestParforSurvivesAMSKill \
+	TestJoinSingleSequencer TestPthreadTimedjoin TestPreemptionUnder TestHealthCheck TestResilienceGolden
+FAULT_PKGS = ./internal/core ./internal/fault ./internal/workloads ./internal/shredlib ./internal/kernel ./internal/exp
+empty :=
+space := $(empty) $(empty)
 faultcheck:
-	$(GO) test -race -run 'TestFaultEquiv|TestWatchdog|TestCycleLimit|TestDiagnosis|TestFaultCampaign|TestParfor(UnderAMSStalls|AllProxiesLost|SurvivesAMSKill)|TestJoinSingleSequencer|TestPthreadTimedjoin|TestPreemptionUnder|TestHealthCheck|TestResilienceGolden' \
-		./internal/core ./internal/fault ./internal/workloads ./internal/shredlib ./internal/kernel ./internal/exp
+	listed=$$($(GO) test -list . $(FAULT_PKGS) | grep '^Test') && \
+	for n in $(FAULT_TESTS); do \
+		echo "$$listed" | grep -q -- "$$n" || { echo "faultcheck: $$n matches no test in $(FAULT_PKGS)" >&2; exit 1; }; \
+	done
+	$(GO) test -race -run '$(subst $(space),|,$(strip $(FAULT_TESTS)))' $(FAULT_PKGS)
 
 # snapcheck: the snapshot/fork plane gate. Pins every golden image's
 # bytes (TestCaptureGolden), rejects crafted counts without allocating

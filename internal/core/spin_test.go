@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"crypto/sha256"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
@@ -48,6 +49,7 @@ type spinOutcome struct {
 	image           []byte // the snapshot image, when the run paused
 	skips, takeBack uint64
 	counts          uint64 // counted-spin skips (invariant 6)
+	flag            uint64 // the word at waveShared
 }
 
 // spinCapture is the machine's snapshot image.
@@ -90,6 +92,7 @@ func spinRun(t *testing.T, top Topology, legacy bool, d spinDraw, pause uint64) 
 		t.Fatal(rerr)
 	}
 	o.digest = sha256.Sum256(data)
+	o.flag = binary.LittleEndian.Uint64(data[mem.PageSize:])
 	o.events = m.Obs.Bus.Events()
 	o.skips, o.takeBack, o.counts = m.spinSkips, m.waveTakenBack, m.countSkips
 	return o
@@ -150,6 +153,9 @@ var spinFlag = []isa.Instr{
 	{Op: isa.OpJmp, Imm: -2 * isa.WordSize},
 }
 
+// spinReleased is the value sequencer 0 stores to release the flag.
+const spinReleased = 0x0123456789ABCDEF
+
 // spinOnFlag starts a sequencer on spinFlag with the flag unset.
 func spinOnFlag(s *Sequencer) {
 	s.Clock = uint64(s.ID)
@@ -157,13 +163,14 @@ func spinOnFlag(s *Sequencer) {
 }
 
 // spinRows are TestWaveSpinFastForward's cases: each draws one run on a
-// topology; takeBack also requires a wave exit to take part of a skip
-// back.
+// topology. release marks a row where sequencer 0 releases the flag: the
+// release must have committed in every draw, and a wave exit must take
+// part of a skip back.
 var spinRows = []struct {
-	name     string
-	draws    int
-	takeBack bool
-	draw     func(top Topology, rng *rand.Rand) spinDraw
+	name    string
+	draws   int
+	release bool
+	draw    func(top Topology, rng *rand.Rand) spinDraw
 }{
 	// The peers spin on the shared word — a TLB hit, so the load runs
 	// ahead and the iteration is a fixed point — and sequencer 0 stores
@@ -173,20 +180,22 @@ var spinRows = []struct {
 	// back the part of the skip ordered after it; after the release the
 	// peers count.
 	{"flag-release", 12, true, func(top Topology, rng *rand.Rand) spinDraw {
-		lead, after := 3+rng.IntN(300), 1+rng.IntN(200)
+		lead, after := 3+rng.IntN(300), rng.IntN(200)
 		code := make([]isa.Instr, wavePeerSlot, wavePeerSlot+len(spinFlag))
-		copy(code, append([]isa.Instr{{Op: isa.OpStd, Rd: 13, Rs1: 11}}, waveLead(lead,
+		copy(code, append([]isa.Instr{{Op: isa.OpStd, Rd: 13, Rs1: 11}}, countDelay(lead,
 			isa.Instr{Op: isa.OpStd, Rd: 13, Rs1: 14},
-			isa.Instr{Op: isa.OpAddi, Rd: 9, Rs1: 9, Imm: 3},
+			isa.Instr{Op: isa.OpAddi, Rd: 10, Rs1: 10, Imm: 3},
 			isa.Instr{Op: isa.OpJmp, Imm: -isa.WordSize})...))
 		base := waveInit(uopCode + wavePeerSlot*isa.WordSize)
-		// The warming store costs a walk: the release commits at clock
-		// lead+26.
+		// The warming store costs a walk and the countdown two cycles a
+		// pass: on all three shapes a pause from cycle 2·lead+51 on finds
+		// the release committed.
 		return spinDraw{what: fmt.Sprintf("lead %d", lead), code: append(code, spinFlag...), init: func(s *Sequencer) {
 			base(s)
+			s.Regs[0] = 0 // countDelay counts r9 down to r0
 			s.Regs[1], s.Regs[5] = waveShared, uopPattern(waveShared)
-			s.Regs[11], s.Regs[13], s.Regs[14] = waveWarm, 0x0123456789ABCDEF, waveShared
-		}, pause: uint64(lead + 26 + after)}
+			s.Regs[11], s.Regs[13], s.Regs[14] = waveWarm, spinReleased, waveShared
+		}, pause: uint64(2*lead + 51 + after)}
 	}},
 	// Every sequencer reads the clock, leaves for a bare pause loop once it
 	// has passed its drawn deadline r5, and overwrites the reading before
@@ -273,13 +282,17 @@ func TestWaveSpinFastForward(t *testing.T) {
 			for _, top := range waveTops {
 				var skips, takeBack uint64
 				for range row.draws {
-					o := spinEquiv(t, top, row.draw(top, rng))
+					d := row.draw(top, rng)
+					o := spinEquiv(t, top, d)
 					skips, takeBack = skips+o.skips, takeBack+o.takeBack
+					if row.release && o.flag != spinReleased {
+						t.Fatalf("%v %s: the flag holds %#x at the pause: the release never committed", top, d.what, o.flag)
+					}
 				}
 				if skips == 0 {
 					t.Fatalf("%v: the fast loop never skipped", top)
 				}
-				if row.takeBack && takeBack == 0 {
+				if row.release && takeBack == 0 {
 					t.Fatalf("%v: %d skips, nothing taken back: the release never landed in a skipped span", top, skips)
 				}
 			}

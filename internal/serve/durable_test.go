@@ -301,18 +301,15 @@ func TestReplayedDoneWithoutEntry(t *testing.T) {
 
 // TestRestartKeepsOnlyUnfinishedWork: a restart costs what is unfinished,
 // not what ever ran. A hundred done jobs — plus cache-hit records — and
-// keptFailures+5 failed jobs are settled and drained; the reboot reads
-// no cache entry, retires every done job, keeps the newest keptFailures
-// failures, and compacts the journal to their 2·keptFailures records. A
-// second reboot finds the same state.
+// keptFailures+5 failed jobs are settled; the live table already keeps
+// only the newest keptFailures failures beside the done jobs and hit
+// records. After the drain the reboot reads no cache entry, retires
+// every done job, keeps those same failures, and compacts the journal to
+// their 2·keptFailures records. A second reboot finds the same state.
 func TestRestartKeepsOnlyUnfinishedWork(t *testing.T) {
 	jdir, cdir := durableDirs(t)
 	cfg := Config{Workers: 2, JournalDir: jdir, CacheDir: cdir}
 	const done = 100
-	req := func(i int) *Request {
-		sc := uint64(i + 1) // one distinct key per i
-		return &Request{Kind: KindRun, App: "dense_mmm", Size: "test", SignalCost: &sc}
-	}
 	s1, err := NewServer(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -325,7 +322,7 @@ func TestRestartKeepsOnlyUnfinishedWork(t *testing.T) {
 	}
 	var failed []string
 	for i := range done + keptFailures + 5 {
-		j, err := s1.Submit(req(i), true)
+		j, err := s1.Submit(keyed(i+1), true)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -333,16 +330,32 @@ func TestRestartKeepsOnlyUnfinishedWork(t *testing.T) {
 		if i >= done {
 			failed = append(failed, j.ID)
 		} else if i%4 == 0 {
-			if hit, err := s1.Submit(req(i), true); err != nil || !s1.View(hit, false).Cached {
+			if hit, err := s1.Submit(keyed(i+1), true); err != nil || !s1.View(hit, false).Cached {
 				t.Fatalf("resubmission %d: %v, want a cache hit", i, err)
 			}
 		}
+	}
+	want := failed[len(failed)-keptFailures:]
+	var runs, hits int
+	var kept []string
+	for _, j := range s1.Jobs() {
+		switch {
+		case j.Status == StatusDone && j.Cached:
+			hits++
+		case j.Status == StatusDone:
+			runs++
+		default:
+			kept = append(kept, j.ID)
+		}
+	}
+	if runs != done || hits != done/4 || !slices.Equal(kept, want) {
+		t.Fatalf("live table: %d done runs, %d hit records, failures %v; want %d, %d and the newest %d %v",
+			runs, hits, kept, done, done/4, keptFailures, want)
 	}
 	if err := s1.Drain(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 
-	want := failed[len(failed)-keptFailures:]
 	for boot := 1; boot <= 2; boot++ {
 		var loads atomic.Int32
 		s, err := newServer(cfg, func(s *Server) { s.cache.loadDelay = func(string) { loads.Add(1) } })

@@ -79,9 +79,9 @@ func TestHitsDoNotGrowJobTable(t *testing.T) {
 		}
 	}
 
+	listed := len(s.Jobs())
 	s.mu.Lock()
 	grew := len(s.jobs) - before
-	listed := len(s.order)
 	hits := s.reg.CounterValue("serve.cache.hits")
 	submitted := s.reg.CounterValue("serve.jobs.submitted")
 	completed := s.reg.CounterValue("serve.jobs.completed")
@@ -115,20 +115,52 @@ func TestHitsDoNotGrowJobTable(t *testing.T) {
 	}
 }
 
-// BenchmarkServeHit is the cache-read layer of a served hit: one POST
-// ?wait=1 of a populated key and a GET of every artifact its view lists,
-// through Handler() with no network in between.
-func BenchmarkServeHit(b *testing.B) {
-	_, h, body := populated(b)
-	rec := serveOne(b, h, http.MethodPost, "/v1/jobs?wait=1", body)
+// hitAllocs is the allocation count of one served hit (below); lower
+// it when the count drops, and say why when it has to rise.
+const hitAllocs = 93
+
+// TestServedHitAllocs holds one served hit — a POST ?wait=1 of a
+// populated key and a GET of every artifact its view lists, through
+// Handler() — to exactly hitAllocs allocations.
+func TestServedHitAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates")
+	}
+	_, h, body := populated(t)
+	urls := warmHit(t, h, body)
+	got := testing.AllocsPerRun(50, func() {
+		serveOne(t, h, http.MethodPost, "/v1/jobs?wait=1", body)
+		for _, u := range urls {
+			serveOne(t, h, http.MethodGet, u, nil)
+		}
+	})
+	if got != hitAllocs {
+		t.Fatalf("a served hit made %v allocations, want %d", got, hitAllocs)
+	}
+}
+
+// warmHit serves the first hit of populated's key and returns the URLs of
+// the artifacts its view lists.
+func warmHit(tb testing.TB, h http.Handler, body []byte) []string {
+	tb.Helper()
+	rec := serveOne(tb, h, http.MethodPost, "/v1/jobs?wait=1", body)
 	var v JobView
 	if err := json.Unmarshal(rec.Body.Bytes(), &v); err != nil || !v.Cached {
-		b.Fatalf("warm-up hit: %v, %s", err, rec.Body)
+		tb.Fatalf("warm-up hit: %v, %s", err, rec.Body)
 	}
 	urls := make([]string, len(v.Artifacts))
 	for i, name := range v.Artifacts {
 		urls[i] = "/v1/jobs/" + v.ID + "/artifacts/" + name
 	}
+	return urls
+}
+
+// BenchmarkServeHit is the cache-read layer of a served hit: one POST
+// ?wait=1 of a populated key and a GET of every artifact its view lists,
+// through Handler() with no network in between.
+func BenchmarkServeHit(b *testing.B) {
+	_, h, body := populated(b)
+	urls := warmHit(b, h, body)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for range b.N {

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -232,7 +233,7 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
-	if !s.Cancel(id, errors.New("serve: canceled by client")) {
+	if !s.Cancel(id, fmt.Errorf("serve: canceled by client: %w", context.Canceled)) {
 		writeError(w, http.StatusNotFound, fmt.Errorf("serve: unknown job %q", id))
 		return
 	}

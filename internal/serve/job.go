@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"slices"
 	"sync/atomic"
 	"time"
 )
@@ -69,6 +70,7 @@ type Job struct {
 	Preempted bool
 	Preempts  int
 
+	seq    int // the sequence number in ID ("j17-…"): listing and compaction order
 	ctx    context.Context
 	cancel context.CancelCauseFunc
 	done   chan struct{}
@@ -211,11 +213,12 @@ func (s *Server) step(j *Job, r jrec) {
 }
 
 // settleLocked is the terminal half and the only place a job becomes
-// terminal: res/err classify into done, failed or canceled, the
-// single-flight slot is released, done is closed and the job's context
-// released — exactly once; settling a terminal job is a no-op that
-// reports false. Called with mu held, by settle, by the cache-hit
-// admission, and by recover for every verdict it restores or reaches.
+// terminal: res/err classify into done, failed or canceled, the key's
+// slot is released, a failure evicts the oldest beyond keptFailures from
+// the table, done is closed and the job's context released — exactly
+// once; settling a terminal job is a no-op that reports false. Called
+// with mu held, by settle, by the cache-hit admission, and by recover
+// for every verdict it restores or reaches.
 func (s *Server) settleLocked(j *Job, res *Result, err error) bool {
 	if j.Status.Terminal() {
 		return false
@@ -246,8 +249,14 @@ func (s *Server) settleLocked(j *Job, res *Result, err error) bool {
 	if j.Wall > 0 {
 		s.reg.Histogram("serve.job.wall_ms").Observe(uint64(j.Wall.Milliseconds())) // jobs that held a lease
 	}
-	if s.inflight[j.Key] == j {
-		delete(s.inflight, j.Key)
+	if s.keys[j.Key] == j {
+		delete(s.keys, j.Key)
+	}
+	if j.Status != StatusDone {
+		if s.failures = append(s.failures, j); len(s.failures) > keptFailures {
+			delete(s.jobs, s.failures[0].ID)
+			s.failures = slices.Delete(s.failures, 0, 1)
+		}
 	}
 	// The verdict is decided, so nothing reads the context's cause again;
 	// canceling it detaches the job from the server's base context before
@@ -311,11 +320,11 @@ func (s *Server) journalAppend(r jrec) error {
 // file. Records for IDs with no accepted record are dropped: the
 // submission was never acknowledged, so there is nothing to honor.
 //
-// Each job then leaves, settles or re-enqueues, first rule that applies:
-//   - the journal holds a done record → the job retires: it never enters
-//     the table, no cache entry is read, and resubmitting it is a hit.
-//   - the journal holds a failed or canceled verdict → settle with the
-//     first one recorded.
+// A job's first terminal record decides it where the file has it: done
+// retires the job — it never enters the table, no cache entry is read,
+// and resubmitting it is a hit — and failed or canceled settles it, so
+// the failure window evicts as the recording process did. Each job left
+// unsettled then settles or re-enqueues, first rule that applies:
 //   - the result cache has the key → the job finished; the crash beat
 //     the terminal record. Settle done (dedupe: never re-simulate).
 //   - attempts ≥ MaxRetries → every lease expired; fail with a JobError
@@ -323,9 +332,7 @@ func (s *Server) journalAppend(r jrec) error {
 //   - otherwise → re-enqueue; whatever lease it held died with the old
 //     process, its attempt count and parked state carry over.
 //
-// Of the recorded failed and canceled verdicts only the newest
-// keptFailures stay. Re-enqueued jobs are pushed in submission order,
-// past the admission bound.
+// Re-enqueued jobs are pushed in submission order, past the bound.
 func (s *Server) recover(payloads [][]byte) {
 	jobs := make(map[string]*Job) // replayed jobs not (yet) retired
 	var order []*Job
@@ -340,10 +347,6 @@ func (s *Server) recover(payloads [][]byte) {
 			// is no simulation to honor under the new schema.
 			continue
 		}
-		var n int // the ID counter continues past the journal's IDs ("j17-…")
-		if _, err := fmt.Sscanf(r.ID, "j%d-", &n); err == nil {
-			s.seq = max(s.seq, n)
-		}
 		j := &Job{
 			ID: r.ID, Key: c.Key(), Req: c,
 			// The journal records no admission time: a recovered job's
@@ -352,12 +355,19 @@ func (s *Server) recover(payloads [][]byte) {
 			Recovered: true,
 			detached:  true, // whoever was waiting died with the old process
 		}
+		// The ID counter continues past the journal's IDs ("j17-…").
+		if _, err := fmt.Sscanf(r.ID, "j%d-", &j.seq); err == nil {
+			s.seq = max(s.seq, j.seq)
+		}
 		advanceLocked(j, r)
 		jobs[r.ID] = j
 		order = append(order, j)
 	}
+	settleRecorded := func(j *Job, err error) {
+		s.registerLocked(j)
+		s.settleLocked(j, nil, err)
+	}
 	replayed := 0
-	verdicts := make(map[string]error) // a job's first recorded verdict stands
 	for _, p := range payloads {
 		var r jrec
 		if json.Unmarshal(p, &r) != nil {
@@ -365,32 +375,25 @@ func (s *Server) recover(payloads [][]byte) {
 		}
 		replayed++
 		switch j := jobs[r.ID]; {
-		case j == nil || r.Op == opAccepted || verdicts[r.ID] != nil:
+		case j == nil || r.Op == opAccepted || j.Status.Terminal():
+			// Unknown, already applied, or past the job's first verdict.
 		case r.Op == opDone:
 			delete(jobs, r.ID) // retired: it never enters the table
 		case r.Op == opCanceled:
-			verdicts[r.ID] = &replayedErr{r.Error, context.Canceled}
+			settleRecorded(j, &replayedErr{r.Error, context.Canceled})
 		case r.Op == opFailed && r.Reason != "":
-			verdicts[r.ID] = &replayedErr{r.Error, &JobError{ID: j.ID, Key: j.Key, Reason: r.Reason, Attempts: j.Attempt}}
+			settleRecorded(j, &replayedErr{r.Error, &JobError{ID: j.ID, Key: j.Key, Reason: r.Reason, Attempts: j.Attempt}})
 		case r.Op == opFailed:
-			verdicts[r.ID] = errors.New(r.Error)
+			settleRecorded(j, errors.New(r.Error))
 		default:
 			advanceLocked(j, r)
 		}
 	}
 	s.reg.Counter("serve.journal.replayed").Set(uint64(replayed))
 
-	drop := len(verdicts) - keptFailures // recorded failures older than the window
 	for _, j := range order {
-		if jobs[j.ID] == nil {
-			continue // retired
-		}
-		if err := verdicts[j.ID]; err != nil {
-			if drop--; drop < 0 {
-				s.registerLocked(j)
-				s.settleLocked(j, nil, err)
-			}
-			continue
+		if jobs[j.ID] == nil || j.Status.Terminal() {
+			continue // retired, or settled by its recorded verdict
 		}
 		s.registerLocked(j)
 		// Get (not a file probe) so the dedupe verifies the entry's
@@ -406,27 +409,28 @@ func (s *Server) recover(payloads [][]byte) {
 			// attempt its preemption interrupted.
 			s.reg.Counter("serve.resume.failed").Inc()
 			s.settleLocked(j, nil, &JobError{ID: j.ID, Key: j.Key, Reason: ReasonRetries, Attempts: j.Attempt})
-		case s.inflight[j.Key] != nil:
+		case s.keys[j.Key] != nil:
 			// Two live journaled jobs with one key cannot normally happen
 			// (single-flight); settle the duplicate rather than racing it.
 			s.settleLocked(j, nil, &replayedErr{"serve: duplicate journaled job coalesced at recovery", context.Canceled})
 		default:
 			j.Status = StatusQueued // a replayed lease is a dead one
-			s.inflight[j.Key] = j
+			s.keys[j.Key] = j
 			s.reg.Counter("serve.resume.jobs").Inc()
 			s.queue.push(j)
 		}
 	}
 }
 
-// keptFailures is how many failed or canceled jobs, the newest, outlive
-// a restart: a failure has no cache entry to stand for it.
+// keptFailures is how many failed or canceled jobs, the newest settled,
+// the job table keeps, live and across a restart: a failure has no cache
+// entry to stand for it.
 const keptFailures = 64
 
 // compactionRecords renders the job table recover left back into its
-// minimal journal form: one accepted record per job (attempts, last
-// checkpoint and parked state folded in), plus a kept failure's terminal
-// record. A job recover deduped to done is left out: done needs no record.
+// minimal journal form: one accepted record per job in submission order
+// (attempts, last checkpoint and parked state folded in), plus a kept
+// failure's terminal record. A job recover deduped to done is left out.
 func (s *Server) compactionRecords() [][]byte {
 	var out [][]byte
 	put := func(r jrec) {
@@ -434,8 +438,7 @@ func (s *Server) compactionRecords() [][]byte {
 			out = append(out, b)
 		}
 	}
-	for _, id := range s.order {
-		j := s.jobs[id]
+	for _, j := range s.Jobs() {
 		if j.Status == StatusDone {
 			continue
 		}

@@ -5,10 +5,12 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"maps"
 	"math/rand/v2"
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -110,11 +112,13 @@ type Server struct {
 	cache *Cache
 	start time.Time
 
-	mu       sync.Mutex
-	jobs     map[string]*Job
-	order    []string        // submission order, for listing
-	inflight map[string]*Job // key → non-terminal job (single-flight)
-	hits     map[string]*Job // key → its cache-hit record, shared by every hit
+	mu   sync.Mutex
+	jobs map[string]*Job
+	// keys maps a key to its queued or running job (single-flight) or its
+	// cache-hit record: settleLocked removes every other job, so a
+	// terminal job here is a hit record.
+	keys     map[string]*Job
+	failures []*Job // failed and canceled jobs in the table, oldest settled first
 	queue    *jobQueue
 	draining bool
 	seq      int
@@ -168,15 +172,14 @@ func newServer(cfg Config, prep func(*Server)) (*Server, error) {
 		return nil, err
 	}
 	s := &Server{
-		cfg:      cfg,
-		cache:    cache,
-		start:    time.Now(),
-		jobs:     make(map[string]*Job),
-		inflight: make(map[string]*Job),
-		hits:     make(map[string]*Job),
-		queue:    newJobQueue(),
-		reg:      obs.NewRegistry(),
-		warm:     workloads.NewWarmPool(),
+		cfg:   cfg,
+		cache: cache,
+		start: time.Now(),
+		jobs:  make(map[string]*Job),
+		keys:  make(map[string]*Job),
+		queue: newJobQueue(),
+		reg:   obs.NewRegistry(),
+		warm:  workloads.NewWarmPool(),
 
 		heapBytes: obs.HostHeapBytes,
 		govStop:   make(chan struct{}),
@@ -315,12 +318,13 @@ func (s *Server) admitLocked(c *Request, key string, art Artifacts, cached, deta
 	}
 
 	// Single-flight: piggyback on an identical in-flight job.
-	if j := s.inflight[key]; j != nil {
+	held := s.keys[key]
+	if held != nil && !held.Status.Terminal() {
 		s.reg.Counter("serve.jobs.coalesced").Inc()
 		if detached {
-			j.detached = true
+			held.detached = true
 		}
-		return j, nil, nil
+		return held, nil, nil
 	}
 
 	// Cache: an identical completed request is served without touching
@@ -338,9 +342,9 @@ func (s *Server) admitLocked(c *Request, key string, art Artifacts, cached, deta
 	if cached {
 		s.reg.Counter("serve.cache.hits").Inc()
 		s.reg.Counter("serve.jobs.submitted").Inc()
-		if j := s.hits[key]; j != nil {
+		if held != nil { // terminal, so the key's hit record
 			s.reg.Counter("serve.jobs.completed").Inc()
-			return j, nil, nil
+			return held, nil, nil
 		}
 		j := s.newJobLocked(c, key, detached)
 		j.Cached = true
@@ -349,7 +353,7 @@ func (s *Server) admitLocked(c *Request, key string, art Artifacts, cached, deta
 		v := viewLocked(j, true)
 		v.Artifacts = art.Names()
 		j.view = encodeJSON(v)
-		s.hits[key] = j
+		s.keys[key] = j
 		return j, nil, nil
 	}
 	s.reg.Counter("serve.cache.misses").Inc()
@@ -366,7 +370,7 @@ func (s *Server) admitLocked(c *Request, key string, art Artifacts, cached, deta
 	s.registerLocked(j)
 	accepted := &jrec{Op: opAccepted, ID: j.ID, Key: key, Req: c}
 	advanceLocked(j, *accepted)
-	s.inflight[key] = j
+	s.keys[key] = j // replaces a hit record whose entry the cache no longer holds
 	s.reg.Counter("serve.jobs.submitted").Inc()
 	// The push cannot meet a closed queue: Drain sets draining and closes
 	// it in one critical section, and draining was checked under this one.
@@ -381,6 +385,7 @@ func (s *Server) newJobLocked(c *Request, key string, detached bool) *Job {
 	s.seq++
 	return &Job{
 		ID:       fmt.Sprintf("j%d-%s", s.seq, key[:8]),
+		seq:      s.seq,
 		Key:      key,
 		Req:      c,
 		Created:  time.Now(),
@@ -395,7 +400,6 @@ func (s *Server) registerLocked(j *Job) {
 	j.done = make(chan struct{})
 	j.ctx, j.cancel = context.WithCancelCause(s.baseCtx)
 	s.jobs[j.ID] = j
-	s.order = append(s.order, j.ID)
 }
 
 // Job looks up a job by ID.
@@ -406,14 +410,12 @@ func (s *Server) Job(id string) (*Job, bool) {
 	return j, ok
 }
 
-// Jobs returns every job record in submission order.
+// Jobs returns every job record in submission order (its ID's sequence).
 func (s *Server) Jobs() []*Job {
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]*Job, 0, len(s.order))
-	for _, id := range s.order {
-		out = append(out, s.jobs[id])
-	}
+	out := slices.Collect(maps.Values(s.jobs))
+	s.mu.Unlock()
+	slices.SortFunc(out, func(a, b *Job) int { return cmp.Compare(a.seq, b.seq) })
 	return out
 }
 
@@ -456,7 +458,8 @@ func (s *Server) ReleaseWaiter(j *Job) {
 	abandon := j.refs <= 0 && !j.detached && !j.Status.Terminal()
 	s.mu.Unlock()
 	if abandon {
-		j.cancel(errors.New("serve: client disconnected"))
+		// Canceled, not failed, even while queued or in retry backoff.
+		j.cancel(fmt.Errorf("serve: client disconnected: %w", context.Canceled))
 	}
 }
 
