@@ -151,21 +151,28 @@ resultscheck:
 # in a structured Diagnosis — never hang, never panic) under the race
 # detector, and pins the resilience sweep's CSV at test size with three
 # seeds (TestResilienceGolden), computed serially and in parallel.
-# The -run pattern is FAULT_TESTS joined with '|'; first, every name in
-# it must match a test that `go test -list` finds in FAULT_PKGS, so a
-# renamed test fails the gate instead of silently leaving it.
+# The -run pattern is FAULT_TESTS joined with '|' (runlist); first,
+# listcheck fails the gate when a name matches no test.
 FAULT_TESTS = TestFaultEquiv TestWatchdog TestCycleLimit TestDiagnosis TestFaultCampaign \
 	TestParforUnderAMSStalls TestParforAllProxiesLost TestParforSurvivesAMSKill \
 	TestJoinSingleSequencer TestPthreadTimedjoin TestPreemptionUnder TestHealthCheck TestResilienceGolden
 FAULT_PKGS = ./internal/core ./internal/fault ./internal/workloads ./internal/shredlib ./internal/kernel ./internal/exp
+faultcheck:
+	$(call listcheck,faultcheck,$(FAULT_TESTS),$(FAULT_PKGS))
+	$(GO) test -race -run '$(call runlist,$(FAULT_TESTS))' $(FAULT_PKGS)
+
+# A gate that runs a named list of tests keeps the names once and checks
+# them first: $(call listcheck,GATE,NAMES,PKGS) fails when any name in
+# NAMES matches no test that `go test -list` finds in PKGS, so a renamed
+# test fails the gate instead of silently leaving it; $(call
+# runlist,NAMES) is the names joined with '|' for -run.
 empty :=
 space := $(empty) $(empty)
-faultcheck:
-	listed=$$($(GO) test -list . $(FAULT_PKGS) | grep '^Test') && \
-	for n in $(FAULT_TESTS); do \
-		echo "$$listed" | grep -q -- "$$n" || { echo "faultcheck: $$n matches no test in $(FAULT_PKGS)" >&2; exit 1; }; \
+runlist = $(subst $(space),|,$(strip $(1)))
+listcheck = listed=$$($(GO) test -list . $(3) | grep '^Test') && \
+	for n in $(2); do \
+		echo "$$listed" | grep -q -- "$$n" || { echo "$(1): $$n matches no test in $(3)" >&2; exit 1; }; \
 	done
-	$(GO) test -race -run '$(subst $(space),|,$(strip $(FAULT_TESTS)))' $(FAULT_PKGS)
 
 # snapcheck: the snapshot/fork plane gate. Pins every golden image's
 # bytes (TestCaptureGolden), rejects crafted counts without allocating
@@ -179,9 +186,15 @@ faultcheck:
 # recycler to fresh-array parity, and smoke-runs the capture benchmark
 # once so it cannot rot (no ratio gate: the numbers are for reading, see
 # DESIGN.md §12; the fork and prepare benchmarks run in benchsmoke).
+# A canceled run is captured, forked and run on like a paused one
+# (TestCaptureAfterCancel), the contract serve's preemption leans on.
+# SNAP_TESTS is checked like FAULT_TESTS (listcheck).
+SNAP_TESTS = TestCapture TestFork TestStructural TestPause TestMidRun TestSnapshotFile \
+	TestLoadRejects TestWarmPool TestRecycle TestRelease
+SNAP_PKGS = ./internal/mem ./internal/snap/... ./internal/workloads
 snapcheck:
-	$(GO) test -race -run 'TestCapture|TestFork|TestStructural|TestPause|TestMidRun|TestSnapshotFile|TestLoadRejects|TestWarmPool|TestRecycle|TestRelease' \
-		./internal/mem ./internal/snap/... ./internal/workloads
+	$(call listcheck,snapcheck,$(SNAP_TESTS),$(SNAP_PKGS))
+	$(GO) test -race -run '$(call runlist,$(SNAP_TESTS))' $(SNAP_PKGS)
 	$(GO) test -run '^$$' -bench 'BenchmarkCapture' -benchtime=1x ./internal/snap
 	d=$$(mktemp -d "$${TMPDIR:-/tmp}/misp-snapcheck.XXXXXX") && \
 	$(GO) build -o $$d/mispsim ./cmd/mispsim && \

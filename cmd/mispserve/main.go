@@ -16,11 +16,20 @@
 //	mispserve fetch -id JOB -name table1.csv [-o FILE] [-server URL]
 //	mispserve -version
 //
+// With -journal, accepted jobs survive a hard kill: the journal records
+// each job's transitions, and -checkpoint-cycles N has a running
+// simulation save an image every N cycles (the image file is the
+// checkpoint's only record), which a restarted daemon resumes from.
+// Each job prepares or resumes its own machine; the daemon keeps no
+// machine image between jobs.
+//
 // With -mem-budget the daemon governs its memory by the measured heap:
 // a pressure monitor sheds every fresh admission once the heap reaches
-// 70% of the budget, and at 95% it holds the queue and
-// checkpoint-preempts the youngest running run instead of letting the
-// host OOM. Governed jobs also get a wall-clock allowance by size.
+// 70% of the budget, and at 95% it holds the queue and preempts the
+// youngest running run instead of letting the host OOM: the run's
+// lease is canceled, it saves an image where it stopped (needs
+// -journal) and is re-queued to resume from it. Governed jobs also get
+// a wall-clock allowance by size.
 // /healthz/live and /healthz/ready split liveness from readiness for
 // load balancers.
 //
@@ -73,7 +82,7 @@ func daemon() {
 	cacheDir := flag.String("cachedir", "", "persist the result cache in this directory (default: memory only)")
 	drainTimeout := flag.Duration("drain", 30*time.Second, "graceful-drain budget on SIGINT/SIGTERM before in-flight jobs are canceled")
 	journalDir := flag.String("journal", "", "durable job plane: write-ahead journal + checkpoint images in this directory (default: jobs are memory-only)")
-	ckptCycles := flag.Uint64("checkpoint-cycles", 0, "checkpoint running simulations every N simulated cycles (0 = off; needs -journal)")
+	ckptCycles := flag.Uint64("checkpoint-cycles", 0, "checkpoint running simulations every N simulated cycles (0 = only when preempted; needs -journal)")
 	maxRetries := flag.Int("max-retries", 0, "execution attempts per job before it fails with a diagnosis (0 = default 3)")
 	jobTimeout := flag.Duration("job-timeout", 0, "per-job wall-clock budget from admission (0 = unlimited)")
 	memBudget := flag.String("mem-budget", "", "host heap budget enabling resource governance, e.g. 512m or 2g (default: off)")

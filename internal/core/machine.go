@@ -268,8 +268,11 @@ func (m *Machine) SetOS(os OS) { m.os = os }
 // SetContext attaches a cancellation context, replacing any earlier
 // one. Once ctx is canceled, Run aborts and returns an error wrapping
 // ctx's cause (errors.Is(err, context.Canceled) holds for a plain
-// cancel). Cancellation is a host-side abort: the simulation state is
-// frozen mid-run and no result should be read from it.
+// cancel). Cancellation is a host-side stop: the machine is stopped at
+// an instruction boundary, as at a SetPause point, so it can be
+// captured (internal/snap) like a paused one and a fork of that image
+// runs on to the uninterrupted run's result (TestCaptureAfterCancel).
+// The canceled machine itself has no result to read.
 //
 // The cancel reaches the run loops as an atomic flag armed through
 // context.AfterFunc, polled with one load at every selection, every

@@ -83,8 +83,8 @@ func TestChaosSeededKills(t *testing.T) {
 				idOf[j.Key] = j.ID
 			}
 			// The seeded kill point: anywhere from "barely admitted" to
-			// "probably finished". Even seeds also request a cooperative
-			// preemption partway there, so the journal the successor
+			// "probably finished". Even seeds also preempt the youngest
+			// running run partway there, so the journal the successor
 			// replays can contain preempted records (including the crash
 			// landing while a preempted job sits queued behind its image).
 			if seed%2 == 0 {

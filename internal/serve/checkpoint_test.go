@@ -165,8 +165,9 @@ func TestCheckpointCorruptImageFallsBackCold(t *testing.T) {
 
 // TestServerCheckpointMetadata: the served path end to end — a journaled
 // server with checkpointing enabled completes a run, surfaces the last
-// checkpoint cycle in the job view, and journals checkpoint records
-// that survive in the job's compacted accepted record across a restart.
+// checkpoint cycle in the job view and counts its checkpoints, and
+// journals none of them: the image is a checkpoint's only record, so
+// the job's journal is its accepted, started and done records.
 func TestServerCheckpointMetadata(t *testing.T) {
 	wantRes := func() *Result {
 		_, r, err := Execute(context.Background(), mustCanonical(t, tinyRun()))
@@ -197,5 +198,11 @@ func TestServerCheckpointMetadata(t *testing.T) {
 	}
 	if !strings.Contains(s.Metrics(), "serve.resume.checkpoints") {
 		t.Fatal("/metrics does not expose serve.resume.checkpoints")
+	}
+	if err := s.Drain(context.Background()); err != nil { // the worker writes the done record after waiters wake
+		t.Fatal(err)
+	}
+	if got := s.reg.CounterValue("serve.journal.appends"); got != 3 {
+		t.Fatalf("serve.journal.appends = %d, want 3 (accepted, started, done)", got)
 	}
 }

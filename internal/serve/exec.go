@@ -79,45 +79,27 @@ func Execute(ctx context.Context, c *Request) (Artifacts, *Result, error) {
 	return ExecuteCheckpointed(ctx, c, nil, nil)
 }
 
-// ErrPreempted reports that a run yielded cooperatively at a quiescent
-// pause boundary after a preemption request: its image is persisted (or
-// an older image remains usable) and the caller must re-enqueue the job
-// to resume later. Never returned for completed or failed runs.
-var ErrPreempted = errors.New("serve: job preempted at quiescent boundary")
+// ErrPreempted is the cause a preempted lease's context is canceled
+// with, and what ExecuteCheckpointed returns for the run it stopped: its
+// image is persisted (or an older image remains usable) and the caller
+// must re-enqueue the job to resume later. Never returned for completed
+// or failed runs.
+var ErrPreempted = errors.New("serve: job preempted")
 
-// CheckpointSpec configures ExecuteCheckpointed: where images live,
-// how often they are taken, the preemption poll, and the hooks the
-// server uses to journal and count checkpoint traffic. A nil spec or the
-// zero value disables checkpointing: the run goes straight through.
+// CheckpointSpec configures ExecuteCheckpointed: where images live, how
+// often they are taken, and the hooks the server uses to count
+// checkpoint traffic. A nil spec or the zero value disables
+// checkpointing: the run goes straight through.
 type CheckpointSpec struct {
 	Dir   string // checkpoint images live here, next to the journal
-	Every uint64 // simulated cycles between checkpoints (0 = off)
-
-	// Quantum is the pause-slice cadence in simulated cycles: the run
-	// reaches a quiescent boundary at least this often and polls Preempt
-	// there. 0 falls back to Every (pause only at checkpoint boundaries).
-	Quantum uint64
-	// Preempt is polled at every quiescent boundary; returning true
-	// persists an image at the current cycle and aborts the lease with
-	// ErrPreempted. nil never preempts.
-	Preempt func() bool
+	Every uint64 // simulated cycles between checkpoints (0 = only at preemption)
 
 	OnCheckpoint func(cycle uint64) // after an image is durably persisted
 	OnRestore    func(cycle uint64) // resumed from an image at this cycle
 	OnCorrupt    func(err error)    // an unusable image was discarded
 }
 
-func (cs *CheckpointSpec) enabled() bool {
-	return cs != nil && cs.Dir != "" && (cs.Every > 0 || (cs.Quantum > 0 && cs.Preempt != nil))
-}
-
-// stride is the pause cadence: the tighter of Quantum and Every.
-func (cs *CheckpointSpec) stride() uint64 {
-	if cs.Quantum > 0 && (cs.Every == 0 || cs.Quantum < cs.Every) {
-		return cs.Quantum
-	}
-	return cs.Every
-}
+func (cs *CheckpointSpec) enabled() bool { return cs != nil && cs.Dir != "" }
 
 // checkpointPath is the image location for one canonical request. Keyed
 // on the cache key: execution-only knobs are run-only config, so an
@@ -127,20 +109,21 @@ func (cs *CheckpointSpec) path(key string) string {
 }
 
 // ExecuteCheckpointed is Execute with a snapshot warm pool and, for run
-// requests, periodic mid-run checkpoints. warm: repeat requests against
-// the same workload/topology fork a cached post-prepare image instead of
-// building a machine from scratch; nil runs cold, bit-identical either
-// way (the pool contract, difftested in workloads/warm_test.go). cs:
-// the simulation pauses every cs.Every cycles at a quiescent SetPause
-// boundary, persists a snap image atomically, and continues; if an image
-// for the request already exists (a previous attempt or process died
-// mid-run), execution resumes from it instead of starting over. The snap
-// plane's determinism contract makes the artifacts byte-identical to an
-// uninterrupted run either way, and an unreadable or stale image is
-// discarded for a cold start — corrupt state can degrade performance,
-// never correctness. Sweep requests ignore cs: their grid points are
-// individually short, so the journal's retry lease is their recovery
-// story.
+// requests, mid-run checkpoints. warm: repeat requests against the same
+// workload/topology fork a cached post-prepare image instead of building
+// a machine from scratch; nil runs cold, bit-identical either way (the
+// pool contract, difftested in workloads/warm_test.go). cs: the
+// simulation pauses every cs.Every cycles at a quiescent SetPause
+// boundary, persists a snap image atomically, and continues; a run whose
+// context is canceled with ErrPreempted persists an image where it
+// stopped; and if an image for the request already exists (a previous
+// attempt was preempted, or a process died mid-run), execution resumes
+// from it instead of starting over. The snap plane's determinism
+// contract makes the artifacts byte-identical to an uninterrupted run
+// either way, and an unreadable or stale image is discarded for a cold
+// start — corrupt state can degrade performance, never correctness.
+// Sweep requests ignore cs: their grid points are individually short, so
+// the journal's retry lease is their recovery story.
 func ExecuteCheckpointed(ctx context.Context, c *Request, warm *workloads.WarmPool, cs *CheckpointSpec) (Artifacts, *Result, error) {
 	switch c.Kind {
 	case KindRun:
@@ -151,14 +134,15 @@ func ExecuteCheckpointed(ctx context.Context, c *Request, warm *workloads.WarmPo
 	return nil, nil, fmt.Errorf("serve: unknown request kind %q", c.Kind)
 }
 
-// executeRun is the one run executor. With checkpointing enabled the
-// run proceeds in pause slices: every stride() cycles the machine stops
-// at a quiescent boundary, where the loop checks the preemption poll and
-// the checkpoint cadence. Preemption forces an image at the current
-// cycle and aborts the lease with ErrPreempted — even when the capture
-// fails, since the previous image (or a cold start) still resumes to
-// byte-identical artifacts; only the paid cycles are lost. Disabled, no
-// image is looked up, no pause is armed, and the first pass is the run.
+// executeRun is the one run executor. With checkpointing enabled and
+// Every set, the run proceeds in pause slices of Every cycles, each
+// ending in a checkpoint. A run stopped by a cancel whose cause is
+// ErrPreempted is stopped on an instruction boundary like a paused one:
+// it takes its image there and returns ErrPreempted — even when the
+// capture fails, since the previous image (or a cold start) still
+// resumes to byte-identical artifacts; only the paid cycles are lost.
+// Disabled, no image is looked up or taken and the first pass is the
+// run.
 func executeRun(ctx context.Context, c *Request, warm *workloads.WarmPool, cs *CheckpointSpec) (Artifacts, *Result, error) {
 	w, size, cfg, err := runSetup(c)
 	if err != nil {
@@ -182,39 +166,28 @@ func executeRun(ctx context.Context, c *Request, warm *workloads.WarmPool, cs *C
 	defer pr.Release()
 
 	var res *workloads.RunResult
-	var nextCkpt uint64
-	if ckpting && cs.Every > 0 {
-		nextCkpt = pr.Machine.MaxClock() + cs.Every
-	}
 	for {
-		if ckpting {
-			pr.Machine.SetPause(pr.Machine.MaxClock() + cs.stride())
+		if ckpting && cs.Every > 0 {
+			pr.Machine.SetPause(pr.Machine.MaxClock() + cs.Every)
 		}
 		res, err = pr.RunCtx(ctx)
 		if err == nil {
 			break
 		}
-		if !ckpting || !errors.Is(err, core.ErrPaused) {
+		preempted := errors.Is(err, ErrPreempted)
+		if !ckpting || !(preempted || errors.Is(err, core.ErrPaused)) {
 			// Leave the last image in place: a retry or a restarted daemon
 			// resumes from it instead of repaying the simulated cycles.
 			return nil, nil, err
 		}
-		clock := pr.Machine.MaxClock()
-		preempt := cs.Preempt != nil && cs.Preempt()
-		if preempt || (cs.Every > 0 && clock >= nextCkpt) {
-			img, cerr := snap.Capture(pr.Machine, pr.Kernel)
-			if cerr == nil {
-				// A failed capture degrades the checkpoint cadence (or the
-				// preemption resume point), never the run.
-				if serr := img.SaveFile(ckpt); serr == nil && cs.OnCheckpoint != nil {
-					cs.OnCheckpoint(clock)
-				}
-			}
-			for nextCkpt != 0 && nextCkpt <= clock {
-				nextCkpt += cs.Every
+		// A failed capture degrades the checkpoint cadence (or the
+		// preemption resume point), never the run.
+		if img, cerr := snap.Capture(pr.Machine, pr.Kernel); cerr == nil {
+			if serr := img.SaveFile(ckpt); serr == nil && cs.OnCheckpoint != nil {
+				cs.OnCheckpoint(pr.Machine.MaxClock())
 			}
 		}
-		if preempt {
+		if preempted {
 			return nil, nil, ErrPreempted
 		}
 	}

@@ -11,8 +11,8 @@ import (
 // This file is the resource-governance layer: the per-size wall-clock
 // allowance, the queue-drain estimator behind computed Retry-After
 // hints, and the host pressure monitor that escalates through shedding
-// and cooperative preemption instead of letting the kernel OOM-kill the
-// daemon. Memory is governed by the measured heap alone.
+// and preemption instead of letting the kernel OOM-kill the daemon.
+// Memory is governed by the measured heap alone.
 
 // ErrPressure rejects an admission under host memory pressure. The HTTP
 // layer maps it to 429 with a computed Retry-After, same as a full
@@ -118,9 +118,9 @@ const (
 	// Retry-After, and readiness reports 503.
 	pressureShed
 	// pressureCritical: the queue is held and the youngest running run
-	// is cooperatively preempted (paused at a quiescent boundary, image
-	// persisted, re-enqueued) until the heap falls back below the
-	// critical watermark. Jobs are never killed.
+	// is preempted (its lease canceled, image persisted where the run
+	// stopped, re-enqueued) until the heap falls back below the critical
+	// watermark. Jobs are never killed.
 	pressureCritical
 )
 
@@ -204,12 +204,11 @@ func (s *Server) governTick() {
 	}
 }
 
-// preemptVictim requests cooperative preemption of the best victim
-// among the running jobs, if any. The request is a flag the executing
-// worker polls at its next quiescent pause boundary: the job persists
-// its image there and re-enqueues (runJob's ErrPreempted path). No-op
-// while draining, without a journal (no image plane to persist into),
-// or when every running job is already marked.
+// preemptVictim cancels the best victim's lease with ErrPreempted, and
+// clears it, so a lease is preempted once: the run stops within one
+// selection, persists its image there, and the job re-enqueues (runJob's
+// ErrPreempted path). No-op while draining, without a journal (no image
+// plane to persist into), or when no running job holds a lease.
 func (s *Server) preemptVictim() bool {
 	if s.jnl == nil || s.Draining() {
 		return false
@@ -217,7 +216,8 @@ func (s *Server) preemptVictim() bool {
 	s.mu.Lock()
 	v := s.pickVictimLocked()
 	if v != nil {
-		v.preemptReq.Store(true)
+		v.lease(ErrPreempted)
+		v.lease = nil
 		s.reg.Counter("serve.pressure.preempt_requests").Inc()
 	}
 	s.mu.Unlock()
@@ -227,15 +227,15 @@ func (s *Server) preemptVictim() bool {
 	return v != nil
 }
 
-// pickVictimLocked selects the preemption victim among running,
-// preemptable jobs: the youngest start (least progress thrown to disk),
+// pickVictimLocked selects the preemption victim among running jobs
+// that hold a lease: the youngest start (least progress thrown to disk),
 // then job ID for determinism. Only run requests are preemptable — a
-// sweep's machines have no single quiescent pause boundary; sweeps stay
+// sweep's machines have no single image to resume from; sweeps stay
 // bounded by their wall allowance instead. Called with mu held.
 func (s *Server) pickVictimLocked() *Job {
 	var v *Job
 	for _, j := range s.jobs {
-		if j.Status != StatusRunning || j.Req.Kind != KindRun || j.preemptReq.Load() {
+		if j.Status != StatusRunning || j.Req.Kind != KindRun || j.lease == nil {
 			continue
 		}
 		if v == nil || betterVictim(j, v) {

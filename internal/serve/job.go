@@ -6,13 +6,12 @@ import (
 	"errors"
 	"fmt"
 	"slices"
-	"sync/atomic"
 	"time"
 )
 
 // This file is the job state machine. A job's journaled life is
 //
-//	accepted → (started | checkpoint | preempted)* → (done | failed | canceled)
+//	accepted → (started | preempted)* → (done | failed | canceled)
 //
 // and the journal record IS the transition: the live path applies a
 // record to the Job under the server mutex and then appends it, replay
@@ -55,7 +54,9 @@ type Job struct {
 
 	// Durable-plane state. Attempt counts execution leases taken on
 	// this job (journaled, so it survives restarts); Ckpt is the cycle
-	// of the last persisted mid-run checkpoint; Recovered marks jobs
+	// of the last checkpoint image the run saved or resumed from (the
+	// image is that progress's only record: across a restart Ckpt is the
+	// cycle a preempted record carried); Recovered marks jobs
 	// rebuilt from the journal after a crash; Failure carries the
 	// structured diagnosis when the plane gave up on the job.
 	Attempt   int
@@ -64,9 +65,9 @@ type Job struct {
 	Failure   *JobError
 
 	// Governance state. Preempted marks a job currently re-queued after
-	// a cooperative preemption, whose next lease resumes the preempted
-	// attempt instead of burning a new one; Preempts counts preemptions
-	// this process has applied to the job.
+	// a preemption, whose next lease resumes the preempted attempt
+	// instead of burning a new one; Preempts counts preemptions this
+	// process has applied to the job.
 	Preempted bool
 	Preempts  int
 
@@ -80,11 +81,9 @@ type Job struct {
 	// never changed after; nil for every other job.
 	view []byte
 
-	// preemptReq asks the worker executing this job to yield at its next
-	// quiescent pause boundary (set by the pressure monitor, polled by
-	// the executor — SetPause itself is not goroutine-safe, so the
-	// request travels as a flag, never a direct pause).
-	preemptReq atomic.Bool
+	// lease cancels the execution lease this job holds, nil when it
+	// holds none or its lease is already preempted (preemptVictim).
+	lease context.CancelCauseFunc
 
 	// refs counts live waiters. A job submitted synchronously (detached
 	// == false) whose last waiter disconnects before completion is
@@ -101,20 +100,22 @@ func (j *Job) Done() <-chan struct{} { return j.done }
 // terminal status strings, so a terminal record's op is string(j.Status)
 // and a replayed one needs no mapping back.
 const (
-	opAccepted   = "accepted"
-	opStarted    = "started"    // an execution lease: Attempt
-	opCheckpoint = "checkpoint" // an image persisted at Cycle
-	opPreempted  = "preempted"  // parked behind its image at Cycle; the next started resumes the same attempt
-	opDone       = string(StatusDone)
-	opFailed     = string(StatusFailed)
-	opCanceled   = string(StatusCanceled)
+	opAccepted  = "accepted"
+	opStarted   = "started"   // an execution lease: Attempt
+	opPreempted = "preempted" // parked behind its image at Cycle; the next started resumes the same attempt
+	opDone      = string(StatusDone)
+	opFailed    = string(StatusFailed)
+	opCanceled  = string(StatusCanceled)
 )
 
 // jrec is one journal record. Payload integrity (length + CRC framing,
 // torn-tail truncation) is the journal package's job; this layer only
 // defines the schema. The accepted record doubles as the compaction
-// form: rotation folds a job's attempt count, last checkpoint and parked
-// state back into it so a compacted journal replays to the same state.
+// form: rotation folds a job's attempt count, parked state and the cycle
+// its preempted record carried back into it so a compacted journal
+// replays to the same state. Checkpoints are not journaled: the image
+// file is their record, and restore finds it by key. Replay ignores the
+// checkpoint records older journals hold.
 type jrec struct {
 	Op        string   `json:"op"`
 	ID        string   `json:"id"`
@@ -172,11 +173,12 @@ func (e *replayedErr) Error() string { return e.text }
 func (e *replayedErr) Unwrap() error { return e.class }
 
 // advanceLocked is the non-terminal half of the state machine: it
-// applies one accepted/started/checkpoint/preempted record to j. Attempt
-// and Ckpt only grow (records of one job may replay out of order around
-// a compaction fold); a started record is a lease taking over, so it
-// clears the parked state a preempted record set. Called with mu held —
-// by step on the live path, by recover on the replayed one.
+// applies one accepted/started/preempted record to j and ignores any
+// other op. Attempt and Ckpt only grow (records of one job may replay
+// out of order around a compaction fold); a started record is a lease
+// taking over, so it clears the parked state a preempted record set.
+// Called with mu held — by step on the live path, by recover on the
+// replayed one.
 func advanceLocked(j *Job, r jrec) {
 	if j.Status.Terminal() {
 		return // a settled job stays settled, whatever the file says next
@@ -190,8 +192,6 @@ func advanceLocked(j *Job, r jrec) {
 		j.Status = StatusRunning
 		j.Attempt = max(j.Attempt, r.Attempt)
 		j.Preempted = false
-	case opCheckpoint:
-		j.Ckpt = max(j.Ckpt, r.Cycle)
 	case opPreempted:
 		// Parked, not mid-lease: the next lease resumes this attempt
 		// rather than burning a new one — in this process or, when the
@@ -429,7 +429,7 @@ const keptFailures = 64
 
 // compactionRecords renders the job table recover left back into its
 // minimal journal form: one accepted record per job in submission order
-// (attempts, last checkpoint and parked state folded in), plus a kept
+// (attempts, checkpoint cycle and parked state folded in), plus a kept
 // failure's terminal record. A job recover deduped to done is left out.
 func (s *Server) compactionRecords() [][]byte {
 	var out [][]byte

@@ -37,21 +37,33 @@ func checkpointImage(t *testing.T, c *Request, every uint64) ([]byte, uint64) {
 	return img, at
 }
 
-// TestReplayEveryPrefix enumerates the crash points of one canonical
-// journaled history instead of sampling them: for every prefix of
+// opLegacyCheckpoint is the record older builds journaled per persisted
+// checkpoint image. Replay ignores it: the image is its own record.
+const opLegacyCheckpoint = "checkpoint"
+
+// TestReplayEveryPrefix enumerates the crash points of one journaled
+// life instead of sampling them. The life is
+//
+//	accepted, started{1}, preempted{c1}, started{1}, done
+//
+// as journaled now ("current/…" subtests) and as older builds journaled
+// it, with a checkpoint record after each started record (the subtests
+// named by position alone):
 //
 //	accepted, started{1}, checkpoint, preempted, started{1}, checkpoint, done
 //
-// (with the checkpoint image present and absent where the prefix has
-// one, the cache entry in place where it has done) a server boots from
-// it and must hold exactly one job, settle it exactly once, serve
-// artifacts byte-identical to an uninterrupted run, and finish at the
-// attempt the lease rules predict: a lease that died with the process
-// is burned, a job parked by a preempted record resumes the attempt it
-// was on. The whole history ends in done, which retires the job: the
-// server holds none, and resubmitting the request is a hit with the
-// same bytes. A last history repeats the terminal record, which replay
-// must tolerate.
+// For every prefix of either (with the checkpoint image present and
+// absent where a lease may have saved one, the cache entry in place
+// where it has done) a server boots from it and must hold exactly one
+// job, settle it exactly once, serve artifacts byte-identical to an
+// uninterrupted run, and finish at the attempt the lease rules predict:
+// a lease that died with the process is burned, a job parked by a
+// preempted record resumes the attempt it was on. A legacy prefix must
+// replay exactly as the same prefix without its checkpoint records: the
+// job it holds before its lease looks the same. The whole life ends in
+// done, which retires the job: the server holds none, and resubmitting
+// the request is a hit with the same bytes. A last history repeats the
+// terminal record, which replay must tolerate.
 func TestReplayEveryPrefix(t *testing.T) {
 	c := mustCanonical(t, tinyRun())
 	wantArt, wantRes, err := Execute(context.Background(), c)
@@ -64,16 +76,26 @@ func TestReplayEveryPrefix(t *testing.T) {
 	history := []jrec{
 		{Op: opAccepted, ID: id, Key: c.Key(), Req: c},
 		{Op: opStarted, ID: id, Attempt: 1},
-		{Op: opCheckpoint, ID: id, Cycle: c1},
 		{Op: opPreempted, ID: id, Cycle: c1},
 		{Op: opStarted, ID: id, Attempt: 1},
-		{Op: opCheckpoint, ID: id, Cycle: 2 * c1},
 		{Op: opDone, ID: id},
 	}
-	// The attempt each prefix must finish at, indexed by its length.
-	wantAttempt := []int{0, 1, 2, 2, 1, 2, 2, 1}
+	legacy := []jrec{
+		history[0],
+		history[1],
+		{Op: opLegacyCheckpoint, ID: id, Cycle: c1},
+		history[2],
+		history[3],
+		{Op: opLegacyCheckpoint, ID: id, Cycle: 2 * c1},
+		history[4],
+	}
+	// The attempt a prefix finishes at, by its last lease record.
+	wantAttempt := map[string]int{opAccepted: 1, opStarted: 2, opPreempted: 1}
 
-	replay := func(t *testing.T, recs []jrec, withImage bool) {
+	// replay boots a server from recs and returns the view of the job it
+	// replayed, taken before the job's resume lease (zero when done
+	// retired it), then checks how the job finishes.
+	replay := func(t *testing.T, recs []jrec, withImage bool) JobView {
 		jdir, cdir := durableDirs(t)
 		if err := os.MkdirAll(jdir, 0o755); err != nil {
 			t.Fatal(err)
@@ -82,11 +104,15 @@ func TestReplayEveryPrefix(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		var last string
 		for _, r := range recs {
 			appendRec(t, jn, r)
+			if r.Op != opLegacyCheckpoint {
+				last = r.Op
+			}
 		}
 		jn.Close()
-		settled := recs[len(recs)-1].Op == opDone
+		settled := last == opDone
 		if settled {
 			cache, err := NewCache(cdir)
 			if err != nil {
@@ -102,7 +128,14 @@ func TestReplayEveryPrefix(t *testing.T) {
 			}
 		}
 
-		s := newTestServer(t, Config{Workers: 1, JournalDir: jdir, CacheDir: cdir, CheckpointCycles: every})
+		// The queue is held from before replay, so the replayed job is
+		// still waiting for its lease when it is looked at.
+		s, err := newServer(Config{Workers: 1, JournalDir: jdir, CacheDir: cdir, CheckpointCycles: every},
+			func(s *Server) { s.queue.setHold(true) })
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer s.Drain(context.Background())
 		jobs := s.Jobs()
 		if settled {
 			if len(jobs) != 0 {
@@ -117,18 +150,20 @@ func TestReplayEveryPrefix(t *testing.T) {
 			}
 			gotArt, _ := s.cache.Get(hit.Key)
 			assertSameArtifacts(t, wantArt, gotArt)
-			return
+			return JobView{}
 		}
 		if len(jobs) != 1 || jobs[0].ID != id || !jobs[0].Recovered {
 			t.Fatalf("replayed %d jobs (%v), want exactly the recovered %s", len(jobs), jobs, id)
 		}
 		j := jobs[0]
+		replayed := s.View(j, false)
+		s.queue.setHold(false)
 		waitJob(t, j)
 		v := s.View(j, false)
 		if v.Status != StatusDone {
 			t.Fatalf("status=%s err=%q", v.Status, v.Error)
 		}
-		if want := wantAttempt[min(len(recs), len(history))]; v.Attempts != want {
+		if want := wantAttempt[last]; v.Attempts != want {
 			t.Fatalf("finished at attempt %d, want %d", v.Attempts, want)
 		}
 		if v.Preempted {
@@ -142,19 +177,42 @@ func TestReplayEveryPrefix(t *testing.T) {
 			t.Fatal("done job has no artifacts")
 		}
 		assertSameArtifacts(t, wantArt, gotArt)
-		if restores := s.reg.CounterValue("serve.resume.restores"); withImage && !settled && restores != 1 {
+		if restores := s.reg.CounterValue("serve.resume.restores"); withImage && restores != 1 {
 			t.Fatalf("serve.resume.restores = %d, want 1 (the image was there to resume from)", restores)
 		}
+		return replayed
 	}
 
+	// views[n] is how the current history's n-record prefix replays.
+	views := make([]JobView, len(history)+1)
 	for n := 1; n <= len(history); n++ {
 		images := []bool{false}
-		if n >= 3 && n < len(history) { // the prefix journals an image; a finished run removed its own
+		if n >= 2 && n < len(history) { // a lease may have saved an image; a finished run removed its own
 			images = []bool{false, true}
 		}
 		for _, withImage := range images {
-			t.Run(fmt.Sprintf("%d-%s/image=%v", n, history[n-1].Op, withImage), func(t *testing.T) {
-				replay(t, history[:n], withImage)
+			t.Run(fmt.Sprintf("current/%d-%s/image=%v", n, history[n-1].Op, withImage), func(t *testing.T) {
+				views[n] = replay(t, history[:n], withImage)
+			})
+		}
+	}
+	for n := 1; n <= len(legacy); n++ {
+		images := []bool{false}
+		if n >= 3 && n < len(legacy) { // the prefix holds an image's record
+			images = []bool{false, true}
+		}
+		// The same prefix as the current history journals it.
+		kept := 0
+		for _, r := range legacy[:n] {
+			if r.Op != opLegacyCheckpoint {
+				kept++
+			}
+		}
+		for _, withImage := range images {
+			t.Run(fmt.Sprintf("%d-%s/image=%v", n, legacy[n-1].Op, withImage), func(t *testing.T) {
+				if got := replay(t, legacy[:n], withImage); !reflect.DeepEqual(got, views[kept]) {
+					t.Fatalf("replayed with its checkpoint records: %+v\nwithout them: %+v", got, views[kept])
+				}
 			})
 		}
 	}
@@ -227,22 +285,25 @@ func TestLiveThenReplayAgree(t *testing.T) {
 	jdir, cdir := durableDirs(t)
 	cfg := Config{
 		Workers: 1, JournalDir: jdir, CacheDir: cdir,
-		MemBudget: 1 << 40, pressureTick: quietTick,
-		preemptQuantum: wantRes.Cycles / 8,
+		CheckpointCycles: wantRes.Cycles / 8,
+		MemBudget:        1 << 40, pressureTick: quietTick,
 	}
 	s1, err := NewServer(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s1.Drain(context.Background())
-	running, release := gateExec(s1)
-	gated := s1.exec
+	// The run is preempted from its first checkpoint, and the queue held
+	// before the run hands the job back, so its preemption parks it
+	// there; it is re-enqueued only after its preempted record is
+	// journaled.
+	preempting := preemptingExec(s1, func() { s1.queue.setHold(true) })
 	failing := &Request{Kind: KindRun, App: "kmeans", Size: "test", Topology: []int{2}}
 	s1.exec = func(ctx context.Context, j *Job) (Artifacts, *Result, error) {
 		if j.Req.App == failing.App {
 			return nil, nil, &fault.Diagnosis{Reason: fault.ReasonCycleLimit}
 		}
-		return gated(ctx, j)
+		return preempting(ctx, j)
 	}
 	failed, err := s1.Submit(failing, true)
 	if err != nil {
@@ -253,19 +314,13 @@ func TestLiveThenReplayAgree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Hold the queue once the job runs, so its preemption parks it there;
-	// it is re-enqueued only after its preempted record is journaled.
-	<-running
-	s1.queue.setHold(true)
-	markVictim(t, s1)
-	release()
-	waitCond(t, func() bool { return s1.queue.len() == 1 }, "job was never parked")
+	waitParked(t, s1, parked)
 	live := []JobView{s1.View(failed, true), s1.View(parked, true)}
 	if v := live[0]; v.Status != StatusFailed || v.Failure != ReasonBudget || v.Attempts != 1 {
 		t.Fatalf("live failed job: %+v, want failed %q on attempt 1", v, ReasonBudget)
 	}
 	if v := live[1]; v.Status != StatusQueued || !v.Preempted || v.Preempts != 1 || v.Attempts != 1 || v.Checkpoint == 0 {
-		t.Fatalf("live parked job: %+v, want queued and preempted once on attempt 1", v)
+		t.Fatalf("live parked job: %+v, want queued and preempted once on attempt 1 at a checkpoint cycle > 0", v)
 	}
 	crash(s1)
 

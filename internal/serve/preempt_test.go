@@ -2,9 +2,14 @@ package serve
 
 import (
 	"context"
+	"encoding/json"
 	"os"
+	"path/filepath"
+	"sync"
 	"testing"
 	"time"
+
+	"misp/internal/journal"
 )
 
 // waitCond polls cond (which may take the server lock) until true.
@@ -19,34 +24,38 @@ func waitCond(t *testing.T, cond func() bool, msg string) {
 	}
 }
 
-// markVictim polls preemptVictim until it marks a victim (the job must
-// first reach StatusRunning for one to exist).
-func markVictim(t *testing.T, s *Server) {
+// waitParked waits until j is preempted and back in s's queue.
+func waitParked(t *testing.T, s *Server, j *Job) {
 	t.Helper()
-	waitCond(t, func() bool { return s.preemptVictim() }, "no preemption victim appeared")
+	waitCond(t, func() bool {
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		return j.Preempted && s.queue.len() == 1
+	}, "job was never parked")
 }
 
-// gateExec parks every lease at the top of s.exec — the job is
-// StatusRunning and has not simulated a cycle — until the test calls
-// release. A tiny job prepares and finishes in a few milliseconds, so
-// a test that polls for StatusRunning and then acts on the running job
-// loses that race under load; one that arms its preemption, hold or
-// drain while the job is parked here cannot. Install before Submit.
-func gateExec(s *Server) (running <-chan struct{}, release func()) {
-	started, gate := make(chan struct{}, 1), make(chan struct{})
-	s.exec = func(ctx context.Context, j *Job) (Artifacts, *Result, error) {
-		select {
-		case started <- struct{}{}:
-		default: // only the first lease is announced
+// preemptingExec is s's execution path with one preemption built in:
+// the first checkpoint callback of any lease preempts the running job
+// through preemptVictim and then calls then. The machine has run
+// CheckpointCycles and saved an image by that point, so the preemption
+// lands mid-run, deterministically, and its image is taken after cycle
+// 0. then is where a test holds the queue or starts a drain before the
+// run returns ErrPreempted; it runs on the worker, so it must not call
+// t.Fatal.
+func preemptingExec(s *Server, then func()) func(context.Context, *Job) (Artifacts, *Result, error) {
+	var once sync.Once
+	return func(ctx context.Context, j *Job) (Artifacts, *Result, error) {
+		cs := s.checkpointSpec(j)
+		saved := cs.OnCheckpoint
+		cs.OnCheckpoint = func(cycle uint64) {
+			saved(cycle)
+			once.Do(func() {
+				s.preemptVictim()
+				then()
+			})
 		}
-		select {
-		case <-gate:
-		case <-ctx.Done():
-			return nil, nil, context.Cause(ctx)
-		}
-		return s.executeJob(ctx, j)
+		return ExecuteCheckpointed(ctx, j.Req, nil, cs)
 	}
-	return started, func() { close(gate) }
 }
 
 // --- victim selection -------------------------------------------------
@@ -55,6 +64,7 @@ func victim(id string, started time.Time) *Job {
 	return &Job{
 		ID: id, Started: started,
 		Status: StatusRunning, Req: &Request{Kind: KindRun},
+		lease: func(error) {},
 	}
 }
 
@@ -80,9 +90,10 @@ func TestBetterVictim(t *testing.T) {
 	}
 }
 
-// TestPickVictim: only running, not-yet-marked run jobs are candidates
-// — queued jobs, sweeps, and jobs already asked to yield are skipped —
-// and among candidates the youngest-first order applies.
+// TestPickVictim: only running run jobs that hold a lease are
+// candidates — queued jobs, sweeps, and jobs whose lease is already
+// canceled are skipped — and among candidates the youngest-first order
+// applies.
 func TestPickVictim(t *testing.T) {
 	s := newTestServer(t, Config{Workers: 1})
 	t0 := time.Now()
@@ -97,7 +108,7 @@ func TestPickVictim(t *testing.T) {
 	sweep := victim("j5", at(5))
 	sweep.Req = &Request{Kind: KindSweep}
 	marked := victim("j6", at(6))
-	marked.preemptReq.Store(true)
+	marked.lease = nil
 	jobs = append(jobs, queued, sweep, marked)
 
 	s.mu.Lock()
@@ -110,11 +121,11 @@ func TestPickVictim(t *testing.T) {
 			s.mu.Unlock()
 			t.Fatalf("pickVictimLocked = %v, want %s", v, want)
 		}
-		v.preemptReq.Store(true)
+		v.lease = nil
 	}
 	if v := s.pickVictimLocked(); v != nil {
 		s.mu.Unlock()
-		t.Fatalf("pickVictimLocked with every candidate marked = %s, want nil", v.ID)
+		t.Fatalf("pickVictimLocked with every lease canceled = %s, want nil", v.ID)
 	}
 	s.mu.Unlock()
 	// Unregister the fabricated records so the drain cleanup does not
@@ -145,77 +156,83 @@ func TestPreemptRequiresJournal(t *testing.T) {
 
 // --- preempt / resume byte-identity -----------------------------------
 
-// TestPreemptResumeBitIdentical is the governance difftest: a run that
-// is cooperatively preempted mid-flight — paused at a quiescent
-// boundary, image persisted, re-enqueued, resumed on a fresh lease —
-// must produce artifacts byte-identical to an uninterrupted run, cold
-// and against a warm pool, without burning a retry attempt.
+// TestPreemptResumeBitIdentical is the governance difftest: a run whose
+// lease is preempted mid-flight — canceled after it has run, image
+// persisted where it stopped, re-enqueued, resumed on a fresh lease —
+// must produce artifacts byte-identical to an uninterrupted run, resume
+// from its image, and not burn a retry attempt. The checkpoint image is
+// removed before the preemption, so the image the resume lease restores
+// is the one the preemption took.
 func TestPreemptResumeBitIdentical(t *testing.T) {
 	c := mustCanonical(t, tinyRun())
 	wantArt, wantRes, err := Execute(context.Background(), c)
 	if err != nil {
 		t.Fatal(err)
 	}
-	quantum := wantRes.Cycles / 8
-	if quantum == 0 {
-		t.Fatalf("run too short to preempt (%d cycles)", wantRes.Cycles)
+	jdir, cdir := durableDirs(t)
+	s := newTestServer(t, Config{
+		Workers: 1, JournalDir: jdir, CacheDir: cdir,
+		CheckpointCycles: wantRes.Cycles / 8,
+		MemBudget:        1 << 40, pressureTick: quietTick,
+	})
+	s.exec = preemptingExec(s, func() {
+		os.Remove((&CheckpointSpec{Dir: jdir}).path(c.Key()))
+	})
+	j, err := s.Submit(tinyRun(), true)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, warmPool := range []bool{false, true} {
-		t.Run(map[bool]string{false: "fast/cold", true: "fast/warm"}[warmPool], func(t *testing.T) {
-			jdir, cdir := durableDirs(t)
-			s := newTestServer(t, Config{
-				Workers: 1, JournalDir: jdir, CacheDir: cdir,
-				MemBudget: 1 << 40, pressureTick: quietTick,
-				preemptQuantum: quantum,
-			})
-			if warmPool {
-				// Prime the pool so both the preempted lease and the
-				// resume lease fork a warm image.
-				if _, _, err := ExecuteCheckpointed(context.Background(), c, s.warm, nil); err != nil {
-					t.Fatal(err)
-				}
-			}
-			// Arm the preemption while the job is parked behind a held
-			// queue, so the request is visible before the first cycle
-			// executes and the first pause-slice boundary always yields.
-			// (markVictim against a free-running job races the run's
-			// last boundary — a warm fork finishes in milliseconds.)
-			s.queue.setHold(true)
-			j, err := s.Submit(tinyRun(), true)
-			if err != nil {
-				t.Fatal(err)
-			}
-			j.preemptReq.Store(true)
-			s.queue.setHold(false)
-			waitJob(t, j)
-			if j.Status != StatusDone {
-				t.Fatalf("status=%s err=%q", j.Status, j.Err)
-			}
-			s.mu.Lock()
-			preempts, attempt := j.Preempts, j.Attempt
-			s.mu.Unlock()
-			if preempts < 1 {
-				t.Fatal("job completed without being preempted")
-			}
-			if attempt != 1 {
-				t.Fatalf("attempt = %d after preemption, want 1 (preemption must not burn the retry budget)", attempt)
-			}
-			if j.Result.Cycles != wantRes.Cycles || j.Result.Checksum != wantRes.Checksum {
-				t.Fatalf("resumed result diverged: %+v != %+v", j.Result, wantRes)
-			}
-			gotArt, ok := s.cache.Get(j.Key)
-			if !ok {
-				t.Fatal("done job has no artifacts")
-			}
-			assertSameArtifacts(t, wantArt, gotArt)
-			if got := s.reg.CounterValue("serve.jobs.preempted"); got < 1 {
-				t.Fatalf("serve.jobs.preempted = %d, want >= 1", got)
-			}
-			if got := s.reg.CounterValue("serve.resume.restores"); got < 1 {
-				t.Fatalf("serve.resume.restores = %d, want >= 1 (resume lease did not use the image)", got)
-			}
-		})
+	waitJob(t, j)
+	if j.Status != StatusDone {
+		t.Fatalf("status=%s err=%q", j.Status, j.Err)
 	}
+	s.mu.Lock()
+	preempts, attempt := j.Preempts, j.Attempt
+	s.mu.Unlock()
+	if preempts != 1 {
+		t.Fatalf("preempted %d times, want 1", preempts)
+	}
+	if attempt != 1 {
+		t.Fatalf("attempt = %d after preemption, want 1 (preemption must not burn the retry budget)", attempt)
+	}
+	if j.Result.Cycles != wantRes.Cycles || j.Result.Checksum != wantRes.Checksum {
+		t.Fatalf("resumed result diverged: %+v != %+v", j.Result, wantRes)
+	}
+	gotArt, ok := s.cache.Get(j.Key)
+	if !ok {
+		t.Fatal("done job has no artifacts")
+	}
+	assertSameArtifacts(t, wantArt, gotArt)
+	if got := s.reg.CounterValue("serve.jobs.preempted"); got != 1 {
+		t.Fatalf("serve.jobs.preempted = %d, want 1", got)
+	}
+	if got := s.reg.CounterValue("serve.resume.restores"); got < 1 {
+		t.Fatalf("serve.resume.restores = %d, want >= 1 (resume lease did not use the image)", got)
+	}
+	if err := s.Drain(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if at := preemptedAt(t, jdir, j.ID); at == 0 {
+		t.Fatal("preempted record carries cycle 0: the preemption landed before the run")
+	}
+}
+
+// preemptedAt returns the cycle of job id's first preempted record in
+// the journal under jdir (0 when it has none). The journal must be closed.
+func preemptedAt(t *testing.T, jdir, id string) uint64 {
+	t.Helper()
+	jn, payloads, err := journal.Open(filepath.Join(jdir, "journal.wal"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer jn.Close()
+	for _, p := range payloads {
+		var r jrec
+		if json.Unmarshal(p, &r) == nil && r.ID == id && r.Op == opPreempted {
+			return r.Cycle
+		}
+	}
+	return 0
 }
 
 // TestPreemptedCrashReplay: the process dies while a preempted job sits
@@ -232,34 +249,26 @@ func TestPreemptedCrashReplay(t *testing.T) {
 	jdir, cdir := durableDirs(t)
 	cfg := Config{
 		Workers: 1, JournalDir: jdir, CacheDir: cdir,
-		MemBudget: 1 << 40, pressureTick: quietTick,
-		preemptQuantum: wantRes.Cycles / 8,
+		CheckpointCycles: wantRes.Cycles / 8,
+		MemBudget:        1 << 40, pressureTick: quietTick,
 	}
 	s1, err := NewServer(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	running, release := gateExec(s1)
+	// Hold the queue before the run returns from its preemption, so the
+	// preempted job cannot be re-leased: the crash below deterministically
+	// lands while it is parked in the queue, preempted record journaled,
+	// image on disk.
+	s1.exec = preemptingExec(s1, func() { s1.queue.setHold(true) })
 	j1, err := s1.Submit(tinyRun(), true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Once the job is running, hold the queue so the preempted job
-	// cannot be re-leased: the crash below deterministically lands while
-	// it is parked in the queue, preempted record journaled, image on
-	// disk. (The hold must come after dispatch, or the job never starts.)
-	// The job stays parked at the top of its lease until both the hold
-	// and the preemption request are in place, so its first pause slice
-	// yields.
-	<-running
-	s1.queue.setHold(true)
-	markVictim(t, s1)
-	release()
-	waitCond(t, func() bool {
-		s1.mu.Lock()
-		defer s1.mu.Unlock()
-		return j1.Preempted
-	}, "job was never preempted")
+	waitParked(t, s1, j1)
+	if v := s1.View(j1, false); !v.Preempted || v.Checkpoint == 0 {
+		t.Fatalf("parked job: %+v, want preempted with a checkpoint cycle > 0", v)
+	}
 	img := (&CheckpointSpec{Dir: jdir}).path(j1.Key)
 	if _, err := os.Stat(img); err != nil {
 		t.Fatalf("preempted job left no image: %v", err)
@@ -297,11 +306,12 @@ func TestPreemptedCrashReplay(t *testing.T) {
 
 // --- preemption racing drain ------------------------------------------
 
-// TestPreemptDuringDrain (end to end): a preemption request racing a
-// drain never loses the job — whichever side wins, the job reaches
-// done with byte-identical artifacts before Drain returns. When drain
-// wins, the hand-back's push meets a closed queue and the same worker
-// takes the resume lease itself.
+// TestPreemptDuringDrain (end to end): a preemption racing a drain
+// never loses the job. Here drain wins: it closes the queue between the
+// preemption and the hand-back, so the hand-back's push meets a closed
+// queue and the same worker takes the resume lease itself, resuming
+// from the image. The job reaches done with byte-identical artifacts
+// before Drain returns.
 func TestPreemptDuringDrain(t *testing.T) {
 	c := mustCanonical(t, tinyRun())
 	wantArt, wantRes, err := Execute(context.Background(), c)
@@ -311,24 +321,33 @@ func TestPreemptDuringDrain(t *testing.T) {
 	jdir, cdir := durableDirs(t)
 	s := newTestServer(t, Config{
 		Workers: 1, JournalDir: jdir, CacheDir: cdir,
-		MemBudget: 1 << 40, pressureTick: quietTick,
-		preemptQuantum: wantRes.Cycles / 8,
+		CheckpointCycles: wantRes.Cycles / 8,
+		MemBudget:        1 << 40, pressureTick: quietTick,
 	})
-	running, release := gateExec(s)
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	drained := make(chan error, 1)
+	s.exec = preemptingExec(s, func() {
+		go func() { drained <- s.Drain(ctx) }()
+		for !s.Draining() {
+			time.Sleep(time.Millisecond)
+		}
+	})
 	j, err := s.Submit(tinyRun(), true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	<-running
-	markVictim(t, s)
-	release()
-	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
-	defer cancel()
-	if err := s.Drain(ctx); err != nil {
+	if err := <-drained; err != nil {
 		t.Fatalf("drain: %v", err)
 	}
 	if j.Status != StatusDone {
 		t.Fatalf("after drain: status=%s err=%q (preempted job lost to the race)", j.Status, j.Err)
+	}
+	if j.Preempts != 1 {
+		t.Fatalf("preempted %d times, want 1", j.Preempts)
+	}
+	if got := s.reg.CounterValue("serve.resume.restores"); got < 1 {
+		t.Fatalf("serve.resume.restores = %d, want >= 1 (the resume lease did not use the image)", got)
 	}
 	gotArt, ok := s.cache.Get(j.Key)
 	if !ok {

@@ -18,7 +18,6 @@ import (
 	"misp/internal/fault"
 	"misp/internal/journal"
 	"misp/internal/obs"
-	"misp/internal/workloads"
 )
 
 // Admission-control sentinels. The HTTP layer maps ErrQueueFull to
@@ -48,14 +47,14 @@ type Config struct {
 	CacheDir string
 
 	// JournalDir enables the durable job plane: accepted/started/
-	// checkpointed/terminal transitions are written to a fsync'd
+	// preempted/terminal transitions are written to a fsync'd
 	// write-ahead journal in this directory and replayed on startup, so
 	// accepted jobs survive SIGKILL ("" = jobs are memory-only).
-	// Mid-run checkpoint images live in the same directory.
+	// Checkpoint images, each its own record, live in the same directory.
 	JournalDir string
 	// CheckpointCycles arms a mid-run checkpoint every N simulated
-	// cycles on run requests (0 = no mid-run checkpoints). Requires
-	// JournalDir.
+	// cycles on run requests (0 = an image only when preempted).
+	// Requires JournalDir.
 	CheckpointCycles uint64
 	// MaxRetries bounds execution leases per job: a job whose attempt
 	// fails (or whose previous lease died with the process) is retried
@@ -81,12 +80,9 @@ type Config struct {
 	// production (defaults below), unreachable from any flag, request or
 	// file. retryBackoff is the base of the jittered exponential retry
 	// backoff (250ms); pressureTick is the pressure monitor cadence
-	// (250ms); preemptQuantum is the pause-slice cadence, in simulated
-	// cycles, at which a governed run reaches a quiescent boundary and
-	// polls for a preemption request (1e6).
-	retryBackoff   time.Duration
-	pressureTick   time.Duration
-	preemptQuantum uint64
+	// (250ms).
+	retryBackoff time.Duration
+	pressureTick time.Duration
 }
 
 func (c *Config) defaults() {
@@ -101,7 +97,6 @@ func (c *Config) defaults() {
 	}
 	c.retryBackoff = cmp.Or(c.retryBackoff, 250*time.Millisecond)
 	c.pressureTick = cmp.Or(c.pressureTick, 250*time.Millisecond)
-	c.preemptQuantum = cmp.Or(c.preemptQuantum, 1_000_000)
 }
 
 // Server is the service plane: admission control in front of a bounded
@@ -136,13 +131,6 @@ type Server struct {
 	// jnl is the write-ahead job journal (nil without Config.JournalDir).
 	// Appends fsync outside mu; the journal has its own lock.
 	jnl *journal.Journal
-
-	// warm is the snapshot warm pool shared by every job this server
-	// executes: the first run against a given workload/topology prepares
-	// cold and snapshots; later jobs fork that image. The pool only
-	// holds post-prepare state (no results), so it composes with — not
-	// replaces — the result cache.
-	warm *workloads.WarmPool
 
 	// Governance plumbing. est predicts queue drain time for Retry-After
 	// hints; pressure is the monitor's current escalation level (atomic:
@@ -179,7 +167,6 @@ func newServer(cfg Config, prep func(*Server)) (*Server, error) {
 		keys:  make(map[string]*Job),
 		queue: newJobQueue(),
 		reg:   obs.NewRegistry(),
-		warm:  workloads.NewWarmPool(),
 
 		heapBytes: obs.HostHeapBytes,
 		govStop:   make(chan struct{}),
@@ -232,27 +219,34 @@ func newServer(cfg Config, prep func(*Server)) (*Server, error) {
 	return s, nil
 }
 
-// executeJob is the default execution path: the warm pool composed
-// with, when the durable plane is configured, periodic mid-run
-// checkpoints journaled per image — plus, under governance, the
-// preemption poll. Without a journal directory the spec is disabled and
-// the run goes straight through.
+// executeJob is the default execution path: each job prepares its own
+// machine cold or forks its own checkpoint image — the daemon keeps no
+// machine between jobs.
 func (s *Server) executeJob(ctx context.Context, j *Job) (Artifacts, *Result, error) {
-	cs := &CheckpointSpec{
-		Dir:   s.cfg.JournalDir,
-		Every: s.cfg.CheckpointCycles,
-		OnCheckpoint: func(cycle uint64) {
-			s.count("serve.resume.checkpoints")
-			s.step(j, jrec{Op: opCheckpoint, ID: j.ID, Cycle: cycle})
-		},
-		OnRestore: func(uint64) { s.count("serve.resume.restores") },
-		OnCorrupt: func(error) { s.count("serve.resume.corrupt") },
+	return ExecuteCheckpointed(ctx, j.Req, nil, s.checkpointSpec(j))
+}
+
+// checkpointSpec is j's checkpoint plane: an image every
+// CheckpointCycles and one when its lease is preempted, each file the
+// only record of that progress; disabled without a journal directory.
+func (s *Server) checkpointSpec(j *Job) *CheckpointSpec {
+	return &CheckpointSpec{
+		Dir:          s.cfg.JournalDir,
+		Every:        s.cfg.CheckpointCycles,
+		OnCheckpoint: func(cycle uint64) { s.setCkpt(j, cycle, "serve.resume.checkpoints") },
+		OnRestore:    func(cycle uint64) { s.setCkpt(j, cycle, "serve.resume.restores") },
+		OnCorrupt:    func(error) { s.setCkpt(j, 0, "serve.resume.corrupt") },
 	}
-	if s.governed() {
-		cs.Quantum = s.cfg.preemptQuantum
-		cs.Preempt = func() bool { return j.preemptReq.Load() && !s.Draining() }
-	}
-	return ExecuteCheckpointed(ctx, j.Req, s.warm, cs)
+}
+
+// setCkpt records the cycle of the image j's run just saved or resumed
+// from (0: its image was discarded), for its view, and bumps the named
+// counter.
+func (s *Server) setCkpt(j *Job, cycle uint64, counter string) {
+	s.mu.Lock()
+	j.Ckpt = cycle
+	s.reg.Counter(counter).Inc()
+	s.mu.Unlock()
 }
 
 // count bumps one service counter by name, for events outside any
@@ -482,10 +476,12 @@ func (s *Server) worker() {
 // budget or fails the job. A lease that fails in process is retried
 // after a jittered exponential backoff until MaxRetries attempts are
 // spent, then settles as a structured JobError; cancellation and deadline
-// expiry are never retried. A lease ending in cooperative preemption does
-// not settle at all: the job is parked and goes back to the queue, and
-// its resume lease continues the same attempt — being preempted never
-// burns the retry budget.
+// expiry are never retried. Each lease runs under a context of its own
+// whose cancel func the job holds while the lease lasts; the governor
+// preempts a lease by canceling it with ErrPreempted. A lease ending in
+// preemption does not settle at all: the job is parked and goes back to
+// the queue, and its resume lease continues the same attempt — being
+// preempted never burns the retry budget.
 func (s *Server) runJob(j *Job) {
 	ctx := j.ctx
 	if deadline, ok := s.jobDeadline(j); ok {
@@ -518,15 +514,19 @@ func (s *Server) runJob(j *Job) {
 			}
 		}
 		j.Started = started
+		lease, cancelLease := context.WithCancelCause(ctx)
+		j.lease = cancelLease
 		s.mu.Unlock()
 		s.step(j, jrec{Op: opStarted, ID: j.ID, Attempt: attempt})
 
-		art, res, err := s.exec(ctx, j)
+		art, res, err := s.exec(lease, j)
 		wall := time.Since(started)
 		s.est.observe(wall) // every lease frees a worker slot: feed the drain estimator
 		s.mu.Lock()
 		j.Wall += wall
+		j.lease = nil
 		s.mu.Unlock()
+		cancelLease(nil)
 
 		var je *JobError
 		switch {
@@ -541,7 +541,6 @@ func (s *Server) runJob(j *Job) {
 			// while the job sits in the queue: replay re-enqueues it as a
 			// resume lease.
 			s.mu.Lock()
-			j.preemptReq.Store(false)
 			j.Preempts++
 			s.reg.Counter("serve.jobs.preempted").Inc()
 			ckpt := j.Ckpt
@@ -551,7 +550,7 @@ func (s *Server) runJob(j *Job) {
 				s.logf("job %s preempted at cycle %d, re-enqueued", j.ID, ckpt)
 				return // the job is queued again; this worker moves on
 			}
-			// Drain closed the queue between the preemption request and the
+			// Drain closed the queue between the preemption and the
 			// re-enqueue. The job is never lost: this worker keeps it and
 			// takes the resume lease itself, whose started record un-parks it.
 			continue
@@ -704,9 +703,6 @@ func (s *Server) Metrics() string {
 	_, running, _, _, _ := s.Counts()
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	warmHits, warmMisses := s.warm.Stats()
-	s.reg.Counter("serve.warm.forks").Set(warmHits)
-	s.reg.Counter("serve.warm.prepares").Set(warmMisses)
 	s.reg.Counter("serve.queue.depth").Set(uint64(queued))
 	s.reg.Counter("serve.queue.capacity").Set(uint64(s.cfg.QueueDepth))
 	s.reg.Counter("serve.queue.wait_est_ms").Set(uint64(waitEst.Milliseconds()))

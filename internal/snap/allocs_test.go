@@ -1,0 +1,37 @@
+package snap_test
+
+import (
+	"testing"
+
+	"misp/internal/snap"
+)
+
+// forkAllocs is the allocation count of one released fork (below), what
+// a served run pays to resume from its checkpoint image; lower it when
+// the count drops, and say why when it has to rise.
+const forkAllocs = 375
+
+// TestForkAllocs holds one released Snapshot.Fork of gauss (small, MISP
+// 1x8, 128 MiB) paused mid-run — BenchmarkFork's physmem=128MiB/released
+// row — to exactly forkAllocs allocations.
+func TestForkAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates")
+	}
+	pr := benchMachine(t, 128<<20)
+	defer pr.Release()
+	img, err := snap.Capture(pr.Machine, pr.Kernel)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := testing.AllocsPerRun(20, func() {
+		m, _, err := img.Fork(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m.Release()
+	})
+	if got != forkAllocs {
+		t.Fatalf("a released fork made %v allocations, want %d", got, forkAllocs)
+	}
+}

@@ -23,24 +23,24 @@ var benchPhysMem = []uint64{32 << 20, 128 << 20, 1 << 30}
 // benchMachine prepares gauss (small, MISP 1x8) in physMem bytes and
 // runs it to the middle of its run, where it has a few dozen resident
 // frames.
-func benchMachine(b *testing.B, physMem uint64) *workloads.Prepared {
-	b.Helper()
+func benchMachine(tb testing.TB, physMem uint64) *workloads.Prepared {
+	tb.Helper()
 	w, err := workloads.ByName("gauss")
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	cfg := workloads.DefaultConfig(core.Topology{7})
 	cfg.PhysMem = physMem
 	prepare := func() *workloads.Prepared {
 		pr, err := workloads.Prepare(w, shredlib.ModeShred, cfg, workloads.SizeSmall)
 		if err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 		return pr
 	}
 	ref := prepare()
 	if _, err := ref.Run(); err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	mid := ref.Machine.MaxClock() / 2
 	ref.Release()
@@ -48,7 +48,7 @@ func benchMachine(b *testing.B, physMem uint64) *workloads.Prepared {
 	pr := prepare()
 	pr.Machine.SetPause(mid)
 	if err := pr.Machine.Run(); !errors.Is(err, core.ErrPaused) {
-		b.Fatalf("expected a pause at cycle %d, got %v", mid, err)
+		tb.Fatalf("expected a pause at cycle %d, got %v", mid, err)
 	}
 	pr.Machine.SetPause(0)
 	return pr

@@ -9,8 +9,9 @@
 // so fork cost scales with captured (resident) state, never with
 // configured memory, and no fork can alias another's mutable state.
 //
-// Capture requires a quiescent system: between Run calls, or stopped at
-// a SetPause boundary (core.ErrPaused). A faulted, halted, or
+// Capture requires a quiescent system: between Run calls, stopped at a
+// SetPause boundary (core.ErrPaused), or stopped by its context's
+// cancel (TestCaptureAfterCancel). A faulted, halted, or
 // kernel-fatal system has no future to capture and is refused.
 //
 // Determinism contract (difftested in snapshot_test.go): restoring a

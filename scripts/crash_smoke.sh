@@ -77,7 +77,7 @@ wait_terminal() {
 mkdir -p "$ROOT/ref"
 boot "$ROOT/ref" "$ROOT/ref/serve.log"
 VIEW=$(curl -fsS -X POST -H 'Content-Type: application/json' -d "$REQ" "$URL/v1/jobs?wait=1")
-echo "$VIEW" | grep -q '"status": "done"' || { echo "$VIEW"; echo "FAIL: reference run not done"; exit 1; }
+grep -q '"status": "done"' <<<"$VIEW" || { echo "$VIEW"; echo "FAIL: reference run not done"; exit 1; }
 # The kill offsets are drawn inside the reference run's own wall time.
 REF_MS=$(( $(echo "$VIEW" | sed -n 's/.*"wall_ms": \([0-9]*\).*/\1/p' | head -1) + 1 ))
 REFJOB=$(echo "$VIEW" | sed -n 's/.*"id": "\([^"]*\)".*/\1/p' | head -1)
@@ -123,13 +123,13 @@ for SEED in $(seq 1 "$KILLS"); do
     if [ "$COUNT" -eq 0 ]; then
         [ "$DONE_REC" -eq 1 ] || { echo "FAIL(seed $SEED, slept $SLEEP): job $JOB neither listed nor retired by a done record after SIGKILL (lost)"; exit 1; }
         VIEW=$(curl -fsS -X POST -H 'Content-Type: application/json' -d "$REQ" "$URL/v1/jobs?wait=1")
-        echo "$VIEW" | grep -q '"cached": true' || { echo "$VIEW"; echo "FAIL(seed $SEED, slept $SLEEP): retired job $JOB's request is not a cache hit after SIGKILL"; exit 1; }
+        grep -q '"cached": true' <<<"$VIEW" || { echo "$VIEW"; echo "FAIL(seed $SEED, slept $SLEEP): retired job $JOB's request is not a cache hit after SIGKILL"; exit 1; }
         echo "$VIEW" >"$WORK/view.json"
         JOB=$(echo "$VIEW" | sed -n 's/.*"id": "\([^"]*\)".*/\1/p' | head -1)
         RETIRED=$((RETIRED + 1))
     else
         [ "$COUNT" -eq 1 ] || { echo "$LIST"; echo "FAIL(seed $SEED, slept $SLEEP): $COUNT jobs after restart, want 1 (duplicated)"; exit 1; }
-        echo "$LIST" | grep -q "\"id\": \"$JOB\"" || { echo "$LIST"; echo "FAIL(seed $SEED): job $JOB lost across SIGKILL"; exit 1; }
+        grep -q "\"id\": \"$JOB\"" <<<"$LIST" || { echo "$LIST"; echo "FAIL(seed $SEED): job $JOB lost across SIGKILL"; exit 1; }
         wait_terminal "$JOB" "$WORK/view.json" || { cat "$WORK/view.json"; echo "FAIL(seed $SEED): job never settled after resume"; exit 1; }
     fi
     if grep -q '"status": "done"' "$WORK/view.json"; then

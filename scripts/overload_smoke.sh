@@ -134,14 +134,14 @@ DUPES=$(printf '%s\n' "${ACCEPTED_IDS[@]}" | sort | uniq -d)
 # machinery).
 for ID in "${ACCEPTED_IDS[@]}"; do
     FINAL=$(curl -fsS "$URL/v1/jobs/$ID?wait=1")
-    echo "$FINAL" | grep -q '"status": "done"' || { echo "$FINAL"; echo "FAIL: accepted job $ID did not complete"; exit 1; }
+    grep -q '"status": "done"' <<<"$FINAL" || { echo "$FINAL"; echo "FAIL: accepted job $ID did not complete"; exit 1; }
 done
 
 # Governance is visible: the pressure gauges exist, and every shed the
 # flood saw was counted, by the queue bound or by the monitor.
 METRICS=$(curl -fsS "$URL/metrics")
-echo "$METRICS" | grep -q 'serve.pressure.level'        || { echo "FAIL: no serve.pressure.level metric"; exit 1; }
-echo "$METRICS" | grep -q 'serve.pressure.budget_bytes' || { echo "FAIL: no serve.pressure.budget_bytes metric"; exit 1; }
+grep -q 'serve.pressure.level'        <<<"$METRICS" || { echo "FAIL: no serve.pressure.level metric"; exit 1; }
+grep -q 'serve.pressure.budget_bytes' <<<"$METRICS" || { echo "FAIL: no serve.pressure.budget_bytes metric"; exit 1; }
 COUNTED=$(echo "$METRICS" | awk '$2 == "serve.rejected.queue_full" || $2 == "serve.pressure.sheds" { n += $3 } END { print n + 0 }')
 [ "$COUNTED" -eq "$SHED" ] || { echo "$METRICS"; echo "FAIL: queue_full + pressure.sheds = $COUNTED, observed $SHED sheds"; exit 1; }
 
@@ -172,7 +172,7 @@ CODE=$(curl -s -o "$WORK/prio" -w '%{http_code}' -X POST -H 'Content-Type: appli
 # Governance never sheds what the cache can answer: resubmitting a
 # completed request is a cache hit.
 HIT=$(curl -fsS -X POST -H 'Content-Type: application/json' -d "$FIRST_REQ" "$URL/v1/jobs?wait=1")
-echo "$HIT" | grep -q '"cached": true' || { echo "$HIT"; echo "FAIL: completed request re-simulated or shed"; exit 1; }
+grep -q '"cached": true' <<<"$HIT" || { echo "$HIT"; echo "FAIL: completed request re-simulated or shed"; exit 1; }
 
 # Clean drain under governance.
 kill -TERM "$SERVER_PID"

@@ -40,8 +40,8 @@ curl -fsS "$URL/healthz" | grep -q '"status": "ok"' || { echo "FAIL: healthz"; e
 
 # First submission: must simulate (no cache hit) and complete.
 FIRST=$(curl -fsS -X POST -H 'Content-Type: application/json' -d "$REQ" "$URL/v1/jobs?wait=1")
-echo "$FIRST" | grep -q '"status": "done"'  || { echo "$FIRST"; echo "FAIL: first run not done"; exit 1; }
-echo "$FIRST" | grep -q '"cached": false'   || { echo "$FIRST"; echo "FAIL: first run was a cache hit"; exit 1; }
+grep -q '"status": "done"'  <<<"$FIRST" || { echo "$FIRST"; echo "FAIL: first run not done"; exit 1; }
+grep -q '"cached": false'   <<<"$FIRST" || { echo "$FIRST"; echo "FAIL: first run was a cache hit"; exit 1; }
 JOB1=$(echo "$FIRST" | sed -n 's/.*"id": "\([^"]*\)".*/\1/p' | head -1)
 curl -fsS "$URL/v1/jobs/$JOB1/artifacts/summary.json" >"$WORK/first.json"
 test -s "$WORK/first.json" || { echo "FAIL: empty artifact"; exit 1; }
@@ -49,8 +49,8 @@ test -s "$WORK/first.json" || { echo "FAIL: empty artifact"; exit 1; }
 # Second submission of the byte-identical request: cache hit, identical
 # artifact bytes, no second simulation.
 SECOND=$(curl -fsS -X POST -H 'Content-Type: application/json' -d "$REQ" "$URL/v1/jobs?wait=1")
-echo "$SECOND" | grep -q '"status": "done"' || { echo "$SECOND"; echo "FAIL: second run not done"; exit 1; }
-echo "$SECOND" | grep -q '"cached": true'   || { echo "$SECOND"; echo "FAIL: identical request re-simulated"; exit 1; }
+grep -q '"status": "done"' <<<"$SECOND" || { echo "$SECOND"; echo "FAIL: second run not done"; exit 1; }
+grep -q '"cached": true'   <<<"$SECOND" || { echo "$SECOND"; echo "FAIL: identical request re-simulated"; exit 1; }
 JOB2=$(echo "$SECOND" | sed -n 's/.*"id": "\([^"]*\)".*/\1/p' | head -1)
 curl -fsS "$URL/v1/jobs/$JOB2/artifacts/summary.json" >"$WORK/second.json"
 cmp "$WORK/first.json" "$WORK/second.json" || { echo "FAIL: cached artifact differs"; exit 1; }
