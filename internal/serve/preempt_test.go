@@ -164,57 +164,60 @@ func TestPreemptRequiresJournal(t *testing.T) {
 // removed before the preemption, so the image the resume lease restores
 // is the one the preemption took.
 func TestPreemptResumeBitIdentical(t *testing.T) {
-	c := mustCanonical(t, tinyRun())
-	wantArt, wantRes, err := Execute(context.Background(), c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	jdir, cdir := durableDirs(t)
-	s := newTestServer(t, Config{
-		Workers: 1, JournalDir: jdir, CacheDir: cdir,
-		CheckpointCycles: wantRes.Cycles / 8,
-		MemBudget:        1 << 40, pressureTick: quietTick,
+	// The one served case is a cold lease: the daemon keeps no warm pool.
+	t.Run("fast/cold", func(t *testing.T) {
+		c := mustCanonical(t, tinyRun())
+		wantArt, wantRes, err := Execute(context.Background(), c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		jdir, cdir := durableDirs(t)
+		s := newTestServer(t, Config{
+			Workers: 1, JournalDir: jdir, CacheDir: cdir,
+			CheckpointCycles: wantRes.Cycles / 8,
+			MemBudget:        1 << 40, pressureTick: quietTick,
+		})
+		s.exec = preemptingExec(s, func() {
+			os.Remove((&CheckpointSpec{Dir: jdir}).path(c.Key()))
+		})
+		j, err := s.Submit(tinyRun(), true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		waitJob(t, j)
+		if j.Status != StatusDone {
+			t.Fatalf("status=%s err=%q", j.Status, j.Err)
+		}
+		s.mu.Lock()
+		preempts, attempt := j.Preempts, j.Attempt
+		s.mu.Unlock()
+		if preempts != 1 {
+			t.Fatalf("preempted %d times, want 1", preempts)
+		}
+		if attempt != 1 {
+			t.Fatalf("attempt = %d after preemption, want 1 (preemption must not burn the retry budget)", attempt)
+		}
+		if j.Result.Cycles != wantRes.Cycles || j.Result.Checksum != wantRes.Checksum {
+			t.Fatalf("resumed result diverged: %+v != %+v", j.Result, wantRes)
+		}
+		gotArt, ok := s.cache.Get(j.Key)
+		if !ok {
+			t.Fatal("done job has no artifacts")
+		}
+		assertSameArtifacts(t, wantArt, gotArt)
+		if got := s.reg.CounterValue("serve.jobs.preempted"); got != 1 {
+			t.Fatalf("serve.jobs.preempted = %d, want 1", got)
+		}
+		if got := s.reg.CounterValue("serve.resume.restores"); got < 1 {
+			t.Fatalf("serve.resume.restores = %d, want >= 1 (resume lease did not use the image)", got)
+		}
+		if err := s.Drain(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		if at := preemptedAt(t, jdir, j.ID); at == 0 {
+			t.Fatal("preempted record carries cycle 0: the preemption landed before the run")
+		}
 	})
-	s.exec = preemptingExec(s, func() {
-		os.Remove((&CheckpointSpec{Dir: jdir}).path(c.Key()))
-	})
-	j, err := s.Submit(tinyRun(), true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	waitJob(t, j)
-	if j.Status != StatusDone {
-		t.Fatalf("status=%s err=%q", j.Status, j.Err)
-	}
-	s.mu.Lock()
-	preempts, attempt := j.Preempts, j.Attempt
-	s.mu.Unlock()
-	if preempts != 1 {
-		t.Fatalf("preempted %d times, want 1", preempts)
-	}
-	if attempt != 1 {
-		t.Fatalf("attempt = %d after preemption, want 1 (preemption must not burn the retry budget)", attempt)
-	}
-	if j.Result.Cycles != wantRes.Cycles || j.Result.Checksum != wantRes.Checksum {
-		t.Fatalf("resumed result diverged: %+v != %+v", j.Result, wantRes)
-	}
-	gotArt, ok := s.cache.Get(j.Key)
-	if !ok {
-		t.Fatal("done job has no artifacts")
-	}
-	assertSameArtifacts(t, wantArt, gotArt)
-	if got := s.reg.CounterValue("serve.jobs.preempted"); got != 1 {
-		t.Fatalf("serve.jobs.preempted = %d, want 1", got)
-	}
-	if got := s.reg.CounterValue("serve.resume.restores"); got < 1 {
-		t.Fatalf("serve.resume.restores = %d, want >= 1 (resume lease did not use the image)", got)
-	}
-	if err := s.Drain(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	if at := preemptedAt(t, jdir, j.ID); at == 0 {
-		t.Fatal("preempted record carries cycle 0: the preemption landed before the run")
-	}
 }
 
 // preemptedAt returns the cycle of job id's first preempted record in
