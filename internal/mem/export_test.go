@@ -9,6 +9,7 @@ import "misp/internal/snap/wire"
 // tests require EncodeSnapshot to produce the same bytes.
 func (p *Phys) EncodeSnapshotFullScan(c *wire.Codec) {
 	c.U32(&p.numFrames)
+	c.U32(&p.hw)
 	c.Count(len(p.free))
 	for i := range p.free {
 		c.U32(&p.free[i])

@@ -11,11 +11,12 @@ import (
 )
 
 // physModel is the reference FuzzPhysBacking holds a Phys to: a flat
-// array of the whole configured memory, the allocator's free stack, and
-// the frames the operations have reached through a growth site — the
-// only ones the unchecked accessors may address.
+// array of the whole configured memory, the allocator's watermark and
+// given-back frames, and the frames the operations have reached through
+// a growth site — the only ones the unchecked accessors may address.
 type physModel struct {
 	data    []byte
+	hw      uint32
 	free    []uint32
 	alloced []uint32
 	reached map[uint32]bool
@@ -24,11 +25,7 @@ type physModel struct {
 const fuzzPhysSize = 16 << 20
 
 func newPhysModel() *physModel {
-	m := &physModel{data: make([]byte, fuzzPhysSize), reached: map[uint32]bool{}}
-	for f := uint32(fuzzPhysSize/mem.PageSize - 1); f >= 1; f-- {
-		m.free = append(m.free, f)
-	}
-	return m
+	return &physModel{data: make([]byte, fuzzPhysSize), hw: 1, reached: map[uint32]bool{}}
 }
 
 var zeroPage [mem.PageSize]byte
@@ -49,6 +46,7 @@ func (m *physModel) encode() []byte {
 	c := wire.NewEncoder(1 << 20)
 	n := uint32(len(m.data) / mem.PageSize)
 	c.U32(&n)
+	c.U32(&m.hw)
 	c.Count(len(m.free))
 	for i := range m.free {
 		c.U32(&m.free[i])
@@ -99,6 +97,9 @@ func checkPhys(t *testing.T, what string, p *mem.Phys, m *physModel) {
 	want := m.nonzero()
 	if len(want) != 0 && uint64(want[len(want)-1])*mem.PageSize >= backed {
 		t.Fatalf("%s: the reference holds a nonzero byte beyond the backing", what)
+	}
+	if got, want := p.FreeFrames(), len(m.free)+int(fuzzPhysSize/mem.PageSize-m.hw); got != want {
+		t.Fatalf("%s: FreeFrames() = %d, want %d", what, got, want)
 	}
 	resident := p.Resident()
 	if !slices.Equal(resident, want) {
@@ -156,15 +157,23 @@ func FuzzPhysBacking(f *testing.F) {
 		for len(ops) > 0 {
 			switch ops.u8() % 9 {
 			case 0: // AllocFrame
-				if len(m.free) == 0 {
+				got, err := p.AllocFrame()
+				if len(m.free) == 0 && m.hw == frames {
+					if err == nil {
+						t.Fatalf("AllocFrame = %d with every frame allocated", got)
+					}
 					continue
 				}
-				got, err := p.AllocFrame()
-				want := m.free[len(m.free)-1]
+				want := m.hw
+				if len(m.free) != 0 {
+					want = m.free[len(m.free)-1]
+					m.free = m.free[:len(m.free)-1]
+				} else {
+					m.hw++
+				}
 				if err != nil || got != want {
 					t.Fatalf("AllocFrame = %d, %v; want %d", got, err, want)
 				}
-				m.free = m.free[:len(m.free)-1]
 				clear(m.data[uint64(got)*mem.PageSize : uint64(got+1)*mem.PageSize])
 				m.alloced = append(m.alloced, got)
 				m.reached[got] = true

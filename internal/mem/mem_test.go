@@ -3,8 +3,12 @@ package mem
 import (
 	"bytes"
 	"math/rand"
+	"runtime"
+	"strings"
 	"testing"
 	"testing/quick"
+
+	"misp/internal/snap/wire"
 )
 
 func newPhysT(t *testing.T, pages int) *Phys {
@@ -40,6 +44,74 @@ func TestPhysAllocFree(t *testing.T) {
 	}
 	if p.FreeFrames() != 7 {
 		t.Fatalf("after free, FreeFrames = %d, want 7", p.FreeFrames())
+	}
+}
+
+// TestFreeFrameNeverAllocated: giving back a frame at or above the
+// watermark panics, as one out of range does, so no state a capture
+// can see holds a given-back frame the decoder would refuse.
+func TestFreeFrameNeverAllocated(t *testing.T) {
+	p := newPhysT(t, 8)
+	f, _ := p.AllocFrame()
+	for _, bad := range []uint32{0, f + 1, 7, 8} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("FreeFrame(%d) with only frame %d allocated did not panic", bad, f)
+				}
+			}()
+			p.FreeFrame(bad)
+		}()
+	}
+	if p.FreeFrames() != 6 {
+		t.Fatalf("FreeFrames = %d after refused frees, want 6", p.FreeFrames())
+	}
+}
+
+// TestRestorePhysRejectsAllocator feeds RestorePhys memory sections
+// whose allocator no capture writes: each fails with an error, without
+// a panic or an allocation sized by the given-back count.
+func TestRestorePhysRejectsAllocator(t *testing.T) {
+	const frames = 16
+	section := func(hw uint32, count uint64, given ...uint32) []byte {
+		c := wire.NewEncoder(64)
+		n := uint32(frames)
+		c.U32(&n)
+		c.U32(&hw)
+		c.U64(&count)
+		for i := range given {
+			c.U32(&given[i])
+		}
+		var resident uint64
+		c.U64(&resident)
+		return c.Bytes()
+	}
+	if _, err := RestorePhys(wire.NewDecoder(section(4, 1, 3)), frames*PageSize); err != nil {
+		t.Fatalf("a well-formed section: %v", err)
+	}
+	for _, tc := range []struct {
+		name, want string
+		section    []byte
+	}{
+		{"watermark 0", "watermark", section(0, 0)},
+		{"watermark above the frame count", "watermark", section(frames+1, 0)},
+		{"given-back frame 0", "given-back", section(4, 1, 0)},
+		{"given-back frame at the watermark", "given-back", section(4, 1, 4)},
+		{"given-back count past the end", "count", section(4, 1<<40)},
+	} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		p, err := RestorePhys(wire.NewDecoder(tc.section), frames*PageSize)
+		runtime.ReadMemStats(&after)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: RestorePhys = %v, want a %s error", tc.name, err, tc.want)
+		}
+		if p != nil {
+			t.Errorf("%s: RestorePhys returned a memory beside its error", tc.name)
+		}
+		if n := after.TotalAlloc - before.TotalAlloc; n >= 1<<20 {
+			t.Errorf("%s: rejecting a %d-byte section allocated %d bytes", tc.name, len(tc.section), n)
+		}
 	}
 }
 
@@ -161,22 +233,6 @@ func TestWalkPermissions(t *testing.T) {
 	}
 	if _, k := Walk(p, cr3, VAMax, false, false); k != FaultNotPresent {
 		t.Error("out-of-space VA did not fault")
-	}
-}
-
-func TestPageTableFreeReturnsFrames(t *testing.T) {
-	p := newPhysT(t, 64)
-	before := p.FreeFrames()
-	pt, _ := NewPageTable(p)
-	for i := uint64(0); i < 10; i++ {
-		f, _ := p.AllocFrame()
-		if err := pt.Map(0x10000+i*PageSize, f, PTEWritable|PTEUser); err != nil {
-			t.Fatal(err)
-		}
-	}
-	pt.Free()
-	if p.FreeFrames() != before {
-		t.Fatalf("leak: %d frames free, want %d", p.FreeFrames(), before)
 	}
 }
 
@@ -361,20 +417,6 @@ func TestSpaceCrossPageRW(t *testing.T) {
 	v, err := s.ReadU64(va)
 	if err != nil || v != 0x0123456789ABCDEF {
 		t.Fatalf("cross-page u64 = %#x, %v", v, err)
-	}
-}
-
-func TestSpaceFreeReleasesEverything(t *testing.T) {
-	p := newPhysT(t, 128)
-	before := p.FreeFrames()
-	s, _ := NewSpace(p)
-	s.AddVMA("x", 0x10000, 16*PageSize, true, nil)
-	if _, err := s.Prefault(0x10000, 16*PageSize); err != nil {
-		t.Fatal(err)
-	}
-	s.Free()
-	if p.FreeFrames() != before {
-		t.Fatalf("leak after Free: %d free, want %d", p.FreeFrames(), before)
 	}
 }
 

@@ -136,27 +136,6 @@ func (pt *PageTable) MappedPages() int {
 	return n
 }
 
-// Free releases every frame reachable from the table: leaf frames,
-// intermediate tables, and the directory itself.
-func (pt *PageTable) Free() {
-	for d := uint64(0); d < entriesPerTab; d++ {
-		pde := pt.Phys.ReadU32(pt.RootPA() + d*4)
-		if pde&PTEPresent == 0 || !pt.Phys.frameValid(pteFrame(pde)) {
-			continue
-		}
-		tab := uint64(pteFrame(pde)) << PageShift
-		for t := uint64(0); t < entriesPerTab; t++ {
-			pte := pt.Phys.ReadU32(tab + t*4)
-			if pte&PTEPresent != 0 {
-				pt.Phys.FreeFrame(pteFrame(pte))
-			}
-		}
-		pt.Phys.FreeFrame(pteFrame(pde))
-	}
-	pt.Phys.FreeFrame(pt.Root)
-	pt.Root = 0
-}
-
 // WalkCost is the cycle cost of a hardware two-level page walk (two
 // dependent physical reads plus fill).
 const WalkCost = 24

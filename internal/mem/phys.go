@@ -25,12 +25,14 @@ const (
 
 // Phys is the machine's physical memory, managed in page-sized frames.
 //
-// Its geometry is the configured size: Size, InRange, the frame
-// allocator and the store generations all span every frame. Its bytes
-// do not: data backs only frames [0, len(data)/PageSize), starting at
-// initialBacking and doubling whenever a frame at or above the backing
-// first becomes reachable, up to the configured size. Frames beyond the
-// backing read as zero — nothing has written them.
+// Its geometry is the configured size: Size, InRange and the store
+// generations span every frame. Its allocator and its bytes do not.
+// The allocator is a watermark, hw, at and above which no frame has
+// ever been allocated, and the short list of frames given back below
+// it. The bytes, data, back only frames [0, len(data)/PageSize),
+// starting at initialBacking and doubling whenever a frame at or above
+// the backing first becomes reachable, up to the configured size.
+// Frames beyond the backing read as zero — nothing has written them.
 //
 // One invariant keeps the accessors free of checks: every frame a TLB
 // entry, a page walk, a paging-off access or a slice accessor can name
@@ -41,7 +43,8 @@ const (
 // path, which stays a single bounds-checked index.
 type Phys struct {
 	data      []byte
-	free      []uint32 // free frame stack (frame numbers)
+	free      []uint32 // frames given back, all below hw; popped first
+	hw        uint32   // lowest never-allocated frame
 	numFrames uint32
 
 	// gens holds one store-generation counter per frame, bumped on every
@@ -180,18 +183,20 @@ func (p *Phys) Release() {
 		return
 	}
 	p.scrub(nil)
-	clear(p.gens)
+	clear(p.gens[:len(p.data)>>PageShift])
 	dataPool.put(p.data)
 	genPool.put(p.gens)
 	*p = Phys{}
 }
 
 // newPhys returns a memory of n frames with an all-zero initial backing
-// and generations, and an empty free stack.
+// and generations, none of its frames allocated: frame 0 is reserved,
+// so the watermark starts at 1.
 func newPhys(n uint32) *Phys {
 	size := uint64(n) << PageShift
 	return &Phys{
 		data:      dataPool.get(int(min(size, initialBacking))),
+		hw:        1,
 		numFrames: n,
 		gens:      genPool.get(int(n)),
 	}
@@ -205,39 +210,40 @@ func NewPhys(size uint64) (*Phys, error) {
 	if size == 0 || size%PageSize != 0 {
 		return nil, fmt.Errorf("mem: physical size %d is not a positive multiple of %d", size, PageSize)
 	}
-	n := uint32(size / PageSize)
-	p := newPhys(n)
-	p.free = make([]uint32, 0, n-1)
-	// Push frames in reverse so allocation order is ascending.
-	for f := n - 1; f >= 1; f-- {
-		p.free = append(p.free, f)
-	}
-	return p, nil
+	return newPhys(uint32(size / PageSize)), nil
 }
 
 // Size returns the configured physical memory size in bytes.
 func (p *Phys) Size() uint64 { return uint64(p.numFrames) << PageShift }
 
 // FreeFrames returns the number of allocatable frames remaining.
-func (p *Phys) FreeFrames() int { return len(p.free) }
+func (p *Phys) FreeFrames() int { return len(p.free) + int(p.numFrames-p.hw) }
 
-// AllocFrame allocates one zeroed frame and returns its frame number.
+// AllocFrame allocates one zeroed frame and returns its frame number:
+// the frame given back last, if any, else the watermark's, so frames
+// are first handed out in ascending order.
 func (p *Phys) AllocFrame() (uint32, error) {
-	if len(p.free) == 0 {
+	var f uint32
+	switch {
+	case len(p.free) != 0:
+		f = p.free[len(p.free)-1]
+		p.free = p.free[:len(p.free)-1]
+	case p.hw < p.numFrames:
+		f = p.hw
+		p.hw++
+	default:
 		return 0, fmt.Errorf("mem: out of physical memory (%d frames)", p.numFrames)
 	}
-	f := p.free[len(p.free)-1]
-	p.free = p.free[:len(p.free)-1]
 	p.cover(uint64(f))
 	clear(p.frameBytes(f))
 	p.touch(uint64(f))
 	return f, nil
 }
 
-// FreeFrame returns a frame to the allocator.
+// FreeFrame gives an allocated frame back to the allocator.
 func (p *Phys) FreeFrame(f uint32) {
-	if f == 0 || f >= p.numFrames {
-		panic(fmt.Sprintf("mem: FreeFrame(%d) out of range", f))
+	if f == 0 || f >= p.hw {
+		panic(fmt.Sprintf("mem: FreeFrame(%d) of a frame never allocated", f))
 	}
 	p.free = append(p.free, f)
 }

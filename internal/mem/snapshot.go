@@ -25,10 +25,10 @@ import (
 // name without a page walk: the stored frames here, and each valid TLB
 // entry's frame as TLB.Snapshot decodes it (the core's fetch cache does
 // the same through Back); a page-table frame is backed by the walk that
-// reaches it (frameValid). What remains
-// proportional to configured memory is 4 bytes per frame twice over:
-// the generation scan and the free stack. The backing bytes follow the
-// highest frame a run reached.
+// reaches it (frameValid). Neither direction visits a frame beyond the
+// backing, which follows the highest frame a run reached, and the image
+// holds nothing sized by the configured memory: the allocator is coded
+// as its watermark and the frames given back below it.
 //
 // Deliberately NOT captured (host-side caches, rebuilt or re-warmed
 // after restore):
@@ -43,7 +43,7 @@ import (
 // a later read of it would see).
 func (p *Phys) Resident() []uint32 {
 	var out []uint32
-	for f, g := range p.gens {
+	for f, g := range p.gens[:len(p.data)>>PageShift] {
 		if g != 0 && !zeroFrame(p.frameBytes(uint32(f))) {
 			out = append(out, uint32(f))
 		}
@@ -54,7 +54,7 @@ func (p *Phys) Resident() []uint32 {
 // SnapshotSize returns the exact number of bytes EncodeSnapshot writes
 // for a resident list of the given length.
 func (p *Phys) SnapshotSize(resident int) int {
-	return 4 + 8 + 4*len(p.free) + 8 + resident*(4+PageSize)
+	return 4 + 4 + 8 + 4*len(p.free) + 8 + resident*(4+PageSize)
 }
 
 // EncodeSnapshot writes the physical memory. resident is the frame list
@@ -87,27 +87,24 @@ func RestorePhys(c *wire.Codec, size uint64) (*Phys, error) {
 	return p, nil
 }
 
-// snapshot codes what follows the frame count: the free stack verbatim
-// (allocation order is architectural — AllocFrame pops
-// deterministically), then the resident frames, each as its number and
-// page image. An encoder takes the frames from resident; a decoder marks
+// snapshot codes what follows the frame count: the allocator (the
+// watermark, then the given-back frames in order — allocation order is
+// architectural), then the resident frames, each as its number and page
+// image. An encoder takes the frames from resident; a decoder marks
 // each frame it fills as touched — to the touched set a restored frame
 // is a written frame.
 func (p *Phys) snapshot(c *wire.Codec, resident []uint32) {
-	n := c.Count(len(p.free))
-	if c.Decoding() {
-		p.free = make([]uint32, n)
+	c.U32(&p.hw)
+	if c.Decoding() && (p.hw == 0 || p.hw > p.numFrames) {
+		c.Fail(fmt.Errorf("mem: snapshot watermark %d outside [1, %d]", p.hw, p.numFrames))
 	}
-	c.U32s(p.free)
-	if c.Decoding() {
-		for _, f := range p.free {
-			if f == 0 || f >= p.numFrames {
-				c.Fail(fmt.Errorf("mem: snapshot free frame %d out of range", f))
-				break
-			}
+	wire.Slice(c, &p.free, func(f *uint32) {
+		c.U32(f)
+		if c.Decoding() && (*f == 0 || *f >= p.hw) {
+			c.Fail(fmt.Errorf("mem: snapshot given-back frame %d not below the watermark %d", *f, p.hw))
 		}
-	}
-	n = c.Count(len(resident))
+	})
+	n := c.Count(len(resident))
 	for i := 0; i < n; i++ {
 		var f uint32
 		if !c.Decoding() {

@@ -233,9 +233,3 @@ func (s *Space) WriteU64(va uint64, v uint64) error {
 	}
 	return s.WriteBytes(va, b[:])
 }
-
-// Free releases every frame owned by the space, including page tables.
-func (s *Space) Free() {
-	s.PT.Free()
-	s.vmas = nil
-}

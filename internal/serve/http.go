@@ -233,11 +233,11 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
-	if !s.Cancel(id, fmt.Errorf("serve: canceled by client: %w", context.Canceled)) {
+	j := s.Cancel(id, fmt.Errorf("serve: canceled by client: %w", context.Canceled))
+	if j == nil {
 		writeError(w, http.StatusNotFound, fmt.Errorf("serve: unknown job %q", id))
 		return
 	}
-	j, _ := s.Job(id)
 	writeJSON(w, http.StatusOK, s.View(j, false))
 }
 

@@ -422,18 +422,17 @@ func (s *Server) Artifact(j *Job, name string) ([]byte, bool) {
 	return data, ok
 }
 
-// Cancel aborts a job: a queued job never runs, a running job's
-// simulation stops at its next event horizon. Canceling a terminal job
-// is a no-op.
-func (s *Server) Cancel(id string, cause error) bool {
+// Cancel aborts a job and returns it, or nil when id is unknown: a
+// queued job never runs, a running job's simulation stops at its next
+// event horizon. Canceling a terminal job is a no-op.
+func (s *Server) Cancel(id string, cause error) *Job {
 	s.mu.Lock()
-	j, ok := s.jobs[id]
+	j := s.jobs[id]
 	s.mu.Unlock()
-	if !ok {
-		return false
+	if j != nil {
+		j.cancel(cause)
 	}
-	j.cancel(cause)
-	return true
+	return j
 }
 
 // AddWaiter registers a synchronous client waiting on j.

@@ -36,8 +36,8 @@ import (
 // bumped on any codec layout change (there is no cross-version
 // migration — a snapshot is a cache artifact, not an archival format).
 const (
-	magic   = "MISPSNP6"
-	Version = 6
+	magic   = "MISPSNP7"
+	Version = 7
 )
 
 // Snapshot is an encoded machine+kernel image.

@@ -387,6 +387,30 @@ func TestSnapshotFileRoundTrip(t *testing.T) {
 	}
 }
 
+// TestCaptureSizeIndependentOfPhysMem: an image holds what the run
+// wrote, nothing derived from the configured memory, so the prepared
+// gauss image (small, MISP 1x8) has one length at every PhysMem.
+func TestCaptureSizeIndependentOfPhysMem(t *testing.T) {
+	w, err := workloads.ByName("gauss")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sizes := map[uint64]int{}
+	for _, physMem := range []uint64{32 << 20, 128 << 20, 1 << 30} {
+		cfg := workloads.DefaultConfig(core.Topology{7})
+		cfg.PhysMem = physMem
+		pr, err := workloads.Prepare(w, shredlib.ModeShred, cfg, workloads.SizeSmall)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sizes[physMem] = len(capture(t, pr.Machine, pr.Kernel))
+		pr.Release()
+	}
+	if sizes[32<<20] != sizes[128<<20] || sizes[32<<20] != sizes[1<<30] {
+		t.Fatalf("prepared image length by PhysMem = %v, want one length", sizes)
+	}
+}
+
 func TestLoadRejectsGarbage(t *testing.T) {
 	if _, err := snap.Load([]byte("definitely not a snapshot")); err == nil {
 		t.Fatal("Load accepted garbage")
@@ -397,9 +421,10 @@ func TestLoadRejectsGarbage(t *testing.T) {
 	// A stale format version behind the current magic — 3 is the layout
 	// that still carried the two loop knobs, 4 the one that still carried
 	// the cost model, 5 the one that still carried the event buffer's cap
-	// and loss policy — gets the version error, not a decode attempt.
-	for _, v := range []byte{2, 3, 4, 5} {
-		_, err := snap.Load(append([]byte("MISPSNP6"), v, 0, 0, 0))
+	// and loss policy, 6 the one that still carried the verbatim free
+	// stack — gets the version error, not a decode attempt.
+	for _, v := range []byte{2, 3, 4, 5, 6} {
+		_, err := snap.Load(append([]byte(snap.Magic), v, 0, 0, 0))
 		if want := fmt.Sprintf("format version %d", v); err == nil || !strings.Contains(err.Error(), want) {
 			t.Fatalf("Load of a version-%d header: err = %v, want the format-version error", v, err)
 		}

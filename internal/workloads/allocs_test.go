@@ -11,7 +11,7 @@ import (
 // (below), what a served run pays before its first cycle when it has no
 // checkpoint image to fork; lower it when the count drops, and say why
 // when it has to rise.
-const prepareAllocs = 422
+const prepareAllocs = 421
 
 // TestPrepareAllocs holds one released PrepareFlags of gauss (small,
 // MISP 1x8, 128 MiB) — BenchmarkPrepare's physmem=128MiB/released row —
