@@ -40,15 +40,17 @@ race:
 	$(GO) test -race ./...
 
 # smoke runs mispsim -o end-to-end on one workload and checks that all
-# four run files come out non-empty. TestRunFilesMatchServe in
-# ./cmd/mispsim pins their bytes against the serve daemon's.
+# four run files come out non-empty and that the run summary it prints
+# reports the event log complete. TestRunFilesMatchServe in
+# ./cmd/mispsim pins the files' bytes against the serve daemon's.
 smoke:
 	d=$$(mktemp -d "$${TMPDIR:-/tmp}/misp-smoke.XXXXXX") && \
-	$(GO) run ./cmd/mispsim -w gauss -size test -o $$d > /dev/null && \
+	$(GO) run ./cmd/mispsim -w gauss -size test -o $$d > $$d/stdout && \
 	test -s $$d/counters.csv && \
 	test -s $$d/metrics.txt && \
 	test -s $$d/trace.json && \
 	test -s $$d/profile.txt && \
+	grep -Eq '^trace coverage +complete' $$d/stdout && \
 	rm -rf $$d
 
 verify: build vet race smoke

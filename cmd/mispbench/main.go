@@ -90,11 +90,7 @@ func main() {
 	defer stopProf()
 
 	var stats sweep.Stats
-	// One pool for the whole invocation: grid points that differ only in
-	// run-only configuration (ring policy, fault plane) fork a shared
-	// post-prepare snapshot instead of building and zeroing a machine
-	// each. CSVs are byte-identical either way.
-	opt := exp.Options{Size: size, Seqs: *seqs, Parallel: *parallel, SweepStats: &stats, Ctx: ctx, Warm: workloads.NewWarmPool()}
+	opt := exp.Options{Size: size, Seqs: *seqs, Parallel: *parallel, SweepStats: &stats, Ctx: ctx}
 	// A3's table prints every app × signal-cost point, so without -apps
 	// it shows a 4-app subset.
 	a3Apps := []string{"dense_mmm", "kmeans", "sparse_mvm", "swim"}
@@ -182,9 +178,6 @@ func main() {
 	// deterministic, so they must never reach the CSV outputs.
 	if stats.Jobs > 0 {
 		fmt.Println(report.SweepSummary(stats).String())
-	}
-	if hits, misses := opt.Warm.Stats(); hits+misses > 0 {
-		fmt.Printf("warm pool: %d forks, %d cold prepares\n", hits, misses)
 	}
 }
 

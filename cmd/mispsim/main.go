@@ -245,10 +245,9 @@ func finish(m *core.Machine, prog *asm.Program, outDir string, metrics bool) {
 			m.Obs.Metrics.WriteHostTo(os.Stdout)
 		}
 	}
-	rep := m.Report()
-	if rep.TraceEnabled {
+	if m.Obs.Bus.Enabled() {
 		fmt.Println()
-		fmt.Print(report.RunSummary(rep))
+		fmt.Print(report.RunSummary(m))
 	}
 	if outDir != "" {
 		names, err := writeRunFiles(m, prog, outDir)

@@ -203,7 +203,7 @@ func (m *Machine) deadlockDiag() error {
 // cycleLimitDiag builds the structured abort for a MaxCycles overrun.
 func (m *Machine) cycleLimitDiag() error {
 	return m.Diagnose(fault.ReasonCycleLimit, fmt.Errorf(
-		"core: cycle limit %d exceeded", m.Cfg.MaxCycles))
+		"core: cycle limit %d exceeded", m.cycLimit))
 }
 
 // Diagnose upgrades err into a fault.Diagnosis carrying the machine's

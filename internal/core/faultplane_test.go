@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"errors"
 	"strings"
 	"testing"
@@ -335,6 +336,43 @@ main:
 		}
 		if !strings.Contains(err.Error(), "cycle limit") {
 			t.Fatalf("legacy=%v: message lacks detail: %v", legacy, err)
+		}
+	}
+}
+
+// TestCycleLimitPauseTie: with the pause point at the cycle limit, both
+// stops are due on the same boundary and the pause wins — it is the
+// non-fatal one, so the machine stays capturable. Both loops stop there
+// with the same clocks, retirements and image; disarming the pause then
+// lets the limit's Diagnosis through.
+func TestCycleLimitPauseTie(t *testing.T) {
+	const limit = 200_000
+	for _, top := range cancelTops {
+		var images [2][]byte
+		var steps [2]uint64
+		for i, legacy := range []bool{true, false} {
+			m := spinMachine(t, top, limit)
+			m.Oracle = legacy
+			m.SetPause(limit)
+			if err := m.Run(); !errors.Is(err, ErrPaused) {
+				t.Fatalf("%v legacy=%v: run = %v, want ErrPaused", top, legacy, err)
+			}
+			for _, s := range m.Seqs {
+				if s.State == StateRunning && s.Clock != limit+1 {
+					t.Errorf("%v legacy=%v: %s paused at clock %d, want %d", top, legacy, s.Name(), s.Clock, limit+1)
+				}
+			}
+			images[i], steps[i] = spinCapture(t, m), m.Steps
+			m.SetPause(0)
+			var d *fault.Diagnosis
+			if err := m.Run(); !errors.As(err, &d) || d.Reason != fault.ReasonCycleLimit {
+				t.Fatalf("%v legacy=%v: unpaused run = %v, want the cycle-limit Diagnosis", top, legacy, err)
+			}
+			m.Release()
+		}
+		if steps[0] != steps[1] || !bytes.Equal(images[0], images[1]) {
+			t.Errorf("%v: the loops paused apart: %d vs %d instructions, images equal %v",
+				top, steps[0], steps[1], bytes.Equal(images[0], images[1]))
 		}
 	}
 }

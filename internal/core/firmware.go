@@ -360,8 +360,15 @@ func (m *Machine) SaveSeqForSwitch(s *Sequencer) ThreadSeqState {
 	default:
 		st.State = StateIdle
 	}
-	// Reset the sequencer for the next occupant. Deadness is permanent:
-	// the sequencer never idles back into service.
+	clearSeq(s)
+	return st
+}
+
+// clearSeq readies s for its next occupant: no pending signals, yield
+// handlers, handler or proxy state, and a flushed translation. An AMS
+// also drops its thread tag and idles, unless it is dead: deadness is
+// permanent, the sequencer never idles back into service.
+func clearSeq(s *Sequencer) {
 	s.pending = nil
 	s.Yield = [isa.NumScenarios]uint64{}
 	s.InHandler = false
@@ -374,7 +381,6 @@ func (m *Machine) SaveSeqForSwitch(s *Sequencer) ThreadSeqState {
 		s.CurTID = 0
 	}
 	s.flushTranslation()
-	return st
 }
 
 // RestoreSeqForSwitch installs a previously saved sequencer state. For
@@ -465,19 +471,10 @@ func (m *Machine) RebindAMS(a *Sequencer, toProc int) error {
 	return nil
 }
 
-// ResetSeq clears a sequencer after its thread exits. A dead sequencer
-// stays dead (deadness is permanent) but is otherwise cleared.
+// ResetSeq clears AMS s after its thread exits (clearSeq: a dead
+// sequencer stays dead but is otherwise cleared).
 func (m *Machine) ResetSeq(s *Sequencer) {
-	s.pending = nil
-	s.Yield = [isa.NumScenarios]uint64{}
-	s.InHandler = false
-	s.proxyFrame = 0
-	s.proxyLost = false
-	if s.State != StateDead {
-		s.State = StateIdle
-	}
-	s.CurTID = 0
-	s.flushTranslation()
+	clearSeq(s)
 	// Withdraw any queued proxy requests from this sequencer.
 	proc := m.Proc(s)
 	kept := proc.PendingProxy[:0]

@@ -168,6 +168,55 @@ delay:
 	}
 }
 
+// TestDeliverDueOrder: with a timer (carrying a reschedule IPI), a proxy
+// request and an ingress signal all due on a running OMS at one clock,
+// deliverDue — the one statement of the order, which both loops call —
+// takes the IPI, then the proxy request, then (once the proxy handler
+// has returned) the signal. The loop difftests cannot see this order:
+// both loops share it.
+func TestDeliverDueOrder(t *testing.T) {
+	m, err := New(testCfg(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Release()
+	p := asm.MustAssemble("main:\n    j main\n")
+	if _, err := LoadBare(m, p); err != nil {
+		t.Fatal(err)
+	}
+	oms, ams := m.Seqs[0], m.Seqs[1]
+	const now = 1000
+	oms.Clock, oms.TimerDeadline, oms.RescheduleIPI = now, now, true
+	oms.Yield[isa.ScenarioProxy], oms.Yield[isa.ScenarioSignal] = p.Entry, p.Entry
+	m.Procs[0].PendingProxy = []ProxyReq{{TS: now, AMS: ams, FrameVA: FrameVA(ams.ID)}}
+	oms.pending = []PendingSignal{{TS: now, IP: p.Entry}}
+	took := func() string {
+		ints, proxies, signals := oms.C.Interrupts, len(m.Procs[0].PendingProxy), len(oms.pending)
+		switch {
+		case !m.deliverDue(oms):
+			return "nothing"
+		case oms.C.Interrupts != ints:
+			return "ipi"
+		case len(m.Procs[0].PendingProxy) != proxies:
+			return "proxy"
+		case len(oms.pending) != signals:
+			return "signal"
+		}
+		return "unknown"
+	}
+	for i, want := range []string{"ipi", "proxy", "nothing", "signal"} {
+		if i == 3 {
+			oms.InHandler = false // the proxy handler returned
+		}
+		if got := took(); got != want {
+			t.Fatalf("delivery %d took %s, want %s", i, got, want)
+		}
+	}
+	if oms.RescheduleIPI || oms.C.Timers != 0 {
+		t.Errorf("the IPI was not consumed in the tick's place: pending %v, %d ticks", oms.RescheduleIPI, oms.C.Timers)
+	}
+}
+
 // TestPageFaultAddrAbove4GiB: a faulting VA above 4 GiB must be
 // reported exactly, not truncated to its low 32 bits (the old PFAddr
 // masked with 0xFFFFFFFF).

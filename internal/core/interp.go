@@ -6,28 +6,28 @@ import (
 	"misp/internal/isa"
 )
 
-// exec executes one instruction on s, dispatching any resulting trap to
-// the kernel (OMS) or the proxy machinery (AMS). With profiling on, the
-// clock delta of the instruction — opcode cost plus TLB walks, context
-// spills, and (for PROXYEXEC) the whole re-execution — is attributed to
-// the instruction's PC.
+// exec executes one instruction on s and runs its retirement hooks.
 func (m *Machine) exec(s *Sequencer) {
-	if m.prof == nil {
-		if f := m.execOne(s); f != nil {
-			m.dispatchFault(s, f)
-		} else if m.plan != nil {
-			m.injectRetire(s)
-		}
-		return
-	}
 	pc, c0 := s.PC, s.Clock
-	f := m.execOne(s)
-	m.prof.Add(pc, s.Clock-c0)
+	m.retired(s, pc, c0, m.execOne(s))
+}
+
+// retired runs the per-retirement hooks for the instruction at pc, begun
+// at clock c0, that just retired or raised f. With profiling on, its
+// clock delta — opcode cost plus TLB walks, context spills, and (for
+// PROXYEXEC) the whole re-execution — is attributed to pc. Then f is
+// dispatched to the kernel (OMS) or the proxy machinery (AMS), or, with
+// no fault, the fault plane probes for an injection. It reports whether
+// either happened: the caller's run must end, as after a break op.
+func (m *Machine) retired(s *Sequencer, pc, c0 uint64, f *trapFault) bool {
+	if m.prof != nil {
+		m.prof.Add(pc, s.Clock-c0)
+	}
 	if f != nil {
 		m.dispatchFault(s, f)
-	} else if m.plan != nil {
-		m.injectRetire(s)
+		return true
 	}
+	return m.plan != nil && m.injectRetire(s)
 }
 
 // execOne fetches, decodes and executes a single instruction. On a

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sync/atomic"
 	"time"
 
@@ -144,14 +145,14 @@ type Machine struct {
 	// mx holds pre-resolved metric handles so hot paths pay a plain
 	// increment, never a registry lookup.
 	mx machMetrics
-	// cycLimit is Cfg.MaxCycles normalised for the hot loop: noEvent when
-	// unlimited, so the per-instruction guard is one unsigned compare.
+	// cycLimit is Cfg.MaxCycles normalised by Run: noEvent when
+	// unlimited, so every guard is one unsigned compare.
 	cycLimit uint64
 	// pauseAt stops the run (with ErrPaused) once the selected
-	// sequencer's clock strictly exceeds it — checked at exactly the
-	// MaxCycles sites, so the stop lands on an instruction boundary and
+	// sequencer's clock strictly exceeds it — checked where the cycle
+	// limit is (stopAt), so the stop lands on an instruction boundary and
 	// the machine stays resumable. 0 disables. pauseLimit is its
-	// noEvent-normalised mirror for the fast loop.
+	// noEvent-normalised mirror, set by Run.
 	pauseAt, pauseLimit uint64
 
 	// prof mirrors Obs.Prof (nil when profiling is off) for the
@@ -376,6 +377,13 @@ func (m *Machine) Run() (err error) {
 		// preceded this call must not depend on that goroutine's schedule.
 		m.cancelFlag.Store(true)
 	}
+	m.cycLimit, m.pauseLimit = noEvent, noEvent
+	if m.Cfg.MaxCycles > 0 {
+		m.cycLimit = m.Cfg.MaxCycles
+	}
+	if m.pauseAt != 0 {
+		m.pauseLimit = m.pauseAt
+	}
 	if m.Oracle {
 		return m.runLegacy()
 	}
@@ -394,15 +402,26 @@ func (m *Machine) runLegacy() error {
 		if s == nil {
 			return m.deadlockDiag()
 		}
-		if m.pauseAt != 0 && s.Clock > m.pauseAt {
-			return ErrPaused
-		}
-		if m.Cfg.MaxCycles > 0 && s.Clock > m.Cfg.MaxCycles {
-			return m.cycleLimitDiag()
+		if err := m.stopAt(s.Clock); err != nil {
+			return err
 		}
 		m.step(s)
 	}
 	return m.stopErr
+}
+
+// stopAt is the run's stop verdict for a sequencer about to advance at
+// clock: ErrPaused past the pause point, the cycle-limit Diagnosis past
+// MaxCycles, else nil. Pause wins ties: it is the non-fatal stop, so a
+// machine paused exactly at its cycle limit stays capturable.
+func (m *Machine) stopAt(clock uint64) error {
+	if clock > m.pauseLimit {
+		return ErrPaused
+	}
+	if clock > m.cycLimit {
+		return m.cycleLimitDiag()
+	}
+	return nil
 }
 
 // runFast is the fast path, and its whole selection is runRound: until the
@@ -412,14 +431,6 @@ func (m *Machine) runLegacy() error {
 // runLegacy — see DESIGN.md "Execution loop" and the loop-equivalence
 // difftests.
 func (m *Machine) runFast() error {
-	m.cycLimit = noEvent
-	if m.Cfg.MaxCycles > 0 {
-		m.cycLimit = m.Cfg.MaxCycles
-	}
-	m.pauseLimit = noEvent
-	if m.pauseAt != 0 {
-		m.pauseLimit = m.pauseAt
-	}
 	m.kernelEntered = true // the first Done check
 	for m.stopErr == nil && !m.halted {
 		if m.canceled() {
@@ -446,8 +457,8 @@ func (m *Machine) runFast() error {
 // nextEventTime to the outside event (outT, outID), the earliest thing
 // that is not a member's commit. Only an idle sequencer has one, so when
 // the outside event precedes every member (or there is none) it is that
-// sequencer's wake: runRound makes the pause/MaxCycles check the legacy
-// loop makes on the sequencer it picks, wakes it and returns; with neither
+// sequencer's wake: runRound takes the stop verdict (stopAt) the legacy
+// loop takes on the sequencer it picks, wakes it and returns; with neither
 // a member nor a wake the machine is deadlocked.
 //
 // Otherwise the round commits members in the legacy loop's (clock, ID)
@@ -508,11 +519,8 @@ func (m *Machine) runRound() error {
 			if out == nil {
 				return m.deadlockDiag()
 			}
-			if out.Clock > m.pauseLimit {
-				return ErrPaused
-			}
-			if out.Clock > m.cycLimit {
-				return m.cycleLimitDiag()
+			if err := m.stopAt(out.Clock); err != nil {
+				return err
 			}
 			m.wakeIdle(out)
 			return nil
@@ -591,56 +599,24 @@ const (
 // non-breaking one. runRound relies on this to keep a cohort
 // running without re-selection.
 func (m *Machine) runBatch(s *Sequencer, hT uint64, hID int, evT uint64, maxN int) (clean bool, err error) {
-	if s.Clock > m.pauseLimit {
-		return false, ErrPaused
-	}
-	if s.Clock > m.cycLimit {
-		return false, m.cycleLimitDiag()
+	if err := m.stopAt(s.Clock); err != nil {
+		return false, err
 	}
 	if s.State != StateRunning {
 		return false, nil
 	}
 	if s.Clock >= evT {
-		// An event is due now; deliver in the legacy loop's order.
-		if s.IsOMS && s.TimerDeadline != 0 && s.Clock >= s.TimerDeadline {
-			trap := isa.TrapTimer
-			if s.RescheduleIPI {
-				trap = isa.TrapInterrupt
-				s.RescheduleIPI = false
-			}
-			m.kernelTrap(s, trap, 0)
-			return false, nil
-		}
-		if s.IsOMS && m.deliverProxy(s) {
-			return false, nil
-		}
-		if m.deliverSignalRunning(s) {
-			return false, nil
-		}
-		// Unreachable: each evT component mirrors its delivery's guard.
+		// An event is due now: evT reads each delivery's own guard, so
+		// deliverDue takes it.
+		m.deliverDue(s)
 		return false, nil
 	}
-	limit := m.cycLimit
-	if m.pauseLimit < limit {
-		limit = m.pauseLimit
-	}
-	// Collapse the three per-instruction stop checks — horizon, delivery
+	// The three per-instruction stop checks — horizon, delivery
 	// threshold, cycle/pause limit, each comparing s.Clock against a
-	// batch constant — into one threshold. The resolution block below
-	// runs the individual checks in the legacy loop's order when it
+	// batch constant — collapse into one threshold. The resolution block
+	// below runs the individual checks in the legacy loop's order when it
 	// fires.
-	t1 := hT
-	if hID >= s.ID && t1 != noEvent {
-		t1++ // horizon stop is s.Clock > hT when the tie goes to s
-	}
-	tstar := t1
-	if evT < tstar {
-		tstar = evT
-	}
-	if limit != noEvent && limit+1 < tstar {
-		tstar = limit + 1
-	}
-	prof := m.prof
+	tstar := threshold(s.ID, hT, hID, evT, min(m.cycLimit, m.pauseLimit))
 	n := 0
 	step := false // the next instruction took runUops' default arm
 	for {
@@ -648,19 +624,11 @@ func (m *Machine) runBatch(s *Sequencer, hT uint64, hID int, evT uint64, maxN in
 			return true, nil
 		}
 		if s.Clock >= tstar {
-			if s.Clock > hT || (s.Clock == hT && hID < s.ID) {
+			if s.Clock > hT || (s.Clock == hT && hID < s.ID) || s.Clock >= evT {
 				return true, nil
 			}
-			if s.Clock >= evT {
-				return true, nil
-			}
-			if s.Clock > limit {
-				// Pause wins ties: it is the non-fatal stop, so a machine
-				// paused exactly at its cycle limit stays capturable.
-				if s.Clock > m.pauseLimit {
-					return false, ErrPaused
-				}
-				return false, m.cycleLimitDiag()
+			if err := m.stopAt(s.Clock); err != nil {
+				return false, err
 			}
 			return true, nil
 		}
@@ -681,25 +649,14 @@ func (m *Machine) runBatch(s *Sequencer, hT uint64, hID int, evT uint64, maxN in
 			}
 			in = isa.Decode(m.Phys.ReadU64(sb.base | off))
 		} else if in, f = m.fetchSlow(s); f != nil {
-			if prof != nil {
-				prof.Add(pc, s.Clock-c0)
-			}
-			m.dispatchFault(s, f)
+			m.retired(s, pc, c0, f)
 			return false, nil
 		}
 		step = false
-		f = m.execInstr(s, in)
-		if prof != nil {
-			prof.Add(pc, s.Clock-c0)
-		}
-		if f != nil {
-			m.dispatchFault(s, f)
-			return false, nil
-		}
-		if m.plan != nil && m.injectRetire(s) {
-			// Like a break op: the injection may have changed this
-			// sequencer's state or another's view of memory, so end the
-			// batch and let selection re-run.
+		if m.retired(s, pc, c0, m.execInstr(s, in)) {
+			// Like a break op: a fault or an injection may have changed
+			// this sequencer's state or another's view of memory, so end
+			// the batch and let selection re-run.
 			return false, nil
 		}
 		// An op that can create or reorder events on another sequencer (or
@@ -710,6 +667,22 @@ func (m *Machine) runBatch(s *Sequencer, hT uint64, hID int, evT uint64, maxN in
 		}
 		n++
 	}
+}
+
+// threshold is the first clock at which sequencer id may not commit: past
+// the horizon (hT, a tie going to the lower of id and hID), at its
+// delivery threshold evT, or past limit, the lower of the cycle and pause
+// limits (noEvent when neither is set). runBatch and the cohort wave
+// compare against it once per commit and, when it fires, hand the
+// individual checks to runBatch's resolution block.
+func threshold(id int, hT uint64, hID int, evT, limit uint64) uint64 {
+	if hID >= id && hT != noEvent {
+		hT++
+	}
+	if limit != noEvent {
+		hT = min(hT, limit+1)
+	}
+	return min(hT, evT)
 }
 
 // FinalizeMetrics publishes the counts the machine and its OS keep to
@@ -790,52 +763,23 @@ func (m *Machine) Tracks() []obs.Track {
 	return tracks
 }
 
-// RunReport summarizes a finished run for end-of-run reporting,
-// including the event-log loss accounting.
-type RunReport struct {
-	Cycles uint64        // machine wall time (max sequencer clock)
-	Instrs uint64        // total instructions retired
-	Wall   time.Duration // host time spent in Run
-
-	TraceEnabled bool
-	TraceEvents  int    // events retained in the buffer
-	TraceDropped uint64 // events emitted after the buffer filled
-}
-
-// Report builds the end-of-run summary.
-func (m *Machine) Report() RunReport {
-	return RunReport{
-		Cycles:       m.MaxClock(),
-		Instrs:       m.Steps,
-		Wall:         m.Wall,
-		TraceEnabled: m.Obs.Bus.Enabled(),
-		TraceEvents:  m.Obs.Bus.Len(),
-		TraceDropped: m.Obs.Bus.Dropped(),
-	}
-}
-
 // nextDeliveryTime returns the earliest time a timer interrupt, proxy
 // request, or ingress signal becomes deliverable to running sequencer
-// s, or noEvent. Each component mirrors the guard of its delivery path
-// (kernelTrap, deliverProxy, deliverSignalRunning).
+// s, or noEvent: the times at which deliverDue's three deliveries fire,
+// each read through the guard its delivery reads (earliestProxy,
+// handledPending).
 func (m *Machine) nextDeliveryTime(s *Sequencer) uint64 {
 	evT := noEvent
 	if s.IsOMS {
 		if s.TimerDeadline != 0 {
 			evT = s.TimerDeadline
 		}
-		if !s.InHandler && s.Yield[isa.ScenarioProxy] != 0 {
-			for _, r := range m.Procs[s.ProcID].PendingProxy {
-				if r.TS < evT {
-					evT = r.TS
-				}
-			}
+		if t, ok := m.earliestProxy(s); ok && t < evT {
+			evT = t
 		}
 	}
-	if !s.InHandler && s.Yield[isa.ScenarioSignal] != 0 && len(s.pending) > 0 {
-		if p, i := s.nextPending(); i >= 0 && p.TS < evT {
-			evT = p.TS
-		}
+	if p, i := s.handledPending(); i >= 0 && p.TS < evT {
+		evT = p.TS
 	}
 	return evT
 }
@@ -873,10 +817,11 @@ func (m *Machine) nextEventTime(s *Sequencer) (uint64, bool) {
 }
 
 // earliestProxy returns the earliest pending proxy-request timestamp
-// that OMS s could deliver, or ok=false if none is deliverable (no
-// requests, handler already running, or no proxy handler registered).
+// that s could deliver, or ok=false if none is deliverable (s is not an
+// OMS, no requests, handler already running, or no proxy handler
+// registered).
 func (m *Machine) earliestProxy(s *Sequencer) (uint64, bool) {
-	if s.InHandler || s.Yield[isa.ScenarioProxy] == 0 {
+	if !s.IsOMS || s.InHandler || s.Yield[isa.ScenarioProxy] == 0 {
 		return 0, false
 	}
 	var t uint64
@@ -909,27 +854,33 @@ func (m *Machine) pickNext() *Sequencer {
 func (m *Machine) step(s *Sequencer) {
 	if s.State == StateIdle {
 		m.wakeIdle(s)
-		return
+	} else if !m.deliverDue(s) {
+		m.exec(s)
 	}
-	// Timer interrupt due? (OMS only.)
-	if s.IsOMS && s.TimerDeadline != 0 && s.Clock >= s.TimerDeadline {
-		trap := isa.TrapTimer
-		if s.RescheduleIPI {
-			trap = isa.TrapInterrupt
-			s.RescheduleIPI = false
-		}
-		m.kernelTrap(s, trap, 0)
-		return
+}
+
+// deliverDue delivers the event due on running sequencer s, if one is,
+// and reports whether it did. The order is the timer (or the reschedule
+// IPI riding on it), then a proxy request (OMS only, outside any
+// handler), then an ingress signal to a registered handler.
+func (m *Machine) deliverDue(s *Sequencer) bool {
+	return m.deliverTimer(s) || m.deliverProxy(s) || m.deliverSignalRunning(s)
+}
+
+// deliverTimer enters the kernel on OMS s if its timer is due, and
+// reports whether it did: a reschedule IPI armed on the deadline is
+// consumed and raised in the tick's place.
+func (m *Machine) deliverTimer(s *Sequencer) bool {
+	if !s.IsOMS || s.TimerDeadline == 0 || s.Clock < s.TimerDeadline {
+		return false
 	}
-	// Proxy request delivery (OMS, user mode, outside any handler).
-	if s.IsOMS && m.deliverProxy(s) {
-		return
+	trap := isa.TrapTimer
+	if s.RescheduleIPI {
+		trap = isa.TrapInterrupt
+		s.RescheduleIPI = false
 	}
-	// Ingress user signal to a running sequencer with a handler.
-	if m.deliverSignalRunning(s) {
-		return
-	}
-	m.exec(s)
+	m.kernelTrap(s, trap, 0)
+	return true
 }
 
 // wakeIdle advances an idle sequencer to its next event and services it.
@@ -950,19 +901,13 @@ func (m *Machine) wakeIdle(s *Sequencer) {
 		m.startContinuation(s, p)
 		return
 	}
-	if s.IsOMS && s.TimerDeadline != 0 && s.Clock >= s.TimerDeadline {
-		trap := isa.TrapTimer
-		if s.RescheduleIPI {
-			trap = isa.TrapInterrupt
-			s.RescheduleIPI = false
-		}
-		m.kernelTrap(s, trap, 0)
+	if m.deliverTimer(s) {
 		return
 	}
 	// Pending proxy request: resume the OMS (it idled via HLT, so its
 	// saved PC is the instruction after it) and deliver into the proxy
 	// handler.
-	if s.IsOMS && m.deliverProxy(s) {
+	if m.deliverProxy(s) {
 		s.State = StateRunning
 	}
 }
@@ -992,10 +937,7 @@ func (m *Machine) startContinuation(s *Sequencer, p PendingSignal) {
 // deliverSignalRunning delivers a pending ingress signal to a running
 // sequencer through its ScenarioSignal handler, if one is registered.
 func (m *Machine) deliverSignalRunning(s *Sequencer) bool {
-	if s.InHandler || s.Yield[isa.ScenarioSignal] == 0 {
-		return false
-	}
-	p, i := s.nextPending()
+	p, i := s.handledPending()
 	if i < 0 || p.TS > s.Clock {
 		return false
 	}
@@ -1007,22 +949,15 @@ func (m *Machine) deliverSignalRunning(s *Sequencer) bool {
 	return true
 }
 
-// deliverProxy transfers a pending proxy request into the OMS's
-// registered proxy handler.
+// deliverProxy transfers the earliest pending proxy request, once it is
+// due, into the OMS's registered proxy handler.
 func (m *Machine) deliverProxy(s *Sequencer) bool {
+	t, ok := m.earliestProxy(s)
+	if !ok || t > s.Clock {
+		return false
+	}
 	proc := m.Proc(s)
-	if len(proc.PendingProxy) == 0 || s.InHandler || s.Yield[isa.ScenarioProxy] == 0 {
-		return false
-	}
-	best := -1
-	for i, r := range proc.PendingProxy {
-		if r.TS <= s.Clock && (best < 0 || r.TS < proc.PendingProxy[best].TS) {
-			best = i
-		}
-	}
-	if best < 0 {
-		return false
-	}
+	best := slices.IndexFunc(proc.PendingProxy, func(r ProxyReq) bool { return r.TS == t })
 	req := proc.PendingProxy[best]
 	proc.PendingProxy = append(proc.PendingProxy[:best], proc.PendingProxy[best+1:]...)
 	m.Obs.Emit(s.Clock, s.ID, obs.KProxyDeliver, uint64(req.AMS.ID), req.FrameVA)

@@ -191,9 +191,6 @@ func (s *Sequencer) StallStart() uint64 { return s.stallStart }
 // dropped by the fault plane (see RecoverLostProxy).
 func (s *Sequencer) ProxyLost() bool { return s.proxyLost }
 
-// PendingCount returns the number of queued ingress signals.
-func (s *Sequencer) PendingCount() int { return len(s.pending) }
-
 // Name returns a short identifier like "p0.oms" or "p1.ams2".
 func (s *Sequencer) Name() string {
 	if s.IsOMS {
@@ -287,6 +284,15 @@ func (s *Sequencer) nextPending() (PendingSignal, int) {
 		return PendingSignal{}, -1
 	}
 	return s.pending[best], best
+}
+
+// handledPending is nextPending for a running sequencer's ScenarioSignal
+// handler: -1 when none is registered or a handler is already running.
+func (s *Sequencer) handledPending() (PendingSignal, int) {
+	if s.InHandler || s.Yield[isa.ScenarioSignal] == 0 {
+		return PendingSignal{}, -1
+	}
+	return s.nextPending()
 }
 
 func (s *Sequencer) dropPending(i int) {

@@ -671,7 +671,7 @@ type waveSnap struct {
 // thr is the first wave clock at which the member may not commit: the
 // frozen outside event under the (clock, ID) order, the member's delivery
 // threshold and the cycle/pause limit are all call constants, so — as
-// runBatch's tstar does — they fold into one compare per pop. It only
+// in runBatch — they fold into one compare per pop (threshold). It only
 // decides when the wave hands back; runRound's general turn then runs the
 // individual checks. A member whose window fails validation keeps thr 0:
 // it still takes part in the min scan and stops the wave when it pops as
@@ -1040,14 +1040,7 @@ func (m *Machine) runCohortWave(nm int, outT uint64, outID int) (progress, uncle
 			continue
 		}
 		w.genp, w.dg, w.ub, w.wva, w.pc = c.winGen, c.sb.gen, &c.sb.uops, c.winVA, c.PC
-		t := outT
-		if outID >= c.ID && t != noEvent {
-			t++ // a tie with the outside event goes to the lower ID
-		}
-		if limit != noEvent {
-			t = min(t, limit+1)
-		}
-		w.thr = min(t, evts[i])
+		w.thr = threshold(c.ID, outT, outID, evts[i], limit)
 	}
 	var c *Sequencer
 	var f *trapFault // set only by the commit that ends the wave
@@ -1290,10 +1283,7 @@ func (m *Machine) runUops(s *Sequencer, sb *sbPage, n, max int, tstar uint64) (i
 				return n, sbStep // the interpreter leg
 			}
 			if f != nil {
-				if prof != nil {
-					prof.Add(pc0, s.Clock-c0)
-				}
-				m.dispatchFault(s, f)
+				m.retired(s, pc0, c0, f)
 				return n, sbEnd
 			}
 			k, pc, nc = 1, pc0+isa.WordSize, s.Clock+uint64(u.cost)

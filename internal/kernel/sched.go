@@ -112,40 +112,56 @@ func (k *Kernel) timerTick(s *core.Sequencer, tick bool) {
 			t.QuantumLeft--
 		}
 	}
-	proc := k.M.Proc(s)
 	if k.DynamicAMSBinding && t != nil && t.HomeProc == s.ProcID {
 		k.tryAccreteAMS(s)
 	}
 	switch {
 	case t == nil:
-		if n := k.dequeueFor(proc); n != nil {
-			k.switchTo(s, n)
-		} else {
-			s.State = core.StateIdle
-			s.CurTID = 0
-		}
-	case !k.eligible(t, proc):
-		// The thread's AMS demand outgrew this processor: migrate it.
-		k.Stats.Switches++
-		k.saveCurrent(s, t)
-		k.enqueue(t)
-		k.kickIdle(t)
-		if n := k.dequeueFor(proc); n != nil {
-			k.switchTo(s, n)
-		} else {
-			s.State = core.StateIdle
-			s.CurTID = 0
-		}
+		k.dispatch(s)
+	case !k.eligible(t, k.M.Proc(s)):
+		k.migrate(s, t)
 	case t.QuantumLeft <= 0:
-		if n := k.dequeueFor(proc); n != nil {
-			k.Stats.Switches++
-			k.saveCurrent(s, t)
-			k.enqueue(t)
-			k.switchTo(s, n)
-		} else {
+		if !k.rotate(s, t) {
 			t.QuantumLeft = core.QuantumTicks
 		}
 	}
+}
+
+// dispatch runs the next ready thread eligible for s's processor on OMS
+// s, which no thread occupies, or idles s.
+func (k *Kernel) dispatch(s *core.Sequencer) {
+	if n := k.dequeueFor(k.M.Proc(s)); n != nil {
+		k.switchTo(s, n)
+	} else {
+		s.State = core.StateIdle
+		s.CurTID = 0
+	}
+}
+
+// migrate moves t, whose AMS demand outgrew s's processor, off s: it
+// goes back on the ready queue, an eligible idle OMS is kicked to pick it
+// up, and s runs other work.
+func (k *Kernel) migrate(s *core.Sequencer, t *Thread) {
+	k.Stats.Switches++
+	k.saveCurrent(s, t)
+	k.enqueue(t)
+	k.kickIdle(t)
+	k.dispatch(s)
+}
+
+// rotate preempts t on s for the next ready thread eligible there, if
+// there is one, and reports whether it did; t goes to the back of the
+// ready queue.
+func (k *Kernel) rotate(s *core.Sequencer, t *Thread) bool {
+	n := k.dequeueFor(k.M.Proc(s))
+	if n == nil {
+		return false
+	}
+	k.Stats.Switches++
+	k.saveCurrent(s, t)
+	k.enqueue(t)
+	k.switchTo(s, n)
+	return true
 }
 
 // wakeSleepers readies every sleeping thread whose deadline has passed.
@@ -230,20 +246,13 @@ func (k *Kernel) switchTo(s *core.Sequencer, t *Thread) {
 func (k *Kernel) blockCurrent(s *core.Sequencer, t *Thread) {
 	t.State = ThreadBlocked
 	k.saveCurrent(s, t)
-	proc := k.M.Proc(s)
-	if n := k.dequeueFor(proc); n != nil {
-		k.switchTo(s, n)
-	} else {
-		s.State = core.StateIdle
-		s.CurTID = 0
-	}
+	k.dispatch(s)
 }
 
 // reapCurrent tears down a dead thread occupying s and schedules the
 // next eligible one.
 func (k *Kernel) reapCurrent(s *core.Sequencer, t *Thread) {
-	proc := k.M.Proc(s)
-	for _, a := range proc.AMSs() {
+	for _, a := range k.M.Proc(s).AMSs() {
 		k.M.ResetSeq(a)
 	}
 	// Discard the OMS-side state.
@@ -252,11 +261,7 @@ func (k *Kernel) reapCurrent(s *core.Sequencer, t *Thread) {
 	if t.State != ThreadDead {
 		k.threadDied(t, t.ExitStatus)
 	}
-	if n := k.dequeueFor(proc); n != nil {
-		k.switchTo(s, n)
-	} else {
-		s.State = core.StateIdle
-	}
+	k.dispatch(s)
 }
 
 // threadDied marks t dead, wakes joiners, and retires the process when

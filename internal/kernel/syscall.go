@@ -44,8 +44,7 @@ func (k *Kernel) syscall(s *core.Sequencer) {
 	case isa.SysThreadExit:
 		t.ExitStatus = a1
 		s.PC += isa.WordSize
-		proc := k.M.Proc(s)
-		for _, a := range proc.AMSs() {
+		for _, a := range k.M.Proc(s).AMSs() {
 			if a.CurTID == t.TID {
 				k.M.ResetSeq(a)
 			}
@@ -53,11 +52,7 @@ func (k *Kernel) syscall(s *core.Sequencer) {
 		_ = k.M.SaveSeqForSwitch(s)
 		s.CurTID = 0
 		k.threadDied(t, a1)
-		if nxt := k.dequeueFor(proc); nxt != nil {
-			k.switchTo(s, nxt)
-		} else {
-			s.State = core.StateIdle
-		}
+		k.dispatch(s)
 		return
 
 	case isa.SysWrite:
@@ -79,28 +74,11 @@ func (k *Kernel) syscall(s *core.Sequencer) {
 	case isa.SysYield:
 		s.PC += isa.WordSize
 		s.Regs[isa.RRet] = 0
-		proc := k.M.Proc(s)
-		if !k.eligible(t, proc) {
-			// The thread raised its AMS demand beyond this processor:
-			// force a migration — park it on the run queue, wake an
-			// eligible OMS, and schedule other work here.
-			k.Stats.Switches++
-			k.saveCurrent(s, t)
-			k.enqueue(t)
-			k.kickIdle(t)
-			if nxt := k.dequeueFor(proc); nxt != nil {
-				k.switchTo(s, nxt)
-			} else {
-				s.State = core.StateIdle
-				s.CurTID = 0
-			}
-			return
-		}
-		if nxt := k.dequeueFor(proc); nxt != nil {
-			k.Stats.Switches++
-			k.saveCurrent(s, t)
-			k.enqueue(t)
-			k.switchTo(s, nxt)
+		if !k.eligible(t, k.M.Proc(s)) {
+			// The thread raised its AMS demand beyond this processor.
+			k.migrate(s, t)
+		} else {
+			k.rotate(s, t)
 		}
 		return
 

@@ -1,6 +1,7 @@
 // Package overhead implements the paper's analytic MISP overhead
-// models (§5.1, Equations 1–3) and the signal-cost sensitivity analysis
-// used for Figure 5 (§5.3).
+// models (§5.1, Equations 1–3) and the signal-dependent cycles they
+// predict (§5.3), which ablation A3 checks against the measured signal
+// sweep.
 package overhead
 
 import "misp/internal/core"
@@ -54,33 +55,4 @@ func Collect(m *core.Machine) Events {
 // comparing signal costs, as in §5.3).
 func SignalCycles(ev Events, signal uint64) uint64 {
 	return ev.OMS*2*signal + ev.AMS*3*signal
-}
-
-// Sensitivity reproduces Figure 5's methodology: given the measured
-// event counts and total runtime at the measured signal cost, estimate
-// the ideal-hardware (zero-cost signal) runtime and report the relative
-// overhead of each candidate signal cost.
-type Sensitivity struct {
-	// IdealCycles is the estimated runtime with zero-cost signaling.
-	IdealCycles uint64
-	// Overhead[i] is the fractional slowdown vs ideal for Signals[i].
-	Signals  []uint64
-	Overhead []float64
-}
-
-// Sensitize computes the Figure 5 series. measuredCycles is the
-// run's total time at measuredSignal cost.
-func Sensitize(ev Events, measuredCycles, measuredSignal uint64, signals []uint64) Sensitivity {
-	added := SignalCycles(ev, measuredSignal)
-	ideal := measuredCycles
-	if added < ideal {
-		ideal -= added
-	} else {
-		ideal = 1
-	}
-	s := Sensitivity{IdealCycles: ideal, Signals: signals}
-	for _, sig := range signals {
-		s.Overhead = append(s.Overhead, float64(SignalCycles(ev, sig))/float64(ideal))
-	}
-	return s
 }

@@ -48,36 +48,3 @@ func TestSignalCyclesLinear(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func TestSensitize(t *testing.T) {
-	ev := Events{OMS: 100, AMS: 50}
-	// At signal 5000: added = 100*2*5000 + 50*3*5000 = 1_750_000.
-	meas := uint64(10_000_000)
-	s := Sensitize(ev, meas, 5000, []uint64{0, 500, 1000, 5000})
-	if s.IdealCycles != meas-1_750_000 {
-		t.Fatalf("ideal = %d", s.IdealCycles)
-	}
-	if s.Overhead[0] != 0 {
-		t.Errorf("overhead at 0 = %v", s.Overhead[0])
-	}
-	// Monotonic in signal cost.
-	for i := 1; i < len(s.Overhead); i++ {
-		if s.Overhead[i] <= s.Overhead[i-1] {
-			t.Errorf("overhead not increasing: %v", s.Overhead)
-		}
-	}
-	// 5000-cycle overhead = 1.75e6 / 8.25e6.
-	want := 1.75e6 / 8.25e6
-	if diff := s.Overhead[3] - want; diff > 1e-12 || diff < -1e-12 {
-		t.Errorf("overhead[5000] = %v, want %v", s.Overhead[3], want)
-	}
-}
-
-func TestSensitizeDegenerate(t *testing.T) {
-	// Added cycles exceeding the measurement must not panic or divide
-	// by zero.
-	s := Sensitize(Events{OMS: 1 << 40}, 10, 5000, []uint64{5000})
-	if s.IdealCycles == 0 {
-		t.Fatal("ideal must stay positive")
-	}
-}

@@ -33,22 +33,22 @@ func RunFiles(m *core.Machine) (map[string][]byte, error) {
 // event-log loss accounting: when the trace buffer is a window on the
 // run (dropped > 0), the table says so instead of silently presenting a
 // truncated log as complete.
-func RunSummary(rep core.RunReport) *Table {
+func RunSummary(m *core.Machine) *Table {
 	t := &Table{
 		Title: "Run summary",
 		Cols:  []string{"metric", "value"},
 	}
-	t.Add("cycles", rep.Cycles)
-	t.Add("instructions", rep.Instrs)
-	if rep.Wall > 0 {
-		t.Add("host wall time", rep.Wall.String())
-		t.Add("instrs/sec (host)", fmt.Sprintf("%.3g", float64(rep.Instrs)/rep.Wall.Seconds()))
+	t.Add("cycles", m.MaxClock())
+	t.Add("instructions", m.Steps)
+	if m.Wall > 0 {
+		t.Add("host wall time", m.Wall.String())
+		t.Add("instrs/sec (host)", fmt.Sprintf("%.3g", float64(m.Steps)/m.Wall.Seconds()))
 	}
-	if rep.TraceEnabled {
-		t.Add("trace events retained", rep.TraceEvents)
-		t.Add("trace events dropped", rep.TraceDropped)
-		if rep.TraceDropped > 0 {
-			t.Add("trace coverage", fmt.Sprintf("PARTIAL (%d events lost)", rep.TraceDropped))
+	if bus := m.Obs.Bus; bus.Enabled() {
+		t.Add("trace events retained", bus.Len())
+		t.Add("trace events dropped", bus.Dropped())
+		if bus.Dropped() > 0 {
+			t.Add("trace coverage", fmt.Sprintf("PARTIAL (%d events lost)", bus.Dropped()))
 		} else {
 			t.Add("trace coverage", "complete")
 		}

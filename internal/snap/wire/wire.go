@@ -150,21 +150,9 @@ func Enum[T ~uint8](c *Codec, p *T) {
 	}
 }
 
-// U32s codes the elements of s in order, with no length prefix: the
-// length is the format's, or a Count coded before it.
-func (c *Codec) U32s(s []uint32) {
-	if !c.dec {
-		for _, v := range s {
-			c.buf = binary.LittleEndian.AppendUint32(c.buf, v)
-		}
-	} else if b, ok := c.next(4 * len(s)); ok {
-		for i := range s {
-			s[i] = binary.LittleEndian.Uint32(b[4*i:])
-		}
-	}
-}
-
-// U64s is U32s for uint64 arrays (registers, counters).
+// U64s codes the elements of a uint64 array (registers, counters) in
+// order, with no length prefix: the length is the format's, or a Count
+// coded before it.
 func (c *Codec) U64s(s []uint64) {
 	if !c.dec {
 		for _, v := range s {
