@@ -136,10 +136,15 @@ fuzzcheck:
 # configuration change that moves no CSV still fails. A change that
 # moves a number ships its regenerated results/ in the same commit:
 #   go run ./cmd/mispbench -size small -csv results -parallel 0
+# The serial pass must also report 172 simulation runs: the 128
+# distinct cells of Figures 4 and 5, Table 1, A1, A2 and A3 (16 apps x
+# 8), each run once however many experiments read it, plus Figure 7's
+# 40 and A4's 4 multiprogrammed runs.
 resultscheck:
 	d=$$(mktemp -d "$${TMPDIR:-/tmp}/misp-resultscheck.XXXXXX") && \
 	$(GO) build -o $$d/mispbench ./cmd/mispbench && \
-	$$d/mispbench -size small -csv $$d/p1 -parallel 1 > /dev/null && \
+	$$d/mispbench -size small -csv $$d/p1 -parallel 1 > $$d/p1.stdout && \
+	{ grep -Eq '^simulation runs +172 *$$' $$d/p1.stdout || { echo "resultscheck: want simulation runs 172 in $$d/p1.stdout" >&2; exit 1; }; } && \
 	$$d/mispbench -size small -csv $$d/pN -parallel 0 > /dev/null && \
 	grep -v '^version ' results/PROVENANCE > $$d/provenance && \
 	for r in $$d/p1 $$d/pN; do \

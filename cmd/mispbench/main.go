@@ -26,7 +26,6 @@ import (
 	"path/filepath"
 	"slices"
 	"strings"
-	"time"
 
 	"misp/internal/cli"
 	"misp/internal/core"
@@ -37,13 +36,8 @@ import (
 	"misp/internal/workloads"
 )
 
-// experiments are the -exp values. "all" runs every other one except
-// resilience, which injects faults on purpose and so stays out of the
-// fault-free paper reproductions.
-var experiments = []string{"all", "fig4", "table1", "fig5", "fig7", "table2", "ring", "probe", "dynamic", "signalsweep", "resilience"}
-
 func main() {
-	expName := flag.String("exp", "all", "experiment: "+strings.Join(experiments, ", "))
+	expName := flag.String("exp", "all", "experiment: "+strings.Join(exp.Names(), ", ")+" (all: every one but resilience)")
 	sizeName := flag.String("size", "small", "problem size: test, small, ref")
 	seqs := flag.Int("seqs", 8, "total sequencers per configuration")
 	apps := flag.String("apps", "", "comma-separated workload subset (default: all 16)")
@@ -61,12 +55,11 @@ func main() {
 		return
 	}
 	which := *expName
-	if !slices.Contains(experiments, which) {
+	if !slices.Contains(exp.Names(), which) {
 		// A typo in a gate must not pass by doing nothing.
-		fmt.Fprintf(os.Stderr, "mispbench: unknown experiment %q (valid: %s)\n", which, strings.Join(experiments, ", "))
+		fmt.Fprintf(os.Stderr, "mispbench: unknown experiment %q (valid: %s)\n", which, strings.Join(exp.Names(), ", "))
 		os.Exit(2)
 	}
-	want := func(name string) bool { return which == name || (which == "all" && name != "resilience") }
 
 	size, err := workloads.ParseSize(*sizeName)
 	if err != nil {
@@ -91,73 +84,18 @@ func main() {
 
 	var stats sweep.Stats
 	opt := exp.Options{Size: size, Seqs: *seqs, Parallel: *parallel, SweepStats: &stats, Ctx: ctx}
-	// A3's table prints every app × signal-cost point, so without -apps
-	// it shows a 4-app subset.
-	a3Apps := []string{"dense_mmm", "kmeans", "sparse_mvm", "swim"}
 	appsLabel := "all"
 	if *apps != "" {
-		opt.Apps = cli.List(*apps)
-		a3Apps, appsLabel = opt.Apps, *apps
+		opt.Apps, appsLabel = cli.List(*apps), *apps
 	}
-
-	emit := func(name string, t *report.Table) {
+	emit := func(csv string, t *report.Table) {
 		fmt.Println(t.String())
 		if *csvDir != "" {
-			write(filepath.Join(*csvDir, name+".csv"), t.CSV())
+			write(filepath.Join(*csvDir, csv+".csv"), t.CSV())
 		}
 	}
-
-	var results []*exp.AppResult
-	if want("fig4") || want("table1") {
-		start := time.Now()
-		results = must(exp.Evaluate(opt))
-		fmt.Printf("evaluated %d apps x 3 configs in %v on %d workers (all checksums verified)\n\n",
-			len(results), time.Since(start).Round(time.Millisecond), sweep.Workers(*parallel))
-	}
-	if want("fig4") {
-		emit("fig4", exp.Fig4Table(results, *seqs))
-	}
-	if want("table1") {
-		emit("table1", exp.Table1(results))
-	}
-	// Figure 5 and A3 are views of one signal sweep; A3 reuses Figure
-	// 5's rows when both run.
-	var sweepRows []exp.SweepRow
-	if want("fig5") {
-		sweepRows = must(exp.SignalSweep(opt))
-		emit("fig5", exp.Fig5Table(sweepRows))
-	}
-	if want("fig7") {
-		emit("fig7", exp.Fig7Table(must(exp.Fig7(opt, *maxLoad)), *maxLoad))
-	}
-	if want("table2") {
-		emit("table2", exp.Table2(must(exp.AssessPorting(size))))
-	}
-	if want("ring") {
-		emit("ablation_ring", exp.RingPolicyTable(must(exp.AblationRingPolicy(opt))))
-	}
-	if want("probe") {
-		emit("ablation_probe", exp.ProbeTable(must(exp.AblationProbe(opt))))
-	}
-	if want("dynamic") {
-		emit("ablation_dynamic", exp.DynamicTable(must(exp.AblationDynamicBinding(opt))))
-	}
-	if want("resilience") {
-		emit("resilience", exp.ResilienceTable(must(exp.Resilience(opt, *faultSeeds))))
-	}
-	if want("signalsweep") {
-		if sweepRows == nil {
-			a3 := opt
-			a3.Apps = a3Apps
-			sweepRows = must(exp.SignalSweep(a3))
-		}
-		var rows []exp.SweepRow
-		for _, r := range sweepRows {
-			if slices.Contains(a3Apps, r.Name) {
-				rows = append(rows, r)
-			}
-		}
-		emit("ablation_signalsweep", exp.SweepTable(rows))
+	if err := exp.Run(opt, exp.Args{MaxLoad: *maxLoad, FaultSeeds: *faultSeeds}, emit, which); err != nil {
+		fatal(err)
 	}
 
 	if *csvDir != "" {
@@ -179,14 +117,6 @@ func main() {
 	if stats.Jobs > 0 {
 		fmt.Println(report.SweepSummary(stats).String())
 	}
-}
-
-// must returns v, or ends the invocation through fatal on err.
-func must[T any](v T, err error) T {
-	if err != nil {
-		fatal(err)
-	}
-	return v
 }
 
 // written tracks the files this invocation produced so a failed one can

@@ -1,8 +1,6 @@
 package exp
 
 import (
-	"context"
-
 	"misp/internal/core"
 	"misp/internal/overhead"
 	"misp/internal/report"
@@ -31,53 +29,25 @@ type RingPolicyRow struct {
 	MonitorSpeedup   float64
 }
 
+// ringView is A1: each app's MISP 1×N cell under both ring-transition
+// policies.
+var ringView = view[RingPolicyRow]{rows: func(o *Options, w *workloads.Workload, get func(cell) *cellResult) []RingPolicyRow {
+	mon := o.mispCell(w)
+	mon.ring = core.RingMonitorCR
+	susp, monitor := get(o.mispCell(w)), get(mon)
+	return []RingPolicyRow{{
+		Name:             w.Name,
+		CyclesSuspend:    susp.cycles,
+		CyclesMonitor:    monitor.cycles,
+		RingStallSuspend: susp.ams.RingStall,
+		RingStallMonitor: monitor.ams.RingStall,
+		MonitorSpeedup:   float64(susp.cycles) / float64(monitor.cycles),
+	}}
+}}
+
 // AblationRingPolicy runs the selected apps on MISP 1×N under both
 // policies, fanning the app×policy grid across host workers.
-func AblationRingPolicy(opt Options) ([]RingPolicyRow, error) {
-	opt.defaults()
-	ws, err := opt.workloads()
-	if err != nil {
-		return nil, err
-	}
-	policies := [2]core.RingPolicy{core.RingSuspendAll, core.RingMonitorCR}
-	type cell struct {
-		cycles, stall uint64
-	}
-	cells, err := grid(&opt, 2*len(ws), func(ctx context.Context, i int) (cell, error) {
-		w, policy := ws[i/2], policies[i%2]
-		cfg := workloads.DefaultConfig(core.Topology{opt.Seqs - 1})
-		cfg.RingPolicy = policy
-		res, err := opt.run(ctx, w, shredlib.ModeShred, cfg, 0)
-		if err != nil {
-			return cell{}, err
-		}
-		defer res.Release()
-		if err := checkRun(w, res, policy.String(), opt.Size); err != nil {
-			return cell{}, err
-		}
-		var stall uint64
-		for _, a := range res.Machine.Procs[0].AMSs() {
-			stall += a.C.RingStall
-		}
-		return cell{cycles: res.Cycles, stall: stall}, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	var out []RingPolicyRow
-	for wi, w := range ws {
-		susp, mon := cells[wi*2], cells[wi*2+1]
-		out = append(out, RingPolicyRow{
-			Name:             w.Name,
-			CyclesSuspend:    susp.cycles,
-			CyclesMonitor:    mon.cycles,
-			RingStallSuspend: susp.stall,
-			RingStallMonitor: mon.stall,
-			MonitorSpeedup:   float64(susp.cycles) / float64(mon.cycles),
-		})
-	}
-	return out, nil
-}
+func AblationRingPolicy(opt Options) ([]RingPolicyRow, error) { return ringView.run(opt) }
 
 // RingPolicyTable renders A1.
 func RingPolicyTable(rows []RingPolicyRow) *report.Table {
@@ -101,54 +71,25 @@ type ProbeRow struct {
 	ProbedSpeedup float64
 }
 
+// probeView is A2: each app's MISP 1×N cell demand-paged and with the
+// runtime's page probing.
+var probeView = view[ProbeRow]{rows: func(o *Options, w *workloads.Workload, get func(cell) *cellResult) []ProbeRow {
+	probe := o.mispCell(w)
+	probe.flags = shredlib.FlagProbePages
+	base, probed := get(o.mispCell(w)), get(probe)
+	return []ProbeRow{{
+		Name:          w.Name,
+		AMSPFBase:     base.ams.ProxyPageFaults,
+		AMSPFProbed:   probed.ams.ProxyPageFaults,
+		CyclesBase:    base.cycles,
+		CyclesProbed:  probed.cycles,
+		ProbedSpeedup: float64(base.cycles) / float64(probed.cycles),
+	}}
+}}
+
 // AblationProbe runs the selected apps with and without the page-probe
 // optimization (§5.3), fanning the app×probe grid across host workers.
-func AblationProbe(opt Options) ([]ProbeRow, error) {
-	opt.defaults()
-	ws, err := opt.workloads()
-	if err != nil {
-		return nil, err
-	}
-	type cell struct {
-		cycles, pf uint64
-	}
-	cells, err := grid(&opt, 2*len(ws), func(ctx context.Context, i int) (cell, error) {
-		w, probe := ws[i/2], i%2 == 1
-		var extra int64
-		if probe {
-			extra = shredlib.FlagProbePages
-		}
-		res, err := opt.run(ctx, w, shredlib.ModeShred, workloads.DefaultConfig(core.Topology{opt.Seqs - 1}), extra)
-		if err != nil {
-			return cell{}, err
-		}
-		defer res.Release()
-		if err := checkRun(w, res, "probe ablation", opt.Size); err != nil {
-			return cell{}, err
-		}
-		var pf uint64
-		for _, a := range res.Machine.Procs[0].AMSs() {
-			pf += a.C.ProxyPageFaults
-		}
-		return cell{cycles: res.Cycles, pf: pf}, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	var out []ProbeRow
-	for wi, w := range ws {
-		base, probed := cells[wi*2], cells[wi*2+1]
-		out = append(out, ProbeRow{
-			Name:          w.Name,
-			AMSPFBase:     base.pf,
-			AMSPFProbed:   probed.pf,
-			CyclesBase:    base.cycles,
-			CyclesProbed:  probed.cycles,
-			ProbedSpeedup: float64(base.cycles) / float64(probed.cycles),
-		})
-	}
-	return out, nil
-}
+func AblationProbe(opt Options) ([]ProbeRow, error) { return probeView.run(opt) }
 
 // ProbeTable renders A2.
 func ProbeTable(rows []ProbeRow) *report.Table {
@@ -176,6 +117,26 @@ type SweepRow struct {
 // three candidate costs.
 var signalCosts = [...]uint64{0, 500, 1000, 5000}
 
+// sweepView is Figure 5 and A3: each app's MISP 1×N cell at every
+// signalCosts value, each related to the app's zero-cost one.
+var sweepView = view[SweepRow]{rows: func(o *Options, w *workloads.Workload, get func(cell) *cellResult) []SweepRow {
+	rs := make([]*cellResult, len(signalCosts))
+	out := make([]SweepRow, len(signalCosts))
+	for i, sig := range signalCosts { // rs[0], the zero-cost run, first
+		c := o.mispCell(w)
+		c.signal = sig
+		rs[i] = get(c)
+		out[i] = SweepRow{
+			Name:      w.Name,
+			Signal:    sig,
+			Cycles:    rs[i].cycles,
+			Measured:  float64(rs[i].cycles)/float64(rs[0].cycles) - 1,
+			Predicted: float64(overhead.SignalCycles(rs[0].events, sig)) / float64(rs[0].cycles),
+		}
+	}
+	return out
+}}
+
 // SignalSweep re-simulates each selected app's MISP run at every
 // signalCosts value and relates each run to the app's zero-cost one:
 // the measured slowdown beside the Equation 1–2 prediction. It is both
@@ -184,50 +145,7 @@ var signalCosts = [...]uint64{0, 500, 1000, 5000}
 // us measure it, and A3 shows how far the model is off. The app×signal
 // grid fans out across host workers; the relative overheads are
 // computed after the sweep completes.
-func SignalSweep(opt Options) ([]SweepRow, error) {
-	opt.defaults()
-	ws, err := opt.workloads()
-	if err != nil {
-		return nil, err
-	}
-	type cell struct {
-		cycles uint64
-		ev     overhead.Events
-	}
-	nc := len(signalCosts)
-	cells, err := grid(&opt, nc*len(ws), func(ctx context.Context, i int) (cell, error) {
-		w, sig := ws[i/nc], signalCosts[i%nc]
-		cfg := workloads.DefaultConfig(core.Topology{opt.Seqs - 1})
-		cfg.SignalCost = sig
-		res, err := opt.run(ctx, w, shredlib.ModeShred, cfg, 0)
-		if err != nil {
-			return cell{}, err
-		}
-		defer res.Release()
-		if err := checkRun(w, res, "signal sweep", opt.Size); err != nil {
-			return cell{}, err
-		}
-		return cell{cycles: res.Cycles, ev: overhead.Collect(res.Machine)}, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	var out []SweepRow
-	for wi, w := range ws {
-		base := cells[wi*nc]
-		for si, sig := range signalCosts {
-			c := cells[wi*nc+si]
-			out = append(out, SweepRow{
-				Name:      w.Name,
-				Signal:    sig,
-				Cycles:    c.cycles,
-				Measured:  float64(c.cycles)/float64(base.cycles) - 1,
-				Predicted: float64(overhead.SignalCycles(base.ev, sig)) / float64(base.cycles),
-			})
-		}
-	}
-	return out, nil
-}
+func SignalSweep(opt Options) ([]SweepRow, error) { return sweepView.run(opt) }
 
 // SweepTable renders A3.
 func SweepTable(rows []SweepRow) *report.Table {

@@ -6,7 +6,10 @@
 //
 // Every experiment is self-checking: each simulated run's checksum is
 // validated against the workload's Go reference implementation before
-// any number is reported.
+// any number is reported. Every experiment is an entry of one registry,
+// Experiments, run through Run; Figures 4 and 5, Table 1 and A1–A3 are
+// views over run cells (cells.go), and each distinct cell is simulated
+// once however many of them read it.
 package exp
 
 import (
@@ -71,29 +74,18 @@ func grid[T any](opt *Options, n int, job func(ctx context.Context, i int) (T, e
 	return out, err
 }
 
-// run executes one workload run through the warm pool when one is
-// attached (a nil pool degrades to a plain cold prepare). extra is the
-// workload's rt_init flag word, part of the pool key. The caller
-// releases the result once it has extracted its measurements, so a
-// grid's machines reuse one memory array per worker.
-func (o *Options) run(ctx context.Context, w *workloads.Workload, mode shredlib.Mode, cfg core.Config, extra int64) (*workloads.RunResult, error) {
-	pr, err := o.Warm.Prepare(w, mode, cfg, o.Size, extra)
-	if err != nil {
-		return nil, err
+// workloads resolves o.Apps or, when it is nil, def (nil = every
+// evaluated app).
+func (o *Options) workloads(def []string) ([]*workloads.Workload, error) {
+	names := o.Apps
+	if names == nil {
+		names = def
 	}
-	res, err := pr.RunCtx(ctx)
-	if err != nil {
-		pr.Release()
-	}
-	return res, err
-}
-
-func (o *Options) workloads() ([]*workloads.Workload, error) {
-	if o.Apps == nil {
+	if names == nil {
 		return workloads.Evaluated(), nil
 	}
 	var ws []*workloads.Workload
-	for _, name := range o.Apps {
+	for _, name := range names {
 		w, err := workloads.ByName(name)
 		if err != nil {
 			return nil, err
@@ -144,93 +136,39 @@ func checkRun(w *workloads.Workload, res *workloads.RunResult, label string, sz 
 	return nil
 }
 
-// evalRun is one (app, configuration) job's compact extract. Jobs
-// return this instead of the RunResult so each run's machine can be
-// released — its simulated physical memory recycled into the next
-// job's — the moment the job finishes, keeping a wide parallel sweep's
-// footprint flat.
-type evalRun struct {
-	Cycles   uint64
-	Checksum float64
+// evalView is Figure 4 and Table 1: each app on 1P, MISP 1×N and SMP
+// N, with the MISP run's event and TLB accounting.
+var evalView = view[*AppResult]{rows: func(o *Options, w *workloads.Workload, get func(cell) *cellResult) []*AppResult {
+	misp := o.mispCell(w)
+	up, smp := misp, misp
+	up.top = core.Topology{0}
+	smp.top, smp.mode = make(core.Topology, o.Seqs), shredlib.ModeThread
+	r1, m, rs := get(up), get(misp), get(smp)
+	return []*AppResult{{
+		Name:  w.Name,
+		Suite: w.Suite,
 
-	// MISP-configuration extras (zero for 1P/SMP runs).
-	Events                   overhead.Events
-	OMS, AMS                 core.SeqCounters
-	TLBMisses, TLBPermMisses uint64
-}
+		Cycles1P:   r1.cycles,
+		CyclesMISP: m.cycles,
+		CyclesSMP:  rs.cycles,
+
+		Events: m.events,
+		OMS:    m.oms,
+		AMS:    m.ams,
+
+		TLBMisses:     m.tlbMisses,
+		TLBPermMisses: m.tlbPermMisses,
+
+		Checksum: r1.checksum,
+	}}
+}}
 
 // Evaluate runs every selected workload on the three standard
 // configurations and returns validated measurements. Runs are
 // independent deterministic simulations, so they fan out across
 // opt.Parallel host workers; the results (and everything rendered from
 // them) are identical for any worker count.
-func Evaluate(opt Options) ([]*AppResult, error) {
-	opt.defaults()
-	ws, err := opt.workloads()
-	if err != nil {
-		return nil, err
-	}
-	smpTop := make(core.Topology, opt.Seqs)
-	labels := [3]string{"1P", "MISP", "SMP"}
-	runs, err := grid(&opt, 3*len(ws), func(ctx context.Context, i int) (evalRun, error) {
-		w, c := ws[i/3], i%3
-		cfg := workloads.DefaultConfig(core.Topology{0})
-		mode := shredlib.ModeShred
-		switch c {
-		case 1:
-			cfg = workloads.DefaultConfig(core.Topology{opt.Seqs - 1})
-		case 2:
-			cfg = workloads.DefaultConfig(smpTop)
-			mode = shredlib.ModeThread
-		}
-		res, err := opt.run(ctx, w, mode, cfg, 0)
-		if err != nil {
-			return evalRun{}, err
-		}
-		defer res.Release()
-		if err := checkRun(w, res, labels[c], opt.Size); err != nil {
-			return evalRun{}, err
-		}
-		r := evalRun{Cycles: res.Cycles, Checksum: res.Checksum}
-		if c == 1 {
-			r.Events = overhead.Collect(res.Machine)
-			r.OMS = res.Machine.Procs[0].OMS().C
-			for _, a := range res.Machine.Procs[0].AMSs() {
-				r.AMS.Add(&a.C)
-			}
-			for _, s := range res.Machine.Seqs {
-				r.TLBMisses += s.TLB.Misses
-				r.TLBPermMisses += s.TLB.PermMisses
-			}
-		}
-		return r, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	var out []*AppResult
-	for ai, w := range ws {
-		r1, rm, rs := runs[ai*3], runs[ai*3+1], runs[ai*3+2]
-		out = append(out, &AppResult{
-			Name:  w.Name,
-			Suite: w.Suite,
-
-			Cycles1P:   r1.Cycles,
-			CyclesMISP: rm.Cycles,
-			CyclesSMP:  rs.Cycles,
-
-			Events: rm.Events,
-			OMS:    rm.OMS,
-			AMS:    rm.AMS,
-
-			TLBMisses:     rm.TLBMisses,
-			TLBPermMisses: rm.TLBPermMisses,
-
-			Checksum: r1.Checksum,
-		})
-	}
-	return out, nil
-}
+func Evaluate(opt Options) ([]*AppResult, error) { return evalView.run(opt) }
 
 // Fig4Table renders the Figure 4 series: per-application speedup over
 // 1P for MISP (1 OMS + N-1 AMS) and the equivalently configured SMP.

@@ -301,16 +301,17 @@ func executeSweep(ctx context.Context, c *Request, warm *workloads.WarmPool) (Ar
 		Ctx:      ctx,
 		Warm:     warm,
 	}
-	results, err := exp.Evaluate(opt)
-	if err != nil {
+	names := []string{c.Exp}
+	if c.Exp == "eval" {
+		names = []string{"fig4", "table1"}
+	}
+	art, apps := Artifacts{}, 0
+	emit := func(csv string, t *report.Table) {
+		art[csv+".csv"] = []byte(t.CSV())
+		apps = len(t.Rows) // fig4 and table1 have one row per app
+	}
+	if err := exp.Run(opt, exp.Args{}, emit, names...); err != nil {
 		return nil, nil, err
 	}
-	art := Artifacts{}
-	if c.Exp == "eval" || c.Exp == "fig4" {
-		art["fig4.csv"] = []byte(exp.Fig4Table(results, c.Seqs).CSV())
-	}
-	if c.Exp == "eval" || c.Exp == "table1" {
-		art["table1.csv"] = []byte(exp.Table1(results).CSV())
-	}
-	return art, &Result{Apps: len(results), ChecksumOK: true}, nil
+	return art, &Result{Apps: apps, ChecksumOK: true}, nil
 }
